@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/fault"
@@ -15,27 +14,6 @@ func faultTestOptions() Options {
 	opt.Duration = 2 * sim.Second
 	opt.BlocksPerChip = 32
 	return opt
-}
-
-// TestFaultScenarioDeterministic pins the tentpole contract: the same seed
-// produces byte-identical fault-scenario output at any worker count.
-func TestFaultScenarioDeterministic(t *testing.T) {
-	mixes := []MixSpec{Pair("VDI-Web", "TeraSort")}
-	render := func(workers int) string {
-		opt := faultTestOptions()
-		opt.Workers = workers
-		var b bytes.Buffer
-		FigureFaults(&b, mixes, opt)
-		return b.String()
-	}
-	seq := render(1)
-	par := render(4)
-	if seq != par {
-		t.Fatalf("fault scenario output differs between 1 and 4 workers:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", seq, par)
-	}
-	if par != render(4) {
-		t.Fatal("fault scenario output not reproducible across repeated runs")
-	}
 }
 
 // TestFaultRecoveryInvariant runs a heavy-fault scenario and checks that

@@ -15,32 +15,6 @@ func fleetTestOptions() Options {
 	return opt
 }
 
-// TestFigureFleetDeterministicAcrossWorkers is the fleet determinism
-// oracle at the figure level: the whole rendered scenario — every
-// placement baseline, every counter and float — must be byte-identical
-// whether shards advance sequentially or fan out over the worker pool.
-func TestFigureFleetDeterministicAcrossWorkers(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 2, 4, 8} {
-		opt := fleetTestOptions()
-		opt.Workers = workers
-		opt.PinFleetWorkers = workers == 4 // pinning must not change output either
-		var b strings.Builder
-		FigureFleet(&b, opt)
-		if workers == 1 {
-			want = b.String()
-			continue
-		}
-		if b.String() != want {
-			t.Fatalf("FigureFleet diverged at workers=%d:\n%s\nvs workers=1:\n%s",
-				workers, b.String(), want)
-		}
-	}
-	if !strings.Contains(want, "placement=least-loaded") {
-		t.Fatalf("FigureFleet missing placement sections:\n%s", want)
-	}
-}
-
 // TestCohortScenarioDeterministicAcrossWorkers covers the departure path
 // (Lifetime > 0) under the shard-worker pool, driving the pool size
 // through the FleetWorkers override rather than run-level Workers.

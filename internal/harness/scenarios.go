@@ -1,0 +1,63 @@
+package harness
+
+import "io"
+
+// Scenario is one named experiment: what `fleetbench -fig <Name>` runs and
+// what TestScenarios pins against testdata/scenarios/<Name>.golden at one
+// and four workers.
+type Scenario struct {
+	// Name is the -fig value.
+	Name string
+	// Pretrained marks scenarios whose FleetIO agents start from the
+	// offline-pretrained model (callers pass WithPretrained options).
+	Pretrained bool
+	// Render runs the scenario and prints its figure.
+	Render func(w io.Writer, opt Options)
+	// Smoke is a regexp the rendering must match: the one line that shows
+	// the scenario exercised what it exists to exercise.
+	Smoke string
+}
+
+// Scenarios is the table of everything the harness can render, in
+// `fleetbench -fig all` order followed by the non-paper scenarios.
+func Scenarios() []Scenario {
+	hwsw := []PolicyKind{PolHardware, PolSoftware}
+	scenarioMixes := EvalPairs()[:2]
+	return []Scenario{
+		{"all", true, figureAll, `Section 4\.7`},
+		{"2", true, func(w io.Writer, opt Options) { Figure2(w, PairGrid(hwsw, opt)) }, `software/hardware avg-util ratio: max \d`},
+		{"3", true, func(w io.Writer, opt Options) { Figure3(w, PairGrid(hwsw, opt)) }, `Figure 3b`},
+		{"6", false, func(w io.Writer, _ Options) { Figure6(w) }, `test clustering accuracy: \d`},
+		{"10", true, func(w io.Writer, opt Options) { Figures10to13(w, PairGrid(AllPolicies(), opt)) }, `Figure 13`},
+		{"14", true, Figure14, `mix5 +8 `},
+		{"15", true, Figure15, `FIO-UnifGlob`},
+		{"16", true, func(w io.Writer, opt Options) { Figure16(w, opt) }, `FleetIO +util= *[1-9]`},
+		{"17", true, func(w io.Writer, opt Options) { Figure17(w, opt) }, `Y \+ \(P->T\) +\d`},
+		// Every injected failure recovered: a heavy row, and no imbalance line.
+		{"faults", true, func(w io.Writer, opt Options) { FigureFaults(w, scenarioMixes, opt) }, `^[^!]*heavy +\d[^!]*$`},
+		// The rack must complete at least one cold migration. No pretrained
+		// policy to seed on either rack: the tiered rack's learned agents
+		// train online from scratch.
+		{"fleet", false, FigureFleet, `migrations: started=[1-9]\d* completed=[1-9]`},
+		// The learned placement head must move tenants both ways.
+		{"tiers", false, FigureTiers, `(?s)tier-policy=learned.* promotes=[1-9]\d* demotes=[1-9]`},
+		// The cohort rack must classify live traffic.
+		{"workloads", true, func(w io.Writer, opt Options) { FigureWorkloads(w, scenarioMixes, opt) }, `types: .*=`},
+		{"overhead", false, func(w io.Writer, _ Options) { Overheads(w) }, `inference per window`},
+	}
+}
+
+// figureAll renders every paper figure; Figures 2, 3, and 10–13 share one
+// pair grid.
+func figureAll(w io.Writer, opt Options) {
+	grid := PairGrid(AllPolicies(), opt)
+	Figure2(w, grid)
+	Figure3(w, grid)
+	Figure6(w)
+	Figures10to13(w, grid)
+	Figure14(w, opt)
+	Figure15(w, opt)
+	Figure16(w, opt)
+	Figure17(w, opt)
+	Overheads(w)
+}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/sim"
@@ -15,28 +14,6 @@ func workloadTestOptions() Options {
 	opt.Duration = 2 * sim.Second
 	opt.BlocksPerChip = 32
 	return opt
-}
-
-// TestWorkloadScenarioDeterministic pins the tentpole contract: the same
-// seed produces byte-identical workload-scenario output (shape ladder and
-// cohort rack both) at any worker count.
-func TestWorkloadScenarioDeterministic(t *testing.T) {
-	mixes := []MixSpec{Pair("YCSB", "TeraSort")}
-	render := func(workers int) string {
-		opt := workloadTestOptions()
-		opt.Workers = workers
-		var b bytes.Buffer
-		FigureWorkloads(&b, mixes, opt)
-		return b.String()
-	}
-	seq := render(1)
-	par := render(4)
-	if seq != par {
-		t.Fatalf("workload scenario output differs between 1 and 4 workers:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", seq, par)
-	}
-	if par != render(4) {
-		t.Fatal("workload scenario output not reproducible across repeated runs")
-	}
 }
 
 // TestWorkloadScenarioTypesDistinct checks the clustering contract of the
