@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/harness"
-	"repro/internal/lockfree"
 	"repro/internal/nn"
 	"repro/internal/rl"
 	"repro/internal/sim"
@@ -256,8 +255,8 @@ func BenchmarkFigureWorkloads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := harness.WorkloadScenario(mix, opt)
 		for _, row := range rows {
-			if len(row.TypeLabels) != len(row.Result.Tenants) {
-				b.Fatalf("%s: %d labels for %d tenants", row.Level, len(row.TypeLabels), len(row.Result.Tenants))
+			if n := len(row.TypeLabels()); n != len(row.Result.Tenants) {
+				b.Fatalf("%s: %d labels for %d tenants", row.Level, n, len(row.Result.Tenants))
 			}
 			for _, t := range row.Result.Tenants {
 				completed += t.Completed
@@ -355,47 +354,6 @@ func BenchmarkAdmissionBatch(b *testing.B) {
 }
 
 // --- Ablation benchmarks (DESIGN.md design choices) -------------------
-
-// BenchmarkGSBPoolLockFree exercises the lock-free pool under concurrent
-// push/pop (the paper's Harris-list design). It is kept as an ablation:
-// the production gSB pool switched to the mutex design below after this
-// pair showed the lock-free list losing on both latency and allocation
-// (node-per-push escape); see internal/gsb/pool.go.
-func BenchmarkGSBPoolLockFree(b *testing.B) {
-	var l lockfree.List[int]
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%2 == 0 {
-				l.PushFront(i)
-			} else {
-				l.PopFront()
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkGSBPoolMutex models the mutex-guarded pool that internal/gsb
-// now uses in production (18.5 ns/op and 0 B/op vs 38.4 ns/op and 12 B/op
-// for the lock-free variant on the trajectory baseline).
-func BenchmarkGSBPoolMutex(b *testing.B) {
-	var mu sync.Mutex
-	var list []int
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			mu.Lock()
-			if i%2 == 0 {
-				list = append(list, i)
-			} else if len(list) > 0 {
-				list = list[:len(list)-1]
-			}
-			mu.Unlock()
-			i++
-		}
-	})
-}
 
 // BenchmarkAdmissionReorderAblation compares harvest success with and
 // without the Make_Harvestable-first batch reordering (§3.5).

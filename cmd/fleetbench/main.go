@@ -3,18 +3,18 @@
 //
 // Usage:
 //
-//	fleetbench [-fig all|2|3|6|10|14|15|16|17|faults|fleet|tiers|workloads|overhead]
-//	           [-seconds N] [-model file] [-parallel N] [-faults spec] [-fleet N]
-//	           [-fleet-workers N] [-pin] [-workload shape] [-trace file]
+//	fleetbench [-fig name] [-seconds N] [-model file] [-parallel N]
+//	           [-faults spec] [-fleet N] [-workload shape] [-trace file]
 //
+// -fig takes any name in the harness scenario table (harness.Scenarios;
+// `fleetbench -h` lists them): a paper figure number, "all" for every
+// paper figure, or one of the faults/fleet/tiers/workloads scenarios.
 // Figures 10–13 share one set of runs and are printed together.
 //
 // -parallel bounds the worker pool: independent experiment runs in flight
-// at once, or, for -fig fleet, device shards advanced concurrently per
-// epoch (0 = one per CPU, 1 = sequential; results are byte-identical at
-// any worker count). -fleet-workers sizes the fleet's persistent
-// shard-worker pool separately from -parallel, and -pin locks each shard
-// worker to an OS thread — scheduling knobs only, never output changes.
+// at once, or, for the rack scenarios, device shards advanced concurrently
+// per epoch (0 = one per CPU, 1 = sequential; results are byte-identical
+// at any worker count).
 //
 // -faults injects deterministic NAND failures into the measured runs:
 // "light", "heavy", or a k=v spec (see internal/fault.ParseSpec).
@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/flash"
@@ -54,7 +56,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fleetbench: ")
-	fig := flag.String("fig", "all", "figure to regenerate: all, 2, 3, 6, 10, 14, 15, 16, 17, faults, fleet, tiers, workloads, overhead")
+	scenarios := harness.Scenarios()
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.Name
+	}
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ", "))
 	seconds := flag.Float64("seconds", 8, "measured virtual seconds per run")
 	warmup := flag.Float64("warmup", 4, "virtual warmup seconds per run")
 	windowMs := flag.Int("window", 250, "decision window in milliseconds")
@@ -63,13 +70,21 @@ func main() {
 	httpAddr := flag.String("http", "", "serve live run telemetry on /metrics and pprof on /debug/pprof/")
 	parallel := flag.Int("parallel", 0, "worker pool size: experiment runs, or fleet shards per epoch (0 = one per CPU, 1 = sequential)")
 	faults := flag.String("faults", "", "NAND fault injection: off, light, heavy, or k=v list (pfail=,efail=,rretry=,tmo=,maxretries=,rstep=,stall=,seed=)")
-	fleetN := flag.Int("fleet", 0, "device count for -fig fleet (0 = 64)")
-	fleetWorkers := flag.Int("fleet-workers", 0, "persistent shard-worker pool size for -fig fleet, overriding -parallel (0 = use -parallel, 1 = sequential; output is byte-identical)")
-	pin := flag.Bool("pin", false, "lock each fleet shard worker to an OS thread (scheduling hint; output is unchanged)")
+	fleetN := flag.Int("fleet", 0, "device count for the rack scenarios (0 = 64 for fleet, 8 for tiers and the workloads cohort rack)")
 	workloadFlag := flag.String("workload", "steady", "temporal arrival shape: steady, diurnal, bursty, or replay")
 	traceFile := flag.String("trace", "", "block trace (binary or CSV) used as the replay source")
-	scalarRL := flag.Bool("scalar-rl", false, "use the scalar (per-agent, per-sample) RL kernels instead of the batched ones; output is bit-identical either way (CI diffs the two)")
 	flag.Parse()
+
+	if *fig == "11" || *fig == "12" || *fig == "13" {
+		*fig = "10"
+	}
+	idx := slices.Index(names, *fig)
+	if idx < 0 {
+		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
+		flag.Usage()
+		os.Exit(2)
+	}
+	sc := scenarios[idx]
 
 	faultCfg, err := fault.ParseSpec(*faults)
 	if err != nil {
@@ -100,10 +115,7 @@ func main() {
 		log.Printf("injecting NAND faults: %s", *faults)
 	}
 	opt.FleetDevices = *fleetN
-	opt.FleetWorkers = *fleetWorkers
-	opt.PinFleetWorkers = *pin
 	opt.WorkloadShape = shape
-	opt.ScalarRL = *scalarRL
 	if *traceFile != "" {
 		recs, err := trace.LoadFile(*traceFile, flash.DefaultConfig().PageSize)
 		if err != nil {
@@ -117,10 +129,7 @@ func main() {
 		}
 		log.Printf("replaying %d trace records from %s", len(recs), *traceFile)
 	}
-	if *fig != "fleet" && *fig != "tiers" {
-		// The fleet scenarios have no pretrained RL policy to seed (the
-		// tiered rack's learned agents train online from scratch); skip
-		// pretraining.
+	if sc.Pretrained {
 		opt = harness.WithPretrained(opt)
 	}
 
@@ -136,59 +145,5 @@ func main() {
 		log.Printf("observability on http://%s (/metrics, /debug/pprof/)", srv.Addr())
 	}
 
-	w := os.Stdout
-	needGrid := func() map[string][]harness.Result {
-		log.Printf("running %d pairs x %d policies (this simulates %d experiments)...",
-			len(harness.EvalPairs()), len(harness.AllPolicies()),
-			len(harness.EvalPairs())*(len(harness.AllPolicies())+1))
-		return harness.PairGrid(harness.AllPolicies(), opt)
-	}
-
-	switch *fig {
-	case "all":
-		grid := needGrid()
-		harness.Figure2(w, grid)
-		harness.Figure3(w, grid)
-		harness.Figure6(w)
-		harness.Figures10to13(w, grid)
-		harness.Figure14(w, opt)
-		harness.Figure15(w, opt)
-		harness.Figure16(w, opt)
-		harness.Figure17(w, opt)
-		harness.Overheads(w)
-	case "2", "3":
-		grid := harness.PairGrid([]harness.PolicyKind{harness.PolHardware, harness.PolSoftware}, opt)
-		if *fig == "2" {
-			harness.Figure2(w, grid)
-		} else {
-			harness.Figure3(w, grid)
-		}
-	case "6":
-		harness.Figure6(w)
-	case "10", "11", "12", "13":
-		grid := needGrid()
-		harness.Figures10to13(w, grid)
-	case "14":
-		harness.Figure14(w, opt)
-	case "15":
-		harness.Figure15(w, opt)
-	case "16":
-		harness.Figure16(w, opt)
-	case "17":
-		harness.Figure17(w, opt)
-	case "faults":
-		harness.FigureFaults(w, harness.EvalPairs()[:2], opt)
-	case "fleet":
-		harness.FigureFleet(w, opt)
-	case "tiers":
-		harness.FigureTiers(w, opt)
-	case "workloads":
-		harness.FigureWorkloads(w, harness.EvalPairs()[:2], opt)
-	case "overhead":
-		harness.Overheads(w)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		flag.Usage()
-		os.Exit(2)
-	}
+	sc.Render(os.Stdout, opt)
 }

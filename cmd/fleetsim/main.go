@@ -23,9 +23,6 @@
 // -parallel bounds the worker pool: independent harness runs in flight at
 // once, or, with -fleet, device shards advanced concurrently per epoch
 // (0 = one per CPU, 1 = sequential; output is byte-identical either way).
-// -fleet-workers sizes the fleet's persistent shard-worker pool separately
-// from -parallel, and -pin locks each shard worker to an OS thread — both
-// are scheduling knobs only and never change the simulated output.
 //
 // -faults injects deterministic NAND failures into the measured run:
 // "light", "heavy", or a k=v spec (see internal/fault.ParseSpec).
@@ -77,9 +74,6 @@ func main() {
 	placement := flag.String("placement", "least-loaded", "fleet placement baseline: least-loaded, round-robin, or hash (with -fleet)")
 	tiers := flag.Bool("tiers", false, "make the -fleet rack hybrid (SLC-like + QLC-like device classes) with promote/demote placement")
 	tierPolicy := flag.String("tier-policy", "learned", "tier promote/demote policy: static-pin, watermark, or learned (with -tiers)")
-	fleetWorkers := flag.Int("fleet-workers", 0, "persistent shard-worker pool size for -fleet runs, overriding -parallel (0 = use -parallel, 1 = sequential; output is byte-identical)")
-	pin := flag.Bool("pin", false, "lock each fleet shard worker to an OS thread (scheduling hint; output is unchanged)")
-	scalarRL := flag.Bool("scalar-rl", false, "use the scalar (per-agent, per-sample) RL kernels instead of the batched ones; output is bit-identical either way")
 	flag.Parse()
 
 	faultCfg, err := fault.ParseSpec(*faults)
@@ -101,9 +95,6 @@ func main() {
 		opt.Duration = sim.Time(*seconds * 1e9)
 		opt.Workers = *parallel
 		opt.FleetDevices = *fleetN
-		opt.FleetWorkers = *fleetWorkers
-		opt.PinFleetWorkers = *pin
-		opt.ScalarRL = *scalarRL
 		var srv *obs.Server
 		if *httpAddr != "" {
 			opt.Obs = obs.NewObserver()
@@ -155,7 +146,6 @@ func main() {
 	opt.Duration = sim.Time(*seconds * 1e9)
 	opt.Workers = *parallel
 	opt.WorkloadShape = shape
-	opt.ScalarRL = *scalarRL
 	if *traceFile != "" {
 		recs, err := trace.LoadFile(*traceFile, flash.DefaultConfig().PageSize)
 		if err != nil {
@@ -167,7 +157,6 @@ func main() {
 	}
 	if faultCfg.Enabled() {
 		opt.Faults = &faultCfg
-		opt.ErrorRateState = kind == harness.PolFleetIO
 		log.Printf("injecting NAND faults: %s", *faults)
 	}
 	if kind == harness.PolFleetIO {
@@ -189,13 +178,8 @@ func main() {
 	log.Printf("calibrating SLOs (hardware-isolated run)...")
 	slos := harness.Calibrate(mix, opt)
 	log.Printf("running %s on %s...", kind, *mixFlag)
-	var res harness.Result
-	var fst harness.FaultRunStats
-	if opt.Faults != nil {
-		res, fst = harness.RunOneWithFaults(mix, kind, slos, opt)
-	} else {
-		res = harness.RunOne(mix, kind, slos, opt)
-	}
+	run := harness.Measure(mix, kind, slos, opt)
+	res := run.Result
 
 	fmt.Printf("policy: %s   SSD utilization: %.1f%% (p95 %.1f%%)\n", res.Policy, res.AvgUtil*100, res.P95Util*100)
 	fmt.Printf("%-16s %-22s %12s %10s %10s %10s %10s\n",
@@ -205,6 +189,7 @@ func main() {
 			t.Workload, t.Class.String(), t.BandwidthMBps, t.MeanMs, t.P95Ms, t.P99Ms, t.VioRate*100)
 	}
 	if opt.Faults != nil {
+		fst := run.FaultStats()
 		fmt.Printf("faults: pfail=%d efail=%d readRetryOps=%d timeouts=%d | retired=%d remapped=%d hostRetries=%d gcRetries=%d gcSkips=%d (balanced=%v)\n",
 			fst.Device.ProgramFails, fst.Device.EraseFails, fst.Device.ReadRetryOps, fst.Device.ChipTimeouts,
 			fst.Retired, fst.Remapped, fst.WriteRetries, fst.GCRetryPrograms, fst.GCRetrySkips, fst.Balanced())

@@ -49,7 +49,7 @@
 // # Reproducing the paper
 //
 // cmd/fleetbench regenerates every figure; cmd/fleettrain pretrains the
-// PPO model; cmd/fleetcluster reproduces the workload clustering;
+// PPO model (fleetbench -fig 6 is the workload-clustering figure alone);
 // cmd/fleetsim runs one collocation interactively; and cmd/fleettrace
 // converts, inspects, and synthesizes block traces. bench_test.go holds a
 // testing.B benchmark per figure plus the §4.7 overhead microbenchmarks.

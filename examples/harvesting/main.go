@@ -60,7 +60,7 @@ func main() {
 		harv.Tenants[1].BandwidthMBps/base.Tenants[1].BandwidthMBps,
 		harv.Tenants[0].P99Ms/base.Tenants[0].P99Ms)
 	fmt.Println("\nEverything in §3.6/§3.7 runs under the hood: gSB creation from free-floor-")
-	fmt.Println("checked channels, the lock-free pool, block lending striped across chips,")
+	fmt.Println("checked channels, the gSB pool, block lending striped across chips,")
 	fmt.Println("the LBA indirection in the harvester, and GC-driven lazy reclamation with")
 	fmt.Println("harvested-first victim selection.")
 }

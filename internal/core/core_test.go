@@ -8,6 +8,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/ftl"
 	"repro/internal/metrics"
+	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/vssd"
 	"repro/internal/workload"
@@ -356,11 +357,11 @@ func TestPaperAlphaConstants(t *testing.T) {
 
 // TestDecideBatchedMatchesScalar runs two identical shared-model FleetIO
 // deployments — one on the batched Decide path, one forced scalar with
-// ScalarRL — over the same simulated workload and requires identical action
-// streams, identical training statistics, and identical final network
-// parameters. This is the policy-level pin of the batched-kernel
-// bit-identity contract (the figure-level pin is scripts/check.sh's
-// batched-vs-scalar golden gate).
+// RL.ScalarKernels — over the same simulated workload and requires
+// identical action streams, identical training statistics, and identical
+// final network parameters. This is the policy-level pin of the
+// batched-kernel bit-identity contract (the figure-level pin is
+// harness.TestCompareGolden, whose golden predates the batched kernels).
 func TestDecideBatchedMatchesScalar(t *testing.T) {
 	type run struct {
 		acts  []vssd.Action
@@ -377,7 +378,7 @@ func TestDecideBatchedMatchesScalar(t *testing.T) {
 		gbi.Start()
 		f := NewFleetIO(p, FleetIOConfig{
 			ShareModel: true, Train: train, GreedyCollect: greedy,
-			TrainEvery: 5, Seed: 4, ScalarRL: scalar,
+			TrainEvery: 5, Seed: 4, RL: rl.Config{ScalarKernels: scalar},
 		})
 		var out run
 		adm := admission.NewController(p, nil)

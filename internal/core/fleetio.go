@@ -65,14 +65,6 @@ type FleetIOConfig struct {
 	// held-out eval episodes use it to score a frozen policy snapshot.
 	GreedyCollect bool
 
-	// ScalarRL disables the batched RL kernels: Decide falls back to
-	// per-agent scalar inference and PPO trains with per-sample network
-	// calls. Both paths are bit-identical by construction; the flag lets
-	// CI (scripts/check.sh) prove it on full figure runs and serves as an
-	// escape hatch. Applied after RL-default resolution, so it works even
-	// when cfg.RL is left zero.
-	ScalarRL bool
-
 	// ErrorRateState appends the per-tenant NAND error-rate feature
 	// (write retries / requests per window) to every window state, used
 	// by fault-injection scenarios. It widens the network input, so it is
@@ -100,7 +92,10 @@ type FleetIOConfig struct {
 	TypeModel *cluster.Model
 	// AlphaByCluster maps the TypeModel's cluster ids to α values.
 	AlphaByCluster map[int]float64
-	// RL overrides PPO hyperparameters (zero value → DefaultConfig).
+	// RL overrides PPO hyperparameters (zero value → DefaultConfig; LR and
+	// ScalarKernels survive the default resolution when the rest is zero).
+	// RL.ScalarKernels also makes Decide fall back to per-agent scalar
+	// inference: the oracle the batched kernels are tested against.
 	RL rl.Config
 
 	// Obs traces per-window decisions (the three issued actions plus the
@@ -171,16 +166,11 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 	}
 	if cfg.RL.Gamma == 0 {
 		rcfg := rl.DefaultConfig()
-		rcfg.LR = cfg.RL.LR
-		if rcfg.LR == 0 {
-			rcfg.LR = rl.DefaultConfig().LR
+		rcfg.ScalarKernels = cfg.RL.ScalarKernels
+		if cfg.RL.LR != 0 {
+			rcfg.LR = cfg.RL.LR
 		}
 		cfg.RL = rcfg
-	}
-	// After the default resolution above, which would clobber the flag when
-	// the rest of cfg.RL is zero.
-	if cfg.ScalarRL {
-		cfg.RL.ScalarKernels = true
 	}
 	f := &FleetIO{cfg: cfg, plat: plat, rng: sim.NewRNG(cfg.Seed)}
 	f.stateDim = cfg.HistoryWindows * f.stateWidth()
@@ -365,7 +355,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	// construction (see internal/nn/batch.go). On windows where an agent
 	// may train the shared network mid-loop, the scalar path runs instead
 	// so the act/train interleaving is preserved exactly.
-	batched := f.shared != nil && !f.cfg.ScalarRL &&
+	batched := f.shared != nil && !f.cfg.RL.ScalarKernels &&
 		(!f.cfg.Train || f.windows%int64(f.cfg.TrainEvery) != 0)
 	if batched {
 		if cap(f.stateRows) < n*f.stateDim {

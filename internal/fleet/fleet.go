@@ -131,12 +131,6 @@ type Config struct {
 	// at Run start; each worker owns a static contiguous slice of shards
 	// for the whole run. Results are byte-identical at any setting.
 	Workers int
-	// Pin locks each persistent shard worker to its OS thread
-	// (runtime.LockOSThread) for the whole run, so the Go scheduler never
-	// migrates a worker — and with it, its shards' cache-hot engine state
-	// — between threads. No effect when the pool is not used (Workers 1,
-	// or a single device).
-	Pin bool
 	// Obs, when non-nil, receives the fleetio_fleet_* metric roll-up,
 	// refreshed at every epoch boundary.
 	Obs *obs.Registry
@@ -464,7 +458,7 @@ func (f *Fleet) start() {
 		n = len(f.shards)
 	}
 	if n > 1 && f.pool == nil {
-		f.pool = newShardWorkers(f, n, f.cfg.Pin)
+		f.pool = newShardWorkers(f, n)
 	}
 }
 

@@ -60,9 +60,8 @@ type workerSlot struct {
 // park for oversubscribed hosts, where spinning would steal the cycles
 // the stragglers need.
 type shardWorkers struct {
-	f   *Fleet
-	n   int
-	pin bool
+	f *Fleet
+	n int
 
 	// seq is the release word and the barrier's sense: bumped once per
 	// epoch, it both publishes the epoch inputs below (the atomic store
@@ -119,8 +118,8 @@ func partitionShards(d, n int) [][2]int {
 
 // newShardWorkers starts the pool: n goroutines, each bound to its static
 // shard range, parked at the barrier until the first release.
-func newShardWorkers(f *Fleet, n int, pin bool) *shardWorkers {
-	p := &shardWorkers{f: f, n: n, pin: pin, base: time.Now()}
+func newShardWorkers(f *Fleet, n int) *shardWorkers {
+	p := &shardWorkers{f: f, n: n, base: time.Now()}
 	p.cond = sync.NewCond(&p.mu)
 	p.ccond = sync.NewCond(&p.cmu)
 	if runtime.GOMAXPROCS(0) > n {
@@ -137,17 +136,11 @@ func newShardWorkers(f *Fleet, n int, pin bool) *shardWorkers {
 	return p
 }
 
-// worker is one pool goroutine. With pin set it locks itself to its OS
-// thread for the whole run, so the Go scheduler cannot migrate it and the
-// OS scheduler sees one long-running thread per worker to keep core-affine.
-// The pprof label makes per-worker time visible on the /debug/pprof
-// endpoints (profile and goroutine dumps group by shard-worker-N).
+// worker is one pool goroutine. The pprof label makes per-worker time
+// visible on the /debug/pprof endpoints (profile and goroutine dumps group
+// by shard-worker-N).
 func (p *shardWorkers) worker(w int) {
 	defer p.wg.Done()
-	if p.pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	labels := pprof.Labels("shard-worker", fmt.Sprintf("shard-worker-%d", w))
 	pprof.Do(context.Background(), labels, func(context.Context) {
 		p.loop(w)

@@ -53,21 +53,6 @@ func TestBarrierStressManyEpochs(t *testing.T) {
 	}
 }
 
-// TestBarrierStressPinned repeats the stress with OS-thread pinning, which
-// must not change behavior (or output — see TestPinByteIdentical).
-func TestBarrierStressPinned(t *testing.T) {
-	cfg := testConfig()
-	cfg.Devices = 4
-	cfg.Workers = 4
-	cfg.Pin = true
-	cfg.Quantum = 2 * sim.Millisecond
-	cfg.Duration = 400 * sim.Millisecond
-	st := New(cfg).Run()
-	if st.Epochs != 200 || !st.Balanced() {
-		t.Fatalf("pinned stress: epochs=%d balanced=%v", st.Epochs, st.Balanced())
-	}
-}
-
 // TestWorkerPoolCleanShutdown proves Run leaks no goroutines: the pool is
 // created at Run start and joined before Run returns, repeatedly.
 func TestWorkerPoolCleanShutdown(t *testing.T) {
@@ -76,7 +61,6 @@ func TestWorkerPoolCleanShutdown(t *testing.T) {
 		cfg := testConfig()
 		cfg.Workers = 6
 		cfg.Duration = 500 * sim.Millisecond
-		cfg.Pin = i == 2 // pinned workers must unwind their threads too
 		New(cfg).Run()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -89,20 +73,6 @@ func TestWorkerPoolCleanShutdown(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestPinByteIdentical pins workers to OS threads and requires the exact
-// output of the unpinned run: pinning is a scheduling hint, never a
-// semantic change.
-func TestPinByteIdentical(t *testing.T) {
-	base := testConfig()
-	base.Workers = 4
-	want := render(New(base).Run())
-	pinned := base
-	pinned.Pin = true
-	if got := render(New(pinned).Run()); got != want {
-		t.Fatalf("Pin changed output:\n%s\nvs unpinned:\n%s", got, want)
 	}
 }
 

@@ -4,18 +4,16 @@ import "sync"
 
 // gsbPool is the idle-gSB container: a mutex-guarded LIFO slice.
 //
-// The paper describes a lock-free pool (Harris-style list), and
-// internal/lockfree keeps that implementation for the ablation benchmark —
-// but under this codebase's contention profile the mutex pool wins on both
-// axes (BenchmarkGSBPoolMutex ~18.5 ns/op, 0 B/op vs BenchmarkGSBPoolLockFree
-// ~38.4 ns/op, 12 B/op): pool operations are a handful per decision window,
-// the uncontended mutex fast path is two atomic ops, and the slice reuses
-// its backing array where the lock-free list allocates a node per push.
-// See docs/PERFORMANCE.md.
+// The paper describes a lock-free pool (Harris-style list). An
+// implementation of it was benchmarked against this one and retired: under
+// this codebase's contention profile the mutex pool won on both axes
+// (~18.5 ns/op, 0 B/op vs ~38.4 ns/op, 12 B/op): pool operations are a
+// handful per decision window, the uncontended mutex fast path is two
+// atomic ops, and the slice reuses its backing array where the list
+// allocated a node per push. See docs/PERFORMANCE.md.
 //
-// Matching is LIFO (most recently pushed first), the same order the
-// previous lock-free list produced with its head push + head-first scan, so
-// harvest selection is byte-identical across the swap.
+// Matching is LIFO (most recently pushed first), the order the paper's
+// list gives with its head push + head-first scan.
 type gsbPool struct {
 	mu    sync.Mutex
 	items []*GSB

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/rl"
@@ -25,8 +24,6 @@ type EpisodeSpec struct {
 	// Greedy selects argmax actions (held-out evaluation) instead of
 	// sampling the stochastic policy (collection).
 	Greedy bool
-	// ScalarRL forces the scalar RL kernels (see Options.ScalarRL).
-	ScalarRL bool
 }
 
 // pretrainSLOs calibrates quickly with a short hardware-isolated run.
@@ -39,54 +36,15 @@ func pretrainSLOs(mix MixSpec, opt Options) []sim.Time {
 
 // RunEpisode is the episode factory behind both sequential calibration-era
 // pretraining and the parallel trainer: it builds a fresh platform for the
-// spec, drives a collection-only FleetIO sharing net (the network is read,
-// never trained — updates belong to the trainer's learner), and returns
-// one rollout buffer per agent with the final transition marked terminal.
+// spec, drives a collection-only FleetIO sharing net (see episodeFleetIO)
+// for one unmeasured phase, and returns one rollout buffer per agent with
+// the final transition marked terminal.
 func RunEpisode(spec EpisodeSpec, net *nn.ActorCritic) []*rl.Buffer {
 	opt := DefaultOptions()
 	opt.Seed = spec.Seed
 	opt.Window = spec.Window
-	rcfg := spec.RL
-	if rcfg.Gamma == 0 {
-		rcfg = rl.DefaultConfig()
-	}
-	slos := pretrainSLOs(spec.Mix, opt)
-	r := buildPlatform(spec.Mix, PolFleetIO, slos, opt)
-	tm, alphas := TypeModel()
-	f := core.NewFleetIO(r.plat, core.FleetIOConfig{
-		Mode:  spec.Mode,
-		Train: true,
-		// Collection only: keep the in-episode PPO trigger out of reach
-		// so every transition survives for the external learner.
-		TrainEvery:     1 << 30,
-		Seed:           spec.Seed,
-		Pretrained:     net,
-		ShareModel:     true,
-		GreedyCollect:  spec.Greedy,
-		TypeModel:      tm,
-		AlphaByCluster: alphas,
-		RL:             rcfg,
-		ScalarRL:       spec.ScalarRL,
-	})
-	for i, rec := range r.recs {
-		f.SetRecorder(i, rec)
-	}
-	for i, name := range spec.Mix.Workloads {
-		if c, ok := tm.WorkloadCluster[name]; ok {
-			if a, ok2 := alphas[c]; ok2 {
-				f.SetAlpha(i, a)
-			}
-		}
-	}
-	adm := admission.NewController(r.plat, nil)
-	r.runner = &core.Runner{Plat: r.plat, Adm: adm, Policy: f, Window: opt.Window}
-	for _, g := range r.gens {
-		g.Start()
-	}
-	r.runner.Start()
-	r.eng.RunUntil(spec.Duration)
-	for _, g := range r.gens {
-		g.Stop()
-	}
+	r := buildPlatform(spec.Mix, PolFleetIO, nil, pretrainSLOs(spec.Mix, opt), opt)
+	f := r.attachFleetIO(episodeFleetIO(spec, net))
+	r.execute(spec.Duration)
 	return f.DrainRollouts()
 }

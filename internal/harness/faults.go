@@ -9,22 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// FaultLevel pairs a scenario label with an injector configuration.
-type FaultLevel struct {
-	Name string
-	// Cfg is nil for the fault-free baseline level.
-	Cfg *fault.Config
-}
-
 // FaultLevels is the off/light/heavy ladder the fault scenario sweeps.
-func FaultLevels() []FaultLevel {
-	light := fault.Light()
-	heavy := fault.Heavy()
-	return []FaultLevel{
-		{Name: "off"},
-		{Name: "light", Cfg: &light},
-		{Name: "heavy", Cfg: &heavy},
+func FaultLevels() []Level {
+	level := func(name string, cfg *fault.Config) Level {
+		return Level{name, func(o *Options) { o.Faults = cfg }}
 	}
+	light, heavy := fault.Light(), fault.Heavy()
+	return []Level{level("off", nil), level("light", &light), level("heavy", &heavy)}
 }
 
 // FaultRunStats is the fault-recovery ledger of one measured run: what the
@@ -52,18 +43,19 @@ func (s FaultRunStats) Balanced() bool {
 	return s.Device.ProgramFails == s.Remapped && s.Device.ProgramFails == s.Recovered()
 }
 
-// RunOneWithFaults is RunOne plus the run's fault-recovery ledger, read
-// off the platform after the measured interval.
-func RunOneWithFaults(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) (Result, FaultRunStats) {
-	r := buildPlatform(mix, kind, slos, opt)
-	r.attachPolicy(kind, mix)
-	r.execute()
-	res := r.collect(mix, kind)
+// FaultStats reads the run's fault-recovery ledger off the platform.
+func (r *Run) FaultStats() FaultRunStats {
 	// Settle the ledger before reading it: a program that failed right at
 	// the stop boundary may not have completed its retry yet, and a GC
 	// re-program can be waiting out a 1 ms allocation backoff. The Result
-	// was collected first, so the measured figures are untouched.
-	r.eng.RunUntil(opt.Warmup + opt.Duration + 50*sim.Millisecond)
+	// was collected when the run finished, so the measured figures are
+	// untouched.
+	r.plat.Engine().RunUntil(r.end + 50*sim.Millisecond)
+	return r.faultLedger()
+}
+
+// faultLedger reads the ledger as it stands.
+func (r *Run) faultLedger() FaultRunStats {
 	fst := r.plat.FTL().Stats()
 	st := FaultRunStats{
 		Device:          r.plat.Device().FaultStats(),
@@ -75,33 +67,13 @@ func RunOneWithFaults(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options
 	for _, v := range r.plat.VSSDs() {
 		st.WriteRetries += v.TotalRetries()
 	}
-	return res, st
-}
-
-// FaultScenarioResult is one fault level's outcome within a scenario.
-type FaultScenarioResult struct {
-	Level  string
-	Result Result
-	Stats  FaultRunStats
+	return st
 }
 
 // FaultScenario runs the mix under FleetIO at every fault level, against
-// SLOs calibrated fault-free, and returns the per-level outcomes. The
-// levels are independent deterministic simulations and fan out over
-// opt.Workers goroutines; results come back in level order regardless of
-// worker count.
-func FaultScenario(mix MixSpec, opt Options) []FaultScenarioResult {
-	slos := Calibrate(mix, opt)
-	levels := FaultLevels()
-	out := make([]FaultScenarioResult, len(levels))
-	forEach(len(levels), opt.workers(), func(i int) {
-		o := opt
-		o.Faults = levels[i].Cfg
-		o.ErrorRateState = o.Faults != nil && o.Faults.Enabled()
-		res, st := RunOneWithFaults(mix, PolFleetIO, slos, o)
-		out[i] = FaultScenarioResult{Level: levels[i].Name, Result: res, Stats: st}
-	})
-	return out
+// SLOs calibrated fault-free.
+func FaultScenario(mix MixSpec, opt Options) []LevelRun {
+	return sweep(mix, opt, FaultLevels())
 }
 
 // FigureFaults renders the fault scenario for every mix: SLO preservation
@@ -109,28 +81,17 @@ func FaultScenario(mix MixSpec, opt Options) []FaultScenarioResult {
 // level. Output is deterministic for a given seed at any worker count.
 func FigureFaults(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Fault scenarios: SLO preservation under injected NAND failures (seed=%d) ==\n", opt.Seed)
-	for _, mix := range mixes {
-		rows := FaultScenario(mix, opt)
-		fmt.Fprintf(w, "%s (%v)\n", mix.Label, mix.Workloads)
-		fmt.Fprintf(w, "  %-6s %9s %9s %10s %10s %9s %9s %9s %9s\n",
-			"level", "util%", "maxVio%", "pfail", "efail", "retired", "remap", "retries", "gcRetry")
-		for _, row := range rows {
-			maxVio := 0.0
-			for _, tr := range row.Result.Tenants {
-				if tr.VioRate > maxVio {
-					maxVio = tr.VioRate
-				}
-			}
-			st := row.Stats
-			fmt.Fprintf(w, "  %-6s %9.2f %9.3f %10d %10d %9d %9d %9d %9d\n",
-				row.Level, row.Result.AvgUtil*100, maxVio*100,
-				st.Device.ProgramFails, st.Device.EraseFails,
-				st.Retired, st.Remapped, st.WriteRetries,
-				st.GCRetryPrograms+st.GCRetrySkips)
-			if !st.Balanced() {
-				fmt.Fprintf(w, "  !! recovery imbalance: injected=%d remapped=%d recovered=%d\n",
-					st.Device.ProgramFails, st.Remapped, st.Recovered())
-			}
+	head := fmt.Sprintf(" %10s %10s %9s %9s %9s %9s", "pfail", "efail", "retired", "remap", "retries", "gcRetry")
+	figureSweep(w, mixes, opt, FaultLevels(), 6, "level", head, func(r *Run) string {
+		st := r.FaultStats()
+		row := fmt.Sprintf(" %10d %10d %9d %9d %9d %9d",
+			st.Device.ProgramFails, st.Device.EraseFails,
+			st.Retired, st.Remapped, st.WriteRetries,
+			st.GCRetryPrograms+st.GCRetrySkips)
+		if !st.Balanced() {
+			row += fmt.Sprintf("\n  !! recovery imbalance: injected=%d remapped=%d recovered=%d",
+				st.Device.ProgramFails, st.Remapped, st.Recovered())
 		}
-	}
+		return row
+	})
 }

@@ -24,10 +24,10 @@ func TestFaultRecoveryInvariant(t *testing.T) {
 	opt := faultTestOptions()
 	heavy := fault.Heavy()
 	opt.Faults = &heavy
-	opt.ErrorRateState = true
 	mix := Pair("VDI-Web", "TeraSort")
 	slos := Calibrate(mix, opt)
-	res, st := RunOneWithFaults(mix, PolFleetIO, slos, opt)
+	r := Measure(mix, PolFleetIO, slos, opt)
+	res, st := r.Result, r.FaultStats()
 
 	if st.Device.ProgramFails == 0 {
 		t.Fatal("heavy fault profile injected no program failures")
@@ -48,19 +48,20 @@ func TestFaultRecoveryInvariant(t *testing.T) {
 }
 
 // TestFaultsDisabledMatchesBaseline pins the zero-cost contract at the
-// harness level: a nil fault config produces the exact same Result as the
-// plain entry point, with an all-zero fault ledger.
+// harness level: a nil fault config leaves an all-zero fault ledger, and
+// settling that ledger does not disturb the collected Result.
 func TestFaultsDisabledMatchesBaseline(t *testing.T) {
 	opt := faultTestOptions()
 	mix := Pair("VDI-Web", "TeraSort")
 	slos := Calibrate(mix, opt)
 	base := RunOne(mix, PolFleetIO, slos, opt)
-	res, st := RunOneWithFaults(mix, PolFleetIO, slos, opt)
+	r := Measure(mix, PolFleetIO, slos, opt)
+	st, res := r.FaultStats(), r.Result
 	if st != (FaultRunStats{}) {
 		t.Fatalf("fault ledger non-zero without an injector: %+v", st)
 	}
 	if renderResults([]Result{base}) != renderResults([]Result{res}) {
-		t.Fatalf("fault-free RunOneWithFaults diverged from RunOne:\n%s\nvs\n%s",
+		t.Fatalf("fault-free Measure diverged from RunOne after FaultStats:\n%s\nvs\n%s",
 			renderResults([]Result{base}), renderResults([]Result{res}))
 	}
 }

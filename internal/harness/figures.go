@@ -16,17 +16,12 @@ import (
 )
 
 // PairGrid runs every evaluation pair under the given policies, reusing
-// one calibration per pair. It is the data source for Figures 2, 3, 10,
-// 11, 12, 13, and 15. The whole (pair × policy) grid runs as one flat
-// job list on the opt.Workers pool.
-func PairGrid(kinds []PolicyKind, opt Options) map[string][]Result {
-	mixes := EvalPairs()
-	rows := compareAll(mixes, kinds, opt)
-	out := make(map[string][]Result, len(mixes))
-	for i, mix := range mixes {
-		out[mix.Label] = rows[i]
-	}
-	return out
+// one calibration per pair, and returns one row of results per pair in
+// EvalPairs order. It is the data source for Figures 2, 3, and 10–13. The
+// whole (pair × policy) grid runs as one flat job list on the opt.Workers
+// pool.
+func PairGrid(kinds []PolicyKind, opt Options) [][]Result {
+	return compareAll(EvalPairs(), kinds, opt)
 }
 
 func find(results []Result, policy string) Result {
@@ -40,13 +35,12 @@ func find(results []Result, policy string) Result {
 
 // Figure2 prints the §2.2 utilization study: average and P95 SSD bandwidth
 // utilization under hardware vs software isolation for the six pairs.
-func Figure2(w io.Writer, grid map[string][]Result) {
+func Figure2(w io.Writer, grid [][]Result) {
 	fmt.Fprintln(w, "Figure 2: SSD bandwidth utilization, hardware vs software isolation")
 	fmt.Fprintf(w, "%-22s %14s %14s %14s %14s\n", "pair", "HW avg%", "HW p95%", "SW avg%", "SW p95%")
 	var ratios []float64
-	for _, mix := range EvalPairs() {
-		rs := grid[mix.Label]
-		hw, sw := find(rs, "Hardware Isolation"), find(rs, "Software Isolation")
+	for i, mix := range EvalPairs() {
+		hw, sw := find(grid[i], "Hardware Isolation"), find(grid[i], "Software Isolation")
 		fmt.Fprintf(w, "%-22s %14.1f %14.1f %14.1f %14.1f\n", mix.Label,
 			hw.AvgUtil*100, hw.P95Util*100, sw.AvgUtil*100, sw.P95Util*100)
 		if hw.AvgUtil > 0 {
@@ -59,40 +53,29 @@ func Figure2(w io.Writer, grid map[string][]Result) {
 
 // Figure3 prints the §2.2 per-tenant study: normalized BI bandwidth (a)
 // and normalized LS P99 (b) under software isolation relative to hardware.
-func Figure3(w io.Writer, grid map[string][]Result) {
-	fmt.Fprintln(w, "Figure 3a: bandwidth of the bandwidth-intensive workload (normalized to hardware isolation)")
-	fmt.Fprintf(w, "%-22s %14s %14s %10s\n", "pair", "HW MB/s", "SW MB/s", "SW/HW")
-	var bwr, latr []float64
-	for _, mix := range EvalPairs() {
-		rs := grid[mix.Label]
-		hw, sw := find(rs, "Hardware Isolation"), find(rs, "Software Isolation")
-		r := sw.BandwidthTenant() / hw.BandwidthTenant()
-		bwr = append(bwr, r)
-		fmt.Fprintf(w, "%-22s %14.1f %14.1f %9.2fx\n", mix.Label,
-			hw.BandwidthTenant(), sw.BandwidthTenant(), r)
+func Figure3(w io.Writer, grid [][]Result) {
+	normalized := func(title, unit, cell, paper string, metric func(Result) float64) {
+		fmt.Fprintf(w, "Figure %s (normalized to hardware isolation)\n", title)
+		fmt.Fprintf(w, "%-22s %14s %14s %10s\n", "pair", "HW "+unit, "SW "+unit, "SW/HW")
+		for i, mix := range EvalPairs() {
+			hw, sw := metric(find(grid[i], "Hardware Isolation")), metric(find(grid[i], "Software Isolation"))
+			fmt.Fprintf(w, "%-22s "+cell+" "+cell+" %9.2fx\n", mix.Label, hw, sw, sw/hw)
+		}
+		fmt.Fprintf(w, "(paper: %s)\n\n", paper)
 	}
-	fmt.Fprintf(w, "(paper: up to 1.84x, 1.64x avg)\n\n")
-	fmt.Fprintln(w, "Figure 3b: P99 latency of the latency-sensitive workload (normalized to hardware isolation)")
-	fmt.Fprintf(w, "%-22s %14s %14s %10s\n", "pair", "HW P99 ms", "SW P99 ms", "SW/HW")
-	for _, mix := range EvalPairs() {
-		rs := grid[mix.Label]
-		hw, sw := find(rs, "Hardware Isolation"), find(rs, "Software Isolation")
-		r := sw.LatencyTenantP99() / hw.LatencyTenantP99()
-		latr = append(latr, r)
-		fmt.Fprintf(w, "%-22s %14.2f %14.2f %9.2fx\n", mix.Label,
-			hw.LatencyTenantP99(), sw.LatencyTenantP99(), r)
-	}
-	fmt.Fprintf(w, "(paper: up to 2.02x higher tail latency)\n\n")
+	normalized("3a: bandwidth of the bandwidth-intensive workload", "MB/s", "%14.1f",
+		"up to 1.84x, 1.64x avg", Result.BandwidthTenant)
+	normalized("3b: P99 latency of the latency-sensitive workload", "P99 ms", "%14.2f",
+		"up to 2.02x higher tail latency", Result.LatencyTenantP99)
 }
 
 // Figure6 trains the workload-type clusters, prints the PCA scatter data,
 // cluster membership, and the train/test accuracy (paper: 98.4%).
 func Figure6(w io.Writer) {
 	ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
-	train, test := ds.Split(0.7)
+	_, test := ds.Split(0.7)
 	m, _ := TypeModel()
 	acc := m.Accuracy(test)
-	_ = train
 	fmt.Fprintln(w, "Figure 6: workload clustering (k-means on 4 trace features, PCA projection)")
 	for c, wls := range m.ClusterWorkloads {
 		fmt.Fprintf(w, "  cluster %d: %v\n", c, wls)
@@ -126,7 +109,7 @@ func Figure6(w io.Writer) {
 // Figures10to13 prints the main evaluation: the utilization/latency
 // tradeoff (Fig 10), per-pair utilization (Fig 11), normalized P99
 // (Fig 12), and normalized BI bandwidth (Fig 13) for all five policies.
-func Figures10to13(w io.Writer, grid map[string][]Result) {
+func Figures10to13(w io.Writer, grid [][]Result) {
 	pols := AllPolicies()
 	fmt.Fprintln(w, "Figure 10: utilization improvement (x, vs Hardware Isolation) vs normalized P99 (y)")
 	fmt.Fprintf(w, "%-22s", "pair")
@@ -134,8 +117,8 @@ func Figures10to13(w io.Writer, grid map[string][]Result) {
 		fmt.Fprintf(w, " %26s", p.String())
 	}
 	fmt.Fprintln(w)
-	for _, mix := range EvalPairs() {
-		rs := grid[mix.Label]
+	for i, mix := range EvalPairs() {
+		rs := grid[i]
 		hw := find(rs, "Hardware Isolation")
 		fmt.Fprintf(w, "%-22s", mix.Label)
 		for _, p := range pols {
@@ -151,23 +134,22 @@ func Figures10to13(w io.Writer, grid map[string][]Result) {
 	fmt.Fprintln(w, "Figure 11: SSD bandwidth utilization (%)")
 	printMetric(w, grid, pols, func(r Result) float64 { return r.AvgUtil * 100 }, "%14.1f")
 	fmt.Fprintln(w, "Figure 12: P99 latency of the latency-sensitive workload (ms)")
-	printMetric(w, grid, pols, func(r Result) float64 { return r.LatencyTenantP99() }, "%14.2f")
+	printMetric(w, grid, pols, Result.LatencyTenantP99, "%14.2f")
 	fmt.Fprintln(w, "Figure 13: bandwidth of the bandwidth-intensive workload (MB/s)")
-	printMetric(w, grid, pols, func(r Result) float64 { return r.BandwidthTenant() }, "%14.1f")
+	printMetric(w, grid, pols, Result.BandwidthTenant, "%14.1f")
 }
 
-func printMetric(w io.Writer, grid map[string][]Result, pols []PolicyKind,
+func printMetric(w io.Writer, grid [][]Result, pols []PolicyKind,
 	metric func(Result) float64, cellFmt string) {
 	fmt.Fprintf(w, "%-22s", "pair")
 	for _, p := range pols {
 		fmt.Fprintf(w, " %14s", shorten(p.String()))
 	}
 	fmt.Fprintln(w)
-	for _, mix := range EvalPairs() {
-		rs := grid[mix.Label]
+	for i, mix := range EvalPairs() {
 		fmt.Fprintf(w, "%-22s", mix.Label)
 		for _, p := range pols {
-			fmt.Fprintf(w, " "+cellFmt, metric(find(rs, p.String())))
+			fmt.Fprintf(w, " "+cellFmt, metric(find(grid[i], p.String())))
 		}
 		fmt.Fprintln(w)
 	}
@@ -243,18 +225,11 @@ func Figure15(w io.Writer, opt Options) {
 	fmt.Fprintln(w)
 }
 
-// Figure16Result holds the mixed-isolation experiment numbers.
-type Figure16Result struct {
-	Policy  string
-	AvgUtil float64
-	LSP99Ms float64
-	BIMBps  float64
-}
-
 // Figure16 runs mix3 with mixed isolation: two VDI-Web on 4-channel
 // hardware-isolated vSSDs, two TeraSort sharing an 8-channel
-// software-isolated pool.
-func Figure16(w io.Writer, opt Options) []Figure16Result {
+// software-isolated pool. It returns the three results in print order,
+// labelled as printed.
+func Figure16(w io.Writer, opt Options) []Result {
 	fmt.Fprintln(w, "Figure 16: mixed hardware- and software-isolated vSSDs (mix3)")
 	kinds := []PolicyKind{PolHardware, PolSoftware, PolFleetIO}
 	// One calibration defines the SLOs for all three topologies; the runs
@@ -263,117 +238,43 @@ func Figure16(w io.Writer, opt Options) []Figure16Result {
 	slos := Calibrate(mix, opt)
 	results := make([]Result, len(kinds))
 	forEach(len(kinds), opt.workers(), func(i int) {
-		results[i] = runMixedIsolation(mix, kinds[i], slos, opt)
+		results[i] = measureMixedIsolation(mix, kinds[i], slos, opt).Result
 	})
-	var out []Figure16Result
-	for i, kind := range kinds {
-		res := results[i]
-		label := kind.String()
-		if kind == PolHardware {
-			label = "Mixed Isolation"
-		}
-		out = append(out, Figure16Result{
-			Policy:  label,
-			AvgUtil: res.AvgUtil,
-			LSP99Ms: res.LatencyTenantP99(),
-			BIMBps:  res.BandwidthTenant(),
-		})
+	results[0].Policy = "Mixed Isolation"
+	for _, res := range results {
 		fmt.Fprintf(w, "%-18s util=%5.1f%%  LS P99=%6.2fms  BI BW=%7.1f MB/s\n",
-			label, res.AvgUtil*100, res.LatencyTenantP99(), res.BandwidthTenant())
+			res.Policy, res.AvgUtil*100, res.LatencyTenantP99(), res.BandwidthTenant())
 	}
 	fmt.Fprintln(w, "(paper: FleetIO 1.27x util over Mixed Isolation, ≥94% of Software Isolation's util,")
 	fmt.Fprintln(w, " 1.42x BI bandwidth, tail latency within 1.19x of Mixed Isolation)")
 	fmt.Fprintln(w)
-	return out
+	return results
 }
 
-// runMixedIsolation builds the Figure 16 topology by hand from the given
-// calibrated SLOs.
-func runMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) Result {
-	eng := sim.NewEngine()
-	pc := vssd.DefaultPlatformConfig()
-	pc.Flash = opt.flashConfig()
-	plat := vssd.NewPlatform(eng, pc)
-	totalPages := pc.Flash.TotalBlocks() * pc.Flash.PagesPerBlock
-	r := &run{eng: eng, plat: plat, opt: opt}
-	rng := sim.NewRNG(opt.Seed)
-	sharedPool := chanRange(8, 16)
-	for i, name := range mix.Workloads {
-		prof := workload.ByName(name)
-		cfg := vssd.Config{
-			Name:             fmt.Sprintf("%s-%d", name, i),
-			SLO:              slos[i],
-			MaxInflightPages: prof.MaxInflightPages,
-		}
-		if prof.Class == workload.Latency {
-			cfg.Isolation = vssd.HardwareIsolated
-			cfg.Channels = chanRange(i*4, i*4+4)
-		} else {
-			cfg.Isolation = vssd.SoftwareIsolated
-			cfg.Channels = sharedPool
-			cfg.LogicalPages = int(float64(totalPages) * 0.8 / 4)
-		}
-		v := plat.AddVSSD(cfg)
-		if err := v.Tenant().Prefill(opt.PrefillFrac, 0.3, rng.Split(int64(100+i))); err != nil {
-			panic(err)
-		}
-		gen := workload.NewGenerator(eng, v, prof, rng.Split(int64(i)))
-		r.gens = append(r.gens, gen)
-		r.recs = append(r.recs, nil)
-	}
-	// Software-isolated TeraSorts get a rate limit in every configuration
-	// (that is what software isolation means here).
-	lim := pc.Flash.ChannelBandwidth() * 8 / 2 * opt.SoftwareShareFactor
-	plat.VSSD(2).SetRateLimit(lim, lim/2)
-	plat.VSSD(3).SetRateLimit(lim, lim/2)
-
+// measureMixedIsolation is Figure 16's run: the mixed topology under
+// kind, where PolHardware leaves it as built ("Mixed Isolation") and
+// PolSoftware opens every channel to every tenant once the mixed layout
+// has placed their data.
+func measureMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *Run {
+	r := buildPlatform(mix, kind, mixedIsolation, slos, opt)
 	switch kind {
 	case PolFleetIO:
-		tm, alphas := TypeModel()
-		f := core.NewFleetIO(plat, core.FleetIOConfig{
-			Train: opt.TrainDuringRun, TrainEvery: 10, Seed: opt.Seed,
-			Pretrained: opt.Pretrained, TypeModel: tm, AlphaByCluster: alphas,
-			ScalarRL: opt.ScalarRL,
-		})
-		for i, name := range mix.Workloads {
-			if c, ok := tm.WorkloadCluster[name]; ok {
-				if a, ok2 := alphas[c]; ok2 {
-					f.SetAlpha(i, a)
-				}
-			}
-		}
-		r.runner = &core.Runner{Plat: plat, Adm: admission.NewController(plat, nil), Policy: f, Window: opt.Window}
+		r.attachFleetIO(figure16FleetIO(opt))
 	case PolSoftware:
-		// Full software isolation: everyone shares everything.
-		for i := 0; i < 2; i++ {
-			plat.VSSD(i).Tenant().SetChannels(chanRange(0, 16))
+		for _, v := range r.plat.VSSDs() {
+			v.Tenant().SetChannels(chanRange(0, r.plat.FlashConfig().Channels))
 		}
-		for i := 2; i < 4; i++ {
-			plat.VSSD(i).Tenant().SetChannels(chanRange(0, 16))
-		}
-		baselineRate := pc.Flash.ChannelBandwidth() * 16 / 4 * opt.SoftwareShareFactor
-		for i := 0; i < 4; i++ {
-			plat.VSSD(i).SetRateLimit(baselineRate, baselineRate/2)
-		}
-		r.runner = &core.Runner{Plat: plat, Policy: core.StaticPolicy{PolicyName: "Software Isolation"}, Window: opt.Window}
+		r.attachPolicy()
 	default:
-		r.runner = &core.Runner{Plat: plat, Policy: core.StaticPolicy{PolicyName: "Mixed Isolation"}, Window: opt.Window}
+		r.attachPolicy()
 	}
-	r.execute()
-	return r.collect(mix, kind)
-}
-
-// Figure17Row is one robustness comparison.
-type Figure17Row struct {
-	Label       string
-	Pretrained  Result
-	Transferred Result
+	return r.measure()
 }
 
 // Figure17 evaluates robustness to collocated-workload changes: the model
 // keeps serving tenant A while its neighbour switches from B to C halfway;
 // the result is compared to a model tuned on A+C from the start.
-func Figure17(w io.Writer, opt Options) []Figure17Row {
+func Figure17(w io.Writer, opt Options) {
 	cases := []struct {
 		label           string
 		keep, from, to  string
@@ -388,67 +289,50 @@ func Figure17(w io.Writer, opt Options) []Figure17Row {
 	}
 	fmt.Fprintln(w, "Figure 17: robustness to collocated workload changes")
 	fmt.Fprintf(w, "%-12s %14s %14s %10s (metric: %s)\n", "case", "pretrained", "transfer", "ratio", "BI MB/s or LS P99 ms")
-	// Each case is two independent experiments (pretrained run and transfer
-	// run); fan all 2×6 of them out as one flat job list, then print in the
-	// original case order.
-	rows := make([]Figure17Row, len(cases))
-	forEach(2*len(cases), opt.workers(), func(j int) {
+	// Each case is two independent experiments (the run pretrained on the
+	// final mix, then the transfer run); fan all 2×6 of them out as one flat
+	// job list, then print in the original case order.
+	results := make([]Result, 2*len(cases))
+	forEach(len(results), opt.workers(), func(j int) {
 		c := cases[j/2]
 		if j%2 == 0 {
 			finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
-			rows[j/2].Pretrained = Compare(finalMix, []PolicyKind{PolFleetIO}, opt)[0]
+			results[j] = Compare(finalMix, []PolicyKind{PolFleetIO}, opt)[0]
 		} else {
-			rows[j/2].Transferred = RunTransfer(c.keep, c.from, c.to, opt)
+			results[j] = RunTransfer(c.keep, c.from, c.to, opt)
 		}
 	})
 	for i, c := range cases {
-		rows[i].Label = c.label
-		pre, tr := rows[i].Pretrained, rows[i].Transferred
-		var a, b float64
+		metric := Result.LatencyTenantP99
 		if c.keepIsBandwidth {
-			a, b = pre.BandwidthTenant(), tr.BandwidthTenant()
-		} else {
-			a, b = pre.LatencyTenantP99(), tr.LatencyTenantP99()
+			metric = Result.BandwidthTenant
 		}
+		a, b := metric(results[2*i]), metric(results[2*i+1])
 		fmt.Fprintf(w, "%-12s %14.2f %14.2f %9.2fx\n", c.label, a, b, b/a)
 	}
 	fmt.Fprintln(w, "(paper: transfer within 5% of pretrained across all combinations)")
 	fmt.Fprintln(w)
-	return rows
 }
 
-// RunTransfer trains FleetIO on keep+from, switches the collocated
-// workload to `to` halfway through warmup+measurement, and measures the
-// final interval.
+// RunTransfer trains FleetIO on keep+from through warmup, switches the
+// collocated workload to `to`, gives the agents four windows to adjust,
+// and measures keep+to against that mix's SLOs.
 func RunTransfer(keep, from, to string, opt Options) Result {
 	finalMix := MixSpec{Label: keep + "+" + to, Workloads: []string{keep, to}}
 	slos := Calibrate(finalMix, opt)
 	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}
-	r := buildPlatform(initialMix, PolFleetIO, slos, opt)
-	r.attachPolicy(PolFleetIO, initialMix)
-	// Run the initial combination through warmup plus half the duration,
-	// then swap the collocated workload.
-	for _, g := range r.gens {
-		g.Start()
+	r := buildPlatform(initialMix, PolFleetIO, nil, slos, opt)
+	r.attachPolicy()
+	swap := func() {
+		r.gens[1].Stop()
+		r.gens[1] = workload.NewGenerator(r.plat.Engine(), r.plat.VSSD(1), workload.ByName(to), sim.NewRNG(opt.Seed+999))
+		r.gens[1].Start()
+		r.mix = finalMix
 	}
-	r.runner.Start()
-	r.eng.RunUntil(r.opt.Warmup)
-	r.gens[1].Stop()
-	newProf := workload.ByName(to)
-	gen := workload.NewGenerator(r.eng, r.plat.VSSD(1), newProf, sim.NewRNG(opt.Seed+999))
-	gen.Start()
-	r.gens[1] = gen
-	// Give the agents a short adjustment, then measure.
-	r.eng.RunUntil(r.opt.Warmup + r.opt.Window*4)
-	for _, v := range r.plat.VSSDs() {
-		v.ResetTotals()
-		v.Rotate()
-	}
-	r.eng.RunUntil(r.opt.Warmup + r.opt.Window*4 + r.opt.Duration)
-	for _, g := range r.gens {
-		g.Stop()
-	}
-	return r.collect(finalMix, PolFleetIO)
+	settled := opt.Warmup + 4*opt.Window
+	r.execute(settled+opt.Duration, boundary{opt.Warmup, swap}, boundary{settled, r.beginMeasuring})
+	r.collect()
+	return r.Result
 }
 
 // OverheadReport captures §4.7's overhead table.

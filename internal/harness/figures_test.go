@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -30,10 +32,7 @@ func TestFigure6Output(t *testing.T) {
 
 func TestFigure2And3Formatting(t *testing.T) {
 	opt := tinyOptions()
-	grid := map[string][]Result{}
-	for _, mix := range EvalPairs() {
-		grid[mix.Label] = Compare(mix, []PolicyKind{PolHardware, PolSoftware}, opt)
-	}
+	grid := PairGrid([]PolicyKind{PolHardware, PolSoftware}, opt)
 	var buf bytes.Buffer
 	Figure2(&buf, grid)
 	Figure3(&buf, grid)
@@ -58,9 +57,50 @@ func TestFigure16MixedIsolation(t *testing.T) {
 		if r.Policy != labels[i] {
 			t.Fatalf("row %d = %q", i, r.Policy)
 		}
-		if r.AvgUtil <= 0 || r.BIMBps <= 0 {
+		if r.AvgUtil <= 0 || r.BandwidthTenant() <= 0 {
 			t.Fatalf("degenerate row %+v", r)
 		}
+	}
+}
+
+// requestsObserved reads vSSD 0's completed-request counter back from the
+// observer's registry: non-zero only if the run started the telemetry
+// sampler.
+func requestsObserved(o *obs.Observer, name string) float64 {
+	return o.Registry().Counter("fleetio_vssd_requests_total", "", "vssd", "0", "name", name).Value()
+}
+
+// TestMixedIsolationHonoursFaultsAndObs pins the drift the single run path
+// removed: Figure 16's topology used to be assembled by a private copy of
+// the builder that ignored Options.Faults and Options.Obs.
+func TestMixedIsolationHonoursFaultsAndObs(t *testing.T) {
+	opt := tinyOptions()
+	heavy := fault.Heavy()
+	opt.Faults = &heavy
+	opt.Obs = obs.NewObserver()
+	mix := MixSpec{Label: "mix3-mixed", Workloads: []string{"VDI-Web", "VDI-Web", "TeraSort", "TeraSort"}}
+	r := measureMixedIsolation(mix, PolFleetIO, Calibrate(mix, opt), opt)
+	st := r.FaultStats()
+	if st.Device.ProgramFails == 0 {
+		t.Fatal("heavy fault profile injected no program failures into the mixed topology")
+	}
+	if !st.Balanced() {
+		t.Fatalf("recovery imbalance: injected=%d remapped=%d recovered=%d",
+			st.Device.ProgramFails, st.Remapped, st.Recovered())
+	}
+	if requestsObserved(opt.Obs, "VDI-Web-0") == 0 {
+		t.Fatal("observed mixed-isolation run exported no vSSD request telemetry")
+	}
+}
+
+// TestRunTransferObserved: the transfer run used to hand-roll its drive
+// sequence and never started the sampler.
+func TestRunTransferObserved(t *testing.T) {
+	opt := tinyOptions()
+	opt.Obs = obs.NewObserver()
+	RunTransfer("TeraSort", "VDI-Web", "YCSB", opt)
+	if requestsObserved(opt.Obs, "TeraSort-0") == 0 {
+		t.Fatal("observed transfer run exported no vSSD request telemetry")
 	}
 }
 

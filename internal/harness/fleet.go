@@ -5,31 +5,34 @@ import (
 	"io"
 
 	"repro/internal/fleet"
+	"repro/internal/sim"
 )
 
-// DefaultFleetDevices sizes FigureFleet's rack when Options.FleetDevices
-// is zero.
-const DefaultFleetDevices = 64
+// Rack sizes when Options.FleetDevices is zero. The tiered rack is small
+// enough that the learned policy's per-shard agent stacks keep the figure
+// fast and large enough for both tiers to hold several tenants; the cohort
+// rack is smaller than the placement rack because every epoch also
+// classifies tenant traffic.
+const (
+	DefaultFleetDevices  = 64
+	DefaultTierDevices   = 8
+	DefaultCohortDevices = 8
+)
 
-// fleetConfig maps harness Options onto a rack-scale fleet run: one device
-// shard per FleetDevices, migration on, the experiment seed deriving every
-// shard and tenant stream, and the shard fan-out bounded by Workers.
-func fleetConfig(placement fleet.PlacementKind, opt Options) fleet.Config {
+// rackConfig maps harness Options onto a fleet run of FleetDevices (or
+// defDevices) shards: the experiment seed derives every shard and tenant
+// stream and Workers sizes the shard-worker pool. Each rack scenario adds
+// only what distinguishes it.
+func rackConfig(opt Options, defDevices int) fleet.Config {
 	cfg := fleet.Config{
-		Devices:   opt.FleetDevices,
-		Seed:      opt.Seed,
-		Window:    opt.Window,
-		Duration:  opt.Duration,
-		Placement: placement,
-		Migration: true,
-		Workers:   opt.Workers,
-		Pin:       opt.PinFleetWorkers,
-	}
-	if opt.FleetWorkers > 0 {
-		cfg.Workers = opt.FleetWorkers
+		Devices:  opt.FleetDevices,
+		Seed:     opt.Seed,
+		Window:   opt.Window,
+		Duration: opt.Duration,
+		Workers:  opt.Workers,
 	}
 	if cfg.Devices <= 0 {
-		cfg.Devices = DefaultFleetDevices
+		cfg.Devices = defDevices
 	}
 	if opt.Obs != nil {
 		cfg.Obs = opt.Obs.Registry()
@@ -37,11 +40,52 @@ func fleetConfig(placement fleet.PlacementKind, opt Options) fleet.Config {
 	return cfg
 }
 
-// FleetScenario runs one rack under the given placement baseline and
-// returns the fleet roll-up. The run is byte-identical at any
-// Options.Workers setting.
+// FleetScenario runs one rack under the given placement baseline, with
+// load-balancing cold migration on, and returns the fleet roll-up. The
+// run is byte-identical at any Options.Workers setting.
 func FleetScenario(placement fleet.PlacementKind, opt Options) fleet.Stats {
-	return fleet.New(fleetConfig(placement, opt)).Run()
+	cfg := rackConfig(opt, DefaultFleetDevices)
+	cfg.Placement = placement
+	cfg.Migration = true
+	return fleet.New(cfg).Run()
+}
+
+// CohortScenario runs a rack in cohort mode: tenants arrive on the fleet
+// admission path, live an exponential session (mean Duration/3, so slots
+// turn over several times), depart, and free their slots — with every
+// traced tenant classified by the shared workload-type model.
+func CohortScenario(opt Options) fleet.Stats {
+	cfg := rackConfig(opt, DefaultCohortDevices)
+	cfg.Placement = fleet.PlaceLeastLoaded
+	cfg.Migration = true
+	cfg.Lifetime = opt.Duration / 3
+	if cfg.Lifetime <= 0 {
+		cfg.Lifetime = sim.Second
+	}
+	cfg.TypeModel, _ = TypeModel()
+	return fleet.New(cfg).Run()
+}
+
+// TierScenario runs one hybrid (tiered) rack under the given tier policy
+// and returns the fleet roll-up: a fast SLC-like class on a quarter of the
+// devices, a dense QLC-like class on the rest, cohort churn so slots keep
+// freeing (tier moves need somewhere to go on an oversubscribed rack), and
+// no load-balancing migration — promotes and demotes are the only movers,
+// so the policies differ in nothing else. The run is byte-identical at any
+// Options.Workers setting.
+func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
+	cfg := rackConfig(opt, DefaultTierDevices)
+	fast := max(cfg.Devices/4, 1)
+	cfg.Classes = fleet.DefaultTierClasses(fast, cfg.Devices-fast)
+	cfg.TierPolicy = tp
+	// Churn: mean session of half the run, and oversubscription of 2×
+	// rack capacity, so departures keep freeing slots for tier moves.
+	cfg.Lifetime = opt.Duration / 2
+	cfg.Tenants = cfg.Devices*2*2 + 1
+	// Tier moves start cold so the copy is cheap and the destination
+	// warms from real traffic.
+	cfg.PrefillFrac = -1
+	return fleet.New(cfg).Run()
 }
 
 // FigureFleet renders the rack-scale scenario: every placement baseline
@@ -49,15 +93,30 @@ func FleetScenario(placement fleet.PlacementKind, opt Options) fleet.Stats {
 // live, so the placement policies differ only in where tenants land.
 // Output is deterministic for a given seed at any worker count.
 func FigureFleet(w io.Writer, opt Options) {
-	devices := opt.FleetDevices
-	if devices <= 0 {
-		devices = DefaultFleetDevices
-	}
 	fmt.Fprintf(w, "== Fleet: %d-device rack, placement baselines under admission + cold migration (seed=%d) ==\n",
-		devices, opt.Seed)
+		rackConfig(opt, DefaultFleetDevices).Devices, opt.Seed)
 	for _, p := range fleet.Placements() {
 		st := FleetScenario(p, opt)
 		fmt.Fprintf(w, "placement=%s\n", p)
 		st.Render(w)
 	}
+}
+
+// FigureTiers renders the hybrid-rack scenario: the same arrival
+// sequence on the same SLC-like/QLC-like rack under each tier policy —
+// static-pin, adaptive watermark, and the learned placement head — with
+// the latency-class tail summary as the comparison axis (tail latency at
+// matched capacity). Output is deterministic for a given seed at any
+// worker count.
+func FigureTiers(w io.Writer, opt Options) {
+	fmt.Fprintf(w, "== Tiers: %d-device hybrid rack (SLC-like/QLC-like), promote/demote policies (seed=%d) ==\n",
+		rackConfig(opt, DefaultTierDevices).Devices, opt.Seed)
+	var summary string
+	for _, tp := range fleet.TierPolicies() {
+		st := TierScenario(tp, opt)
+		fmt.Fprintf(w, "tier-policy=%s\n", tp)
+		st.Render(w)
+		summary += fmt.Sprintf(" %s=%.2fms", tp, st.LsMeanP99Ms)
+	}
+	fmt.Fprintf(w, "summary: ls meanP99%s\n", summary)
 }

@@ -16,13 +16,12 @@ func fleetTestOptions() Options {
 }
 
 // TestCohortScenarioDeterministicAcrossWorkers covers the departure path
-// (Lifetime > 0) under the shard-worker pool, driving the pool size
-// through the FleetWorkers override rather than run-level Workers.
+// (Lifetime > 0) under the shard-worker pool.
 func TestCohortScenarioDeterministicAcrossWorkers(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 2, 4, 8} {
 		opt := fleetTestOptions()
-		opt.FleetWorkers = workers
+		opt.Workers = workers
 		st := CohortScenario(opt)
 		var b strings.Builder
 		st.Render(&b)
@@ -34,7 +33,7 @@ func TestCohortScenarioDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if b.String() != want {
-			t.Fatalf("CohortScenario diverged at fleet-workers=%d:\n%s\nvs 1:\n%s",
+			t.Fatalf("CohortScenario diverged at workers=%d:\n%s\nvs 1:\n%s",
 				workers, b.String(), want)
 		}
 	}

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/admission"
@@ -85,14 +86,14 @@ type Options struct {
 	Pretrained *nn.ActorCritic
 	// TrainDuringRun keeps PPO fine-tuning online.
 	TrainDuringRun bool
-	// SoftwareShareFactor is the token-bucket slack for Software Isolation.
-	SoftwareShareFactor float64
 	// Obs, when non-nil, attaches decision tracing and time-series
 	// telemetry to the measured run (calibration runs stay unobserved).
 	Obs *obs.Observer
-	// Workers bounds how many independent simulations Compare, PairGrid,
-	// and the figure sweeps run concurrently (each on its own engine).
-	// 0 means GOMAXPROCS; 1 forces sequential execution. Results are
+	// Workers is the one fan-out: how many independent simulations
+	// Compare, PairGrid, and the figure sweeps run concurrently (each on
+	// its own engine), or, in a rack scenario, the size of the fleet's
+	// shard-worker pool — the two are never in flight together. 0 means
+	// GOMAXPROCS; 1 forces sequential execution. Results are
 	// byte-identical at any setting.
 	Workers int
 	// Faults, when non-nil and enabled, installs a NAND fault injector on
@@ -100,26 +101,14 @@ type Options struct {
 	// SLOs keep their clean-hardware definition; the measured run is then
 	// judged against them under injected failures. A zero Config.Seed
 	// derives the injector stream from Options.Seed, so fault scenarios
-	// are per-seed deterministic.
+	// are per-seed deterministic. Under faults, FleetIO agents not seeded
+	// from a Pretrained network (built at the base input width) also see
+	// the per-tenant write-retry rate (core.StatesPerWindowExt).
 	Faults *fault.Config
-	// ErrorRateState widens the FleetIO RL state with the per-tenant
-	// write-retry rate (core.StatesPerWindowExt). It changes the network
-	// input width, so it is skipped when a Pretrained network (built at
-	// the base width) is supplied.
-	ErrorRateState bool
-	// FleetDevices sizes the rack for FleetScenario/FigureFleet
-	// (0 → DefaultFleetDevices). Single-device experiments ignore it.
+	// FleetDevices sizes the rack of the rack scenarios (0 → each one's
+	// default: DefaultFleetDevices, DefaultTierDevices,
+	// DefaultCohortDevices). Single-device experiments ignore it.
 	FleetDevices int
-	// FleetWorkers sizes a fleet run's persistent shard-worker pool
-	// independently of Workers (0 → Workers; then 0 → GOMAXPROCS,
-	// 1 → inline sequential). Lets the shard fan-out differ from the
-	// run-level fan-out when both are in play. Byte-identical at any
-	// setting.
-	FleetWorkers int
-	// PinFleetWorkers locks each persistent shard worker to its OS
-	// thread (runtime.LockOSThread) for the whole fleet run — a
-	// scheduling hint for core affinity, never a semantic change.
-	PinFleetWorkers bool
 	// WorkloadShape overlays a temporal arrival shape (diurnal, bursty,
 	// replay) on every tenant of the measured run. Calibration always
 	// runs steady so the SLOs keep their §3.3.1 nominal-shape definition.
@@ -128,25 +117,19 @@ type Options struct {
 	// ShapeReplay tenants (each tenant replays the same records); empty
 	// means each tenant replays a trace synthesized from its own profile.
 	ReplayRecords []trace.Record
-	// ScalarRL forces FleetIO's original scalar (per-agent, per-sample)
-	// RL kernels instead of the batched matrix kernels. Both paths are
-	// bit-identical by construction; the flag exists so CI can prove it
-	// by diffing whole figure runs (see check.sh).
-	ScalarRL bool
 }
 
 // DefaultOptions returns fast, deterministic settings for tests/benches.
 func DefaultOptions() Options {
 	return Options{
-		Seed:                1,
-		Window:              250 * sim.Millisecond,
-		Warmup:              3 * sim.Second,
-		Duration:            8 * sim.Second,
-		Channels:            16,
-		BlocksPerChip:       48,
-		PrefillFrac:         0.55,
-		TrainDuringRun:      true,
-		SoftwareShareFactor: 0.9,
+		Seed:           1,
+		Window:         250 * sim.Millisecond,
+		Warmup:         3 * sim.Second,
+		Duration:       8 * sim.Second,
+		Channels:       16,
+		BlocksPerChip:  48,
+		PrefillFrac:    0.55,
+		TrainDuringRun: true,
 	}
 }
 
@@ -291,20 +274,86 @@ func TypeModel() (*cluster.Model, map[int]float64) {
 	return typeModel, alphaByClust
 }
 
-// run is one fully built experiment instance.
-type run struct {
-	eng    *sim.Engine
-	plat   *vssd.Platform
-	gens   []*workload.Generator
-	recs   []*trace.Recorder
-	runner *core.Runner
-	utils  []float64 // per-window utilization during measurement
-	opt    Options
+// softwareShareFactor is software isolation's token-bucket slack: each
+// tenant may draw this fraction of its fair share of the channels it
+// shares.
+const softwareShareFactor = 0.9
+
+// Run is one single-device experiment: the platform, its tenants' workload
+// generators, and the policy driving them. Measure returns it finished,
+// with Result filled in and the fault ledger and workload-type labels
+// readable off the platform it still holds.
+type Run struct {
+	// Result is the measured outcome, set when the run finishes.
+	Result Result
+
+	mix       MixSpec
+	kind      PolicyKind
+	opt       Options
+	plat      *vssd.Platform
+	gens      []*workload.Generator
+	recs      []*trace.Recorder
+	runner    *core.Runner
+	measuring bool
+	utils     []float64 // per-window utilization during measurement
+	end       sim.Time  // virtual time the generators stopped at
 }
 
-// buildPlatform creates the platform and vSSDs for the mix under the given
-// sharing style. slos may be nil (calibration run).
-func buildPlatform(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *run {
+// layout is one tenant's slice of the device.
+type layout struct {
+	isolation    vssd.Isolation
+	channels     []int
+	logicalPages int     // 0: derived from the owned channels
+	rateLimit    float64 // token-bucket bytes/s; 0: unthrottled
+}
+
+// topology lays out tenant i of an n-tenant mix on the device.
+type topology func(i, n int, prof workload.Profile, fc flash.Config) layout
+
+// isolated gives every tenant an equal, private share of the channels.
+func isolated(i, n int, _ workload.Profile, fc flash.Config) layout {
+	share := fc.Channels / n
+	return layout{isolation: vssd.HardwareIsolated, channels: chanRange(i*share, (i+1)*share)}
+}
+
+// shared stripes every tenant over all channels, with an equal split of
+// 80% of the device as logical space.
+func shared(_, n int, _ workload.Profile, fc flash.Config) layout {
+	return layout{
+		isolation:    vssd.SoftwareIsolated,
+		channels:     chanRange(0, fc.Channels),
+		logicalPages: int(float64(fc.TotalBlocks()*fc.PagesPerBlock) * 0.8 / float64(n)),
+	}
+}
+
+// mixedIsolation is Figure 16's topology: every latency-sensitive tenant
+// keeps its private channel share, and the two bandwidth-intensive tenants
+// are software-isolated over the upper half of the device, each
+// rate-limited to its share of that pool.
+func mixedIsolation(i, n int, prof workload.Profile, fc flash.Config) layout {
+	if prof.Class == workload.Latency {
+		return isolated(i, n, prof, fc)
+	}
+	l := shared(i, n, prof, fc)
+	pool := fc.Channels / 2
+	l.channels = chanRange(pool, fc.Channels)
+	l.rateLimit = fc.ChannelBandwidth() * float64(pool) / 2 * softwareShareFactor
+	return l
+}
+
+func (o Options) faultsEnabled() bool { return o.Faults != nil && o.Faults.Enabled() }
+
+// buildPlatform creates the device and, per the topology, one vSSD with a
+// prefilled FTL, a workload generator and a trace recorder for each tenant
+// of the mix (kind's standard topology when topo is nil). slos may be nil
+// (calibration run).
+func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time, opt Options) *Run {
+	if topo == nil {
+		topo = isolated
+		if kind == PolSoftware {
+			topo = shared
+		}
+	}
 	eng := sim.NewEngine()
 	pc := vssd.DefaultPlatformConfig()
 	pc.Flash = opt.flashConfig()
@@ -312,7 +361,7 @@ func buildPlatform(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *
 	if opt.Obs != nil {
 		plat.SetObserver(opt.Obs.Recorder())
 	}
-	if opt.Faults != nil && opt.Faults.Enabled() {
+	if opt.faultsEnabled() {
 		fc := *opt.Faults
 		if fc.Seed == 0 {
 			fc.Seed = opt.Seed
@@ -320,13 +369,10 @@ func buildPlatform(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *
 		plat.Device().SetFaultInjector(fault.NewInjector(fc))
 	}
 	nT := len(mix.Workloads)
-	nCh := pc.Flash.Channels
-	if nCh%nT != 0 {
-		panic(fmt.Sprintf("harness: %d channels not divisible by %d tenants", nCh, nT))
+	if pc.Flash.Channels%nT != 0 {
+		panic(fmt.Sprintf("harness: %d channels not divisible by %d tenants", pc.Flash.Channels, nT))
 	}
-	share := nCh / nT
-	totalPages := pc.Flash.TotalBlocks() * pc.Flash.PagesPerBlock
-	r := &run{eng: eng, plat: plat, opt: opt}
+	r := &Run{mix: mix, kind: kind, opt: opt, plat: plat}
 	rng := sim.NewRNG(opt.Seed)
 	for i, name := range mix.Workloads {
 		prof := workload.ByName(name)
@@ -335,22 +381,21 @@ func buildPlatform(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *
 			// seeding and result collection still key by workload.
 			prof = workload.ApplyShape(prof, opt.WorkloadShape, shapeSeed(opt.Seed, i), opt.ReplayRecords)
 		}
+		l := topo(i, nT, prof, pc.Flash)
 		cfg := vssd.Config{
 			Name:             fmt.Sprintf("%s-%d", name, i),
+			Isolation:        l.isolation,
+			Channels:         l.channels,
+			LogicalPages:     l.logicalPages,
 			MaxInflightPages: prof.MaxInflightPages,
-		}
-		if kind == PolSoftware {
-			cfg.Isolation = vssd.SoftwareIsolated
-			cfg.Channels = chanRange(0, nCh)
-			cfg.LogicalPages = int(float64(totalPages) * 0.8 / float64(nT))
-		} else {
-			cfg.Isolation = vssd.HardwareIsolated
-			cfg.Channels = chanRange(i*share, (i+1)*share)
 		}
 		if slos != nil {
 			cfg.SLO = slos[i]
 		}
 		v := plat.AddVSSD(cfg)
+		if l.rateLimit > 0 {
+			v.SetRateLimit(l.rateLimit, l.rateLimit/2)
+		}
 		if err := v.Tenant().Prefill(opt.PrefillFrac, 0.3, rng.Split(int64(100+i))); err != nil {
 			panic(err)
 		}
@@ -381,78 +426,129 @@ func chanRange(lo, hi int) []int {
 	return out
 }
 
-// attachPolicy wires the policy and its runner to the platform.
-func (r *run) attachPolicy(kind PolicyKind, mix MixSpec) {
+// attachPolicy wires the run's policy and its runner to the platform.
+func (r *Run) attachPolicy() {
 	cfg := r.plat.FlashConfig()
 	var pol core.Policy
-	var adm *admission.Controller
-	switch kind {
+	switch r.kind {
 	case PolHardware:
 		pol = baseline.HardwareIsolation()
 	case PolSoftware:
-		baseline.ConfigureSoftwareIsolation(r.plat, r.opt.SoftwareShareFactor)
+		baseline.ConfigureSoftwareIsolation(r.plat, softwareShareFactor)
 		pol = baseline.SoftwareIsolation()
 	case PolAdaptive:
 		pol = &baseline.Adaptive{TotalChannels: cfg.Channels}
 	case PolSSDKeeper:
 		pol = baseline.NewSSDKeeper(cfg.Channels, cfg.ChannelBandwidth(), r.opt.Seed)
 	case PolFleetIO, PolFleetIOUnifiedGlobal, PolFleetIOCustomizedLocal:
-		tm, alphas := TypeModel()
-		mode := core.ModeFull
-		if kind == PolFleetIOUnifiedGlobal {
-			mode = core.ModeUnifiedGlobal
-		}
-		if kind == PolFleetIOCustomizedLocal {
-			mode = core.ModeCustomizedLocal
-		}
-		pretrained := r.opt.Pretrained
-		if mode != core.ModeFull && pretrained != nil {
-			// The Figure 15 ablation variants deploy models pretrained
-			// under their own reward function — the reward shapes behavior
-			// during training, not at inference.
-			pretrained = PretrainedModelFor(mode)
-		}
-		f := core.NewFleetIO(r.plat, core.FleetIOConfig{
-			Mode:           mode,
-			Train:          r.opt.TrainDuringRun,
-			TrainEvery:     10,
-			TypeEvery:      5,
-			Seed:           r.opt.Seed,
-			Pretrained:     pretrained,
-			TypeModel:      tm,
-			AlphaByCluster: alphas,
-			ErrorRateState: r.opt.ErrorRateState && pretrained == nil,
-			ScalarRL:       r.opt.ScalarRL,
-			Obs:            r.plat.Observer(),
-		})
-		for i, rec := range r.recs {
-			f.SetRecorder(i, rec)
-		}
-		// Seed per-type α immediately from the known workload names so
-		// short runs behave like converged typing; live re-typing keeps it
-		// fresh.
-		for i, name := range mix.Workloads {
-			if c, ok := tm.WorkloadCluster[name]; ok {
-				if a, ok2 := alphas[c]; ok2 {
-					f.SetAlpha(i, a)
-				}
-			}
-		}
-		pol = f
-		adm = admission.NewController(r.plat, nil)
-		adm.Obs = r.plat.Observer()
+		r.attachFleetIO(deployedFleetIO(r.kind, r.opt))
+		return
 	default:
 		panic("harness: unknown policy kind")
 	}
-	r.runner = &core.Runner{Plat: r.plat, Adm: adm, Policy: pol, Window: r.opt.Window}
+	r.runner = &core.Runner{Plat: r.plat, Policy: pol, Window: r.opt.Window}
 }
 
-// execute runs warmup then measurement, collecting per-window utilization.
-func (r *run) execute() {
-	peak := r.plat.FlashConfig().ChannelBandwidth() * float64(r.plat.FlashConfig().Channels)
-	measuring := false
+// The three FleetIO wirings, as data: the fields below are all they differ
+// in. Everything else — seed, type model, per-type α seeding, recorders,
+// error-rate state, observer, admission control — is attachFleetIO's and
+// the same for all three.
+
+// deployedFleetIO is a measured run: every agent fine-tunes its own copy of
+// the pretrained model every 10 windows and is re-typed every 5.
+func deployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
+	mode := core.ModeFull
+	switch kind {
+	case PolFleetIOUnifiedGlobal:
+		mode = core.ModeUnifiedGlobal
+	case PolFleetIOCustomizedLocal:
+		mode = core.ModeCustomizedLocal
+	}
+	pretrained := opt.Pretrained
+	if mode != core.ModeFull && pretrained != nil {
+		// The Figure 15 ablation variants deploy models pretrained under
+		// their own reward function — the reward shapes behavior during
+		// training, not at inference.
+		pretrained = PretrainedModelFor(mode)
+	}
+	return core.FleetIOConfig{
+		Mode:       mode,
+		Train:      opt.TrainDuringRun,
+		TrainEvery: 10,
+		TypeEvery:  5,
+		Pretrained: pretrained,
+	}
+}
+
+// figure16FleetIO is a measured run that is never re-typed: α stays as
+// seeded from the workload names.
+func figure16FleetIO(opt Options) core.FleetIOConfig {
+	cfg := deployedFleetIO(PolFleetIO, opt)
+	cfg.TypeEvery = 0
+	return cfg
+}
+
+// episodeFleetIO is a pretraining episode: all agents act on the shared
+// network (read, never trained — the in-episode PPO trigger is kept out of
+// reach so every transition survives for the trainer's learner), sampling
+// the stochastic policy, or argmax actions for held-out evaluation.
+func episodeFleetIO(spec EpisodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
+	return core.FleetIOConfig{
+		Mode:          spec.Mode,
+		Train:         true,
+		TrainEvery:    1 << 30,
+		Pretrained:    net,
+		ShareModel:    true,
+		GreedyCollect: spec.Greedy,
+		RL:            spec.RL,
+	}
+}
+
+// attachFleetIO is the one FleetIO wiring: the policy with the shared type
+// model, each agent's recorder and per-type α, and the admission
+// controller its harvest actions go through.
+func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
+	tm, alphas := TypeModel()
+	cfg.Seed = r.opt.Seed
+	cfg.TypeModel = tm
+	cfg.AlphaByCluster = alphas
+	// The per-tenant write-retry rate widens the network input, so it is
+	// fed only to agents not seeded from a network built at the base width.
+	cfg.ErrorRateState = r.opt.faultsEnabled() && cfg.Pretrained == nil
+	cfg.Obs = r.plat.Observer()
+	f := core.NewFleetIO(r.plat, cfg)
+	for i, rec := range r.recs {
+		f.SetRecorder(i, rec)
+	}
+	// Seed per-type α immediately from the known workload names so short
+	// runs behave like converged typing; live re-typing keeps it fresh.
+	for i, name := range r.mix.Workloads {
+		if c, ok := tm.WorkloadCluster[name]; ok {
+			if a, ok2 := alphas[c]; ok2 {
+				f.SetAlpha(i, a)
+			}
+		}
+	}
+	adm := admission.NewController(r.plat, nil)
+	adm.Obs = r.plat.Observer()
+	r.runner = &core.Runner{Plat: r.plat, Adm: adm, Policy: f, Window: r.opt.Window}
+	return f
+}
+
+// boundary is a point in virtual time at which execute pauses the engine
+// and calls do.
+type boundary struct {
+	at sim.Time
+	do func()
+}
+
+// execute is the one drive sequence: start telemetry, the generators and
+// the policy runner, run the engine to each boundary in turn and then to
+// end, and stop.
+func (r *Run) execute(end sim.Time, bounds ...boundary) {
+	peak := r.peakBandwidth()
 	r.runner.OnWindow = func(_ sim.Time, snaps []vssd.WindowSnapshot) {
-		if !measuring {
+		if !r.measuring {
 			return
 		}
 		var bytes int64
@@ -472,27 +568,47 @@ func (r *run) execute() {
 		g.Start()
 	}
 	r.runner.Start()
-	r.eng.RunUntil(r.opt.Warmup)
-	// Reset run-level metrics at the measurement boundary.
-	for _, v := range r.plat.VSSDs() {
-		v.ResetTotals()
-		v.Rotate()
+	for _, b := range bounds {
+		r.plat.Engine().RunUntil(b.at)
+		b.do()
 	}
-	measuring = true
-	r.eng.RunUntil(r.opt.Warmup + r.opt.Duration)
+	r.plat.Engine().RunUntil(end)
 	for _, g := range r.gens {
 		g.Stop()
 	}
 	smp.Stop()
+	r.end = end
 }
 
-// collect assembles the Result.
-func (r *run) collect(mix MixSpec, kind PolicyKind) Result {
-	res := Result{Mix: mix.Label, Policy: kind.String()}
-	peak := r.plat.FlashConfig().ChannelBandwidth() * float64(r.plat.FlashConfig().Channels)
+// beginMeasuring is the measurement boundary: run-level metrics restart
+// from zero and per-window utilization is collected from here on.
+func (r *Run) beginMeasuring() {
+	for _, v := range r.plat.VSSDs() {
+		v.ResetTotals()
+		v.Rotate()
+	}
+	r.measuring = true
+}
+
+// measure runs warmup then the measured interval and collects the Result.
+func (r *Run) measure() *Run {
+	r.execute(r.opt.Warmup+r.opt.Duration, boundary{r.opt.Warmup, r.beginMeasuring})
+	r.collect()
+	return r
+}
+
+func (r *Run) peakBandwidth() float64 {
+	fc := r.plat.FlashConfig()
+	return fc.ChannelBandwidth() * float64(fc.Channels)
+}
+
+// collect assembles the Result of the interval measured since
+// beginMeasuring.
+func (r *Run) collect() {
+	res := Result{Mix: r.mix.Label, Policy: r.kind.String()}
 	var totalBytes int64
 	for i, v := range r.plat.VSSDs() {
-		prof := workload.ByName(mix.Workloads[i])
+		prof := workload.ByName(r.mix.Workloads[i])
 		h := v.TotalHist()
 		tr := TenantResult{
 			Workload:      prof.Name,
@@ -511,25 +627,17 @@ func (r *run) collect(mix MixSpec, kind PolicyKind) Result {
 		totalBytes += v.TotalBytesMoved()
 		res.Tenants = append(res.Tenants, tr)
 	}
-	res.AvgUtil = float64(totalBytes) / (peak * float64(r.opt.Duration) / 1e9)
+	res.AvgUtil = float64(totalBytes) / (r.peakBandwidth() * float64(r.opt.Duration) / 1e9)
 	if len(r.utils) > 0 {
 		sorted := append([]float64(nil), r.utils...)
-		insertionSort(sorted)
+		sort.Float64s(sorted)
 		idx := int(0.95 * float64(len(sorted)))
 		if idx >= len(sorted) {
 			idx = len(sorted) - 1
 		}
 		res.P95Util = sorted[idx]
 	}
-	return res
-}
-
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	r.Result = res
 }
 
 // Calibrate runs the mix hardware-isolated without SLOs and returns each
@@ -544,9 +652,7 @@ func Calibrate(mix MixSpec, opt Options) []sim.Time {
 	opt.Faults = nil
 	opt.WorkloadShape = workload.ShapeSteady
 	opt.ReplayRecords = nil
-	r := buildPlatform(mix, PolHardware, nil, opt)
-	r.attachPolicy(PolHardware, mix)
-	r.execute()
+	r := Measure(mix, PolHardware, nil, opt)
 	slos := make([]sim.Time, len(mix.Workloads))
 	for i, v := range r.plat.VSSDs() {
 		slos[i] = v.TotalHist().P99()
@@ -557,12 +663,17 @@ func Calibrate(mix MixSpec, opt Options) []sim.Time {
 	return slos
 }
 
-// RunOne executes a single (mix, policy) experiment with the given SLOs.
+// Measure executes a single (mix, policy) experiment against the given
+// SLOs — build, wire, warm up, measure — and returns the finished run.
+func Measure(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *Run {
+	r := buildPlatform(mix, kind, nil, slos, opt)
+	r.attachPolicy()
+	return r.measure()
+}
+
+// RunOne is Measure's Result.
 func RunOne(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) Result {
-	r := buildPlatform(mix, kind, slos, opt)
-	r.attachPolicy(kind, mix)
-	r.execute()
-	return r.collect(mix, kind)
+	return Measure(mix, kind, slos, opt).Result
 }
 
 // Compare calibrates the mix once and runs every requested policy. The
@@ -570,10 +681,5 @@ func RunOne(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) Result {
 // out over opt.Workers goroutines; results are returned in kinds order
 // and are identical to a sequential loop.
 func Compare(mix MixSpec, kinds []PolicyKind, opt Options) []Result {
-	slos := Calibrate(mix, opt)
-	out := make([]Result, len(kinds))
-	forEach(len(kinds), opt.workers(), func(i int) {
-		out[i] = RunOne(mix, kinds[i], slos, opt)
-	})
-	return out
+	return compareAll([]MixSpec{mix}, kinds, opt)[0]
 }

@@ -3,6 +3,9 @@ package harness
 import (
 	"strconv"
 
+	"repro/internal/admission"
+	"repro/internal/ftl"
+	"repro/internal/gsb"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -15,7 +18,7 @@ import (
 // The probes are the metric catalogue documented in docs/OBSERVABILITY.md:
 // per-vSSD bandwidth/IOPS/P99/queue depth, device GC and write-amp
 // activity, gSB lifecycle counts, and admission verdicts.
-func (r *run) startObserving() *obs.Sampler {
+func (r *Run) startObserving() *obs.Sampler {
 	o := r.opt.Obs
 	if o == nil || o.Reg == nil {
 		return nil
@@ -26,44 +29,54 @@ func (r *run) startObserving() *obs.Sampler {
 	simTime := reg.Gauge("fleetio_sim_time_seconds", "Virtual time of the current run.")
 	samples := reg.Counter("fleetio_obs_samples_total", "Telemetry sample rounds taken.")
 
-	// Device-wide FTL and gSB series (cumulative model stats exported as
-	// counters by setting the running totals).
+	// Device-wide running totals: each counter mirrors one field of the
+	// snapshots the probe refreshes every tick (cumulative model stats
+	// exported as counters by setting the running totals).
+	var (
+		fst    ftl.Stats
+		gst    gsb.Stats
+		ast    admission.Stats
+		ledger FaultRunStats
+		totals []func()
+	)
+	total := func(name, help string, v *int64) {
+		m := reg.Counter(name, help)
+		totals = append(totals, func() { m.Set(float64(*v)) })
+	}
 	ftlm := r.plat.FTL()
 	gsbm := r.plat.GSB()
-	hostProg := reg.Counter("fleetio_ftl_host_programs_total", "Host page programs.")
-	gcProg := reg.Counter("fleetio_ftl_gc_programs_total", "GC page-migration programs.")
-	erases := reg.Counter("fleetio_ftl_erases_total", "Block erases.")
-	gcRuns := reg.Counter("fleetio_ftl_gc_runs_total", "GC victim collections started.")
+	total("fleetio_ftl_host_programs_total", "Host page programs.", &fst.HostPrograms)
+	total("fleetio_ftl_gc_programs_total", "GC page-migration programs.", &fst.GCPrograms)
+	total("fleetio_ftl_erases_total", "Block erases.", &fst.Erases)
+	total("fleetio_ftl_gc_runs_total", "GC victim collections started.", &fst.GCRuns)
 	writeAmp := reg.Gauge("fleetio_ftl_write_amplification", "(host+GC programs)/host programs.")
-	gsbCreated := reg.Counter("fleetio_gsb_created_total", "Ghost superblocks created.")
-	gsbHarvests := reg.Counter("fleetio_gsb_harvested_total", "Ghost superblock harvests.")
-	gsbReclaimed := reg.Counter("fleetio_gsb_reclaimed_total", "Ghost superblocks fully reclaimed.")
-	gsbCreateFail := reg.Counter("fleetio_gsb_create_failures_total", "Make_Harvestable calls that found no lendable channel.")
-	gsbMisses := reg.Counter("fleetio_gsb_harvest_misses_total", "Harvest calls that found no compatible gSB.")
+	total("fleetio_gsb_created_total", "Ghost superblocks created.", &gst.Created)
+	total("fleetio_gsb_harvested_total", "Ghost superblock harvests.", &gst.Harvested)
+	total("fleetio_gsb_reclaimed_total", "Ghost superblocks fully reclaimed.", &gst.Reclaimed)
+	total("fleetio_gsb_create_failures_total", "Make_Harvestable calls that found no lendable channel.", &gst.CreateFailures)
+	total("fleetio_gsb_harvest_misses_total", "Harvest calls that found no compatible gSB.", &gst.HarvestMisses)
 
 	// Fault-injection series, registered only when the run injects faults
 	// so fault-free runs export the exact catalogue they always did.
-	dev := r.plat.Device()
-	var fProgFail, fEraseFail, fReadRetry, fRetryRounds, fTimeouts *obs.Metric
-	var fRetired, fRemapped, fGCRetry, fGCSkip, fWriteRetry *obs.Metric
-	if r.opt.Faults != nil && r.opt.Faults.Enabled() {
-		fProgFail = reg.Counter("fleetio_fault_program_fails_total", "Injected NAND program failures.")
-		fEraseFail = reg.Counter("fleetio_fault_erase_fails_total", "Injected NAND erase failures.")
-		fReadRetry = reg.Counter("fleetio_fault_read_retry_ops_total", "Reads that needed at least one retry round.")
-		fRetryRounds = reg.Counter("fleetio_fault_read_retry_rounds_total", "Total read-retry rounds added.")
-		fTimeouts = reg.Counter("fleetio_fault_chip_timeouts_total", "Transient chip timeouts injected on reads.")
-		fRetired = reg.Counter("fleetio_fault_retired_blocks_total", "Blocks permanently retired after failures.")
-		fRemapped = reg.Counter("fleetio_fault_remapped_pages_total", "Failed program slots remapped by the FTL.")
-		fGCRetry = reg.Counter("fleetio_fault_gc_retry_programs_total", "GC migrations re-programmed after a failure.")
-		fGCSkip = reg.Counter("fleetio_fault_gc_retry_skips_total", "Failed GC migrations superseded by host writes.")
-		fWriteRetry = reg.Counter("fleetio_fault_write_retries_total", "Host page writes re-dispatched after a program failure.")
+	faulty := r.opt.faultsEnabled()
+	if faulty {
+		total("fleetio_fault_program_fails_total", "Injected NAND program failures.", &ledger.Device.ProgramFails)
+		total("fleetio_fault_erase_fails_total", "Injected NAND erase failures.", &ledger.Device.EraseFails)
+		total("fleetio_fault_read_retry_ops_total", "Reads that needed at least one retry round.", &ledger.Device.ReadRetryOps)
+		total("fleetio_fault_read_retry_rounds_total", "Total read-retry rounds added.", &ledger.Device.RetryRounds)
+		total("fleetio_fault_chip_timeouts_total", "Transient chip timeouts injected on reads.", &ledger.Device.ChipTimeouts)
+		total("fleetio_fault_retired_blocks_total", "Blocks permanently retired after failures.", &ledger.Retired)
+		total("fleetio_fault_remapped_pages_total", "Failed program slots remapped by the FTL.", &ledger.Remapped)
+		total("fleetio_fault_gc_retry_programs_total", "GC migrations re-programmed after a failure.", &ledger.GCRetryPrograms)
+		total("fleetio_fault_gc_retry_skips_total", "Failed GC migrations superseded by host writes.", &ledger.GCRetrySkips)
+		total("fleetio_fault_write_retries_total", "Host page writes re-dispatched after a program failure.", &ledger.WriteRetries)
 	}
 
-	var admAdmitted, admFiltered, admBatches *obs.Metric
-	if r.runner != nil && r.runner.Adm != nil {
-		admAdmitted = reg.Counter("fleetio_admission_admitted_total", "Harvest-related actions admitted.")
-		admFiltered = reg.Counter("fleetio_admission_filtered_total", "Harvest-related actions rejected by provider policy.")
-		admBatches = reg.Counter("fleetio_admission_batches_total", "Admission batches flushed.")
+	adm := r.runner.Adm
+	if adm != nil {
+		total("fleetio_admission_admitted_total", "Harvest-related actions admitted.", &ast.Admitted)
+		total("fleetio_admission_filtered_total", "Harvest-related actions rejected by provider policy.", &ast.Filtered)
+		total("fleetio_admission_batches_total", "Admission batches flushed.", &ast.Batches)
 	}
 
 	// Per-vSSD series, labelled by id and configured name.
@@ -114,49 +127,22 @@ func (r *run) startObserving() *obs.Sampler {
 		simTime.Set(float64(now) / 1e9)
 		samples.Add(1)
 
-		fst := ftlm.Stats()
-		hostProg.Set(float64(fst.HostPrograms))
-		gcProg.Set(float64(fst.GCPrograms))
-		erases.Set(float64(fst.Erases))
-		gcRuns.Set(float64(fst.GCRuns))
-		writeAmp.Set(fst.WriteAmplification())
-
-		gst := gsbm.Stats()
-		gsbCreated.Set(float64(gst.Created))
-		gsbHarvests.Set(float64(gst.Harvested))
-		gsbReclaimed.Set(float64(gst.Reclaimed))
-		gsbCreateFail.Set(float64(gst.CreateFailures))
-		gsbMisses.Set(float64(gst.HarvestMisses))
-
-		if fProgFail != nil {
-			dfs := dev.FaultStats()
-			fProgFail.Set(float64(dfs.ProgramFails))
-			fEraseFail.Set(float64(dfs.EraseFails))
-			fReadRetry.Set(float64(dfs.ReadRetryOps))
-			fRetryRounds.Set(float64(dfs.RetryRounds))
-			fTimeouts.Set(float64(dfs.ChipTimeouts))
-			fRetired.Set(float64(fst.Retired))
-			fRemapped.Set(float64(fst.Remapped))
-			fGCRetry.Set(float64(fst.GCRetryPrograms))
-			fGCSkip.Set(float64(fst.GCRetrySkips))
-			var retries int64
-			for _, v := range r.plat.VSSDs() {
-				retries += v.TotalRetries()
-			}
-			fWriteRetry.Set(float64(retries))
+		fst, gst = ftlm.Stats(), gsbm.Stats()
+		if faulty {
+			ledger = r.faultLedger()
 		}
+		if adm != nil {
+			ast = adm.Stats()
+		}
+		for _, set := range totals {
+			set()
+		}
+		writeAmp.Set(fst.WriteAmplification())
 
 		for i, g := range r.gens {
 			ggs[i].issued.Set(float64(g.Issued()))
 			ggs[i].rate.Set(g.RateFactor())
 			ggs[i].wraps.Set(float64(g.ReplayWraps()))
-		}
-
-		if admAdmitted != nil {
-			ast := r.runner.Adm.Stats()
-			admAdmitted.Set(float64(ast.Admitted))
-			admFiltered.Set(float64(ast.Filtered))
-			admBatches.Set(float64(ast.Batches))
 		}
 
 		for i, v := range r.plat.VSSDs() {
@@ -195,6 +181,6 @@ func (r *run) startObserving() *obs.Sampler {
 		}
 	})
 
-	s.Start(r.eng, o.SamplePeriod)
+	s.Start(r.plat.Engine(), o.SamplePeriod)
 	return s
 }

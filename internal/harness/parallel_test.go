@@ -28,8 +28,8 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// compareAll (the figure grids) must match per-mix sequential Compare
-// exactly, including row order.
+// compareAll (the figure grids) at four workers must match a sequential
+// single-mix grid per mix exactly, including row order.
 func TestCompareAllMatchesCompare(t *testing.T) {
 	opt := fastOptions()
 	opt.Duration = 3 * sim.Second

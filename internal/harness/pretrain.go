@@ -9,8 +9,6 @@ import (
 	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/trainer"
-	"repro/internal/vssd"
-	"repro/internal/workload"
 )
 
 // PretrainConfig scales the offline pretraining loop (§3.8: the paper
@@ -100,7 +98,6 @@ func PretrainMode(pc PretrainConfig, mode core.Mode) *nn.ActorCritic {
 // network between rounds, and exposes checkpointing, eval-gated best-model
 // selection, and JSONL telemetry to callers like cmd/fleettrain.
 func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
-	_ = workload.PretrainingSet() // the mixes below draw from this set
 	mixes := pretrainMixes()
 	rcfg := rl.DefaultConfig()
 	rcfg.LR = pc.LR
@@ -144,41 +141,23 @@ func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 	})
 }
 
+// models caches the process-wide pretrained network per reward variant.
 var (
-	pretrainOnce  sync.Once
-	pretrainedNet *nn.ActorCritic
-	modeNetsMu    sync.Mutex
-	modeNets      = map[core.Mode]*nn.ActorCritic{}
-	// injectedModel, when set before the first PretrainedModel call, is
-	// used instead of running pretraining (cmd binaries load a model file).
-	// Access only under injectMu, via SetInjectedModel.
-	injectedModel *nn.ActorCritic
-	injectMu      sync.Mutex
+	modelsMu sync.Mutex
+	models   = map[core.Mode]*nn.ActorCritic{}
 )
 
-// SetInjectedModel installs a pre-built model (e.g. loaded from
+// SetInjectedModel installs a pre-built ModeFull model (e.g. loaded from
 // cmd/fleettrain's output) for all subsequent PretrainedModel calls.
 func SetInjectedModel(net *nn.ActorCritic) {
-	injectMu.Lock()
-	defer injectMu.Unlock()
-	injectedModel = net
+	modelsMu.Lock()
+	defer modelsMu.Unlock()
+	models[core.ModeFull] = net
 }
 
 // PretrainedModel returns the process-wide pretrained network, training it
 // on first use unless a model was injected.
-func PretrainedModel() *nn.ActorCritic {
-	pretrainOnce.Do(func() {
-		injectMu.Lock()
-		inj := injectedModel
-		injectMu.Unlock()
-		if inj != nil {
-			pretrainedNet = inj
-			return
-		}
-		pretrainedNet = Pretrain(DefaultPretrainConfig())
-	})
-	return pretrainedNet
-}
+func PretrainedModel() *nn.ActorCritic { return PretrainedModelFor(core.ModeFull) }
 
 // WithPretrained returns a copy of opt seeded with the process-wide
 // pretrained model.
@@ -187,21 +166,15 @@ func WithPretrained(opt Options) Options {
 	return opt
 }
 
-var _ = vssd.HardwareIsolated // reserved for future mixed-isolation pretraining
-
 // PretrainedModelFor returns (training once per process per mode) the
-// network pretrained under the given reward variant. ModeFull aliases
-// PretrainedModel.
+// network pretrained under the given reward variant.
 func PretrainedModelFor(mode core.Mode) *nn.ActorCritic {
-	if mode == core.ModeFull {
-		return PretrainedModel()
-	}
-	modeNetsMu.Lock()
-	defer modeNetsMu.Unlock()
-	if net, ok := modeNets[mode]; ok {
+	modelsMu.Lock()
+	defer modelsMu.Unlock()
+	if net, ok := models[mode]; ok {
 		return net
 	}
 	net := PretrainMode(DefaultPretrainConfig(), mode)
-	modeNets[mode] = net
+	models[mode] = net
 	return net
 }

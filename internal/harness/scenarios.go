@@ -1,6 +1,9 @@
 package harness
 
-import "io"
+import (
+	"fmt"
+	"io"
+)
 
 // Scenario is one named experiment: what `fleetbench -fig <Name>` runs and
 // what TestScenarios pins against testdata/scenarios/<Name>.golden at one
@@ -32,7 +35,7 @@ func Scenarios() []Scenario {
 		{"14", true, Figure14, `mix5 +8 `},
 		{"15", true, Figure15, `FIO-UnifGlob`},
 		{"16", true, func(w io.Writer, opt Options) { Figure16(w, opt) }, `FleetIO +util= *[1-9]`},
-		{"17", true, func(w io.Writer, opt Options) { Figure17(w, opt) }, `Y \+ \(P->T\) +\d`},
+		{"17", true, Figure17, `Y \+ \(P->T\) +\d`},
 		// Every injected failure recovered: a heavy row, and no imbalance line.
 		{"faults", true, func(w io.Writer, opt Options) { FigureFaults(w, scenarioMixes, opt) }, `^[^!]*heavy +\d[^!]*$`},
 		// The rack must complete at least one cold migration. No pretrained
@@ -60,4 +63,51 @@ func figureAll(w io.Writer, opt Options) {
 	Figure16(w, opt)
 	Figure17(w, opt)
 	Overheads(w)
+}
+
+// Level is one rung of a scenario ladder: a name and the Options edit
+// that puts a run on it.
+type Level struct {
+	Name  string
+	Apply func(*Options)
+}
+
+// LevelRun is one level's finished run within a sweep.
+type LevelRun struct {
+	Level string
+	*Run
+}
+
+// sweep calibrates the mix once, on unedited options, and measures it under
+// FleetIO at every level. The levels are independent deterministic
+// simulations and fan out over opt.Workers goroutines; results come back
+// in ladder order regardless of worker count.
+func sweep(mix MixSpec, opt Options, levels []Level) []LevelRun {
+	slos := Calibrate(mix, opt)
+	out := make([]LevelRun, len(levels))
+	forEach(len(levels), opt.workers(), func(i int) {
+		o := opt
+		levels[i].Apply(&o)
+		out[i] = LevelRun{levels[i].Name, Measure(mix, PolFleetIO, slos, o)}
+	})
+	return out
+}
+
+// figureSweep renders one table per mix, one row per level: the level name
+// (under nameHead, padded to nameWidth), utilization and the worst
+// tenant's SLO violation rate, then the scenario's own columns.
+func figureSweep(w io.Writer, mixes []MixSpec, opt Options, levels []Level,
+	nameWidth int, nameHead, colsHead string, cols func(*Run) string) {
+	for _, mix := range mixes {
+		fmt.Fprintf(w, "%s (%v)\n", mix.Label, mix.Workloads)
+		fmt.Fprintf(w, "  %-*s %9s %9s%s\n", nameWidth, nameHead, "util%", "maxVio%", colsHead)
+		for _, row := range sweep(mix, opt, levels) {
+			maxVio := 0.0
+			for _, tr := range row.Result.Tenants {
+				maxVio = max(maxVio, tr.VioRate)
+			}
+			fmt.Fprintf(w, "  %-*s %9.2f %9.3f%s\n", nameWidth, row.Level,
+				row.Result.AvgUtil*100, maxVio*100, cols(row.Run))
+		}
+	}
 }

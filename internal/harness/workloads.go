@@ -5,46 +5,25 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/fleet"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// WorkloadLevel is one rung of the temporal-realism ladder: a named
-// arrival shape overlaid on every tenant of the mix.
-type WorkloadLevel struct {
-	Name  string
-	Shape workload.Shape
-}
-
 // WorkloadLevels is the steady/diurnal/bursty/replay ladder the workload
-// scenario sweeps — the temporal analogue of FaultLevels.
-func WorkloadLevels() []WorkloadLevel {
-	out := make([]WorkloadLevel, 0, len(workload.Shapes()))
+// scenario sweeps — the temporal analogue of FaultLevels: a named arrival
+// shape overlaid on every tenant of the mix.
+func WorkloadLevels() []Level {
+	var out []Level
 	for _, s := range workload.Shapes() {
-		out = append(out, WorkloadLevel{Name: s.String(), Shape: s})
+		out = append(out, Level{s.String(), func(o *Options) { o.WorkloadShape = s }})
 	}
 	return out
 }
 
-// WorkloadScenarioResult is one shape level's outcome within a scenario.
-type WorkloadScenarioResult struct {
-	Level  string
-	Result Result
-	// TypeLabels is the clusterer's per-tenant workload-type label for
-	// the measured run ("n/a" for tenants with too little trace).
-	TypeLabels []string
-}
-
-// RunOneWithTypes is RunOne plus the clusterer's view of each tenant's
-// measured traffic: after the run, every tenant's recorded window is
-// classified by the shared type model, the same path core.FleetIO.retype
-// uses online. Tenants with fewer than 100 recorded requests label "n/a".
-func RunOneWithTypes(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) (Result, []string) {
-	r := buildPlatform(mix, kind, slos, opt)
-	r.attachPolicy(kind, mix)
-	r.execute()
-	res := r.collect(mix, kind)
+// TypeLabels is the clusterer's view of each tenant's measured traffic:
+// every tenant's recorded window is classified by the shared type model,
+// the same path core.FleetIO.retype uses online. Tenants with fewer than
+// 100 recorded requests label "n/a".
+func (r *Run) TypeLabels() []string {
 	tm, _ := TypeModel()
 	pageSize := r.plat.FlashConfig().PageSize
 	labels := make([]string, len(r.recs))
@@ -57,47 +36,13 @@ func RunOneWithTypes(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options)
 		c, known := tm.ClassifyTrace(rec.Records(), pageSize, logical)
 		labels[i] = tm.Label(c, known)
 	}
-	return res, labels
+	return labels
 }
 
 // WorkloadScenario runs the mix under FleetIO at every temporal shape,
-// against SLOs calibrated on the steady shape, and returns the per-level
-// outcomes. The levels are independent deterministic simulations and fan
-// out over opt.Workers goroutines; results come back in ladder order
-// regardless of worker count.
-func WorkloadScenario(mix MixSpec, opt Options) []WorkloadScenarioResult {
-	slos := Calibrate(mix, opt)
-	levels := WorkloadLevels()
-	out := make([]WorkloadScenarioResult, len(levels))
-	forEach(len(levels), opt.workers(), func(i int) {
-		o := opt
-		o.WorkloadShape = levels[i].Shape
-		res, labels := RunOneWithTypes(mix, PolFleetIO, slos, o)
-		out[i] = WorkloadScenarioResult{Level: levels[i].Name, Result: res, TypeLabels: labels}
-	})
-	return out
-}
-
-// DefaultCohortDevices sizes the cohort-churn rack; smaller than the
-// placement rack because every epoch also classifies tenant traffic.
-const DefaultCohortDevices = 8
-
-// CohortScenario runs a rack in cohort mode: tenants arrive on the fleet
-// admission path, live an exponential session (mean Duration/3, so slots
-// turn over several times), depart, and free their slots — with every
-// traced tenant classified by the shared workload-type model.
-func CohortScenario(opt Options) fleet.Stats {
-	cfg := fleetConfig(fleet.PlaceLeastLoaded, opt)
-	if opt.FleetDevices <= 0 {
-		cfg.Devices = DefaultCohortDevices
-	}
-	cfg.Lifetime = opt.Duration / 3
-	if cfg.Lifetime <= 0 {
-		cfg.Lifetime = sim.Second
-	}
-	tm, _ := TypeModel()
-	cfg.TypeModel = tm
-	return fleet.New(cfg).Run()
+// against SLOs calibrated on the steady shape.
+func WorkloadScenario(mix MixSpec, opt Options) []LevelRun {
+	return sweep(mix, opt, WorkloadLevels())
 }
 
 // FigureWorkloads renders the temporal-realism scenario: every mix swept
@@ -107,29 +52,12 @@ func CohortScenario(opt Options) fleet.Stats {
 // deterministic for a given seed at any worker count.
 func FigureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Workload scenarios: temporal shapes, trace replay, and cohort churn (seed=%d) ==\n", opt.Seed)
-	for _, mix := range mixes {
-		rows := WorkloadScenario(mix, opt)
-		fmt.Fprintf(w, "%s (%v)\n", mix.Label, mix.Workloads)
-		fmt.Fprintf(w, "  %-8s %9s %9s %12s %12s  %s\n",
-			"shape", "util%", "maxVio%", "BI MB/s", "LS p99 ms", "types")
-		for _, row := range rows {
-			maxVio := 0.0
-			for _, tr := range row.Result.Tenants {
-				if tr.VioRate > maxVio {
-					maxVio = tr.VioRate
-				}
-			}
-			fmt.Fprintf(w, "  %-8s %9.2f %9.3f %12.1f %12.3f  %s\n",
-				row.Level, row.Result.AvgUtil*100, maxVio*100,
-				row.Result.BandwidthTenant(), row.Result.LatencyTenantP99(),
-				strings.Join(row.TypeLabels, ","))
-		}
-	}
-	devices := opt.FleetDevices
-	if devices <= 0 {
-		devices = DefaultCohortDevices
-	}
-	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", devices)
+	head := fmt.Sprintf(" %12s %12s  %s", "BI MB/s", "LS p99 ms", "types")
+	figureSweep(w, mixes, opt, WorkloadLevels(), 8, "shape", head, func(r *Run) string {
+		return fmt.Sprintf(" %12.1f %12.3f  %s", r.Result.BandwidthTenant(), r.Result.LatencyTenantP99(),
+			strings.Join(r.TypeLabels(), ","))
+	})
 	st := CohortScenario(opt)
+	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", st.Devices)
 	st.Render(w)
 }

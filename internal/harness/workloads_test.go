@@ -27,12 +27,13 @@ func TestWorkloadScenarioTypesDistinct(t *testing.T) {
 		t.Fatalf("got %d levels", len(rows))
 	}
 	for _, row := range rows {
-		if len(row.TypeLabels) != 2 {
-			t.Fatalf("%s: %d type labels", row.Level, len(row.TypeLabels))
+		labels := row.TypeLabels()
+		if len(labels) != 2 {
+			t.Fatalf("%s: %d type labels", row.Level, len(labels))
 		}
 		labeled := 0
 		distinct := map[string]bool{}
-		for _, l := range row.TypeLabels {
+		for _, l := range labels {
 			if l != "n/a" {
 				labeled++
 				distinct[l] = true
@@ -42,7 +43,7 @@ func TestWorkloadScenarioTypesDistinct(t *testing.T) {
 			t.Fatalf("%s: no tenant produced enough trace to classify", row.Level)
 		}
 		if row.Level == "steady" && len(distinct) < 2 {
-			t.Fatalf("steady level classified both tenants identically: %v", row.TypeLabels)
+			t.Fatalf("steady level classified both tenants identically: %v", labels)
 		}
 		if row.Result.Tenants[0].Completed == 0 || row.Result.Tenants[1].Completed == 0 {
 			t.Fatalf("%s: a tenant completed nothing", row.Level)
@@ -94,7 +95,7 @@ func TestReplayRecordsDriveAllTenants(t *testing.T) {
 	opt.WorkloadShape = workload.ShapeReplay
 	mix := Pair("YCSB", "TeraSort")
 	slos := Calibrate(mix, opt)
-	res, _ := RunOneWithTypes(mix, PolFleetIO, slos, opt)
+	res := RunOne(mix, PolFleetIO, slos, opt)
 	if res.Tenants[0].Completed == 0 || res.Tenants[1].Completed == 0 {
 		t.Fatalf("replay tenants idle: %+v", res.Tenants)
 	}

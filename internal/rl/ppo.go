@@ -30,8 +30,11 @@ type Config struct {
 
 	// ScalarKernels forces Train's per-sample scalar inner loop instead of
 	// the batched nn kernels. The two paths are bit-identical by
-	// construction (see internal/nn/batch.go); the flag exists so tests and
-	// the CI gate can prove it on full runs, and as an escape hatch.
+	// construction (see internal/nn/batch.go); the flag is the single
+	// scalar switch, set only by the oracle tests that prove it
+	// (TestTrainBatchedMatchesScalar, TestActBatchMatchesScalar, and
+	// core's TestDecideBatchedMatchesScalar, where it also forces
+	// FleetIO.Decide onto per-agent inference).
 	ScalarKernels bool
 }
 

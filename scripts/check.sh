@@ -1,31 +1,17 @@
 #!/usr/bin/env sh
-# check.sh — the repo's `make check` equivalent: formatting, vet, a doc
-# lint on the observability API, build, full test suite, the race
-# detector on the concurrency-heavy packages (the trainer's worker pool,
-# the gSB pool, admission batching, the obs recorder that both of them
-# write into, the event engine, the pooled flash/FTL datapath, and the
-# harness's parallel run fan-out, and the NAND fault injector),
-# allocation-regression guards on the per-I/O datapath, boxing/dead-import
-# grep gates, a fault-enabled determinism gate (same seed => byte-identical
-# scenario output at any worker count), a rack-scale fleet gate (64-device
-# scenario byte-identical at any worker count, with at least one completed
-# migration), a hybrid-rack tier gate (the tiered scenario byte-identical
-# at any worker count, with the learned policy completing both promotes
-# and demotes), a workload-replay gate (the checked-in CSV trace converts
-# and replays byte-identically at 1/2/4 workers, with live traffic
-# typing), and a one-iteration benchmark smoke pass that fails on any
-# steady-state device allocation. The RL-kernel gates prove the batched
-# matrix kernels (internal/nn, internal/rl, core.Decide) byte-identical to
-# the scalar path via -scalar-rl figure diffs at 1/2/4 workers, and pin
-# batched inference + PPO updates at zero steady-state allocations. The
-# fleet-scaling gate covers the persistent shard-worker runtime: the
-# barrier stress/shutdown tests run under -race in the fleet package pass
-# above, the epoch loop is pinned at zero steady-state allocs/op, and
-# BenchmarkFleetScaling's workers 1 vs 4 sub-benchmarks must produce
-# byte-identical fleet output (the benchmark fails itself on divergence).
+# check.sh — the repo's `make check`: formatting, vet, a doc lint on the
+# observability API, build, the full test suite, hot-path boxing gates,
+# the race detector on the concurrency-heavy packages, the allocation
+# guards at several core counts, worker-count identity gates on the
+# scenario figures, and benchmark smoke/allocation gates. What each
+# scenario must show (completed migrations, promotes and demotes, typed
+# traffic, …) is asserted by harness.TestScenarios in the test suite.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== gofmt"
 unformatted=$(gofmt -l .)
@@ -79,6 +65,8 @@ if grep -n 'interface{}' internal/flash/*.go internal/sim/*.go internal/ftl/*.go
 fi
 
 echo "== go test -race (concurrency-heavy packages)"
+# Includes the gSB pool's concurrent no-double-grant test and the fleet's
+# barrier stress and clean-shutdown tests.
 go test -race ./internal/trainer/... ./internal/gsb/... ./internal/admission/... ./internal/obs/... ./internal/sim/... ./internal/flash/... ./internal/ftl/... ./internal/fault/... ./internal/fleet/... ./internal/core/... ./internal/trace/... ./internal/workload/... ./internal/nn/... ./internal/rl/...
 
 echo "== go test -race -tags=flashdebug (op pool poison mode)"
@@ -87,161 +75,65 @@ echo "== go test -race -tags=flashdebug (op pool poison mode)"
 # pool-correctness gate.
 go test -race -tags=flashdebug ./internal/flash/...
 
-echo "== allocation guards (per-I/O datapath)"
-# TestDeviceDatapathZeroAlloc (flash) and the engine's AllocsPerRun guard
-# (sim) assert 0 allocs/op in steady state; a regression fails here before
-# it shows up in the figure benchmarks.
-go test -run 'TestDeviceDatapathZeroAlloc' -count=1 ./internal/flash/
-go test -run 'ZeroAlloc' -count=1 ./internal/sim/
-
 echo "== go test -race (parallel harness)"
 # The harness fans experiment runs out over a worker pool; the full
 # package under -race is prohibitively slow, so race-check the tests that
 # actually exercise concurrent runs (including the shared-observer one).
-go test -race -run 'TestCompareParallel|TestCompareAll|TestFigure16Parallel|TestForEach' ./internal/harness/
+go test -race -run 'TestCompareParallel|TestCompareAll|TestScenarios/16$|TestForEach' ./internal/harness/
 
-echo "== fault-scenario determinism (same seed, 1 vs 4 workers)"
-# The fault injector draws from its own seeded stream on the single-threaded
-# engine, so a fault-enabled scenario must be byte-identical for a given
-# seed at any worker count. Two full fleetbench runs at different
-# parallelism prove both properties at once.
-faults1=$(mktemp) && faults4=$(mktemp)
-trap 'rm -f "$faults1" "$faults4"' EXIT
-go run ./cmd/fleetbench -fig faults -seconds 2 -warmup 1 -parallel 1 > "$faults1"
-go run ./cmd/fleetbench -fig faults -seconds 2 -warmup 1 -parallel 4 > "$faults4"
-if ! cmp -s "$faults1" "$faults4"; then
-    echo "fault scenario output differs between -parallel 1 and -parallel 4:" >&2
-    diff "$faults1" "$faults4" >&2 || true
-    exit 1
-fi
+echo "== allocation guards (-cpu 1,2,4)"
+# Every steady-state path that must not allocate — the per-I/O datapath,
+# the event engine, batched inference and PPO updates, gSB create/reclaim,
+# admission flushes, the fleet epoch loop — has an AllocsPerRun guard; run
+# the family at several GOMAXPROCS so a guard that only holds on one core
+# count fails here, not intermittently in tier-1.
+go test -run 'ZeroAlloc|SteadyStateAllocs' -count=1 -cpu 1,2,4 \
+    ./internal/sim/ ./internal/flash/ ./internal/nn/ ./internal/rl/ ./internal/gsb/ ./internal/admission/ ./internal/fleet/
 
-echo "== fleet determinism (64 devices, same seed, 1 vs 4 workers)"
-# The rack-scale scenario advances device shards concurrently between
-# epoch barriers; a 64-device figure must be byte-identical at any worker
-# count, and must demonstrate at least one completed cold migration.
-fleet1=$(mktemp) && fleet4=$(mktemp)
-trap 'rm -f "$faults1" "$faults4" "$fleet1" "$fleet4"' EXIT
-go run ./cmd/fleetbench -fig fleet -fleet 64 -seconds 2 -parallel 1 > "$fleet1"
-go run ./cmd/fleetbench -fig fleet -fleet 64 -seconds 2 -parallel 4 > "$fleet4"
-if ! cmp -s "$fleet1" "$fleet4"; then
-    echo "fleet scenario output differs between -parallel 1 and -parallel 4:" >&2
-    diff "$fleet1" "$fleet4" >&2 || true
-    exit 1
-fi
-if ! grep -q 'migrations: started=[1-9][0-9]* completed=[1-9]' "$fleet1"; then
-    echo "64-device fleet scenario completed no migrations:" >&2
-    cat "$fleet1" >&2
-    exit 1
-fi
-
-echo "== tier determinism + learned promote/demote smoke (hybrid rack)"
-# The hybrid-rack scenario (SLC-like + QLC-like device classes) reuses
-# the epoch-barrier runtime, so it must be byte-identical at any worker
-# count across every tier policy; and the learned placement head must
-# actually move tenants both ways — at the default seed over 4 virtual
-# seconds its section must report nonzero promotes AND demotes.
-tiers1=$(mktemp) && tiers4=$(mktemp)
-trap 'rm -f "$faults1" "$faults4" "$fleet1" "$fleet4" "$tiers1" "$tiers4"' EXIT
-go run ./cmd/fleetbench -fig tiers -fleet 8 -seconds 4 -parallel 1 > "$tiers1"
-go run ./cmd/fleetbench -fig tiers -fleet 8 -seconds 4 -parallel 4 > "$tiers4"
-if ! cmp -s "$tiers1" "$tiers4"; then
-    echo "tier scenario output differs between -parallel 1 and -parallel 4:" >&2
-    diff "$tiers1" "$tiers4" >&2 || true
-    exit 1
-fi
-learned=$(awk '/^tier-policy=learned/,0' "$tiers1")
-if ! echo "$learned" | grep -q 'promotes=[1-9]' || ! echo "$learned" | grep -q ' demotes=[1-9]'; then
-    echo "learned tier policy completed no promotes or no demotes:" >&2
-    echo "$learned" >&2
-    exit 1
-fi
-
-echo "== fleet-scaling gate (epoch-loop allocs, workers 1 vs 4 identity)"
-# The persistent shard-worker runtime must keep the epoch loop — barrier,
-# parallel shard advance + load refresh, sequential control plane —
-# allocation-free once the rack settles, and the load-refresh guard must
-# never emit Inf/NaN utilization. The barrier stress, pinning, and
-# clean-shutdown tests already ran under -race in the fleet package pass
-# above; BenchmarkFleetScaling's workers=1 sub-benchmark is the
-# byte-identity oracle and the workers=4 run fails itself on divergence.
-go test -run 'TestEpochLoopZeroSteadyStateAllocs|TestUtilOverGuards|TestBarrierStress' -count=1 ./internal/fleet/
-go test -run=NONE -bench='^BenchmarkFleetScaling$/devices=64/workers=(1|4)$' -benchtime=1x .
-
-echo "== workload-replay determinism (CSV trace, 1 vs 2 vs 4 workers)"
-# The checked-in sample CSV must convert to the binary trace format and
-# replay byte-identically at any worker count, and the cohort rack must
-# classify live traffic (a non-empty types: line).
-wlbin=$(mktemp) && wl1=$(mktemp) && wl2=$(mktemp) && wl4=$(mktemp)
-trap 'rm -f "$faults1" "$faults4" "$fleet1" "$fleet4" "$tiers1" "$tiers4" "$wlbin" "$wl1" "$wl2" "$wl4"' EXIT
-go run ./cmd/fleettrace convert -in internal/trace/testdata/sample_msr.csv -format msr -out "$wlbin"
-go run ./cmd/fleetbench -fig workloads -trace "$wlbin" -seconds 2 -warmup 1 -parallel 1 > "$wl1"
-go run ./cmd/fleetbench -fig workloads -trace "$wlbin" -seconds 2 -warmup 1 -parallel 2 > "$wl2"
-go run ./cmd/fleetbench -fig workloads -trace "$wlbin" -seconds 2 -warmup 1 -parallel 4 > "$wl4"
-if ! cmp -s "$wl1" "$wl2" || ! cmp -s "$wl1" "$wl4"; then
-    echo "workload scenario output differs across -parallel 1/2/4:" >&2
-    diff "$wl1" "$wl4" >&2 || true
-    exit 1
-fi
-if ! grep -q 'types: .*=' "$wl1"; then
-    echo "cohort rack classified no live traffic:" >&2
-    cat "$wl1" >&2
-    exit 1
-fi
-
-echo "== RL-kernel bit-identity (batched vs -scalar-rl, 1/2/4 workers)"
-# The batched matrix kernels (internal/nn ForwardBatch/BackwardBatch, the
-# vectorized PPO update, the one-ActBatch-per-window Decide) must produce
-# byte-identical figures to the original scalar path: same FP operation
-# order, only restructured loops. A figure run under both kernel modes at
-# every worker count proves kernel-identity and parallel-invariance at
-# once.
-rlb1=$(mktemp) && rlb2=$(mktemp) && rlb4=$(mktemp) && rls1=$(mktemp) && rls2=$(mktemp) && rls4=$(mktemp)
-trap 'rm -f "$faults1" "$faults4" "$fleet1" "$fleet4" "$tiers1" "$tiers4" "$wlbin" "$wl1" "$wl2" "$wl4" "$rlb1" "$rlb2" "$rlb4" "$rls1" "$rls2" "$rls4"' EXIT
-go run ./cmd/fleetbench -fig 10 -seconds 2 -warmup 1 -parallel 1 > "$rlb1"
-go run ./cmd/fleetbench -fig 10 -seconds 2 -warmup 1 -parallel 2 > "$rlb2"
-go run ./cmd/fleetbench -fig 10 -seconds 2 -warmup 1 -parallel 4 > "$rlb4"
-go run ./cmd/fleetbench -fig 10 -seconds 2 -warmup 1 -parallel 1 -scalar-rl > "$rls1"
-go run ./cmd/fleetbench -fig 10 -seconds 2 -warmup 1 -parallel 2 -scalar-rl > "$rls2"
-go run ./cmd/fleetbench -fig 10 -seconds 2 -warmup 1 -parallel 4 -scalar-rl > "$rls4"
-for f in "$rlb2" "$rlb4" "$rls1" "$rls2" "$rls4"; do
-    if ! cmp -s "$rlb1" "$f"; then
-        echo "figure output differs between batched and scalar RL kernels (or across workers):" >&2
-        diff "$rlb1" "$f" >&2 || true
+echo "== scenario identity gates (same seed, -parallel 1 vs 4)"
+# Every scenario draws only from seeded streams on single-threaded engines
+# (the rack scenarios advance shards concurrently between epoch barriers),
+# so its figure must be byte-identical at any worker count.
+go build -o "$tmp/fleetbench" ./cmd/fleetbench
+identity_gate() {
+    fig=$1
+    shift
+    "$tmp/fleetbench" -fig "$fig" "$@" -parallel 1 > "$tmp/$fig.1" 2> /dev/null
+    "$tmp/fleetbench" -fig "$fig" "$@" -parallel 4 > "$tmp/$fig.4" 2> /dev/null
+    if ! cmp -s "$tmp/$fig.1" "$tmp/$fig.4"; then
+        echo "-fig $fig output differs between -parallel 1 and -parallel 4:" >&2
+        diff "$tmp/$fig.1" "$tmp/$fig.4" >&2 || true
         exit 1
     fi
-done
+}
+identity_gate faults -seconds 2 -warmup 1
+identity_gate fleet -fleet 64 -seconds 2
+identity_gate tiers -fleet 8 -seconds 4
+# The workloads ladder replays the checked-in sample CSV, converted to the
+# binary trace format on the way.
+go run ./cmd/fleettrace convert -in internal/trace/testdata/sample_msr.csv -format msr -out "$tmp/sample.bin"
+identity_gate workloads -trace "$tmp/sample.bin" -seconds 2 -warmup 1
 
-echo "== batched RL kernel benchmarks (allocs/op == 0)"
-# Batched inference and the vectorized PPO update must stay allocation-free
-# in steady state — they run every decision window for the lifetime of a
-# deployment. One warm iteration sizes the scratch before the measured
-# ones.
-rlbench=$(go test -run=NONE -bench='^(BenchmarkForwardBatch|BenchmarkTrainBatch)$' \
-    -benchmem -benchtime=20x ./internal/nn/ ./internal/rl/ | grep '^Benchmark')
-echo "$rlbench"
-if echo "$rlbench" | awk '{ for (i = 3; i <= NF; i++) if ($i == "allocs/op" && $(i-1) + 0 > 0) exit 1 }'; then
-    :
-else
-    echo "batched RL kernel benchmark allocates; ForwardBatch/Train must be allocation-free in steady state" >&2
-    exit 1
-fi
+echo "== fleet-scaling gate (workers 1 vs 4 identity)"
+# BenchmarkFleetScaling's workers=1 sub-benchmark is the byte-identity
+# oracle; the workers=4 run fails itself on divergence.
+go test -run=NONE -bench='^BenchmarkFleetScaling$/devices=64/workers=(1|4)$' -benchtime=1x .
 
 echo "== benchmark smoke (one iteration each)"
 # Catches benchmarks that no longer compile or crash; timing numbers come
 # from scripts/bench.sh, not from this pass.
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
-echo "== device benchmark allocs/op == 0"
-# The steady-state device benchmarks must stay allocation-free. They warm
-# the op pool and queues before ResetTimer, so even at 100 iterations any
-# reported allocation is a genuine steady-state regression.
-devbench=$(go test -run=NONE -bench='^Benchmark(SaturatedChannel|MixedDevice)$' \
-    -benchmem -benchtime=100x ./internal/flash/ | grep '^Benchmark')
-echo "$devbench"
-if echo "$devbench" | awk '{ for (i = 3; i <= NF; i++) if ($i == "allocs/op" && $(i-1) + 0 > 0) exit 1 }'; then
-    :
-else
-    echo "steady-state device benchmark allocates; the per-I/O path must be allocation-free" >&2
+echo "== steady-state benchmark allocs/op == 0"
+# Batched inference, the vectorized PPO update and the device datapath run
+# for the lifetime of a deployment; their benchmarks warm all scratch
+# before ResetTimer, so any reported allocation is a genuine regression.
+allocbench=$(go test -run=NONE -benchmem -benchtime=100x \
+    -bench='^Benchmark(ForwardBatch|TrainBatch|SaturatedChannel|MixedDevice)$' \
+    ./internal/nn/ ./internal/rl/ ./internal/flash/ | grep '^Benchmark')
+echo "$allocbench"
+if ! echo "$allocbench" | awk '{ for (i = 3; i <= NF; i++) if ($i == "allocs/op" && $(i-1) + 0 > 0) exit 1 }'; then
+    echo "a steady-state benchmark allocates; these paths must be allocation-free" >&2
     exit 1
 fi
 
