@@ -3,7 +3,6 @@ package fleet
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -54,22 +53,6 @@ func TestCohortSlotsRecycle(t *testing.T) {
 	}
 }
 
-func TestCohortDeterministicAcrossWorkers(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := cohortConfig()
-		cfg.Workers = workers
-		got := render(New(cfg).Run())
-		if workers == 1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("workers=%d diverged:\n%s\nvs workers=1:\n%s", workers, got, want)
-		}
-	}
-}
-
 func TestCohortDepartedStateInvariants(t *testing.T) {
 	f := New(cohortConfig())
 	f.Run()
@@ -102,13 +85,8 @@ func TestCohortDepartedStateInvariants(t *testing.T) {
 func TestFleetTypeCounts(t *testing.T) {
 	// Train a tiny model on the fleet's own workload cycle and check the
 	// fleet's traffic classification produces labels for traced tenants.
-	names := DefaultWorkloadCycle()
-	pageSize := DefaultDeviceConfig().PageSize
-	ds := cluster.BuildDataset(names, 4, cluster.WindowSize/10, pageSize, 7)
-	model := cluster.Train(ds, 3, 8)
-
 	cfg := testConfig()
-	cfg.TypeModel = model
+	cfg.TypeModel = typeModel()
 	st := New(cfg).Run()
 	if len(st.TypeCounts) == 0 {
 		t.Fatalf("no workload types classified: %+v", st)

@@ -33,22 +33,6 @@ func render(s Stats) string {
 	return b.String()
 }
 
-func TestFleetDeterministicAcrossWorkers(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := testConfig()
-		cfg.Workers = workers
-		got := render(New(cfg).Run())
-		if workers == 1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("workers=%d diverged:\n%s\nvs workers=1:\n%s", workers, got, want)
-		}
-	}
-}
-
 func TestFleetLedgerBalances(t *testing.T) {
 	for _, kind := range Placements() {
 		cfg := testConfig()

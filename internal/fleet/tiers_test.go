@@ -14,7 +14,7 @@ func tierTestConfig(tp TierPolicyKind) Config {
 	return Config{
 		Seed:        1,
 		Duration:    3 * sim.Second,
-		Classes:     DefaultTierClasses(2, 4),
+		Classes:     DefaultTierClasses(2, 6),
 		TierPolicy:  tp,
 		Lifetime:    1500 * sim.Millisecond,
 		Tenants:     25,
@@ -110,7 +110,7 @@ func TestTierStaticPinPlacement(t *testing.T) {
 	// in the fast tier, every bandwidth-class tenant in the dense tier.
 	cfg := tierTestConfig(TierStatic)
 	cfg.Lifetime = 0
-	cfg.Tenants = 4 // fast tier: 2 dev × 2 slots; dense: 8 slots
+	cfg.Tenants = 4 // fast tier: 2 dev × 2 slots; dense: 12 slots
 	f := New(cfg)
 	f.Run()
 	_, fh := f.fastRange()
@@ -143,24 +143,6 @@ func TestTierPoliciesMoveAndBalance(t *testing.T) {
 				t.Errorf("tier moves %d exceed migrations %d", got, st.MigrationsStarted)
 			}
 		})
-	}
-}
-
-func TestTierFleetDeterministicAcrossWorkers(t *testing.T) {
-	for _, tp := range TierPolicies() {
-		var want string
-		for _, workers := range []int{1, 2, 4} {
-			cfg := tierTestConfig(tp)
-			cfg.Workers = workers
-			got := render(New(cfg).Run())
-			if workers == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("%s: workers=%d diverged from workers=1:\n%s\nvs\n%s", tp, workers, got, want)
-			}
-		}
 	}
 }
 
