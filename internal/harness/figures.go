@@ -318,6 +318,10 @@ func Figure17(w io.Writer, opt Options) {
 // collocated workload to `to`, gives the agents four windows to adjust,
 // and measures keep+to against that mix's SLOs.
 func RunTransfer(keep, from, to string, opt Options) Result {
+	return measureTransfer(keep, from, to, opt).Result
+}
+
+func measureTransfer(keep, from, to string, opt Options) *Run {
 	finalMix := MixSpec{Label: keep + "+" + to, Workloads: []string{keep, to}}
 	slos := Calibrate(finalMix, opt)
 	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}
@@ -326,13 +330,15 @@ func RunTransfer(keep, from, to string, opt Options) Result {
 	swap := func() {
 		r.gens[1].Stop()
 		r.gens[1] = workload.NewGenerator(r.plat.Engine(), r.plat.VSSD(1), workload.ByName(to), sim.NewRNG(opt.Seed+999))
+		// Same recorder, so re-typing after the swap sees the new traffic.
+		r.gens[1].Record(r.recs[1])
 		r.gens[1].Start()
 		r.mix = finalMix
 	}
 	settled := opt.Warmup + 4*opt.Window
 	r.execute(settled+opt.Duration, boundary{opt.Warmup, swap}, boundary{settled, r.beginMeasuring})
 	r.collect()
-	return r.Result
+	return r
 }
 
 // OverheadReport captures §4.7's overhead table.

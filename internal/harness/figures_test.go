@@ -104,6 +104,23 @@ func TestRunTransferObserved(t *testing.T) {
 	}
 }
 
+// TestRunTransferRecordsReplacement: the swapped-in generator used to run
+// unrecorded, so tenant 1's recorder — what re-typing classifies — held
+// only the departed workload's trace.
+func TestRunTransferRecordsReplacement(t *testing.T) {
+	opt := tinyOptions()
+	typeOf := func(name string) string {
+		return Measure(Pair("TeraSort", name), PolHardware, nil, opt).TypeLabels()[1]
+	}
+	from, to := typeOf("VDI-Web"), typeOf("YCSB")
+	if from == to {
+		t.Fatalf("VDI-Web and YCSB both type as %s; the test needs distinct types", from)
+	}
+	if got := measureTransfer("TeraSort", "VDI-Web", "YCSB", opt).TypeLabels()[1]; got != to {
+		t.Errorf("tenant 1 types as %s after the swap to YCSB, want %s (VDI-Web is %s)", got, to, from)
+	}
+}
+
 func TestRunTransferMeasuresFinalMix(t *testing.T) {
 	opt := tinyOptions()
 	res := RunTransfer("TeraSort", "VDI-Web", "YCSB", opt)
