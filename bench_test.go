@@ -128,7 +128,7 @@ func BenchmarkFigure16(b *testing.B) {
 func BenchmarkFigure17(b *testing.B) {
 	opt := benchPretrained(b)
 	for i := 0; i < b.N; i++ {
-		res := harness.RunTransfer("TeraSort", "VDI-Web", "YCSB", opt)
+		res := harness.RunTransfer("TeraSort", "VDI-Web", "YCSB", opt).Result
 		b.ReportMetric(res.BandwidthTenant(), "transfer-bi-MB/s")
 	}
 }

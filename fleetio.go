@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/flash"
 	"repro/internal/harness"
@@ -88,11 +87,12 @@ func Workloads() []string { return workload.Names() }
 
 // Tenant is one vSSD with an optional traffic generator.
 type Tenant struct {
-	Name string
-	v    *vssd.VSSD
-	gen  *workload.Generator
-	rec  *trace.Recorder
-	sim  *Simulator
+	Name     string
+	workload string // TenantConfig.Workload ("" = none)
+	v        *vssd.VSSD
+	gen      *workload.Generator
+	rec      *trace.Recorder
+	sim      *Simulator
 }
 
 // Submit issues a host request directly (for custom drivers).
@@ -170,7 +170,7 @@ func (s *Simulator) AddTenant(name string, cfg TenantConfig) *Tenant {
 			panic(err)
 		}
 	}
-	t := &Tenant{Name: name, v: v, sim: s}
+	t := &Tenant{Name: name, workload: cfg.Workload, v: v, sim: s}
 	if cfg.Workload != "" {
 		t.gen = workload.NewGenerator(s.eng, v, prof, s.rng.Split(int64(len(s.tenants))))
 		t.rec = trace.NewRecorder(10_000)
@@ -216,34 +216,23 @@ func PretrainedModel() *Model {
 }
 
 // UseFleetIO installs the paper's multi-agent RL policy with admission
-// control. Call after all tenants are added and before Run.
+// control — the same deployment the harness figures measure: every agent
+// is typed from its tenant's workload, fine-tunes online and is re-typed
+// from its recorded traffic. Call after all tenants are added and before
+// Run.
 func (s *Simulator) UseFleetIO(opts FleetIOOptions) {
-	tm, alphas := harness.TypeModel()
-	cfg := core.FleetIOConfig{
-		Train:          !opts.NoTraining,
-		TrainEvery:     10,
-		TypeEvery:      5,
-		Beta:           opts.Beta,
-		Seed:           opts.Seed,
-		TypeModel:      tm,
-		AlphaByCluster: alphas,
-	}
+	hopt := harness.Options{TrainDuringRun: !opts.NoTraining}
 	if opts.Pretrained != nil {
-		cfg.Pretrained = opts.Pretrained.net
+		hopt.Pretrained = opts.Pretrained.net
 	}
-	f := core.NewFleetIO(s.plat, cfg)
+	cfg := harness.DeployedFleetIO(harness.PolFleetIO, hopt)
+	cfg.Beta = opts.Beta
+	names := make([]string, len(s.tenants))
+	recs := make([]*trace.Recorder, len(s.tenants))
 	for i, t := range s.tenants {
-		if t.rec != nil {
-			f.SetRecorder(i, t.rec)
-		}
+		names[i], recs[i] = t.workload, t.rec
 	}
-	s.fleetio = f
-	s.runner = &core.Runner{
-		Plat:   s.plat,
-		Adm:    admission.NewController(s.plat, nil),
-		Policy: f,
-		Window: s.cfg.DecisionWindow,
-	}
+	s.fleetio, s.runner = harness.DeployFleetIO(s.plat, names, recs, opts.Seed, s.cfg.DecisionWindow, cfg)
 }
 
 // UseStatic installs a do-nothing policy (hardware/software isolation are

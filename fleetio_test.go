@@ -23,6 +23,13 @@ func TestSimulatorQuickstartFlow(t *testing.T) {
 		Workload: "TeraSort", Channels: ChannelRange(8, 16), PrefillFrac: 0.4,
 	})
 	s.UseFleetIO(FleetIOOptions{})
+	// The facade deploys the policy the figures measure: agents start
+	// with the per-type α of their tenants' workloads.
+	for i, w := range []string{"YCSB", "TeraSort"} {
+		if got, want := s.fleetio.Alpha(i), ClassifyWorkloads()[w].Alpha; got != want {
+			t.Errorf("agent %d (%s) deployed with α=%v, want its type's %v", i, w, got, want)
+		}
+	}
 	rep := s.Run(3 * Second)
 	if rep.Elapsed != 3*Second {
 		t.Fatalf("elapsed = %v", rep.Elapsed)

@@ -43,7 +43,7 @@ func TestCohortSlotsRecycle(t *testing.T) {
 	cfg.Lifetime = 300 * sim.Millisecond
 	cfg.Tenants = 24
 	st := New(cfg).Run()
-	capacity := cfg.Devices * cfg.withDefaults().SlotsPerDevice
+	capacity := cfg.Devices * slotsPerDevice
 	if st.Placed <= capacity {
 		t.Fatalf("placed %d <= capacity %d: slots never recycled (departed=%d)",
 			st.Placed, capacity, st.Departed)
@@ -68,16 +68,16 @@ func TestCohortDepartedStateInvariants(t *testing.T) {
 	// plus reserved migration destinations (a migrating tenant stays in
 	// the source's resident list until cutover, while its destination
 	// slot is already reserved).
-	for _, sh := range f.Shards() {
+	for dev, sh := range f.Shards() {
 		reserved := 0
 		for _, m := range f.migs {
-			if m.dst == sh.id {
+			if m.dst == dev {
 				reserved++
 			}
 		}
 		if sh.slotsUsed != len(sh.resident)+reserved {
 			t.Fatalf("dev %d: slotsUsed=%d residents=%d reserved=%d",
-				sh.id, sh.slotsUsed, len(sh.resident), reserved)
+				dev, sh.slotsUsed, len(sh.resident), reserved)
 		}
 	}
 }

@@ -46,38 +46,30 @@ import (
 )
 
 // Config sizes and seeds a fleet run. The zero value of most fields picks
-// a sensible default (see the field comments); Devices and Duration are
-// required.
+// a sensible default (see the field comments); Duration and one of Devices
+// or Classes are required.
 type Config struct {
-	// Devices is the number of flash-device shards (required, >= 1 —
-	// unless Classes is set, in which case it may be left 0 and is derived
-	// as the class sum).
+	// Devices is the number of flash-device shards. With Classes unset it
+	// is required (>= 1); with Classes set it may be left 0 and is derived
+	// as the class sum (any other value must equal that sum).
 	Devices int
 	// Seed derives every stream in the fleet (per-shard, per-tenant, and
 	// control) via sim.RNG.Stream, so runs are seed-deterministic.
 	Seed int64
 	// Flash is the per-device geometry; zero value → DefaultDeviceConfig.
-	// Ignored when Classes is set (each class carries its own geometry).
+	// Flash+Devices is shorthand for a one-class Classes list. When Classes
+	// is set Flash is ignored, and the resolved Config reports class 0's
+	// geometry here.
 	Flash flash.Config
 
-	// Classes, when set, makes the rack hybrid: each entry contributes
+	// Classes describes the rack as device classes: each entry contributes
 	// Devices shards with its own flash geometry, assigned class-contiguous
 	// device ids (class 0 first). Class 0 is the fast tier by convention.
-	// Unset (the default), the rack is homogeneous on Flash and every
-	// tier-* field below is inert — that path is byte-identical to a
-	// pre-tiering fleet.
+	// A rack of more than one class is hybrid; on a one-class rack (which
+	// is what Flash+Devices resolves to) the tier control plane is inert.
 	Classes []DeviceClass
 	// TierPolicy selects the promote/demote driver on a hybrid rack.
 	TierPolicy TierPolicyKind
-	// TierLowWater/TierHighWater are the watermark policy's fast-tier
-	// occupancy thresholds (0 → 0.60 / 0.95).
-	TierLowWater  float64
-	TierHighWater float64
-	// TierSLO is the latency SLO stamped on latency-class tenants of a
-	// hybrid rack (0 → 2 ms; negative → none). Metric-only on the
-	// baseline policies; under TierLearned it also feeds each agent's
-	// SLO-violation state and reward.
-	TierSLO sim.Time
 	// Window is the per-device decision window (0 → 100 ms).
 	Window sim.Time
 	// Quantum is the epoch length — the granularity of cross-device
@@ -87,31 +79,15 @@ type Config struct {
 	Duration sim.Time
 
 	// Tenants is how many tenants arrive over the run (0 → 2×slots+spill).
+	// Their workloads cycle through DefaultWorkloadCycle.
 	Tenants int
 	// ArrivalEvery spaces tenant arrivals (0 → spread over 60% of the run).
 	ArrivalEvery sim.Time
-	// Workloads is the arrival profile cycle (empty → DefaultWorkloadCycle).
-	Workloads []string
 	// Placement selects the device-assignment baseline.
 	Placement PlacementKind
-	// SlotsPerDevice is the fleet-admission capacity of one device (0 → 2).
-	SlotsPerDevice int
-	// QueueLimit bounds the fleet-wide pending queue; arrivals beyond it
-	// are rejected (0 → Devices/4+1).
-	QueueLimit int
 
 	// Migration enables cold vSSD migration off contended devices.
 	Migration bool
-	// MigrateGap is the minimum per-epoch utilization gap between the
-	// hottest and coolest device before a migration starts (0 → 0.20).
-	MigrateGap float64
-	// MigrateAfter holds migrations back until the fleet has settled
-	// (0 → 4 quanta).
-	MigrateAfter sim.Time
-	// MaxMigrations bounds concurrently in-flight migrations, including
-	// tier promotes/demotes (0 → Devices/8+1; negative → no migrations of
-	// any kind may start, the migration-free fleet).
-	MaxMigrations int
 
 	// Lifetime, when > 0, gives each placed tenant an exponentially
 	// distributed session length (mean Lifetime) drawn from its private
@@ -136,6 +112,42 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// The control plane's fixed parameters. No caller ever needed a different
+// value, so they are constants rather than Config fields.
+const (
+	// slotsPerDevice is the fleet-admission capacity of one device.
+	slotsPerDevice = 2
+	// migrateGap is the minimum per-epoch utilization gap between the
+	// hottest and coolest device before a load-balancing migration starts.
+	migrateGap = 0.20
+	// settleQuanta is how many epochs the rack, and each tenant on a new
+	// device, settles before any migration may involve it.
+	settleQuanta = 4
+	// tierLowWater/tierHighWater are the watermark policy's fast-tier
+	// occupancy thresholds.
+	tierLowWater  = 0.60
+	tierHighWater = 0.95
+	// tierSLO is the latency SLO stamped on latency-class tenants of a
+	// hybrid rack. Metric-only on the baseline policies; under TierLearned
+	// it also feeds each agent's SLO-violation state and reward.
+	tierSLO = 2 * sim.Millisecond
+)
+
+// queueLimit bounds the fleet-wide pending queue; arrivals beyond it are
+// rejected.
+func (c Config) queueLimit() int { return c.Devices/4 + 1 }
+
+// maxMigrations bounds concurrently in-flight migrations, including tier
+// promotes/demotes.
+func (c Config) maxMigrations() int { return c.Devices/8 + 1 }
+
+// settle is the hold-off before migrations of any kind: for the rack from
+// the start of the run, and for each tenant from its last placement.
+func (c Config) settle() sim.Time { return settleQuanta * c.Quantum }
+
+// tiered reports whether the rack is hybrid (more than one device class).
+func (c Config) tiered() bool { return len(c.Classes) > 1 }
+
 // DefaultDeviceConfig is the per-shard flash geometry: a quarter-size
 // device (8 channels, 2 chips each) so racks of tens to hundreds of
 // devices stay fast while keeping the full channel/chip/GC dynamics.
@@ -155,68 +167,53 @@ func DefaultWorkloadCycle() []string {
 	return []string{"VDI-Web", "TeraSort", "YCSB", "MLPrep"}
 }
 
-// withDefaults resolves every zero field.
+// withDefaults resolves every zero field, and Flash+Devices into the
+// one-class list it is shorthand for, so the rest of the package sees one
+// description of a rack.
 func (c Config) withDefaults() Config {
-	if len(c.Classes) > 0 {
-		// Copy before mutating: callers share class slices across runs
-		// (FigureTiers builds one per policy from the same literal).
-		classes := make([]DeviceClass, len(c.Classes))
-		copy(classes, c.Classes)
-		sum := 0
-		for i := range classes {
-			if classes[i].Devices <= 0 {
-				panic(fmt.Sprintf("fleet: Classes[%d].Devices must be >= 1", i))
-			}
-			if classes[i].Flash.Channels == 0 {
-				classes[i].Flash = DefaultDeviceConfig()
-			}
-			if classes[i].Name == "" {
-				classes[i].Name = fmt.Sprintf("class%d", i)
-			}
-			sum += classes[i].Devices
-		}
-		if c.Devices != 0 && c.Devices != sum {
-			panic(fmt.Sprintf("fleet: Config.Devices=%d but Classes sum to %d", c.Devices, sum))
-		}
-		c.Devices = sum
-		c.Classes = classes
-		if c.TierLowWater == 0 {
-			c.TierLowWater = 0.60
-		}
-		if c.TierHighWater == 0 {
-			c.TierHighWater = 0.95
-		}
-		if c.TierSLO == 0 {
-			c.TierSLO = 2 * sim.Millisecond
-		} else if c.TierSLO < 0 {
-			c.TierSLO = 0
-		}
-	}
-	if c.Devices <= 0 {
-		panic("fleet: Config.Devices must be >= 1")
-	}
 	if c.Duration <= 0 {
 		panic("fleet: Config.Duration must be > 0")
 	}
 	if c.Flash.Channels == 0 {
 		c.Flash = DefaultDeviceConfig()
 	}
+	classes := []DeviceClass{{Flash: c.Flash, Devices: c.Devices}}
+	if len(c.Classes) > 0 {
+		// Copy before resolving: callers share class slices across runs
+		// (FigureTiers builds one per policy from the same literal).
+		classes = append([]DeviceClass(nil), c.Classes...)
+	}
+	sum := 0
+	for i := range classes {
+		cl := &classes[i]
+		if cl.Devices <= 0 {
+			panic(fmt.Sprintf("fleet: Config.Devices (or Classes[%d].Devices) must be >= 1", i))
+		}
+		if cl.Flash.Channels == 0 {
+			cl.Flash = DefaultDeviceConfig()
+		}
+		if err := cl.Flash.Validate(); err != nil {
+			panic(err)
+		}
+		if cl.Name == "" {
+			cl.Name = fmt.Sprintf("class%d", i)
+		}
+		sum += cl.Devices
+	}
+	if c.Devices != 0 && c.Devices != sum {
+		panic(fmt.Sprintf("fleet: Config.Devices=%d but Classes sum to %d", c.Devices, sum))
+	}
+	c.Devices, c.Classes, c.Flash = sum, classes, classes[0].Flash
 	if c.Window <= 0 {
 		c.Window = 100 * sim.Millisecond
 	}
 	if c.Quantum <= 0 {
 		c.Quantum = 100 * sim.Millisecond
 	}
-	if c.SlotsPerDevice <= 0 {
-		c.SlotsPerDevice = 2
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = c.Devices/4 + 1
-	}
 	if c.Tenants <= 0 {
 		// Oversubscribe the rack so admission has queueing and rejection
 		// work: capacity + half a device-count of spill.
-		c.Tenants = c.Devices*c.SlotsPerDevice + c.Devices/2 + 1
+		c.Tenants = c.Devices*slotsPerDevice + c.Devices/2 + 1
 	}
 	if c.ArrivalEvery <= 0 {
 		span := c.Duration * 6 / 10
@@ -225,23 +222,9 @@ func (c Config) withDefaults() Config {
 			c.ArrivalEvery = 1
 		}
 	}
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloadCycle()
-	}
-	if c.MigrateGap <= 0 {
-		c.MigrateGap = 0.20
-	}
-	if c.MigrateAfter <= 0 {
-		c.MigrateAfter = 4 * c.Quantum
-	}
 	// Zero means "unset, pick the default"; a negative sentinel means
 	// "explicitly disabled". Folding both into <= 0 made cold (no-prefill)
-	// and migration-free fleets impossible to request.
-	if c.MaxMigrations == 0 {
-		c.MaxMigrations = c.Devices/8 + 1
-	} else if c.MaxMigrations < 0 {
-		c.MaxMigrations = 0
-	}
+	// fleets impossible to request.
 	if c.PrefillFrac == 0 {
 		c.PrefillFrac = 0.35
 	} else if c.PrefillFrac < 0 {
@@ -332,21 +315,23 @@ type Tenant struct {
 	// signal).
 	lastBytes  int64
 	epochBytes int64
-
-	mig *migration // non-nil while draining/copying
 }
 
 // Fleet is a rack of device shards plus the control plane state.
 type Fleet struct {
-	cfg     Config
-	shards  []*Shard
+	cfg    Config
+	shards []*Shard
+	// tiers is shards cut by device class, fast tier (class 0) first; a
+	// homogeneous rack has the one entry.
+	tiers   [][]*Shard
 	tenants []*Tenant
 	queue   []int // tenant IDs waiting for a slot, FIFO
 
-	arrivals []sim.Time // arrival time per tenant ID
-	nextArr  int
-	rrNext   int // round-robin cursor
-	ctrl     *sim.RNG
+	nextArr int // next tenant (in ID order) yet to arrive
+	rrNext  int // round-robin cursor
+	// lsSLO is the SLO stamped on latency-class tenants (hybrid racks
+	// only; 0 → none).
+	lsSLO sim.Time
 
 	migs []*migration
 
@@ -358,18 +343,11 @@ type Fleet struct {
 	// single device).
 	pool *shardWorkers
 
-	// counters feeding Stats
-	placed, rejected    int
-	departed            int
-	migStarted, migDone int
-	migDowntime         sim.Time
-	// Cross-tier migration ledger (hybrid racks): started/completed
-	// promotes (into the fast tier) and demotes (out of it), and the
-	// payload bytes their completed copies wrote.
-	promoStarted, demoStarted int
-	promotes, demotes         int
-	xTierBytes                int64
-	metrics                   *fleetMetrics
+	// led holds the roll-up's event counts — placements, rejections,
+	// departures, the migration and cross-tier ledgers — counted as they
+	// happen; Collect fills in the rest of Stats around a copy of it.
+	led     Stats
+	metrics *fleetMetrics
 }
 
 // New builds the fleet: every shard's engine, platform, and runner, the
@@ -377,40 +355,42 @@ type Fleet struct {
 // virtual time elapses until Run.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	if err := cfg.Flash.Validate(); err != nil {
-		panic(err)
+	base := sim.NewRNG(cfg.Seed)
+	f := &Fleet{cfg: cfg}
+	if cfg.Obs != nil {
+		f.metrics = newFleetMetrics(cfg.Obs)
 	}
-	for _, cl := range cfg.Classes {
-		if err := cl.Flash.Validate(); err != nil {
-			panic(err)
+	// What only a hybrid rack has: an SLO on its latency-class tenants, the
+	// agent stacks of the learned policy, and the fleetio_tier_* series
+	// (feature-gated series never appear on runs that cannot move them).
+	learned := false
+	if cfg.tiered() {
+		f.lsSLO = tierSLO
+		learned = cfg.TierPolicy == TierLearned
+		if f.metrics != nil {
+			f.metrics.tier = newTierMetrics(cfg.Obs, cfg.Classes)
 		}
 	}
-	base := sim.NewRNG(cfg.Seed)
-	f := &Fleet{cfg: cfg, ctrl: base.Stream(-1)}
-	f.shards = make([]*Shard, cfg.Devices)
-	for i := range f.shards {
-		fc, tier := cfg.shardClass(i)
-		f.shards[i] = newShard(i, cfg, fc, tier, base.Stream(int64(i)))
+	f.shards = make([]*Shard, 0, cfg.Devices)
+	for t, cl := range cfg.Classes {
+		first := len(f.shards)
+		for id := first; id < first+cl.Devices; id++ {
+			f.shards = append(f.shards, newShard(cfg.Window, cl.Flash, t, learned, base.Stream(int64(id))))
+		}
+		f.tiers = append(f.tiers, f.shards[first:])
 	}
-	f.arrivals = make([]sim.Time, cfg.Tenants)
+	cycle := DefaultWorkloadCycle()
 	f.tenants = make([]*Tenant, cfg.Tenants)
 	for i := range f.tenants {
-		f.arrivals[i] = sim.Time(i+1) * cfg.ArrivalEvery
-		name := cfg.Workloads[i%len(cfg.Workloads)]
+		name := cycle[i%len(cycle)]
 		f.tenants[i] = &Tenant{
 			ID:       i,
 			Workload: name,
 			State:    StateQueued,
 			Device:   -1,
-			arrival:  f.arrivals[i],
+			arrival:  sim.Time(i+1) * cfg.ArrivalEvery,
 			class:    workload.ByName(name).Class,
 			rng:      base.Stream(int64(1<<20 + i)),
-		}
-	}
-	if cfg.Obs != nil {
-		f.metrics = newFleetMetrics(cfg.Obs)
-		if f.tiered() {
-			f.metrics.tier = newTierMetrics(cfg.Obs, cfg.Classes)
 		}
 	}
 	return f
@@ -424,9 +404,6 @@ func (f *Fleet) Shards() []*Shard { return f.shards }
 
 // Tenants returns every tenant in arrival order.
 func (f *Fleet) Tenants() []*Tenant { return f.tenants }
-
-// Now returns the fleet-wide virtual clock (the last epoch boundary).
-func (f *Fleet) Now() sim.Time { return f.now }
 
 // Run advances the whole fleet to cfg.Duration in quantum-sized epochs
 // and returns the final roll-up. Each epoch the persistent shard workers
@@ -462,14 +439,24 @@ func (f *Fleet) start() {
 	}
 }
 
-// step runs one epoch: shards advance to the next quantum boundary in the
-// parallel phase, then the sequential control plane acts at the barrier.
+// step runs one epoch. In the parallel phase every shard's engine runs to
+// the next quantum boundary and refreshes its load signals, through the
+// worker pool when one is up and inline otherwise: every field that phase
+// touches is owned by exactly one shard, so the static partition cannot
+// change any shard's event order or any float's operation order. Then the
+// sequential control plane acts at the barrier.
 func (f *Fleet) step() {
 	t := f.now + f.cfg.Quantum
 	if t > f.cfg.Duration {
 		t = f.cfg.Duration
 	}
-	f.advanceTo(t)
+	if f.pool != nil {
+		f.pool.runEpoch(t)
+	} else {
+		f.epochShards(0, len(f.shards), t)
+	}
+	f.now = t
+	f.epochs++
 	f.controlPlane(t)
 }
 
@@ -479,21 +466,6 @@ func (f *Fleet) stopWorkers() {
 		f.pool.stop()
 		f.pool = nil
 	}
-}
-
-// advanceTo runs every shard's engine to the epoch boundary t and
-// refreshes each shard's load signals, through the worker pool when one
-// is up and inline otherwise. Every field the parallel phase touches is
-// owned by exactly one shard, so the static partition cannot change any
-// shard's event order or any float's operation order.
-func (f *Fleet) advanceTo(t sim.Time) {
-	if f.pool != nil {
-		f.pool.runEpoch(t)
-	} else {
-		f.epochShards(0, len(f.shards), t)
-	}
-	f.now = t
-	f.epochs++
 }
 
 // controlPlane is the sequential cross-device step at an epoch boundary:
@@ -509,7 +481,8 @@ func (f *Fleet) controlPlane(now sim.Time) {
 	// Tier moves go before the admission queue retries: a slot a departure
 	// just freed can host a promote before a queued arrival claims it —
 	// otherwise an oversubscribed rack starves the tier policy forever.
-	if f.tiered() && now >= f.cfg.MigrateAfter {
+	settled := now >= f.cfg.settle()
+	if f.cfg.tiered() && settled {
 		f.stepTiers(now)
 	}
 
@@ -522,21 +495,21 @@ func (f *Fleet) controlPlane(now sim.Time) {
 	}
 	f.queue = remaining
 
-	for f.nextArr < len(f.arrivals) && f.arrivals[f.nextArr] <= now {
+	for f.nextArr < len(f.tenants) && f.tenants[f.nextArr].arrival <= now {
 		tn := f.tenants[f.nextArr]
 		f.nextArr++
 		if f.tryPlace(tn, now) {
 			continue
 		}
-		if len(f.queue) < f.cfg.QueueLimit {
+		if len(f.queue) < f.cfg.queueLimit() {
 			f.queue = append(f.queue, tn.ID)
 		} else {
 			tn.State = StateRejected
-			f.rejected++
+			f.led.Rejected++
 		}
 	}
 
-	if f.cfg.Migration && now >= f.cfg.MigrateAfter {
+	if f.cfg.Migration && settled {
 		f.maybeMigrate(now)
 	}
 	if f.metrics != nil {
@@ -600,12 +573,12 @@ func (f *Fleet) tryPlace(tn *Tenant, now sim.Time) bool {
 	if f.cfg.TypeModel != nil && tn.rec == nil {
 		tn.rec = trace.NewRecorder(cluster.WindowSize)
 	}
-	tn.vssd = sh.addTenantVSSD(tn, f.cfg)
+	tn.vssd = f.addTenantVSSD(sh, tn)
 	tn.lastBytes = 0
 	tn.gen = workloadGenerator(sh, tn)
 	tn.gen.Start()
 	sh.resident = append(sh.resident, tn)
-	f.placed++
+	f.led.Placed++
 	return true
 }
 
@@ -626,8 +599,8 @@ func workloadGenerator(sh *Shard, tn *Tenant) *workload.Generator {
 // queue and inflight are empty, releases its slot and trims its mapping —
 // the same drain discipline migration uses, so a departure never abandons
 // in-flight I/O. Migrating tenants defer their departure until after
-// cutover (pickVictim only takes StateRunning, so a leaving tenant is
-// never chosen as a migration victim).
+// cutover (victim only takes StateRunning, so a leaving tenant is never
+// chosen as a migration victim).
 func (f *Fleet) stepDepartures(now sim.Time) {
 	for _, sh := range f.shards {
 		for i := 0; i < len(sh.resident); i++ {
@@ -640,7 +613,7 @@ func (f *Fleet) stepDepartures(now sim.Time) {
 				}
 			case StateLeaving:
 				if tn.vssd.QueueLen() == 0 && tn.vssd.Inflight() == 0 {
-					f.depart(sh, tn, i)
+					f.depart(sh, tn)
 					i--
 				}
 			}
@@ -648,110 +621,67 @@ func (f *Fleet) stepDepartures(now sim.Time) {
 	}
 }
 
-// depart finalizes one drained departure: trim the mapping so its blocks
-// become GC-reclaimable, free the admission slot, and drop the tenant
-// from the shard's resident set.
-func (f *Fleet) depart(sh *Shard, tn *Tenant, i int) {
-	st := tn.vssd.Tenant()
-	for lpn := 0; lpn < st.LogicalPages(); lpn++ {
-		st.Trim(lpn)
-	}
-	sh.slotsUsed--
-	sh.resident = append(sh.resident[:i], sh.resident[i+1:]...)
+// depart finalizes one drained departure.
+func (f *Fleet) depart(sh *Shard, tn *Tenant) {
+	sh.release(tn)
 	tn.State = StateDeparted
 	tn.Device = -1
 	tn.vssd = nil
 	tn.gen = nil
-	f.departed++
+	f.led.Departed++
 }
 
-// Collect assembles the final Stats roll-up. It can be called after Run
-// (or mid-run from the control-plane thread).
-func (f *Fleet) Collect() Stats {
-	s := Stats{
-		Devices:             len(f.shards),
-		Epochs:              f.epochs,
-		Arrived:             f.nextArr,
-		Placed:              f.placed,
-		Queued:              len(f.queue),
-		Rejected:            f.rejected,
-		MigrationsStarted:   f.migStarted,
-		MigrationsCompleted: f.migDone,
-		MigrationsInFlight:  f.migStarted - f.migDone,
-		Downtime:            f.migDowntime,
-		Departed:            f.departed,
+// release ends a tenant's stay on the shard, by departure or by migration
+// cutover: trim its mapping here so the blocks become GC-reclaimable, free
+// the admission slot, and drop it from the resident set.
+func (s *Shard) release(tn *Tenant) {
+	st := tn.vssd.Tenant()
+	for lpn := 0; lpn < st.LogicalPages(); lpn++ {
+		st.Trim(lpn)
 	}
+	s.slotsUsed--
+	for i, r := range s.resident {
+		if r == tn {
+			s.resident = append(s.resident[:i], s.resident[i+1:]...)
+			break
+		}
+	}
+}
+
+// tally counts the arrived tenants holding a slot: running (a leaving
+// tenant still holds its slot until drained) and mid-migration.
+func (f *Fleet) tally() (running, migrating int) {
 	for _, tn := range f.tenants[:f.nextArr] {
 		switch tn.State {
 		case StateRunning, StateLeaving:
-			// A leaving tenant still holds its slot until drained.
-			s.Running++
+			running++
 		case StateDraining, StateCopying:
-			s.Migrating++
+			migrating++
 		}
 	}
+	return running, migrating
+}
+
+// Collect assembles the final Stats roll-up on the control-plane thread.
+// Every sum is taken in shard-id order (and the cross-device ones are
+// integers), so the roll-up is byte-identical at any worker count.
+func (f *Fleet) Collect() Stats {
+	s := f.led
+	s.Devices = len(f.shards)
+	s.Epochs = f.epochs
+	s.Arrived = f.nextArr
+	s.Queued = len(f.queue)
+	s.MigrationsInFlight = s.MigrationsStarted - s.MigrationsCompleted
+	s.TierMovesInFlight = s.PromotesStarted + s.DemotesStarted - s.Promotes - s.Demotes
+	s.Running, s.Migrating = f.tally()
 	if f.cfg.TypeModel != nil {
 		s.TypeCounts = f.classifyTenants()
 	}
 	s.PerDevice = make([]DeviceStats, len(f.shards))
-	if f.pool != nil {
-		f.pool.runCollect(s.PerDevice)
-	} else {
-		f.collectShards(0, len(f.shards), s.PerDevice)
-	}
-	// The cross-device merge stays sequential in shard-id order (and the
-	// sums are integers), so the roll-up is byte-identical at any worker
-	// count.
 	var hostBytes int64
-	for i := range s.PerDevice {
-		hostBytes += s.PerDevice[i].BytesMoved
-		s.Completed += s.PerDevice[i].Completed
-	}
-	if f.now > 0 {
-		secs := float64(f.now) / 1e9
-		s.AggBandwidthMBps = float64(hostBytes) / secs / 1e6
-		// Hybrid racks sum per-shard peaks; the homogeneous formula stays
-		// the single multiply it always was, keeping its float operation
-		// order (and so the tier-off byte identity) untouched.
-		var peak float64
-		if f.tiered() {
-			for _, sh := range f.shards {
-				peak += sh.peakBandwidth()
-			}
-		} else {
-			peak = f.shards[0].peakBandwidth() * float64(len(f.shards))
-		}
-		s.AvgUtil = utilOver(hostBytes, peak*secs)
-	}
-	if f.tiered() {
-		f.collectTiers(&s)
-	}
 	s.MinUtil, s.MaxUtil = 1e18, -1e18
-	for _, ds := range s.PerDevice {
-		if ds.MeanUtil < s.MinUtil {
-			s.MinUtil = ds.MeanUtil
-		}
-		if ds.MeanUtil > s.MaxUtil {
-			s.MaxUtil = ds.MeanUtil
-		}
-	}
-	if len(s.PerDevice) == 0 {
-		s.MinUtil, s.MaxUtil = 0, 0
-	}
-	return s
-}
-
-// collectShards fills the per-device roll-up for shards [lo, hi): the
-// embarrassingly parallel half of Collect, fanned over the worker pool.
-// Each entry is written by exactly one worker; the cross-device merge in
-// Collect stays sequential in shard-id order.
-func (f *Fleet) collectShards(lo, hi int, per []DeviceStats) {
-	for i := lo; i < hi; i++ {
-		sh := f.shards[i]
-		ds := DeviceStats{
-			Device:  i,
-			Tenants: sh.slotsUsed,
-		}
+	for i, sh := range f.shards {
+		ds := DeviceStats{Device: i, Tenants: sh.slotsUsed}
 		for _, v := range sh.plat.VSSDs() {
 			ds.BytesMoved += v.TotalBytesMoved()
 			ds.Completed += v.Completed()
@@ -759,8 +689,25 @@ func (f *Fleet) collectShards(lo, hi int, per []DeviceStats) {
 		if f.epochs > 0 {
 			ds.MeanUtil = sh.utilSum / float64(f.epochs)
 		}
-		per[i] = ds
+		s.PerDevice[i] = ds
+		hostBytes += ds.BytesMoved
+		s.Completed += ds.Completed
+		s.MinUtil = math.Min(s.MinUtil, ds.MeanUtil)
+		s.MaxUtil = math.Max(s.MaxUtil, ds.MeanUtil)
 	}
+	if f.now > 0 {
+		secs := float64(f.now) / 1e9
+		s.AggBandwidthMBps = float64(hostBytes) / secs / 1e6
+		// One multiply per class, so a one-class rack's peak is the single
+		// product (device peak × device count) it has always been.
+		var peak float64
+		for _, tier := range f.tiers {
+			peak += tier[0].peakBandwidth() * float64(len(tier))
+		}
+		s.AvgUtil = utilOver(hostBytes, peak*secs)
+	}
+	f.collectTiers(&s)
+	return s
 }
 
 // classifyTenants runs every traced tenant's recent window through the
@@ -789,17 +736,13 @@ func (f *Fleet) classifyTenants() []TypeCount {
 
 // Shard is one device: a full single-SSD simulation owned by the fleet.
 type Shard struct {
-	id   int
 	eng  *sim.Engine
 	plat *vssd.Platform
 
 	runner *core.Runner
-	rng    *sim.RNG
 
-	// tier is the device-class index (always 0 on homogeneous racks); fc
-	// the class geometry the shard was built with.
+	// tier is the device-class index (always 0 on homogeneous racks).
 	tier int
-	fc   flash.Config
 	// fio is the shard's deployed agent stack under TierLearned (nil
 	// otherwise): per-vSSD PPO agents with the placement head, training
 	// online. The control plane reads tier hints from it at epoch
@@ -824,17 +767,16 @@ type Shard struct {
 }
 
 // newShard builds one device shard on its own engine, with the class
-// geometry fc (== cfg.Flash on homogeneous racks). Under TierLearned the
-// shard's decision runner deploys the FleetIO agent stack instead of the
-// static placeholder policy.
-func newShard(id int, cfg Config, fc flash.Config, tier int, rng *sim.RNG) *Shard {
+// geometry fc. On a learned rack the shard's decision runner deploys the
+// FleetIO agent stack instead of the static placeholder policy.
+func newShard(window sim.Time, fc flash.Config, tier int, learned bool, rng *sim.RNG) *Shard {
 	eng := sim.NewEngine()
 	pc := vssd.DefaultPlatformConfig()
 	pc.Flash = fc
 	plat := vssd.NewPlatform(eng, pc)
-	sh := &Shard{id: id, eng: eng, plat: plat, rng: rng, tier: tier, fc: fc}
+	sh := &Shard{eng: eng, plat: plat, tier: tier}
 	var pol core.Policy = core.StaticPolicy{PolicyName: "fleet-device"}
-	if len(cfg.Classes) > 0 && cfg.TierPolicy == TierLearned {
+	if learned {
 		// The shard RNG is otherwise never drawn from, so seeding the agent
 		// stack off it costs the non-learned paths nothing.
 		sh.fio = core.NewFleetIO(plat, core.FleetIOConfig{
@@ -848,13 +790,10 @@ func newShard(id int, cfg Config, fc flash.Config, tier int, rng *sim.RNG) *Shar
 	sh.runner = &core.Runner{
 		Plat:   plat,
 		Policy: pol,
-		Window: cfg.Window,
+		Window: window,
 	}
 	return sh
 }
-
-// ID returns the shard's device index.
-func (s *Shard) ID() int { return s.id }
 
 // Engine returns the shard's private engine.
 func (s *Shard) Engine() *sim.Engine { return s.eng }
@@ -862,42 +801,32 @@ func (s *Shard) Engine() *sim.Engine { return s.eng }
 // Platform returns the shard's device platform.
 func (s *Shard) Platform() *vssd.Platform { return s.plat }
 
-// EpochUtil returns the device utilization over the last epoch.
-func (s *Shard) EpochUtil() float64 { return s.epochUtil }
-
-// SlotsUsed returns the occupied admission slots.
-func (s *Shard) SlotsUsed() int { return s.slotsUsed }
-
 // peakBandwidth is the device's aggregate channel bandwidth in bytes/s.
 func (s *Shard) peakBandwidth() float64 {
 	cfg := s.plat.FlashConfig()
 	return cfg.ChannelBandwidth() * float64(cfg.Channels)
 }
 
-// slotLogicalPagesFor is one admission slot's logical capacity on a
-// device with geometry fc: the non-overprovisioned space divided by the
-// slot count, with one slot of headroom so migration copies and dead
-// pre-trim data cannot wedge GC. On a hybrid rack a fast-tier slot is
-// smaller than a dense-tier slot — a promote clamps its copy to the
-// destination's capacity, like any migration.
-func slotLogicalPagesFor(fc flash.Config, slotsPerDevice int) int {
+// slotLogicalPages is one admission slot's logical capacity on a device
+// with geometry fc: the non-overprovisioned space divided by the slot
+// count, with one slot of headroom so migration copies and dead pre-trim
+// data cannot wedge GC. On a hybrid rack a fast-tier slot is smaller than
+// a dense-tier slot — a promote clamps its copy to the destination's
+// capacity, like any migration.
+func slotLogicalPages(fc flash.Config) int {
 	total := fc.TotalBlocks() * fc.PagesPerBlock
 	return int(float64(total) * 0.8 / float64(slotsPerDevice+1))
 }
 
-// slotLogicalPages is slotLogicalPagesFor on the homogeneous geometry.
-func slotLogicalPages(cfg Config) int {
-	return slotLogicalPagesFor(cfg.Flash, cfg.SlotsPerDevice)
-}
-
-// addTenantVSSD creates the tenant's vSSD on this shard (software-isolated
+// addTenantVSSD creates the tenant's vSSD on shard s (software-isolated
 // across all channels — fleet admission slots, not channel partitions, are
 // the capacity unit) and best-effort prefills it. Prefill maps pages
 // directly, with no simulated I/O, exactly like the single-device harness;
 // migrated tenants skip it because the copy writes are their prefill.
-func (s *Shard) addTenantVSSD(tn *Tenant, cfg Config) *vssd.VSSD {
+func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 	prof := workload.ByName(tn.Workload)
-	chans := make([]int, s.fc.Channels)
+	fc := s.plat.FlashConfig()
+	chans := make([]int, fc.Channels)
 	for i := range chans {
 		chans[i] = i
 	}
@@ -905,32 +834,30 @@ func (s *Shard) addTenantVSSD(tn *Tenant, cfg Config) *vssd.VSSD {
 		Name:             fmt.Sprintf("t%d-%s-m%d", tn.ID, tn.Workload, tn.Migrations),
 		Isolation:        vssd.SoftwareIsolated,
 		Channels:         chans,
-		LogicalPages:     slotLogicalPagesFor(s.fc, cfg.SlotsPerDevice),
+		LogicalPages:     slotLogicalPages(fc),
 		MaxInflightPages: prof.MaxInflightPages,
 	})
-	tn.pageSize = s.fc.PageSize
+	tn.pageSize = fc.PageSize
 	tn.logicalPages = int64(v.Tenant().LogicalPages())
-	if len(cfg.Classes) > 0 {
-		if cfg.TierSLO > 0 && tn.class == workload.Latency {
-			v.SetSLO(cfg.TierSLO)
+	if f.lsSLO > 0 && tn.class == workload.Latency {
+		v.SetSLO(f.lsSLO)
+	}
+	if s.fio != nil {
+		// The platform only ever appends vSSDs, so syncing here keeps
+		// agent i == vSSD i before the next decision window fires.
+		s.fio.SyncAgents()
+		// α follows the workload class, mirroring the paper's per-type
+		// reward: latency-class tenants carry the isolation term (and
+		// emit's SLO-escalation guardrail), bandwidth-class tenants get
+		// α=0, which also caps their priority at medium.
+		alpha := 0.0
+		if tn.class == workload.Latency {
+			alpha = core.AlphaLC1
 		}
-		if s.fio != nil {
-			// The platform only ever appends vSSDs, so syncing here keeps
-			// agent i == vSSD i before the next decision window fires.
-			s.fio.SyncAgents()
-			// α follows the workload class, mirroring the paper's per-type
-			// reward: latency-class tenants carry the isolation term (and
-			// emit's SLO-escalation guardrail), bandwidth-class tenants get
-			// α=0, which also caps their priority at medium.
-			alpha := 0.0
-			if tn.class == workload.Latency {
-				alpha = core.AlphaLC1
-			}
-			s.fio.SetAlpha(v.ID(), alpha)
-		}
+		s.fio.SetAlpha(v.ID(), alpha)
 	}
 	if tn.Migrations == 0 {
-		prefill(v, cfg.PrefillFrac, tn.rng)
+		prefill(v, f.cfg.PrefillFrac, tn.rng)
 	}
 	return v
 }

@@ -58,7 +58,7 @@ func TestFleetAdmissionSaturates(t *testing.T) {
 	cfg.Migration = false
 	// Far more tenants than the rack holds: the queue must fill and the
 	// overflow must be rejected, never silently dropped.
-	cfg.Tenants = cfg.Devices*2*4 + 3
+	cfg.Tenants = cfg.Devices*slotsPerDevice*4 + 3
 	st := New(cfg).Run()
 	if st.Rejected == 0 {
 		t.Fatalf("oversubscribed rack rejected nothing: %+v", st)
@@ -69,32 +69,18 @@ func TestFleetAdmissionSaturates(t *testing.T) {
 	if !st.Balanced() {
 		t.Fatalf("ledger imbalance: %+v", st)
 	}
-	slots := cfg.Devices * 2 // SlotsPerDevice default
+	slots := cfg.Devices * slotsPerDevice
 	if st.Running+st.Migrating > slots {
 		t.Fatalf("running %d tenants on %d slots", st.Running+st.Migrating, slots)
 	}
 }
 
-// newMigrationFleet builds a rack engineered to need migration: a heavy
-// closed-loop batch job lands next to light services, so one device runs
-// hot while another stays cool with a free slot.
-func newMigrationFleet(seed int64) *Fleet {
-	return New(Config{
-		Devices:        3,
-		Seed:           seed,
-		Duration:       3 * sim.Second,
-		Placement:      PlaceRoundRobin,
-		Migration:      true,
-		Workloads:      []string{"TeraSort", "VDI-Web", "MLPrep", "VDI-Web", "VDI-Web", "VDI-Web"},
-		SlotsPerDevice: 3,
-		Tenants:        6,
-		MigrateAfter:   300 * sim.Millisecond,
-		MigrateGap:     0.10,
-	})
-}
-
 func TestFleetMigrationCompletes(t *testing.T) {
-	fl := newMigrationFleet(1)
+	// Round-robin lands heavy batch jobs next to each other, so one device
+	// runs hot while another stays cool with a free slot.
+	cfg := testConfig()
+	cfg.Placement = PlaceRoundRobin
+	fl := New(cfg)
 	st := fl.Run()
 	if st.MigrationsCompleted == 0 {
 		t.Fatalf("no migration completed: %+v", st)

@@ -21,10 +21,8 @@ type migration struct {
 
 	// tierMove classifies the migration on a hybrid rack: +1 promote
 	// (into a lower tier index, i.e. the fast tier), -1 demote, 0 within
-	// one tier. copyPages is the clamped page count both copiers move,
-	// recorded for the cross-tier byte ledger.
-	tierMove  int8
-	copyPages int
+	// one tier.
+	tierMove int8
 
 	srcCopy *copier
 	dstCopy *copier
@@ -99,12 +97,12 @@ func (c *copier) issue() {
 // migratable tenant moves from the hottest device to the coolest device
 // with a free slot, when the utilization gap justifies the disruption.
 func (f *Fleet) maybeMigrate(now sim.Time) {
-	if f.migStarted-f.migDone >= f.cfg.MaxMigrations {
+	if !f.canMigrate() {
 		return
 	}
 	hot, cool := -1, -1
 	for dev := range f.shards {
-		if f.pickVictim(dev, now) != nil && (hot < 0 || f.shards[dev].epochUtil > f.shards[hot].epochUtil) {
+		if f.victim(dev, dev+1, now, hottest) != nil && (hot < 0 || f.shards[dev].epochUtil > f.shards[hot].epochUtil) {
 			hot = dev
 		}
 		if f.hasSlot(dev) && (cool < 0 || f.shards[dev].epochUtil < f.shards[cool].epochUtil) {
@@ -114,29 +112,10 @@ func (f *Fleet) maybeMigrate(now sim.Time) {
 	if hot < 0 || cool < 0 || hot == cool {
 		return
 	}
-	if f.shards[hot].epochUtil-f.shards[cool].epochUtil < f.cfg.MigrateGap {
+	if f.shards[hot].epochUtil-f.shards[cool].epochUtil < migrateGap {
 		return
 	}
-	f.startMigration(f.pickVictim(hot, now), cool, now)
-}
-
-// pickVictim returns the hot device's busiest running tenant that has
-// settled long enough to be worth moving, or nil.
-func (f *Fleet) pickVictim(dev int, now sim.Time) *Tenant {
-	var best *Tenant
-	var bestDelta int64 = -1
-	for _, tn := range f.shards[dev].resident {
-		if tn.State != StateRunning || tn.Device != dev {
-			continue
-		}
-		if now-tn.placedAt < f.cfg.MigrateAfter {
-			continue
-		}
-		if tn.epochBytes > bestDelta {
-			best, bestDelta = tn, tn.epochBytes
-		}
-	}
-	return best
+	f.startMigration(f.victim(hot, hot+1, now, hottest), cool, now)
 }
 
 // startMigration reserves the destination slot and begins the drain.
@@ -148,16 +127,15 @@ func (f *Fleet) startMigration(tn *Tenant, dst int, now sim.Time) {
 	m := &migration{tenant: tn, src: tn.Device, dst: dst, srcVSSD: tn.vssd, started: now}
 	if st, dt := f.shards[m.src].tier, f.shards[dst].tier; dt < st {
 		m.tierMove = 1
-		f.promoStarted++
+		f.led.PromotesStarted++
 	} else if dt > st {
 		m.tierMove = -1
-		f.demoStarted++
+		f.led.DemotesStarted++
 	}
 	tn.State = StateDraining
-	tn.mig = m
 	tn.gen.Stop()
 	f.migs = append(f.migs, m)
-	f.migStarted++
+	f.led.MigrationsStarted++
 }
 
 // stepMigrations advances every in-flight migration one epoch: drained
@@ -194,11 +172,10 @@ func (f *Fleet) beginCopy(m *migration) {
 	tn.Device = m.dst
 	tn.Migrations++ // addTenantVSSD skips prefill for a migration target
 	pages := int(m.srcVSSD.Tenant().MappedPages())
-	m.dstVSSD = f.shards[m.dst].addTenantVSSD(tn, f.cfg)
+	m.dstVSSD = f.addTenantVSSD(f.shards[m.dst], tn)
 	if lim := m.dstVSSD.Tenant().LogicalPages(); pages > lim {
 		pages = lim
 	}
-	m.copyPages = pages
 	m.srcCopy = newCopier(m.srcVSSD, false, pages)
 	m.dstCopy = newCopier(m.dstVSSD, true, pages)
 }
@@ -209,18 +186,7 @@ func (f *Fleet) beginCopy(m *migration) {
 // and the drain+copy window is charged to the tenant as downtime.
 func (f *Fleet) cutOver(m *migration, now sim.Time) {
 	tn := m.tenant
-	src := f.shards[m.src]
-	st := m.srcVSSD.Tenant()
-	for lpn := 0; lpn < st.LogicalPages(); lpn++ {
-		st.Trim(lpn)
-	}
-	src.slotsUsed--
-	for i, r := range src.resident {
-		if r == tn {
-			src.resident = append(src.resident[:i], src.resident[i+1:]...)
-			break
-		}
-	}
+	f.shards[m.src].release(tn)
 	tn.vssd = m.dstVSSD
 	tn.lastBytes = m.dstVSSD.TotalBytesMoved()
 	// The destination's latency history so far is the bulk copy stream,
@@ -230,18 +196,17 @@ func (f *Fleet) cutOver(m *migration, now sim.Time) {
 	tn.Downtime += now - m.started
 	tn.State = StateRunning
 	tn.placedAt = now
-	tn.mig = nil
 	f.shards[m.dst].resident = append(f.shards[m.dst].resident, tn)
 	tn.gen = workloadGenerator(f.shards[m.dst], tn)
 	tn.gen.Start()
-	f.migDone++
-	f.migDowntime += now - m.started
+	f.led.MigrationsCompleted++
+	f.led.Downtime += now - m.started
 	if m.tierMove != 0 {
 		if m.tierMove > 0 {
-			f.promotes++
+			f.led.Promotes++
 		} else {
-			f.demotes++
+			f.led.Demotes++
 		}
-		f.xTierBytes += int64(m.copyPages) * int64(f.shards[m.dst].fc.PageSize)
+		f.led.CrossTierBytes += int64(m.dstCopy.total) * int64(tn.pageSize)
 	}
 }

@@ -64,8 +64,10 @@ type Stats struct {
 	// traced tenants (Config.TypeModel set); empty otherwise.
 	TypeCounts []TypeCount
 
-	// Tiers is the per-class roll-up of a hybrid rack (Config.Classes
-	// set); empty otherwise, and every tier field below stays zero.
+	// Tiers is the per-class roll-up: one row per device class, so a
+	// single row on a homogeneous rack (Render prints the tier section
+	// only for a hybrid one). The cross-tier ledger below stays zero on a
+	// one-class rack.
 	Tiers []TierStats
 	// Cross-tier migration ledger: Started splits by direction and
 	// PromotesStarted+DemotesStarted = Promotes + Demotes +
@@ -137,7 +139,7 @@ func (s Stats) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "\n")
 	}
-	if len(s.Tiers) > 0 {
+	if len(s.Tiers) > 1 {
 		fmt.Fprintf(w, "tiers:")
 		for _, ts := range s.Tiers {
 			fmt.Fprintf(w, " %s[dev=%d slots=%d/%d util=%.1f%%]",
@@ -172,7 +174,7 @@ type fleetMetrics struct {
 	// the last epoch's straggler gap (last minus first worker arrival).
 	// Both stay 0 when shards advance inline (Workers == 1).
 	barrierWait, straggler *obs.Metric
-	// tier holds the fleetio_tier_* series; nil on homogeneous racks.
+	// tier holds the fleetio_tier_* series; nil on one-class racks.
 	tier *tierMetrics
 }
 
@@ -203,52 +205,43 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 func (f *Fleet) publishMetrics(now sim.Time) {
 	m := f.metrics
 	m.devices.Set(float64(len(f.shards)))
-	var running, migrating int
-	for _, tn := range f.tenants[:f.nextArr] {
-		switch tn.State {
-		case StateRunning, StateLeaving:
-			running++
-		case StateDraining, StateCopying:
-			migrating++
-		}
-	}
+	running, migrating := f.tally()
 	m.running.Set(float64(running + migrating))
 	m.queued.Set(float64(len(f.queue)))
-	m.rejected.Set(float64(f.rejected))
-	m.departed.Set(float64(f.departed))
-	m.placed.Set(float64(f.placed))
-	m.migStarted.Set(float64(f.migStarted))
-	m.migDone.Set(float64(f.migDone))
-	m.migDowntime.Set(float64(f.migDowntime) / 1e9)
-	var sum, min, max float64
-	min, max = 1e18, -1e18
-	for _, sh := range f.shards {
-		u := sh.epochUtil
-		sum += u
-		if u < min {
-			min = u
+	m.rejected.Set(float64(f.led.Rejected))
+	m.departed.Set(float64(f.led.Departed))
+	m.placed.Set(float64(f.led.Placed))
+	m.migStarted.Set(float64(f.led.MigrationsStarted))
+	m.migDone.Set(float64(f.led.MigrationsCompleted))
+	m.migDowntime.Set(float64(f.led.Downtime) / 1e9)
+	// Per-device utilizations times the device's peak bandwidth sum to the
+	// fleet's throughput over the epoch; one multiply per class, so a
+	// one-class rack's product is the single one it has always been.
+	var sum, bw float64
+	min, max := 1e18, -1e18
+	for t, tier := range f.tiers {
+		used, util := 0, 0.0
+		for _, sh := range tier {
+			used += sh.slotsUsed
+			u := sh.epochUtil
+			util += u
+			sum += u
+			if u < min {
+				min = u
+			}
+			if u > max {
+				max = u
+			}
 		}
-		if u > max {
-			max = u
+		bw += util * tier[0].peakBandwidth()
+		if m.tier != nil {
+			m.tier.publishClass(t, len(tier), used, util)
 		}
 	}
-	n := float64(len(f.shards))
-	m.utilMean.Set(sum / n)
+	m.utilMean.Set(sum / float64(len(f.shards)))
 	m.utilMin.Set(min)
 	m.utilMax.Set(max)
-	// Per-device utilizations times one device's peak bandwidth sum to
-	// the fleet's throughput over the epoch on a homogeneous rack; hybrid
-	// racks weight each shard by its own class peak. The homogeneous
-	// multiply keeps its float operation order (tier-off byte identity).
 	// A degenerate peak (0 × Inf = NaN) publishes as 0 instead.
-	var bw float64
-	if f.tiered() {
-		for _, sh := range f.shards {
-			bw += sh.epochUtil * sh.peakBandwidth()
-		}
-	} else {
-		bw = sum * f.shards[0].peakBandwidth()
-	}
 	if math.IsNaN(bw) || math.IsInf(bw, 0) {
 		bw = 0
 	}
@@ -256,6 +249,6 @@ func (f *Fleet) publishMetrics(now sim.Time) {
 	m.simTime.Set(float64(now) / 1e9)
 	m.epochs.Set(float64(f.epochs))
 	if m.tier != nil {
-		f.publishTierMetrics()
+		m.tier.publishLedger(&f.led)
 	}
 }

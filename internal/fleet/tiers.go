@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/flash"
 	"repro/internal/obs"
@@ -52,7 +50,7 @@ func DefaultTierClasses(fastDevices, denseDevices int) []DeviceClass {
 // TierPolicyKind selects the promote/demote driver of a tiered rack.
 // Initial placement differs too: the static-pin baseline pins by
 // workload class at admission, while the runtime movers start class-blind
-// (least-loaded anywhere) and must discover the assignment.
+// (Config.Placement over the whole rack) and must discover the assignment.
 type TierPolicyKind uint8
 
 // Tier policies, in comparison order.
@@ -63,9 +61,11 @@ const (
 	// afterwards.
 	TierStatic TierPolicyKind = iota
 	// TierWatermark is the adaptive occupancy baseline: class-blind
-	// least-loaded admission; when fast-tier occupancy crosses
-	// Config.TierHighWater the coldest fast tenant is demoted, and below
-	// Config.TierLowWater the hottest dense tenant is promoted.
+	// admission; when fast-tier occupancy reaches tierHighWater (0.95) the
+	// coldest fast tenant is demoted, and below tierLowWater (0.60) the
+	// hottest dense tenant is promoted. Heat is the per-epoch byte delta,
+	// the same victim signal load balancing uses. The policy is class-blind
+	// by design — that is what the learned policy has to beat.
 	TierWatermark
 	// TierLearned deploys the full FleetIO agent stack on every shard
 	// (per-vSSD PPO agents with the placement head and fast-tier
@@ -79,199 +79,136 @@ const (
 	TierLearned
 )
 
-func (k TierPolicyKind) String() string {
-	switch k {
-	case TierStatic:
-		return "static-pin"
-	case TierWatermark:
-		return "watermark"
-	case TierLearned:
-		return "learned"
-	default:
-		return fmt.Sprintf("TierPolicyKind(%d)", uint8(k))
-	}
+var tierPolicyNames = []kindName[TierPolicyKind]{
+	{TierStatic, "static-pin", []string{"static", "pin"}},
+	{TierWatermark, "watermark", []string{"wm"}},
+	{TierLearned, "learned", []string{"rl"}},
 }
+
+func (k TierPolicyKind) String() string { return kindString(tierPolicyNames, k) }
 
 // ParseTierPolicy maps a flag value to a TierPolicyKind.
 func ParseTierPolicy(s string) (TierPolicyKind, error) {
-	switch s {
-	case "static", "static-pin", "pin":
-		return TierStatic, nil
-	case "watermark", "wm":
-		return TierWatermark, nil
-	case "learned", "rl":
-		return TierLearned, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown tier policy %q (want static-pin, watermark, or learned)", s)
+	return parseKind(tierPolicyNames, "tier policy", s)
 }
 
 // TierPolicies lists every tier policy, in comparison order.
-func TierPolicies() []TierPolicyKind {
-	return []TierPolicyKind{TierStatic, TierWatermark, TierLearned}
+func TierPolicies() []TierPolicyKind { return kinds(tierPolicyNames) }
+
+// tierRule is a tier policy as data: whether admission pins a tenant to
+// its class tier, and for each direction which tenant moves (the rank the
+// victim scan maximizes; nil → never) and at what fast-tier occupancy.
+type tierRule struct {
+	pin bool
+	// demote picks the fast-tier tenant to move out while occupancy is at
+	// least demoteAt; promote the dense-tier tenant to move in while it is
+	// below promoteBelow.
+	demote, promote        rank
+	demoteAt, promoteBelow float64
 }
 
-// tiered reports whether the rack is hybrid (Config.Classes set).
-func (f *Fleet) tiered() bool { return len(f.cfg.Classes) > 0 }
-
-// shardClass resolves device id dev to its class geometry and tier index
-// (devices are assigned class-contiguously, class 0 first).
-func (c Config) shardClass(dev int) (flash.Config, int) {
-	if len(c.Classes) == 0 {
-		return c.Flash, 0
-	}
-	for t, cl := range c.Classes {
-		if dev < cl.Devices {
-			return cl.Flash, t
-		}
-		dev -= cl.Devices
-	}
-	panic(fmt.Sprintf("fleet: device %d beyond class device sum", dev))
+// tierRules is indexed by TierPolicyKind. The watermark thresholds do not
+// overlap, so that policy starts at most one move per epoch; the learned
+// policy's always hold (occupancy lies in [0, 1]), so it may start one
+// each way.
+var tierRules = [...]tierRule{
+	TierStatic:    {pin: true},
+	TierWatermark: {demote: coldest, demoteAt: tierHighWater, promote: hottest, promoteBelow: tierLowWater},
+	TierLearned:   {demote: hintsDense, demoteAt: 0, promote: hintsFast, promoteBelow: 2},
 }
 
 // fastRange returns the device-id range [lo, hi) of the fast tier
-// (class 0); denseRange the rest of the rack. Both rely on the
-// class-contiguous device ids New guarantees.
-func (f *Fleet) fastRange() (int, int)  { return 0, f.cfg.Classes[0].Devices }
-func (f *Fleet) denseRange() (int, int) { return f.cfg.Classes[0].Devices, len(f.shards) }
+// (class 0); denseRange the rest of the rack (empty on a one-class rack).
+// Both rely on the class-contiguous device ids New guarantees.
+func (f *Fleet) fastRange() (int, int)  { return 0, len(f.tiers[0]) }
+func (f *Fleet) denseRange() (int, int) { return len(f.tiers[0]), len(f.shards) }
 
 // tierOccupancy is the fast tier's slot occupancy in [0, 1].
 func (f *Fleet) tierOccupancy() float64 {
-	lo, hi := f.fastRange()
 	used := 0
-	for dev := lo; dev < hi; dev++ {
-		used += f.shards[dev].slotsUsed
+	for _, sh := range f.tiers[0] {
+		used += sh.slotsUsed
 	}
-	return float64(used) / float64((hi-lo)*f.cfg.SlotsPerDevice)
-}
-
-// leastLoadedIn picks the device with a free slot in [lo, hi) under the
-// least-loaded ordering, or reports none.
-func (f *Fleet) leastLoadedIn(lo, hi int) (int, bool) {
-	best, ok := -1, false
-	for dev := lo; dev < hi; dev++ {
-		if !f.hasSlot(dev) {
-			continue
-		}
-		if !ok || f.lessLoaded(dev, best) {
-			best, ok = dev, true
-		}
-	}
-	return best, ok
-}
-
-// placeTiered is the tiered-rack admission path (Config.Placement is
-// ignored on hybrid racks). Static-pin prefers the tenant's class tier
-// and spills to the other; the runtime movers (watermark, learned) place
-// class-blind least-loaded and rely on promote/demote to sort the rack.
-func (f *Fleet) placeTiered(tn *Tenant) (int, bool) {
-	if f.cfg.TierPolicy != TierStatic {
-		return f.leastLoadedIn(0, len(f.shards))
-	}
-	fl, fh := f.fastRange()
-	dl, dh := f.denseRange()
-	if tn.class == workload.Latency {
-		if dev, ok := f.leastLoadedIn(fl, fh); ok {
-			return dev, true
-		}
-		return f.leastLoadedIn(dl, dh)
-	}
-	if dev, ok := f.leastLoadedIn(dl, dh); ok {
-		return dev, true
-	}
-	return f.leastLoadedIn(fl, fh)
-}
-
-// settled reports whether the tenant has been on its device long enough
-// (Config.MigrateAfter) to be worth moving — the same settle discipline
-// load-balancing migration uses.
-func (f *Fleet) settled(tn *Tenant, now sim.Time) bool {
-	return now-tn.placedAt >= f.cfg.MigrateAfter
+	return float64(used) / float64(len(f.tiers[0])*slotsPerDevice)
 }
 
 // stepTiers is the tiered control-plane phase, run right after
 // departures and before the admission queue retries, so a slot freed by
 // a departure can host a promote before a queued arrival grabs it. It
 // feeds the fast-tier occupancy to the learned shards' agents, then lets
-// the configured policy start at most one demote and one promote per
-// epoch through the ordinary migration datapath (drain → copy as real
-// simulated I/O → cutover), sharing Config.MaxMigrations with
-// load-balancing migration.
+// the configured policy's rule start at most one demote and one promote
+// per epoch through the ordinary migration datapath (drain → copy as real
+// simulated I/O → cutover), sharing the in-flight budget with
+// load-balancing migration. Destinations are least-loaded in the target
+// tier.
 func (f *Fleet) stepTiers(now sim.Time) {
 	occ := f.tierOccupancy()
-	if f.cfg.TierPolicy == TierLearned {
-		for _, sh := range f.shards {
-			if sh.fio == nil {
-				continue
-			}
-			for _, tn := range sh.resident {
-				if tn.vssd != nil {
-					sh.fio.SetTierOcc(tn.vssd.ID(), occ)
-				}
+	for _, sh := range f.shards {
+		if sh.fio == nil {
+			continue
+		}
+		for _, tn := range sh.resident {
+			if tn.vssd != nil {
+				sh.fio.SetTierOcc(tn.vssd.ID(), occ)
 			}
 		}
 	}
-	switch f.cfg.TierPolicy {
-	case TierWatermark:
-		f.stepWatermark(now, occ)
-	case TierLearned:
-		f.stepLearned(now)
+	rule := tierRules[f.cfg.TierPolicy]
+	fl, fh := f.fastRange()
+	dl, dh := f.denseRange()
+	if rule.demote != nil && occ >= rule.demoteAt {
+		f.move(f.victim(fl, fh, now, rule.demote), dl, dh, now)
+	}
+	if rule.promote != nil && occ < rule.promoteBelow {
+		f.move(f.victim(dl, dh, now, rule.promote), fl, fh, now)
+	}
+}
+
+// move migrates tn (nil → nobody qualified) to the least-loaded device
+// with a free slot in [lo, hi), if there is one and the in-flight budget
+// allows another migration.
+func (f *Fleet) move(tn *Tenant, lo, hi int, now sim.Time) {
+	if tn == nil || !f.canMigrate() {
+		return
+	}
+	if dst, ok := f.pick(PlaceLeastLoaded, tn, lo, hi); ok {
+		f.startMigration(tn, dst, now)
 	}
 }
 
 // canMigrate reports whether another migration may start under the
 // shared in-flight budget.
 func (f *Fleet) canMigrate() bool {
-	return f.migStarted-f.migDone < f.cfg.MaxMigrations
+	return f.led.MigrationsStarted-f.led.MigrationsCompleted < f.cfg.maxMigrations()
 }
 
-// stepWatermark runs the adaptive watermark baseline: occupancy above
-// the high water demotes the coldest settled fast tenant; below the low
-// water, the hottest settled dense tenant is promoted. Heat is the
-// per-epoch byte delta, the same victim signal load balancing uses. The
-// policy is class-blind by design — that is what the learned policy has
-// to beat.
-func (f *Fleet) stepWatermark(now sim.Time, occ float64) {
-	if !f.canMigrate() {
-		return
-	}
-	fl, fh := f.fastRange()
-	dl, dh := f.denseRange()
-	if occ >= f.cfg.TierHighWater {
-		victim := f.pickTierVictim(fl, fh, now, false, func(*Tenant) bool { return true })
-		if dst, ok := f.leastLoadedIn(dl, dh); ok && victim != nil {
-			f.startMigration(victim, dst, now)
-		}
-		return
-	}
-	if occ < f.cfg.TierLowWater {
-		victim := f.pickTierVictim(dl, dh, now, true, func(*Tenant) bool { return true })
-		if dst, ok := f.leastLoadedIn(fl, fh); ok && victim != nil {
-			f.startMigration(victim, dst, now)
-		}
-	}
+// rank scores a migration candidate for the victim scan: the highest
+// score wins, and ok=false excludes the tenant. Ranks are package-level
+// functions, not closures, so the per-epoch scans allocate nothing.
+type rank func(f *Fleet, tn *Tenant) (score int64, ok bool)
+
+// hottest and coldest rank by the per-epoch byte delta — the heat signal
+// load balancing and the class-blind watermark policy share.
+func hottest(_ *Fleet, tn *Tenant) (int64, bool) { return tn.epochBytes, true }
+func coldest(_ *Fleet, tn *Tenant) (int64, bool) { return -tn.epochBytes, true }
+
+// hintsDense is the learned policy's demote rank: the coldest
+// bandwidth-class tenant whose agent hints dense. A latency-class tenant
+// is never demoted on a sampled hint (the tier analogue of
+// core.FleetIO.emit's priority guardrails).
+func hintsDense(f *Fleet, tn *Tenant) (int64, bool) {
+	return -tn.epochBytes, tn.class != workload.Latency && f.tierHint(tn) == core.TierDense
 }
 
-// stepLearned consumes the placement-head hints: at most one demote (a
-// bandwidth-class fast tenant hinting dense) and one promote (a dense
-// tenant hinting fast; latency-class tenants rank first and are pulled
-// up even without a hint when a fast slot is free) per epoch.
-func (f *Fleet) stepLearned(now sim.Time) {
-	fl, fh := f.fastRange()
-	dl, dh := f.denseRange()
-	if f.canMigrate() {
-		victim := f.pickTierVictim(fl, fh, now, false, func(tn *Tenant) bool {
-			return tn.class != workload.Latency && f.tierHint(tn) == core.TierDense
-		})
-		if dst, ok := f.leastLoadedIn(dl, dh); ok && victim != nil {
-			f.startMigration(victim, dst, now)
-		}
+// hintsFast is the learned policy's promote rank: latency-class tenants
+// first, with or without a hint (emit's SLO-escalation guardrail: they are
+// pulled toward the fast tier whenever a slot is free), then
+// bandwidth-class tenants that hint fast; within a group, hottest wins.
+func hintsFast(f *Fleet, tn *Tenant) (int64, bool) {
+	if tn.class == workload.Latency {
+		return tn.epochBytes + 1<<62, true // outranks any byte count
 	}
-	if f.canMigrate() {
-		victim := f.pickTierPromotee(dl, dh, now)
-		if dst, ok := f.leastLoadedIn(fl, fh); ok && victim != nil {
-			f.startMigration(victim, dst, now)
-		}
-	}
+	return tn.epochBytes, f.tierHint(tn) == core.TierFast
 }
 
 // tierHint reads the tenant's last placement-head sample from its
@@ -284,43 +221,21 @@ func (f *Fleet) tierHint(tn *Tenant) int {
 	return sh.fio.TierHint(tn.vssd.ID())
 }
 
-// pickTierVictim scans devices [lo, hi) for the running, settled tenant
-// passing want with the extreme per-epoch byte delta — hottest when hot
-// is set, coldest otherwise. Device order then resident order break
+// victim is the one migration-candidate scan: over devices [lo, hi), the
+// running tenant, settled on its device (Config.settle — not worth moving
+// sooner), that r ranks highest. Device order then resident order break
 // ties, keeping the choice deterministic.
-func (f *Fleet) pickTierVictim(lo, hi int, now sim.Time, hot bool, want func(*Tenant) bool) *Tenant {
+func (f *Fleet) victim(lo, hi int, now sim.Time, r rank) *Tenant {
 	var best *Tenant
+	var bestScore int64
+	settle := f.cfg.settle()
 	for dev := lo; dev < hi; dev++ {
 		for _, tn := range f.shards[dev].resident {
-			if tn.State != StateRunning || tn.Device != dev || !f.settled(tn, now) || !want(tn) {
+			if tn.State != StateRunning || tn.Device != dev || now-tn.placedAt < settle {
 				continue
 			}
-			if best == nil || (hot && tn.epochBytes > best.epochBytes) || (!hot && tn.epochBytes < best.epochBytes) {
-				best = tn
-			}
-		}
-	}
-	return best
-}
-
-// pickTierPromotee ranks dense-tier promote candidates: latency-class
-// tenants first (with or without a hint — the tier analogue of emit's
-// SLO escalation guardrail), then bandwidth-class tenants that hint
-// fast; within a group, hottest wins.
-func (f *Fleet) pickTierPromotee(lo, hi int, now sim.Time) *Tenant {
-	var best *Tenant
-	bestLat := false
-	for dev := lo; dev < hi; dev++ {
-		for _, tn := range f.shards[dev].resident {
-			if tn.State != StateRunning || tn.Device != dev || !f.settled(tn, now) {
-				continue
-			}
-			lat := tn.class == workload.Latency
-			if !lat && f.tierHint(tn) != core.TierFast {
-				continue
-			}
-			if best == nil || (lat && !bestLat) || (lat == bestLat && tn.epochBytes > best.epochBytes) {
-				best, bestLat = tn, lat
+			if score, ok := r(f, tn); ok && (best == nil || score > bestScore) {
+				best, bestScore = tn, score
 			}
 		}
 	}
@@ -328,30 +243,22 @@ func (f *Fleet) pickTierPromotee(lo, hi int, now sim.Time) *Tenant {
 }
 
 // collectTiers fills the tier section of the roll-up: per-class device
-// and slot usage, the promote/demote ledger, and the latency-class tail
-// summary (each latency tenant's whole-run P99 on its current device —
-// the histogram resets at cutover, so a migrated tenant reports the
+// and slot usage (one row on a homogeneous rack) and the latency-class
+// tail summary (each latency tenant's whole-run P99 on its current device
+// — the histogram resets at cutover, so a migrated tenant reports the
 // latency of its current placement, not the bulk copy).
 func (f *Fleet) collectTiers(s *Stats) {
-	first := 0
-	for _, cl := range f.cfg.Classes {
-		ts := TierStats{Name: cl.Name, Devices: cl.Devices, Slots: cl.Devices * f.cfg.SlotsPerDevice}
-		for dev := first; dev < first+cl.Devices; dev++ {
-			ts.SlotsUsed += f.shards[dev].slotsUsed
+	for t, tier := range f.tiers {
+		ts := TierStats{Name: f.cfg.Classes[t].Name, Devices: len(tier), Slots: len(tier) * slotsPerDevice}
+		for _, sh := range tier {
+			ts.SlotsUsed += sh.slotsUsed
 			if f.epochs > 0 {
-				ts.MeanUtil += f.shards[dev].utilSum / float64(f.epochs)
+				ts.MeanUtil += sh.utilSum / float64(f.epochs)
 			}
 		}
-		ts.MeanUtil /= float64(cl.Devices)
+		ts.MeanUtil /= float64(len(tier))
 		s.Tiers = append(s.Tiers, ts)
-		first += cl.Devices
 	}
-	s.PromotesStarted = f.promoStarted
-	s.DemotesStarted = f.demoStarted
-	s.Promotes = f.promotes
-	s.Demotes = f.demotes
-	s.TierMovesInFlight = f.promoStarted + f.demoStarted - f.promotes - f.demotes
-	s.CrossTierBytes = f.xTierBytes
 	var sum float64
 	for _, tn := range f.tenants[:f.nextArr] {
 		if tn.class != workload.Latency || tn.vssd == nil {
@@ -377,8 +284,7 @@ func (f *Fleet) collectTiers(s *Stats) {
 }
 
 // tierMetrics is the fleetio_tier_* series catalogue, registered only on
-// tiered racks (feature-gated series never appear on runs that cannot
-// move them). The per-class series carry a tier label fixed at
+// hybrid racks. The per-class series carry a tier label fixed at
 // registration, indexed by class here.
 type tierMetrics struct {
 	slots, slotsUsed, occupancy, utilMean []*obs.Metric
@@ -403,27 +309,20 @@ func newTierMetrics(reg *obs.Registry, classes []DeviceClass) *tierMetrics {
 	return m
 }
 
-// publishTierMetrics refreshes the fleetio_tier_* series. Called from
-// publishMetrics on the control-plane thread.
-func (f *Fleet) publishTierMetrics() {
-	m := f.metrics.tier
-	first := 0
-	for t, cl := range f.cfg.Classes {
-		used := 0
-		var util float64
-		for dev := first; dev < first+cl.Devices; dev++ {
-			used += f.shards[dev].slotsUsed
-			util += f.shards[dev].epochUtil
-		}
-		slots := cl.Devices * f.cfg.SlotsPerDevice
-		m.slots[t].Set(float64(slots))
-		m.slotsUsed[t].Set(float64(used))
-		m.occupancy[t].Set(float64(used) / float64(slots))
-		m.utilMean[t].Set(util / float64(cl.Devices))
-		first += cl.Devices
-	}
-	m.promotes.Set(float64(f.promotes))
-	m.demotes.Set(float64(f.demotes))
-	m.movesInFlight.Set(float64(f.promoStarted + f.demoStarted - f.promotes - f.demotes))
-	m.copyBytes.Set(float64(f.xTierBytes))
+// publishClass refreshes class t's series from its device count, occupied
+// slots and summed last-epoch utilization.
+func (m *tierMetrics) publishClass(t, devices, used int, util float64) {
+	slots := devices * slotsPerDevice
+	m.slots[t].Set(float64(slots))
+	m.slotsUsed[t].Set(float64(used))
+	m.occupancy[t].Set(float64(used) / float64(slots))
+	m.utilMean[t].Set(util / float64(devices))
+}
+
+// publishLedger refreshes the promote/demote series.
+func (m *tierMetrics) publishLedger(led *Stats) {
+	m.promotes.Set(float64(led.Promotes))
+	m.demotes.Set(float64(led.Demotes))
+	m.movesInFlight.Set(float64(led.PromotesStarted + led.DemotesStarted - led.Promotes - led.Demotes))
+	m.copyBytes.Set(float64(led.CrossTierBytes))
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -24,39 +25,21 @@ func tierTestConfig(tp TierPolicyKind) Config {
 
 func TestWithDefaultsSentinels(t *testing.T) {
 	cases := []struct {
-		name        string
-		maxMig      int
-		prefill     float64
-		wantMax     int
-		wantPrefill float64
+		name    string
+		prefill float64
+		want    float64
 	}{
-		{"zero picks defaults", 0, 0, 2, 0.35}, // 8 devices → 8/8+1
-		{"negative disables", -1, -1, 0, 0},
-		{"explicit values stick", 3, 0.5, 3, 0.5},
+		{"zero picks the default", 0, 0.35},
+		{"negative disables", -1, 0},
+		{"explicit value sticks", 0.5, 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Devices: 8, Duration: sim.Second,
-				MaxMigrations: tc.maxMig, PrefillFrac: tc.prefill}.withDefaults()
-			if cfg.MaxMigrations != tc.wantMax {
-				t.Errorf("MaxMigrations = %d, want %d", cfg.MaxMigrations, tc.wantMax)
-			}
-			if cfg.PrefillFrac != tc.wantPrefill {
-				t.Errorf("PrefillFrac = %v, want %v", cfg.PrefillFrac, tc.wantPrefill)
+			cfg := Config{Devices: 8, Duration: sim.Second, PrefillFrac: tc.prefill}.withDefaults()
+			if cfg.PrefillFrac != tc.want {
+				t.Errorf("PrefillFrac = %v, want %v", cfg.PrefillFrac, tc.want)
 			}
 		})
-	}
-}
-
-func TestMigrationFreeFleet(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxMigrations = -1 // Migration stays on, but no move may ever start
-	st := New(cfg).Run()
-	if st.MigrationsStarted != 0 {
-		t.Errorf("MaxMigrations=-1 started %d migrations", st.MigrationsStarted)
-	}
-	if !st.Balanced() {
-		t.Errorf("ledger imbalance: %+v", st)
 	}
 }
 
@@ -70,23 +53,22 @@ func TestColdFleetRuns(t *testing.T) {
 }
 
 func TestTierClassResolution(t *testing.T) {
-	cfg := Config{Duration: sim.Second, Classes: DefaultTierClasses(2, 6)}.withDefaults()
-	if cfg.Devices != 8 {
-		t.Fatalf("Devices = %d, want class sum 8", cfg.Devices)
+	f := New(Config{Duration: sim.Second, Classes: DefaultTierClasses(2, 6)})
+	if got := f.Config().Devices; got != 8 {
+		t.Fatalf("Devices = %d, want class sum 8", got)
 	}
-	if cfg.TierLowWater != 0.60 || cfg.TierHighWater != 0.95 {
-		t.Errorf("watermarks = %v/%v, want 0.60/0.95", cfg.TierLowWater, cfg.TierHighWater)
+	if got := f.Config().Flash.BlocksPerChip; got != 16 {
+		t.Errorf("resolved Flash has %d blocks/chip, want class 0's 16", got)
 	}
-	if cfg.TierSLO != 2*sim.Millisecond {
-		t.Errorf("TierSLO = %v, want 2ms", cfg.TierSLO)
+	if f.lsSLO != 2*sim.Millisecond {
+		t.Errorf("latency-class SLO = %v, want 2ms", f.lsSLO)
 	}
-	fc, tier := cfg.shardClass(1)
-	if tier != 0 || fc.BlocksPerChip != 16 {
-		t.Errorf("device 1: tier=%d blocks=%d, want fast tier 0 with 16 blocks", tier, fc.BlocksPerChip)
-	}
-	fc, tier = cfg.shardClass(7)
-	if tier != 1 || fc.BlocksPerChip != 64 {
-		t.Errorf("device 7: tier=%d blocks=%d, want dense tier 1 with 64 blocks", tier, fc.BlocksPerChip)
+	for dev, want := range map[int][2]int{1: {0, 16}, 7: {1, 64}} {
+		sh := f.Shards()[dev]
+		if sh.tier != want[0] || sh.plat.FlashConfig().BlocksPerChip != want[1] {
+			t.Errorf("device %d: tier=%d blocks=%d, want tier %d with %d blocks",
+				dev, sh.tier, sh.plat.FlashConfig().BlocksPerChip, want[0], want[1])
+		}
 	}
 
 	defer func() {
@@ -95,6 +77,50 @@ func TestTierClassResolution(t *testing.T) {
 		}
 	}()
 	Config{Devices: 5, Duration: sim.Second, Classes: DefaultTierClasses(2, 6)}.withDefaults()
+}
+
+// TestOneClassRackIsHomogeneous: Flash+Devices is shorthand for a
+// one-class list, so spelling the list out — with or without a matching
+// Devices, under any tier policy — must change nothing: same bytes, an
+// inert tier control plane, no agent stacks and no fleetio_tier_* series.
+func TestOneClassRackIsHomogeneous(t *testing.T) {
+	run := func(mut func(*Config)) (string, *Fleet, *obs.Registry) {
+		cfg := cohortConfig()
+		cfg.Obs = obs.NewRegistry()
+		mut(&cfg)
+		f := New(cfg)
+		return render(f.Run()), f, cfg.Obs
+	}
+	want, _, _ := run(func(*Config) {})
+	oneClass := []DeviceClass{{Flash: DefaultDeviceConfig(), Devices: 4}}
+	cases := map[string]func(*Config){
+		"classes only":          func(c *Config) { c.Devices, c.Classes = 0, oneClass },
+		"classes and devices":   func(c *Config) { c.Classes = oneClass },
+		"default geometry":      func(c *Config) { c.Classes = []DeviceClass{{Devices: 4}} },
+		"watermark, one class":  func(c *Config) { c.Classes, c.TierPolicy = oneClass, TierWatermark },
+		"learned, one class":    func(c *Config) { c.Classes, c.TierPolicy = oneClass, TierLearned },
+		"learned, flash+device": func(c *Config) { c.TierPolicy = TierLearned },
+	}
+	for name, mut := range cases {
+		t.Run(name, func(t *testing.T) {
+			got, f, reg := run(mut)
+			if got != want {
+				t.Errorf("diverged from the Flash+Devices rack:\n%s\nvs\n%s", got, want)
+			}
+			if len(f.Config().Classes) != 1 || f.Config().Devices != 4 {
+				t.Errorf("resolved to %d classes, %d devices; want 1, 4", len(f.Config().Classes), f.Config().Devices)
+			}
+			if f.lsSLO != 0 || f.Shards()[0].fio != nil || f.led.PromotesStarted+f.led.DemotesStarted != 0 {
+				t.Errorf("tier control plane not inert: slo=%v fio=%v moves=%d",
+					f.lsSLO, f.Shards()[0].fio != nil, f.led.PromotesStarted+f.led.DemotesStarted)
+			}
+			for _, n := range reg.Names() {
+				if strings.HasPrefix(n, "fleetio_tier_") {
+					t.Errorf("one-class rack registered %s", n)
+				}
+			}
+		})
+	}
 }
 
 func TestTierClassSliceNotMutated(t *testing.T) {

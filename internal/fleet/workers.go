@@ -22,8 +22,6 @@ const cacheLine = 64
 const (
 	// taskAdvance: run owned shards to target and refresh their load.
 	taskAdvance = iota
-	// taskCollect: fill the per-device Stats roll-up for owned shards.
-	taskCollect
 	// taskStop: exit the worker loop (pool shutdown).
 	taskStop
 )
@@ -74,10 +72,9 @@ type shardWorkers struct {
 
 	// Epoch inputs, written by the control plane strictly before the seq
 	// bump and read by workers strictly after observing it.
-	task    int
-	target  sim.Time
-	collect []DeviceStats
-	stamp   bool // stamp arrival times this epoch (metrics enabled)
+	task   int
+	target sim.Time
+	stamp  bool // stamp arrival times this epoch (metrics enabled)
 
 	spin int       // release/gather spin budget (0 on oversubscribed hosts)
 	base time.Time // arrival-stamp epoch reference
@@ -158,8 +155,6 @@ func (p *shardWorkers) loop(w int) {
 		switch p.task {
 		case taskAdvance:
 			p.f.epochShards(s.lo, s.hi, p.target)
-		case taskCollect:
-			p.f.collectShards(s.lo, s.hi, p.collect)
 		case taskStop:
 			return
 		}
@@ -269,15 +264,6 @@ func (p *shardWorkers) runEpoch(target sim.Time) {
 		}
 		m.straggler.Set(float64(last - first))
 	}
-}
-
-// runCollect fans the per-device Stats fill out over the pool. dst is
-// indexed by shard id, so workers write disjoint entries.
-func (p *shardWorkers) runCollect(dst []DeviceStats) {
-	p.collect = dst
-	p.release(taskCollect, 0)
-	p.await()
-	p.collect = nil
 }
 
 // stop releases a final taskStop epoch and joins every worker. After stop

@@ -77,16 +77,18 @@ func TestWorkerPoolCleanShutdown(t *testing.T) {
 }
 
 // TestEpochLoopZeroSteadyStateAllocs pins the epoch loop — barrier,
-// parallel shard advance + load refresh, sequential control plane — at
-// zero allocations once the rack has settled (all arrivals resolved, no
-// migrations in flight). Covers both the inline path and the persistent
+// parallel shard advance + load refresh, sequential control plane with
+// its migration-candidate scan — at zero allocations once the rack has
+// settled (all arrivals resolved, no migrations in flight). Covers both the inline path and the persistent
 // pool.
 func TestEpochLoopZeroSteadyStateAllocs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := testConfig()
 		cfg.Workers = workers
-		cfg.Migration = false
-		cfg.Tenants = 8 // exactly the rack's slot capacity: no queue churn
+		// Exactly the rack's slot capacity: no queue churn, and migration
+		// stays on — every epoch runs the victim scan, but with no free
+		// slot anywhere no move (and its allocations) can start.
+		cfg.Tenants = 8
 		cfg.ArrivalEvery = 10 * sim.Millisecond
 		cfg.Duration = 1000 * sim.Second // headroom; epochs are stepped manually
 		f := New(cfg)

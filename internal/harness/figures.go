@@ -299,7 +299,7 @@ func Figure17(w io.Writer, opt Options) {
 			finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
 			results[j] = Compare(finalMix, []PolicyKind{PolFleetIO}, opt)[0]
 		} else {
-			results[j] = RunTransfer(c.keep, c.from, c.to, opt)
+			results[j] = RunTransfer(c.keep, c.from, c.to, opt).Result
 		}
 	})
 	for i, c := range cases {
@@ -316,12 +316,9 @@ func Figure17(w io.Writer, opt Options) {
 
 // RunTransfer trains FleetIO on keep+from through warmup, switches the
 // collocated workload to `to`, gives the agents four windows to adjust,
-// and measures keep+to against that mix's SLOs.
-func RunTransfer(keep, from, to string, opt Options) Result {
-	return measureTransfer(keep, from, to, opt).Result
-}
-
-func measureTransfer(keep, from, to string, opt Options) *Run {
+// and measures keep+to against that mix's SLOs. Like Measure, it returns
+// the finished run.
+func RunTransfer(keep, from, to string, opt Options) *Run {
 	finalMix := MixSpec{Label: keep + "+" + to, Workloads: []string{keep, to}}
 	slos := Calibrate(finalMix, opt)
 	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}

@@ -116,14 +116,14 @@ func TestRunTransferRecordsReplacement(t *testing.T) {
 	if from == to {
 		t.Fatalf("VDI-Web and YCSB both type as %s; the test needs distinct types", from)
 	}
-	if got := measureTransfer("TeraSort", "VDI-Web", "YCSB", opt).TypeLabels()[1]; got != to {
+	if got := RunTransfer("TeraSort", "VDI-Web", "YCSB", opt).TypeLabels()[1]; got != to {
 		t.Errorf("tenant 1 types as %s after the swap to YCSB, want %s (VDI-Web is %s)", got, to, from)
 	}
 }
 
 func TestRunTransferMeasuresFinalMix(t *testing.T) {
 	opt := tinyOptions()
-	res := RunTransfer("TeraSort", "VDI-Web", "YCSB", opt)
+	res := RunTransfer("TeraSort", "VDI-Web", "YCSB", opt).Result
 	if len(res.Tenants) != 2 {
 		t.Fatalf("tenants = %d", len(res.Tenants))
 	}

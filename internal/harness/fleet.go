@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/fleet"
-	"repro/internal/sim"
 )
 
 // Rack sizes when Options.FleetDevices is zero. The tiered rack is small
@@ -56,12 +55,8 @@ func FleetScenario(placement fleet.PlacementKind, opt Options) fleet.Stats {
 // traced tenant classified by the shared workload-type model.
 func CohortScenario(opt Options) fleet.Stats {
 	cfg := rackConfig(opt, DefaultCohortDevices)
-	cfg.Placement = fleet.PlaceLeastLoaded
 	cfg.Migration = true
 	cfg.Lifetime = opt.Duration / 3
-	if cfg.Lifetime <= 0 {
-		cfg.Lifetime = sim.Second
-	}
 	cfg.TypeModel, _ = TypeModel()
 	return fleet.New(cfg).Run()
 }

@@ -441,7 +441,7 @@ func (r *Run) attachPolicy() {
 	case PolSSDKeeper:
 		pol = baseline.NewSSDKeeper(cfg.Channels, cfg.ChannelBandwidth(), r.opt.Seed)
 	case PolFleetIO, PolFleetIOUnifiedGlobal, PolFleetIOCustomizedLocal:
-		r.attachFleetIO(deployedFleetIO(r.kind, r.opt))
+		r.attachFleetIO(DeployedFleetIO(r.kind, r.opt))
 		return
 	default:
 		panic("harness: unknown policy kind")
@@ -451,12 +451,12 @@ func (r *Run) attachPolicy() {
 
 // The three FleetIO wirings, as data: the fields below are all they differ
 // in. Everything else — seed, type model, per-type α seeding, recorders,
-// error-rate state, observer, admission control — is attachFleetIO's and
-// the same for all three.
+// observer, admission control — is DeployFleetIO's and the same for all
+// three.
 
-// deployedFleetIO is a measured run: every agent fine-tunes its own copy of
+// DeployedFleetIO is a measured run: every agent fine-tunes its own copy of
 // the pretrained model every 10 windows and is re-typed every 5.
-func deployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
+func DeployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
 	mode := core.ModeFull
 	switch kind {
 	case PolFleetIOUnifiedGlobal:
@@ -477,13 +477,16 @@ func deployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
 		TrainEvery: 10,
 		TypeEvery:  5,
 		Pretrained: pretrained,
+		// The per-tenant write-retry rate widens the network input, so it is
+		// fed only to agents not seeded from a network built at the base width.
+		ErrorRateState: opt.faultsEnabled() && pretrained == nil,
 	}
 }
 
 // figure16FleetIO is a measured run that is never re-typed: α stays as
 // seeded from the workload names.
 func figure16FleetIO(opt Options) core.FleetIOConfig {
-	cfg := deployedFleetIO(PolFleetIO, opt)
+	cfg := DeployedFleetIO(PolFleetIO, opt)
 	cfg.TypeEvery = 0
 	return cfg
 }
@@ -504,35 +507,38 @@ func episodeFleetIO(spec EpisodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 	}
 }
 
-// attachFleetIO is the one FleetIO wiring: the policy with the shared type
-// model, each agent's recorder and per-type α, and the admission
-// controller its harvest actions go through.
-func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
+// attachFleetIO deploys FleetIO on the run's platform and tenants.
+func (r *Run) attachFleetIO(cfg core.FleetIOConfig) (f *core.FleetIO) {
+	f, r.runner = DeployFleetIO(r.plat, r.mix.Workloads, r.recs, r.opt.Seed, r.opt.Window, cfg)
+	return f
+}
+
+// DeployFleetIO is the one FleetIO wiring, shared with the public facade:
+// the policy with the shared type model, agent i's recorder recs[i] (nil:
+// never re-typed) and per-type α, and the runner that sends its harvest
+// actions through an admission controller every window.
+func DeployFleetIO(plat *vssd.Platform, names []string, recs []*trace.Recorder, seed int64, window sim.Time, cfg core.FleetIOConfig) (*core.FleetIO, *core.Runner) {
 	tm, alphas := TypeModel()
-	cfg.Seed = r.opt.Seed
+	cfg.Seed = seed
 	cfg.TypeModel = tm
 	cfg.AlphaByCluster = alphas
-	// The per-tenant write-retry rate widens the network input, so it is
-	// fed only to agents not seeded from a network built at the base width.
-	cfg.ErrorRateState = r.opt.faultsEnabled() && cfg.Pretrained == nil
-	cfg.Obs = r.plat.Observer()
-	f := core.NewFleetIO(r.plat, cfg)
-	for i, rec := range r.recs {
+	cfg.Obs = plat.Observer()
+	f := core.NewFleetIO(plat, cfg)
+	for i, rec := range recs {
 		f.SetRecorder(i, rec)
 	}
 	// Seed per-type α immediately from the known workload names so short
 	// runs behave like converged typing; live re-typing keeps it fresh.
-	for i, name := range r.mix.Workloads {
+	for i, name := range names {
 		if c, ok := tm.WorkloadCluster[name]; ok {
 			if a, ok2 := alphas[c]; ok2 {
 				f.SetAlpha(i, a)
 			}
 		}
 	}
-	adm := admission.NewController(r.plat, nil)
-	adm.Obs = r.plat.Observer()
-	r.runner = &core.Runner{Plat: r.plat, Adm: adm, Policy: f, Window: r.opt.Window}
-	return f
+	adm := admission.NewController(plat, nil)
+	adm.Obs = plat.Observer()
+	return f, &core.Runner{Plat: plat, Adm: adm, Policy: f, Window: window}
 }
 
 // boundary is a point in virtual time at which execute pauses the engine

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
-# observability API, build, the full test suite, hot-path boxing gates,
+# observability API, build, the full test suite (plus the nested bench/
+# module's vet and one run of each example), hot-path boxing gates,
 # the race detector on the concurrency-heavy packages, the allocation
 # guards at several core counts, worker-count identity gates on the
 # scenario figures, and benchmark smoke/allocation gates. What each
@@ -21,8 +22,24 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== no tracked file over 1 MB"
+# Build outputs belong in .gitignore, not in history (a 10.9 MB fleetbench
+# ELF once rode in at the repo root).
+big=$(git ls-files -z | xargs -0 du -k | awk '$1 > 1024')
+if [ -n "$big" ]; then
+    echo "tracked files over 1 MB (size in KB):" >&2
+    echo "$big" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
+
+echo "== go vet bench/ (the exported surface the benchmark compiles against)"
+# bench/ is its own module, outside ./...; the benchmark pipeline builds it
+# with -mod=readonly, so a rename of anything on bench/README.md's
+# "Exported surface" list must fail here first.
+(cd bench && GOFLAGS=-mod=readonly GOWORK=off go vet .)
 
 echo "== doc lint (internal/obs exported identifiers)"
 # internal/obs is the repo's external-facing surface (its names become
@@ -48,6 +65,11 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== examples smoke (each runs once)"
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
 
 echo "== hot-path boxing gates"
 # The per-I/O datapath must stay free of interface boxing: container/heap
