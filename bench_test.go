@@ -353,76 +353,6 @@ func BenchmarkAdmissionBatch(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md design choices) -------------------
-
-// BenchmarkAdmissionReorderAblation compares harvest success with and
-// without the Make_Harvestable-first batch reordering (§3.5).
-func BenchmarkAdmissionReorderAblation(b *testing.B) {
-	for _, reorder := range []bool{true, false} {
-		name := "reorder"
-		if !reorder {
-			name = "no-reorder"
-		}
-		b.Run(name, func(b *testing.B) {
-			succ := 0
-			for i := 0; i < b.N; i++ {
-				p := overheadPlatform()
-				adm := admission.NewController(p, nil)
-				adm.Reorder = reorder
-				bw := p.FlashConfig().ChannelBandwidth()
-				adm.Submit(vssd.Action{VSSD: 1, Kind: vssd.ActHarvest, BW: bw})
-				adm.Submit(vssd.Action{VSSD: 0, Kind: vssd.ActMakeHarvestable, BW: bw})
-				adm.Flush()
-				if p.GSB().HarvestedChannels(1) > 0 {
-					succ++
-				}
-			}
-			b.ReportMetric(float64(succ)/float64(b.N), "harvest-success")
-		})
-	}
-}
-
-// BenchmarkGCHarvestedFirstAblation compares write amplification with and
-// without the §3.7 harvested-first victim policy under a harvesting churn.
-func BenchmarkGCHarvestedFirstAblation(b *testing.B) {
-	for _, hf := range []bool{true, false} {
-		name := "harvested-first"
-		if !hf {
-			name = "greedy-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				pc := vssd.DefaultPlatformConfig()
-				pc.Flash.Channels = 4
-				pc.Flash.BlocksPerChip = 32
-				pc.Flash.PagesPerBlock = 32
-				p := vssd.NewPlatform(eng, pc)
-				p.FTL().HarvestedFirst = hf
-				home := p.AddVSSD(vssd.Config{Name: "home", Channels: ChannelRange(0, 2)})
-				harv := p.AddVSSD(vssd.Config{Name: "harv", Channels: ChannelRange(2, 4)})
-				_ = home.Tenant().Prefill(0.5, 0.3, sim.NewRNG(1))
-				_ = harv.Tenant().Prefill(0.5, 0.3, sim.NewRNG(2))
-				p.Apply(vssd.Action{VSSD: 0, Kind: vssd.ActMakeHarvestable, BW: p.FlashConfig().ChannelBandwidth()})
-				p.Apply(vssd.Action{VSSD: 1, Kind: vssd.ActHarvest, BW: p.FlashConfig().ChannelBandwidth()})
-				lpn := 0
-				var issue func(v *vssd.VSSD)
-				issue = func(v *vssd.VSSD) {
-					v.Submit(&vssd.Request{Write: true, LPN: lpn % 2000, Pages: 4,
-						OnComplete: func(_ *vssd.Request, _ sim.Time) { issue(v) }})
-					lpn += 4
-				}
-				for j := 0; j < 4; j++ {
-					issue(home)
-					issue(harv)
-				}
-				eng.RunUntil(2 * sim.Second)
-				b.ReportMetric(p.FTL().Stats().WriteAmplification(), "write-amp")
-			}
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw event throughput of the
 // simulation substrate.
 func BenchmarkSimulatorThroughput(b *testing.B) {

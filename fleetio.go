@@ -186,9 +186,7 @@ type FleetIOOptions struct {
 	Pretrained *Model
 	// Train keeps PPO fine-tuning online (default true).
 	NoTraining bool
-	// Beta overrides the Eq. 2 mixing coefficient (0 = paper default 0.6).
-	Beta float64
-	Seed int64
+	Seed       int64
 }
 
 // Model is a trained FleetIO network.
@@ -226,7 +224,6 @@ func (s *Simulator) UseFleetIO(opts FleetIOOptions) {
 		hopt.Pretrained = opts.Pretrained.net
 	}
 	cfg := harness.DeployedFleetIO(harness.PolFleetIO, hopt)
-	cfg.Beta = opts.Beta
 	names := make([]string, len(s.tenants))
 	recs := make([]*trace.Recorder, len(s.tenants))
 	for i, t := range s.tenants {

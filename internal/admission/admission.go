@@ -54,13 +54,13 @@ type Stats struct {
 	Immediate int64
 }
 
+// interval is the batch flush period (the paper uses 50 ms).
+const interval = 50 * sim.Millisecond
+
 // Controller batches and orders actions before the platform executes them.
 type Controller struct {
 	plat   *vssd.Platform
 	policy Policy
-
-	// Interval is the batch flush period (the paper uses 50 ms).
-	Interval sim.Time
 
 	batch   []entry
 	spare   []entry // drained batch array, recycled on the next fill
@@ -68,10 +68,6 @@ type Controller struct {
 	arrival int64
 	started bool
 	stats   Stats
-
-	// Reorder enables the Make_Harvestable-first ordering; disabling it is
-	// the §3.5 ablation.
-	Reorder bool
 
 	// Obs traces admission verdicts (filtered and admitted harvest-related
 	// actions); nil disables. Immediate pass-through actions are not traced
@@ -125,12 +121,7 @@ func NewController(plat *vssd.Platform, policy Policy) *Controller {
 	if policy == nil {
 		policy = AllowAll{}
 	}
-	return &Controller{
-		plat:     plat,
-		policy:   policy,
-		Interval: 50 * sim.Millisecond,
-		Reorder:  true,
-	}
+	return &Controller{plat: plat, policy: policy}
 }
 
 // Stats returns a copy of the counters.
@@ -145,7 +136,7 @@ func (c *Controller) Start() {
 		return
 	}
 	c.started = true
-	c.plat.Engine().Ticker(c.Interval, func(sim.Time) bool {
+	c.plat.Engine().Ticker(interval, func(sim.Time) bool {
 		c.Flush()
 		return true
 	})
@@ -188,12 +179,10 @@ func (c *Controller) Flush() {
 	batch := c.batch
 	c.batch = c.spare[:0]
 	c.stats.Batches++
-	if c.Reorder {
-		c.sorter.batch = batch
-		c.sorter.gsbm = c.plat.GSB()
-		sort.Stable(&c.sorter)
-		c.sorter.batch = nil
-	}
+	c.sorter.batch = batch
+	c.sorter.gsbm = c.plat.GSB()
+	sort.Stable(&c.sorter)
+	c.sorter.batch = nil
 	for _, e := range batch {
 		c.stats.Admitted++
 		c.Obs.Verdict(obs.KindAdmissionAdmit, e.action.VSSD, e.action.Kind.String(), e.action.BW)

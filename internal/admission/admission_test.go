@@ -70,19 +70,6 @@ func TestMakeHarvestableOrderedFirst(t *testing.T) {
 	}
 }
 
-func TestReorderDisabledAblation(t *testing.T) {
-	_, p, _ := testSetup()
-	c := NewController(p, nil)
-	c.Reorder = false
-	bw := p.FlashConfig().ChannelBandwidth()
-	c.Submit(vssd.Action{VSSD: 1, Kind: vssd.ActHarvest, BW: bw})
-	c.Submit(vssd.Action{VSSD: 0, Kind: vssd.ActMakeHarvestable, BW: bw})
-	c.Flush()
-	if got := p.GSB().HarvestedChannels(1); got != 0 {
-		t.Fatalf("harvested = %d; without reordering the harvest should miss", got)
-	}
-}
-
 func TestPolicyFilters(t *testing.T) {
 	_, p, _ := testSetup()
 	c := NewController(p, DenyList{

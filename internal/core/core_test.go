@@ -291,9 +291,8 @@ func TestFleetIOConstruction(t *testing.T) {
 		t.Fatal("name wrong")
 	}
 	// Customized-Local forces β=1.
-	fl := NewFleetIO(p, FleetIOConfig{Mode: ModeCustomizedLocal, Seed: 1})
-	if fl.cfg.Beta != 1.0 {
-		t.Fatalf("β = %v in Customized-Local", fl.cfg.Beta)
+	if b := ModeCustomizedLocal.beta(); b != 1.0 {
+		t.Fatalf("β = %v in Customized-Local", b)
 	}
 	// Independent nets per agent by default.
 	if f.Net(0) == f.Net(1) {

@@ -33,6 +33,15 @@ const (
 	ModeCustomizedLocal
 )
 
+// beta is the mode's Eq. 2 mixing coefficient: the paper's 0.6, or 1
+// (every agent keeps only its own reward) under Customized-Local.
+func (m Mode) beta() float64 {
+	if m == ModeCustomizedLocal {
+		return 1.0
+	}
+	return DefaultBeta
+}
+
 func (m Mode) String() string {
 	switch m {
 	case ModeUnifiedGlobal:
@@ -46,14 +55,11 @@ func (m Mode) String() string {
 
 // FleetIOConfig configures the policy.
 type FleetIOConfig struct {
-	Mode           Mode
-	Beta           float64 // default 0.6
-	SLOVioGuar     float64 // default 0.01
-	HistoryWindows int     // default 3
-	Train          bool    // online fine-tuning
-	TrainEvery     int     // windows between PPO updates (paper: 10)
-	TypeEvery      int     // windows between workload re-typing (0 = off)
-	Seed           int64
+	Mode       Mode // also fixes the Eq. 2 β: see Mode.beta
+	Train      bool // online fine-tuning
+	TrainEvery int  // windows between PPO updates (paper: 10)
+	TypeEvery  int  // windows between workload re-typing (0 = off)
+	Seed       int64
 
 	// Pretrained, when set, seeds every agent with a copy of this network.
 	Pretrained *nn.ActorCritic
@@ -149,18 +155,6 @@ type FleetIO struct {
 
 // NewFleetIO builds the policy for a platform's current vSSDs.
 func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
-	if cfg.Beta == 0 {
-		cfg.Beta = DefaultBeta
-	}
-	if cfg.Mode == ModeCustomizedLocal {
-		cfg.Beta = 1.0
-	}
-	if cfg.SLOVioGuar == 0 {
-		cfg.SLOVioGuar = 0.01
-	}
-	if cfg.HistoryWindows == 0 {
-		cfg.HistoryWindows = DefaultHistoryWindows
-	}
 	if cfg.TrainEvery == 0 {
 		cfg.TrainEvery = 10
 	}
@@ -173,7 +167,7 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 		cfg.RL = rcfg
 	}
 	f := &FleetIO{cfg: cfg, plat: plat, rng: sim.NewRNG(cfg.Seed)}
-	f.stateDim = cfg.HistoryWindows * f.stateWidth()
+	f.stateDim = DefaultHistoryWindows * f.stateWidth()
 	if cfg.ShareModel {
 		// Shared-model training continues on the provided network in place
 		// (pretraining episodes chain); without one, a fresh net is built.
@@ -230,7 +224,7 @@ func (f *FleetIO) SyncAgents() {
 		v := f.plat.VSSD(i)
 		a := &agent{
 			id:       i,
-			hist:     NewHistoryWidth(f.cfg.HistoryWindows, width),
+			hist:     NewHistoryWidth(DefaultHistoryWindows, width),
 			alpha:    UnifiedAlpha,
 			tierHint: -1,
 			scales:   DefaultScales(len(v.Tenant().Channels()), chanBW, int64(v.Tenant().LogicalPages())*int64(f.plat.FlashConfig().PageSize)),
@@ -321,9 +315,9 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		if f.cfg.Mode == ModeUnifiedGlobal {
 			alpha = UnifiedAlpha
 		}
-		single[i] = SingleReward(alpha, snaps[i], a.scales.GuaranteedBW, f.cfg.SLOVioGuar)
+		single[i] = SingleReward(alpha, snaps[i], a.scales.GuaranteedBW, SLOVioGuar)
 	}
-	mixed := MixRewardsInto(single, f.mixedS, f.cfg.Beta)
+	mixed := MixRewardsInto(single, f.mixedS, f.cfg.Mode.beta())
 
 	// Shared states (Σ over collocated agents, §3.3.1).
 	var totIOPS, totVio float64
@@ -475,7 +469,7 @@ func (f *FleetIO) emit(actions []vssd.Action, i int, a *agent, acts []int, vioRa
 		if level > 2 {
 			level = 2
 		}
-	} else if vioRate > f.cfg.SLOVioGuar && level < 3 {
+	} else if vioRate > SLOVioGuar && level < 3 {
 		level = 3
 	}
 	makeBW := float64(HarvestLevels[acts[1]]) * chanBW

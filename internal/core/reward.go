@@ -2,20 +2,6 @@ package core
 
 import "repro/internal/vssd"
 
-// RewardConfig holds the Eq. 1 / Eq. 2 parameters.
-type RewardConfig struct {
-	// Alpha trades bandwidth against SLO violations (Eq. 1): larger α
-	// prioritizes performance isolation. §3.8's fine-tuned values are
-	// 2.5e-2 (LC-1), 5e-3 (LC-2), and 0 (bandwidth-intensive); the unified
-	// fallback is 0.01.
-	Alpha float64
-	// Beta mixes an agent's own reward with its collocated agents' average
-	// (Eq. 2). The paper's default is 0.6.
-	Beta float64
-	// SLOVioGuar is the guaranteed SLO-violation budget (1% in §3.3.3).
-	SLOVioGuar float64
-}
-
 // UnifiedAlpha is the fallback α for unknown workload types (§3.4).
 const UnifiedAlpha = 0.01
 
@@ -26,8 +12,14 @@ const (
 	AlphaBI  = 0.0    // bandwidth-intensive ("TO") cluster
 )
 
-// DefaultBeta is the paper's reward-mixing coefficient.
+// DefaultBeta is the paper's reward-mixing coefficient: an agent's reward
+// is β·own + (1-β)·mean(others) (Eq. 2).
 const DefaultBeta = 0.6
+
+// SLOVioGuar is the guaranteed SLO-violation budget (1% in §3.3.3): Eq. 1
+// normalizes the violation rate by it, and an agent past it escalates its
+// priority.
+const SLOVioGuar = 0.01
 
 // SingleReward computes Eq. 1 for one vSSD window:
 //

@@ -53,6 +53,22 @@ const (
 
 const invalidPPA = int32(-1)
 
+// Garbage-collection parameters. None was ever varied by a caller, so they
+// are constants rather than Manager fields.
+const (
+	// lazyGCThreshold is the free-block fraction below which a tenant
+	// starts collecting (the paper's lazy GC, Table 3 text: 20%).
+	lazyGCThreshold = 0.20
+	// gcReserve is the number of free blocks per channel reserved for GC
+	// migration so collection can always make forward progress.
+	gcReserve = 2
+	// gcConcurrency bounds the victim blocks a tenant collects at once
+	// (real FTLs collect per-channel in parallel).
+	gcConcurrency = 4
+	// gcPipeline bounds the in-flight page migrations per GC job.
+	gcPipeline = 8
+)
+
 // blockInfo is the Manager's bookkeeping for one erase block.
 type blockInfo struct {
 	id    flash.BlockID
@@ -135,20 +151,9 @@ type Manager struct {
 	// (wrapping accounting). Defaults to dev.Submit.
 	Submit func(*flash.Op)
 
-	// GCReserve is the number of free blocks per channel reserved for GC
-	// migration so collection can always make forward progress.
-	GCReserve int
-	// GCThreshold is the free-block fraction below which a tenant starts
-	// collecting (the paper's lazy GC uses 20%). Zero disables GC.
-	GCThreshold float64
-	// GCConcurrency bounds the victim blocks a tenant collects at once
-	// (real FTLs collect per-channel in parallel).
-	GCConcurrency int
-	// GCPipeline bounds the in-flight page migrations per GC job.
-	GCPipeline int
-	// HarvestedFirst enables the §3.7 victim policy (harvested/reclaimed
-	// blocks before regular ones). Disabling it is the ablation.
-	HarvestedFirst bool
+	// gcThreshold is lazyGCThreshold, held in a field only so in-package
+	// tests can zero it to keep GC out of the way.
+	gcThreshold float64
 
 	// onBlockErased notifies the gSB manager when GC returns a block to
 	// the free pool so it can finish lazy gSB reclamation.
@@ -175,17 +180,13 @@ func (m *Manager) OnBlockErased(fn func(blockIdx, gsbID int)) { m.onBlockErased 
 func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 	cfg := dev.Config()
 	m := &Manager{
-		eng:            eng,
-		dev:            dev,
-		cfg:            cfg,
-		blocks:         make([]blockInfo, cfg.TotalBlocks()),
-		freePools:      make([][]int, cfg.Channels*cfg.ChipsPerChannel),
-		freeCount:      make([]int, cfg.Channels),
-		GCReserve:      2,
-		GCThreshold:    0.20,
-		GCConcurrency:  4,
-		GCPipeline:     8,
-		HarvestedFirst: true,
+		eng:         eng,
+		dev:         dev,
+		cfg:         cfg,
+		blocks:      make([]blockInfo, cfg.TotalBlocks()),
+		freePools:   make([][]int, cfg.Channels*cfg.ChipsPerChannel),
+		freeCount:   make([]int, cfg.Channels),
+		gcThreshold: lazyGCThreshold,
 	}
 	m.Submit = dev.Submit
 	for p := range m.freePools {
@@ -347,7 +348,7 @@ func (m *Manager) FreeFraction(channels []int) float64 {
 func (m *Manager) allocBlock(ch, chip int, forGC bool) (int, bool) {
 	limit := 0
 	if !forGC {
-		limit = m.GCReserve
+		limit = gcReserve
 	}
 	if m.freeCount[ch] <= limit {
 		return -1, false

@@ -127,7 +127,7 @@ func TestCapacityExhaustionRespectsReserve(t *testing.T) {
 	cfg.BlocksPerChip = 4
 	cfg.PagesPerBlock = 4
 	eng, m := newTestMgr(t, cfg)
-	m.GCThreshold = 0 // keep GC out of this test
+	m.gcThreshold = 0 // keep GC out of this test
 	tn := NewTenant(m, 0, []int{0}, 64)
 	writable := 0
 	for i := 0; i < 64; i++ {
@@ -232,7 +232,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		cfg := smallConfig()
 		_, m := newTestMgr(t, cfg)
-		m.GCThreshold = 0 // isolate mapping logic from GC
+		m.gcThreshold = 0 // isolate mapping logic from GC
 		tn := NewTenant(m, 0, []int{0, 1}, 128)
 		for _, o := range ops {
 			lpn := int(o % 128)
@@ -424,12 +424,7 @@ func TestHarvestedFirstVictimSelection(t *testing.T) {
 		t.Fatal("no victim found")
 	}
 	if !m.BlockHarvested(victim) {
-		t.Fatal("HarvestedFirst must pick the harvested block despite higher valid count")
-	}
-	m.HarvestedFirst = false
-	victim = tn.pickVictim()
-	if m.BlockHarvested(victim) {
-		t.Fatal("without HarvestedFirst the zero-valid regular block wins")
+		t.Fatal("the harvested block must win despite its higher valid count")
 	}
 }
 
@@ -488,7 +483,7 @@ func TestPrefill(t *testing.T) {
 func TestSetChannelsSealsDroppedLanes(t *testing.T) {
 	cfg := smallConfig()
 	_, m := newTestMgr(t, cfg)
-	m.GCThreshold = 0
+	m.gcThreshold = 0
 	tn := NewTenant(m, 0, []int{0, 1}, 256)
 	for lpn := 0; lpn < 4; lpn++ {
 		tn.AllocatePage(lpn, false)
@@ -559,7 +554,7 @@ func pickVictimScan(tn *Tenant) int {
 			continue
 		}
 		class := 1
-		if tn.mgr.HarvestedFirst && b.harvested {
+		if b.harvested {
 			class = 0
 		}
 		if b.bad {
@@ -643,8 +638,6 @@ func TestPickVictimMatchesScan(t *testing.T) {
 	harv.CloseHarvestLanes(1)
 	check()
 	harv.SetChannels([]int{})
-	check()
-	m.HarvestedFirst = false
 	check()
 }
 

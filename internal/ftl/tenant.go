@@ -454,23 +454,19 @@ func (t *Tenant) invalidate(lpn int) {
 // maybeGC starts GC jobs when the tenant's channel set runs low on free
 // blocks — below the lazy threshold fraction, or close enough to the host
 // allocation reserve that writes are about to stall (which matters on the
-// small devices used in tests). Up to GCConcurrency victims are collected
+// small devices used in tests). Up to gcConcurrency victims are collected
 // in parallel; jobs re-arm themselves on completion.
 func (t *Tenant) maybeGC() {
-	if t.mgr.eng == nil || t.mgr.GCThreshold <= 0 {
+	if t.mgr.eng == nil || t.mgr.gcThreshold <= 0 {
 		return
 	}
-	conc := t.mgr.GCConcurrency
-	if conc < 1 {
-		conc = 1
-	}
-	for t.gcJobs < conc {
+	for t.gcJobs < gcConcurrency {
 		free := 0
 		for _, ch := range t.channels {
 			free += t.mgr.freeCount[ch]
 		}
-		nearReserve := len(t.channels) > 0 && free <= (t.mgr.GCReserve+1)*len(t.channels)
-		goal := t.mgr.GCThreshold
+		nearReserve := len(t.channels) > 0 && free <= (gcReserve+1)*len(t.channels)
+		goal := t.mgr.gcThreshold
 		if t.gcTarget > goal {
 			goal = t.gcTarget
 		}
@@ -494,15 +490,15 @@ func (t *Tenant) maybeGC() {
 // gcPriority escalates collection above host traffic when free space is
 // critically low; otherwise GC runs strictly in the background.
 func (t *Tenant) gcPriority() int {
-	if t.FreeFraction() < t.mgr.GCThreshold*0.6 {
+	if t.FreeFraction() < t.mgr.gcThreshold*0.6 {
 		return PriorityHigh + 1
 	}
 	return PriorityGC
 }
 
-// pickVictim chooses the best Full block owned by this tenant: with
-// HarvestedFirst, harvested/reclaimed blocks are strictly preferred (the
-// §3.7 policy); ties and the rest order by fewest valid pages.
+// pickVictim chooses the best Full block owned by this tenant:
+// harvested/reclaimed blocks are strictly preferred (the §3.7 policy);
+// ties and the rest order by fewest valid pages.
 //
 // Candidates come from the tenant's fullSets bitmap rather than a scan of
 // the whole block table (victim selection was ~8% of figure-run CPU).
@@ -531,7 +527,7 @@ func (t *Tenant) pickVictim() int {
 				continue
 			}
 			class := 1
-			if t.mgr.HarvestedFirst && b.harvested {
+			if b.harvested {
 				class = 0
 			}
 			if b.bad {
@@ -555,17 +551,16 @@ type gcJob struct {
 	t           *Tenant
 	victim      int
 	b           *blockInfo
-	pages       []int // valid page indices at job start (reused scratch)
-	next        int   // cursor into pages
-	outstanding int   // migrations in flight
-	width       int
+	pages       []int  // valid page indices at job start (reused scratch)
+	next        int    // cursor into pages
+	outstanding int    // migrations in flight
 	link        *gcJob // manager free-list link
 }
 
 // collect migrates the victim's valid pages (reads + re-programs through
 // the data owner's allocator, which lands harvested data in the
 // harvester's own space per §3.7) and then erases it. Migrations are
-// pipelined up to GCPipeline pages deep, and the whole job escalates above
+// pipelined up to gcPipeline pages deep, and the whole job escalates above
 // host priority when free space is critically low.
 func (t *Tenant) collect(victim int) {
 	b := &t.mgr.blocks[victim]
@@ -581,20 +576,16 @@ func (t *Tenant) collect(victim int) {
 	}
 	j.next = 0
 	j.outstanding = 0
-	j.width = t.mgr.GCPipeline
-	if j.width < 1 {
-		j.width = 1
-	}
 	j.launch()
 	if j.outstanding == 0 {
 		t.eraseVictim(j)
 	}
 }
 
-// launch tops the migration pipeline back up to width, skipping pages a
+// launch tops the migration pipeline back up to gcPipeline, skipping pages a
 // host overwrite invalidated since the job started.
 func (j *gcJob) launch() {
-	for j.outstanding < j.width && j.next < len(j.pages) {
+	for j.outstanding < gcPipeline && j.next < len(j.pages) {
 		p := j.pages[j.next]
 		j.next++
 		if j.b.pageTenant[p] == invalidPPA {

@@ -29,6 +29,16 @@ type GSB struct {
 	pending    int // blocks not yet back in the home pool
 }
 
+const (
+	// blocksPerChip is how many blocks each chip contributes per channel of
+	// a new gSB. The paper's minimum superblock is 16 blocks (64 MB) on one
+	// channel; with 4 chips per channel that is 4 blocks per chip.
+	blocksPerChip = 4
+	// minFreeFrac refuses gSB creation on channels below this free-block
+	// fraction (the paper uses 25%).
+	minFreeFrac = 0.25
+)
+
 // Stats counts manager activity.
 type Stats struct {
 	Created        int64
@@ -52,16 +62,9 @@ type Manager struct {
 	byHarvester map[int][]*GSB // in-use gSBs per harvesting tenant
 	nextID      int
 
-	// BlocksPerChip is how many blocks each chip contributes per channel
-	// of a new gSB. The paper's minimum superblock is 16 blocks (64 MB) on
-	// one channel; with 4 chips per channel that is 4 blocks per chip.
-	BlocksPerChip int
-	// MinFreeFrac refuses gSB creation on channels below this free-block
-	// fraction (the paper uses 25%).
-	MinFreeFrac float64
-	// ChannelBW is the per-channel bandwidth (bytes/s) used to convert a
+	// channelBW is the per-channel bandwidth (bytes/s) used to convert a
 	// requested gsb_bw into a channel count, rounding down (§3.6).
-	ChannelBW float64
+	channelBW float64
 
 	// rec traces gSB lifecycle events; nil disables.
 	rec *obs.Recorder
@@ -87,14 +90,12 @@ func (m *Manager) SetObserver(rec *obs.Recorder) { m.rec = rec }
 // erase hook that completes lazy reclamation.
 func NewManager(ftlm *ftl.Manager, channels int, channelBW float64) *Manager {
 	m := &Manager{
-		ftlm:          ftlm,
-		pool:          make([]gsbPool, channels+1),
-		byID:          make(map[int]*GSB),
-		byHome:        make(map[int][]*GSB),
-		byHarvester:   make(map[int][]*GSB),
-		BlocksPerChip: 4,
-		MinFreeFrac:   0.25,
-		ChannelBW:     channelBW,
+		ftlm:        ftlm,
+		pool:        make([]gsbPool, channels+1),
+		byID:        make(map[int]*GSB),
+		byHome:      make(map[int][]*GSB),
+		byHarvester: make(map[int][]*GSB),
+		channelBW:   channelBW,
 	}
 	ftlm.OnBlockErased(m.blockErased)
 	return m
@@ -129,10 +130,10 @@ func (m *Manager) Live(id int) *GSB { return m.byID[id] }
 // ChannelsFor converts a bandwidth request (bytes/s) into a channel count,
 // rounding down per §3.6.
 func (m *Manager) ChannelsFor(bw float64) int {
-	if m.ChannelBW <= 0 {
+	if m.channelBW <= 0 {
 		return 0
 	}
-	return int(bw / m.ChannelBW)
+	return int(bw / m.channelBW)
 }
 
 // SetHarvestable executes a Make_Harvestable(gsb_bw) action for home: the
@@ -183,7 +184,7 @@ func (m *Manager) create(home *ftl.Tenant, nchls int) *GSB {
 			break
 		}
 		before := len(blocks)
-		blocks = m.ftlm.LendBlocksInto(blocks, ch, m.BlocksPerChip, home.ID(), id, m.MinFreeFrac)
+		blocks = m.ftlm.LendBlocksInto(blocks, ch, blocksPerChip, home.ID(), id, minFreeFrac)
 		if len(blocks) == before {
 			continue
 		}
@@ -214,7 +215,7 @@ func (m *Manager) create(home *ftl.Tenant, nchls int) *GSB {
 	// While lending, keep the home tenant's GC aiming above the §3.6 free
 	// floor so future gSB creation stays possible (supply would otherwise
 	// starve once harvested data accumulates on the home channels).
-	home.SetGCTarget(m.MinFreeFrac + 0.10)
+	home.SetGCTarget(minFreeFrac + 0.10)
 	return g
 }
 

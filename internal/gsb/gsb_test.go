@@ -29,7 +29,6 @@ func newFixture(t *testing.T) *fixture {
 	dev := flash.NewDevice(eng, cfg)
 	ftlm := ftl.NewManager(eng, dev)
 	gm := NewManager(ftlm, cfg.Channels, cfg.ChannelBandwidth())
-	gm.BlocksPerChip = 2
 	home := ftl.NewTenant(ftlm, 0, []int{0, 1}, 512)
 	harv := ftl.NewTenant(ftlm, 1, []int{2, 3}, 512)
 	return &fixture{eng: eng, cfg: cfg, dev: dev, ftlm: ftlm, gm: gm, home: home, harv: harv}
@@ -58,7 +57,7 @@ func TestMakeHarvestableCreatesGSB(t *testing.T) {
 	if g.NChls != 2 || len(g.Channels) != 2 {
 		t.Fatalf("gSB channels = %v", g.Channels)
 	}
-	wantBlocks := 2 * f.gm.BlocksPerChip * f.cfg.ChipsPerChannel
+	wantBlocks := 2 * blocksPerChip * f.cfg.ChipsPerChannel
 	if len(g.Blocks) != wantBlocks {
 		t.Fatalf("gSB blocks = %d, want %d", len(g.Blocks), wantBlocks)
 	}

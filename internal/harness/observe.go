@@ -181,6 +181,6 @@ func (r *Run) startObserving() *obs.Sampler {
 		}
 	})
 
-	s.Start(r.plat.Engine(), o.SamplePeriod)
+	s.Start(r.plat.Engine(), obs.DefaultSamplePeriod)
 	return s
 }

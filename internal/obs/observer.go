@@ -1,10 +1,8 @@
 package obs
 
-import "repro/internal/sim"
-
-// Observer bundles the three observability pieces a run can carry: the
-// decision-event Recorder, the metric Registry, and the virtual-time
-// sampling period. The harness threads one Observer through platform
+// Observer bundles the two observability pieces a run can carry: the
+// decision-event Recorder and the metric Registry (sampled every
+// DefaultSamplePeriod of virtual time). The harness threads one Observer through platform
 // construction (Options.Obs); cmd binaries build it behind their -http
 // and -trace flags. A nil *Observer disables everything.
 type Observer struct {
@@ -12,12 +10,9 @@ type Observer struct {
 	Rec *Recorder
 	// Reg receives time-series samples; nil disables telemetry.
 	Reg *Registry
-	// SamplePeriod is the telemetry cadence (<= 0 → DefaultSamplePeriod).
-	SamplePeriod sim.Time
 }
 
-// NewObserver returns an observer with a fresh recorder and registry at
-// the default sampling cadence.
+// NewObserver returns an observer with a fresh recorder and registry.
 func NewObserver() *Observer {
 	return &Observer{Rec: NewRecorder(0), Reg: NewRegistry()}
 }

@@ -10,24 +10,19 @@ import (
 	"repro/internal/sim"
 )
 
-// PlatformConfig holds device-wide knobs.
+// PlatformConfig holds the device geometry.
 type PlatformConfig struct {
 	Flash flash.Config
-	// Overprovision is the fraction of raw capacity withheld from logical
-	// space (Table 3: 20%).
-	Overprovision float64
-	// GCThreshold is the lazy-GC free-block fraction (Table 3 text: 20%).
-	GCThreshold float64
 }
 
 // DefaultPlatformConfig mirrors the paper's Table 3.
 func DefaultPlatformConfig() PlatformConfig {
-	return PlatformConfig{
-		Flash:         flash.DefaultConfig(),
-		Overprovision: 0.20,
-		GCThreshold:   0.20,
-	}
+	return PlatformConfig{Flash: flash.DefaultConfig()}
 }
+
+// overprovision is the fraction of raw capacity withheld from logical
+// space (Table 3: 20%).
+const overprovision = 0.20
 
 // Platform is one shared SSD with its collocated vSSDs — the unit every
 // experiment runs against.
@@ -40,8 +35,7 @@ type Platform struct {
 
 	vssds []*VSSD
 
-	overprovision float64
-	opsSubmitted  int64
+	opsSubmitted int64
 
 	// rec receives decision events from the whole device stack; nil (the
 	// default) disables tracing at the cost of one nil check per site.
@@ -52,9 +46,6 @@ type Platform struct {
 func NewPlatform(eng *sim.Engine, pc PlatformConfig) *Platform {
 	dev := flash.NewDevice(eng, pc.Flash)
 	ftlm := ftl.NewManager(eng, dev)
-	if pc.GCThreshold > 0 {
-		ftlm.GCThreshold = pc.GCThreshold
-	}
 	p := &Platform{
 		eng:  eng,
 		dev:  dev,
@@ -63,7 +54,6 @@ func NewPlatform(eng *sim.Engine, pc PlatformConfig) *Platform {
 	}
 	p.gsbm = gsb.NewManager(ftlm, pc.Flash.Channels, pc.Flash.ChannelBandwidth())
 	ftlm.Submit = p.submit
-	p.overprovision = pc.Overprovision
 	return p
 }
 
@@ -119,7 +109,7 @@ func (p *Platform) AddVSSD(cfg Config) *VSSD {
 	logical := cfg.LogicalPages
 	if logical <= 0 {
 		blocks := len(cfg.Channels) * p.cfg.ChipsPerChannel * p.cfg.BlocksPerChip
-		logical = int(float64(blocks*p.cfg.PagesPerBlock) * (1 - p.overprovision))
+		logical = int(float64(blocks*p.cfg.PagesPerBlock) * (1 - overprovision))
 		if cfg.Isolation == SoftwareIsolated {
 			// Shared channels: assume an equal logical split is configured
 			// by the caller; default to a half share to stay safe.
@@ -137,11 +127,9 @@ func (p *Platform) AddVSSD(cfg Config) *VSSD {
 		tenant:   tenant,
 		priority: ftl.PriorityMed,
 		slo:      cfg.SLO,
+		burst:    cfg.RateLimitBps,
+		tokens:   cfg.RateLimitBps,
 	}
-	if cfg.RateLimitBps > 0 && cfg.BurstBytes <= 0 {
-		v.cfg.BurstBytes = cfg.RateLimitBps
-	}
-	v.tokens = v.cfg.BurstBytes
 	p.vssds = append(p.vssds, v)
 	return v
 }

@@ -75,19 +75,17 @@ type Config struct {
 	// SLO is the per-request latency objective; violations feed the RL
 	// state and reward. 0 disables violation tracking until calibrated.
 	SLO sim.Time
-	// RateLimitBps enables token-bucket throttling (software isolation).
+	// RateLimitBps enables token-bucket throttling (software isolation)
+	// with a bucket one second of rate deep; SetRateLimit changes both.
 	RateLimitBps float64
-	// BurstBytes is the bucket depth; 0 defaults to one second of rate.
-	BurstBytes float64
-	// Tickets sets the stride-scheduling share (default 100).
-	Tickets int
 	// MaxInflightPages caps the page ops a vSSD keeps dispatched (host
 	// queue depth). 0 defaults to 4 per owned channel.
 	MaxInflightPages int
 }
 
-// strideConst is the stride numerator (Waldspurger's stride1).
-const strideConst = 1 << 20
+// stride is the pass increment per dispatched page op: Waldspurger's
+// stride1 (1<<20) over the 100 tickets every vSSD holds — equal shares.
+const stride = (1 << 20) / 100.0
 
 // VSSD is one virtual SSD instance.
 type VSSD struct {
@@ -107,11 +105,11 @@ type VSSD struct {
 	inflight int
 
 	tokens     float64
+	burst      float64 // token-bucket depth in bytes
 	lastRefill sim.Time
 	pumpArmed  bool
 
-	pass   float64
-	stride float64
+	pass float64
 
 	window       metrics.Window
 	windowAt     sim.Time
@@ -159,7 +157,7 @@ func (v *VSSD) SetRateLimit(bps, burst float64) {
 	if burst <= 0 {
 		burst = bps
 	}
-	v.cfg.BurstBytes = burst
+	v.burst = burst
 	if v.tokens > burst {
 		v.tokens = burst
 	}
@@ -258,8 +256,8 @@ func (v *VSSD) refillTokens() {
 	}
 	dt := float64(now-v.lastRefill) / 1e9
 	v.tokens += dt * v.cfg.RateLimitBps
-	if v.tokens > v.cfg.BurstBytes {
-		v.tokens = v.cfg.BurstBytes
+	if v.tokens > v.burst {
+		v.tokens = v.burst
 	}
 	v.lastRefill = now
 }
@@ -377,8 +375,7 @@ func (v *VSSD) dispatchWrite(r *Request, lpn int) {
 	}
 	v.inflight++
 	v.tenant.RecordHostProgram()
-	v.stride = strideConst / float64(v.tickets())
-	v.pass += v.stride
+	v.pass += stride
 	op := v.plat.dev.AcquireOp()
 	op.Kind = flash.OpProgram
 	op.Addr = ppa
@@ -411,8 +408,7 @@ func (v *VSSD) dispatchRead(r *Request, lpn int) {
 		return
 	}
 	v.inflight++
-	v.stride = strideConst / float64(v.tickets())
-	v.pass += v.stride
+	v.pass += stride
 	op := v.plat.dev.AcquireOp()
 	op.Kind = flash.OpRead
 	op.Addr = ppa
@@ -422,13 +418,6 @@ func (v *VSSD) dispatchRead(r *Request, lpn int) {
 	op.Done = requestPageDone
 	op.Ctx = r
 	v.plat.submit(op)
-}
-
-func (v *VSSD) tickets() int {
-	if v.cfg.Tickets > 0 {
-		return v.cfg.Tickets
-	}
-	return 100
 }
 
 // pageDone accounts a finished page op and completes the request when all

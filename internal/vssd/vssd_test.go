@@ -119,10 +119,8 @@ func TestTokenBucketThrottles(t *testing.T) {
 	pageSize := p.FlashConfig().PageSize
 	// Rate = 100 pages/s; each request is 1 page.
 	rate := float64(100 * pageSize)
-	v := p.AddVSSD(Config{
-		Name: "a", Channels: chanRange(0, 2),
-		RateLimitBps: rate, BurstBytes: float64(pageSize),
-	})
+	v := p.AddVSSD(Config{Name: "a", Channels: chanRange(0, 2)})
+	v.SetRateLimit(rate, float64(pageSize))
 	const n = 20
 	var last sim.Time
 	for i := 0; i < n; i++ {
