@@ -37,13 +37,11 @@ func SoftwareIsolation() core.Policy {
 // #vSSDs) and equal stride tickets. shareFactor > 1 lets tenants briefly
 // exceed their fair share (utilization-friendly, weak isolation).
 func ConfigureSoftwareIsolation(p *vssd.Platform, shareFactor float64) {
-	cfg := p.FlashConfig()
-	peak := cfg.ChannelBandwidth() * float64(cfg.Channels)
 	n := len(p.VSSDs())
 	if n == 0 {
 		return
 	}
-	rate := peak / float64(n) * shareFactor
+	rate := p.FlashConfig().PeakBandwidth() / float64(n) * shareFactor
 	for _, v := range p.VSSDs() {
 		v.SetRateLimit(rate, rate/2)
 	}

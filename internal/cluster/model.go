@@ -167,6 +167,22 @@ func (m *Model) ClassifyTrace(recs []trace.Record, pageSize int, logicalPages in
 	return m.Classify(f[:])
 }
 
+// minTypingRecords is the fewest recorded requests a tenant is typed from;
+// a shorter window is too noisy to classify.
+const minTypingRecords = 100
+
+// ClassifyRecorder classifies the traffic a tenant's recorder currently
+// holds — the one typing path behind online re-typing, the fleet's type
+// tally and the harness's type labels. ok is false, and nothing is
+// classified, when rec is nil or holds fewer than 100 records.
+func (m *Model) ClassifyRecorder(rec *trace.Recorder, pageSize int, logicalPages int64) (cluster int, known, ok bool) {
+	if rec == nil || rec.Len() < minTypingRecords {
+		return 0, false, false
+	}
+	cluster, known = m.ClassifyTrace(rec.Records(), pageSize, logicalPages)
+	return cluster, known, true
+}
+
 // Accuracy evaluates the model on labeled samples: a sample is correct
 // when it lands in its workload's majority cluster.
 func (m *Model) Accuracy(ds Dataset) float64 {

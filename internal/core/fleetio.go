@@ -492,20 +492,14 @@ func (f *FleetIO) emit(actions []vssd.Action, i int, a *agent, acts []int, vioRa
 func (f *FleetIO) retype() {
 	pageSize := f.plat.FlashConfig().PageSize
 	for _, a := range f.agents {
-		if a.rec == nil || a.rec.Len() < 100 {
-			continue
-		}
-		recs := a.rec.Records()
 		logical := int64(f.plat.VSSD(a.id).Tenant().LogicalPages())
-		c, known := f.cfg.TypeModel.ClassifyTrace(recs, pageSize, logical)
-		if !known {
-			a.alpha = UnifiedAlpha
+		c, known, ok := f.cfg.TypeModel.ClassifyRecorder(a.rec, pageSize, logical)
+		if !ok {
 			continue
 		}
-		if alpha, ok := f.cfg.AlphaByCluster[c]; ok {
+		a.alpha = UnifiedAlpha
+		if alpha, mapped := f.cfg.AlphaByCluster[c]; known && mapped {
 			a.alpha = alpha
-		} else {
-			a.alpha = UnifiedAlpha
 		}
 	}
 }

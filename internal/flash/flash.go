@@ -101,6 +101,12 @@ func (c Config) ChannelBandwidth() float64 {
 	return 1e9 / float64(c.BusNsPerKB) * 1024
 }
 
+// PeakBandwidth returns the device's aggregate channel bandwidth in
+// bytes/second — the denominator of every utilization figure.
+func (c Config) PeakBandwidth() float64 {
+	return c.ChannelBandwidth() * float64(c.Channels)
+}
+
 // transferTime returns the bus time for n bytes.
 func (c Config) transferTime(n int) sim.Time {
 	t := (sim.Time(n) * c.BusNsPerKB) / 1024

@@ -712,19 +712,17 @@ func (f *Fleet) Collect() Stats {
 
 // classifyTenants runs every traced tenant's recent window through the
 // type model and tallies the resulting cluster labels (sorted by label
-// for deterministic rendering). Tenants with fewer than 100 recorded
-// requests are skipped — the same floor core.FleetIO.retype uses.
+// for deterministic rendering). Untraced tenants and those under the
+// typing floor are skipped.
 func (f *Fleet) classifyTenants() []TypeCount {
 	counts := map[string]int{}
 	for _, tn := range f.tenants[:f.nextArr] {
-		if tn.rec == nil || tn.rec.Len() < 100 {
-			continue
-		}
 		// Classify against the geometry snapshotted at the tenant's last
 		// placement (identical to the rack geometry on homogeneous fleets;
 		// the tenant's own class geometry on hybrid ones).
-		c, known := f.cfg.TypeModel.ClassifyTrace(tn.rec.Records(), tn.pageSize, tn.logicalPages)
-		counts[f.cfg.TypeModel.Label(c, known)]++
+		if c, known, ok := f.cfg.TypeModel.ClassifyRecorder(tn.rec, tn.pageSize, tn.logicalPages); ok {
+			counts[f.cfg.TypeModel.Label(c, known)]++
+		}
 	}
 	out := make([]TypeCount, 0, len(counts))
 	for label, n := range counts {
@@ -803,8 +801,7 @@ func (s *Shard) Platform() *vssd.Platform { return s.plat }
 
 // peakBandwidth is the device's aggregate channel bandwidth in bytes/s.
 func (s *Shard) peakBandwidth() float64 {
-	cfg := s.plat.FlashConfig()
-	return cfg.ChannelBandwidth() * float64(cfg.Channels)
+	return s.plat.FlashConfig().PeakBandwidth()
 }
 
 // slotLogicalPages is one admission slot's logical capacity on a device

@@ -21,20 +21,18 @@ func WorkloadLevels() []Level {
 
 // TypeLabels is the clusterer's view of each tenant's measured traffic:
 // every tenant's recorded window is classified by the shared type model,
-// the same path core.FleetIO.retype uses online. Tenants with fewer than
-// 100 recorded requests label "n/a".
+// the same path core.FleetIO.retype uses online. Tenants under the typing
+// floor label "n/a".
 func (r *Run) TypeLabels() []string {
 	tm, _ := TypeModel()
 	pageSize := r.plat.FlashConfig().PageSize
 	labels := make([]string, len(r.recs))
 	for i, rec := range r.recs {
-		if rec.Len() < 100 {
-			labels[i] = "n/a"
-			continue
-		}
+		labels[i] = "n/a"
 		logical := int64(r.plat.VSSD(i).Tenant().LogicalPages())
-		c, known := tm.ClassifyTrace(rec.Records(), pageSize, logical)
-		labels[i] = tm.Label(c, known)
+		if c, known, ok := tm.ClassifyRecorder(rec, pageSize, logical); ok {
+			labels[i] = tm.Label(c, known)
+		}
 	}
 	return labels
 }

@@ -239,8 +239,7 @@ func (p *Platform) Utilization(bytesMoved int64, dur sim.Time) float64 {
 	if dur <= 0 {
 		return 0
 	}
-	peak := p.cfg.ChannelBandwidth() * float64(p.cfg.Channels)
-	return float64(bytesMoved) / (peak * float64(dur) / 1e9)
+	return float64(bytesMoved) / (p.cfg.PeakBandwidth() * float64(dur) / 1e9)
 }
 
 // TotalBytes returns the payload bytes moved by the device so far.
