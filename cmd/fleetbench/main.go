@@ -43,14 +43,9 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/fault"
-	"repro/internal/flash"
 	"repro/internal/harness"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -61,18 +56,11 @@ func main() {
 	for i, sc := range scenarios {
 		names[i] = sc.Name
 	}
+	shared := harness.SharedFlags(flag.CommandLine)
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ", "))
-	seconds := flag.Float64("seconds", 8, "measured virtual seconds per run")
 	warmup := flag.Float64("warmup", 4, "virtual warmup seconds per run")
 	windowMs := flag.Int("window", 250, "decision window in milliseconds")
-	seed := flag.Int64("seed", 1, "simulation seed")
 	model := flag.String("model", "", "pretrained model file (from fleettrain); pretrains in-process when empty")
-	httpAddr := flag.String("http", "", "serve live run telemetry on /metrics and pprof on /debug/pprof/")
-	parallel := flag.Int("parallel", 0, "worker pool size: experiment runs, or fleet shards per epoch (0 = one per CPU, 1 = sequential)")
-	faults := flag.String("faults", "", "NAND fault injection: off, light, heavy, or k=v list (pfail=,efail=,rretry=,tmo=,maxretries=,rstep=,stall=,seed=)")
-	fleetN := flag.Int("fleet", 0, "device count for the rack scenarios (0 = 64 for fleet, 8 for tiers and the workloads cohort rack)")
-	workloadFlag := flag.String("workload", "steady", "temporal arrival shape: steady, diurnal, bursty, or replay")
-	traceFile := flag.String("trace", "", "block trace (binary or CSV) used as the replay source")
 	flag.Parse()
 
 	if *fig == "11" || *fig == "12" || *fig == "13" {
@@ -86,14 +74,15 @@ func main() {
 	}
 	sc := scenarios[idx]
 
-	faultCfg, err := fault.ParseSpec(*faults)
+	// The workloads figure sweeps every shape itself; elsewhere a supplied
+	// trace implies the replay shape.
+	opt, srv, err := shared(*fig != "workloads")
 	if err != nil {
-		log.Fatalf("parsing -faults: %v", err)
+		log.Fatal(err)
 	}
-	shape, err := workload.ParseShape(*workloadFlag)
-	if err != nil {
-		log.Fatalf("parsing -workload: %v", err)
-	}
+	defer srv.Close()
+	opt.Warmup = sim.Time(*warmup * 1e9)
+	opt.Window = sim.Time(*windowMs) * sim.Millisecond
 
 	if *model != "" {
 		net, err := nn.LoadFile(*model)
@@ -103,46 +92,8 @@ func main() {
 		harness.SetInjectedModel(net)
 		log.Printf("loaded pretrained model %s (%d params)", *model, net.NumParams())
 	}
-
-	opt := harness.DefaultOptions()
-	opt.Seed = *seed
-	opt.Duration = sim.Time(*seconds * 1e9)
-	opt.Warmup = sim.Time(*warmup * 1e9)
-	opt.Window = sim.Time(*windowMs) * sim.Millisecond
-	opt.Workers = *parallel
-	if faultCfg.Enabled() {
-		opt.Faults = &faultCfg
-		log.Printf("injecting NAND faults: %s", *faults)
-	}
-	opt.FleetDevices = *fleetN
-	opt.WorkloadShape = shape
-	if *traceFile != "" {
-		recs, err := trace.LoadFile(*traceFile, flash.DefaultConfig().PageSize)
-		if err != nil {
-			log.Fatalf("loading -trace: %v", err)
-		}
-		opt.ReplayRecords = recs
-		if *fig != "workloads" {
-			// The workloads figure sweeps every shape itself; elsewhere a
-			// supplied trace implies the replay shape.
-			opt.WorkloadShape = workload.ShapeReplay
-		}
-		log.Printf("replaying %d trace records from %s", len(recs), *traceFile)
-	}
 	if sc.Pretrained {
 		opt = harness.WithPretrained(opt)
-	}
-
-	if *httpAddr != "" {
-		// One observer serves every figure run; with parallel runs in
-		// flight /metrics shows their merged live gauges.
-		opt.Obs = obs.NewObserver()
-		srv, err := obs.Serve(*httpAddr, opt.Obs.Registry())
-		if err != nil {
-			log.Fatalf("serving -http: %v", err)
-		}
-		defer srv.Close()
-		log.Printf("observability on http://%s (/metrics, /debug/pprof/)", srv.Addr())
 	}
 
 	sc.Render(os.Stdout, opt)

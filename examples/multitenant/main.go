@@ -12,8 +12,8 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	opt := fleetio.DefaultExperimentOptions()
-	opt = withPretrained(opt)
+	log.Println("pretraining FleetIO agents (once per process)...")
+	opt := fleetio.WithPretrainedOptions(fleetio.DefaultExperimentOptions())
 	mix := fleetio.NewMix("VDI-Web+TeraSort", "VDI-Web", "TeraSort")
 
 	log.Println("calibrating SLOs and running three policies on", mix.Label, "...")
@@ -32,13 +32,4 @@ func main() {
 	}
 	fmt.Println("\nFleetIO should land between the extremes: most of Software Isolation's")
 	fmt.Println("utilization at close to Hardware Isolation's tail latency (paper Fig. 10).")
-}
-
-func withPretrained(opt fleetio.ExperimentOptions) fleetio.ExperimentOptions {
-	log.Println("pretraining FleetIO agents (once per process)...")
-	m := fleetio.PretrainedModel()
-	_ = m
-	// The harness picks the process-wide pretrained model up through
-	// WithPretrained; the facade re-exports it via RunExperiment options.
-	return fleetio.WithPretrainedOptions(opt)
 }

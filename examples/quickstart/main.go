@@ -12,28 +12,27 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	cfg := fleetio.DefaultSimConfig()
-	s := fleetio.NewSimulator(cfg)
+	// FleetIO: one RL agent per vSSD, pretrained offline on held-out
+	// workloads, fine-tuning online.
+	log.Println("pretraining FleetIO agents (once per process)...")
+	opt := fleetio.WithPretrainedOptions(fleetio.DefaultExperimentOptions())
+	s := fleetio.NewSimulator(opt)
 
 	// Each tenant starts hardware-isolated on half the channels, with a
 	// warmed-up FTL so garbage collection is live (as in the paper's
 	// experiments).
-	ycsb := s.AddTenant("ycsb", fleetio.TenantConfig{
+	ycsb := s.AddTenant(fleetio.TenantSpec{
 		Workload:    "YCSB",
 		Channels:    fleetio.ChannelRange(0, 8),
 		SLO:         2 * fleetio.Millisecond,
 		PrefillFrac: 0.5,
 	})
-	sort := s.AddTenant("terasort", fleetio.TenantConfig{
+	sort := s.AddTenant(fleetio.TenantSpec{
 		Workload:    "TeraSort",
 		Channels:    fleetio.ChannelRange(8, 16),
 		PrefillFrac: 0.5,
 	})
-
-	// FleetIO: one RL agent per vSSD, pretrained offline on held-out
-	// workloads, fine-tuning online.
-	log.Println("pretraining FleetIO agents (once per process)...")
-	s.UseFleetIO(fleetio.FleetIOOptions{Pretrained: fleetio.PretrainedModel()})
+	s.Use(fleetio.PolicyFleetIO)
 
 	log.Println("running 10 virtual seconds of collocated traffic...")
 	s.Run(4 * fleetio.Second) // warmup + online adaptation
@@ -43,6 +42,5 @@ func main() {
 	fmt.Println()
 	fmt.Println(report)
 	fmt.Printf("ycsb served %d requests; terasort moved %.0f MB/s with %d harvested channel(s)\n",
-		ycsb.Completed(), report.Tenants[1].BandwidthMBps, report.Tenants[1].HarvestedChls)
-	_ = sort
+		report.Tenants[ycsb].Completed, report.Tenants[sort].BandwidthMBps, report.HarvestedChls[sort])
 }

@@ -1,47 +1,45 @@
 package fleetio
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
-func smallSim() *Simulator {
-	cfg := DefaultSimConfig()
-	cfg.BlocksPerChip = 32
-	cfg.PagesPerBlock = 32
-	cfg.DecisionWindow = 200 * Millisecond
-	return NewSimulator(cfg)
+func smallOptions() ExperimentOptions {
+	opt := DefaultExperimentOptions()
+	opt.BlocksPerChip = 32
+	opt.Window = 200 * Millisecond
+	return opt
 }
 
 func TestSimulatorQuickstartFlow(t *testing.T) {
-	s := smallSim()
-	ls := s.AddTenant("ycsb", TenantConfig{
+	s := NewSimulator(smallOptions())
+	ls := s.AddTenant(TenantSpec{
 		Workload: "YCSB", Channels: ChannelRange(0, 8), PrefillFrac: 0.4,
 		SLO: 2 * Millisecond,
 	})
-	bi := s.AddTenant("sort", TenantConfig{
+	bi := s.AddTenant(TenantSpec{
 		Workload: "TeraSort", Channels: ChannelRange(8, 16), PrefillFrac: 0.4,
 	})
-	s.UseFleetIO(FleetIOOptions{})
-	// The facade deploys the policy the figures measure: agents start
-	// with the per-type α of their tenants' workloads.
-	for i, w := range []string{"YCSB", "TeraSort"} {
-		if got, want := s.fleetio.Alpha(i), ClassifyWorkloads()[w].Alpha; got != want {
-			t.Errorf("agent %d (%s) deployed with α=%v, want its type's %v", i, w, got, want)
-		}
-	}
+	s.Use(PolicyFleetIO)
 	rep := s.Run(3 * Second)
 	if rep.Elapsed != 3*Second {
 		t.Fatalf("elapsed = %v", rep.Elapsed)
 	}
-	if rep.Utilization <= 0 {
-		t.Fatal("zero utilization")
+	if rep.AvgUtil <= 0 || rep.P95Util <= 0 {
+		t.Fatalf("zero utilization: avg %v p95 %v", rep.AvgUtil, rep.P95Util)
 	}
-	if ls.Completed() == 0 || bi.Completed() == 0 {
+	if rep.Policy != "FleetIO" {
+		t.Fatalf("policy = %q", rep.Policy)
+	}
+	if rep.Tenants[ls].Completed == 0 || rep.Tenants[bi].Completed == 0 {
 		t.Fatal("tenants idle")
 	}
 	out := rep.String()
-	if !strings.Contains(out, "ycsb") || !strings.Contains(out, "sort") {
+	if !strings.Contains(out, "YCSB") || !strings.Contains(out, "TeraSort") {
 		t.Fatalf("report missing tenants:\n%s", out)
 	}
 	// Run is resumable.
@@ -51,39 +49,45 @@ func TestSimulatorQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestSimulatorCustomDriver(t *testing.T) {
-	s := smallSim()
-	tn := s.AddTenant("raw", TenantConfig{Channels: ChannelRange(0, 4)})
-	s.UseStatic("none")
-	done := 0
-	for i := 0; i < 10; i++ {
-		tn.Submit(true, i*4, 4, func(Time) { done++ })
+// TestSimulatorMatchesMeasure pins that there is one single-device wiring:
+// a Simulator given the isolated topology's two tenants, with FleetIO
+// deployed and driven warm-up → ResetMetrics → measured interval, reports
+// exactly the Result harness.Measure returns for the same options.
+func TestSimulatorMatchesMeasure(t *testing.T) {
+	opt := smallOptions()
+	opt.Warmup = 1 * Second
+	opt.Duration = 2 * Second
+	slos := []Time{2 * Millisecond, 0}
+	want := harness.Measure(harness.Pair("YCSB", "TeraSort"), harness.PolFleetIO, slos, opt).Result
+
+	s := NewSimulator(opt)
+	for i, w := range []string{"YCSB", "TeraSort"} {
+		s.AddTenant(TenantSpec{
+			Workload: w, Channels: ChannelRange(i*8, (i+1)*8),
+			SLO: slos[i], PrefillFrac: opt.PrefillFrac,
+		})
 	}
-	s.Run(100 * Millisecond)
-	if done != 10 {
-		t.Fatalf("completed %d of 10 custom requests", done)
+	s.Use(PolicyFleetIO)
+	s.Run(opt.Warmup)
+	s.ResetMetrics()
+	got := s.Run(opt.Duration)
+	if g, w := fmt.Sprintf("%+v", got.Result), fmt.Sprintf("%+v", want); g != w {
+		t.Fatalf("Simulator and harness.Measure diverge:\n got %s\nwant %s", g, w)
 	}
-	tn.Submit(false, 0, 4, nil)
-	s.Run(100 * Millisecond)
-	if tn.Completed() != 11 {
-		t.Fatalf("completed = %d", tn.Completed())
-	}
-	if tn.P99() <= 0 {
-		t.Fatal("no latency recorded")
+	if got.P95Util <= 0 {
+		t.Fatalf("no P95 utilization in %+v", got.Result)
 	}
 }
 
 func TestResetMetrics(t *testing.T) {
-	s := smallSim()
-	tn := s.AddTenant("a", TenantConfig{Workload: "YCSB", Channels: ChannelRange(0, 8)})
-	s.UseStatic("none")
-	s.Run(500 * Millisecond)
-	if tn.Completed() == 0 {
+	s := NewSimulator(smallOptions())
+	tn := s.AddTenant(TenantSpec{Workload: "YCSB", Channels: ChannelRange(0, 8)})
+	if s.Run(500 * Millisecond).Tenants[tn].Completed == 0 {
 		t.Fatal("no traffic")
 	}
 	s.ResetMetrics()
-	if tn.Completed() != 0 {
-		t.Fatal("reset did not clear counters")
+	if rep := s.Report(); rep.Tenants[tn].Completed != 0 || rep.Elapsed != 0 {
+		t.Fatalf("reset did not clear counters: %+v", rep)
 	}
 }
 
@@ -130,32 +134,33 @@ func TestExperimentFacade(t *testing.T) {
 	opt.Duration = 2 * Second
 	opt.BlocksPerChip = 32
 	mix := NewMix("smoke", "YCSB", "TeraSort")
-	rs := CompareExperiment(mix, []Policy{PolicyHardwareIsolation, PolicySoftwareIsolation}, opt)
-	if len(rs) != 2 {
+	rs := CompareExperiment(mix, []Policy{PolicyHardwareIsolation, PolicySoftwareIsolation, PolicyAdaptive}, opt)
+	if len(rs) != 3 {
 		t.Fatalf("results = %d", len(rs))
 	}
 	if rs[1].AvgUtil <= rs[0].AvgUtil {
 		t.Fatal("software must beat hardware on utilization")
 	}
-	one := RunExperiment(mix, PolicyAdaptive, opt)
-	if one.Policy != "Adaptive" || one.AvgUtil <= 0 {
+	if one := rs[2]; one.Policy != "Adaptive" || one.AvgUtil <= 0 {
 		t.Fatalf("unexpected result %+v", one)
 	}
 }
 
 func TestHarvestingVisibleInReport(t *testing.T) {
-	s := smallSim()
-	s.AddTenant("ls", TenantConfig{Workload: "YCSB", Channels: ChannelRange(0, 8), SLO: 2 * Millisecond})
-	s.AddTenant("bi", TenantConfig{Workload: "TeraSort", Channels: ChannelRange(8, 16)})
-	s.UseFleetIO(FleetIOOptions{Pretrained: PretrainedModel()})
+	s := NewSimulator(WithPretrainedOptions(smallOptions()))
+	s.AddTenant(TenantSpec{Workload: "YCSB", Channels: ChannelRange(0, 8), SLO: 2 * Millisecond})
+	s.AddTenant(TenantSpec{Workload: "TeraSort", Channels: ChannelRange(8, 16)})
+	s.Use(PolicyFleetIO)
 	rep := s.Run(6 * Second)
-	rep.SortTenantsByName()
 	// With a pretrained policy the BI tenant should be harvesting within a
 	// few seconds on most seeds; at minimum the fields must be populated
-	// consistently (no negative counts).
-	for _, tr := range rep.Tenants {
-		if tr.HarvestedChls < 0 || tr.LentChls < 0 {
-			t.Fatalf("negative channel counts: %+v", tr)
+	// consistently (one non-negative count per tenant).
+	if len(rep.HarvestedChls) != 2 || len(rep.LentChls) != 2 {
+		t.Fatalf("channel counts = %v / %v, want one per tenant", rep.HarvestedChls, rep.LentChls)
+	}
+	for i := range rep.Tenants {
+		if rep.HarvestedChls[i] < 0 || rep.LentChls[i] < 0 {
+			t.Fatalf("negative channel counts: %v / %v", rep.HarvestedChls, rep.LentChls)
 		}
 	}
 }

@@ -262,11 +262,11 @@ func measureMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Op
 		r.attachFleetIO(figure16FleetIO(opt))
 	case PolSoftware:
 		for _, v := range r.plat.VSSDs() {
-			v.Tenant().SetChannels(chanRange(0, r.plat.FlashConfig().Channels))
+			v.Tenant().SetChannels(ChannelRange(0, r.plat.FlashConfig().Channels))
 		}
-		r.attachPolicy()
+		r.AttachPolicy(kind)
 	default:
-		r.attachPolicy()
+		r.AttachPolicy(kind)
 	}
 	return r.measure()
 }
@@ -323,7 +323,7 @@ func RunTransfer(keep, from, to string, opt Options) *Run {
 	slos := Calibrate(finalMix, opt)
 	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}
 	r := buildPlatform(initialMix, PolFleetIO, nil, slos, opt)
-	r.attachPolicy()
+	r.AttachPolicy(PolFleetIO)
 	swap := func() {
 		r.gens[1].Stop()
 		r.gens[1] = workload.NewGenerator(r.plat.Engine(), r.plat.VSSD(1), workload.ByName(to), sim.NewRNG(opt.Seed+999))
@@ -333,8 +333,8 @@ func RunTransfer(keep, from, to string, opt Options) *Run {
 		r.mix = finalMix
 	}
 	settled := opt.Warmup + 4*opt.Window
-	r.execute(settled+opt.Duration, boundary{opt.Warmup, swap}, boundary{settled, r.beginMeasuring})
-	r.collect()
+	r.execute(settled+opt.Duration, boundary{opt.Warmup, swap}, boundary{settled, r.BeginMeasuring})
+	r.Collect()
 	return r
 }
 
@@ -386,8 +386,8 @@ func Overheads(w io.Writer) OverheadReport {
 	pc.Flash.BlocksPerChip = 128
 	pc.Flash.PagesPerBlock = 64
 	plat := vssd.NewPlatform(eng, pc)
-	plat.AddVSSD(vssd.Config{Name: "home", Channels: chanRange(0, 8)})
-	plat.AddVSSD(vssd.Config{Name: "harv", Channels: chanRange(8, 16)})
+	plat.AddVSSD(vssd.Config{Name: "home", Channels: ChannelRange(0, 8)})
+	plat.AddVSSD(vssd.Config{Name: "harv", Channels: ChannelRange(8, 16)})
 	const gsbIters = 500
 	start = time.Now()
 	for i := 0; i < gsbIters; i++ {

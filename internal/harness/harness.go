@@ -7,7 +7,9 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/admission"
@@ -279,50 +281,60 @@ func TypeModel() (*cluster.Model, map[int]float64) {
 // shares.
 const softwareShareFactor = 0.9
 
-// Run is one single-device experiment: the platform, its tenants' workload
-// generators, and the policy driving them. Measure returns it finished,
-// with Result filled in and the fault ledger and workload-type labels
-// readable off the platform it still holds.
+// Run is the one single-device stack: a platform, its tenants' workload
+// generators and the policy driving them, built tenant by tenant (NewRun,
+// AddTenant, AttachPolicy) and driven in steps (Start, Advance,
+// BeginMeasuring, Collect, Stop). Measure does all of it for a mix and
+// returns the run finished, with the fault ledger and workload-type labels
+// readable off the platform it still holds; the public fleetio.Simulator
+// drives the same seams interactively.
 type Run struct {
-	// Result is the measured outcome, set when the run finishes.
+	// Result is the outcome of the last Collect.
 	Result Result
 
-	mix       MixSpec
-	kind      PolicyKind
-	opt       Options
-	plat      *vssd.Platform
-	gens      []*workload.Generator
-	recs      []*trace.Recorder
-	runner    *core.Runner
-	measuring bool
-	utils     []float64 // per-window utilization during measurement
-	end       sim.Time  // virtual time the generators stopped at
+	mix         MixSpec // Label, and one workload per AddTenant
+	kind        PolicyKind
+	opt         Options
+	plat        *vssd.Platform
+	rng         *sim.RNG
+	gens        []*workload.Generator
+	recs        []*trace.Recorder
+	runner      *core.Runner
+	started     bool
+	smp         *obs.Sampler
+	utils       []float64 // per-window utilization since measureFrom
+	measureFrom sim.Time  // virtual time of the last BeginMeasuring
+	end         sim.Time  // virtual time the generators stopped at
 }
 
-// layout is one tenant's slice of the device.
-type layout struct {
-	isolation    vssd.Isolation
-	channels     []int
-	logicalPages int     // 0: derived from the owned channels
-	rateLimit    float64 // token-bucket bytes/s; 0: unthrottled
+// TenantSpec is one tenant of a run: its workload, its slice of the
+// device, its latency objective and how full its FTL starts.
+type TenantSpec struct {
+	Workload     string
+	Isolation    vssd.Isolation
+	Channels     []int
+	LogicalPages int      // 0: derived from the owned channels
+	RateLimit    float64  // token-bucket bytes/s; 0: unthrottled
+	SLO          sim.Time // 0: no objective (calibration)
+	PrefillFrac  float64
 }
 
 // topology lays out tenant i of an n-tenant mix on the device.
-type topology func(i, n int, prof workload.Profile, fc flash.Config) layout
+type topology func(i, n int, prof workload.Profile, fc flash.Config) TenantSpec
 
 // isolated gives every tenant an equal, private share of the channels.
-func isolated(i, n int, _ workload.Profile, fc flash.Config) layout {
+func isolated(i, n int, _ workload.Profile, fc flash.Config) TenantSpec {
 	share := fc.Channels / n
-	return layout{isolation: vssd.HardwareIsolated, channels: chanRange(i*share, (i+1)*share)}
+	return TenantSpec{Isolation: vssd.HardwareIsolated, Channels: ChannelRange(i*share, (i+1)*share)}
 }
 
 // shared stripes every tenant over all channels, with an equal split of
 // 80% of the device as logical space.
-func shared(_, n int, _ workload.Profile, fc flash.Config) layout {
-	return layout{
-		isolation:    vssd.SoftwareIsolated,
-		channels:     chanRange(0, fc.Channels),
-		logicalPages: int(float64(fc.TotalBlocks()*fc.PagesPerBlock) * 0.8 / float64(n)),
+func shared(_, n int, _ workload.Profile, fc flash.Config) TenantSpec {
+	return TenantSpec{
+		Isolation:    vssd.SoftwareIsolated,
+		Channels:     ChannelRange(0, fc.Channels),
+		LogicalPages: int(float64(fc.TotalBlocks()*fc.PagesPerBlock) * 0.8 / float64(n)),
 	}
 }
 
@@ -330,34 +342,25 @@ func shared(_, n int, _ workload.Profile, fc flash.Config) layout {
 // keeps its private channel share, and the two bandwidth-intensive tenants
 // are software-isolated over the upper half of the device, each
 // rate-limited to its share of that pool.
-func mixedIsolation(i, n int, prof workload.Profile, fc flash.Config) layout {
+func mixedIsolation(i, n int, prof workload.Profile, fc flash.Config) TenantSpec {
 	if prof.Class == workload.Latency {
 		return isolated(i, n, prof, fc)
 	}
 	l := shared(i, n, prof, fc)
 	pool := fc.Channels / 2
-	l.channels = chanRange(pool, fc.Channels)
-	l.rateLimit = fc.ChannelBandwidth() * float64(pool) / 2 * softwareShareFactor
+	l.Channels = ChannelRange(pool, fc.Channels)
+	l.RateLimit = fc.ChannelBandwidth() * float64(pool) / 2 * softwareShareFactor
 	return l
 }
 
 func (o Options) faultsEnabled() bool { return o.Faults != nil && o.Faults.Enabled() }
 
-// buildPlatform creates the device and, per the topology, one vSSD with a
-// prefilled FTL, a workload generator and a trace recorder for each tenant
-// of the mix (kind's standard topology when topo is nil). slos may be nil
-// (calibration run).
-func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time, opt Options) *Run {
-	if topo == nil {
-		topo = isolated
-		if kind == PolSoftware {
-			topo = shared
-		}
-	}
-	eng := sim.NewEngine()
+// NewRun creates the device of a run — engine, platform, observer and
+// fault injector per opt — with no tenants yet.
+func NewRun(opt Options) *Run {
 	pc := vssd.DefaultPlatformConfig()
 	pc.Flash = opt.flashConfig()
-	plat := vssd.NewPlatform(eng, pc)
+	plat := vssd.NewPlatform(sim.NewEngine(), pc)
 	if opt.Obs != nil {
 		plat.SetObserver(opt.Obs.Recorder())
 	}
@@ -368,42 +371,72 @@ func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time,
 		}
 		plat.Device().SetFaultInjector(fault.NewInjector(fc))
 	}
-	nT := len(mix.Workloads)
-	if pc.Flash.Channels%nT != 0 {
-		panic(fmt.Sprintf("harness: %d channels not divisible by %d tenants", pc.Flash.Channels, nT))
+	return &Run{opt: opt, plat: plat, rng: sim.NewRNG(opt.Seed)}
+}
+
+// AddTenant creates the next tenant: a vSSD laid out per spec with a
+// prefilled FTL, a generator for its workload (under the run's temporal
+// shape) and the trace recorder its traffic is typed from. It returns the
+// tenant's index, which is also its vSSD id and its row in the Result.
+func (r *Run) AddTenant(spec TenantSpec) int {
+	i := len(r.gens)
+	prof := workload.ByName(spec.Workload)
+	if r.opt.WorkloadShape != workload.ShapeSteady {
+		// The shaped profile keeps its name and request mix, so SLO
+		// seeding and result collection still key by workload.
+		prof = workload.ApplyShape(prof, r.opt.WorkloadShape, shapeSeed(r.opt.Seed, i), r.opt.ReplayRecords)
 	}
-	r := &Run{mix: mix, kind: kind, opt: opt, plat: plat}
-	rng := sim.NewRNG(opt.Seed)
+	v := r.plat.AddVSSD(vssd.Config{
+		Name:             fmt.Sprintf("%s-%d", spec.Workload, i),
+		Isolation:        spec.Isolation,
+		Channels:         spec.Channels,
+		LogicalPages:     spec.LogicalPages,
+		MaxInflightPages: prof.MaxInflightPages,
+		SLO:              spec.SLO,
+	})
+	if spec.RateLimit > 0 {
+		v.SetRateLimit(spec.RateLimit, spec.RateLimit/2)
+	}
+	if err := v.Tenant().Prefill(spec.PrefillFrac, 0.3, r.rng.Split(int64(100+i))); err != nil {
+		panic(err)
+	}
+	gen := workload.NewGenerator(r.plat.Engine(), v, prof, r.rng.Split(int64(i)))
+	rec := trace.NewRecorder(cluster.WindowSize)
+	gen.Record(rec)
+	r.mix.Workloads = append(r.mix.Workloads, spec.Workload)
+	r.gens = append(r.gens, gen)
+	r.recs = append(r.recs, rec)
+	return i
+}
+
+// Platform returns the run's device, for manual actions and readings the
+// Result does not carry.
+func (r *Run) Platform() *vssd.Platform { return r.plat }
+
+// buildPlatform creates the device and, per the topology, one tenant for
+// each workload of the mix (kind's standard topology when topo is nil).
+// slos may be nil (calibration run).
+func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time, opt Options) *Run {
+	if topo == nil {
+		topo = isolated
+		if kind == PolSoftware {
+			topo = shared
+		}
+	}
+	r := NewRun(opt)
+	r.mix.Label, r.kind = mix.Label, kind
+	fc := r.plat.FlashConfig()
+	nT := len(mix.Workloads)
+	if fc.Channels%nT != 0 {
+		panic(fmt.Sprintf("harness: %d channels not divisible by %d tenants", fc.Channels, nT))
+	}
 	for i, name := range mix.Workloads {
-		prof := workload.ByName(name)
-		if opt.WorkloadShape != workload.ShapeSteady {
-			// The shaped profile keeps its name and request mix, so SLO
-			// seeding and result collection still key by workload.
-			prof = workload.ApplyShape(prof, opt.WorkloadShape, shapeSeed(opt.Seed, i), opt.ReplayRecords)
-		}
-		l := topo(i, nT, prof, pc.Flash)
-		cfg := vssd.Config{
-			Name:             fmt.Sprintf("%s-%d", name, i),
-			Isolation:        l.isolation,
-			Channels:         l.channels,
-			LogicalPages:     l.logicalPages,
-			MaxInflightPages: prof.MaxInflightPages,
-		}
+		spec := topo(i, nT, workload.ByName(name), fc)
+		spec.Workload, spec.PrefillFrac = name, opt.PrefillFrac
 		if slos != nil {
-			cfg.SLO = slos[i]
+			spec.SLO = slos[i]
 		}
-		v := plat.AddVSSD(cfg)
-		if l.rateLimit > 0 {
-			v.SetRateLimit(l.rateLimit, l.rateLimit/2)
-		}
-		if err := v.Tenant().Prefill(opt.PrefillFrac, 0.3, rng.Split(int64(100+i))); err != nil {
-			panic(err)
-		}
-		gen := workload.NewGenerator(eng, v, prof, rng.Split(int64(i)))
-		rec := trace.NewRecorder(cluster.WindowSize)
-		gen.Record(rec)
-		r.gens = append(r.gens, gen)
-		r.recs = append(r.recs, rec)
+		r.AddTenant(spec)
 	}
 	return r
 }
@@ -418,7 +451,8 @@ func shapeSeed(seed int64, i int) int64 {
 	return sim.NewRNG(seed).Stream(int64(i)).Int63()
 }
 
-func chanRange(lo, hi int) []int {
+// ChannelRange returns the channels [lo, hi).
+func ChannelRange(lo, hi int) []int {
 	out := make([]int, 0, hi-lo)
 	for c := lo; c < hi; c++ {
 		out = append(out, c)
@@ -426,11 +460,13 @@ func chanRange(lo, hi int) []int {
 	return out
 }
 
-// attachPolicy wires the run's policy and its runner to the platform.
-func (r *Run) attachPolicy() {
+// AttachPolicy wires the policy of the given kind, and the runner that
+// drives it every window, to the tenants added so far.
+func (r *Run) AttachPolicy(kind PolicyKind) {
+	r.kind = kind
 	cfg := r.plat.FlashConfig()
 	var pol core.Policy
-	switch r.kind {
+	switch kind {
 	case PolHardware:
 		pol = baseline.HardwareIsolation()
 	case PolSoftware:
@@ -441,7 +477,7 @@ func (r *Run) attachPolicy() {
 	case PolSSDKeeper:
 		pol = baseline.NewSSDKeeper(cfg.Channels, cfg.ChannelBandwidth(), r.opt.Seed)
 	case PolFleetIO, PolFleetIOUnifiedGlobal, PolFleetIOCustomizedLocal:
-		r.attachFleetIO(DeployedFleetIO(r.kind, r.opt))
+		r.attachFleetIO(deployedFleetIO(kind, r.opt))
 		return
 	default:
 		panic("harness: unknown policy kind")
@@ -451,12 +487,12 @@ func (r *Run) attachPolicy() {
 
 // The three FleetIO wirings, as data: the fields below are all they differ
 // in. Everything else — seed, type model, per-type α seeding, recorders,
-// observer, admission control — is DeployFleetIO's and the same for all
+// observer, admission control — is attachFleetIO's and the same for all
 // three.
 
-// DeployedFleetIO is a measured run: every agent fine-tunes its own copy of
+// deployedFleetIO is a measured run: every agent fine-tunes its own copy of
 // the pretrained model every 10 windows and is re-typed every 5.
-func DeployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
+func deployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
 	mode := core.ModeFull
 	switch kind {
 	case PolFleetIOUnifiedGlobal:
@@ -486,7 +522,7 @@ func DeployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
 // figure16FleetIO is a measured run that is never re-typed: α stays as
 // seeded from the workload names.
 func figure16FleetIO(opt Options) core.FleetIOConfig {
-	cfg := DeployedFleetIO(PolFleetIO, opt)
+	cfg := deployedFleetIO(PolFleetIO, opt)
 	cfg.TypeEvery = 0
 	return cfg
 }
@@ -507,56 +543,46 @@ func episodeFleetIO(spec EpisodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 	}
 }
 
-// attachFleetIO deploys FleetIO on the run's platform and tenants.
-func (r *Run) attachFleetIO(cfg core.FleetIOConfig) (f *core.FleetIO) {
-	f, r.runner = DeployFleetIO(r.plat, r.mix.Workloads, r.recs, r.opt.Seed, r.opt.Window, cfg)
-	return f
-}
-
-// DeployFleetIO is the one FleetIO wiring, shared with the public facade:
-// the policy with the shared type model, agent i's recorder recs[i] (nil:
-// never re-typed) and per-type α, and the runner that sends its harvest
-// actions through an admission controller every window.
-func DeployFleetIO(plat *vssd.Platform, names []string, recs []*trace.Recorder, seed int64, window sim.Time, cfg core.FleetIOConfig) (*core.FleetIO, *core.Runner) {
+// attachFleetIO is the one FleetIO wiring: the policy with the shared type
+// model, every agent's recorder and per-type α, and the runner that sends
+// its harvest actions through an admission controller every window.
+func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 	tm, alphas := TypeModel()
-	cfg.Seed = seed
+	cfg.Seed = r.opt.Seed
 	cfg.TypeModel = tm
 	cfg.AlphaByCluster = alphas
-	cfg.Obs = plat.Observer()
-	f := core.NewFleetIO(plat, cfg)
-	for i, rec := range recs {
+	cfg.Obs = r.plat.Observer()
+	f := core.NewFleetIO(r.plat, cfg)
+	for i, rec := range r.recs {
 		f.SetRecorder(i, rec)
 	}
 	// Seed per-type α immediately from the known workload names so short
 	// runs behave like converged typing; live re-typing keeps it fresh.
-	for i, name := range names {
+	for i, name := range r.mix.Workloads {
 		if c, ok := tm.WorkloadCluster[name]; ok {
 			if a, ok2 := alphas[c]; ok2 {
 				f.SetAlpha(i, a)
 			}
 		}
 	}
-	adm := admission.NewController(plat, nil)
-	adm.Obs = plat.Observer()
-	return f, &core.Runner{Plat: plat, Adm: adm, Policy: f, Window: window}
+	adm := admission.NewController(r.plat, nil)
+	adm.Obs = r.plat.Observer()
+	r.runner = &core.Runner{Plat: r.plat, Adm: adm, Policy: f, Window: r.opt.Window}
+	return f
 }
 
-// boundary is a point in virtual time at which execute pauses the engine
-// and calls do.
-type boundary struct {
-	at sim.Time
-	do func()
-}
-
-// execute is the one drive sequence: start telemetry, the generators and
-// the policy runner, run the engine to each boundary in turn and then to
-// end, and stop.
-func (r *Run) execute(end sim.Time, bounds ...boundary) {
-	peak := r.peakBandwidth()
+// Start begins the run: telemetry, the generators and the policy runner
+// (Hardware Isolation when no policy was attached). From here Advance
+// moves virtual time. Starting a started run does nothing.
+func (r *Run) Start() {
+	if r.started {
+		return
+	}
+	r.started = true
+	if r.runner == nil {
+		r.AttachPolicy(PolHardware)
+	}
 	r.runner.OnWindow = func(_ sim.Time, snaps []vssd.WindowSnapshot) {
-		if !r.measuring {
-			return
-		}
 		var bytes int64
 		var dur sim.Time
 		for _, s := range snaps {
@@ -566,52 +592,83 @@ func (r *Run) execute(end sim.Time, bounds ...boundary) {
 			}
 		}
 		if dur > 0 {
-			r.utils = append(r.utils, float64(bytes)/(peak*float64(dur)/1e9))
+			r.utils = append(r.utils, r.plat.Utilization(bytes, dur))
 		}
 	}
-	smp := r.startObserving()
+	r.smp = r.startObserving()
 	for _, g := range r.gens {
 		g.Start()
 	}
 	r.runner.Start()
-	for _, b := range bounds {
-		r.plat.Engine().RunUntil(b.at)
-		b.do()
-	}
-	r.plat.Engine().RunUntil(end)
+}
+
+// Advance runs the engine to virtual time `to`.
+func (r *Run) Advance(to sim.Time) { r.plat.Engine().RunUntil(to) }
+
+// Now returns the run's virtual time.
+func (r *Run) Now() sim.Time { return r.plat.Engine().Now() }
+
+// Measured returns the length of the interval Collect reports: virtual
+// time since the last BeginMeasuring (since the start when there was none).
+func (r *Run) Measured() sim.Time { return r.Now() - r.measureFrom }
+
+// Stop ends the run: the generators and the telemetry sampler stop, so
+// the engine's event queue can drain.
+func (r *Run) Stop() {
 	for _, g := range r.gens {
 		g.Stop()
 	}
-	smp.Stop()
-	r.end = end
+	r.smp.Stop()
+	r.end = r.Now()
 }
 
-// beginMeasuring is the measurement boundary: run-level metrics restart
-// from zero and per-window utilization is collected from here on.
-func (r *Run) beginMeasuring() {
+// boundary is a point in virtual time at which execute pauses the engine
+// and calls do.
+type boundary struct {
+	at sim.Time
+	do func()
+}
+
+// execute is the one drive sequence: start, advance to each boundary in
+// turn and then to end, and stop.
+func (r *Run) execute(end sim.Time, bounds ...boundary) {
+	r.Start()
+	for _, b := range bounds {
+		r.Advance(b.at)
+		b.do()
+	}
+	r.Advance(end)
+	r.Stop()
+}
+
+// BeginMeasuring is the measurement boundary: run-level metrics and the
+// per-window utilization series restart from zero, and Collect reports
+// the interval from here on.
+func (r *Run) BeginMeasuring() {
 	for _, v := range r.plat.VSSDs() {
 		v.ResetTotals()
 		v.Rotate()
 	}
-	r.measuring = true
+	r.utils = r.utils[:0]
+	r.measureFrom = r.Now()
 }
 
 // measure runs warmup then the measured interval and collects the Result.
 func (r *Run) measure() *Run {
-	r.execute(r.opt.Warmup+r.opt.Duration, boundary{r.opt.Warmup, r.beginMeasuring})
-	r.collect()
+	r.execute(r.opt.Warmup+r.opt.Duration, boundary{r.opt.Warmup, r.BeginMeasuring})
+	r.Collect()
 	return r
 }
 
-func (r *Run) peakBandwidth() float64 {
-	fc := r.plat.FlashConfig()
-	return fc.ChannelBandwidth() * float64(fc.Channels)
-}
-
-// collect assembles the Result of the interval measured since
-// beginMeasuring.
-func (r *Run) collect() {
-	res := Result{Mix: r.mix.Label, Policy: r.kind.String()}
+// Collect assembles, stores and returns the Result of the interval since
+// the last BeginMeasuring (since the start of the run when there was none).
+func (r *Run) Collect() Result {
+	label := r.mix.Label
+	if label == "" {
+		label = strings.Join(r.mix.Workloads, "+")
+	}
+	res := Result{Mix: label, Policy: r.kind.String()}
+	measured := r.Measured()
 	var totalBytes int64
 	for i, v := range r.plat.VSSDs() {
 		prof := workload.ByName(r.mix.Workloads[i])
@@ -619,7 +676,7 @@ func (r *Run) collect() {
 		tr := TenantResult{
 			Workload:      prof.Name,
 			Class:         prof.Class,
-			BandwidthMBps: float64(v.TotalBytesMoved()) / (float64(r.opt.Duration) / 1e9) / 1e6,
+			BandwidthMBps: float64(v.TotalBytesMoved()) / (float64(measured) / 1e9) / 1e6,
 			MeanMs:        h.Mean() / 1e6,
 			P95Ms:         float64(h.P95()) / 1e6,
 			P99Ms:         float64(h.P99()) / 1e6,
@@ -633,7 +690,7 @@ func (r *Run) collect() {
 		totalBytes += v.TotalBytesMoved()
 		res.Tenants = append(res.Tenants, tr)
 	}
-	res.AvgUtil = float64(totalBytes) / (r.peakBandwidth() * float64(r.opt.Duration) / 1e9)
+	res.AvgUtil = r.plat.Utilization(totalBytes, measured)
 	if len(r.utils) > 0 {
 		sorted := append([]float64(nil), r.utils...)
 		sort.Float64s(sorted)
@@ -644,6 +701,19 @@ func (r *Run) collect() {
 		res.P95Util = sorted[idx]
 	}
 	r.Result = res
+	return res
+}
+
+// WriteTable renders the result as the per-tenant table fleetsim and the
+// public Report print.
+func (r Result) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "policy: %s   SSD utilization: %.1f%% (p95 %.1f%%)\n", r.Policy, r.AvgUtil*100, r.P95Util*100)
+	fmt.Fprintf(w, "%-16s %-22s %12s %10s %10s %10s %10s\n",
+		"workload", "class", "BW MB/s", "mean ms", "P95 ms", "P99 ms", "SLO vio")
+	for _, t := range r.Tenants {
+		fmt.Fprintf(w, "%-16s %-22s %12.1f %10.2f %10.2f %10.2f %9.2f%%\n",
+			t.Workload, t.Class.String(), t.BandwidthMBps, t.MeanMs, t.P95Ms, t.P99Ms, t.VioRate*100)
+	}
 }
 
 // Calibrate runs the mix hardware-isolated without SLOs and returns each
@@ -673,7 +743,7 @@ func Calibrate(mix MixSpec, opt Options) []sim.Time {
 // SLOs — build, wire, warm up, measure — and returns the finished run.
 func Measure(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *Run {
 	r := buildPlatform(mix, kind, nil, slos, opt)
-	r.attachPolicy()
+	r.AttachPolicy(kind)
 	return r.measure()
 }
 

@@ -12,8 +12,8 @@ import (
 
 // startObserving registers the run's telemetry probes on the observer's
 // registry and starts the virtual-time sampler. It returns the started
-// sampler (nil when telemetry is off); execute stops it so the engine's
-// event queue can drain after measurement.
+// sampler (nil when telemetry is off); Stop stops it so the engine's event
+// queue can drain after measurement.
 //
 // The probes are the metric catalogue documented in docs/OBSERVABILITY.md:
 // per-vSSD bandwidth/IOPS/P99/queue depth, device GC and write-amp
