@@ -37,22 +37,27 @@
 //
 //	import fleetio "repro"
 //
-//	sim := fleetio.NewSimulator(fleetio.DefaultSimConfig())
-//	ls := sim.AddTenant("ycsb", fleetio.TenantConfig{Workload: "YCSB", Channels: fleetio.ChannelRange(0, 8)})
-//	bi := sim.AddTenant("sort", fleetio.TenantConfig{Workload: "TeraSort", Channels: fleetio.ChannelRange(8, 16)})
-//	sim.UseFleetIO(fleetio.FleetIOOptions{})
+//	sim := fleetio.NewSimulator(fleetio.DefaultExperimentOptions())
+//	ls := sim.AddTenant(fleetio.TenantSpec{Workload: "YCSB", Channels: fleetio.ChannelRange(0, 8)})
+//	bi := sim.AddTenant(fleetio.TenantSpec{Workload: "TeraSort", Channels: fleetio.ChannelRange(8, 16)})
+//	sim.Use(fleetio.PolicyFleetIO)
 //	report := sim.Run(10 * fleetio.Second)
 //	fmt.Println(report)
-//	_ = ls
-//	_ = bi
+//	fmt.Println(report.Tenants[ls].P99Ms, report.Tenants[bi].BandwidthMBps)
+//
+// The Simulator is the experiment harness's single-device run driven step
+// by step — the stack every figure is measured on — so a Report carries
+// the harness Result, and CompareExperiment runs whole calibrated
+// policy comparisons on it.
 //
 // # Reproducing the paper
 //
 // cmd/fleetbench regenerates every figure; cmd/fleettrain pretrains the
 // PPO model (fleetbench -fig 6 is the workload-clustering figure alone);
 // cmd/fleetsim runs one collocation interactively; and cmd/fleettrace
-// converts, inspects, and synthesizes block traces. bench_test.go holds a
-// testing.B benchmark per figure plus the §4.7 overhead microbenchmarks.
+// converts, inspects, and synthesizes block traces. bench_test.go renders
+// every scenario once as a testing.B smoke pass; performance is measured by
+// the repo benchmark (bench/run.sh, BENCHMARK.json).
 // The simulator binaries accept -http to serve live /metrics and pprof
 // while they run, and -workload/-trace to overlay a temporal arrival
 // shape or replay a recorded trace; fleetsim additionally accepts

@@ -50,6 +50,9 @@ func TestScenarios(t *testing.T) {
 			if !regexp.MustCompile(sc.Smoke).MatchString(got) {
 				t.Errorf("output does not match smoke regexp %q:\n%s", sc.Smoke, got)
 			}
+			if sc.Name == "workloads" {
+				checkWorkloadLadder(t, got)
+			}
 			golden := filepath.Join("testdata", "scenarios", sc.Name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -16,56 +18,59 @@ func workloadTestOptions() Options {
 	return opt
 }
 
-// TestWorkloadScenarioTypesDistinct checks the clustering contract of the
-// issue (temporal shapes still produce workload-type labels, and a
-// two-class mix classifies into at least two distinct types) and that the
-// ladder is not a no-op (each shaped level's traffic differs from steady).
-// One scenario run covers both: a full ladder is 5 simulations.
-func TestWorkloadScenarioTypesDistinct(t *testing.T) {
-	rows := WorkloadScenario(Pair("YCSB", "TeraSort"), workloadTestOptions())
-	if len(rows) != len(WorkloadLevels()) {
-		t.Fatalf("got %d levels", len(rows))
+// checkWorkloadLadder asserts, on the rendering TestScenarios/workloads
+// already produced (and workloads.golden pins), the clustering contract of
+// the temporal ladder: every level of every mix carries one workload-type
+// label per tenant with at least one classified, the two-class mix types
+// into two distinct clusters at the steady level, every tenant completes
+// requests (a non-zero bandwidth and tail latency), and the ladder is not
+// a no-op (each shaped level's numbers differ from steady's).
+func checkWorkloadLadder(t *testing.T, rendering string) {
+	t.Helper()
+	levels := map[string]bool{}
+	for _, l := range WorkloadLevels() {
+		levels[l.Name] = true
 	}
-	for _, row := range rows {
-		labels := row.TypeLabels()
-		if len(labels) != 2 {
-			t.Fatalf("%s: %d type labels", row.Level, len(labels))
+	var steady string // the steady row's numeric columns, per mix
+	rows := 0
+	for _, line := range strings.Split(rendering, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 || !levels[f[0]] {
+			continue
 		}
-		labeled := 0
+		rows++
+		level, numbers, labels := f[0], strings.Join(f[1:5], " "), strings.Split(f[5], ",")
+		if len(labels) != 2 {
+			t.Errorf("%s: %d type labels in %q", level, len(labels), line)
+		}
 		distinct := map[string]bool{}
 		for _, l := range labels {
 			if l != "n/a" {
-				labeled++
 				distinct[l] = true
 			}
 		}
-		if labeled == 0 {
-			t.Fatalf("%s: no tenant produced enough trace to classify", row.Level)
+		if len(distinct) == 0 {
+			t.Errorf("%s: no tenant produced enough trace to classify: %q", level, line)
 		}
-		if row.Level == "steady" && len(distinct) < 2 {
-			t.Fatalf("steady level classified both tenants identically: %v", labels)
+		if bi, _ := strconv.ParseFloat(f[3], 64); bi <= 0 {
+			t.Errorf("%s: the bandwidth tenant completed nothing: %q", level, line)
 		}
-		if row.Result.Tenants[0].Completed == 0 || row.Result.Tenants[1].Completed == 0 {
-			t.Fatalf("%s: a tenant completed nothing", row.Level)
+		if p99, _ := strconv.ParseFloat(f[4], 64); p99 <= 0 {
+			t.Errorf("%s: the latency tenant completed nothing: %q", level, line)
 		}
-	}
-
-	byLevel := map[string]Result{}
-	for _, row := range rows {
-		byLevel[row.Level] = row.Result
-	}
-	steady := byLevel["steady"]
-	for _, level := range []string{"diurnal", "bursty", "replay"} {
-		r := byLevel[level]
-		same := true
-		for i := range r.Tenants {
-			if r.Tenants[i].Completed != steady.Tenants[i].Completed {
-				same = false
+		switch {
+		case level != "steady":
+			if numbers == steady {
+				t.Errorf("%s level is identical to steady: %q", level, line)
 			}
+		case len(distinct) < 2:
+			t.Errorf("steady level classified both tenants identically: %q", line)
+		default:
+			steady = numbers
 		}
-		if same {
-			t.Fatalf("%s level completed identical request counts to steady", level)
-		}
+	}
+	if want := 2 * len(levels); rows != want {
+		t.Errorf("parsed %d ladder rows, want %d:\n%s", rows, want, rendering)
 	}
 }
 

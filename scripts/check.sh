@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
-# module's vet and one run of each example), hot-path boxing gates,
-# the race detector on the concurrency-heavy packages, the allocation
-# guards at several core counts, worker-count identity gates on the
-# scenario figures, and benchmark smoke/allocation gates. What each
-# scenario must show (completed migrations, promotes and demotes, typed
-# traffic, …) is asserted by harness.TestScenarios in the test suite.
+# module's vet and one run of each example), the one-device-stack and
+# hot-path boxing grep gates, the race detector on the concurrency-heavy
+# packages, the allocation guards at several core counts, worker-count
+# identity gates on the scenario figures, and benchmark smoke/allocation
+# gates. What each scenario must show (completed migrations, promotes and
+# demotes, typed traffic, …) is asserted by harness.TestScenarios in the
+# test suite. Performance is measured by bench/run.sh, not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -70,6 +71,17 @@ echo "== examples smoke (each runs once)"
 for ex in examples/*/; do
     go run "./$ex" > /dev/null
 done
+
+echo "== one device stack"
+# A device is assembled in exactly three places: harness.NewRun (every
+# single-device run, the public Simulator included), harness.Overheads
+# (the §4.7 metadata micro-measurement) and fleet.newShard (the rack, which
+# attaches tenants mid-run). A fourth wiring fails here.
+if grep -rn 'vssd\.NewPlatform(' --include='*.go' ./*.go cmd examples internal | grep -v _test.go |
+    grep -v '^internal/harness/' | grep -v '^internal/fleet/'; then
+    echo "vssd.NewPlatform outside internal/harness and internal/fleet: build the device through harness.NewRun" >&2
+    exit 1
+fi
 
 echo "== hot-path boxing gates"
 # The per-I/O datapath must stay free of interface boxing: container/heap
@@ -136,14 +148,10 @@ identity_gate tiers -fleet 8 -seconds 4
 go run ./cmd/fleettrace convert -in internal/trace/testdata/sample_msr.csv -format msr -out "$tmp/sample.bin"
 identity_gate workloads -trace "$tmp/sample.bin" -seconds 2 -warmup 1
 
-echo "== fleet-scaling gate (workers 1 vs 4 identity)"
-# BenchmarkFleetScaling's workers=1 sub-benchmark is the byte-identity
-# oracle; the workers=4 run fails itself on divergence.
-go test -run=NONE -bench='^BenchmarkFleetScaling$/devices=64/workers=(1|4)$' -benchtime=1x .
-
 echo "== benchmark smoke (one iteration each)"
-# Catches benchmarks that no longer compile or crash; timing numbers come
-# from scripts/bench.sh, not from this pass.
+# Catches benchmarks that no longer compile or crash (the root package's
+# BenchmarkScenarios renders every scenario once); timing numbers come from
+# bench/run.sh, not from this pass.
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
 echo "== steady-state benchmark allocs/op == 0"
