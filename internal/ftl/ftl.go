@@ -53,8 +53,7 @@ const (
 
 const invalidPPA = int32(-1)
 
-// Garbage-collection parameters. None was ever varied by a caller, so they
-// are constants rather than Manager fields.
+// Garbage-collection parameters.
 const (
 	// lazyGCThreshold is the free-block fraction below which a tenant
 	// starts collecting (the paper's lazy GC, Table 3 text: 20%).

@@ -39,18 +39,18 @@ func SharedFlags(fs *flag.FlagSet) func(traceImpliesReplay bool) (Options, *obs.
 
 		faultCfg, err := fault.ParseSpec(*faults)
 		if err != nil {
-			return opt, nil, fmt.Errorf("parsing -faults: %v", err)
+			return opt, nil, fmt.Errorf("parsing -faults: %w", err)
 		}
 		if faultCfg.Enabled() {
 			opt.Faults = &faultCfg
 			log.Printf("injecting NAND faults: %s", *faults)
 		}
 		if opt.WorkloadShape, err = workload.ParseShape(*shapeName); err != nil {
-			return opt, nil, fmt.Errorf("parsing -workload: %v", err)
+			return opt, nil, fmt.Errorf("parsing -workload: %w", err)
 		}
 		if *traceFile != "" {
 			if opt.ReplayRecords, err = trace.LoadFile(*traceFile, flash.DefaultConfig().PageSize); err != nil {
-				return opt, nil, fmt.Errorf("loading -trace: %v", err)
+				return opt, nil, fmt.Errorf("loading -trace: %w", err)
 			}
 			if traceImpliesReplay {
 				opt.WorkloadShape = workload.ShapeReplay
@@ -65,7 +65,7 @@ func SharedFlags(fs *flag.FlagSet) func(traceImpliesReplay bool) (Options, *obs.
 		opt.Obs = obs.NewObserver()
 		srv, err := obs.Serve(*httpAddr, opt.Obs.Registry())
 		if err != nil {
-			return opt, nil, fmt.Errorf("serving -http: %v", err)
+			return opt, nil, fmt.Errorf("serving -http: %w", err)
 		}
 		log.Printf("observability on http://%s (/metrics, /debug/pprof/)", srv.Addr())
 		return opt, srv, nil

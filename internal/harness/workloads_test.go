@@ -58,15 +58,13 @@ func checkWorkloadLadder(t *testing.T, rendering string) {
 		if p99, _ := strconv.ParseFloat(f[4], 64); p99 <= 0 {
 			t.Errorf("%s: the latency tenant completed nothing: %q", level, line)
 		}
-		switch {
-		case level != "steady":
-			if numbers == steady {
-				t.Errorf("%s level is identical to steady: %q", level, line)
+		if level == "steady" {
+			if len(distinct) < 2 {
+				t.Errorf("steady level classified both tenants identically: %q", line)
 			}
-		case len(distinct) < 2:
-			t.Errorf("steady level classified both tenants identically: %q", line)
-		default:
 			steady = numbers
+		} else if numbers == steady {
+			t.Errorf("%s level is identical to steady: %q", level, line)
 		}
 	}
 	if want := 2 * len(levels); rows != want {

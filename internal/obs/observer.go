@@ -2,9 +2,10 @@ package obs
 
 // Observer bundles the two observability pieces a run can carry: the
 // decision-event Recorder and the metric Registry (sampled every
-// DefaultSamplePeriod of virtual time). The harness threads one Observer through platform
-// construction (Options.Obs); cmd binaries build it behind their -http
-// and -trace flags. A nil *Observer disables everything.
+// DefaultSamplePeriod of virtual time). The harness threads one Observer
+// through platform construction (Options.Obs); cmd binaries build it
+// behind their -http and -decisions flags. A nil *Observer disables
+// everything.
 type Observer struct {
 	// Rec receives decision events; nil disables tracing.
 	Rec *Recorder
