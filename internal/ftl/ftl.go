@@ -68,6 +68,11 @@ const (
 	gcPipeline = 8
 )
 
+// RetryDelay is the one backoff of the allocation-stall protocol: a page
+// that found no space — a host write in the vSSD layer, a GC migration or
+// its program-fail retry here — polls again this much later.
+const RetryDelay = sim.Millisecond
+
 // blockInfo is the Manager's bookkeeping for one erase block.
 type blockInfo struct {
 	id    flash.BlockID
@@ -102,6 +107,10 @@ type Stats struct {
 	GCReads      int64
 	Erases       int64
 	GCRuns       int64
+	// AllocStalls counts failed host page allocations — every poll of the
+	// stall protocol that found no space, each of which the vSSD layer
+	// answers with one retry RetryDelay later.
+	AllocStalls int64
 
 	// Fault-recovery accounting (all zero without a fault injector).
 	// Every injected program failure is remapped exactly once and then
@@ -151,8 +160,23 @@ type Manager struct {
 	Submit func(*flash.Op)
 
 	// gcThreshold is lazyGCThreshold, held in a field only so in-package
-	// tests can zero it to keep GC out of the way.
+	// tests can zero it to keep GC out of the way (before the first
+	// allocation: it is read by a failed allocation, see epoch).
 	gcThreshold float64
+
+	// epoch versions everything a failed host allocation reads: lane
+	// active/closed/backlog and each tenant's lane set, freeCount and
+	// freePools, block state/valid/harvested/bad, fullSets, and the
+	// tenants' gcJobs/gcTarget/badBlocks/channels. Every function that
+	// writes any of it bumps epoch, so a tenant whose last host allocation
+	// failed at the current epoch (Tenant.allocFailEpoch) knows the next
+	// one would scan the same state to the same answer and skips the scan.
+	// It starts at 1; 0 on a tenant means no failure is remembered.
+	epoch uint64
+
+	// retry is the RetryDelay lane every allocation-stall retry waits on
+	// (nil without an engine, where nothing can be scheduled anyway).
+	retry *sim.Lane
 
 	// onBlockErased notifies the gSB manager when GC returns a block to
 	// the free pool so it can finish lazy gSB reclamation.
@@ -186,6 +210,10 @@ func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 		freePools:   make([][]int, cfg.Channels*cfg.ChipsPerChannel),
 		freeCount:   make([]int, cfg.Channels),
 		gcThreshold: lazyGCThreshold,
+		epoch:       1,
+	}
+	if eng != nil {
+		m.retry = eng.NewLane(RetryDelay)
 	}
 	m.Submit = dev.Submit
 	for p := range m.freePools {
@@ -233,6 +261,7 @@ func (m *Manager) handleProgramFail(addr flash.PPA) {
 		lpn := int(b.pageLPN[page])
 		b.pageTenant[page] = invalidPPA
 		b.valid--
+		m.epoch++
 		t.mappedPages--
 		if t.l2p[lpn] == int64(idx)<<16|int64(page) {
 			t.l2p[lpn] = -1
@@ -251,6 +280,7 @@ func (m *Manager) markBad(idx int) {
 		return
 	}
 	b.bad = true
+	m.epoch++
 	if b.state == BlockOpen {
 		// Detach the block from whichever lane is writing it.
 		if b.user >= 0 {
@@ -275,6 +305,7 @@ func (m *Manager) retireBlock(idx int) {
 	if b.bad && b.owner >= 0 {
 		m.tenants[b.owner].badBlocks--
 	}
+	m.epoch++
 	b.state = BlockBad
 	b.owner = -1
 	b.user = -1
@@ -325,6 +356,12 @@ func (m *Manager) blockID(idx int) flash.BlockID {
 // Stats returns a copy of the manager-wide counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
+// ScheduleRetry runs h(arg, now) RetryDelay from now, on the lane all
+// allocation-stall retries of this device share.
+func (m *Manager) ScheduleRetry(h sim.EventHandler, arg sim.EventArg) {
+	m.retry.Schedule(h, arg)
+}
+
 // FreeBlocks returns the number of free blocks on channel ch.
 func (m *Manager) FreeBlocks(ch int) int { return m.freeCount[ch] }
 
@@ -361,6 +398,7 @@ func (m *Manager) allocBlock(ch, chip int, forGC bool) (int, bool) {
 		idx := pool[len(pool)-1]
 		m.freePools[m.poolIndex(ch, c)] = pool[:len(pool)-1]
 		m.freeCount[ch]--
+		m.epoch++ // also covers what the caller does to the block
 		return idx, true
 	}
 	return -1, false
@@ -369,6 +407,7 @@ func (m *Manager) allocBlock(ch, chip int, forGC bool) (int, bool) {
 // releaseBlock returns an erased block to its chip pool.
 func (m *Manager) releaseBlock(idx int) {
 	b := &m.blocks[idx]
+	m.epoch++
 	b.state = BlockFree
 	b.owner = -1
 	b.user = -1

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/flash"
 	"repro/internal/sim"
 )
@@ -639,6 +640,136 @@ func TestPickVictimMatchesScan(t *testing.T) {
 	check()
 	harv.SetChannels([]int{})
 	check()
+}
+
+// Property: the failed-allocation memo never answers differently from the
+// scan it skips. Two tenants on a nearly full small device go through a
+// random sequence of everything that writes the state a failed host
+// allocation reads — host writes, trims, GC progress driven through the
+// engine in partial slices (so retries on the lane fire mid-collection),
+// lending, harvesting, closing and returning gSB blocks, channel
+// re-partitioning, GC targets, and program/erase failures (injected by the
+// device on GC traffic, delivered by hand for host pages, which this
+// package never submits). After every step, for each tenant whose memo
+// would answer the next host allocation, the unmemoised scan must fail too
+// and leave epoch alone (so probing changes nothing): a scan that succeeds
+// or starts a collection there means some writer forgot to bump epoch.
+func TestAllocFailMemoMatchesScan(t *testing.T) {
+	cfg := smallConfig()
+	cfg.PagesPerBlock = 4
+	// 32 blocks = 128 pages a channel, 2 blocks reserved: 112 logical
+	// pages keep the device full enough that allocation stalls are common.
+	const logical = 112
+	memoHits := 0
+	for seed := int64(1); seed <= 32; seed++ {
+		eng, m := newTestMgr(t, cfg)
+		m.dev.SetFaultInjector(fault.NewInjector(fault.Config{ProgramFailProb: 0.01, EraseFailProb: 0.01, Seed: seed}))
+		tenants := []*Tenant{NewTenant(m, 0, []int{0}, logical), NewTenant(m, 1, []int{1}, logical)}
+		rng := sim.NewRNG(seed)
+		var stalls [2]int64
+
+		write := func(tn *Tenant, lpn int) {
+			if _, ok := tn.AllocatePage(lpn, false); !ok {
+				stalls[tn.id]++
+			}
+		}
+		probe := func(step int, tn *Tenant) {
+			if tn.allocFailEpoch != m.epoch {
+				return
+			}
+			memoHits++
+			before := m.epoch
+			if ppa, ok := tn.allocateScan(rng.Intn(logical), false); ok {
+				t.Fatalf("seed %d step %d: tenant %d memo says no space at epoch %d, scan allocated %v", seed, step, tn.id, before, ppa)
+			}
+			if m.epoch != before {
+				t.Fatalf("seed %d step %d: tenant %d memoised failure moved epoch %d -> %d when rescanned", seed, step, tn.id, before, m.epoch)
+			}
+		}
+		if err := tenants[0].Prefill(0.9, 0.2, rng); err != nil {
+			t.Fatal(err)
+		}
+		if err := tenants[1].Prefill(0.9, 0.2, rng); err != nil {
+			t.Fatal(err)
+		}
+		stalls[0], stalls[1] = tenants[0].stats.AllocStalls, tenants[1].stats.AllocStalls
+
+		var idle [][]int // lent, not harvested: gSB block lists
+		var harvested []struct{ gsb, by int }
+		nextGSB := 1
+		hostFails := 0
+		for step := 0; step < 3000; step++ {
+			tn := tenants[rng.Intn(2)]
+			switch rng.Intn(24) {
+			case 0, 1:
+				tn.Trim(rng.Intn(logical))
+			case 2, 3, 4, 5:
+				eng.RunUntil(eng.Now() + sim.Time(rng.Intn(2000))*sim.Microsecond)
+			case 6:
+				// The home tenant lends a chip-stripe of one of its channels.
+				ch := tn.channels[rng.Intn(len(tn.channels))]
+				if lent := m.LendBlocks(ch, 1, tn.id, nextGSB, 0); len(lent) > 0 {
+					idle = append(idle, lent)
+				}
+				nextGSB++
+			case 7:
+				// The other tenant harvests the oldest idle gSB.
+				if len(idle) > 0 {
+					b := &m.blocks[idle[0][0]]
+					harvester := tenants[1-b.owner]
+					harvester.AddHarvestLanes(b.gsb, idle[0])
+					harvested = append(harvested, struct{ gsb, by int }{b.gsb, harvester.id})
+					idle = idle[1:]
+				}
+			case 8:
+				if len(harvested) > 0 {
+					tenants[harvested[0].by].CloseHarvestLanes(harvested[0].gsb)
+					harvested = harvested[1:]
+				}
+			case 9:
+				if len(idle) > 0 {
+					for _, idx := range idle[0] {
+						m.ReturnCleanBlock(idx)
+					}
+					idle = idle[1:]
+				}
+			case 10:
+				// Tenant 1 takes a share of channel 0, or gives it back.
+				if len(tenants[1].channels) == 1 {
+					tenants[1].SetChannels([]int{0, 1})
+				} else {
+					tenants[1].SetChannels([]int{1})
+				}
+			case 11:
+				tn.SetGCTarget(float64(rng.Intn(3)) * 0.15)
+			case 12:
+				// A host program fails: the device tells the FTL (OnFault)
+				// and the submitter re-dispatches the page. Capped so
+				// retired capacity cannot swallow the device.
+				lpn := rng.Intn(logical)
+				if ppa, ok := tn.Lookup(lpn); ok && hostFails < 6 {
+					hostFails++
+					m.deviceFault(flash.OpProgram, ppa, flash.StatusProgramFail)
+					write(tn, lpn)
+				}
+			default:
+				write(tn, rng.Intn(logical))
+			}
+			for _, tn := range tenants {
+				probe(step, tn)
+				if tn.stats.AllocStalls != stalls[tn.id] {
+					t.Fatalf("seed %d step %d: tenant %d AllocStalls = %d, want %d failed host allocations",
+						seed, step, tn.id, tn.stats.AllocStalls, stalls[tn.id])
+				}
+			}
+		}
+		if got := m.stats.AllocStalls; got != stalls[0]+stalls[1] {
+			t.Fatalf("seed %d: manager AllocStalls = %d, tenants sum to %d", seed, got, stalls[0]+stalls[1])
+		}
+	}
+	if memoHits < 10000 {
+		t.Fatalf("memo held at only %d probes; the sequence no longer stalls enough to test it", memoHits)
+	}
 }
 
 func TestTenantIDOrderEnforced(t *testing.T) {

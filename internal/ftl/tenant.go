@@ -58,6 +58,11 @@ type Tenant struct {
 	// Fraction of logical pages currently mapped (for capacity stats).
 	mappedPages int64
 
+	// allocFailEpoch is the Manager.epoch at which the last host
+	// allocation failed without changing anything; while it still matches,
+	// the next one fails the same way and is answered without the scan.
+	allocFailEpoch uint64
+
 	stats Stats
 }
 
@@ -132,6 +137,7 @@ func (t *Tenant) sealActive(idx int) {
 // SetGCTarget raises (or clears, with 0) the tenant's free-fraction goal.
 func (t *Tenant) SetGCTarget(frac float64) {
 	t.gcTarget = frac
+	t.mgr.epoch++
 	t.maybeGC()
 }
 
@@ -145,6 +151,7 @@ func (t *Tenant) FreeFraction() float64 { return t.mgr.FreeFraction(t.channels) 
 // Adaptive and SSDKeeper baselines that re-partition channels). Lanes for
 // removed channels are closed; lanes for added channels are created.
 func (t *Tenant) SetChannels(channels []int) {
+	t.mgr.epoch++
 	t.channels = append([]int(nil), channels...)
 	inSet := make(map[int]bool, len(channels))
 	for _, ch := range channels {
@@ -212,6 +219,7 @@ func (t *Tenant) SetChannels(channels []int) {
 // AddHarvestLanes attaches the lent blocks of a harvested gSB as write
 // lanes. Blocks are grouped by (channel, chip).
 func (t *Tenant) AddHarvestLanes(gsbID int, blocks []int) {
+	t.mgr.epoch++
 	group := make(map[[2]int][]int)
 	var order [][2]int
 	for _, idx := range blocks {
@@ -238,6 +246,7 @@ func (t *Tenant) AddHarvestLanes(gsbID int, blocks []int) {
 // returns still-clean backlog blocks to the manager (they go back to the
 // home pool). Blocks already written remain until GC reclaims them.
 func (t *Tenant) CloseHarvestLanes(gsbID int) (cleanReturned []int) {
+	t.mgr.epoch++
 	kept := t.lanes[:0]
 	for _, ln := range t.lanes {
 		if ln.gsb != gsbID {
@@ -323,7 +332,8 @@ func (t *Tenant) openLane(ln *lane, forGC bool) bool {
 		ln.active = idx
 		return true
 	}
-	// Harvest lane: pop the backlog.
+	// Harvest lane: pop the backlog, or close — a write either way.
+	t.mgr.epoch++
 	for len(ln.backlog) > 0 {
 		idx := ln.backlog[0]
 		ln.backlog = ln.backlog[1:]
@@ -363,10 +373,38 @@ func (t *Tenant) initBlockPages(b *blockInfo) {
 // The old mapping (if any) is invalidated. forGC allocations may use the
 // reserved blocks. ok is false when no space is available anywhere (the
 // caller should back off and let GC run).
+//
+// A stalled host write polls this every RetryDelay, thousands of pages at
+// a time on a full device, so a host failure that changed nothing is
+// remembered by epoch (see Manager.epoch) and repeated in O(1) until some
+// state it read changes. GC allocations are never remembered: they are
+// few, and they scan different lanes under a different reserve.
 func (t *Tenant) AllocatePage(lpn int, forGC bool) (flash.PPA, bool) {
 	if lpn < 0 || lpn >= t.logicalPages {
 		panic(fmt.Sprintf("ftl: LPN %d out of range [0,%d)", lpn, t.logicalPages))
 	}
+	if forGC {
+		return t.allocateScan(lpn, true)
+	}
+	m := t.mgr
+	if t.allocFailEpoch != m.epoch {
+		before := m.epoch
+		ppa, ok := t.allocateScan(lpn, false)
+		if ok {
+			return ppa, true
+		}
+		if m.epoch == before {
+			t.allocFailEpoch = before
+		}
+	}
+	t.stats.AllocStalls++
+	m.stats.AllocStalls++
+	return flash.PPA{}, false
+}
+
+// allocateScan is AllocatePage without the failure memo: the lane scan and
+// the GC kick.
+func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {
 	// GC migration writes go to the dedicated GC frontiers (which may use
 	// the reserve); host writes use the regular striped lanes. A tenant
 	// with no owned channels (pure harvester) falls back to its harvest
@@ -388,6 +426,7 @@ func (t *Tenant) AllocatePage(lpn int, forGC bool) (flash.PPA, bool) {
 			continue
 		}
 		b := &t.mgr.blocks[ln.active]
+		t.mgr.epoch++
 		page := b.writePtr
 		b.writePtr++
 		t.invalidate(lpn)
@@ -447,6 +486,7 @@ func (t *Tenant) invalidate(lpn int) {
 	if b.pageTenant[page] == int32(t.id) && b.pageLPN[page] == int32(lpn) {
 		b.pageTenant[page] = invalidPPA
 		b.valid--
+		t.mgr.epoch++
 		t.mappedPages--
 	}
 }
@@ -478,6 +518,7 @@ func (t *Tenant) maybeGC() {
 			return
 		}
 		t.mgr.rec.GCRun(t.id, victim, t.mgr.blocks[victim].valid, t.mgr.blocks[victim].harvested)
+		t.mgr.epoch++
 		t.mgr.blocks[victim].state = BlockGC
 		t.mgr.fullUnmark(t.id, victim)
 		t.gcJobs++
@@ -653,7 +694,7 @@ func gcTryProgram(arg sim.EventArg, _ sim.Time) {
 		j.programMigrated(dataTenant, lpn, dst, j.t.gcPriority())
 		return
 	}
-	j.t.mgr.eng.ScheduleEvent(sim.Millisecond, gcTryProgram, arg)
+	j.t.mgr.ScheduleRetry(gcTryProgram, arg)
 }
 
 func (j *gcJob) programMigrated(dataTenant *Tenant, lpn int, dst flash.PPA, prio int) {
@@ -705,7 +746,7 @@ func gcRetryProgram(arg sim.EventArg, _ sim.Time) {
 		j.programMigrated(dataTenant, lpn, dst, j.t.gcPriority())
 		return
 	}
-	m.eng.ScheduleEvent(sim.Millisecond, gcRetryProgram, arg)
+	m.ScheduleRetry(gcRetryProgram, arg)
 }
 
 // eraseVictim erases the (now fully invalid) victim and returns it to the
@@ -745,6 +786,7 @@ func gcEraseDone(ctx any, _ int64, _ sim.Time, status flash.OpStatus) {
 		m.onBlockErased(victim, gsbID)
 	}
 	t.gcJobs--
+	m.epoch++
 	t.maybeGC()
 }
 

@@ -49,6 +49,7 @@ func (r *Run) startObserving() *obs.Sampler {
 	total("fleetio_ftl_gc_programs_total", "GC page-migration programs.", &fst.GCPrograms)
 	total("fleetio_ftl_erases_total", "Block erases.", &fst.Erases)
 	total("fleetio_ftl_gc_runs_total", "GC victim collections started.", &fst.GCRuns)
+	total("fleetio_ftl_alloc_stalls_total", "Failed host page allocations (allocation-stall polls, one retry each).", &fst.AllocStalls)
 	writeAmp := reg.Gauge("fleetio_ftl_write_amplification", "(host+GC programs)/host programs.")
 	total("fleetio_gsb_created_total", "Ghost superblocks created.", &gst.Created)
 	total("fleetio_gsb_harvested_total", "Ghost superblock harvests.", &gst.Harvested)

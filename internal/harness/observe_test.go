@@ -59,6 +59,7 @@ func TestRunOneObserved(t *testing.T) {
 		"fleetio_vssd_p99_seconds",
 		"fleetio_vssd_queue_depth",
 		"fleetio_ftl_gc_runs_total",
+		"fleetio_ftl_alloc_stalls_total",
 		"fleetio_gsb_created_total",
 		"fleetio_admission_admitted_total",
 		"fleetio_obs_samples_total",

@@ -1,12 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine:
 // a virtual clock measured in nanoseconds, an allocation-free 4-ary
-// min-heap event queue, and seedable random-number streams. Every FleetIO
-// experiment runs on top of this engine so results are exactly
-// reproducible for a given seed.
+// min-heap event queue with FIFO lanes for constant-delay events, and
+// seedable random-number streams. Every FleetIO experiment runs on top of
+// this engine so results are exactly reproducible for a given seed.
 package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -76,12 +77,17 @@ type eventPayload struct {
 // structs — which is where a pop-heavy discrete-event loop spends its
 // time. Because (at, seq) is a strict total order, pop order is a pure
 // function of the scheduled set, so heap-layout changes like this one
-// cannot perturb simulation results.
+// cannot perturb simulation results. The same argument covers the lanes
+// (see Lane): they hold part of the scheduled set in sorted FIFOs, and the
+// next event is the least of the heap root and the lane heads under the
+// same order.
 type Engine struct {
 	now      Time
 	seq      uint64
 	keys     []eventKey // 4-ary min-heap ordered by eventKey.before
 	payloads []eventPayload
+	lanes    []*Lane
+	laned    int // events waiting on lanes, summed over lanes
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -92,8 +98,9 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.keys) }
+// Pending reports the number of events waiting to run, on the heap or on
+// a lane.
+func (e *Engine) Pending() int { return len(e.keys) + e.laned }
 
 // Schedule runs fn after delay virtual nanoseconds. A negative delay is an
 // error in the model, so it panics. Capturing closures allocate; hot paths
@@ -181,10 +188,99 @@ func (e *Engine) siftDown() {
 	ks[i], ps[i] = k, p
 }
 
+// Lane is a FIFO of events that all share one constant delay, for
+// protocols that re-arm the same timer many times over (the 1 ms
+// allocation-stall retry holds thousands of events at once). The clock
+// never goes back and the sequence number only grows, so entries are
+// appended in (time, seq) order and the head is the lane's minimum:
+// scheduling and popping are O(1) ring-buffer operations where the heap
+// pays a sift through every level the lane's own events add. A lane event
+// takes its sequence number from the engine exactly as ScheduleEvent would,
+// so it fires at the same point in the global order as the same event on
+// the heap.
+type Lane struct {
+	eng   *Engine
+	delay Time
+	// keys and payloads are one ring buffer of power-of-two length holding
+	// n entries from head, split the way the heap's slices are.
+	keys     []eventKey
+	payloads []eventPayload
+	head, n  int
+}
+
+// NewLane returns a lane whose events fire delay virtual nanoseconds after
+// they are scheduled.
+func (e *Engine) NewLane(delay Time) *Lane {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", delay))
+	}
+	l := &Lane{eng: e, delay: delay}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// Schedule runs h(arg, now) after the lane's delay. Like ScheduleEvent it
+// does not allocate once the ring has grown to its working size.
+func (l *Lane) Schedule(h EventHandler, arg EventArg) {
+	if l.n == len(l.keys) {
+		l.grow()
+	}
+	e := l.eng
+	e.seq++
+	i := (l.head + l.n) & (len(l.keys) - 1)
+	l.keys[i] = eventKey{at: e.now + l.delay, seq: e.seq}
+	l.payloads[i] = eventPayload{h: h, arg: arg}
+	l.n++
+	e.laned++
+}
+
+// grow doubles the ring, unrolling it so head is index 0 again.
+func (l *Lane) grow() {
+	size := 2 * len(l.keys)
+	if size == 0 {
+		size = 16
+	}
+	keys := make([]eventKey, size)
+	payloads := make([]eventPayload, size)
+	n := copy(keys, l.keys[l.head:])
+	copy(keys[n:], l.keys[:l.head])
+	copy(payloads, l.payloads[l.head:])
+	copy(payloads[n:], l.payloads[:l.head])
+	l.keys, l.payloads, l.head = keys, payloads, 0
+}
+
+// earliestLane returns the lane whose head is the next event overall, or
+// nil when the heap root is. At least one lane must hold an event. Keys
+// are unique, so the minimum is too.
+func (e *Engine) earliestLane() *Lane {
+	var best *Lane
+	var bk eventKey
+	for _, l := range e.lanes {
+		if l.n == 0 {
+			continue
+		}
+		if k := l.keys[l.head]; best == nil || k.before(bk) {
+			best, bk = l, k
+		}
+	}
+	if len(e.keys) > 0 && e.keys[0].before(bk) {
+		return nil
+	}
+	return best
+}
+
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	if len(e.keys) == 0 {
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
+// step is Step restricted to events at or before limit.
+func (e *Engine) step(limit Time) bool {
+	if e.laned > 0 {
+		if l := e.earliestLane(); l != nil {
+			return l.step(limit)
+		}
+	}
+	if len(e.keys) == 0 || e.keys[0].at > limit {
 		return false
 	}
 	at := e.keys[0].at
@@ -203,12 +299,28 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// step is Engine.step once the lane's head is known to be the next event.
+func (l *Lane) step(limit Time) bool {
+	at := l.keys[l.head].at
+	if at > limit {
+		return false
+	}
+	pl := l.payloads[l.head]
+	l.payloads[l.head] = eventPayload{} // release the handler refs
+	l.head = (l.head + 1) & (len(l.keys) - 1)
+	l.n--
+	e := l.eng
+	e.laned--
+	e.now = at
+	pl.h(pl.arg, at)
+	return true
+}
+
 // RunUntil executes events in timestamp order until the queue is empty or
 // the next event is strictly after t; the clock then advances to t. Events
 // scheduled exactly at t are executed.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.keys) > 0 && e.keys[0].at <= t {
-		e.Step()
+	for e.step(t) {
 	}
 	if t > e.now {
 		e.now = t

@@ -66,10 +66,20 @@ func (e *refEngine) runUntil(t Time) []int {
 	return fired
 }
 
+// recordID is the lane events' handler in the oracle test: it appends the
+// event's id (arg.I) to the fire log arg.P points at.
+func recordID(arg EventArg, _ Time) {
+	log := arg.P.(*[]int)
+	*log = append(*log, int(arg.I))
+}
+
 // TestEngineMatchesReferenceHeap drives the engine and the container/heap
-// oracle with the same random interleaving of Schedule, Step, and RunUntil
-// (with deliberate timestamp collisions to exercise the FIFO tie-break)
-// and requires identical fire order, clocks, and queue depths throughout.
+// oracle with the same random interleaving of Schedule, Lane.Schedule,
+// Step, and RunUntil (with deliberate timestamp collisions, between heap
+// events and between heap and lanes, to exercise the FIFO tie-break) and
+// requires identical fire order, clocks, and queue depths throughout. The
+// oracle has no lanes: a lane event is, to it, one more heap event at
+// now+delay, which is the claim under test.
 func TestEngineMatchesReferenceHeap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 42} {
 		rng := NewRNG(seed)
@@ -77,16 +87,28 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		ref := &refEngine{}
 		var got []int
 		nextID := 0
+		// Lane delays sit on the heap delays' 10 ns grid so the two collide;
+		// the zero-delay lane ties with heap events at the current instant.
+		laneDelays := []Time{0, 20, 50}
+		lanes := make([]*Lane, len(laneDelays))
+		for i, d := range laneDelays {
+			lanes[i] = eng.NewLane(d)
+		}
 
 		for op := 0; op < 5000; op++ {
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3, 4: // schedule; coarse delays force collisions
+			switch rng.Intn(12) {
+			case 0, 1, 2: // schedule; coarse delays force collisions
 				delay := Time(rng.Intn(8)) * 10
 				id := nextID
 				nextID++
 				eng.Schedule(delay, func() { got = append(got, id) })
 				ref.schedule(delay, id)
-			case 5, 6, 7: // step
+			case 3, 4, 5: // schedule on a lane
+				i := rng.Intn(len(lanes))
+				lanes[i].Schedule(recordID, EventArg{P: &got, I: int64(nextID)})
+				ref.schedule(laneDelays[i], nextID)
+				nextID++
+			case 6, 7, 8: // step
 				before := len(got)
 				stepped := eng.Step()
 				id, refStepped := ref.step()
@@ -161,6 +183,58 @@ func TestEngineScheduleStepZeroAllocSteadyState(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state Schedule+Step allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// holdModel keeps a standing population on a lane and on the heap: each
+// event re-arms itself where it came from when it fires — the shape of the
+// allocation-stall retry, whose handler schedules the next poll on the
+// same lane from inside Step.
+type holdModel struct {
+	eng                  *Engine
+	lane                 *Lane
+	laneFires, heapFires int
+}
+
+func laneHold(arg EventArg, _ Time) {
+	m := arg.P.(*holdModel)
+	m.laneFires++
+	m.lane.Schedule(laneHold, arg)
+}
+
+func heapHold(arg EventArg, _ Time) {
+	m := arg.P.(*holdModel)
+	m.heapFires++
+	m.eng.ScheduleEvent(100, heapHold, arg)
+}
+
+// TestLaneScheduleStepZeroAllocSteadyState guards the lane's
+// allocation-free steady state: once the ring has grown to its working
+// size, Lane.Schedule+Step must not allocate, whichever of the heap and
+// the lane holds the next event.
+func TestLaneScheduleStepZeroAllocSteadyState(t *testing.T) {
+	e := NewEngine()
+	m := &holdModel{eng: e, lane: e.NewLane(100)}
+	arg := EventArg{P: m}
+	// 64 events a side, interleaved in time; the ring (16 slots at first)
+	// grows here and wraps many times below.
+	for i := 0; i < 64; i++ {
+		m.lane.Schedule(laneHold, arg)
+		e.ScheduleEvent(100, heapHold, arg)
+		e.RunUntil(e.Now() + 1)
+	}
+	avg := testing.AllocsPerRun(2000, func() {
+		e.Step()
+		e.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state Lane.Schedule+Step allocates %.2f allocs/op, want 0", avg)
+	}
+	if m.laneFires < 1000 || m.heapFires < 1000 {
+		t.Fatalf("fired %d lane and %d heap events, want both sides exercised", m.laneFires, m.heapFires)
+	}
+	if e.Pending() != 128 {
+		t.Fatalf("standing population drifted: %d pending, want 128", e.Pending())
 	}
 }
 

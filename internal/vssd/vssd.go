@@ -370,7 +370,7 @@ func (v *VSSD) dispatchWrite(r *Request, lpn int) {
 	ppa, ok := v.tenant.AllocatePage(lpn, false)
 	if !ok {
 		// Out of space right now: let GC make progress and retry.
-		v.plat.eng.ScheduleEvent(sim.Millisecond, retryWrite, sim.EventArg{P: r, I: int64(lpn)})
+		v.plat.ftlm.ScheduleRetry(retryWrite, sim.EventArg{P: r, I: int64(lpn)})
 		return
 	}
 	v.inflight++

@@ -330,3 +330,98 @@ func TestActionKindString(t *testing.T) {
 }
 
 var _ = flash.OpRead // silence potential unused import if assertions change
+
+// TestStalledWriteRetriesOnItsOwnLattice pins the allocation-stall
+// protocol every overloaded figure's latencies are made of: a host page
+// that finds no space polls again every ftl.RetryDelay counted from the
+// instant *it* stalled — not on a shared tick, and not woken by the event
+// that frees space — and is dispatched by the first poll after GC has
+// returned enough blocks to the pool.
+//
+// One channel, one chip, six four-page blocks, and one writer that keeps a
+// single page outstanding, so at most one page is ever stalled and every
+// episode can be followed event by event. On the single chip the
+// background erase only gets to run once the writer has stalled; its
+// length is set off the 1 ms grid so a block is never freed on a lattice
+// point.
+func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
+	eng := sim.NewEngine()
+	pc := DefaultPlatformConfig()
+	pc.Flash.Channels = 1
+	pc.Flash.ChipsPerChannel = 1
+	pc.Flash.BlocksPerChip = 6
+	pc.Flash.PagesPerBlock = 4
+	pc.Flash.EraseBlock = 3300 * sim.Microsecond
+	p := NewPlatform(eng, pc)
+	v := p.AddVSSD(Config{Name: "full", Channels: []int{0}, LogicalPages: 8})
+	tn := v.Tenant()
+
+	const total = 200
+	writes := 0
+	var issue func()
+	issue = func() {
+		if writes == total {
+			return
+		}
+		v.Submit(&Request{Write: true, LPN: writes % 8, Pages: 1,
+			OnComplete: func(_ *Request, _ sim.Time) { issue() }})
+		writes++
+	}
+	issue()
+
+	const none = sim.Time(-1)
+	episodes, longest := 0, int64(0)
+	stalledAt, freedAt := none, none // freedAt: last block freed with no failed poll since
+	polls := int64(0)                // failed polls of the open episode
+	for {
+		before, free := tn.Stats(), p.FTL().FreeBlocks(0)
+		if !eng.Step() {
+			break
+		}
+		now, after := eng.Now(), tn.Stats()
+		if p.FTL().FreeBlocks(0) > free {
+			freedAt = now
+		}
+		failed := after.AllocStalls - before.AllocStalls
+		dispatched := after.HostPrograms > before.HostPrograms
+		if failed > 1 {
+			t.Fatalf("t=%d: %d pages stalled in one event; the writer keeps one outstanding", now, failed)
+		}
+		if stalledAt == none {
+			if failed == 1 {
+				stalledAt, freedAt, polls = now, none, 1
+			}
+			continue
+		}
+		// Inside an episode the page is heard from only on its lattice.
+		if failed == 1 || dispatched {
+			if want := stalledAt + sim.Time(polls)*ftl.RetryDelay; now != want {
+				t.Fatalf("episode %d: poll %d at t=%d, want t=%d (stalled at %d)", episodes, polls, now, want, stalledAt)
+			}
+		}
+		if failed == 1 {
+			freedAt = none
+			polls++
+		}
+		if dispatched {
+			// The stalled page went out at the first lattice point after
+			// the free that made room.
+			if freedAt == none || now <= freedAt || now-freedAt > ftl.RetryDelay {
+				t.Fatalf("episode %d: dispatched at t=%d, last block freed at t=%d; want the first poll after it", episodes, now, freedAt)
+			}
+			episodes++
+			if polls > longest {
+				longest = polls
+			}
+			stalledAt = none
+		}
+	}
+	if writes != total || v.Completed() != total {
+		t.Fatalf("issued %d writes, completed %d, want %d each", writes, v.Completed(), total)
+	}
+	// 16 host-writable pages under a writer faster than the erase behind
+	// it: a stall every few writes, each waiting out most of an erase.
+	if episodes < 20 || longest < 3 {
+		t.Fatalf("%d stall episodes, longest %d polls: the device no longer fills", episodes, longest)
+	}
+}

@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
-# module's vet and one run of each example), the one-device-stack and
-# hot-path boxing grep gates, the race detector on the concurrency-heavy
-# packages, the allocation guards at several core counts, worker-count
-# identity gates on the scenario figures, and benchmark smoke/allocation
-# gates. What each scenario must show (completed migrations, promotes and
-# demotes, typed traffic, …) is asserted by harness.TestScenarios in the
-# test suite. Performance is measured by bench/run.sh, not here.
+# module's vet and one run of each example), the one-device-stack,
+# one-retry-protocol and hot-path boxing grep gates, the race detector on
+# the concurrency-heavy packages, the allocation guards at several core
+# counts, worker-count identity gates on the scenario figures, and
+# benchmark smoke/allocation gates. What each scenario must show
+# (completed migrations, promotes and demotes, typed traffic, …) is
+# asserted by harness.TestScenarios in the test suite. Performance is
+# measured by bench/run.sh, not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -80,6 +81,17 @@ echo "== one device stack"
 if grep -rn 'vssd\.NewPlatform(' --include='*.go' ./*.go cmd examples internal | grep -v _test.go |
     grep -v '^internal/harness/' | grep -v '^internal/fleet/'; then
     echo "vssd.NewPlatform outside internal/harness and internal/fleet: build the device through harness.NewRun" >&2
+    exit 1
+fi
+
+echo "== one retry protocol"
+# Every allocation-stall backoff — the host write's in vssd, the GC
+# migration's and its program-fail retry's in ftl — waits ftl.RetryDelay on
+# the manager's lane (Manager.ScheduleRetry). A 1 ms event put on the heap
+# beside it is a second protocol, and at storm depth it is the sift cost
+# the lane exists to avoid.
+if grep -n 'ScheduleEvent(sim\.Millisecond' internal/ftl/*.go internal/vssd/*.go | grep -v _test.go; then
+    echo "1 ms retry scheduled on the heap; use ftl.Manager.ScheduleRetry" >&2
     exit 1
 fi
 
