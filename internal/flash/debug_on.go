@@ -11,9 +11,8 @@ import "math"
 // corruption. Enabled with `go test -tags=flashdebug`.
 const poolDebug = true
 
-// poisonOp stomps the released op's payload fields. The scheduling fields
-// (seq, enqueued) and the pool links are left alone — releaseOp and
-// AcquireOp own those.
+// poisonOp stomps the released op's payload fields. The sequence number
+// and the pool links are left alone — releaseOp and AcquireOp own those.
 func poisonOp(op *Op) {
 	op.Kind = OpKind(0xEE)
 	op.Addr = PPA{Channel: -1 << 30, Chip: -1 << 30, Block: -1 << 30, Page: -1 << 30}

@@ -8,9 +8,12 @@
 //
 // The per-op datapath is allocation-free in steady state: Ops are recycled
 // through a per-device free list (AcquireOp / automatic release after
-// Done), the command and bus queues are inlined typed min-heaps with no
-// interface boxing, and every pipeline stage is scheduled through the
-// engine's closure-free ScheduleEvent/AtEvent path.
+// Done), the command and bus queues are typed slices kept sorted in
+// scheduling order with no interface boxing, and every pipeline stage is
+// scheduled through the engine's closure-free paths: cell completions as
+// AtEvent heap events, bus transfers (one constant delay per device) on a
+// sim.Lane, and a read sense that ends under a bus transfer as no event at
+// all (see service).
 package flash
 
 import (
@@ -221,7 +224,6 @@ type Op struct {
 	CtxI     int64   // scalar completion context (e.g. a page index)
 
 	seq      uint64
-	enqueued sim.Time
 	dev      *Device
 	status   OpStatus // injected completion result, decided at service time
 	stall    sim.Time // injected extra cell-phase latency (program phase)
@@ -240,63 +242,47 @@ func opLess(a, b *Op) bool {
 	return a.seq < b.seq
 }
 
-// opQueue is an inlined 4-ary min-heap of *Op ordered by opLess — the same
-// layout as the sim engine's event queue. No container/heap, no interface
-// boxing; push/pop reuse the slice's capacity, so steady-state queueing
-// performs zero allocations. opLess is a total order (seq breaks all
-// ties), so pop order is deterministic and identical to what the previous
-// container/heap implementation produced.
-type opQueue []*Op
+// opQueue holds waiting ops in scheduling order: ops[head:] is ascending
+// under opLess. Within one source (a vSSD at one priority, or GC)
+// (Pass, seq) only increases, so ops arrive nearly sorted: push appends and
+// walks back from the tail (a few shifts; a whole-backlog shift only for a
+// priority raise), pop advances head. The length is bounded by the vSSDs'
+// inflight caps plus the GC pipelines. No container/heap, no interface
+// boxing; the consumed head is compacted in place rather than growing the
+// array, so steady-state queueing performs zero allocations. (Popped slots
+// are not cleared: every op ends up on the device's free list for good, so
+// a stale slot pins nothing.) opLess is a total order (seq breaks all
+// ties), so pop order is a pure function of the queued set — identical to
+// what any heap under the same order produces.
+type opQueue struct {
+	ops  []*Op
+	head int
+}
+
+func (q *opQueue) len() int { return len(q.ops) - q.head }
 
 func (q *opQueue) push(op *Op) {
-	*q = append(*q, op)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !opLess(op, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	if q.head > 0 && len(q.ops) == cap(q.ops) {
+		// Compact the consumed head instead of growing the array.
+		q.ops = q.ops[:copy(q.ops, q.ops[q.head:])]
+		q.head = 0
 	}
-	h[i] = op
+	q.ops = append(q.ops, op)
+	i := len(q.ops) - 1
+	for ; i > q.head && opLess(op, q.ops[i-1]); i-- {
+		q.ops[i] = q.ops[i-1]
+	}
+	q.ops[i] = op
 }
 
 func (q *opQueue) pop() *Op {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil // release the slot; capacity is reused
-	h = h[:n]
-	*q = h
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if opLess(h[j], h[m]) {
-					m = j
-				}
-			}
-			if !opLess(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
+	op := q.ops[q.head]
+	q.head++
+	if q.head == len(q.ops) {
+		q.ops = q.ops[:0]
+		q.head = 0
 	}
-	return top
+	return op
 }
 
 // ChannelStats aggregates per-channel accounting used for utilization and
@@ -313,7 +299,16 @@ type ChannelStats struct {
 type channel struct {
 	id       int
 	busBusy  bool
-	busQueue opQueue // ops waiting for the bus, in (priority, pass, FIFO) order
+	busFree  sim.Time // end of the transfer in progress; valid while busBusy
+	busQueue opQueue  // ops waiting for the bus, in (priority, pass, FIFO) order
+	// regranting is set while opBusDone handles the op whose transfer just
+	// ended, before it picks the next waiter: the bus is still marked busy
+	// but busFree is now.
+	regranting bool
+	// parked holds reads whose sense ends under a bus transfer: instead of
+	// an event at cellEnd that would only queue them for the busy bus, the
+	// opBusDone ending that transfer moves them into busQueue (see service).
+	parked   []*Op
 	chipFree []sim.Time
 	queue    opQueue
 	inflight int
@@ -337,8 +332,9 @@ type Device struct {
 	eng  *sim.Engine
 	chs  []*channel
 	seq  uint64
-	xfer sim.Time // cached page transfer time
-	free *Op      // free list of recycled ops
+	xfer sim.Time  // cached page transfer time
+	bus  *sim.Lane // opBusDone events: every transfer ends xfer after its grant
+	free *Op       // free list of recycled ops
 
 	// inj, when non-nil, injects NAND faults. Every injection draw sits
 	// behind one inj != nil check so the disabled path costs a single
@@ -356,6 +352,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	}
 	d := &Device{cfg: cfg, eng: eng, chs: make([]*channel, cfg.Channels),
 		xfer: cfg.transferTime(cfg.PageSize)}
+	d.bus = eng.NewLane(d.xfer)
 	for i := range d.chs {
 		d.chs[i] = &channel{id: i, chipFree: make([]sim.Time, cfg.ChipsPerChannel)}
 	}
@@ -384,7 +381,7 @@ func (d *Device) FaultStats() FaultStats { return d.fstats }
 func (d *Device) Stats(ch int) ChannelStats { return d.chs[ch].stats }
 
 // QueueLen returns the number of ops waiting (not yet dispatched) on ch.
-func (d *Device) QueueLen(ch int) int { return len(d.chs[ch].queue) }
+func (d *Device) QueueLen(ch int) int { return d.chs[ch].queue.len() }
 
 // Inflight returns the number of dispatched, uncompleted ops on ch.
 func (d *Device) Inflight(ch int) int { return d.chs[ch].inflight }
@@ -429,7 +426,6 @@ func (d *Device) Submit(op *Op) {
 	op.dev = d // absorb directly constructed ops into the pool contract
 	d.seq++
 	op.seq = d.seq
-	op.enqueued = d.eng.Now()
 	ch := d.chs[op.Addr.Channel]
 	ch.queue.push(op)
 	d.dispatch(ch)
@@ -437,7 +433,7 @@ func (d *Device) Submit(op *Op) {
 
 // dispatch starts queued ops while the channel has queue-depth headroom.
 func (d *Device) dispatch(ch *channel) {
-	for ch.inflight < d.cfg.QueueDepth && len(ch.queue) > 0 {
+	for ch.inflight < d.cfg.QueueDepth && ch.queue.len() > 0 {
 		op := ch.queue.pop()
 		ch.inflight++
 		d.service(ch, op)
@@ -475,21 +471,30 @@ func (d *Device) complete(ch *channel, op *Op, at sim.Time) {
 // address.
 
 // opCellReadDone: a read's cell sense finished; request the bus for the
-// data-out transfer.
+// data-out transfer. Scheduled only for a sense that service could not
+// prove ends under a transfer.
 func opCellReadDone(arg sim.EventArg, _ sim.Time) {
 	op := arg.P.(*Op)
 	d := op.dev
 	d.acquireBus(d.chs[op.Addr.Channel], op)
 }
 
-// opBusDone: a bus transfer finished. Reads complete; programs start their
-// cell phase. Handling the finished op may queue more bus waiters (e.g. a
-// completed read chain dispatching the next op), so the best waiter is
-// served afterwards.
+// opBusDone: a bus transfer finished. Reads whose sense ended under it
+// join the bus waiters first — they have been waiting since their cellEnd,
+// and a read parked while this handler runs must not win this handler's
+// re-grant. Then reads complete and programs start their cell phase.
+// Handling the finished op may queue more bus waiters (e.g. a completed
+// read chain dispatching the next op), so the best waiter is served
+// afterwards.
 func opBusDone(arg sim.EventArg, now sim.Time) {
 	op := arg.P.(*Op)
 	d := op.dev
 	ch := d.chs[op.Addr.Channel]
+	for _, p := range ch.parked {
+		ch.busQueue.push(p)
+	}
+	ch.parked = ch.parked[:0]
+	ch.regranting = true
 	switch op.Kind {
 	case OpRead:
 		d.complete(ch, op, now)
@@ -504,7 +509,8 @@ func opBusDone(arg sim.EventArg, now sim.Time) {
 	default:
 		panic(fmt.Sprintf("flash: op kind %v on the bus", op.Kind))
 	}
-	if len(ch.busQueue) > 0 {
+	ch.regranting = false
+	if ch.busQueue.len() > 0 {
 		d.grantBus(ch, ch.busQueue.pop())
 	} else {
 		ch.busBusy = false
@@ -523,6 +529,15 @@ func opCellDone(arg sim.EventArg, now sim.Time) {
 // arbitrated in (priority, pass, FIFO) order at the moment each transfer is
 // requested, so a late-arriving transfer can never be starved by a future
 // reservation.
+//
+// A read whose sense ends strictly inside a bus transfer gets no event for
+// the end of its sense: that event (opCellReadDone) would find the bus busy
+// and only push the op onto busQueue, whose sole reader is the opBusDone
+// ending that transfer, and busQueue is totally ordered, so when an op
+// enters it cannot change what the next pop returns. Such a read is parked
+// on the channel and opBusDone moves it into busQueue on entry. A sense
+// ending at the very instant the transfer does stays an event: there the
+// engine's sequence numbers decide which of the two handlers runs first.
 func (d *Device) service(ch *channel, op *Op) {
 	now := d.eng.Now()
 	chip := &ch.chipFree[op.Addr.Chip]
@@ -536,7 +551,11 @@ func (d *Device) service(ch *channel, op *Op) {
 		*chip = cellEnd
 		ch.stats.Reads++
 		ch.stats.BytesRead += int64(d.cfg.PageSize)
-		d.eng.AtEvent(cellEnd, opCellReadDone, sim.EventArg{P: op})
+		if ch.transferCovers(now, cellEnd, d.xfer) {
+			ch.parked = append(ch.parked, op)
+		} else {
+			d.eng.AtEvent(cellEnd, opCellReadDone, sim.EventArg{P: op})
+		}
 	case OpProgram:
 		ch.stats.Programs++
 		ch.stats.BytesWritten += int64(d.cfg.PageSize)
@@ -556,6 +575,23 @@ func (d *Device) service(ch *channel, op *Op) {
 	default:
 		panic(fmt.Sprintf("flash: unknown op kind %d", op.Kind))
 	}
+}
+
+// transferCovers reports whether a bus transfer that is certain to happen
+// is in progress at every instant up to and including t: the opBusDone
+// ending it runs strictly after t, and no other handler reads busQueue
+// before then. Two cases. A transfer is in progress and ends after t. Or
+// opBusDone is running and has yet to pick the next waiter: busQueue only
+// grows until that pick, so once it is non-empty a transfer from now to
+// now+xfer is certain.
+func (ch *channel) transferCovers(now, t, xfer sim.Time) bool {
+	if !ch.busBusy {
+		return false
+	}
+	if ch.regranting {
+		return ch.busQueue.len() > 0 && t < now+xfer
+	}
+	return t < ch.busFree
 }
 
 // injectRead draws the fault decisions for a read at service time and
@@ -616,10 +652,14 @@ func (d *Device) acquireBus(ch *channel, op *Op) {
 	d.grantBus(ch, op)
 }
 
+// grantBus starts op's page transfer. It ends a constant xfer from now, so
+// the opBusDone waits on the device's lane instead of sifting through the
+// engine's heap; it fires at the same (time, seq) either way.
 func (d *Device) grantBus(ch *channel, op *Op) {
 	ch.busBusy = true
+	ch.busFree = d.eng.Now() + d.xfer
 	ch.stats.BusBusy += d.xfer
-	d.eng.AtEvent(d.eng.Now()+d.xfer, opBusDone, sim.EventArg{P: op})
+	d.bus.Schedule(opBusDone, sim.EventArg{P: op})
 }
 
 func maxTime(a, b sim.Time) sim.Time {

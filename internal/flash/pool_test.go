@@ -7,7 +7,7 @@ import (
 )
 
 // TestDeviceDatapathZeroAlloc is the allocation-regression guard for the
-// per-I/O path: after warm-up (op pool filled, heaps and the event queue
+// per-I/O path: after warm-up (op pool filled, op queues and the event queue
 // grown to their high-water mark), driving a mixed read/write load through
 // a full device must not allocate at all.
 func TestDeviceDatapathZeroAlloc(t *testing.T) {

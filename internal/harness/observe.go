@@ -26,7 +26,9 @@ func (r *Run) startObserving() *obs.Sampler {
 	reg := o.Reg
 	s := obs.NewSampler()
 
+	eng := r.plat.Engine()
 	simTime := reg.Gauge("fleetio_sim_time_seconds", "Virtual time of the current run.")
+	simEvents := reg.Counter("fleetio_sim_events_total", "Engine events executed.")
 	samples := reg.Counter("fleetio_obs_samples_total", "Telemetry sample rounds taken.")
 
 	// Device-wide running totals: each counter mirrors one field of the
@@ -126,6 +128,7 @@ func (r *Run) startObserving() *obs.Sampler {
 		dt := float64(now-lastAt) / 1e9
 		lastAt = now
 		simTime.Set(float64(now) / 1e9)
+		simEvents.Set(float64(eng.Executed()))
 		samples.Add(1)
 
 		fst, gst = ftlm.Stats(), gsbm.Stats()
@@ -182,6 +185,6 @@ func (r *Run) startObserving() *obs.Sampler {
 		}
 	})
 
-	s.Start(r.plat.Engine(), obs.DefaultSamplePeriod)
+	s.Start(eng, obs.DefaultSamplePeriod)
 	return s
 }

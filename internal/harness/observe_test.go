@@ -64,6 +64,7 @@ func TestRunOneObserved(t *testing.T) {
 		"fleetio_admission_admitted_total",
 		"fleetio_obs_samples_total",
 		"fleetio_sim_time_seconds",
+		"fleetio_sim_events_total",
 	} {
 		if !strings.Contains(names, want) {
 			t.Errorf("registry missing %s", want)
@@ -82,6 +83,9 @@ func TestRunOneObserved(t *testing.T) {
 	}
 	if reg.Gauge("fleetio_sim_time_seconds", "").Value() == 0 {
 		t.Error("virtual clock gauge never set")
+	}
+	if reg.Counter("fleetio_sim_events_total", "").Value() == 0 {
+		t.Error("engine event counter never set")
 	}
 }
 

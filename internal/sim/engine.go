@@ -87,7 +87,8 @@ type Engine struct {
 	keys     []eventKey // 4-ary min-heap ordered by eventKey.before
 	payloads []eventPayload
 	lanes    []*Lane
-	laned    int // events waiting on lanes, summed over lanes
+	laned    int    // events waiting on lanes, summed over lanes
+	executed uint64 // events run so far, from the heap or a lane
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -101,6 +102,9 @@ func (e *Engine) Now() Time { return e.now }
 // Pending reports the number of events waiting to run, on the heap or on
 // a lane.
 func (e *Engine) Pending() int { return len(e.keys) + e.laned }
+
+// Executed reports the number of events run since the engine was built.
+func (e *Engine) Executed() uint64 { return e.executed }
 
 // Schedule runs fn after delay virtual nanoseconds. A negative delay is an
 // error in the model, so it panics. Capturing closures allocate; hot paths
@@ -189,8 +193,9 @@ func (e *Engine) siftDown() {
 }
 
 // Lane is a FIFO of events that all share one constant delay, for
-// protocols that re-arm the same timer many times over (the 1 ms
-// allocation-stall retry holds thousands of events at once). The clock
+// protocols that arm the same timer over and over: the 1 ms
+// allocation-stall retry, which holds thousands of events at once, and the
+// flash bus transfer, which is half of a device's events. The clock
 // never goes back and the sequence number only grows, so entries are
 // appended in (time, seq) order and the head is the lane's minimum:
 // scheduling and popping are O(1) ring-buffer operations where the heap
@@ -295,6 +300,7 @@ func (e *Engine) step(limit Time) bool {
 		e.siftDown()
 	}
 	e.now = at
+	e.executed++
 	pl.h(pl.arg, e.now)
 	return true
 }
@@ -312,6 +318,7 @@ func (l *Lane) step(limit Time) bool {
 	e := l.eng
 	e.laned--
 	e.now = at
+	e.executed++
 	pl.h(pl.arg, at)
 	return true
 }

@@ -2,10 +2,10 @@
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
 # module's vet and one run of each example), the one-device-stack,
-# one-retry-protocol and hot-path boxing grep gates, the race detector on
-# the concurrency-heavy packages, the allocation guards at several core
-# counts, worker-count identity gates on the scenario figures, and
-# benchmark smoke/allocation gates. What each scenario must show
+# one-retry-protocol, bus-lane and hot-path boxing grep gates, the race
+# detector on the concurrency-heavy packages, the allocation guards at
+# several core counts, worker-count identity gates on the scenario figures,
+# and benchmark smoke/allocation gates. What each scenario must show
 # (completed migrations, promotes and demotes, typed traffic, …) is
 # asserted by harness.TestScenarios in the test suite. Performance is
 # measured by bench/run.sh, not here.
@@ -95,6 +95,16 @@ if grep -n 'ScheduleEvent(sim\.Millisecond' internal/ftl/*.go internal/vssd/*.go
     exit 1
 fi
 
+echo "== bus transfers on the lane"
+# Every bus transfer ends one constant (the page transfer time) after its
+# grant, so its opBusDone waits on the device's sim.Lane. The same event put
+# on the heap fires at the same (time, seq) but pays the sift that half of
+# all flash events no longer pay.
+if grep -n 'AtEvent(.*opBusDone' internal/flash/*.go | grep -v _test.go; then
+    echo "opBusDone scheduled on the heap; bus transfers wait on the device's lane (Device.bus)" >&2
+    exit 1
+fi
+
 echo "== hot-path boxing gates"
 # The per-I/O datapath must stay free of interface boxing: container/heap
 # (whose Push/Pop box through interface{}) is banned from the simulator
@@ -102,7 +112,7 @@ echo "== hot-path boxing gates"
 # non-test interface{}/any-typed field or parameter in flash op structs —
 # pointer-shaped Ctx slots are the one sanctioned use, marked in place.
 if grep -n '"container/heap"' internal/flash/*.go internal/sim/*.go | grep -v _test.go; then
-    echo "container/heap is banned in the flash/sim hot path (typed heaps only)" >&2
+    echo "container/heap is banned in the flash/sim hot path (typed queues only)" >&2
     exit 1
 fi
 if grep -n 'interface{}' internal/flash/*.go internal/sim/*.go internal/ftl/*.go internal/vssd/*.go | grep -v _test.go; then
