@@ -1,8 +1,12 @@
 package baseline
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"repro/internal/flash"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vssd"
@@ -172,5 +176,43 @@ func TestSSDKeeperPartitionsOnceAfterObservation(t *testing.T) {
 	// Static afterwards.
 	if acts := sk.Decide(0, snaps); acts != nil {
 		t.Fatal("SSDKeeper must stay static after deciding")
+	}
+}
+
+// TestSSDKeeperModelPinned pins the trained demand model bit for bit: a
+// checksum over every parameter's float64 bits, plus Predict on five
+// feature triples, for two seeds — recorded on the per-sample scalar
+// training loop NewSSDKeeper ran before it moved onto the batched kernels.
+// Figures 10–14 only ever see Predict's rounded channel count, which would
+// hide a last-bit drift in the weights.
+func TestSSDKeeperModelPinned(t *testing.T) {
+	triples := [5][3]float64{
+		{0.05, 0.9, 0.1}, {0.3, 0.2, 0.95}, {0.5, 0.5, 0.5}, {0.7, 0.05, 0.3}, {0.95, 0.6, 0.8},
+	}
+	for _, want := range []struct {
+		seed     int64
+		checksum uint64
+		predict  [5]int
+	}{
+		{seed: 1, checksum: 0x9f313568f056ba90, predict: [5]int{2, 6, 10, 14, 16}},
+		{seed: 2, checksum: 0xaeb802768b7ab622, predict: [5]int{1, 6, 10, 14, 16}},
+	} {
+		s := NewSSDKeeper(16, flash.DefaultConfig().ChannelBandwidth(), want.seed)
+		h := fnv.New64a()
+		var word [8]byte
+		for _, p := range s.net.Params() {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(p))
+			h.Write(word[:])
+		}
+		if got := h.Sum64(); got != want.checksum {
+			t.Errorf("seed %d: params checksum %#x, pinned %#x", want.seed, got, want.checksum)
+		}
+		var got [5]int
+		for i, f := range triples {
+			got[i] = s.Predict(f[0], f[1], f[2])
+		}
+		if got != want.predict {
+			t.Errorf("seed %d: Predict = %v, pinned %v", want.seed, got, want.predict)
+		}
 	}
 }

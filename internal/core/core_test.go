@@ -8,7 +8,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/ftl"
 	"repro/internal/metrics"
-	"repro/internal/rl"
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/vssd"
 	"repro/internal/workload"
@@ -354,20 +354,27 @@ func TestPaperAlphaConstants(t *testing.T) {
 	}
 }
 
-// TestDecideBatchedMatchesScalar runs two identical shared-model FleetIO
-// deployments — one on the batched Decide path, one forced scalar with
-// RL.ScalarKernels — over the same simulated workload and requires
-// identical action streams, identical training statistics, and identical
-// final network parameters. This is the policy-level pin of the
-// batched-kernel bit-identity contract (the figure-level pin is
-// harness.TestCompareGolden, whose golden predates the batched kernels).
+// TestDecideBatchedMatchesScalar pins Decide's two row groupings — all n
+// agents in one network pass, or one row per pass — to identical action
+// streams over the same simulated workload, without a production switch:
+// the grouping is chosen by configuration that cannot otherwise change the
+// actions. deploy compares a shared network (one n-row greedy pass per
+// window) with per-agent clones of the same pretrained network (n one-row
+// passes; greedy, so no RNG). The two training modes compare TrainEvery
+// 1<<30 (no window is a train window: one n-row pass) with TrainEvery 1
+// (every window is: one-row passes, in case an agent trains the shared
+// network mid-loop) on a run shorter than MiniBatch windows, so no update
+// can fire in either and the shared RNG must be drawn in the same (agent,
+// head) order. The figure-level pin is harness.TestCompareGolden, whose
+// golden predates the batched kernels; the update itself is pinned by
+// rl.TestTrainBatchedMatchesScalar.
 func TestDecideBatchedMatchesScalar(t *testing.T) {
 	type run struct {
-		acts  []vssd.Action
-		stats []interface{}
-		par   []float64
+		acts    []vssd.Action
+		updates int
+		par     []float64
 	}
-	do := func(scalar bool, train, greedy bool) run {
+	do := func(cfg FleetIOConfig) run {
 		eng, p := testPlatform(4)
 		ls := p.AddVSSD(vssd.Config{Name: "ls", Channels: []int{0, 1}, SLO: 2 * sim.Millisecond})
 		bi := p.AddVSSD(vssd.Config{Name: "bi", Channels: []int{2, 3}, MaxInflightPages: 256})
@@ -375,31 +382,39 @@ func TestDecideBatchedMatchesScalar(t *testing.T) {
 		gbi := workload.NewGenerator(eng, bi, workload.ByName("TeraSort"), sim.NewRNG(3))
 		gls.Start()
 		gbi.Start()
-		f := NewFleetIO(p, FleetIOConfig{
-			ShareModel: true, Train: train, GreedyCollect: greedy,
-			TrainEvery: 5, Seed: 4, RL: rl.Config{ScalarKernels: scalar},
-		})
+		cfg.Seed = 4
+		f := NewFleetIO(p, cfg)
 		var out run
 		adm := admission.NewController(p, nil)
-		r := &Runner{Plat: p, Adm: adm, Policy: f, Window: 100 * sim.Millisecond,
-			OnWindow: func(now sim.Time, snaps []vssd.WindowSnapshot) {}}
 		// Capture the per-window actions via a wrapping policy.
-		r.Policy = capturePolicy{f, &out.acts}
+		r := &Runner{Plat: p, Adm: adm, Policy: capturePolicy{f, &out.acts}, Window: 100 * sim.Millisecond}
 		r.Start()
-		eng.RunUntil(5 * sim.Second)
-		for _, st := range f.TrainStats() {
-			out.stats = append(out.stats, st)
-		}
-		out.par = f.Net(0).Params()
+		eng.RunUntil(3 * sim.Second) // 30 windows < MiniBatch
+		out.updates = len(f.TrainStats())
+		out.par = f.Net(1).Params()
 		return out
 	}
+	pretrained := func() *nn.ActorCritic {
+		return nn.NewActorCritic(DefaultHistoryWindows*StatesPerWindow, 50,
+			[]int{len(HarvestLevels), len(HarvestLevels), len(PriorityLevels)}, sim.NewRNG(9))
+	}
 	for _, mode := range []struct {
-		name          string
-		train, greedy bool
-	}{{"deploy", false, false}, {"train-sample", true, false}, {"train-greedy", true, true}} {
+		name            string
+		oneRow, grouped FleetIOConfig
+	}{
+		{"deploy",
+			FleetIOConfig{Pretrained: pretrained()},
+			FleetIOConfig{Pretrained: pretrained(), ShareModel: true}},
+		{"train-sample",
+			FleetIOConfig{ShareModel: true, Train: true, TrainEvery: 1},
+			FleetIOConfig{ShareModel: true, Train: true, TrainEvery: 1 << 30}},
+		{"train-greedy",
+			FleetIOConfig{ShareModel: true, Train: true, GreedyCollect: true, TrainEvery: 1},
+			FleetIOConfig{ShareModel: true, Train: true, GreedyCollect: true, TrainEvery: 1 << 30}},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			s := do(true, mode.train, mode.greedy)
-			b := do(false, mode.train, mode.greedy)
+			s := do(mode.oneRow)
+			b := do(mode.grouped)
 			if len(s.acts) == 0 || len(s.acts) != len(b.acts) {
 				t.Fatalf("action streams differ in length: %d vs %d", len(s.acts), len(b.acts))
 			}
@@ -409,13 +424,8 @@ func TestDecideBatchedMatchesScalar(t *testing.T) {
 					t.Fatalf("action %d diverges: %+v != %+v", i, sa, ba)
 				}
 			}
-			if len(s.stats) != len(b.stats) {
-				t.Fatalf("train stats count: %d vs %d", len(s.stats), len(b.stats))
-			}
-			for i := range s.stats {
-				if s.stats[i] != b.stats[i] {
-					t.Fatalf("train stats %d diverge:\n%+v\n%+v", i, s.stats[i], b.stats[i])
-				}
+			if s.updates != 0 || b.updates != 0 {
+				t.Fatalf("PPO updates fired (%d, %d): the run must stay shorter than MiniBatch windows", s.updates, b.updates)
 			}
 			for i := range s.par {
 				if s.par[i] != b.par[i] {

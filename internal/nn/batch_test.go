@@ -9,89 +9,119 @@ import (
 )
 
 // randNet builds a network with random dims drawn from rng (paper-scale
-// ranges) plus a batch of random input rows.
-func randNet(rng *sim.RNG) (*ActorCritic, int, int) {
+// ranges). Every fourth trial is value-only — zero policy heads, the shape
+// baseline.NewSSDKeeper trains through BackwardBatch(cache, nil, dVals) —
+// and the first of those is SSDKeeper's own 3→16→16→1.
+func randNet(rng *sim.RNG, trial int) (*ActorCritic, int) {
 	in := 4 + rng.Intn(40)
 	hidden := 4 + rng.Intn(60)
 	heads := make([]int, 1+rng.Intn(4))
 	for i := range heads {
 		heads[i] = 2 + rng.Intn(6)
 	}
-	return NewActorCritic(in, hidden, heads, rng), in, len(heads)
+	if trial%4 == 3 {
+		heads = nil
+		if trial == 3 {
+			in, hidden = 3, 16
+		}
+	}
+	return NewActorCritic(in, hidden, heads, rng), in
 }
 
 // TestBatchMatchesScalarOracle is the bit-identity oracle: for random
 // network shapes and batch sizes 1..64, ForwardBatch/BackwardBatch must
 // produce exactly (==, not approximately) the outputs and gradient
-// accumulators that looping the scalar Forward/Backward over the rows
-// does. This is the property that lets batched call sites replace scalar
-// loops without perturbing any golden figure.
+// accumulators that looping the scalar reference (oracle_test.go) over the
+// rows does. Every shape also runs at b = 1, the row count every
+// single-state caller (per-agent inference, Predict) uses, and every trial
+// runs under each kernel implementation the host has. This is the property
+// that lets the kernels be the only network code that ships without
+// perturbing any golden figure.
 func TestBatchMatchesScalarOracle(t *testing.T) {
-	rng := sim.NewRNG(7)
-	for trial := 0; trial < 40; trial++ {
-		scalar, in, nHeads := randNet(rng)
-		batched := scalar.Clone()
-		b := 1 + rng.Intn(64)
-		xs := make([]float64, b*in)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		// Upstream gradients: random per head, with occasional nil heads
-		// and zero value-gradient rows to exercise the skip paths.
-		dls := make([][]float64, nHeads)
-		for k := 0; k < nHeads; k++ {
-			if rng.Intn(5) == 0 {
-				continue
-			}
-			dls[k] = make([]float64, b*scalar.Heads[k].Out)
-			for i := range dls[k] {
-				dls[k][i] = rng.NormFloat64()
+	forEachKernel(t, func(t *testing.T) {
+		rng := sim.NewRNG(7)
+		for trial := 0; trial < 40; trial++ {
+			ref, in := randNet(rng, trial)
+			kern := ref.Clone()
+			for _, b := range []int{1, 1 + rng.Intn(64)} {
+				checkBatchAgainstOracle(t, rng, ref, kern, in, b, trial)
 			}
 		}
-		dVals := make([]float64, b)
-		for i := range dVals {
-			if rng.Intn(3) != 0 {
-				dVals[i] = rng.NormFloat64()
-			}
-		}
+	})
+}
 
-		blg, bval, bc := batched.ForwardBatch(xs, b)
-		// Scalar reference pass, row by row, with backward interleaved the
-		// way the scalar training loop runs it.
-		rowDL := make([][]float64, nHeads)
-		for r := 0; r < b; r++ {
-			lg, v, cache := scalar.Forward(xs[r*in : (r+1)*in])
-			if v != bval[r] {
-				t.Fatalf("trial %d row %d: value %v != scalar %v", trial, r, bval[r], v)
-			}
-			for k := range lg {
-				w := scalar.Heads[k].Out
-				for j, want := range lg[k] {
-					if got := blg[k][r*w+j]; got != want {
-						t.Fatalf("trial %d row %d head %d logit %d: %v != %v", trial, r, k, j, got, want)
-					}
-				}
-				if dls[k] == nil {
-					rowDL[k] = nil
-				} else {
-					rowDL[k] = dls[k][r*w : (r+1)*w]
-				}
-			}
-			scalar.Backward(cache, rowDL, dVals[r])
+// checkBatchAgainstOracle runs one b-row forward/backward through kern's
+// kernels and b one-state passes through the scalar reference on ref, and
+// requires identical outputs and identical gradient accumulators.
+func checkBatchAgainstOracle(t *testing.T, rng *sim.RNG, ref, kern *ActorCritic, in, b, trial int) {
+	t.Helper()
+	nHeads := len(ref.Heads)
+	xs := make([]float64, b*in)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	// Upstream gradients: random per head, with occasional nil heads and
+	// zero value-gradient rows to exercise the skip paths. A value-only
+	// net passes dLogits == nil, as SSDKeeper does.
+	var dls [][]float64
+	if nHeads > 0 {
+		dls = make([][]float64, nHeads)
+	}
+	for k := 0; k < nHeads; k++ {
+		if rng.Intn(5) == 0 {
+			continue
 		}
-		batched.BackwardBatch(bc, dls, dVals)
+		dls[k] = make([]float64, b*ref.Heads[k].Out)
+		for i := range dls[k] {
+			dls[k][i] = rng.NormFloat64()
+		}
+	}
+	dVals := make([]float64, b)
+	for i := range dVals {
+		if rng.Intn(3) != 0 {
+			dVals[i] = rng.NormFloat64()
+		}
+	}
 
-		sl, bl := scalar.Layers(), batched.Layers()
-		for li := range sl {
-			for i, want := range sl[li].GW {
-				if got := bl[li].GW[i]; got != want {
-					t.Fatalf("trial %d (b=%d) layer %d GW[%d]: %v != %v", trial, b, li, i, got, want)
+	blg, bval, bc := kern.ForwardBatch(xs, b)
+	// Reference pass, row by row, with backward interleaved the way a
+	// per-sample training loop runs it.
+	var rowDL [][]float64
+	if nHeads > 0 {
+		rowDL = make([][]float64, nHeads)
+	}
+	for r := 0; r < b; r++ {
+		lg, v, cache := refForward(ref, xs[r*in:(r+1)*in])
+		if v != bval[r] {
+			t.Fatalf("trial %d (b=%d) row %d: value %v != reference %v", trial, b, r, bval[r], v)
+		}
+		for k := range lg {
+			w := ref.Heads[k].Out
+			for j, want := range lg[k] {
+				if got := blg[k][r*w+j]; got != want {
+					t.Fatalf("trial %d (b=%d) row %d head %d logit %d: %v != %v", trial, b, r, k, j, got, want)
 				}
 			}
-			for i, want := range sl[li].GB {
-				if got := bl[li].GB[i]; got != want {
-					t.Fatalf("trial %d (b=%d) layer %d GB[%d]: %v != %v", trial, b, li, i, got, want)
-				}
+			if dls[k] == nil {
+				rowDL[k] = nil
+			} else {
+				rowDL[k] = dls[k][r*w : (r+1)*w]
+			}
+		}
+		refBackward(ref, cache, rowDL, dVals[r])
+	}
+	kern.BackwardBatch(bc, dls, dVals)
+
+	rl, kl := ref.Layers(), kern.Layers()
+	for li := range rl {
+		for i, want := range rl[li].GW {
+			if got := kl[li].GW[i]; got != want {
+				t.Fatalf("trial %d (b=%d) layer %d GW[%d]: %v != %v", trial, b, li, i, got, want)
+			}
+		}
+		for i, want := range rl[li].GB {
+			if got := kl[li].GB[i]; got != want {
+				t.Fatalf("trial %d (b=%d) layer %d GB[%d]: %v != %v", trial, b, li, i, got, want)
 			}
 		}
 	}

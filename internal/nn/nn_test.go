@@ -14,94 +14,112 @@ func TestLinearForward(t *testing.T) {
 		B:  []float64{0.5, -0.5},
 		GW: make([]float64, 4), GB: make([]float64, 2),
 	}
-	y := make([]float64, 2)
-	l.Forward([]float64{1, 1}, y)
-	if y[0] != 3.5 || y[1] != 6.5 {
+	y := make([]float64, 4)
+	l.ForwardBatch([]float64{1, 1, 0, -1}, y, 2)
+	if y[0] != 3.5 || y[1] != 6.5 || y[2] != -1.5 || y[3] != -4.5 {
 		t.Fatalf("y = %v", y)
 	}
 }
 
-func TestLinearBackwardMatchesFiniteDifference(t *testing.T) {
-	rng := sim.NewRNG(1)
-	l := NewLinear(3, 2, rng)
-	x := []float64{0.3, -0.7, 1.2}
-	// Loss = sum(y); dL/dy = ones.
-	loss := func() float64 {
-		y := make([]float64, 2)
-		l.Forward(x, y)
-		return y[0] + y[1]
-	}
-	l.ZeroGrad()
-	dx := make([]float64, 3)
-	l.Backward(x, []float64{1, 1}, dx)
+// fdCheck compares analytic gradients g against central finite differences
+// of loss over the entries of w. layer, when set, owns w: a direct write to
+// W must be announced before the next kernel call reads the transposed
+// cache.
+func fdCheck(t *testing.T, name string, layer *Linear, w, g []float64, loss func() float64, tol float64) {
+	t.Helper()
 	const eps = 1e-6
-	for i := range l.W {
-		orig := l.W[i]
-		l.W[i] = orig + eps
-		up := loss()
-		l.W[i] = orig - eps
-		down := loss()
-		l.W[i] = orig
-		num := (up - down) / (2 * eps)
-		if math.Abs(num-l.GW[i]) > 1e-5 {
-			t.Fatalf("dW[%d]: analytic %v numeric %v", i, l.GW[i], num)
+	set := func(i int, v float64) {
+		w[i] = v
+		if layer != nil {
+			layer.NoteWeightsChanged()
 		}
 	}
-	for i := range x {
-		orig := x[i]
-		x[i] = orig + eps
+	for i := range w {
+		orig := w[i]
+		set(i, orig+eps)
 		up := loss()
-		x[i] = orig - eps
+		set(i, orig-eps)
 		down := loss()
-		x[i] = orig
+		set(i, orig)
 		num := (up - down) / (2 * eps)
-		if math.Abs(num-dx[i]) > 1e-5 {
-			t.Fatalf("dx[%d]: analytic %v numeric %v", i, dx[i], num)
+		if math.Abs(num-g[i]) > tol {
+			t.Fatalf("%s[%d]: analytic %v numeric %v", name, i, g[i], num)
 		}
 	}
 }
 
-func TestActorCriticGradCheck(t *testing.T) {
-	rng := sim.NewRNG(7)
-	ac := NewActorCritic(4, 8, []int{3, 2}, rng)
-	x := []float64{0.1, -0.5, 0.9, 0.2}
-	// Scalar loss: sum of all logits of head 0 weighted + 2*value.
-	w0 := []float64{0.3, -0.8, 0.5}
-	loss := func() float64 {
-		logits, v, _ := ac.Forward(x)
-		s := 2 * v
-		for i, l := range logits[0] {
-			s += w0[i] * l
+func TestLinearBackwardMatchesFiniteDifference(t *testing.T) {
+	for _, b := range []int{1, 3} {
+		rng := sim.NewRNG(1)
+		l := NewLinear(3, 2, rng)
+		xs := make([]float64, b*3)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
 		}
-		return s
-	}
-	ac.ZeroGrad()
-	_, _, cache := ac.Forward(x)
-	ac.Backward(cache, [][]float64{w0, nil}, 2)
-	const eps = 1e-6
-	check := func(name string, w, g []float64) {
-		for i := range w {
-			orig := w[i]
-			w[i] = orig + eps
-			up := loss()
-			w[i] = orig - eps
-			down := loss()
-			w[i] = orig
-			num := (up - down) / (2 * eps)
-			if math.Abs(num-g[i]) > 1e-4 {
-				t.Fatalf("%s[%d]: analytic %v numeric %v", name, i, g[i], num)
+		// Loss = sum over rows of sum(y); dL/dy = ones.
+		loss := func() float64 {
+			ys := make([]float64, b*2)
+			l.ForwardBatch(xs, ys, b)
+			s := 0.0
+			for _, y := range ys {
+				s += y
 			}
+			return s
 		}
+		ones := make([]float64, b*2)
+		for i := range ones {
+			ones[i] = 1
+		}
+		l.ZeroGrad()
+		dxs := make([]float64, b*3)
+		l.BackwardBatch(xs, ones, dxs, b)
+		fdCheck(t, "dW", l, l.W, l.GW, loss, 1e-5)
+		fdCheck(t, "dB", l, l.B, l.GB, loss, 1e-5)
+		fdCheck(t, "dx", nil, xs, dxs, loss, 1e-5)
 	}
-	check("L1.W", ac.L1.W, ac.L1.GW)
-	check("L1.B", ac.L1.B, ac.L1.GB)
-	check("L2.W", ac.L2.W, ac.L2.GW)
-	check("Value.W", ac.Value.W, ac.Value.GW)
-	check("Head0.W", ac.Heads[0].W, ac.Heads[0].GW)
-	// Head 1 received no upstream gradient.
-	for i, g := range ac.Heads[1].GW {
-		if g != 0 {
-			t.Fatalf("head1 grad[%d] = %v, want 0", i, g)
+}
+
+func TestActorCriticGradCheck(t *testing.T) {
+	for _, b := range []int{1, 3} {
+		rng := sim.NewRNG(7)
+		ac := NewActorCritic(4, 8, []int{3, 2}, rng)
+		xs := make([]float64, b*4)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+		}
+		// Scalar loss, summed over rows: the logits of head 0 weighted,
+		// plus 2*value.
+		w0 := []float64{0.3, -0.8, 0.5}
+		loss := func() float64 {
+			logits, vals, _ := ac.ForwardBatch(xs, b)
+			s := 0.0
+			for r := 0; r < b; r++ {
+				s += 2 * vals[r]
+				for i, w := range w0 {
+					s += w * logits[0][r*3+i]
+				}
+			}
+			return s
+		}
+		dl0 := make([]float64, 0, b*3)
+		dVals := make([]float64, b)
+		for r := 0; r < b; r++ {
+			dl0 = append(dl0, w0...)
+			dVals[r] = 2
+		}
+		ac.ZeroGrad()
+		_, _, cache := ac.ForwardBatch(xs, b)
+		ac.BackwardBatch(cache, [][]float64{dl0, nil}, dVals)
+		fdCheck(t, "L1.W", ac.L1, ac.L1.W, ac.L1.GW, loss, 1e-4)
+		fdCheck(t, "L1.B", ac.L1, ac.L1.B, ac.L1.GB, loss, 1e-4)
+		fdCheck(t, "L2.W", ac.L2, ac.L2.W, ac.L2.GW, loss, 1e-4)
+		fdCheck(t, "Value.W", ac.Value, ac.Value.W, ac.Value.GW, loss, 1e-4)
+		fdCheck(t, "Head0.W", ac.Heads[0], ac.Heads[0].W, ac.Heads[0].GW, loss, 1e-4)
+		// Head 1 received no upstream gradient.
+		for i, g := range ac.Heads[1].GW {
+			if g != 0 {
+				t.Fatalf("head1 grad[%d] = %v, want 0", i, g)
+			}
 		}
 	}
 }
@@ -111,30 +129,32 @@ func TestAdamReducesLoss(t *testing.T) {
 	rng := sim.NewRNG(3)
 	ac := NewActorCritic(2, 8, []int{1}, rng)
 	opt := NewAdam(0.01)
-	sample := func() ([]float64, float64) {
-		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		return x, 2*x[0] - x[1]
-	}
 	mse := func(n int) float64 {
 		s := 0.0
 		r2 := sim.NewRNG(99)
 		for i := 0; i < n; i++ {
 			x := []float64{r2.NormFloat64(), r2.NormFloat64()}
 			y := 2*x[0] - x[1]
-			_, v, _ := ac.Forward(x)
-			s += (v - y) * (v - y)
+			_, v, _ := ac.ForwardBatch(x, 1)
+			s += (v[0] - y) * (v[0] - y)
 		}
 		return s / float64(n)
 	}
 	before := mse(100)
+	const batch = 8
+	xs := make([]float64, batch*2)
+	dVals := make([]float64, batch)
 	for step := 0; step < 800; step++ {
 		ac.ZeroGrad()
-		for b := 0; b < 8; b++ {
-			x, y := sample()
-			_, v, cache := ac.Forward(x)
-			ac.Backward(cache, [][]float64{nil}, 2*(v-y))
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
 		}
-		opt.Step(ac.Layers(), 8)
+		_, vals, cache := ac.ForwardBatch(xs, batch)
+		for r, v := range vals {
+			dVals[r] = 2 * (v - (2*xs[r*2] - xs[r*2+1]))
+		}
+		ac.BackwardBatch(cache, [][]float64{nil}, dVals)
+		opt.Step(ac.Layers(), batch)
 	}
 	after := mse(100)
 	if after > before/10 {
@@ -211,19 +231,28 @@ func TestArgmaxAndEntropy(t *testing.T) {
 	}
 }
 
+// value1 is the critic's estimate for one state.
+func value1(ac *ActorCritic, x []float64) float64 {
+	_, v, _ := ac.ForwardBatch(x, 1)
+	return v[0]
+}
+
 func TestCloneIndependence(t *testing.T) {
 	rng := sim.NewRNG(5)
 	ac := NewActorCritic(3, 4, []int{2}, rng)
 	cl := ac.Clone()
 	x := []float64{1, 2, 3}
-	_, v1, _ := ac.Forward(x)
-	_, v2, _ := cl.Forward(x)
+	v1 := value1(ac, x)
+	v2 := value1(cl, x)
 	if v1 != v2 {
 		t.Fatal("clone differs")
 	}
 	ac.L1.W[0] += 1
-	_, v3, _ := cl.Forward(x)
-	if v3 != v2 {
+	ac.L1.NoteWeightsChanged()
+	if value1(ac, x) == v1 {
+		t.Fatal("weight write did not reach the original")
+	}
+	if v3 := value1(cl, x); v3 != v2 {
 		t.Fatal("clone shares storage with original")
 	}
 }
@@ -240,9 +269,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	l1, v1, _ := ac.Forward(x)
-	l2, v2, _ := back.Forward(x)
-	if v1 != v2 {
+	l1, v1, _ := ac.ForwardBatch(x, 1)
+	l2, v2, _ := back.ForwardBatch(x, 1)
+	if v1[0] != v2[0] {
 		t.Fatal("value differs after round trip")
 	}
 	for k := range l1 {
@@ -285,9 +314,9 @@ func TestParamsSetParamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
-	l1, v1, _ := src.Forward(x)
-	l2, v2, _ := dst.Forward(x)
-	if v1 != v2 {
+	l1, v1, _ := src.ForwardBatch(x, 1)
+	l2, v2, _ := dst.ForwardBatch(x, 1)
+	if v1[0] != v2[0] {
 		t.Fatal("value differs after params broadcast")
 	}
 	for k := range l1 {

@@ -264,11 +264,22 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-// TestTrainBatchedMatchesScalar pins the batched Train inner loop against
-// the scalar one bit for bit: two learners with identical networks, RNG
-// streams, and buffers must produce identical parameters and statistics —
-// including on a buffer size that leaves a ragged final minibatch.
+// TestTrainBatchedMatchesScalar pins Train's minibatch loop against the
+// per-sample oracle (oracle_test.go) bit for bit: learners with identical
+// networks, RNG streams, and buffers must produce identical parameters and
+// statistics — including on buffer sizes that leave a ragged final
+// minibatch (50), fit in one (32) or are smaller than one (7), and across
+// the episode boundaries the Done marks put inside the buffer.
 func TestTrainBatchedMatchesScalar(t *testing.T) {
+	type trainFn func(p *PPO, buf *Buffer, lastValue float64) TrainStats
+	paths := []struct {
+		name   string
+		scalar bool
+		train  trainFn
+	}{
+		{"per-sample oracle", false, trainPerSample},
+		{"production scalar", true, (*PPO).Train},
+	}
 	for _, n := range []int{48, 50, 32, 7} {
 		build := func(scalar bool) (*PPO, *Buffer) {
 			rng := sim.NewRNG(41)
@@ -290,87 +301,100 @@ func TestTrainBatchedMatchesScalar(t *testing.T) {
 			}
 			return p, &buf
 		}
-		ps, bs := build(true)
-		pb, bb := build(false)
-		sts := ps.Train(bs, 0.3)
-		stb := pb.Train(bb, 0.3)
-		if sts != stb {
-			t.Fatalf("n=%d: stats diverge:\nscalar  %+v\nbatched %+v", n, sts, stb)
-		}
-		sp, bp := ps.Net.Params(), pb.Net.Params()
-		for i := range sp {
-			if sp[i] != bp[i] {
-				t.Fatalf("n=%d: param %d diverges: %v != %v", n, i, sp[i], bp[i])
+		for _, path := range paths {
+			ps, bs := build(path.scalar)
+			pb, bb := build(false)
+			sts := path.train(ps, bs, 0.3)
+			stb := pb.Train(bb, 0.3)
+			if sts != stb {
+				t.Fatalf("n=%d: stats diverge:\n%s %+v\nTrain %+v", n, path.name, sts, stb)
 			}
-		}
-		// A second Train round exercises the weight-transpose invalidation
-		// after optimizer steps.
-		_, bs = build(true)
-		_, bb = build(false)
-		bs.steps, bb.steps = bs.steps[:n], bb.steps[:n]
-		if sts, stb := ps.Train(bs, -0.1), pb.Train(bb, -0.1); sts != stb {
-			t.Fatalf("n=%d round 2: stats diverge", n)
-		}
-		sp, bp = ps.Net.Params(), pb.Net.Params()
-		for i := range sp {
-			if sp[i] != bp[i] {
-				t.Fatalf("n=%d round 2: param %d diverges", n, i)
+			sp, bp := ps.Net.Params(), pb.Net.Params()
+			for i := range sp {
+				if sp[i] != bp[i] {
+					t.Fatalf("n=%d vs %s: param %d diverges: %v != %v", n, path.name, i, sp[i], bp[i])
+				}
+			}
+			// A second Train round exercises the weight-transpose invalidation
+			// after optimizer steps.
+			_, bs = build(path.scalar)
+			_, bb = build(false)
+			bs.steps, bb.steps = bs.steps[:n], bb.steps[:n]
+			if sts, stb := path.train(ps, bs, -0.1), pb.Train(bb, -0.1); sts != stb {
+				t.Fatalf("n=%d vs %s round 2: stats diverge", n, path.name)
+			}
+			sp, bp = ps.Net.Params(), pb.Net.Params()
+			for i := range sp {
+				if sp[i] != bp[i] {
+					t.Fatalf("n=%d vs %s round 2: param %d diverges", n, path.name, i)
+				}
 			}
 		}
 	}
 }
 
-// TestActBatchMatchesScalar pins the ActBatch family against per-state
-// scalar calls: same actions, log-probs, values, and — for the sampling
-// path — the same RNG stream consumption.
+// TestActBatchMatchesScalar pins one b-row call of each acting mode against
+// b one-row calls in row order — the form every single-state caller (Act,
+// ActGreedy, core's per-agent passes) takes: same actions, log-probs,
+// values, and — for the sampling mode — the same RNG stream consumption.
 func TestActBatchMatchesScalar(t *testing.T) {
 	const b, dim = 5, 6
 	mk := func() *PPO { return newPPO([]int{4, 3, 2}, dim, 13) }
-	ps, pb := mk(), mk()
+	ps, p1, pb := mk(), mk(), mk()
 	states := make([]float64, b*dim)
 	rng := sim.NewRNG(99)
 	for round := 0; round < 4; round++ {
 		for i := range states {
 			states[i] = rng.NormFloat64()
 		}
-		// Sampling path: both learners share the seed and have consumed
-		// their RNGs identically so far, so the batched call must draw the
-		// exact same actions as b scalar calls in row order.
+		// Sampling mode: the learners share the seed and have consumed
+		// their RNGs identically so far, so the b-row call must draw the
+		// exact same actions as b one-row calls in row order.
 		sa, sl, sv := pb.ActBatch(states, b)
 		for r := 0; r < b; r++ {
-			wantA, wantLP, wantV := ps.Act(states[r*dim : (r+1)*dim])
+			row := states[r*dim : (r+1)*dim]
+			wantA, wantLP, wantV := ps.Act(row)
+			oneA, oneLP, oneV := p1.ActBatch(row, 1)
 			for k := range wantA {
-				if sa[r][k] != wantA[k] {
-					t.Fatalf("sample round %d row %d head %d: action %d != %d", round, r, k, sa[r][k], wantA[k])
+				if sa[r][k] != wantA[k] || oneA[0][k] != wantA[k] {
+					t.Fatalf("sample round %d row %d head %d: actions %d / %d != %d", round, r, k, sa[r][k], oneA[0][k], wantA[k])
 				}
 			}
-			if sl[r] != wantLP || sv[r] != wantV {
-				t.Fatalf("sample round %d row %d: lp/v (%v,%v) != (%v,%v)", round, r, sl[r], sv[r], wantLP, wantV)
+			if sl[r] != wantLP || sv[r] != wantV || oneLP[0] != wantLP || oneV[0] != wantV {
+				t.Fatalf("sample round %d row %d: lp/v (%v,%v) / (%v,%v) != (%v,%v)", round, r, sl[r], sv[r], oneLP[0], oneV[0], wantLP, wantV)
 			}
 		}
-		// Greedy-with-eval path.
+		// Greedy-with-eval mode.
 		gotA, gotLP, gotV := pb.ActGreedyEvalBatch(states, b)
 		for r := 0; r < b; r++ {
-			wantA, wantLP, wantV := ps.ActGreedyEval(states[r*dim : (r+1)*dim])
+			row := states[r*dim : (r+1)*dim]
+			wantA, wantLP, wantV := ps.ActGreedyEval(row)
+			oneA, oneLP, oneV := p1.ActGreedyEvalBatch(row, 1)
 			for k := range wantA {
-				if gotA[r][k] != wantA[k] {
-					t.Fatalf("round %d row %d head %d: action %d != %d", round, r, k, gotA[r][k], wantA[k])
+				if gotA[r][k] != wantA[k] || oneA[0][k] != wantA[k] {
+					t.Fatalf("round %d row %d head %d: actions %d / %d != %d", round, r, k, gotA[r][k], oneA[0][k], wantA[k])
 				}
 			}
-			if gotLP[r] != wantLP || gotV[r] != wantV {
-				t.Fatalf("round %d row %d: lp/v (%v,%v) != (%v,%v)", round, r, gotLP[r], gotV[r], wantLP, wantV)
+			if gotLP[r] != wantLP || gotV[r] != wantV || oneLP[0] != wantLP || oneV[0] != wantV {
+				t.Fatalf("round %d row %d: lp/v (%v,%v) / (%v,%v) != (%v,%v)", round, r, gotLP[r], gotV[r], oneLP[0], oneV[0], wantLP, wantV)
 			}
 		}
-		// Greedy path.
+		// Greedy mode.
 		gg := pb.ActGreedyBatch(states, b)
 		for r := 0; r < b; r++ {
-			want := ps.ActGreedy(states[r*dim : (r+1)*dim])
+			row := states[r*dim : (r+1)*dim]
+			want := ps.ActGreedy(row)
+			one := p1.ActGreedyBatch(row, 1)
 			for k := range want {
-				if gg[r][k] != want[k] {
-					t.Fatalf("greedy round %d row %d head %d: %d != %d", round, r, k, gg[r][k], want[k])
+				if gg[r][k] != want[k] || one[0][k] != want[k] {
+					t.Fatalf("greedy round %d row %d head %d: %d / %d != %d", round, r, k, gg[r][k], one[0][k], want[k])
 				}
 			}
 		}
+	}
+	// All three learners must have consumed their RNG streams identically.
+	if a, b, c := ps.rng.Float64(), p1.rng.Float64(), pb.rng.Float64(); a != b || a != c {
+		t.Fatalf("RNG streams diverged: %v %v %v", a, b, c)
 	}
 }
 
