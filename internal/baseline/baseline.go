@@ -175,10 +175,15 @@ func NewSSDKeeper(totalChannels int, channelBW float64, seed int64) *SSDKeeper {
 	net := nn.NewActorCritic(3, 16, nil, rng)
 	opt := nn.NewAdam(0.01)
 	// Ideal demand: enough channels for the offered bandwidth plus 20%
-	// headroom — the latency-minimizing static allocation.
+	// headroom — the latency-minimizing static allocation. Each step is one
+	// forward/backward pass over a 16-sample batch of squared-error
+	// gradients through the value output (the net has no policy heads).
+	const batch = 16
+	xs := make([]float64, batch*3)
+	wants, dVals := make([]float64, batch), make([]float64, batch)
 	for step := 0; step < 3000; step++ {
 		net.ZeroGrad()
-		for b := 0; b < 16; b++ {
+		for b := 0; b < batch; b++ {
 			offered := rng.Float64() * float64(totalChannels) * channelBW
 			iops := rng.Float64()
 			readRatio := rng.Float64()
@@ -189,11 +194,15 @@ func NewSSDKeeper(totalChannels int, channelBW float64, seed int64) *SSDKeeper {
 			if want > float64(totalChannels) {
 				want = float64(totalChannels)
 			}
-			x := []float64{offered / (float64(totalChannels) * channelBW), iops, readRatio}
-			_, v, cache := net.Forward(x)
-			net.Backward(cache, nil, 2*(v-want))
+			xs[b*3], xs[b*3+1], xs[b*3+2] = offered/(float64(totalChannels)*channelBW), iops, readRatio
+			wants[b] = want
 		}
-		opt.Step(net.Layers(), 16)
+		_, vals, cache := net.ForwardBatch(xs, batch)
+		for b, v := range vals {
+			dVals[b] = 2 * (v - wants[b])
+		}
+		net.BackwardBatch(cache, nil, dVals)
+		opt.Step(net.Layers(), batch)
 	}
 	return &SSDKeeper{
 		net:            net,
@@ -212,8 +221,8 @@ func (s *SSDKeeper) Decided() bool { return s.decided }
 // Predict returns the DNN's channel demand for the given normalized
 // features.
 func (s *SSDKeeper) Predict(bwFrac, iopsNorm, readRatio float64) int {
-	_, v, _ := s.net.Forward([]float64{bwFrac, iopsNorm, readRatio})
-	d := int(math.Round(v))
+	_, v, _ := s.net.ForwardBatch([]float64{bwFrac, iopsNorm, readRatio}, 1)
+	d := int(math.Round(v[0]))
 	if d < 1 {
 		d = 1
 	}

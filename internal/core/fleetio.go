@@ -67,7 +67,7 @@ type FleetIOConfig struct {
 	// mode); otherwise each agent fine-tunes its own copy.
 	ShareModel bool
 	// GreedyCollect makes training-mode action selection greedy
-	// (ActGreedyEval) while still recording transitions; the trainer's
+	// (ActGreedyEvalBatch) while still recording transitions; the trainer's
 	// held-out eval episodes use it to score a frozen policy snapshot.
 	GreedyCollect bool
 
@@ -98,10 +98,8 @@ type FleetIOConfig struct {
 	TypeModel *cluster.Model
 	// AlphaByCluster maps the TypeModel's cluster ids to α values.
 	AlphaByCluster map[int]float64
-	// RL overrides PPO hyperparameters (zero value → DefaultConfig; LR and
-	// ScalarKernels survive the default resolution when the rest is zero).
-	// RL.ScalarKernels also makes Decide fall back to per-agent scalar
-	// inference: the oracle the batched kernels are tested against.
+	// RL overrides PPO hyperparameters (zero value → DefaultConfig; LR
+	// survives the default resolution when the rest is zero).
 	RL rl.Config
 
 	// Obs traces per-window decisions (the three issued actions plus the
@@ -160,7 +158,6 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 	}
 	if cfg.RL.Gamma == 0 {
 		rcfg := rl.DefaultConfig()
-		rcfg.ScalarKernels = cfg.RL.ScalarKernels
 		if cfg.RL.LR != 0 {
 			rcfg.LR = cfg.RL.LR
 		}
@@ -342,78 +339,64 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	actions := f.actsOut[:0]
 	chanBW := f.plat.FlashConfig().ChannelBandwidth()
 
-	// One batched matrix pass per decision window in shared-model mode:
-	// every agent's stacked state runs through the network together, with
-	// the categorical sampling consuming the shared RNG in the same
-	// (agent, head) order as the per-agent loop — bit-identical by
-	// construction (see internal/nn/batch.go). On windows where an agent
-	// may train the shared network mid-loop, the scalar path runs instead
-	// so the act/train interleaving is preserved exactly.
-	batched := f.shared != nil && !f.cfg.RL.ScalarKernels &&
-		(!f.cfg.Train || f.windows%int64(f.cfg.TrainEvery) != 0)
-	if batched {
-		if cap(f.stateRows) < n*f.stateDim {
-			f.stateRows = make([]float64, n*f.stateDim)
-		}
-		rows := f.stateRows[:n*f.stateDim]
-		for i, a := range f.agents {
+	// One loop over row groups, each one network pass. On a shared network
+	// every agent's stacked state runs through it together, the categorical
+	// sampling consuming the shared RNG in (agent, head) order. Otherwise a
+	// group is one row: per-agent networks, and shared-network windows on
+	// which an agent may train the network mid-loop, where the act/train
+	// interleaving must stay agent by agent. How rows are grouped cannot
+	// change an action (see internal/nn/batch.go); it is only faster.
+	trainWindow := f.cfg.Train && f.windows%int64(f.cfg.TrainEvery) == 0
+	group := 1
+	if f.shared != nil && !trainWindow {
+		group = n
+	}
+	if cap(f.stateRows) < group*f.stateDim {
+		f.stateRows = make([]float64, group*f.stateDim)
+	}
+	rows := f.stateRows[:group*f.stateDim]
+	for lo := 0; lo < n; lo += group {
+		for i := lo; i < lo+group; i++ {
+			a := f.agents[i]
 			state := f.closeWindow(a, snaps[i], mixed[i], totIOPS-iops[i], totVio-vio[i])
-			copy(rows[i*f.stateDim:(i+1)*f.stateDim], state)
+			copy(rows[(i-lo)*f.stateDim:], state)
 			if f.cfg.Train {
 				a.lastState = state
 			}
 		}
-		var bActs [][]int
-		var bLPs, bVals []float64
-		if !f.cfg.Train {
-			bActs = f.shared.ActGreedyBatch(rows, n)
-		} else if f.cfg.GreedyCollect {
-			bActs, bLPs, bVals = f.shared.ActGreedyEvalBatch(rows, n)
-		} else {
-			bActs, bLPs, bVals = f.shared.ActBatch(rows, n)
-		}
-		for i, a := range f.agents {
-			if f.cfg.Train {
-				a.lastActions = bActs[i]
-				a.lastLogProb = bLPs[i]
-				a.lastValue = bVals[i]
-				a.pending = true
-			}
-			actions = f.emit(actions, i, a, bActs[i], vio[i], chanBW, single[i], mixed[i])
-		}
-		f.actsOut = actions
-		return actions
-	}
-
-	for i, a := range f.agents {
-		state := f.closeWindow(a, snaps[i], mixed[i], totIOPS-iops[i], totVio-vio[i])
-		var acts []int
-		if f.cfg.Train {
+		ppo := f.agents[lo].ppo
+		var acts [][]int
+		var lps, vals []float64
+		switch {
+		case !f.cfg.Train:
+			acts = ppo.ActGreedyBatch(rows, group)
+		case f.cfg.GreedyCollect:
+			acts, lps, vals = ppo.ActGreedyEvalBatch(rows, group)
+		default:
 			// Both pretraining and deployed fine-tuning sample the
 			// stochastic policy: exploration is what lets the agents keep
 			// matching harvest supply to the collocated demand (the
 			// harvested superblocks drain and must be re-negotiated every
 			// few windows). The α-gated priority cap in emit bounds the
 			// damage of a bad sample to the latency tenants.
-			var lp, val float64
-			if f.cfg.GreedyCollect {
-				acts, lp, val = a.ppo.ActGreedyEval(state)
-			} else {
-				acts, lp, val = a.ppo.Act(state)
-			}
-			a.lastState = state
-			a.lastActions = acts
-			a.lastLogProb = lp
-			a.lastValue = val
-			a.pending = true
-			if f.windows%int64(f.cfg.TrainEvery) == 0 && a.buf.Len() >= f.cfg.RL.MiniBatch {
-				st := a.ppo.Train(&a.buf, a.ppo.Value(state))
-				f.trainStats = append(f.trainStats, st)
-			}
-		} else {
-			acts = a.ppo.ActGreedy(state)
+			acts, lps, vals = ppo.ActBatch(rows, group)
 		}
-		actions = f.emit(actions, i, a, acts, vio[i], chanBW, single[i], mixed[i])
+		for i := lo; i < lo+group; i++ {
+			a, r := f.agents[i], i-lo
+			if f.cfg.Train {
+				a.lastActions = acts[r]
+				a.lastLogProb = lps[r]
+				a.lastValue = vals[r]
+				a.pending = true
+				if trainWindow && a.buf.Len() >= f.cfg.RL.MiniBatch {
+					// The value just estimated for this state bootstraps
+					// the return of the buffer's last transition.
+					st := ppo.Train(&a.buf, a.lastValue)
+					f.trainStats = append(f.trainStats, st)
+				}
+			}
+			actions = f.emit(actions, i, a, acts[r], vio[i], chanBW, single[i], mixed[i])
+		}
 	}
 	f.actsOut = actions
 	return actions

@@ -1,11 +1,12 @@
 package nn
 
-// Batched compute kernels. Every kernel is bit-identical to looping its
-// scalar counterpart over the batch rows in ascending order: each output
-// element (and each gradient-accumulator element) is produced by the same
-// sequence of floating-point operations in the same order, so replacing a
-// scalar loop with a batched call can never change a result — only how
-// fast it arrives.
+// The network's compute kernels, row-major over a batch of b states (b = 1
+// for a single state). Every kernel is bit-identical to looping the scalar
+// per-state reference (oracle_test.go) over the batch rows in ascending
+// order: each output element (and each gradient-accumulator element) is
+// produced by the same sequence of floating-point operations in the same
+// order, so how callers group states into batches can never change a
+// result — only how fast it arrives.
 //
 // All three matrix products reduce to the accumRows primitive (kernel.go),
 // which vectorizes across independent accumulator elements and never
@@ -23,13 +24,14 @@ package nn
 //   - the input gradient holds a dx row as the accumulator and streams
 //     weight rows in ascending output order, exactly like the scalar loop.
 //
-// Pinned by the batched-vs-scalar oracle property test in batch_test.go
-// and by TestCompareGolden end to end.
+// Pinned by the oracle property test in batch_test.go
+// (TestBatchMatchesScalarOracle, under both accumRows implementations) and
+// by TestCompareGolden end to end.
 
 // ForwardBatch computes ys = xs·Wᵀ + b for a batch of b input rows.
 // xs is b×In row-major, ys is b×Out row-major. Each output element is the
-// same dot product, in the same summation order, as b scalar Forward
-// calls — row r of ys equals Forward(xs[r·In:...]) exactly.
+// same dot product, in the same summation order, as the scalar reference
+// computes for its row.
 func (l *Linear) ForwardBatch(xs, ys []float64, b int) {
 	in, out := l.In, l.Out
 	wt := l.wtView()
@@ -62,7 +64,7 @@ func (l *Linear) wtView() []float64 {
 // BackwardBatch accumulates parameter gradients for a batch: xs is the
 // b×In input matrix, dys the b×Out upstream-gradient matrix, and dxs (b×In,
 // may be nil to skip) receives the input gradients. It is bit-identical to
-// b scalar Backward calls in row order: every GW/GB element receives the
+// b scalar reference passes in row order: every GW/GB element receives the
 // same addends in the same (ascending-row) sequence, and each dxs row sums
 // over output units in the same ascending order.
 func (l *Linear) BackwardBatch(xs, dys, dxs []float64, b int) {
@@ -86,16 +88,16 @@ func (l *Linear) BackwardBatch(xs, dys, dxs []float64, b int) {
 	}
 }
 
-// SoftmaxBatch computes a row-wise softmax over a b×width matrix. Each row
-// is the scalar Softmax applied to the corresponding logits row.
+// SoftmaxBatch computes a row-wise softmax over a b×width matrix: Softmax
+// applied to each logits row.
 func SoftmaxBatch(logits, probs []float64, b, width int) {
 	for r := 0; r < b; r++ {
 		Softmax(logits[r*width:(r+1)*width], probs[r*width:(r+1)*width])
 	}
 }
 
-// BatchCache holds the intermediate activations of one batched forward
-// pass (row-major, B rows), needed for the corresponding BackwardBatch.
+// BatchCache holds the intermediate activations of one forward pass
+// (row-major, B rows), needed for the corresponding BackwardBatch.
 type BatchCache struct {
 	B      int
 	X      []float64 // B×In inputs
@@ -113,8 +115,8 @@ func (ac *ActorCritic) headCols() int {
 	return n
 }
 
-// batchScratch sizes the batched forward/backward scratch for b rows,
-// growing to the high-water mark so steady state allocates nothing.
+// batchScratch sizes the forward/backward scratch for b rows, growing to
+// the high-water mark so steady state allocates nothing.
 func (ac *ActorCritic) batchScratch(b int) *BatchCache {
 	c := ac.bw
 	if c == nil || b > ac.batchCap {
@@ -184,12 +186,12 @@ func (ac *ActorCritic) headsView() (wt, bias []float64) {
 
 // ForwardBatch runs the network over b states stacked in xs (b×In
 // row-major), returning per-head logits as b×headOut row-major matrices
-// and the b value estimates. Row r of every output is bit-identical to
-// Forward(xs[r·In:...]).
+// and the b value estimates. A single state is ForwardBatch(x, 1): row r
+// of every output depends on row r of xs alone, bit for bit, whatever b is.
 //
-// Like Forward, the returned slices and cache are owned by the network and
-// reused by the next ForwardBatch call; steady state allocates nothing
-// once the scratch has grown to the largest batch seen.
+// The returned slices and cache are owned by the network and reused by the
+// next ForwardBatch call — copy anything that must outlive it; steady state
+// allocates nothing once the scratch has grown to the largest batch seen.
 func (ac *ActorCritic) ForwardBatch(xs []float64, b int) (logits [][]float64, values []float64, cache *BatchCache) {
 	c := ac.batchScratch(b)
 	in, h1, h2 := ac.L1.In, ac.L1.Out, ac.L2.Out
@@ -229,13 +231,13 @@ func (ac *ActorCritic) ForwardBatch(xs []float64, b int) (logits [][]float64, va
 	return ac.logitsB, vals, c
 }
 
-// BackwardBatch accumulates gradients for a batched forward pass, given
-// per-head upstream logit gradients (each b×headOut row-major; nil entries
-// are skipped) and per-row value-output gradients (len B; may be nil).
-// It is bit-identical to B scalar Backward calls in row order — including
-// the scalar path's dValue == 0 skip, applied here per row, so a row with
-// a zero value gradient contributes nothing to the value head or to its
-// trunk gradient.
+// BackwardBatch accumulates gradients for a forward pass, given per-head
+// upstream logit gradients (each b×headOut row-major; nil entries are
+// skipped, and a value-only network passes a nil slice) and per-row
+// value-output gradients (len B; may be nil). It is bit-identical to B
+// scalar reference passes in row order — including the reference's
+// dValue == 0 skip, applied here per row, so a row with a zero value
+// gradient contributes nothing to the value head or to its trunk gradient.
 func (ac *ActorCritic) BackwardBatch(c *BatchCache, dLogits [][]float64, dValues []float64) {
 	b := c.B
 	h1, h2 := ac.L1.Out, ac.L2.Out
@@ -256,7 +258,7 @@ func (ac *ActorCritic) BackwardBatch(c *BatchCache, dLogits [][]float64, dValues
 	if dValues != nil {
 		// Fused value-head backward (Out == 1): for each active row,
 		// accumulate GB/GW and add W·g into the trunk gradient. The scalar
-		// path routes this through Backward's dx scratch, but a single
+		// reference routes this through a dx scratch vector, but a single
 		// output unit makes dx[i] exactly wᵢ·g, so adding it directly is
 		// the same addend dA2 would receive.
 		vgb := ac.Value.GB[0]

@@ -128,7 +128,7 @@ func checkBatchAgainstOracle(t *testing.T, rng *sim.RNG, ref, kern *ActorCritic,
 }
 
 // TestSoftmaxBatchMatchesScalar pins the row-wise softmax against the
-// scalar kernel.
+// per-row Softmax.
 func TestSoftmaxBatchMatchesScalar(t *testing.T) {
 	rng := sim.NewRNG(3)
 	const b, w = 17, 5
@@ -187,13 +187,11 @@ func TestForwardBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardBatch measures batched inference throughput per state at
-// B=32 on the paper-sized network; compare ns/op ÷ 32 against
-// BenchmarkForward (the acceptance bar is ≥3x per-state at B≥8).
-func BenchmarkForwardBatch(b *testing.B) {
+// benchForwardBatch measures one inference pass over batch states on the
+// paper-sized network; ns/op ÷ batch is the per-state cost.
+func benchForwardBatch(b *testing.B, batch int) {
 	rng := sim.NewRNG(1)
 	net := NewActorCritic(33, 50, []int{5, 5, 3}, rng)
-	const batch = 32
 	xs := make([]float64, batch*33)
 	for i := range xs {
 		xs[i] = rng.Float64()
@@ -206,25 +204,16 @@ func BenchmarkForwardBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardBatch8 is the acceptance-criterion batch size.
-func BenchmarkForwardBatch8(b *testing.B) {
-	rng := sim.NewRNG(1)
-	net := NewActorCritic(33, 50, []int{5, 5, 3}, rng)
-	const batch = 8
-	xs := make([]float64, batch*33)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	net.ForwardBatch(xs, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardBatch(xs, batch)
-	}
-}
+// BenchmarkForwardBatch is the PPO minibatch size; BenchmarkForwardBatch8 a
+// decision window of eight agents on a shared network; BenchmarkForwardBatch1
+// the one-row pass every single-state caller makes (per-agent deployment,
+// Act, Predict).
+func BenchmarkForwardBatch(b *testing.B)  { benchForwardBatch(b, 32) }
+func BenchmarkForwardBatch8(b *testing.B) { benchForwardBatch(b, 8) }
+func BenchmarkForwardBatch1(b *testing.B) { benchForwardBatch(b, 1) }
 
-// BenchmarkBackwardBatch measures one batched gradient step (forward +
-// backward) at B=32; compare against 32× BenchmarkForwardBackward.
+// BenchmarkBackwardBatch measures one gradient step (forward + backward)
+// at B=32.
 func BenchmarkBackwardBatch(b *testing.B) {
 	rng := sim.NewRNG(1)
 	net := NewActorCritic(33, 50, []int{5, 5, 3}, rng)

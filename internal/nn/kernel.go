@@ -9,7 +9,7 @@ import "math"
 // with the k-sum accumulated SERIALLY in ascending k for every j — each
 // dst element is its own accumulator chain, updated with a separate
 // multiply then add per k (never a fused multiply-add, never a split
-// partial sum). That makes the result bit-identical to the scalar training
+// partial sum). That makes the result bit-identical to the scalar reference
 // loops regardless of how many j lanes a SIMD implementation processes at
 // once: vector lanes map to independent dst elements, and reductions are
 // never reassociated. IEEE-754 multiplication and addition are commutative
@@ -26,7 +26,8 @@ import "math"
 // On amd64 with AVX-512 an assembly implementation (kernel_amd64.s)
 // processes 32 dst lanes per step; everywhere else the portable Go loop
 // below runs. Both orderings are identical by construction, pinned by
-// TestAccumRowsImplsMatch and the batched-vs-scalar oracle test.
+// TestAccumRowsImplsMatch and by TestBatchMatchesScalarOracle, which runs
+// every trial against the scalar reference (oracle_test.go) under each.
 func accumRows(dst, rows, coeffs []float64, n, ld, cs int) {
 	if len(dst) == 0 || n <= 0 {
 		return

@@ -6,11 +6,13 @@
 // utilities, and gob serialization. It replaces the paper's
 // PyTorch/RLlib stack.
 //
-// Alongside the scalar per-state kernels, ForwardBatch/BackwardBatch
-// process B×In row-major batches through reusable BatchCache scratch —
-// bit-identical to the scalar path (same FP operation order; see
-// docs/PERFORMANCE.md "Batched RL kernels") and allocation-free in
-// steady state.
+// There is one network implementation: ForwardBatch/BackwardBatch run B×In
+// row-major batches through reusable BatchCache scratch, allocation-free in
+// steady state, and a single state is a one-row batch (ForwardBatch(x, 1)).
+// The per-state scalar network they replaced lives on only as the
+// test-only oracle in oracle_test.go, which the kernels match bit for bit
+// at every batch size (same FP operation order; see docs/PERFORMANCE.md
+// "Batched RL kernels").
 package nn
 
 import (
@@ -33,18 +35,18 @@ type Linear struct {
 	MW, VW []float64 // Adam first/second moments for W
 	MB, VB []float64 // Adam moments for B
 
-	// Transposed-weight cache for the batched forward path (batch.go):
+	// Transposed-weight cache for the forward kernel (batch.go):
 	// wt is W laid out In×Out so one accumRows pass per state streams
 	// contiguous rows. rev counts weight mutations; wt is rebuilt lazily
 	// whenever wtRev falls behind. Every in-package mutator (Adam.Step,
 	// SetParams, gob decode, Clone) keeps this coherent; code that writes
-	// W directly must call NoteWeightsChanged before the next batched call.
+	// W directly must call NoteWeightsChanged before the next forward pass.
 	wt         []float64
 	wtRev, rev uint64
 }
 
 // NoteWeightsChanged invalidates the transposed-weight caches used by the
-// batched forward kernels. In-package mutators handle this automatically;
+// forward kernels. In-package mutators handle this automatically;
 // call it only after assigning to W directly.
 func (l *Linear) NoteWeightsChanged() { l.rev++ }
 
@@ -62,49 +64,6 @@ func NewLinear(in, out int, rng *sim.RNG) *Linear {
 		l.W[i] = (rng.Float64()*2 - 1) * bound
 	}
 	return l
-}
-
-// Forward computes y = Wx + b into y (len Out). x must have length In.
-func (l *Linear) Forward(x, y []float64) {
-	in := l.In
-	x = x[:in] // one bounds check here lets the inner loop elide them
-	for o := 0; o < l.Out; o++ {
-		sum := l.B[o]
-		row := l.W[o*in : o*in+in]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		y[o] = sum
-	}
-}
-
-// Backward accumulates parameter gradients given the layer input x (len
-// In) and the upstream gradient dy, and writes the input gradient into dx
-// (len In, may be nil to skip).
-func (l *Linear) Backward(x, dy, dx []float64) {
-	in := l.In
-	x = x[:in]
-	for o := 0; o < l.Out; o++ {
-		g := dy[o]
-		l.GB[o] += g
-		grow := l.GW[o*in : o*in+in]
-		for i, xi := range x {
-			grow[i] += g * xi
-		}
-	}
-	if dx != nil {
-		dx = dx[:in]
-		for i := range dx {
-			dx[i] = 0
-		}
-		for o := 0; o < l.Out; o++ {
-			g := dy[o]
-			row := l.W[o*in : o*in+in]
-			for i, wi := range row {
-				dx[i] += wi * g
-			}
-		}
-	}
 }
 
 // ZeroGrad clears the gradient accumulators.
@@ -223,27 +182,20 @@ type ActorCritic struct {
 	Heads  []*Linear
 	Value  *Linear
 
-	// Reusable forward/backward scratch, lazily sized on first use so
-	// steady-state Forward/Backward performs zero allocations (§4.7: the
-	// per-window inference runs on every agent every 2 s, and pretraining
-	// runs it millions of times). Unexported, so gob round-trips and
-	// Clone hand out networks with fresh scratch. Like the network's
-	// gradient accumulators, scratch makes a network single-goroutine.
-	fw                       *Cache
-	logits                   [][]float64
-	valOut                   []float64
-	dA2, dTmp, dH2, dA1, dH1 []float64
-	dVal                     [1]float64
-
-	// Batched counterparts (batch.go), sized to the largest batch seen
-	// (batchCap rows) under the same zero-steady-state-allocation contract.
+	// Reusable forward/backward scratch (batch.go), sized to the largest
+	// batch seen (batchCap rows) so steady-state ForwardBatch/BackwardBatch
+	// performs zero allocations (§4.7: the per-window inference runs on
+	// every agent every 2 s, and pretraining runs it millions of times).
+	// Unexported, so gob round-trips and Clone hand out networks with fresh
+	// scratch. Like the network's gradient accumulators, scratch makes a
+	// network single-goroutine.
 	bw                            *BatchCache
 	batchCap                      int
 	logitsB                       [][]float64
 	valOutB                       []float64
 	dA2B, dTmpB, dH2B, dA1B, dH1B []float64
 
-	// Fused output block for the batched forward: all policy heads plus
+	// Fused output block for the forward pass: all policy heads plus
 	// the value head as one h2×(Σ headOut + 1) transposed weight matrix,
 	// so one accumRows pass per state covers every output unit instead of
 	// one tiny matrix product per head. Rebuilt when any source layer's
@@ -268,97 +220,6 @@ func NewActorCritic(in, hidden int, headSizes []int, rng *sim.RNG) *ActorCritic 
 		ac.Heads = append(ac.Heads, NewLinear(hidden, hs, rng))
 	}
 	return ac
-}
-
-// Cache holds the intermediate activations of one forward pass, needed for
-// the corresponding backward pass.
-type Cache struct {
-	X      []float64
-	H1, A1 []float64
-	H2, A2 []float64
-}
-
-// Forward runs the network, returning per-head logits and the value.
-//
-// The returned logits and cache are owned by the network and reused: they
-// are valid until the next Forward call on the same *ActorCritic. Copy
-// anything that must outlive that (the PPO training loop consumes them
-// before re-entering Forward, so the hot paths never need to).
-func (ac *ActorCritic) Forward(x []float64) (logits [][]float64, value float64, cache *Cache) {
-	c := ac.fw
-	if c == nil || len(c.X) != len(x) {
-		c = &Cache{
-			X:  make([]float64, len(x)),
-			H1: make([]float64, ac.L1.Out), A1: make([]float64, ac.L1.Out),
-			H2: make([]float64, ac.L2.Out), A2: make([]float64, ac.L2.Out),
-		}
-		ac.fw = c
-	}
-	copy(c.X, x)
-	ac.L1.Forward(c.X, c.H1)
-	for i, v := range c.H1 {
-		c.A1[i] = math.Tanh(v)
-	}
-	ac.L2.Forward(c.A1, c.H2)
-	for i, v := range c.H2 {
-		c.A2[i] = math.Tanh(v)
-	}
-	if ac.logits == nil {
-		ac.logits = make([][]float64, len(ac.Heads))
-		for k, h := range ac.Heads {
-			ac.logits[k] = make([]float64, h.Out)
-		}
-		ac.valOut = make([]float64, 1)
-	}
-	for k, h := range ac.Heads {
-		h.Forward(c.A2, ac.logits[k])
-	}
-	ac.Value.Forward(c.A2, ac.valOut)
-	return ac.logits, ac.valOut[0], c
-}
-
-// Backward accumulates gradients given upstream gradients for each head's
-// logits (nil entries are skipped) and the value output.
-func (ac *ActorCritic) Backward(c *Cache, dLogits [][]float64, dValue float64) {
-	if len(ac.dA2) != ac.L2.Out || len(ac.dA1) != ac.L1.Out {
-		ac.dA2 = make([]float64, ac.L2.Out)
-		ac.dTmp = make([]float64, ac.L2.Out)
-		ac.dH2 = make([]float64, ac.L2.Out)
-		ac.dA1 = make([]float64, ac.L1.Out)
-		ac.dH1 = make([]float64, ac.L1.Out)
-	}
-	dA2, tmp := ac.dA2, ac.dTmp
-	for i := range dA2 {
-		dA2[i] = 0
-	}
-	for k, h := range ac.Heads {
-		if dLogits[k] == nil {
-			continue
-		}
-		h.Backward(c.A2, dLogits[k], tmp)
-		for i := range dA2 {
-			dA2[i] += tmp[i]
-		}
-	}
-	if dValue != 0 {
-		ac.dVal[0] = dValue
-		ac.Value.Backward(c.A2, ac.dVal[:], tmp)
-		for i := range dA2 {
-			dA2[i] += tmp[i]
-		}
-	}
-	// Through tanh at layer 2.
-	dH2 := ac.dH2
-	for i := range dH2 {
-		dH2[i] = dA2[i] * (1 - c.A2[i]*c.A2[i])
-	}
-	dA1 := ac.dA1
-	ac.L2.Backward(c.A1, dH2, dA1)
-	dH1 := ac.dH1
-	for i := range dH1 {
-		dH1[i] = dA1[i] * (1 - c.A1[i]*c.A1[i])
-	}
-	ac.L1.Backward(c.X, dH1, nil)
 }
 
 // Layers returns every trainable layer. The slice is cached (the layer set

@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"math"
-	"testing"
-
-	"repro/internal/sim"
-)
+import "math"
 
 // The scalar reference network: one state at a time, one dot product per
 // output unit, math.Tanh per element. This is the implementation the
@@ -126,62 +121,4 @@ func refBackward(ac *ActorCritic, c *refCache, dLogits [][]float64, dValue float
 		dH1[i] = dA1[i] * (1 - c.A1[i]*c.A1[i])
 	}
 	refLinearBackward(ac.L1, c.X, dH1, nil)
-}
-
-// TestOracleMatchesProductionScalar proves the reference above against the
-// production Forward/Backward it was copied from, before those are deleted.
-func TestOracleMatchesProductionScalar(t *testing.T) {
-	rng := sim.NewRNG(17)
-	for trial := 0; trial < 40; trial++ {
-		ref, in := randNet(rng, trial)
-		prod := ref.Clone()
-		for row := 0; row < 5; row++ {
-			x := make([]float64, in)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			var dls [][]float64
-			for _, h := range ref.Heads {
-				var dl []float64
-				if rng.Intn(5) != 0 {
-					dl = make([]float64, h.Out)
-					for i := range dl {
-						dl[i] = rng.NormFloat64()
-					}
-				}
-				dls = append(dls, dl)
-			}
-			dv := 0.0
-			if rng.Intn(3) != 0 {
-				dv = rng.NormFloat64()
-			}
-			rlg, rv, rc := refForward(ref, x)
-			plg, pv, pc := prod.Forward(x)
-			if rv != pv {
-				t.Fatalf("trial %d: value %v != %v", trial, rv, pv)
-			}
-			for k := range rlg {
-				for j := range rlg[k] {
-					if rlg[k][j] != plg[k][j] {
-						t.Fatalf("trial %d head %d logit %d differs", trial, k, j)
-					}
-				}
-			}
-			refBackward(ref, rc, dls, dv)
-			prod.Backward(pc, dls, dv)
-		}
-		rl, pl := ref.Layers(), prod.Layers()
-		for li := range rl {
-			for i := range rl[li].GW {
-				if rl[li].GW[i] != pl[li].GW[i] {
-					t.Fatalf("trial %d layer %d GW[%d] differs", trial, li, i)
-				}
-			}
-			for i := range rl[li].GB {
-				if rl[li].GB[i] != pl[li].GB[i] {
-					t.Fatalf("trial %d layer %d GB[%d] differs", trial, li, i)
-				}
-			}
-		}
-	}
 }

@@ -7,16 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// benchLearner builds a FleetIO-sized PPO learner plus a 128-transition
-// rollout. Train drains its buffer, so benchmarks keep the transitions and
-// refill between iterations (128 struct copies — noise next to an update).
-func benchLearner(scalar bool) (*PPO, []Transition) {
+// BenchmarkTrainBatch measures a full PPO update (GAE + Epochs passes of
+// minibatched forward/backward) on a FleetIO-sized learner over a
+// 128-transition rollout. Train drains its buffer, so the benchmark keeps
+// the transitions and refills between iterations (128 struct copies — noise
+// next to an update).
+func BenchmarkTrainBatch(b *testing.B) {
 	const stateDim = 110 // DefaultHistoryWindows * StatesPerWindow
 	rng := sim.NewRNG(7)
 	net := nn.NewActorCritic(stateDim, 50, []int{5, 5, 3}, rng)
-	cfg := DefaultConfig()
-	cfg.ScalarKernels = scalar
-	p := New(net, cfg, rng)
+	p := New(net, DefaultConfig(), rng)
 	steps := make([]Transition, 0, 128)
 	for i := 0; i < cap(steps); i++ {
 		state := make([]float64, stateDim)
@@ -26,11 +26,6 @@ func benchLearner(scalar bool) (*PPO, []Transition) {
 		a, lp, v := p.Act(state)
 		steps = append(steps, Transition{State: state, Actions: a, LogProb: lp, Value: v, Reward: rng.Float64()})
 	}
-	return p, steps
-}
-
-func benchTrain(b *testing.B, scalar bool) {
-	p, steps := benchLearner(scalar)
 	var buf Buffer
 	refill := func() {
 		for _, t := range steps {
@@ -46,11 +41,3 @@ func benchTrain(b *testing.B, scalar bool) {
 		p.Train(&buf, 0)
 	}
 }
-
-// BenchmarkTrainBatch measures a full PPO update (GAE + Epochs passes of
-// minibatched forward/backward) through the batched matrix kernels.
-func BenchmarkTrainBatch(b *testing.B) { benchTrain(b, false) }
-
-// BenchmarkTrainScalar is the same update through the original per-sample
-// scalar path (Config.ScalarKernels), kept as the batching baseline.
-func BenchmarkTrainScalar(b *testing.B) { benchTrain(b, true) }

@@ -4,10 +4,12 @@
 // one categorical head per action dimension (Harvest, Make_Harvestable,
 // Set_Priority), sampled independently with a joint log-probability.
 //
-// Train runs each minibatch through one batched forward/backward pair and
-// ActBatch serves many agents in one matrix pass; both are bit-identical
-// to the per-sample path, which Config.ScalarKernels keeps selectable as
-// the oracle (see docs/PERFORMANCE.md "Batched RL kernels").
+// There is one compute path: Train runs each minibatch through one
+// forward/backward pair of internal/nn's row-major kernels, the ActBatch
+// family serves any number of agents in one matrix pass, and a single
+// state (Act, ActGreedy) is that pass at one row. The per-sample update the
+// minibatch loop replaced is the test-only oracle in oracle_test.go (see
+// docs/PERFORMANCE.md "Batched RL kernels").
 package rl
 
 import (
@@ -27,15 +29,6 @@ type Config struct {
 	MiniBatch   int     // minibatch size
 	EntropyCoef float64
 	ValueCoef   float64
-
-	// ScalarKernels forces Train's per-sample scalar inner loop instead of
-	// the batched nn kernels. The two paths are bit-identical by
-	// construction (see internal/nn/batch.go); the flag is the single
-	// scalar switch, set only by the oracle tests that prove it
-	// (TestTrainBatchedMatchesScalar, TestActBatchMatchesScalar, and
-	// core's TestDecideBatchedMatchesScalar, where it also forces
-	// FleetIO.Decide onto per-agent inference).
-	ScalarKernels bool
 }
 
 // DefaultConfig returns the paper's hyperparameters (Table 3) with
@@ -139,19 +132,13 @@ type PPO struct {
 	opt *nn.Adam
 	rng *sim.RNG
 
-	// Reusable per-head scratch (softmax probabilities, logit gradients,
-	// greedy actions), lazily sized from the network's head widths so the
-	// per-window inference and the training inner loop allocate nothing
-	// in steady state. Scratch is consumed before the next call, mirroring
-	// the Forward cache contract in internal/nn.
-	probs   [][]float64
-	dLogits [][]float64
-	greedy  []int
-
-	// Batched scratch: row-major minibatch matrices for Train and the
-	// ActBatch family, grown to the largest batch seen (trainCap) so steady
-	// state allocates nothing. advS/retS/orderS persist the GAE buffers
-	// across Train calls for the same reason.
+	// Scratch: row-major minibatch matrices for Train and the ActBatch
+	// family (softmax probabilities, logit and value gradients, greedy
+	// actions), grown to the largest batch seen (trainCap) so the
+	// per-window inference and the training inner loop allocate nothing in
+	// steady state. Scratch is consumed before the next call, mirroring the
+	// ForwardBatch cache contract in internal/nn. advS/retS/orderS persist
+	// the GAE buffers across Train calls for the same reason.
 	trainCap  int
 	xsB       []float64
 	probsB    [][]float64
@@ -166,7 +153,7 @@ type PPO struct {
 	orderS    []int
 }
 
-// batchScratch sizes the batched minibatch scratch for b rows.
+// batchScratch sizes the scratch for b rows.
 func (p *PPO) batchScratch(b int) {
 	if b <= p.trainCap {
 		return
@@ -190,20 +177,6 @@ func (p *PPO) batchScratch(b int) {
 	p.trainCap = b
 }
 
-// scratchFor sizes the per-head scratch to match the forward logits.
-func (p *PPO) scratchFor(logits [][]float64) {
-	if len(p.probs) == len(logits) {
-		return
-	}
-	p.probs = make([][]float64, len(logits))
-	p.dLogits = make([][]float64, len(logits))
-	for k, ls := range logits {
-		p.probs[k] = make([]float64, len(ls))
-		p.dLogits[k] = make([]float64, len(ls))
-	}
-	p.greedy = make([]int, len(logits))
-}
-
 // New builds a PPO learner around the network.
 func New(net *nn.ActorCritic, cfg Config, rng *sim.RNG) *PPO {
 	return &PPO{Net: net, cfg: cfg, opt: nn.NewAdam(cfg.LR), rng: rng}
@@ -212,68 +185,44 @@ func New(net *nn.ActorCritic, cfg Config, rng *sim.RNG) *PPO {
 // Config returns the hyperparameters.
 func (p *PPO) Config() Config { return p.cfg }
 
-// Act samples one action per head and returns the joint log-probability
-// and the value estimate. The returned actions slice is freshly allocated
-// (transitions retain it across training).
+// Act samples one action per head for a single state and returns the joint
+// log-probability and the value estimate: ActBatch at one row. The returned
+// actions slice is freshly allocated (transitions retain it across
+// training).
 func (p *PPO) Act(state []float64) (actions []int, logProb, value float64) {
-	logits, v, _ := p.Net.Forward(state)
-	p.scratchFor(logits)
-	actions = make([]int, len(logits))
-	logProb = 0
-	for k, ls := range logits {
-		probs := p.probs[k]
-		nn.Softmax(ls, probs)
-		a := nn.SampleCategorical(p.rng, probs)
-		actions[k] = a
-		logProb += math.Log(math.Max(probs[a], 1e-12))
-	}
-	return actions, logProb, v
+	acts, lps, vals := p.ActBatch(state, 1)
+	return acts[0], lps[0], vals[0]
 }
 
-// ActGreedy returns the argmax action per head (deployment mode). The
-// returned slice is reused by the next ActGreedy call on this learner so
-// the per-window inference is allocation-free; copy it to retain it.
-func (p *PPO) ActGreedy(state []float64) []int {
-	logits, _, _ := p.Net.Forward(state)
-	p.scratchFor(logits)
-	actions := p.greedy
-	for k, ls := range logits {
-		actions[k] = nn.Argmax(ls)
-	}
-	return actions
-}
+// ActGreedy returns the argmax action per head for a single state
+// (deployment mode): ActGreedyBatch at one row. The returned slice is
+// reused by the next greedy call on this learner so the per-window
+// inference is allocation-free; copy it to retain it.
+func (p *PPO) ActGreedy(state []float64) []int { return p.ActGreedyBatch(state, 1)[0] }
 
-// ActGreedyEval returns the argmax action per head together with its joint
-// log-probability under the stochastic policy and the value estimate, so
-// greedy deployments can still record trainable transitions. The returned
-// actions slice is freshly allocated.
-func (p *PPO) ActGreedyEval(state []float64) (actions []int, logProb, value float64) {
-	logits, v, _ := p.Net.Forward(state)
-	p.scratchFor(logits)
-	actions = make([]int, len(logits))
-	for k, ls := range logits {
-		a := nn.Argmax(ls)
-		actions[k] = a
-		probs := p.probs[k]
-		nn.Softmax(ls, probs)
-		logProb += math.Log(math.Max(probs[a], 1e-12))
-	}
-	return actions, logProb, v
-}
-
-// Value returns the critic's estimate for a state.
-func (p *PPO) Value(state []float64) float64 {
-	_, v, _ := p.Net.Forward(state)
-	return v
-}
-
-// ActBatch is Act over b states stacked row-major in states (b×In). It is
-// bit-identical to calling Act on each row in ascending order: the forward
-// pass is batched, and the categorical sampling consumes the shared RNG in
-// the same (row, head) order the scalar loop would. Each actions row is
-// freshly allocated (transitions retain them); logProbs and values are
-// scratch reused by the next batched call.
+// ActBatch samples one action per head for each of b states stacked
+// row-major in states (b×In), returning per-row actions, joint
+// log-probabilities and value estimates. It is bit-identical to b one-row
+// calls in ascending order: row r of the forward pass depends on row r
+// alone, and the categorical sampling consumes the learner's RNG in (row,
+// head) order. Each actions row is freshly allocated (transitions retain
+// them); logProbs and values are scratch reused by the next call.
 func (p *PPO) ActBatch(states []float64, b int) (actions [][]int, logProbs, values []float64) {
+	return p.actEval(states, b, false)
+}
+
+// ActGreedyEvalBatch is ActBatch with the argmax action per head in place
+// of a sample: the joint log-probability is still the one under the
+// stochastic policy, so greedy deployments can record trainable
+// transitions. It draws nothing from the RNG.
+func (p *PPO) ActGreedyEvalBatch(states []float64, b int) (actions [][]int, logProbs, values []float64) {
+	return p.actEval(states, b, true)
+}
+
+// actEval is the row loop behind ActBatch and ActGreedyEvalBatch: one
+// forward pass, then per row and head a softmax, the action (argmax when
+// greedy, else a categorical sample) and its log-probability.
+func (p *PPO) actEval(states []float64, b int, greedy bool) (actions [][]int, logProbs, values []float64) {
 	p.batchScratch(b)
 	logits, vals, _ := p.Net.ForwardBatch(states, b)
 	actions = make([][]int, b)
@@ -282,9 +231,15 @@ func (p *PPO) ActBatch(states []float64, b int) (actions [][]int, logProbs, valu
 		lp := 0.0
 		for k, ls := range logits {
 			w := p.Net.Heads[k].Out
+			row := ls[r*w : (r+1)*w]
 			pr := p.probsB[k][r*w : (r+1)*w]
-			nn.Softmax(ls[r*w:(r+1)*w], pr)
-			a := nn.SampleCategorical(p.rng, pr)
+			nn.Softmax(row, pr)
+			var a int
+			if greedy {
+				a = nn.Argmax(row)
+			} else {
+				a = nn.SampleCategorical(p.rng, pr)
+			}
 			acts[k] = a
 			lp += math.Log(math.Max(pr[a], 1e-12))
 		}
@@ -295,8 +250,9 @@ func (p *PPO) ActBatch(states []float64, b int) (actions [][]int, logProbs, valu
 	return actions, p.logProbsB[:b], p.valsB[:b]
 }
 
-// ActGreedyBatch is ActGreedy over b stacked states. The returned rows are
-// views into scratch reused by the next batched call.
+// ActGreedyBatch returns the argmax action per head for each of b stacked
+// states (deployment mode): no softmax, no RNG, no allocation. The returned
+// rows are views into scratch reused by the next greedy call.
 func (p *PPO) ActGreedyBatch(states []float64, b int) [][]int {
 	p.batchScratch(b)
 	logits, _, _ := p.Net.ForwardBatch(states, b)
@@ -309,42 +265,17 @@ func (p *PPO) ActGreedyBatch(states []float64, b int) [][]int {
 	return p.actsB[:b]
 }
 
-// ActGreedyEvalBatch is ActGreedyEval over b stacked states, bit-identical
-// to the scalar calls in row order. Actions rows are freshly allocated;
-// logProbs and values are reused scratch.
-func (p *PPO) ActGreedyEvalBatch(states []float64, b int) (actions [][]int, logProbs, values []float64) {
-	p.batchScratch(b)
-	logits, vals, _ := p.Net.ForwardBatch(states, b)
-	actions = make([][]int, b)
-	for r := 0; r < b; r++ {
-		acts := make([]int, len(logits))
-		lp := 0.0
-		for k, ls := range logits {
-			w := p.Net.Heads[k].Out
-			row := ls[r*w : (r+1)*w]
-			a := nn.Argmax(row)
-			acts[k] = a
-			pr := p.probsB[k][r*w : (r+1)*w]
-			nn.Softmax(row, pr)
-			lp += math.Log(math.Max(pr[a], 1e-12))
-		}
-		actions[r] = acts
-		p.logProbsB[r] = lp
-	}
-	copy(p.valsB[:b], vals)
-	return actions, p.logProbsB[:b], p.valsB[:b]
-}
-
 // Train runs PPO on the buffered transitions. lastValue bootstraps the
 // return of the final transition when the episode did not terminate. The
 // buffer is consumed (reset) afterwards.
 //
-// Unless cfg.ScalarKernels is set, each minibatch makes one ForwardBatch /
-// BackwardBatch pair instead of per-sample network calls. The two inner
-// loops are bit-identical: batched rows follow the shuffled sample order,
-// every per-sample scalar computation (softmax, surrogate, entropy, loss
-// accumulation) runs in that same order, and the batched kernels reproduce
-// the scalar kernels' operation sequence exactly (internal/nn/batch.go).
+// Each minibatch makes one ForwardBatch / BackwardBatch pair: the shuffled
+// samples are gathered into one matrix, the network runs once, and the
+// per-sample scalar math (softmax, surrogate, entropy, loss accumulation)
+// runs row by row in the shuffled order — bit-identical to a per-sample
+// forward/backward loop (the oracle in oracle_test.go), because the kernels
+// reproduce the scalar network's operation sequence exactly
+// (internal/nn/batch.go).
 func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 	n := buf.Len()
 	stats := TrainStats{Steps: n}
@@ -402,119 +333,71 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 				end = n
 			}
 			p.Net.ZeroGrad()
-			if p.cfg.ScalarKernels {
-				for _, oi := range order[start:end] {
-					t := &steps[oi]
-					logits, v, cache := p.Net.Forward(t.State)
-					p.scratchFor(logits)
-
-					// New joint log-prob and per-head distributions.
-					newLP := 0.0
-					probs := p.probs
-					for k, ls := range logits {
-						nn.Softmax(ls, probs[k])
-						newLP += math.Log(math.Max(probs[k][t.Actions[k]], 1e-12))
-					}
-					klSum += t.LogProb - newLP
-					ratio := math.Exp(newLP - t.LogProb)
-					a := adv[oi]
-					unclipped := ratio * a
-					lo, hi := 1-p.cfg.ClipEps, 1+p.cfg.ClipEps
-					cr := math.Min(math.Max(ratio, lo), hi)
-					clippedSurr := cr * a
-
-					// d(policy loss)/d(new log-prob): -A*ratio when the
-					// unclipped surrogate is active, 0 otherwise.
-					var dLP float64
-					if unclipped <= clippedSurr {
-						dLP = -a * ratio
-					} else {
-						clipped++
-					}
-					visited++
-					polLoss += -math.Min(unclipped, clippedSurr)
-
-					dLogits := p.dLogits
-					for k, pr := range probs {
-						dl := dLogits[k]
-						h := nn.Entropy(pr)
-						entSum += h
-						for j := range pr {
-							// Policy gradient through the categorical head.
-							onehot := 0.0
-							if j == t.Actions[k] {
-								onehot = 1
-							}
-							dl[j] = dLP * (onehot - pr[j])
-							// Entropy bonus: loss -= c*H ⇒ grad += c * dH/dl.
-							// dH/dl_j = -p_j (log p_j + H).
-							dl[j] += p.cfg.EntropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
-						}
-					}
-					vErr := v - ret[oi]
-					valLoss += 0.5 * vErr * vErr
-					p.Net.Backward(cache, dLogits, p.cfg.ValueCoef*vErr)
-				}
-			} else {
-				// Batched path: gather the shuffled minibatch into one
-				// matrix, run the network once, then do the per-sample
-				// scalar math row by row — same order, same operations.
-				b := end - start
-				p.batchScratch(b)
-				in := p.Net.L1.In
-				xs := p.xsB[:b*in]
-				for r, oi := range order[start:end] {
-					copy(xs[r*in:(r+1)*in], steps[oi].State)
-				}
-				logits, vals, cache := p.Net.ForwardBatch(xs, b)
+			// Gather the shuffled minibatch into one matrix, run the
+			// network once, then do the per-sample scalar math row by row.
+			b := end - start
+			p.batchScratch(b)
+			in := p.Net.L1.In
+			xs := p.xsB[:b*in]
+			for r, oi := range order[start:end] {
+				copy(xs[r*in:(r+1)*in], steps[oi].State)
+			}
+			logits, vals, cache := p.Net.ForwardBatch(xs, b)
+			for k := range logits {
+				w := p.Net.Heads[k].Out
+				nn.SoftmaxBatch(logits[k], p.probsB[k], b, w)
+			}
+			for r := 0; r < b; r++ {
+				oi := order[start+r]
+				t := &steps[oi]
+				// New joint log-prob under the per-head distributions.
+				newLP := 0.0
 				for k := range logits {
 					w := p.Net.Heads[k].Out
-					nn.SoftmaxBatch(logits[k], p.probsB[k], b, w)
+					newLP += math.Log(math.Max(p.probsB[k][r*w+t.Actions[k]], 1e-12))
 				}
-				for r := 0; r < b; r++ {
-					oi := order[start+r]
-					t := &steps[oi]
-					newLP := 0.0
-					for k := range logits {
-						w := p.Net.Heads[k].Out
-						newLP += math.Log(math.Max(p.probsB[k][r*w+t.Actions[k]], 1e-12))
-					}
-					klSum += t.LogProb - newLP
-					ratio := math.Exp(newLP - t.LogProb)
-					a := adv[oi]
-					unclipped := ratio * a
-					lo, hi := 1-p.cfg.ClipEps, 1+p.cfg.ClipEps
-					cr := math.Min(math.Max(ratio, lo), hi)
-					clippedSurr := cr * a
-					var dLP float64
-					if unclipped <= clippedSurr {
-						dLP = -a * ratio
-					} else {
-						clipped++
-					}
-					visited++
-					polLoss += -math.Min(unclipped, clippedSurr)
-					for k := range logits {
-						w := p.Net.Heads[k].Out
-						pr := p.probsB[k][r*w : (r+1)*w]
-						dl := p.dLogitsB[k][r*w : (r+1)*w]
-						h := nn.Entropy(pr)
-						entSum += h
-						for j := range pr {
-							onehot := 0.0
-							if j == t.Actions[k] {
-								onehot = 1
-							}
-							dl[j] = dLP * (onehot - pr[j])
-							dl[j] += p.cfg.EntropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
+				klSum += t.LogProb - newLP
+				ratio := math.Exp(newLP - t.LogProb)
+				a := adv[oi]
+				unclipped := ratio * a
+				lo, hi := 1-p.cfg.ClipEps, 1+p.cfg.ClipEps
+				cr := math.Min(math.Max(ratio, lo), hi)
+				clippedSurr := cr * a
+
+				// d(policy loss)/d(new log-prob): -A*ratio when the
+				// unclipped surrogate is active, 0 otherwise.
+				var dLP float64
+				if unclipped <= clippedSurr {
+					dLP = -a * ratio
+				} else {
+					clipped++
+				}
+				visited++
+				polLoss += -math.Min(unclipped, clippedSurr)
+
+				for k := range logits {
+					w := p.Net.Heads[k].Out
+					pr := p.probsB[k][r*w : (r+1)*w]
+					dl := p.dLogitsB[k][r*w : (r+1)*w]
+					h := nn.Entropy(pr)
+					entSum += h
+					for j := range pr {
+						// Policy gradient through the categorical head.
+						onehot := 0.0
+						if j == t.Actions[k] {
+							onehot = 1
 						}
+						dl[j] = dLP * (onehot - pr[j])
+						// Entropy bonus: loss -= c*H ⇒ grad += c * dH/dl.
+						// dH/dl_j = -p_j (log p_j + H).
+						dl[j] += p.cfg.EntropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
 					}
-					vErr := vals[r] - ret[oi]
-					valLoss += 0.5 * vErr * vErr
-					p.dValsB[r] = p.cfg.ValueCoef * vErr
 				}
-				p.Net.BackwardBatch(cache, p.dLogitsB, p.dValsB[:b])
+				vErr := vals[r] - ret[oi]
+				valLoss += 0.5 * vErr * vErr
+				p.dValsB[r] = p.cfg.ValueCoef * vErr
 			}
+			p.Net.BackwardBatch(cache, p.dLogitsB, p.dValsB[:b])
 			p.opt.Step(p.Net.Layers(), float64(end-start))
 		}
 	}

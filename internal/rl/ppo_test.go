@@ -185,15 +185,19 @@ func TestValueLearnsReturns(t *testing.T) {
 	// Constant reward 1 with γ=0.9 and non-terminal steps → value ≈ 10.
 	p := newPPO([]int{2}, 2, 8)
 	state := []float64{1, 1}
+	value := func() float64 {
+		_, v, _ := p.Net.ForwardBatch(state, 1)
+		return v[0]
+	}
 	for iter := 0; iter < 150; iter++ {
 		var buf Buffer
 		for i := 0; i < 64; i++ {
 			a, lp, v := p.Act(state)
 			buf.Add(Transition{State: state, Actions: a, LogProb: lp, Value: v, Reward: 1, Done: false})
 		}
-		p.Train(&buf, p.Value(state))
+		p.Train(&buf, value())
 	}
-	v := p.Value(state)
+	v := value()
 	if v < 5 || v > 15 {
 		t.Fatalf("value = %v, want ≈ 10 for discounted constant reward", v)
 	}
@@ -271,22 +275,12 @@ func TestMeanStd(t *testing.T) {
 // minibatch (50), fit in one (32) or are smaller than one (7), and across
 // the episode boundaries the Done marks put inside the buffer.
 func TestTrainBatchedMatchesScalar(t *testing.T) {
-	type trainFn func(p *PPO, buf *Buffer, lastValue float64) TrainStats
-	paths := []struct {
-		name   string
-		scalar bool
-		train  trainFn
-	}{
-		{"per-sample oracle", false, trainPerSample},
-		{"production scalar", true, (*PPO).Train},
-	}
 	for _, n := range []int{48, 50, 32, 7} {
-		build := func(scalar bool) (*PPO, *Buffer) {
+		build := func() (*PPO, *Buffer) {
 			rng := sim.NewRNG(41)
 			net := nn.NewActorCritic(6, 16, []int{4, 3}, rng)
 			cfg := DefaultConfig()
 			cfg.LR = 3e-3
-			cfg.ScalarKernels = scalar
 			p := New(net, cfg, rng)
 			var buf Buffer
 			state := make([]float64, 6)
@@ -301,33 +295,31 @@ func TestTrainBatchedMatchesScalar(t *testing.T) {
 			}
 			return p, &buf
 		}
-		for _, path := range paths {
-			ps, bs := build(path.scalar)
-			pb, bb := build(false)
-			sts := path.train(ps, bs, 0.3)
-			stb := pb.Train(bb, 0.3)
-			if sts != stb {
-				t.Fatalf("n=%d: stats diverge:\n%s %+v\nTrain %+v", n, path.name, sts, stb)
+		ps, bs := build()
+		pb, bb := build()
+		sts := trainPerSample(ps, bs, 0.3)
+		stb := pb.Train(bb, 0.3)
+		if sts != stb {
+			t.Fatalf("n=%d: stats diverge:\noracle %+v\nTrain  %+v", n, sts, stb)
+		}
+		sp, bp := ps.Net.Params(), pb.Net.Params()
+		for i := range sp {
+			if sp[i] != bp[i] {
+				t.Fatalf("n=%d: param %d diverges: %v != %v", n, i, sp[i], bp[i])
 			}
-			sp, bp := ps.Net.Params(), pb.Net.Params()
-			for i := range sp {
-				if sp[i] != bp[i] {
-					t.Fatalf("n=%d vs %s: param %d diverges: %v != %v", n, path.name, i, sp[i], bp[i])
-				}
-			}
-			// A second Train round exercises the weight-transpose invalidation
-			// after optimizer steps.
-			_, bs = build(path.scalar)
-			_, bb = build(false)
-			bs.steps, bb.steps = bs.steps[:n], bb.steps[:n]
-			if sts, stb := path.train(ps, bs, -0.1), pb.Train(bb, -0.1); sts != stb {
-				t.Fatalf("n=%d vs %s round 2: stats diverge", n, path.name)
-			}
-			sp, bp = ps.Net.Params(), pb.Net.Params()
-			for i := range sp {
-				if sp[i] != bp[i] {
-					t.Fatalf("n=%d vs %s round 2: param %d diverges", n, path.name, i)
-				}
+		}
+		// A second Train round exercises the weight-transpose invalidation
+		// after optimizer steps.
+		_, bs = build()
+		_, bb = build()
+		bs.steps, bb.steps = bs.steps[:n], bb.steps[:n]
+		if sts, stb := trainPerSample(ps, bs, -0.1), pb.Train(bb, -0.1); sts != stb {
+			t.Fatalf("n=%d round 2: stats diverge", n)
+		}
+		sp, bp = ps.Net.Params(), pb.Net.Params()
+		for i := range sp {
+			if sp[i] != bp[i] {
+				t.Fatalf("n=%d round 2: param %d diverges", n, i)
 			}
 		}
 	}
@@ -340,66 +332,60 @@ func TestTrainBatchedMatchesScalar(t *testing.T) {
 func TestActBatchMatchesScalar(t *testing.T) {
 	const b, dim = 5, 6
 	mk := func() *PPO { return newPPO([]int{4, 3, 2}, dim, 13) }
-	ps, p1, pb := mk(), mk(), mk()
+	p1, pb := mk(), mk()
 	states := make([]float64, b*dim)
 	rng := sim.NewRNG(99)
 	for round := 0; round < 4; round++ {
 		for i := range states {
 			states[i] = rng.NormFloat64()
 		}
-		// Sampling mode: the learners share the seed and have consumed
+		// Sampling mode: both learners share the seed and have consumed
 		// their RNGs identically so far, so the b-row call must draw the
 		// exact same actions as b one-row calls in row order.
 		sa, sl, sv := pb.ActBatch(states, b)
 		for r := 0; r < b; r++ {
-			row := states[r*dim : (r+1)*dim]
-			wantA, wantLP, wantV := ps.Act(row)
-			oneA, oneLP, oneV := p1.ActBatch(row, 1)
+			wantA, wantLP, wantV := p1.Act(states[r*dim : (r+1)*dim])
 			for k := range wantA {
-				if sa[r][k] != wantA[k] || oneA[0][k] != wantA[k] {
-					t.Fatalf("sample round %d row %d head %d: actions %d / %d != %d", round, r, k, sa[r][k], oneA[0][k], wantA[k])
+				if sa[r][k] != wantA[k] {
+					t.Fatalf("sample round %d row %d head %d: action %d != %d", round, r, k, sa[r][k], wantA[k])
 				}
 			}
-			if sl[r] != wantLP || sv[r] != wantV || oneLP[0] != wantLP || oneV[0] != wantV {
-				t.Fatalf("sample round %d row %d: lp/v (%v,%v) / (%v,%v) != (%v,%v)", round, r, sl[r], sv[r], oneLP[0], oneV[0], wantLP, wantV)
+			if sl[r] != wantLP || sv[r] != wantV {
+				t.Fatalf("sample round %d row %d: lp/v (%v,%v) != (%v,%v)", round, r, sl[r], sv[r], wantLP, wantV)
 			}
 		}
 		// Greedy-with-eval mode.
 		gotA, gotLP, gotV := pb.ActGreedyEvalBatch(states, b)
 		for r := 0; r < b; r++ {
-			row := states[r*dim : (r+1)*dim]
-			wantA, wantLP, wantV := ps.ActGreedyEval(row)
-			oneA, oneLP, oneV := p1.ActGreedyEvalBatch(row, 1)
-			for k := range wantA {
-				if gotA[r][k] != wantA[k] || oneA[0][k] != wantA[k] {
-					t.Fatalf("round %d row %d head %d: actions %d / %d != %d", round, r, k, gotA[r][k], oneA[0][k], wantA[k])
+			wantA, wantLP, wantV := p1.ActGreedyEvalBatch(states[r*dim:(r+1)*dim], 1)
+			for k := range wantA[0] {
+				if gotA[r][k] != wantA[0][k] {
+					t.Fatalf("round %d row %d head %d: action %d != %d", round, r, k, gotA[r][k], wantA[0][k])
 				}
 			}
-			if gotLP[r] != wantLP || gotV[r] != wantV || oneLP[0] != wantLP || oneV[0] != wantV {
-				t.Fatalf("round %d row %d: lp/v (%v,%v) / (%v,%v) != (%v,%v)", round, r, gotLP[r], gotV[r], oneLP[0], oneV[0], wantLP, wantV)
+			if gotLP[r] != wantLP[0] || gotV[r] != wantV[0] {
+				t.Fatalf("round %d row %d: lp/v (%v,%v) != (%v,%v)", round, r, gotLP[r], gotV[r], wantLP[0], wantV[0])
 			}
 		}
 		// Greedy mode.
 		gg := pb.ActGreedyBatch(states, b)
 		for r := 0; r < b; r++ {
-			row := states[r*dim : (r+1)*dim]
-			want := ps.ActGreedy(row)
-			one := p1.ActGreedyBatch(row, 1)
+			want := p1.ActGreedy(states[r*dim : (r+1)*dim])
 			for k := range want {
-				if gg[r][k] != want[k] || one[0][k] != want[k] {
-					t.Fatalf("greedy round %d row %d head %d: %d / %d != %d", round, r, k, gg[r][k], one[0][k], want[k])
+				if gg[r][k] != want[k] {
+					t.Fatalf("greedy round %d row %d head %d: %d != %d", round, r, k, gg[r][k], want[k])
 				}
 			}
 		}
 	}
-	// All three learners must have consumed their RNG streams identically.
-	if a, b, c := ps.rng.Float64(), p1.rng.Float64(), pb.rng.Float64(); a != b || a != c {
-		t.Fatalf("RNG streams diverged: %v %v %v", a, b, c)
+	// Both learners must have consumed their RNG streams identically (only
+	// the sampling mode draws).
+	if one, many := p1.rng.Float64(), pb.rng.Float64(); one != many {
+		t.Fatalf("RNG streams diverged: %v != %v", one, many)
 	}
 }
 
-// TestTrainZeroSteadyStateAllocs guards the batched Train path's
-// zero-allocation contract: after the first call sizes the scratch, a
+// TestTrainZeroSteadyStateAllocs guards Train's zero-allocation contract: after the first call sizes the scratch, a
 // Train over a same-sized buffer must not allocate at all. Train consumes
 // its buffer and refilling one allocates by design, so every measured call
 // gets its own pre-filled buffer and testing.AllocsPerRun (GOMAXPROCS=1,
@@ -431,9 +417,10 @@ func TestTrainZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestActBatchSteadyStateAllocs pins the batched inference paths: greedy
-// batch acting reuses all scratch; the sampling/eval variants allocate
-// exactly the per-row action slices that transitions retain.
+// TestActBatchSteadyStateAllocs pins the inference paths: greedy acting
+// reuses all scratch, at n rows and at the one row per-agent deployments
+// use; the sampling/eval variants allocate exactly the per-row action
+// slices that transitions retain.
 func TestActBatchSteadyStateAllocs(t *testing.T) {
 	p := newPPO([]int{5, 5, 3}, 60, 1)
 	const b = 4
@@ -441,6 +428,9 @@ func TestActBatchSteadyStateAllocs(t *testing.T) {
 	p.ActGreedyBatch(states, b)
 	if n := testing.AllocsPerRun(50, func() { p.ActGreedyBatch(states, b) }); n != 0 {
 		t.Fatalf("ActGreedyBatch allocates %v per run", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { p.ActGreedy(states[:60]) }); n != 0 {
+		t.Fatalf("ActGreedy allocates %v per run", n)
 	}
 	// b actions slices (retained by callers) are the only allowed allocs.
 	if n := testing.AllocsPerRun(50, func() { p.ActBatch(states, b) }); n > b+1 {
