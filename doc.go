@@ -13,10 +13,10 @@
 //     virtualization layer (hardware/software isolation, token buckets,
 //     stride scheduling, priority scheduling);
 //   - a from-scratch PPO implementation (multi-discrete actor-critic,
-//     GAE, Adam) with batched compute kernels bit-identical to the
-//     scalar path, and the FleetIO multi-agent policy: Table 1 states,
-//     Table 2 actions, the Eq. 1/Eq. 2 rewards, and §3.4 workload-type
-//     reward fine-tuning via k-means clustering;
+//     GAE, Adam) on one set of batched compute kernels (a single state
+//     is a one-row batch), and the FleetIO multi-agent policy: Table 1
+//     states, Table 2 actions, the Eq. 1/Eq. 2 rewards, and §3.4
+//     workload-type reward fine-tuning via k-means clustering;
 //   - a rack-scale fleet layer (internal/fleet): device shards under one
 //     virtual clock advanced by a persistent worker pool between epoch
 //     barriers, with placement baselines, slot-based fleet admission,

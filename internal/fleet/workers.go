@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -26,14 +25,6 @@ const (
 	taskStop
 )
 
-// spinBudget is how many release/gather checks a waiter burns before
-// parking on the condvar. It applies only when the host has more CPUs than
-// workers — when spinning cannot steal cycles from the workers being
-// waited on. Oversubscribed hosts (including GOMAXPROCS <= workers) park
-// immediately: there, a spinning waiter occupies the very core a straggler
-// needs.
-const spinBudget = 4096
-
 // workerSlot is one worker's per-epoch state: its static shard range and
 // its barrier-arrival stamp. Padded to a cache-line pair so one worker's
 // epoch writes never invalidate a line another worker is reading.
@@ -54,9 +45,10 @@ type workerSlot struct {
 // the same word flips meaning every epoch and needs no reset phase. The
 // release direction (control plane -> workers) is the seq bump; the
 // gather direction (workers -> control plane) is a padded countdown.
-// Both directions spin with bounded backoff and fall back to a condvar
-// park for oversubscribed hosts, where spinning would steal the cycles
-// the stragglers need.
+// A waiter in either direction checks its word once and parks on a
+// condvar: an epoch is milliseconds of shard work against a wake of
+// microseconds, and a spinning waiter would occupy a core a straggler
+// needs whenever workers fill the host.
 type shardWorkers struct {
 	f *Fleet
 	n int
@@ -76,19 +68,14 @@ type shardWorkers struct {
 	target sim.Time
 	stamp  bool // stamp arrival times this epoch (metrics enabled)
 
-	spin int       // release/gather spin budget (0 on oversubscribed hosts)
 	base time.Time // arrival-stamp epoch reference
 
-	// Parking fallback. A waiter that exhausts its spin budget parks on
-	// the condvar; the signalling side takes the lock only to check for
-	// sleepers, so the uncontended (pure-spin) epoch never syscalls.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sleepers int
-
-	cmu       sync.Mutex
-	ccond     *sync.Cond
-	ctlParked bool
+	// Parking. A waiter that finds its word not yet flipped parks on its
+	// direction's condvar: workers on cond, the control plane on ccond.
+	mu    sync.Mutex
+	cond  *sync.Cond
+	cmu   sync.Mutex
+	ccond *sync.Cond
 
 	wg    sync.WaitGroup
 	slots []workerSlot
@@ -119,9 +106,6 @@ func newShardWorkers(f *Fleet, n int) *shardWorkers {
 	p := &shardWorkers{f: f, n: n, base: time.Now()}
 	p.cond = sync.NewCond(&p.mu)
 	p.ccond = sync.NewCond(&p.cmu)
-	if runtime.GOMAXPROCS(0) > n {
-		p.spin = spinBudget
-	}
 	p.slots = make([]workerSlot, n)
 	for w, pt := range partitionShards(len(f.shards), n) {
 		p.slots[w].lo, p.slots[w].hi = pt[0], pt[1]
@@ -165,39 +149,27 @@ func (p *shardWorkers) loop(w int) {
 	}
 }
 
-// awaitSeq blocks until the release word reaches want: bounded spin with
-// periodic yields, then a condvar park re-checked under the lock (no lost
-// wakeup: release broadcasts only after taking the same lock).
+// awaitSeq blocks until the release word reaches want: one check, then a
+// condvar park re-checked under the lock (no lost wakeup: release
+// broadcasts only after taking the same lock).
 func (p *shardWorkers) awaitSeq(want uint64) {
-	for i := 0; i < p.spin; i++ {
-		if p.seq.Load() >= want {
-			return
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
-	}
 	if p.seq.Load() >= want {
 		return
 	}
 	p.mu.Lock()
 	for p.seq.Load() < want {
-		p.sleepers++
 		p.cond.Wait()
-		p.sleepers--
 	}
 	p.mu.Unlock()
 }
 
 // arrive signals the gather side. The last worker to arrive wakes the
-// control plane iff it parked; a stale signal from a straggling previous
-// epoch is harmless because the control plane re-checks pending.
+// control plane if it parked (taking the lock orders the signal after the
+// control plane's re-check of pending, so the wakeup cannot be lost).
 func (p *shardWorkers) arrive() {
 	if p.pending.Add(-1) == 0 {
 		p.cmu.Lock()
-		if p.ctlParked {
-			p.ccond.Signal()
-		}
+		p.ccond.Signal()
 		p.cmu.Unlock()
 	}
 }
@@ -212,29 +184,20 @@ func (p *shardWorkers) release(task int, target sim.Time) {
 	p.pending.Store(int64(p.n))
 	p.seq.Add(1)
 	p.mu.Lock()
-	if p.sleepers > 0 {
-		p.cond.Broadcast()
-	}
+	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// await blocks the control plane until every worker arrived: same bounded
-// spin + park discipline as awaitSeq, mirrored.
+// await blocks the control plane until every worker arrived: the same
+// check-then-park discipline as awaitSeq, mirrored.
 func (p *shardWorkers) await() {
-	for i := 0; i < p.spin; i++ {
-		if p.pending.Load() == 0 {
-			return
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
+	if p.pending.Load() == 0 {
+		return
 	}
 	p.cmu.Lock()
-	p.ctlParked = true
 	for p.pending.Load() != 0 {
 		p.ccond.Wait()
 	}
-	p.ctlParked = false
 	p.cmu.Unlock()
 }
 

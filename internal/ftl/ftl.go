@@ -498,12 +498,6 @@ func (m *Manager) BlockStateOf(idx int) BlockState { return m.blocks[idx].state 
 // BlockHarvested reports the HBT bit of a block.
 func (m *Manager) BlockHarvested(idx int) bool { return m.blocks[idx].harvested }
 
-// BlockValid returns the number of valid pages in a block.
-func (m *Manager) BlockValid(idx int) int { return m.blocks[idx].valid }
-
-// BlockIDOf returns the physical identity of block idx.
-func (m *Manager) BlockIDOf(idx int) flash.BlockID { return m.blocks[idx].id }
-
 // Tenants returns the registered tenants (indexed by tenant ID).
 func (m *Manager) Tenants() []*Tenant { return m.tenants }
 

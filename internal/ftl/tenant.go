@@ -115,10 +115,6 @@ func (t *Tenant) InGC() bool { return t.gcJobs > 0 }
 // GCRuns returns the number of victim blocks collected so far.
 func (t *Tenant) GCRuns() int64 { return t.gcVictims }
 
-// BadBlocks returns the owned blocks flagged for retirement that GC has
-// not yet retired.
-func (t *Tenant) BadBlocks() int { return t.badBlocks }
-
 // sealActive detaches block idx from any lane currently writing it (the
 // fault path seals failed blocks so no further programs land on them).
 func (t *Tenant) sealActive(idx int) {

@@ -34,11 +34,11 @@ func pretrainSLOs(mix MixSpec, opt Options) []sim.Time {
 	return Calibrate(mix, o)
 }
 
-// RunEpisode is the episode factory behind both sequential calibration-era
-// pretraining and the parallel trainer: it builds a fresh platform for the
-// spec, drives a collection-only FleetIO sharing net (see episodeFleetIO)
-// for one unmeasured phase, and returns one rollout buffer per agent with
-// the final transition marked terminal.
+// RunEpisode is the episode factory behind the parallel trainer's
+// collection and eval callbacks (PretrainRun): it builds a fresh platform
+// for the spec, drives a collection-only FleetIO sharing net (see
+// episodeFleetIO) for one unmeasured phase, and returns one rollout buffer
+// per agent with the final transition marked terminal.
 func RunEpisode(spec EpisodeSpec, net *nn.ActorCritic) []*rl.Buffer {
 	opt := DefaultOptions()
 	opt.Seed = spec.Seed

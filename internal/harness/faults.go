@@ -70,12 +70,6 @@ func (r *Run) faultLedger() FaultRunStats {
 	return st
 }
 
-// FaultScenario runs the mix under FleetIO at every fault level, against
-// SLOs calibrated fault-free.
-func FaultScenario(mix MixSpec, opt Options) []LevelRun {
-	return sweep(mix, opt, FaultLevels())
-}
-
 // FigureFaults renders the fault scenario for every mix: SLO preservation
 // under injected NAND failures, with the injected/recovered ledger per
 // level. Output is deterministic for a given seed at any worker count.

@@ -78,8 +78,8 @@ type Options struct {
 	Warmup sim.Time
 	// Duration is the measured interval.
 	Duration sim.Time
-	// Channels, ChipsPerChannel, BlocksPerChip, PagesPerBlock shrink the
-	// device for speed; zero keeps DefaultConfig values.
+	// Channels and BlocksPerChip shrink the device for speed; zero keeps
+	// DefaultConfig values.
 	Channels      int
 	BlocksPerChip int
 	// PrefillFrac warms the FTL (paper: ≥50% of free blocks consumed).

@@ -37,12 +37,6 @@ func (r *Run) TypeLabels() []string {
 	return labels
 }
 
-// WorkloadScenario runs the mix under FleetIO at every temporal shape,
-// against SLOs calibrated on the steady shape.
-func WorkloadScenario(mix MixSpec, opt Options) []LevelRun {
-	return sweep(mix, opt, WorkloadLevels())
-}
-
 // FigureWorkloads renders the temporal-realism scenario: every mix swept
 // over the steady/diurnal/bursty/replay ladder under FleetIO (with the
 // clusterer's workload-type labels per tenant), then one cohort-churn

@@ -251,13 +251,3 @@ func (p *Platform) TotalBytes() int64 {
 	}
 	return total
 }
-
-// HostBytes returns payload bytes from completed host requests only
-// (excluding GC traffic), summed over all vSSDs since creation.
-func (p *Platform) HostBytes() int64 {
-	var total int64
-	for _, v := range p.vssds {
-		total += v.totalBytes
-	}
-	return total
-}

@@ -2,10 +2,10 @@
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
 # module's vet and one run of each example), the one-device-stack,
-# one-retry-protocol, bus-lane and hot-path boxing grep gates, the race
-# detector on the concurrency-heavy packages, the allocation guards at
-# several core counts, worker-count identity gates on the scenario figures,
-# and benchmark smoke/allocation gates. What each scenario must show
+# one-NN-compute-path, one-retry-protocol, bus-lane and hot-path boxing
+# grep gates, the race detector on the concurrency-heavy packages, the
+# allocation guards at several core counts, worker-count identity gates on
+# the scenario figures, and benchmark smoke/allocation gates. What each scenario must show
 # (completed migrations, promotes and demotes, typed traffic, …) is
 # asserted by harness.TestScenarios in the test suite. Performance is
 # measured by bench/run.sh, not here.
@@ -81,6 +81,19 @@ echo "== one device stack"
 if grep -rn 'vssd\.NewPlatform(' --include='*.go' ./*.go cmd examples internal | grep -v _test.go |
     grep -v '^internal/harness/' | grep -v '^internal/fleet/'; then
     echo "vssd.NewPlatform outside internal/harness and internal/fleet: build the device through harness.NewRun" >&2
+    exit 1
+fi
+
+echo "== one NN compute path"
+# The row-major kernels (ForwardBatch/BackwardBatch, with b = 1 for a single
+# state) are the only network code that ships; the per-state scalar network
+# and the per-sample PPO update they replaced are test-only oracles. A
+# scalar forward/backward or a switch selecting one in production code is a
+# second path — and, at 5.4-6.5 us against 1.4-1.75 us per state, the slow
+# one.
+if grep -nE 'ScalarKernels|func \((ac \*ActorCritic|l \*Linear)\) (Forward|Backward)\(' \
+    internal/nn/*.go internal/rl/*.go internal/core/*.go internal/baseline/*.go | grep -v _test.go; then
+    echo "run one state through ForwardBatch(x, 1); the scalar reference lives in oracle_test.go" >&2
     exit 1
 fi
 
@@ -177,7 +190,7 @@ echo "== benchmark smoke (one iteration each)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
 echo "== steady-state benchmark allocs/op == 0"
-# Batched inference, the vectorized PPO update and the device datapath run
+# Network inference, the PPO update and the device datapath run
 # for the lifetime of a deployment; their benchmarks warm all scratch
 # before ResetTimer, so any reported allocation is a genuine regression.
 allocbench=$(go test -run=NONE -benchmem -benchtime=100x \
