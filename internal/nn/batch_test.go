@@ -12,7 +12,7 @@ import (
 // ranges). Every fourth trial is value-only — zero policy heads, the shape
 // baseline.NewSSDKeeper trains through BackwardBatch(cache, nil, dVals) —
 // and the first of those is SSDKeeper's own 3→16→16→1.
-func randNet(rng *sim.RNG, trial int) (*ActorCritic, int) {
+func randNet(rng *sim.RNG, trial int) *ActorCritic {
 	in := 4 + rng.Intn(40)
 	hidden := 4 + rng.Intn(60)
 	heads := make([]int, 1+rng.Intn(4))
@@ -25,7 +25,7 @@ func randNet(rng *sim.RNG, trial int) (*ActorCritic, int) {
 			in, hidden = 3, 16
 		}
 	}
-	return NewActorCritic(in, hidden, heads, rng), in
+	return NewActorCritic(in, hidden, heads, rng)
 }
 
 // TestBatchMatchesScalarOracle is the bit-identity oracle: for random
@@ -41,10 +41,10 @@ func TestBatchMatchesScalarOracle(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := sim.NewRNG(7)
 		for trial := 0; trial < 40; trial++ {
-			ref, in := randNet(rng, trial)
+			ref := randNet(rng, trial)
 			kern := ref.Clone()
 			for _, b := range []int{1, 1 + rng.Intn(64)} {
-				checkBatchAgainstOracle(t, rng, ref, kern, in, b, trial)
+				checkBatchAgainstOracle(t, rng, ref, kern, b, trial)
 			}
 		}
 	})
@@ -53,9 +53,9 @@ func TestBatchMatchesScalarOracle(t *testing.T) {
 // checkBatchAgainstOracle runs one b-row forward/backward through kern's
 // kernels and b one-state passes through the scalar reference on ref, and
 // requires identical outputs and identical gradient accumulators.
-func checkBatchAgainstOracle(t *testing.T, rng *sim.RNG, ref, kern *ActorCritic, in, b, trial int) {
+func checkBatchAgainstOracle(t *testing.T, rng *sim.RNG, ref, kern *ActorCritic, b, trial int) {
 	t.Helper()
-	nHeads := len(ref.Heads)
+	in, nHeads := ref.L1.In, len(ref.Heads)
 	xs := make([]float64, b*in)
 	for i := range xs {
 		xs[i] = rng.NormFloat64()

@@ -398,7 +398,7 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 				p.dValsB[r] = p.cfg.ValueCoef * vErr
 			}
 			p.Net.BackwardBatch(cache, p.dLogitsB, p.dValsB[:b])
-			p.opt.Step(p.Net.Layers(), float64(end-start))
+			p.opt.Step(p.Net.Layers(), float64(b))
 		}
 	}
 	total := float64(n * p.cfg.Epochs)

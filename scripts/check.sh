@@ -5,10 +5,10 @@
 # one-NN-compute-path, one-retry-protocol, bus-lane and hot-path boxing
 # grep gates, the race detector on the concurrency-heavy packages, the
 # allocation guards at several core counts, worker-count identity gates on
-# the scenario figures, and benchmark smoke/allocation gates. What each scenario must show
-# (completed migrations, promotes and demotes, typed traffic, …) is
-# asserted by harness.TestScenarios in the test suite. Performance is
-# measured by bench/run.sh, not here.
+# the scenario figures, and benchmark smoke/allocation gates. What each
+# scenario must show (completed migrations, promotes and demotes, typed
+# traffic, …) is asserted by harness.TestScenarios in the test suite.
+# Performance is measured by bench/run.sh, not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -89,7 +89,7 @@ echo "== one NN compute path"
 # state) are the only network code that ships; the per-state scalar network
 # and the per-sample PPO update they replaced are test-only oracles. A
 # scalar forward/backward or a switch selecting one in production code is a
-# second path — and, at 5.4-6.5 us against 1.4-1.75 us per state, the slow
+# second path — and, at 5.7-6.6 us against 1.6-1.8 us per state, the slow
 # one.
 if grep -nE 'ScalarKernels|func \((ac \*ActorCritic|l \*Linear)\) (Forward|Backward)\(' \
     internal/nn/*.go internal/rl/*.go internal/core/*.go internal/baseline/*.go | grep -v _test.go; then
@@ -190,7 +190,7 @@ echo "== benchmark smoke (one iteration each)"
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
 echo "== steady-state benchmark allocs/op == 0"
-# Network inference, the PPO update and the device datapath run
+# Batched inference, the vectorized PPO update and the device datapath run
 # for the lifetime of a deployment; their benchmarks warm all scratch
 # before ResetTimer, so any reported allocation is a genuine regression.
 allocbench=$(go test -run=NONE -benchmem -benchtime=100x \
