@@ -29,33 +29,48 @@ const entropyBuckets = 64
 // (logicalPages), so a sequential window — however wide its own span —
 // reads as concentrated.
 func Features(recs []trace.Record, pageSize int, logicalPages int64) [FeatureDim]float64 {
+	return segmentFeatures(recs, nil, pageSize, logicalPages)
+}
+
+// segmentFeatures is Features over one window held as two segments in
+// arrival order (a trace.Recorder's ring, read where it lies; older is empty
+// only when the window is). Nothing it sums depends on where the window is
+// cut: the byte totals are integers, the bucket counts integer-valued, and
+// the only order-dependent inputs are the first and the last timestamp — so
+// the features are bit-identical to those of the concatenated window.
+func segmentFeatures(older, newer []trace.Record, pageSize int, logicalPages int64) [FeatureDim]float64 {
 	var f [FeatureDim]float64
-	if len(recs) == 0 {
+	if len(older) == 0 {
 		return f
 	}
 	if logicalPages <= 0 {
 		logicalPages = 1
 	}
-	var readBytes, writeBytes, totalBytes int64
+	var readBytes, writeBytes int64
 	var hist [entropyBuckets]float64
-	for _, r := range recs {
-		b := r.Bytes(pageSize)
-		totalBytes += b
-		if r.Write {
-			writeBytes += b
-		} else {
-			readBytes += b
+	for _, seg := range [2][]trace.Record{older, newer} {
+		for _, r := range seg {
+			b := r.Bytes(pageSize)
+			if r.Write {
+				writeBytes += b
+			} else {
+				readBytes += b
+			}
+			bucket := int(r.LPN * entropyBuckets / logicalPages)
+			if bucket < 0 {
+				bucket = 0
+			}
+			if bucket >= entropyBuckets {
+				bucket = entropyBuckets - 1
+			}
+			hist[bucket]++
 		}
-		bucket := int(r.LPN * entropyBuckets / logicalPages)
-		if bucket < 0 {
-			bucket = 0
-		}
-		if bucket >= entropyBuckets {
-			bucket = entropyBuckets - 1
-		}
-		hist[bucket]++
 	}
-	dur := float64(recs[len(recs)-1].At-recs[0].At) / 1e9
+	last := older[len(older)-1]
+	if len(newer) > 0 {
+		last = newer[len(newer)-1]
+	}
+	dur := float64(last.At-older[0].At) / 1e9
 	if dur <= 0 {
 		dur = 1e-6
 	}
@@ -63,7 +78,7 @@ func Features(recs []trace.Record, pageSize int, logicalPages int64) [FeatureDim
 	f[1] = math.Log1p(float64(writeBytes) / dur / 1e6)
 
 	h := 0.0
-	n := float64(len(recs))
+	n := float64(len(older) + len(newer))
 	for _, c := range hist {
 		if c > 0 {
 			p := c / n
@@ -71,7 +86,7 @@ func Features(recs []trace.Record, pageSize int, logicalPages int64) [FeatureDim
 		}
 	}
 	f[2] = h / math.Log(entropyBuckets) // normalized to [0,1]
-	f[3] = math.Log1p(float64(totalBytes) / n / 1024)
+	f[3] = math.Log1p(float64(readBytes+writeBytes) / n / 1024)
 	return f
 }
 
@@ -131,11 +146,16 @@ func Standardize(points [][]float64) (scaled [][]float64, mean, std []float64) {
 
 // Apply standardizes one point with a previously computed mean/std.
 func Apply(p, mean, std []float64) []float64 {
-	out := make([]float64, len(p))
+	return appendApplied(make([]float64, 0, len(p)), p, mean, std)
+}
+
+// appendApplied appends the standardized p to dst, so a caller with a
+// stack buffer (Model.Classify) standardizes without allocating.
+func appendApplied(dst, p, mean, std []float64) []float64 {
 	for d, v := range p {
-		out[d] = (v - mean[d]) / std[d]
+		dst = append(dst, (v-mean[d])/std[d])
 	}
-	return out
+	return dst
 }
 
 func sqDist(a, b []float64) float64 {

@@ -231,8 +231,7 @@ func TestModelClassifyKnownVsUnknown(t *testing.T) {
 }
 
 func TestClassifyTrace(t *testing.T) {
-	ds := BuildDataset([]string{"TeraSort", "YCSB", "VDI-Web"}, 6, 2000, 16384, 1)
-	m := Train(ds, 3, 2)
+	m := typingModel()
 	recs := workload.ByName("TeraSort").SynthesizeTrace(2000, 1_000_000, sim.NewRNG(9))
 	c, known := m.ClassifyTrace(recs, 16384, SynthLogicalPages)
 	if !known {
@@ -240,5 +239,93 @@ func TestClassifyTrace(t *testing.T) {
 	}
 	if c != m.WorkloadCluster["TeraSort"] {
 		t.Fatalf("TeraSort trace classified into cluster %d, want %d", c, m.WorkloadCluster["TeraSort"])
+	}
+}
+
+// typingModel is a small trained model for the trace- and recorder-typing
+// tests.
+func typingModel() *Model {
+	return Train(BuildDataset([]string{"TeraSort", "YCSB", "VDI-Web"}, 6, 2000, 16384, 1), 3, 2)
+}
+
+// Reading the ring in place must be indistinguishable from classifying a
+// copy of it: same feature bits, same verdict — whatever the fill level,
+// the wrap offset, the page size or the logical size.
+func TestClassifyRecorderMatchesCopy(t *testing.T) {
+	m := typingModel()
+	rng := sim.NewRNG(22)
+	names := workload.Names()
+	for i := 0; i < 200; i++ {
+		limit := 50 + rng.Intn(2000)
+		var adds int
+		switch i % 3 {
+		case 0: // not full (sometimes under the typing floor)
+			adds = rng.Intn(limit)
+		case 1: // exactly full, not wrapped
+			adds = limit
+		default: // wrapped at a random offset
+			adds = limit + 1 + rng.Intn(3*limit)
+		}
+		pageSize := 4096 << rng.Intn(3)
+		logical := int64(rng.Intn(2_000_000)) - 1000 // <= 0 now and then
+		if i%10 == 9 {
+			logical = 0
+		}
+		synthSpace := int(logical)
+		if synthSpace < 1000 {
+			synthSpace = 1000
+		}
+		rec := trace.NewRecorder(limit)
+		for _, r := range workload.ByName(names[rng.Intn(len(names))]).SynthesizeTrace(adds, synthSpace, rng.Split(int64(i))) {
+			rec.Add(r)
+		}
+
+		older, newer := rec.Segments()
+		got := segmentFeatures(older, newer, pageSize, logical)
+		want := Features(rec.Records(), pageSize, logical)
+		for d := range want {
+			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+				t.Fatalf("recorder %d (limit %d, %d adds, page %d, logical %d): feature %d = %v in place, %v from the copy",
+					i, limit, adds, pageSize, logical, d, got[d], want[d])
+			}
+		}
+		c, known, ok := m.ClassifyRecorder(rec, pageSize, logical)
+		if wantOK := rec.Len() >= minTypingRecords; ok != wantOK {
+			t.Fatalf("recorder %d: ok = %v with %d records", i, ok, rec.Len())
+		}
+		if !ok {
+			if c != 0 || known {
+				t.Fatalf("recorder %d: classified (%d, %v) under the typing floor", i, c, known)
+			}
+			continue
+		}
+		if wc, wk := m.ClassifyTrace(rec.Records(), pageSize, logical); c != wc || known != wk {
+			t.Fatalf("recorder %d: (%d, %v) in place, (%d, %v) from the copy", i, c, known, wc, wk)
+		}
+	}
+	if _, _, ok := m.ClassifyRecorder(nil, 16384, 1000); ok {
+		t.Fatal("nil recorder classified")
+	}
+}
+
+// Re-typing runs every few decision windows per tenant for the lifetime of
+// a deployment; on the paper's 10K-request window it must not allocate
+// (it used to copy the ring: 320 KB a call).
+func TestClassifyRecorderZeroAlloc(t *testing.T) {
+	m := typingModel()
+	rec := trace.NewRecorder(WindowSize)
+	for _, r := range workload.ByName("YCSB").SynthesizeTrace(WindowSize+WindowSize/3, SynthLogicalPages, sim.NewRNG(5)) {
+		rec.Add(r)
+	}
+	if older, newer := rec.Segments(); len(older) == 0 || len(newer) == 0 {
+		t.Fatalf("ring not wrapped: segments of %d and %d records", len(older), len(newer))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, ok := m.ClassifyRecorder(rec, 16384, SynthLogicalPages); !ok {
+			t.Fatal("full window not classified")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ClassifyRecorder allocates %v times per call on a wrapped %d-record ring, want 0", allocs, WindowSize)
 	}
 }

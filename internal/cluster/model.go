@@ -138,7 +138,10 @@ func Train(ds Dataset, k int, seed int64) *Model {
 // Classify returns the cluster of a raw feature vector and whether it is
 // within the known region (false → use the unified reward function).
 func (m *Model) Classify(features []float64) (cluster int, known bool) {
-	p := Apply(features, m.Mean, m.Std)
+	// Standardized on the stack: online typing runs this every few windows
+	// per tenant.
+	var buf [FeatureDim]float64
+	p := appendApplied(buf[:0], features, m.Mean, m.Std)
 	c := m.KM.Assign(p)
 	d := math.Sqrt(sqDist(p, m.KM.Centroids[c]))
 	return c, d <= m.MaxDist[c]*1.5
@@ -174,12 +177,17 @@ const minTypingRecords = 100
 // ClassifyRecorder classifies the traffic a tenant's recorder currently
 // holds — the one typing path behind online re-typing, the fleet's type
 // tally and the harness's type labels. ok is false, and nothing is
-// classified, when rec is nil or holds fewer than 100 records.
+// classified, when rec is nil or holds fewer than 100 records. It reads the
+// recorder's ring in place (trace.Recorder.Segments) and allocates nothing:
+// the ring is aliased only for the duration of the call, so rec must not be
+// added to concurrently, and nothing of it is retained afterwards.
 func (m *Model) ClassifyRecorder(rec *trace.Recorder, pageSize int, logicalPages int64) (cluster int, known, ok bool) {
 	if rec == nil || rec.Len() < minTypingRecords {
 		return 0, false, false
 	}
-	cluster, known = m.ClassifyTrace(rec.Records(), pageSize, logicalPages)
+	older, newer := rec.Segments()
+	f := segmentFeatures(older, newer, pageSize, logicalPages)
+	cluster, known = m.Classify(f[:])
 	return cluster, known, true
 }
 

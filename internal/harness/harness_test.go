@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -113,6 +115,43 @@ func TestFleetIOTradeoffShape(t *testing.T) {
 	t.Logf("util: hw=%.3f fio=%.3f sw=%.3f | P99: hw=%.2f fio=%.2f sw=%.2f",
 		hw.AvgUtil, fio.AvgUtil, sw.AvgUtil,
 		hw.LatencyTenantP99(), fio.LatencyTenantP99(), sw.LatencyTenantP99())
+}
+
+// TestDecisionWindowSteadyStateAllocs is the allocation guard over the whole
+// decision window, not only over its kernels: a deployed FleetIO pair —
+// generators, vSSD dispatch, flash, FTL and GC, decide, online PPO
+// fine-tuning every 10 windows, re-typing every 5 — past warm-up leaves
+// next to no garbage per window (measured ~2 KB; a copy of each tenant's
+// trace ring per re-typing made it ~130 KB).
+func TestDecisionWindowSteadyStateAllocs(t *testing.T) {
+	const windows, perWindow = 40, 16 << 10
+	opt := WithPretrained(DefaultOptions())
+	mix := Pair("YCSB", "TeraSort")
+	r := buildPlatform(mix, PolFleetIO, nil, Calibrate(mix, opt), opt)
+	r.AttachPolicy(PolFleetIO)
+	r.Start()
+	defer r.Stop()
+	// Warm-up ends when the slower tenant's trace ring is at capacity: by
+	// then every scratch is sized and PPO has updated several times.
+	warm := opt.Warmup
+	r.Advance(warm)
+	for r.recs[0].Len() < cluster.WindowSize || r.recs[1].Len() < cluster.WindowSize {
+		if warm += opt.Window; warm > 60*sim.Second {
+			t.Fatalf("trace rings not full after %v virtual ns (%d and %d records)", warm, r.recs[0].Len(), r.recs[1].Len())
+		}
+		r.Advance(warm)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Advance(warm + windows*opt.Window)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d decision windows: %d bytes allocated (%d per window, %d mallocs)",
+		windows, got, got/windows, after.Mallocs-before.Mallocs)
+	if got > windows*perWindow {
+		t.Fatalf("%d decision windows allocated %d bytes (%d per window), want <= %d per window",
+			windows, got, got/windows, perWindow)
+	}
 }
 
 func TestTypeModelAlphaMapping(t *testing.T) {

@@ -86,8 +86,10 @@ func Read(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// Recorder accumulates records in memory (bounded by cap if >0, keeping
-// the most recent ones in a ring).
+// Recorder accumulates records in memory (bounded by limit if >0, keeping
+// the most recent ones in a ring). Records returns a copy the caller owns;
+// Segments returns the ring's own storage, which the next Add may
+// overwrite.
 type Recorder struct {
 	recs  []Record
 	limit int
@@ -116,15 +118,27 @@ func (rc *Recorder) Add(r Record) {
 	rc.full = true
 }
 
-// Records returns the recorded entries in arrival order.
-func (rc *Recorder) Records() []Record {
+// Segments returns the recorded entries in arrival order as two contiguous
+// slices, older then newer, without copying: both alias the recorder's own
+// storage (a ring that has wrapped is its tail followed by its head; one
+// that has not is a single segment and newer is empty). They are valid
+// until the next Add, which may overwrite an element or move the storage;
+// the caller must not write through them.
+func (rc *Recorder) Segments() (older, newer []Record) {
 	if !rc.full {
-		return append([]Record(nil), rc.recs...)
+		return rc.recs, nil
 	}
-	out := make([]Record, 0, len(rc.recs))
-	out = append(out, rc.recs[rc.next:]...)
-	out = append(out, rc.recs[:rc.next]...)
-	return out
+	return rc.recs[rc.next:], rc.recs[:rc.next]
+}
+
+// Records returns a copy of the recorded entries in arrival order. It
+// copies the whole window; a caller that only walks the records once (as
+// workload typing does) reads Segments instead.
+func (rc *Recorder) Records() []Record {
+	older, newer := rc.Segments()
+	out := make([]Record, 0, len(older)+len(newer))
+	out = append(out, older...)
+	return append(out, newer...)
 }
 
 // Len returns the number of records held.

@@ -137,6 +137,76 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
+// The two segments concatenated are Records() at every fill level and every
+// wrap offset, and they are the recorder's storage itself, not a copy.
+func TestRecorderSegmentsMatchRecords(t *testing.T) {
+	for _, limit := range []int{0, 7} {
+		rc := NewRecorder(limit)
+		check := func(added int) {
+			t.Helper()
+			older, newer := rc.Segments()
+			got := append(append([]Record{}, older...), newer...)
+			want := rc.Records()
+			if len(got) != rc.Len() || len(want) != rc.Len() {
+				t.Fatalf("limit %d after %d adds: %d in segments, %d in Records, Len %d",
+					limit, added, len(got), len(want), rc.Len())
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("limit %d after %d adds: record %d is %+v in the segments, %+v in Records",
+						limit, added, i, got[i], want[i])
+				}
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i].At != got[i-1].At+1 {
+					t.Fatalf("limit %d after %d adds: not in arrival order at %d", limit, added, i)
+				}
+			}
+		}
+		check(0)
+		for i := 0; i < 3*7; i++ {
+			rc.Add(Record{At: int64(i), LPN: int64(i * 3), Pages: int32(1 + i%4), Write: i%2 == 1})
+			check(i + 1)
+		}
+		// Not a copy: the older segment starts where the storage does (both
+		// recorders are at offset 0 after three laps), and once the ring is
+		// at capacity an Add overwrites the oldest record where a held
+		// segment already points.
+		older, _ := rc.Segments()
+		oldest := &older[0]
+		if oldest != &rc.recs[0] {
+			t.Fatalf("limit %d: the older segment does not alias the recorder's storage", limit)
+		}
+		if limit > 0 {
+			rc.Add(Record{At: -1})
+			if oldest.At != -1 {
+				t.Fatalf("limit %d: Add not visible through a held segment (At %d)", limit, oldest.At)
+			}
+			if recs := rc.Records(); &recs[0] == oldest || recs[len(recs)-1].At != -1 {
+				t.Fatalf("limit %d: Records aliases the ring or missed the Add", limit)
+			}
+		}
+	}
+}
+
+// A ring at capacity records and is read without allocating: Add overwrites
+// in place and Segments re-slices the storage.
+func TestRecorderRingZeroAlloc(t *testing.T) {
+	rc := NewRecorder(64)
+	for i := 0; i < 100; i++ {
+		rc.Add(Record{At: int64(i)})
+	}
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		rc.Add(Record{At: 1})
+		older, newer := rc.Segments()
+		n += len(older) + len(newer)
+	})
+	if allocs != 0 || n == 0 {
+		t.Fatalf("full ring: %v allocations per Add+Segments (%d records seen), want 0", allocs, n)
+	}
+}
+
 func TestReadErrorDetail(t *testing.T) {
 	// Bad magic: the error must name both the bytes found and the bytes
 	// expected, so a mis-pointed file is diagnosable from the message.

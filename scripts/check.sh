@@ -1,14 +1,15 @@
 #!/usr/bin/env sh
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
-# module's vet and one run of each example), the one-device-stack,
-# one-NN-compute-path, one-retry-protocol, bus-lane and hot-path boxing
-# grep gates, the race detector on the concurrency-heavy packages, the
-# allocation guards at several core counts, worker-count identity gates on
-# the scenario figures, and benchmark smoke/allocation gates. What each
-# scenario must show (completed migrations, promotes and demotes, typed
-# traffic, …) is asserted by harness.TestScenarios in the test suite.
-# Performance is measured by bench/run.sh, not here.
+# module's vet and one run of each example), the six grep gates
+# (one device stack, one NN compute path, one retry protocol, bus lane,
+# hot-path boxing, typing reads the ring in place), the race detector on the
+# concurrency-heavy packages, the allocation guards at several core counts,
+# worker-count identity gates on the scenario figures, and benchmark
+# smoke/allocation gates. What each scenario must show (completed
+# migrations, promotes and demotes, typed traffic, …) is asserted by
+# harness.TestScenarios in the test suite. Performance is measured by
+# bench/run.sh, not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -133,6 +134,16 @@ if grep -n 'interface{}' internal/flash/*.go internal/sim/*.go internal/ftl/*.go
     exit 1
 fi
 
+echo "== typing reads the ring in place"
+# Workload typing walks the recorder's two segments (trace.Recorder.Segments,
+# cluster.Model.ClassifyRecorder). Records() copies the whole 10K-request
+# window — 320 KB per tenant per re-typing, once 81% of everything a measured
+# run allocated — and is for tests and offline use.
+if grep -rn '\.Records()' --include='*.go' internal | grep -v _test.go | grep -v '^internal/trace/'; then
+    echo "walk Recorder's segments; Records() copies the window" >&2
+    exit 1
+fi
+
 echo "== go test -race (concurrency-heavy packages)"
 # Includes the gSB pool's concurrent no-double-grant test and the fleet's
 # barrier stress and clean-shutdown tests.
@@ -153,11 +164,14 @@ go test -race -run 'TestCompareParallel|TestCompareAll|TestScenarios/16$|TestFor
 echo "== allocation guards (-cpu 1,2,4)"
 # Every steady-state path that must not allocate — the per-I/O datapath,
 # the event engine, batched inference and PPO updates, gSB create/reclaim,
-# admission flushes, the fleet epoch loop — has an AllocsPerRun guard; run
-# the family at several GOMAXPROCS so a guard that only holds on one core
-# count fails here, not intermittently in tier-1.
+# admission flushes, the fleet epoch loop, workload typing — has an
+# AllocsPerRun guard, and harness's one test in the family bounds what a
+# whole FleetIO decision window leaves behind; run the family at several
+# GOMAXPROCS so a guard that only holds on one core count fails here, not
+# intermittently in tier-1.
 go test -run 'ZeroAlloc|SteadyStateAllocs' -count=1 -cpu 1,2,4 \
-    ./internal/sim/ ./internal/flash/ ./internal/nn/ ./internal/rl/ ./internal/gsb/ ./internal/admission/ ./internal/fleet/
+    ./internal/sim/ ./internal/flash/ ./internal/nn/ ./internal/rl/ ./internal/gsb/ ./internal/admission/ ./internal/fleet/ \
+    ./internal/trace/ ./internal/cluster/ ./internal/harness/
 
 echo "== scenario identity gates (same seed, -parallel 1 vs 4)"
 # Every scenario draws only from seeded streams on single-threaded engines
