@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fault"
 	"repro/internal/flash"
@@ -226,55 +225,181 @@ func TestGCMigratesValidPages(t *testing.T) {
 	}
 }
 
-// Property: after an arbitrary sequence of writes and trims, every mapped
-// LPN resolves to a distinct physical page and the per-block valid counts
-// equal the number of LPNs mapping into the block.
-func TestMappingConsistencyProperty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		cfg := smallConfig()
-		_, m := newTestMgr(t, cfg)
-		m.gcThreshold = 0 // isolate mapping logic from GC
-		tn := NewTenant(m, 0, []int{0, 1}, 128)
-		for _, o := range ops {
-			lpn := int(o % 128)
-			if o&0x8000 != 0 {
-				tn.Trim(lpn)
-			} else {
-				tn.AllocatePage(lpn, false) // may fail when full; fine
-			}
-		}
-		// Check 1: distinct physical pages.
-		seen := make(map[flash.PPA]int)
-		mapped := int64(0)
-		for lpn := 0; lpn < 128; lpn++ {
+// checkMapping asserts the tables agree with each other: each mapped LPN
+// resolves to a distinct written page whose back-pointer names it, in a
+// block whose user is that tenant; each block's valid count equals the LPNs
+// mapping into it and its valid back-pointers; and the blocks' valid counts
+// sum to the tenants' mapped pages. The user check is what lets a page's
+// data tenant be read from its block: a block's valid pages all belong to
+// b.user, from open to erase.
+func checkMapping(t *testing.T, m *Manager, seed int64, step int) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
+	}
+	mapsIn := make([]int, len(m.blocks))
+	seen := make(map[flash.PPA]bool)
+	var mapped int64
+	for _, tn := range m.tenants {
+		n := int64(0)
+		for lpn := 0; lpn < tn.logicalPages; lpn++ {
 			ppa, ok := tn.Lookup(lpn)
 			if !ok {
 				continue
 			}
-			mapped++
-			if prev, dup := seen[ppa]; dup {
-				t.Logf("LPNs %d and %d alias %v", prev, lpn, ppa)
-				return false
+			n++
+			if seen[ppa] {
+				fail("tenant %d LPN %d aliases %v", tn.id, lpn, ppa)
 			}
-			seen[ppa] = lpn
-		}
-		if mapped != tn.MappedPages() {
-			return false
-		}
-		// Check 2: block valid counts match mapping.
-		validByBlock := make(map[int]int)
-		for ppa := range seen {
-			validByBlock[m.blockIndex(ppa.BlockOf())]++
-		}
-		for i := range m.blocks {
-			if m.blocks[i].valid != validByBlock[i] {
-				return false
+			seen[ppa] = true
+			idx := m.blockIndex(ppa.BlockOf())
+			b := &m.blocks[idx]
+			if b.user != tn.id {
+				fail("tenant %d LPN %d maps into block %d of user %d (state %d)", tn.id, lpn, idx, b.user, b.state)
 			}
+			if ppa.Page >= b.writePtr || b.pageLPN[ppa.Page] != int32(lpn) {
+				fail("tenant %d LPN %d maps to %v, whose back-pointer does not name it", tn.id, lpn, ppa)
+			}
+			if b.pageTenant[ppa.Page] != int32(tn.id) {
+				fail("tenant %d LPN %d maps to %v, held for tenant %d", tn.id, lpn, ppa, b.pageTenant[ppa.Page])
+			}
+			mapsIn[idx]++
 		}
-		return true
+		if n != tn.MappedPages() {
+			fail("tenant %d maps %d LPNs, MappedPages = %d", tn.id, n, tn.MappedPages())
+		}
+		mapped += n
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	var valid int64
+	for i := range m.blocks {
+		b := &m.blocks[i]
+		back := 0
+		for p, owner := range b.pageTenant {
+			if owner == invalidPPA {
+				continue
+			}
+			back++
+			if owner != int32(b.user) {
+				fail("block %d (user %d, state %d) page %d holds tenant %d's data", i, b.user, b.state, p, owner)
+			}
+		}
+		if b.valid != mapsIn[i] || b.valid != back {
+			fail("block %d valid = %d, %d LPNs map in, %d valid back-pointers", i, b.valid, mapsIn[i], back)
+		}
+		valid += int64(b.valid)
+	}
+	if valid != mapped {
+		fail("blocks hold %d valid pages, tenants map %d", valid, mapped)
+	}
+}
+
+// Property: the L2P tables, the per-page back-pointers and the per-block
+// valid counts stay consistent (checkMapping, after every step) through a
+// random walk of three tenants over everything that moves a page: host
+// writes submitted to the device and re-dispatched on a program failure
+// (the vSSD layer's protocol), trims, GC with migration, gSBs lent on one
+// tenant's channel and harvested by another, their lanes closed with dirty
+// blocks left for the owner's GC to migrate back into the harvester's
+// space, channel re-partitioning, and the Heavy fault profile's program and
+// erase failures.
+func TestMappingConsistencyProperty(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Channels = 3
+	const logical = 176 // of 256 pages a channel
+	var total Stats
+	foreignMigrations, gsbErases := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		eng, m := newTestMgr(t, cfg)
+		faults := fault.Heavy()
+		faults.Seed = seed
+		m.dev.SetFaultInjector(fault.NewInjector(faults))
+		m.Submit = func(op *flash.Op) {
+			// A GC program for another tenant's data: the block's owner
+			// collecting what a harvester wrote.
+			if j, ok := op.Ctx.(*gcJob); ok && op.Kind == flash.OpProgram && op.Tenant != j.t.id {
+				foreignMigrations++
+			}
+			m.dev.Submit(op)
+		}
+		m.OnBlockErased(func(_, gsbID int) {
+			if gsbID >= 0 {
+				gsbErases++
+			}
+		})
+		tenants := []*Tenant{
+			NewTenant(m, 0, []int{0}, logical),
+			NewTenant(m, 1, []int{1}, logical),
+			NewTenant(m, 2, []int{2}, logical),
+		}
+		rng := sim.NewRNG(seed)
+		var write func(tn *Tenant, lpn int)
+		programDone := func(ctx any, lpn int64, _ sim.Time, status flash.OpStatus) {
+			if status == flash.StatusProgramFail {
+				write(ctx.(*Tenant), int(lpn))
+			}
+		}
+		write = func(tn *Tenant, lpn int) {
+			ppa, ok := tn.AllocatePage(lpn, false)
+			if !ok {
+				return
+			}
+			tn.RecordHostProgram()
+			op := m.dev.AcquireOp()
+			op.Kind = flash.OpProgram
+			op.Addr = ppa
+			op.Tenant = tn.id
+			op.Priority = PriorityMed
+			op.Done = programDone
+			op.Ctx = tn
+			op.CtxI = int64(lpn)
+			m.Submit(op)
+		}
+		var harvested []struct{ gsb, by int }
+		nextGSB := 1
+		for step := 0; step < 2500; step++ {
+			tn := tenants[rng.Intn(len(tenants))]
+			switch rng.Intn(20) {
+			case 0, 1:
+				tn.Trim(rng.Intn(logical))
+			case 2, 3, 4:
+				eng.RunUntil(eng.Now() + sim.Time(rng.Intn(2000))*sim.Microsecond)
+			case 5:
+				// tn lends a chip-stripe of its channel; another tenant
+				// harvests it.
+				if lent := m.LendBlocks(tn.channels[0], 1, tn.id, nextGSB, 0.1); len(lent) > 0 {
+					by := tenants[(tn.id+1+rng.Intn(len(tenants)-1))%len(tenants)]
+					by.AddHarvestLanes(nextGSB, lent)
+					harvested = append(harvested, struct{ gsb, by int }{nextGSB, by.id})
+				}
+				nextGSB++
+			case 6:
+				if len(harvested) > 0 {
+					tenants[harvested[0].by].CloseHarvestLanes(harvested[0].gsb)
+					harvested = harvested[1:]
+				}
+			case 7:
+				// Tenant 2 takes a share of channel 0, or gives it back.
+				if len(tenants[2].channels) == 1 {
+					tenants[2].SetChannels([]int{0, 2})
+				} else {
+					tenants[2].SetChannels([]int{2})
+				}
+			default:
+				write(tn, rng.Intn(logical))
+			}
+			checkMapping(t, m, seed, step)
+		}
+		st := m.Stats()
+		total.GCPrograms += st.GCPrograms
+		total.Remapped += st.Remapped
+		total.Retired += st.Retired
+		total.GCRetryPrograms += st.GCRetryPrograms
+	}
+	t.Logf("GC programs %d (%d for another tenant's data), gSB blocks erased %d, remapped %d (%d GC re-programs), retired %d",
+		total.GCPrograms, foreignMigrations, gsbErases, total.Remapped, total.GCRetryPrograms, total.Retired)
+	if total.GCPrograms == 0 || foreignMigrations == 0 || gsbErases == 0 || total.Remapped == 0 || total.Retired == 0 {
+		t.Fatal("the walk no longer reaches GC migration, gSB reclaim and program-fail remap; it proves nothing about them")
 	}
 }
 
