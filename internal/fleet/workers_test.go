@@ -157,3 +157,29 @@ func TestBarrierMetricsPublished(t *testing.T) {
 		}
 	}
 }
+
+// TestRackBytesPerDevice bounds what one device of a rack costs to build and
+// run: the TotalAlloc of New + Run for an 8-device least-loaded rack with
+// migration over one virtual second, per device. Most of it is FTL tables,
+// which is what the bound watches: 408 KB a device (measured, about 15% under
+// the bound) with a 4-byte L2P entry, one back-pointer a page and 64-byte
+// block records; 577 KB with the tables at twice that width.
+func TestRackBytesPerDevice(t *testing.T) {
+	const perDevice = 470_000
+	cfg := testConfig()
+	cfg.Devices = 8
+	cfg.Duration = sim.Second
+	cfg.Workers = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := New(cfg).Run()
+	runtime.ReadMemStats(&after)
+	if st.Completed == 0 {
+		t.Fatal("the rack completed nothing")
+	}
+	got := (after.TotalAlloc - before.TotalAlloc) / uint64(cfg.Devices)
+	t.Logf("%d bytes allocated per device", got)
+	if got > perDevice {
+		t.Fatalf("a rack device allocated %d bytes, want <= %d", got, perDevice)
+	}
+}

@@ -13,6 +13,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/flash"
 	"repro/internal/obs"
@@ -73,30 +74,39 @@ const (
 // its program-fail retry here — polls again this much later.
 const RetryDelay = sim.Millisecond
 
-// blockInfo is the Manager's bookkeeping for one erase block.
+// blockAddr is a block's flash.BlockID at int32 width.
+type blockAddr struct{ Channel, Chip, Block int32 }
+
+func (a blockAddr) page(p int) flash.PPA {
+	return flash.PPA{Channel: int(a.Channel), Chip: int(a.Chip), Block: int(a.Block), Page: p}
+}
+
+// blockInfo is the Manager's bookkeeping for one erase block, one 64-byte
+// cache line a record (TestTableWidths).
 type blockInfo struct {
-	id    flash.BlockID
-	state BlockState
+	// pageLPN holds the back-pointers for GC: the LPN stored in each page,
+	// invalidPPA once unwritten or no longer valid. The LPN is user's: a block's
+	// valid pages all hold user's data (TestMappingConsistencyProperty).
+	pageLPN []int32
+	id      blockAddr
 	// owner is the tenant whose channel pool the block came from (the
 	// "home_vssd" in gSB terms); -1 while free on a shared channel.
-	owner int
+	owner int32
 	// user is the tenant whose data the block holds (the harvester for
 	// harvested blocks); -1 when unwritten.
-	user int
+	user int32
+	// gsb is the ghost-superblock ID the block belongs to, or -1.
+	gsb      int32
+	writePtr int32
+	valid    int32
+	state    BlockState
 	// harvested is the Harvested Block Table bit: true for blocks serving
 	// a gSB or pending lazy reclamation; cleared when GC erases the block.
 	harvested bool
-	// gsb is the ghost-superblock ID the block belongs to, or -1.
-	gsb int
 	// bad marks a block pending retirement after a program/erase failure:
 	// GC collects it first (even fully valid) and retires it instead of
 	// returning it to the pool. It stays set in the terminal BlockBad state.
-	bad      bool
-	writePtr int
-	valid    int
-	// back-pointers for GC: the tenant and LPN stored in each page.
-	pageTenant []int32
-	pageLPN    []int32
+	bad bool
 }
 
 // Stats summarizes FTL-wide activity, including the write-amplification
@@ -202,6 +212,9 @@ func (m *Manager) OnBlockErased(fn func(blockIdx, gsbID int)) { m.onBlockErased 
 // NewManager builds the block bookkeeping for dev. All blocks start free.
 func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 	cfg := dev.Config()
+	if pages := cfg.TotalBlocks() * cfg.PagesPerBlock; pages > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: device has %d pages, an L2P entry addresses at most %d", pages, math.MaxInt32))
+	}
 	m := &Manager{
 		eng:         eng,
 		dev:         dev,
@@ -221,12 +234,12 @@ func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 	}
 	for i := range m.blocks {
 		b := &m.blocks[i]
-		b.id = m.blockID(i)
-		b.owner = -1
-		b.user = -1
-		b.gsb = -1
-		m.freePools[m.poolIndex(b.id.Channel, b.id.Chip)] = append(m.freePools[m.poolIndex(b.id.Channel, b.id.Chip)], i)
-		m.freeCount[b.id.Channel]++
+		id := m.blockID(i)
+		b.id = blockAddr{int32(id.Channel), int32(id.Chip), int32(id.Block)}
+		b.reset(BlockFree)
+		p := m.poolIndex(id.Channel, id.Chip)
+		m.freePools[p] = append(m.freePools[p], i)
+		m.freeCount[id.Channel]++
 	}
 	dev.OnFault(m.deviceFault)
 	return m
@@ -256,14 +269,13 @@ func (m *Manager) handleProgramFail(addr flash.PPA) {
 	idx := m.blockIndex(addr.BlockOf())
 	b := &m.blocks[idx]
 	page := addr.Page
-	if b.pageTenant[page] != invalidPPA {
-		t := m.tenants[b.pageTenant[page]]
-		lpn := int(b.pageLPN[page])
-		b.pageTenant[page] = invalidPPA
+	if lpn := b.pageLPN[page]; lpn != invalidPPA {
+		t := m.tenants[b.user]
+		b.pageLPN[page] = invalidPPA
 		b.valid--
 		m.epoch++
 		t.mappedPages--
-		if t.l2p[lpn] == int64(idx)<<16|int64(page) {
+		if t.l2p[lpn] == m.pageIndex(idx, page) {
 			t.l2p[lpn] = -1
 		}
 	}
@@ -306,22 +318,21 @@ func (m *Manager) retireBlock(idx int) {
 		m.tenants[b.owner].badBlocks--
 	}
 	m.epoch++
-	b.state = BlockBad
-	b.owner = -1
-	b.user = -1
-	b.harvested = false
-	b.gsb = -1
-	b.writePtr = 0
-	b.valid = 0
-	b.pageTenant = b.pageTenant[:0]
-	b.pageLPN = b.pageLPN[:0]
+	b.reset(BlockBad)
 	m.stats.Retired++
+}
+
+// reset puts a block's record in its unwritten form, in state st. The page
+// table is truncated (keeping capacity for the next open) rather than nil:
+// it must be unreadable either way, and reuse keeps reopening allocation-free.
+func (b *blockInfo) reset(st BlockState) {
+	*b = blockInfo{pageLPN: b.pageLPN[:0], id: b.id, owner: -1, user: -1, gsb: -1, state: st, bad: b.bad}
 }
 
 // fullMark records block idx as a GC victim candidate for its owner. Call
 // exactly when the block enters BlockFull state (owner -1 means the block
 // has no collecting tenant, e.g. a sealed orphan; nothing to index).
-func (m *Manager) fullMark(owner, idx int) {
+func (m *Manager) fullMark(owner int32, idx int) {
 	if owner < 0 {
 		return
 	}
@@ -330,7 +341,7 @@ func (m *Manager) fullMark(owner, idx int) {
 
 // fullUnmark drops block idx from its owner's candidate set. Call exactly
 // when the block leaves BlockFull state (→ BlockGC), before owner is reset.
-func (m *Manager) fullUnmark(owner, idx int) {
+func (m *Manager) fullUnmark(owner int32, idx int) {
 	if owner < 0 {
 		return
 	}
@@ -338,6 +349,15 @@ func (m *Manager) fullUnmark(owner, idx int) {
 }
 
 func (m *Manager) poolIndex(ch, chip int) int { return ch*m.cfg.ChipsPerChannel + chip }
+
+// pageIndex is the L2P encoding of a physical page, blockIdx*PagesPerBlock +
+// page (NewManager bounds it to an int32); pageAt decodes a mapped entry.
+func (m *Manager) pageIndex(idx, page int) int32 { return int32(idx*m.cfg.PagesPerBlock + page) }
+
+func (m *Manager) pageAt(enc int32) (idx, page int) {
+	ppb := uint32(m.cfg.PagesPerBlock)
+	return int(uint32(enc) / ppb), int(uint32(enc) % ppb)
+}
 
 func (m *Manager) blockIndex(id flash.BlockID) int {
 	return (id.Channel*m.cfg.ChipsPerChannel+id.Chip)*m.cfg.BlocksPerChip + id.Block
@@ -408,19 +428,8 @@ func (m *Manager) allocBlock(ch, chip int, forGC bool) (int, bool) {
 func (m *Manager) releaseBlock(idx int) {
 	b := &m.blocks[idx]
 	m.epoch++
-	b.state = BlockFree
-	b.owner = -1
-	b.user = -1
-	b.harvested = false
-	b.gsb = -1
-	b.writePtr = 0
-	b.valid = 0
-	// Truncate (keeping capacity for the next open) rather than nil: a
-	// free block's page tables must be unreadable either way, and reuse
-	// keeps the erase/reopen cycle allocation-free.
-	b.pageTenant = b.pageTenant[:0]
-	b.pageLPN = b.pageLPN[:0]
-	p := m.poolIndex(b.id.Channel, b.id.Chip)
+	b.reset(BlockFree)
+	p := m.poolIndex(int(b.id.Channel), int(b.id.Chip))
 	m.freePools[p] = append(m.freePools[p], idx)
 	m.freeCount[b.id.Channel]++
 }
@@ -472,10 +481,10 @@ func (m *Manager) LendBlocksInto(dst []int, ch, perChip, home, gsbID int, minFre
 			}
 			b := &m.blocks[idx]
 			b.state = BlockLent
-			b.owner = home
+			b.owner = int32(home)
 			b.user = -1
 			b.harvested = true
-			b.gsb = gsbID
+			b.gsb = int32(gsbID)
 			dst = append(dst, idx)
 		}
 	}

@@ -1,7 +1,9 @@
 package ftl
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/flash"
@@ -79,7 +81,7 @@ func TestOverwriteInvalidatesOldPage(t *testing.T) {
 	firstIdx := m.blockIndex(first.BlockOf())
 	// The page in the first block must be invalid now.
 	b := &m.blocks[firstIdx]
-	if b.pageTenant[first.Page] != invalidPPA {
+	if b.pageLPN[first.Page] != invalidPPA {
 		t.Fatal("old page still marked valid")
 	}
 	if tn.MappedPages() != 1 {
@@ -239,7 +241,7 @@ func checkMapping(t *testing.T, m *Manager, seed int64, step int) {
 		t.Fatalf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
 	}
 	mapsIn := make([]int, len(m.blocks))
-	seen := make(map[flash.PPA]bool)
+	seen := make([]bool, len(m.blocks)*m.cfg.PagesPerBlock)
 	var mapped int64
 	for _, tn := range m.tenants {
 		n := int64(0)
@@ -249,20 +251,18 @@ func checkMapping(t *testing.T, m *Manager, seed int64, step int) {
 				continue
 			}
 			n++
-			if seen[ppa] {
-				fail("tenant %d LPN %d aliases %v", tn.id, lpn, ppa)
-			}
-			seen[ppa] = true
 			idx := m.blockIndex(ppa.BlockOf())
 			b := &m.blocks[idx]
-			if b.user != tn.id {
+			if page := m.pageIndex(idx, ppa.Page); seen[page] {
+				fail("tenant %d LPN %d aliases %v", tn.id, lpn, ppa)
+			} else {
+				seen[page] = true
+			}
+			if int(b.user) != tn.id {
 				fail("tenant %d LPN %d maps into block %d of user %d (state %d)", tn.id, lpn, idx, b.user, b.state)
 			}
-			if ppa.Page >= b.writePtr || b.pageLPN[ppa.Page] != int32(lpn) {
+			if ppa.Page >= int(b.writePtr) || b.pageLPN[ppa.Page] != int32(lpn) {
 				fail("tenant %d LPN %d maps to %v, whose back-pointer does not name it", tn.id, lpn, ppa)
-			}
-			if b.pageTenant[ppa.Page] != int32(tn.id) {
-				fail("tenant %d LPN %d maps to %v, held for tenant %d", tn.id, lpn, ppa, b.pageTenant[ppa.Page])
 			}
 			mapsIn[idx]++
 		}
@@ -275,16 +275,12 @@ func checkMapping(t *testing.T, m *Manager, seed int64, step int) {
 	for i := range m.blocks {
 		b := &m.blocks[i]
 		back := 0
-		for p, owner := range b.pageTenant {
-			if owner == invalidPPA {
-				continue
-			}
-			back++
-			if owner != int32(b.user) {
-				fail("block %d (user %d, state %d) page %d holds tenant %d's data", i, b.user, b.state, p, owner)
+		for _, lpn := range b.pageLPN {
+			if lpn != invalidPPA {
+				back++
 			}
 		}
-		if b.valid != mapsIn[i] || b.valid != back {
+		if int(b.valid) != mapsIn[i] || int(b.valid) != back {
 			fail("block %d valid = %d, %d LPNs map in, %d valid back-pointers", i, b.valid, mapsIn[i], back)
 		}
 		valid += int64(b.valid)
@@ -673,10 +669,10 @@ func pickVictimScan(tn *Tenant) int {
 	bestKey := [2]int{1 << 30, 1 << 30}
 	for i := range tn.mgr.blocks {
 		b := &tn.mgr.blocks[i]
-		if b.state != BlockFull || b.owner != tn.id {
+		if b.state != BlockFull || int(b.owner) != tn.id {
 			continue
 		}
-		if b.valid >= tn.mgr.cfg.PagesPerBlock && !b.harvested && !b.bad {
+		if int(b.valid) >= tn.mgr.cfg.PagesPerBlock && !b.harvested && !b.bad {
 			continue
 		}
 		class := 1
@@ -686,7 +682,7 @@ func pickVictimScan(tn *Tenant) int {
 		if b.bad {
 			class = -1
 		}
-		key := [2]int{class, b.valid}
+		key := [2]int{class, int(b.valid)}
 		if key[0] < bestKey[0] || (key[0] == bestKey[0] && key[1] < bestKey[1]) {
 			bestKey = key
 			best = i
@@ -703,7 +699,7 @@ func checkFullSets(t *testing.T, m *Manager) {
 		set := m.fullSets[tid]
 		for i := range m.blocks {
 			b := &m.blocks[i]
-			want := b.state == BlockFull && b.owner == tid
+			want := b.state == BlockFull && int(b.owner) == tid
 			got := set[i>>6]&(1<<(uint(i)&63)) != 0
 			if got != want {
 				t.Fatalf("fullSets[%d] bit %d = %v, want %v (state=%d owner=%d)",
@@ -842,8 +838,8 @@ func TestAllocFailMemoMatchesScan(t *testing.T) {
 				if len(idle) > 0 {
 					b := &m.blocks[idle[0][0]]
 					harvester := tenants[1-b.owner]
-					harvester.AddHarvestLanes(b.gsb, idle[0])
-					harvested = append(harvested, struct{ gsb, by int }{b.gsb, harvester.id})
+					harvester.AddHarvestLanes(int(b.gsb), idle[0])
+					harvested = append(harvested, struct{ gsb, by int }{int(b.gsb), harvester.id})
 					idle = idle[1:]
 				}
 			case 8:
@@ -905,4 +901,39 @@ func TestTenantIDOrderEnforced(t *testing.T) {
 		}
 	}()
 	NewTenant(m, 5, []int{0}, 64)
+}
+
+// The table widths a device's memory rests on: one block record is one
+// 64-byte cache line, one L2P entry four bytes.
+func TestTableWidths(t *testing.T) {
+	if got := unsafe.Sizeof(blockInfo{}); got > 64 {
+		t.Fatalf("blockInfo is %d bytes, want <= 64", got)
+	}
+	if got := unsafe.Sizeof(Tenant{}.l2p[0]); got != 4 {
+		t.Fatalf("an l2p entry is %d bytes, want 4", got)
+	}
+}
+
+// mustPanic runs fn and fails unless it panics with a message naming limit.
+func mustPanic(t *testing.T, limit string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg, _ := recover().(string); !strings.Contains(msg, limit) {
+			t.Fatalf("want a panic naming %s, got %q", limit, msg)
+		}
+	}()
+	fn()
+}
+
+func TestNewManagerRejectsDeviceBeyondL2PWidth(t *testing.T) {
+	cfg := smallConfig() // 64 blocks
+	cfg.PagesPerBlock = 1 << 26
+	dev := flash.NewDevice(sim.NewEngine(), cfg)
+	mustPanic(t, "2147483647", func() { NewManager(nil, dev) })
+}
+
+func TestNewTenantRejectsLogicalSizeBeyondBackPointerWidth(t *testing.T) {
+	_, m := newTestMgr(t, smallConfig())
+	mustPanic(t, "2147483647", func() { NewTenant(m, 0, []int{0}, 1<<31) })
 }

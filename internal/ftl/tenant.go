@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/flash"
@@ -27,9 +28,8 @@ type Tenant struct {
 	id  int
 	// channels this tenant may allocate its own blocks from.
 	channels []int
-	// l2p maps LPN -> block index + page, encoded as int64
-	// (blockIdx<<16 | page), or -1 when unmapped.
-	l2p []int64
+	// l2p maps LPN -> Manager.pageIndex of its physical page, -1 when unmapped.
+	l2p []int32
 
 	lanes  []*lane
 	cursor int
@@ -75,11 +75,14 @@ func NewTenant(mgr *Manager, id int, channels []int, logicalPages int) *Tenant {
 	if logicalPages <= 0 {
 		panic("ftl: non-positive logical size")
 	}
+	if logicalPages > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: logical size of %d pages, a back-pointer names at most %d", logicalPages, math.MaxInt32))
+	}
 	t := &Tenant{
 		mgr:          mgr,
 		id:           id,
 		channels:     append([]int(nil), channels...),
-		l2p:          make([]int64, logicalPages),
+		l2p:          make([]int32, logicalPages),
 		logicalPages: logicalPages,
 	}
 	for i := range t.l2p {
@@ -223,8 +226,8 @@ func (t *Tenant) AddHarvestLanes(gsbID int, blocks []int) {
 		if b.state != BlockLent {
 			panic(fmt.Sprintf("ftl: harvesting non-lent block %v (state %d)", b.id, b.state))
 		}
-		b.user = t.id
-		key := [2]int{b.id.Channel, b.id.Chip}
+		b.user = int32(t.id)
+		key := [2]int{int(b.id.Channel), int(b.id.Chip)}
 		if _, seen := group[key]; !seen {
 			order = append(order, key)
 		}
@@ -320,10 +323,8 @@ func (t *Tenant) openLane(ln *lane, forGC bool) bool {
 		}
 		b := &t.mgr.blocks[idx]
 		b.state = BlockOpen
-		b.owner = t.id
-		b.user = t.id
-		b.writePtr = 0
-		b.valid = 0
+		b.owner = int32(t.id)
+		b.user = int32(t.id)
 		t.initBlockPages(b)
 		ln.active = idx
 		return true
@@ -338,9 +339,7 @@ func (t *Tenant) openLane(ln *lane, forGC bool) bool {
 			continue
 		}
 		b.state = BlockOpen
-		b.user = t.id
-		b.writePtr = 0
-		b.valid = 0
+		b.user = int32(t.id)
 		t.initBlockPages(b)
 		ln.active = idx
 		return true
@@ -353,15 +352,13 @@ func (t *Tenant) initBlockPages(b *blockInfo) {
 	n := t.mgr.cfg.PagesPerBlock
 	// Reuse the capacity from the block's previous erase cycle; only a
 	// block's first-ever open allocates.
-	if cap(b.pageTenant) >= n {
-		b.pageTenant = b.pageTenant[:n]
+	if cap(b.pageLPN) >= n {
 		b.pageLPN = b.pageLPN[:n]
 	} else {
-		b.pageTenant = make([]int32, n)
 		b.pageLPN = make([]int32, n)
 	}
-	for i := range b.pageTenant {
-		b.pageTenant[i] = invalidPPA
+	for i := range b.pageLPN {
+		b.pageLPN[i] = invalidPPA
 	}
 }
 
@@ -423,21 +420,20 @@ func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {
 		}
 		b := &t.mgr.blocks[ln.active]
 		t.mgr.epoch++
-		page := b.writePtr
+		page := int(b.writePtr)
 		b.writePtr++
 		t.invalidate(lpn)
-		b.pageTenant[page] = int32(t.id)
 		b.pageLPN[page] = int32(lpn)
 		b.valid++
-		t.l2p[lpn] = int64(ln.active)<<16 | int64(page)
+		t.l2p[lpn] = t.mgr.pageIndex(ln.active, page)
 		t.mappedPages++
-		if b.writePtr == t.mgr.cfg.PagesPerBlock {
+		if int(b.writePtr) == t.mgr.cfg.PagesPerBlock {
 			b.state = BlockFull
 			t.mgr.fullMark(b.owner, ln.active)
 			ln.active = -1
 		}
 		t.maybeGC()
-		return flash.PPA{Channel: b.id.Channel, Chip: b.id.Chip, Block: b.id.Block, Page: page}, true
+		return b.id.page(page), true
 	}
 	t.maybeGC()
 	return flash.PPA{}, false
@@ -452,10 +448,8 @@ func (t *Tenant) Lookup(lpn int) (flash.PPA, bool) {
 	if enc < 0 {
 		return flash.PPA{}, false
 	}
-	idx := int(enc >> 16)
-	page := int(enc & 0xFFFF)
-	id := t.mgr.blocks[idx].id
-	return flash.PPA{Channel: id.Channel, Chip: id.Chip, Block: id.Block, Page: page}, true
+	idx, page := t.mgr.pageAt(enc)
+	return t.mgr.blocks[idx].id.page(page), true
 }
 
 // Trim unmaps lpn, invalidating its physical page.
@@ -476,11 +470,10 @@ func (t *Tenant) invalidate(lpn int) {
 	if enc < 0 {
 		return
 	}
-	idx := int(enc >> 16)
-	page := int(enc & 0xFFFF)
+	idx, page := t.mgr.pageAt(enc)
 	b := &t.mgr.blocks[idx]
-	if b.pageTenant[page] == int32(t.id) && b.pageLPN[page] == int32(lpn) {
-		b.pageTenant[page] = invalidPPA
+	if b.user == int32(t.id) && b.pageLPN[page] == int32(lpn) {
+		b.pageLPN[page] = invalidPPA
 		b.valid--
 		t.mgr.epoch++
 		t.mappedPages--
@@ -513,10 +506,10 @@ func (t *Tenant) maybeGC() {
 		if victim < 0 {
 			return
 		}
-		t.mgr.rec.GCRun(t.id, victim, t.mgr.blocks[victim].valid, t.mgr.blocks[victim].harvested)
+		t.mgr.rec.GCRun(t.id, victim, int(t.mgr.blocks[victim].valid), t.mgr.blocks[victim].harvested)
 		t.mgr.epoch++
 		t.mgr.blocks[victim].state = BlockGC
-		t.mgr.fullUnmark(t.id, victim)
+		t.mgr.fullUnmark(int32(t.id), victim)
 		t.gcJobs++
 		t.mgr.stats.GCRuns++
 		t.gcVictims++
@@ -547,7 +540,7 @@ func (t *Tenant) gcPriority() int {
 // lowest-index tie-break — is identical to the old linear scan's.
 func (t *Tenant) pickVictim() int {
 	best := -1
-	bestClass, bestValid := 1<<30, 1<<30
+	bestClass, bestValid := 1<<30, int32(1<<30)
 	full := t.mgr.fullSets[t.id]
 	for w, word := range full {
 		for word != 0 {
@@ -563,7 +556,7 @@ func (t *Tenant) pickVictim() int {
 			// and the block returns to this tenant's pool. A *bad* block
 			// must be collected no matter what — its surviving pages need
 			// to move off the failing media before it is retired.
-			if b.valid >= t.mgr.cfg.PagesPerBlock && !b.harvested && !b.bad {
+			if int(b.valid) >= t.mgr.cfg.PagesPerBlock && !b.harvested && !b.bad {
 				continue
 			}
 			class := 1
@@ -609,8 +602,8 @@ func (t *Tenant) collect(victim int) {
 	j.victim = victim
 	j.b = b
 	j.pages = j.pages[:0]
-	for p := 0; p < b.writePtr; p++ {
-		if b.pageTenant[p] != invalidPPA {
+	for p, lpn := range b.pageLPN[:b.writePtr] {
+		if lpn != invalidPPA {
 			j.pages = append(j.pages, p)
 		}
 	}
@@ -628,7 +621,7 @@ func (j *gcJob) launch() {
 	for j.outstanding < gcPipeline && j.next < len(j.pages) {
 		p := j.pages[j.next]
 		j.next++
-		if j.b.pageTenant[p] == invalidPPA {
+		if j.b.pageLPN[p] == invalidPPA {
 			continue
 		}
 		j.outstanding++
@@ -641,11 +634,10 @@ func (j *gcJob) launch() {
 // once free space turns critical.
 func (j *gcJob) migrate(p int) {
 	t := j.t
-	id := j.b.id
 	t.mgr.stats.GCReads++
 	op := t.mgr.dev.AcquireOp()
 	op.Kind = flash.OpRead
-	op.Addr = flash.PPA{Channel: id.Channel, Chip: id.Chip, Block: id.Block, Page: p}
+	op.Addr = j.b.id.page(p)
 	op.Tenant = t.id
 	op.Priority = t.gcPriority()
 	op.Done = gcReadDone
@@ -681,13 +673,13 @@ func gcTryProgram(arg sim.EventArg, _ sim.Time) {
 	j := arg.P.(*gcJob)
 	p := int(arg.I)
 	b := j.b
-	if b.pageTenant[p] == invalidPPA {
+	if b.pageLPN[p] == invalidPPA {
 		j.finish()
 		return
 	}
 	// The victim is in BlockGC state and cannot be rewritten, so the data
 	// owner and LPN are stable across retries.
-	dataTenant := j.t.mgr.tenants[b.pageTenant[p]]
+	dataTenant := j.t.mgr.tenants[b.user]
 	lpn := int(b.pageLPN[p])
 	if dst, ok := dataTenant.AllocatePage(lpn, true); ok {
 		j.programMigrated(dataTenant, lpn, dst, j.t.gcPriority())
@@ -752,12 +744,11 @@ func gcRetryProgram(arg sim.EventArg, _ sim.Time) {
 // free pool, clearing the HBT bit (§3.7: "blocks are marked as regular
 // after erased by GC").
 func (t *Tenant) eraseVictim(j *gcJob) {
-	id := j.b.id
 	t.mgr.stats.Erases++
 	t.stats.Erases++
 	op := t.mgr.dev.AcquireOp()
 	op.Kind = flash.OpErase
-	op.Addr = flash.PPA{Channel: id.Channel, Chip: id.Chip, Block: id.Block}
+	op.Addr = j.b.id.page(0)
 	op.Tenant = t.id
 	op.Priority = PriorityGC
 	op.Done = gcEraseDone
@@ -772,7 +763,7 @@ func (t *Tenant) eraseVictim(j *gcJob) {
 // re-arms. The job is recycled first so a re-armed collection reuses it.
 func gcEraseDone(ctx any, _ int64, _ sim.Time, status flash.OpStatus) {
 	j := ctx.(*gcJob)
-	t, victim, gsbID := j.t, j.victim, j.b.gsb
+	t, victim, gsbID := j.t, j.victim, int(j.b.gsb)
 	bad := j.b.bad || status == flash.StatusEraseFail
 	m := t.mgr
 	m.releaseGCJob(j)
