@@ -78,9 +78,7 @@ func (r *Runner) step(now sim.Time) {
 	r.windows++
 	vs := r.Plat.VSSDs()
 	if cap(r.snaps) < len(vs) {
-		// Doubled, as append would: a rack shard gains vSSDs one at a
-		// time, and a snapshot embeds a histogram (16 KB).
-		r.snaps = make([]vssd.WindowSnapshot, len(vs), 2*len(vs))
+		r.snaps = make([]vssd.WindowSnapshot, len(vs))
 	}
 	snaps := r.snaps[:len(vs)]
 	for i, v := range vs {

@@ -124,7 +124,7 @@ func TestFleetIOTradeoffShape(t *testing.T) {
 // next to no garbage per window (measured ~2 KB; a copy of each tenant's
 // trace ring per re-typing made it ~130 KB).
 func TestDecisionWindowSteadyStateAllocs(t *testing.T) {
-	const windows, perWindow = 40, 16 << 10
+	const windows, perWindow = 40, 4 << 10
 	opt := WithPretrained(DefaultOptions())
 	mix := Pair("YCSB", "TeraSort")
 	r := buildPlatform(mix, PolFleetIO, nil, Calibrate(mix, opt), opt)

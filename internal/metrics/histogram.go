@@ -19,21 +19,31 @@ import (
 // histogram layout: values are bucketed by (exponent of the magnitude,
 // linear sub-bucket). With 32 sub-buckets per octave the relative
 // quantization error is bounded by ~3%, which is ample for P99/P99.9
-// comparisons between policies.
+// comparisons between policies. Octave 0 holds the values below 32 exactly;
+// octave k > 0 holds [2^(k+4), 2^(k+5)).
 const (
-	subBucketBits  = 5
-	subBuckets     = 1 << subBucketBits
-	histogramSlots = 64 * subBuckets
+	subBucketBits = 5
+	subBuckets    = 1 << subBucketBits
+	octaves       = 64
 )
+
+// octave is the 32 linear sub-bucket counters of one power-of-two range.
+type octave [subBuckets]int64
 
 // Histogram records non-negative int64 samples (latencies in ns) in
 // logarithmic buckets. The zero value is ready to use.
+//
+// Storage is sparse by octave: an octave's counters are allocated when the
+// first sample lands in it, so a histogram costs what its samples span (a
+// device's completions cover 8-12 octaves, ~3 KB) and not the 16 KB of all
+// 2 048 slots. Do not copy a Histogram after first use — the copy shares
+// its octaves with the original; snapshot with Merge into a zero value.
 type Histogram struct {
-	counts [histogramSlots]int64
-	total  int64
-	sum    int64
-	min    int64
-	max    int64
+	octs  [octaves]*octave
+	total int64
+	sum   int64
+	min   int64
+	max   int64
 }
 
 func slotFor(v int64) int {
@@ -73,9 +83,24 @@ func (h *Histogram) Add(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.counts[slotFor(v)]++
+	s := slotFor(v)
+	o := h.octs[s>>subBucketBits]
+	if o == nil {
+		o = h.grow(s >> subBucketBits)
+	}
+	o[s&(subBuckets-1)]++
 	h.total++
 	h.sum += v
+}
+
+// grow allocates octave i. Out of line so Add stays small: it runs once per
+// octave in a histogram's life.
+//
+//go:noinline
+func (h *Histogram) grow(i int) *octave {
+	o := new(octave)
+	h.octs[i] = o
+	return o
 }
 
 // Count returns the number of recorded samples.
@@ -128,17 +153,22 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = 1
 	}
 	var seen int64
-	for s := 0; s < histogramSlots; s++ {
-		seen += h.counts[s]
-		if seen >= rank {
-			lo := slotLow(s)
-			if lo < h.min {
-				lo = h.min
+	for i, o := range &h.octs {
+		if o == nil {
+			continue
+		}
+		for sub, c := range o {
+			seen += c
+			if seen >= rank {
+				lo := slotLow(i<<subBucketBits + sub)
+				if lo < h.min {
+					lo = h.min
+				}
+				if lo > h.max {
+					lo = h.max
+				}
+				return lo
 			}
-			if lo > h.max {
-				lo = h.max
-			}
-			return lo
 		}
 	}
 	return h.max
@@ -155,13 +185,23 @@ func (h *Histogram) CountAbove(v int64) int64 {
 	if h.total == 0 {
 		return 0
 	}
-	s := slotFor(v)
-	var above int64
-	for i := s + 1; i < histogramSlots; i++ {
-		above += h.counts[i]
-	}
 	// The sample's own bucket may contain values both above and below v;
 	// attribute them conservatively as not-above (bucket lower bound <= v).
+	s := slotFor(v)
+	var above int64
+	if o := h.octs[s>>subBucketBits]; o != nil {
+		for _, c := range o[s&(subBuckets-1)+1:] {
+			above += c
+		}
+	}
+	for _, o := range h.octs[s>>subBucketBits+1:] {
+		if o == nil {
+			continue
+		}
+		for _, c := range o {
+			above += c
+		}
+	}
 	return above
 }
 
@@ -176,16 +216,32 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.max > h.max {
 		h.max = o.max
 	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
+	for i, src := range &o.octs {
+		if src == nil {
+			continue
+		}
+		dst := h.octs[i]
+		if dst == nil {
+			dst = h.grow(i)
+		}
+		for sub, c := range src {
+			dst[sub] += c
+		}
 	}
 	h.total += o.total
 	h.sum += o.sum
 }
 
-// Reset clears all samples.
+// Reset clears all samples. The octaves already allocated are zeroed in
+// place and kept, so a histogram reset at a measurement boundary refills
+// without allocating.
 func (h *Histogram) Reset() {
-	*h = Histogram{}
+	for _, o := range &h.octs {
+		if o != nil {
+			*o = octave{}
+		}
+	}
+	h.total, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
 // String summarizes the distribution for logs.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -123,6 +124,85 @@ func TestHistogramMergeEmpty(t *testing.T) {
 	b.Merge(&a)
 	if b.Count() != 1 || b.Min() != 5 || b.Max() != 5 {
 		t.Fatal("merge into empty lost samples")
+	}
+}
+
+// TestHistogramMergeSnapshotIndependent pins the one safe way to snapshot a
+// sparse histogram: Merge into a zero value gets octaves of its own, so the
+// source moving afterwards does not move the snapshot. (A plain struct copy
+// would share them — see the type's doc comment.)
+func TestHistogramMergeSnapshotIndependent(t *testing.T) {
+	var h Histogram
+	for i := int64(1); i <= 1000; i++ {
+		h.Add(i * 1000)
+	}
+	var s Histogram
+	s.Merge(&h)
+	n, p99, above := s.Count(), s.P99(), s.CountAbove(500_000)
+	for i := 0; i < 5000; i++ {
+		h.Add(990_000) // same octave as the old P99
+		h.Add(1 << 40) // an octave the snapshot never had
+	}
+	if s.Count() != n || s.P99() != p99 || s.CountAbove(500_000) != above || s.Max() != 1_000_000 {
+		t.Fatalf("snapshot moved with its source: %s (was n=%d p99=%d above=%d)", s.String(), n, p99, above)
+	}
+	h.Reset()
+	if s.Count() != n || s.P99() != p99 {
+		t.Fatalf("snapshot cleared by its source's Reset: %s", s.String())
+	}
+}
+
+// TestMeasurementWidths pins what a histogram costs: the fixed part is the
+// octave table and four words, and a device's latencies touch at most 12
+// octaves of 256 B — ~3.5 KB against the 16.4 KB of a dense slot array.
+func TestMeasurementWidths(t *testing.T) {
+	if sz := unsafe.Sizeof(Histogram{}); sz > 640 {
+		t.Errorf("Histogram is %d bytes before its first sample, want <= 640", sz)
+	}
+	if sz := unsafe.Sizeof(octave{}); sz != 256 {
+		t.Errorf("octave is %d bytes, want 256", sz)
+	}
+	r := rand.New(rand.NewSource(3))
+	lat := make([]int64, 10_000)
+	for i := range lat {
+		lat[i] = 50_000 + r.Int63n(49_950_000)
+	}
+	octs := testing.AllocsPerRun(5, func() {
+		var h Histogram
+		for _, v := range lat {
+			h.Add(v)
+		}
+	})
+	if octs < 1 || octs > 12 {
+		t.Errorf("10 000 latencies over 50 us - 50 ms allocated %v octaves, want 1..12", octs)
+	}
+}
+
+// TestHistogramZeroAllocSteadyState: once a histogram has seen its span,
+// Add allocates nothing, and neither does Reset followed by the same span
+// again — VSSD.ResetTotals at a measurement boundary keeps the octaves.
+func TestHistogramZeroAllocSteadyState(t *testing.T) {
+	var h Histogram
+	for v := int64(50_000); v <= 50_000_000; v += 50_000 {
+		h.Add(v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for v := int64(50_000); v <= 50_000_000; v += 500_000 {
+			h.Add(v)
+		}
+	}); allocs != 0 {
+		t.Errorf("Add on a warmed histogram: %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Reset()
+		for v := int64(50_000); v <= 50_000_000; v += 500_000 {
+			h.Add(v)
+		}
+	}); allocs != 0 {
+		t.Errorf("Reset + re-Add over the same span: %v allocations, want 0", allocs)
+	}
+	if h.Count() != 100 {
+		t.Errorf("Reset kept samples: n=%d, want 100", h.Count())
 	}
 }
 
@@ -329,15 +409,14 @@ func TestWindowIdleReadRatioNeutral(t *testing.T) {
 }
 
 func TestWindowMergeAndReset(t *testing.T) {
-	var a, b Window
+	var a Window
 	a.Complete(false, 100, 10, 1, 5)
-	b.Complete(true, 200, 20, 2, 5)
-	a.Merge(&b)
+	a.Complete(true, 200, 20, 2, 5)
 	if a.Requests() != 2 || a.Bytes() != 300 || a.SLOViolations != 2 {
-		t.Fatalf("merge wrong: %+v", a)
+		t.Fatalf("two completions wrong: %+v", a)
 	}
 	a.Reset()
-	if a.Requests() != 0 || a.Hist.Count() != 0 {
-		t.Fatal("reset incomplete")
+	if a != (Window{}) {
+		t.Fatalf("reset incomplete: %+v", a)
 	}
 }

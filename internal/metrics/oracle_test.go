@@ -12,6 +12,8 @@ import (
 // test-only as the oracle TestHistogramMatchesDenseOracle compares Histogram
 // against, for every method and every input. It shares slotFor/slotLow with
 // Histogram: the bucketing is the contract, the storage is what may differ.
+const histogramSlots = octaves * subBuckets
+
 type denseHistogram struct {
 	counts [histogramSlots]int64
 	total  int64

@@ -1,8 +1,10 @@
 package metrics
 
 // Window accumulates the per-decision-window statistics that become the RL
-// state of a vSSD (Table 1 of the paper): bandwidth, IOPS, average and tail
-// latency, SLO violations, queue delay, and read/write mix.
+// state of a vSSD (Table 1 of the paper): bandwidth, IOPS, average latency,
+// SLO violations, queue delay, and read/write mix. Table 1 has no tail
+// quantile, so a window carries no histogram; tails are read from the
+// whole-run vssd.VSSD.TotalHist.
 type Window struct {
 	// ReadBytes and WriteBytes are payload bytes completed in the window.
 	ReadBytes  int64
@@ -24,8 +26,6 @@ type Window struct {
 	// program failure; zero without a fault injector. The per-tenant
 	// error-rate RL state feature derives from it.
 	Retries int64
-	// Hist records per-request latency for tail quantiles.
-	Hist Histogram
 }
 
 // Reset zeroes the window in place for reuse.
@@ -100,22 +100,7 @@ func (w *Window) Complete(isWrite bool, bytes, latency, queueDelay, slo int64) {
 	w.LatencySum += latency
 	w.LatencyCount++
 	w.QueueDelaySum += queueDelay
-	w.Hist.Add(latency)
 	if slo > 0 && latency > slo {
 		w.SLOViolations++
 	}
-}
-
-// Merge accumulates o into w.
-func (w *Window) Merge(o *Window) {
-	w.ReadBytes += o.ReadBytes
-	w.WriteBytes += o.WriteBytes
-	w.Reads += o.Reads
-	w.Writes += o.Writes
-	w.LatencySum += o.LatencySum
-	w.LatencyCount += o.LatencyCount
-	w.SLOViolations += o.SLOViolations
-	w.QueueDelaySum += o.QueueDelaySum
-	w.Retries += o.Retries
-	w.Hist.Merge(&o.Hist)
 }

@@ -2,8 +2,10 @@ package vssd
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/ftl"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -95,6 +97,19 @@ func TestMultipleVSSDsShareDeviceSafely(t *testing.T) {
 		if ppa, ok := a.Tenant().Lookup(lpn % 512); ok && ppa.Channel > 1 {
 			t.Fatalf("tenant a's data leaked to channel %d", ppa.Channel)
 		}
+	}
+}
+
+// TestMeasurementWidths pins the per-vSSD measurement state a decision
+// window moves: Rotate builds a snapshot by value, the runner stores it and
+// every policy takes it by value, so it has to stay a handful of counters.
+// A histogram in the window made each of those copies 16.6 KB.
+func TestMeasurementWidths(t *testing.T) {
+	if sz := unsafe.Sizeof(WindowSnapshot{}); sz > 256 {
+		t.Errorf("WindowSnapshot is %d bytes, want <= 256", sz)
+	}
+	if sz := unsafe.Sizeof(metrics.Window{}); sz > 96 {
+		t.Errorf("metrics.Window is %d bytes, want <= 96", sz)
 	}
 }
 
