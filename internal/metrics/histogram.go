@@ -19,27 +19,23 @@ import (
 // histogram layout: values are bucketed by (exponent of the magnitude,
 // linear sub-bucket). With 32 sub-buckets per octave the relative
 // quantization error is bounded by ~3%, which is ample for P99/P99.9
-// comparisons between policies. Octave 0 holds the values below 32 exactly;
-// octave k > 0 holds [2^(k+4), 2^(k+5)).
+// comparisons between policies.
 const (
 	subBucketBits = 5
 	subBuckets    = 1 << subBucketBits
-	octaves       = 64
 )
 
-// octave is the 32 linear sub-bucket counters of one power-of-two range.
+// octave is the sub-bucket counters of one power-of-two range: the values
+// below 32 (exact) for octave 0, [2^(k+4), 2^(k+5)) for octave k > 0.
 type octave [subBuckets]int64
 
 // Histogram records non-negative int64 samples (latencies in ns) in
-// logarithmic buckets. The zero value is ready to use.
-//
-// Storage is sparse by octave: an octave's counters are allocated when the
-// first sample lands in it, so a histogram costs what its samples span (a
-// device's completions cover 8-12 octaves, ~3 KB) and not the 16 KB of all
-// 2 048 slots. Do not copy a Histogram after first use — the copy shares
-// its octaves with the original; snapshot with Merge into a zero value.
+// logarithmic buckets. The zero value is ready to use. Octaves are allocated
+// on first use, so a histogram costs what its samples span (~3 KB for a
+// device's completions, not 16 KB). Do not copy one after first use (the copy
+// shares its octaves); snapshot with Merge into a zero value.
 type Histogram struct {
-	octs  [octaves]*octave
+	octs  [64]*octave
 	total int64
 	sum   int64
 	min   int64
@@ -84,23 +80,17 @@ func (h *Histogram) Add(v int64) {
 		h.max = v
 	}
 	s := slotFor(v)
-	o := h.octs[s>>subBucketBits]
-	if o == nil {
-		o = h.grow(s >> subBucketBits)
-	}
-	o[s&(subBuckets-1)]++
+	h.octave(s >> subBucketBits)[s&(subBuckets-1)]++
 	h.total++
 	h.sum += v
 }
 
-// grow allocates octave i. Out of line so Add stays small: it runs once per
-// octave in a histogram's life.
-//
-//go:noinline
-func (h *Histogram) grow(i int) *octave {
-	o := new(octave)
-	h.octs[i] = o
-	return o
+// octave returns octave i's counters, allocating them on first use.
+func (h *Histogram) octave(i int) *octave {
+	if h.octs[i] == nil {
+		h.octs[i] = new(octave)
+	}
+	return h.octs[i]
 }
 
 // Count returns the number of recorded samples.
@@ -160,14 +150,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 		for sub, c := range o {
 			seen += c
 			if seen >= rank {
-				lo := slotLow(i<<subBucketBits + sub)
-				if lo < h.min {
-					lo = h.min
-				}
-				if lo > h.max {
-					lo = h.max
-				}
-				return lo
+				// The first non-empty slot's lower bound may undercut min.
+				return max(slotLow(i<<subBucketBits+sub), h.min)
 			}
 		}
 	}
@@ -182,25 +166,18 @@ func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
 
 // CountAbove returns how many samples exceed v.
 func (h *Histogram) CountAbove(v int64) int64 {
-	if h.total == 0 {
-		return 0
-	}
 	// The sample's own bucket may contain values both above and below v;
 	// attribute them conservatively as not-above (bucket lower bound <= v).
 	s := slotFor(v)
+	from := s&(subBuckets-1) + 1
 	var above int64
-	if o := h.octs[s>>subBucketBits]; o != nil {
-		for _, c := range o[s&(subBuckets-1)+1:] {
-			above += c
+	for _, o := range h.octs[s>>subBucketBits:] {
+		if o != nil {
+			for _, c := range o[from:] {
+				above += c
+			}
 		}
-	}
-	for _, o := range h.octs[s>>subBucketBits+1:] {
-		if o == nil {
-			continue
-		}
-		for _, c := range o {
-			above += c
-		}
+		from = 0
 	}
 	return above
 }
@@ -217,24 +194,18 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.max = o.max
 	}
 	for i, src := range &o.octs {
-		if src == nil {
-			continue
-		}
-		dst := h.octs[i]
-		if dst == nil {
-			dst = h.grow(i)
-		}
-		for sub, c := range src {
-			dst[sub] += c
+		if src != nil {
+			dst := h.octave(i)
+			for sub, c := range src {
+				dst[sub] += c
+			}
 		}
 	}
 	h.total += o.total
 	h.sum += o.sum
 }
 
-// Reset clears all samples. The octaves already allocated are zeroed in
-// place and kept, so a histogram reset at a measurement boundary refills
-// without allocating.
+// Reset clears all samples; octaves are kept, so refilling allocates nothing.
 func (h *Histogram) Reset() {
 	for _, o := range &h.octs {
 		if o != nil {

@@ -379,8 +379,8 @@ func TestWindowBasics(t *testing.T) {
 	if got := w.AvgLatency(); got != 1_250_000 {
 		t.Fatalf("avg latency = %v", got)
 	}
-	if got := w.AvgQueueDelay(); got != 500_000 {
-		t.Fatalf("avg qdelay = %v", got)
+	if w.QueueDelaySum != 1_000_000 || w.LatencyCount != 2 {
+		t.Fatalf("queue delay sum / count = %d / %d", w.QueueDelaySum, w.LatencyCount)
 	}
 }
 

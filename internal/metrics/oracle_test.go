@@ -12,7 +12,7 @@ import (
 // test-only as the oracle TestHistogramMatchesDenseOracle compares Histogram
 // against, for every method and every input. It shares slotFor/slotLow with
 // Histogram: the bucketing is the contract, the storage is what may differ.
-const histogramSlots = octaves * subBuckets
+const histogramSlots = 64 * subBuckets
 
 type denseHistogram struct {
 	counts [histogramSlots]int64

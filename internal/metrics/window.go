@@ -2,9 +2,7 @@ package metrics
 
 // Window accumulates the per-decision-window statistics that become the RL
 // state of a vSSD (Table 1 of the paper): bandwidth, IOPS, average latency,
-// SLO violations, queue delay, and read/write mix. Table 1 has no tail
-// quantile, so a window carries no histogram; tails are read from the
-// whole-run vssd.VSSD.TotalHist.
+// SLO violations, queue delay, read/write mix. Table 1 has no tail quantile.
 type Window struct {
 	// ReadBytes and WriteBytes are payload bytes completed in the window.
 	ReadBytes  int64
@@ -59,14 +57,6 @@ func (w *Window) AvgLatency() float64 {
 		return 0
 	}
 	return float64(w.LatencySum) / float64(w.LatencyCount)
-}
-
-// AvgQueueDelay returns the mean queueing delay in ns.
-func (w *Window) AvgQueueDelay() float64 {
-	if w.LatencyCount == 0 {
-		return 0
-	}
-	return float64(w.QueueDelaySum) / float64(w.LatencyCount)
 }
 
 // SLOViolationRate returns the fraction of requests violating the SLO.
