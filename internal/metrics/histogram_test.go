@@ -159,9 +159,6 @@ func TestMeasurementWidths(t *testing.T) {
 	if sz := unsafe.Sizeof(Histogram{}); sz > 640 {
 		t.Errorf("Histogram is %d bytes before its first sample, want <= 640", sz)
 	}
-	if sz := unsafe.Sizeof(octave{}); sz != 256 {
-		t.Errorf("octave is %d bytes, want 256", sz)
-	}
 	r := rand.New(rand.NewSource(3))
 	lat := make([]int64, 10_000)
 	for i := range lat {
@@ -183,21 +180,18 @@ func TestMeasurementWidths(t *testing.T) {
 // again — VSSD.ResetTotals at a measurement boundary keeps the octaves.
 func TestHistogramZeroAllocSteadyState(t *testing.T) {
 	var h Histogram
-	for v := int64(50_000); v <= 50_000_000; v += 50_000 {
-		h.Add(v)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
+	fill := func() {
 		for v := int64(50_000); v <= 50_000_000; v += 500_000 {
 			h.Add(v)
 		}
-	}); allocs != 0 {
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
 		t.Errorf("Add on a warmed histogram: %v allocations, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		h.Reset()
-		for v := int64(50_000); v <= 50_000_000; v += 500_000 {
-			h.Add(v)
-		}
+		fill()
 	}); allocs != 0 {
 		t.Errorf("Reset + re-Add over the same span: %v allocations, want 0", allocs)
 	}
