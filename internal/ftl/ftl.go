@@ -117,9 +117,11 @@ type Stats struct {
 	GCReads      int64
 	Erases       int64
 	GCRuns       int64
-	// AllocStalls counts failed host page allocations — every poll of the
-	// stall protocol that found no space, each of which the vSSD layer
-	// answers with one retry RetryDelay later.
+	// AllocStalls counts failed host page allocations — every page poll of
+	// the stall protocol that found no space, each of which polls again
+	// RetryDelay later. (The vSSD layer carries a request's pages that
+	// stalled back to back as one retry event, a stall run; the count is
+	// per page, not per event.)
 	AllocStalls int64
 
 	// Fault-recovery accounting (all zero without a fault injector).
@@ -184,8 +186,9 @@ type Manager struct {
 	// It starts at 1; 0 on a tenant means no failure is remembered.
 	epoch uint64
 
-	// retry is the RetryDelay lane every allocation-stall retry waits on
-	// (nil without an engine, where nothing can be scheduled anyway).
+	// retry is the RetryDelay lane every allocation-stall retry waits on: a
+	// host stall run or a GC migration's backoff (nil without an engine,
+	// where nothing can be scheduled anyway).
 	retry *sim.Lane
 
 	// onBlockErased notifies the gSB manager when GC returns a block to
@@ -381,6 +384,11 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) ScheduleRetry(h sim.EventHandler, arg sim.EventArg) {
 	m.retry.Schedule(h, arg)
 }
+
+// LastRetry is the retry lane's sim.Lane.Last: the pointer slot of the
+// newest retry when nothing has been scheduled since and a retry scheduled
+// now would fire directly after it.
+func (m *Manager) LastRetry() (any, bool) { return m.retry.Last() }
 
 // FreeBlocks returns the number of free blocks on channel ch.
 func (m *Manager) FreeBlocks(ch int) int { return m.freeCount[ch] }

@@ -395,6 +395,20 @@ func (t *Tenant) AllocatePage(lpn int, forGC bool) (flash.PPA, bool) {
 	return flash.PPA{}, false
 }
 
+// RepeatAllocFailures answers the next n host allocations in one step when
+// the failure memo holds: the last one failed at the current epoch, so each
+// of the next n would fail the same way, changing nothing but AllocStalls.
+// It counts them and reports true. Otherwise it does nothing and reports
+// false, and the caller allocates page by page.
+func (t *Tenant) RepeatAllocFailures(n int) bool {
+	if t.allocFailEpoch != t.mgr.epoch {
+		return false
+	}
+	t.stats.AllocStalls += int64(n)
+	t.mgr.stats.AllocStalls += int64(n)
+	return true
+}
+
 // allocateScan is AllocatePage without the failure memo: the lane scan and
 // the GC kick.
 func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {

@@ -239,6 +239,24 @@ func (l *Lane) Schedule(h EventHandler, arg EventArg) {
 	e.laned++
 }
 
+// Last returns the pointer slot of the lane's newest entry if that entry
+// is the last event the engine scheduled and fires one lane delay from
+// now. Then an event scheduled on the lane now would take the next
+// sequence number at the same instant and pop directly after that entry,
+// with nothing between, so a caller may fold the new event into it
+// instead: one entry standing for a run of back-to-back events.
+func (l *Lane) Last() (any, bool) {
+	if l.n == 0 {
+		return nil, false
+	}
+	i := (l.head + l.n - 1) & (len(l.keys) - 1)
+	e := l.eng
+	if k := l.keys[i]; k.seq != e.seq || k.at != e.now+l.delay {
+		return nil, false
+	}
+	return l.payloads[i].arg.P, true
+}
+
 // grow doubles the ring, unrolling it so head is index 0 again.
 func (l *Lane) grow() {
 	size := 2 * len(l.keys)

@@ -238,6 +238,38 @@ func TestLaneScheduleStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestLaneLast pins when a lane's newest entry may absorb an event
+// scheduled now: exactly when that entry was the engine's last draw and
+// fires one lane delay from now.
+func TestLaneLast(t *testing.T) {
+	e := NewEngine()
+	l, other := e.NewLane(100), e.NewLane(100)
+	a, b := new(int64), new(int64)
+	check := func(step string, wantP any, wantOK bool) {
+		t.Helper()
+		p, ok := l.Last()
+		if ok != wantOK || p != wantP {
+			t.Fatalf("%s: Last() = %v, %v; want %v, %v", step, p, ok, wantP, wantOK)
+		}
+	}
+	check("empty lane", nil, false)
+	l.Schedule(countHandler, EventArg{P: a})
+	check("after a schedule", a, true)
+	l.Schedule(countHandler, EventArg{P: b})
+	check("after a second schedule", b, true)
+	e.ScheduleEvent(100, countHandler, EventArg{P: a})
+	check("after a heap schedule", nil, false)
+	l.Schedule(countHandler, EventArg{P: a})
+	check("after a schedule behind the heap's", a, true)
+	other.Schedule(countHandler, EventArg{P: b})
+	check("after another lane's schedule", nil, false)
+	l.Schedule(countHandler, EventArg{P: b})
+	e.RunUntil(e.Now() + 1)
+	check("after the clock moved", nil, false)
+	e.Run()
+	check("drained lane", nil, false)
+}
+
 // countHandler is a package-level EventHandler for the ScheduleEvent
 // guard; per-event state arrives through the arg, never a closure.
 func countHandler(arg EventArg, _ Time) { *arg.P.(*int64) += arg.I }

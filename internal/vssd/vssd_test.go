@@ -425,3 +425,185 @@ func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
 		t.Fatalf("%d stall episodes, longest %d polls: the device no longer fills", episodes, longest)
 	}
 }
+
+// oneChipTenant builds one channel and one chip of eight 16-page blocks
+// and a tenant of 96 logical pages on it. With one chip the tenant has one
+// host lane, so its pages take consecutive slots of the open block in
+// dispatch order. The erase ends off the millisecond grid.
+func oneChipTenant() (*sim.Engine, *Platform, *VSSD) {
+	eng := sim.NewEngine()
+	pc := DefaultPlatformConfig()
+	pc.Flash.Channels = 1
+	pc.Flash.ChipsPerChannel = 1
+	pc.Flash.BlocksPerChip = 8
+	pc.Flash.PagesPerBlock = 16
+	pc.Flash.EraseBlock = 3300 * sim.Microsecond
+	p := NewPlatform(eng, pc)
+	return eng, p, p.AddVSSD(Config{Name: "a", Channels: []int{0}, LogicalPages: 96})
+}
+
+// fullTenant is oneChipTenant with all 96 logical pages written: six blocks
+// of valid data and the two the GC reserve keeps back, so a host write
+// finds no space and GC finds no victim until something is trimmed. The
+// clock is moved off the millisecond grid.
+func fullTenant(t *testing.T) (*sim.Engine, *Platform, *VSSD) {
+	t.Helper()
+	eng, p, v := oneChipTenant()
+	if err := v.Tenant().Prefill(1, 0, sim.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(123 * sim.Microsecond)
+	if p.FTL().FreeBlocks(0) != 2 || eng.Pending() != 0 {
+		t.Fatalf("setup: %d free blocks, %d pending events; want the reserve and an idle device", p.FTL().FreeBlocks(0), eng.Pending())
+	}
+	return eng, p, v
+}
+
+// TestStalledRequestPollsAsOneRun follows a 16-page write into a full
+// tenant: its pages stall as one retry-lane entry, every poll fails all 16
+// on the stall's own lattice in one event, and once GC has freed a block
+// the pages go out in LPN order at the next lattice point.
+func TestStalledRequestPollsAsOneRun(t *testing.T) {
+	eng, p, v := fullTenant(t)
+	tn := v.Tenant()
+	const pages = 16
+	done := false
+	stalledAt := eng.Now()
+	v.Submit(&Request{Write: true, LPN: 0, Pages: pages, OnComplete: func(*Request, sim.Time) { done = true }})
+	if got := tn.Stats().AllocStalls; got != pages {
+		t.Fatalf("first dispatch: %d stalls, want %d", got, pages)
+	}
+	if got := eng.Pending(); got != 1 {
+		t.Fatalf("first dispatch left %d pending events, want one stall run", got)
+	}
+	for k := int64(1); k <= 5; k++ {
+		before := tn.Stats().AllocStalls
+		if !eng.Step() {
+			t.Fatal("the stall run was never polled")
+		}
+		if want := stalledAt + sim.Time(k)*ftl.RetryDelay; eng.Now() != want {
+			t.Fatalf("poll %d at t=%d, want t=%d", k, eng.Now(), want)
+		}
+		if got := tn.Stats().AllocStalls - before; got != pages {
+			t.Fatalf("poll %d: %d stalls in one event, want %d", k, got, pages)
+		}
+		if got := eng.Pending(); got != 1 {
+			t.Fatalf("poll %d left %d pending events, want the one run", k, got)
+		}
+	}
+
+	// Trimming a block's worth of data gives GC a victim with nothing to
+	// migrate; the next poll kicks its erase, and the first poll after the
+	// erase finds a free block.
+	for lpn := 16; lpn < 32; lpn++ {
+		tn.Trim(lpn)
+	}
+	hostBefore, freedAt := tn.Stats().HostPrograms, sim.Time(-1)
+	for tn.Stats().HostPrograms == hostBefore {
+		free := p.FTL().FreeBlocks(0)
+		if !eng.Step() {
+			t.Fatal("the engine drained with the write still stalled")
+		}
+		if p.FTL().FreeBlocks(0) > free {
+			freedAt = eng.Now()
+		}
+	}
+	now := eng.Now()
+	if (now-stalledAt)%ftl.RetryDelay != 0 || freedAt < 0 || now <= freedAt || now-freedAt > ftl.RetryDelay {
+		t.Fatalf("pages dispatched at t=%d, block freed at t=%d: want the first point of the lattice from t=%d after the free", now, freedAt, stalledAt)
+	}
+	eng.Run()
+	if !done || tn.Stats().HostPrograms-hostBefore != pages {
+		t.Fatalf("completed=%v with %d pages programmed, want all %d", done, tn.Stats().HostPrograms-hostBefore, pages)
+	}
+	// The erased block took the pages in dispatch order.
+	first, _ := tn.Lookup(0)
+	for lpn := 0; lpn < pages; lpn++ {
+		ppa, ok := tn.Lookup(lpn)
+		if !ok || ppa.BlockOf() != first.BlockOf() || ppa.Page != lpn {
+			t.Fatalf("LPN %d at %+v (mapped %v), want page %d of block %+v: pages left out of LPN order", lpn, ppa, ok, lpn, first.BlockOf())
+		}
+	}
+}
+
+// TestStallRunsSplitAndKeepPageOrder stalls the pages of one request by
+// hand around what must split a run — another retry on the lane, a page
+// that was dispatched, a schedule elsewhere, a gap, another request — and
+// checks that the lane holds one entry per unbroken run and that the
+// retries dispatch every page in stall order.
+func TestStallRunsSplitAndKeepPageOrder(t *testing.T) {
+	eng, p, v := oneChipTenant()
+	tn := v.Tenant()
+	done := 0
+	complete := func(*Request, sim.Time) { done++ }
+	request := func(lpn, pages int) *Request {
+		r := &Request{Write: true, LPN: lpn, Pages: pages, OnComplete: complete}
+		r.owner, r.remaining, r.enqueued = v, pages, true
+		return r
+	}
+	r, other := request(0, 10), request(10, 1)
+
+	var gcSawMapped int
+	gcRetry := func(sim.EventArg, sim.Time) {
+		for lpn := 0; lpn < r.Pages; lpn++ {
+			if _, ok := tn.Lookup(lpn); ok {
+				gcSawMapped++
+			}
+		}
+	}
+	stall := func(r *Request, lpn, n, wantNew int) {
+		t.Helper()
+		before := eng.Pending()
+		v.stall(r, lpn, n)
+		if got := eng.Pending() - before; got != wantNew {
+			t.Fatalf("stall(%d, %d) added %d lane entries, want %d", lpn, n, got, wantNew)
+		}
+	}
+	stall(r, 0, 1, 1)
+	stall(r, 1, 1, 0) // directly behind page 0: the run grows
+	p.FTL().ScheduleRetry(gcRetry, sim.EventArg{})
+	stall(r, 2, 1, 1) // behind another retry: a new run
+	stall(r, 3, 1, 0)
+	if !v.dispatchWrite(r, 4) {
+		t.Fatal("page 4 found no space on an empty device")
+	}
+	stall(r, 5, 1, 1) // behind a dispatched page: a new run
+	eng.ScheduleEvent(0, func(sim.EventArg, sim.Time) {}, sim.EventArg{})
+	stall(r, 6, 1, 1)      // contiguous, but after a schedule elsewhere: a new run
+	stall(r, 8, 2, 1)      // a gap after page 6: a new run
+	stall(other, 10, 1, 1) // contiguous, but another request's page: a new run
+	stall(r, 7, 1, 1)
+
+	eng.Run()
+	if done != 2 {
+		t.Fatalf("%d of 2 requests completed", done)
+	}
+	if gcSawMapped != 3 {
+		t.Fatalf("the interleaved retry saw %d pages mapped, want 3 (page 4, then the run before it)", gcSawMapped)
+	}
+	// Page 4 went out first, then the runs in lane order.
+	base, _ := tn.Lookup(4)
+	for i, lpn := range []int{4, 0, 1, 2, 3, 5, 6, 8, 9, 10, 7} {
+		ppa, _ := tn.Lookup(lpn)
+		if ppa.BlockOf() != base.BlockOf() || ppa.Page != base.Page+i {
+			t.Fatalf("LPN %d at %+v, want slot %d after LPN 4's %+v", lpn, ppa, i, base)
+		}
+	}
+}
+
+// TestStallRunZeroAllocSteadyState guards the stall path's steady state: a
+// stalled multi-page request polling on its lattice recycles its run and
+// allocates nothing.
+func TestStallRunZeroAllocSteadyState(t *testing.T) {
+	eng, _, v := fullTenant(t)
+	v.Submit(&Request{Write: true, LPN: 0, Pages: 16})
+	eng.Step() // the first poll recycles the run the dispatch allocated
+	before := v.Tenant().Stats().AllocStalls
+	avg := testing.AllocsPerRun(100, func() { eng.Step() })
+	if avg != 0 {
+		t.Fatalf("polling a stalled request allocates %.2f allocs/poll, want 0", avg)
+	}
+	if got := v.Tenant().Stats().AllocStalls - before; got != 16*101 {
+		t.Fatalf("%d page polls over 101 lattice points, want %d", got, 16*101)
+	}
+}
