@@ -28,7 +28,7 @@ func (r *Run) startObserving() *obs.Sampler {
 
 	eng := r.plat.Engine()
 	simTime := reg.Gauge("fleetio_sim_time_seconds", "Virtual time of the current run.")
-	simEvents := reg.Counter("fleetio_sim_events_total", "Engine events executed.")
+	simEvents := reg.Counter("fleetio_sim_events_total", "Engine events executed (a stall run polls all its pages in one event).")
 	samples := reg.Counter("fleetio_obs_samples_total", "Telemetry sample rounds taken.")
 
 	// Device-wide running totals: each counter mirrors one field of the
@@ -51,7 +51,7 @@ func (r *Run) startObserving() *obs.Sampler {
 	total("fleetio_ftl_gc_programs_total", "GC page-migration programs.", &fst.GCPrograms)
 	total("fleetio_ftl_erases_total", "Block erases.", &fst.Erases)
 	total("fleetio_ftl_gc_runs_total", "GC victim collections started.", &fst.GCRuns)
-	total("fleetio_ftl_alloc_stalls_total", "Failed host page allocations (allocation-stall polls, one retry each).", &fst.AllocStalls)
+	total("fleetio_ftl_alloc_stalls_total", "Failed host page allocations (allocation-stall polls, counted per page).", &fst.AllocStalls)
 	writeAmp := reg.Gauge("fleetio_ftl_write_amplification", "(host+GC programs)/host programs.")
 	total("fleetio_gsb_created_total", "Ghost superblocks created.", &gst.Created)
 	total("fleetio_gsb_harvested_total", "Ghost superblock harvests.", &gst.Harvested)

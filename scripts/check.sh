@@ -2,8 +2,9 @@
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
 # module's vet and one run of each example), the six grep gates
-# (one device stack, one NN compute path, one retry protocol, bus lane,
-# hot-path boxing, typing reads the ring in place), the race detector on the
+# (one device stack, one NN compute path, one retry protocol with host
+# stalls as stall runs, bus lane, hot-path boxing, typing reads the ring in
+# place), the race detector on the
 # concurrency-heavy packages, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
 # what a rack device costs in bytes) at several core counts, worker-count
@@ -104,9 +105,18 @@ echo "== one retry protocol"
 # migration's and its program-fail retry's in ftl — waits ftl.RetryDelay on
 # the manager's lane (Manager.ScheduleRetry). A 1 ms event put on the heap
 # beside it is a second protocol, and at storm depth it is the sift cost
-# the lane exists to avoid.
+# the lane exists to avoid. Host pages stall in one place, VSSD.stall, which
+# folds a request's pages that stalled back to back into one lane entry (a
+# stall run); a 1 ms retry a page scheduled anywhere else in vssd is a
+# second protocol too, and on a full device it is ~20x the events.
 if grep -n 'ScheduleEvent(sim\.Millisecond' internal/ftl/*.go internal/vssd/*.go | grep -v _test.go; then
     echo "1 ms retry scheduled on the heap; use ftl.Manager.ScheduleRetry" >&2
+    exit 1
+fi
+if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+    /ScheduleRetry\(/ && fn !~ /^func \(v \*VSSD\) stall\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
+    END { exit !bad }' $(ls internal/vssd/*.go | grep -v _test.go); then
+    echo "host page retry scheduled outside VSSD.stall; stall pages through it so they wait as runs" >&2
     exit 1
 fi
 
