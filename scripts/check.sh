@@ -78,9 +78,10 @@ done
 
 echo "== one device stack"
 # A device is assembled in exactly three places: harness.NewRun (every
-# single-device run, the public Simulator included), harness.Overheads
-# (the §4.7 metadata micro-measurement) and fleet.newShard (the rack, which
-# attaches tenants mid-run). A fourth wiring fails here.
+# single-device run, the public Simulator and the share-sized solo devices
+# of a split hardware-isolated run included), harness.Overheads (the §4.7
+# metadata micro-measurement) and fleet.newShard (the rack, which attaches
+# tenants mid-run). A fourth wiring fails here.
 if grep -rn 'vssd\.NewPlatform(' --include='*.go' ./*.go cmd examples internal | grep -v _test.go |
     grep -v '^internal/harness/' | grep -v '^internal/fleet/'; then
     echo "vssd.NewPlatform outside internal/harness and internal/fleet: build the device through harness.NewRun" >&2
@@ -169,8 +170,10 @@ go test -race -tags=flashdebug ./internal/flash/...
 echo "== go test -race (parallel harness)"
 # The harness fans experiment runs out over a worker pool; the full
 # package under -race is prohibitively slow, so race-check the tests that
-# actually exercise concurrent runs (including the shared-observer one).
-go test -race -run 'TestCompareParallel|TestCompareAll|TestScenarios/16$|TestForEach' ./internal/harness/
+# actually exercise concurrent runs (including the shared-observer one, and
+# the hardware-isolation pair, whose split runs fan solo devices out inside
+# the sweep's own fan-out).
+go test -race -run 'TestCompareParallel|TestCompareAll|TestScenarios/16$|TestForEach|TestHardwareIsolation' ./internal/harness/
 
 echo "== allocation guards (-cpu 1,2,4)"
 # Every steady-state path that must not allocate — the per-I/O datapath,
