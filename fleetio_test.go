@@ -91,6 +91,27 @@ func TestResetMetrics(t *testing.T) {
 	}
 }
 
+// TestReportOverEmptyInterval: before the first Run, and right after
+// ResetMetrics, nothing has been measured, so a tenant's bandwidth reads 0,
+// not NaN, in the Result and in the printed table.
+func TestReportOverEmptyInterval(t *testing.T) {
+	s := NewSimulator(smallOptions())
+	tn := s.AddTenant(TenantSpec{Workload: "YCSB", Channels: ChannelRange(0, 8)})
+	check := func(when string) {
+		rep := s.Report()
+		if bw := rep.Tenants[tn].BandwidthMBps; bw != 0 {
+			t.Errorf("%s: BandwidthMBps = %v over an empty interval, want 0", when, bw)
+		}
+		if out := rep.String(); strings.Contains(out, "NaN") {
+			t.Errorf("%s: report prints NaN:\n%s", when, out)
+		}
+	}
+	check("before Run")
+	s.Run(500 * Millisecond)
+	s.ResetMetrics()
+	check("after ResetMetrics")
+}
+
 func TestWorkloadsList(t *testing.T) {
 	ws := Workloads()
 	if len(ws) != 9 {

@@ -100,12 +100,13 @@ type Config struct {
 	TypeModel *cluster.Model
 
 	// PrefillFrac warms each placed tenant's logical space (0 → 0.35;
-	// negative → no prefill, the cold-start fleet tiered scenarios use).
+	// negative → no prefill, the cold-start fleet tiered scenarios use; at
+	// most 1).
 	PrefillFrac float64
-	// Workers sizes the persistent shard-worker pool (0 → GOMAXPROCS,
-	// 1 → inline sequential, capped at Devices). The pool is created once
-	// at Run start; each worker owns a static contiguous slice of shards
-	// for the whole run. Results are byte-identical at any setting.
+	// Workers sizes the shard-worker pool (0 → GOMAXPROCS, capped at
+	// Devices; 1 is a pool of one). The pool is created once at Run start;
+	// each worker owns a static contiguous slice of shards for the whole
+	// run. Results are byte-identical at any setting.
 	Workers int
 	// Obs, when non-nil, receives the fleetio_fleet_* metric roll-up,
 	// refreshed at every epoch boundary.
@@ -173,6 +174,9 @@ func DefaultWorkloadCycle() []string {
 func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		panic("fleet: Config.Duration must be > 0")
+	}
+	if !(c.PrefillFrac <= 1) { // NaN included
+		panic(fmt.Sprintf("fleet: Config.PrefillFrac=%g must be <= 1", c.PrefillFrac))
 	}
 	if c.Flash.Channels == 0 {
 		c.Flash = DefaultDeviceConfig()
@@ -338,9 +342,7 @@ type Fleet struct {
 	now    sim.Time
 	epochs int
 
-	// pool is the persistent shard-worker runtime, alive between start
-	// and stopWorkers; nil when shards advance inline (Workers == 1 or a
-	// single device).
+	// pool is the shard-worker pool, alive between start and stopWorkers.
 	pool *shardWorkers
 
 	// led holds the roll-up's event counts — placements, rejections,
@@ -421,8 +423,7 @@ func (f *Fleet) Run() Stats {
 	return st
 }
 
-// start begins every shard's decision runner and brings up the persistent
-// worker pool when more than one worker is useful.
+// start begins every shard's decision runner and brings up the worker pool.
 func (f *Fleet) start() {
 	for _, sh := range f.shards {
 		sh.runner.Start()
@@ -431,41 +432,26 @@ func (f *Fleet) start() {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > len(f.shards) {
-		n = len(f.shards)
-	}
-	if n > 1 && f.pool == nil {
-		f.pool = newShardWorkers(f, n)
-	}
+	f.pool = newShardWorkers(f, min(n, len(f.shards)))
 }
 
-// step runs one epoch. In the parallel phase every shard's engine runs to
-// the next quantum boundary and refreshes its load signals, through the
-// worker pool when one is up and inline otherwise: every field that phase
-// touches is owned by exactly one shard, so the static partition cannot
-// change any shard's event order or any float's operation order. Then the
-// sequential control plane acts at the barrier.
+// step runs one epoch. In the parallel phase the pool runs every shard's
+// engine to the next quantum boundary and refreshes its load signals: every
+// field that phase touches is owned by exactly one shard, so the static
+// partition cannot change any shard's event order or any float's operation
+// order. Then the sequential control plane acts at the barrier.
 func (f *Fleet) step() {
-	t := f.now + f.cfg.Quantum
-	if t > f.cfg.Duration {
-		t = f.cfg.Duration
-	}
-	if f.pool != nil {
-		f.pool.runEpoch(t)
-	} else {
-		f.epochShards(0, len(f.shards), t)
-	}
+	t := min(f.now+f.cfg.Quantum, f.cfg.Duration)
+	f.pool.runEpoch(t)
 	f.now = t
 	f.epochs++
 	f.controlPlane(t)
 }
 
-// stopWorkers joins and releases the persistent pool (no-op when inline).
+// stopWorkers joins and releases the pool.
 func (f *Fleet) stopWorkers() {
-	if f.pool != nil {
-		f.pool.stop()
-		f.pool = nil
-	}
+	f.pool.stop()
+	f.pool = nil
 }
 
 // controlPlane is the sequential cross-device step at an epoch boundary:
@@ -752,16 +738,10 @@ type Shard struct {
 	slotsUsed int
 	resident  []*Tenant
 
-	// Epoch-hot fields, written by the shard's owning worker every epoch
-	// (epochShards). The pads keep the group on its own cache line, away
-	// from the control-plane-written fields above: shards are separately
-	// heap-allocated, so this is what prevents a worker's per-epoch
-	// stores from contending with anything else in the struct.
-	_         [cacheLine]byte
+	// Load signals, written by the shard's worker every epoch (epochShards).
 	lastBytes int64
 	epochUtil float64
 	utilSum   float64
-	_         [cacheLine - 24]byte
 }
 
 // newShard builds one device shard on its own engine, with the class

@@ -132,6 +132,20 @@ func TestFleetMetricsPublished(t *testing.T) {
 	}
 }
 
+// TestPrefillFracAboveOneRejected: a prefill past the tenant's logical space
+// must fail in New, naming the field, not at the first placement mid-run.
+func TestPrefillFracAboveOneRejected(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "PrefillFrac") {
+			t.Fatalf("New with PrefillFrac 1.5 panicked with %q, want a message naming PrefillFrac", msg)
+		}
+	}()
+	cfg := testConfig()
+	cfg.PrefillFrac = 1.5
+	New(cfg)
+}
+
 func TestPlacementParseAndStrings(t *testing.T) {
 	for _, kind := range Placements() {
 		got, err := ParsePlacement(kind.String())

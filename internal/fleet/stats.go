@@ -169,10 +169,10 @@ type fleetMetrics struct {
 	bandwidth                  *obs.Metric
 	utilMean, utilMin, utilMax *obs.Metric
 	simTime, epochs            *obs.Metric
-	// Barrier health of the persistent shard-worker runtime: cumulative
-	// wall time the control plane spent waiting at the epoch barrier, and
-	// the last epoch's straggler gap (last minus first worker arrival).
-	// Both stay 0 when shards advance inline (Workers == 1).
+	// Barrier health of the shard-worker pool: cumulative wall time the
+	// control plane waited from its first start to the last arrival, and
+	// the last epoch's straggler gap (last minus first worker arrival,
+	// always 0 with one worker).
 	barrierWait, straggler *obs.Metric
 	// tier holds the fleetio_tier_* series; nil on one-class racks.
 	tier *tierMetrics

@@ -34,10 +34,11 @@ func TestPartitionShardsCoversContiguously(t *testing.T) {
 	}
 }
 
-// TestBarrierStressManyEpochs hammers the sense-reversing barrier: a tiny
-// quantum forces hundreds of release/gather cycles across a full worker
-// complement (oversubscribed on small hosts, which also exercises the
-// condvar parking fallback). Run under -race by check.sh.
+// TestBarrierStressManyEpochs hammers the channel hand-off: a tiny quantum
+// forces hundreds of start/arrive rounds across a full worker complement
+// (oversubscribed on small hosts, so workers finish in every order and some
+// wait on arrive while others still hold a start). Run under -race by
+// check.sh.
 func TestBarrierStressManyEpochs(t *testing.T) {
 	cfg := testConfig()
 	cfg.Devices = 8
@@ -54,7 +55,8 @@ func TestBarrierStressManyEpochs(t *testing.T) {
 }
 
 // TestWorkerPoolCleanShutdown proves Run leaks no goroutines: the pool is
-// created at Run start and joined before Run returns, repeatedly.
+// created at Run start, and closing start ends every worker's loop, which
+// Run joins before it returns, repeatedly.
 func TestWorkerPoolCleanShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -79,8 +81,8 @@ func TestWorkerPoolCleanShutdown(t *testing.T) {
 // TestEpochLoopZeroSteadyStateAllocs pins the epoch loop — barrier,
 // parallel shard advance + load refresh, sequential control plane with
 // its migration-candidate scan — at zero allocations once the rack has
-// settled (all arrivals resolved, no migrations in flight). Covers both the inline path and the persistent
-// pool.
+// settled (all arrivals resolved, no migrations in flight). Covers a pool of
+// one worker and a pool of four.
 func TestEpochLoopZeroSteadyStateAllocs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := testConfig()
@@ -137,23 +139,29 @@ func TestUtilOverGuards(t *testing.T) {
 }
 
 // TestBarrierMetricsPublished checks the barrier-health series appear and
-// that a pooled run accumulates barrier wait time.
+// that a run accumulates barrier wait time at every worker count, one
+// worker included.
 func TestBarrierMetricsPublished(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := testConfig()
-	cfg.Workers = 4
-	cfg.Obs = reg
-	st := New(cfg).Run()
-	if st.Epochs == 0 {
-		t.Fatal("no epochs ran")
-	}
-	names := map[string]bool{}
-	for _, n := range reg.Names() {
-		names[n] = true
-	}
-	for _, n := range []string{"fleetio_fleet_barrier_wait_ns", "fleetio_fleet_barrier_straggler_ns"} {
-		if !names[n] {
-			t.Errorf("metric %s not registered", n)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		cfg := testConfig()
+		cfg.Workers = workers
+		cfg.Obs = reg
+		st := New(cfg).Run()
+		if st.Epochs == 0 {
+			t.Fatal("no epochs ran")
+		}
+		names := map[string]bool{}
+		for _, n := range reg.Names() {
+			names[n] = true
+		}
+		for _, n := range []string{"fleetio_fleet_barrier_wait_ns", "fleetio_fleet_barrier_straggler_ns"} {
+			if !names[n] {
+				t.Errorf("workers=%d: metric %s not registered", workers, n)
+			}
+		}
+		if wait := reg.Counter("fleetio_fleet_barrier_wait_ns", "").Value(); !(wait > 0) {
+			t.Errorf("workers=%d: fleetio_fleet_barrier_wait_ns = %v after %d epochs, want > 0", workers, wait, st.Epochs)
 		}
 	}
 }

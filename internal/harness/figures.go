@@ -380,12 +380,9 @@ func Overheads(w io.Writer) OverheadReport {
 	ppo.Train(&buf, 0)
 	ft := time.Since(start)
 
-	// gSB creation (metadata only).
-	eng := sim.NewEngine()
-	pc := vssd.DefaultPlatformConfig()
-	pc.Flash.BlocksPerChip = 128
-	pc.Flash.PagesPerBlock = 64
-	plat := vssd.NewPlatform(eng, pc)
+	// gSB creation (metadata only), on a 16-channel, 4-chip, 128-block,
+	// 64-page device.
+	plat := NewRun(Options{BlocksPerChip: 128}).Platform()
 	plat.AddVSSD(vssd.Config{Name: "home", Channels: ChannelRange(0, 8)})
 	plat.AddVSSD(vssd.Config{Name: "harv", Channels: ChannelRange(8, 16)})
 	const gsbIters = 500
@@ -398,7 +395,7 @@ func Overheads(w io.Writer) OverheadReport {
 
 	// Admission control batch of 1000 actions.
 	adm := admission.NewController(plat, nil)
-	bw := pc.Flash.ChannelBandwidth()
+	bw := plat.FlashConfig().ChannelBandwidth()
 	start = time.Now()
 	for i := 0; i < 1000; i++ {
 		if i%2 == 0 {

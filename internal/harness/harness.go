@@ -705,15 +705,17 @@ func (r *Run) Collect() Result {
 		prof := workload.ByName(r.mix.Workloads[i])
 		h := v.TotalHist()
 		tr := TenantResult{
-			Workload:      prof.Name,
-			Class:         prof.Class,
-			BandwidthMBps: float64(v.TotalBytesMoved()) / (float64(measured) / 1e9) / 1e6,
-			MeanMs:        h.Mean() / 1e6,
-			P95Ms:         float64(h.P95()) / 1e6,
-			P99Ms:         float64(h.P99()) / 1e6,
-			P999Ms:        float64(h.P999()) / 1e6,
-			SLOMs:         float64(v.SLO()) / 1e6,
-			Completed:     v.Completed(),
+			Workload:  prof.Name,
+			Class:     prof.Class,
+			MeanMs:    h.Mean() / 1e6,
+			P95Ms:     float64(h.P95()) / 1e6,
+			P99Ms:     float64(h.P99()) / 1e6,
+			P999Ms:    float64(h.P999()) / 1e6,
+			SLOMs:     float64(v.SLO()) / 1e6,
+			Completed: v.Completed(),
+		}
+		if measured > 0 { // an empty interval moved nothing: 0, not NaN
+			tr.BandwidthMBps = float64(v.TotalBytesMoved()) / (float64(measured) / 1e9) / 1e6
 		}
 		if h.Count() > 0 && v.SLO() > 0 {
 			tr.VioRate = float64(h.CountAbove(v.SLO())) / float64(h.Count())
@@ -727,10 +729,11 @@ func (r *Run) Collect() Result {
 }
 
 // utilization returns the mean utilization of a device of geometry fc that
-// moved bytes in measured, and the 95th percentile of its per-window
-// utilizations. It is vssd.Platform.Utilization's arithmetic, applied to
-// integer bytes, so a split run's summed bytes land on the joint run's
-// floats exactly.
+// moved bytes in measured (payload bytes over the device's peak aggregate
+// bandwidth for that interval; 0 for an empty interval), and the 95th
+// percentile of its per-window utilizations. The arithmetic takes integer
+// bytes, so a split run's summed bytes land on the joint run's floats
+// exactly.
 func utilization(fc flash.Config, bytes int64, measured sim.Time, windows []windowLoad) (avg, p95 float64) {
 	util := func(b int64, dur sim.Time) float64 {
 		if dur <= 0 {

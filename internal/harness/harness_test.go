@@ -34,6 +34,17 @@ func TestPolicyKindStrings(t *testing.T) {
 	}
 }
 
+func TestUtilizationMath(t *testing.T) {
+	fc := DefaultOptions().flashConfig()
+	// Moving peak bytes for one second = 100% utilization.
+	if got, _ := utilization(fc, int64(fc.PeakBandwidth()), sim.Second, nil); got < 0.999 || got > 1.001 {
+		t.Fatalf("utilization = %v, want 1.0", got)
+	}
+	if got, _ := utilization(fc, 100, 0, nil); got != 0 {
+		t.Fatalf("zero duration gave %v, want 0", got)
+	}
+}
+
 func TestEvalPairsAndMixes(t *testing.T) {
 	pairs := EvalPairs()
 	if len(pairs) != 6 {

@@ -231,17 +231,6 @@ func (p *Platform) applyHarvestTarget(v *VSSD, target int) {
 	}
 }
 
-// Utilization computes the SSD bandwidth utilization over [from, to):
-// payload bytes moved by all channels divided by the device's peak
-// aggregate bandwidth for that interval. Callers snapshot TotalBytes
-// before and after.
-func (p *Platform) Utilization(bytesMoved int64, dur sim.Time) float64 {
-	if dur <= 0 {
-		return 0
-	}
-	return float64(bytesMoved) / (p.cfg.PeakBandwidth() * float64(dur) / 1e9)
-}
-
 // TotalBytes returns the payload bytes moved by the device so far.
 func (p *Platform) TotalBytes() int64 {
 	var total int64

@@ -215,19 +215,6 @@ func TestSetRateLimitAction(t *testing.T) {
 	}
 }
 
-func TestUtilizationMath(t *testing.T) {
-	_, p := testPlatform(2)
-	peak := p.FlashConfig().ChannelBandwidth() * 2
-	// Moving peak bytes for one second = 100% utilization.
-	got := p.Utilization(int64(peak), sim.Second)
-	if got < 0.999 || got > 1.001 {
-		t.Fatalf("utilization = %v, want 1.0", got)
-	}
-	if p.Utilization(100, 0) != 0 {
-		t.Fatal("zero duration must give 0")
-	}
-}
-
 func TestClosedLoopThroughputScalesWithChannels(t *testing.T) {
 	// The core premise of harvesting: more channels, more bandwidth.
 	run := func(nch int) float64 {

@@ -77,14 +77,19 @@ for ex in examples/*/; do
 done
 
 echo "== one device stack"
-# A device is assembled in exactly three places: harness.NewRun (every
-# single-device run, the public Simulator and the share-sized solo devices
-# of a split hardware-isolated run included), harness.Overheads (the §4.7
-# metadata micro-measurement) and fleet.newShard (the rack, which attaches
-# tenants mid-run). A fourth wiring fails here.
-if grep -rn 'vssd\.NewPlatform(' --include='*.go' ./*.go cmd examples internal | grep -v _test.go |
-    grep -v '^internal/harness/' | grep -v '^internal/fleet/'; then
-    echo "vssd.NewPlatform outside internal/harness and internal/fleet: build the device through harness.NewRun" >&2
+# A device is assembled in exactly two functions: harness.NewRun (every
+# single-device run: the public Simulator, the share-sized solo devices of
+# a split hardware-isolated run and the §4.7 overhead device included) and
+# fleet.newShard (the rack, which attaches tenants mid-run). A non-test call
+# in any other function, in any package, fails here.
+if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } /^}/ { fn = "" }
+    /vssd\.NewPlatform\(/ &&
+        !(FILENAME ~ /^internal\/harness\// && fn ~ /^func NewRun\(/) &&
+        !(FILENAME ~ /^internal\/fleet\// && fn ~ /^func newShard\(/) {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1
+    }
+    END { exit !bad }' $(find ./*.go cmd examples internal -name '*.go' ! -name '*_test.go' | sed 's|^\./||'); then
+    echo "vssd.NewPlatform outside harness.NewRun and fleet.newShard: build the device through harness.NewRun" >&2
     exit 1
 fi
 
