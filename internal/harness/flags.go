@@ -32,6 +32,9 @@ func SharedFlags(fs *flag.FlagSet) func(traceImpliesReplay bool) (Options, *obs.
 
 	return func(traceImpliesReplay bool) (Options, *obs.Server, error) {
 		opt := DefaultOptions()
+		if !(*seconds > 0) {
+			return opt, nil, fmt.Errorf("-seconds %v: must be > 0", *seconds)
+		}
 		opt.Seed = *seed
 		opt.Duration = sim.Time(*seconds * 1e9)
 		opt.Workers = *parallel
@@ -50,6 +53,11 @@ func SharedFlags(fs *flag.FlagSet) func(traceImpliesReplay bool) (Options, *obs.
 		}
 		if *traceFile != "" {
 			if opt.ReplayRecords, err = trace.LoadFile(*traceFile, flash.DefaultConfig().PageSize); err != nil {
+				return opt, nil, fmt.Errorf("loading -trace: %w", err)
+			}
+			// A binary trace is read as written; hold it to the replay rules
+			// here, before a run panics on it.
+			if err := workload.ReplayProfile(*traceFile, opt.ReplayRecords, true).Validate(); err != nil {
 				return opt, nil, fmt.Errorf("loading -trace: %w", err)
 			}
 			if traceImpliesReplay {

@@ -3,10 +3,13 @@ package harness
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -14,6 +17,18 @@ import (
 // Options, and which values are errors.
 func TestSharedFlags(t *testing.T) {
 	const sample = "../trace/testdata/sample_msr.csv"
+	// A binary trace is read as written: this one goes back in time.
+	unordered := filepath.Join(t.TempDir(), "unordered.bin")
+	f, err := os.Create(unordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Write(f, []trace.Record{{At: 10, Pages: 1}, {At: 5, Pages: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name        string
 		args        []string
@@ -44,6 +59,9 @@ func TestSharedFlags(t *testing.T) {
 				t.Errorf("-faults off set %+v", opt.Faults)
 			}
 		}},
+		{name: "zero seconds", args: []string{"-seconds", "0"}, wantErr: "-seconds"},
+		{name: "negative seconds", args: []string{"-seconds", "-1"}, wantErr: "-seconds"},
+		{name: "NaN seconds", args: []string{"-seconds", "NaN"}, wantErr: "-seconds"},
 		{name: "bad faults", args: []string{"-faults", "pfail=lots"}, wantErr: "-faults"},
 		{name: "workload", args: []string{"-workload", "bursty"}, check: func(t *testing.T, opt Options) {
 			if opt.WorkloadShape != workload.ShapeBursty {
@@ -63,6 +81,7 @@ func TestSharedFlags(t *testing.T) {
 				}
 			}},
 		{name: "missing trace", args: []string{"-trace", "no-such-file"}, wantErr: "-trace"},
+		{name: "unordered binary trace", args: []string{"-trace", unordered}, wantErr: "replay record 1 out of order"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -64,10 +64,13 @@ const synthReplayLen = 20000
 // name (so per-workload SLOs and result collection still key correctly)
 // and its request mix; only the arrival process changes. seed
 // parameterizes the synthetic replay trace so distinct tenants replay
-// distinct traces; replay uses the supplied records when non-empty.
-// Compressed periods: the simulated runs last seconds, not days, so the
-// "diurnal" periods here are seconds-scale stand-ins for the multi-hour
-// cycles real fleets see.
+// distinct traces; replay uses the supplied records when non-empty, and a
+// profile that is already a replay replays its own records. Otherwise the
+// replay is prof's SynthesizeTrace(20 000, 1<<20, sim.NewRNG(seed)),
+// drawn as the generator consumes it: the returned profile is for one
+// generator. Compressed periods: the simulated runs last seconds, not
+// days, so the "diurnal" periods here are seconds-scale stand-ins for the
+// multi-hour cycles real fleets see.
 func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profile {
 	switch s {
 	case ShapeDiurnal:
@@ -91,11 +94,19 @@ func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profil
 			}
 		}
 	case ShapeReplay:
-		recs := replay
-		if len(recs) == 0 {
-			recs = prof.SynthesizeTrace(synthReplayLen, 1<<20, sim.NewRNG(seed))
+		if len(replay) == 0 && prof.Replay != nil {
+			replay = prof.SynthesizeTrace(synthReplayLen, 1<<20, sim.NewRNG(seed))
 		}
-		prof.Replay = &Replay{Records: recs, Loop: true}
+		if len(replay) > 0 {
+			prof.Replay = &Replay{Records: replay, Loop: true}
+			break
+		}
+		if err := prof.Validate(); err != nil {
+			panic(err)
+		}
+		// The trace has its own stream, so drawing its records later,
+		// interleaved with the run, draws the same values in the same order.
+		prof.Replay = &Replay{Loop: true, synth: newSynthesizer(prof, 1<<20, sim.NewRNG(seed)), n: synthReplayLen}
 	}
 	return prof
 }

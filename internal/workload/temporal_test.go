@@ -20,6 +20,13 @@ func smallPlatform(eng *sim.Engine) *vssd.Platform {
 // runShape drives one generator for dur and returns its recorded trace.
 func runShape(t *testing.T, prof Profile, seed int64, dur sim.Time) []trace.Record {
 	t.Helper()
+	recs, _ := runGenerator(t, prof, seed, dur)
+	return recs
+}
+
+// runGenerator is runShape that also returns the stopped generator.
+func runGenerator(t *testing.T, prof Profile, seed int64, dur sim.Time) ([]trace.Record, *Generator) {
+	t.Helper()
 	eng := sim.NewEngine()
 	p := smallPlatform(eng)
 	v := p.AddVSSD(vssd.Config{Name: "w", Channels: []int{0, 1}})
@@ -30,7 +37,7 @@ func runShape(t *testing.T, prof Profile, seed int64, dur sim.Time) []trace.Reco
 	eng.RunUntil(dur)
 	g.Stop()
 	eng.Run()
-	return rec.Records()
+	return rec.Records(), g
 }
 
 func TestApplyShapeSteadyIsIdentity(t *testing.T) {
@@ -187,6 +194,69 @@ func TestReplayLoopWraps(t *testing.T) {
 	if len(recs) != len(src) {
 		t.Fatalf("unlooped replay issued %d of %d", len(recs), len(src))
 	}
+}
+
+// TestSynthesizedReplayMatchesSupplied runs the replay shape's synthesized
+// trace past its wrap: it must issue exactly the requests of the same trace
+// synthesized up front and supplied through ReplayProfile.
+func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
+	base := ByName("YCSB")
+	base.MeanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
+	const seed, dur = 77, 600 * sim.Millisecond
+	shaped := ApplyShape(base, ShapeReplay, seed, nil)
+	supplied := ReplayProfile("YCSB", base.SynthesizeTrace(synthReplayLen, 1<<20, sim.NewRNG(seed)), true)
+
+	a, ga := runGenerator(t, shaped, 1, dur)
+	b, gb := runGenerator(t, supplied, 1, dur)
+	if ga.ReplayWraps() < 1 || ga.ReplayWraps() != gb.ReplayWraps() {
+		t.Fatalf("wraps: synthesized %d, supplied %d", ga.ReplayWraps(), gb.ReplayWraps())
+	}
+	if len(a) != len(b) || len(a) <= synthReplayLen {
+		t.Fatalf("synthesized issued %d, supplied %d (trace %d)", len(a), len(b), synthReplayLen)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("request %d: synthesized %+v, supplied %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestReplayShapeOverReplayProfile: the replay shape over a profile that is
+// already a replay replays that profile's own records.
+func TestReplayShapeOverReplayProfile(t *testing.T) {
+	src := ByName("TeraSort").SynthesizeTrace(300, 100000, sim.NewRNG(46))
+	if err := Register(ReplayProfile("RegShaped", src, true)); err != nil {
+		t.Fatal(err)
+	}
+	defer delete(profiles, "RegShaped")
+	reg := ByName("RegShaped")
+	shaped := ApplyShape(reg, ShapeReplay, 5, nil)
+	if got := shaped.Replay.Records; len(got) != len(src) || got[0] != src[0] || got[len(got)-1] != src[len(src)-1] {
+		t.Fatalf("shaped replay holds %d records, want the profile's %d", len(got), len(src))
+	}
+	a := runShape(t, shaped, 1, 150*sim.Millisecond)
+	b := runShape(t, reg, 1, 150*sim.Millisecond)
+	if len(a) != len(b) || len(a) <= len(src) {
+		t.Fatalf("shaped issued %d, profile %d (trace %d)", len(a), len(b), len(src))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("request %d: shaped %+v, profile %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSynthesizedReplayTableWidths: a synthesized replay holds only what its
+// generator has issued plus the armed next arrival, not the whole trace. The
+// run is replay_overload's length, 0.25 + 0.5 virtual seconds.
+func TestSynthesizedReplayTableWidths(t *testing.T) {
+	prof := ApplyShape(ByName("YCSB"), ShapeReplay, 3, nil)
+	_, g := runGenerator(t, prof, 1, 750*sim.Millisecond)
+	held := len(prof.Replay.Records)
+	if g.Issued() == 0 || int64(held) > g.Issued()+1 {
+		t.Fatalf("replay holds %d records after issuing %d (trace %d)", held, g.Issued(), synthReplayLen)
+	}
+	t.Logf("%d records held after %d issued", held, g.Issued())
 }
 
 func TestReplayFoldsOversizedAddresses(t *testing.T) {

@@ -63,18 +63,47 @@ type Burst struct {
 }
 
 // Replay makes a profile deterministic: instead of drawing synthetic
-// accesses, the generator replays Records open-loop at their recorded
+// accesses, the generator replays a trace open-loop at its recorded
 // timestamps (shifted to the generator's start time). With Loop set the
 // trace repeats end-to-start, advancing the time base by the trace span
 // each wrap.
+//
+// A supplied trace is all of Records. A trace ApplyShape synthesizes from
+// a profile is drawn as the generator consumes it: Records is the part
+// drawn so far, and the synthesizer draws the rest from the trace's own
+// stream, so the records are exactly those SynthesizeTrace returns up
+// front. Such a Replay is written as it is read: one generator only.
 type Replay struct {
 	Records []trace.Record
 	Loop    bool
+
+	synth *synthesizer // draws the rest of a synthesized trace; nil once all n are drawn
+	n     int          // a synthesized trace's full length
+}
+
+// length returns how many records one pass of the trace replays.
+func (r *Replay) length() int {
+	if r.synth != nil {
+		return r.n
+	}
+	return len(r.Records)
+}
+
+// record returns record i, drawing a synthesized trace up to it.
+func (r *Replay) record(i int) trace.Record {
+	for len(r.Records) <= i {
+		r.Records = append(r.Records, r.synth.next())
+		if len(r.Records) == r.n {
+			r.synth = nil
+		}
+	}
+	return r.Records[i]
 }
 
 // span returns one loop iteration's duration: last-minus-first arrival
 // plus one mean gap, so looped replays keep a steady arrival rate across
-// the wrap instead of issuing two records back to back.
+// the wrap instead of issuing two records back to back. It is read at a
+// wrap, when every record of a synthesized trace has been drawn.
 func (r *Replay) span() sim.Time {
 	n := len(r.Records)
 	if n == 0 {
@@ -133,7 +162,12 @@ func (p Profile) Validate() error {
 	}
 	if p.Replay != nil {
 		// Replay profiles use only the trace; the synthetic knobs are
-		// unused and so unchecked.
+		// unused and so unchecked. A synthesized trace is valid by
+		// construction (At never decreases, Pages >= 1, LPN >= 0), and its
+		// base profile was checked when it was synthesized.
+		if p.Replay.synth != nil {
+			return nil
+		}
 		if len(p.Replay.Records) == 0 {
 			return fmt.Errorf("workload %s: empty replay trace", p.Name)
 		}
@@ -344,7 +378,7 @@ func (p Profile) diurnalFactor(t sim.Time) float64 {
 }
 
 // burstState tracks which MMPP regime a stream is in and when it next
-// flips; shared between the live Generator and SynthesizeTrace.
+// flips; shared between the live Generator and the trace synthesizer.
 type burstState struct {
 	init  bool
 	high  bool
@@ -451,7 +485,7 @@ func (g *Generator) Start() {
 	g.stopped = false
 	if g.prof.Replay != nil {
 		g.ri = 0
-		g.rbase = g.eng.Now() - g.prof.Replay.Records[0].At
+		g.rbase = g.eng.Now() - g.prof.Replay.record(0).At
 		g.scheduleReplay()
 		return
 	}
@@ -541,7 +575,7 @@ func (g *Generator) scheduleReplay() {
 		return
 	}
 	rp := g.prof.Replay
-	if g.ri >= len(rp.Records) {
+	if g.ri >= rp.length() {
 		if !rp.Loop {
 			return
 		}
@@ -549,7 +583,7 @@ func (g *Generator) scheduleReplay() {
 		g.rbase += rp.span()
 		g.replayWraps++
 	}
-	at := g.rbase + rp.Records[g.ri].At
+	at := g.rbase + rp.record(g.ri).At
 	delay := at - g.eng.Now()
 	if delay < 0 {
 		delay = 0
@@ -606,37 +640,59 @@ func (p Profile) SynthesizeTrace(n int, logicalPages int, rng *sim.RNG) []trace.
 	}
 	if p.Replay != nil {
 		// A replay profile's trace IS its synthetic form.
-		m := len(p.Replay.Records)
-		if m > n {
-			m = n
+		m := min(p.Replay.length(), n)
+		if m > 0 {
+			p.Replay.record(m - 1)
 		}
 		return append([]trace.Record(nil), p.Replay.Records[:m]...)
 	}
+	s := newSynthesizer(p, logicalPages, rng)
+	recs := make([]trace.Record, 0, n)
+	for i := 0; i < n; i++ {
+		recs = append(recs, s.next())
+	}
+	return recs
+}
+
+// synthesizer draws a profile's trace one record at a time: the arrival
+// clock, the address and burst state, and the stream they draw from.
+// SynthesizeTrace and a synthesized Replay both draw through it.
+type synthesizer struct {
+	prof         Profile
+	rate         float64
+	logicalPages int
+	rng          *sim.RNG
+	st           addrState
+	bs           burstState
+	now          sim.Time
+}
+
+// newSynthesizer starts p's trace over logicalPages pages, drawing from rng.
+func newSynthesizer(p Profile, logicalPages int, rng *sim.RNG) *synthesizer {
 	rate := p.MeanIOPS
 	if p.ClosedLoop {
 		rate = float64(p.Concurrency) / 0.002
 	}
-	var st addrState
-	var bs burstState
-	recs := make([]trace.Record, 0, n)
-	var now sim.Time
-	for i := 0; i < n; i++ {
-		f := p.phaseFactor(now)
-		if len(p.Diurnal) > 0 {
-			f *= p.diurnalFactor(now)
-		}
-		if p.Burst != nil {
-			f *= bs.factor(p.Burst, now, rng)
-		}
-		r := rate * f
-		if r < 1 {
-			r = 1
-		}
-		now += rng.ExpDuration(sim.Time(1e9 / r))
-		write, lpn, np := p.nextAccess(rng, &st, logicalPages)
-		recs = append(recs, trace.Record{At: now, Write: write, LPN: lpn, Pages: int32(np)})
+	return &synthesizer{prof: p, rate: rate, logicalPages: logicalPages, rng: rng}
+}
+
+// next draws the trace's next record.
+func (s *synthesizer) next() trace.Record {
+	p := &s.prof
+	f := p.phaseFactor(s.now)
+	if len(p.Diurnal) > 0 {
+		f *= p.diurnalFactor(s.now)
 	}
-	return recs
+	if p.Burst != nil {
+		f *= s.bs.factor(p.Burst, s.now, s.rng)
+	}
+	r := s.rate * f
+	if r < 1 {
+		r = 1
+	}
+	s.now += s.rng.ExpDuration(sim.Time(1e9 / r))
+	write, lpn, np := p.nextAccess(s.rng, &s.st, s.logicalPages)
+	return trace.Record{At: s.now, Write: write, LPN: lpn, Pages: int32(np)}
 }
 
 // Register adds a profile to the named-profile table so ByName and mixes

@@ -7,7 +7,8 @@
 # place), the race detector on the
 # concurrency-heavy packages, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
-# what a rack device costs in bytes) at several core counts, worker-count
+# what a rack device costs in bytes, how much of a synthesized replay trace
+# is held) at several core counts, worker-count
 # identity gates on the scenario figures, and benchmark smoke/allocation
 # gates. What each scenario must show (completed migrations, promotes and
 # demotes, typed traffic, …) is asserted by harness.TestScenarios in the
@@ -189,13 +190,15 @@ echo "== allocation guards (-cpu 1,2,4)"
 # is guarded with them: ftl's TestTableWidths (a 4-byte L2P entry, a 64-byte
 # block record), TestMeasurementWidths in metrics and vssd (how wide the
 # per-vSSD measurement state is: a sparse histogram of at most 12 octaves, a
-# window snapshot of counters only) and fleet's TestRackBytesPerDevice (New +
-# Run of a small rack, bytes per device). Run the family at several
-# GOMAXPROCS so a guard that only holds on one core count fails here, not
-# intermittently in tier-1.
+# window snapshot of counters only), fleet's TestRackBytesPerDevice (New +
+# Run of a small rack, bytes per device) and workload's
+# TestSynthesizedReplayTableWidths (a synthesized replay trace holds what its
+# generator has issued plus the armed next arrival, not all 20 000 records).
+# Run the family at several GOMAXPROCS so a guard that only holds on one core
+# count fails here, not intermittently in tier-1.
 go test -run 'ZeroAlloc|SteadyStateAllocs|TableWidths|MeasurementWidths|RackBytesPerDevice' -count=1 -cpu 1,2,4 \
     ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/nn/ ./internal/rl/ ./internal/gsb/ ./internal/admission/ ./internal/fleet/ \
-    ./internal/trace/ ./internal/cluster/ ./internal/harness/ ./internal/metrics/ ./internal/vssd/
+    ./internal/trace/ ./internal/cluster/ ./internal/harness/ ./internal/metrics/ ./internal/vssd/ ./internal/workload/
 
 echo "== scenario identity gates (same seed, -parallel 1 vs 4)"
 # Every scenario draws only from seeded streams on single-threaded engines
