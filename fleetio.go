@@ -126,14 +126,17 @@ func NewSimulator(opt ExperimentOptions) *Simulator {
 
 // AddTenant creates a vSSD running the spec's workload and returns the
 // tenant's index: its row in every Report and its handle for
-// MakeHarvestable and Harvest.
+// MakeHarvestable and Harvest. Add every tenant before Use and Run: the
+// policy's agents, recorders and α are fixed when it is installed, so
+// AddTenant after either panics.
 func (s *Simulator) AddTenant(spec TenantSpec) int { return s.run.AddTenant(spec) }
 
 // Use installs the management policy: PolicyFleetIO deploys the paper's
 // multi-agent RL policy with admission control exactly as the figures
 // measure it (agents typed from their tenants' workloads, fine-tuning
 // online, seeded from the options' pretrained model if any); the others
-// are the §4.1 baselines. Call after all tenants are added and before Run;
+// are the §4.1 baselines. Call after all tenants are added and before Run
+// (Use after Run panics: the policy the first Run started keeps deciding);
 // without it the tenants stay as configured (Hardware Isolation).
 func (s *Simulator) Use(policy Policy) { s.run.AttachPolicy(policy) }
 

@@ -79,6 +79,43 @@ func TestSimulatorMatchesMeasure(t *testing.T) {
 	}
 }
 
+// TestSimulatorRejectsLateTenant: a tenant added after Run used to get a
+// generator that never started (0 MB/s, 0 completions) or, under FleetIO,
+// crash the next decision window with more snapshots than agents. The
+// policy's agents are fixed when it attaches, so AddTenant panics instead.
+func TestSimulatorRejectsLateTenant(t *testing.T) {
+	for _, use := range []bool{false, true} {
+		s := NewSimulator(smallOptions())
+		s.AddTenant(TenantSpec{Workload: "YCSB", Channels: ChannelRange(0, 8)})
+		if use {
+			s.Use(PolicyFleetIO)
+		}
+		s.Run(200 * Millisecond)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "after AttachPolicy or Start") {
+					t.Errorf("Use=%v: AddTenant after Run panicked with %q, want the call order named", use, msg)
+				}
+			}()
+			s.AddTenant(TenantSpec{Workload: "TeraSort", Channels: ChannelRange(8, 16)})
+		}()
+	}
+}
+
+// TestSimulatorRejectsLatePolicy: Use after Run used to relabel the report
+// while the policy the first Run started kept deciding. It panics instead.
+func TestSimulatorRejectsLatePolicy(t *testing.T) {
+	s := NewSimulator(smallOptions())
+	s.AddTenant(TenantSpec{Workload: "YCSB", Channels: ChannelRange(0, 8)})
+	s.Run(200 * Millisecond)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "after Start") {
+			t.Errorf("Use after Run panicked with %q, want the call order named", msg)
+		}
+	}()
+	s.Use(PolicyFleetIO)
+}
+
 func TestResetMetrics(t *testing.T) {
 	s := NewSimulator(smallOptions())
 	tn := s.AddTenant(TenantSpec{Workload: "YCSB", Channels: ChannelRange(0, 8)})

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/flash"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -307,9 +308,13 @@ type Tenant struct {
 	// departAt ends the tenant's session when Config.Lifetime is set
 	// (0 = stays for the whole run).
 	departAt sim.Time
-	rng      *sim.RNG
-	gen      *workload.Generator
-	vssd     *vssd.VSSD
+	// rng is the tenant's private stream: its session length, its prefill
+	// and its traffic draw from it, in that order. It survives migration
+	// (the stopped source generator never draws again), so a tenant's
+	// access sequence is one continuous deterministic stream across devices.
+	rng  *sim.RNG
+	gen  *workload.Generator
+	vssd *vssd.VSSD
 	// rec captures the tenant's recent traffic for workload-type
 	// classification when Config.TypeModel is set. It survives migration:
 	// the tenant's access stream is continuous across devices.
@@ -426,7 +431,7 @@ func (f *Fleet) Run() Stats {
 // start begins every shard's decision runner and brings up the worker pool.
 func (f *Fleet) start() {
 	for _, sh := range f.shards {
-		sh.runner.Start()
+		sh.dev.Start()
 	}
 	n := f.cfg.Workers
 	if n <= 0 {
@@ -512,8 +517,8 @@ func (f *Fleet) controlPlane(now sim.Time) {
 func (f *Fleet) epochShards(lo, hi int, t sim.Time) {
 	for i := lo; i < hi; i++ {
 		sh := f.shards[i]
-		sh.eng.RunUntil(t)
-		total := sh.plat.TotalBytes()
+		sh.dev.Advance(t)
+		total := sh.Platform().TotalBytes()
 		denom := sh.peakBandwidth() * float64(f.cfg.Quantum) / 1e9
 		sh.epochUtil = utilOver(total-sh.lastBytes, denom)
 		sh.utilSum += sh.epochUtil
@@ -561,23 +566,10 @@ func (f *Fleet) tryPlace(tn *Tenant, now sim.Time) bool {
 	}
 	tn.vssd = f.addTenantVSSD(sh, tn)
 	tn.lastBytes = 0
-	tn.gen = workloadGenerator(sh, tn)
-	tn.gen.Start()
+	tn.gen = sh.dev.Drive(tn.vssd.ID(), workload.ByName(tn.Workload), tn.rng, tn.rec)
 	sh.resident = append(sh.resident, tn)
 	f.led.Placed++
 	return true
-}
-
-// workloadGenerator binds the tenant's profile and private RNG stream to
-// its current vSSD. The stream object survives migration (the stopped
-// source generator never draws again), so a tenant's access sequence is
-// one continuous deterministic stream across devices.
-func workloadGenerator(sh *Shard, tn *Tenant) *workload.Generator {
-	g := workload.NewGenerator(sh.eng, tn.vssd, workload.ByName(tn.Workload), tn.rng)
-	if tn.rec != nil {
-		g.Record(tn.rec)
-	}
-	return g
 }
 
 // stepDepartures retires tenants whose sessions ended: a running tenant
@@ -668,7 +660,7 @@ func (f *Fleet) Collect() Stats {
 	s.MinUtil, s.MaxUtil = 1e18, -1e18
 	for i, sh := range f.shards {
 		ds := DeviceStats{Device: i, Tenants: sh.slotsUsed}
-		for _, v := range sh.plat.VSSDs() {
+		for _, v := range sh.Platform().VSSDs() {
 			ds.BytesMoved += v.TotalBytesMoved()
 			ds.Completed += v.Completed()
 		}
@@ -718,12 +710,10 @@ func (f *Fleet) classifyTenants() []TypeCount {
 	return out
 }
 
-// Shard is one device: a full single-SSD simulation owned by the fleet.
+// Shard is one device of the rack — the same device.Device a
+// single-device run is — plus the control plane's state about it.
 type Shard struct {
-	eng  *sim.Engine
-	plat *vssd.Platform
-
-	runner *core.Runner
+	dev *device.Device
 
 	// tier is the device-class index (always 0 on homogeneous racks).
 	tier int
@@ -748,16 +738,12 @@ type Shard struct {
 // geometry fc. On a learned rack the shard's decision runner deploys the
 // FleetIO agent stack instead of the static placeholder policy.
 func newShard(window sim.Time, fc flash.Config, tier int, learned bool, rng *sim.RNG) *Shard {
-	eng := sim.NewEngine()
-	pc := vssd.DefaultPlatformConfig()
-	pc.Flash = fc
-	plat := vssd.NewPlatform(eng, pc)
-	sh := &Shard{eng: eng, plat: plat, tier: tier}
+	sh := &Shard{dev: device.New(fc, nil, nil), tier: tier}
 	var pol core.Policy = core.StaticPolicy{PolicyName: "fleet-device"}
 	if learned {
 		// The shard RNG is otherwise never drawn from, so seeding the agent
 		// stack off it costs the non-learned paths nothing.
-		sh.fio = core.NewFleetIO(plat, core.FleetIOConfig{
+		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{
 			Train:         true,
 			Seed:          rng.Int63(),
 			PlacementHead: true,
@@ -765,23 +751,19 @@ func newShard(window sim.Time, fc flash.Config, tier int, learned bool, rng *sim
 		})
 		pol = sh.fio
 	}
-	sh.runner = &core.Runner{
-		Plat:   plat,
-		Policy: pol,
-		Window: window,
-	}
+	sh.dev.Attach(pol, nil, window)
 	return sh
 }
 
 // Engine returns the shard's private engine.
-func (s *Shard) Engine() *sim.Engine { return s.eng }
+func (s *Shard) Engine() *sim.Engine { return s.Platform().Engine() }
 
 // Platform returns the shard's device platform.
-func (s *Shard) Platform() *vssd.Platform { return s.plat }
+func (s *Shard) Platform() *vssd.Platform { return s.dev.Platform() }
 
 // peakBandwidth is the device's aggregate channel bandwidth in bytes/s.
 func (s *Shard) peakBandwidth() float64 {
-	return s.plat.FlashConfig().PeakBandwidth()
+	return s.Platform().FlashConfig().PeakBandwidth()
 }
 
 // slotLogicalPages is one admission slot's logical capacity on a device
@@ -795,30 +777,36 @@ func slotLogicalPages(fc flash.Config) int {
 	return int(float64(total) * 0.8 / float64(slotsPerDevice+1))
 }
 
-// addTenantVSSD creates the tenant's vSSD on shard s (software-isolated
-// across all channels — fleet admission slots, not channel partitions, are
-// the capacity unit) and best-effort prefills it. Prefill maps pages
-// directly, with no simulated I/O, exactly like the single-device harness;
-// migrated tenants skip it because the copy writes are their prefill.
+// addTenantVSSD creates the tenant's vSSD on shard s: software-isolated
+// across all channels (fleet admission slots, not channel partitions, are
+// the capacity unit), with the hybrid rack's SLO on a latency-class tenant.
+// A placed tenant's FTL is prefilled; a migration target's is not, because
+// the copy writes are its prefill.
 func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
-	prof := workload.ByName(tn.Workload)
-	fc := s.plat.FlashConfig()
-	chans := make([]int, fc.Channels)
-	for i := range chans {
-		chans[i] = i
-	}
-	v := s.plat.AddVSSD(vssd.Config{
+	fc := s.Platform().FlashConfig()
+	spec := device.Spec{
 		Name:             fmt.Sprintf("t%d-%s-m%d", tn.ID, tn.Workload, tn.Migrations),
 		Isolation:        vssd.SoftwareIsolated,
-		Channels:         chans,
+		Channels:         make([]int, fc.Channels),
 		LogicalPages:     slotLogicalPages(fc),
-		MaxInflightPages: prof.MaxInflightPages,
-	})
+		MaxInflightPages: workload.ByName(tn.Workload).MaxInflightPages,
+		Overwrite:        0.2,
+		RNG:              tn.rng,
+	}
+	for i := range spec.Channels {
+		spec.Channels[i] = i
+	}
+	if f.lsSLO > 0 && tn.class == workload.Latency {
+		spec.SLO = f.lsSLO
+	}
+	if tn.Migrations == 0 {
+		spec.PrefillFrac = f.cfg.PrefillFrac
+	}
+	// A fill that runs out of space stops there: the shard's engine is
+	// live, and the tenant runs on with the pages mapped so far.
+	v, _ := s.dev.AddVSSD(spec)
 	tn.pageSize = fc.PageSize
 	tn.logicalPages = int64(v.Tenant().LogicalPages())
-	if f.lsSLO > 0 && tn.class == workload.Latency {
-		v.SetSLO(f.lsSLO)
-	}
 	if s.fio != nil {
 		// The platform only ever appends vSSDs, so syncing here keeps
 		// agent i == vSSD i before the next decision window fires.
@@ -833,30 +821,5 @@ func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 		}
 		s.fio.SetAlpha(v.ID(), alpha)
 	}
-	if tn.Migrations == 0 {
-		prefill(v, f.cfg.PrefillFrac, tn.rng)
-	}
 	return v
-}
-
-// prefill maps frac of the vSSD's logical space without simulated I/O.
-// Unlike ftl.Tenant.Prefill it never drains the engine (the shard may
-// already be mid-run with live generators), so it stops early instead of
-// stalling when allocation fails.
-func prefill(v *vssd.VSSD, frac float64, rng *sim.RNG) {
-	t := v.Tenant()
-	n := int(float64(t.LogicalPages()) * frac)
-	for lpn := 0; lpn < n; lpn++ {
-		if _, ok := t.AllocatePage(lpn, false); !ok {
-			return
-		}
-	}
-	if n <= 0 {
-		return
-	}
-	for i := 0; i < n/5; i++ {
-		if _, ok := t.AllocatePage(rng.Intn(n), false); !ok {
-			return
-		}
-	}
 }

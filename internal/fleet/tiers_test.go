@@ -65,9 +65,9 @@ func TestTierClassResolution(t *testing.T) {
 	}
 	for dev, want := range map[int][2]int{1: {0, 16}, 7: {1, 64}} {
 		sh := f.Shards()[dev]
-		if sh.tier != want[0] || sh.plat.FlashConfig().BlocksPerChip != want[1] {
+		if sh.tier != want[0] || sh.Platform().FlashConfig().BlocksPerChip != want[1] {
 			t.Errorf("device %d: tier=%d blocks=%d, want tier %d with %d blocks",
-				dev, sh.tier, sh.plat.FlashConfig().BlocksPerChip, want[0], want[1])
+				dev, sh.tier, sh.Platform().FlashConfig().BlocksPerChip, want[0], want[1])
 		}
 	}
 

@@ -50,21 +50,22 @@ func (r *Run) FaultStats() FaultRunStats {
 	// re-program can be waiting out a 1 ms allocation backoff. The Result
 	// was collected when the run finished, so the measured figures are
 	// untouched.
-	r.plat.Engine().RunUntil(r.end + 50*sim.Millisecond)
+	r.Advance(r.end + 50*sim.Millisecond)
 	return r.faultLedger()
 }
 
 // faultLedger reads the ledger as it stands.
 func (r *Run) faultLedger() FaultRunStats {
-	fst := r.plat.FTL().Stats()
+	plat := r.Platform()
+	fst := plat.FTL().Stats()
 	st := FaultRunStats{
-		Device:          r.plat.Device().FaultStats(),
+		Device:          plat.Device().FaultStats(),
 		Retired:         fst.Retired,
 		Remapped:        fst.Remapped,
 		GCRetryPrograms: fst.GCRetryPrograms,
 		GCRetrySkips:    fst.GCRetrySkips,
 	}
-	for _, v := range r.plat.VSSDs() {
+	for _, v := range plat.VSSDs() {
 		st.WriteRetries += v.TotalRetries()
 	}
 	return st

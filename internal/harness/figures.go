@@ -261,8 +261,9 @@ func measureMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Op
 	case PolFleetIO:
 		r.attachFleetIO(figure16FleetIO(opt))
 	case PolSoftware:
-		for _, v := range r.plat.VSSDs() {
-			v.Tenant().SetChannels(ChannelRange(0, r.plat.FlashConfig().Channels))
+		plat := r.Platform()
+		for _, v := range plat.VSSDs() {
+			v.Tenant().SetChannels(ChannelRange(0, plat.FlashConfig().Channels))
 		}
 		r.AttachPolicy(kind)
 	default:
@@ -325,11 +326,8 @@ func RunTransfer(keep, from, to string, opt Options) *Run {
 	r := buildPlatform(initialMix, PolFleetIO, nil, slos, opt)
 	r.AttachPolicy(PolFleetIO)
 	swap := func() {
-		r.gens[1].Stop()
-		r.gens[1] = workload.NewGenerator(r.plat.Engine(), r.plat.VSSD(1), workload.ByName(to), sim.NewRNG(opt.Seed+999))
 		// Same recorder, so re-typing after the swap sees the new traffic.
-		r.gens[1].Record(r.recs[1])
-		r.gens[1].Start()
+		r.dev.Drive(1, workload.ByName(to), sim.NewRNG(opt.Seed+999), r.recs[1])
 		r.mix = finalMix
 	}
 	settled := opt.Warmup + 4*opt.Window

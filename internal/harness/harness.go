@@ -16,6 +16,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/flash"
 	"repro/internal/nn"
@@ -291,13 +292,12 @@ func TypeModel() (*cluster.Model, map[int]float64) {
 // shares.
 const softwareShareFactor = 0.9
 
-// Run is the one single-device stack: a platform, its tenants' workload
-// generators and the policy driving them, built tenant by tenant (NewRun,
-// AddTenant, AttachPolicy) and driven in steps (Start, Advance,
-// BeginMeasuring, Collect, Stop). Measure does all of it for a mix and
-// returns the run finished, with the fault ledger and workload-type labels
-// readable off the platform it still holds; the public fleetio.Simulator
-// drives the same seams interactively.
+// Run measures a mix on one device (device.Device, the stack every rack
+// shard is too): built tenant by tenant (NewRun, AddTenant, AttachPolicy)
+// and driven in steps (Start, Advance, BeginMeasuring, Collect, Stop).
+// Measure does all of it for a mix and returns the run finished, with the
+// fault ledger and workload-type labels readable off the platform it still
+// holds; the public fleetio.Simulator drives the same seams interactively.
 type Run struct {
 	// Result is the outcome of the last Collect.
 	Result Result
@@ -305,16 +305,13 @@ type Run struct {
 	mix  MixSpec // Label, and one workload per AddTenant
 	kind PolicyKind
 	opt  Options
-	plat *vssd.Platform
+	dev  *device.Device
 	rng  *sim.RNG
 	// first is the mix index of the run's first tenant: 0, except on a solo
 	// run (see solo), whose one tenant keeps its index in the mix for its
 	// streams, shape seed and vSSD name while its vSSD id is 0.
 	first       int
-	gens        []*workload.Generator
 	recs        []*trace.Recorder
-	runner      *core.Runner
-	started     bool
 	smp         *obs.Sampler
 	windows     []windowLoad // per-window device load since measureFrom
 	measureFrom sim.Time     // virtual time of the last BeginMeasuring
@@ -379,30 +376,31 @@ func (o Options) faultsEnabled() bool { return o.Faults != nil && o.Faults.Enabl
 // NewRun creates the device of a run — engine, platform, observer and
 // fault injector per opt — with no tenants yet.
 func NewRun(opt Options) *Run {
-	pc := vssd.DefaultPlatformConfig()
-	pc.Flash = opt.flashConfig()
-	plat := vssd.NewPlatform(sim.NewEngine(), pc)
-	if opt.Obs != nil {
-		plat.SetObserver(opt.Obs.Recorder())
-	}
+	var faults *fault.Config
 	if opt.faultsEnabled() {
 		fc := *opt.Faults
 		if fc.Seed == 0 {
 			fc.Seed = opt.Seed
 		}
-		plat.Device().SetFaultInjector(fault.NewInjector(fc))
+		faults = &fc
 	}
-	return &Run{opt: opt, plat: plat, rng: sim.NewRNG(opt.Seed)}
+	dev := device.New(opt.flashConfig(), opt.Obs.Recorder(), faults)
+	return &Run{opt: opt, dev: dev, rng: sim.NewRNG(opt.Seed)}
 }
 
 // AddTenant creates the next tenant: a vSSD laid out per spec with a
 // prefilled FTL, a generator for its workload (under the run's temporal
 // shape) and the trace recorder its traffic is typed from. It returns the
-// tenant's index, which is also its vSSD id and its row in the Result. A
-// prefill so full that it needs GC to finish panics: it would run the
-// engine before the run starts.
+// tenant's index, which is also its vSSD id and its row in the Result.
+// Every tenant is added before AttachPolicy, which fixes the policy's
+// agents, recorders and α, and so before Start; adding one later panics.
+// So does a prefill that does not fit without GC: GC would run the engine
+// before the run starts.
 func (r *Run) AddTenant(spec TenantSpec) int {
-	id := len(r.gens)
+	if r.dev.Runner() != nil {
+		panic(fmt.Sprintf("harness: AddTenant(%s) after AttachPolicy or Start: add every tenant, then attach the policy, then start", spec.Workload))
+	}
+	id := len(r.recs)
 	i := r.first + id
 	prefillRNG, genRNG := r.tenantStreams(i)
 	prof := workload.ByName(spec.Workload)
@@ -411,33 +409,25 @@ func (r *Run) AddTenant(spec TenantSpec) int {
 		// seeding and result collection still key by workload.
 		prof = workload.ApplyShape(prof, r.opt.WorkloadShape, shapeSeed(r.opt.Seed, i), r.opt.ReplayRecords)
 	}
-	v := r.plat.AddVSSD(vssd.Config{
+	_, err := r.dev.AddVSSD(device.Spec{
 		Name:             fmt.Sprintf("%s-%d", spec.Workload, i),
 		Isolation:        spec.Isolation,
 		Channels:         spec.Channels,
 		LogicalPages:     spec.LogicalPages,
 		MaxInflightPages: prof.MaxInflightPages,
 		SLO:              spec.SLO,
+		RateLimit:        spec.RateLimit,
+		PrefillFrac:      spec.PrefillFrac,
+		Overwrite:        0.3,
+		RNG:              prefillRNG,
 	})
-	if spec.RateLimit > 0 {
-		v.SetRateLimit(spec.RateLimit, spec.RateLimit/2)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s at PrefillFrac %v must prefill without GC, which would run the engine before the run starts: %v",
+			spec.Workload, spec.PrefillFrac, err))
 	}
-	eng := r.plat.Engine()
-	executed, from := eng.Executed(), eng.Now()
-	if err := v.Tenant().Prefill(spec.PrefillFrac, 0.3, prefillRNG); err != nil {
-		panic(err)
-	}
-	if eng.Executed() != executed {
-		// The prefill stalled and drained the engine so GC could free
-		// space: the clock has moved before Start, past a short run's end.
-		panic(fmt.Sprintf("harness: %s at PrefillFrac %v needs GC to prefill: it ran %d engine events and %.3f virtual seconds before the run started",
-			spec.Workload, spec.PrefillFrac, eng.Executed()-executed, float64(eng.Now()-from)/1e9))
-	}
-	gen := workload.NewGenerator(eng, v, prof, genRNG)
 	rec := trace.NewRecorder(cluster.WindowSize)
-	gen.Record(rec)
+	r.dev.Drive(id, prof, genRNG, rec)
 	r.mix.Workloads = append(r.mix.Workloads, spec.Workload)
-	r.gens = append(r.gens, gen)
 	r.recs = append(r.recs, rec)
 	return id
 }
@@ -451,7 +441,7 @@ func (r *Run) tenantStreams(i int) (prefill, gen *sim.RNG) {
 
 // Platform returns the run's device, for manual actions and readings the
 // Result does not carry.
-func (r *Run) Platform() *vssd.Platform { return r.plat }
+func (r *Run) Platform() *vssd.Platform { return r.dev.Platform() }
 
 // buildPlatform creates the device and, per the topology, one tenant for
 // each workload of the mix (kind's standard topology when topo is nil).
@@ -465,7 +455,7 @@ func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time,
 	}
 	r := NewRun(opt)
 	r.mix.Label, r.kind = mix.Label, kind
-	fc := r.plat.FlashConfig()
+	fc := r.Platform().FlashConfig()
 	nT := len(mix.Workloads)
 	if fc.Channels%nT != 0 {
 		panic(fmt.Sprintf("harness: %d channels not divisible by %d tenants", fc.Channels, nT))
@@ -501,16 +491,21 @@ func ChannelRange(lo, hi int) []int {
 }
 
 // AttachPolicy wires the policy of the given kind, and the runner that
-// drives it every window, to the tenants added so far.
+// drives it every window, to the tenants added so far. Attaching one to a
+// started run panics: the runner Start started would keep deciding.
 func (r *Run) AttachPolicy(kind PolicyKind) {
+	if r.dev.Started() {
+		panic(fmt.Sprintf("harness: AttachPolicy(%v) after Start: attach the policy before the run starts", kind))
+	}
 	r.kind = kind
-	cfg := r.plat.FlashConfig()
+	plat := r.Platform()
+	cfg := plat.FlashConfig()
 	var pol core.Policy
 	switch kind {
 	case PolHardware:
 		pol = baseline.HardwareIsolation()
 	case PolSoftware:
-		baseline.ConfigureSoftwareIsolation(r.plat, softwareShareFactor)
+		baseline.ConfigureSoftwareIsolation(plat, softwareShareFactor)
 		pol = baseline.SoftwareIsolation()
 	case PolAdaptive:
 		pol = &baseline.Adaptive{TotalChannels: cfg.Channels}
@@ -522,7 +517,7 @@ func (r *Run) AttachPolicy(kind PolicyKind) {
 	default:
 		panic("harness: unknown policy kind")
 	}
-	r.runner = &core.Runner{Plat: r.plat, Policy: pol, Window: r.opt.Window}
+	r.dev.Attach(pol, nil, r.opt.Window)
 }
 
 // The three FleetIO wirings, as data: the fields below are all they differ
@@ -587,12 +582,13 @@ func episodeFleetIO(spec EpisodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 // model, every agent's recorder and per-type α, and the runner that sends
 // its harvest actions through an admission controller every window.
 func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
+	plat := r.Platform()
 	tm, alphas := TypeModel()
 	cfg.Seed = r.opt.Seed
 	cfg.TypeModel = tm
 	cfg.AlphaByCluster = alphas
-	cfg.Obs = r.plat.Observer()
-	f := core.NewFleetIO(r.plat, cfg)
+	cfg.Obs = plat.Observer()
+	f := core.NewFleetIO(plat, cfg)
 	for i, rec := range r.recs {
 		f.SetRecorder(i, rec)
 	}
@@ -605,9 +601,9 @@ func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 			}
 		}
 	}
-	adm := admission.NewController(r.plat, nil)
-	adm.Obs = r.plat.Observer()
-	r.runner = &core.Runner{Plat: r.plat, Adm: adm, Policy: f, Window: r.opt.Window}
+	adm := admission.NewController(plat, nil)
+	adm.Obs = plat.Observer()
+	r.dev.Attach(f, adm, r.opt.Window)
 	return f
 }
 
@@ -615,14 +611,13 @@ func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 // (Hardware Isolation when no policy was attached). From here Advance
 // moves virtual time. Starting a started run does nothing.
 func (r *Run) Start() {
-	if r.started {
+	if r.dev.Started() {
 		return
 	}
-	r.started = true
-	if r.runner == nil {
+	if r.dev.Runner() == nil {
 		r.AttachPolicy(PolHardware)
 	}
-	r.runner.OnWindow = func(_ sim.Time, snaps []vssd.WindowSnapshot) {
+	r.dev.Runner().OnWindow = func(_ sim.Time, snaps []vssd.WindowSnapshot) {
 		var w windowLoad
 		for _, s := range snaps {
 			w.bytes += s.Window.Bytes()
@@ -631,17 +626,14 @@ func (r *Run) Start() {
 		r.windows = append(r.windows, w)
 	}
 	r.smp = r.startObserving()
-	for _, g := range r.gens {
-		g.Start()
-	}
-	r.runner.Start()
+	r.dev.Start()
 }
 
 // Advance runs the engine to virtual time `to`.
-func (r *Run) Advance(to sim.Time) { r.plat.Engine().RunUntil(to) }
+func (r *Run) Advance(to sim.Time) { r.dev.Advance(to) }
 
 // Now returns the run's virtual time.
-func (r *Run) Now() sim.Time { return r.plat.Engine().Now() }
+func (r *Run) Now() sim.Time { return r.Platform().Engine().Now() }
 
 // Measured returns the length of the interval Collect reports: virtual
 // time since the last BeginMeasuring (since the start when there was none).
@@ -650,9 +642,7 @@ func (r *Run) Measured() sim.Time { return r.Now() - r.measureFrom }
 // Stop ends the run: the generators and the telemetry sampler stop, so
 // the engine's event queue can drain.
 func (r *Run) Stop() {
-	for _, g := range r.gens {
-		g.Stop()
-	}
+	r.dev.Stop()
 	r.smp.Stop()
 	r.end = r.Now()
 }
@@ -680,7 +670,7 @@ func (r *Run) execute(end sim.Time, bounds ...boundary) {
 // per-window utilization series restart from zero, and Collect reports
 // the interval from here on.
 func (r *Run) BeginMeasuring() {
-	for _, v := range r.plat.VSSDs() {
+	for _, v := range r.Platform().VSSDs() {
 		v.ResetTotals()
 		v.Rotate()
 	}
@@ -701,7 +691,7 @@ func (r *Run) Collect() Result {
 	res := Result{Mix: r.mix.name(), Policy: r.kind.String()}
 	measured := r.Measured()
 	var totalBytes int64
-	for i, v := range r.plat.VSSDs() {
+	for i, v := range r.Platform().VSSDs() {
 		prof := workload.ByName(r.mix.Workloads[i])
 		h := v.TotalHist()
 		tr := TenantResult{
@@ -723,7 +713,7 @@ func (r *Run) Collect() Result {
 		totalBytes += v.TotalBytesMoved()
 		res.Tenants = append(res.Tenants, tr)
 	}
-	res.AvgUtil, res.P95Util = utilization(r.plat.FlashConfig(), totalBytes, measured, r.windows)
+	res.AvgUtil, res.P95Util = utilization(r.Platform().FlashConfig(), totalBytes, measured, r.windows)
 	r.Result = res
 	return res
 }
@@ -783,10 +773,10 @@ func Calibrate(mix MixSpec, opt Options) []sim.Time {
 	var vs []*vssd.VSSD
 	if splittable(mix, PolHardware, opt) {
 		for _, s := range measureSplit(mix, nil, opt) {
-			vs = append(vs, s.plat.VSSD(0))
+			vs = append(vs, s.Platform().VSSD(0))
 		}
 	} else {
-		vs = Measure(mix, PolHardware, nil, opt).plat.VSSDs()
+		vs = Measure(mix, PolHardware, nil, opt).Platform().VSSDs()
 	}
 	slos := make([]sim.Time, len(mix.Workloads))
 	for i, v := range vs {

@@ -26,7 +26,8 @@ func (r *Run) startObserving() *obs.Sampler {
 	reg := o.Reg
 	s := obs.NewSampler()
 
-	eng := r.plat.Engine()
+	plat := r.Platform()
+	eng := plat.Engine()
 	simTime := reg.Gauge("fleetio_sim_time_seconds", "Virtual time of the current run.")
 	simEvents := reg.Counter("fleetio_sim_events_total", "Engine events executed (a stall run polls all its pages in one event).")
 	samples := reg.Counter("fleetio_obs_samples_total", "Telemetry sample rounds taken.")
@@ -45,8 +46,8 @@ func (r *Run) startObserving() *obs.Sampler {
 		m := reg.Counter(name, help)
 		totals = append(totals, func() { m.Set(float64(*v)) })
 	}
-	ftlm := r.plat.FTL()
-	gsbm := r.plat.GSB()
+	ftlm := plat.FTL()
+	gsbm := plat.GSB()
 	total("fleetio_ftl_host_programs_total", "Host page programs.", &fst.HostPrograms)
 	total("fleetio_ftl_gc_programs_total", "GC page-migration programs.", &fst.GCPrograms)
 	total("fleetio_ftl_erases_total", "Block erases.", &fst.Erases)
@@ -75,7 +76,7 @@ func (r *Run) startObserving() *obs.Sampler {
 		total("fleetio_fault_write_retries_total", "Host page writes re-dispatched after a program failure.", &ledger.WriteRetries)
 	}
 
-	adm := r.runner.Adm
+	adm := r.dev.Runner().Adm
 	if adm != nil {
 		total("fleetio_admission_admitted_total", "Harvest-related actions admitted.", &ast.Admitted)
 		total("fleetio_admission_filtered_total", "Harvest-related actions rejected by provider policy.", &ast.Filtered)
@@ -88,8 +89,8 @@ func (r *Run) startObserving() *obs.Sampler {
 		requests, bytes                                             *obs.Metric
 		prevBytes, prevCompleted                                    int64
 	}
-	vgs := make([]*vssdGauges, len(r.plat.VSSDs()))
-	for i, v := range r.plat.VSSDs() {
+	vgs := make([]*vssdGauges, len(plat.VSSDs()))
+	for i, v := range plat.VSSDs() {
 		l := []string{"vssd", strconv.Itoa(i), "name", v.Name()}
 		vgs[i] = &vssdGauges{
 			bw:        reg.Gauge("fleetio_vssd_bandwidth_bytes_per_second", "Host payload bandwidth over the last sample period.", l...),
@@ -112,9 +113,10 @@ func (r *Run) startObserving() *obs.Sampler {
 	type genGauges struct {
 		issued, rate, wraps *obs.Metric
 	}
-	ggs := make([]*genGauges, len(r.gens))
-	for i := range r.gens {
-		v := r.plat.VSSDs()[i]
+	gens := r.dev.Generators()
+	ggs := make([]*genGauges, len(gens))
+	for i := range gens {
+		v := plat.VSSD(i)
 		l := []string{"vssd", strconv.Itoa(i), "name", v.Name()}
 		ggs[i] = &genGauges{
 			issued: reg.Counter("fleetio_workload_issued_total", "Requests issued by the workload generator.", l...),
@@ -143,13 +145,13 @@ func (r *Run) startObserving() *obs.Sampler {
 		}
 		writeAmp.Set(fst.WriteAmplification())
 
-		for i, g := range r.gens {
+		for i, g := range gens {
 			ggs[i].issued.Set(float64(g.Issued()))
 			ggs[i].rate.Set(g.RateFactor())
 			ggs[i].wraps.Set(float64(g.ReplayWraps()))
 		}
 
-		for i, v := range r.plat.VSSDs() {
+		for i, v := range plat.VSSDs() {
 			g := vgs[i]
 			curBytes := v.TotalBytesMoved()
 			curCompleted := v.Completed()

@@ -75,13 +75,13 @@ func pretrainMixes() []MixSpec {
 // Pretrain trains one shared FleetIO network across episodes of held-out
 // workload mixes and returns it.
 func Pretrain(pc PretrainConfig) *nn.ActorCritic {
-	return PretrainMode(pc, core.ModeFull)
+	return pretrainMode(pc, core.ModeFull)
 }
 
-// PretrainMode pretrains under a specific reward variant (Figure 15's
+// pretrainMode pretrains under a specific reward variant (Figure 15's
 // ablation pretrains each mode separately, since the reward differences
 // shape behavior during training, not at deployment).
-func PretrainMode(pc PretrainConfig, mode core.Mode) *nn.ActorCritic {
+func pretrainMode(pc PretrainConfig, mode core.Mode) *nn.ActorCritic {
 	res, err := PretrainRun(pc, mode)
 	if err != nil {
 		// Without checkpoint/metrics paths Run cannot fail at runtime;
@@ -174,7 +174,7 @@ func PretrainedModelFor(mode core.Mode) *nn.ActorCritic {
 	if net, ok := models[mode]; ok {
 		return net
 	}
-	net := PretrainMode(DefaultPretrainConfig(), mode)
+	net := pretrainMode(DefaultPretrainConfig(), mode)
 	models[mode] = net
 	return net
 }

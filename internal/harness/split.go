@@ -19,9 +19,10 @@ import (
 //   - the device bus lane: it is FIFO, and the channels are private;
 //   - the run's parent stream: the solo run replays the draws of the tenants
 //     before it (Run.tenantStreams).
-// A prefill that drains the engine would couple them through the one clock;
-// AddTenant rejects it. So RunOne and Calibrate run such a mix as one solo
-// device per tenant, concurrently, and Measure stays the joint oracle.
+// A prefill that drained the engine would couple them through the one
+// clock; the device's prefill never runs it, and AddTenant rejects one that
+// does not fit. So RunOne and Calibrate run such a mix as one solo device
+// per tenant, concurrently, and Measure stays the joint oracle.
 
 // splittable reports whether a kind run of mix may run split: hardware
 // isolation on its standard topology (an equal private channel share per
@@ -82,7 +83,7 @@ func mergeSolos(mix MixSpec, solos []*Run, opt Options) Result {
 	var bytes int64
 	for _, s := range solos {
 		res.Tenants = append(res.Tenants, s.Result.Tenants...)
-		bytes += s.plat.VSSD(0).TotalBytesMoved()
+		bytes += s.Platform().VSSD(0).TotalBytesMoved()
 		for w, l := range s.windows {
 			windows[w].bytes += l.bytes
 			windows[w].dur = max(windows[w].dur, l.dur)

@@ -25,11 +25,12 @@ func WorkloadLevels() []Level {
 // floor label "n/a".
 func (r *Run) TypeLabels() []string {
 	tm, _ := TypeModel()
-	pageSize := r.plat.FlashConfig().PageSize
+	plat := r.Platform()
+	pageSize := plat.FlashConfig().PageSize
 	labels := make([]string, len(r.recs))
 	for i, rec := range r.recs {
 		labels[i] = "n/a"
-		logical := int64(r.plat.VSSD(i).Tenant().LogicalPages())
+		logical := int64(plat.VSSD(i).Tenant().LogicalPages())
 		if c, known, ok := tm.ClassifyRecorder(rec, pageSize, logical); ok {
 			labels[i] = tm.Label(c, known)
 		}

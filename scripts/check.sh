@@ -2,9 +2,9 @@
 # check.sh — the repo's `make check`: formatting, vet, a doc lint on the
 # observability API, build, the full test suite (plus the nested bench/
 # module's vet and one run of each example), the six grep gates
-# (one device stack, one NN compute path, one retry protocol with host
-# stalls as stall runs, bus lane, hot-path boxing, typing reads the ring in
-# place), the race detector on the
+# (one device stack that alone binds generators, one NN compute path, one
+# retry protocol with host stalls as stall runs, bus lane, hot-path boxing,
+# typing reads the ring in place), the race detector on the
 # concurrency-heavy packages, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
 # what a rack device costs in bytes, how much of a synthesized replay trace
@@ -78,19 +78,19 @@ for ex in examples/*/; do
 done
 
 echo "== one device stack"
-# A device is assembled in exactly two functions: harness.NewRun (every
-# single-device run: the public Simulator, the share-sized solo devices of
-# a split hardware-isolated run and the §4.7 overhead device included) and
-# fleet.newShard (the rack, which attaches tenants mid-run). A non-test call
-# in any other function, in any package, fails here.
+# A device is assembled in one function, device.New: every single-device run
+# (harness.NewRun: the public Simulator, the share-sized solo devices of a
+# split hardware-isolated run and the §4.7 overhead device included) and
+# every rack shard (fleet.newShard) is one device.Device. Only internal/device
+# binds workload generators (Device.Drive), so traffic starts and stops in
+# one place. A non-test call anywhere else, in any package, fails here.
 if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } /^}/ { fn = "" }
-    /vssd\.NewPlatform\(/ &&
-        !(FILENAME ~ /^internal\/harness\// && fn ~ /^func NewRun\(/) &&
-        !(FILENAME ~ /^internal\/fleet\// && fn ~ /^func newShard\(/) {
+    (/vssd\.NewPlatform\(/ && !(FILENAME ~ /^internal\/device\// && fn ~ /^func New\(/)) ||
+    (/workload\.NewGenerator\(/ && FILENAME !~ /^internal\/device\//) {
         printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1
     }
     END { exit !bad }' $(find ./*.go cmd examples internal -name '*.go' ! -name '*_test.go' | sed 's|^\./||'); then
-    echo "vssd.NewPlatform outside harness.NewRun and fleet.newShard: build the device through harness.NewRun" >&2
+    echo "device built or driven outside internal/device: build it with device.New, bind generators with Device.Drive" >&2
     exit 1
 fi
 
