@@ -30,13 +30,15 @@
 // -fleet N switches to the rack-scale simulation: N devices under one
 // virtual clock with fleet admission and cold migration, the placement
 // baseline chosen by -placement (least-loaded, round-robin, or hash).
-// -mix/-policy/-faults/-trace/-workload/-decisions apply only to
-// single-device runs.
 //
 // -tiers (with -fleet) makes the rack hybrid: a fast SLC-like device
 // class plus a dense QLC-like class, with promote/demote driven by
-// -tier-policy (static-pin, watermark, or learned). -placement is
-// ignored on hybrid racks.
+// -tier-policy (static-pin, watermark, or learned).
+//
+// A flag the chosen mode does not read is an error, not a no-op: a rack
+// takes no -mix, -policy, -faults, -workload, -trace or -decisions; a
+// single device takes no -tiers, -tier-policy or -placement; a hybrid rack
+// takes no -placement, and a homogeneous one no -tier-policy.
 package main
 
 import (
@@ -52,26 +54,65 @@ import (
 	"repro/internal/obs"
 )
 
+// flags is fleetsim's command line: the flags shared with fleetbench and
+// its own.
+type flags struct {
+	shared                                        func(traceImpliesReplay bool) (harness.Options, *obs.Server, error)
+	mix, policy, decisions, placement, tierPolicy *string
+	tiers                                         *bool
+}
+
+// declareFlags declares fleetsim's flags on fs.
+func declareFlags(fs *flag.FlagSet) flags {
+	return flags{
+		shared:     harness.SharedFlags(fs),
+		mix:        fs.String("mix", "YCSB,TeraSort", "comma-separated workload names"),
+		policy:     fs.String("policy", "fleetio", "hardware | software | adaptive | ssdkeeper | fleetio"),
+		decisions:  fs.String("decisions", "", "write decision events to this JSONL file"),
+		placement:  fs.String("placement", "least-loaded", "fleet placement baseline: least-loaded, round-robin, or hash (with -fleet)"),
+		tiers:      fs.Bool("tiers", false, "make the -fleet rack hybrid (SLC-like + QLC-like device classes) with promote/demote placement"),
+		tierPolicy: fs.String("tier-policy", "learned", "tier promote/demote policy: static-pin, watermark, or learned (with -tiers)"),
+	}
+}
+
+// checkMode rejects a flag set on fs that the run's mode ignores, naming
+// the flag; fs must be parsed.
+func checkMode(fs *flag.FlagSet, tiers bool) error {
+	rack := fs.Lookup("fleet").Value.(flag.Getter).Get().(int) > 0
+	mode, ignored := "a single device", []string{"tiers", "tier-policy", "placement"}
+	switch {
+	case rack && tiers:
+		mode, ignored = "a hybrid rack (-tiers)", []string{"mix", "policy", "faults", "workload", "trace", "decisions", "placement"}
+	case rack:
+		mode, ignored = "a rack (-fleet)", []string{"mix", "policy", "faults", "workload", "trace", "decisions", "tier-policy"}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply to %s", name, mode)
+		}
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fleetsim: ")
-	shared := harness.SharedFlags(flag.CommandLine)
-	mixFlag := flag.String("mix", "YCSB,TeraSort", "comma-separated workload names")
-	policy := flag.String("policy", "fleetio", "hardware | software | adaptive | ssdkeeper | fleetio")
-	decisionsPath := flag.String("decisions", "", "write decision events to this JSONL file")
-	placement := flag.String("placement", "least-loaded", "fleet placement baseline: least-loaded, round-robin, or hash (with -fleet)")
-	tiers := flag.Bool("tiers", false, "make the -fleet rack hybrid (SLC-like + QLC-like device classes) with promote/demote placement")
-	tierPolicy := flag.String("tier-policy", "learned", "tier promote/demote policy: static-pin, watermark, or learned (with -tiers)")
+	f := declareFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkMode(flag.CommandLine, *f.tiers); err != nil {
+		log.Fatal(err)
+	}
 
-	opt, srv, err := shared(true)
+	opt, srv, err := f.shared(true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if opt.FleetDevices > 0 {
-		runFleet(opt, *placement, *tiers, *tierPolicy)
+		runFleet(opt, *f.placement, *f.tiers, *f.tierPolicy)
 	} else {
-		runDevice(opt, *mixFlag, *policy, *decisionsPath)
+		runDevice(opt, *f.mix, *f.policy, *f.decisions)
 	}
 	if srv != nil {
 		// Keep the endpoint alive so the final metric values stay

@@ -17,34 +17,13 @@ import (
 
 // Policy is the cloud provider's permission check for harvest actions.
 // Implementations can forbid high-priority VMs from lending resources or
-// spot VMs from harvesting.
+// spot VMs from harvesting. A nil Policy permits everything.
 type Policy interface {
 	// AllowHarvest reports whether the vSSD may execute Harvest actions.
 	AllowHarvest(vssdID int) bool
 	// AllowMakeHarvestable reports whether the vSSD may lend resources.
 	AllowMakeHarvestable(vssdID int) bool
 }
-
-// AllowAll permits everything (the default).
-type AllowAll struct{}
-
-// AllowHarvest always returns true.
-func (AllowAll) AllowHarvest(int) bool { return true }
-
-// AllowMakeHarvestable always returns true.
-func (AllowAll) AllowMakeHarvestable(int) bool { return true }
-
-// DenyList forbids specific vSSDs from harvesting and/or lending.
-type DenyList struct {
-	NoHarvest map[int]bool
-	NoLend    map[int]bool
-}
-
-// AllowHarvest reports whether the vSSD is absent from the harvest deny list.
-func (d DenyList) AllowHarvest(id int) bool { return !d.NoHarvest[id] }
-
-// AllowMakeHarvestable reports whether the vSSD is absent from the lend deny list.
-func (d DenyList) AllowMakeHarvestable(id int) bool { return !d.NoLend[id] }
 
 // Stats counts controller activity.
 type Stats struct {
@@ -116,11 +95,9 @@ func (s *batchSorter) Less(i, j int) bool {
 	return ai.arrival < aj.arrival
 }
 
-// NewController builds a controller with the paper's defaults.
+// NewController builds a controller with the paper's defaults; a nil
+// policy permits every action.
 func NewController(plat *vssd.Platform, policy Policy) *Controller {
-	if policy == nil {
-		policy = AllowAll{}
-	}
 	return &Controller{plat: plat, policy: policy}
 }
 
@@ -148,13 +125,13 @@ func (c *Controller) Start() {
 func (c *Controller) Submit(a vssd.Action) {
 	switch a.Kind {
 	case vssd.ActHarvest:
-		if !c.policy.AllowHarvest(a.VSSD) {
+		if c.policy != nil && !c.policy.AllowHarvest(a.VSSD) {
 			c.stats.Filtered++
 			c.Obs.Verdict(obs.KindAdmissionFilter, a.VSSD, a.Kind.String(), a.BW)
 			return
 		}
 	case vssd.ActMakeHarvestable:
-		if !c.policy.AllowMakeHarvestable(a.VSSD) {
+		if c.policy != nil && !c.policy.AllowMakeHarvestable(a.VSSD) {
 			c.stats.Filtered++
 			c.Obs.Verdict(obs.KindAdmissionFilter, a.VSSD, a.Kind.String(), a.BW)
 			return

@@ -21,6 +21,16 @@ func testSetup() (*sim.Engine, *vssd.Platform, []*vssd.VSSD) {
 	return eng, p, []*vssd.VSSD{a, b}
 }
 
+// denyList is a provider Policy that forbids specific vSSDs from harvesting
+// and/or lending.
+type denyList struct {
+	noHarvest map[int]bool
+	noLend    map[int]bool
+}
+
+func (d denyList) AllowHarvest(id int) bool         { return !d.noHarvest[id] }
+func (d denyList) AllowMakeHarvestable(id int) bool { return !d.noLend[id] }
+
 func TestImmediateActionsBypassBatch(t *testing.T) {
 	_, p, vs := testSetup()
 	c := NewController(p, nil)
@@ -72,9 +82,9 @@ func TestMakeHarvestableOrderedFirst(t *testing.T) {
 
 func TestPolicyFilters(t *testing.T) {
 	_, p, _ := testSetup()
-	c := NewController(p, DenyList{
-		NoHarvest: map[int]bool{1: true},
-		NoLend:    map[int]bool{0: true},
+	c := NewController(p, denyList{
+		noHarvest: map[int]bool{1: true},
+		noLend:    map[int]bool{0: true},
 	})
 	bw := p.FlashConfig().ChannelBandwidth()
 	c.Submit(vssd.Action{VSSD: 0, Kind: vssd.ActMakeHarvestable, BW: bw})
@@ -130,7 +140,7 @@ func TestLeastHarvestedPriorityUnderContention(t *testing.T) {
 // action must never surface in either of the other two.
 func TestStatsMutuallyExclusive(t *testing.T) {
 	_, p, _ := testSetup()
-	c := NewController(p, DenyList{NoHarvest: map[int]bool{1: true}})
+	c := NewController(p, denyList{noHarvest: map[int]bool{1: true}})
 	bw := p.FlashConfig().ChannelBandwidth()
 
 	c.Submit(vssd.Action{VSSD: 0, Kind: vssd.ActSetPriority, Level: ftl.PriorityHigh}) // immediate

@@ -215,12 +215,9 @@ func NewSSDKeeper(totalChannels int, channelBW float64, seed int64) *SSDKeeper {
 // Name implements core.Policy.
 func (s *SSDKeeper) Name() string { return "SSDKeeper" }
 
-// Decided reports whether the static partition has been applied.
-func (s *SSDKeeper) Decided() bool { return s.decided }
-
-// Predict returns the DNN's channel demand for the given normalized
+// predict returns the DNN's channel demand for the given normalized
 // features.
-func (s *SSDKeeper) Predict(bwFrac, iopsNorm, readRatio float64) int {
+func (s *SSDKeeper) predict(bwFrac, iopsNorm, readRatio float64) int {
 	_, v, _ := s.net.ForwardBatch([]float64{bwFrac, iopsNorm, readRatio}, 1)
 	d := int(math.Round(v[0]))
 	if d < 1 {
@@ -260,7 +257,7 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	for i := range snaps {
 		bw := s.sumBW[i] / float64(s.seen)
 		iops := s.sumIOPS[i] / float64(s.seen)
-		demands[i] = s.Predict(bw/peak, iops/5000, snaps[i].Window.ReadRatio())
+		demands[i] = s.predict(bw/peak, iops/5000, snaps[i].Window.ReadRatio())
 		total += demands[i]
 	}
 	// Scale into the available pool, keeping ≥1 channel each.

@@ -122,8 +122,8 @@ func TestAdaptiveDegenerate(t *testing.T) {
 
 func TestSSDKeeperPredictsMonotoneDemand(t *testing.T) {
 	sk := NewSSDKeeper(16, 64e6, 1)
-	low := sk.Predict(0.05, 0.2, 0.5)
-	high := sk.Predict(0.8, 0.2, 0.5)
+	low := sk.predict(0.05, 0.2, 0.5)
+	high := sk.predict(0.8, 0.2, 0.5)
 	if low < 1 || high > 16 {
 		t.Fatalf("predictions out of range: %d, %d", low, high)
 	}
@@ -154,7 +154,7 @@ func TestSSDKeeperPartitionsOnceAfterObservation(t *testing.T) {
 	if acts == nil {
 		t.Fatal("no partition after observation")
 	}
-	if !sk.Decided() {
+	if !sk.decided {
 		t.Fatal("not marked decided")
 	}
 	total := 0
@@ -180,10 +180,10 @@ func TestSSDKeeperPartitionsOnceAfterObservation(t *testing.T) {
 }
 
 // TestSSDKeeperModelPinned pins the trained demand model bit for bit: a
-// checksum over every parameter's float64 bits, plus Predict on five
+// checksum over every parameter's float64 bits, plus predict on five
 // feature triples, for two seeds — recorded on the per-sample scalar
 // training loop NewSSDKeeper ran before it moved onto the batched kernels.
-// Figures 10–14 only ever see Predict's rounded channel count, which would
+// Figures 10–14 only ever see predict's rounded channel count, which would
 // hide a last-bit drift in the weights.
 func TestSSDKeeperModelPinned(t *testing.T) {
 	triples := [5][3]float64{
@@ -209,10 +209,10 @@ func TestSSDKeeperModelPinned(t *testing.T) {
 		}
 		var got [5]int
 		for i, f := range triples {
-			got[i] = s.Predict(f[0], f[1], f[2])
+			got[i] = s.predict(f[0], f[1], f[2])
 		}
 		if got != want.predict {
-			t.Errorf("seed %d: Predict = %v, pinned %v", want.seed, got, want.predict)
+			t.Errorf("seed %d: predict = %v, pinned %v", want.seed, got, want.predict)
 		}
 	}
 }

@@ -144,13 +144,9 @@ func Standardize(points [][]float64) (scaled [][]float64, mean, std []float64) {
 	return scaled, mean, std
 }
 
-// Apply standardizes one point with a previously computed mean/std.
-func Apply(p, mean, std []float64) []float64 {
-	return appendApplied(make([]float64, 0, len(p)), p, mean, std)
-}
-
-// appendApplied appends the standardized p to dst, so a caller with a
-// stack buffer (Model.Classify) standardizes without allocating.
+// appendApplied appends p, standardized with a previously computed
+// mean/std, to dst, so a caller with a stack buffer (Model.classify)
+// standardizes without allocating.
 func appendApplied(dst, p, mean, std []float64) []float64 {
 	for d, v := range p {
 		dst = append(dst, (v-mean[d])/std[d])

@@ -92,10 +92,10 @@ func TestStandardize(t *testing.T) {
 			t.Fatalf("scaled var dim %d = %v", d, ss/3)
 		}
 	}
-	// Apply matches Standardize.
-	ap := Apply(points[0], mean, std)
+	// appendApplied matches Standardize.
+	ap := appendApplied(nil, points[0], mean, std)
 	if math.Abs(ap[0]-scaled[0][0]) > 1e-12 {
-		t.Fatal("Apply mismatch")
+		t.Fatal("appendApplied mismatch")
 	}
 }
 
@@ -219,12 +219,12 @@ func TestModelClassifyKnownVsUnknown(t *testing.T) {
 	ds := BuildDataset([]string{"TeraSort", "YCSB", "VDI-Web"}, 6, 2000, 16384, 1)
 	m := Train(ds, 3, 2)
 	// A feature vector far outside anything seen must be unknown.
-	_, known := m.Classify([]float64{1e9, 1e9, 0.5, 1e9})
+	_, known := m.classify([]float64{1e9, 1e9, 0.5, 1e9})
 	if known {
 		t.Fatal("absurd features classified as known")
 	}
 	// A training sample must be known.
-	_, known = m.Classify(ds.Samples[0].Features)
+	_, known = m.classify(ds.Samples[0].Features)
 	if !known {
 		t.Fatal("training sample classified as unknown")
 	}
@@ -233,7 +233,8 @@ func TestModelClassifyKnownVsUnknown(t *testing.T) {
 func TestClassifyTrace(t *testing.T) {
 	m := typingModel()
 	recs := workload.ByName("TeraSort").SynthesizeTrace(2000, 1_000_000, sim.NewRNG(9))
-	c, known := m.ClassifyTrace(recs, 16384, SynthLogicalPages)
+	f := Features(recs, 16384, SynthLogicalPages)
+	c, known := m.classify(f[:])
 	if !known {
 		t.Fatal("fresh TeraSort trace unknown")
 	}
@@ -299,7 +300,7 @@ func TestClassifyRecorderMatchesCopy(t *testing.T) {
 			}
 			continue
 		}
-		if wc, wk := m.ClassifyTrace(rec.Records(), pageSize, logical); c != wc || known != wk {
+		if wc, wk := m.classify(want[:]); c != wc || known != wk {
 			t.Fatalf("recorder %d: (%d, %v) in place, (%d, %v) from the copy", i, c, known, wc, wk)
 		}
 	}

@@ -135,9 +135,9 @@ func Train(ds Dataset, k int, seed int64) *Model {
 	return m
 }
 
-// Classify returns the cluster of a raw feature vector and whether it is
+// classify returns the cluster of a raw feature vector and whether it is
 // within the known region (false → use the unified reward function).
-func (m *Model) Classify(features []float64) (cluster int, known bool) {
+func (m *Model) classify(features []float64) (cluster int, known bool) {
 	// Standardized on the stack: online typing runs this every few windows
 	// per tenant.
 	var buf [FeatureDim]float64
@@ -163,13 +163,6 @@ func (m *Model) Label(cluster int, known bool) string {
 	return s
 }
 
-// ClassifyTrace classifies a window of records against a logical space of
-// logicalPages pages.
-func (m *Model) ClassifyTrace(recs []trace.Record, pageSize int, logicalPages int64) (cluster int, known bool) {
-	f := Features(recs, pageSize, logicalPages)
-	return m.Classify(f[:])
-}
-
 // minTypingRecords is the fewest recorded requests a tenant is typed from;
 // a shorter window is too noisy to classify.
 const minTypingRecords = 100
@@ -187,7 +180,7 @@ func (m *Model) ClassifyRecorder(rec *trace.Recorder, pageSize int, logicalPages
 	}
 	older, newer := rec.Segments()
 	f := segmentFeatures(older, newer, pageSize, logicalPages)
-	cluster, known = m.Classify(f[:])
+	cluster, known = m.classify(f[:])
 	return cluster, known, true
 }
 
@@ -199,7 +192,7 @@ func (m *Model) Accuracy(ds Dataset) float64 {
 	}
 	correct := 0
 	for _, s := range ds.Samples {
-		c, _ := m.Classify(s.Features)
+		c, _ := m.classify(s.Features)
 		if c == m.WorkloadCluster[s.Workload] {
 			correct++
 		}

@@ -79,9 +79,14 @@ func TestRewardMonotonicityProperty(t *testing.T) {
 	}
 }
 
+// mixRewards is MixRewardsInto with fresh storage.
+func mixRewards(single []float64, beta float64) []float64 {
+	return MixRewardsInto(single, make([]float64, len(single)), beta)
+}
+
 func TestMixRewardsEq2(t *testing.T) {
 	single := []float64{1.0, 0.5, 0.0}
-	mixed := MixRewards(single, 0.6)
+	mixed := mixRewards(single, 0.6)
 	// Agent 0: 0.6*1 + 0.4*(0.25) = 0.7
 	if math.Abs(mixed[0]-0.7) > 1e-9 {
 		t.Fatalf("mixed[0] = %v", mixed[0])
@@ -91,14 +96,14 @@ func TestMixRewardsEq2(t *testing.T) {
 		t.Fatalf("mixed[2] = %v", mixed[2])
 	}
 	// β=1 → unchanged (Customized-Local).
-	selfish := MixRewards(single, 1.0)
+	selfish := mixRewards(single, 1.0)
 	for i := range single {
 		if selfish[i] != single[i] {
 			t.Fatal("β=1 must keep own rewards")
 		}
 	}
 	// Single agent unchanged regardless of β.
-	if got := MixRewards([]float64{0.42}, 0.6); got[0] != 0.42 {
+	if got := mixRewards([]float64{0.42}, 0.6); got[0] != 0.42 {
 		t.Fatal("single agent reward must pass through")
 	}
 }
@@ -117,7 +122,7 @@ func TestMixRewardsConservesMean(t *testing.T) {
 			raw[i] = math.Mod(v, 100)
 		}
 		beta := float64(beta8%101) / 100
-		mixed := MixRewards(raw, beta)
+		mixed := mixRewards(raw, beta)
 		var a, b float64
 		for i := range raw {
 			a += raw[i]
@@ -127,29 +132,6 @@ func TestMixRewardsConservesMean(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTuneAlphaBinarySearch(t *testing.T) {
-	// vio(α) = 0.2·(1-α): threshold 0.05 → α* = 0.75.
-	calls := 0
-	alpha := TuneAlpha(func(a float64) float64 {
-		calls++
-		return 0.2 * (1 - a)
-	}, 0.05, 20)
-	if math.Abs(alpha-0.75) > 1e-3 {
-		t.Fatalf("α = %v, want 0.75", alpha)
-	}
-	if calls > 25 {
-		t.Fatalf("binary search used %d evals", calls)
-	}
-	// Already satisfied at α=0.
-	if got := TuneAlpha(func(float64) float64 { return 0.01 }, 0.05, 10); got != 0 {
-		t.Fatalf("α = %v, want 0", got)
-	}
-	// Unsatisfiable.
-	if got := TuneAlpha(func(float64) float64 { return 0.9 }, 0.05, 10); got != 1 {
-		t.Fatalf("α = %v, want 1", got)
 	}
 }
 
@@ -191,11 +173,11 @@ func TestEncodeWindowRangesAndSemantics(t *testing.T) {
 }
 
 func TestHistoryStacking(t *testing.T) {
-	h := NewHistory(3)
-	if h.Dim() != 33 {
-		t.Fatalf("dim = %d", h.Dim())
-	}
+	h := NewHistoryWidth(3, StatesPerWindow)
 	v := h.Vector()
+	if len(v) != 33 {
+		t.Fatalf("dim = %d", len(v))
+	}
 	for _, x := range v {
 		if x != 0 {
 			t.Fatal("empty history must be zero")
@@ -284,8 +266,8 @@ func TestFleetIOConstruction(t *testing.T) {
 	p.AddVSSD(vssd.Config{Name: "ls", Channels: []int{0, 1}})
 	p.AddVSSD(vssd.Config{Name: "bi", Channels: []int{2, 3}})
 	f := NewFleetIO(p, FleetIOConfig{Seed: 1})
-	if f.Agents() != 2 {
-		t.Fatalf("agents = %d", f.Agents())
+	if len(f.agents) != 2 {
+		t.Fatalf("agents = %d", len(f.agents))
 	}
 	if f.Name() != "FleetIO" {
 		t.Fatal("name wrong")

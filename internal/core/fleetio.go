@@ -263,9 +263,6 @@ func (f *FleetIO) SetTierOcc(vssdID int, occ float64) { f.agents[vssdID].tierOcc
 // Alpha returns an agent's current reward coefficient.
 func (f *FleetIO) Alpha(vssdID int) float64 { return f.agents[vssdID].alpha }
 
-// Agents returns the number of agents.
-func (f *FleetIO) Agents() int { return len(f.agents) }
-
 // Net returns the network of agent id (the shared net in ShareModel mode).
 func (f *FleetIO) Net(id int) *nn.ActorCritic { return f.agents[id].ppo.Net }
 

@@ -34,14 +34,9 @@ func SingleReward(alpha float64, snap vssd.WindowSnapshot, guaranteedBW, sloVioG
 	return (1-alpha)*bwTerm - alpha*vioTerm
 }
 
-// MixRewards applies Eq. 2: each agent's reward becomes
-// β·own + (1-β)·mean(others). A single agent keeps its own reward.
-func MixRewards(single []float64, beta float64) []float64 {
-	return MixRewardsInto(single, make([]float64, len(single)), beta)
-}
-
-// MixRewardsInto is MixRewards writing into caller-provided storage, for
-// per-window callers that reuse scratch.
+// MixRewardsInto applies Eq. 2 into out, which per-window callers reuse:
+// each agent's reward becomes β·own + (1-β)·mean(others). A single agent
+// keeps its own reward.
 func MixRewardsInto(single, out []float64, beta float64) []float64 {
 	n := len(single)
 	out = out[:n]
@@ -58,29 +53,4 @@ func MixRewardsInto(single, out []float64, beta float64) []float64 {
 		out[i] = beta*r + (1-beta)*others
 	}
 	return out
-}
-
-// TuneAlpha implements §3.4's reward fine-tuning: binary-search the
-// smallest α whose measured SLO-violation rate stays within threshold
-// (default 5%) — the smallest admissible α delivers the highest bandwidth.
-// eval(α) runs the workload under α and returns its violation rate;
-// violation rates are assumed non-increasing in α. iters halvings give
-// 2^-iters resolution.
-func TuneAlpha(eval func(alpha float64) float64, threshold float64, iters int) float64 {
-	lo, hi := 0.0, 1.0
-	if eval(lo) <= threshold {
-		return lo
-	}
-	if eval(hi) > threshold {
-		return hi // even maximum isolation cannot meet the threshold
-	}
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		if eval(mid) <= threshold {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
 }

@@ -100,12 +100,6 @@ type History struct {
 	buf     [][]float64
 }
 
-// NewHistory holds the last `windows` window-states of the default
-// (base) width.
-func NewHistory(windows int) *History {
-	return NewHistoryWidth(windows, StatesPerWindow)
-}
-
 // NewHistoryWidth holds the last `windows` window-states of `width`
 // features each (StatesPerWindowExt for policies with the error-rate
 // feature enabled).
@@ -137,9 +131,6 @@ func (h *History) Vector() []float64 {
 	}
 	return out
 }
-
-// Dim returns the stacked input width.
-func (h *History) Dim() int { return h.windows * h.width }
 
 // DefaultScales derives normalization constants from a vSSD's allocation.
 func DefaultScales(ownedChannels int, channelBW float64, logicalBytes int64) StateScales {

@@ -27,15 +27,3 @@ func TierFromHead(h int) int {
 	}
 	return TierLevels[h]
 }
-
-// HeadFromTier encodes a tier id as the placement-head index that emits
-// it (the inverse of TierFromHead). Panics on a tier no head level maps
-// to.
-func HeadFromTier(tier int) int {
-	for h, t := range TierLevels {
-		if t == tier {
-			return h
-		}
-	}
-	panic(fmt.Sprintf("core: no placement head level for tier %d", tier))
-}

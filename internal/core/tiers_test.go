@@ -9,16 +9,13 @@ import (
 )
 
 func TestTierHeadRoundTrip(t *testing.T) {
-	for h := range TierLevels {
-		if got := HeadFromTier(TierFromHead(h)); got != h {
-			t.Errorf("head %d round-tripped to %d", h, got)
+	for h, tier := range TierLevels {
+		if got := TierFromHead(h); got != tier {
+			t.Errorf("head %d decoded to tier %d, want %d", h, got, tier)
 		}
 	}
-	if TierFromHead(HeadFromTier(TierFast)) != TierFast {
-		t.Error("TierFast did not round-trip")
-	}
-	if TierFromHead(HeadFromTier(TierDense)) != TierDense {
-		t.Error("TierDense did not round-trip")
+	if TierFromHead(0) != TierFast || TierFromHead(1) != TierDense {
+		t.Error("head 0 must be the fast tier and head 1 the dense one")
 	}
 	for _, bad := range []int{-1, len(TierLevels)} {
 		func() {
@@ -101,13 +98,13 @@ func TestSyncAgentsAppends(t *testing.T) {
 	_, p := testPlatform(4)
 	p.AddVSSD(vssd.Config{Name: "a", Channels: []int{0, 1}})
 	f := NewFleetIO(p, FleetIOConfig{Seed: 1, PlacementHead: true})
-	if f.Agents() != 1 {
-		t.Fatalf("agents = %d, want 1", f.Agents())
+	if len(f.agents) != 1 {
+		t.Fatalf("agents = %d, want 1", len(f.agents))
 	}
 	p.AddVSSD(vssd.Config{Name: "b", Channels: []int{2, 3}})
 	f.SyncAgents()
-	if f.Agents() != 2 {
-		t.Fatalf("agents after sync = %d, want 2", f.Agents())
+	if len(f.agents) != 2 {
+		t.Fatalf("agents after sync = %d, want 2", len(f.agents))
 	}
 	if f.TierHint(1) != -1 {
 		t.Fatalf("new agent's hint = %d, want -1", f.TierHint(1))

@@ -93,11 +93,6 @@ func (c Config) BlockBytes() int64 {
 	return int64(c.PagesPerBlock) * int64(c.PageSize)
 }
 
-// CapacityBytes returns the raw device capacity.
-func (c Config) CapacityBytes() int64 {
-	return int64(c.TotalBlocks()) * c.BlockBytes()
-}
-
 // ChannelBandwidth returns the calibrated peak payload bandwidth of one
 // channel in bytes/second (bus-limited).
 func (c Config) ChannelBandwidth() float64 {

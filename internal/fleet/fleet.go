@@ -80,7 +80,7 @@ type Config struct {
 	Duration sim.Time
 
 	// Tenants is how many tenants arrive over the run (0 → 2×slots+spill).
-	// Their workloads cycle through DefaultWorkloadCycle.
+	// Their workloads cycle through VDI-Web, TeraSort, YCSB and MLPrep.
 	Tenants int
 	// ArrivalEvery spaces tenant arrivals (0 → spread over 60% of the run).
 	ArrivalEvery sim.Time
@@ -96,7 +96,7 @@ type Config struct {
 	// release their slots back to admission. 0 disables departures.
 	Lifetime sim.Time
 	// TypeModel, when non-nil, attaches a trace recorder to every tenant
-	// and classifies each tenant's observed traffic at Collect time into
+	// and classifies each tenant's observed traffic at the end of Run into
 	// Stats.TypeCounts (the clusterer's workload-type view of the fleet).
 	TypeModel *cluster.Model
 
@@ -162,10 +162,10 @@ func DefaultDeviceConfig() flash.Config {
 	return cfg
 }
 
-// DefaultWorkloadCycle mixes light open-loop services with heavy
+// defaultWorkloadCycle mixes light open-loop services with heavy
 // closed-loop batch jobs so device loads diverge enough for migration to
 // have work to do.
-func DefaultWorkloadCycle() []string {
+func defaultWorkloadCycle() []string {
 	return []string{"VDI-Web", "TeraSort", "YCSB", "MLPrep"}
 }
 
@@ -352,7 +352,7 @@ type Fleet struct {
 
 	// led holds the roll-up's event counts — placements, rejections,
 	// departures, the migration and cross-tier ledgers — counted as they
-	// happen; Collect fills in the rest of Stats around a copy of it.
+	// happen; collect fills in the rest of Stats around a copy of it.
 	led     Stats
 	metrics *fleetMetrics
 }
@@ -386,7 +386,7 @@ func New(cfg Config) *Fleet {
 		}
 		f.tiers = append(f.tiers, f.shards[first:])
 	}
-	cycle := DefaultWorkloadCycle()
+	cycle := defaultWorkloadCycle()
 	f.tenants = make([]*Tenant, cfg.Tenants)
 	for i := range f.tenants {
 		name := cycle[i%len(cycle)]
@@ -423,7 +423,7 @@ func (f *Fleet) Run() Stats {
 	for f.now < f.cfg.Duration {
 		f.step()
 	}
-	st := f.Collect()
+	st := f.collect()
 	f.stopWorkers()
 	return st
 }
@@ -640,10 +640,10 @@ func (f *Fleet) tally() (running, migrating int) {
 	return running, migrating
 }
 
-// Collect assembles the final Stats roll-up on the control-plane thread.
+// collect assembles the final Stats roll-up on the control-plane thread.
 // Every sum is taken in shard-id order (and the cross-device ones are
 // integers), so the roll-up is byte-identical at any worker count.
-func (f *Fleet) Collect() Stats {
+func (f *Fleet) collect() Stats {
 	s := f.led
 	s.Devices = len(f.shards)
 	s.Epochs = f.epochs

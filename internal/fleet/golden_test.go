@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite internal/fleet/testdata/*
 // typeModel trains a tiny clusterer on the fleet's own workload cycle,
 // enough for the cohort rack to classify its tenants' traffic.
 func typeModel() *cluster.Model {
-	ds := cluster.BuildDataset(DefaultWorkloadCycle(), 4, cluster.WindowSize/10, DefaultDeviceConfig().PageSize, 7)
+	ds := cluster.BuildDataset(defaultWorkloadCycle(), 4, cluster.WindowSize/10, DefaultDeviceConfig().PageSize, 7)
 	return cluster.Train(ds, 3, 8)
 }
 

@@ -167,8 +167,8 @@ type Manager struct {
 	// maintenance.
 	fullSets [][]uint64
 
-	// Submit sends a flash op to the device; the platform layer installs it
-	// (wrapping accounting). Defaults to dev.Submit.
+	// Submit sends a flash op to the device: dev.Submit, unless a test
+	// wraps it.
 	Submit func(*flash.Op)
 
 	// gcThreshold is lazyGCThreshold, held in a field only so in-package
@@ -390,9 +390,6 @@ func (m *Manager) ScheduleRetry(h sim.EventHandler, arg sim.EventArg) {
 // now would fire directly after it.
 func (m *Manager) LastRetry() (any, bool) { return m.retry.Last() }
 
-// FreeBlocks returns the number of free blocks on channel ch.
-func (m *Manager) FreeBlocks(ch int) int { return m.freeCount[ch] }
-
 // FreeFraction returns the fraction of blocks free across the channel set.
 func (m *Manager) FreeFraction(channels []int) float64 {
 	if len(channels) == 0 {
@@ -462,19 +459,12 @@ func (m *Manager) releaseGCJob(j *gcJob) {
 	m.gcFree = j
 }
 
-// LendBlocks pulls up to perChip clean blocks per chip from channel ch's
-// free pool for a ghost superblock owned by home, striping across chips so
-// the harvester gets the channel's full parallelism. It refuses to lend
-// when doing so would drop the channel below minFreeFrac free blocks (the
-// paper skips channels under 25% free). It returns the lent block indices
-// (possibly empty).
-func (m *Manager) LendBlocks(ch, perChip, home, gsbID int, minFreeFrac float64) []int {
-	return m.LendBlocksInto(nil, ch, perChip, home, gsbID, minFreeFrac)
-}
-
-// LendBlocksInto is LendBlocks appending into dst, for per-window callers
-// (the gSB manager) that reuse block-index storage. dst comes back
-// unchanged when the channel fails the free floor.
+// LendBlocksInto pulls up to perChip clean blocks per chip from channel
+// ch's free pool for a ghost superblock owned by home, striping across
+// chips so the harvester gets the channel's full parallelism, and appends
+// their indices to dst (the gSB manager reuses that storage). It refuses to
+// lend when doing so would drop the channel below minFreeFrac free blocks
+// (the paper skips channels under 25% free): dst then comes back unchanged.
 func (m *Manager) LendBlocksInto(dst []int, ch, perChip, home, gsbID int, minFreeFrac float64) []int {
 	perChannel := m.cfg.ChipsPerChannel * m.cfg.BlocksPerChip
 	want := perChip * m.cfg.ChipsPerChannel
@@ -508,12 +498,6 @@ func (m *Manager) ReturnCleanBlock(idx int) {
 	}
 	m.releaseBlock(idx)
 }
-
-// BlockStateOf exposes a block's state for tests and the gSB manager.
-func (m *Manager) BlockStateOf(idx int) BlockState { return m.blocks[idx].state }
-
-// BlockHarvested reports the HBT bit of a block.
-func (m *Manager) BlockHarvested(idx int) bool { return m.blocks[idx].harvested }
 
 // Tenants returns the registered tenants (indexed by tenant ID).
 func (m *Manager) Tenants() []*Tenant { return m.tenants }

@@ -26,6 +26,31 @@ func newTestMgr(t *testing.T, cfg flash.Config) (*sim.Engine, *Manager) {
 	return eng, NewManager(eng, dev)
 }
 
+// harvestLanes counts t's open harvest lanes.
+func harvestLanes(t *Tenant) int {
+	n := 0
+	for _, ln := range t.lanes {
+		if !ln.own && !ln.closed {
+			n++
+		}
+	}
+	return n
+}
+
+// writeChannels lists the distinct channels t's open lanes write (own and
+// harvested), in lane order.
+func writeChannels(t *Tenant) []int {
+	seen := make(map[int]bool)
+	var out []int
+	for _, ln := range t.lanes {
+		if !ln.closed && !seen[ln.ch] {
+			seen[ln.ch] = true
+			out = append(out, ln.ch)
+		}
+	}
+	return out
+}
+
 func TestBlockIndexRoundTrip(t *testing.T) {
 	_, m := newTestMgr(t, smallConfig())
 	for i := range m.blocks {
@@ -41,8 +66,8 @@ func TestAllBlocksStartFree(t *testing.T) {
 	_, m := newTestMgr(t, cfg)
 	perChannel := cfg.ChipsPerChannel * cfg.BlocksPerChip
 	for ch := 0; ch < cfg.Channels; ch++ {
-		if m.FreeBlocks(ch) != perChannel {
-			t.Fatalf("channel %d free = %d, want %d", ch, m.FreeBlocks(ch), perChannel)
+		if m.freeCount[ch] != perChannel {
+			t.Fatalf("channel %d free = %d, want %d", ch, m.freeCount[ch], perChannel)
 		}
 	}
 	if got := m.FreeFraction([]int{0, 1}); got != 1.0 {
@@ -363,7 +388,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			case 5:
 				// tn lends a chip-stripe of its channel; another tenant
 				// harvests it.
-				if lent := m.LendBlocks(tn.channels[0], 1, tn.id, nextGSB, 0.1); len(lent) > 0 {
+				if lent := m.LendBlocksInto(nil, tn.channels[0], 1, tn.id, nextGSB, 0.1); len(lent) > 0 {
 					by := tenants[(tn.id+1+rng.Intn(len(tenants)-1))%len(tenants)]
 					by.AddHarvestLanes(nextGSB, lent)
 					harvested = append(harvested, struct{ gsb, by int }{nextGSB, by.id})
@@ -403,22 +428,22 @@ func TestLendBlocks(t *testing.T) {
 	cfg := smallConfig()
 	_, m := newTestMgr(t, cfg)
 	NewTenant(m, 0, []int{0}, 64)
-	lent := m.LendBlocks(0, 2, 0, 7, 0.25)
+	lent := m.LendBlocksInto(nil, 0, 2, 0, 7, 0.25)
 	if len(lent) != 2*cfg.ChipsPerChannel {
 		t.Fatalf("lent %d blocks, want %d", len(lent), 2*cfg.ChipsPerChannel)
 	}
 	for _, idx := range lent {
-		if m.BlockStateOf(idx) != BlockLent {
+		if m.blocks[idx].state != BlockLent {
 			t.Fatalf("block %d not lent", idx)
 		}
-		if !m.BlockHarvested(idx) {
+		if !m.blocks[idx].harvested {
 			t.Fatal("lent block must have HBT bit set")
 		}
 	}
 	// Free count dropped accordingly.
 	perChannel := cfg.ChipsPerChannel * cfg.BlocksPerChip
-	if m.FreeBlocks(0) != perChannel-len(lent) {
-		t.Fatalf("free = %d", m.FreeBlocks(0))
+	if m.freeCount[0] != perChannel-len(lent) {
+		t.Fatalf("free = %d", m.freeCount[0])
 	}
 }
 
@@ -431,17 +456,17 @@ func TestLendBlocksRespectsFloor(t *testing.T) {
 	tn := NewTenant(m, 0, []int{0}, 64)
 	// Consume blocks until only 3/8 free (37%).
 	for lpn := 0; ; lpn++ {
-		if m.FreeBlocks(0) <= 3 {
+		if m.freeCount[0] <= 3 {
 			break
 		}
 		tn.AllocatePage(lpn%64, false)
 	}
 	// Lending 2 would leave 1/8 = 12.5% < 25%: must refuse.
-	if lent := m.LendBlocks(0, 2, 0, 1, 0.25); lent != nil {
+	if lent := m.LendBlocksInto(nil, 0, 2, 0, 1, 0.25); lent != nil {
 		t.Fatalf("lend should refuse below floor, got %d blocks", len(lent))
 	}
 	// Lending 1 leaves 2/8 = 25%: allowed.
-	if lent := m.LendBlocks(0, 1, 0, 1, 0.25); len(lent) != 1 {
+	if lent := m.LendBlocksInto(nil, 0, 1, 0, 1, 0.25); len(lent) != 1 {
 		t.Fatalf("lend of 1 should succeed, got %v", lent)
 	}
 }
@@ -452,15 +477,15 @@ func TestHarvestLanesWriteOnForeignChannel(t *testing.T) {
 	home := NewTenant(m, 0, []int{0}, 64)
 	harv := NewTenant(m, 1, []int{1}, 64)
 	_ = home
-	lent := m.LendBlocks(0, 1, 0, 3, 0.0)
+	lent := m.LendBlocksInto(nil, 0, 1, 0, 3, 0.0)
 	if len(lent) == 0 {
 		t.Fatal("no blocks lent")
 	}
 	harv.AddHarvestLanes(3, lent)
-	if harv.HarvestLaneCount() != cfg.ChipsPerChannel {
-		t.Fatalf("harvest lanes = %d", harv.HarvestLaneCount())
+	if harvestLanes(harv) != cfg.ChipsPerChannel {
+		t.Fatalf("harvest lanes = %d", harvestLanes(harv))
 	}
-	chans := harv.WriteChannels()
+	chans := writeChannels(harv)
 	if len(chans) != 2 {
 		t.Fatalf("write channels = %v, want own+harvested", chans)
 	}
@@ -487,8 +512,8 @@ func TestCloseHarvestLanesReturnsCleanBlocks(t *testing.T) {
 	// The harvester owns no channels, so its only lanes are harvest lanes
 	// and the single write below is guaranteed to dirty a lent block.
 	harv := NewTenant(m, 1, nil, 64)
-	before := m.FreeBlocks(0)
-	lent := m.LendBlocks(0, 1, 0, 5, 0.0)
+	before := m.freeCount[0]
+	lent := m.LendBlocksInto(nil, 0, 1, 0, 5, 0.0)
 	harv.AddHarvestLanes(5, lent)
 	// Write one page so exactly one block is dirty.
 	if _, ok := harv.AllocatePage(0, false); !ok {
@@ -498,23 +523,23 @@ func TestCloseHarvestLanesReturnsCleanBlocks(t *testing.T) {
 	if len(returned) != len(lent)-1 {
 		t.Fatalf("returned %d clean blocks, want %d", len(returned), len(lent)-1)
 	}
-	if m.FreeBlocks(0) != before-1 {
-		t.Fatalf("free on home channel = %d, want %d", m.FreeBlocks(0), before-1)
+	if m.freeCount[0] != before-1 {
+		t.Fatalf("free on home channel = %d, want %d", m.freeCount[0], before-1)
 	}
-	if harv.HarvestLaneCount() != 0 {
+	if harvestLanes(harv) != 0 {
 		t.Fatal("harvest lanes must be gone")
 	}
 	// The dirty block is sealed for GC.
 	dirty := -1
 	for _, idx := range lent {
-		if m.BlockStateOf(idx) == BlockFull {
+		if m.blocks[idx].state == BlockFull {
 			dirty = idx
 		}
 	}
 	if dirty < 0 {
 		t.Fatal("dirty block not sealed as Full")
 	}
-	if !m.BlockHarvested(dirty) {
+	if !m.blocks[dirty].harvested {
 		t.Fatal("dirty block must keep HBT bit until erased")
 	}
 }
@@ -536,7 +561,7 @@ func TestHarvestedFirstVictimSelection(t *testing.T) {
 		tn.AllocatePage(lpn, false) // invalidates first block
 	}
 	// Make a harvested full block with some valid pages (more expensive).
-	lent := m.LendBlocks(0, 1, 0, 2, 0.0)
+	lent := m.LendBlocksInto(nil, 0, 1, 0, 2, 0.0)
 	harv.AddHarvestLanes(2, lent)
 	for lpn := 0; lpn < 4; lpn++ {
 		harv.AllocatePage(lpn, false)
@@ -545,7 +570,7 @@ func TestHarvestedFirstVictimSelection(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no victim found")
 	}
-	if !m.BlockHarvested(victim) {
+	if !m.blocks[victim].harvested {
 		t.Fatal("the harvested block must win despite its higher valid count")
 	}
 }
@@ -729,7 +754,7 @@ func TestPickVictimMatchesScan(t *testing.T) {
 		}
 	}
 	// Lend one chip-stripe of tenant 0's channel to the harvester.
-	lent := m.LendBlocks(0, 1, 0, 1, 0.0)
+	lent := m.LendBlocksInto(nil, 0, 1, 0, 1, 0.0)
 	harv.AddHarvestLanes(1, lent)
 	bad := 0
 	for step := 0; step < 400; step++ {
@@ -829,7 +854,7 @@ func TestAllocFailMemoMatchesScan(t *testing.T) {
 			case 6:
 				// The home tenant lends a chip-stripe of one of its channels.
 				ch := tn.channels[rng.Intn(len(tn.channels))]
-				if lent := m.LendBlocks(ch, 1, tn.id, nextGSB, 0); len(lent) > 0 {
+				if lent := m.LendBlocksInto(nil, ch, 1, tn.id, nextGSB, 0); len(lent) > 0 {
 					idle = append(idle, lent)
 				}
 				nextGSB++

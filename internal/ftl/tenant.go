@@ -278,34 +278,6 @@ func (t *Tenant) CloseHarvestLanes(gsbID int) (cleanReturned []int) {
 	return cleanReturned
 }
 
-// HarvestLaneCount returns how many open harvest lanes the tenant has.
-func (t *Tenant) HarvestLaneCount() int {
-	n := 0
-	for _, ln := range t.lanes {
-		if !ln.own && !ln.closed {
-			n++
-		}
-	}
-	return n
-}
-
-// WriteChannels returns the distinct channels the tenant can currently
-// write to (own + harvested), i.e. its effective bandwidth footprint.
-func (t *Tenant) WriteChannels() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, ln := range t.lanes {
-		if ln.closed {
-			continue
-		}
-		if !seen[ln.ch] {
-			seen[ln.ch] = true
-			out = append(out, ln.ch)
-		}
-	}
-	return out
-}
-
 // openLane ensures the lane has an open block, pulling from its backlog or
 // the channel free pool. Reports false when the lane is (now) closed or
 // allocation failed.

@@ -67,7 +67,7 @@ func TestReclaimDuringGCStaleID(t *testing.T) {
 	}
 	f.gm.SetHarvestable(f.home, 0)
 	id := g.ID
-	for round := 0; round < 400 && f.gm.Live(id) != nil; round++ {
+	for round := 0; round < 400 && f.gm.byID[id] != nil; round++ {
 		if g.pending < 0 {
 			t.Fatalf("pending went negative: %d", g.pending)
 		}
@@ -76,7 +76,7 @@ func TestReclaimDuringGCStaleID(t *testing.T) {
 		}
 		f.eng.Run()
 	}
-	if f.gm.Live(id) != nil {
+	if f.gm.byID[id] != nil {
 		t.Fatalf("gSB never drained: %s", g)
 	}
 	if got := f.gm.Stats().Reclaimed; got != 1 {
@@ -118,7 +118,7 @@ func TestReclaimWithEraseFailures(t *testing.T) {
 	}
 	f.gm.SetHarvestable(f.home, 0)
 	id := g.ID
-	for round := 0; round < 400 && f.gm.Live(id) != nil; round++ {
+	for round := 0; round < 400 && f.gm.byID[id] != nil; round++ {
 		if g.pending < 0 {
 			t.Fatalf("pending went negative: %d", g.pending)
 		}
@@ -127,7 +127,7 @@ func TestReclaimWithEraseFailures(t *testing.T) {
 		}
 		f.eng.Run()
 	}
-	if f.gm.Live(id) != nil {
+	if f.gm.byID[id] != nil {
 		t.Fatalf("gSB never finalized despite erase-fail retirements: %s", g)
 	}
 	if got := f.gm.Stats().Reclaimed; got != 1 {

@@ -75,8 +75,8 @@ type Manager struct {
 	// arrays inside) — safe because finalize removes the gSB from every
 	// index and no caller retains *GSB across manager calls. reclaimS and
 	// harvestedS are iteration snapshots for loops that mutate the indexes
-	// they walk; they never nest (reclaim reaches neither SetHarvestable,
-	// ReclaimAllFrom, nor HarvestedBy).
+	// they walk; they never nest (reclaim reaches neither SetHarvestable
+	// nor HarvestedBy).
 	freeG      []*GSB
 	reclaimS   []*GSB
 	harvestedS []*GSB
@@ -104,14 +104,6 @@ func NewManager(ftlm *ftl.Manager, channels int, channelBW float64) *Manager {
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// PoolLen returns the number of idle gSBs striping across n channels.
-func (m *Manager) PoolLen(n int) int {
-	if n < 0 || n >= len(m.pool) {
-		return 0
-	}
-	return m.pool[n].Len()
-}
-
 // HarvestableChannels returns the total channel-count of home's live,
 // not-reclaiming gSBs — its current harvestable budget.
 func (m *Manager) HarvestableChannels(home int) int {
@@ -123,9 +115,6 @@ func (m *Manager) HarvestableChannels(home int) int {
 	}
 	return total
 }
-
-// Live returns the gSB with the given id, or nil.
-func (m *Manager) Live(id int) *GSB { return m.byID[id] }
 
 // ChannelsFor converts a bandwidth request (bytes/s) into a channel count,
 // rounding down per §3.6.
@@ -289,17 +278,6 @@ func (m *Manager) Release(g *GSB) {
 		return
 	}
 	m.reclaim(g)
-}
-
-// ReclaimAllFrom reclaims every live gSB of the given home tenant (used
-// when a vSSD is deallocated or its policy revokes harvesting).
-func (m *Manager) ReclaimAllFrom(home int) {
-	m.reclaimS = append(m.reclaimS[:0], m.byHome[home]...)
-	for _, g := range m.reclaimS {
-		if !g.Reclaiming {
-			m.reclaim(g)
-		}
-	}
 }
 
 // reclaim starts reclamation of g. Idle gSBs return all their blocks

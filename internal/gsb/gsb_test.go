@@ -67,8 +67,8 @@ func TestMakeHarvestableCreatesGSB(t *testing.T) {
 	if g.InUse || g.Harvest != -1 || g.Home != 0 {
 		t.Fatalf("fresh gSB state wrong: %s", g)
 	}
-	if f.gm.PoolLen(2) != 1 {
-		t.Fatalf("pool[2] = %d", f.gm.PoolLen(2))
+	if f.gm.pool[2].Len() != 1 {
+		t.Fatalf("pool[2] = %d", f.gm.pool[2].Len())
 	}
 	if f.gm.HarvestableChannels(0) != 2 {
 		t.Fatalf("harvestable = %d", f.gm.HarvestableChannels(0))
@@ -89,16 +89,15 @@ func TestSetHarvestableIdempotent(t *testing.T) {
 func TestSetHarvestableShrinkReclaims(t *testing.T) {
 	f := newFixture(t)
 	f.gm.SetHarvestable(f.home, 2)
-	free0 := f.ftlm.FreeBlocks(0) + f.ftlm.FreeBlocks(1)
+	free0 := f.home.FreeFraction()
 	f.gm.SetHarvestable(f.home, 0)
 	if f.gm.HarvestableChannels(0) != 0 {
 		t.Fatalf("harvestable = %d after shrink", f.gm.HarvestableChannels(0))
 	}
-	after := f.ftlm.FreeBlocks(0) + f.ftlm.FreeBlocks(1)
-	if after <= free0 {
-		t.Fatalf("blocks not returned: %d -> %d", free0, after)
+	if after := f.home.FreeFraction(); after <= free0 {
+		t.Fatalf("blocks not returned: free fraction %v -> %v", free0, after)
 	}
-	if f.gm.PoolLen(2) != 0 {
+	if f.gm.pool[2].Len() != 0 {
 		t.Fatal("reclaimed gSB still in pool")
 	}
 	if f.gm.Stats().Reclaimed != 1 {
@@ -116,11 +115,8 @@ func TestHarvestExactFit(t *testing.T) {
 	if !g.InUse || g.Harvest != 1 {
 		t.Fatalf("harvested state wrong: %s", g)
 	}
-	if f.gm.PoolLen(2) != 0 {
+	if f.gm.pool[2].Len() != 0 {
 		t.Fatal("harvested gSB still idle in pool")
-	}
-	if f.harv.HarvestLaneCount() == 0 {
-		t.Fatal("harvester has no lanes")
 	}
 	// Harvester can now write on home's channels.
 	seen := map[int]bool{}
@@ -162,7 +158,7 @@ func TestCannotHarvestOwnGSB(t *testing.T) {
 		t.Fatalf("misses = %d", f.gm.Stats().HarvestMisses)
 	}
 	// The gSB must still be in the pool for others.
-	if f.gm.PoolLen(2) != 1 {
+	if f.gm.pool[2].Len() != 1 {
 		t.Fatal("gSB lost after refused harvest")
 	}
 }
@@ -186,39 +182,30 @@ func TestLazyReclaimInUseGSB(t *testing.T) {
 	if !g.Reclaiming {
 		t.Fatal("gSB not marked reclaiming")
 	}
-	if f.gm.Live(g.ID) == nil {
+	if f.gm.byID[g.ID] == nil {
 		// All written pages may have stayed in one lane; if some blocks were
 		// dirty the gSB must still be pending.
 		t.Log("gSB fully reclaimed immediately (all blocks clean)")
 		return
 	}
-	if f.harv.HarvestLaneCount() != 0 {
-		t.Fatal("harvester lanes must close on reclaim")
+	// The harvester's lanes on home's channels closed with the reclaim.
+	for lpn := 0; lpn < 64; lpn++ {
+		if ppa, ok := f.harv.AllocatePage(lpn, false); ok && ppa.Channel < 2 {
+			t.Fatalf("harvester still writes channel %d after the reclaim", ppa.Channel)
+		}
 	}
 	// Force GC on home to erase the dirty blocks: churn home's space.
-	for round := 0; round < 200 && f.gm.Live(g.ID) != nil; round++ {
+	for round := 0; round < 200 && f.gm.byID[g.ID] != nil; round++ {
 		for lpn := 0; lpn < 8; lpn++ {
 			f.home.AllocatePage(lpn, false)
 		}
 		f.eng.Run()
 	}
-	if f.gm.Live(g.ID) != nil {
+	if f.gm.byID[g.ID] != nil {
 		t.Fatalf("gSB never finished lazy reclamation: %s", g)
 	}
 	if f.gm.HarvestableChannels(0) != 0 {
 		t.Fatal("harvestable budget must be zero")
-	}
-}
-
-func TestReclaimAllFrom(t *testing.T) {
-	f := newFixture(t)
-	f.gm.SetHarvestable(f.home, 1)
-	f.gm.ReclaimAllFrom(0)
-	if f.gm.HarvestableChannels(0) != 0 {
-		t.Fatal("budget must drop to zero")
-	}
-	if f.gm.Stats().Reclaimed != 1 {
-		t.Fatalf("reclaimed = %d", f.gm.Stats().Reclaimed)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// FaultLevels is the off/light/heavy ladder the fault scenario sweeps.
-func FaultLevels() []Level {
+// faultLevels is the off/light/heavy ladder the fault scenario sweeps.
+func faultLevels() []Level {
 	level := func(name string, cfg *fault.Config) Level {
 		return Level{name, func(o *Options) { o.Faults = cfg }}
 	}
@@ -29,10 +29,10 @@ type FaultRunStats struct {
 	WriteRetries    int64
 }
 
-// Recovered is the number of injected program failures resolved by a
+// recovered is the number of injected program failures resolved by a
 // recovery action. A healthy run satisfies
-// Device.ProgramFails == Remapped == Recovered().
-func (s FaultRunStats) Recovered() int64 {
+// Device.ProgramFails == Remapped == recovered().
+func (s FaultRunStats) recovered() int64 {
 	return s.WriteRetries + s.GCRetryPrograms + s.GCRetrySkips
 }
 
@@ -40,7 +40,7 @@ func (s FaultRunStats) Recovered() int64 {
 // recovered exactly once — the invariant the fault-injection error paths
 // are built around.
 func (s FaultRunStats) Balanced() bool {
-	return s.Device.ProgramFails == s.Remapped && s.Device.ProgramFails == s.Recovered()
+	return s.Device.ProgramFails == s.Remapped && s.Device.ProgramFails == s.recovered()
 }
 
 // FaultStats reads the run's fault-recovery ledger off the platform.
@@ -77,7 +77,7 @@ func (r *Run) faultLedger() FaultRunStats {
 func FigureFaults(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Fault scenarios: SLO preservation under injected NAND failures (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %10s %10s %9s %9s %9s %9s", "pfail", "efail", "retired", "remap", "retries", "gcRetry")
-	figureSweep(w, mixes, opt, FaultLevels(), 6, "level", head, func(r *Run) string {
+	figureSweep(w, mixes, opt, faultLevels(), 6, "level", head, func(r *Run) string {
 		st := r.FaultStats()
 		row := fmt.Sprintf(" %10d %10d %9d %9d %9d %9d",
 			st.Device.ProgramFails, st.Device.EraseFails,
@@ -85,7 +85,7 @@ func FigureFaults(w io.Writer, mixes []MixSpec, opt Options) {
 			st.GCRetryPrograms+st.GCRetrySkips)
 		if !st.Balanced() {
 			row += fmt.Sprintf("\n  !! recovery imbalance: injected=%d remapped=%d recovered=%d",
-				st.Device.ProgramFails, st.Remapped, st.Recovered())
+				st.Device.ProgramFails, st.Remapped, st.recovered())
 		}
 		return row
 	})

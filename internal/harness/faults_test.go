@@ -34,7 +34,7 @@ func TestFaultRecoveryInvariant(t *testing.T) {
 	}
 	if !st.Balanced() {
 		t.Fatalf("recovery imbalance: injected=%d remapped=%d recovered=%d (writeRetries=%d gcRetry=%d gcSkip=%d)",
-			st.Device.ProgramFails, st.Remapped, st.Recovered(),
+			st.Device.ProgramFails, st.Remapped, st.recovered(),
 			st.WriteRetries, st.GCRetryPrograms, st.GCRetrySkips)
 	}
 	if st.Retired < st.Device.EraseFails {

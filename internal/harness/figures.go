@@ -300,7 +300,7 @@ func Figure17(w io.Writer, opt Options) {
 			finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
 			results[j] = Compare(finalMix, []PolicyKind{PolFleetIO}, opt)[0]
 		} else {
-			results[j] = RunTransfer(c.keep, c.from, c.to, opt).Result
+			results[j] = runTransfer(c.keep, c.from, c.to, opt).Result
 		}
 	})
 	for i, c := range cases {
@@ -315,11 +315,11 @@ func Figure17(w io.Writer, opt Options) {
 	fmt.Fprintln(w)
 }
 
-// RunTransfer trains FleetIO on keep+from through warmup, switches the
+// runTransfer trains FleetIO on keep+from through warmup, switches the
 // collocated workload to `to`, gives the agents four windows to adjust,
 // and measures keep+to against that mix's SLOs. Like Measure, it returns
 // the finished run.
-func RunTransfer(keep, from, to string, opt Options) *Run {
+func runTransfer(keep, from, to string, opt Options) *Run {
 	finalMix := MixSpec{Label: keep + "+" + to, Workloads: []string{keep, to}}
 	slos := Calibrate(finalMix, opt)
 	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}

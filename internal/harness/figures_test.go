@@ -86,7 +86,7 @@ func TestMixedIsolationHonoursFaultsAndObs(t *testing.T) {
 	}
 	if !st.Balanced() {
 		t.Fatalf("recovery imbalance: injected=%d remapped=%d recovered=%d",
-			st.Device.ProgramFails, st.Remapped, st.Recovered())
+			st.Device.ProgramFails, st.Remapped, st.recovered())
 	}
 	if requestsObserved(opt.Obs, "VDI-Web-0") == 0 {
 		t.Fatal("observed mixed-isolation run exported no vSSD request telemetry")
@@ -98,7 +98,7 @@ func TestMixedIsolationHonoursFaultsAndObs(t *testing.T) {
 func TestRunTransferObserved(t *testing.T) {
 	opt := tinyOptions()
 	opt.Obs = obs.NewObserver()
-	RunTransfer("TeraSort", "VDI-Web", "YCSB", opt)
+	runTransfer("TeraSort", "VDI-Web", "YCSB", opt)
 	if requestsObserved(opt.Obs, "TeraSort-0") == 0 {
 		t.Fatal("observed transfer run exported no vSSD request telemetry")
 	}
@@ -110,20 +110,20 @@ func TestRunTransferObserved(t *testing.T) {
 func TestRunTransferRecordsReplacement(t *testing.T) {
 	opt := tinyOptions()
 	typeOf := func(name string) string {
-		return Measure(Pair("TeraSort", name), PolHardware, nil, opt).TypeLabels()[1]
+		return Measure(Pair("TeraSort", name), PolHardware, nil, opt).typeLabels()[1]
 	}
 	from, to := typeOf("VDI-Web"), typeOf("YCSB")
 	if from == to {
 		t.Fatalf("VDI-Web and YCSB both type as %s; the test needs distinct types", from)
 	}
-	if got := RunTransfer("TeraSort", "VDI-Web", "YCSB", opt).TypeLabels()[1]; got != to {
+	if got := runTransfer("TeraSort", "VDI-Web", "YCSB", opt).typeLabels()[1]; got != to {
 		t.Errorf("tenant 1 types as %s after the swap to YCSB, want %s (VDI-Web is %s)", got, to, from)
 	}
 }
 
 func TestRunTransferMeasuresFinalMix(t *testing.T) {
 	opt := tinyOptions()
-	res := RunTransfer("TeraSort", "VDI-Web", "YCSB", opt).Result
+	res := runTransfer("TeraSort", "VDI-Web", "YCSB", opt).Result
 	if len(res.Tenants) != 2 {
 		t.Fatalf("tenants = %d", len(res.Tenants))
 	}

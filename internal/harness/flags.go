@@ -35,6 +35,12 @@ func SharedFlags(fs *flag.FlagSet) func(traceImpliesReplay bool) (Options, *obs.
 		if !(*seconds > 0) {
 			return opt, nil, fmt.Errorf("-seconds %v: must be > 0", *seconds)
 		}
+		if *parallel < 0 {
+			return opt, nil, fmt.Errorf("-parallel %d: must be >= 0", *parallel)
+		}
+		if *fleetN < 0 {
+			return opt, nil, fmt.Errorf("-fleet %d: must be >= 0", *fleetN)
+		}
 		opt.Seed = *seed
 		opt.Duration = sim.Time(*seconds * 1e9)
 		opt.Workers = *parallel

@@ -62,6 +62,8 @@ func TestSharedFlags(t *testing.T) {
 		{name: "zero seconds", args: []string{"-seconds", "0"}, wantErr: "-seconds"},
 		{name: "negative seconds", args: []string{"-seconds", "-1"}, wantErr: "-seconds"},
 		{name: "NaN seconds", args: []string{"-seconds", "NaN"}, wantErr: "-seconds"},
+		{name: "negative parallel", args: []string{"-parallel", "-1"}, wantErr: "-parallel"},
+		{name: "negative fleet", args: []string{"-fleet", "-2"}, wantErr: "-fleet"},
 		{name: "bad faults", args: []string{"-faults", "pfail=lots"}, wantErr: "-faults"},
 		{name: "workload", args: []string{"-workload", "bursty"}, check: func(t *testing.T, opt Options) {
 			if opt.WorkloadShape != workload.ShapeBursty {

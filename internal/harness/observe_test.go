@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -27,8 +28,21 @@ func TestRunOneObserved(t *testing.T) {
 	if rec.Len() == 0 {
 		t.Fatal("observed run recorded no events")
 	}
+	// Read the events back the way -decisions writes them.
+	var jsonl bytes.Buffer
+	if err := rec.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	var events []obs.Event
+	for dec := json.NewDecoder(&jsonl); dec.More(); {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, e)
+	}
 	kinds := map[obs.EventKind]int{}
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		kinds[e.Kind]++
 	}
 	// Every window must produce the three decision kinds plus a reward
@@ -45,7 +59,7 @@ func TestRunOneObserved(t *testing.T) {
 	if kinds[obs.KindGCRun] == 0 {
 		t.Errorf("no gc_run events recorded")
 	}
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		if e.At < 0 || e.Seq == 0 {
 			t.Fatalf("unstamped event %+v", e)
 		}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// WorkloadLevels is the steady/diurnal/bursty/replay ladder the workload
-// scenario sweeps — the temporal analogue of FaultLevels: a named arrival
+// workloadLevels is the steady/diurnal/bursty/replay ladder the workload
+// scenario sweeps — the temporal analogue of faultLevels: a named arrival
 // shape overlaid on every tenant of the mix.
-func WorkloadLevels() []Level {
+func workloadLevels() []Level {
 	var out []Level
 	for _, s := range workload.Shapes() {
 		out = append(out, Level{s.String(), func(o *Options) { o.WorkloadShape = s }})
@@ -19,11 +19,11 @@ func WorkloadLevels() []Level {
 	return out
 }
 
-// TypeLabels is the clusterer's view of each tenant's measured traffic:
+// typeLabels is the clusterer's view of each tenant's measured traffic:
 // every tenant's recorded window is classified by the shared type model,
 // the same path core.FleetIO.retype uses online. Tenants under the typing
 // floor label "n/a".
-func (r *Run) TypeLabels() []string {
+func (r *Run) typeLabels() []string {
 	tm, _ := TypeModel()
 	plat := r.Platform()
 	pageSize := plat.FlashConfig().PageSize
@@ -46,9 +46,9 @@ func (r *Run) TypeLabels() []string {
 func FigureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Workload scenarios: temporal shapes, trace replay, and cohort churn (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %12s %12s  %s", "BI MB/s", "LS p99 ms", "types")
-	figureSweep(w, mixes, opt, WorkloadLevels(), 8, "shape", head, func(r *Run) string {
+	figureSweep(w, mixes, opt, workloadLevels(), 8, "shape", head, func(r *Run) string {
 		return fmt.Sprintf(" %12.1f %12.3f  %s", r.Result.BandwidthTenant(), r.Result.LatencyTenantP99(),
-			strings.Join(r.TypeLabels(), ","))
+			strings.Join(r.typeLabels(), ","))
 	})
 	st := CohortScenario(opt)
 	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", st.Devices)

@@ -28,7 +28,7 @@ func workloadTestOptions() Options {
 func checkWorkloadLadder(t *testing.T, rendering string) {
 	t.Helper()
 	levels := map[string]bool{}
-	for _, l := range WorkloadLevels() {
+	for _, l := range workloadLevels() {
 		levels[l.Name] = true
 	}
 	var steady string // the steady row's numeric columns, per mix

@@ -20,6 +20,6 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Quantile(0.99)
+		h.quantile(0.99)
 	}
 }

@@ -4,7 +4,7 @@
 // accounting. All values are in virtual-time nanoseconds and bytes.
 //
 // Everything here reports 0 — never an error or NaN — when no data has
-// been recorded (see Histogram.Quantile for the rationale), which is what
+// been recorded (see Histogram.quantile for the rationale), which is what
 // lets downstream consumers (SLO calibration, the RL state vector, the
 // internal/obs telemetry probes) read mid-run without guarding for
 // emptiness.
@@ -113,7 +113,7 @@ func (h *Histogram) Min() int64 { return h.min }
 // Max returns the largest recorded sample, or 0 with no samples.
 func (h *Histogram) Max() int64 { return h.max }
 
-// Quantile returns an estimate of the q-quantile (q in [0,1]). The estimate
+// quantile returns an estimate of the q-quantile (q in [0,1]). The estimate
 // is the lower bound of the bucket holding the q-th sample, so it is within
 // one bucket width (≈3% relative) of the true order statistic.
 //
@@ -124,7 +124,7 @@ func (h *Histogram) Max() int64 { return h.max }
 // "no data" rather than an exceptionally fast tail. A NaN q also returns
 // the 0 sentinel (int64(NaN) is undefined in Go, so it must not reach the
 // rank conversion).
-func (h *Histogram) Quantile(q float64) int64 {
+func (h *Histogram) quantile(q float64) int64 {
 	if h.total == 0 || math.IsNaN(q) {
 		return 0
 	}
@@ -158,11 +158,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// P50, P95, P99, P999 are convenience accessors for common tail quantiles.
-func (h *Histogram) P50() int64  { return h.Quantile(0.50) }
-func (h *Histogram) P95() int64  { return h.Quantile(0.95) }
-func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
-func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
+// P95, P99, P999 are accessors for the tail quantiles callers read.
+func (h *Histogram) P95() int64  { return h.quantile(0.95) }
+func (h *Histogram) P99() int64  { return h.quantile(0.99) }
+func (h *Histogram) P999() int64 { return h.quantile(0.999) }
 
 // CountAbove returns how many samples exceed v.
 func (h *Histogram) CountAbove(v int64) int64 {
@@ -218,5 +217,5 @@ func (h *Histogram) Reset() {
 // String summarizes the distribution for logs.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.0f p50=%d p95=%d p99=%d p999=%d max=%d",
-		h.total, h.Mean(), h.P50(), h.P95(), h.P99(), h.P999(), h.max)
+		h.total, h.Mean(), h.quantile(0.50), h.P95(), h.P99(), h.P999(), h.max)
 }

@@ -22,17 +22,17 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramEmptyQuantile(t *testing.T) {
 	var h Histogram
 	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {
-		if got := h.Quantile(q); got != 0 {
+		if got := h.quantile(q); got != 0 {
 			t.Fatalf("empty Quantile(%v) = %d, want 0", q, got)
 		}
 	}
 	h.Add(500)
-	if h.Quantile(0.5) == 0 {
+	if h.quantile(0.5) == 0 {
 		t.Fatal("non-empty histogram returned the empty sentinel")
 	}
 	h.Reset()
 	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got != 0 {
+		if got := h.quantile(q); got != 0 {
 			t.Fatalf("post-Reset Quantile(%v) = %d, want 0", q, got)
 		}
 	}
@@ -45,7 +45,7 @@ func TestHistogramSingle(t *testing.T) {
 		t.Fatalf("single-sample stats wrong: %s", h.String())
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		v := h.Quantile(q)
+		v := h.quantile(q)
 		if v != 12345 {
 			t.Fatalf("Quantile(%v) = %d, want 12345", q, v)
 		}
@@ -59,7 +59,7 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	}
 	// Values below subBuckets are stored exactly; rank ceil(0.5*32)=16 is
 	// the 16th smallest sample, i.e. value 15.
-	if got := h.Quantile(0.5); got != 15 {
+	if got := h.quantile(0.5); got != 15 {
 		t.Fatalf("median of 0..31 = %d, want 15", got)
 	}
 	if h.Min() != 0 || h.Max() != 31 {
@@ -87,7 +87,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			idx = 0
 		}
 		exact := samples[idx]
-		got := h.Quantile(q)
+		got := h.quantile(q)
 		rel := float64(got-exact) / float64(exact)
 		if rel < -0.05 || rel > 0.05 {
 			t.Fatalf("Quantile(%v) = %d, exact %d, rel err %.3f", q, got, exact, rel)
@@ -247,7 +247,7 @@ func TestHistogramQuantileProperty(t *testing.T) {
 		}
 		prev := int64(-1)
 		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
-			v := h.Quantile(q)
+			v := h.quantile(q)
 			if v < min || v > max || v < prev {
 				return false
 			}
@@ -282,7 +282,7 @@ func TestHistogramQuantileRankOracle(t *testing.T) {
 			q := float64(k) / 100
 			rank := (k*n + 99) / 100 // ceil(k*n/100) in exact arithmetic
 			oracle := samples[rank-1]
-			got := h.Quantile(q)
+			got := h.quantile(q)
 			if slotFor(got) != slotFor(oracle) {
 				t.Fatalf("n=%d Quantile(%v) = %d (slot %d), oracle rank %d sample %d (slot %d)",
 					n, q, got, slotFor(got), rank, oracle, slotFor(oracle))
@@ -311,7 +311,7 @@ func TestHistogramQuantileBoundary(t *testing.T) {
 		{0.99, 10},
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := h.quantile(c.q); got != c.want {
 			t.Fatalf("Quantile(%v) = %d, want %d", c.q, got, c.want)
 		}
 	}
@@ -323,11 +323,11 @@ func TestHistogramQuantileBoundary(t *testing.T) {
 func TestHistogramQuantileNaN(t *testing.T) {
 	nan := math.NaN()
 	var h Histogram
-	if got := h.Quantile(nan); got != 0 {
+	if got := h.quantile(nan); got != 0 {
 		t.Fatalf("empty Quantile(NaN) = %d, want 0", got)
 	}
 	h.Add(123456)
-	if got := h.Quantile(nan); got != 0 {
+	if got := h.quantile(nan); got != 0 {
 		t.Fatalf("Quantile(NaN) = %d, want 0 sentinel", got)
 	}
 }

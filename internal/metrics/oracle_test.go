@@ -44,7 +44,7 @@ func (h *denseHistogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-func (h *denseHistogram) Quantile(q float64) int64 {
+func (h *denseHistogram) quantile(q float64) int64 {
 	if h.total == 0 || math.IsNaN(q) {
 		return 0
 	}
@@ -108,7 +108,7 @@ func (h *denseHistogram) Reset() { *h = denseHistogram{} }
 
 func (h *denseHistogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.0f p50=%d p95=%d p99=%d p999=%d max=%d",
-		h.total, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Quantile(0.999), h.max)
+		h.total, h.Mean(), h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.quantile(0.999), h.max)
 }
 
 // oracleSample draws a latency log-uniform over 0 … 2^62 (every octave is
@@ -154,7 +154,7 @@ func TestHistogramMatchesDenseOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d hist %d: String %q, dense %q", seed, step, i, got, want)
 				}
 				for _, q := range qs {
-					if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+					if got, want := h.quantile(q), ref.quantile(q); got != want {
 						t.Fatalf("seed %d step %d hist %d: Quantile(%v) = %d, dense %d", seed, step, i, q, got, want)
 					}
 				}

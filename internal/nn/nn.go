@@ -39,19 +39,18 @@ type Linear struct {
 	// wt is W laid out In×Out so one accumRows pass per state streams
 	// contiguous rows. rev counts weight mutations; wt is rebuilt lazily
 	// whenever wtRev falls behind. Every in-package mutator (Adam.Step,
-	// SetParams, gob decode, Clone) keeps this coherent; code that writes
-	// W directly must call NoteWeightsChanged before the next forward pass.
+	// SetParams, gob decode, Clone) keeps this coherent; code outside the
+	// package that changes weights goes through SetParams.
 	wt         []float64
 	wtRev, rev uint64
 }
 
-// NoteWeightsChanged invalidates the transposed-weight caches used by the
-// forward kernels. In-package mutators handle this automatically;
-// call it only after assigning to W directly.
-func (l *Linear) NoteWeightsChanged() { l.rev++ }
+// noteWeightsChanged invalidates the transposed-weight caches used by the
+// forward kernels; Adam.Step and SetParams call it after writing W.
+func (l *Linear) noteWeightsChanged() { l.rev++ }
 
-// NewLinear builds a layer with Xavier/Glorot-uniform initialization.
-func NewLinear(in, out int, rng *sim.RNG) *Linear {
+// newLinear builds a layer with Xavier/Glorot-uniform initialization.
+func newLinear(in, out int, rng *sim.RNG) *Linear {
 	l := &Linear{
 		In: in, Out: out,
 		W: make([]float64, in*out), B: make([]float64, out),
@@ -116,7 +115,7 @@ func (a *Adam) Step(layers []*Linear, batch float64) {
 	for _, l := range layers {
 		upd(l.W, l.GW, l.MW, l.VW)
 		upd(l.B, l.GB, l.MB, l.VB)
-		l.NoteWeightsChanged()
+		l.noteWeightsChanged()
 	}
 }
 
@@ -212,12 +211,12 @@ type ActorCritic struct {
 // {heads, value}.
 func NewActorCritic(in, hidden int, headSizes []int, rng *sim.RNG) *ActorCritic {
 	ac := &ActorCritic{
-		L1:    NewLinear(in, hidden, rng),
-		L2:    NewLinear(hidden, hidden, rng),
-		Value: NewLinear(hidden, 1, rng),
+		L1:    newLinear(in, hidden, rng),
+		L2:    newLinear(hidden, hidden, rng),
+		Value: newLinear(hidden, 1, rng),
 	}
 	for _, hs := range headSizes {
-		ac.Heads = append(ac.Heads, NewLinear(hidden, hs, rng))
+		ac.Heads = append(ac.Heads, newLinear(hidden, hs, rng))
 	}
 	return ac
 }
@@ -288,7 +287,7 @@ func (ac *ActorCritic) SetParams(p []float64) error {
 	for _, l := range ac.Layers() {
 		i += copy(l.W, p[i:i+len(l.W)])
 		i += copy(l.B, p[i:i+len(l.B)])
-		l.NoteWeightsChanged()
+		l.noteWeightsChanged()
 	}
 	return nil
 }
@@ -302,8 +301,8 @@ func (ac *ActorCritic) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeActorCritic deserializes a network produced by Encode.
-func DecodeActorCritic(data []byte) (*ActorCritic, error) {
+// decodeActorCritic deserializes a network produced by Encode.
+func decodeActorCritic(data []byte) (*ActorCritic, error) {
 	var ac ActorCritic
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ac); err != nil {
 		return nil, fmt.Errorf("nn: decode: %w", err)
@@ -326,5 +325,5 @@ func LoadFile(path string) (*ActorCritic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeActorCritic(data)
+	return decodeActorCritic(data)
 }

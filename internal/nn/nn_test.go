@@ -31,7 +31,7 @@ func fdCheck(t *testing.T, name string, layer *Linear, w, g []float64, loss func
 	set := func(i int, v float64) {
 		w[i] = v
 		if layer != nil {
-			layer.NoteWeightsChanged()
+			layer.noteWeightsChanged()
 		}
 	}
 	for i := range w {
@@ -51,7 +51,7 @@ func fdCheck(t *testing.T, name string, layer *Linear, w, g []float64, loss func
 func TestLinearBackwardMatchesFiniteDifference(t *testing.T) {
 	for _, b := range []int{1, 3} {
 		rng := sim.NewRNG(1)
-		l := NewLinear(3, 2, rng)
+		l := newLinear(3, 2, rng)
 		xs := make([]float64, b*3)
 		for i := range xs {
 			xs[i] = rng.NormFloat64()
@@ -248,7 +248,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone differs")
 	}
 	ac.L1.W[0] += 1
-	ac.L1.NoteWeightsChanged()
+	ac.L1.noteWeightsChanged()
 	if value1(ac, x) == v1 {
 		t.Fatal("weight write did not reach the original")
 	}
@@ -264,7 +264,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeActorCritic(data)
+	back, err := decodeActorCritic(data)
 	if err != nil {
 		t.Fatal(err)
 	}

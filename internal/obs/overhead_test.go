@@ -81,7 +81,7 @@ func BenchmarkDisabledRecorderEmit(b *testing.B) {
 
 func BenchmarkEnabledRecorderEmit(b *testing.B) {
 	rec := NewRecorder(DefaultRingSize)
-	rec.SetClock(func() sim.Time { return 1 })
+	rec.setClock(func() sim.Time { return 1 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.SLOViolation(i&7, int64(i), 50)

@@ -49,8 +49,8 @@ type ring struct {
 
 // NewRecorder returns a recorder keeping the newest perVSSD events per
 // vSSD ring (DefaultRingSize when perVSSD <= 0). The clock stamping
-// virtual timestamps starts unset; events emitted before SetClock carry
-// At == 0.
+// virtual timestamps starts unset; events emitted before one is bound
+// carry At == 0.
 func NewRecorder(perVSSD int) *Recorder {
 	if perVSSD <= 0 {
 		perVSSD = DefaultRingSize
@@ -58,10 +58,10 @@ func NewRecorder(perVSSD int) *Recorder {
 	return &Recorder{state: &recState{limit: perVSSD}}
 }
 
-// SetClock installs the virtual-time source (typically eng.Now of the
+// setClock installs the virtual-time source (typically eng.Now of the
 // engine driving the current run). Safe to call between runs while HTTP
 // goroutines are live; emitters see either the old or the new clock.
-func (r *Recorder) SetClock(now func() sim.Time) {
+func (r *Recorder) setClock(now func() sim.Time) {
 	if r == nil {
 		return
 	}
@@ -78,7 +78,7 @@ func (r *Recorder) Bind(now func() sim.Time) *Recorder {
 		return nil
 	}
 	v := &Recorder{state: r.state}
-	v.SetClock(now)
+	v.setClock(now)
 	return v
 }
 
@@ -113,16 +113,9 @@ func (s *recState) ringFor(id int) *ring {
 	return rg
 }
 
-// Emit records a fully built event, stamping Seq and (when unset) At.
-// Prefer the typed helpers below at instrumentation sites: their scalar
-// arguments avoid constructing an Event on the disabled path.
-func (r *Recorder) Emit(e Event) {
-	if r == nil {
-		return
-	}
-	r.emit(e)
-}
-
+// emit records a fully built event, stamping Seq and (when unset) At. The
+// typed helpers below call it after their nil check, so the disabled path
+// never builds an Event.
 func (r *Recorder) emit(e Event) {
 	s := r.state
 	e.Seq = s.seq.Add(1)
@@ -213,10 +206,10 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Events returns the held events of every vSSD merged into one slice
+// events returns the held events of every vSSD merged into one slice
 // ordered by (At, Seq). It copies under the ring locks, so it is safe
 // while emitters are running.
-func (r *Recorder) Events() []Event {
+func (r *Recorder) events() []Event {
 	if r == nil {
 		return nil
 	}
@@ -243,29 +236,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// EventsFor returns the held events of one vSSD in emission order.
-func (r *Recorder) EventsFor(vssd int) []Event {
-	if r == nil {
-		return nil
-	}
-	r.state.mu.RLock()
-	if vssd < 0 || vssd >= len(r.state.rings) {
-		r.state.mu.RUnlock()
-		return nil
-	}
-	rg := r.state.rings[vssd]
-	r.state.mu.RUnlock()
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	if rg.full {
-		out := make([]Event, 0, len(rg.evs))
-		out = append(out, rg.evs[rg.next:]...)
-		out = append(out, rg.evs[:rg.next]...)
-		return out
-	}
-	return append([]Event(nil), rg.evs...)
-}
-
 // WriteJSONL writes every held event as one JSON object per line, in
 // (At, Seq) order — the -trace output format of cmd/fleetsim. The schema
 // is the Event struct's JSON encoding, documented in
@@ -275,24 +245,10 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
+	for _, e := range r.events() {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ReadJSONL decodes a JSONL trace written by WriteJSONL.
-func ReadJSONL(rd io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(rd)
-	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

@@ -15,15 +15,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	r.SetClock(func() sim.Time { return 1 })
-	r.Emit(Event{Kind: KindHarvest})
+	r.setClock(func() sim.Time { return 1 })
 	r.Decision(KindHarvest, 0, 1e6, 0)
 	r.Reward(0, 0.5, 0.4)
 	r.Verdict(KindAdmissionAdmit, 0, "Harvest", 1e6)
 	r.GSB(KindGSBCreate, 1, 0, -1, 2)
 	r.GCRun(0, 3, 10, true)
 	r.SLOViolation(0, 100, 50)
-	if r.Len() != 0 || r.Events() != nil || r.EventsFor(0) != nil {
+	if r.Len() != 0 || r.events() != nil {
 		t.Fatal("nil recorder holds events")
 	}
 	if err := r.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -34,11 +33,11 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func TestRecorderStampsSeqAndClock(t *testing.T) {
 	r := NewRecorder(16)
 	var now sim.Time = 42
-	r.SetClock(func() sim.Time { return now })
+	r.setClock(func() sim.Time { return now })
 	r.Decision(KindHarvest, 0, 2e6, 0)
 	now = 100
 	r.Decision(KindSetPriority, 0, 0, 3)
-	evs := r.EventsFor(0)
+	evs := r.events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
@@ -55,7 +54,7 @@ func TestRecorderRingDiscardsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Decision(KindSetPriority, 0, 0, i)
 	}
-	evs := r.EventsFor(0)
+	evs := r.events()
 	if len(evs) != 4 {
 		t.Fatalf("ring holds %d events, want 4", len(evs))
 	}
@@ -72,14 +71,14 @@ func TestRecorderRingDiscardsOldest(t *testing.T) {
 func TestEventsMergeOrdering(t *testing.T) {
 	r := NewRecorder(16)
 	var now sim.Time
-	r.SetClock(func() sim.Time { return now })
+	r.setClock(func() sim.Time { return now })
 	now = 30
 	r.Decision(KindHarvest, 1, 0, 0)
 	now = 10
 	r.Decision(KindHarvest, 0, 0, 0)
 	now = 20
 	r.Decision(KindHarvest, 1, 0, 0)
-	evs := r.Events()
+	evs := r.events()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events", len(evs))
 	}
@@ -90,7 +89,7 @@ func TestEventsMergeOrdering(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(16)
-	r.SetClock(func() sim.Time { return 7 })
+	r.setClock(func() sim.Time { return 7 })
 	r.Decision(KindMakeHarvestable, 0, 3e8, 0)
 	r.GSB(KindGSBHarvest, 5, 1, 0, 2)
 	r.GCRun(1, 17, 42, true)
@@ -103,8 +102,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("got %d JSONL lines, want 4", len(lines))
 	}
-	// Every line must be standalone-parseable JSON with a kind string.
-	for _, ln := range lines {
+	// Every line must be standalone-parseable JSON with a kind string, and
+	// decode back to the event it was written from.
+	want := r.events()
+	for i, ln := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(ln), &m); err != nil {
 			t.Fatalf("line %q: %v", ln, err)
@@ -112,24 +113,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if _, ok := m["kind"].(string); !ok {
 			t.Fatalf("line %q has no string kind", ln)
 		}
-	}
-	back, err := ReadJSONL(&buf2{bytes.NewBufferString(buf.String())})
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
-	}
-	want := r.Events()
-	if len(back) != len(want) {
-		t.Fatalf("round trip %d events, want %d", len(back), len(want))
-	}
-	for i := range back {
-		if back[i] != want[i] {
-			t.Fatalf("event %d round-tripped to %+v, want %+v", i, back[i], want[i])
+		var back Event
+		if err := json.Unmarshal([]byte(ln), &back); err != nil {
+			t.Fatalf("line %q: %v", ln, err)
+		}
+		if back != want[i] {
+			t.Fatalf("event %d round-tripped to %+v, want %+v", i, back, want[i])
 		}
 	}
 }
-
-// buf2 hides Bytes() so ReadJSONL exercises the plain io.Reader path.
-type buf2 struct{ *bytes.Buffer }
 
 func TestEventKindJSONStable(t *testing.T) {
 	for k := KindHarvest; k <= KindSLOViolation; k++ {
@@ -156,7 +148,7 @@ func TestEventKindJSONStable(t *testing.T) {
 // merged snapshots, as trainer workers and an HTTP scrape would.
 func TestRecorderConcurrentEmit(t *testing.T) {
 	r := NewRecorder(64)
-	r.SetClock(func() sim.Time { return 1 })
+	r.setClock(func() sim.Time { return 1 })
 	const workers = 8
 	const perWorker = 500
 	var wg sync.WaitGroup
@@ -174,7 +166,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			_ = r.Events()
+			_ = r.events()
 			_ = r.Len()
 		}
 	}()

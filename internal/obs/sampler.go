@@ -18,7 +18,6 @@ const DefaultSamplePeriod = 100 * sim.Millisecond
 // from the model packages.
 type Sampler struct {
 	probes  []func(now sim.Time)
-	ticks   atomic.Int64
 	stopped atomic.Bool
 }
 
@@ -34,14 +33,6 @@ func (s *Sampler) AddProbe(fn func(now sim.Time)) {
 		return
 	}
 	s.probes = append(s.probes, fn)
-}
-
-// Ticks returns how many sample rounds have run.
-func (s *Sampler) Ticks() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.ticks.Load()
 }
 
 // Stop makes the ticker lapse after the current period (the engine event
@@ -72,7 +63,6 @@ func (s *Sampler) Start(eng *sim.Engine, period sim.Time) {
 		for _, p := range s.probes {
 			p(now)
 		}
-		s.ticks.Add(1)
 		return true
 	})
 }

@@ -15,11 +15,9 @@ type Server struct {
 	ln  net.Listener
 }
 
-// Handler returns the mux Serve mounts: /metrics rendering reg (an empty
-// page for a nil registry) and the standard pprof handlers. It is
-// exported so tests and embedding servers can mount the endpoints on
-// their own listeners.
-func Handler(reg *Registry) http.Handler {
+// handler returns the mux Serve mounts: /metrics rendering reg (an empty
+// page for a nil registry) and the standard pprof handlers.
+func handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -41,14 +39,14 @@ func Handler(reg *Registry) http.Handler {
 }
 
 // Serve listens on addr (e.g. ":8080" or "127.0.0.1:0") and serves
-// Handler(reg) in the background. The returned Server reports the bound
+// handler(reg) in the background. The returned Server reports the bound
 // address (useful with port 0) and must be Closed by the caller.
 func Serve(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{srv: &http.Server{Handler: Handler(reg)}, ln: ln}
+	s := &Server{srv: &http.Server{Handler: handler(reg)}, ln: ln}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

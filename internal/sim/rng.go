@@ -69,14 +69,10 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // PermInto writes a random permutation of [0,len(p)) into p and returns it.
-// It consumes exactly the same stream draws as Perm(len(p)) and produces
-// the same permutation (mirroring math/rand's insertion algorithm), so hot
-// loops can drop Perm's per-call allocation without perturbing any seeded
-// sequence. Pinned against Perm by TestPermIntoMatchesPerm.
+// It consumes exactly the same stream draws as math/rand's Perm(len(p)) and
+// produces the same permutation (mirroring its insertion algorithm) without
+// Perm's per-call allocation. Pinned against Perm by TestPermIntoMatchesPerm.
 func (g *RNG) PermInto(p []int) []int {
 	// math/rand.Perm runs the i=0 iteration (a self-swap) because skipping
 	// it would change the stream; replicate that exactly.
@@ -87,9 +83,6 @@ func (g *RNG) PermInto(p []int) []int {
 	}
 	return p
 }
-
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Exp returns an exponential sample with the given mean (>0).
 func (g *RNG) Exp(mean float64) float64 {

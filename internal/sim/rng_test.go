@@ -147,13 +147,14 @@ func TestSplitChildrenIndependent(t *testing.T) {
 }
 
 // TestPermIntoMatchesPerm pins PermInto's contract: for any length it must
-// produce the same permutation and consume the same stream draws as Perm,
-// so switching a hot loop between them can never perturb a seeded run.
+// produce the same permutation and consume the same stream draws as
+// math/rand's Perm, so switching a hot loop between them can never perturb
+// a seeded run.
 func TestPermIntoMatchesPerm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 32, 33, 100} {
 		a := NewRNG(int64(n) + 5)
 		b := NewRNG(int64(n) + 5)
-		want := a.Perm(n)
+		want := a.r.Perm(n) // math/rand's Perm is the reference
 		got := b.PermInto(make([]int, n))
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: PermInto length %d, Perm length %d", n, len(got), len(want))

@@ -71,13 +71,13 @@ func FormatByName(name string) (CSVFormat, error) {
 	f, ok := csvFormats[strings.ToLower(name)]
 	if !ok {
 		return CSVFormat{}, fmt.Errorf("trace: unknown CSV format %q (have %s)",
-			name, strings.Join(FormatNames(), ", "))
+			name, strings.Join(formatNames(), ", "))
 	}
 	return f, nil
 }
 
-// FormatNames lists the built-in CSV dialect names, sorted.
-func FormatNames() []string {
+// formatNames lists the built-in CSV dialect names, sorted.
+func formatNames() []string {
 	names := make([]string, 0, len(csvFormats))
 	for n := range csvFormats {
 		names = append(names, n)
@@ -258,5 +258,5 @@ func sniffCSV(r io.Reader) (CSVFormat, error) {
 		}
 	}
 	return CSVFormat{}, fmt.Errorf("no CSV dialect has %d columns (have %s)",
-		len(fields), strings.Join(FormatNames(), ", "))
+		len(fields), strings.Join(formatNames(), ", "))
 }

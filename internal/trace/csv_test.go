@@ -118,8 +118,8 @@ func TestFormatByNameUnknown(t *testing.T) {
 	if _, err := FormatByName("nope"); err == nil {
 		t.Fatal("unknown format accepted")
 	}
-	if got := FormatNames(); len(got) != 3 || got[0] != "ali" {
-		t.Fatalf("FormatNames = %v", got)
+	if got := formatNames(); len(got) != 3 || got[0] != "ali" {
+		t.Fatalf("formatNames = %v", got)
 	}
 }
 

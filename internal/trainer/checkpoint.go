@@ -89,8 +89,8 @@ func Save(dir string, ck *Checkpoint) (string, error) {
 	return path, nil
 }
 
-// Load reads and verifies one checkpoint file.
-func Load(path string) (*Checkpoint, error) {
+// load reads and verifies one checkpoint file.
+func load(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -143,7 +143,7 @@ func LoadLatest(dir string) (*Checkpoint, string, error) {
 	var lastErr error
 	for _, n := range rounds {
 		path := filepath.Join(dir, ckptName(n))
-		ck, err := Load(path)
+		ck, err := load(path)
 		if err == nil {
 			return ck, path, nil
 		}

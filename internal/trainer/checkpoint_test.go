@@ -29,7 +29,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCheckpointRejectsCorruptAndPartial(t *testing.T) {
 	if err := os.WriteFile(partial, good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(partial); err == nil {
+	if _, err := load(partial); err == nil {
 		t.Fatal("partial checkpoint accepted")
 	}
 
@@ -83,19 +83,19 @@ func TestCheckpointRejectsCorruptAndPartial(t *testing.T) {
 	if err := os.WriteFile(flippedPath, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(flippedPath); err == nil {
+	if _, err := load(flippedPath); err == nil {
 		t.Fatal("corrupted checkpoint accepted")
 	}
 
 	// Wrong magic: must be rejected.
-	if _, err := Load(partial); err == nil {
+	if _, err := load(partial); err == nil {
 		t.Fatal("partial accepted")
 	}
 	garbagePath := filepath.Join(dir, "ckpt-00000004.gob")
 	if err := os.WriteFile(garbagePath, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(garbagePath); err == nil {
+	if _, err := load(garbagePath); err == nil {
 		t.Fatal("garbage checkpoint accepted")
 	}
 

@@ -35,8 +35,6 @@ type Platform struct {
 
 	vssds []*VSSD
 
-	opsSubmitted int64
-
 	// rec receives decision events from the whole device stack; nil (the
 	// default) disables tracing at the cost of one nil check per site.
 	rec *obs.Recorder
@@ -53,7 +51,6 @@ func NewPlatform(eng *sim.Engine, pc PlatformConfig) *Platform {
 		cfg:  pc.Flash,
 	}
 	p.gsbm = gsb.NewManager(ftlm, pc.Flash.Channels, pc.Flash.ChannelBandwidth())
-	ftlm.Submit = p.submit
 	return p
 }
 
@@ -92,16 +89,6 @@ func (p *Platform) VSSDs() []*VSSD { return p.vssds }
 
 // VSSD returns the vSSD with the given id.
 func (p *Platform) VSSD(id int) *VSSD { return p.vssds[id] }
-
-// submit is the single funnel for flash ops (host and GC), keeping a
-// global op count for overhead accounting.
-func (p *Platform) submit(op *flash.Op) {
-	p.opsSubmitted++
-	p.dev.Submit(op)
-}
-
-// OpsSubmitted returns the total flash commands issued so far.
-func (p *Platform) OpsSubmitted() int64 { return p.opsSubmitted }
 
 // AddVSSD creates a vSSD owning (or sharing) the configured channels.
 func (p *Platform) AddVSSD(cfg Config) *VSSD {

@@ -63,23 +63,6 @@ func TestResetTotalsKeepsWindow(t *testing.T) {
 	}
 }
 
-func TestOpsSubmittedCountsGCAndHost(t *testing.T) {
-	eng, p := testPlatform(2)
-	v := p.AddVSSD(Config{Name: "a", Channels: chanRange(0, 2)})
-	if err := v.Tenant().Prefill(0.8, 0.6, sim.NewRNG(1)); err != nil {
-		t.Fatal(err)
-	}
-	before := p.OpsSubmitted()
-	for i := 0; i < 50; i++ {
-		v.Submit(&Request{Write: true, LPN: i % 64, Pages: 2})
-	}
-	eng.Run()
-	host := int64(100) // 50 requests × 2 pages
-	if got := p.OpsSubmitted() - before; got < host {
-		t.Fatalf("ops submitted %d < host pages %d", got, host)
-	}
-}
-
 func TestMultipleVSSDsShareDeviceSafely(t *testing.T) {
 	eng, p := testPlatform(4)
 	a := p.AddVSSD(Config{Name: "a", Channels: chanRange(0, 2)})

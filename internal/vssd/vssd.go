@@ -161,9 +161,6 @@ func (v *VSSD) SetPriority(level int) {
 // SLO returns the current latency objective.
 func (v *VSSD) SLO() sim.Time { return v.slo }
 
-// SetSLO installs a latency objective (used after calibration runs).
-func (v *VSSD) SetSLO(slo sim.Time) { v.slo = slo }
-
 // SetRateLimit reconfigures the token bucket (0 disables throttling).
 func (v *VSSD) SetRateLimit(bps, burst float64) {
 	v.cfg.RateLimitBps = bps
@@ -453,7 +450,7 @@ func (v *VSSD) dispatchWrite(r *Request, lpn int) bool {
 	op.Done = requestPageDone
 	op.Ctx = r
 	op.CtxI = int64(lpn) // for the program-fail retry path
-	v.plat.submit(op)
+	v.plat.dev.Submit(op)
 	return true
 }
 
@@ -486,7 +483,7 @@ func (v *VSSD) dispatchRead(r *Request, lpn int) {
 	op.Pass = v.pass
 	op.Done = requestPageDone
 	op.Ctx = r
-	v.plat.submit(op)
+	v.plat.dev.Submit(op)
 }
 
 // pageDone accounts a finished page op and completes the request when all

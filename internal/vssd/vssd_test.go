@@ -105,7 +105,7 @@ func TestSLOViolationTracking(t *testing.T) {
 	if snap.Window.SLOViolations != 1 {
 		t.Fatalf("violations = %d", snap.Window.SLOViolations)
 	}
-	v.SetSLO(sim.Second) // generous: nothing violates
+	v.slo = sim.Second // generous: nothing violates
 	v.Submit(&Request{Write: true, LPN: 1, Pages: 1})
 	eng.Run()
 	snap = v.Rotate()
@@ -186,8 +186,14 @@ func TestHarvestActionGrowsWriteFootprint(t *testing.T) {
 		t.Fatalf("harvested channels = %d", got)
 	}
 	// BI's writes now reach 3 channels.
-	if got := len(bi.Tenant().WriteChannels()); got != 3 {
-		t.Fatalf("write channels = %d, want 3", got)
+	reached := map[int]bool{}
+	for lpn := 0; lpn < 64; lpn++ {
+		if ppa, ok := bi.Tenant().AllocatePage(lpn, false); ok {
+			reached[int(ppa.Channel)] = true
+		}
+	}
+	if len(reached) != 3 {
+		t.Fatalf("writes reached channels %v, want 3", reached)
 	}
 	// Releasing: target 0 harvested.
 	p.Apply(Action{VSSD: bi.ID(), Kind: ActHarvest, BW: 0})
@@ -361,12 +367,12 @@ func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
 	stalledAt, freedAt := none, none // freedAt: last block freed with no failed poll since
 	polls := int64(0)                // failed polls of the open episode
 	for {
-		before, free := tn.Stats(), p.FTL().FreeBlocks(0)
+		before, free := tn.Stats(), p.FTL().FreeFraction(chanRange(0, 1))
 		if !eng.Step() {
 			break
 		}
 		now, after := eng.Now(), tn.Stats()
-		if p.FTL().FreeBlocks(0) > free {
+		if p.FTL().FreeFraction(chanRange(0, 1)) > free {
 			freedAt = now
 		}
 		failed := after.AllocStalls - before.AllocStalls
@@ -440,8 +446,8 @@ func fullTenant(t *testing.T) (*sim.Engine, *Platform, *VSSD) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(123 * sim.Microsecond)
-	if p.FTL().FreeBlocks(0) != 2 || eng.Pending() != 0 {
-		t.Fatalf("setup: %d free blocks, %d pending events; want the reserve and an idle device", p.FTL().FreeBlocks(0), eng.Pending())
+	if free := p.FTL().FreeFraction(chanRange(0, 1)); free != 2.0/8 || eng.Pending() != 0 {
+		t.Fatalf("setup: %v of 8 blocks free, %d pending events; want the 2-block reserve and an idle device", free, eng.Pending())
 	}
 	return eng, p, v
 }
@@ -487,11 +493,11 @@ func TestStalledRequestPollsAsOneRun(t *testing.T) {
 	}
 	hostBefore, freedAt := tn.Stats().HostPrograms, sim.Time(-1)
 	for tn.Stats().HostPrograms == hostBefore {
-		free := p.FTL().FreeBlocks(0)
+		free := p.FTL().FreeFraction(chanRange(0, 1))
 		if !eng.Step() {
 			t.Fatal("the engine drained with the write still stalled")
 		}
-		if p.FTL().FreeBlocks(0) > free {
+		if p.FTL().FreeFraction(chanRange(0, 1)) > free {
 			freedAt = eng.Now()
 		}
 	}

@@ -9,8 +9,8 @@ import (
 
 // Shape names a temporal overlay applied on top of a base profile: the
 // workload keeps its request mix and address pattern but its arrival
-// process changes. Shapes are the rungs of harness.WorkloadLevels
-// (steady → diurnal → bursty → replay), mirroring how harness.FaultLevels
+// process changes. Shapes are the rungs of the workload scenario
+// (steady → diurnal → bursty → replay), mirroring how the fault scenario
 // escalates fault rates.
 type Shape uint8
 

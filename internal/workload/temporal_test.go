@@ -225,11 +225,7 @@ func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 // already a replay replays that profile's own records.
 func TestReplayShapeOverReplayProfile(t *testing.T) {
 	src := ByName("TeraSort").SynthesizeTrace(300, 100000, sim.NewRNG(46))
-	if err := Register(ReplayProfile("RegShaped", src, true)); err != nil {
-		t.Fatal(err)
-	}
-	defer delete(profiles, "RegShaped")
-	reg := ByName("RegShaped")
+	reg := ReplayProfile("RegShaped", src, true)
 	shaped := ApplyShape(reg, ShapeReplay, 5, nil)
 	if got := shaped.Replay.Records; len(got) != len(src) || got[0] != src[0] || got[len(got)-1] != src[len(src)-1] {
 		t.Fatalf("shaped replay holds %d records, want the profile's %d", len(got), len(src))
@@ -286,18 +282,11 @@ func TestRegisterAndReplayProfile(t *testing.T) {
 	if prof.Class != Bandwidth {
 		t.Fatalf("big-transfer trace classed %v", prof.Class)
 	}
-	if err := Register(prof); err != nil {
-		t.Fatal(err)
+	if prof.Replay == nil || len(prof.Replay.Records) != len(src) || prof.Validate() != nil {
+		t.Fatal("replay profile lost its trace")
 	}
-	defer delete(profiles, "RegTest")
-	if ByName("RegTest").Replay == nil {
-		t.Fatal("registered profile lost its trace")
-	}
-	if err := Register(prof); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register(Profile{Name: "bad", Replay: &Replay{}}); err == nil {
-		t.Fatal("invalid profile registered")
+	if (Profile{Name: "bad", Replay: &Replay{}}).Validate() == nil {
+		t.Fatal("empty replay validated")
 	}
 
 	small := []trace.Record{{At: 0, Pages: 1}, {At: 10, Pages: 1}}

@@ -301,12 +301,6 @@ func EvaluationBandwidth() []string { return []string{"TeraSort", "MLPrep", "Pag
 // EvaluationLatency returns the latency-sensitive evaluation set.
 func EvaluationLatency() []string { return []string{"VDI-Web", "YCSB"} }
 
-// PretrainingSet returns the held-out workloads used for offline
-// pretraining (§3.8).
-func PretrainingSet() []string {
-	return []string{"LiveMaps", "TPCE", "SearchEngine", "BatchAnalytics"}
-}
-
 // addrState tracks the sequential pointer for address generation.
 type addrState struct {
 	seq int64
@@ -693,19 +687,6 @@ func (s *synthesizer) next() trace.Record {
 	s.now += s.rng.ExpDuration(sim.Time(1e9 / r))
 	write, lpn, np := p.nextAccess(s.rng, &s.st, s.logicalPages)
 	return trace.Record{At: s.now, Write: write, LPN: lpn, Pages: int32(np)}
-}
-
-// Register adds a profile to the named-profile table so ByName and mixes
-// can reference it (used for trace-backed profiles built at startup).
-func Register(p Profile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if _, ok := profiles[p.Name]; ok {
-		return fmt.Errorf("workload: profile %q already registered", p.Name)
-	}
-	profiles[p.Name] = p
-	return nil
 }
 
 // ReplayProfile wraps a trace in a named profile: the generator replays

@@ -26,24 +26,6 @@ func TestByNameUnknownPanics(t *testing.T) {
 	ByName("NoSuchWorkload")
 }
 
-func TestSetsArePartitioned(t *testing.T) {
-	eval := append(EvaluationBandwidth(), EvaluationLatency()...)
-	pre := PretrainingSet()
-	seen := map[string]bool{}
-	for _, n := range eval {
-		seen[n] = true
-	}
-	for _, n := range pre {
-		if seen[n] {
-			t.Fatalf("%s is in both evaluation and pretraining sets", n)
-		}
-	}
-	// The paper pretrains on workloads *not* used in evaluation.
-	if len(pre) != 4 {
-		t.Fatalf("pretraining set = %v", pre)
-	}
-}
-
 func TestClassesMatchTable4(t *testing.T) {
 	for _, n := range EvaluationBandwidth() {
 		if ByName(n).Class != Bandwidth {
