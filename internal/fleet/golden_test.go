@@ -21,36 +21,56 @@ func typeModel() *cluster.Model {
 // TestRackGoldens is the one determinism pin for every kind of rack the
 // package runs: each placement baseline on a small homogeneous rack with
 // migration on, each tier policy on a 2+6 hybrid rack with churn, and a
-// cohort rack with sessions and traffic typing. Every entry is rendered
+// cohort rack with sessions and traffic typing, and a rack whose last
+// arrival lands on the final epoch boundary. Every entry is rendered
 // (roll-up plus per-device detail) at one and four workers; both must
-// equal the checked-in golden. Regenerate (only for an intentional model
-// change) with:
+// equal the checked-in golden, and every tenant holding a slot must have
+// been built. Regenerate (only for an intentional model change) with:
 //
 //	go test ./internal/fleet/ -run TestRackGoldens -update
 func TestRackGoldens(t *testing.T) {
 	type rack struct {
 		name string
 		cfg  Config
+		// placedAtEnd: the final barrier must place a tenant, which no
+		// epoch after it advances.
+		placedAtEnd bool
 	}
 	var racks []rack
 	for _, p := range Placements() {
 		cfg := testConfig()
 		cfg.Placement = p
-		racks = append(racks, rack{"placement-" + p.String(), cfg})
+		racks = append(racks, rack{name: "placement-" + p.String(), cfg: cfg})
 	}
 	for _, tp := range TierPolicies() {
-		racks = append(racks, rack{"tier-" + tp.String(), tierTestConfig(tp)})
+		racks = append(racks, rack{name: "tier-" + tp.String(), cfg: tierTestConfig(tp)})
 	}
 	cohort := cohortConfig()
 	cohort.TypeModel = typeModel()
-	racks = append(racks, rack{"cohort", cohort})
+	racks = append(racks, rack{name: "cohort", cfg: cohort})
+	atEnd := testConfig()
+	atEnd.Tenants = 8
+	atEnd.ArrivalEvery = atEnd.Duration / 8
+	racks = append(racks, rack{name: "arrival-at-end", cfg: atEnd, placedAtEnd: true})
 
 	for _, r := range racks {
 		t.Run(r.name, func(t *testing.T) {
 			run := func(workers int) string {
 				cfg := r.cfg
 				cfg.Workers = workers
-				return render(New(cfg).Run())
+				f := New(cfg)
+				st := f.Run()
+				atEnd := false
+				for _, tn := range f.Tenants() {
+					if (tn.State == StateRunning || tn.State == StateLeaving) && (tn.vssd == nil || tn.gen == nil) {
+						t.Fatalf("workers=%d: tenant %d holds a slot on device %d but has no vSSD or generator", workers, tn.ID, tn.Device)
+					}
+					atEnd = atEnd || (tn.State == StateRunning && tn.placedAt == f.cfg.Duration)
+				}
+				if r.placedAtEnd && !atEnd {
+					t.Fatalf("workers=%d: no tenant was placed at the final boundary %v", workers, f.cfg.Duration)
+				}
+				return render(st)
 			}
 			got := run(1)
 			if par := run(4); par != got {
