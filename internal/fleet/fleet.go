@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -106,8 +107,9 @@ type Config struct {
 	PrefillFrac float64
 	// Workers sizes the shard-worker pool (0 → GOMAXPROCS, capped at
 	// Devices; 1 is a pool of one). The pool is created once at Run start;
-	// each worker owns a static contiguous slice of shards for the whole
-	// run. Results are byte-identical at any setting.
+	// each worker advances its contiguous home range of shards every epoch
+	// and then steals from the back of the others'. Results are
+	// byte-identical at any setting.
 	Workers int
 	// Obs, when non-nil, receives the fleetio_fleet_* metric roll-up,
 	// refreshed at every epoch boundary.
@@ -414,14 +416,18 @@ func (f *Fleet) Tenants() []*Tenant { return f.tenants }
 
 // Run advances the whole fleet to cfg.Duration in quantum-sized epochs
 // and returns the final roll-up. Each epoch the persistent shard workers
-// run their static shard ranges to the barrier (Config.Workers sizes the
-// pool, created once here), then the control plane executes sequentially;
-// the result is byte-identical at any worker count. The pool is torn down
-// before Run returns — no goroutine outlives it.
+// run every shard to the barrier (Config.Workers sizes the pool, created
+// once here), then the control plane executes sequentially; the result is
+// byte-identical at any worker count. The pool is torn down before Run
+// returns — no goroutine outlives it.
 func (f *Fleet) Run() Stats {
 	f.start()
 	for f.now < f.cfg.Duration {
 		f.step()
+	}
+	// No epoch follows the last barrier to build what it placed.
+	for _, sh := range f.shards {
+		f.buildQueued(sh)
 	}
 	st := f.collect()
 	f.stopWorkers()
@@ -440,17 +446,22 @@ func (f *Fleet) start() {
 	f.pool = newShardWorkers(f, min(n, len(f.shards)))
 }
 
-// step runs one epoch. In the parallel phase the pool runs every shard's
-// engine to the next quantum boundary and refreshes its load signals: every
-// field that phase touches is owned by exactly one shard, so the static
-// partition cannot change any shard's event order or any float's operation
-// order. Then the sequential control plane acts at the barrier.
+// step runs one epoch. In the parallel phase the pool builds the tenants
+// the last barrier placed, runs every shard's engine to the next quantum
+// boundary and refreshes its load signals: every field that phase touches
+// is owned by exactly one shard, so which worker claims a shard cannot
+// change any shard's event order or any float's operation order. Then the
+// sequential control plane acts at the barrier.
 func (f *Fleet) step() {
 	t := min(f.now+f.cfg.Quantum, f.cfg.Duration)
-	f.pool.runEpoch(t)
+	f.pool.runEpoch(epoch{from: f.now, to: t})
 	f.now = t
 	f.epochs++
+	t0 := time.Now()
 	f.controlPlane(t)
+	if m := f.metrics; m != nil {
+		m.controlPlane.Add(float64(time.Since(t0)))
+	}
 }
 
 // stopWorkers joins and releases the pool.
@@ -463,7 +474,7 @@ func (f *Fleet) stopWorkers() {
 // advance migrations, place queued tenants, take new arrivals, start new
 // migrations, and publish metrics — in that fixed order, so the run is
 // deterministic. (The per-device load refresh happens in the parallel
-// phase, before the barrier: see epochShards.)
+// phase, before the barrier: see epochShard.)
 func (f *Fleet) controlPlane(now sim.Time) {
 	f.stepMigrations(now)
 	if f.cfg.Lifetime > 0 {
@@ -508,29 +519,43 @@ func (f *Fleet) controlPlane(now sim.Time) {
 	}
 }
 
-// epochShards is the parallel phase of one epoch for shards [lo, hi):
-// advance each shard's engine to the boundary t, then refresh its load
-// signals — device utilization over the epoch and each resident tenant's
-// byte delta (the migration victim signal). Every field it writes is
-// owned by the shard, so the static worker partition makes it race-free
-// and the per-shard float sequences identical at any worker count.
-func (f *Fleet) epochShards(lo, hi int, t sim.Time) {
-	for i := lo; i < hi; i++ {
-		sh := f.shards[i]
-		sh.dev.Advance(t)
-		total := sh.Platform().TotalBytes()
-		denom := sh.peakBandwidth() * float64(f.cfg.Quantum) / 1e9
-		sh.epochUtil = utilOver(total-sh.lastBytes, denom)
-		sh.utilSum += sh.epochUtil
-		sh.lastBytes = total
-		for _, tn := range sh.resident {
-			if tn.vssd != nil {
-				cur := tn.vssd.TotalBytesMoved()
-				tn.epochBytes = cur - tn.lastBytes
-				tn.lastBytes = cur
-			}
+// epochShard is the parallel phase of one epoch for one shard: build the
+// tenants the last barrier placed on it, advance its engine to the
+// boundary, then refresh its load signals — device utilization over the
+// epoch's actual length (the last epoch of a run may be short) and each
+// resident tenant's byte delta (the migration victim signal). Every field
+// it writes is owned by the shard, so it is race-free and its float
+// sequences are identical whichever worker claims the shard.
+func (f *Fleet) epochShard(sh *Shard, e epoch) {
+	f.buildQueued(sh)
+	sh.dev.Advance(e.to)
+	total := sh.Platform().TotalBytes()
+	denom := sh.peakBandwidth() * float64(e.to-e.from) / 1e9
+	sh.epochUtil = utilOver(total-sh.lastBytes, denom)
+	sh.utilSum += sh.epochUtil
+	sh.lastBytes = total
+	for _, tn := range sh.resident {
+		if tn.vssd != nil {
+			cur := tn.vssd.TotalBytesMoved()
+			tn.epochBytes = cur - tn.lastBytes
+			tn.lastBytes = cur
 		}
 	}
+}
+
+// buildQueued builds, in placement order, the tenants the control plane
+// placed on sh at the last barrier: each one's vSSD (prefill, agent sync
+// and α included) and its generator. It runs before the shard's engine
+// advances, at the barrier's virtual time, so the engine sees the calls
+// the barrier would have made. Nothing on the control plane reads a
+// tenant's vSSD or generator before its first epoch: victim skips a tenant
+// until it settles.
+func (f *Fleet) buildQueued(sh *Shard) {
+	for _, tn := range sh.queued {
+		tn.vssd = f.addTenantVSSD(sh, tn)
+		tn.gen = sh.dev.Drive(tn.vssd.ID(), workload.ByName(tn.Workload), tn.rng, tn.rec)
+	}
+	sh.queued = sh.queued[:0]
 }
 
 // utilOver guards the utilization ratio against a degenerate denominator:
@@ -545,7 +570,10 @@ func utilOver(deltaBytes int64, denom float64) float64 {
 	return float64(deltaBytes) / denom
 }
 
-// tryPlace asks the placement policy for a device with a free slot.
+// tryPlace asks the placement policy for a device with a free slot. It
+// makes the decision and writes the ledger; the device half (vSSD and
+// generator) is queued on the shard for its next epoch (buildQueued), so
+// the prefill runs in the parallel phase.
 func (f *Fleet) tryPlace(tn *Tenant, now sim.Time) bool {
 	dev, ok := f.place(tn)
 	if !ok {
@@ -564,9 +592,8 @@ func (f *Fleet) tryPlace(tn *Tenant, now sim.Time) bool {
 	if f.cfg.TypeModel != nil && tn.rec == nil {
 		tn.rec = trace.NewRecorder(cluster.WindowSize)
 	}
-	tn.vssd = f.addTenantVSSD(sh, tn)
 	tn.lastBytes = 0
-	tn.gen = sh.dev.Drive(tn.vssd.ID(), workload.ByName(tn.Workload), tn.rng, tn.rec)
+	sh.queued = append(sh.queued, tn)
 	sh.resident = append(sh.resident, tn)
 	f.led.Placed++
 	return true
@@ -727,8 +754,11 @@ type Shard struct {
 	// reserved migration destinations).
 	slotsUsed int
 	resident  []*Tenant
+	// queued holds the tenants placed here at the last barrier, built by
+	// the shard's worker at the start of the next epoch (buildQueued).
+	queued []*Tenant
 
-	// Load signals, written by the shard's worker every epoch (epochShards).
+	// Load signals, written by the shard's worker every epoch (epochShard).
 	lastBytes int64
 	epochUtil float64
 	utilSum   float64

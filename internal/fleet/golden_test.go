@@ -20,12 +20,14 @@ func typeModel() *cluster.Model {
 
 // TestRackGoldens is the one determinism pin for every kind of rack the
 // package runs: each placement baseline on a small homogeneous rack with
-// migration on, each tier policy on a 2+6 hybrid rack with churn, and a
-// cohort rack with sessions and traffic typing, and a rack whose last
-// arrival lands on the final epoch boundary. Every entry is rendered
-// (roll-up plus per-device detail) at one and four workers; both must
-// equal the checked-in golden, and every tenant holding a slot must have
-// been built. Regenerate (only for an intentional model change) with:
+// migration on, each tier policy on a 2+6 hybrid rack with churn, a cohort
+// rack with sessions and traffic typing, and a rack whose last arrival
+// lands on the final epoch boundary. Every entry is rendered (roll-up plus
+// per-device detail) at one, three and four workers (three gives home
+// spans of unequal size, so stealing crosses spans of different lengths);
+// each must equal the checked-in golden, and every tenant holding a slot
+// must have been built. Regenerate (only for an intentional model change)
+// with:
 //
 //	go test ./internal/fleet/ -run TestRackGoldens -update
 func TestRackGoldens(t *testing.T) {
@@ -73,8 +75,10 @@ func TestRackGoldens(t *testing.T) {
 				return render(st)
 			}
 			got := run(1)
-			if par := run(4); par != got {
-				t.Fatalf("output differs between 1 and 4 workers:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", got, par)
+			for _, workers := range []int{3, 4} {
+				if par := run(workers); par != got {
+					t.Fatalf("output differs between 1 and %d workers:\n--- workers=1 ---\n%s--- workers=%d ---\n%s", workers, got, workers, par)
+				}
 			}
 			golden := filepath.Join("testdata", r.name+".golden")
 			if *updateGolden {

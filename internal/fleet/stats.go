@@ -172,31 +172,33 @@ type fleetMetrics struct {
 	// Barrier health of the shard-worker pool: cumulative wall time the
 	// control plane waited from its first start to the last arrival, and
 	// the last epoch's straggler gap (last minus first worker arrival,
-	// always 0 with one worker).
-	barrierWait, straggler *obs.Metric
+	// always 0 with one worker), and the cumulative wall time of the
+	// sequential control plane.
+	barrierWait, straggler, controlPlane *obs.Metric
 	// tier holds the fleetio_tier_* series; nil on one-class racks.
 	tier *tierMetrics
 }
 
 func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 	return &fleetMetrics{
-		devices:     reg.Gauge("fleetio_fleet_devices", "Device shards in the fleet."),
-		running:     reg.Gauge("fleetio_fleet_tenants_running", "Tenants currently serving I/O."),
-		queued:      reg.Gauge("fleetio_fleet_tenants_queued", "Tenants waiting for a device slot."),
-		rejected:    reg.Counter("fleetio_fleet_tenants_rejected_total", "Tenants turned away by fleet admission."),
-		departed:    reg.Counter("fleetio_fleet_tenants_departed_total", "Tenants whose sessions ended and drained out (cohort mode)."),
-		placed:      reg.Counter("fleetio_fleet_placements_total", "Tenant placements performed."),
-		migStarted:  reg.Counter("fleetio_fleet_migrations_started_total", "Cold migrations started."),
-		migDone:     reg.Counter("fleetio_fleet_migrations_completed_total", "Cold migrations completed."),
-		migDowntime: reg.Counter("fleetio_fleet_migration_downtime_seconds", "Total drain+copy downtime charged to tenants."),
-		bandwidth:   reg.Gauge("fleetio_fleet_bandwidth_bytes_per_second", "Fleet device throughput over the last epoch."),
-		utilMean:    reg.Gauge("fleetio_fleet_util_mean", "Mean per-device utilization over the last epoch."),
-		utilMin:     reg.Gauge("fleetio_fleet_util_min", "Coolest device's utilization over the last epoch."),
-		utilMax:     reg.Gauge("fleetio_fleet_util_max", "Hottest device's utilization over the last epoch."),
-		simTime:     reg.Gauge("fleetio_fleet_sim_time_seconds", "Fleet-wide virtual clock."),
-		epochs:      reg.Counter("fleetio_fleet_epochs_total", "Synchronization epochs completed."),
-		barrierWait: reg.Counter("fleetio_fleet_barrier_wait_ns", "Cumulative wall time the control plane waited at the epoch barrier."),
-		straggler:   reg.Gauge("fleetio_fleet_barrier_straggler_ns", "Last epoch's gap between the first and last shard worker arriving at the barrier."),
+		devices:      reg.Gauge("fleetio_fleet_devices", "Device shards in the fleet."),
+		running:      reg.Gauge("fleetio_fleet_tenants_running", "Tenants currently serving I/O."),
+		queued:       reg.Gauge("fleetio_fleet_tenants_queued", "Tenants waiting for a device slot."),
+		rejected:     reg.Counter("fleetio_fleet_tenants_rejected_total", "Tenants turned away by fleet admission."),
+		departed:     reg.Counter("fleetio_fleet_tenants_departed_total", "Tenants whose sessions ended and drained out (cohort mode)."),
+		placed:       reg.Counter("fleetio_fleet_placements_total", "Tenant placements performed."),
+		migStarted:   reg.Counter("fleetio_fleet_migrations_started_total", "Cold migrations started."),
+		migDone:      reg.Counter("fleetio_fleet_migrations_completed_total", "Cold migrations completed."),
+		migDowntime:  reg.Counter("fleetio_fleet_migration_downtime_seconds", "Total drain+copy downtime charged to tenants."),
+		bandwidth:    reg.Gauge("fleetio_fleet_bandwidth_bytes_per_second", "Fleet device throughput over the last epoch."),
+		utilMean:     reg.Gauge("fleetio_fleet_util_mean", "Mean per-device utilization over the last epoch."),
+		utilMin:      reg.Gauge("fleetio_fleet_util_min", "Coolest device's utilization over the last epoch."),
+		utilMax:      reg.Gauge("fleetio_fleet_util_max", "Hottest device's utilization over the last epoch."),
+		simTime:      reg.Gauge("fleetio_fleet_sim_time_seconds", "Fleet-wide virtual clock."),
+		epochs:       reg.Counter("fleetio_fleet_epochs_total", "Synchronization epochs completed."),
+		barrierWait:  reg.Counter("fleetio_fleet_barrier_wait_ns", "Cumulative wall time the control plane waited at the epoch barrier."),
+		straggler:    reg.Gauge("fleetio_fleet_barrier_straggler_ns", "Last epoch's gap between the first and last shard worker arriving at the barrier."),
+		controlPlane: reg.Counter("fleetio_fleet_control_plane_ns", "Cumulative wall time of the sequential control plane at epoch barriers."),
 	}
 }
 

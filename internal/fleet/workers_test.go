@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,6 +32,79 @@ func TestPartitionShardsCoversContiguously(t *testing.T) {
 			}
 			if next != d {
 				t.Fatalf("d=%d n=%d: ranges cover [0,%d), want [0,%d)", d, n, next, d)
+			}
+		}
+	}
+}
+
+// TestSpanClaimsProperty races owners and thieves over random home ranges
+// (empty ones included) for many epochs. Every shard must be claimed exactly
+// once an epoch, and each worker's claims within a span must form one
+// contiguous run: the owner's from the front, the span's one thief's from
+// the back. Run under -race by check.sh.
+func TestSpanClaimsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 100; trial++ {
+		d := 1 + rng.Intn(48)
+		n := 1 + rng.Intn(6)
+		cuts := []int{0, d}
+		for i := 1; i < n; i++ {
+			cuts = append(cuts, rng.Intn(d+1))
+		}
+		sort.Ints(cuts)
+		homes := make([][2]int, n)
+		owner := make([]int, d)
+		for w := range homes {
+			homes[w] = [2]int{cuts[w], cuts[w+1]}
+			for i := cuts[w]; i < cuts[w+1]; i++ {
+				owner[i] = w
+			}
+		}
+		p := &shardWorkers{homes: homes, spans: make([]span, n)}
+		for ep := 0; ep < 20; ep++ {
+			p.reset()
+			claims := make([][]int, n)
+			var wg sync.WaitGroup
+			for w := 0; w < n; w++ {
+				wg.Add(1)
+				go func(w int, seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					for i, ok := p.claim(w); ok; i, ok = p.claim(w) {
+						claims[w] = append(claims[w], i)
+						for k := r.Intn(200); k > 0; k-- {
+							if k%64 == 0 {
+								runtime.Gosched()
+							}
+						}
+					}
+				}(w, rng.Int63())
+			}
+			wg.Wait()
+			seen := make([]int, d)
+			for w, cl := range claims {
+				lo, hi, count := make([]int, n), make([]int, n), make([]int, n)
+				for _, i := range cl {
+					seen[i]++
+					s := owner[i]
+					if count[s] == 0 || i < lo[s] {
+						lo[s] = i
+					}
+					if count[s] == 0 || i > hi[s] {
+						hi[s] = i
+					}
+					count[s]++
+				}
+				for s := range count {
+					if count[s] > 0 && hi[s]-lo[s]+1 != count[s] {
+						t.Fatalf("d=%d homes=%v epoch %d: worker %d's claims in span %d are not one run: %v", d, homes, ep, w, s, cl)
+					}
+				}
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("d=%d homes=%v epoch %d: shard %d claimed %d times", d, homes, ep, i, c)
+				}
 			}
 		}
 	}
@@ -116,6 +192,40 @@ func TestEpochLoopZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPartialEpochUtil: a Duration that is not a whole number of quanta
+// ends the run in a short epoch, whose utilization is its bytes over the
+// device's peak for the epoch's own 50 ms, not for a whole quantum.
+func TestPartialEpochUtil(t *testing.T) {
+	cfg := testConfig()
+	cfg.Duration = 2050 * sim.Millisecond
+	f := New(cfg)
+	f.start()
+	defer f.stopWorkers()
+	for f.now < 2*sim.Second {
+		f.step()
+	}
+	before := make([]int64, len(f.shards))
+	for i, sh := range f.shards {
+		before[i] = sh.lastBytes
+	}
+	f.step()
+	if f.now != cfg.Duration {
+		t.Fatalf("final epoch ended at %v, want %v", f.now, cfg.Duration)
+	}
+	busy := false
+	for i, sh := range f.shards {
+		moved := sh.lastBytes - before[i]
+		busy = busy || moved > 0
+		want := utilOver(moved, sh.peakBandwidth()*float64(50*sim.Millisecond)/1e9)
+		if sh.epochUtil != want {
+			t.Errorf("device %d: final 50 ms epoch util %v, want %v (%d bytes)", i, sh.epochUtil, want, moved)
+		}
+	}
+	if !busy {
+		t.Fatal("no device moved a byte in the final epoch")
+	}
+}
+
 func TestUtilOverGuards(t *testing.T) {
 	cases := []struct {
 		delta int64
@@ -139,8 +249,8 @@ func TestUtilOverGuards(t *testing.T) {
 }
 
 // TestBarrierMetricsPublished checks the barrier-health series appear and
-// that a run accumulates barrier wait time at every worker count, one
-// worker included.
+// that a run accumulates barrier wait and control-plane time at every
+// worker count, one worker included.
 func TestBarrierMetricsPublished(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
@@ -155,13 +265,15 @@ func TestBarrierMetricsPublished(t *testing.T) {
 		for _, n := range reg.Names() {
 			names[n] = true
 		}
-		for _, n := range []string{"fleetio_fleet_barrier_wait_ns", "fleetio_fleet_barrier_straggler_ns"} {
+		for _, n := range []string{"fleetio_fleet_barrier_wait_ns", "fleetio_fleet_barrier_straggler_ns", "fleetio_fleet_control_plane_ns"} {
 			if !names[n] {
 				t.Errorf("workers=%d: metric %s not registered", workers, n)
 			}
 		}
-		if wait := reg.Counter("fleetio_fleet_barrier_wait_ns", "").Value(); !(wait > 0) {
-			t.Errorf("workers=%d: fleetio_fleet_barrier_wait_ns = %v after %d epochs, want > 0", workers, wait, st.Epochs)
+		for _, n := range []string{"fleetio_fleet_barrier_wait_ns", "fleetio_fleet_control_plane_ns"} {
+			if v := reg.Counter(n, "").Value(); !(v > 0) {
+				t.Errorf("workers=%d: %s = %v after %d epochs, want > 0", workers, n, v, st.Epochs)
+			}
 		}
 	}
 }

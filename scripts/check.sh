@@ -9,8 +9,9 @@
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
 # what a rack device costs in bytes, how much of a synthesized replay trace
 # is held) at several core counts, worker-count
-# identity gates on the scenario figures, and benchmark smoke/allocation
-# gates. What each scenario must show (completed migrations, promotes and
+# identity gates on the scenario figures (the rack figures at -parallel 1, 2
+# and 4: two workers is the benchmark's count, where shards are stolen on a
+# two-core host), and benchmark smoke/allocation gates. What each scenario must show (completed migrations, promotes and
 # demotes, typed traffic, …) is asserted by harness.TestScenarios in the
 # test suite. So is the internal-API gate: the root package's
 # TestInternalAPISizedToCallers fails on an exported internal/ function or
@@ -206,25 +207,32 @@ go test -run 'ZeroAlloc|SteadyStateAllocs|TableWidths|MeasurementWidths|RackByte
     ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/nn/ ./internal/rl/ ./internal/gsb/ ./internal/admission/ ./internal/fleet/ \
     ./internal/trace/ ./internal/cluster/ ./internal/harness/ ./internal/metrics/ ./internal/vssd/ ./internal/workload/
 
-echo "== scenario identity gates (same seed, -parallel 1 vs 4)"
+echo "== scenario identity gates (same seed, -parallel 1 vs 4; racks also vs 2)"
 # Every scenario draws only from seeded streams on single-threaded engines
-# (the rack scenarios advance shards concurrently between epoch barriers),
-# so its figure must be byte-identical at any worker count.
+# (the rack scenarios advance shards concurrently between epoch barriers,
+# each worker stealing shards from the others' ranges once its own is
+# done), so its figure must be byte-identical at any worker count. The
+# rack figures are also compared at -parallel 2, the benchmark's worker
+# count.
 go build -o "$tmp/fleetbench" ./cmd/fleetbench
 identity_gate() {
     fig=$1
     shift
-    "$tmp/fleetbench" -fig "$fig" "$@" -parallel 1 > "$tmp/$fig.1" 2> /dev/null
-    "$tmp/fleetbench" -fig "$fig" "$@" -parallel 4 > "$tmp/$fig.4" 2> /dev/null
-    if ! cmp -s "$tmp/$fig.1" "$tmp/$fig.4"; then
-        echo "-fig $fig output differs between -parallel 1 and -parallel 4:" >&2
-        diff "$tmp/$fig.1" "$tmp/$fig.4" >&2 || true
-        exit 1
-    fi
+    for par in $parallel; do
+        "$tmp/fleetbench" -fig "$fig" "$@" -parallel "$par" > "$tmp/$fig.$par" 2> /dev/null
+        if ! cmp -s "$tmp/$fig.1" "$tmp/$fig.$par"; then
+            echo "-fig $fig output differs between -parallel 1 and -parallel $par:" >&2
+            diff "$tmp/$fig.1" "$tmp/$fig.$par" >&2 || true
+            exit 1
+        fi
+    done
 }
+parallel="1 4"
 identity_gate faults -seconds 2 -warmup 1
+parallel="1 2 4"
 identity_gate fleet -fleet 64 -seconds 2
 identity_gate tiers -fleet 8 -seconds 4
+parallel="1 4"
 # The workloads ladder replays the checked-in sample CSV, converted to the
 # binary trace format on the way.
 go run ./cmd/fleettrace convert -in internal/trace/testdata/sample_msr.csv -format msr -out "$tmp/sample.bin"
