@@ -1,8 +1,10 @@
 // Command fleettrain pretrains the FleetIO PPO model offline on the
 // held-out workloads (§3.8) and writes it to a file for fleetbench and the
-// examples to load. Episode collection fans out across -workers parallel
-// simulators; -checkpoint-dir makes the run killable and resumable, and
-// -metrics records the training trajectory as JSONL.
+// examples to load. Each round collects -workers episodes on parallel
+// simulators for one PPO update, so the model depends on -workers as on
+// -seed; -checkpoint-dir makes the run killable and resumable (with the same
+// -workers and -seed), and -metrics records the training trajectory as
+// JSONL.
 //
 // Usage:
 //
@@ -29,7 +31,7 @@ func main() {
 	windowMs := flag.Int("window", 100, "decision window in milliseconds")
 	lr := flag.Float64("lr", 1e-3, "pretraining learning rate")
 	seed := flag.Int64("seed", 11, "seed")
-	workers := flag.Int("workers", 4, "parallel episode-collection workers")
+	workers := flag.Int("workers", 4, "episodes per PPO update, collected in parallel (the model depends on it; -resume needs the same -workers and -seed)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training checkpoints (enables resume)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "rounds between checkpoints")
 	resume := flag.Bool("resume", false, "resume from the newest readable checkpoint in -checkpoint-dir")

@@ -104,9 +104,6 @@ func NewController(plat *vssd.Platform, policy Policy) *Controller {
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Pending returns the number of batched, unflushed actions.
-func (c *Controller) Pending() int { return len(c.batch) }
-
 // Start arms the periodic flush on the engine. Safe to call once.
 func (c *Controller) Start() {
 	if c.started {

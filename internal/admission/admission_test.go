@@ -35,7 +35,7 @@ func TestImmediateActionsBypassBatch(t *testing.T) {
 	_, p, vs := testSetup()
 	c := NewController(p, nil)
 	c.Submit(vssd.Action{VSSD: 0, Kind: vssd.ActSetPriority, Level: ftl.PriorityHigh})
-	if c.Pending() != 0 {
+	if len(c.batch) != 0 {
 		t.Fatal("Set_Priority must not be batched")
 	}
 	if vs[0].Priority() != ftl.PriorityHigh {
@@ -51,7 +51,7 @@ func TestHarvestActionsBatchUntilFlush(t *testing.T) {
 	c := NewController(p, nil)
 	bw := p.FlashConfig().ChannelBandwidth()
 	c.Submit(vssd.Action{VSSD: 0, Kind: vssd.ActMakeHarvestable, BW: bw})
-	if c.Pending() != 1 {
+	if len(c.batch) != 1 {
 		t.Fatal("harvest action must batch")
 	}
 	if p.GSB().HarvestableChannels(0) != 0 {
@@ -61,7 +61,7 @@ func TestHarvestActionsBatchUntilFlush(t *testing.T) {
 	if p.GSB().HarvestableChannels(0) != 1 {
 		t.Fatal("flush did not execute the action")
 	}
-	if c.Pending() != 0 {
+	if len(c.batch) != 0 {
 		t.Fatal("batch not cleared")
 	}
 }

@@ -15,31 +15,31 @@ import (
 	"repro/internal/trace"
 )
 
-// FeatureDim is the number of features per window.
-const FeatureDim = 4
+// featureDim is the number of features per window.
+const featureDim = 4
 
 // entropyBuckets is the LPA histogram resolution for the entropy feature.
 const entropyBuckets = 64
 
-// Features reduces one window of trace records to the §3.4 feature vector:
+// features reduces one window of trace records to the §3.4 feature vector:
 // [log read MB/s, log write MB/s, normalized LPA entropy, log avg I/O size
 // KB]. Bandwidths and sizes are log-scaled (log1p) so the huge dynamic
 // range of bandwidth-intensive jobs does not drown the latency-sensitive
 // structure; entropy buckets span the vSSD's whole logical space
 // (logicalPages), so a sequential window — however wide its own span —
 // reads as concentrated.
-func Features(recs []trace.Record, pageSize int, logicalPages int64) [FeatureDim]float64 {
+func features(recs []trace.Record, pageSize int, logicalPages int64) [featureDim]float64 {
 	return segmentFeatures(recs, nil, pageSize, logicalPages)
 }
 
-// segmentFeatures is Features over one window held as two segments in
+// segmentFeatures is features over one window held as two segments in
 // arrival order (a trace.Recorder's ring, read where it lies; older is empty
 // only when the window is). Nothing it sums depends on where the window is
 // cut: the byte totals are integers, the bucket counts integer-valued, and
 // the only order-dependent inputs are the first and the last timestamp — so
 // the features are bit-identical to those of the concatenated window.
-func segmentFeatures(older, newer []trace.Record, pageSize int, logicalPages int64) [FeatureDim]float64 {
-	var f [FeatureDim]float64
+func segmentFeatures(older, newer []trace.Record, pageSize int, logicalPages int64) [featureDim]float64 {
+	var f [featureDim]float64
 	if len(older) == 0 {
 		return f
 	}
@@ -90,9 +90,9 @@ func segmentFeatures(older, newer []trace.Record, pageSize int, logicalPages int
 	return f
 }
 
-// Windowize splits records into consecutive windows of perWindow records,
+// windowize splits records into consecutive windows of perWindow records,
 // dropping a final partial window.
-func Windowize(recs []trace.Record, perWindow int) [][]trace.Record {
+func windowize(recs []trace.Record, perWindow int) [][]trace.Record {
 	if perWindow <= 0 {
 		panic("cluster: non-positive window")
 	}
@@ -169,9 +169,9 @@ type KMeans struct {
 	Centroids [][]float64
 }
 
-// FitKMeans clusters standardized points with k-means++ initialization and
+// fitKMeans clusters standardized points with k-means++ initialization and
 // Lloyd iterations.
-func FitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *KMeans {
+func fitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *KMeans {
 	if len(points) < k {
 		panic(fmt.Sprintf("cluster: %d points for k=%d", len(points), k))
 	}
@@ -254,8 +254,8 @@ func FitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *KMeans {
 	return &KMeans{K: k, Centroids: centroids}
 }
 
-// Assign returns the nearest centroid index for a standardized point.
-func (km *KMeans) Assign(p []float64) int {
+// assign returns the nearest centroid index for a standardized point.
+func (km *KMeans) assign(p []float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c, cen := range km.Centroids {
 		if d := sqDist(p, cen); d < bestD {

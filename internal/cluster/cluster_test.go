@@ -10,7 +10,7 @@ import (
 )
 
 func TestFeaturesEmpty(t *testing.T) {
-	f := Features(nil, 16384, 1_000_000)
+	f := features(nil, 16384, 1_000_000)
 	for _, v := range f {
 		if v != 0 {
 			t.Fatal("empty window must give zero features")
@@ -30,7 +30,7 @@ func TestFeaturesBasic(t *testing.T) {
 		})
 	}
 	const page = 16384
-	f := Features(recs, page, 1_000_000)
+	f := features(recs, page, 1_000_000)
 	if f[0] <= 0 || f[1] <= 0 {
 		t.Fatalf("bandwidth features %v", f)
 	}
@@ -55,8 +55,8 @@ func TestEntropyOrdering(t *testing.T) {
 		seqRecs = append(seqRecs, trace.Record{At: int64(i), LPN: int64(i % 500), Pages: 1})
 		rndRecs = append(rndRecs, trace.Record{At: int64(i), LPN: int64(rng.Intn(1_000_000)), Pages: 1})
 	}
-	seq := Features(seqRecs, 16384, 1_000_000)
-	rnd := Features(rndRecs, 16384, 1_000_000)
+	seq := features(seqRecs, 16384, 1_000_000)
+	rnd := features(rndRecs, 16384, 1_000_000)
 	if seq[2] >= rnd[2] {
 		t.Fatalf("entropy ordering wrong: seq %v >= rnd %v", seq[2], rnd[2])
 	}
@@ -64,7 +64,7 @@ func TestEntropyOrdering(t *testing.T) {
 
 func TestWindowize(t *testing.T) {
 	recs := make([]trace.Record, 25)
-	w := Windowize(recs, 10)
+	w := windowize(recs, 10)
 	if len(w) != 2 {
 		t.Fatalf("windows = %d, want 2 (partial dropped)", len(w))
 	}
@@ -121,11 +121,11 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 			labels = append(labels, c)
 		}
 	}
-	km := FitKMeans(points, 3, 50, rng)
+	km := fitKMeans(points, 3, 50, rng)
 	// Every blob must map to a single cluster and blobs to distinct ones.
 	blobCluster := map[int]int{}
 	for i, p := range points {
-		c := km.Assign(p)
+		c := km.assign(p)
 		if prev, ok := blobCluster[labels[i]]; ok {
 			if prev != c {
 				t.Fatalf("blob %d split across clusters", labels[i])
@@ -149,7 +149,7 @@ func TestKMeansPanicsOnTooFewPoints(t *testing.T) {
 			t.Fatal("must panic with fewer points than clusters")
 		}
 	}()
-	FitKMeans([][]float64{{1}}, 2, 10, sim.NewRNG(1))
+	fitKMeans([][]float64{{1}}, 2, 10, sim.NewRNG(1))
 }
 
 func TestPCA2RecoversVariance(t *testing.T) {
@@ -233,7 +233,7 @@ func TestModelClassifyKnownVsUnknown(t *testing.T) {
 func TestClassifyTrace(t *testing.T) {
 	m := typingModel()
 	recs := workload.ByName("TeraSort").SynthesizeTrace(2000, 1_000_000, sim.NewRNG(9))
-	f := Features(recs, 16384, SynthLogicalPages)
+	f := features(recs, 16384, synthLogicalPages)
 	c, known := m.classify(f[:])
 	if !known {
 		t.Fatal("fresh TeraSort trace unknown")
@@ -283,7 +283,7 @@ func TestClassifyRecorderMatchesCopy(t *testing.T) {
 
 		older, newer := rec.Segments()
 		got := segmentFeatures(older, newer, pageSize, logical)
-		want := Features(rec.Records(), pageSize, logical)
+		want := features(append(append([]trace.Record(nil), older...), newer...), pageSize, logical)
 		for d := range want {
 			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
 				t.Fatalf("recorder %d (limit %d, %d adds, page %d, logical %d): feature %d = %v in place, %v from the copy",
@@ -315,14 +315,14 @@ func TestClassifyRecorderMatchesCopy(t *testing.T) {
 func TestClassifyRecorderZeroAlloc(t *testing.T) {
 	m := typingModel()
 	rec := trace.NewRecorder(WindowSize)
-	for _, r := range workload.ByName("YCSB").SynthesizeTrace(WindowSize+WindowSize/3, SynthLogicalPages, sim.NewRNG(5)) {
+	for _, r := range workload.ByName("YCSB").SynthesizeTrace(WindowSize+WindowSize/3, synthLogicalPages, sim.NewRNG(5)) {
 		rec.Add(r)
 	}
 	if older, newer := rec.Segments(); len(older) == 0 || len(newer) == 0 {
 		t.Fatalf("ring not wrapped: segments of %d and %d records", len(older), len(newer))
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, ok := m.ClassifyRecorder(rec, 16384, SynthLogicalPages); !ok {
+		if _, _, ok := m.ClassifyRecorder(rec, 16384, synthLogicalPages); !ok {
 			t.Fatal("full window not classified")
 		}
 	})

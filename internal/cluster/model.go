@@ -13,9 +13,9 @@ import (
 // WindowSize is the paper's trace window: 10K requests (§3.4).
 const WindowSize = 10_000
 
-// SynthLogicalPages is the logical-space size used when synthesizing
+// synthLogicalPages is the logical-space size used when synthesizing
 // traces for offline clustering.
-const SynthLogicalPages = 1_000_000
+const synthLogicalPages = 1_000_000
 
 // Sample is one feature window with its ground-truth workload.
 type Sample struct {
@@ -36,9 +36,9 @@ func BuildDataset(names []string, windowsPer, perWindow, pageSize int, seed int6
 	for _, name := range names {
 		prof := workload.ByName(name)
 		wr := rng.Split(int64(len(name)) + int64(name[0])*31)
-		recs := prof.SynthesizeTrace(windowsPer*perWindow, SynthLogicalPages, wr)
-		for _, win := range Windowize(recs, perWindow) {
-			f := Features(win, pageSize, SynthLogicalPages)
+		recs := prof.SynthesizeTrace(windowsPer*perWindow, synthLogicalPages, wr)
+		for _, win := range windowize(recs, perWindow) {
+			f := features(win, pageSize, synthLogicalPages)
 			ds.Samples = append(ds.Samples, Sample{Workload: name, Features: f[:]})
 		}
 	}
@@ -90,7 +90,7 @@ func Train(ds Dataset, k int, seed int64) *Model {
 		raw[i] = s.Features
 	}
 	scaled, mean, std := Standardize(raw)
-	km := FitKMeans(scaled, k, 100, rng)
+	km := fitKMeans(scaled, k, 100, rng)
 
 	votes := make([]map[string]int, k)
 	for i := range votes {
@@ -98,7 +98,7 @@ func Train(ds Dataset, k int, seed int64) *Model {
 	}
 	maxDist := make([]float64, k)
 	for i, p := range scaled {
-		c := km.Assign(p)
+		c := km.assign(p)
 		votes[c][ds.Samples[i].Workload]++
 		if d := math.Sqrt(sqDist(p, km.Centroids[c])); d > maxDist[c] {
 			maxDist[c] = d
@@ -117,7 +117,7 @@ func Train(ds Dataset, k int, seed int64) *Model {
 		if perWl[wl] == nil {
 			perWl[wl] = map[int]int{}
 		}
-		perWl[wl][km.Assign(p)]++
+		perWl[wl][km.assign(p)]++
 	}
 	for wl, counts := range perWl {
 		best, bestN := 0, -1
@@ -140,9 +140,9 @@ func Train(ds Dataset, k int, seed int64) *Model {
 func (m *Model) classify(features []float64) (cluster int, known bool) {
 	// Standardized on the stack: online typing runs this every few windows
 	// per tenant.
-	var buf [FeatureDim]float64
+	var buf [featureDim]float64
 	p := appendApplied(buf[:0], features, m.Mean, m.Std)
-	c := m.KM.Assign(p)
+	c := m.KM.assign(p)
 	d := math.Sqrt(sqDist(p, m.KM.Centroids[c]))
 	return c, d <= m.MaxDist[c]*1.5
 }

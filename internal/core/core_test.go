@@ -41,12 +41,12 @@ func snapWith(bw int64, dur sim.Time, vioRate float64, reqs int64) vssd.WindowSn
 func TestSingleRewardEq1(t *testing.T) {
 	// BW = guaranteed, no violations, α=0 → reward exactly 1.
 	s := snapWith(1000, sim.Second, 0, 10)
-	if got := SingleReward(0, s, 1000, 0.01); math.Abs(got-1) > 1e-9 {
+	if got := singleReward(0, s, 1000, 0.01); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("reward = %v, want 1", got)
 	}
 	// α=1 → pure violation penalty.
 	s2 := snapWith(1000, sim.Second, 0.5, 10)
-	got := SingleReward(1, s2, 1000, 0.01)
+	got := singleReward(1, s2, 1000, 0.01)
 	if math.Abs(got-(-50)) > 1e-9 {
 		t.Fatalf("reward = %v, want -50 (0.5/0.01)", got)
 	}
@@ -59,7 +59,7 @@ func TestRewardMonotonicityProperty(t *testing.T) {
 		alpha := 0.025
 		mk := func(bw int64, vio float64) float64 {
 			s := snapWith(int64(bw)*100+100, sim.Second, vio, 20)
-			return SingleReward(alpha, s, 5000, 0.01)
+			return singleReward(alpha, s, 5000, 0.01)
 		}
 		loBW, hiBW := int64(bwA), int64(bwB)
 		if loBW > hiBW {
@@ -79,9 +79,9 @@ func TestRewardMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// mixRewards is MixRewardsInto with fresh storage.
+// mixRewards is mixRewardsInto with fresh storage.
 func mixRewards(single []float64, beta float64) []float64 {
-	return MixRewardsInto(single, make([]float64, len(single)), beta)
+	return mixRewardsInto(single, make([]float64, len(single)), beta)
 }
 
 func TestMixRewardsEq2(t *testing.T) {
@@ -142,8 +142,8 @@ func TestEncodeWindowRangesAndSemantics(t *testing.T) {
 	s.QueueLen = 10
 	s.InflightPages = 6
 	s.AvailCapacity = 500
-	sc := StateScales{GuaranteedBW: 64e6, IOPSScale: 100, LatScale: 1000, CapScale: 1000, QueueScale: 16}
-	v := EncodeWindow(s, sc, 200, 0.3)
+	sc := stateScales{GuaranteedBW: 64e6, IOPSScale: 100, LatScale: 1000, CapScale: 1000, QueueScale: 16}
+	v := encodeWindow(s, sc, 200, 0.3)
 	if math.Abs(v[0]-1.0) > 0.01 {
 		t.Fatalf("BW state = %v, want ~1", v[0])
 	}
@@ -173,8 +173,8 @@ func TestEncodeWindowRangesAndSemantics(t *testing.T) {
 }
 
 func TestHistoryStacking(t *testing.T) {
-	h := NewHistoryWidth(3, StatesPerWindow)
-	v := h.Vector()
+	h := newHistoryWidth(3, StatesPerWindow)
+	v := h.vector()
 	if len(v) != 33 {
 		t.Fatalf("dim = %d", len(v))
 	}
@@ -190,15 +190,15 @@ func TestHistoryStacking(t *testing.T) {
 		}
 		return s
 	}
-	h.Push(mk(1))
-	h.Push(mk(2))
-	v = h.Vector()
+	h.push(mk(1))
+	h.push(mk(2))
+	v = h.vector()
 	if v[0] != 0 || v[StatesPerWindow] != 1 || v[2*StatesPerWindow] != 2 {
 		t.Fatalf("padding/order wrong: %v", v[:3*StatesPerWindow:3*StatesPerWindow])
 	}
-	h.Push(mk(3))
-	h.Push(mk(4)) // evicts 1
-	v = h.Vector()
+	h.push(mk(3))
+	h.push(mk(4)) // evicts 1
+	v = h.vector()
 	if v[0] != 2 || v[StatesPerWindow] != 3 || v[2*StatesPerWindow] != 4 {
 		t.Fatal("eviction order wrong")
 	}
@@ -277,11 +277,11 @@ func TestFleetIOConstruction(t *testing.T) {
 		t.Fatalf("β = %v in Customized-Local", b)
 	}
 	// Independent nets per agent by default.
-	if f.Net(0) == f.Net(1) {
+	if f.agents[0].ppo.Net == f.agents[1].ppo.Net {
 		t.Fatal("agents must have independent networks by default")
 	}
 	fs := NewFleetIO(p, FleetIOConfig{ShareModel: true, Seed: 1})
-	if fs.Net(0) != fs.Net(1) {
+	if fs.agents[0].ppo.Net != fs.agents[1].ppo.Net {
 		t.Fatal("ShareModel must share one network")
 	}
 }
@@ -318,11 +318,11 @@ func TestFleetIOSetAlpha(t *testing.T) {
 	_, p := testPlatform(2)
 	p.AddVSSD(vssd.Config{Name: "a", Channels: []int{0, 1}})
 	f := NewFleetIO(p, FleetIOConfig{Seed: 1})
-	if f.Alpha(0) != UnifiedAlpha {
-		t.Fatalf("default α = %v", f.Alpha(0))
+	if f.agents[0].alpha != UnifiedAlpha {
+		t.Fatalf("default α = %v", f.agents[0].alpha)
 	}
 	f.SetAlpha(0, AlphaLC1)
-	if f.Alpha(0) != AlphaLC1 {
+	if f.agents[0].alpha != AlphaLC1 {
 		t.Fatal("SetAlpha failed")
 	}
 }
@@ -331,7 +331,7 @@ func TestPaperAlphaConstants(t *testing.T) {
 	if AlphaLC1 != 2.5e-2 || AlphaLC2 != 5e-3 || AlphaBI != 0 || UnifiedAlpha != 0.01 {
 		t.Fatal("α constants must match §3.8")
 	}
-	if DefaultBeta != 0.6 {
+	if defaultBeta != 0.6 {
 		t.Fatal("β must match Table 3")
 	}
 }
@@ -373,7 +373,7 @@ func TestDecideBatchedMatchesScalar(t *testing.T) {
 		r.Start()
 		eng.RunUntil(3 * sim.Second) // 30 windows < MiniBatch
 		out.updates = len(f.TrainStats())
-		out.par = f.Net(1).Params()
+		out.par = f.agents[1].ppo.Net.Params()
 		return out
 	}
 	pretrained := func() *nn.ActorCritic {

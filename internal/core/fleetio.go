@@ -39,7 +39,7 @@ func (m Mode) beta() float64 {
 	if m == ModeCustomizedLocal {
 		return 1.0
 	}
-	return DefaultBeta
+	return defaultBeta
 }
 
 func (m Mode) String() string {
@@ -78,7 +78,7 @@ type FleetIOConfig struct {
 	ErrorRateState bool
 
 	// PlacementHead appends a fourth categorical action head of width
-	// len(TierLevels): a per-window tier hint (fast vs dense) for the
+	// len(tierLevels): a per-window tier hint (fast vs dense) for the
 	// agent's tenant. The hint is not a device action — emit issues the
 	// same three vssd.Actions either way — it is read by the fleet
 	// control plane at epoch barriers via TierHint and turned into
@@ -112,8 +112,8 @@ type agent struct {
 	id     int
 	ppo    *rl.PPO
 	buf    rl.Buffer
-	hist   *History
-	scales StateScales
+	hist   *history
+	scales stateScales
 	alpha  float64
 
 	pending     bool
@@ -183,7 +183,7 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 func (f *FleetIO) stateWidth() int {
 	width := StatesPerWindow
 	if f.cfg.ErrorRateState {
-		width = StatesPerWindowExt
+		width = statesPerWindowExt
 	}
 	if f.cfg.TierOccState {
 		width++
@@ -196,7 +196,7 @@ func (f *FleetIO) stateWidth() int {
 func (f *FleetIO) heads() []int {
 	heads := []int{len(HarvestLevels), len(HarvestLevels), len(PriorityLevels)}
 	if f.cfg.PlacementHead {
-		heads = append(heads, len(TierLevels))
+		heads = append(heads, len(tierLevels))
 	}
 	return heads
 }
@@ -221,10 +221,10 @@ func (f *FleetIO) SyncAgents() {
 		v := f.plat.VSSD(i)
 		a := &agent{
 			id:       i,
-			hist:     NewHistoryWidth(DefaultHistoryWindows, width),
+			hist:     newHistoryWidth(DefaultHistoryWindows, width),
 			alpha:    UnifiedAlpha,
 			tierHint: -1,
-			scales:   DefaultScales(len(v.Tenant().Channels()), chanBW, int64(v.Tenant().LogicalPages())*int64(f.plat.FlashConfig().PageSize)),
+			scales:   defaultScales(len(v.Tenant().Channels()), chanBW, int64(v.Tenant().LogicalPages())*int64(f.plat.FlashConfig().PageSize)),
 		}
 		if f.cfg.ShareModel {
 			a.ppo = f.shared
@@ -249,7 +249,7 @@ func (f *FleetIO) SetRecorder(vssdID int, rec *trace.Recorder) {
 // α-tuning pipeline).
 func (f *FleetIO) SetAlpha(vssdID int, alpha float64) { f.agents[vssdID].alpha = alpha }
 
-// TierHint returns the agent's last placement-head sample (a TierLevels
+// TierHint returns the agent's last placement-head sample (a tierLevels
 // value), or -1 before its first decision window closes or when the
 // placement head is off. The fleet control plane reads it at epoch
 // barriers.
@@ -259,12 +259,6 @@ func (f *FleetIO) TierHint(vssdID int) int { return f.agents[vssdID].tierHint }
 // next window state (TierOccState on). Called by the fleet control plane
 // at epoch barriers, between the shard's decision windows.
 func (f *FleetIO) SetTierOcc(vssdID int, occ float64) { f.agents[vssdID].tierOcc = occ }
-
-// Alpha returns an agent's current reward coefficient.
-func (f *FleetIO) Alpha(vssdID int) float64 { return f.agents[vssdID].alpha }
-
-// Net returns the network of agent id (the shared net in ShareModel mode).
-func (f *FleetIO) Net(id int) *nn.ActorCritic { return f.agents[id].ppo.Net }
 
 // TrainStats returns PPO statistics collected so far.
 func (f *FleetIO) TrainStats() []rl.TrainStats { return f.trainStats }
@@ -309,9 +303,9 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		if f.cfg.Mode == ModeUnifiedGlobal {
 			alpha = UnifiedAlpha
 		}
-		single[i] = SingleReward(alpha, snaps[i], a.scales.GuaranteedBW, SLOVioGuar)
+		single[i] = singleReward(alpha, snaps[i], a.scales.GuaranteedBW, sloVioGuar)
 	}
-	mixed := MixRewardsInto(single, f.mixedS, f.cfg.Mode.beta())
+	mixed := mixRewardsInto(single, f.mixedS, f.cfg.Mode.beta())
 
 	// Shared states (Σ over collocated agents, §3.3.1).
 	var totIOPS, totVio float64
@@ -414,15 +408,15 @@ func (f *FleetIO) closeWindow(a *agent, snap vssd.WindowSnapshot, reward, otherI
 	}
 	var ws []float64
 	if f.cfg.ErrorRateState {
-		ws = EncodeWindowExt(snap, a.scales, otherIOPS, otherVio)
+		ws = encodeWindowExt(snap, a.scales, otherIOPS, otherVio)
 	} else {
-		ws = EncodeWindow(snap, a.scales, otherIOPS, otherVio)
+		ws = encodeWindow(snap, a.scales, otherIOPS, otherVio)
 	}
 	if f.cfg.TierOccState {
 		ws = append(ws, clamp(a.tierOcc, 0, 1))
 	}
-	a.hist.Push(ws)
-	return a.hist.Vector()
+	a.hist.push(ws)
+	return a.hist.vector()
 }
 
 // emit applies the action guardrails and appends agent i's three per-window
@@ -442,14 +436,14 @@ func (f *FleetIO) emit(actions []vssd.Action, i int, a *agent, acts []int, vioRa
 		// The placement head is not a device action: the sample is parked
 		// on the agent for the fleet control plane to read (TierHint) at
 		// the next epoch barrier and turn into a promote/demote migration.
-		a.tierHint = TierFromHead(acts[3])
+		a.tierHint = tierFromHead(acts[3])
 	}
 	level := PriorityLevels[acts[2]]
 	if a.alpha <= 1e-9 {
 		if level > 2 {
 			level = 2
 		}
-	} else if vioRate > SLOVioGuar && level < 3 {
+	} else if vioRate > sloVioGuar && level < 3 {
 		level = 3
 	}
 	makeBW := float64(HarvestLevels[acts[1]]) * chanBW

@@ -12,19 +12,19 @@ const (
 	AlphaBI  = 0.0    // bandwidth-intensive ("TO") cluster
 )
 
-// DefaultBeta is the paper's reward-mixing coefficient: an agent's reward
+// defaultBeta is the paper's reward-mixing coefficient: an agent's reward
 // is β·own + (1-β)·mean(others) (Eq. 2).
-const DefaultBeta = 0.6
+const defaultBeta = 0.6
 
-// SLOVioGuar is the guaranteed SLO-violation budget (1% in §3.3.3): Eq. 1
+// sloVioGuar is the guaranteed SLO-violation budget (1% in §3.3.3): Eq. 1
 // normalizes the violation rate by it, and an agent past it escalates its
 // priority.
-const SLOVioGuar = 0.01
+const sloVioGuar = 0.01
 
-// SingleReward computes Eq. 1 for one vSSD window:
+// singleReward computes Eq. 1 for one vSSD window:
 //
 //	R = (1-α)·AvgBW/AvgBW_guar − α·SLO_Vio/SLO_Vio_guar
-func SingleReward(alpha float64, snap vssd.WindowSnapshot, guaranteedBW, sloVioGuar float64) float64 {
+func singleReward(alpha float64, snap vssd.WindowSnapshot, guaranteedBW, sloVioGuar float64) float64 {
 	dur := snap.Duration
 	if dur <= 0 {
 		dur = 1
@@ -34,10 +34,10 @@ func SingleReward(alpha float64, snap vssd.WindowSnapshot, guaranteedBW, sloVioG
 	return (1-alpha)*bwTerm - alpha*vioTerm
 }
 
-// MixRewardsInto applies Eq. 2 into out, which per-window callers reuse:
+// mixRewardsInto applies Eq. 2 into out, which per-window callers reuse:
 // each agent's reward becomes β·own + (1-β)·mean(others). A single agent
 // keeps its own reward.
-func MixRewardsInto(single, out []float64, beta float64) []float64 {
+func mixRewardsInto(single, out []float64, beta float64) []float64 {
 	n := len(single)
 	out = out[:n]
 	if n == 1 {

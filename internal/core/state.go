@@ -9,18 +9,18 @@ import (
 // Table 1 states plus the two shared multi-agent states (§3.3.1).
 const StatesPerWindow = 11
 
-// StatesPerWindowExt is the window width with the optional per-tenant
+// statesPerWindowExt is the window width with the optional per-tenant
 // error-rate feature appended (FleetIOConfig.ErrorRateState): the
 // fraction of the window's page writes that needed a NAND-failure retry.
-const StatesPerWindowExt = StatesPerWindow + 1
+const statesPerWindowExt = StatesPerWindow + 1
 
 // DefaultHistoryWindows is how many windows are stacked into one model
 // input (§3.3.1: three prior time windows).
 const DefaultHistoryWindows = 3
 
-// StateScales normalizes raw measurements into the ~[0,1] ranges the tiny
+// stateScales normalizes raw measurements into the ~[0,1] ranges the tiny
 // MLP trains well on.
-type StateScales struct {
+type stateScales struct {
 	// GuaranteedBW is the vSSD's allocated bandwidth (bytes/s): owned
 	// channels × per-channel bandwidth.
 	GuaranteedBW float64
@@ -34,8 +34,8 @@ type StateScales struct {
 	QueueScale float64
 }
 
-// EncodeWindow converts one snapshot into the 11-dimensional window state.
-func EncodeWindow(s vssd.WindowSnapshot, sc StateScales, sharedIOPS, sharedVio float64) []float64 {
+// encodeWindow converts one snapshot into the 11-dimensional window state.
+func encodeWindow(s vssd.WindowSnapshot, sc stateScales, sharedIOPS, sharedVio float64) []float64 {
 	dur := s.Duration
 	if dur <= 0 {
 		dur = 1
@@ -58,13 +58,13 @@ func EncodeWindow(s vssd.WindowSnapshot, sc StateScales, sharedIOPS, sharedVio f
 	return out
 }
 
-// EncodeWindowExt is EncodeWindow plus the per-tenant error-rate feature:
+// encodeWindowExt is encodeWindow plus the per-tenant error-rate feature:
 // write retries caused by injected NAND program failures, normalized by
 // the window's completed requests. Always 0 without a fault injector, so
 // the feature is inert (but still widens the net input — a policy using
 // it cannot load a network pretrained at the base width).
-func EncodeWindowExt(s vssd.WindowSnapshot, sc StateScales, sharedIOPS, sharedVio float64) []float64 {
-	out := EncodeWindow(s, sc, sharedIOPS, sharedVio)
+func encodeWindowExt(s vssd.WindowSnapshot, sc stateScales, sharedIOPS, sharedVio float64) []float64 {
+	out := encodeWindow(s, sc, sharedIOPS, sharedVio)
 	out = append(out, clamp(float64(s.Window.Retries)/float64(max64(s.Window.Requests(), 1)), 0, 1))
 	return out
 }
@@ -93,37 +93,37 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// History stacks the most recent window states into one model input.
-type History struct {
+// history stacks the most recent window states into one model input.
+type history struct {
 	windows int
 	width   int
 	buf     [][]float64
 }
 
-// NewHistoryWidth holds the last `windows` window-states of `width`
-// features each (StatesPerWindowExt for policies with the error-rate
+// newHistoryWidth holds the last `windows` window-states of `width`
+// features each (statesPerWindowExt for policies with the error-rate
 // feature enabled).
-func NewHistoryWidth(windows, width int) *History {
+func newHistoryWidth(windows, width int) *history {
 	if windows <= 0 {
 		windows = DefaultHistoryWindows
 	}
 	if width <= 0 {
 		width = StatesPerWindow
 	}
-	return &History{windows: windows, width: width}
+	return &history{windows: windows, width: width}
 }
 
-// Push appends a window state, evicting the oldest beyond capacity.
-func (h *History) Push(state []float64) {
+// push appends a window state, evicting the oldest beyond capacity.
+func (h *history) push(state []float64) {
 	h.buf = append(h.buf, state)
 	if len(h.buf) > h.windows {
 		h.buf = h.buf[1:]
 	}
 }
 
-// Vector returns the stacked input (windows × width), zero-padded at the
+// vector returns the stacked input (windows × width), zero-padded at the
 // front until enough history accumulates — oldest first.
-func (h *History) Vector() []float64 {
+func (h *history) vector() []float64 {
 	out := make([]float64, h.windows*h.width)
 	pad := h.windows - len(h.buf)
 	for i, w := range h.buf {
@@ -132,12 +132,12 @@ func (h *History) Vector() []float64 {
 	return out
 }
 
-// DefaultScales derives normalization constants from a vSSD's allocation.
-func DefaultScales(ownedChannels int, channelBW float64, logicalBytes int64) StateScales {
+// defaultScales derives normalization constants from a vSSD's allocation.
+func defaultScales(ownedChannels int, channelBW float64, logicalBytes int64) stateScales {
 	if ownedChannels < 1 {
 		ownedChannels = 1
 	}
-	return StateScales{
+	return stateScales{
 		GuaranteedBW: float64(ownedChannels) * channelBW,
 		IOPSScale:    5000,
 		LatScale:     float64(10 * sim.Millisecond),

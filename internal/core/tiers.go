@@ -13,17 +13,17 @@ const (
 	TierDense = 1
 )
 
-// TierLevels maps the placement head's categorical index to a tier id
+// tierLevels maps the placement head's categorical index to a tier id
 // (head index → tier), the same head-to-level shape as HarvestLevels and
 // PriorityLevels. Its length is the head width.
-var TierLevels = []int{TierFast, TierDense}
+var tierLevels = []int{TierFast, TierDense}
 
-// TierFromHead decodes a placement-head sample into a tier id. It panics
-// on an out-of-range head index — the head width and TierLevels are built
+// tierFromHead decodes a placement-head sample into a tier id. It panics
+// on an out-of-range head index — the head width and tierLevels are built
 // from the same slice, so a mismatch is a programming error.
-func TierFromHead(h int) int {
-	if h < 0 || h >= len(TierLevels) {
-		panic(fmt.Sprintf("core: placement head index %d out of range [0,%d)", h, len(TierLevels)))
+func tierFromHead(h int) int {
+	if h < 0 || h >= len(tierLevels) {
+		panic(fmt.Sprintf("core: placement head index %d out of range [0,%d)", h, len(tierLevels)))
 	}
-	return TierLevels[h]
+	return tierLevels[h]
 }

@@ -9,22 +9,22 @@ import (
 )
 
 func TestTierHeadRoundTrip(t *testing.T) {
-	for h, tier := range TierLevels {
-		if got := TierFromHead(h); got != tier {
+	for h, tier := range tierLevels {
+		if got := tierFromHead(h); got != tier {
 			t.Errorf("head %d decoded to tier %d, want %d", h, got, tier)
 		}
 	}
-	if TierFromHead(0) != TierFast || TierFromHead(1) != TierDense {
+	if tierFromHead(0) != TierFast || tierFromHead(1) != TierDense {
 		t.Error("head 0 must be the fast tier and head 1 the dense one")
 	}
-	for _, bad := range []int{-1, len(TierLevels)} {
+	for _, bad := range []int{-1, len(tierLevels)} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("TierFromHead(%d) did not panic", bad)
 				}
 			}()
-			TierFromHead(bad)
+			tierFromHead(bad)
 		}()
 	}
 }
@@ -39,8 +39,8 @@ func TestPlacementHeadLayout(t *testing.T) {
 	}
 	ph := NewFleetIO(p, FleetIOConfig{Seed: 1, PlacementHead: true})
 	heads := ph.heads()
-	if len(heads) != 4 || heads[3] != len(TierLevels) {
-		t.Fatalf("placement head layout = %v, want 4th head of width %d", heads, len(TierLevels))
+	if len(heads) != 4 || heads[3] != len(tierLevels) {
+		t.Fatalf("placement head layout = %v, want 4th head of width %d", heads, len(tierLevels))
 	}
 	if ph.TierHint(0) != -1 {
 		t.Fatalf("tier hint before any window = %d, want -1", ph.TierHint(0))
@@ -57,8 +57,8 @@ func TestTierOccStateWidth(t *testing.T) {
 	}{
 		{FleetIOConfig{Seed: 1}, StatesPerWindow},
 		{FleetIOConfig{Seed: 1, TierOccState: true}, StatesPerWindow + 1},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true}, StatesPerWindowExt},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true, TierOccState: true}, StatesPerWindowExt + 1},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true}, statesPerWindowExt},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true, TierOccState: true}, statesPerWindowExt + 1},
 	}
 	for _, tc := range cases {
 		f := NewFleetIO(p, tc.cfg)

@@ -38,7 +38,7 @@ func TestPrefillStopsAtFirstFailedAllocation(t *testing.T) {
 		t.Fatalf("prefill executed %d engine events, want 0", got-executed)
 	}
 	tn := v.Tenant()
-	if stalls := tn.Stats().AllocStalls; stalls != 1 {
+	if stalls := d.Platform().FTL().Stats().AllocStalls; stalls != 1 {
 		t.Fatalf("%d failed allocations, want 1: the fill stops at the first", stalls)
 	}
 	mapped := int(tn.MappedPages())

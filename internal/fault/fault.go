@@ -22,9 +22,9 @@ import (
 // Defaults applied by Config.withDefaults when a knob is zero but the
 // corresponding probability is set.
 const (
-	DefaultMaxReadRetries = 3
-	DefaultReadRetryStep  = 40 * sim.Microsecond
-	DefaultTimeoutStall   = 2 * sim.Millisecond
+	defaultMaxReadRetries = 3
+	defaultReadRetryStep  = 40 * sim.Microsecond
+	defaultTimeoutStall   = 2 * sim.Millisecond
 )
 
 // Config describes a fault model. All probabilities are per-operation;
@@ -61,9 +61,9 @@ func (c Config) Enabled() bool {
 		c.ReadRetryProb > 0 || c.TimeoutProb > 0
 }
 
-// Validate reports configuration errors (probabilities outside [0,1],
+// validate reports configuration errors (probabilities outside [0,1],
 // negative timings).
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	probs := [...]struct {
 		name string
 		v    float64
@@ -90,13 +90,13 @@ func (c Config) Validate() error {
 // withDefaults fills zero-valued timing knobs with the package defaults.
 func (c Config) withDefaults() Config {
 	if c.MaxReadRetries == 0 {
-		c.MaxReadRetries = DefaultMaxReadRetries
+		c.MaxReadRetries = defaultMaxReadRetries
 	}
 	if c.ReadRetryStep == 0 {
-		c.ReadRetryStep = DefaultReadRetryStep
+		c.ReadRetryStep = defaultReadRetryStep
 	}
 	if c.TimeoutStall == 0 {
-		c.TimeoutStall = DefaultTimeoutStall
+		c.TimeoutStall = defaultTimeoutStall
 	}
 	return c
 }
@@ -160,7 +160,7 @@ func ParseSpec(spec string) (Config, error) {
 			return Config{}, err
 		}
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return Config{}, err
 	}
 	return c, nil
@@ -217,15 +217,12 @@ type Injector struct {
 // config — construction happens at setup time). Zero timing knobs take
 // the package defaults.
 func NewInjector(cfg Config) *Injector {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
 	return &Injector{cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
 }
-
-// Config returns the (defaults-filled) configuration the injector runs.
-func (in *Injector) Config() Config { return in.cfg }
 
 // ProgramFails decides whether the next page program fails.
 func (in *Injector) ProgramFails() bool {

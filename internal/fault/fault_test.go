@@ -84,14 +84,14 @@ func TestInjectorDisabledClasses(t *testing.T) {
 // TestInjectorDefaults: zero timing knobs take the package defaults.
 func TestInjectorDefaults(t *testing.T) {
 	in := NewInjector(Config{ReadRetryProb: 1, TimeoutProb: 1, Seed: 1})
-	cfg := in.Config()
-	if cfg.MaxReadRetries != DefaultMaxReadRetries || cfg.ReadRetryStep != DefaultReadRetryStep || cfg.TimeoutStall != DefaultTimeoutStall {
+	cfg := in.cfg
+	if cfg.MaxReadRetries != defaultMaxReadRetries || cfg.ReadRetryStep != defaultReadRetryStep || cfg.TimeoutStall != defaultTimeoutStall {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if r := in.ReadRetries(); r < 1 || r > DefaultMaxReadRetries {
-		t.Fatalf("retry rounds %d out of [1,%d]", r, DefaultMaxReadRetries)
+	if r := in.ReadRetries(); r < 1 || r > defaultMaxReadRetries {
+		t.Fatalf("retry rounds %d out of [1,%d]", r, defaultMaxReadRetries)
 	}
-	if in.ChipStall() != DefaultTimeoutStall {
+	if in.ChipStall() != defaultTimeoutStall {
 		t.Fatal("ChipStall must return the default stall when TimeoutProb=1")
 	}
 }
@@ -134,7 +134,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err != nil {
+	if err := (Config{}).validate(); err != nil {
 		t.Fatalf("zero config invalid: %v", err)
 	}
 	bad := []Config{
@@ -145,7 +145,7 @@ func TestConfigValidate(t *testing.T) {
 		{TimeoutStall: -1},
 	}
 	for _, c := range bad {
-		if c.Validate() == nil {
+		if c.validate() == nil {
 			t.Fatalf("config %+v must be invalid", c)
 		}
 	}

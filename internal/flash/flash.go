@@ -375,12 +375,6 @@ func (d *Device) FaultStats() FaultStats { return d.fstats }
 // Stats returns a copy of the accounting for channel ch.
 func (d *Device) Stats(ch int) ChannelStats { return d.chs[ch].stats }
 
-// QueueLen returns the number of ops waiting (not yet dispatched) on ch.
-func (d *Device) QueueLen(ch int) int { return d.chs[ch].queue.len() }
-
-// Inflight returns the number of dispatched, uncompleted ops on ch.
-func (d *Device) Inflight(ch int) int { return d.chs[ch].inflight }
-
 // AcquireOp returns a zeroed Op from the device free list (allocating only
 // when the list is empty). The caller fills the public fields and passes
 // it to Submit; see the Op ownership contract.

@@ -157,7 +157,7 @@ func (d *oracleDevice) service(ch *oracleChannel, op *Op) {
 		*chip = cellEnd
 		ch.stats.Reads++
 		ch.stats.BytesRead += int64(d.cfg.PageSize)
-		d.eng.At(cellEnd, func() { d.acquireBus(ch, op) })
+		d.eng.Schedule(cellEnd-d.eng.Now(), func() { d.acquireBus(ch, op) })
 	case OpProgram:
 		ch.stats.Programs++
 		ch.stats.BytesWritten += int64(d.cfg.PageSize)
@@ -186,7 +186,7 @@ func (d *oracleDevice) service(ch *oracleChannel, op *Op) {
 		}
 		*chip = cellEnd
 		ch.stats.Erases++
-		d.eng.At(cellEnd, func() { d.complete(ch, op, cellEnd) })
+		d.eng.Schedule(cellEnd-d.eng.Now(), func() { d.complete(ch, op, cellEnd) })
 	}
 }
 
@@ -201,7 +201,7 @@ func (d *oracleDevice) acquireBus(ch *oracleChannel, op *Op) {
 func (d *oracleDevice) grantBus(ch *oracleChannel, op *Op) {
 	ch.busBusy = true
 	ch.stats.BusBusy += d.xfer
-	d.eng.At(d.eng.Now()+d.xfer, func() { d.busDone(ch, op) })
+	d.eng.Schedule(d.xfer, func() { d.busDone(ch, op) })
 }
 
 func (d *oracleDevice) busDone(ch *oracleChannel, op *Op) {
@@ -212,7 +212,7 @@ func (d *oracleDevice) busDone(ch *oracleChannel, op *Op) {
 		chip := &ch.chipFree[op.Addr.Chip]
 		cellEnd := maxTime(now, *chip) + d.cfg.ProgramPage + op.stall
 		*chip = cellEnd
-		d.eng.At(cellEnd, func() { d.complete(ch, op, cellEnd) })
+		d.eng.Schedule(cellEnd-d.eng.Now(), func() { d.complete(ch, op, cellEnd) })
 	}
 	if len(ch.busQueue) > 0 {
 		d.grantBus(ch, ch.busQueue.pop())
@@ -233,6 +233,12 @@ type scriptedDevice interface {
 	QueueLen(ch int) int
 	Inflight(ch int) int
 }
+
+// QueueLen returns the number of ops waiting (not yet dispatched) on ch.
+func (d *Device) QueueLen(ch int) int { return d.chs[ch].queue.len() }
+
+// Inflight returns the number of dispatched, uncompleted ops on ch.
+func (d *Device) Inflight(ch int) int { return d.chs[ch].inflight }
 
 // completion is one line of a script run's log: which op finished, when,
 // how, and what the channel's public counters read at that moment.

@@ -9,7 +9,7 @@
 // # Shard model and clock coordination
 //
 // Each device shard is an independent deterministic simulation. The fleet
-// advances all shards in lock-step epochs of Config.Quantum virtual time:
+// advances all shards in lock-step epochs of one quantum of virtual time:
 // shards fan out over a bounded worker pool, each runs its engine to the
 // epoch boundary, and only after the barrier does the (sequential,
 // deterministically ordered) control plane read shard state and mutate it
@@ -58,7 +58,7 @@ type Config struct {
 	// Seed derives every stream in the fleet (per-shard, per-tenant, and
 	// control) via sim.RNG.Stream, so runs are seed-deterministic.
 	Seed int64
-	// Flash is the per-device geometry; zero value → DefaultDeviceConfig.
+	// Flash is the per-device geometry; zero value → defaultDeviceConfig.
 	// Flash+Devices is shorthand for a one-class Classes list. When Classes
 	// is set Flash is ignored, and the resolved Config reports class 0's
 	// geometry here.
@@ -74,17 +74,19 @@ type Config struct {
 	TierPolicy TierPolicyKind
 	// Window is the per-device decision window (0 → 100 ms).
 	Window sim.Time
-	// Quantum is the epoch length — the granularity of cross-device
-	// actions and the shard lag bound (0 → 100 ms).
-	Quantum sim.Time
+	// quantum is the epoch length — the granularity of cross-device
+	// actions and the shard lag bound (0 → 100 ms). Only in-package tests
+	// set it.
+	quantum sim.Time
 	// Duration is the total simulated time (required, > 0).
 	Duration sim.Time
 
 	// Tenants is how many tenants arrive over the run (0 → 2×slots+spill).
 	// Their workloads cycle through VDI-Web, TeraSort, YCSB and MLPrep.
 	Tenants int
-	// ArrivalEvery spaces tenant arrivals (0 → spread over 60% of the run).
-	ArrivalEvery sim.Time
+	// arrivalEvery spaces tenant arrivals (0 → spread over 60% of the run).
+	// Only in-package tests set it.
+	arrivalEvery sim.Time
 	// Placement selects the device-assignment baseline.
 	Placement PlacementKind
 
@@ -147,15 +149,15 @@ func (c Config) maxMigrations() int { return c.Devices/8 + 1 }
 
 // settle is the hold-off before migrations of any kind: for the rack from
 // the start of the run, and for each tenant from its last placement.
-func (c Config) settle() sim.Time { return settleQuanta * c.Quantum }
+func (c Config) settle() sim.Time { return settleQuanta * c.quantum }
 
 // tiered reports whether the rack is hybrid (more than one device class).
 func (c Config) tiered() bool { return len(c.Classes) > 1 }
 
-// DefaultDeviceConfig is the per-shard flash geometry: a quarter-size
+// defaultDeviceConfig is the per-shard flash geometry: a quarter-size
 // device (8 channels, 2 chips each) so racks of tens to hundreds of
 // devices stay fast while keeping the full channel/chip/GC dynamics.
-func DefaultDeviceConfig() flash.Config {
+func defaultDeviceConfig() flash.Config {
 	cfg := flash.DefaultConfig()
 	cfg.Channels = 8
 	cfg.ChipsPerChannel = 2
@@ -182,12 +184,12 @@ func (c Config) withDefaults() Config {
 		panic(fmt.Sprintf("fleet: Config.PrefillFrac=%g must be <= 1", c.PrefillFrac))
 	}
 	if c.Flash.Channels == 0 {
-		c.Flash = DefaultDeviceConfig()
+		c.Flash = defaultDeviceConfig()
 	}
 	classes := []DeviceClass{{Flash: c.Flash, Devices: c.Devices}}
 	if len(c.Classes) > 0 {
 		// Copy before resolving: callers share class slices across runs
-		// (FigureTiers builds one per policy from the same literal).
+		// (harness's tiers figure builds one per policy from the same literal).
 		classes = append([]DeviceClass(nil), c.Classes...)
 	}
 	sum := 0
@@ -197,7 +199,7 @@ func (c Config) withDefaults() Config {
 			panic(fmt.Sprintf("fleet: Config.Devices (or Classes[%d].Devices) must be >= 1", i))
 		}
 		if cl.Flash.Channels == 0 {
-			cl.Flash = DefaultDeviceConfig()
+			cl.Flash = defaultDeviceConfig()
 		}
 		if err := cl.Flash.Validate(); err != nil {
 			panic(err)
@@ -214,19 +216,19 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 100 * sim.Millisecond
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = 100 * sim.Millisecond
+	if c.quantum <= 0 {
+		c.quantum = 100 * sim.Millisecond
 	}
 	if c.Tenants <= 0 {
 		// Oversubscribe the rack so admission has queueing and rejection
 		// work: capacity + half a device-count of spill.
 		c.Tenants = c.Devices*slotsPerDevice + c.Devices/2 + 1
 	}
-	if c.ArrivalEvery <= 0 {
+	if c.arrivalEvery <= 0 {
 		span := c.Duration * 6 / 10
-		c.ArrivalEvery = span / sim.Time(c.Tenants)
-		if c.ArrivalEvery <= 0 {
-			c.ArrivalEvery = 1
+		c.arrivalEvery = span / sim.Time(c.Tenants)
+		if c.arrivalEvery <= 0 {
+			c.arrivalEvery = 1
 		}
 	}
 	// Zero means "unset, pick the default"; a negative sentinel means
@@ -397,7 +399,7 @@ func New(cfg Config) *Fleet {
 			Workload: name,
 			State:    StateQueued,
 			Device:   -1,
-			arrival:  sim.Time(i+1) * cfg.ArrivalEvery,
+			arrival:  sim.Time(i+1) * cfg.arrivalEvery,
 			class:    workload.ByName(name).Class,
 			rng:      base.Stream(int64(1<<20 + i)),
 		}
@@ -453,7 +455,7 @@ func (f *Fleet) start() {
 // change any shard's event order or any float's operation order. Then the
 // sequential control plane acts at the barrier.
 func (f *Fleet) step() {
-	t := min(f.now+f.cfg.Quantum, f.cfg.Duration)
+	t := min(f.now+f.cfg.quantum, f.cfg.Duration)
 	f.pool.runEpoch(epoch{from: f.now, to: t})
 	f.now = t
 	f.epochs++

@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite internal/fleet/testdata/*
 // typeModel trains a tiny clusterer on the fleet's own workload cycle,
 // enough for the cohort rack to classify its tenants' traffic.
 func typeModel() *cluster.Model {
-	ds := cluster.BuildDataset(defaultWorkloadCycle(), 4, cluster.WindowSize/10, DefaultDeviceConfig().PageSize, 7)
+	ds := cluster.BuildDataset(defaultWorkloadCycle(), 4, cluster.WindowSize/10, defaultDeviceConfig().PageSize, 7)
 	return cluster.Train(ds, 3, 8)
 }
 
@@ -52,7 +52,7 @@ func TestRackGoldens(t *testing.T) {
 	racks = append(racks, rack{name: "cohort", cfg: cohort})
 	atEnd := testConfig()
 	atEnd.Tenants = 8
-	atEnd.ArrivalEvery = atEnd.Duration / 8
+	atEnd.arrivalEvery = atEnd.Duration / 8
 	racks = append(racks, rack{name: "arrival-at-end", cfg: atEnd, placedAtEnd: true})
 
 	for _, r := range racks {

@@ -125,7 +125,7 @@ func (s Stats) Balanced() bool {
 }
 
 // Render prints the roll-up as the deterministic fleet table used by
-// FigureFleet and the determinism tests.
+// harness's fleet figure and the determinism tests.
 func (s Stats) Render(w io.Writer) {
 	fmt.Fprintf(w, "devices=%d epochs=%d\n", s.Devices, s.Epochs)
 	fmt.Fprintf(w, "tenants: arrived=%d placed=%d running=%d migrating=%d queued=%d rejected=%d departed=%d\n",

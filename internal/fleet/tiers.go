@@ -18,7 +18,7 @@ type DeviceClass struct {
 	// Name labels the class in Stats.Tiers and the fleetio_tier_* series
 	// ("" → class<i>).
 	Name string
-	// Flash is the class geometry (zero value → DefaultDeviceConfig).
+	// Flash is the class geometry (zero value → defaultDeviceConfig).
 	Flash flash.Config
 	// Devices is how many shards the class contributes (required, >= 1).
 	Devices int
@@ -27,16 +27,16 @@ type DeviceClass struct {
 // DefaultTierClasses builds the standard two-tier hybrid rack: a fast
 // SLC-like class (short page timings, half the blocks) and a dense
 // QLC-like class (long page timings, double the blocks), both derived
-// from DefaultDeviceConfig so channel/chip parallelism matches the
+// from defaultDeviceConfig so channel/chip parallelism matches the
 // homogeneous rack. Classes[0] is the fast tier by convention
 // (core.TierFast).
 func DefaultTierClasses(fastDevices, denseDevices int) []DeviceClass {
-	fast := DefaultDeviceConfig()
+	fast := defaultDeviceConfig()
 	fast.ReadPage = 25 * sim.Microsecond
 	fast.ProgramPage = 200 * sim.Microsecond
 	fast.EraseBlock = 2 * sim.Millisecond
 	fast.BlocksPerChip = 16
-	dense := DefaultDeviceConfig()
+	dense := defaultDeviceConfig()
 	dense.ReadPage = 140 * sim.Microsecond
 	dense.ProgramPage = 2 * sim.Millisecond
 	dense.EraseBlock = 3500 * sim.Microsecond

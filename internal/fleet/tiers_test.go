@@ -92,7 +92,7 @@ func TestOneClassRackIsHomogeneous(t *testing.T) {
 		return render(f.Run()), f, cfg.Obs
 	}
 	want, _, _ := run(func(*Config) {})
-	oneClass := []DeviceClass{{Flash: DefaultDeviceConfig(), Devices: 4}}
+	oneClass := []DeviceClass{{Flash: defaultDeviceConfig(), Devices: 4}}
 	cases := map[string]func(*Config){
 		"classes only":          func(c *Config) { c.Devices, c.Classes = 0, oneClass },
 		"classes and devices":   func(c *Config) { c.Classes = oneClass },
@@ -114,7 +114,7 @@ func TestOneClassRackIsHomogeneous(t *testing.T) {
 				t.Errorf("tier control plane not inert: slo=%v fio=%v moves=%d",
 					f.lsSLO, f.Shards()[0].fio != nil, f.led.PromotesStarted+f.led.DemotesStarted)
 			}
-			for _, n := range reg.Names() {
+			for _, n := range metricNames(t, reg) {
 				if strings.HasPrefix(n, "fleetio_tier_") {
 					t.Errorf("one-class rack registered %s", n)
 				}

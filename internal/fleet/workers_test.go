@@ -119,7 +119,7 @@ func TestBarrierStressManyEpochs(t *testing.T) {
 	cfg := testConfig()
 	cfg.Devices = 8
 	cfg.Workers = 8
-	cfg.Quantum = 2 * sim.Millisecond
+	cfg.quantum = 2 * sim.Millisecond
 	cfg.Duration = 600 * sim.Millisecond
 	st := New(cfg).Run()
 	if st.Epochs != 300 {
@@ -167,7 +167,7 @@ func TestEpochLoopZeroSteadyStateAllocs(t *testing.T) {
 		// stays on — every epoch runs the victim scan, but with no free
 		// slot anywhere no move (and its allocations) can start.
 		cfg.Tenants = 8
-		cfg.ArrivalEvery = 10 * sim.Millisecond
+		cfg.arrivalEvery = 10 * sim.Millisecond
 		cfg.Duration = 1000 * sim.Second // headroom; epochs are stepped manually
 		f := New(cfg)
 		f.start()
@@ -262,7 +262,7 @@ func TestBarrierMetricsPublished(t *testing.T) {
 			t.Fatal("no epochs ran")
 		}
 		names := map[string]bool{}
-		for _, n := range reg.Names() {
+		for _, n := range metricNames(t, reg) {
 			names[n] = true
 		}
 		for _, n := range []string{"fleetio_fleet_barrier_wait_ns", "fleetio_fleet_barrier_straggler_ns", "fleetio_fleet_control_plane_ns"} {

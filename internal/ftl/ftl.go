@@ -24,32 +24,32 @@ import (
 // PriorityLow..PriorityHigh (the Set_Priority action moves a vSSD between
 // them); GC traffic runs strictly below all host traffic.
 const (
-	PriorityGC   = 0
+	priorityGC   = 0
 	PriorityLow  = 1
 	PriorityMed  = 2
 	PriorityHigh = 3
 )
 
-// BlockState is the lifecycle state of an erase block.
-type BlockState uint8
+// blockState is the lifecycle state of an erase block.
+type blockState uint8
 
 // Block lifecycle states.
 const (
-	// BlockFree: erased, in its channel's free pool.
-	BlockFree BlockState = iota
-	// BlockLent: pulled from the free pool into a ghost superblock, not
+	// blockFree: erased, in its channel's free pool.
+	blockFree blockState = iota
+	// blockLent: pulled from the free pool into a ghost superblock, not
 	// yet written (clean); owned by the home tenant, usable by a harvester.
-	BlockLent
-	// BlockOpen: actively being written (has a write pointer).
-	BlockOpen
-	// BlockFull: fully written; candidate for GC.
-	BlockFull
-	// BlockGC: currently being collected (excluded from victim selection).
-	BlockGC
-	// BlockBad: retired after a program or erase failure; terminal. Bad
+	blockLent
+	// blockOpen: actively being written (has a write pointer).
+	blockOpen
+	// blockFull: fully written; candidate for GC.
+	blockFull
+	// blockGC: currently being collected (excluded from victim selection).
+	blockGC
+	// blockBad: retired after a program or erase failure; terminal. Bad
 	// blocks never return to a free pool — the device permanently loses
 	// their capacity, exactly as a real FTL grows its bad-block table.
-	BlockBad
+	blockBad
 )
 
 const invalidPPA = int32(-1)
@@ -69,10 +69,10 @@ const (
 	gcPipeline = 8
 )
 
-// RetryDelay is the one backoff of the allocation-stall protocol: a page
+// retryDelay is the one backoff of the allocation-stall protocol: a page
 // that found no space — a host write in the vSSD layer, a GC migration or
 // its program-fail retry here — polls again this much later.
-const RetryDelay = sim.Millisecond
+const retryDelay = sim.Millisecond
 
 // blockAddr is a block's flash.BlockID at int32 width.
 type blockAddr struct{ Channel, Chip, Block int32 }
@@ -99,13 +99,13 @@ type blockInfo struct {
 	gsb      int32
 	writePtr int32
 	valid    int32
-	state    BlockState
+	state    blockState
 	// harvested is the Harvested Block Table bit: true for blocks serving
 	// a gSB or pending lazy reclamation; cleared when GC erases the block.
 	harvested bool
 	// bad marks a block pending retirement after a program/erase failure:
 	// GC collects it first (even fully valid) and retires it instead of
-	// returning it to the pool. It stays set in the terminal BlockBad state.
+	// returning it to the pool. It stays set in the terminal blockBad state.
 	bad bool
 }
 
@@ -119,7 +119,7 @@ type Stats struct {
 	GCRuns       int64
 	// AllocStalls counts failed host page allocations — every page poll of
 	// the stall protocol that found no space, each of which polls again
-	// RetryDelay later. (The vSSD layer carries a request's pages that
+	// retryDelay later. (The vSSD layer carries a request's pages that
 	// stalled back to back as one retry event, a stall run; the count is
 	// per page, not per event.)
 	AllocStalls int64
@@ -158,8 +158,8 @@ type Manager struct {
 	freeCount []int   // per channel
 	tenants   []*Tenant
 	// fullSets[t] is a bitmap over block indices of the blocks with
-	// state == BlockFull && owner == t — the GC victim candidates.
-	// Maintained at every transition into or out of BlockFull (fullMark /
+	// state == blockFull && owner == t — the GC victim candidates.
+	// Maintained at every transition into or out of blockFull (fullMark /
 	// fullUnmark) so pickVictim scans a few hundred words instead of the
 	// whole block table. Membership is keyed on (state, owner) only; the
 	// per-block class/valid inputs to victim selection are read fresh at
@@ -186,7 +186,7 @@ type Manager struct {
 	// It starts at 1; 0 on a tenant means no failure is remembered.
 	epoch uint64
 
-	// retry is the RetryDelay lane every allocation-stall retry waits on: a
+	// retry is the retryDelay lane every allocation-stall retry waits on: a
 	// host stall run or a GC migration's backoff (nil without an engine,
 	// where nothing can be scheduled anyway).
 	retry *sim.Lane
@@ -229,7 +229,7 @@ func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 		epoch:       1,
 	}
 	if eng != nil {
-		m.retry = eng.NewLane(RetryDelay)
+		m.retry = eng.NewLane(retryDelay)
 	}
 	m.Submit = dev.Submit
 	for p := range m.freePools {
@@ -239,7 +239,7 @@ func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 		b := &m.blocks[i]
 		id := m.blockID(i)
 		b.id = blockAddr{int32(id.Channel), int32(id.Chip), int32(id.Block)}
-		b.reset(BlockFree)
+		b.reset(blockFree)
 		p := m.poolIndex(id.Channel, id.Chip)
 		m.freePools[p] = append(m.freePools[p], i)
 		m.freeCount[id.Channel]++
@@ -296,12 +296,12 @@ func (m *Manager) markBad(idx int) {
 	}
 	b.bad = true
 	m.epoch++
-	if b.state == BlockOpen {
+	if b.state == blockOpen {
 		// Detach the block from whichever lane is writing it.
 		if b.user >= 0 {
 			m.tenants[b.user].sealActive(idx)
 		}
-		b.state = BlockFull
+		b.state = blockFull
 		m.fullMark(b.owner, idx)
 	}
 	if b.owner >= 0 {
@@ -312,7 +312,7 @@ func (m *Manager) markBad(idx int) {
 }
 
 // retireBlock moves an erased-or-unerasable bad block into the terminal
-// BlockBad state instead of a free pool: its capacity is permanently
+// blockBad state instead of a free pool: its capacity is permanently
 // lost, mirroring a real FTL's bad-block table. The caller is responsible
 // for gSB notification (gcEraseDone reads the gsb id first).
 func (m *Manager) retireBlock(idx int) {
@@ -321,19 +321,19 @@ func (m *Manager) retireBlock(idx int) {
 		m.tenants[b.owner].badBlocks--
 	}
 	m.epoch++
-	b.reset(BlockBad)
+	b.reset(blockBad)
 	m.stats.Retired++
 }
 
 // reset puts a block's record in its unwritten form, in state st. The page
 // table is truncated (keeping capacity for the next open) rather than nil:
 // it must be unreadable either way, and reuse keeps reopening allocation-free.
-func (b *blockInfo) reset(st BlockState) {
+func (b *blockInfo) reset(st blockState) {
 	*b = blockInfo{pageLPN: b.pageLPN[:0], id: b.id, owner: -1, user: -1, gsb: -1, state: st, bad: b.bad}
 }
 
 // fullMark records block idx as a GC victim candidate for its owner. Call
-// exactly when the block enters BlockFull state (owner -1 means the block
+// exactly when the block enters blockFull state (owner -1 means the block
 // has no collecting tenant, e.g. a sealed orphan; nothing to index).
 func (m *Manager) fullMark(owner int32, idx int) {
 	if owner < 0 {
@@ -343,7 +343,7 @@ func (m *Manager) fullMark(owner int32, idx int) {
 }
 
 // fullUnmark drops block idx from its owner's candidate set. Call exactly
-// when the block leaves BlockFull state (→ BlockGC), before owner is reset.
+// when the block leaves blockFull state (→ blockGC), before owner is reset.
 func (m *Manager) fullUnmark(owner int32, idx int) {
 	if owner < 0 {
 		return
@@ -379,7 +379,7 @@ func (m *Manager) blockID(idx int) flash.BlockID {
 // Stats returns a copy of the manager-wide counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ScheduleRetry runs h(arg, now) RetryDelay from now, on the lane all
+// ScheduleRetry runs h(arg, now) retryDelay from now, on the lane all
 // allocation-stall retries of this device share.
 func (m *Manager) ScheduleRetry(h sim.EventHandler, arg sim.EventArg) {
 	m.retry.Schedule(h, arg)
@@ -433,7 +433,7 @@ func (m *Manager) allocBlock(ch, chip int, forGC bool) (int, bool) {
 func (m *Manager) releaseBlock(idx int) {
 	b := &m.blocks[idx]
 	m.epoch++
-	b.reset(BlockFree)
+	b.reset(blockFree)
 	p := m.poolIndex(int(b.id.Channel), int(b.id.Chip))
 	m.freePools[p] = append(m.freePools[p], idx)
 	m.freeCount[b.id.Channel]++
@@ -478,7 +478,7 @@ func (m *Manager) LendBlocksInto(dst []int, ch, perChip, home, gsbID int, minFre
 				break
 			}
 			b := &m.blocks[idx]
-			b.state = BlockLent
+			b.state = blockLent
 			b.owner = int32(home)
 			b.user = -1
 			b.harvested = true
@@ -493,7 +493,7 @@ func (m *Manager) LendBlocksInto(dst []int, ch, perChip, home, gsbID int, minFre
 // free pool (gSB destruction for an unused gSB).
 func (m *Manager) ReturnCleanBlock(idx int) {
 	b := &m.blocks[idx]
-	if b.state != BlockLent || b.writePtr != 0 {
+	if b.state != blockLent || b.writePtr != 0 {
 		panic(fmt.Sprintf("ftl: ReturnCleanBlock on %v state=%d writePtr=%d", b.id, b.state, b.writePtr))
 	}
 	m.releaseBlock(idx)
@@ -504,6 +504,3 @@ func (m *Manager) Tenants() []*Tenant { return m.tenants }
 
 // BlockBytes returns the capacity of one erase block.
 func (m *Manager) BlockBytes() int64 { return m.cfg.BlockBytes() }
-
-// Config returns the flash geometry the manager was built for.
-func (m *Manager) Config() flash.Config { return m.cfg }

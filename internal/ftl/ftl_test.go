@@ -433,7 +433,7 @@ func TestLendBlocks(t *testing.T) {
 		t.Fatalf("lent %d blocks, want %d", len(lent), 2*cfg.ChipsPerChannel)
 	}
 	for _, idx := range lent {
-		if m.blocks[idx].state != BlockLent {
+		if m.blocks[idx].state != blockLent {
 			t.Fatalf("block %d not lent", idx)
 		}
 		if !m.blocks[idx].harvested {
@@ -532,7 +532,7 @@ func TestCloseHarvestLanesReturnsCleanBlocks(t *testing.T) {
 	// The dirty block is sealed for GC.
 	dirty := -1
 	for _, idx := range lent {
-		if m.blocks[idx].state == BlockFull {
+		if m.blocks[idx].state == blockFull {
 			dirty = idx
 		}
 	}
@@ -619,7 +619,7 @@ func TestPrefill(t *testing.T) {
 	if tn.MappedPages() != 128 {
 		t.Fatalf("mapped = %d, want 128", tn.MappedPages())
 	}
-	if tn.FreeFraction() >= 1.0 {
+	if tn.freeFraction() >= 1.0 {
 		t.Fatal("prefill consumed no blocks")
 	}
 	if err := tn.Prefill(2, 0, rng); err == nil {
@@ -639,7 +639,7 @@ func TestSetChannelsSealsDroppedLanes(t *testing.T) {
 	// No open blocks may remain on channel 0.
 	for i := range m.blocks {
 		b := &m.blocks[i]
-		if b.id.Channel == 0 && b.state == BlockOpen {
+		if b.id.Channel == 0 && b.state == blockOpen {
 			t.Fatal("dropped lane left an open block")
 		}
 	}
@@ -694,7 +694,7 @@ func pickVictimScan(tn *Tenant) int {
 	bestKey := [2]int{1 << 30, 1 << 30}
 	for i := range tn.mgr.blocks {
 		b := &tn.mgr.blocks[i]
-		if b.state != BlockFull || int(b.owner) != tn.id {
+		if b.state != blockFull || int(b.owner) != tn.id {
 			continue
 		}
 		if int(b.valid) >= tn.mgr.cfg.PagesPerBlock && !b.harvested && !b.bad {
@@ -717,14 +717,14 @@ func pickVictimScan(tn *Tenant) int {
 }
 
 // checkFullSets asserts the candidate bitmaps hold exactly the blocks with
-// state == BlockFull && owner == t, for every tenant.
+// state == blockFull && owner == t, for every tenant.
 func checkFullSets(t *testing.T, m *Manager) {
 	t.Helper()
 	for tid := range m.tenants {
 		set := m.fullSets[tid]
 		for i := range m.blocks {
 			b := &m.blocks[i]
-			want := b.state == BlockFull && int(b.owner) == tid
+			want := b.state == blockFull && int(b.owner) == tid
 			got := set[i>>6]&(1<<(uint(i)&63)) != 0
 			if got != want {
 				t.Fatalf("fullSets[%d] bit %d = %v, want %v (state=%d owner=%d)",
@@ -768,7 +768,7 @@ func TestPickVictimMatchesScan(t *testing.T) {
 			// Open→Full seal and the class -1 victims). Capped so retired
 			// capacity can't starve GC migration into a retry livelock.
 			i := rng.Intn(len(m.blocks))
-			if st := m.blocks[i].state; bad < 4 && (st == BlockOpen || st == BlockFull) {
+			if st := m.blocks[i].state; bad < 4 && (st == blockOpen || st == blockFull) {
 				m.markBad(i)
 				bad++
 			}

@@ -43,8 +43,7 @@ type Tenant struct {
 	logicalPages int
 
 	// GC state.
-	gcJobs    int
-	gcVictims int64
+	gcJobs int
 	// badBlocks counts owned blocks flagged for retirement (program/erase
 	// failures) that GC has not yet retired; while non-zero, maybeGC keeps
 	// collecting even when free space is plentiful.
@@ -115,9 +114,6 @@ func (t *Tenant) MappedPages() int64 { return t.mappedPages }
 // the In_GC bit of the RL state.
 func (t *Tenant) InGC() bool { return t.gcJobs > 0 }
 
-// GCRuns returns the number of victim blocks collected so far.
-func (t *Tenant) GCRuns() int64 { return t.gcVictims }
-
 // sealActive detaches block idx from any lane currently writing it (the
 // fault path seals failed blocks so no further programs land on them).
 func (t *Tenant) sealActive(idx int) {
@@ -140,11 +136,8 @@ func (t *Tenant) SetGCTarget(frac float64) {
 	t.maybeGC()
 }
 
-// Stats returns this tenant's program/erase accounting.
-func (t *Tenant) Stats() Stats { return t.stats }
-
-// FreeFraction returns the free-block fraction over the tenant's channels.
-func (t *Tenant) FreeFraction() float64 { return t.mgr.FreeFraction(t.channels) }
+// freeFraction returns the free-block fraction over the tenant's channels.
+func (t *Tenant) freeFraction() float64 { return t.mgr.FreeFraction(t.channels) }
 
 // SetChannels replaces the tenant's owned channel set (used by the
 // Adaptive and SSDKeeper baselines that re-partition channels). Lanes for
@@ -172,7 +165,7 @@ func (t *Tenant) SetChannels(channels []int) {
 		// mapped data stays readable until overwritten or collected.
 		if ln.active >= 0 {
 			b := &t.mgr.blocks[ln.active]
-			b.state = BlockFull
+			b.state = blockFull
 			t.mgr.fullMark(b.owner, ln.active)
 			ln.active = -1
 		}
@@ -199,7 +192,7 @@ func (t *Tenant) SetChannels(channels []int) {
 		}
 		if ln.active >= 0 {
 			b := &t.mgr.blocks[ln.active]
-			b.state = BlockFull
+			b.state = blockFull
 			t.mgr.fullMark(b.owner, ln.active)
 			ln.active = -1
 		}
@@ -223,7 +216,7 @@ func (t *Tenant) AddHarvestLanes(gsbID int, blocks []int) {
 	var order [][2]int
 	for _, idx := range blocks {
 		b := &t.mgr.blocks[idx]
-		if b.state != BlockLent {
+		if b.state != blockLent {
 			panic(fmt.Sprintf("ftl: harvesting non-lent block %v (state %d)", b.id, b.state))
 		}
 		b.user = int32(t.id)
@@ -266,7 +259,7 @@ func (t *Tenant) CloseHarvestLanes(gsbID int) (cleanReturned []int) {
 				t.mgr.ReturnCleanBlock(ln.active)
 				cleanReturned = append(cleanReturned, ln.active)
 			} else {
-				b.state = BlockFull
+				b.state = blockFull
 				t.mgr.fullMark(b.owner, ln.active)
 			}
 		}
@@ -294,7 +287,7 @@ func (t *Tenant) openLane(ln *lane, forGC bool) bool {
 			return false
 		}
 		b := &t.mgr.blocks[idx]
-		b.state = BlockOpen
+		b.state = blockOpen
 		b.owner = int32(t.id)
 		b.user = int32(t.id)
 		t.initBlockPages(b)
@@ -307,10 +300,10 @@ func (t *Tenant) openLane(ln *lane, forGC bool) bool {
 		idx := ln.backlog[0]
 		ln.backlog = ln.backlog[1:]
 		b := &t.mgr.blocks[idx]
-		if b.state != BlockLent {
+		if b.state != blockLent {
 			continue
 		}
-		b.state = BlockOpen
+		b.state = blockOpen
 		b.user = int32(t.id)
 		t.initBlockPages(b)
 		ln.active = idx
@@ -339,7 +332,7 @@ func (t *Tenant) initBlockPages(b *blockInfo) {
 // reserved blocks. ok is false when no space is available anywhere (the
 // caller should back off and let GC run).
 //
-// A stalled host write polls this every RetryDelay, thousands of pages at
+// A stalled host write polls this every retryDelay, thousands of pages at
 // a time on a full device, so a host failure that changed nothing is
 // remembered by epoch (see Manager.epoch) and repeated in O(1) until some
 // state it read changes. GC allocations are never remembered: they are
@@ -414,7 +407,7 @@ func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {
 		t.l2p[lpn] = t.mgr.pageIndex(ln.active, page)
 		t.mappedPages++
 		if int(b.writePtr) == t.mgr.cfg.PagesPerBlock {
-			b.state = BlockFull
+			b.state = blockFull
 			t.mgr.fullMark(b.owner, ln.active)
 			ln.active = -1
 		}
@@ -485,7 +478,7 @@ func (t *Tenant) maybeGC() {
 		if t.gcTarget > goal {
 			goal = t.gcTarget
 		}
-		if t.FreeFraction() > goal && !nearReserve && t.badBlocks == 0 {
+		if t.freeFraction() > goal && !nearReserve && t.badBlocks == 0 {
 			return
 		}
 		victim := t.pickVictim()
@@ -494,11 +487,10 @@ func (t *Tenant) maybeGC() {
 		}
 		t.mgr.rec.GCRun(t.id, victim, int(t.mgr.blocks[victim].valid), t.mgr.blocks[victim].harvested)
 		t.mgr.epoch++
-		t.mgr.blocks[victim].state = BlockGC
+		t.mgr.blocks[victim].state = blockGC
 		t.mgr.fullUnmark(int32(t.id), victim)
 		t.gcJobs++
 		t.mgr.stats.GCRuns++
-		t.gcVictims++
 		t.collect(victim)
 	}
 }
@@ -506,10 +498,10 @@ func (t *Tenant) maybeGC() {
 // gcPriority escalates collection above host traffic when free space is
 // critically low; otherwise GC runs strictly in the background.
 func (t *Tenant) gcPriority() int {
-	if t.FreeFraction() < t.mgr.gcThreshold*0.6 {
+	if t.freeFraction() < t.mgr.gcThreshold*0.6 {
 		return PriorityHigh + 1
 	}
-	return PriorityGC
+	return priorityGC
 }
 
 // pickVictim chooses the best Full block owned by this tenant:
@@ -532,7 +524,7 @@ func (t *Tenant) pickVictim() int {
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			// Set membership guarantees state == BlockFull && owner == t.id
+			// Set membership guarantees state == blockFull && owner == t.id
 			// (pinned by TestPickVictimMatchesScan).
 			b := &t.mgr.blocks[i]
 			// A fully valid regular block yields no free pages; collecting
@@ -663,7 +655,7 @@ func gcTryProgram(arg sim.EventArg, _ sim.Time) {
 		j.finish()
 		return
 	}
-	// The victim is in BlockGC state and cannot be rewritten, so the data
+	// The victim is in blockGC state and cannot be rewritten, so the data
 	// owner and LPN are stable across retries.
 	dataTenant := j.t.mgr.tenants[b.user]
 	lpn := int(b.pageLPN[p])
@@ -736,7 +728,7 @@ func (t *Tenant) eraseVictim(j *gcJob) {
 	op.Kind = flash.OpErase
 	op.Addr = j.b.id.page(0)
 	op.Tenant = t.id
-	op.Priority = PriorityGC
+	op.Priority = priorityGC
 	op.Done = gcEraseDone
 	op.Ctx = j
 	t.mgr.Submit(op)

@@ -15,7 +15,7 @@ func TestPoolConcurrentHarvestNoDoubleGrant(t *testing.T) {
 	var pool gsbPool
 	const n = 2000
 	for i := 0; i < n; i++ {
-		pool.PushFront(&GSB{ID: i, NChls: 1, Home: 0, Harvest: -1})
+		pool.pushFront(&GSB{ID: i, NChls: 1, Home: 0, Harvest: -1})
 	}
 	var mu sync.Mutex
 	granted := make(map[int]int)
@@ -26,7 +26,7 @@ func TestPoolConcurrentHarvestNoDoubleGrant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				g, ok := pool.RemoveFirst(func(x *GSB) bool { return x.Home != 99 })
+				g, ok := pool.removeFirst(func(x *GSB) bool { return x.Home != 99 })
 				if !ok {
 					return
 				}

@@ -198,7 +198,7 @@ func (m *Manager) create(home *ftl.Tenant, nchls int) *GSB {
 	}
 	m.byID[id] = g
 	m.byHome[home.ID()] = append(m.byHome[home.ID()], g)
-	m.pool[g.NChls].PushFront(g)
+	m.pool[g.NChls].pushFront(g)
 	m.stats.Created++
 	m.rec.GSB(obs.KindGSBCreate, g.ID, g.Home, -1, g.NChls)
 	// While lending, keep the home tenant's GC aiming above the §3.6 free
@@ -222,7 +222,7 @@ func (m *Manager) HarvestFor(harvester *ftl.Tenant, nchls int) *GSB {
 	}
 	notMine := func(g *GSB) bool { return g.Home != harvester.ID() && !g.Reclaiming }
 	try := func(n int) *GSB {
-		g, ok := m.pool[n].RemoveFirst(notMine)
+		g, ok := m.pool[n].removeFirst(notMine)
 		if !ok {
 			return nil
 		}
@@ -288,7 +288,7 @@ func (m *Manager) reclaim(g *GSB) {
 	m.rec.GSB(obs.KindGSBReclaim, g.ID, g.Home, g.Harvest, g.NChls)
 	if !g.InUse {
 		// Remove from the pool so nobody harvests it mid-reclaim.
-		m.pool[g.NChls].RemoveFirst(func(x *GSB) bool { return x == g })
+		m.pool[g.NChls].removeFirst(func(x *GSB) bool { return x == g })
 		for _, idx := range g.Blocks {
 			m.ftlm.ReturnCleanBlock(idx)
 		}
@@ -323,7 +323,7 @@ func (m *Manager) blockErased(_ int, gsbID int) {
 	if g.pending <= 0 {
 		if !g.Reclaiming && !g.InUse {
 			// Still idling in the pool: remove it so nobody harvests a husk.
-			m.pool[g.NChls].RemoveFirst(func(x *GSB) bool { return x == g })
+			m.pool[g.NChls].removeFirst(func(x *GSB) bool { return x == g })
 		}
 		m.finalize(g)
 	}

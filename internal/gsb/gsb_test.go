@@ -34,6 +34,13 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{eng: eng, cfg: cfg, dev: dev, ftlm: ftlm, gm: gm, home: home, harv: harv}
 }
 
+// Len returns the number of pooled gSBs.
+func (p *gsbPool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.items)
+}
+
 func TestChannelsFor(t *testing.T) {
 	f := newFixture(t)
 	bw := f.cfg.ChannelBandwidth()
@@ -89,12 +96,12 @@ func TestSetHarvestableIdempotent(t *testing.T) {
 func TestSetHarvestableShrinkReclaims(t *testing.T) {
 	f := newFixture(t)
 	f.gm.SetHarvestable(f.home, 2)
-	free0 := f.home.FreeFraction()
+	free0 := f.ftlm.FreeFraction(f.home.Channels())
 	f.gm.SetHarvestable(f.home, 0)
 	if f.gm.HarvestableChannels(0) != 0 {
 		t.Fatalf("harvestable = %d after shrink", f.gm.HarvestableChannels(0))
 	}
-	if after := f.home.FreeFraction(); after <= free0 {
+	if after := f.ftlm.FreeFraction(f.home.Channels()); after <= free0 {
 		t.Fatalf("blocks not returned: free fraction %v -> %v", free0, after)
 	}
 	if f.gm.pool[2].Len() != 0 {
@@ -214,7 +221,7 @@ func TestCreateRespectsFreeFloor(t *testing.T) {
 	// Consume home's channels until both are safely below the 25% floor
 	// (the floor is per channel, so an average near 25% is not enough).
 	for lpn := 0; ; lpn++ {
-		if f.home.FreeFraction() < 0.20 {
+		if f.ftlm.FreeFraction(f.home.Channels()) < 0.20 {
 			break
 		}
 		if _, ok := f.home.AllocatePage(lpn%512, false); !ok {

@@ -19,16 +19,16 @@ type gsbPool struct {
 	items []*GSB
 }
 
-// PushFront adds g to the pool.
-func (p *gsbPool) PushFront(g *GSB) {
+// pushFront adds g to the pool.
+func (p *gsbPool) pushFront(g *GSB) {
 	p.mu.Lock()
 	p.items = append(p.items, g)
 	p.mu.Unlock()
 }
 
-// RemoveFirst removes and returns the most recently pushed gSB matching
+// removeFirst removes and returns the most recently pushed gSB matching
 // pred.
-func (p *gsbPool) RemoveFirst(pred func(*GSB) bool) (*GSB, bool) {
+func (p *gsbPool) removeFirst(pred func(*GSB) bool) (*GSB, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := len(p.items) - 1; i >= 0; i-- {
@@ -41,11 +41,4 @@ func (p *gsbPool) RemoveFirst(pred func(*GSB) bool) (*GSB, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Len returns the number of pooled gSBs.
-func (p *gsbPool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.items)
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// EpisodeSpec describes one self-contained pretraining episode: which mix
+// episodeSpec describes one self-contained pretraining episode: which mix
 // to collocate, under which reward variant, for how long, acting with
 // which policy flavor. Each episode owns a private sim.Engine + platform,
 // so any number of them can run concurrently (the trainer's worker pool
 // relies on this).
-type EpisodeSpec struct {
+type episodeSpec struct {
 	Mix      MixSpec
 	Mode     core.Mode
 	Seed     int64
@@ -34,12 +34,12 @@ func pretrainSLOs(mix MixSpec, opt Options) []sim.Time {
 	return Calibrate(mix, o)
 }
 
-// RunEpisode is the episode factory behind the parallel trainer's
+// runEpisode is the episode factory behind the parallel trainer's
 // collection and eval callbacks (PretrainRun): it builds a fresh platform
 // for the spec, drives a collection-only FleetIO sharing net (see
 // episodeFleetIO) for one unmeasured phase, and returns one rollout buffer
 // per agent with the final transition marked terminal.
-func RunEpisode(spec EpisodeSpec, net *nn.ActorCritic) []*rl.Buffer {
+func runEpisode(spec episodeSpec, net *nn.ActorCritic) []*rl.Buffer {
 	opt := DefaultOptions()
 	opt.Seed = spec.Seed
 	opt.Window = spec.Window

@@ -10,12 +10,12 @@ import (
 )
 
 // faultLevels is the off/light/heavy ladder the fault scenario sweeps.
-func faultLevels() []Level {
-	level := func(name string, cfg *fault.Config) Level {
-		return Level{name, func(o *Options) { o.Faults = cfg }}
+func faultLevels() []level {
+	lvl := func(name string, cfg *fault.Config) level {
+		return level{name, func(o *Options) { o.Faults = cfg }}
 	}
 	light, heavy := fault.Light(), fault.Heavy()
-	return []Level{level("off", nil), level("light", &light), level("heavy", &heavy)}
+	return []level{lvl("off", nil), lvl("light", &light), lvl("heavy", &heavy)}
 }
 
 // FaultRunStats is the fault-recovery ledger of one measured run: what the
@@ -71,10 +71,10 @@ func (r *Run) faultLedger() FaultRunStats {
 	return st
 }
 
-// FigureFaults renders the fault scenario for every mix: SLO preservation
+// figureFaults renders the fault scenario for every mix: SLO preservation
 // under injected NAND failures, with the injected/recovered ledger per
 // level. Output is deterministic for a given seed at any worker count.
-func FigureFaults(w io.Writer, mixes []MixSpec, opt Options) {
+func figureFaults(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Fault scenarios: SLO preservation under injected NAND failures (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %10s %10s %9s %9s %9s %9s", "pfail", "efail", "retired", "remap", "retries", "gcRetry")
 	figureSweep(w, mixes, opt, faultLevels(), 6, "level", head, func(r *Run) string {

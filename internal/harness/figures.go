@@ -15,13 +15,13 @@ import (
 	"repro/internal/workload"
 )
 
-// PairGrid runs every evaluation pair under the given policies, reusing
+// pairGrid runs every evaluation pair under the given policies, reusing
 // one calibration per pair, and returns one row of results per pair in
-// EvalPairs order. It is the data source for Figures 2, 3, and 10–13. The
+// evalPairs order. It is the data source for Figures 2, 3, and 10–13. The
 // whole (pair × policy) grid runs as one flat job list on the opt.Workers
 // pool.
-func PairGrid(kinds []PolicyKind, opt Options) [][]Result {
-	return compareAll(EvalPairs(), kinds, opt)
+func pairGrid(kinds []PolicyKind, opt Options) [][]Result {
+	return compareAll(evalPairs(), kinds, opt)
 }
 
 func find(results []Result, policy string) Result {
@@ -33,13 +33,13 @@ func find(results []Result, policy string) Result {
 	panic("harness: policy missing from results: " + policy)
 }
 
-// Figure2 prints the §2.2 utilization study: average and P95 SSD bandwidth
+// figure2 prints the §2.2 utilization study: average and P95 SSD bandwidth
 // utilization under hardware vs software isolation for the six pairs.
-func Figure2(w io.Writer, grid [][]Result) {
+func figure2(w io.Writer, grid [][]Result) {
 	fmt.Fprintln(w, "Figure 2: SSD bandwidth utilization, hardware vs software isolation")
 	fmt.Fprintf(w, "%-22s %14s %14s %14s %14s\n", "pair", "HW avg%", "HW p95%", "SW avg%", "SW p95%")
 	var ratios []float64
-	for i, mix := range EvalPairs() {
+	for i, mix := range evalPairs() {
 		hw, sw := find(grid[i], "Hardware Isolation"), find(grid[i], "Software Isolation")
 		fmt.Fprintf(w, "%-22s %14.1f %14.1f %14.1f %14.1f\n", mix.Label,
 			hw.AvgUtil*100, hw.P95Util*100, sw.AvgUtil*100, sw.P95Util*100)
@@ -51,13 +51,13 @@ func Figure2(w io.Writer, grid [][]Result) {
 		maxF(ratios), meanF(ratios))
 }
 
-// Figure3 prints the §2.2 per-tenant study: normalized BI bandwidth (a)
+// figure3 prints the §2.2 per-tenant study: normalized BI bandwidth (a)
 // and normalized LS P99 (b) under software isolation relative to hardware.
-func Figure3(w io.Writer, grid [][]Result) {
+func figure3(w io.Writer, grid [][]Result) {
 	normalized := func(title, unit, cell, paper string, metric func(Result) float64) {
 		fmt.Fprintf(w, "Figure %s (normalized to hardware isolation)\n", title)
 		fmt.Fprintf(w, "%-22s %14s %14s %10s\n", "pair", "HW "+unit, "SW "+unit, "SW/HW")
-		for i, mix := range EvalPairs() {
+		for i, mix := range evalPairs() {
 			hw, sw := metric(find(grid[i], "Hardware Isolation")), metric(find(grid[i], "Software Isolation"))
 			fmt.Fprintf(w, "%-22s "+cell+" "+cell+" %9.2fx\n", mix.Label, hw, sw, sw/hw)
 		}
@@ -69,9 +69,9 @@ func Figure3(w io.Writer, grid [][]Result) {
 		"up to 2.02x higher tail latency", Result.LatencyTenantP99)
 }
 
-// Figure6 trains the workload-type clusters, prints the PCA scatter data,
+// figure6 trains the workload-type clusters, prints the PCA scatter data,
 // cluster membership, and the train/test accuracy (paper: 98.4%).
-func Figure6(w io.Writer) {
+func figure6(w io.Writer) {
 	ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
 	_, test := ds.Split(0.7)
 	m, _ := TypeModel()
@@ -106,18 +106,18 @@ func Figure6(w io.Writer) {
 	fmt.Fprintf(w, "test clustering accuracy: %.1f%% (paper: 98.4%%)\n\n", acc*100)
 }
 
-// Figures10to13 prints the main evaluation: the utilization/latency
+// figures10to13 prints the main evaluation: the utilization/latency
 // tradeoff (Fig 10), per-pair utilization (Fig 11), normalized P99
 // (Fig 12), and normalized BI bandwidth (Fig 13) for all five policies.
-func Figures10to13(w io.Writer, grid [][]Result) {
-	pols := AllPolicies()
+func figures10to13(w io.Writer, grid [][]Result) {
+	pols := allPolicies()
 	fmt.Fprintln(w, "Figure 10: utilization improvement (x, vs Hardware Isolation) vs normalized P99 (y)")
 	fmt.Fprintf(w, "%-22s", "pair")
 	for _, p := range pols {
 		fmt.Fprintf(w, " %26s", p.String())
 	}
 	fmt.Fprintln(w)
-	for i, mix := range EvalPairs() {
+	for i, mix := range evalPairs() {
 		rs := grid[i]
 		hw := find(rs, "Hardware Isolation")
 		fmt.Fprintf(w, "%-22s", mix.Label)
@@ -146,7 +146,7 @@ func printMetric(w io.Writer, grid [][]Result, pols []PolicyKind,
 		fmt.Fprintf(w, " %14s", shorten(p.String()))
 	}
 	fmt.Fprintln(w)
-	for i, mix := range EvalPairs() {
+	for i, mix := range evalPairs() {
 		fmt.Fprintf(w, "%-22s", mix.Label)
 		for _, p := range pols {
 			fmt.Fprintf(w, " "+cellFmt, metric(find(grid[i], p.String())))
@@ -171,10 +171,10 @@ func shorten(s string) string {
 	}
 }
 
-// Figure14 prints the scalability study over the Table 5 mixes.
-func Figure14(w io.Writer, opt Options) {
-	pols := AllPolicies()
-	mixes := Table5Mixes()
+// figure14 prints the scalability study over the Table 5 mixes.
+func figure14(w io.Writer, opt Options) {
+	pols := allPolicies()
+	mixes := table5Mixes()
 	rows := compareAll(mixes, pols, opt)
 	fmt.Fprintln(w, "Figure 14: scalability over Table 5 mixes (2/4/8 vSSDs)")
 	fmt.Fprintf(w, "%-8s %-7s", "mix", "vSSDs")
@@ -199,11 +199,11 @@ func Figure14(w io.Writer, opt Options) {
 	fmt.Fprintln(w)
 }
 
-// Figure15 prints the reward-function ablation: FleetIO vs Unified-Global
+// figure15 prints the reward-function ablation: FleetIO vs Unified-Global
 // (one α for all) vs Customized-Local (β=1).
-func Figure15(w io.Writer, opt Options) {
+func figure15(w io.Writer, opt Options) {
 	kinds := []PolicyKind{PolHardware, PolFleetIOCustomizedLocal, PolFleetIOUnifiedGlobal, PolFleetIO, PolSoftware}
-	mixes := EvalPairs()
+	mixes := evalPairs()
 	rows := compareAll(mixes, kinds, opt)
 	fmt.Fprintln(w, "Figure 15: reward ablation — utilization (%) and LS P99 (ms)")
 	fmt.Fprintf(w, "%-22s", "pair")
@@ -225,11 +225,11 @@ func Figure15(w io.Writer, opt Options) {
 	fmt.Fprintln(w)
 }
 
-// Figure16 runs mix3 with mixed isolation: two VDI-Web on 4-channel
+// figure16 runs mix3 with mixed isolation: two VDI-Web on 4-channel
 // hardware-isolated vSSDs, two TeraSort sharing an 8-channel
 // software-isolated pool. It returns the three results in print order,
 // labelled as printed.
-func Figure16(w io.Writer, opt Options) []Result {
+func figure16(w io.Writer, opt Options) []Result {
 	fmt.Fprintln(w, "Figure 16: mixed hardware- and software-isolated vSSDs (mix3)")
 	kinds := []PolicyKind{PolHardware, PolSoftware, PolFleetIO}
 	// One calibration defines the SLOs for all three topologies; the runs
@@ -272,10 +272,10 @@ func measureMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Op
 	return r.measure()
 }
 
-// Figure17 evaluates robustness to collocated-workload changes: the model
+// figure17 evaluates robustness to collocated-workload changes: the model
 // keeps serving tenant A while its neighbour switches from B to C halfway;
 // the result is compared to a model tuned on A+C from the start.
-func Figure17(w io.Writer, opt Options) {
+func figure17(w io.Writer, opt Options) {
 	cases := []struct {
 		label           string
 		keep, from, to  string
@@ -336,8 +336,8 @@ func runTransfer(keep, from, to string, opt Options) *Run {
 	return r
 }
 
-// OverheadReport captures §4.7's overhead table.
-type OverheadReport struct {
+// overheadReport captures §4.7's overhead table.
+type overheadReport struct {
 	InferencePerWindow   time.Duration
 	FineTunePer10Windows time.Duration
 	GSBCreate            time.Duration
@@ -346,8 +346,8 @@ type OverheadReport struct {
 	ModelParams          int
 }
 
-// Overheads measures the §4.7 costs on this machine.
-func Overheads(w io.Writer) OverheadReport {
+// overheads measures the §4.7 costs on this machine.
+func overheads(w io.Writer) overheadReport {
 	rng := sim.NewRNG(1)
 	net := nn.NewActorCritic(core.DefaultHistoryWindows*core.StatesPerWindow, 50,
 		[]int{len(core.HarvestLevels), len(core.HarvestLevels), len(core.PriorityLevels)}, rng)
@@ -406,7 +406,7 @@ func Overheads(w io.Writer) OverheadReport {
 	admDur := time.Since(start)
 
 	enc, _ := net.Encode()
-	rep := OverheadReport{
+	rep := overheadReport{
 		InferencePerWindow:   inf,
 		FineTunePer10Windows: ft,
 		GSBCreate:            gsbDur,

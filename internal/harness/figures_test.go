@@ -21,7 +21,7 @@ func tinyOptions() Options {
 
 func TestFigure6Output(t *testing.T) {
 	var buf bytes.Buffer
-	Figure6(&buf)
+	figure6(&buf)
 	out := buf.String()
 	for _, want := range []string{"cluster", "TeraSort", "YCSB", "accuracy"} {
 		if !strings.Contains(out, want) {
@@ -32,10 +32,10 @@ func TestFigure6Output(t *testing.T) {
 
 func TestFigure2And3Formatting(t *testing.T) {
 	opt := tinyOptions()
-	grid := PairGrid([]PolicyKind{PolHardware, PolSoftware}, opt)
+	grid := pairGrid([]PolicyKind{PolHardware, PolSoftware}, opt)
 	var buf bytes.Buffer
-	Figure2(&buf, grid)
-	Figure3(&buf, grid)
+	figure2(&buf, grid)
+	figure3(&buf, grid)
 	out := buf.String()
 	if !strings.Contains(out, "Figure 2") || !strings.Contains(out, "Figure 3a") || !strings.Contains(out, "Figure 3b") {
 		t.Fatalf("missing figure headers:\n%s", out)
@@ -48,7 +48,7 @@ func TestFigure2And3Formatting(t *testing.T) {
 func TestFigure16MixedIsolation(t *testing.T) {
 	opt := tinyOptions()
 	var buf bytes.Buffer
-	rows := Figure16(&buf, opt)
+	rows := figure16(&buf, opt)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -139,7 +139,7 @@ func TestRunTransferMeasuresFinalMix(t *testing.T) {
 
 func TestOverheadsReport(t *testing.T) {
 	var buf bytes.Buffer
-	rep := Overheads(&buf)
+	rep := overheads(&buf)
 	if rep.InferencePerWindow <= 0 || rep.FineTunePer10Windows <= 0 ||
 		rep.GSBCreate <= 0 || rep.AdmissionPer1000 <= 0 {
 		t.Fatalf("degenerate overheads: %+v", rep)

@@ -13,9 +13,9 @@ import (
 // rack is smaller than the placement rack because every epoch also
 // classifies tenant traffic.
 const (
-	DefaultFleetDevices  = 64
-	DefaultTierDevices   = 8
-	DefaultCohortDevices = 8
+	defaultFleetDevices  = 64
+	defaultTierDevices   = 8
+	defaultCohortDevices = 8
 )
 
 // rackConfig maps harness Options onto a fleet run of FleetDevices (or
@@ -43,18 +43,18 @@ func rackConfig(opt Options, defDevices int) fleet.Config {
 // load-balancing cold migration on, and returns the fleet roll-up. The
 // run is byte-identical at any Options.Workers setting.
 func FleetScenario(placement fleet.PlacementKind, opt Options) fleet.Stats {
-	cfg := rackConfig(opt, DefaultFleetDevices)
+	cfg := rackConfig(opt, defaultFleetDevices)
 	cfg.Placement = placement
 	cfg.Migration = true
 	return fleet.New(cfg).Run()
 }
 
-// CohortScenario runs a rack in cohort mode: tenants arrive on the fleet
+// cohortScenario runs a rack in cohort mode: tenants arrive on the fleet
 // admission path, live an exponential session (mean Duration/3, so slots
 // turn over several times), depart, and free their slots — with every
 // traced tenant classified by the shared workload-type model.
-func CohortScenario(opt Options) fleet.Stats {
-	cfg := rackConfig(opt, DefaultCohortDevices)
+func cohortScenario(opt Options) fleet.Stats {
+	cfg := rackConfig(opt, defaultCohortDevices)
 	cfg.Migration = true
 	cfg.Lifetime = opt.Duration / 3
 	cfg.TypeModel, _ = TypeModel()
@@ -69,7 +69,7 @@ func CohortScenario(opt Options) fleet.Stats {
 // so the policies differ in nothing else. The run is byte-identical at any
 // Options.Workers setting.
 func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
-	cfg := rackConfig(opt, DefaultTierDevices)
+	cfg := rackConfig(opt, defaultTierDevices)
 	fast := max(cfg.Devices/4, 1)
 	cfg.Classes = fleet.DefaultTierClasses(fast, cfg.Devices-fast)
 	cfg.TierPolicy = tp
@@ -83,13 +83,13 @@ func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
 	return fleet.New(cfg).Run()
 }
 
-// FigureFleet renders the rack-scale scenario: every placement baseline
+// figureFleet renders the rack-scale scenario: every placement baseline
 // over the same arrival sequence, with fleet admission and cold migration
 // live, so the placement policies differ only in where tenants land.
 // Output is deterministic for a given seed at any worker count.
-func FigureFleet(w io.Writer, opt Options) {
+func figureFleet(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "== Fleet: %d-device rack, placement baselines under admission + cold migration (seed=%d) ==\n",
-		rackConfig(opt, DefaultFleetDevices).Devices, opt.Seed)
+		rackConfig(opt, defaultFleetDevices).Devices, opt.Seed)
 	for _, p := range fleet.Placements() {
 		st := FleetScenario(p, opt)
 		fmt.Fprintf(w, "placement=%s\n", p)
@@ -97,15 +97,15 @@ func FigureFleet(w io.Writer, opt Options) {
 	}
 }
 
-// FigureTiers renders the hybrid-rack scenario: the same arrival
+// figureTiers renders the hybrid-rack scenario: the same arrival
 // sequence on the same SLC-like/QLC-like rack under each tier policy —
 // static-pin, adaptive watermark, and the learned placement head — with
 // the latency-class tail summary as the comparison axis (tail latency at
 // matched capacity). Output is deterministic for a given seed at any
 // worker count.
-func FigureTiers(w io.Writer, opt Options) {
+func figureTiers(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "== Tiers: %d-device hybrid rack (SLC-like/QLC-like), promote/demote policies (seed=%d) ==\n",
-		rackConfig(opt, DefaultTierDevices).Devices, opt.Seed)
+		rackConfig(opt, defaultTierDevices).Devices, opt.Seed)
 	var summary string
 	for _, tp := range fleet.TierPolicies() {
 		st := TierScenario(tp, opt)

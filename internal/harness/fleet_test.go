@@ -22,7 +22,7 @@ func TestCohortScenarioDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		opt := fleetTestOptions()
 		opt.Workers = workers
-		st := CohortScenario(opt)
+		st := cohortScenario(opt)
 		var b strings.Builder
 		st.Render(&b)
 		if workers == 1 {

@@ -62,8 +62,8 @@ func (p PolicyKind) String() string {
 	}
 }
 
-// AllPolicies is the Figure 10–13 lineup.
-func AllPolicies() []PolicyKind {
+// allPolicies is the Figure 10–13 lineup.
+func allPolicies() []PolicyKind {
 	return []PolicyKind{PolHardware, PolSSDKeeper, PolAdaptive, PolSoftware, PolFleetIO}
 }
 
@@ -93,7 +93,7 @@ type Options struct {
 	// telemetry to the measured run (calibration runs stay unobserved).
 	Obs *obs.Observer
 	// Workers is the one fan-out: how many independent simulations
-	// Compare, PairGrid, and the figure sweeps run concurrently (each on
+	// Compare, pairGrid, and the figure sweeps run concurrently (each on
 	// its own engine), or, in a rack scenario, the size of the fleet's
 	// shard-worker pool — the two are never in flight together. A
 	// hardware-isolated RunOne or Calibrate fans its tenants' solo devices
@@ -108,11 +108,11 @@ type Options struct {
 	// derives the injector stream from Options.Seed, so fault scenarios
 	// are per-seed deterministic. Under faults, FleetIO agents not seeded
 	// from a Pretrained network (built at the base input width) also see
-	// the per-tenant write-retry rate (core.StatesPerWindowExt).
+	// the per-tenant write-retry rate (core.statesPerWindowExt).
 	Faults *fault.Config
 	// FleetDevices sizes the rack of the rack scenarios (0 → each one's
-	// default: DefaultFleetDevices, DefaultTierDevices,
-	// DefaultCohortDevices). Single-device experiments ignore it.
+	// default: defaultFleetDevices, defaultTierDevices,
+	// defaultCohortDevices). Single-device experiments ignore it.
 	FleetDevices int
 	// WorkloadShape overlays a temporal arrival shape (diurnal, bursty,
 	// replay) on every tenant of the measured run. Calibration always
@@ -170,8 +170,8 @@ func Pair(ls, bi string) MixSpec {
 	return MixSpec{Label: ls + "+" + bi, Workloads: []string{ls, bi}}
 }
 
-// Table5Mixes returns the scalability mixes (Table 5).
-func Table5Mixes() []MixSpec {
+// table5Mixes returns the scalability mixes (Table 5).
+func table5Mixes() []MixSpec {
 	return []MixSpec{
 		{Label: "mix1", Workloads: []string{"VDI-Web", "TeraSort"}},
 		{Label: "mix2", Workloads: []string{"YCSB", "PageRank"}},
@@ -182,8 +182,8 @@ func Table5Mixes() []MixSpec {
 	}
 }
 
-// EvalPairs returns the six two-tenant pairs of §4.2.
-func EvalPairs() []MixSpec {
+// evalPairs returns the six two-tenant pairs of §4.2.
+func evalPairs() []MixSpec {
 	var out []MixSpec
 	for _, ls := range workload.EvaluationLatency() {
 		for _, bi := range workload.EvaluationBandwidth() {
@@ -540,7 +540,7 @@ func deployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
 		// The Figure 15 ablation variants deploy models pretrained under
 		// their own reward function — the reward shapes behavior during
 		// training, not at inference.
-		pretrained = PretrainedModelFor(mode)
+		pretrained = pretrainedModelFor(mode)
 	}
 	return core.FleetIOConfig{
 		Mode:       mode,
@@ -566,7 +566,7 @@ func figure16FleetIO(opt Options) core.FleetIOConfig {
 // network (read, never trained — the in-episode PPO trigger is kept out of
 // reach so every transition survives for the trainer's learner), sampling
 // the stochastic policy, or argmax actions for held-out evaluation.
-func episodeFleetIO(spec EpisodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
+func episodeFleetIO(spec episodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 	return core.FleetIOConfig{
 		Mode:          spec.Mode,
 		Train:         true,
@@ -639,9 +639,9 @@ func (r *Run) Now() sim.Time { return r.Platform().Engine().Now() }
 // time since the last BeginMeasuring (since the start when there was none).
 func (r *Run) Measured() sim.Time { return r.Now() - r.measureFrom }
 
-// Stop ends the run: the generators and the telemetry sampler stop, so
+// stop ends the run: the generators and the telemetry sampler stop, so
 // the engine's event queue can drain.
-func (r *Run) Stop() {
+func (r *Run) stop() {
 	r.dev.Stop()
 	r.smp.Stop()
 	r.end = r.Now()
@@ -663,7 +663,7 @@ func (r *Run) execute(end sim.Time, bounds ...boundary) {
 		b.do()
 	}
 	r.Advance(end)
-	r.Stop()
+	r.stop()
 }
 
 // BeginMeasuring is the measurement boundary: run-level metrics and the

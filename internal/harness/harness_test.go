@@ -46,11 +46,11 @@ func TestUtilizationMath(t *testing.T) {
 }
 
 func TestEvalPairsAndMixes(t *testing.T) {
-	pairs := EvalPairs()
+	pairs := evalPairs()
 	if len(pairs) != 6 {
 		t.Fatalf("eval pairs = %d, want 6", len(pairs))
 	}
-	mixes := Table5Mixes()
+	mixes := table5Mixes()
 	if len(mixes) != 5 {
 		t.Fatalf("mixes = %d", len(mixes))
 	}
@@ -143,7 +143,7 @@ func TestDecisionWindowSteadyStateAllocs(t *testing.T) {
 	r := buildPlatform(mix, PolFleetIO, nil, Calibrate(mix, opt), opt)
 	r.AttachPolicy(PolFleetIO)
 	r.Start()
-	defer r.Stop()
+	defer r.stop()
 	// Warm-up ends when the slower tenant's trace ring is at capacity: by
 	// then every scratch is sized and PPO has updated several times.
 	warm := opt.Warmup

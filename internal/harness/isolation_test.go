@@ -90,7 +90,7 @@ func TestHardwareIsolationNonInterference(t *testing.T) {
 // sequentially and 2 concurrently. An observed run and a faulted run stay
 // joint: they must equal the split run and Measure respectively.
 func TestHardwareIsolationSplitMatchesJoint(t *testing.T) {
-	t5 := Table5Mixes()
+	t5 := table5Mixes()
 	mixes := []MixSpec{Pair("YCSB", "TeraSort"), Pair("SearchEngine", "PageRank"), t5[3], t5[4]}
 	type job struct {
 		mix     MixSpec

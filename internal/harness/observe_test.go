@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -33,9 +35,14 @@ func TestRunOneObserved(t *testing.T) {
 	if err := rec.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	var events []obs.Event
+	type event struct {
+		Seq  uint64        `json:"seq"`
+		At   int64         `json:"at_ns"`
+		Kind obs.EventKind `json:"kind"`
+	}
+	var events []event
 	for dec := json.NewDecoder(&jsonl); dec.More(); {
-		var e obs.Event
+		var e event
 		if err := dec.Decode(&e); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +73,7 @@ func TestRunOneObserved(t *testing.T) {
 	}
 
 	reg := opt.Obs.Registry()
-	names := strings.Join(reg.Names(), "\n")
+	out := scrape(t, reg)
 	for _, want := range []string{
 		"fleetio_vssd_bandwidth_bytes_per_second",
 		"fleetio_vssd_iops",
@@ -80,15 +87,10 @@ func TestRunOneObserved(t *testing.T) {
 		"fleetio_sim_time_seconds",
 		"fleetio_sim_events_total",
 	} {
-		if !strings.Contains(names, want) {
+		if !strings.Contains(out, "# TYPE "+want+" ") {
 			t.Errorf("registry missing %s", want)
 		}
 	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := buf.String()
 	if !strings.Contains(out, `fleetio_vssd_iops{vssd="0",name="YCSB-0"}`) {
 		t.Errorf("per-vSSD labelled series missing:\n%s", out[:min(len(out), 600)])
 	}
@@ -114,7 +116,27 @@ func TestCalibrateUnobserved(t *testing.T) {
 	if n := opt.Obs.Recorder().Len(); n != 0 {
 		t.Fatalf("calibration leaked %d events into the observer", n)
 	}
-	if n := len(opt.Obs.Registry().Names()); n != 0 {
-		t.Fatalf("calibration registered %d metric families", n)
+	if out := scrape(t, opt.Obs.Registry()); out != "" {
+		t.Fatalf("calibration registered metric families:\n%s", out)
 	}
+}
+
+// scrape returns reg's /metrics page, served the way -http serves it.
+func scrape(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }

@@ -28,7 +28,10 @@ type PretrainConfig struct {
 	// LR is the pretraining learning rate (deployment fine-tuning uses the
 	// paper's 1e-4; pretraining converges faster at 1e-3).
 	LR float64
-	// Workers is the number of concurrent collection workers (0 → 1).
+	// Workers is the number of episodes per PPO update (0 → 1), collected
+	// concurrently. A round is Workers episodes against one weight
+	// snapshot, so the trained model depends on it, and a resumed run must
+	// keep it.
 	Workers int
 
 	// CheckpointDir enables atomic snapshot/resume when non-empty.
@@ -101,8 +104,8 @@ func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 	mixes := pretrainMixes()
 	rcfg := rl.DefaultConfig()
 	rcfg.LR = pc.LR
-	spec := func(mix MixSpec, seed int64, greedy bool) EpisodeSpec {
-		return EpisodeSpec{
+	spec := func(mix MixSpec, seed int64, greedy bool) episodeSpec {
+		return episodeSpec{
 			Mix:      mix,
 			Mode:     mode,
 			Seed:     seed,
@@ -124,12 +127,12 @@ func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 		},
 		Collect: func(ep int, seed int64, net *nn.ActorCritic) *rl.Buffer {
 			mix := mixes[ep%len(mixes)]
-			return rl.Merge(RunEpisode(spec(mix, seed, false), net)...)
+			return rl.Merge(runEpisode(spec(mix, seed, false), net)...)
 		},
 		Eval: func(seed int64, net *nn.ActorCritic) float64 {
 			// Score on the first held-out mix with greedy actions; the
 			// fixed seed makes scores comparable across rounds.
-			return rl.Merge(RunEpisode(spec(mixes[0], seed, true), net)...).MeanReward()
+			return rl.Merge(runEpisode(spec(mixes[0], seed, true), net)...).MeanReward()
 		},
 		EvalEvery:       pc.EvalEvery,
 		CheckpointDir:   pc.CheckpointDir,
@@ -157,7 +160,7 @@ func SetInjectedModel(net *nn.ActorCritic) {
 
 // PretrainedModel returns the process-wide pretrained network, training it
 // on first use unless a model was injected.
-func PretrainedModel() *nn.ActorCritic { return PretrainedModelFor(core.ModeFull) }
+func PretrainedModel() *nn.ActorCritic { return pretrainedModelFor(core.ModeFull) }
 
 // WithPretrained returns a copy of opt seeded with the process-wide
 // pretrained model.
@@ -166,9 +169,9 @@ func WithPretrained(opt Options) Options {
 	return opt
 }
 
-// PretrainedModelFor returns (training once per process per mode) the
+// pretrainedModelFor returns (training once per process per mode) the
 // network pretrained under the given reward variant.
-func PretrainedModelFor(mode core.Mode) *nn.ActorCritic {
+func pretrainedModelFor(mode core.Mode) *nn.ActorCritic {
 	modelsMu.Lock()
 	defer modelsMu.Unlock()
 	if net, ok := models[mode]; ok {

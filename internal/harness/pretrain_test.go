@@ -38,20 +38,20 @@ func TestPretrainDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// RunEpisode is the trainer's episode factory: it must produce one rollout
+// runEpisode is the trainer's episode factory: it must produce one rollout
 // per collocated tenant, terminal-marked, without mutating the policy net.
 func TestRunEpisodeCollectsRollouts(t *testing.T) {
 	net := nn.NewActorCritic(core.DefaultHistoryWindows*core.StatesPerWindow, 50,
 		[]int{len(core.HarvestLevels), len(core.HarvestLevels), len(core.PriorityLevels)},
 		sim.NewRNG(3))
 	before := net.Params()
-	spec := EpisodeSpec{
+	spec := episodeSpec{
 		Mix:      MixSpec{Label: "t", Workloads: []string{"TPCE", "BatchAnalytics"}},
 		Seed:     5,
 		Window:   100 * sim.Millisecond,
 		Duration: 2 * sim.Second,
 	}
-	bufs := RunEpisode(spec, net)
+	bufs := runEpisode(spec, net)
 	if len(bufs) != 2 {
 		t.Fatalf("%d rollouts for 2 tenants", len(bufs))
 	}

@@ -25,55 +25,55 @@ type Scenario struct {
 // `fleetbench -fig all` order followed by the non-paper scenarios.
 func Scenarios() []Scenario {
 	hwsw := []PolicyKind{PolHardware, PolSoftware}
-	scenarioMixes := EvalPairs()[:2]
+	scenarioMixes := evalPairs()[:2]
 	return []Scenario{
 		{"all", true, figureAll, `Section 4\.7`},
-		{"2", true, func(w io.Writer, opt Options) { Figure2(w, PairGrid(hwsw, opt)) }, `software/hardware avg-util ratio: max \d`},
-		{"3", true, func(w io.Writer, opt Options) { Figure3(w, PairGrid(hwsw, opt)) }, `Figure 3b`},
-		{"6", false, func(w io.Writer, _ Options) { Figure6(w) }, `test clustering accuracy: \d`},
-		{"10", true, func(w io.Writer, opt Options) { Figures10to13(w, PairGrid(AllPolicies(), opt)) }, `Figure 13`},
-		{"14", true, Figure14, `mix5 +8 `},
-		{"15", true, Figure15, `FIO-UnifGlob`},
-		{"16", true, func(w io.Writer, opt Options) { Figure16(w, opt) }, `FleetIO +util= *[1-9]`},
-		{"17", true, Figure17, `Y \+ \(P->T\) +\d`},
+		{"2", true, func(w io.Writer, opt Options) { figure2(w, pairGrid(hwsw, opt)) }, `software/hardware avg-util ratio: max \d`},
+		{"3", true, func(w io.Writer, opt Options) { figure3(w, pairGrid(hwsw, opt)) }, `Figure 3b`},
+		{"6", false, func(w io.Writer, _ Options) { figure6(w) }, `test clustering accuracy: \d`},
+		{"10", true, func(w io.Writer, opt Options) { figures10to13(w, pairGrid(allPolicies(), opt)) }, `Figure 13`},
+		{"14", true, figure14, `mix5 +8 `},
+		{"15", true, figure15, `FIO-UnifGlob`},
+		{"16", true, func(w io.Writer, opt Options) { figure16(w, opt) }, `FleetIO +util= *[1-9]`},
+		{"17", true, figure17, `Y \+ \(P->T\) +\d`},
 		// Every injected failure recovered: a heavy row, and no imbalance line.
-		{"faults", true, func(w io.Writer, opt Options) { FigureFaults(w, scenarioMixes, opt) }, `^[^!]*heavy +\d[^!]*$`},
+		{"faults", true, func(w io.Writer, opt Options) { figureFaults(w, scenarioMixes, opt) }, `^[^!]*heavy +\d[^!]*$`},
 		// The rack must complete at least one cold migration. No pretrained
 		// policy to seed on either rack: the tiered rack's learned agents
 		// train online from scratch.
-		{"fleet", false, FigureFleet, `migrations: started=[1-9]\d* completed=[1-9]`},
+		{"fleet", false, figureFleet, `migrations: started=[1-9]\d* completed=[1-9]`},
 		// The learned placement head must move tenants both ways.
-		{"tiers", false, FigureTiers, `(?s)tier-policy=learned.* promotes=[1-9]\d* demotes=[1-9]`},
+		{"tiers", false, figureTiers, `(?s)tier-policy=learned.* promotes=[1-9]\d* demotes=[1-9]`},
 		// The cohort rack must classify live traffic.
-		{"workloads", true, func(w io.Writer, opt Options) { FigureWorkloads(w, scenarioMixes, opt) }, `types: .*=`},
-		{"overhead", false, func(w io.Writer, _ Options) { Overheads(w) }, `inference per window`},
+		{"workloads", true, func(w io.Writer, opt Options) { figureWorkloads(w, scenarioMixes, opt) }, `types: .*=`},
+		{"overhead", false, func(w io.Writer, _ Options) { overheads(w) }, `inference per window`},
 	}
 }
 
 // figureAll renders every paper figure; Figures 2, 3, and 10–13 share one
 // pair grid.
 func figureAll(w io.Writer, opt Options) {
-	grid := PairGrid(AllPolicies(), opt)
-	Figure2(w, grid)
-	Figure3(w, grid)
-	Figure6(w)
-	Figures10to13(w, grid)
-	Figure14(w, opt)
-	Figure15(w, opt)
-	Figure16(w, opt)
-	Figure17(w, opt)
-	Overheads(w)
+	grid := pairGrid(allPolicies(), opt)
+	figure2(w, grid)
+	figure3(w, grid)
+	figure6(w)
+	figures10to13(w, grid)
+	figure14(w, opt)
+	figure15(w, opt)
+	figure16(w, opt)
+	figure17(w, opt)
+	overheads(w)
 }
 
-// Level is one rung of a scenario ladder: a name and the Options edit
+// level is one rung of a scenario ladder: a name and the Options edit
 // that puts a run on it.
-type Level struct {
+type level struct {
 	Name  string
 	Apply func(*Options)
 }
 
-// LevelRun is one level's finished run within a sweep.
-type LevelRun struct {
+// levelRun is one level's finished run within a sweep.
+type levelRun struct {
 	Level string
 	*Run
 }
@@ -82,13 +82,13 @@ type LevelRun struct {
 // FleetIO at every level. The levels are independent deterministic
 // simulations and fan out over opt.Workers goroutines; results come back
 // in ladder order regardless of worker count.
-func sweep(mix MixSpec, opt Options, levels []Level) []LevelRun {
+func sweep(mix MixSpec, opt Options, levels []level) []levelRun {
 	slos := Calibrate(mix, opt)
-	out := make([]LevelRun, len(levels))
+	out := make([]levelRun, len(levels))
 	forEach(len(levels), opt.workers(), func(i int) {
 		o := opt
 		levels[i].Apply(&o)
-		out[i] = LevelRun{levels[i].Name, Measure(mix, PolFleetIO, slos, o)}
+		out[i] = levelRun{levels[i].Name, Measure(mix, PolFleetIO, slos, o)}
 	})
 	return out
 }
@@ -96,7 +96,7 @@ func sweep(mix MixSpec, opt Options, levels []Level) []LevelRun {
 // figureSweep renders one table per mix, one row per level: the level name
 // (under nameHead, padded to nameWidth), utilization and the worst
 // tenant's SLO violation rate, then the scenario's own columns.
-func figureSweep(w io.Writer, mixes []MixSpec, opt Options, levels []Level,
+func figureSweep(w io.Writer, mixes []MixSpec, opt Options, levels []level,
 	nameWidth int, nameHead, colsHead string, cols func(*Run) string) {
 	for _, mix := range mixes {
 		fmt.Fprintf(w, "%s (%v)\n", mix.Label, mix.Workloads)

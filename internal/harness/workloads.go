@@ -11,10 +11,10 @@ import (
 // workloadLevels is the steady/diurnal/bursty/replay ladder the workload
 // scenario sweeps — the temporal analogue of faultLevels: a named arrival
 // shape overlaid on every tenant of the mix.
-func workloadLevels() []Level {
-	var out []Level
+func workloadLevels() []level {
+	var out []level
 	for _, s := range workload.Shapes() {
-		out = append(out, Level{s.String(), func(o *Options) { o.WorkloadShape = s }})
+		out = append(out, level{s.String(), func(o *Options) { o.WorkloadShape = s }})
 	}
 	return out
 }
@@ -38,19 +38,19 @@ func (r *Run) typeLabels() []string {
 	return labels
 }
 
-// FigureWorkloads renders the temporal-realism scenario: every mix swept
+// figureWorkloads renders the temporal-realism scenario: every mix swept
 // over the steady/diurnal/bursty/replay ladder under FleetIO (with the
 // clusterer's workload-type labels per tenant), then one cohort-churn
 // rack with arrivals, departures, and live traffic typing. Output is
 // deterministic for a given seed at any worker count.
-func FigureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
+func figureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Workload scenarios: temporal shapes, trace replay, and cohort churn (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %12s %12s  %s", "BI MB/s", "LS p99 ms", "types")
 	figureSweep(w, mixes, opt, workloadLevels(), 8, "shape", head, func(r *Run) string {
 		return fmt.Sprintf(" %12.1f %12.3f  %s", r.Result.BandwidthTenant(), r.Result.LatencyTenantP99(),
 			strings.Join(r.typeLabels(), ","))
 	})
-	st := CohortScenario(opt)
+	st := cohortScenario(opt)
 	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", st.Devices)
 	st.Render(w)
 }

@@ -77,7 +77,7 @@ func checkWorkloadLadder(t *testing.T, rendering string) {
 func TestCohortScenarioChurns(t *testing.T) {
 	opt := workloadTestOptions()
 	opt.Duration = 3 * sim.Second
-	st := CohortScenario(opt)
+	st := cohortScenario(opt)
 	if st.Departed == 0 {
 		t.Fatalf("cohort rack departed nobody: %+v", st)
 	}

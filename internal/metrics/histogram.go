@@ -32,8 +32,8 @@ type octave [subBuckets]int64
 // Histogram records non-negative int64 samples (latencies in ns) in
 // logarithmic buckets. The zero value is ready to use. Octaves are allocated
 // on first use, so a histogram costs what its samples span (~3 KB for a
-// device's completions, not 16 KB). Do not copy one after first use (the copy
-// shares its octaves); snapshot with Merge into a zero value.
+// device's completions, not 16 KB). Do not copy one after first use: the copy
+// shares its octaves.
 type Histogram struct {
 	octs  [64]*octave
 	total int64
@@ -107,12 +107,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Min returns the smallest recorded sample, or 0 with no samples.
-func (h *Histogram) Min() int64 { return h.min }
-
-// Max returns the largest recorded sample, or 0 with no samples.
-func (h *Histogram) Max() int64 { return h.max }
-
 // quantile returns an estimate of the q-quantile (q in [0,1]). The estimate
 // is the lower bound of the bucket holding the q-th sample, so it is within
 // one bucket width (≈3% relative) of the true order statistic.
@@ -179,29 +173,6 @@ func (h *Histogram) CountAbove(v int64) int64 {
 		from = 0
 	}
 	return above
-}
-
-// Merge adds all samples of o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.total == 0 {
-		return
-	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i, src := range &o.octs {
-		if src != nil {
-			dst := h.octave(i)
-			for sub, c := range src {
-				dst[sub] += c
-			}
-		}
-	}
-	h.total += o.total
-	h.sum += o.sum
 }
 
 // Reset clears all samples; octaves are kept, so refilling allocates nothing.

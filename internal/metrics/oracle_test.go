@@ -146,9 +146,9 @@ func TestHistogramMatchesDenseOracle(t *testing.T) {
 			t.Helper()
 			for i := range hs {
 				h, ref := &hs[i], &refs[i]
-				if h.Count() != ref.total || h.Sum() != ref.sum || h.Min() != ref.min || h.Max() != ref.max || h.Mean() != ref.Mean() {
+				if h.Count() != ref.total || h.Sum() != ref.sum || h.min != ref.min || h.max != ref.max || h.Mean() != ref.Mean() {
 					t.Fatalf("seed %d step %d hist %d: n/sum/min/max/mean %d/%d/%d/%d/%v, dense %d/%d/%d/%d/%v",
-						seed, step, i, h.Count(), h.Sum(), h.Min(), h.Max(), h.Mean(), ref.total, ref.sum, ref.min, ref.max, ref.Mean())
+						seed, step, i, h.Count(), h.Sum(), h.min, h.max, h.Mean(), ref.total, ref.sum, ref.min, ref.max, ref.Mean())
 				}
 				if got, want := h.String(), ref.String(); got != want {
 					t.Fatalf("seed %d step %d hist %d: String %q, dense %q", seed, step, i, got, want)

@@ -28,11 +28,11 @@ package nn
 // (TestBatchMatchesScalarOracle, under both accumRows implementations) and
 // by TestCompareGolden end to end.
 
-// ForwardBatch computes ys = xs·Wᵀ + b for a batch of b input rows.
+// forwardBatch computes ys = xs·Wᵀ + b for a batch of b input rows.
 // xs is b×In row-major, ys is b×Out row-major. Each output element is the
 // same dot product, in the same summation order, as the scalar reference
 // computes for its row.
-func (l *Linear) ForwardBatch(xs, ys []float64, b int) {
+func (l *Linear) forwardBatch(xs, ys []float64, b int) {
 	in, out := l.In, l.Out
 	wt := l.wtView()
 	for r := 0; r < b; r++ {
@@ -61,13 +61,13 @@ func (l *Linear) wtView() []float64 {
 	return l.wt
 }
 
-// BackwardBatch accumulates parameter gradients for a batch: xs is the
+// backwardBatch accumulates parameter gradients for a batch: xs is the
 // b×In input matrix, dys the b×Out upstream-gradient matrix, and dxs (b×In,
 // may be nil to skip) receives the input gradients. It is bit-identical to
 // b scalar reference passes in row order: every GW/GB element receives the
 // same addends in the same (ascending-row) sequence, and each dxs row sums
 // over output units in the same ascending order.
-func (l *Linear) BackwardBatch(xs, dys, dxs []float64, b int) {
+func (l *Linear) backwardBatch(xs, dys, dxs []float64, b int) {
 	in, out := l.In, l.Out
 	for o := 0; o < out; o++ {
 		gb := l.GB[o]
@@ -200,9 +200,9 @@ func (ac *ActorCritic) ForwardBatch(xs []float64, b int) (logits [][]float64, va
 	c.H1, c.A1 = c.H1[:b*h1], c.A1[:b*h1]
 	c.H2, c.A2 = c.H2[:b*h2], c.A2[:b*h2]
 	copy(c.X, xs[:b*in])
-	ac.L1.ForwardBatch(c.X, c.H1, b)
+	ac.L1.forwardBatch(c.X, c.H1, b)
 	tanhSlice(c.A1, c.H1)
-	ac.L2.ForwardBatch(c.A1, c.H2, b)
+	ac.L2.forwardBatch(c.A1, c.H2, b)
 	tanhSlice(c.A2, c.H2)
 	// One fused pass over all heads and the value unit per state, then
 	// scatter the block columns into the per-head row-major outputs.
@@ -250,7 +250,7 @@ func (ac *ActorCritic) BackwardBatch(c *BatchCache, dLogits [][]float64, dValues
 		if dLogits[k] == nil {
 			continue
 		}
-		hd.BackwardBatch(c.A2, dLogits[k], tmp, b)
+		hd.backwardBatch(c.A2, dLogits[k], tmp, b)
 		for i := range dA2 {
 			dA2[i] += tmp[i]
 		}
@@ -280,10 +280,10 @@ func (ac *ActorCritic) BackwardBatch(c *BatchCache, dLogits [][]float64, dValues
 		dH2[i] = dA2[i] * (1 - c.A2[i]*c.A2[i])
 	}
 	dA1 := ac.dA1B[:b*h1]
-	ac.L2.BackwardBatch(c.A1, dH2, dA1, b)
+	ac.L2.backwardBatch(c.A1, dH2, dA1, b)
 	dH1 := ac.dH1B[:b*h1]
 	for i := range dH1 {
 		dH1[i] = dA1[i] * (1 - c.A1[i]*c.A1[i])
 	}
-	ac.L1.BackwardBatch(c.X, dH1, nil, b)
+	ac.L1.backwardBatch(c.X, dH1, nil, b)
 }

@@ -65,8 +65,8 @@ func newLinear(in, out int, rng *sim.RNG) *Linear {
 	return l
 }
 
-// ZeroGrad clears the gradient accumulators.
-func (l *Linear) ZeroGrad() {
+// zeroGrad clears the gradient accumulators.
+func (l *Linear) zeroGrad() {
 	for i := range l.GW {
 		l.GW[i] = 0
 	}
@@ -75,8 +75,8 @@ func (l *Linear) ZeroGrad() {
 	}
 }
 
-// NumParams returns the parameter count.
-func (l *Linear) NumParams() int { return len(l.W) + len(l.B) }
+// numParams returns the parameter count.
+func (l *Linear) numParams() int { return len(l.W) + len(l.B) }
 
 // Adam is the Adam optimizer (Kingma & Ba) over a set of layers.
 type Adam struct {
@@ -233,7 +233,7 @@ func (ac *ActorCritic) Layers() []*Linear {
 // ZeroGrad clears all gradient accumulators.
 func (ac *ActorCritic) ZeroGrad() {
 	for _, l := range ac.Layers() {
-		l.ZeroGrad()
+		l.zeroGrad()
 	}
 }
 
@@ -241,7 +241,7 @@ func (ac *ActorCritic) ZeroGrad() {
 func (ac *ActorCritic) NumParams() int {
 	n := 0
 	for _, l := range ac.Layers() {
-		n += l.NumParams()
+		n += l.numParams()
 	}
 	return n
 }

@@ -15,7 +15,7 @@ func TestLinearForward(t *testing.T) {
 		GW: make([]float64, 4), GB: make([]float64, 2),
 	}
 	y := make([]float64, 4)
-	l.ForwardBatch([]float64{1, 1, 0, -1}, y, 2)
+	l.forwardBatch([]float64{1, 1, 0, -1}, y, 2)
 	if y[0] != 3.5 || y[1] != 6.5 || y[2] != -1.5 || y[3] != -4.5 {
 		t.Fatalf("y = %v", y)
 	}
@@ -59,7 +59,7 @@ func TestLinearBackwardMatchesFiniteDifference(t *testing.T) {
 		// Loss = sum over rows of sum(y); dL/dy = ones.
 		loss := func() float64 {
 			ys := make([]float64, b*2)
-			l.ForwardBatch(xs, ys, b)
+			l.forwardBatch(xs, ys, b)
 			s := 0.0
 			for _, y := range ys {
 				s += y
@@ -70,9 +70,9 @@ func TestLinearBackwardMatchesFiniteDifference(t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		l.ZeroGrad()
+		l.zeroGrad()
 		dxs := make([]float64, b*3)
-		l.BackwardBatch(xs, ones, dxs, b)
+		l.backwardBatch(xs, ones, dxs, b)
 		fdCheck(t, "dW", l, l.W, l.GW, loss, 1e-5)
 		fdCheck(t, "dB", l, l.B, l.GB, loss, 1e-5)
 		fdCheck(t, "dx", nil, xs, dxs, loss, 1e-5)

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// EventKind identifies what a traced Event records. Kinds marshal to the
+// EventKind identifies what a traced event records. Kinds marshal to the
 // snake_case strings listed in docs/OBSERVABILITY.md so JSONL traces stay
 // grep-able and stable across refactors.
 type EventKind uint8
@@ -88,11 +88,11 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("obs: unknown event kind %s", b)
 }
 
-// Event is one traced decision. Only the fields meaningful for the Kind
+// event is one traced decision. Only the fields meaningful for the Kind
 // are set; the zero values of the rest are omitted from JSON. Seq is a
 // recorder-wide monotone sequence number that makes the interleaving of
 // events across vSSDs reconstructible even when virtual timestamps tie.
-type Event struct {
+type event struct {
 	Seq  uint64    `json:"seq"`
 	At   sim.Time  `json:"at_ns"`
 	Kind EventKind `json:"kind"`

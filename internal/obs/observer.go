@@ -15,7 +15,7 @@ type Observer struct {
 
 // NewObserver returns an observer with a fresh recorder and registry.
 func NewObserver() *Observer {
-	return &Observer{Rec: NewRecorder(0), Reg: NewRegistry()}
+	return &Observer{Rec: newRecorder(0), Reg: NewRegistry()}
 }
 
 // Recorder returns the observer's recorder, nil for a nil observer (so

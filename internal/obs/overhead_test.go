@@ -80,7 +80,7 @@ func BenchmarkDisabledRecorderEmit(b *testing.B) {
 }
 
 func BenchmarkEnabledRecorderEmit(b *testing.B) {
-	rec := NewRecorder(DefaultRingSize)
+	rec := newRecorder(defaultRingSize)
 	rec.setClock(func() sim.Time { return 1 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

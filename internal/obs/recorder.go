@@ -10,10 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultRingSize is the per-vSSD event capacity used when NewRecorder is
+// defaultRingSize is the per-vSSD event capacity used when newRecorder is
 // given a non-positive limit. At the paper's decision cadence (a handful
 // of events per vSSD per window) this holds minutes of history.
-const DefaultRingSize = 4096
+const defaultRingSize = 4096
 
 // Recorder captures decision events into per-vSSD ring buffers. It is
 // safe for concurrent use: rings are created lazily under a read-write
@@ -42,18 +42,18 @@ type recState struct {
 // ring is one vSSD's bounded event history (newest limit events).
 type ring struct {
 	mu   sync.Mutex
-	evs  []Event
+	evs  []event
 	next int
 	full bool
 }
 
-// NewRecorder returns a recorder keeping the newest perVSSD events per
-// vSSD ring (DefaultRingSize when perVSSD <= 0). The clock stamping
+// newRecorder returns a recorder keeping the newest perVSSD events per
+// vSSD ring (defaultRingSize when perVSSD <= 0). The clock stamping
 // virtual timestamps starts unset; events emitted before one is bound
 // carry At == 0.
-func NewRecorder(perVSSD int) *Recorder {
+func newRecorder(perVSSD int) *Recorder {
 	if perVSSD <= 0 {
-		perVSSD = DefaultRingSize
+		perVSSD = defaultRingSize
 	}
 	return &Recorder{state: &recState{limit: perVSSD}}
 }
@@ -115,8 +115,8 @@ func (s *recState) ringFor(id int) *ring {
 
 // emit records a fully built event, stamping Seq and (when unset) At. The
 // typed helpers below call it after their nil check, so the disabled path
-// never builds an Event.
-func (r *Recorder) emit(e Event) {
+// never builds an event.
+func (r *Recorder) emit(e event) {
 	s := r.state
 	e.Seq = s.seq.Add(1)
 	if e.At == 0 {
@@ -144,7 +144,7 @@ func (r *Recorder) Decision(kind EventKind, vssd int, bw float64, level int) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: kind, VSSD: vssd, BW: bw, Level: level, Peer: -1})
+	r.emit(event{Kind: kind, VSSD: vssd, BW: bw, Level: level, Peer: -1})
 }
 
 // Reward records an agent's per-window reward feedback.
@@ -152,7 +152,7 @@ func (r *Recorder) Reward(vssd int, single, mixed float64) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: KindReward, VSSD: vssd, Single: single, Reward: mixed, Peer: -1})
+	r.emit(event{Kind: KindReward, VSSD: vssd, Single: single, Reward: mixed, Peer: -1})
 }
 
 // Verdict records an admission-control outcome for a harvest-related
@@ -161,7 +161,7 @@ func (r *Recorder) Verdict(kind EventKind, vssd int, action string, bw float64) 
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: kind, VSSD: vssd, Action: action, BW: bw, Peer: -1})
+	r.emit(event{Kind: kind, VSSD: vssd, Action: action, BW: bw, Peer: -1})
 }
 
 // GSB records a ghost-superblock lifecycle event.
@@ -169,7 +169,7 @@ func (r *Recorder) GSB(kind EventKind, gsbID, vssd, peer, channels int) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: kind, VSSD: vssd, Peer: peer, GSB: gsbID, Channels: channels})
+	r.emit(event{Kind: kind, VSSD: vssd, Peer: peer, GSB: gsbID, Channels: channels})
 }
 
 // GCRun records a GC victim selection.
@@ -177,7 +177,7 @@ func (r *Recorder) GCRun(tenant, block, valid int, harvested bool) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: KindGCRun, VSSD: tenant, Block: block, Valid: valid, Harvested: harvested, Peer: -1})
+	r.emit(event{Kind: KindGCRun, VSSD: tenant, Block: block, Valid: valid, Harvested: harvested, Peer: -1})
 }
 
 // SLOViolation records a completed request that missed its SLO.
@@ -185,7 +185,7 @@ func (r *Recorder) SLOViolation(vssd int, latency, slo int64) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: KindSLOViolation, VSSD: vssd, LatencyNs: latency, SLONs: slo, Peer: -1})
+	r.emit(event{Kind: KindSLOViolation, VSSD: vssd, LatencyNs: latency, SLONs: slo, Peer: -1})
 }
 
 // Len returns the total number of events currently held (not the number
@@ -209,14 +209,14 @@ func (r *Recorder) Len() int {
 // events returns the held events of every vSSD merged into one slice
 // ordered by (At, Seq). It copies under the ring locks, so it is safe
 // while emitters are running.
-func (r *Recorder) events() []Event {
+func (r *Recorder) events() []event {
 	if r == nil {
 		return nil
 	}
 	r.state.mu.RLock()
 	rings := r.state.rings
 	r.state.mu.RUnlock()
-	var out []Event
+	var out []event
 	for _, rg := range rings {
 		rg.mu.Lock()
 		if rg.full {
@@ -238,7 +238,7 @@ func (r *Recorder) events() []Event {
 
 // WriteJSONL writes every held event as one JSON object per line, in
 // (At, Seq) order — the -trace output format of cmd/fleetsim. The schema
-// is the Event struct's JSON encoding, documented in
+// is the event struct's JSON encoding, documented in
 // docs/OBSERVABILITY.md.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {

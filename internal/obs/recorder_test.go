@@ -31,7 +31,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestRecorderStampsSeqAndClock(t *testing.T) {
-	r := NewRecorder(16)
+	r := newRecorder(16)
 	var now sim.Time = 42
 	r.setClock(func() sim.Time { return now })
 	r.Decision(KindHarvest, 0, 2e6, 0)
@@ -50,7 +50,7 @@ func TestRecorderStampsSeqAndClock(t *testing.T) {
 }
 
 func TestRecorderRingDiscardsOldest(t *testing.T) {
-	r := NewRecorder(4)
+	r := newRecorder(4)
 	for i := 0; i < 10; i++ {
 		r.Decision(KindSetPriority, 0, 0, i)
 	}
@@ -69,7 +69,7 @@ func TestRecorderRingDiscardsOldest(t *testing.T) {
 }
 
 func TestEventsMergeOrdering(t *testing.T) {
-	r := NewRecorder(16)
+	r := newRecorder(16)
 	var now sim.Time
 	r.setClock(func() sim.Time { return now })
 	now = 30
@@ -88,7 +88,7 @@ func TestEventsMergeOrdering(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder(16)
+	r := newRecorder(16)
 	r.setClock(func() sim.Time { return 7 })
 	r.Decision(KindMakeHarvestable, 0, 3e8, 0)
 	r.GSB(KindGSBHarvest, 5, 1, 0, 2)
@@ -113,7 +113,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if _, ok := m["kind"].(string); !ok {
 			t.Fatalf("line %q has no string kind", ln)
 		}
-		var back Event
+		var back event
 		if err := json.Unmarshal([]byte(ln), &back); err != nil {
 			t.Fatalf("line %q: %v", ln, err)
 		}
@@ -147,7 +147,7 @@ func TestEventKindJSONStable(t *testing.T) {
 // goroutines emitting for overlapping vSSD ids while a reader drains
 // merged snapshots, as trainer workers and an HTTP scrape would.
 func TestRecorderConcurrentEmit(t *testing.T) {
-	r := NewRecorder(64)
+	r := newRecorder(64)
 	r.setClock(func() sim.Time { return 1 })
 	const workers = 8
 	const perWorker = 500

@@ -4,28 +4,27 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// MetricType distinguishes the two Prometheus series types the registry
+// metricType distinguishes the two Prometheus series types the registry
 // exposes.
-type MetricType uint8
+type metricType uint8
 
 // Metric types.
 const (
-	// TypeGauge is a value that can go up and down (bandwidth, P99, …).
-	TypeGauge MetricType = iota
-	// TypeCounter is a monotonically non-decreasing value (totals).
-	TypeCounter
+	// typeGauge is a value that can go up and down (bandwidth, P99, …).
+	typeGauge metricType = iota
+	// typeCounter is a monotonically non-decreasing value (totals).
+	typeCounter
 )
 
 // String returns the Prometheus TYPE keyword.
-func (t MetricType) String() string {
-	if t == TypeCounter {
+func (t metricType) String() string {
+	if t == typeCounter {
 		return "counter"
 	}
 	return "gauge"
@@ -75,7 +74,7 @@ func (m *Metric) Value() float64 {
 // and TYPE line.
 type family struct {
 	name, help string
-	typ        MetricType
+	typ        metricType
 	series     map[string]*Metric
 	order      []string
 }
@@ -99,16 +98,16 @@ func NewRegistry() *Registry {
 // Gauge registers (or finds) a gauge series. Labels are key/value pairs:
 // Gauge("name", "help", "vssd", "0", "workload", "YCSB-0").
 func (r *Registry) Gauge(name, help string, labels ...string) *Metric {
-	return r.metric(TypeGauge, name, help, labels)
+	return r.metric(typeGauge, name, help, labels)
 }
 
 // Counter registers (or finds) a counter series. Counters must only be
 // moved forward (Set with a larger value, or Add with v >= 0).
 func (r *Registry) Counter(name, help string, labels ...string) *Metric {
-	return r.metric(TypeCounter, name, help, labels)
+	return r.metric(typeCounter, name, help, labels)
 }
 
-func (r *Registry) metric(typ MetricType, name, help string, labels []string) *Metric {
+func (r *Registry) metric(typ metricType, name, help string, labels []string) *Metric {
 	if r == nil {
 		return nil
 	}
@@ -159,12 +158,12 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// WritePrometheus renders every family in registration order:
+// writePrometheus renders every family in registration order:
 //
 //	# HELP fleetio_vssd_iops Completed requests per second.
 //	# TYPE fleetio_vssd_iops gauge
 //	fleetio_vssd_iops{vssd="0",workload="YCSB-0"} 1234
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
@@ -188,17 +187,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Names returns the registered family names sorted alphabetically (for
-// tests and diagnostics).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }

@@ -17,11 +17,8 @@ func TestNilRegistryAndMetric(t *testing.T) {
 	if m.Value() != 0 {
 		t.Fatal("nil metric has a value")
 	}
-	if err := reg.WritePrometheus(&bytes.Buffer{}); err != nil {
+	if err := reg.writePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatalf("nil WritePrometheus: %v", err)
-	}
-	if reg.Names() != nil {
-		t.Fatal("nil registry has names")
 	}
 }
 
@@ -49,7 +46,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	reg.Gauge("fleetio_vssd_iops", "Completed requests per second.", "vssd", "0", "name", "YCSB-0").Set(1234)
 	reg.Counter("fleetio_ftl_erases_total", "Block erases.").Set(42)
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.writePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
@@ -70,7 +67,7 @@ func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("fleetio_esc", "h", "name", "a\"b\\c\nd").Set(1)
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `fleetio_esc{name="a\"b\\c\nd"} 1`) {

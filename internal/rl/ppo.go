@@ -182,9 +182,6 @@ func New(net *nn.ActorCritic, cfg Config, rng *sim.RNG) *PPO {
 	return &PPO{Net: net, cfg: cfg, opt: nn.NewAdam(cfg.LR), rng: rng}
 }
 
-// Config returns the hyperparameters.
-func (p *PPO) Config() Config { return p.cfg }
-
 // Act samples one action per head for a single state and returns the joint
 // log-probability and the value estimate: ActBatch at one row. The returned
 // actions slice is freshly allocated (transitions retain it across

@@ -38,7 +38,7 @@ type EventArg struct {
 // per-event state through the arg instead.
 type EventHandler func(arg EventArg, now Time)
 
-// runClosure adapts the closure-based Schedule/At API onto the
+// runClosure adapts the closure-based Schedule API onto the
 // handler-based core: the closure rides in the pointer slot of the arg.
 func runClosure(arg EventArg, _ Time) { arg.P.(func())() }
 
@@ -116,11 +116,6 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 	e.AtEvent(e.now+delay, runClosure, EventArg{P: fn})
 }
 
-// At runs fn at the absolute virtual time t, which must not be in the past.
-func (e *Engine) At(t Time, fn func()) {
-	e.AtEvent(t, runClosure, EventArg{P: fn})
-}
-
 // ScheduleEvent runs h(arg, now) after delay virtual nanoseconds without
 // allocating: the handler and its fixed-size argument are stored inline in
 // the event slot. This is the per-I/O scheduling path — the flash datapath,
@@ -134,7 +129,8 @@ func (e *Engine) ScheduleEvent(delay Time, h EventHandler, arg EventArg) {
 }
 
 // AtEvent runs h(arg, t) at the absolute virtual time t, which must not be
-// in the past. It is the allocation-free counterpart of At.
+// in the past. It is the allocation-free, absolute-time counterpart of
+// Schedule.
 func (e *Engine) AtEvent(t Time, h EventHandler, arg EventArg) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))

@@ -89,7 +89,7 @@ func TestEnginePanicsOnPastSchedule(t *testing.T) {
 			t.Fatal("scheduling in the past must panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.AtEvent(5, runClosure, EventArg{P: func() {}})
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -225,7 +225,7 @@ func TestRNGExpMean(t *testing.T) {
 	var sum float64
 	const iters = 200000
 	for i := 0; i < iters; i++ {
-		sum += g.Exp(250)
+		sum += float64(g.ExpDuration(250))
 	}
 	mean := sum / iters
 	if mean < 240 || mean > 260 {

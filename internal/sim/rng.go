@@ -84,11 +84,6 @@ func (g *RNG) PermInto(p []int) []int {
 	return p
 }
 
-// Exp returns an exponential sample with the given mean (>0).
-func (g *RNG) Exp(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
 // ExpDuration returns an exponential virtual-time sample with the given
 // mean duration, always at least 1ns so arrival processes make progress.
 func (g *RNG) ExpDuration(mean Time) Time {

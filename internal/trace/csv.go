@@ -224,7 +224,7 @@ func LoadFile(path string, pageSize int) ([]Record, error) {
 		return nil, err
 	}
 	if n == 4 && binary.LittleEndian.Uint32(hdr[:]) == magic {
-		recs, err := Read(f)
+		recs, err := read(f)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}

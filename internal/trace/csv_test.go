@@ -198,7 +198,7 @@ func TestSampleTrace(t *testing.T) {
 	if err := Write(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := read(&buf)
 	if err != nil || len(back) != len(recs) {
 		t.Fatalf("binary round-trip: %v (%d records)", err, len(back))
 	}

@@ -52,8 +52,8 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// Read decodes a trace written by Write.
-func Read(r io.Reader) ([]Record, error) {
+// read decodes a trace written by Write.
+func read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -87,9 +87,8 @@ func Read(r io.Reader) ([]Record, error) {
 }
 
 // Recorder accumulates records in memory (bounded by limit if >0, keeping
-// the most recent ones in a ring). Records returns a copy the caller owns;
-// Segments returns the ring's own storage, which the next Add may
-// overwrite.
+// the most recent ones in a ring). Segments returns the ring's own storage,
+// which the next Add may overwrite.
 type Recorder struct {
 	recs  []Record
 	limit int
@@ -129,16 +128,6 @@ func (rc *Recorder) Segments() (older, newer []Record) {
 		return rc.recs, nil
 	}
 	return rc.recs[rc.next:], rc.recs[:rc.next]
-}
-
-// Records returns a copy of the recorded entries in arrival order. It
-// copies the whole window; a caller that only walks the records once (as
-// workload typing does) reads Segments instead.
-func (rc *Recorder) Records() []Record {
-	older, newer := rc.Segments()
-	out := make([]Record, 0, len(older)+len(newer))
-	out = append(out, older...)
-	return append(out, newer...)
 }
 
 // Len returns the number of records held.

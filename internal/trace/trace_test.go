@@ -8,6 +8,15 @@ import (
 	"testing/quick"
 )
 
+// Records returns a copy of the recorded entries in arrival order: the
+// reference Segments is checked against.
+func (rc *Recorder) Records() []Record {
+	older, newer := rc.Segments()
+	out := make([]Record, 0, len(older)+len(newer))
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	recs := []Record{
 		{At: 100, Write: true, LPN: 42, Pages: 8},
@@ -18,7 +27,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +42,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace file..."))); err == nil {
+	if _, err := read(bytes.NewReader([]byte("not a trace file..."))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
+	if _, err := read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -47,7 +56,7 @@ func TestTruncatedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)-5])); err == nil {
+	if _, err := read(bytes.NewReader(data[:len(data)-5])); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }
@@ -74,7 +83,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, recs); err != nil {
 			return false
 		}
-		back, err := Read(&buf)
+		back, err := read(&buf)
 		if err != nil || len(back) != n {
 			return false
 		}
@@ -212,7 +221,7 @@ func TestReadErrorDetail(t *testing.T) {
 	// expected, so a mis-pointed file is diagnosable from the message.
 	bad := make([]byte, 12)
 	bad[0], bad[1], bad[2], bad[3] = 0xde, 0xad, 0xbe, 0xef
-	_, err := Read(bytes.NewReader(bad))
+	_, err := read(bytes.NewReader(bad))
 	if err == nil {
 		t.Fatal("bad magic accepted")
 	}
@@ -229,7 +238,7 @@ func TestReadErrorDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	_, err = Read(bytes.NewReader(data[:12+21+5])) // header + 1 record + a stub
+	_, err = read(bytes.NewReader(data[:12+21+5])) // header + 1 record + a stub
 	if err == nil {
 		t.Fatal("truncated record stream accepted")
 	}
@@ -239,7 +248,7 @@ func TestReadErrorDetail(t *testing.T) {
 
 	// Truncated header.
 	for _, n := range []int{0, 5, 11} {
-		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
+		if _, err := read(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("%d-byte header accepted", n)
 		} else if !strings.Contains(err.Error(), "header") {
 			t.Fatalf("header error %q does not say header", err)
@@ -253,7 +262,7 @@ func TestReadBogusCountNoBlowup(t *testing.T) {
 	hdr := make([]byte, 12)
 	binary.LittleEndian.PutUint32(hdr[0:4], magic)
 	binary.LittleEndian.PutUint64(hdr[4:12], 1<<60)
-	_, err := Read(bytes.NewReader(hdr))
+	_, err := read(bytes.NewReader(hdr))
 	if err == nil {
 		t.Fatal("bogus count accepted")
 	}
@@ -278,7 +287,7 @@ func FuzzRead(f *testing.F) {
 	corrupt[6] = 0xff // header count
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := Read(bytes.NewReader(data))
+		recs, err := read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -286,7 +295,7 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&buf, recs); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
-		back, err := Read(&buf)
+		back, err := read(&buf)
 		if err != nil || len(back) != len(recs) {
 			t.Fatalf("accepted trace does not round-trip: %v", err)
 		}

@@ -13,11 +13,11 @@ import (
 	"strings"
 )
 
-// Checkpoint is one durable training snapshot: enough to restart
+// checkpoint is one durable training snapshot: enough to restart
 // collection from the next round and to recover the eval-gated best model.
 // Optimizer moments are deliberately not persisted — Adam re-warms within
 // a round and the files stay small.
-type Checkpoint struct {
+type checkpoint struct {
 	Round      int   // last completed round
 	Seed       int64 // base seed the run was launched with
 	Workers    int   // worker count the run was launched with
@@ -39,10 +39,10 @@ func ckptName(round int) string {
 	return fmt.Sprintf("%s%08d.gob", ckptPrefix, round)
 }
 
-// Save atomically writes ck into dir (creating it if needed) as
+// save atomically writes ck into dir (creating it if needed) as
 // ckpt-<round>.gob via a temp file and rename, so a crash mid-write never
 // leaves a half-visible snapshot. It returns the final path.
-func Save(dir string, ck *Checkpoint) (string, error) {
+func save(dir string, ck *checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("trainer: checkpoint dir: %w", err)
 	}
@@ -90,7 +90,7 @@ func Save(dir string, ck *Checkpoint) (string, error) {
 }
 
 // load reads and verifies one checkpoint file.
-func load(path string) (*Checkpoint, error) {
+func load(path string) (*checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -108,18 +108,18 @@ func load(path string) (*Checkpoint, error) {
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return nil, fmt.Errorf("trainer: %s: checkpoint CRC mismatch", path)
 	}
-	var ck Checkpoint
+	var ck checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("trainer: %s: decode checkpoint: %w", path, err)
 	}
 	return &ck, nil
 }
 
-// LoadLatest returns the newest readable checkpoint in dir, skipping
-// corrupt or partial files so a crash during Save (or disk damage since)
+// loadLatest returns the newest readable checkpoint in dir, skipping
+// corrupt or partial files so a crash during save (or disk damage since)
 // falls back to the last good snapshot. (nil, "", nil) means no snapshot
 // exists — including when dir itself is missing.
-func LoadLatest(dir string) (*Checkpoint, string, error) {
+func loadLatest(dir string) (*checkpoint, string, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, "", nil

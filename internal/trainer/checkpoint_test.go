@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-func sampleCheckpoint(round int) *Checkpoint {
+func sampleCheckpoint(round int) *checkpoint {
 	params := make([]float64, 64)
 	for i := range params {
 		params[i] = math.Sin(float64(round*100 + i))
 	}
-	return &Checkpoint{
+	return &checkpoint{
 		Round:      round,
 		Seed:       11,
 		Workers:    4,
@@ -25,7 +25,7 @@ func sampleCheckpoint(round int) *Checkpoint {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleCheckpoint(3)
-	path, err := Save(dir, want)
+	path, err := save(dir, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointRejectsCorruptAndPartial(t *testing.T) {
 	dir := t.TempDir()
-	path, err := Save(dir, sampleCheckpoint(1))
+	path, err := save(dir, sampleCheckpoint(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCheckpointRejectsCorruptAndPartial(t *testing.T) {
 	}
 
 	// LoadLatest must skip all three bad newer files and land on round 1.
-	ck, gotPath, err := LoadLatest(dir)
+	ck, gotPath, err := loadLatest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestCheckpointRejectsCorruptAndPartial(t *testing.T) {
 }
 
 func TestLoadLatestEmptyAndMissing(t *testing.T) {
-	ck, _, err := LoadLatest(filepath.Join(t.TempDir(), "nope"))
+	ck, _, err := loadLatest(filepath.Join(t.TempDir(), "nope"))
 	if err != nil || ck != nil {
 		t.Fatalf("missing dir: ck=%v err=%v", ck, err)
 	}
-	ck, _, err = LoadLatest(t.TempDir())
+	ck, _, err = loadLatest(t.TempDir())
 	if err != nil || ck != nil {
 		t.Fatalf("empty dir: ck=%v err=%v", ck, err)
 	}
@@ -125,7 +125,7 @@ func TestLoadLatestAllCorruptErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "ckpt-00000001.gob"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadLatest(dir); err == nil {
+	if _, _, err := loadLatest(dir); err == nil {
 		t.Fatal("all-corrupt dir should error rather than silently start fresh")
 	}
 }

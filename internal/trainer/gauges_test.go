@@ -1,6 +1,8 @@
 package trainer
 
 import (
+	"bufio"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -24,7 +26,7 @@ func TestRunExportsGauges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	names := strings.Join(reg.Names(), "\n")
+	names := strings.Join(metricNames(t, reg), "\n")
 	for _, want := range []string{
 		"fleetio_train_round",
 		"fleetio_train_mean_reward",
@@ -86,4 +88,27 @@ func TestRunNilObsUnchanged(t *testing.T) {
 			t.Fatalf("param %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// metricNames scrapes reg the way -http serves it and returns the names of
+// its metric families, in registration order.
+func metricNames(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var names []string
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		if f := strings.Fields(sc.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
+	}
+	return names
 }

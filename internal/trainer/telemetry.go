@@ -46,8 +46,8 @@ func newMetricsWriter(path string) (*metricsWriter, error) {
 	return &metricsWriter{f: f, enc: json.NewEncoder(f)}, nil
 }
 
-// Write appends one record (json.Encoder terminates it with a newline).
-func (m *metricsWriter) Write(rs RoundStats) error {
+// write appends one record (json.Encoder terminates it with a newline).
+func (m *metricsWriter) write(rs RoundStats) error {
 	if err := m.enc.Encode(rs); err != nil {
 		return fmt.Errorf("trainer: metrics write: %w", err)
 	}

@@ -52,7 +52,7 @@ const evalSeedOffset = 1_000_003
 // Config parameterizes Run.
 type Config struct {
 	Seed     int64
-	Workers  int // concurrent collection workers (default 1)
+	Workers  int // episodes per PPO update, collected concurrently (default 1)
 	Episodes int // total collection episodes across all rounds
 
 	// RL holds the learner's PPO hyperparameters (zero value → defaults).
@@ -141,11 +141,17 @@ func Run(cfg Config) (*Result, error) {
 
 	totalRounds := (cfg.Episodes + workers - 1) / workers
 	if cfg.Resume && cfg.CheckpointDir != "" {
-		ck, path, err := LoadLatest(cfg.CheckpointDir)
+		ck, path, err := loadLatest(cfg.CheckpointDir)
 		if err != nil {
 			return nil, err
 		}
 		if ck != nil {
+			// Round r is episodes r*Workers onward, seeded from Seed: another
+			// count or seed would skip or repeat episodes.
+			if ck.Seed != cfg.Seed || ck.Workers != workers {
+				return nil, fmt.Errorf("trainer: resume %s: checkpoint was written with seed %d and %d workers, this run has seed %d and %d workers",
+					path, ck.Seed, ck.Workers, cfg.Seed, workers)
+			}
 			if err := net.SetParams(ck.Params); err != nil {
 				return nil, fmt.Errorf("trainer: resume %s: %w", path, err)
 			}
@@ -247,7 +253,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		if cfg.CheckpointDir != "" && ((round+1)%ckEvery == 0 || final) {
-			ck := &Checkpoint{
+			ck := &checkpoint{
 				Round:      round,
 				Seed:       cfg.Seed,
 				Workers:    workers,
@@ -255,12 +261,12 @@ func Run(cfg Config) (*Result, error) {
 				BestScore:  res.BestScore,
 				BestParams: bestParams,
 			}
-			if _, err := Save(cfg.CheckpointDir, ck); err != nil {
+			if _, err := save(cfg.CheckpointDir, ck); err != nil {
 				return nil, err
 			}
 		}
 		if mw != nil {
-			if err := mw.Write(rs); err != nil {
+			if err := mw.write(rs); err != nil {
 				return nil, err
 			}
 		}

@@ -193,6 +193,32 @@ func TestRunResumeContinues(t *testing.T) {
 	}
 }
 
+// TestRunResumeRejectsOtherWorkersOrSeed: a round is Workers episodes from
+// the run's seed, so resuming a checkpoint under another worker count or
+// seed is an error that names both values, not a silent skip or repeat.
+func TestRunResumeRejectsOtherWorkersOrSeed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := synthConfig(11, 2, 4)
+	cfg.CheckpointDir = dir
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		seed    int64
+		workers int
+		want    string
+	}{
+		{11, 3, "seed 11 and 2 workers, this run has seed 11 and 3 workers"},
+		{12, 2, "seed 11 and 2 workers, this run has seed 12 and 2 workers"},
+	} {
+		resumed := synthConfig(c.seed, c.workers, 8)
+		resumed.CheckpointDir, resumed.Resume = dir, true
+		if _, err := Run(resumed); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("resume with seed %d, %d workers: err = %v, want one naming %q", c.seed, c.workers, err, c.want)
+		}
+	}
+}
+
 func TestRunMetricsJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "train.jsonl")
 	cfg := synthConfig(3, 2, 4)

@@ -171,7 +171,7 @@ func (p *Platform) Apply(a Action) {
 	v := p.vssds[a.VSSD]
 	switch a.Kind {
 	case ActSetPriority:
-		v.SetPriority(a.Level)
+		v.setPriority(a.Level)
 	case ActMakeHarvestable:
 		p.gsbm.SetHarvestable(v.tenant, p.gsbm.ChannelsFor(a.BW))
 	case ActHarvest:

@@ -12,11 +12,11 @@ import (
 func TestPriorityClamping(t *testing.T) {
 	_, p := testPlatform(2)
 	v := p.AddVSSD(Config{Name: "a", Channels: chanRange(0, 2)})
-	v.SetPriority(99)
+	v.setPriority(99)
 	if v.Priority() != ftl.PriorityHigh {
 		t.Fatalf("priority = %d, want clamped to high", v.Priority())
 	}
-	v.SetPriority(-5)
+	v.setPriority(-5)
 	if v.Priority() != ftl.PriorityLow {
 		t.Fatalf("priority = %d, want clamped to low", v.Priority())
 	}

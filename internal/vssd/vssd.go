@@ -60,8 +60,8 @@ type Request struct {
 	nextFree      *Request // free-list link
 }
 
-// Bytes returns the payload size of the request.
-func (r *Request) Bytes(pageSize int) int64 { return int64(r.Pages) * int64(pageSize) }
+// bytes returns the payload size of the request.
+func (r *Request) bytes(pageSize int) int64 { return int64(r.Pages) * int64(pageSize) }
 
 // stallRun is one retry-lane entry standing for a run of r's pages that
 // stalled back to back: lpn, lpn+1, …, lpn+n-1 (mod the tenant's logical
@@ -146,9 +146,9 @@ func (v *VSSD) Tenant() *ftl.Tenant { return v.tenant }
 // Priority returns the current I/O priority level.
 func (v *VSSD) Priority() int { return v.priority }
 
-// SetPriority applies the Set_Priority(level) action. Levels outside
+// setPriority applies the Set_Priority(level) action. Levels outside
 // [PriorityLow, PriorityHigh] are clamped.
-func (v *VSSD) SetPriority(level int) {
+func (v *VSSD) setPriority(level int) {
 	if level < ftl.PriorityLow {
 		level = ftl.PriorityLow
 	}
@@ -280,7 +280,7 @@ func (v *VSSD) pump() {
 	for v.qhead < len(v.queue) && v.inflight < v.maxInflight() {
 		r := v.queue[v.qhead]
 		if v.cfg.RateLimitBps > 0 {
-			need := float64(r.Bytes(pageSize))
+			need := float64(r.bytes(pageSize))
 			if v.tokens < need {
 				v.armPump(need)
 				return
@@ -401,7 +401,7 @@ func retryWrite(arg sim.EventArg, _ sim.Time) {
 
 // stall is the one place a host page waits for space: pages [lpn, lpn+n)
 // of r (mod the logical size), which have just failed to allocate back to
-// back, poll again ftl.RetryDelay from now. If the retry lane's newest
+// back, poll again ftl's retry delay from now. If the retry lane's newest
 // entry is a run of r ending just before lpn and nothing has been
 // scheduled since, their retries would pop directly after that run, so the
 // run grows instead. Otherwise a new run goes on the lane.
@@ -497,10 +497,10 @@ func (v *VSSD) pageDone(r *Request, at sim.Time) {
 		if v.slo > 0 && lat > v.slo {
 			v.plat.rec.SLOViolation(v.id, lat, v.slo)
 		}
-		v.window.Complete(r.Write, r.Bytes(v.plat.cfg.PageSize), lat, qd, v.slo)
+		v.window.Complete(r.Write, r.bytes(v.plat.cfg.PageSize), lat, qd, v.slo)
 		v.totalHist.Add(lat)
 		v.completed++
-		v.totalBytes += r.Bytes(v.plat.cfg.PageSize)
+		v.totalBytes += r.bytes(v.plat.cfg.PageSize)
 		if r.OnComplete != nil {
 			r.OnComplete(r, at)
 		}

@@ -301,8 +301,8 @@ func TestDoubleSubmitPanics(t *testing.T) {
 
 func TestRequestBytes(t *testing.T) {
 	r := &Request{Pages: 3}
-	if r.Bytes(4096) != 12288 {
-		t.Fatalf("bytes = %d", r.Bytes(4096))
+	if r.bytes(4096) != 12288 {
+		t.Fatalf("bytes = %d", r.bytes(4096))
 	}
 }
 
@@ -326,7 +326,7 @@ var _ = flash.OpRead // silence potential unused import if assertions change
 
 // TestStalledWriteRetriesOnItsOwnLattice pins the allocation-stall
 // protocol every overloaded figure's latencies are made of: a host page
-// that finds no space polls again every ftl.RetryDelay counted from the
+// that finds no space polls again every retryDelay counted from the
 // instant *it* stalled — not on a shared tick, and not woken by the event
 // that frees space — and is dispatched by the first poll after GC has
 // returned enough blocks to the pool.
@@ -347,7 +347,6 @@ func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
 	pc.Flash.EraseBlock = 3300 * sim.Microsecond
 	p := NewPlatform(eng, pc)
 	v := p.AddVSSD(Config{Name: "full", Channels: []int{0}, LogicalPages: 8})
-	tn := v.Tenant()
 
 	const total = 200
 	writes := 0
@@ -367,11 +366,11 @@ func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
 	stalledAt, freedAt := none, none // freedAt: last block freed with no failed poll since
 	polls := int64(0)                // failed polls of the open episode
 	for {
-		before, free := tn.Stats(), p.FTL().FreeFraction(chanRange(0, 1))
+		before, free := p.FTL().Stats(), p.FTL().FreeFraction(chanRange(0, 1))
 		if !eng.Step() {
 			break
 		}
-		now, after := eng.Now(), tn.Stats()
+		now, after := eng.Now(), p.FTL().Stats()
 		if p.FTL().FreeFraction(chanRange(0, 1)) > free {
 			freedAt = now
 		}
@@ -388,7 +387,7 @@ func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
 		}
 		// Inside an episode the page is heard from only on its lattice.
 		if failed == 1 || dispatched {
-			if want := stalledAt + sim.Time(polls)*ftl.RetryDelay; now != want {
+			if want := stalledAt + sim.Time(polls)*retryDelay; now != want {
 				t.Fatalf("episode %d: poll %d at t=%d, want t=%d (stalled at %d)", episodes, polls, now, want, stalledAt)
 			}
 		}
@@ -399,7 +398,7 @@ func TestStalledWriteRetriesOnItsOwnLattice(t *testing.T) {
 		if dispatched {
 			// The stalled page went out at the first lattice point after
 			// the free that made room.
-			if freedAt == none || now <= freedAt || now-freedAt > ftl.RetryDelay {
+			if freedAt == none || now <= freedAt || now-freedAt > retryDelay {
 				t.Fatalf("episode %d: dispatched at t=%d, last block freed at t=%d; want the first poll after it", episodes, now, freedAt)
 			}
 			episodes++
@@ -435,6 +434,10 @@ func oneChipTenant() (*sim.Engine, *Platform, *VSSD) {
 	return eng, p, p.AddVSSD(Config{Name: "a", Channels: []int{0}, LogicalPages: 96})
 }
 
+// retryDelay is ftl's allocation-stall backoff: a stalled page is polled
+// on a lattice of this step.
+const retryDelay = sim.Millisecond
+
 // fullTenant is oneChipTenant with all 96 logical pages written: six blocks
 // of valid data and the two the GC reserve keeps back, so a host write
 // finds no space and GC finds no victim until something is trimmed. The
@@ -463,21 +466,21 @@ func TestStalledRequestPollsAsOneRun(t *testing.T) {
 	done := false
 	stalledAt := eng.Now()
 	v.Submit(&Request{Write: true, LPN: 0, Pages: pages, OnComplete: func(*Request, sim.Time) { done = true }})
-	if got := tn.Stats().AllocStalls; got != pages {
+	if got := p.FTL().Stats().AllocStalls; got != pages {
 		t.Fatalf("first dispatch: %d stalls, want %d", got, pages)
 	}
 	if got := eng.Pending(); got != 1 {
 		t.Fatalf("first dispatch left %d pending events, want one stall run", got)
 	}
 	for k := int64(1); k <= 5; k++ {
-		before := tn.Stats().AllocStalls
+		before := p.FTL().Stats().AllocStalls
 		if !eng.Step() {
 			t.Fatal("the stall run was never polled")
 		}
-		if want := stalledAt + sim.Time(k)*ftl.RetryDelay; eng.Now() != want {
+		if want := stalledAt + sim.Time(k)*retryDelay; eng.Now() != want {
 			t.Fatalf("poll %d at t=%d, want t=%d", k, eng.Now(), want)
 		}
-		if got := tn.Stats().AllocStalls - before; got != pages {
+		if got := p.FTL().Stats().AllocStalls - before; got != pages {
 			t.Fatalf("poll %d: %d stalls in one event, want %d", k, got, pages)
 		}
 		if got := eng.Pending(); got != 1 {
@@ -491,8 +494,8 @@ func TestStalledRequestPollsAsOneRun(t *testing.T) {
 	for lpn := 16; lpn < 32; lpn++ {
 		tn.Trim(lpn)
 	}
-	hostBefore, freedAt := tn.Stats().HostPrograms, sim.Time(-1)
-	for tn.Stats().HostPrograms == hostBefore {
+	hostBefore, freedAt := p.FTL().Stats().HostPrograms, sim.Time(-1)
+	for p.FTL().Stats().HostPrograms == hostBefore {
 		free := p.FTL().FreeFraction(chanRange(0, 1))
 		if !eng.Step() {
 			t.Fatal("the engine drained with the write still stalled")
@@ -502,12 +505,12 @@ func TestStalledRequestPollsAsOneRun(t *testing.T) {
 		}
 	}
 	now := eng.Now()
-	if (now-stalledAt)%ftl.RetryDelay != 0 || freedAt < 0 || now <= freedAt || now-freedAt > ftl.RetryDelay {
+	if (now-stalledAt)%retryDelay != 0 || freedAt < 0 || now <= freedAt || now-freedAt > retryDelay {
 		t.Fatalf("pages dispatched at t=%d, block freed at t=%d: want the first point of the lattice from t=%d after the free", now, freedAt, stalledAt)
 	}
 	eng.Run()
-	if !done || tn.Stats().HostPrograms-hostBefore != pages {
-		t.Fatalf("completed=%v with %d pages programmed, want all %d", done, tn.Stats().HostPrograms-hostBefore, pages)
+	if !done || p.FTL().Stats().HostPrograms-hostBefore != pages {
+		t.Fatalf("completed=%v with %d pages programmed, want all %d", done, p.FTL().Stats().HostPrograms-hostBefore, pages)
 	}
 	// The erased block took the pages in dispatch order.
 	first, _ := tn.Lookup(0)
@@ -588,15 +591,15 @@ func TestStallRunsSplitAndKeepPageOrder(t *testing.T) {
 // stalled multi-page request polling on its lattice recycles its run and
 // allocates nothing.
 func TestStallRunZeroAllocSteadyState(t *testing.T) {
-	eng, _, v := fullTenant(t)
+	eng, p, v := fullTenant(t)
 	v.Submit(&Request{Write: true, LPN: 0, Pages: 16})
 	eng.Step() // the first poll recycles the run the dispatch allocated
-	before := v.Tenant().Stats().AllocStalls
+	before := p.FTL().Stats().AllocStalls
 	avg := testing.AllocsPerRun(100, func() { eng.Step() })
 	if avg != 0 {
 		t.Fatalf("polling a stalled request allocates %.2f allocs/poll, want 0", avg)
 	}
-	if got := v.Tenant().Stats().AllocStalls - before; got != 16*101 {
+	if got := p.FTL().Stats().AllocStalls - before; got != 16*101 {
 		t.Fatalf("%d page polls over 101 lattice points, want %d", got, 16*101)
 	}
 }

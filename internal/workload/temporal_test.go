@@ -37,7 +37,8 @@ func runGenerator(t *testing.T, prof Profile, seed int64, dur sim.Time) ([]trace
 	eng.RunUntil(dur)
 	g.Stop()
 	eng.Run()
-	return rec.Records(), g
+	older, newer := rec.Segments()
+	return append(append([]trace.Record(nil), older...), newer...), g
 }
 
 func TestApplyShapeSteadyIsIdentity(t *testing.T) {

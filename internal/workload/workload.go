@@ -446,9 +446,6 @@ func NewGenerator(eng *sim.Engine, v *vssd.VSSD, prof Profile, rng *sim.RNG) *Ge
 // Record attaches a trace recorder capturing every issued request.
 func (g *Generator) Record(rec *trace.Recorder) { g.rec = rec }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // Issued returns the number of requests issued so far.
 func (g *Generator) Issued() int64 { return g.issued }
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
-# check.sh — the repo's `make check`: formatting, vet, a doc lint on the
-# observability API, build, the full test suite (plus the nested bench/
-# module's vet and one run of each example), the six grep gates
-# (one device stack that alone binds generators, one NN compute path, one
-# retry protocol with host stalls as stall runs, bus lane, hot-path boxing,
-# typing reads the ring in place), the race detector on the
+# check.sh — the repo's `make check`: formatting, vet, build, the full test
+# suite (plus the nested bench/ module's vet and one run of each example),
+# the five grep gates (one device stack that alone binds generators, one NN
+# compute path, one retry protocol with host stalls as stall runs, bus lane,
+# hot-path boxing), the race detector on the
 # concurrency-heavy packages, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
 # what a rack device costs in bytes, how much of a synthesized replay trace
@@ -14,12 +13,14 @@
 # two-core host), and benchmark smoke/allocation gates. What each scenario must show (completed migrations, promotes and
 # demotes, typed traffic, …) is asserted by harness.TestScenarios in the
 # test suite. So is the internal-API gate: the root package's
-# TestInternalAPISizedToCallers fails on an exported internal/ function or
-# method with no non-test caller in another file unless
-# testdata/api_allowlist.txt names it, and on an allowlist line that names
-# nothing; it runs inside `go test ./...`, so it has no leg here. Shrink the
-# allowlist by giving a name a caller or removing it; never grow it to make
-# a change pass. Performance is measured by bench/run.sh, not here.
+# TestInternalAPISizedToCallers type-checks the tree and fails on an
+# exported internal/ name (func, method, type, const or var) that no other
+# package needs unless testdata/api_allowlist.txt names it, and on an
+# allowlist line that names nothing; TestObsExportsDocumented, beside it,
+# fails on an exported internal/obs name without a doc comment. Both run
+# inside `go test ./...`, so they have no leg here. Shrink the allowlist by
+# giving a name a caller or removing it; never grow it to make a change
+# pass. Performance is measured by bench/run.sh, not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -53,25 +54,6 @@ echo "== go vet bench/ (the exported surface the benchmark compiles against)"
 # with -mod=readonly, so a rename of anything on bench/README.md's
 # "Exported surface" list must fail here first.
 (cd bench && GOFLAGS=-mod=readonly GOWORK=off go vet .)
-
-echo "== doc lint (internal/obs exported identifiers)"
-# internal/obs is the repo's external-facing surface (its names become
-# JSONL fields and /metrics series), so every exported identifier must
-# carry a doc comment. Flag exported top-level declarations whose
-# preceding line is not a comment.
-obs_sources=$(ls internal/obs/*.go | grep -v _test.go)
-undocumented=$(awk '
-    FNR == 1 { prev = "" }
-    /^(func|type|const|var) [A-Z]/ || /^func \([a-zA-Z]+ \*?[A-Z][a-zA-Z]*\) [A-Z]/ {
-        if (prev !~ /^\/\//) printf "%s:%d: %s\n", FILENAME, FNR, $0
-    }
-    { prev = $0 }
-' $obs_sources)
-if [ -n "$undocumented" ]; then
-    echo "undocumented exported identifiers in internal/obs:" >&2
-    echo "$undocumented" >&2
-    exit 1
-fi
 
 echo "== go build ./..."
 go build ./...
@@ -116,7 +98,7 @@ fi
 
 echo "== one retry protocol"
 # Every allocation-stall backoff — the host write's in vssd, the GC
-# migration's and its program-fail retry's in ftl — waits ftl.RetryDelay on
+# migration's and its program-fail retry's in ftl — waits ftl's retryDelay on
 # the manager's lane (Manager.ScheduleRetry). A 1 ms event put on the heap
 # beside it is a second protocol, and at storm depth it is the sift cost
 # the lane exists to avoid. Host pages stall in one place, VSSD.stall, which
@@ -156,16 +138,6 @@ if grep -n '"container/heap"' internal/flash/*.go internal/sim/*.go | grep -v _t
 fi
 if grep -n 'interface{}' internal/flash/*.go internal/sim/*.go internal/ftl/*.go internal/vssd/*.go | grep -v _test.go; then
     echo "interface{} found in a hot-path package; use a typed or pointer-shaped any slot" >&2
-    exit 1
-fi
-
-echo "== typing reads the ring in place"
-# Workload typing walks the recorder's two segments (trace.Recorder.Segments,
-# cluster.Model.ClassifyRecorder). Records() copies the whole 10K-request
-# window — 320 KB per tenant per re-typing, once 81% of everything a measured
-# run allocated — and is for tests and offline use.
-if grep -rn '\.Records()' --include='*.go' internal | grep -v _test.go | grep -v '^internal/trace/'; then
-    echo "walk Recorder's segments; Records() copies the window" >&2
     exit 1
 fi
 
