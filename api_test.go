@@ -481,6 +481,55 @@ func undocumentedObs(t *srcTree) []string {
 	return bad
 }
 
+// deviceStackEscapes lists every non-test use, outside the nested bench/
+// module, of the two constructors only internal/device may call:
+// vssd.NewPlatform anywhere but device.New, and workload.NewGenerator
+// anywhere outside internal/device. A use is an identifier the type checker
+// resolves to the constructor, so a call through an import alias, or the
+// function taken as a value, counts as a plain call does.
+func deviceStackEscapes(t *srcTree) []string {
+	var platform, generator types.Object
+	for _, p := range t.pkgs {
+		switch p.dir {
+		case "internal/vssd":
+			platform = p.types.Scope().Lookup("NewPlatform")
+		case "internal/workload":
+			generator = p.types.Scope().Lookup("NewGenerator")
+		}
+	}
+	var bad []string
+	for _, p := range t.pkgs {
+		if p.dir == "bench" || strings.HasPrefix(p.dir, "bench/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, _ := d.(*ast.FuncDecl)
+				inNew := p.dir == "internal/device" && fd != nil && fd.Recv == nil && fd.Name.Name == "New"
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					var what string
+					switch obj := p.uses[id]; {
+					case obj == nil:
+					case obj == platform && !inNew:
+						what = "vssd.NewPlatform outside device.New"
+					case obj == generator && p.dir != "internal/device":
+						what = "workload.NewGenerator outside internal/device"
+					}
+					if what != "" {
+						bad = append(bad, t.fset.Position(id.Pos()).String()+": "+what)
+					}
+					return true
+				})
+			}
+		}
+	}
+	return bad
+}
+
 // recvName is the type name of a method receiver T or *T.
 func recvName(e ast.Expr) string {
 	if star, ok := e.(*ast.StarExpr); ok {
@@ -514,6 +563,92 @@ func TestInternalAPISizedToCallers(t *testing.T) {
 	}
 	for _, p := range apiGateProblems(verdicts, allow) {
 		t.Error(p)
+	}
+}
+
+// TestOneDeviceStack: a device is assembled in one function, device.New,
+// and only internal/device binds workload generators (Device.Drive), so
+// every single-device run and every rack shard is one device.Device, and
+// traffic starts and stops in one place.
+func TestOneDeviceStack(t *testing.T) {
+	tree, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range deviceStackEscapes(tree) {
+		t.Errorf("%s: build the device with device.New, bind generators with Device.Drive", bad)
+	}
+}
+
+// TestOneDeviceStackScanner pins, on a planted tree, what the device-stack
+// rule reports: a use through an import alias and a function value count,
+// device.New and internal/device, tests and bench/ are exempt.
+func TestOneDeviceStackScanner(t *testing.T) {
+	fsys := fstest.MapFS{
+		"go.mod": {Data: []byte("module repro\n")},
+		"internal/vssd/vssd.go": {Data: []byte(`package vssd
+
+type Platform struct{}
+
+func NewPlatform() *Platform { return &Platform{} }
+`)},
+		"internal/workload/workload.go": {Data: []byte(`package workload
+
+type Generator struct{}
+
+func NewGenerator() *Generator { return &Generator{} }
+`)},
+		"internal/device/device.go": {Data: []byte(`package device
+
+import (
+	"repro/internal/vssd"
+	"repro/internal/workload"
+)
+
+func New() *vssd.Platform { return vssd.NewPlatform() }
+
+func Drive() *workload.Generator { return workload.NewGenerator() }
+
+func Second() *vssd.Platform { return vssd.NewPlatform() }
+`)},
+		"internal/other/other.go": {Data: []byte(`package other
+
+import (
+	v "repro/internal/vssd"
+	"repro/internal/workload"
+)
+
+var build = workload.NewGenerator
+
+func Platform() *v.Platform { return v.NewPlatform() }
+`)},
+		"internal/other/other_test.go": {Data: []byte(`package other
+
+import "repro/internal/vssd"
+
+func use() { vssd.NewPlatform() }
+`)},
+		"bench/main.go": {Data: []byte(`package main
+
+import (
+	"repro/internal/vssd"
+	"repro/internal/workload"
+)
+
+func main() { vssd.NewPlatform(); workload.NewGenerator() }
+`)},
+	}
+	tree, err := loadTree(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/device/device.go:12:44: vssd.NewPlatform outside device.New",
+		"internal/other/other.go:8:22: workload.NewGenerator outside internal/device",
+		"internal/other/other.go:10:40: vssd.NewPlatform outside device.New",
+	}
+	if got := deviceStackEscapes(tree); !reflect.DeepEqual(got, want) {
+		t.Fatalf("escapes = %q, want %q", got, want)
 	}
 }
 

@@ -19,6 +19,9 @@
 // -faults injects deterministic NAND failures into the measured runs:
 // "light", "heavy", or a k=v spec (see internal/fault.ParseSpec).
 //
+// -fig fleet and -fig tiers build their own tenants, steady and
+// fault-free: each fails on -faults, -workload or -trace.
+//
 // -fig fleet runs the rack-scale scenario — -fleet N devices (default 64)
 // under one virtual clock, comparing the placement baselines with fleet
 // admission and cold migration live.
@@ -74,9 +77,7 @@ func main() {
 	}
 	sc := scenarios[idx]
 
-	// The workloads figure sweeps every shape itself; elsewhere a supplied
-	// trace implies the replay shape.
-	opt, srv, err := shared(*fig != "workloads")
+	opt, srv, err := shared(flagMode(*fig))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,4 +98,17 @@ func main() {
 	}
 
 	sc.Render(os.Stdout, opt)
+}
+
+// flagMode is which shared flags figure fig reads: the rack figures take
+// no -faults, -workload or -trace, and the workloads figure sweeps every
+// shape itself, taking only a -trace's records.
+func flagMode(fig string) harness.FlagMode {
+	switch fig {
+	case "fleet", "tiers":
+		return harness.RackFlags
+	case "workloads":
+		return harness.SweepFlags
+	}
+	return harness.DeviceFlags
 }

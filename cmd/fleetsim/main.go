@@ -57,7 +57,7 @@ import (
 // flags is fleetsim's command line: the flags shared with fleetbench and
 // its own.
 type flags struct {
-	shared                                        func(traceImpliesReplay bool) (harness.Options, *obs.Server, error)
+	shared                                        func(mode harness.FlagMode) (harness.Options, *obs.Server, error)
 	mix, policy, decisions, placement, tierPolicy *string
 	tiers                                         *bool
 }
@@ -75,25 +75,19 @@ func declareFlags(fs *flag.FlagSet) flags {
 	}
 }
 
-// checkMode rejects a flag set on fs that the run's mode ignores, naming
-// the flag; fs must be parsed.
-func checkMode(fs *flag.FlagSet, tiers bool) error {
+// checkMode rejects a fleetsim-only flag set on fs that the run's mode
+// ignores, naming the flag, and returns the mode to resolve the shared
+// flags under (the resolver rejects the shared flags the mode ignores); fs
+// must be parsed.
+func checkMode(fs *flag.FlagSet, tiers bool) (harness.FlagMode, error) {
 	rack := fs.Lookup("fleet").Value.(flag.Getter).Get().(int) > 0
-	mode, ignored := "a single device", []string{"tiers", "tier-policy", "placement"}
 	switch {
 	case rack && tiers:
-		mode, ignored = "a hybrid rack (-tiers)", []string{"mix", "policy", "faults", "workload", "trace", "decisions", "placement"}
+		return harness.RackFlags, harness.RejectSet(fs, "a hybrid rack (-tiers)", "mix", "policy", "decisions", "placement")
 	case rack:
-		mode, ignored = "a rack (-fleet)", []string{"mix", "policy", "faults", "workload", "trace", "decisions", "tier-policy"}
+		return harness.RackFlags, harness.RejectSet(fs, "a rack (-fleet)", "mix", "policy", "decisions", "tier-policy")
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range ignored {
-		if set[name] {
-			return fmt.Errorf("-%s does not apply to %s", name, mode)
-		}
-	}
-	return nil
+	return harness.DeviceFlags, harness.RejectSet(fs, "a single device", "tiers", "tier-policy", "placement")
 }
 
 func main() {
@@ -101,11 +95,11 @@ func main() {
 	log.SetPrefix("fleetsim: ")
 	f := declareFlags(flag.CommandLine)
 	flag.Parse()
-	if err := checkMode(flag.CommandLine, *f.tiers); err != nil {
+	mode, err := checkMode(flag.CommandLine, *f.tiers)
+	if err != nil {
 		log.Fatal(err)
 	}
-
-	opt, srv, err := f.shared(true)
+	opt, srv, err := f.shared(mode)
 	if err != nil {
 		log.Fatal(err)
 	}

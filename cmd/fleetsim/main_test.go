@@ -8,7 +8,8 @@ import (
 )
 
 // TestModeRejectsIgnoredFlags: a flag the chosen mode does not read fails
-// the run, naming the flag, instead of being silently dropped.
+// the run, naming the flag, instead of being silently dropped. fleetsim's
+// own flags fail in checkMode, the shared ones when they resolve.
 func TestModeRejectsIgnoredFlags(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -40,7 +41,10 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 			if err := fs.Parse(c.args); err != nil {
 				t.Fatal(err)
 			}
-			err := checkMode(fs, *f.tiers)
+			mode, err := checkMode(fs, *f.tiers)
+			if err == nil {
+				_, _, err = f.shared(mode)
+			}
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatal(err)

@@ -6,11 +6,17 @@
 // -workers and -seed), and -metrics records the training trajectory as
 // JSONL.
 //
+// The flags fill one harness.PretrainConfig: -episode-seconds and -window
+// shape each episode, and every other flag sets the trainer knob of the
+// same name. -lr sets the learning rate alone; the other PPO
+// hyperparameters keep their defaults (rl.DefaultConfig).
+//
 // Usage:
 //
-//	fleettrain [-episodes N] [-episode-seconds S] [-workers W]
-//	           [-checkpoint-dir DIR] [-resume] [-metrics FILE]
-//	           [-out model.gob]
+//	fleettrain [-episodes N] [-episode-seconds S] [-window MS] [-lr R]
+//	           [-seed N] [-workers W] [-checkpoint-dir DIR]
+//	           [-checkpoint-every N] [-resume] [-metrics FILE]
+//	           [-eval-every N] [-http ADDR] [-out model.gob]
 package main
 
 import (
@@ -20,7 +26,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/rl"
 	"repro/internal/sim"
+	"repro/internal/trainer"
 )
 
 func main() {
@@ -53,19 +61,21 @@ func main() {
 	}
 
 	pc := harness.PretrainConfig{
-		Seed:            *seed,
-		Episodes:        *episodes,
+		Config: trainer.Config{
+			Seed:            *seed,
+			Workers:         *workers,
+			Episodes:        *episodes,
+			RL:              rl.Config{LR: *lr},
+			EvalEvery:       *evalEvery,
+			CheckpointDir:   *ckptDir,
+			CheckpointEvery: *ckptEvery,
+			Resume:          *resume,
+			MetricsPath:     *metrics,
+			Logf:            log.Printf,
+			Obs:             reg,
+		},
 		EpisodeDuration: sim.Time(*epSeconds * 1e9),
 		Window:          sim.Time(*windowMs) * sim.Millisecond,
-		LR:              *lr,
-		Workers:         *workers,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		Resume:          *resume,
-		MetricsPath:     *metrics,
-		EvalEvery:       *evalEvery,
-		Logf:            log.Printf,
-		Obs:             reg,
 	}
 	log.Printf("pretraining %d episodes x %.0fs virtual on held-out workloads (%d workers)...",
 		pc.Episodes, *epSeconds, *workers)

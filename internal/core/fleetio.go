@@ -77,29 +77,28 @@ type FleetIOConfig struct {
 	// incompatible with a Pretrained network built at the base width.
 	ErrorRateState bool
 
-	// PlacementHead appends a fourth categorical action head of width
-	// len(tierLevels): a per-window tier hint (fast vs dense) for the
-	// agent's tenant. The hint is not a device action — emit issues the
-	// same three vssd.Actions either way — it is read by the fleet
-	// control plane at epoch barriers via TierHint and turned into
-	// promote/demote migrations there. Off (the default), the head layout
-	// and every RNG draw are unchanged, so the tier-off path stays
-	// byte-identical.
-	PlacementHead bool
-	// TierOccState appends the fast-tier occupancy feature (fed by the
-	// fleet control plane via SetTierOcc at epoch barriers) to every
-	// window state, following the ErrorRateState width pattern. Like
-	// ErrorRateState it widens the network input, so it is incompatible
-	// with a Pretrained network built at the base width.
-	TierOccState bool
+	// Tiered makes the agent a hybrid rack's tier agent, in two parts:
+	//   - a fourth categorical action head of width len(tierLevels), the
+	//     placement head: a per-window tier hint (fast vs dense) for the
+	//     agent's tenant. The hint is not a device action — emit issues
+	//     the same three vssd.Actions either way — it is read by the fleet
+	//     control plane at epoch barriers via TierHint and turned into
+	//     promote/demote migrations there;
+	//   - the fast-tier occupancy feature (fed by the control plane via
+	//     SetTierOcc at epoch barriers) appended to every window state,
+	//     following the ErrorRateState width pattern.
+	// Like ErrorRateState it widens the network input, so it is
+	// incompatible with a Pretrained network built at the base width. Off
+	// (the default), the head layout, the state width and every RNG draw
+	// are unchanged, so the tier-off path stays byte-identical.
+	Tiered bool
 
 	// TypeModel classifies workloads for per-type α (§3.4); nil keeps the
 	// unified α.
 	TypeModel *cluster.Model
 	// AlphaByCluster maps the TypeModel's cluster ids to α values.
 	AlphaByCluster map[int]float64
-	// RL overrides PPO hyperparameters (zero value → DefaultConfig; LR
-	// survives the default resolution when the rest is zero).
+	// RL overrides PPO hyperparameters, resolved by rl.Config.Resolved.
 	RL rl.Config
 
 	// Obs traces per-window decisions (the three issued actions plus the
@@ -122,9 +121,9 @@ type agent struct {
 	lastLogProb float64
 	lastValue   float64
 
-	// tierHint is the last placement-head sample (PlacementHead on);
-	// -1 until the agent's first decision window closes. tierOcc is the
-	// fast-tier occupancy the control plane last pushed (TierOccState).
+	// tierHint is the last placement-head sample (Tiered on); -1 until
+	// the agent's first decision window closes. tierOcc is the fast-tier
+	// occupancy the control plane last pushed (Tiered on).
 	tierHint int
 	tierOcc  float64
 
@@ -156,13 +155,7 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 	if cfg.TrainEvery == 0 {
 		cfg.TrainEvery = 10
 	}
-	if cfg.RL.Gamma == 0 {
-		rcfg := rl.DefaultConfig()
-		if cfg.RL.LR != 0 {
-			rcfg.LR = cfg.RL.LR
-		}
-		cfg.RL = rcfg
-	}
+	cfg.RL = cfg.RL.Resolved()
 	f := &FleetIO{cfg: cfg, plat: plat, rng: sim.NewRNG(cfg.Seed)}
 	f.stateDim = DefaultHistoryWindows * f.stateWidth()
 	if cfg.ShareModel {
@@ -185,7 +178,7 @@ func (f *FleetIO) stateWidth() int {
 	if f.cfg.ErrorRateState {
 		width = statesPerWindowExt
 	}
-	if f.cfg.TierOccState {
+	if f.cfg.Tiered {
 		width++
 	}
 	return width
@@ -195,7 +188,7 @@ func (f *FleetIO) stateWidth() int {
 // placement head when configured.
 func (f *FleetIO) heads() []int {
 	heads := []int{len(HarvestLevels), len(HarvestLevels), len(PriorityLevels)}
-	if f.cfg.PlacementHead {
+	if f.cfg.Tiered {
 		heads = append(heads, len(tierLevels))
 	}
 	return heads
@@ -256,7 +249,7 @@ func (f *FleetIO) SetAlpha(vssdID int, alpha float64) { f.agents[vssdID].alpha =
 func (f *FleetIO) TierHint(vssdID int) int { return f.agents[vssdID].tierHint }
 
 // SetTierOcc pushes the fast-tier occupancy the agent observes in its
-// next window state (TierOccState on). Called by the fleet control plane
+// next window state (Tiered on). Called by the fleet control plane
 // at epoch barriers, between the shard's decision windows.
 func (f *FleetIO) SetTierOcc(vssdID int, occ float64) { f.agents[vssdID].tierOcc = occ }
 
@@ -412,7 +405,7 @@ func (f *FleetIO) closeWindow(a *agent, snap vssd.WindowSnapshot, reward, otherI
 	} else {
 		ws = encodeWindow(snap, a.scales, otherIOPS, otherVio)
 	}
-	if f.cfg.TierOccState {
+	if f.cfg.Tiered {
 		ws = append(ws, clamp(a.tierOcc, 0, 1))
 	}
 	a.hist.push(ws)
@@ -432,7 +425,7 @@ func (f *FleetIO) closeWindow(a *agent, snap vssd.WindowSnapshot, reward, otherI
 // agent will increase the priority level", enforced as a guardrail
 // so one badly sampled action cannot cost a window of tail latency.
 func (f *FleetIO) emit(actions []vssd.Action, i int, a *agent, acts []int, vioRate, chanBW, single, mixed float64) []vssd.Action {
-	if f.cfg.PlacementHead {
+	if f.cfg.Tiered {
 		// The placement head is not a device action: the sample is parked
 		// on the agent for the fleet control plane to read (TierHint) at
 		// the next epoch barrier and turn into a promote/demote migration.

@@ -37,7 +37,7 @@ func TestPlacementHeadLayout(t *testing.T) {
 	if got := len(base.heads()); got != 3 {
 		t.Fatalf("base head count = %d, want 3", got)
 	}
-	ph := NewFleetIO(p, FleetIOConfig{Seed: 1, PlacementHead: true})
+	ph := NewFleetIO(p, FleetIOConfig{Seed: 1, Tiered: true})
 	heads := ph.heads()
 	if len(heads) != 4 || heads[3] != len(tierLevels) {
 		t.Fatalf("placement head layout = %v, want 4th head of width %d", heads, len(tierLevels))
@@ -56,15 +56,15 @@ func TestTierOccStateWidth(t *testing.T) {
 		want int
 	}{
 		{FleetIOConfig{Seed: 1}, StatesPerWindow},
-		{FleetIOConfig{Seed: 1, TierOccState: true}, StatesPerWindow + 1},
+		{FleetIOConfig{Seed: 1, Tiered: true}, StatesPerWindow + 1},
 		{FleetIOConfig{Seed: 1, ErrorRateState: true}, statesPerWindowExt},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true, TierOccState: true}, statesPerWindowExt + 1},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true, Tiered: true}, statesPerWindowExt + 1},
 	}
 	for _, tc := range cases {
 		f := NewFleetIO(p, tc.cfg)
 		if got := f.stateWidth(); got != tc.want {
 			t.Errorf("stateWidth(err=%v, tier=%v) = %d, want %d",
-				tc.cfg.ErrorRateState, tc.cfg.TierOccState, got, tc.want)
+				tc.cfg.ErrorRateState, tc.cfg.Tiered, got, tc.want)
 		}
 	}
 }
@@ -77,7 +77,7 @@ func TestPlacementHeadEmitsHints(t *testing.T) {
 	g := workload.NewGenerator(eng, v, workload.ByName("YCSB"), sim.NewRNG(2))
 	g.Start()
 
-	f := NewFleetIO(p, FleetIOConfig{Train: true, Seed: 3, PlacementHead: true, TierOccState: true})
+	f := NewFleetIO(p, FleetIOConfig{Train: true, Seed: 3, Tiered: true})
 	f.SetTierOcc(0, 0.5)
 	r := &Runner{Plat: p, Policy: f, Window: 100 * sim.Millisecond}
 	r.Start()
@@ -97,7 +97,7 @@ func TestPlacementHeadEmitsHints(t *testing.T) {
 func TestSyncAgentsAppends(t *testing.T) {
 	_, p := testPlatform(4)
 	p.AddVSSD(vssd.Config{Name: "a", Channels: []int{0, 1}})
-	f := NewFleetIO(p, FleetIOConfig{Seed: 1, PlacementHead: true})
+	f := NewFleetIO(p, FleetIOConfig{Seed: 1, Tiered: true})
 	if len(f.agents) != 1 {
 		t.Fatalf("agents = %d, want 1", len(f.agents))
 	}

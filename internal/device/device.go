@@ -45,16 +45,13 @@ func New(fc flash.Config, rec *obs.Recorder, faults *fault.Config) *Device {
 	return &Device{plat: plat}
 }
 
-// Spec is one vSSD: its layout, its latency objective and throttle, and
-// how full its FTL starts.
+// Spec is one vSSD: its configuration, its throttle, and how full its FTL
+// starts.
 type Spec struct {
-	Name             string
-	Isolation        vssd.Isolation
-	Channels         []int
-	LogicalPages     int // 0: derived from the channels
-	MaxInflightPages int
-	SLO              sim.Time // 0: no objective
-	RateLimit        float64  // token-bucket bytes/s, half a second deep; 0: unthrottled
+	vssd.Config
+	// RateLimit throttles the vSSD to this many bytes/s through a token
+	// bucket half a second deep that starts empty; 0: unthrottled.
+	RateLimit float64
 	// PrefillFrac of the logical space is mapped in LPN order, then
 	// Overwrite of those pages is rewritten at LPNs drawn from RNG, so GC
 	// has invalid pages to reclaim.
@@ -66,14 +63,7 @@ type Spec struct {
 // that runs out of space returns an error with the vSSD kept, the pages it
 // mapped still mapped; it never runs the engine.
 func (d *Device) AddVSSD(s Spec) (*vssd.VSSD, error) {
-	v := d.plat.AddVSSD(vssd.Config{
-		Name:             s.Name,
-		Isolation:        s.Isolation,
-		Channels:         s.Channels,
-		LogicalPages:     s.LogicalPages,
-		MaxInflightPages: s.MaxInflightPages,
-		SLO:              s.SLO,
-	})
+	v := d.plat.AddVSSD(s.Config)
 	if s.RateLimit > 0 {
 		v.SetRateLimit(s.RateLimit, s.RateLimit/2)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flash"
 	"repro/internal/sim"
+	"repro/internal/vssd"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func TestPrefillStopsAtFirstFailedAllocation(t *testing.T) {
 	eng := d.Platform().Engine()
 	executed := eng.Executed()
 	v, err := d.AddVSSD(Spec{
-		Name: "full", Channels: []int{0}, LogicalPages: logical,
+		Config:      vssd.Config{Name: "full", Channels: []int{0}, LogicalPages: logical},
 		PrefillFrac: 1, Overwrite: 0.3, RNG: sim.NewRNG(1),
 	})
 	if err == nil {
@@ -58,7 +59,7 @@ func TestPrefillStopsAtFirstFailedAllocation(t *testing.T) {
 // rack places a tenant mid-run and a transfer run swaps a workload.
 func TestDriveReplacesAndStartsOnALiveDevice(t *testing.T) {
 	d := New(tinyFlash(), nil, nil)
-	if _, err := d.AddVSSD(Spec{Name: "v", Channels: []int{0}, PrefillFrac: 0.3, Overwrite: 0.2, RNG: sim.NewRNG(1)}); err != nil {
+	if _, err := d.AddVSSD(Spec{Config: vssd.Config{Name: "v", Channels: []int{0}}, PrefillFrac: 0.3, Overwrite: 0.2, RNG: sim.NewRNG(1)}); err != nil {
 		t.Fatal(err)
 	}
 	d.Attach(core.StaticPolicy{PolicyName: "static"}, nil, 10*sim.Millisecond)

@@ -775,12 +775,7 @@ func newShard(window sim.Time, fc flash.Config, tier int, learned bool, rng *sim
 	if learned {
 		// The shard RNG is otherwise never drawn from, so seeding the agent
 		// stack off it costs the non-learned paths nothing.
-		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{
-			Train:         true,
-			Seed:          rng.Int63(),
-			PlacementHead: true,
-			TierOccState:  true,
-		})
+		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{Train: true, Seed: rng.Int63(), Tiered: true})
 		pol = sh.fio
 	}
 	sh.dev.Attach(pol, nil, window)
@@ -817,13 +812,15 @@ func slotLogicalPages(fc flash.Config) int {
 func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 	fc := s.Platform().FlashConfig()
 	spec := device.Spec{
-		Name:             fmt.Sprintf("t%d-%s-m%d", tn.ID, tn.Workload, tn.Migrations),
-		Isolation:        vssd.SoftwareIsolated,
-		Channels:         make([]int, fc.Channels),
-		LogicalPages:     slotLogicalPages(fc),
-		MaxInflightPages: workload.ByName(tn.Workload).MaxInflightPages,
-		Overwrite:        0.2,
-		RNG:              tn.rng,
+		Config: vssd.Config{
+			Name:             fmt.Sprintf("t%d-%s-m%d", tn.ID, tn.Workload, tn.Migrations),
+			Isolation:        vssd.SoftwareIsolated,
+			Channels:         make([]int, fc.Channels),
+			LogicalPages:     slotLogicalPages(fc),
+			MaxInflightPages: workload.ByName(tn.Workload).MaxInflightPages,
+		},
+		Overwrite: 0.2,
+		RNG:       tn.rng,
 	}
 	for i := range spec.Channels {
 		spec.Channels[i] = i

@@ -8,19 +8,17 @@ import (
 )
 
 // episodeSpec describes one self-contained pretraining episode: which mix
-// to collocate, under which reward variant, for how long, acting with
-// which policy flavor. Each episode owns a private sim.Engine + platform,
-// so any number of them can run concurrently (the trainer's worker pool
-// relies on this).
+// to collocate, under which reward variant, acting with which policy
+// flavor. Each episode owns a private sim.Engine + platform, so any number
+// of them can run concurrently (the trainer's worker pool relies on this).
 type episodeSpec struct {
+	// Pretrain is the run the episode belongs to: its window, episode
+	// length and PPO settings (used for action sampling only; no learning
+	// happens inside the episode).
+	Pretrain PretrainConfig
 	Mix      MixSpec
 	Mode     core.Mode
 	Seed     int64
-	Window   sim.Time
-	Duration sim.Time
-	// RL holds PPO hyperparameters for action sampling (zero value →
-	// rl.DefaultConfig); no learning happens inside the episode.
-	RL rl.Config
 	// Greedy selects argmax actions (held-out evaluation) instead of
 	// sampling the stochastic policy (collection).
 	Greedy bool
@@ -42,9 +40,9 @@ func pretrainSLOs(mix MixSpec, opt Options) []sim.Time {
 func runEpisode(spec episodeSpec, net *nn.ActorCritic) []*rl.Buffer {
 	opt := DefaultOptions()
 	opt.Seed = spec.Seed
-	opt.Window = spec.Window
+	opt.Window = spec.Pretrain.Window
 	r := buildPlatform(spec.Mix, PolFleetIO, nil, pretrainSLOs(spec.Mix, opt), opt)
 	f := r.attachFleetIO(episodeFleetIO(spec, net))
-	r.execute(spec.Duration)
+	r.execute(spec.Pretrain.EpisodeDuration)
 	return f.DrainRollouts()
 }

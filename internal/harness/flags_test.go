@@ -30,11 +30,11 @@ func TestSharedFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name        string
-		args        []string
-		sweepsShape bool   // the caller is `-fig workloads`
-		wantErr     string // substring; empty: no error
-		check       func(t *testing.T, opt Options)
+		name    string
+		args    []string
+		mode    FlagMode
+		wantErr string // substring; empty: no error
+		check   func(t *testing.T, opt Options)
 	}{
 		{name: "defaults", check: func(t *testing.T, opt Options) {
 			def := DefaultOptions()
@@ -76,7 +76,7 @@ func TestSharedFlags(t *testing.T) {
 				t.Errorf("records=%d shape=%v", len(opt.ReplayRecords), opt.WorkloadShape)
 			}
 		}},
-		{name: "trace under -fig workloads", args: []string{"-trace", sample, "-workload", "diurnal"}, sweepsShape: true,
+		{name: "trace under -fig workloads", args: []string{"-trace", sample, "-workload", "diurnal"}, mode: SweepFlags,
 			check: func(t *testing.T, opt Options) {
 				if len(opt.ReplayRecords) == 0 || opt.WorkloadShape != workload.ShapeDiurnal {
 					t.Errorf("records=%d shape=%v", len(opt.ReplayRecords), opt.WorkloadShape)
@@ -84,6 +84,13 @@ func TestSharedFlags(t *testing.T) {
 			}},
 		{name: "missing trace", args: []string{"-trace", "no-such-file"}, wantErr: "-trace"},
 		{name: "unordered binary trace", args: []string{"-trace", unordered}, wantErr: "replay record 1 out of order"},
+		{name: "rack", args: []string{"-fleet", "4", "-seconds", "0.5", "-parallel", "1", "-seed", "3"}, mode: RackFlags,
+			check: func(t *testing.T, opt Options) {
+				if opt.FleetDevices != 4 || opt.Duration != 500*sim.Millisecond || opt.Workers != 1 || opt.Seed != 3 {
+					t.Errorf("fleet=%d duration=%d workers=%d seed=%d", opt.FleetDevices, opt.Duration, opt.Workers, opt.Seed)
+				}
+			}},
+		{name: "rack trace", args: []string{"-trace", sample}, mode: RackFlags, wantErr: "-trace does not apply to a rack"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -93,7 +100,7 @@ func TestSharedFlags(t *testing.T) {
 			if err := fs.Parse(c.args); err != nil {
 				t.Fatal(err)
 			}
-			opt, srv, err := resolve(!c.sweepsShape)
+			opt, srv, err := resolve(c.mode)
 			if srv != nil {
 				t.Fatal("an -http server without -http")
 			}
@@ -116,7 +123,7 @@ func TestSharedFlags(t *testing.T) {
 		if err := fs.Parse([]string{"-http", "127.0.0.1:0"}); err != nil {
 			t.Fatal(err)
 		}
-		opt, srv, err := resolve(true)
+		opt, srv, err := resolve(DeviceFlags)
 		if err != nil {
 			t.Fatal(err)
 		}

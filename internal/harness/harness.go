@@ -410,16 +410,18 @@ func (r *Run) AddTenant(spec TenantSpec) int {
 		prof = workload.ApplyShape(prof, r.opt.WorkloadShape, shapeSeed(r.opt.Seed, i), r.opt.ReplayRecords)
 	}
 	_, err := r.dev.AddVSSD(device.Spec{
-		Name:             fmt.Sprintf("%s-%d", spec.Workload, i),
-		Isolation:        spec.Isolation,
-		Channels:         spec.Channels,
-		LogicalPages:     spec.LogicalPages,
-		MaxInflightPages: prof.MaxInflightPages,
-		SLO:              spec.SLO,
-		RateLimit:        spec.RateLimit,
-		PrefillFrac:      spec.PrefillFrac,
-		Overwrite:        0.3,
-		RNG:              prefillRNG,
+		Config: vssd.Config{
+			Name:             fmt.Sprintf("%s-%d", spec.Workload, i),
+			Isolation:        spec.Isolation,
+			Channels:         spec.Channels,
+			LogicalPages:     spec.LogicalPages,
+			MaxInflightPages: prof.MaxInflightPages,
+			SLO:              spec.SLO,
+		},
+		RateLimit:   spec.RateLimit,
+		PrefillFrac: spec.PrefillFrac,
+		Overwrite:   0.3,
+		RNG:         prefillRNG,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("harness: %s at PrefillFrac %v must prefill without GC, which would run the engine before the run starts: %v",
@@ -574,7 +576,7 @@ func episodeFleetIO(spec episodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 		Pretrained:    net,
 		ShareModel:    true,
 		GreedyCollect: spec.Greedy,
-		RL:            spec.RL,
+		RL:            spec.Pretrain.RL,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/trainer"
@@ -15,53 +14,27 @@ import (
 // pre-trains PPO on held-out workloads — LiveMaps, TPCE, SearchEngine,
 // Batch Analytics — using a simulator to parallelize collection; here the
 // internal/trainer worker pool plays Ray's role over the same
-// discrete-event simulator).
+// discrete-event simulator). It is the trainer's Config plus the shape of
+// each episode. A round is Workers episodes against one weight snapshot,
+// so the trained model depends on Workers as on Seed, and a resumed run
+// must keep both.
 type PretrainConfig struct {
-	Seed int64
-	// Episodes is the number of simulated collocations to train over.
-	Episodes int
+	trainer.Config
 	// EpisodeDuration is the virtual time per episode.
 	EpisodeDuration sim.Time
 	// Window is the decision window during pretraining (smaller than
 	// deployment for more transitions per simulated second).
 	Window sim.Time
-	// LR is the pretraining learning rate (deployment fine-tuning uses the
-	// paper's 1e-4; pretraining converges faster at 1e-3).
-	LR float64
-	// Workers is the number of episodes per PPO update (0 → 1), collected
-	// concurrently. A round is Workers episodes against one weight
-	// snapshot, so the trained model depends on it, and a resumed run must
-	// keep it.
-	Workers int
-
-	// CheckpointDir enables atomic snapshot/resume when non-empty.
-	CheckpointDir string
-	// CheckpointEvery is the round period of snapshots (default 1).
-	CheckpointEvery int
-	// Resume restarts from the newest readable checkpoint.
-	Resume bool
-	// MetricsPath appends per-round JSONL training telemetry.
-	MetricsPath string
-	// EvalEvery gates a held-out greedy eval episode every EvalEvery
-	// rounds for best-model selection (0 disables).
-	EvalEvery int
-	// Logf receives per-round progress lines (nil = silent).
-	Logf func(format string, args ...any)
-	// Obs, when non-nil, exports the trainer's per-round gauges for a
-	// live /metrics endpoint (cmd/fleettrain -http).
-	Obs *obs.Registry
 }
 
 // DefaultPretrainConfig returns a budget that pretrains in tens of CPU
-// seconds; cmd/fleettrain uses larger budgets.
+// seconds; cmd/fleettrain uses larger budgets. Pretraining converges
+// faster at a learning rate of 1e-3 than deployment fine-tuning's 1e-4.
 func DefaultPretrainConfig() PretrainConfig {
 	return PretrainConfig{
-		Seed:            11,
-		Episodes:        6,
+		Config:          trainer.Config{Seed: 11, Episodes: 6, Workers: 2, RL: rl.Config{LR: 1e-3}},
 		EpisodeDuration: 20 * sim.Second,
 		Window:          100 * sim.Millisecond,
-		LR:              1e-3,
-		Workers:         2,
 	}
 }
 
@@ -102,45 +75,23 @@ func pretrainMode(pc PretrainConfig, mode core.Mode) *nn.ActorCritic {
 // selection, and JSONL telemetry to callers like cmd/fleettrain.
 func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 	mixes := pretrainMixes()
-	rcfg := rl.DefaultConfig()
-	rcfg.LR = pc.LR
-	spec := func(mix MixSpec, seed int64, greedy bool) episodeSpec {
-		return episodeSpec{
-			Mix:      mix,
-			Mode:     mode,
-			Seed:     seed,
-			Window:   pc.Window,
-			Duration: pc.EpisodeDuration,
-			RL:       rcfg,
-			Greedy:   greedy,
-		}
+	episode := func(mix MixSpec, seed int64, greedy bool, net *nn.ActorCritic) *rl.Buffer {
+		return rl.Merge(runEpisode(episodeSpec{Pretrain: pc, Mix: mix, Mode: mode, Seed: seed, Greedy: greedy}, net)...)
 	}
-	return trainer.Run(trainer.Config{
-		Seed:     pc.Seed,
-		Workers:  pc.Workers,
-		Episodes: pc.Episodes,
-		RL:       rcfg,
+	return trainer.Run(pc.Config, trainer.Env{
 		NewNet: func(rng *sim.RNG) *nn.ActorCritic {
 			dim := core.DefaultHistoryWindows * core.StatesPerWindow
 			heads := []int{len(core.HarvestLevels), len(core.HarvestLevels), len(core.PriorityLevels)}
 			return nn.NewActorCritic(dim, 50, heads, rng)
 		},
 		Collect: func(ep int, seed int64, net *nn.ActorCritic) *rl.Buffer {
-			mix := mixes[ep%len(mixes)]
-			return rl.Merge(runEpisode(spec(mix, seed, false), net)...)
+			return episode(mixes[ep%len(mixes)], seed, false, net)
 		},
 		Eval: func(seed int64, net *nn.ActorCritic) float64 {
 			// Score on the first held-out mix with greedy actions; the
 			// fixed seed makes scores comparable across rounds.
-			return rl.Merge(runEpisode(spec(mixes[0], seed, true), net)...).MeanReward()
+			return episode(mixes[0], seed, true, net).MeanReward()
 		},
-		EvalEvery:       pc.EvalEvery,
-		CheckpointDir:   pc.CheckpointDir,
-		CheckpointEvery: pc.CheckpointEvery,
-		Resume:          pc.Resume,
-		MetricsPath:     pc.MetricsPath,
-		Logf:            pc.Logf,
-		Obs:             pc.Obs,
 	})
 }
 

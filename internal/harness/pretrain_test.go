@@ -45,11 +45,12 @@ func TestRunEpisodeCollectsRollouts(t *testing.T) {
 		[]int{len(core.HarvestLevels), len(core.HarvestLevels), len(core.PriorityLevels)},
 		sim.NewRNG(3))
 	before := net.Params()
+	pc := DefaultPretrainConfig()
+	pc.EpisodeDuration = 2 * sim.Second
 	spec := episodeSpec{
+		Pretrain: pc,
 		Mix:      MixSpec{Label: "t", Workloads: []string{"TPCE", "BatchAnalytics"}},
 		Seed:     5,
-		Window:   100 * sim.Millisecond,
-		Duration: 2 * sim.Second,
 	}
 	bufs := runEpisode(spec, net)
 	if len(bufs) != 2 {

@@ -46,6 +46,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// Resolved is c with its zero value filled in: a c that leaves Gamma zero
+// becomes DefaultConfig, keeping c's LR when set, so a caller may tune the
+// learning rate alone.
+func (c Config) Resolved() Config {
+	if c.Gamma != 0 {
+		return c
+	}
+	d := DefaultConfig()
+	if c.LR != 0 {
+		d.LR = c.LR
+	}
+	return d
+}
+
 // Transition is one (state, action, reward) step collected from the
 // environment.
 type Transition struct {

@@ -136,7 +136,7 @@ func TestRunResumeFromLastGoodSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := synthConfig(19, 1, 3) // 3 rounds, checkpoint every round
 	cfg.CheckpointDir = dir
-	first, err := Run(cfg)
+	first, err := Run(cfg, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRunResumeFromLastGoodSnapshot(t *testing.T) {
 	}
 	cfg.Resume = true
 	cfg.Episodes = 4
-	res, err := Run(cfg)
+	res, err := Run(cfg, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}

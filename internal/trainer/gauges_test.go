@@ -13,16 +13,7 @@ import (
 // and checks the per-round training series end up scrapeable.
 func TestRunExportsGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := Run(Config{
-		Seed:      5,
-		Workers:   2,
-		Episodes:  4,
-		NewNet:    synthNet,
-		Collect:   synthCollect,
-		Eval:      synthEval,
-		EvalEvery: 1,
-		Obs:       reg,
-	})
+	res, err := Run(Config{Seed: 5, Workers: 2, Episodes: 4, EvalEvery: 1, Obs: reg}, synthEvalEnv)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -69,10 +60,7 @@ func TestRunExportsGauges(t *testing.T) {
 // models.
 func TestRunNilObsUnchanged(t *testing.T) {
 	run := func(reg *obs.Registry) []float64 {
-		res, err := Run(Config{
-			Seed: 5, Workers: 2, Episodes: 4,
-			NewNet: synthNet, Collect: synthCollect, Obs: reg,
-		})
+		res, err := Run(Config{Seed: 5, Workers: 2, Episodes: 4, Obs: reg}, synthEnv)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -5,8 +5,9 @@
 // buffers to a single learner goroutine that runs synchronous PPO updates
 // on the shared network and broadcasts fresh weights back between rounds.
 //
-// The package is environment-agnostic: episodes are injected as closures
-// (CollectFunc/EvalFunc), so the worker-pool/learner/checkpoint shape
+// The package is environment-agnostic: Run takes its knobs (Config) and
+// its environment (Env: the network factory and the CollectFunc/EvalFunc
+// episode closures) apart, so the worker-pool/learner/checkpoint shape
 // transfers to any training stack. internal/harness supplies the FleetIO
 // episode factory and routes Pretrain through Run.
 //
@@ -49,22 +50,18 @@ type EvalFunc func(seed int64, net *nn.ActorCritic) float64
 // sequence for any plausible episode budget.
 const evalSeedOffset = 1_000_003
 
-// Config parameterizes Run.
+// Config holds Run's knobs: the budget, the learner's settings, and where
+// checkpoints and telemetry go.
 type Config struct {
 	Seed     int64
 	Workers  int // episodes per PPO update, collected concurrently (default 1)
 	Episodes int // total collection episodes across all rounds
 
-	// RL holds the learner's PPO hyperparameters (zero value → defaults).
+	// RL holds the learner's PPO hyperparameters, resolved by
+	// rl.Config.Resolved (an LR alone keeps every other default).
 	RL rl.Config
-	// NewNet builds the initial network when no checkpoint is resumed.
-	NewNet func(rng *sim.RNG) *nn.ActorCritic
-	// Collect runs one collection episode (required).
-	Collect CollectFunc
-	// Eval scores a snapshot on a held-out episode; nil disables gating.
-	Eval EvalFunc
 	// EvalEvery is the round period of eval gating (0 disables even with
-	// Eval set; the final round is always evaluated when enabled).
+	// Env.Eval set; the final round is always evaluated when enabled).
 	EvalEvery int
 
 	// CheckpointDir enables atomic gob snapshots when non-empty.
@@ -86,6 +83,16 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// Env is the environment Run trains in.
+type Env struct {
+	// NewNet builds the initial network when no checkpoint is resumed.
+	NewNet func(rng *sim.RNG) *nn.ActorCritic
+	// Collect runs one collection episode (required).
+	Collect CollectFunc
+	// Eval scores a snapshot on a held-out episode; nil disables gating.
+	Eval EvalFunc
+}
+
 // Result is what a training run produced.
 type Result struct {
 	// Final is the learner network after the last round.
@@ -104,12 +111,12 @@ type Result struct {
 // dispatching up to Workers episodes to the pool, merging their rollouts in
 // episode order, and applying one synchronous PPO update before
 // broadcasting the new weights.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Collect == nil {
-		return nil, errors.New("trainer: Config.Collect is required")
+func Run(cfg Config, env Env) (*Result, error) {
+	if env.Collect == nil {
+		return nil, errors.New("trainer: Env.Collect is required")
 	}
-	if cfg.NewNet == nil {
-		return nil, errors.New("trainer: Config.NewNet is required")
+	if env.NewNet == nil {
+		return nil, errors.New("trainer: Env.NewNet is required")
 	}
 	if cfg.Episodes <= 0 {
 		return nil, fmt.Errorf("trainer: Episodes must be positive, got %d", cfg.Episodes)
@@ -122,18 +129,14 @@ func Run(cfg Config) (*Result, error) {
 	if ckEvery <= 0 {
 		ckEvery = 1
 	}
-	rcfg := cfg.RL
-	if rcfg.Gamma == 0 {
-		rcfg = rl.DefaultConfig()
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 
 	rng := sim.NewRNG(cfg.Seed)
-	net := cfg.NewNet(rng.Split(-1))
-	learner := rl.New(net, rcfg, rng.Split(-2))
+	net := env.NewNet(rng.Split(-1))
+	learner := rl.New(net, cfg.RL.Resolved(), rng.Split(-2))
 
 	res := &Result{Final: net, BestScore: 0}
 	bestSet := false
@@ -206,7 +209,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				for idx := range jobs {
 					ep := epLo + idx
-					rollouts[idx] = cfg.Collect(ep, cfg.Seed+int64(ep), local)
+					rollouts[idx] = env.Collect(ep, cfg.Seed+int64(ep), local)
 				}
 			}(replicas[w])
 		}
@@ -240,9 +243,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		final := round == totalRounds-1
-		if cfg.Eval != nil && cfg.EvalEvery > 0 && ((round+1)%cfg.EvalEvery == 0 || final) {
+		if env.Eval != nil && cfg.EvalEvery > 0 && ((round+1)%cfg.EvalEvery == 0 || final) {
 			probe := net.Clone()
-			score := cfg.Eval(cfg.Seed+evalSeedOffset, probe)
+			score := env.Eval(cfg.Seed+evalSeedOffset, probe)
 			rs.EvalScore = &score
 			if !bestSet || score > res.BestScore {
 				bestSet = true

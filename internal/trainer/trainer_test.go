@@ -69,14 +69,14 @@ func synthEval(seed int64, net *nn.ActorCritic) float64 {
 }
 
 func synthConfig(seed int64, workers, episodes int) Config {
-	return Config{
-		Seed:     seed,
-		Workers:  workers,
-		Episodes: episodes,
-		NewNet:   synthNet,
-		Collect:  synthCollect,
-	}
+	return Config{Seed: seed, Workers: workers, Episodes: episodes}
 }
+
+// synthEnv is the toy environment without eval gating; synthEvalEnv adds it.
+var (
+	synthEnv     = Env{NewNet: synthNet, Collect: synthCollect}
+	synthEvalEnv = Env{NewNet: synthNet, Collect: synthCollect, Eval: synthEval}
+)
 
 func encodeNet(t *testing.T, net *nn.ActorCritic) []byte {
 	t.Helper()
@@ -91,11 +91,11 @@ func encodeNet(t *testing.T, net *nn.ActorCritic) []byte {
 // encoded models — the reproducibility contract of the parallel collector.
 func TestRunDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		a, err := Run(synthConfig(42, workers, 7))
+		a, err := Run(synthConfig(42, workers, 7), synthEnv)
 		if err != nil {
 			t.Fatalf("run A (workers=%d): %v", workers, err)
 		}
-		b, err := Run(synthConfig(42, workers, 7))
+		b, err := Run(synthConfig(42, workers, 7), synthEnv)
 		if err != nil {
 			t.Fatalf("run B (workers=%d): %v", workers, err)
 		}
@@ -106,7 +106,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunTrainsAndReportsRounds(t *testing.T) {
-	res, err := Run(synthConfig(7, 2, 6))
+	res, err := Run(synthConfig(7, 2, 6), synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,8 @@ func TestRunTrainsAndReportsRounds(t *testing.T) {
 	cfg := synthConfig(7, 2, 80)
 	cfg.RL = rl.DefaultConfig()
 	cfg.RL.LR = 5e-3
-	cfg.Eval = synthEval
 	cfg.EvalEvery = 5
-	res, err = Run(cfg)
+	res, err = Run(cfg, synthEvalEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +138,43 @@ func TestRunTrainsAndReportsRounds(t *testing.T) {
 	}
 }
 
+// TestRunKeepsLROnlyRL: an RL that sets only the learning rate trains at
+// that rate with every other hyperparameter at its default, exactly as the
+// full default config with that rate does.
+func TestRunKeepsLROnlyRL(t *testing.T) {
+	lrOnly := synthConfig(5, 2, 4)
+	lrOnly.RL = rl.Config{LR: 5e-3}
+	full := synthConfig(5, 2, 4)
+	full.RL = rl.DefaultConfig()
+	full.RL.LR = 5e-3
+	a, err := Run(lrOnly, synthEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(full, synthEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeNet(t, a.Final), encodeNet(t, b.Final)) {
+		t.Fatal("an LR-only RL config trained to other params than the default config at that LR")
+	}
+	c, err := Run(synthConfig(5, 2, 4), synthEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(encodeNet(t, a.Final), encodeNet(t, c.Final)) {
+		t.Fatal("the learning rate made no difference; the test cannot tell it was kept")
+	}
+}
+
 func TestRunConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Episodes: 1, NewNet: synthNet}); err == nil {
+	if _, err := Run(Config{Episodes: 1}, Env{NewNet: synthNet}); err == nil {
 		t.Fatal("missing Collect accepted")
 	}
-	if _, err := Run(Config{Episodes: 1, Collect: synthCollect}); err == nil {
+	if _, err := Run(Config{Episodes: 1}, Env{Collect: synthCollect}); err == nil {
 		t.Fatal("missing NewNet accepted")
 	}
-	if _, err := Run(Config{Collect: synthCollect, NewNet: synthNet}); err == nil {
+	if _, err := Run(Config{}, synthEnv); err == nil {
 		t.Fatal("zero Episodes accepted")
 	}
 }
@@ -155,7 +183,7 @@ func TestRunResumeContinues(t *testing.T) {
 	dir := t.TempDir()
 	cfg := synthConfig(11, 2, 4)
 	cfg.CheckpointDir = dir
-	first, err := Run(cfg)
+	first, err := Run(cfg, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +192,7 @@ func TestRunResumeContinues(t *testing.T) {
 	}
 	// Same budget + resume: everything is already done.
 	cfg.Resume = true
-	same, err := Run(cfg)
+	same, err := Run(cfg, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +209,7 @@ func TestRunResumeContinues(t *testing.T) {
 	}
 	// Larger budget + resume: continues from round 2 only.
 	cfg.Episodes = 8
-	more, err := Run(cfg)
+	more, err := Run(cfg, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +228,7 @@ func TestRunResumeRejectsOtherWorkersOrSeed(t *testing.T) {
 	dir := t.TempDir()
 	cfg := synthConfig(11, 2, 4)
 	cfg.CheckpointDir = dir
-	if _, err := Run(cfg); err != nil {
+	if _, err := Run(cfg, synthEnv); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -213,7 +241,7 @@ func TestRunResumeRejectsOtherWorkersOrSeed(t *testing.T) {
 	} {
 		resumed := synthConfig(c.seed, c.workers, 8)
 		resumed.CheckpointDir, resumed.Resume = dir, true
-		if _, err := Run(resumed); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := Run(resumed, synthEnv); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("resume with seed %d, %d workers: err = %v, want one naming %q", c.seed, c.workers, err, c.want)
 		}
 	}
@@ -223,9 +251,8 @@ func TestRunMetricsJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "train.jsonl")
 	cfg := synthConfig(3, 2, 4)
 	cfg.MetricsPath = path
-	cfg.Eval = synthEval
 	cfg.EvalEvery = 1
-	res, err := Run(cfg)
+	res, err := Run(cfg, synthEvalEnv)
 	if err != nil {
 		t.Fatal(err)
 	}

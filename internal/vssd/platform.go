@@ -114,8 +114,6 @@ func (p *Platform) AddVSSD(cfg Config) *VSSD {
 		tenant:   tenant,
 		priority: ftl.PriorityMed,
 		slo:      cfg.SLO,
-		burst:    cfg.RateLimitBps,
-		tokens:   cfg.RateLimitBps,
 	}
 	p.vssds = append(p.vssds, v)
 	return v
@@ -125,14 +123,12 @@ func (p *Platform) AddVSSD(cfg Config) *VSSD {
 type ActionKind uint8
 
 // Action kinds: the paper's three RL actions (Table 2) plus the channel
-// repartitioning used by the SSDKeeper/Adaptive baselines and rate-limit
-// tuning used by Software Isolation.
+// repartitioning used by the SSDKeeper/Adaptive baselines.
 const (
 	ActHarvest ActionKind = iota
 	ActMakeHarvestable
 	ActSetPriority
 	ActSetChannels
-	ActSetRateLimit
 )
 
 func (k ActionKind) String() string {
@@ -145,8 +141,6 @@ func (k ActionKind) String() string {
 		return "Set_Priority"
 	case ActSetChannels:
 		return "Set_Channels"
-	case ActSetRateLimit:
-		return "Set_RateLimit"
 	default:
 		return fmt.Sprintf("ActionKind(%d)", uint8(k))
 	}
@@ -156,8 +150,7 @@ func (k ActionKind) String() string {
 type Action struct {
 	VSSD int
 	Kind ActionKind
-	// BW is the gsb_bw operand of Harvest/Make_Harvestable, or the rate of
-	// SetRateLimit, in bytes/s.
+	// BW is the gsb_bw operand of Harvest/Make_Harvestable, in bytes/s.
 	BW float64
 	// Level is the Set_Priority operand.
 	Level int
@@ -178,8 +171,6 @@ func (p *Platform) Apply(a Action) {
 		p.applyHarvestTarget(v, p.gsbm.ChannelsFor(a.BW))
 	case ActSetChannels:
 		v.tenant.SetChannels(a.Channels)
-	case ActSetRateLimit:
-		v.SetRateLimit(a.BW, 0)
 	default:
 		panic(fmt.Sprintf("vssd: unknown action %v", a.Kind))
 	}

@@ -87,9 +87,6 @@ type Config struct {
 	// SLO is the per-request latency objective; violations feed the RL
 	// state and reward. 0 disables violation tracking until calibrated.
 	SLO sim.Time
-	// RateLimitBps enables token-bucket throttling (software isolation)
-	// with a bucket one second of rate deep; SetRateLimit changes both.
-	RateLimitBps float64
 	// MaxInflightPages caps the page ops a vSSD keeps dispatched (host
 	// queue depth). 0 defaults to 4 per owned channel.
 	MaxInflightPages int
@@ -117,8 +114,11 @@ type VSSD struct {
 	freeRuns *stallRun // recycled stallRun free list
 	inflight int
 
+	// The token bucket SetRateLimit configures: rate bytes/s (0:
+	// unthrottled) into a bucket burst bytes deep.
+	rate       float64
 	tokens     float64
-	burst      float64 // token-bucket depth in bytes
+	burst      float64
 	lastRefill sim.Time
 	pumpArmed  bool
 
@@ -161,12 +161,11 @@ func (v *VSSD) setPriority(level int) {
 // SLO returns the current latency objective.
 func (v *VSSD) SLO() sim.Time { return v.slo }
 
-// SetRateLimit reconfigures the token bucket (0 disables throttling).
+// SetRateLimit throttles the vSSD to bps bytes/s through a token bucket
+// burst bytes deep (bps 0 disables throttling). The bucket keeps the tokens
+// it holds, up to the new depth; a new vSSD's bucket holds none.
 func (v *VSSD) SetRateLimit(bps, burst float64) {
-	v.cfg.RateLimitBps = bps
-	if burst <= 0 {
-		burst = bps
-	}
+	v.rate = bps
 	v.burst = burst
 	if v.tokens > burst {
 		v.tokens = burst
@@ -260,12 +259,12 @@ func (v *VSSD) Submit(r *Request) {
 // refillTokens advances the token bucket to now.
 func (v *VSSD) refillTokens() {
 	now := v.plat.eng.Now()
-	if v.cfg.RateLimitBps <= 0 {
+	if v.rate <= 0 {
 		v.lastRefill = now
 		return
 	}
 	dt := float64(now-v.lastRefill) / 1e9
-	v.tokens += dt * v.cfg.RateLimitBps
+	v.tokens += dt * v.rate
 	if v.tokens > v.burst {
 		v.tokens = v.burst
 	}
@@ -279,7 +278,7 @@ func (v *VSSD) pump() {
 	pageSize := v.plat.cfg.PageSize
 	for v.qhead < len(v.queue) && v.inflight < v.maxInflight() {
 		r := v.queue[v.qhead]
-		if v.cfg.RateLimitBps > 0 {
+		if v.rate > 0 {
 			need := float64(r.bytes(pageSize))
 			if v.tokens < need {
 				v.armPump(need)
@@ -303,7 +302,7 @@ func (v *VSSD) armPump(need float64) {
 	if v.pumpArmed {
 		return
 	}
-	wait := sim.Time((need - v.tokens) / v.cfg.RateLimitBps * 1e9)
+	wait := sim.Time((need - v.tokens) / v.rate * 1e9)
 	if wait < sim.Microsecond {
 		wait = sim.Microsecond
 	}

@@ -212,15 +212,6 @@ func TestSetChannelsAction(t *testing.T) {
 	}
 }
 
-func TestSetRateLimitAction(t *testing.T) {
-	_, p := testPlatform(2)
-	v := p.AddVSSD(Config{Name: "a", Channels: chanRange(0, 2)})
-	p.Apply(Action{VSSD: 0, Kind: ActSetRateLimit, BW: 1e6})
-	if v.cfg.RateLimitBps != 1e6 {
-		t.Fatal("rate limit not applied")
-	}
-}
-
 func TestClosedLoopThroughputScalesWithChannels(t *testing.T) {
 	// The core premise of harvesting: more channels, more bandwidth.
 	run := func(nch int) float64 {
@@ -313,8 +304,8 @@ func TestIsolationString(t *testing.T) {
 }
 
 func TestActionKindString(t *testing.T) {
-	kinds := []ActionKind{ActHarvest, ActMakeHarvestable, ActSetPriority, ActSetChannels, ActSetRateLimit}
-	want := []string{"Harvest", "Make_Harvestable", "Set_Priority", "Set_Channels", "Set_RateLimit"}
+	kinds := []ActionKind{ActHarvest, ActMakeHarvestable, ActSetPriority, ActSetChannels}
+	want := []string{"Harvest", "Make_Harvestable", "Set_Priority", "Set_Channels"}
 	for i, k := range kinds {
 		if k.String() != want[i] {
 			t.Fatalf("kind %d = %q", i, k.String())

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # check.sh — the repo's `make check`: formatting, vet, build, the full test
 # suite (plus the nested bench/ module's vet and one run of each example),
-# the five grep gates (one device stack that alone binds generators, one NN
-# compute path, one retry protocol with host stalls as stall runs, bus lane,
-# hot-path boxing), the race detector on the
+# the four grep gates (one NN compute path, one retry protocol with host
+# stalls as stall runs, bus lane, hot-path boxing), the race detector on the
 # concurrency-heavy packages, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
 # what a rack device costs in bytes, how much of a synthesized replay trace
@@ -17,8 +16,11 @@
 # exported internal/ name (func, method, type, const or var) that no other
 # package needs unless testdata/api_allowlist.txt names it, and on an
 # allowlist line that names nothing; TestObsExportsDocumented, beside it,
-# fails on an exported internal/obs name without a doc comment. Both run
-# inside `go test ./...`, so they have no leg here. Shrink the allowlist by
+# fails on an exported internal/obs name without a doc comment; and
+# TestOneDeviceStack fails on a non-test use of vssd.NewPlatform outside
+# device.New or of workload.NewGenerator outside internal/device, resolved
+# by the type checker, so an import alias or a function value is caught.
+# All three run inside `go test ./...`, so they have no leg here. Shrink the allowlist by
 # giving a name a caller or removing it; never grow it to make a change
 # pass. Performance is measured by bench/run.sh, not here.
 set -eu
@@ -65,23 +67,6 @@ echo "== examples smoke (each runs once)"
 for ex in examples/*/; do
     go run "./$ex" > /dev/null
 done
-
-echo "== one device stack"
-# A device is assembled in one function, device.New: every single-device run
-# (harness.NewRun: the public Simulator, the share-sized solo devices of a
-# split hardware-isolated run and the §4.7 overhead device included) and
-# every rack shard (fleet.newShard) is one device.Device. Only internal/device
-# binds workload generators (Device.Drive), so traffic starts and stops in
-# one place. A non-test call anywhere else, in any package, fails here.
-if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } /^}/ { fn = "" }
-    (/vssd\.NewPlatform\(/ && !(FILENAME ~ /^internal\/device\// && fn ~ /^func New\(/)) ||
-    (/workload\.NewGenerator\(/ && FILENAME !~ /^internal\/device\//) {
-        printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1
-    }
-    END { exit !bad }' $(find ./*.go cmd examples internal -name '*.go' ! -name '*_test.go' | sed 's|^\./||'); then
-    echo "device built or driven outside internal/device: build it with device.New, bind generators with Device.Drive" >&2
-    exit 1
-fi
 
 echo "== one NN compute path"
 # The row-major kernels (ForwardBatch/BackwardBatch, with b = 1 for a single
