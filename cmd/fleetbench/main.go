@@ -19,12 +19,16 @@
 // -faults injects deterministic NAND failures into the measured runs:
 // "light", "heavy", or a k=v spec (see internal/fault.ParseSpec).
 //
-// -fig fleet and -fig tiers build their own tenants, steady and
-// fault-free: each fails on -faults, -workload or -trace.
+// Every figure reads every shared flag, the rack figures included: each
+// rack device injects -faults from its own seed, and each rack tenant
+// arrives under -workload (and replays -trace) as a single run's tenant
+// does. A figure that sweeps a flag overrides it on each rung of its
+// ladder: -fig faults sets -faults per level, and -fig workloads sets
+// -workload per shape and runs its cohort rack steady.
 //
-// -fig fleet runs the rack-scale scenario — -fleet N devices (default 64)
-// under one virtual clock, comparing the placement baselines with fleet
-// admission and cold migration live.
+// -fig fleet runs the rack-scale scenario — -fleet N devices (default 64;
+// a set N is at least 2) under one virtual clock, comparing the placement
+// baselines with fleet admission and cold migration live.
 //
 // -fig tiers runs the hybrid-rack scenario — -fleet N devices (default 8)
 // split into a fast SLC-like class and a dense QLC-like class, comparing
@@ -77,7 +81,7 @@ func main() {
 	}
 	sc := scenarios[idx]
 
-	opt, srv, err := shared(flagMode(*fig))
+	opt, srv, err := shared()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,17 +102,4 @@ func main() {
 	}
 
 	sc.Render(os.Stdout, opt)
-}
-
-// flagMode is which shared flags figure fig reads: the rack figures take
-// no -faults, -workload or -trace, and the workloads figure sweeps every
-// shape itself, taking only a -trace's records.
-func flagMode(fig string) harness.FlagMode {
-	switch fig {
-	case "fleet", "tiers":
-		return harness.RackFlags
-	case "workloads":
-		return harness.SweepFlags
-	}
-	return harness.DeviceFlags
 }

@@ -8,6 +8,7 @@
 //	fleetsim -workload bursty -seconds 10
 //	fleetsim -trace trace.bin -seconds 10
 //	fleetsim -fleet 64 -placement least-loaded -seconds 4
+//	fleetsim -fleet 8 -faults light -workload bursty -seconds 4
 //
 // With -http the run exports live telemetry on /metrics (Prometheus text
 // format) and the pprof handlers on /debug/pprof/, and keeps serving after
@@ -27,18 +28,24 @@
 // -faults injects deterministic NAND failures into the measured run:
 // "light", "heavy", or a k=v spec (see internal/fault.ParseSpec).
 //
-// -fleet N switches to the rack-scale simulation: N devices under one
-// virtual clock with fleet admission and cold migration, the placement
-// baseline chosen by -placement (least-loaded, round-robin, or hash).
+// -fleet N (N >= 2) switches to the rack-scale simulation: N devices under
+// one virtual clock with fleet admission and cold migration, the placement
+// baseline chosen by -placement (least-loaded, round-robin, or hash). A
+// rack is N of the device a single run simulates, so -faults, -workload
+// and -trace apply to it as they do to one device: every shard injects
+// faults from its own seed, and every tenant arrives under the shape (and
+// replays the trace) a single run's tenant would.
 //
 // -tiers (with -fleet) makes the rack hybrid: a fast SLC-like device
 // class plus a dense QLC-like class, with promote/demote driven by
 // -tier-policy (static-pin, watermark, or learned).
 //
-// A flag the chosen mode does not read is an error, not a no-op: a rack
-// takes no -mix, -policy, -faults, -workload, -trace or -decisions; a
-// single device takes no -tiers, -tier-policy or -placement; a hybrid rack
-// takes no -placement, and a homogeneous one no -tier-policy.
+// A flag that names the other mode's structure is an error, not a no-op: a
+// rack has no single mix, policy or decision stream, so it takes no -mix,
+// -policy or -decisions; a single device takes no -tiers, -tier-policy or
+// -placement; a hybrid rack takes no -placement, and a homogeneous one no
+// -tier-policy. A -mix the device cannot run (an unknown workload, or a
+// tenant count that does not divide its channels) fails before the run.
 package main
 
 import (
@@ -57,7 +64,7 @@ import (
 // flags is fleetsim's command line: the flags shared with fleetbench and
 // its own.
 type flags struct {
-	shared                                        func(mode harness.FlagMode) (harness.Options, *obs.Server, error)
+	shared                                        func() (harness.Options, *obs.Server, error)
 	mix, policy, decisions, placement, tierPolicy *string
 	tiers                                         *bool
 }
@@ -75,19 +82,41 @@ func declareFlags(fs *flag.FlagSet) flags {
 	}
 }
 
-// checkMode rejects a fleetsim-only flag set on fs that the run's mode
-// ignores, naming the flag, and returns the mode to resolve the shared
-// flags under (the resolver rejects the shared flags the mode ignores); fs
-// must be parsed.
-func checkMode(fs *flag.FlagSet, tiers bool) (harness.FlagMode, error) {
-	rack := fs.Lookup("fleet").Value.(flag.Getter).Get().(int) > 0
+// checkMode rejects, naming the flag, a fleetsim-only flag set on fs that
+// names the other mode's structure, and a -mix one device cannot run; fs
+// must be parsed and opt resolved from it.
+func checkMode(fs *flag.FlagSet, f flags, opt harness.Options) error {
 	switch {
-	case rack && tiers:
-		return harness.RackFlags, harness.RejectSet(fs, "a hybrid rack (-tiers)", "mix", "policy", "decisions", "placement")
-	case rack:
-		return harness.RackFlags, harness.RejectSet(fs, "a rack (-fleet)", "mix", "policy", "decisions", "tier-policy")
+	case opt.FleetDevices > 0 && *f.tiers:
+		return rejectSet(fs, "a hybrid rack (-tiers)", "mix", "policy", "decisions", "placement")
+	case opt.FleetDevices > 0:
+		return rejectSet(fs, "a rack (-fleet)", "mix", "policy", "decisions", "tier-policy")
 	}
-	return harness.DeviceFlags, harness.RejectSet(fs, "a single device", "tiers", "tier-policy", "placement")
+	if err := rejectSet(fs, "a single device", "tiers", "tier-policy", "placement"); err != nil {
+		return err
+	}
+	if err := mixOf(*f.mix).Check(opt); err != nil {
+		return fmt.Errorf("-mix %s: %w", *f.mix, err)
+	}
+	return nil
+}
+
+// rejectSet returns an error naming the first of names set on the parsed
+// fs: that flag does not apply to mode (e.g. "a rack (-fleet)").
+func rejectSet(fs *flag.FlagSet, mode string, names ...string) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range names {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply to %s", name, mode)
+		}
+	}
+	return nil
+}
+
+// mixOf is the mix a -mix value names.
+func mixOf(mix string) harness.MixSpec {
+	return harness.MixSpec{Label: mix, Workloads: strings.Split(mix, ",")}
 }
 
 func main() {
@@ -95,11 +124,10 @@ func main() {
 	log.SetPrefix("fleetsim: ")
 	f := declareFlags(flag.CommandLine)
 	flag.Parse()
-	mode, err := checkMode(flag.CommandLine, *f.tiers)
-	if err != nil {
-		log.Fatal(err)
+	opt, srv, err := f.shared()
+	if err == nil {
+		err = checkMode(flag.CommandLine, f, opt)
 	}
-	opt, srv, err := f.shared(mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,7 +182,7 @@ func runDevice(opt harness.Options, mixFlag, policy, decisionsPath string) {
 	if !ok {
 		log.Fatalf("unknown policy %q", policy)
 	}
-	mix := harness.MixSpec{Label: mixFlag, Workloads: strings.Split(mixFlag, ",")}
+	mix := mixOf(mixFlag)
 	if kind == harness.PolFleetIO {
 		opt = harness.WithPretrained(opt)
 	}

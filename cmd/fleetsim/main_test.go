@@ -3,14 +3,41 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-// TestModeRejectsIgnoredFlags: a flag the chosen mode does not read fails
-// the run, naming the flag, instead of being silently dropped. fleetsim's
-// own flags fail in checkMode, the shared ones when they resolve.
+// TestModeRejectsIgnoredFlags: a flag that names the other mode's
+// structure, or a value no run can take, fails before the run, naming the
+// flag, instead of being silently dropped or panicking mid-run. The shared
+// flags fail when they resolve, fleetsim's own in checkMode. A rack reads
+// every device flag.
 func TestModeRejectsIgnoredFlags(t *testing.T) {
+	// The rack's -trace case replays t.bin from the working directory.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "t.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Write(f, []trace.Record{{At: 0, Pages: 1}, {At: 5, Write: true, LPN: 8, Pages: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(wd) })
+
 	cases := []struct {
 		args    []string
 		wantErr string // the flag named; empty: accepted
@@ -20,11 +47,11 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 		{args: []string{"-fleet", "4", "-placement", "hash"}},
 		{args: []string{"-fleet", "4", "-tiers", "-tier-policy", "watermark"}},
 		{args: []string{"-fleet", "4", "-seconds", "0.5", "-parallel", "2", "-seed", "3"}},
-		{args: []string{"-fleet", "4", "-faults", "heavy"}, wantErr: "-faults"},
-		{args: []string{"-fleet", "4", "-workload", "bursty"}, wantErr: "-workload"},
+		{args: []string{"-fleet", "4", "-faults", "heavy"}},
+		{args: []string{"-fleet", "4", "-workload", "bursty"}},
+		{args: []string{"-fleet", "4", "-trace", "t.bin"}},
 		{args: []string{"-fleet", "4", "-mix", "YCSB,MLPrep"}, wantErr: "-mix"},
 		{args: []string{"-fleet", "4", "-policy", "hardware"}, wantErr: "-policy"},
-		{args: []string{"-fleet", "4", "-trace", "t.bin"}, wantErr: "-trace"},
 		{args: []string{"-fleet", "4", "-decisions", "d.jsonl"}, wantErr: "-decisions"},
 		{args: []string{"-fleet", "4", "-tier-policy", "watermark"}, wantErr: "-tier-policy"},
 		{args: []string{"-fleet", "4", "-tiers", "-placement", "hash"}, wantErr: "-placement"},
@@ -32,6 +59,9 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 		{args: []string{"-fleet", "0", "-tiers"}, wantErr: "-tiers"},
 		{args: []string{"-tier-policy", "static-pin"}, wantErr: "-tier-policy"},
 		{args: []string{"-placement", "round-robin"}, wantErr: "-placement"},
+		{args: []string{"-fleet", "1", "-tiers"}, wantErr: "-fleet"},
+		{args: []string{"-mix", "YCSB,Nope"}, wantErr: "-mix"},
+		{args: []string{"-mix", "YCSB,TeraSort,MLPrep"}, wantErr: "-mix"},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -41,9 +71,9 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 			if err := fs.Parse(c.args); err != nil {
 				t.Fatal(err)
 			}
-			mode, err := checkMode(fs, *f.tiers)
+			opt, _, err := f.shared()
 			if err == nil {
-				_, _, err = f.shared(mode)
+				err = checkMode(fs, f, opt)
 			}
 			if c.wantErr == "" {
 				if err != nil {

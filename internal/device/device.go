@@ -154,3 +154,46 @@ func (d *Device) Runner() *core.Runner { return d.runner }
 
 // Generators returns the bound generators by vSSD id (nil: undriven).
 func (d *Device) Generators() []*workload.Generator { return d.gens }
+
+// FaultStats is a device's fault-recovery ledger: what its NAND injected
+// and what the FTL and vSSD layers did about it.
+type FaultStats struct {
+	Device          flash.FaultStats
+	Retired         int64
+	Remapped        int64
+	GCRetryPrograms int64
+	GCRetrySkips    int64
+	WriteRetries    int64
+}
+
+// Recovered is the number of injected program failures resolved by a
+// recovery action. A settled device satisfies
+// Device.ProgramFails == Remapped == Recovered().
+func (s FaultStats) Recovered() int64 {
+	return s.WriteRetries + s.GCRetryPrograms + s.GCRetrySkips
+}
+
+// Balanced reports whether every injected program failure was remapped and
+// recovered exactly once — the invariant the fault-injection error paths
+// are built around.
+func (s FaultStats) Balanced() bool {
+	return s.Device.ProgramFails == s.Remapped && s.Device.ProgramFails == s.Recovered()
+}
+
+// FaultStats reads the fault-recovery ledger as it stands. A program that
+// failed just before now may not have completed its retry yet: stop the
+// generators and advance a little first to read a settled ledger.
+func (d *Device) FaultStats() FaultStats {
+	fst := d.plat.FTL().Stats()
+	st := FaultStats{
+		Device:          d.plat.Device().FaultStats(),
+		Retired:         fst.Retired,
+		Remapped:        fst.Remapped,
+		GCRetryPrograms: fst.GCRetryPrograms,
+		GCRetrySkips:    fst.GCRetrySkips,
+	}
+	for _, v := range d.plat.VSSDs() {
+		st.WriteRetries += v.TotalRetries()
+	}
+	return st
+}

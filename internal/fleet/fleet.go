@@ -31,6 +31,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fault"
 	"repro/internal/flash"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -116,7 +118,28 @@ type Config struct {
 	// Obs, when non-nil, receives the fleetio_fleet_* metric roll-up,
 	// refreshed at every epoch boundary.
 	Obs *obs.Registry
+
+	// Faults, when non-nil and enabled, installs a NAND fault injector on
+	// every shard, each seeded from its own stream of Faults.Seed (0 →
+	// Seed). Learned tier agents then also see the per-tenant write-retry
+	// rate.
+	Faults *fault.Config
+	// WorkloadShape overlays a temporal arrival shape on every tenant, each
+	// with its own shape seed; a migrated tenant keeps its shaped profile.
+	WorkloadShape workload.Shape
+	// ReplayRecords, when non-empty, is the trace every ShapeReplay tenant
+	// replays; empty means each replays a trace synthesized from its own
+	// profile.
+	ReplayRecords []trace.Record
 }
+
+// Stream keys, one range per use (a shard's stream is keyed by its id
+// alone), so no two streams of a rack share a key.
+const (
+	tenantStream = 1 << 20 // + tenant id: the tenant's private stream
+	faultStream  = 2 << 20 // + shard id: the shard's fault-injector seed
+	shapeStream  = 3 << 20 // + tenant id: the tenant's shape seed
+)
 
 // The control plane's fixed parameters. No caller ever needed a different
 // value, so they are constants rather than Config fields.
@@ -301,9 +324,11 @@ type Tenant struct {
 
 	arrival  sim.Time
 	placedAt sim.Time
-	// class is the workload's latency/bandwidth class, resolved once at
-	// construction (tier placement and the tail-latency roll-up read it).
-	class workload.Class
+	// prof is the workload's profile under Config.WorkloadShape, shaped
+	// once at construction: every generator the tenant gets, on any
+	// device, drives it, and its Class is the tenant's latency/bandwidth
+	// class (tier placement and the tail-latency roll-up read it).
+	prof workload.Profile
 	// pageSize/logicalPages snapshot the tenant's device geometry at
 	// placement, for classification after the tenant departs or on racks
 	// where classes differ per device.
@@ -386,7 +411,7 @@ func New(cfg Config) *Fleet {
 	for t, cl := range cfg.Classes {
 		first := len(f.shards)
 		for id := first; id < first+cl.Devices; id++ {
-			f.shards = append(f.shards, newShard(cfg.Window, cl.Flash, t, learned, base.Stream(int64(id))))
+			f.shards = append(f.shards, newShard(cfg, id, cl.Flash, t, learned, base.Stream(int64(id))))
 		}
 		f.tiers = append(f.tiers, f.shards[first:])
 	}
@@ -394,14 +419,18 @@ func New(cfg Config) *Fleet {
 	f.tenants = make([]*Tenant, cfg.Tenants)
 	for i := range f.tenants {
 		name := cycle[i%len(cycle)]
+		prof := workload.ByName(name)
+		if cfg.WorkloadShape != workload.ShapeSteady {
+			prof = workload.ApplyShape(prof, cfg.WorkloadShape, base.Stream(int64(shapeStream+i)).Int63(), cfg.ReplayRecords)
+		}
 		f.tenants[i] = &Tenant{
 			ID:       i,
 			Workload: name,
 			State:    StateQueued,
 			Device:   -1,
 			arrival:  sim.Time(i+1) * cfg.arrivalEvery,
-			class:    workload.ByName(name).Class,
-			rng:      base.Stream(int64(1<<20 + i)),
+			prof:     prof,
+			rng:      base.Stream(int64(tenantStream + i)),
 		}
 	}
 	return f
@@ -555,7 +584,7 @@ func (f *Fleet) epochShard(sh *Shard, e epoch) {
 func (f *Fleet) buildQueued(sh *Shard) {
 	for _, tn := range sh.queued {
 		tn.vssd = f.addTenantVSSD(sh, tn)
-		tn.gen = sh.dev.Drive(tn.vssd.ID(), workload.ByName(tn.Workload), tn.rng, tn.rec)
+		tn.gen = sh.dev.Drive(tn.vssd.ID(), tn.prof, tn.rng, tn.rec)
 	}
 	sh.queued = sh.queued[:0]
 }
@@ -766,19 +795,27 @@ type Shard struct {
 	utilSum   float64
 }
 
-// newShard builds one device shard on its own engine, with the class
-// geometry fc. On a learned rack the shard's decision runner deploys the
-// FleetIO agent stack instead of the static placeholder policy.
-func newShard(window sim.Time, fc flash.Config, tier int, learned bool, rng *sim.RNG) *Shard {
-	sh := &Shard{dev: device.New(fc, nil, nil), tier: tier}
+// newShard builds shard id on its own engine, with the class geometry fc
+// and, when cfg injects faults, its own fault injector. On a learned rack
+// the shard's decision runner deploys the FleetIO agent stack instead of
+// the static placeholder policy.
+func newShard(cfg Config, id int, fc flash.Config, tier int, learned bool, rng *sim.RNG) *Shard {
+	var faults *fault.Config
+	if cfg.Faults != nil && cfg.Faults.Enabled() {
+		shard := *cfg.Faults
+		shard.Seed = sim.NewRNG(cmp.Or(shard.Seed, cfg.Seed)).Stream(int64(faultStream + id)).Int63()
+		faults = &shard
+	}
+	sh := &Shard{dev: device.New(fc, nil, faults), tier: tier}
 	var pol core.Policy = core.StaticPolicy{PolicyName: "fleet-device"}
 	if learned {
 		// The shard RNG is otherwise never drawn from, so seeding the agent
-		// stack off it costs the non-learned paths nothing.
-		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{Train: true, Seed: rng.Int63(), Tiered: true})
+		// stack off it costs the non-learned paths nothing. The agents are
+		// never pretrained, so under faults they see the write-retry rate.
+		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{Train: true, Seed: rng.Int63(), Tiered: true, ErrorRateState: faults != nil})
 		pol = sh.fio
 	}
-	sh.dev.Attach(pol, nil, window)
+	sh.dev.Attach(pol, nil, cfg.Window)
 	return sh
 }
 
@@ -817,7 +854,7 @@ func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 			Isolation:        vssd.SoftwareIsolated,
 			Channels:         make([]int, fc.Channels),
 			LogicalPages:     slotLogicalPages(fc),
-			MaxInflightPages: workload.ByName(tn.Workload).MaxInflightPages,
+			MaxInflightPages: tn.prof.MaxInflightPages,
 		},
 		Overwrite: 0.2,
 		RNG:       tn.rng,
@@ -825,7 +862,7 @@ func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 	for i := range spec.Channels {
 		spec.Channels[i] = i
 	}
-	if f.lsSLO > 0 && tn.class == workload.Latency {
+	if f.lsSLO > 0 && tn.prof.Class == workload.Latency {
 		spec.SLO = f.lsSLO
 	}
 	if tn.Migrations == 0 {
@@ -845,7 +882,7 @@ func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 		// emit's SLO-escalation guardrail), bandwidth-class tenants get
 		// α=0, which also caps their priority at medium.
 		alpha := 0.0
-		if tn.class == workload.Latency {
+		if tn.prof.Class == workload.Latency {
 			alpha = core.AlphaLC1
 		}
 		s.fio.SetAlpha(v.ID(), alpha)

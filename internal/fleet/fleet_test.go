@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -56,6 +57,56 @@ func render(s Stats) string {
 			d.Device, d.Tenants, d.MeanUtil, d.BytesMoved, d.Completed)
 	}
 	return b.String()
+}
+
+// TestRackFaultLedgerBalances: an 8-device rack under heavy NAND faults
+// runs to completion with its control-plane ledger balanced. Settled the
+// way harness.Run.FaultStats settles a single run (generators stopped,
+// 50 ms more), and then until nothing on the shard is queued, in flight or
+// collecting (a shard's GC outlives its traffic, and a GC program that
+// just failed is not yet remapped), every shard's fault-recovery ledger
+// balances too: each injected program failure was remapped and recovered
+// exactly once.
+func TestRackFaultLedgerBalances(t *testing.T) {
+	cfg := testConfig()
+	cfg.Devices = 8
+	heavy := fault.Heavy()
+	cfg.Faults = &heavy
+	f := New(cfg)
+	if st := f.Run(); !st.Balanced() {
+		t.Fatalf("ledger imbalance: %+v", st)
+	}
+	var injected int64
+	for i, sh := range f.Shards() {
+		sh.dev.Stop()
+		at := f.cfg.Duration + 50*sim.Millisecond
+		sh.dev.Advance(at)
+		for busy(sh) {
+			if at += sim.Millisecond; at > f.cfg.Duration+sim.Second {
+				t.Fatalf("shard %d still busy a second after its generators stopped", i)
+			}
+			sh.dev.Advance(at)
+		}
+		st := sh.dev.FaultStats()
+		injected += st.Device.ProgramFails
+		if !st.Balanced() {
+			t.Errorf("shard %d: injected=%d remapped=%d recovered=%d", i, st.Device.ProgramFails, st.Remapped, st.Recovered())
+		}
+	}
+	if injected == 0 {
+		t.Fatal("heavy faults injected no program failure")
+	}
+}
+
+// busy reports whether any vSSD on sh has queued or in-flight I/O or is
+// collecting.
+func busy(sh *Shard) bool {
+	for _, v := range sh.Platform().VSSDs() {
+		if v.QueueLen() > 0 || v.Inflight() > 0 || v.Tenant().InGC() {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFleetLedgerBalances(t *testing.T) {

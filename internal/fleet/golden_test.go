@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
+	"repro/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite internal/fleet/testdata/*.golden")
@@ -21,8 +23,10 @@ func typeModel() *cluster.Model {
 // TestRackGoldens is the one determinism pin for every kind of rack the
 // package runs: each placement baseline on a small homogeneous rack with
 // migration on, each tier policy on a 2+6 hybrid rack with churn, a cohort
-// rack with sessions and traffic typing, and a rack whose last arrival
-// lands on the final epoch boundary. Every entry is rendered (roll-up plus
+// rack with sessions and traffic typing, a rack whose last arrival lands
+// on the final epoch boundary, and the least-loaded rack under light NAND
+// faults and under the bursty shape (each of which must differ from the
+// fault-free steady one). Every entry is rendered (roll-up plus
 // per-device detail) at one, three and four workers (three gives home
 // spans of unequal size, so stealing crosses spans of different lengths);
 // each must equal the checked-in golden, and every tenant holding a slot
@@ -37,6 +41,8 @@ func TestRackGoldens(t *testing.T) {
 		// placedAtEnd: the final barrier must place a tenant, which no
 		// epoch after it advances.
 		placedAtEnd bool
+		// differsFrom names a golden this rack's must not equal.
+		differsFrom string
 	}
 	var racks []rack
 	for _, p := range Placements() {
@@ -54,6 +60,13 @@ func TestRackGoldens(t *testing.T) {
 	atEnd.Tenants = 8
 	atEnd.arrivalEvery = atEnd.Duration / 8
 	racks = append(racks, rack{name: "arrival-at-end", cfg: atEnd, placedAtEnd: true})
+	faulty := testConfig()
+	light := fault.Light()
+	faulty.Faults = &light
+	racks = append(racks, rack{name: "faults-light", cfg: faulty, differsFrom: "placement-least-loaded"})
+	bursty := testConfig()
+	bursty.WorkloadShape = workload.ShapeBursty
+	racks = append(racks, rack{name: "bursty", cfg: bursty, differsFrom: "placement-least-loaded"})
 
 	for _, r := range racks {
 		t.Run(r.name, func(t *testing.T) {
@@ -96,6 +109,15 @@ func TestRackGoldens(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Fatalf("output diverged from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+			}
+			if r.differsFrom != "" {
+				other, err := os.ReadFile(filepath.Join("testdata", r.differsFrom+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got == string(other) {
+					t.Fatalf("output equals %s.golden: the rack ignored its option", r.differsFrom)
+				}
 			}
 		})
 	}

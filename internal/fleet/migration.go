@@ -3,7 +3,6 @@ package fleet
 import (
 	"repro/internal/sim"
 	"repro/internal/vssd"
-	"repro/internal/workload"
 )
 
 // migration tracks one in-flight cold migration through its three phases:
@@ -198,7 +197,7 @@ func (f *Fleet) cutOver(m *migration, now sim.Time) {
 	tn.State = StateRunning
 	tn.placedAt = now
 	f.shards[m.dst].resident = append(f.shards[m.dst].resident, tn)
-	tn.gen = f.shards[m.dst].dev.Drive(m.dstVSSD.ID(), workload.ByName(tn.Workload), tn.rng, tn.rec)
+	tn.gen = f.shards[m.dst].dev.Drive(m.dstVSSD.ID(), tn.prof, tn.rng, tn.rec)
 	f.led.MigrationsCompleted++
 	f.led.Downtime += now - m.started
 	if m.tierMove != 0 {

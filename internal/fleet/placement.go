@@ -102,7 +102,7 @@ func (f *Fleet) place(tn *Tenant) (int, bool) {
 	}
 	lo, hi := f.fastRange()
 	slo, shi := f.denseRange()
-	if tn.class != workload.Latency {
+	if tn.prof.Class != workload.Latency {
 		lo, hi, slo, shi = slo, shi, lo, hi
 	}
 	if dev, ok := f.pick(f.cfg.Placement, tn, lo, hi); ok {

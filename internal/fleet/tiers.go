@@ -197,7 +197,7 @@ func coldest(_ *Fleet, tn *Tenant) (int64, bool) { return -tn.epochBytes, true }
 // is never demoted on a sampled hint (the tier analogue of
 // core.FleetIO.emit's priority guardrails).
 func hintsDense(f *Fleet, tn *Tenant) (int64, bool) {
-	return -tn.epochBytes, tn.class != workload.Latency && f.tierHint(tn) == core.TierDense
+	return -tn.epochBytes, tn.prof.Class != workload.Latency && f.tierHint(tn) == core.TierDense
 }
 
 // hintsFast is the learned policy's promote rank: latency-class tenants
@@ -205,7 +205,7 @@ func hintsDense(f *Fleet, tn *Tenant) (int64, bool) {
 // pulled toward the fast tier whenever a slot is free), then
 // bandwidth-class tenants that hint fast; within a group, hottest wins.
 func hintsFast(f *Fleet, tn *Tenant) (int64, bool) {
-	if tn.class == workload.Latency {
+	if tn.prof.Class == workload.Latency {
 		return tn.epochBytes + 1<<62, true // outranks any byte count
 	}
 	return tn.epochBytes, f.tierHint(tn) == core.TierFast
@@ -261,7 +261,7 @@ func (f *Fleet) collectTiers(s *Stats) {
 	}
 	var sum float64
 	for _, tn := range f.tenants[:f.nextArr] {
-		if tn.class != workload.Latency || tn.vssd == nil {
+		if tn.prof.Class != workload.Latency || tn.vssd == nil {
 			continue
 		}
 		if tn.State != StateRunning && tn.State != StateLeaving {

@@ -145,7 +145,7 @@ func TestTierStaticPinPlacement(t *testing.T) {
 			continue
 		}
 		fast := tn.Device < fh
-		if lat := tn.class == workload.Latency; lat != fast {
+		if lat := tn.prof.Class == workload.Latency; lat != fast {
 			t.Errorf("tenant %d (%s, latency=%v) on device %d (fast=%v)",
 				tn.ID, tn.Workload, lat, tn.Device, fast)
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/device"
 	"repro/internal/fault"
-	"repro/internal/flash"
 	"repro/internal/sim"
 )
 
@@ -18,57 +18,15 @@ func faultLevels() []level {
 	return []level{lvl("off", nil), lvl("light", &light), lvl("heavy", &heavy)}
 }
 
-// FaultRunStats is the fault-recovery ledger of one measured run: what the
-// device injected and what the FTL/vSSD layers did about it.
-type FaultRunStats struct {
-	Device          flash.FaultStats
-	Retired         int64
-	Remapped        int64
-	GCRetryPrograms int64
-	GCRetrySkips    int64
-	WriteRetries    int64
-}
-
-// recovered is the number of injected program failures resolved by a
-// recovery action. A healthy run satisfies
-// Device.ProgramFails == Remapped == recovered().
-func (s FaultRunStats) recovered() int64 {
-	return s.WriteRetries + s.GCRetryPrograms + s.GCRetrySkips
-}
-
-// Balanced reports whether every injected program failure was remapped and
-// recovered exactly once — the invariant the fault-injection error paths
-// are built around.
-func (s FaultRunStats) Balanced() bool {
-	return s.Device.ProgramFails == s.Remapped && s.Device.ProgramFails == s.recovered()
-}
-
-// FaultStats reads the run's fault-recovery ledger off the platform.
-func (r *Run) FaultStats() FaultRunStats {
+// FaultStats reads the run's fault-recovery ledger off its device.
+func (r *Run) FaultStats() device.FaultStats {
 	// Settle the ledger before reading it: a program that failed right at
 	// the stop boundary may not have completed its retry yet, and a GC
 	// re-program can be waiting out a 1 ms allocation backoff. The Result
 	// was collected when the run finished, so the measured figures are
 	// untouched.
 	r.Advance(r.end + 50*sim.Millisecond)
-	return r.faultLedger()
-}
-
-// faultLedger reads the ledger as it stands.
-func (r *Run) faultLedger() FaultRunStats {
-	plat := r.Platform()
-	fst := plat.FTL().Stats()
-	st := FaultRunStats{
-		Device:          plat.Device().FaultStats(),
-		Retired:         fst.Retired,
-		Remapped:        fst.Remapped,
-		GCRetryPrograms: fst.GCRetryPrograms,
-		GCRetrySkips:    fst.GCRetrySkips,
-	}
-	for _, v := range plat.VSSDs() {
-		st.WriteRetries += v.TotalRetries()
-	}
-	return st
+	return r.dev.FaultStats()
 }
 
 // figureFaults renders the fault scenario for every mix: SLO preservation
@@ -85,7 +43,7 @@ func figureFaults(w io.Writer, mixes []MixSpec, opt Options) {
 			st.GCRetryPrograms+st.GCRetrySkips)
 		if !st.Balanced() {
 			row += fmt.Sprintf("\n  !! recovery imbalance: injected=%d remapped=%d recovered=%d",
-				st.Device.ProgramFails, st.Remapped, st.recovered())
+				st.Device.ProgramFails, st.Remapped, st.Recovered())
 		}
 		return row
 	})

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -34,7 +35,7 @@ func TestFaultRecoveryInvariant(t *testing.T) {
 	}
 	if !st.Balanced() {
 		t.Fatalf("recovery imbalance: injected=%d remapped=%d recovered=%d (writeRetries=%d gcRetry=%d gcSkip=%d)",
-			st.Device.ProgramFails, st.Remapped, st.recovered(),
+			st.Device.ProgramFails, st.Remapped, st.Recovered(),
 			st.WriteRetries, st.GCRetryPrograms, st.GCRetrySkips)
 	}
 	if st.Retired < st.Device.EraseFails {
@@ -57,7 +58,7 @@ func TestFaultsDisabledMatchesBaseline(t *testing.T) {
 	base := RunOne(mix, PolFleetIO, slos, opt)
 	r := Measure(mix, PolFleetIO, slos, opt)
 	st, res := r.FaultStats(), r.Result
-	if st != (FaultRunStats{}) {
+	if st != (device.FaultStats{}) {
 		t.Fatalf("fault ledger non-zero without an injector: %+v", st)
 	}
 	if renderResults([]Result{base}) != renderResults([]Result{res}) {

@@ -86,7 +86,7 @@ func TestMixedIsolationHonoursFaultsAndObs(t *testing.T) {
 	}
 	if !st.Balanced() {
 		t.Fatalf("recovery imbalance: injected=%d remapped=%d recovered=%d",
-			st.Device.ProgramFails, st.Remapped, st.recovered())
+			st.Device.ProgramFails, st.Remapped, st.Recovered())
 	}
 	if requestsObserved(opt.Obs, "VDI-Web-0") == 0 {
 		t.Fatal("observed mixed-isolation run exported no vSSD request telemetry")

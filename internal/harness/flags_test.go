@@ -32,7 +32,6 @@ func TestSharedFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		args    []string
-		mode    FlagMode
 		wantErr string // substring; empty: no error
 		check   func(t *testing.T, opt Options)
 	}{
@@ -64,6 +63,7 @@ func TestSharedFlags(t *testing.T) {
 		{name: "NaN seconds", args: []string{"-seconds", "NaN"}, wantErr: "-seconds"},
 		{name: "negative parallel", args: []string{"-parallel", "-1"}, wantErr: "-parallel"},
 		{name: "negative fleet", args: []string{"-fleet", "-2"}, wantErr: "-fleet"},
+		{name: "one-device rack", args: []string{"-fleet", "1"}, wantErr: "-fleet"},
 		{name: "bad faults", args: []string{"-faults", "pfail=lots"}, wantErr: "-faults"},
 		{name: "workload", args: []string{"-workload", "bursty"}, check: func(t *testing.T, opt Options) {
 			if opt.WorkloadShape != workload.ShapeBursty {
@@ -76,21 +76,14 @@ func TestSharedFlags(t *testing.T) {
 				t.Errorf("records=%d shape=%v", len(opt.ReplayRecords), opt.WorkloadShape)
 			}
 		}},
-		{name: "trace under -fig workloads", args: []string{"-trace", sample, "-workload", "diurnal"}, mode: SweepFlags,
-			check: func(t *testing.T, opt Options) {
-				if len(opt.ReplayRecords) == 0 || opt.WorkloadShape != workload.ShapeDiurnal {
-					t.Errorf("records=%d shape=%v", len(opt.ReplayRecords), opt.WorkloadShape)
-				}
-			}},
 		{name: "missing trace", args: []string{"-trace", "no-such-file"}, wantErr: "-trace"},
 		{name: "unordered binary trace", args: []string{"-trace", unordered}, wantErr: "replay record 1 out of order"},
-		{name: "rack", args: []string{"-fleet", "4", "-seconds", "0.5", "-parallel", "1", "-seed", "3"}, mode: RackFlags,
+		{name: "rack", args: []string{"-fleet", "4", "-seconds", "0.5", "-parallel", "1", "-seed", "3"},
 			check: func(t *testing.T, opt Options) {
 				if opt.FleetDevices != 4 || opt.Duration != 500*sim.Millisecond || opt.Workers != 1 || opt.Seed != 3 {
 					t.Errorf("fleet=%d duration=%d workers=%d seed=%d", opt.FleetDevices, opt.Duration, opt.Workers, opt.Seed)
 				}
 			}},
-		{name: "rack trace", args: []string{"-trace", sample}, mode: RackFlags, wantErr: "-trace does not apply to a rack"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -100,7 +93,7 @@ func TestSharedFlags(t *testing.T) {
 			if err := fs.Parse(c.args); err != nil {
 				t.Fatal(err)
 			}
-			opt, srv, err := resolve(c.mode)
+			opt, srv, err := resolve()
 			if srv != nil {
 				t.Fatal("an -http server without -http")
 			}
@@ -123,7 +116,7 @@ func TestSharedFlags(t *testing.T) {
 		if err := fs.Parse([]string{"-http", "127.0.0.1:0"}); err != nil {
 			t.Fatal(err)
 		}
-		opt, srv, err := resolve(DeviceFlags)
+		opt, srv, err := resolve()
 		if err != nil {
 			t.Fatal(err)
 		}

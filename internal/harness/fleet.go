@@ -20,15 +20,19 @@ const (
 
 // rackConfig maps harness Options onto a fleet run of FleetDevices (or
 // defDevices) shards: the experiment seed derives every shard and tenant
-// stream and Workers sizes the shard-worker pool. Each rack scenario adds
-// only what distinguishes it.
+// stream, Workers sizes the shard-worker pool, and every shard reads the
+// device options a single run reads (faults, shape, replay trace). Each
+// rack scenario adds only what distinguishes it.
 func rackConfig(opt Options, defDevices int) fleet.Config {
 	cfg := fleet.Config{
-		Devices:  opt.FleetDevices,
-		Seed:     opt.Seed,
-		Window:   opt.Window,
-		Duration: opt.Duration,
-		Workers:  opt.Workers,
+		Devices:       opt.FleetDevices,
+		Seed:          opt.Seed,
+		Window:        opt.Window,
+		Duration:      opt.Duration,
+		Workers:       opt.Workers,
+		Faults:        opt.Faults,
+		WorkloadShape: opt.WorkloadShape,
+		ReplayRecords: opt.ReplayRecords,
 	}
 	if cfg.Devices <= 0 {
 		cfg.Devices = defDevices

@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -102,7 +103,8 @@ type Options struct {
 	// sequential execution. Results are byte-identical at any setting.
 	Workers int
 	// Faults, when non-nil and enabled, installs a NAND fault injector on
-	// each measured run's device. Calibration runs stay fault-free so the
+	// each measured run's device, and on every device of a rack scenario
+	// (each shard with its own seed). Calibration runs stay fault-free so the
 	// SLOs keep their clean-hardware definition; the measured run is then
 	// judged against them under injected failures. A zero Config.Seed
 	// derives the injector stream from Options.Seed, so fault scenarios
@@ -115,7 +117,8 @@ type Options struct {
 	// defaultCohortDevices). Single-device experiments ignore it.
 	FleetDevices int
 	// WorkloadShape overlays a temporal arrival shape (diurnal, bursty,
-	// replay) on every tenant of the measured run. Calibration always
+	// replay) on every tenant of the measured run, or of a rack scenario
+	// (each tenant with its own shape seed). Calibration always
 	// runs steady so the SLOs keep their §3.3.1 nominal-shape definition.
 	WorkloadShape workload.Shape
 	// ReplayRecords, when non-empty, is the trace replayed by
@@ -163,6 +166,20 @@ func (m MixSpec) name() string {
 		return m.Label
 	}
 	return strings.Join(m.Workloads, "+")
+}
+
+// Check reports why m cannot run on opt's device: a workload with no
+// profile, or a tenant count that does not divide the channels.
+func (m MixSpec) Check(opt Options) error {
+	for _, name := range m.Workloads {
+		if !slices.Contains(workload.Names(), name) {
+			return fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(workload.Names(), ", "))
+		}
+	}
+	if n, ch := len(m.Workloads), opt.flashConfig().Channels; n == 0 || ch%n != 0 {
+		return fmt.Errorf("%d tenants do not divide %d channels", n, ch)
+	}
+	return nil
 }
 
 // Pair builds the two-tenant mixes of Figures 2/3/10–13.
@@ -455,13 +472,13 @@ func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time,
 			topo = shared
 		}
 	}
+	if err := mix.Check(opt); err != nil {
+		panic("harness: " + err.Error())
+	}
 	r := NewRun(opt)
 	r.mix.Label, r.kind = mix.Label, kind
 	fc := r.Platform().FlashConfig()
 	nT := len(mix.Workloads)
-	if fc.Channels%nT != 0 {
-		panic(fmt.Sprintf("harness: %d channels not divisible by %d tenants", fc.Channels, nT))
-	}
 	for i, name := range mix.Workloads {
 		spec := topo(i, nT, workload.ByName(name), fc)
 		spec.Workload, spec.PrefillFrac = name, opt.PrefillFrac

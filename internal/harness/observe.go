@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/admission"
+	"repro/internal/device"
 	"repro/internal/ftl"
 	"repro/internal/gsb"
 	"repro/internal/obs"
@@ -39,7 +40,7 @@ func (r *Run) startObserving() *obs.Sampler {
 		fst    ftl.Stats
 		gst    gsb.Stats
 		ast    admission.Stats
-		ledger FaultRunStats
+		ledger device.FaultStats
 		totals []func()
 	)
 	total := func(name, help string, v *int64) {
@@ -135,7 +136,7 @@ func (r *Run) startObserving() *obs.Sampler {
 
 		fst, gst = ftlm.Stats(), gsbm.Stats()
 		if faulty {
-			ledger = r.faultLedger()
+			ledger = r.dev.FaultStats()
 		}
 		if adm != nil {
 			ast = adm.Stats()

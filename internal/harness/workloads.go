@@ -40,9 +40,10 @@ func (r *Run) typeLabels() []string {
 
 // figureWorkloads renders the temporal-realism scenario: every mix swept
 // over the steady/diurnal/bursty/replay ladder under FleetIO (with the
-// clusterer's workload-type labels per tenant), then one cohort-churn
-// rack with arrivals, departures, and live traffic typing. Output is
-// deterministic for a given seed at any worker count.
+// clusterer's workload-type labels per tenant), then one steady
+// cohort-churn rack with arrivals, departures, and live traffic typing.
+// The ladder sweeps the shape, so opt's own shape reaches neither. Output
+// is deterministic for a given seed at any worker count.
 func figureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
 	fmt.Fprintf(w, "== Workload scenarios: temporal shapes, trace replay, and cohort churn (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %12s %12s  %s", "BI MB/s", "LS p99 ms", "types")
@@ -50,6 +51,7 @@ func figureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
 		return fmt.Sprintf(" %12.1f %12.3f  %s", r.Result.BandwidthTenant(), r.Result.LatencyTenantP99(),
 			strings.Join(r.typeLabels(), ","))
 	})
+	opt.WorkloadShape = workload.ShapeSteady
 	st := cohortScenario(opt)
 	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", st.Devices)
 	st.Render(w)

@@ -188,6 +188,9 @@ parallel="1 4"
 identity_gate faults -seconds 2 -warmup 1
 parallel="1 2 4"
 identity_gate fleet -fleet 64 -seconds 2
+# A rack reads the device flags: every shard injects faults from its own
+# stream and every tenant draws its own shape.
+identity_gate fleet -fleet 16 -seconds 2 -faults light -workload bursty
 identity_gate tiers -fleet 8 -seconds 4
 parallel="1 4"
 # The workloads ladder replays the checked-in sample CSV, converted to the
