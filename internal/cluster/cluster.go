@@ -29,64 +29,85 @@ const entropyBuckets = 64
 // (logicalPages), so a sequential window — however wide its own span —
 // reads as concentrated.
 func features(recs []trace.Record, pageSize int, logicalPages int64) [featureDim]float64 {
-	return segmentFeatures(recs, nil, pageSize, logicalPages)
+	s := newFeatureSums(pageSize, logicalPages)
+	s.add(recs)
+	return s.features()
 }
 
-// segmentFeatures is features over one window held as two segments in
-// arrival order (a trace.Recorder's ring, read where it lies; older is empty
-// only when the window is). Nothing it sums depends on where the window is
-// cut: the byte totals are integers, the bucket counts integer-valued, and
-// the only order-dependent inputs are the first and the last timestamp — so
-// the features are bit-identical to those of the concatenated window.
-func segmentFeatures(older, newer []trace.Record, pageSize int, logicalPages int64) [featureDim]float64 {
-	var f [featureDim]float64
-	if len(older) == 0 {
-		return f
-	}
+// featureSums accumulates one window's features segment by segment, the
+// segments in arrival order (a trace.Recorder's Walk, read where it lies).
+// Nothing it sums depends on where the window is cut: the byte totals are
+// integers, the bucket counts integer-valued, and the only order-dependent
+// inputs are the first and the last timestamp — so the features are
+// bit-identical to those of the concatenated window.
+type featureSums struct {
+	pageSize              int
+	logicalPages          int64
+	readBytes, writeBytes int64
+	hist                  [entropyBuckets]float64
+	n                     int
+	first, last           sim.Time
+}
+
+func newFeatureSums(pageSize int, logicalPages int64) featureSums {
 	if logicalPages <= 0 {
 		logicalPages = 1
 	}
-	var readBytes, writeBytes int64
-	var hist [entropyBuckets]float64
-	for _, seg := range [2][]trace.Record{older, newer} {
-		for _, r := range seg {
-			b := r.Bytes(pageSize)
-			if r.Write {
-				writeBytes += b
-			} else {
-				readBytes += b
-			}
-			bucket := int(r.LPN * entropyBuckets / logicalPages)
-			if bucket < 0 {
-				bucket = 0
-			}
-			if bucket >= entropyBuckets {
-				bucket = entropyBuckets - 1
-			}
-			hist[bucket]++
+	return featureSums{pageSize: pageSize, logicalPages: logicalPages}
+}
+
+// add folds the next segment of the window in.
+func (s *featureSums) add(seg []trace.Record) {
+	if len(seg) == 0 {
+		return
+	}
+	if s.n == 0 {
+		s.first = seg[0].At
+	}
+	s.last = seg[len(seg)-1].At
+	s.n += len(seg)
+	for _, r := range seg {
+		b := r.Bytes(s.pageSize)
+		if r.Write {
+			s.writeBytes += b
+		} else {
+			s.readBytes += b
 		}
+		bucket := int(r.LPN * entropyBuckets / s.logicalPages)
+		if bucket < 0 {
+			bucket = 0
+		}
+		if bucket >= entropyBuckets {
+			bucket = entropyBuckets - 1
+		}
+		s.hist[bucket]++
 	}
-	last := older[len(older)-1]
-	if len(newer) > 0 {
-		last = newer[len(newer)-1]
+}
+
+// features reduces the sums to the feature vector (all zero for an empty
+// window).
+func (s *featureSums) features() [featureDim]float64 {
+	var f [featureDim]float64
+	if s.n == 0 {
+		return f
 	}
-	dur := float64(last.At-older[0].At) / 1e9
+	dur := float64(s.last-s.first) / 1e9
 	if dur <= 0 {
 		dur = 1e-6
 	}
-	f[0] = math.Log1p(float64(readBytes) / dur / 1e6)
-	f[1] = math.Log1p(float64(writeBytes) / dur / 1e6)
+	f[0] = math.Log1p(float64(s.readBytes) / dur / 1e6)
+	f[1] = math.Log1p(float64(s.writeBytes) / dur / 1e6)
 
 	h := 0.0
-	n := float64(len(older) + len(newer))
-	for _, c := range hist {
+	n := float64(s.n)
+	for _, c := range s.hist {
 		if c > 0 {
 			p := c / n
 			h -= p * math.Log(p)
 		}
 	}
 	f[2] = h / math.Log(entropyBuckets) // normalized to [0,1]
-	f[3] = math.Log1p(float64(readBytes+writeBytes) / n / 1024)
+	f[3] = math.Log1p(float64(s.readBytes+s.writeBytes) / n / 1024)
 	return f
 }
 

@@ -249,14 +249,27 @@ func typingModel() *Model {
 	return Train(BuildDataset([]string{"TeraSort", "YCSB", "VDI-Web"}, 6, 2000, 16384, 1), 3, 2)
 }
 
-// Reading the ring in place must be indistinguishable from classifying a
-// copy of it: same feature bits, same verdict — whatever the fill level,
-// the wrap offset, the page size or the logical size.
+// recorded copies what rec holds, in arrival order.
+func recorded(rec *trace.Recorder) []trace.Record {
+	var out []trace.Record
+	rec.Walk(func(seg []trace.Record) { out = append(out, seg...) })
+	return out
+}
+
+// Reading the recorder in place must be indistinguishable from classifying
+// a copy of it: same feature bits, same verdict — whatever the fill level,
+// the cut (unwrapped, wrapped mid-chunk, wrapped on a chunk boundary), the
+// page size or the logical size.
 func TestClassifyRecorderMatchesCopy(t *testing.T) {
 	m := typingModel()
 	rng := sim.NewRNG(22)
 	names := workload.Names()
-	for i := 0; i < 200; i++ {
+	// The fixed cases cut a 3 000-record ring (three 1 024-record chunks,
+	// the last short) where the random ones may not: filling mid-chunk,
+	// exactly full, wrapped mid-chunk and wrapped on a chunk boundary.
+	const limit3k, chunk = 3000, 1024
+	fixed := [][2]int{{limit3k, chunk + 7}, {limit3k, limit3k}, {limit3k, limit3k + 500}, {limit3k, limit3k + chunk}, {limit3k, limit3k + 2*chunk}}
+	for i := 0; i < 200+len(fixed); i++ {
 		limit := 50 + rng.Intn(2000)
 		var adds int
 		switch i % 3 {
@@ -266,6 +279,9 @@ func TestClassifyRecorderMatchesCopy(t *testing.T) {
 			adds = limit
 		default: // wrapped at a random offset
 			adds = limit + 1 + rng.Intn(3*limit)
+		}
+		if i >= 200 {
+			limit, adds = fixed[i-200][0], fixed[i-200][1]
 		}
 		pageSize := 4096 << rng.Intn(3)
 		logical := int64(rng.Intn(2_000_000)) - 1000 // <= 0 now and then
@@ -281,9 +297,8 @@ func TestClassifyRecorderMatchesCopy(t *testing.T) {
 			rec.Add(r)
 		}
 
-		older, newer := rec.Segments()
-		got := segmentFeatures(older, newer, pageSize, logical)
-		want := features(append(append([]trace.Record(nil), older...), newer...), pageSize, logical)
+		got := recorderFeatures(rec, pageSize, logical)
+		want := features(recorded(rec), pageSize, logical)
 		for d := range want {
 			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
 				t.Fatalf("recorder %d (limit %d, %d adds, page %d, logical %d): feature %d = %v in place, %v from the copy",
@@ -315,11 +330,14 @@ func TestClassifyRecorderMatchesCopy(t *testing.T) {
 func TestClassifyRecorderZeroAlloc(t *testing.T) {
 	m := typingModel()
 	rec := trace.NewRecorder(WindowSize)
-	for _, r := range workload.ByName("YCSB").SynthesizeTrace(WindowSize+WindowSize/3, synthLogicalPages, sim.NewRNG(5)) {
+	recs := workload.ByName("YCSB").SynthesizeTrace(WindowSize+WindowSize/3, synthLogicalPages, sim.NewRNG(5))
+	for _, r := range recs {
 		rec.Add(r)
 	}
-	if older, newer := rec.Segments(); len(older) == 0 || len(newer) == 0 {
-		t.Fatalf("ring not wrapped: segments of %d and %d records", len(older), len(newer))
+	// Wrapped mid-chunk: the oldest record held sits 3 333 records into the
+	// storage, 261 into its fourth chunk.
+	if recorded(rec)[0] != recs[len(recs)-WindowSize] {
+		t.Fatal("ring not wrapped: the oldest record held is not the window's first")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, _, ok := m.ClassifyRecorder(rec, 16384, synthLogicalPages); !ok {

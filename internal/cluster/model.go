@@ -171,17 +171,23 @@ const minTypingRecords = 100
 // holds — the one typing path behind online re-typing, the fleet's type
 // tally and the harness's type labels. ok is false, and nothing is
 // classified, when rec is nil or holds fewer than 100 records. It reads the
-// recorder's ring in place (trace.Recorder.Segments) and allocates nothing:
-// the ring is aliased only for the duration of the call, so rec must not be
-// added to concurrently, and nothing of it is retained afterwards.
+// recorder's storage in place (trace.Recorder.Walk) and allocates nothing:
+// the storage is aliased only for the duration of the call, so rec must not
+// be added to concurrently, and nothing of it is retained afterwards.
 func (m *Model) ClassifyRecorder(rec *trace.Recorder, pageSize int, logicalPages int64) (cluster int, known, ok bool) {
 	if rec == nil || rec.Len() < minTypingRecords {
 		return 0, false, false
 	}
-	older, newer := rec.Segments()
-	f := segmentFeatures(older, newer, pageSize, logicalPages)
+	f := recorderFeatures(rec, pageSize, logicalPages)
 	cluster, known = m.classify(f[:])
 	return cluster, known, true
+}
+
+// recorderFeatures is features over the window rec holds, read in place.
+func recorderFeatures(rec *trace.Recorder, pageSize int, logicalPages int64) [featureDim]float64 {
+	s := newFeatureSums(pageSize, logicalPages)
+	rec.Walk(s.add)
+	return s.features()
 }
 
 // Accuracy evaluates the model on labeled samples: a sample is correct

@@ -112,6 +112,10 @@ func (d *Device) Drive(id int, prof workload.Profile, rng *sim.RNG, rec *trace.R
 	return g
 }
 
+// Record binds rec to the generator driving vSSD id (nil: stop recording),
+// so its reader can start tracing a tenant Drive built untraced.
+func (d *Device) Record(id int, rec *trace.Recorder) { d.gens[id].Record(rec) }
+
 // Attach installs the runner that asks policy for actions every window,
 // sending them through adm (nil: applied directly).
 func (d *Device) Attach(policy core.Policy, adm *admission.Controller, window sim.Time) {

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -108,6 +111,47 @@ func TestFleetTypeCounts(t *testing.T) {
 	// the model must see at least two distinct traffic types.
 	if len(st.TypeCounts) < 2 {
 		t.Fatalf("only one traffic type observed: %+v", st.TypeCounts)
+	}
+}
+
+// A departing tenant is typed as it leaves and keeps only the label: after
+// a cohort rack's Run no departed tenant holds a recorder (or a generator
+// that could hold one), and the type tally is still the golden's.
+func TestDepartedTenantsDropRecorders(t *testing.T) {
+	cfg := cohortConfig()
+	cfg.TypeModel = typeModel()
+	f := New(cfg)
+	st := f.Run()
+	departed, labelled := 0, 0
+	for _, tn := range f.Tenants() {
+		if tn.State != StateDeparted {
+			continue
+		}
+		departed++
+		if tn.rec != nil || tn.gen != nil {
+			t.Fatalf("departed tenant %d still holds its recorder or generator", tn.ID)
+		}
+		if tn.typeLabel != "" {
+			labelled++
+		}
+	}
+	if departed == 0 || labelled == 0 {
+		t.Fatalf("%d tenants departed, %d of them typed: the rack exercises nothing", departed, labelled)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "cohort.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typesLine := func(s string) string {
+		for _, l := range strings.Split(s, "\n") {
+			if strings.HasPrefix(l, "types:") {
+				return l
+			}
+		}
+		return ""
+	}
+	if got, want := typesLine(render(st)), typesLine(string(want)); got == "" || got != want {
+		t.Fatalf("type tally %q, golden %q", got, want)
 	}
 }
 

@@ -346,8 +346,10 @@ type Tenant struct {
 	vssd *vssd.VSSD
 	// rec captures the tenant's recent traffic for workload-type
 	// classification when Config.TypeModel is set. It survives migration:
-	// the tenant's access stream is continuous across devices.
-	rec *trace.Recorder
+	// the tenant's access stream is continuous across devices. depart types
+	// the tenant into typeLabel and drops it.
+	rec       *trace.Recorder
+	typeLabel string
 	// lastBytes is the TotalBytesMoved snapshot at the last epoch;
 	// epochBytes is the delta over the last epoch (the migration victim
 	// signal).
@@ -657,13 +659,18 @@ func (f *Fleet) stepDepartures(now sim.Time) {
 	}
 }
 
-// depart finalizes one drained departure.
+// depart finalizes one drained departure. The tenant's traffic is over, so
+// it is typed now: classifyTenants keeps the label, and the recorder goes
+// with the stopped generator's reference to it.
 func (f *Fleet) depart(sh *Shard, tn *Tenant) {
 	sh.release(tn)
 	tn.State = StateDeparted
 	tn.Device = -1
 	tn.vssd = nil
+	tn.typeLabel = f.typeOf(tn)
+	tn.gen.Record(nil)
 	tn.gen = nil
+	tn.rec = nil
 	f.led.Departed++
 }
 
@@ -746,18 +753,19 @@ func (f *Fleet) collect() Stats {
 	return s
 }
 
-// classifyTenants runs every traced tenant's recent window through the
-// type model and tallies the resulting cluster labels (sorted by label
-// for deterministic rendering). Untraced tenants and those under the
-// typing floor are skipped.
+// classifyTenants tallies the type label of every arrived tenant — a
+// departed one's from depart, every other traced one's from its recent
+// window now — sorted by label for deterministic rendering. Untraced
+// tenants and those under the typing floor are skipped.
 func (f *Fleet) classifyTenants() []TypeCount {
 	counts := map[string]int{}
 	for _, tn := range f.tenants[:f.nextArr] {
-		// Classify against the geometry snapshotted at the tenant's last
-		// placement (identical to the rack geometry on homogeneous fleets;
-		// the tenant's own class geometry on hybrid ones).
-		if c, known, ok := f.cfg.TypeModel.ClassifyRecorder(tn.rec, tn.pageSize, tn.logicalPages); ok {
-			counts[f.cfg.TypeModel.Label(c, known)]++
+		label := tn.typeLabel
+		if tn.State != StateDeparted {
+			label = f.typeOf(tn)
+		}
+		if label != "" {
+			counts[label]++
 		}
 	}
 	out := make([]TypeCount, 0, len(counts))
@@ -766,6 +774,22 @@ func (f *Fleet) classifyTenants() []TypeCount {
 	}
 	sortTypeCounts(out)
 	return out
+}
+
+// typeOf labels tn's recorded window with the type model: "" when the rack
+// does not type or the window is under the typing floor. It classifies
+// against the geometry snapshotted at the tenant's last placement
+// (identical to the rack geometry on homogeneous fleets; the tenant's own
+// class geometry on hybrid ones).
+func (f *Fleet) typeOf(tn *Tenant) string {
+	if f.cfg.TypeModel == nil {
+		return ""
+	}
+	c, known, ok := f.cfg.TypeModel.ClassifyRecorder(tn.rec, tn.pageSize, tn.logicalPages)
+	if !ok {
+		return ""
+	}
+	return f.cfg.TypeModel.Label(c, known)
 }
 
 // Shard is one device of the rack — the same device.Device a

@@ -197,6 +197,7 @@ func (f *Fleet) cutOver(m *migration, now sim.Time) {
 	tn.State = StateRunning
 	tn.placedAt = now
 	f.shards[m.dst].resident = append(f.shards[m.dst].resident, tn)
+	tn.gen.Record(nil) // the stopped source generator lets go of the recorder
 	tn.gen = f.shards[m.dst].dev.Drive(m.dstVSSD.ID(), tn.prof, tn.rng, tn.rec)
 	f.led.MigrationsCompleted++
 	f.led.Downtime += now - m.started

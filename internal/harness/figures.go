@@ -290,17 +290,22 @@ func figure17(w io.Writer, opt Options) {
 	}
 	fmt.Fprintln(w, "Figure 17: robustness to collocated workload changes")
 	fmt.Fprintf(w, "%-12s %14s %14s %10s (metric: %s)\n", "case", "pretrained", "transfer", "ratio", "BI MB/s or LS P99 ms")
-	// Each case is two independent experiments (the run pretrained on the
-	// final mix, then the transfer run); fan all 2×6 of them out as one flat
-	// job list, then print in the original case order.
+	// Each case is two independent experiments against the final mix's SLOs
+	// (the run pretrained on the final mix, then the transfer run): calibrate
+	// each final mix once, fan all 2×6 runs out as one flat job list, then
+	// print in the original case order.
+	slos := make([][]sim.Time, len(cases))
+	forEach(len(cases), opt.workers(), func(i int) {
+		slos[i] = Calibrate(Pair(cases[i].keep, cases[i].to), opt)
+	})
 	results := make([]Result, 2*len(cases))
 	forEach(len(results), opt.workers(), func(j int) {
 		c := cases[j/2]
 		if j%2 == 0 {
 			finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
-			results[j] = Compare(finalMix, []PolicyKind{PolFleetIO}, opt)[0]
+			results[j] = RunOne(finalMix, PolFleetIO, slos[j/2], opt)
 		} else {
-			results[j] = runTransfer(c.keep, c.from, c.to, opt).Result
+			results[j] = runTransfer(c.keep, c.from, c.to, slos[j/2], opt).Result
 		}
 	})
 	for i, c := range cases {
@@ -317,11 +322,10 @@ func figure17(w io.Writer, opt Options) {
 
 // runTransfer trains FleetIO on keep+from through warmup, switches the
 // collocated workload to `to`, gives the agents four windows to adjust,
-// and measures keep+to against that mix's SLOs. Like Measure, it returns
-// the finished run.
-func runTransfer(keep, from, to string, opt Options) *Run {
+// and measures keep+to against slos, that mix's SLOs. Like Measure, it
+// returns the finished run.
+func runTransfer(keep, from, to string, slos []sim.Time, opt Options) *Run {
 	finalMix := MixSpec{Label: keep + "+" + to, Workloads: []string{keep, to}}
-	slos := Calibrate(finalMix, opt)
 	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}
 	r := buildPlatform(initialMix, PolFleetIO, nil, slos, opt)
 	r.AttachPolicy(PolFleetIO)

@@ -93,12 +93,18 @@ func TestMixedIsolationHonoursFaultsAndObs(t *testing.T) {
 	}
 }
 
+// transferVtoY is Fig. 17's "T + (V->Y)" transfer run against the final
+// mix's SLOs.
+func transferVtoY(opt Options) *Run {
+	return runTransfer("TeraSort", "VDI-Web", "YCSB", Calibrate(Pair("TeraSort", "YCSB"), opt), opt)
+}
+
 // TestRunTransferObserved: the transfer run used to hand-roll its drive
 // sequence and never started the sampler.
 func TestRunTransferObserved(t *testing.T) {
 	opt := tinyOptions()
 	opt.Obs = obs.NewObserver()
-	runTransfer("TeraSort", "VDI-Web", "YCSB", opt)
+	transferVtoY(opt)
 	if requestsObserved(opt.Obs, "TeraSort-0") == 0 {
 		t.Fatal("observed transfer run exported no vSSD request telemetry")
 	}
@@ -106,24 +112,25 @@ func TestRunTransferObserved(t *testing.T) {
 
 // TestRunTransferRecordsReplacement: the swapped-in generator used to run
 // unrecorded, so tenant 1's recorder — what re-typing classifies — held
-// only the departed workload's trace.
+// only the departed workload's trace. The reference types come from
+// deployed FleetIO runs, the runs that record.
 func TestRunTransferRecordsReplacement(t *testing.T) {
 	opt := tinyOptions()
 	typeOf := func(name string) string {
-		return Measure(Pair("TeraSort", name), PolHardware, nil, opt).typeLabels()[1]
+		return Measure(Pair("TeraSort", name), PolFleetIO, nil, opt).typeLabels()[1]
 	}
 	from, to := typeOf("VDI-Web"), typeOf("YCSB")
 	if from == to {
 		t.Fatalf("VDI-Web and YCSB both type as %s; the test needs distinct types", from)
 	}
-	if got := runTransfer("TeraSort", "VDI-Web", "YCSB", opt).typeLabels()[1]; got != to {
+	if got := transferVtoY(opt).typeLabels()[1]; got != to {
 		t.Errorf("tenant 1 types as %s after the swap to YCSB, want %s (VDI-Web is %s)", got, to, from)
 	}
 }
 
 func TestRunTransferMeasuresFinalMix(t *testing.T) {
 	opt := tinyOptions()
-	res := runTransfer("TeraSort", "VDI-Web", "YCSB", opt).Result
+	res := transferVtoY(opt).Result
 	if len(res.Tenants) != 2 {
 		t.Fatalf("tenants = %d", len(res.Tenants))
 	}

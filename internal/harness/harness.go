@@ -327,7 +327,10 @@ type Run struct {
 	// first is the mix index of the run's first tenant: 0, except on a solo
 	// run (see solo), whose one tenant keeps its index in the mix for its
 	// streams, shape seed and vSSD name while its vSSD id is 0.
-	first       int
+	first int
+	// recs holds one trace recorder per tenant, each bound to the tenant's
+	// generator, on a run whose policy re-types (attachFleetIO); nil on
+	// every other run, which records nothing.
 	recs        []*trace.Recorder
 	smp         *obs.Sampler
 	windows     []windowLoad // per-window device load since measureFrom
@@ -406,18 +409,19 @@ func NewRun(opt Options) *Run {
 }
 
 // AddTenant creates the next tenant: a vSSD laid out per spec with a
-// prefilled FTL, a generator for its workload (under the run's temporal
-// shape) and the trace recorder its traffic is typed from. It returns the
-// tenant's index, which is also its vSSD id and its row in the Result.
-// Every tenant is added before AttachPolicy, which fixes the policy's
-// agents, recorders and α, and so before Start; adding one later panics.
+// prefilled FTL and an unrecorded generator for its workload (under the
+// run's temporal shape). It returns the tenant's index, which is also its
+// vSSD id and its row in the Result. Every tenant is added before
+// AttachPolicy, which fixes the policy's agents and α (and, for a policy
+// that re-types, the recorders its typing reads), and so before Start;
+// adding one later panics.
 // So does a prefill that does not fit without GC: GC would run the engine
 // before the run starts.
 func (r *Run) AddTenant(spec TenantSpec) int {
 	if r.dev.Runner() != nil {
 		panic(fmt.Sprintf("harness: AddTenant(%s) after AttachPolicy or Start: add every tenant, then attach the policy, then start", spec.Workload))
 	}
-	id := len(r.recs)
+	id := len(r.mix.Workloads)
 	i := r.first + id
 	prefillRNG, genRNG := r.tenantStreams(i)
 	prof := workload.ByName(spec.Workload)
@@ -444,10 +448,8 @@ func (r *Run) AddTenant(spec TenantSpec) int {
 		panic(fmt.Sprintf("harness: %s at PrefillFrac %v must prefill without GC, which would run the engine before the run starts: %v",
 			spec.Workload, spec.PrefillFrac, err))
 	}
-	rec := trace.NewRecorder(cluster.WindowSize)
-	r.dev.Drive(id, prof, genRNG, rec)
+	r.dev.Drive(id, prof, genRNG, nil)
 	r.mix.Workloads = append(r.mix.Workloads, spec.Workload)
-	r.recs = append(r.recs, rec)
 	return id
 }
 
@@ -598,8 +600,11 @@ func episodeFleetIO(spec episodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 }
 
 // attachFleetIO is the one FleetIO wiring: the policy with the shared type
-// model, every agent's recorder and per-type α, and the runner that sends
-// its harvest actions through an admission controller every window.
+// model, per-type α, and the runner that sends its harvest actions through
+// an admission controller every window. A policy that re-types (TypeEvery >
+// 0) also gets one trace recorder per tenant, bound to the tenant's
+// generator: the recorder belongs to its reader, so a run nothing types
+// records nothing.
 func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 	plat := r.Platform()
 	tm, alphas := TypeModel()
@@ -608,8 +613,13 @@ func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 	cfg.AlphaByCluster = alphas
 	cfg.Obs = plat.Observer()
 	f := core.NewFleetIO(plat, cfg)
-	for i, rec := range r.recs {
-		f.SetRecorder(i, rec)
+	if cfg.TypeEvery > 0 {
+		for i := range r.mix.Workloads {
+			rec := trace.NewRecorder(cluster.WindowSize)
+			r.dev.Record(i, rec)
+			f.SetRecorder(i, rec)
+			r.recs = append(r.recs, rec)
+		}
 	}
 	// Seed per-type α immediately from the known workload names so short
 	// runs behave like converged typing; live re-typing keeps it fresh.

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -164,6 +166,48 @@ func TestDecisionWindowSteadyStateAllocs(t *testing.T) {
 	if got > windows*perWindow {
 		t.Fatalf("%d decision windows allocated %d bytes (%d per window), want <= %d per window",
 			windows, got, got/windows, perWindow)
+	}
+}
+
+// A recorder belongs to its reader: a deployed FleetIO run, which re-types
+// its tenants, holds one per tenant, filled by that tenant's generator.
+// The runs nothing types — a hardware-isolated run, a Calibrate solo, a
+// pretraining episode and Fig. 16's FleetIO — hold none.
+func TestOnlyRetypingRunsRecord(t *testing.T) {
+	opt := tinyOptions()
+	mix := Pair("YCSB", "TeraSort")
+
+	deployed := Measure(mix, PolFleetIO, nil, opt)
+	if len(deployed.recs) != len(mix.Workloads) {
+		t.Fatalf("deployed FleetIO run holds %d recorders for %d tenants", len(deployed.recs), len(mix.Workloads))
+	}
+	for i, rec := range deployed.recs {
+		if rec == nil || rec.Len() == 0 {
+			t.Fatalf("deployed FleetIO run: tenant %d's recorder is empty", i)
+		}
+	}
+
+	episode := func() *Run {
+		spec := episodeSpec{Pretrain: DefaultPretrainConfig(), Mix: mix, Mode: core.ModeFull, Seed: opt.Seed}
+		heads := []int{len(core.HarvestLevels), len(core.HarvestLevels), len(core.PriorityLevels)}
+		net := nn.NewActorCritic(core.DefaultHistoryWindows*core.StatesPerWindow, 50, heads, sim.NewRNG(1))
+		r := buildPlatform(mix, PolFleetIO, nil, nil, opt)
+		r.attachFleetIO(episodeFleetIO(spec, net))
+		r.execute(opt.Warmup)
+		return r
+	}
+	for name, r := range map[string]*Run{
+		"hardware-isolated run": Measure(mix, PolHardware, nil, opt),
+		"Calibrate solo":        solo(mix, 1, nil, opt).measure(),
+		"pretraining episode":   episode(),
+		"Fig. 16 FleetIO run":   measureMixedIsolation(mix, PolFleetIO, nil, opt),
+	} {
+		if r.Result.Tenants != nil && r.Result.Tenants[0].Completed == 0 {
+			t.Fatalf("%s ran no traffic", name)
+		}
+		if len(r.recs) != 0 {
+			t.Errorf("%s holds %d recorders; nothing types its traffic", name, len(r.recs))
+		}
 	}
 }
 

@@ -22,7 +22,8 @@ func workloadLevels() []level {
 // typeLabels is the clusterer's view of each tenant's measured traffic:
 // every tenant's recorded window is classified by the shared type model,
 // the same path core.FleetIO.retype uses online. Tenants under the typing
-// floor label "n/a".
+// floor label "n/a"; a run whose policy never re-types recorded nothing and
+// has no labels.
 func (r *Run) typeLabels() []string {
 	tm, _ := TypeModel()
 	plat := r.Platform()

@@ -86,49 +86,72 @@ func read(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
+// chunkSize is how many records a Recorder allocates at a time.
+const chunkSize = 1024
+
 // Recorder accumulates records in memory (bounded by limit if >0, keeping
-// the most recent ones in a ring). Segments returns the ring's own storage,
-// which the next Add may overwrite.
+// the most recent ones in a ring). The records live in fixed chunks of
+// chunkSize, allocated as the recorder fills and overwritten in place once
+// it holds limit: it copies nothing while it grows, allocates nothing once
+// full, and holds memory for the records it holds, not for its bound. Walk
+// reads the recorder's own storage, which the next Add may overwrite.
 type Recorder struct {
-	recs  []Record
-	limit int
-	next  int
-	full  bool
+	chunks [][]Record
+	limit  int
+	n      int // records held
+	next   int // once full, the position of the oldest record, which the next Add overwrites
 }
 
 // NewRecorder returns a recorder keeping at most limit records (0 =
 // unbounded).
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit}
+	rc := &Recorder{limit: limit}
+	if limit > 0 {
+		rc.chunks = make([][]Record, 0, (limit+chunkSize-1)/chunkSize)
+	}
+	return rc
 }
 
 // Add appends a record.
 func (rc *Recorder) Add(r Record) {
-	if rc.limit <= 0 {
-		rc.recs = append(rc.recs, r)
+	if rc.limit > 0 && rc.n == rc.limit {
+		rc.chunks[rc.next/chunkSize][rc.next%chunkSize] = r
+		if rc.next++; rc.next == rc.limit {
+			rc.next = 0
+		}
 		return
 	}
-	if len(rc.recs) < rc.limit {
-		rc.recs = append(rc.recs, r)
-		return
+	if rc.n%chunkSize == 0 {
+		size := chunkSize
+		if rc.limit > 0 {
+			size = min(size, rc.limit-rc.n)
+		}
+		rc.chunks = append(rc.chunks, make([]Record, size))
 	}
-	rc.recs[rc.next] = r
-	rc.next = (rc.next + 1) % rc.limit
-	rc.full = true
+	rc.chunks[rc.n/chunkSize][rc.n%chunkSize] = r
+	rc.n++
 }
 
-// Segments returns the recorded entries in arrival order as two contiguous
-// slices, older then newer, without copying: both alias the recorder's own
-// storage (a ring that has wrapped is its tail followed by its head; one
-// that has not is a single segment and newer is empty). They are valid
-// until the next Add, which may overwrite an element or move the storage;
-// the caller must not write through them.
-func (rc *Recorder) Segments() (older, newer []Record) {
-	if !rc.full {
-		return rc.recs, nil
+// Walk calls fn on the recorded entries in arrival order, as consecutive
+// contiguous segments of the recorder's own storage, without copying: a
+// ring that has wrapped is read from its oldest record to the end of its
+// storage and then from its start, each stretch cut at chunk boundaries. A
+// segment is valid until the next Add, which may overwrite it; fn must not
+// write through it or keep it. An empty recorder never calls fn.
+func (rc *Recorder) Walk(fn func(seg []Record)) {
+	rc.walk(rc.next, rc.n, fn)
+	rc.walk(0, rc.next, fn)
+}
+
+// walk calls fn on the positions [from, to), one chunk at a time.
+func (rc *Recorder) walk(from, to int, fn func(seg []Record)) {
+	for from < to {
+		c := rc.chunks[from/chunkSize]
+		seg := c[from%chunkSize : min(len(c), from%chunkSize+to-from)]
+		fn(seg)
+		from += len(seg)
 	}
-	return rc.recs[rc.next:], rc.recs[:rc.next]
 }
 
 // Len returns the number of records held.
-func (rc *Recorder) Len() int { return len(rc.recs) }
+func (rc *Recorder) Len() int { return rc.n }

@@ -3,18 +3,19 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Records returns a copy of the recorded entries in arrival order: the
-// reference Segments is checked against.
+// reference Walk's in-place segments are checked against.
 func (rc *Recorder) Records() []Record {
-	older, newer := rc.Segments()
-	out := make([]Record, 0, len(older)+len(newer))
-	out = append(out, older...)
-	return append(out, newer...)
+	out := make([]Record, 0, rc.Len())
+	rc.Walk(func(seg []Record) { out = append(out, seg...) })
+	return out
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -146,60 +147,97 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
-// The two segments concatenated are Records() at every fill level and every
-// wrap offset, and they are the recorder's storage itself, not a copy.
-func TestRecorderSegmentsMatchRecords(t *testing.T) {
-	for _, limit := range []int{0, 7} {
+// Walk's segments are the records in arrival order at every fill level and
+// at every cut the ring can have — unwrapped, wrapped mid-chunk, wrapped on a
+// chunk boundary — each one contiguous storage inside one chunk, and they
+// are the recorder's storage itself, not a copy.
+func TestRecorderWalkMatchesRecords(t *testing.T) {
+	const big = 3*chunkSize - 5 // three chunks, the last one short
+	for _, limit := range []int{0, 7, big} {
 		rc := NewRecorder(limit)
 		check := func(added int) {
 			t.Helper()
-			older, newer := rc.Segments()
-			got := append(append([]Record{}, older...), newer...)
-			want := rc.Records()
-			if len(got) != rc.Len() || len(want) != rc.Len() {
-				t.Fatalf("limit %d after %d adds: %d in segments, %d in Records, Len %d",
-					limit, added, len(got), len(want), rc.Len())
+			var got []Record
+			segs := 0
+			rc.Walk(func(seg []Record) {
+				if len(seg) == 0 || len(seg) > chunkSize {
+					t.Fatalf("limit %d after %d adds: segment of %d records", limit, added, len(seg))
+				}
+				got = append(got, seg...)
+				segs++
+			})
+			held := added
+			if limit > 0 {
+				held = min(added, limit)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("limit %d after %d adds: record %d is %+v in the segments, %+v in Records",
-						limit, added, i, got[i], want[i])
+			if len(got) != held || rc.Len() != held {
+				t.Fatalf("limit %d after %d adds: %d records walked, Len %d, want %d", limit, added, len(got), rc.Len(), held)
+			}
+			first := added - held
+			for i, r := range got {
+				if r.At != int64(first+i) {
+					t.Fatalf("limit %d after %d adds: record %d is At %d, want %d", limit, added, i, r.At, first+i)
 				}
 			}
-			for i := 1; i < len(got); i++ {
-				if got[i].At != got[i-1].At+1 {
-					t.Fatalf("limit %d after %d adds: not in arrival order at %d", limit, added, i)
-				}
+			// A ring cut by its wrap point is one segment more than its
+			// chunks; one cut on a chunk boundary is not.
+			if chunks := (rc.Len() + chunkSize - 1) / chunkSize; segs < chunks || segs > chunks+1 {
+				t.Fatalf("limit %d after %d adds: %d segments over %d chunks", limit, added, segs, chunks)
 			}
+		}
+		add := func(i int) {
+			rc.Add(Record{At: int64(i), LPN: int64(i * 3), Pages: int32(1 + i%4), Write: i%2 == 1})
 		}
 		check(0)
-		for i := 0; i < 3*7; i++ {
-			rc.Add(Record{At: int64(i), LPN: int64(i * 3), Pages: int32(1 + i%4), Write: i%2 == 1})
-			check(i + 1)
-		}
-		// Not a copy: the older segment starts where the storage does (both
-		// recorders are at offset 0 after three laps), and once the ring is
-		// at capacity an Add overwrites the oldest record where a held
-		// segment already points.
-		older, _ := rc.Segments()
-		oldest := &older[0]
-		if oldest != &rc.recs[0] {
-			t.Fatalf("limit %d: the older segment does not alias the recorder's storage", limit)
-		}
-		if limit > 0 {
-			rc.Add(Record{At: -1})
-			if oldest.At != -1 {
-				t.Fatalf("limit %d: Add not visible through a held segment (At %d)", limit, oldest.At)
+		if limit != big {
+			for i := 0; i < 3*7; i++ {
+				add(i)
+				check(i + 1)
 			}
-			if recs := rc.Records(); &recs[0] == oldest || recs[len(recs)-1].At != -1 {
-				t.Fatalf("limit %d: Records aliases the ring or missed the Add", limit)
+			continue
+		}
+		cuts := map[int]bool{
+			1: true, chunkSize - 1: true, chunkSize: true, chunkSize + 1: true, // filling
+			big - 1: true, big: true, big + 1: true, // exactly full, then the first overwrite
+			big + 500:           true, // wrapped mid-chunk
+			big + chunkSize:     true, // wrapped on a chunk boundary
+			big + chunkSize + 1: true,
+			2 * big:             true, // a full lap: unwrapped again
+			3*big - 1:           true,
+		}
+		for i := 0; i < 3*big; i++ {
+			add(i)
+			if cuts[i+1] {
+				check(i + 1)
 			}
 		}
 	}
 }
 
+// Walk reads the storage, not a copy: a held segment sees the next Add
+// overwrite the oldest record once the ring is full.
+func TestRecorderWalkAliasesStorage(t *testing.T) {
+	rc := NewRecorder(2*chunkSize + 10)
+	for i := 0; i < 3*chunkSize; i++ {
+		rc.Add(Record{At: int64(i)})
+	}
+	var oldest *Record
+	rc.Walk(func(seg []Record) {
+		if oldest == nil {
+			oldest = &seg[0]
+		}
+	})
+	rc.Add(Record{At: -1})
+	if oldest.At != -1 {
+		t.Fatalf("Add not visible through a held segment (At %d)", oldest.At)
+	}
+	if recs := rc.Records(); &recs[0] == oldest || recs[len(recs)-1].At != -1 {
+		t.Fatal("Records aliases the ring or missed the Add")
+	}
+}
+
 // A ring at capacity records and is read without allocating: Add overwrites
-// in place and Segments re-slices the storage.
+// in place and Walk re-slices the storage.
 func TestRecorderRingZeroAlloc(t *testing.T) {
 	rc := NewRecorder(64)
 	for i := 0; i < 100; i++ {
@@ -208,11 +246,43 @@ func TestRecorderRingZeroAlloc(t *testing.T) {
 	var n int
 	allocs := testing.AllocsPerRun(100, func() {
 		rc.Add(Record{At: 1})
-		older, newer := rc.Segments()
-		n += len(older) + len(newer)
+		rc.Walk(func(seg []Record) { n += len(seg) })
 	})
 	if allocs != 0 || n == 0 {
-		t.Fatalf("full ring: %v allocations per Add+Segments (%d records seen), want 0", allocs, n)
+		t.Fatalf("full ring: %v allocations per Add+Walk (%d records seen), want 0", allocs, n)
+	}
+}
+
+var recorderSink *Recorder
+
+// A recorder filled from empty to three times its bound allocates itself,
+// its chunk index and its chunks, once each: nothing is copied while it
+// grows (an append-grown ring of the paper's 10 000 records allocated
+// ~2.2x its final size), and nothing at all once it is full.
+func TestRecorderFillZeroAlloc(t *testing.T) {
+	const limit = 10_000
+	chunks := (limit + chunkSize - 1) / chunkSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(1, func() {
+		rc := NewRecorder(limit)
+		for i := 0; i < 3*limit; i++ {
+			rc.Add(Record{At: int64(i)})
+		}
+		recorderSink = rc
+	})
+	runtime.ReadMemStats(&after)
+	if want := float64(2 + chunks); allocs != want {
+		t.Fatalf("filling a %d-record recorder: %v allocations, want %v (recorder, index, %d chunks)", limit, allocs, want, chunks)
+	}
+	// AllocsPerRun runs the fill twice (a warm-up, then the measured run).
+	recordBytes := uint64(unsafe.Sizeof(Record{}))
+	if per, bound := (after.TotalAlloc-before.TotalAlloc)/2, limit*recordBytes+4096; per > bound {
+		t.Fatalf("filling a %d-record recorder allocated %d bytes, want <= %d", limit, per, bound)
+	}
+	rc := recorderSink
+	if got := testing.AllocsPerRun(1000, func() { rc.Add(Record{At: 1}) }); got != 0 {
+		t.Fatalf("full recorder: %v allocations per Add, want 0", got)
 	}
 }
 

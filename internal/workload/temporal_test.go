@@ -37,8 +37,9 @@ func runGenerator(t *testing.T, prof Profile, seed int64, dur sim.Time) ([]trace
 	eng.RunUntil(dur)
 	g.Stop()
 	eng.Run()
-	older, newer := rec.Segments()
-	return append(append([]trace.Record(nil), older...), newer...), g
+	var recs []trace.Record
+	rec.Walk(func(seg []trace.Record) { recs = append(recs, seg...) })
+	return recs, g
 }
 
 func TestApplyShapeSteadyIsIdentity(t *testing.T) {

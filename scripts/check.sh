@@ -155,9 +155,12 @@ echo "== allocation guards (-cpu 1,2,4)"
 # block record), TestMeasurementWidths in metrics and vssd (how wide the
 # per-vSSD measurement state is: a sparse histogram of at most 12 octaves, a
 # window snapshot of counters only), fleet's TestRackBytesPerDevice (New +
-# Run of a small rack, bytes per device) and workload's
+# Run of a small rack, bytes per device), workload's
 # TestSynthesizedReplayTableWidths (a synthesized replay trace holds what its
-# generator has issued plus the armed next arrival, not all 20 000 records).
+# generator has issued plus the armed next arrival, not all 20 000 records)
+# and trace's TestRecorderFillZeroAlloc (a trace recorder filled past its
+# bound allocates its 1 024-record chunks once each, never a growth copy,
+# and nothing once full).
 # Run the family at several GOMAXPROCS so a guard that only holds on one core
 # count fails here, not intermittently in tier-1.
 go test -run 'ZeroAlloc|SteadyStateAllocs|TableWidths|MeasurementWidths|RackBytesPerDevice' -count=1 -cpu 1,2,4 \
