@@ -81,13 +81,16 @@ func main() {
 	}
 	sc := scenarios[idx]
 
+	warmupT, window, err := timing(*warmup, *windowMs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	opt, srv, err := shared()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	opt.Warmup = sim.Time(*warmup * 1e9)
-	opt.Window = sim.Time(*windowMs) * sim.Millisecond
+	opt.Warmup, opt.Window = warmupT, window
 
 	if *model != "" {
 		net, err := nn.LoadFile(*model)
@@ -102,4 +105,18 @@ func main() {
 	}
 
 	sc.Render(os.Stdout, opt)
+}
+
+// timing resolves -warmup (seconds) and -window (milliseconds), rejecting,
+// naming the flag, a value no run can honour: a negative warmup starts
+// measuring before time zero, and a zero window would fall back to a
+// different default in each layer.
+func timing(warmup float64, windowMs int) (sim.Time, sim.Time, error) {
+	if !(warmup >= 0) { // NaN included
+		return 0, 0, fmt.Errorf("-warmup %v: must be >= 0", warmup)
+	}
+	if windowMs <= 0 {
+		return 0, 0, fmt.Errorf("-window %d: must be > 0", windowMs)
+	}
+	return sim.Time(warmup * 1e9), sim.Time(windowMs) * sim.Millisecond, nil
 }

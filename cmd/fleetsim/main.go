@@ -9,6 +9,7 @@
 //	fleetsim -trace trace.bin -seconds 10
 //	fleetsim -fleet 64 -placement least-loaded -seconds 4
 //	fleetsim -fleet 8 -faults light -workload bursty -seconds 4
+//	fleetsim -fleet 8 -tier-policy learned -seconds 4
 //
 // With -http the run exports live telemetry on /metrics (Prometheus text
 // format) and the pprof handlers on /debug/pprof/, and keeps serving after
@@ -36,16 +37,17 @@
 // faults from its own seed, and every tenant arrives under the shape (and
 // replays the trace) a single run's tenant would.
 //
-// -tiers (with -fleet) makes the rack hybrid: a fast SLC-like device
-// class plus a dense QLC-like class, with promote/demote driven by
-// -tier-policy (static-pin, watermark, or learned).
+// -tier-policy (with -fleet) makes the rack hybrid: a fast SLC-like tier
+// on a quarter of the devices (at least one) and a dense QLC-like tier on
+// the rest, with promote/demote driven by the policy (static-pin,
+// watermark, or learned).
 //
 // A flag that names the other mode's structure is an error, not a no-op: a
 // rack has no single mix, policy or decision stream, so it takes no -mix,
-// -policy or -decisions; a single device takes no -tiers, -tier-policy or
-// -placement; a hybrid rack takes no -placement, and a homogeneous one no
-// -tier-policy. A -mix the device cannot run (an unknown workload, or a
-// tenant count that does not divide its channels) fails before the run.
+// -policy or -decisions; a single device takes no -tier-policy or
+// -placement; a hybrid rack takes no -placement. A -mix the device cannot
+// run (an unknown workload, or a tenant count that does not divide its
+// channels) fails before the run.
 package main
 
 import (
@@ -66,7 +68,6 @@ import (
 type flags struct {
 	shared                                        func() (harness.Options, *obs.Server, error)
 	mix, policy, decisions, placement, tierPolicy *string
-	tiers                                         *bool
 }
 
 // declareFlags declares fleetsim's flags on fs.
@@ -77,8 +78,7 @@ func declareFlags(fs *flag.FlagSet) flags {
 		policy:     fs.String("policy", "fleetio", "hardware | software | adaptive | ssdkeeper | fleetio"),
 		decisions:  fs.String("decisions", "", "write decision events to this JSONL file"),
 		placement:  fs.String("placement", "least-loaded", "fleet placement baseline: least-loaded, round-robin, or hash (with -fleet)"),
-		tiers:      fs.Bool("tiers", false, "make the -fleet rack hybrid (SLC-like + QLC-like device classes) with promote/demote placement"),
-		tierPolicy: fs.String("tier-policy", "learned", "tier promote/demote policy: static-pin, watermark, or learned (with -tiers)"),
+		tierPolicy: fs.String("tier-policy", "", "make the -fleet rack hybrid (SLC-like + QLC-like tiers) under this promote/demote policy: static-pin, watermark, or learned"),
 	}
 }
 
@@ -87,12 +87,12 @@ func declareFlags(fs *flag.FlagSet) flags {
 // must be parsed and opt resolved from it.
 func checkMode(fs *flag.FlagSet, f flags, opt harness.Options) error {
 	switch {
-	case opt.FleetDevices > 0 && *f.tiers:
-		return rejectSet(fs, "a hybrid rack (-tiers)", "mix", "policy", "decisions", "placement")
+	case opt.FleetDevices > 0 && *f.tierPolicy != "":
+		return rejectSet(fs, "a hybrid rack (-tier-policy)", "mix", "policy", "decisions", "placement")
 	case opt.FleetDevices > 0:
-		return rejectSet(fs, "a rack (-fleet)", "mix", "policy", "decisions", "tier-policy")
+		return rejectSet(fs, "a rack (-fleet)", "mix", "policy", "decisions")
 	}
-	if err := rejectSet(fs, "a single device", "tiers", "tier-policy", "placement"); err != nil {
+	if err := rejectSet(fs, "a single device", "tier-policy", "placement"); err != nil {
 		return err
 	}
 	if err := mixOf(*f.mix).Check(opt); err != nil {
@@ -132,7 +132,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if opt.FleetDevices > 0 {
-		runFleet(opt, *f.placement, *f.tiers, *f.tierPolicy)
+		runFleet(opt, *f.placement, *f.tierPolicy)
 	} else {
 		runDevice(opt, *f.mix, *f.policy, *f.decisions)
 	}
@@ -148,13 +148,13 @@ func main() {
 }
 
 // runFleet runs the rack-scale simulation and prints its roll-up.
-func runFleet(opt harness.Options, placement string, tiers bool, tierPolicy string) {
+func runFleet(opt harness.Options, placement, tierPolicy string) {
 	pk, err := fleet.ParsePlacement(placement)
 	if err != nil {
 		log.Fatalf("parsing -placement: %v", err)
 	}
 	var st fleet.Stats
-	if tiers {
+	if tierPolicy != "" {
 		tp, err := fleet.ParseTierPolicy(tierPolicy)
 		if err != nil {
 			log.Fatalf("parsing -tier-policy: %v", err)

@@ -264,7 +264,7 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	counts := make([]int, n)
 	assigned := 0
 	for i, d := range demands {
-		c := d * s.TotalChannels / maxInt(total, 1)
+		c := d * s.TotalChannels / max(total, 1)
 		if c < 1 {
 			c = 1
 		}
@@ -307,11 +307,4 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	}
 	s.decided = true
 	return actions
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -176,7 +176,7 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 func (f *FleetIO) stateWidth() int {
 	width := StatesPerWindow
 	if f.cfg.ErrorRateState {
-		width = statesPerWindowExt
+		width++
 	}
 	if f.cfg.Tiered {
 		width++
@@ -399,11 +399,11 @@ func (f *FleetIO) closeWindow(a *agent, snap vssd.WindowSnapshot, reward, otherI
 			Reward:  reward,
 		})
 	}
-	var ws []float64
+	ws := encodeWindow(snap, a.scales, otherIOPS, otherVio)
 	if f.cfg.ErrorRateState {
-		ws = encodeWindowExt(snap, a.scales, otherIOPS, otherVio)
-	} else {
-		ws = encodeWindow(snap, a.scales, otherIOPS, otherVio)
+		// Write retries caused by injected NAND program failures, per
+		// completed request (always 0 without a fault injector).
+		ws = append(ws, clamp(float64(snap.Window.Retries)/float64(max(snap.Window.Requests(), 1)), 0, 1))
 	}
 	if f.cfg.Tiered {
 		ws = append(ws, clamp(a.tierOcc, 0, 1))

@@ -9,11 +9,6 @@ import (
 // Table 1 states plus the two shared multi-agent states (§3.3.1).
 const StatesPerWindow = 11
 
-// statesPerWindowExt is the window width with the optional per-tenant
-// error-rate feature appended (FleetIOConfig.ErrorRateState): the
-// fraction of the window's page writes that needed a NAND-failure retry.
-const statesPerWindowExt = StatesPerWindow + 1
-
 // DefaultHistoryWindows is how many windows are stacked into one model
 // input (§3.3.1: three prior time windows).
 const DefaultHistoryWindows = 3
@@ -58,24 +53,6 @@ func encodeWindow(s vssd.WindowSnapshot, sc stateScales, sharedIOPS, sharedVio f
 	return out
 }
 
-// encodeWindowExt is encodeWindow plus the per-tenant error-rate feature:
-// write retries caused by injected NAND program failures, normalized by
-// the window's completed requests. Always 0 without a fault injector, so
-// the feature is inert (but still widens the net input — a policy using
-// it cannot load a network pretrained at the base width).
-func encodeWindowExt(s vssd.WindowSnapshot, sc stateScales, sharedIOPS, sharedVio float64) []float64 {
-	out := encodeWindow(s, sc, sharedIOPS, sharedVio)
-	out = append(out, clamp(float64(s.Window.Retries)/float64(max64(s.Window.Requests(), 1)), 0, 1))
-	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func nz(v float64) float64 {
 	if v <= 0 {
 		return 1
@@ -101,8 +78,7 @@ type history struct {
 }
 
 // newHistoryWidth holds the last `windows` window-states of `width`
-// features each (statesPerWindowExt for policies with the error-rate
-// feature enabled).
+// features each (FleetIO.stateWidth).
 func newHistoryWidth(windows, width int) *history {
 	if windows <= 0 {
 		windows = DefaultHistoryWindows

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vssd"
 	"repro/internal/workload"
@@ -47,24 +49,45 @@ func TestPlacementHeadLayout(t *testing.T) {
 	}
 }
 
+// TestTierOccStateWidth: each optional feature widens the window state by
+// one, appended after the 11 base features in a fixed order — the
+// error-rate feature (write retries per completed request, clamped to
+// [0, 1]) first, then the fast-tier occupancy.
 func TestTierOccStateWidth(t *testing.T) {
 	_, p := testPlatform(2)
 	p.AddVSSD(vssd.Config{Name: "a", Channels: []int{0, 1}})
 
 	cases := []struct {
 		cfg  FleetIOConfig
+		win  metrics.Window
 		want int
+		tail []float64 // the features after the base ones
 	}{
-		{FleetIOConfig{Seed: 1}, StatesPerWindow},
-		{FleetIOConfig{Seed: 1, Tiered: true}, StatesPerWindow + 1},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true}, statesPerWindowExt},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true, Tiered: true}, statesPerWindowExt + 1},
+		{FleetIOConfig{Seed: 1}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow, nil},
+		{FleetIOConfig{Seed: 1, Tiered: true}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow + 1, []float64{0.4}},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow + 1, []float64{0.25}},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{}, StatesPerWindow + 1, []float64{0}},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{Retries: 3}, StatesPerWindow + 1, []float64{1}},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{Reads: 4, Writes: 4, Retries: 24}, StatesPerWindow + 1, []float64{1}},
+		{FleetIOConfig{Seed: 1, ErrorRateState: true, Tiered: true}, metrics.Window{Reads: 2, Writes: 2, Retries: 1}, StatesPerWindow + 2, []float64{0.25, 0.4}},
 	}
 	for _, tc := range cases {
 		f := NewFleetIO(p, tc.cfg)
 		if got := f.stateWidth(); got != tc.want {
 			t.Errorf("stateWidth(err=%v, tier=%v) = %d, want %d",
 				tc.cfg.ErrorRateState, tc.cfg.Tiered, got, tc.want)
+		}
+		f.SetTierOcc(0, 0.4)
+		a := f.agents[0]
+		snap := vssd.WindowSnapshot{Duration: 100 * sim.Millisecond, Window: tc.win}
+		state := f.closeWindow(a, snap, 0, 0, 0)
+		last := state[len(state)-tc.want:]
+		if !slices.Equal(last[:StatesPerWindow], encodeWindow(snap, a.scales, 0, 0)) {
+			t.Errorf("err=%v tier=%v: base features moved: %v", tc.cfg.ErrorRateState, tc.cfg.Tiered, last)
+		}
+		if got := last[StatesPerWindow:]; !slices.Equal(got, tc.tail) {
+			t.Errorf("err=%v tier=%v window %+v: optional features = %v, want %v",
+				tc.cfg.ErrorRateState, tc.cfg.Tiered, tc.win, got, tc.tail)
 		}
 	}
 }

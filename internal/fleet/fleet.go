@@ -50,29 +50,22 @@ import (
 )
 
 // Config sizes and seeds a fleet run. The zero value of most fields picks
-// a sensible default (see the field comments); Duration and one of Devices
-// or Classes are required.
+// a sensible default (see the field comments); Duration and Devices are
+// required.
 type Config struct {
-	// Devices is the number of flash-device shards. With Classes unset it
-	// is required (>= 1); with Classes set it may be left 0 and is derived
-	// as the class sum (any other value must equal that sum).
+	// Devices is the number of flash-device shards (required: >= 1, and
+	// >= 2 on a hybrid rack).
 	Devices int
 	// Seed derives every stream in the fleet (per-shard, per-tenant, and
 	// control) via sim.RNG.Stream, so runs are seed-deterministic.
 	Seed int64
 	// Flash is the per-device geometry; zero value → defaultDeviceConfig.
-	// Flash+Devices is shorthand for a one-class Classes list. When Classes
-	// is set Flash is ignored, and the resolved Config reports class 0's
-	// geometry here.
+	// On a hybrid rack each tier's geometry derives from it (tierFlash).
 	Flash flash.Config
-
-	// Classes describes the rack as device classes: each entry contributes
-	// Devices shards with its own flash geometry, assigned class-contiguous
-	// device ids (class 0 first). Class 0 is the fast tier by convention.
-	// A rack of more than one class is hybrid; on a one-class rack (which
-	// is what Flash+Devices resolves to) the tier control plane is inert.
-	Classes []DeviceClass
-	// TierPolicy selects the promote/demote driver on a hybrid rack.
+	// TierPolicy, when set, makes the rack hybrid and drives promote/demote
+	// between its tiers: the first max(Devices/4, 1) devices are a fast
+	// SLC-like tier, the rest a dense QLC-like one. TierNone (the zero
+	// value) is a homogeneous rack with no tier control plane.
 	TierPolicy TierPolicyKind
 	// Window is the per-device decision window (0 → 100 ms).
 	Window sim.Time
@@ -174,8 +167,8 @@ func (c Config) maxMigrations() int { return c.Devices/8 + 1 }
 // the start of the run, and for each tenant from its last placement.
 func (c Config) settle() sim.Time { return settleQuanta * c.quantum }
 
-// tiered reports whether the rack is hybrid (more than one device class).
-func (c Config) tiered() bool { return len(c.Classes) > 1 }
+// tiered reports whether the rack is hybrid (fast and dense tiers).
+func (c Config) tiered() bool { return c.TierPolicy != TierNone }
 
 // defaultDeviceConfig is the per-shard flash geometry: a quarter-size
 // device (8 channels, 2 chips each) so racks of tens to hundreds of
@@ -196,9 +189,8 @@ func defaultWorkloadCycle() []string {
 	return []string{"VDI-Web", "TeraSort", "YCSB", "MLPrep"}
 }
 
-// withDefaults resolves every zero field, and Flash+Devices into the
-// one-class list it is shorthand for, so the rest of the package sees one
-// description of a rack.
+// withDefaults resolves every zero field and rejects a rack it cannot
+// build.
 func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		panic("fleet: Config.Duration must be > 0")
@@ -206,36 +198,16 @@ func (c Config) withDefaults() Config {
 	if !(c.PrefillFrac <= 1) { // NaN included
 		panic(fmt.Sprintf("fleet: Config.PrefillFrac=%g must be <= 1", c.PrefillFrac))
 	}
+	if c.Devices < 1 || c.tiered() && c.Devices < 2 {
+		// A hybrid rack needs a device in each tier.
+		panic(fmt.Sprintf("fleet: Config.Devices=%d must be >= 1, and >= 2 under a tier policy", c.Devices))
+	}
 	if c.Flash.Channels == 0 {
 		c.Flash = defaultDeviceConfig()
 	}
-	classes := []DeviceClass{{Flash: c.Flash, Devices: c.Devices}}
-	if len(c.Classes) > 0 {
-		// Copy before resolving: callers share class slices across runs
-		// (harness's tiers figure builds one per policy from the same literal).
-		classes = append([]DeviceClass(nil), c.Classes...)
+	if err := c.Flash.Validate(); err != nil {
+		panic(err)
 	}
-	sum := 0
-	for i := range classes {
-		cl := &classes[i]
-		if cl.Devices <= 0 {
-			panic(fmt.Sprintf("fleet: Config.Devices (or Classes[%d].Devices) must be >= 1", i))
-		}
-		if cl.Flash.Channels == 0 {
-			cl.Flash = defaultDeviceConfig()
-		}
-		if err := cl.Flash.Validate(); err != nil {
-			panic(err)
-		}
-		if cl.Name == "" {
-			cl.Name = fmt.Sprintf("class%d", i)
-		}
-		sum += cl.Devices
-	}
-	if c.Devices != 0 && c.Devices != sum {
-		panic(fmt.Sprintf("fleet: Config.Devices=%d but Classes sum to %d", c.Devices, sum))
-	}
-	c.Devices, c.Classes, c.Flash = sum, classes, classes[0].Flash
 	if c.Window <= 0 {
 		c.Window = 100 * sim.Millisecond
 	}
@@ -330,8 +302,8 @@ type Tenant struct {
 	// class (tier placement and the tail-latency roll-up read it).
 	prof workload.Profile
 	// pageSize/logicalPages snapshot the tenant's device geometry at
-	// placement, for classification after the tenant departs or on racks
-	// where classes differ per device.
+	// placement, for classification after the tenant departs or on hybrid
+	// racks, where geometry differs per tier.
 	pageSize     int
 	logicalPages int64
 	// departAt ends the tenant's session when Config.Lifetime is set
@@ -361,8 +333,8 @@ type Tenant struct {
 type Fleet struct {
 	cfg    Config
 	shards []*Shard
-	// tiers is shards cut by device class, fast tier (class 0) first; a
-	// homogeneous rack has the one entry.
+	// tiers is shards cut by tier, fast tier first; a homogeneous rack has
+	// the one entry.
 	tiers   [][]*Shard
 	tenants []*Tenant
 	queue   []int // tenant IDs waiting for a slot, FIFO
@@ -406,16 +378,22 @@ func New(cfg Config) *Fleet {
 		f.lsSLO = tierSLO
 		learned = cfg.TierPolicy == TierLearned
 		if f.metrics != nil {
-			f.metrics.tier = newTierMetrics(cfg.Obs, cfg.Classes)
+			f.metrics.tier = newTierMetrics(cfg.Obs)
 		}
 	}
-	f.shards = make([]*Shard, 0, cfg.Devices)
-	for t, cl := range cfg.Classes {
-		first := len(f.shards)
-		for id := first; id < first+cl.Devices; id++ {
-			f.shards = append(f.shards, newShard(cfg, id, cl.Flash, t, learned, base.Stream(int64(id))))
+	f.shards = make([]*Shard, cfg.Devices)
+	for id := range f.shards {
+		fc, tier := cfg.Flash, 0
+		if cfg.tiered() {
+			tier = min(id/cfg.fastDevices(), 1)
+			fc = tierFlash(fc, tier)
 		}
-		f.tiers = append(f.tiers, f.shards[first:])
+		f.shards[id] = newShard(cfg, id, fc, tier, learned, base.Stream(int64(id)))
+	}
+	f.tiers = [][]*Shard{f.shards}
+	if cfg.tiered() {
+		fast := cfg.fastDevices()
+		f.tiers = [][]*Shard{f.shards[:fast], f.shards[fast:]}
 	}
 	cycle := defaultWorkloadCycle()
 	f.tenants = make([]*Tenant, cfg.Tenants)
@@ -741,7 +719,7 @@ func (f *Fleet) collect() Stats {
 	if f.now > 0 {
 		secs := float64(f.now) / 1e9
 		s.AggBandwidthMBps = float64(hostBytes) / secs / 1e6
-		// One multiply per class, so a one-class rack's peak is the single
+		// One multiply per tier, so a homogeneous rack's peak is the single
 		// product (device peak × device count) it has always been.
 		var peak float64
 		for _, tier := range f.tiers {
@@ -749,7 +727,9 @@ func (f *Fleet) collect() Stats {
 		}
 		s.AvgUtil = utilOver(hostBytes, peak*secs)
 	}
-	f.collectTiers(&s)
+	if f.cfg.tiered() {
+		f.collectTiers(&s)
+	}
 	return s
 }
 
@@ -780,7 +760,7 @@ func (f *Fleet) classifyTenants() []TypeCount {
 // does not type or the window is under the typing floor. It classifies
 // against the geometry snapshotted at the tenant's last placement
 // (identical to the rack geometry on homogeneous fleets; the tenant's own
-// class geometry on hybrid ones).
+// tier geometry on hybrid ones).
 func (f *Fleet) typeOf(tn *Tenant) string {
 	if f.cfg.TypeModel == nil {
 		return ""
@@ -797,7 +777,8 @@ func (f *Fleet) typeOf(tn *Tenant) string {
 type Shard struct {
 	dev *device.Device
 
-	// tier is the device-class index (always 0 on homogeneous racks).
+	// tier is the tier index: 0 fast, 1 dense (always 0 on homogeneous
+	// racks).
 	tier int
 	// fio is the shard's deployed agent stack under TierLearned (nil
 	// otherwise): per-vSSD PPO agents with the placement head, training
@@ -819,7 +800,7 @@ type Shard struct {
 	utilSum   float64
 }
 
-// newShard builds shard id on its own engine, with the class geometry fc
+// newShard builds shard id on its own engine, with the tier geometry fc
 // and, when cfg injects faults, its own fault injector. On a learned rack
 // the shard's decision runner deploys the FleetIO agent stack instead of
 // the static placeholder policy.

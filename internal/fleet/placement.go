@@ -40,14 +40,15 @@ var placementNames = []kindName[PlacementKind]{
 	{PlaceLeastLoaded, "least-loaded", []string{"least", "ll"}},
 }
 
-// kindString is the String method of a table's kind type.
-func kindString[K comparable](rows []kindName[K], k K) string {
+// kindString is the String method of a table's kind type. A kind the
+// table does not name prints as its number (%v would recurse into String).
+func kindString[K ~uint8](rows []kindName[K], k K) string {
 	for _, r := range rows {
 		if r.kind == k {
 			return r.name
 		}
 	}
-	return fmt.Sprintf("%T(%v)", k, k)
+	return fmt.Sprintf("%T(%d)", k, uint8(k))
 }
 
 // parseKind maps a flag value to the kind it names in the table; what
@@ -92,10 +93,9 @@ func Placements() []PlacementKind { return kinds(placementNames) }
 // the rack is full. It runs on the control-plane thread at an epoch
 // boundary, so shard load fields are stable. A pinning tier policy
 // (static-pin) tries the tenant's class tier first — latency-class the
-// fast tier, bandwidth-class the rest — and spills to the other; on a
-// one-class rack the rest is empty, so that is a scan of the whole rack.
-// The runtime movers place class-blind anywhere and rely on promote/demote
-// to sort the rack.
+// fast tier, bandwidth-class the rest — and spills to the other. The
+// runtime movers, and every homogeneous rack, place class-blind anywhere;
+// the movers rely on promote/demote to sort the rack.
 func (f *Fleet) place(tn *Tenant) (int, bool) {
 	if !tierRules[f.cfg.TierPolicy].pin {
 		return f.pick(f.cfg.Placement, tn, 0, len(f.shards))

@@ -64,10 +64,9 @@ type Stats struct {
 	// traced tenants (Config.TypeModel set); empty otherwise.
 	TypeCounts []TypeCount
 
-	// Tiers is the per-class roll-up: one row per device class, so a
-	// single row on a homogeneous rack (Render prints the tier section
-	// only for a hybrid one). The cross-tier ledger below stays zero on a
-	// one-class rack.
+	// Tiers is the per-tier roll-up, fast tier first. It, the cross-tier
+	// ledger below and the latency-class tail summary are filled on a
+	// hybrid rack only.
 	Tiers []TierStats
 	// Cross-tier migration ledger: Started splits by direction and
 	// PromotesStarted+DemotesStarted = Promotes + Demotes +
@@ -91,13 +90,13 @@ type Stats struct {
 	PerDevice []DeviceStats
 }
 
-// TierStats is one device class's slice of the roll-up.
+// TierStats is one tier's slice of the roll-up.
 type TierStats struct {
 	Name      string
 	Devices   int
 	SlotsUsed int
 	Slots     int
-	// MeanUtil is the class's mean per-device utilization over the run.
+	// MeanUtil is the tier's mean per-device utilization over the run.
 	MeanUtil float64
 }
 
@@ -139,7 +138,7 @@ func (s Stats) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "\n")
 	}
-	if len(s.Tiers) > 1 {
+	if len(s.Tiers) > 0 {
 		fmt.Fprintf(w, "tiers:")
 		for _, ts := range s.Tiers {
 			fmt.Fprintf(w, " %s[dev=%d slots=%d/%d util=%.1f%%]",
@@ -175,7 +174,7 @@ type fleetMetrics struct {
 	// always 0 with one worker), and the cumulative wall time of the
 	// sequential control plane.
 	barrierWait, straggler, controlPlane *obs.Metric
-	// tier holds the fleetio_tier_* series; nil on one-class racks.
+	// tier holds the fleetio_tier_* series; nil on homogeneous racks.
 	tier *tierMetrics
 }
 
@@ -217,8 +216,8 @@ func (f *Fleet) publishMetrics(now sim.Time) {
 	m.migDone.Set(float64(f.led.MigrationsCompleted))
 	m.migDowntime.Set(float64(f.led.Downtime) / 1e9)
 	// Per-device utilizations times the device's peak bandwidth sum to the
-	// fleet's throughput over the epoch; one multiply per class, so a
-	// one-class rack's product is the single one it has always been.
+	// fleet's throughput over the epoch; one multiply per tier, so a
+	// homogeneous rack's product is the single one it has always been.
 	var sum, bw float64
 	min, max := 1e18, -1e18
 	for t, tier := range f.tiers {
@@ -237,7 +236,7 @@ func (f *Fleet) publishMetrics(now sim.Time) {
 		}
 		bw += util * tier[0].peakBandwidth()
 		if m.tier != nil {
-			m.tier.publishClass(t, len(tier), used, util)
+			m.tier.publishTier(t, len(tier), used, util)
 		}
 	}
 	m.utilMean.Set(sum / float64(len(f.shards)))

@@ -8,53 +8,44 @@ import (
 	"repro/internal/workload"
 )
 
-// DeviceClass is one tier of a hybrid rack: a device count sharing one
-// flash geometry. Tiers are expressed purely through the existing
-// geometry/timing fields — a fast SLC-like class has short ReadPage/
-// ProgramPage and few blocks per chip, a dense QLC-like class long
-// timings and many blocks — so every layer below the fleet (flash, FTL,
-// gSB, vSSD) runs unmodified.
-type DeviceClass struct {
-	// Name labels the class in Stats.Tiers and the fleetio_tier_* series
-	// ("" → class<i>).
-	Name string
-	// Flash is the class geometry (zero value → defaultDeviceConfig).
-	Flash flash.Config
-	// Devices is how many shards the class contributes (required, >= 1).
-	Devices int
-}
+// tierNames label a hybrid rack's two tiers, fast first, in Stats.Tiers
+// and the fleetio_tier_* series.
+var tierNames = [...]string{"fast", "dense"}
 
-// DefaultTierClasses builds the standard two-tier hybrid rack: a fast
-// SLC-like class (short page timings, half the blocks) and a dense
-// QLC-like class (long page timings, double the blocks), both derived
-// from defaultDeviceConfig so channel/chip parallelism matches the
-// homogeneous rack. Classes[0] is the fast tier by convention
-// (core.TierFast).
-func DefaultTierClasses(fastDevices, denseDevices int) []DeviceClass {
-	fast := defaultDeviceConfig()
-	fast.ReadPage = 25 * sim.Microsecond
-	fast.ProgramPage = 200 * sim.Microsecond
-	fast.EraseBlock = 2 * sim.Millisecond
-	fast.BlocksPerChip = 16
-	dense := defaultDeviceConfig()
-	dense.ReadPage = 140 * sim.Microsecond
-	dense.ProgramPage = 2 * sim.Millisecond
-	dense.EraseBlock = 3500 * sim.Microsecond
-	dense.BlocksPerChip = 64
-	return []DeviceClass{
-		{Name: "fast", Flash: fast, Devices: fastDevices},
-		{Name: "dense", Flash: dense, Devices: denseDevices},
+// fastDevices is how many of a hybrid rack's devices form the fast tier:
+// a quarter, and at least one. They take the lowest device ids.
+func (c Config) fastDevices() int { return max(c.Devices/4, 1) }
+
+// tierFlash derives tier t's geometry from the rack geometry: the fast
+// SLC-like tier (t = 0) has short page timings and half the blocks, the
+// dense QLC-like tier long timings and double the blocks. Tiers are
+// expressed purely through the existing geometry/timing fields, with
+// channel/chip parallelism unchanged, so every layer below the fleet
+// (flash, FTL, gSB, vSSD) runs unmodified.
+func tierFlash(fc flash.Config, t int) flash.Config {
+	if t == 0 {
+		fc.ReadPage, fc.ProgramPage, fc.EraseBlock = 25*sim.Microsecond, 200*sim.Microsecond, 2*sim.Millisecond
+		fc.BlocksPerChip = 16
+	} else {
+		fc.ReadPage, fc.ProgramPage, fc.EraseBlock = 140*sim.Microsecond, 2*sim.Millisecond, 3500*sim.Microsecond
+		fc.BlocksPerChip = 64
 	}
+	return fc
 }
 
-// TierPolicyKind selects the promote/demote driver of a tiered rack.
-// Initial placement differs too: the static-pin baseline pins by
-// workload class at admission, while the runtime movers start class-blind
-// (Config.Placement over the whole rack) and must discover the assignment.
+// TierPolicyKind selects the promote/demote driver of a hybrid rack, and
+// whether a rack is hybrid at all. Initial placement differs too: the
+// static-pin baseline pins by workload class at admission, while the
+// runtime movers start class-blind (Config.Placement over the whole rack)
+// and must discover the assignment.
 type TierPolicyKind uint8
 
-// Tier policies, in comparison order.
+// Tier policies, in comparison order after TierNone.
 const (
+	// TierNone, the zero value, is a homogeneous rack: one geometry,
+	// no tier control plane. It is not a flag value, so TierPolicies and
+	// ParseTierPolicy do not know it.
+	TierNone TierPolicyKind = iota
 	// TierStatic is the static-pin baseline: latency-class tenants prefer
 	// the fast tier at admission (bandwidth-class the dense tier), spill
 	// to the other tier when their preferred one is full, and never move
@@ -92,7 +83,7 @@ func ParseTierPolicy(s string) (TierPolicyKind, error) {
 	return parseKind(tierPolicyNames, "tier policy", s)
 }
 
-// TierPolicies lists every tier policy, in comparison order.
+// TierPolicies lists every hybrid-rack tier policy, in comparison order.
 func TierPolicies() []TierPolicyKind { return kinds(tierPolicyNames) }
 
 // tierRule is a tier policy as data: whether admission pins a tenant to
@@ -107,19 +98,21 @@ type tierRule struct {
 	demoteAt, promoteBelow float64
 }
 
-// tierRules is indexed by TierPolicyKind. The watermark thresholds do not
+// tierRules is indexed by TierPolicyKind; TierNone places over the
+// whole rack and never moves a tenant. The watermark thresholds do not
 // overlap, so that policy starts at most one move per epoch; the learned
 // policy's always hold (occupancy lies in [0, 1]), so it may start one
 // each way.
 var tierRules = [...]tierRule{
+	TierNone:      {},
 	TierStatic:    {pin: true},
 	TierWatermark: {demote: coldest, demoteAt: tierHighWater, promote: hottest, promoteBelow: tierLowWater},
 	TierLearned:   {demote: hintsDense, demoteAt: 0, promote: hintsFast, promoteBelow: 2},
 }
 
-// fastRange returns the device-id range [lo, hi) of the fast tier
-// (class 0); denseRange the rest of the rack (empty on a one-class rack).
-// Both rely on the class-contiguous device ids New guarantees.
+// fastRange returns the device-id range [lo, hi) of the fast tier;
+// denseRange the rest of the rack. Both rely on the tier-contiguous device
+// ids New assigns.
 func (f *Fleet) fastRange() (int, int)  { return 0, len(f.tiers[0]) }
 func (f *Fleet) denseRange() (int, int) { return len(f.tiers[0]), len(f.shards) }
 
@@ -242,14 +235,14 @@ func (f *Fleet) victim(lo, hi int, now sim.Time, r rank) *Tenant {
 	return best
 }
 
-// collectTiers fills the tier section of the roll-up: per-class device
-// and slot usage (one row on a homogeneous rack) and the latency-class
-// tail summary (each latency tenant's whole-run P99 on its current device
-// — the histogram resets at cutover, so a migrated tenant reports the
-// latency of its current placement, not the bulk copy).
+// collectTiers fills the tier section of a hybrid rack's roll-up:
+// per-tier device and slot usage and the latency-class tail summary (each
+// latency tenant's whole-run P99 on its current device — the histogram
+// resets at cutover, so a migrated tenant reports the latency of its
+// current placement, not the bulk copy).
 func (f *Fleet) collectTiers(s *Stats) {
 	for t, tier := range f.tiers {
-		ts := TierStats{Name: f.cfg.Classes[t].Name, Devices: len(tier), Slots: len(tier) * slotsPerDevice}
+		ts := TierStats{Name: tierNames[t], Devices: len(tier), Slots: len(tier) * slotsPerDevice}
 		for _, sh := range tier {
 			ts.SlotsUsed += sh.slotsUsed
 			if f.epochs > 0 {
@@ -284,8 +277,8 @@ func (f *Fleet) collectTiers(s *Stats) {
 }
 
 // tierMetrics is the fleetio_tier_* series catalogue, registered only on
-// hybrid racks. The per-class series carry a tier label fixed at
-// registration, indexed by class here.
+// hybrid racks. The per-tier series carry a tier label fixed at
+// registration, indexed by tier here.
 type tierMetrics struct {
 	slots, slotsUsed, occupancy, utilMean []*obs.Metric
 	promotes, demotes                     *obs.Metric
@@ -293,25 +286,25 @@ type tierMetrics struct {
 	copyBytes                             *obs.Metric
 }
 
-func newTierMetrics(reg *obs.Registry, classes []DeviceClass) *tierMetrics {
+func newTierMetrics(reg *obs.Registry) *tierMetrics {
 	m := &tierMetrics{
 		promotes:      reg.Counter("fleetio_tier_promotes_total", "Cross-tier migrations completed into the fast tier."),
 		demotes:       reg.Counter("fleetio_tier_demotes_total", "Cross-tier migrations completed out of the fast tier."),
 		movesInFlight: reg.Gauge("fleetio_tier_moves_inflight", "Cross-tier migrations currently draining or copying."),
 		copyBytes:     reg.Counter("fleetio_tier_copy_bytes_total", "Payload bytes written to the destination by completed promotes/demotes."),
 	}
-	for _, cl := range classes {
-		m.slots = append(m.slots, reg.Gauge("fleetio_tier_slots", "Admission slots per device class.", "tier", cl.Name))
-		m.slotsUsed = append(m.slotsUsed, reg.Gauge("fleetio_tier_slots_used", "Occupied admission slots per device class.", "tier", cl.Name))
-		m.occupancy = append(m.occupancy, reg.Gauge("fleetio_tier_occupancy", "Slot occupancy per device class.", "tier", cl.Name))
-		m.utilMean = append(m.utilMean, reg.Gauge("fleetio_tier_util_mean", "Mean device utilization per class over the last epoch.", "tier", cl.Name))
+	for _, name := range tierNames {
+		m.slots = append(m.slots, reg.Gauge("fleetio_tier_slots", "Admission slots per device class.", "tier", name))
+		m.slotsUsed = append(m.slotsUsed, reg.Gauge("fleetio_tier_slots_used", "Occupied admission slots per device class.", "tier", name))
+		m.occupancy = append(m.occupancy, reg.Gauge("fleetio_tier_occupancy", "Slot occupancy per device class.", "tier", name))
+		m.utilMean = append(m.utilMean, reg.Gauge("fleetio_tier_util_mean", "Mean device utilization per class over the last epoch.", "tier", name))
 	}
 	return m
 }
 
-// publishClass refreshes class t's series from its device count, occupied
+// publishTier refreshes tier t's series from its device count, occupied
 // slots and summed last-epoch utilization.
-func (m *tierMetrics) publishClass(t, devices, used int, util float64) {
+func (m *tierMetrics) publishTier(t, devices, used int, util float64) {
 	slots := devices * slotsPerDevice
 	m.slots[t].Set(float64(slots))
 	m.slotsUsed[t].Set(float64(used))

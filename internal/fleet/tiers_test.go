@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func tierTestConfig(tp TierPolicyKind) Config {
 	return Config{
 		Seed:        1,
 		Duration:    3 * sim.Second,
-		Classes:     DefaultTierClasses(2, 6),
+		Devices:     8,
 		TierPolicy:  tp,
 		Lifetime:    1500 * sim.Millisecond,
 		Tenants:     25,
@@ -52,83 +53,139 @@ func TestColdFleetRuns(t *testing.T) {
 	}
 }
 
+// TestTierClassResolution: a tier policy splits the rack into a fast tier
+// on the first max(Devices/4, 1) devices and a dense tier on the rest, each
+// with its own geometry derived from Config.Flash (which stays the rack
+// geometry), and both geometries valid devices.
 func TestTierClassResolution(t *testing.T) {
-	f := New(Config{Duration: sim.Second, Classes: DefaultTierClasses(2, 6)})
-	if got := f.Config().Devices; got != 8 {
-		t.Fatalf("Devices = %d, want class sum 8", got)
-	}
-	if got := f.Config().Flash.BlocksPerChip; got != 16 {
-		t.Errorf("resolved Flash has %d blocks/chip, want class 0's 16", got)
-	}
-	if f.lsSLO != 2*sim.Millisecond {
-		t.Errorf("latency-class SLO = %v, want 2ms", f.lsSLO)
-	}
-	for dev, want := range map[int][2]int{1: {0, 16}, 7: {1, 64}} {
-		sh := f.Shards()[dev]
-		if sh.tier != want[0] || sh.Platform().FlashConfig().BlocksPerChip != want[1] {
-			t.Errorf("device %d: tier=%d blocks=%d, want tier %d with %d blocks",
-				dev, sh.tier, sh.Platform().FlashConfig().BlocksPerChip, want[0], want[1])
+	for devices, fast := range map[int]int{2: 1, 5: 1, 8: 2, 64: 16} {
+		f := New(Config{Devices: devices, Duration: sim.Second, TierPolicy: TierStatic})
+		if _, hi := f.fastRange(); hi != fast {
+			t.Errorf("%d devices: fast tier ends at %d, want %d", devices, hi, fast)
+		}
+		if got := f.Config().Flash; got != defaultDeviceConfig() {
+			t.Errorf("%d devices: resolved Flash = %+v, want the rack geometry", devices, got)
+		}
+		if f.lsSLO != 2*sim.Millisecond {
+			t.Errorf("%d devices: latency-class SLO = %v, want 2ms", devices, f.lsSLO)
+		}
+		for id, sh := range f.Shards() {
+			fc := sh.Platform().FlashConfig()
+			wantTier, wantBlocks, wantRead := 0, 16, 25*sim.Microsecond
+			if id >= fast {
+				wantTier, wantBlocks, wantRead = 1, 64, 140*sim.Microsecond
+			}
+			if sh.tier != wantTier || fc.BlocksPerChip != wantBlocks || fc.ReadPage != wantRead {
+				t.Errorf("%d devices: device %d is tier %d with %d blocks/chip and %v reads, want tier %d with %d and %v",
+					devices, id, sh.tier, fc.BlocksPerChip, fc.ReadPage, wantTier, wantBlocks, wantRead)
+			}
+			if err := fc.Validate(); err != nil {
+				t.Errorf("%d devices: device %d geometry: %v", devices, id, err)
+			}
 		}
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("Devices/class-sum mismatch did not panic")
-		}
-	}()
-	Config{Devices: 5, Duration: sim.Second, Classes: DefaultTierClasses(2, 6)}.withDefaults()
 }
 
-// TestOneClassRackIsHomogeneous: Flash+Devices is shorthand for a
-// one-class list, so spelling the list out — with or without a matching
-// Devices, under any tier policy — must change nothing: same bytes, an
-// inert tier control plane, no agent stacks and no fleetio_tier_* series.
+// TestRackNeedsDevices: a rack needs a device, under any tier policy.
+func TestRackNeedsDevices(t *testing.T) {
+	for _, cfg := range []Config{
+		{Devices: 0},
+		{Devices: 0, TierPolicy: TierStatic},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Devices=%d under %v did not panic", cfg.Devices, cfg.TierPolicy)
+				}
+			}()
+			cfg.Duration = sim.Second
+			cfg.withDefaults()
+		}()
+	}
+	Config{Devices: 2, Duration: sim.Second, TierPolicy: TierLearned}.withDefaults()
+	Config{Devices: 1, Duration: sim.Second}.withDefaults()
+}
+
+// TestOneClassRackIsHomogeneous: a rack is one class, with an inert tier
+// control plane, exactly when it has no tier policy. Without one, a rack of
+// any geometry runs every device on Config.Flash with no latency-class SLO,
+// no agent stacks, no tier moves, no tier rows and no fleetio_tier_* series,
+// and spelling out the default geometry changes no byte. A tier policy never
+// leaves a one-class rack: it is refused on one device, and it splits a
+// Flash+Devices rack into a fast and a dense tier.
 func TestOneClassRackIsHomogeneous(t *testing.T) {
-	run := func(mut func(*Config)) (string, *Fleet, *obs.Registry) {
+	run := func(mut func(*Config)) (string, Stats, *Fleet, *obs.Registry) {
 		cfg := cohortConfig()
 		cfg.Obs = obs.NewRegistry()
 		mut(&cfg)
 		f := New(cfg)
-		return render(f.Run()), f, cfg.Obs
+		st := f.Run()
+		return render(st), st, f, cfg.Obs
 	}
-	want, _, _ := run(func(*Config) {})
-	oneClass := []DeviceClass{{Flash: defaultDeviceConfig(), Devices: 4}}
-	cases := map[string]func(*Config){
-		"classes only":          func(c *Config) { c.Devices, c.Classes = 0, oneClass },
-		"classes and devices":   func(c *Config) { c.Classes = oneClass },
-		"default geometry":      func(c *Config) { c.Classes = []DeviceClass{{Devices: 4}} },
-		"watermark, one class":  func(c *Config) { c.Classes, c.TierPolicy = oneClass, TierWatermark },
-		"learned, one class":    func(c *Config) { c.Classes, c.TierPolicy = oneClass, TierLearned },
-		"learned, flash+device": func(c *Config) { c.TierPolicy = TierLearned },
+	want, _, _, _ := run(func(*Config) {})
+	homogeneous := map[string]struct {
+		mut  func(*Config)
+		same bool // the same rack as cohortConfig's, byte for byte
+	}{
+		"default geometry": {func(c *Config) { c.Flash = defaultDeviceConfig() }, true},
+		// One tier's geometry on every device, with and without a
+		// device count of its own: still one class.
+		"classes only":        {func(c *Config) { c.Flash = tierFlash(defaultDeviceConfig(), 1) }, false},
+		"classes and devices": {func(c *Config) { c.Flash, c.Devices = tierFlash(defaultDeviceConfig(), 0), 8 }, false},
 	}
-	for name, mut := range cases {
+	for name, c := range homogeneous {
 		t.Run(name, func(t *testing.T) {
-			got, f, reg := run(mut)
-			if got != want {
-				t.Errorf("diverged from the Flash+Devices rack:\n%s\nvs\n%s", got, want)
+			got, st, f, reg := run(c.mut)
+			if c.same && got != want {
+				t.Errorf("diverged from the default-geometry rack:\n%s\nvs\n%s", got, want)
 			}
-			if len(f.Config().Classes) != 1 || f.Config().Devices != 4 {
-				t.Errorf("resolved to %d classes, %d devices; want 1, 4", len(f.Config().Classes), f.Config().Devices)
+			for id, sh := range f.Shards() {
+				if sh.fio != nil || sh.tier != 0 || sh.Platform().FlashConfig() != f.Config().Flash {
+					t.Errorf("device %d: tier %d, agents=%v, geometry %+v on a rack of %+v",
+						id, sh.tier, sh.fio != nil, sh.Platform().FlashConfig(), f.Config().Flash)
+				}
 			}
-			if f.lsSLO != 0 || f.Shards()[0].fio != nil || f.led.PromotesStarted+f.led.DemotesStarted != 0 {
-				t.Errorf("tier control plane not inert: slo=%v fio=%v moves=%d",
-					f.lsSLO, f.Shards()[0].fio != nil, f.led.PromotesStarted+f.led.DemotesStarted)
+			if f.lsSLO != 0 || st.PromotesStarted+st.DemotesStarted != 0 || len(st.Tiers) != 0 {
+				t.Errorf("tier control plane not inert: slo=%v moves=%d tier rows=%d",
+					f.lsSLO, st.PromotesStarted+st.DemotesStarted, len(st.Tiers))
 			}
 			for _, n := range metricNames(t, reg) {
 				if strings.HasPrefix(n, "fleetio_tier_") {
-					t.Errorf("one-class rack registered %s", n)
+					t.Errorf("homogeneous rack registered %s", n)
 				}
 			}
 		})
 	}
-}
 
-func TestTierClassSliceNotMutated(t *testing.T) {
-	classes := []DeviceClass{{Devices: 1}, {Devices: 2}}
-	Config{Duration: sim.Second, Classes: classes}.withDefaults()
-	if classes[0].Name != "" || classes[0].Flash.Channels != 0 {
-		t.Errorf("withDefaults mutated the caller's class slice: %+v", classes[0])
+	for name, tp := range map[string]TierPolicyKind{"watermark, one class": TierWatermark, "learned, one class": TierLearned} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a one-device rack under %v did not panic", tp)
+				}
+			}()
+			cfg := cohortConfig()
+			cfg.Devices, cfg.TierPolicy = 1, tp
+			New(cfg)
+		})
 	}
+
+	t.Run("learned, flash+device", func(t *testing.T) {
+		cfg := cohortConfig()
+		cfg.TierPolicy = TierLearned
+		f := New(cfg)
+		if f.lsSLO != tierSLO {
+			t.Errorf("latency-class SLO = %v, want %v", f.lsSLO, tierSLO)
+		}
+		for id, sh := range f.Shards() {
+			wantTier := min(id, 1) // 4 devices: one fast, three dense
+			if sh.tier != wantTier || sh.fio == nil ||
+				sh.Platform().FlashConfig() != tierFlash(f.Config().Flash, wantTier) {
+				t.Errorf("device %d: tier %d, agents=%v; want tier %d with agents on its tier geometry",
+					id, sh.tier, sh.fio != nil, wantTier)
+			}
+		}
+	})
 }
 
 func TestTierStaticPinPlacement(t *testing.T) {
@@ -191,7 +248,12 @@ func TestTierParseAndStrings(t *testing.T) {
 			t.Errorf("ParseTierPolicy(%q) = %v, %v", tp.String(), got, err)
 		}
 	}
-	if _, err := ParseTierPolicy("nope"); err == nil {
-		t.Error("ParseTierPolicy accepted garbage")
+	for _, bad := range []string{"nope", "", TierNone.String()} {
+		if _, err := ParseTierPolicy(bad); err == nil {
+			t.Errorf("ParseTierPolicy accepted %q", bad)
+		}
+	}
+	if slices.Contains(TierPolicies(), TierNone) {
+		t.Error("TierPolicies lists TierNone, which is not a flag value")
 	}
 }

@@ -74,8 +74,6 @@ func cohortScenario(opt Options) fleet.Stats {
 // Options.Workers setting.
 func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
 	cfg := rackConfig(opt, defaultTierDevices)
-	fast := max(cfg.Devices/4, 1)
-	cfg.Classes = fleet.DefaultTierClasses(fast, cfg.Devices-fast)
 	cfg.TierPolicy = tp
 	// Churn: mean session of half the run, and oversubscription of 2×
 	// rack capacity, so departures keep freeing slots for tier moves.

@@ -110,7 +110,7 @@ type Options struct {
 	// derives the injector stream from Options.Seed, so fault scenarios
 	// are per-seed deterministic. Under faults, FleetIO agents not seeded
 	// from a Pretrained network (built at the base input width) also see
-	// the per-tenant write-retry rate (core.statesPerWindowExt).
+	// the per-tenant write-retry rate (core.FleetIOConfig.ErrorRateState).
 	Faults *fault.Config
 	// FleetDevices sizes the rack of the rack scenarios (0 → each one's
 	// default: defaultFleetDevices, defaultTierDevices,

@@ -195,6 +195,8 @@ identity_gate fleet -fleet 64 -seconds 2
 # stream and every tenant draws its own shape.
 identity_gate fleet -fleet 16 -seconds 2 -faults light -workload bursty
 identity_gate tiers -fleet 8 -seconds 4
+# A hybrid rack with one fast device (fleet's split: 1 fast, 4 dense).
+identity_gate tiers -fleet 5 -seconds 2
 parallel="1 4"
 # The workloads ladder replays the checked-in sample CSV, converted to the
 # binary trace format on the way.
