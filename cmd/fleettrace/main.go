@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/flash"
 	"repro/internal/sim"
@@ -152,6 +154,9 @@ func synth(args []string) {
 	if *out == "" {
 		log.Fatal("synth needs -out")
 	}
+	if err := checkSynth(*name, *n); err != nil {
+		log.Fatal(err)
+	}
 	prof := workload.ByName(*name)
 	recs := prof.SynthesizeTrace(*n, 1<<20, sim.NewRNG(*seed))
 	w, err := os.Create(*out)
@@ -165,4 +170,17 @@ func synth(args []string) {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %d %s records to %s", len(recs), *name, *out)
+}
+
+// checkSynth rejects a synth request that would panic or write a trace
+// nothing can replay: a record count below one, or a workload with no
+// profile.
+func checkSynth(name string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("-n %d: a trace needs at least one record", n)
+	}
+	if !slices.Contains(workload.Names(), name) {
+		return fmt.Errorf("-workload %q: unknown (want one of %s)", name, strings.Join(workload.Names(), ", "))
+	}
+	return nil
 }

@@ -12,13 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Record is one block I/O: timestamp, direction, starting logical page,
-// and length in pages.
+// Record is one block I/O: timestamp, starting logical page, length in
+// pages and direction. The fields run widest first so a record packs into
+// 24 bytes; the binary format writes each field explicitly, in its own
+// order.
 type Record struct {
 	At    sim.Time
-	Write bool
 	LPN   int64
 	Pages int32
+	Write bool
 }
 
 // Bytes returns the payload size given the page size.

@@ -253,6 +253,17 @@ func TestRecorderRingZeroAlloc(t *testing.T) {
 	}
 }
 
+// recordWidth is a Record's size in bytes.
+const recordWidth = 24
+
+// TestRecordTableWidths: the fields of a Record run widest first, so it
+// packs into 24 bytes (At, Write, LPN, Pages in that order pad to 32).
+func TestRecordTableWidths(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != recordWidth {
+		t.Fatalf("Record is %d bytes, want %d", got, recordWidth)
+	}
+}
+
 var recorderSink *Recorder
 
 // A recorder filled from empty to three times its bound allocates itself,
@@ -276,8 +287,7 @@ func TestRecorderFillZeroAlloc(t *testing.T) {
 		t.Fatalf("filling a %d-record recorder: %v allocations, want %v (recorder, index, %d chunks)", limit, allocs, want, chunks)
 	}
 	// AllocsPerRun runs the fill twice (a warm-up, then the measured run).
-	recordBytes := uint64(unsafe.Sizeof(Record{}))
-	if per, bound := (after.TotalAlloc-before.TotalAlloc)/2, limit*recordBytes+4096; per > bound {
+	if per, bound := (after.TotalAlloc-before.TotalAlloc)/2, uint64(limit*recordWidth+4096); per > bound {
 		t.Fatalf("filling a %d-record recorder allocated %d bytes, want <= %d", limit, per, bound)
 	}
 	rc := recorderSink

@@ -56,21 +56,25 @@ func Shapes() []Shape {
 	return []Shape{ShapeSteady, ShapeDiurnal, ShapeBursty, ShapeReplay}
 }
 
-// synthReplayLen is how many records ApplyShape synthesizes when a replay
-// shape is requested without a supplied trace.
-const synthReplayLen = 20000
+// synthReplayLen and synthPages are the length and the logical space of
+// the trace ApplyShape synthesizes when a replay shape is requested without
+// a supplied trace.
+const (
+	synthReplayLen = 20000
+	synthPages     = 1 << 20
+)
 
 // ApplyShape overlays a temporal shape on prof. The profile keeps its
 // name (so per-workload SLOs and result collection still key correctly)
 // and its request mix; only the arrival process changes. seed
 // parameterizes the synthetic replay trace so distinct tenants replay
 // distinct traces; replay uses the supplied records when non-empty, and a
-// profile that is already a replay replays its own records. Otherwise the
-// replay is prof's SynthesizeTrace(20 000, 1<<20, sim.NewRNG(seed)),
-// drawn as the generator consumes it: the returned profile is for one
-// generator. Compressed periods: the simulated runs last seconds, not
-// days, so the "diurnal" periods here are seconds-scale stand-ins for the
-// multi-hour cycles real fleets see.
+// profile that is already a replay replays its own records (a synthesized
+// one keeps its recipe). Otherwise the replay is prof's
+// SynthesizeTrace(20 000, 1<<20, sim.NewRNG(seed)), which each generator
+// draws as it consumes it. Compressed periods: the simulated runs last
+// seconds, not days, so the "diurnal" periods here are seconds-scale
+// stand-ins for the multi-hour cycles real fleets see.
 func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profile {
 	switch s {
 	case ShapeDiurnal:
@@ -95,7 +99,11 @@ func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profil
 		}
 	case ShapeReplay:
 		if len(replay) == 0 && prof.Replay != nil {
-			replay = prof.SynthesizeTrace(synthReplayLen, 1<<20, sim.NewRNG(seed))
+			if sp := prof.Replay.synth; sp != nil {
+				prof.Replay = &Replay{Loop: true, synth: sp}
+				break
+			}
+			replay = prof.SynthesizeTrace(synthReplayLen, synthPages, nil)
 		}
 		if len(replay) > 0 {
 			prof.Replay = &Replay{Records: replay, Loop: true}
@@ -106,7 +114,7 @@ func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profil
 		}
 		// The trace has its own stream, so drawing its records later,
 		// interleaved with the run, draws the same values in the same order.
-		prof.Replay = &Replay{Loop: true, synth: newSynthesizer(prof, 1<<20, sim.NewRNG(seed)), n: synthReplayLen}
+		prof.Replay = &Replay{Loop: true, synth: &synthSpec{prof: prof, seed: seed, n: synthReplayLen}}
 	}
 	return prof
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -208,6 +211,9 @@ func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 	shaped := ApplyShape(base, ShapeReplay, seed, nil)
 	supplied := ReplayProfile("YCSB", base.SynthesizeTrace(synthReplayLen, 1<<20, sim.NewRNG(seed)), true)
 
+	if drawn := shaped.SynthesizeTrace(2*synthReplayLen, 0, nil); !slices.Equal(drawn, supplied.Replay.Records) {
+		t.Fatalf("SynthesizeTrace of the shaped replay: %d records, not the supplied %d", len(drawn), len(supplied.Replay.Records))
+	}
 	a, ga := runGenerator(t, shaped, 1, dur)
 	b, gb := runGenerator(t, supplied, 1, dur)
 	if ga.ReplayWraps() < 1 || ga.ReplayWraps() != gb.ReplayWraps() {
@@ -224,8 +230,18 @@ func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 }
 
 // TestReplayShapeOverReplayProfile: the replay shape over a profile that is
-// already a replay replays that profile's own records.
+// already a replay replays that profile's own records; over a synthesized
+// replay it keeps the recipe and stores nothing.
 func TestReplayShapeOverReplayProfile(t *testing.T) {
+	synth := ApplyShape(ByName("YCSB"), ShapeReplay, 6, nil)
+	reshaped := ApplyShape(synth, ShapeReplay, 7, nil)
+	if n := len(reshaped.Replay.Records); n != 0 || reshaped.Replay.synth != synth.Replay.synth {
+		t.Fatalf("reshaped synthesized replay holds %d records, recipe kept %v", n, reshaped.Replay.synth == synth.Replay.synth)
+	}
+	if a, b := synth.SynthesizeTrace(500, 0, nil), reshaped.SynthesizeTrace(500, 0, nil); len(a) != 500 || !slices.Equal(a, b) {
+		t.Fatal("reshaped synthesized replay draws a different trace")
+	}
+
 	src := ByName("TeraSort").SynthesizeTrace(300, 100000, sim.NewRNG(46))
 	reg := ReplayProfile("RegShaped", src, true)
 	shaped := ApplyShape(reg, ShapeReplay, 5, nil)
@@ -244,17 +260,75 @@ func TestReplayShapeOverReplayProfile(t *testing.T) {
 	}
 }
 
-// TestSynthesizedReplayTableWidths: a synthesized replay holds only what its
-// generator has issued plus the armed next arrival, not the whole trace. The
-// run is replay_overload's length, 0.25 + 0.5 virtual seconds.
+// TestSynthesizedReplayTableWidths: a synthesized replay stores no records,
+// and its generator draws them without allocating per record. A YCSB replay
+// at a rate that wraps the 20 000-record trace inside replay_overload's
+// length (0.25 + 0.5 virtual seconds), on a device fast enough to keep up,
+// allocates under a third of what the stored trace alone would take
+// (20 000 x 24 bytes) while it runs.
 func TestSynthesizedReplayTableWidths(t *testing.T) {
-	prof := ApplyShape(ByName("YCSB"), ShapeReplay, 3, nil)
-	_, g := runGenerator(t, prof, 1, 750*sim.Millisecond)
-	held := len(prof.Replay.Records)
-	if g.Issued() == 0 || int64(held) > g.Issued()+1 {
-		t.Fatalf("replay holds %d records after issuing %d (trace %d)", held, g.Issued(), synthReplayLen)
+	base := ByName("YCSB")
+	base.MeanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
+	prof := ApplyShape(base, ShapeReplay, 3, nil)
+	pc := vssd.DefaultPlatformConfig()
+	pc.Flash.Channels = 2
+	pc.Flash.ChipsPerChannel = 2
+	pc.Flash.BlocksPerChip = 32
+	pc.Flash.PagesPerBlock = 16
+	pc.Flash.ReadPage, pc.Flash.ProgramPage, pc.Flash.BusNsPerKB = sim.Microsecond, 2*sim.Microsecond, 10
+	eng := sim.NewEngine()
+	v := vssd.NewPlatform(eng, pc).AddVSSD(vssd.Config{Name: "w", Channels: []int{0, 1}})
+	g := NewGenerator(eng, v, prof, sim.NewRNG(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.Start()
+	eng.RunUntil(750 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	g.Stop()
+	eng.Run()
+	got := after.TotalAlloc - before.TotalAlloc
+	if g.ReplayWraps() < 1 {
+		t.Fatalf("replay did not wrap: %d issued (trace %d)", g.Issued(), synthReplayLen)
 	}
-	t.Logf("%d records held after %d issued", held, g.Issued())
+	if held := len(prof.Replay.Records); held != 0 {
+		t.Fatalf("synthesized replay holds %d records after issuing %d, want 0", held, g.Issued())
+	}
+	if bound := uint64(160 << 10); got > bound {
+		t.Fatalf("replaying %d records allocated %d bytes, want <= %d", g.Issued(), got, bound)
+	}
+	t.Logf("%d issued, %d wraps, %d bytes allocated", g.Issued(), g.ReplayWraps(), got)
+}
+
+// TestShapedReplayShareable: one shaped replay profile drives any number of
+// generators, one after another (a rack tenant's cutover restarts it on a
+// new device) or at once, and each issues the same requests through the
+// wrap. The concurrent pair shares a second profile no generator has read.
+func TestShapedReplayShareable(t *testing.T) {
+	base := ByName("YCSB")
+	base.MeanIOPS = 40000
+	const dur = 600 * sim.Millisecond
+	prof := ApplyShape(base, ShapeReplay, 9, nil)
+	first, g := runGenerator(t, prof, 1, dur)
+	if g.ReplayWraps() < 1 || len(first) <= synthReplayLen {
+		t.Fatalf("first generator: %d issued, %d wraps (trace %d)", len(first), g.ReplayWraps(), synthReplayLen)
+	}
+	var runs [3][]trace.Record
+	runs[0], _ = runGenerator(t, prof, 1, dur)
+	fresh := ApplyShape(base, ShapeReplay, 9, nil)
+	var wg sync.WaitGroup
+	for i := 1; i < len(runs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], _ = runGenerator(t, fresh, 1, dur)
+		}()
+	}
+	wg.Wait()
+	for k, run := range runs {
+		if !slices.Equal(run, first) {
+			t.Fatalf("run %d issued %d requests, not the first generator's %d", k, len(run), len(first))
+		}
+	}
 }
 
 func TestReplayFoldsOversizedAddresses(t *testing.T) {

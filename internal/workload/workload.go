@@ -69,48 +69,42 @@ type Burst struct {
 // each wrap.
 //
 // A supplied trace is all of Records. A trace ApplyShape synthesizes from
-// a profile is drawn as the generator consumes it: Records is the part
-// drawn so far, and the synthesizer draws the rest from the trace's own
-// stream, so the records are exactly those SynthesizeTrace returns up
-// front. Such a Replay is written as it is read: one generator only.
+// a profile is not stored at all: the Replay holds its recipe, and each
+// generator draws the records from the trace's own stream as it consumes
+// them, again from the first at every wrap, so they are exactly those
+// SynthesizeTrace returns up front. A Replay is never written after it is
+// built; any number of generators may replay it, one after another or at
+// once.
 type Replay struct {
 	Records []trace.Record
 	Loop    bool
 
-	synth *synthesizer // draws the rest of a synthesized trace; nil once all n are drawn
-	n     int          // a synthesized trace's full length
+	synth *synthSpec // a synthesized trace's recipe; nil for a supplied one
+}
+
+// synthSpec is the recipe of a synthesized trace: the first n records of
+// prof's SynthesizeTrace over synthPages pages, drawn from sim.NewRNG(seed).
+type synthSpec struct {
+	prof Profile
+	seed int64
+	n    int
 }
 
 // length returns how many records one pass of the trace replays.
 func (r *Replay) length() int {
 	if r.synth != nil {
-		return r.n
+		return r.synth.n
 	}
 	return len(r.Records)
 }
 
-// record returns record i, drawing a synthesized trace up to it.
-func (r *Replay) record(i int) trace.Record {
-	for len(r.Records) <= i {
-		r.Records = append(r.Records, r.synth.next())
-		if len(r.Records) == r.n {
-			r.synth = nil
-		}
-	}
-	return r.Records[i]
-}
-
-// span returns one loop iteration's duration: last-minus-first arrival
-// plus one mean gap, so looped replays keep a steady arrival rate across
-// the wrap instead of issuing two records back to back. It is read at a
-// wrap, when every record of a synthesized trace has been drawn.
-func (r *Replay) span() sim.Time {
-	n := len(r.Records)
-	if n == 0 {
-		return sim.Millisecond
-	}
-	d := r.Records[n-1].At - r.Records[0].At
-	if n == 1 || d <= 0 {
+// spanOf returns one loop iteration's duration, for a pass of n records
+// arriving from first to last: last-minus-first plus one mean gap, so
+// looped replays keep a steady arrival rate across the wrap instead of
+// issuing two records back to back.
+func spanOf(first, last sim.Time, n int) sim.Time {
+	d := last - first
+	if n <= 1 || d <= 0 {
 		return sim.Millisecond
 	}
 	return d + d/sim.Time(n-1)
@@ -423,11 +417,9 @@ type Generator struct {
 	// diurnal × burst), exported for observability.
 	lastFactor float64
 	burst      burstState
-	// Replay cursor: index of the next record, the virtual-time base the
-	// trace is shifted by, and how many times a looped trace has wrapped.
-	ri          int
-	rbase       sim.Time
-	replayWraps int64
+	// cursor is a replaying generator's place in its trace; nil unless
+	// the profile replays one.
+	cursor *replayCursor
 	// onClosed is the shared completion callback for closed-loop requests;
 	// caching it avoids one closure allocation per request.
 	onClosed func(*vssd.Request, sim.Time)
@@ -439,6 +431,9 @@ func NewGenerator(eng *sim.Engine, v *vssd.VSSD, prof Profile, rng *sim.RNG) *Ge
 		panic(err)
 	}
 	g := &Generator{prof: prof, eng: eng, v: v, rng: rng, lastFactor: 1}
+	if prof.Replay != nil {
+		g.cursor = &replayCursor{}
+	}
 	g.onClosed = func(_ *vssd.Request, _ sim.Time) { g.closedDone() }
 	return g
 }
@@ -454,7 +449,12 @@ func (g *Generator) Issued() int64 { return g.issued }
 func (g *Generator) RateFactor() float64 { return g.lastFactor }
 
 // ReplayWraps returns how many times a looped replay has restarted.
-func (g *Generator) ReplayWraps() int64 { return g.replayWraps }
+func (g *Generator) ReplayWraps() int64 {
+	if g.cursor == nil {
+		return 0
+	}
+	return g.cursor.wraps
+}
 
 // rateFactor composes the intensity multiplier at time now and caches it
 // for RateFactor. Profiles without Diurnal/Burst take zero extra RNG
@@ -474,10 +474,12 @@ func (g *Generator) rateFactor(now sim.Time) float64 {
 // Start launches the arrival process.
 func (g *Generator) Start() {
 	g.stopped = false
-	if g.prof.Replay != nil {
-		g.ri = 0
-		g.rbase = g.eng.Now() - g.prof.Replay.record(0).At
-		g.scheduleReplay()
+	if c := g.cursor; c != nil {
+		c.i = 0
+		c.cur = c.record(g.prof.Replay)
+		c.first = c.cur.At
+		c.base = g.eng.Now() - c.first
+		g.armReplay()
 		return
 	}
 	if g.prof.ClosedLoop {
@@ -559,37 +561,69 @@ func genOpenArrival(arg sim.EventArg, _ sim.Time) {
 	g.scheduleOpen()
 }
 
+// replayCursor is a replaying generator's place in its trace: the index
+// of the armed record and the record itself, the first record's arrival,
+// the virtual-time base the trace is shifted by, and how many times a
+// looped trace has wrapped. synth draws a synthesized trace, from its
+// first record at Start and at every wrap.
+type replayCursor struct {
+	i     int
+	cur   trace.Record
+	first sim.Time
+	base  sim.Time
+	wraps int64
+	synth synthesizer
+}
+
+// record returns record c.i of rp's trace. A synthesized trace is drawn in
+// order, restarting from its seed at record 0.
+func (c *replayCursor) record(rp *Replay) trace.Record {
+	if rp.synth == nil {
+		return rp.Records[c.i]
+	}
+	if c.i == 0 {
+		c.synth = newSynthesizer(rp.synth.prof, synthPages, sim.NewRNG(rp.synth.seed))
+	}
+	return c.synth.next()
+}
+
 // scheduleReplay arms the next trace record's arrival, wrapping looped
 // traces by advancing the time base one span per iteration.
 func (g *Generator) scheduleReplay() {
 	if g.stopped {
 		return
 	}
-	rp := g.prof.Replay
-	if g.ri >= rp.length() {
+	c, rp := g.cursor, g.prof.Replay
+	if c.i >= rp.length() {
 		if !rp.Loop {
 			return
 		}
-		g.ri = 0
-		g.rbase += rp.span()
-		g.replayWraps++
+		c.base += spanOf(c.first, c.cur.At, c.i)
+		c.i = 0
+		c.wraps++
 	}
-	at := g.rbase + rp.record(g.ri).At
-	delay := at - g.eng.Now()
+	c.cur = c.record(rp)
+	g.armReplay()
+}
+
+// armReplay schedules the arrival of the armed record.
+func (g *Generator) armReplay() {
+	c := g.cursor
+	delay := c.base + c.cur.At - g.eng.Now()
 	if delay < 0 {
 		delay = 0
 	}
 	g.eng.ScheduleEvent(delay, genReplayArrival, sim.EventArg{P: g})
 }
 
-// genReplayArrival issues the pending trace record and re-arms the next.
+// genReplayArrival issues the armed trace record and arms the next.
 func genReplayArrival(arg sim.EventArg, _ sim.Time) {
 	g := arg.P.(*Generator)
 	if g.stopped {
 		return
 	}
-	g.issueReplay(g.prof.Replay.Records[g.ri])
-	g.ri++
+	g.issueReplay(g.cursor.cur)
+	g.cursor.i++
 	g.scheduleReplay()
 }
 
@@ -629,13 +663,13 @@ func (p Profile) SynthesizeTrace(n int, logicalPages int, rng *sim.RNG) []trace.
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if p.Replay != nil {
+	if rp := p.Replay; rp != nil {
 		// A replay profile's trace IS its synthetic form.
-		m := min(p.Replay.length(), n)
-		if m > 0 {
-			p.Replay.record(m - 1)
+		m := min(rp.length(), n)
+		if rp.synth == nil {
+			return append([]trace.Record(nil), rp.Records[:m]...)
 		}
-		return append([]trace.Record(nil), p.Replay.Records[:m]...)
+		return rp.synth.prof.SynthesizeTrace(m, synthPages, sim.NewRNG(rp.synth.seed))
 	}
 	s := newSynthesizer(p, logicalPages, rng)
 	recs := make([]trace.Record, 0, n)
@@ -647,7 +681,7 @@ func (p Profile) SynthesizeTrace(n int, logicalPages int, rng *sim.RNG) []trace.
 
 // synthesizer draws a profile's trace one record at a time: the arrival
 // clock, the address and burst state, and the stream they draw from.
-// SynthesizeTrace and a synthesized Replay both draw through it.
+// SynthesizeTrace and a replaying generator both draw through it.
 type synthesizer struct {
 	prof         Profile
 	rate         float64
@@ -659,12 +693,12 @@ type synthesizer struct {
 }
 
 // newSynthesizer starts p's trace over logicalPages pages, drawing from rng.
-func newSynthesizer(p Profile, logicalPages int, rng *sim.RNG) *synthesizer {
+func newSynthesizer(p Profile, logicalPages int, rng *sim.RNG) synthesizer {
 	rate := p.MeanIOPS
 	if p.ClosedLoop {
 		rate = float64(p.Concurrency) / 0.002
 	}
-	return &synthesizer{prof: p, rate: rate, logicalPages: logicalPages, rng: rng}
+	return synthesizer{prof: p, rate: rate, logicalPages: logicalPages, rng: rng}
 }
 
 // next draws the trace's next record.

@@ -5,8 +5,8 @@
 # stalls as stall runs, bus lane, hot-path boxing), the race detector on the
 # concurrency-heavy packages, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
-# what a rack device costs in bytes, how much of a synthesized replay trace
-# is held) at several core counts, worker-count
+# what a rack device costs in bytes, that a synthesized replay trace is
+# drawn, not stored) at several core counts, worker-count
 # identity gates on the scenario figures (the rack figures at -parallel 1, 2
 # and 4: two workers is the benchmark's count, where shards are stolen on a
 # two-core host), and benchmark smoke/allocation gates. What each scenario must show (completed migrations, promotes and
@@ -127,8 +127,10 @@ if grep -n 'interface{}' internal/flash/*.go internal/sim/*.go internal/ftl/*.go
 fi
 
 echo "== go test -race (concurrency-heavy packages)"
-# Includes the gSB pool's concurrent no-double-grant test and the fleet's
-# barrier stress and clean-shutdown tests.
+# Includes the gSB pool's concurrent no-double-grant test, the fleet's
+# barrier stress and clean-shutdown tests, and workload's
+# TestShapedReplayShareable (two generators replaying one shaped profile at
+# once).
 go test -race ./internal/trainer/... ./internal/gsb/... ./internal/admission/... ./internal/obs/... ./internal/sim/... ./internal/flash/... ./internal/ftl/... ./internal/fault/... ./internal/fleet/... ./internal/core/... ./internal/trace/... ./internal/workload/... ./internal/nn/... ./internal/rl/...
 
 echo "== go test -race -tags=flashdebug (op pool poison mode)"
@@ -156,11 +158,13 @@ echo "== allocation guards (-cpu 1,2,4)"
 # per-vSSD measurement state is: a sparse histogram of at most 12 octaves, a
 # window snapshot of counters only), fleet's TestRackBytesPerDevice (New +
 # Run of a small rack, bytes per device), workload's
-# TestSynthesizedReplayTableWidths (a synthesized replay trace holds what its
-# generator has issued plus the armed next arrival, not all 20 000 records)
-# and trace's TestRecorderFillZeroAlloc (a trace recorder filled past its
-# bound allocates its 1 024-record chunks once each, never a growth copy,
-# and nothing once full).
+# TestSynthesizedReplayTableWidths (a synthesized replay stores no records,
+# and a YCSB replay that wraps its 20 000-record trace within
+# replay_overload's length allocates under 160 KB while it runs), trace's
+# TestRecordTableWidths (a trace.Record is 24 bytes) and
+# TestRecorderFillZeroAlloc (a trace recorder filled past its bound
+# allocates its 1 024-record chunks once each, never a growth copy, at most
+# 24 bytes a record plus 4 KB, and nothing once full).
 # Run the family at several GOMAXPROCS so a guard that only holds on one core
 # count fails here, not intermittently in tier-1.
 go test -run 'ZeroAlloc|SteadyStateAllocs|TableWidths|MeasurementWidths|RackBytesPerDevice' -count=1 -cpu 1,2,4 \
@@ -194,6 +198,9 @@ identity_gate fleet -fleet 64 -seconds 2
 # A rack reads the device flags: every shard injects faults from its own
 # stream and every tenant draws its own shape.
 identity_gate fleet -fleet 16 -seconds 2 -faults light -workload bursty
+# By 4 s every rack config has completed a migration, so a destination
+# shard restarts a synthesized replay trace from its seed.
+identity_gate fleet -fleet 16 -seconds 4 -workload replay
 identity_gate tiers -fleet 8 -seconds 4
 # A hybrid rack with one fast device (fleet's split: 1 fast, 4 dense).
 identity_gate tiers -fleet 5 -seconds 2
