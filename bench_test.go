@@ -11,8 +11,10 @@ import (
 // BenchmarkScenarios renders every entry of the harness scenario table
 // (what `fleetbench -fig NAME` runs) except "all", which is the others
 // back to back, at TestScenarios' short options. It is a smoke pass and a
-// convenient pprof target; performance claims go through the repo
-// benchmark, bench/run.sh (see docs/PERFORMANCE.md).
+// convenient pprof target at -benchtime=1x: the paper figures and ladders
+// share finished cells through the harness's process memo, so only the
+// first render of a cell in a process runs it. Performance claims go
+// through the repo benchmark, bench/run.sh (see docs/PERFORMANCE.md).
 func BenchmarkScenarios(b *testing.B) {
 	for _, sc := range harness.Scenarios() {
 		if sc.Name == "all" {

@@ -9,7 +9,9 @@
 // The flags fill one harness.PretrainConfig: -episode-seconds and -window
 // shape each episode, and every other flag sets the trainer knob of the
 // same name. -lr sets the learning rate alone; the other PPO
-// hyperparameters keep their defaults (rl.DefaultConfig).
+// hyperparameters keep their defaults (rl.DefaultConfig). A learning rate,
+// episode length or window that is not positive (or not finite) is
+// rejected before training, naming the flag.
 //
 // Usage:
 //
@@ -21,7 +23,9 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -49,6 +53,11 @@ func main() {
 	httpAddr := flag.String("http", "", "serve live training gauges on /metrics and pprof on /debug/pprof/")
 	flag.Parse()
 
+	episode, window, err := shape(*lr, *epSeconds, *windowMs)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	var reg *obs.Registry
 	if *httpAddr != "" {
 		reg = obs.NewRegistry()
@@ -74,8 +83,8 @@ func main() {
 			Logf:            log.Printf,
 			Obs:             reg,
 		},
-		EpisodeDuration: sim.Time(*epSeconds * 1e9),
-		Window:          sim.Time(*windowMs) * sim.Millisecond,
+		EpisodeDuration: episode,
+		Window:          window,
 	}
 	log.Printf("pretraining %d episodes x %.0fs virtual on held-out workloads (%d workers)...",
 		pc.Episodes, *epSeconds, *workers)
@@ -98,4 +107,22 @@ func main() {
 		log.Fatalf("encoding model for size report: %v", err)
 	}
 	log.Printf("wrote %s model to %s (%d params, %d bytes)", which, *out, net.NumParams(), len(data))
+}
+
+// shape checks -lr and resolves -episode-seconds and -window (milliseconds),
+// rejecting, naming the flag, a value that trains nothing or trains on
+// something else: a learning rate at or below zero or not finite (zero would
+// fall back to rl's default), an episode of no virtual time (zero steps,
+// reward 0), and a window at or below zero.
+func shape(lr, epSeconds float64, windowMs int) (episode, window sim.Time, err error) {
+	if !(lr > 0) || math.IsInf(lr, 1) { // NaN included
+		return 0, 0, fmt.Errorf("-lr %v: must be > 0 and finite", lr)
+	}
+	if !(epSeconds > 0) || math.IsInf(epSeconds, 1) {
+		return 0, 0, fmt.Errorf("-episode-seconds %v: must be > 0 and finite", epSeconds)
+	}
+	if windowMs <= 0 {
+		return 0, 0, fmt.Errorf("-window %d: must be > 0", windowMs)
+	}
+	return sim.Time(epSeconds * 1e9), sim.Time(windowMs) * sim.Millisecond, nil
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// faultLevels is the off/light/heavy ladder the fault scenario sweeps.
+// faultLevels is the off/light/heavy ladder of the fault scenario.
 func faultLevels() []level {
 	lvl := func(name string, cfg *fault.Config) level {
 		return level{name, func(o *Options) { o.Faults = cfg }}
@@ -29,14 +29,14 @@ func (r *Run) FaultStats() device.FaultStats {
 	return r.dev.FaultStats()
 }
 
-// figureFaults renders the fault scenario for every mix: SLO preservation
-// under injected NAND failures, with the injected/recovered ledger per
-// level. Output is deterministic for a given seed at any worker count.
-func figureFaults(w io.Writer, mixes []MixSpec, opt Options) {
+// figureFaults renders the fault scenario, g, for every mix: SLO
+// preservation under injected NAND failures, with the injected/recovered
+// ledger per level. Output is deterministic for a given seed at any worker count.
+func figureFaults(w io.Writer, g grid, opt Options) {
 	fmt.Fprintf(w, "== Fault scenarios: SLO preservation under injected NAND failures (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %10s %10s %9s %9s %9s %9s", "pfail", "efail", "retired", "remap", "retries", "gcRetry")
-	figureSweep(w, mixes, opt, faultLevels(), 6, "level", head, func(r *Run) string {
-		st := r.FaultStats()
+	ladder(w, g, opt, 6, "level", head, func(c cell) string {
+		st := c.faults
 		row := fmt.Sprintf(" %10d %10d %9d %9d %9d %9d",
 			st.Device.ProgramFails, st.Device.EraseFails,
 			st.Retired, st.Remapped, st.WriteRetries,

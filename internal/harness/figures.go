@@ -15,50 +15,34 @@ import (
 	"repro/internal/workload"
 )
 
-// pairGrid runs every evaluation pair under the given policies, reusing
-// one calibration per pair, and returns one row of results per pair in
-// evalPairs order. It is the data source for Figures 2, 3, and 10–13. The
-// whole (pair × policy) grid runs as one flat job list on the opt.Workers
-// pool.
-func pairGrid(kinds []PolicyKind, opt Options) [][]Result {
-	return compareAll(evalPairs(), kinds, opt)
-}
-
-func find(results []Result, policy string) Result {
-	for _, r := range results {
-		if r.Policy == policy {
-			return r
-		}
-	}
-	panic("harness: policy missing from results: " + policy)
-}
-
 // figure2 prints the §2.2 utilization study: average and P95 SSD bandwidth
 // utilization under hardware vs software isolation for the six pairs.
-func figure2(w io.Writer, grid [][]Result) {
+func figure2(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 2: SSD bandwidth utilization, hardware vs software isolation")
 	fmt.Fprintf(w, "%-22s %14s %14s %14s %14s\n", "pair", "HW avg%", "HW p95%", "SW avg%", "SW p95%")
-	var ratios []float64
-	for i, mix := range evalPairs() {
-		hw, sw := find(grid[i], "Hardware Isolation"), find(grid[i], "Software Isolation")
+	var maxRatio, sum float64
+	n := 0
+	for _, mix := range g.mixes {
+		hw, sw := cs.at(mix, PolHardware, "", seed), cs.at(mix, PolSoftware, "", seed)
 		fmt.Fprintf(w, "%-22s %14.1f %14.1f %14.1f %14.1f\n", mix.Label,
 			hw.AvgUtil*100, hw.P95Util*100, sw.AvgUtil*100, sw.P95Util*100)
 		if hw.AvgUtil > 0 {
-			ratios = append(ratios, sw.AvgUtil/hw.AvgUtil)
+			r := sw.AvgUtil / hw.AvgUtil
+			maxRatio, sum, n = max(maxRatio, r), sum+r, n+1
 		}
 	}
 	fmt.Fprintf(w, "software/hardware avg-util ratio: max %.2fx, mean %.2fx (paper: up to 1.52x, 1.39x avg)\n\n",
-		maxF(ratios), meanF(ratios))
+		maxRatio, sum/float64(max(n, 1)))
 }
 
 // figure3 prints the §2.2 per-tenant study: normalized BI bandwidth (a)
 // and normalized LS P99 (b) under software isolation relative to hardware.
-func figure3(w io.Writer, grid [][]Result) {
+func figure3(w io.Writer, g grid, cs cells, seed int64) {
 	normalized := func(title, unit, cell, paper string, metric func(Result) float64) {
 		fmt.Fprintf(w, "Figure %s (normalized to hardware isolation)\n", title)
 		fmt.Fprintf(w, "%-22s %14s %14s %10s\n", "pair", "HW "+unit, "SW "+unit, "SW/HW")
-		for i, mix := range evalPairs() {
-			hw, sw := metric(find(grid[i], "Hardware Isolation")), metric(find(grid[i], "Software Isolation"))
+		for _, mix := range g.mixes {
+			hw, sw := metric(cs.at(mix, PolHardware, "", seed).Result), metric(cs.at(mix, PolSoftware, "", seed).Result)
 			fmt.Fprintf(w, "%-22s "+cell+" "+cell+" %9.2fx\n", mix.Label, hw, sw, sw/hw)
 		}
 		fmt.Fprintf(w, "(paper: %s)\n\n", paper)
@@ -109,85 +93,70 @@ func figure6(w io.Writer) {
 // figures10to13 prints the main evaluation: the utilization/latency
 // tradeoff (Fig 10), per-pair utilization (Fig 11), normalized P99
 // (Fig 12), and normalized BI bandwidth (Fig 13) for all five policies.
-func figures10to13(w io.Writer, grid [][]Result) {
-	pols := allPolicies()
+func figures10to13(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 10: utilization improvement (x, vs Hardware Isolation) vs normalized P99 (y)")
-	fmt.Fprintf(w, "%-22s", "pair")
-	for _, p := range pols {
-		fmt.Fprintf(w, " %26s", p.String())
-	}
-	fmt.Fprintln(w)
-	for i, mix := range evalPairs() {
-		rs := grid[i]
-		hw := find(rs, "Hardware Isolation")
-		fmt.Fprintf(w, "%-22s", mix.Label)
-		for _, p := range pols {
-			r := find(rs, p.String())
-			fmt.Fprintf(w, "   (%5.2fx util, %5.2fx P99)",
-				r.AvgUtil/hw.AvgUtil, r.LatencyTenantP99()/hw.LatencyTenantP99())
-		}
-		fmt.Fprintln(w)
-	}
+	pairRows(w, g, cs, seed, func(p PolicyKind) string { return fmt.Sprintf(" %26s", p) }, func(r, hw Result) string {
+		return fmt.Sprintf("   (%5.2fx util, %5.2fx P99)", r.AvgUtil/hw.AvgUtil, r.LatencyTenantP99()/hw.LatencyTenantP99())
+	})
 	fmt.Fprintln(w, "(paper: FleetIO ≥1.30x util over HW and ≤1.2x of HW P99; SW/Adaptive 1.76-2.03x P99)")
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "Figure 11: SSD bandwidth utilization (%)")
-	printMetric(w, grid, pols, func(r Result) float64 { return r.AvgUtil * 100 }, "%14.1f")
-	fmt.Fprintln(w, "Figure 12: P99 latency of the latency-sensitive workload (ms)")
-	printMetric(w, grid, pols, Result.LatencyTenantP99, "%14.2f")
-	fmt.Fprintln(w, "Figure 13: bandwidth of the bandwidth-intensive workload (MB/s)")
-	printMetric(w, grid, pols, Result.BandwidthTenant, "%14.1f")
+	for _, f := range []struct {
+		title, cellFmt string
+		metric         func(Result) float64
+	}{
+		{"Figure 11: SSD bandwidth utilization (%)", " %14.1f", func(r Result) float64 { return r.AvgUtil * 100 }},
+		{"Figure 12: P99 latency of the latency-sensitive workload (ms)", " %14.2f", Result.LatencyTenantP99},
+		{"Figure 13: bandwidth of the bandwidth-intensive workload (MB/s)", " %14.1f", Result.BandwidthTenant},
+	} {
+		fmt.Fprintln(w, f.title)
+		pairRows(w, g, cs, seed, shortColumn, func(r, _ Result) string { return fmt.Sprintf(f.cellFmt, f.metric(r)) })
+		fmt.Fprintln(w)
+	}
 }
 
-func printMetric(w io.Writer, grid [][]Result, pols []PolicyKind,
-	metric func(Result) float64, cellFmt string) {
+// pairRows prints one row per pair of g and one column per policy: a
+// header of each policy's column, then the text of each cell beside the
+// pair's Hardware Isolation cell.
+func pairRows(w io.Writer, g grid, cs cells, seed int64, column func(PolicyKind) string, text func(r, hw Result) string) {
 	fmt.Fprintf(w, "%-22s", "pair")
-	for _, p := range pols {
-		fmt.Fprintf(w, " %14s", shorten(p.String()))
+	for _, p := range g.kinds {
+		fmt.Fprint(w, column(p))
 	}
 	fmt.Fprintln(w)
-	for i, mix := range evalPairs() {
+	for _, mix := range g.mixes {
+		hw := cs.at(mix, PolHardware, "", seed).Result
 		fmt.Fprintf(w, "%-22s", mix.Label)
-		for _, p := range pols {
-			fmt.Fprintf(w, " "+cellFmt, metric(find(grid[i], p.String())))
+		for _, p := range g.kinds {
+			fmt.Fprint(w, text(cs.at(mix, p, "", seed).Result, hw))
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 }
 
-func shorten(s string) string {
-	switch s {
-	case "Hardware Isolation":
-		return "HardwareIso"
-	case "Software Isolation":
-		return "SoftwareIso"
-	case "FleetIO-Unified-Global":
-		return "FIO-UnifGlob"
-	case "FleetIO-Customized-Local":
-		return "FIO-CustLoc"
-	default:
-		return s
+// shortColumn heads p's 14-character column with its short name.
+func shortColumn(p PolicyKind) string {
+	short := map[PolicyKind]string{PolHardware: "HardwareIso", PolSoftware: "SoftwareIso",
+		PolFleetIOUnifiedGlobal: "FIO-UnifGlob", PolFleetIOCustomizedLocal: "FIO-CustLoc"}
+	if s, ok := short[p]; ok {
+		return fmt.Sprintf(" %14s", s)
 	}
+	return fmt.Sprintf(" %14s", p)
 }
 
 // figure14 prints the scalability study over the Table 5 mixes.
-func figure14(w io.Writer, opt Options) {
-	pols := allPolicies()
-	mixes := table5Mixes()
-	rows := compareAll(mixes, pols, opt)
+func figure14(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 14: scalability over Table 5 mixes (2/4/8 vSSDs)")
 	fmt.Fprintf(w, "%-8s %-7s", "mix", "vSSDs")
-	for _, p := range pols {
-		fmt.Fprintf(w, " %14s", shorten(p.String()))
+	for _, p := range g.kinds {
+		fmt.Fprint(w, shortColumn(p))
 	}
 	fmt.Fprintln(w, "   (util%% | LS P99 norm | BI BW norm)")
-	for i, mix := range mixes {
-		rs := rows[i]
-		hw := find(rs, "Hardware Isolation")
+	for _, mix := range g.mixes {
+		hw := cs.at(mix, PolHardware, "", seed)
 		fmt.Fprintf(w, "%-8s %-7d", mix.Label, len(mix.Workloads))
-		for _, p := range pols {
-			r := find(rs, p.String())
+		for _, p := range g.kinds {
+			r := cs.at(mix, p, "", seed)
 			fmt.Fprintf(w, "  %5.1f|%4.2f|%4.2f",
 				r.AvgUtil*100,
 				r.LatencyTenantP99()/hw.LatencyTenantP99(),
@@ -201,25 +170,11 @@ func figure14(w io.Writer, opt Options) {
 
 // figure15 prints the reward-function ablation: FleetIO vs Unified-Global
 // (one α for all) vs Customized-Local (β=1).
-func figure15(w io.Writer, opt Options) {
-	kinds := []PolicyKind{PolHardware, PolFleetIOCustomizedLocal, PolFleetIOUnifiedGlobal, PolFleetIO, PolSoftware}
-	mixes := evalPairs()
-	rows := compareAll(mixes, kinds, opt)
+func figure15(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 15: reward ablation — utilization (%) and LS P99 (ms)")
-	fmt.Fprintf(w, "%-22s", "pair")
-	for _, p := range kinds {
-		fmt.Fprintf(w, " %14s", shorten(p.String()))
-	}
-	fmt.Fprintln(w)
-	for i, mix := range mixes {
-		rs := rows[i]
-		fmt.Fprintf(w, "%-22s", mix.Label)
-		for _, p := range kinds {
-			r := find(rs, p.String())
-			fmt.Fprintf(w, "  %5.1f%%/%5.2f", r.AvgUtil*100, r.LatencyTenantP99())
-		}
-		fmt.Fprintln(w)
-	}
+	pairRows(w, g, cs, seed, shortColumn, func(r, _ Result) string {
+		return fmt.Sprintf("  %5.1f%%/%5.2f", r.AvgUtil*100, r.LatencyTenantP99())
+	})
 	fmt.Fprintln(w, "(paper: Customized-Local ≈ Hardware Isolation — no harvest incentive without β;")
 	fmt.Fprintln(w, " Unified-Global inconsistent across pairs; FleetIO best of both)")
 	fmt.Fprintln(w)
@@ -237,7 +192,7 @@ func figure16(w io.Writer, opt Options) []Result {
 	mix := MixSpec{Label: "mix3-mixed", Workloads: []string{"VDI-Web", "VDI-Web", "TeraSort", "TeraSort"}}
 	slos := Calibrate(mix, opt)
 	results := make([]Result, len(kinds))
-	forEach(len(kinds), opt.workers(), func(i int) {
+	forEach(len(kinds), opt.Workers, func(i int) {
 		results[i] = measureMixedIsolation(mix, kinds[i], slos, opt).Result
 	})
 	results[0].Policy = "Mixed Isolation"
@@ -295,11 +250,11 @@ func figure17(w io.Writer, opt Options) {
 	// each final mix once, fan all 2×6 runs out as one flat job list, then
 	// print in the original case order.
 	slos := make([][]sim.Time, len(cases))
-	forEach(len(cases), opt.workers(), func(i int) {
+	forEach(len(cases), opt.Workers, func(i int) {
 		slos[i] = Calibrate(Pair(cases[i].keep, cases[i].to), opt)
 	})
 	results := make([]Result, 2*len(cases))
-	forEach(len(results), opt.workers(), func(j int) {
+	forEach(len(results), opt.Workers, func(j int) {
 		c := cases[j/2]
 		if j%2 == 0 {
 			finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
@@ -428,25 +383,4 @@ func overheads(w io.Writer) overheadReport {
 			rep.ModelBytes, rep.ModelParams)
 	}
 	return rep
-}
-
-func maxF(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func meanF(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

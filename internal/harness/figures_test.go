@@ -32,10 +32,11 @@ func TestFigure6Output(t *testing.T) {
 
 func TestFigure2And3Formatting(t *testing.T) {
 	opt := tinyOptions()
-	grid := pairGrid([]PolicyKind{PolHardware, PolSoftware}, opt)
+	g := grid{mixes: evalPairs(), kinds: []PolicyKind{PolHardware, PolSoftware}}
+	cs := new(memo).run(opt, g)
 	var buf bytes.Buffer
-	figure2(&buf, grid)
-	figure3(&buf, grid)
+	figure2(&buf, g, cs, opt.Seed)
+	figure3(&buf, g, cs, opt.Seed)
 	out := buf.String()
 	if !strings.Contains(out, "Figure 2") || !strings.Contains(out, "Figure 3a") || !strings.Contains(out, "Figure 3b") {
 		t.Fatalf("missing figure headers:\n%s", out)

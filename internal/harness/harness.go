@@ -42,25 +42,17 @@ const (
 	PolFleetIOCustomizedLocal
 )
 
+var policyNames = [...]string{
+	PolHardware: "Hardware Isolation", PolSSDKeeper: "SSDKeeper", PolAdaptive: "Adaptive",
+	PolSoftware: "Software Isolation", PolFleetIO: "FleetIO",
+	PolFleetIOUnifiedGlobal: "FleetIO-Unified-Global", PolFleetIOCustomizedLocal: "FleetIO-Customized-Local",
+}
+
 func (p PolicyKind) String() string {
-	switch p {
-	case PolHardware:
-		return "Hardware Isolation"
-	case PolSSDKeeper:
-		return "SSDKeeper"
-	case PolAdaptive:
-		return "Adaptive"
-	case PolSoftware:
-		return "Software Isolation"
-	case PolFleetIO:
-		return "FleetIO"
-	case PolFleetIOUnifiedGlobal:
-		return "FleetIO-Unified-Global"
-	case PolFleetIOCustomizedLocal:
-		return "FleetIO-Customized-Local"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", uint8(p))
+	if int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("PolicyKind(%d)", uint8(p))
 }
 
 // allPolicies is the Figure 10–13 lineup.
@@ -94,11 +86,11 @@ type Options struct {
 	// telemetry to the measured run (calibration runs stay unobserved).
 	Obs *obs.Observer
 	// Workers is the one fan-out: how many independent simulations
-	// Compare, pairGrid, and the figure sweeps run concurrently (each on
-	// its own engine), or, in a rack scenario, the size of the fleet's
+	// Compare and the scenario grids run concurrently (each on its own
+	// engine), or, in a rack scenario, the size of the fleet's
 	// shard-worker pool — the two are never in flight together. A
 	// hardware-isolated RunOne or Calibrate fans its tenants' solo devices
-	// out over the same count, nested inside those sweeps (results are
+	// out over the same count, nested inside a grid's (results are
 	// slot-addressed, so nesting is safe). 0 means GOMAXPROCS; 1 forces
 	// sequential execution. Results are byte-identical at any setting.
 	Workers int
@@ -236,73 +228,53 @@ type Result struct {
 // BandwidthTenant returns the mean bandwidth (MB/s) of the
 // bandwidth-intensive tenants.
 func (r Result) BandwidthTenant() float64 {
-	var sum float64
-	var n int
-	for _, t := range r.Tenants {
-		if t.Class == workload.Bandwidth {
-			sum += t.BandwidthMBps
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return r.classMean(workload.Bandwidth, func(t TenantResult) float64 { return t.BandwidthMBps })
 }
 
 // LatencyTenantP99 returns the mean P99 (ms) of the latency-sensitive
 // tenants.
 func (r Result) LatencyTenantP99() float64 {
+	return r.classMean(workload.Latency, func(t TenantResult) float64 { return t.P99Ms })
+}
+
+// classMean is the mean of metric over the tenants of class c; 0 when there
+// are none.
+func (r Result) classMean(c workload.Class, metric func(TenantResult) float64) float64 {
 	var sum float64
 	var n int
 	for _, t := range r.Tenants {
-		if t.Class == workload.Latency {
-			sum += t.P99Ms
+		if t.Class == c {
+			sum += metric(t)
 			n++
 		}
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(max(n, 1))
 }
-
-// typeModelOnce caches the shared workload-type model (deterministic).
-var (
-	typeModelOnce sync.Once
-	typeModel     *cluster.Model
-	alphaByClust  map[int]float64
-)
 
 // TypeModel returns the workload-type classifier trained on all nine
-// profiles plus the §3.8 α mapping for its clusters.
-func TypeModel() (*cluster.Model, map[int]float64) {
-	typeModelOnce.Do(func() {
-		ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
-		// k-means is seed-sensitive; retry until the three anchor workloads
-		// (one per paper cluster: LC-1, LC-2, BI) land in distinct clusters.
-		for seed := int64(7); ; seed++ {
-			m := cluster.Train(ds, 3, seed)
-			vdi := m.WorkloadCluster["VDI-Web"]
-			ycsb := m.WorkloadCluster["YCSB"]
-			bi := m.WorkloadCluster["TeraSort"]
-			if vdi != ycsb && vdi != bi && ycsb != bi {
-				typeModel = m
-				break
-			}
-			if seed > 57 {
-				typeModel = m // give up after 50 tries; keep the last model
-				break
-			}
+// profiles plus the §3.8 α mapping for its clusters, trained once per
+// process (deterministically).
+func TypeModel() (*cluster.Model, map[int]float64) { return typeModel() }
+
+var typeModel = sync.OnceValues(func() (*cluster.Model, map[int]float64) {
+	ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
+	// k-means is seed-sensitive; retry until the three anchor workloads (one
+	// per paper cluster: LC-1, LC-2, BI) land in distinct clusters, giving
+	// up after 52 tries and keeping the last model.
+	var m *cluster.Model
+	for seed := int64(7); seed <= 58; seed++ {
+		m = cluster.Train(ds, 3, seed)
+		vdi, ycsb, bi := m.WorkloadCluster["VDI-Web"], m.WorkloadCluster["YCSB"], m.WorkloadCluster["TeraSort"]
+		if vdi != ycsb && vdi != bi && ycsb != bi {
+			break
 		}
-		alphaByClust = map[int]float64{
-			typeModel.WorkloadCluster["VDI-Web"]:  core.AlphaLC1,
-			typeModel.WorkloadCluster["YCSB"]:     core.AlphaLC2,
-			typeModel.WorkloadCluster["TeraSort"]: core.AlphaBI,
-		}
-	})
-	return typeModel, alphaByClust
-}
+	}
+	return m, map[int]float64{
+		m.WorkloadCluster["VDI-Web"]:  core.AlphaLC1,
+		m.WorkloadCluster["YCSB"]:     core.AlphaLC2,
+		m.WorkloadCluster["TeraSort"]: core.AlphaBI,
+	}
+})
 
 // softwareShareFactor is software isolation's token-bucket slack: each
 // tenant may draw this fraction of its fair share of the channels it
@@ -790,15 +762,7 @@ func (r Result) WriteTable(w io.Writer) {
 // split (see measureSplit), each on a device of its own channel share, on
 // up to opt.Workers goroutines; the P99s are the joint run's exactly.
 func Calibrate(mix MixSpec, opt Options) []sim.Time {
-	// Calibration defines the SLOs; observing it would pollute the trace
-	// and telemetry of the measured run that follows, injecting faults
-	// into it would bake retry tails into the SLO itself, and shaping it
-	// would redefine the SLO per shape instead of per workload (§3.3.1
-	// measures the nominal hardware-isolated P99).
-	opt.Obs = nil
-	opt.Faults = nil
-	opt.WorkloadShape = workload.ShapeSteady
-	opt.ReplayRecords = nil
+	opt = opt.calibration()
 	var vs []*vssd.VSSD
 	if splittable(mix, PolHardware, opt) {
 		for _, s := range measureSplit(mix, nil, opt) {
@@ -815,6 +779,21 @@ func Calibrate(mix MixSpec, opt Options) []sim.Time {
 		}
 	}
 	return slos
+}
+
+// calibration is opt as Calibrate runs it. Calibration defines the SLOs;
+// observing it would pollute the trace and telemetry of the measured run
+// that follows, injecting faults into it would bake retry tails into the
+// SLO itself, and shaping it would redefine the SLO per shape instead of
+// per workload (§3.3.1 measures the nominal hardware-isolated P99).
+// Hardware isolation runs no agent, so no pretrained model either.
+func (o Options) calibration() Options {
+	o.Pretrained = nil
+	o.Obs = nil
+	o.Faults = nil
+	o.WorkloadShape = workload.ShapeSteady
+	o.ReplayRecords = nil
+	return o
 }
 
 // Measure executes a single (mix, policy) experiment against the given
@@ -838,10 +817,16 @@ func RunOne(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) Result {
 	return Measure(mix, kind, slos, opt).Result
 }
 
-// Compare calibrates the mix once and runs every requested policy. The
-// per-policy runs are independent deterministic simulations, so they fan
-// out over opt.Workers goroutines; results are returned in kinds order
-// and are identical to a sequential loop.
+// Compare calibrates the mix once and runs every requested policy: the
+// one-mix grid, computed afresh on every call. The per-policy runs are
+// independent deterministic simulations, so they fan out over opt.Workers
+// goroutines; results are returned in kinds order and are identical to a
+// sequential loop.
 func Compare(mix MixSpec, kinds []PolicyKind, opt Options) []Result {
-	return compareAll([]MixSpec{mix}, kinds, opt)[0]
+	cs := new(memo).run(opt, grid{mixes: []MixSpec{mix}, kinds: kinds})
+	out := make([]Result, len(kinds))
+	for i, k := range kinds {
+		out[i] = cs.at(mix, k, "", opt.Seed).Result
+	}
+	return out
 }

@@ -112,6 +112,7 @@ func TestHardwareVsSoftwareShape(t *testing.T) {
 // utilization well above hardware isolation, tail latency well below
 // software isolation.
 func TestFleetIOTradeoffShape(t *testing.T) {
+	t.Parallel()
 	opt := WithPretrained(fastOptions())
 	opt.Warmup = 4 * sim.Second // extra online fine-tuning time
 	mix := Pair("YCSB", "TeraSort")

@@ -43,6 +43,7 @@ func workloadsOf(c workload.Class) []string {
 // of them may leak. Fault-free only: the fault injector draws one stream per
 // device in op order across tenants.
 func TestHardwareIsolationNonInterference(t *testing.T) {
+	t.Parallel()
 	type outcome struct {
 		count, sum, completed, bytes int64
 		p99                          sim.Time
@@ -62,7 +63,7 @@ func TestHardwareIsolationNonInterference(t *testing.T) {
 	}
 	out := make([]outcome, len(jobs))
 	opt := isolationOptions()
-	forEach(len(jobs), opt.workers(), func(i int) {
+	forEach(len(jobs), opt.Workers, func(i int) {
 		j, o := jobs[i], opt
 		o.WorkloadShape = j.shape
 		v := Measure(Pair(j.a, j.b), PolHardware, nil, o).Platform().VSSD(0)
@@ -90,6 +91,7 @@ func TestHardwareIsolationNonInterference(t *testing.T) {
 // sequentially and 2 concurrently. An observed run and a faulted run stay
 // joint: they must equal the split run and Measure respectively.
 func TestHardwareIsolationSplitMatchesJoint(t *testing.T) {
+	t.Parallel()
 	t5 := table5Mixes()
 	mixes := []MixSpec{Pair("YCSB", "TeraSort"), Pair("SearchEngine", "PageRank"), t5[3], t5[4]}
 	type job struct {
@@ -106,7 +108,7 @@ func TestHardwareIsolationSplitMatchesJoint(t *testing.T) {
 		}
 	}
 	base := isolationOptions()
-	forEach(len(jobs), base.workers(), func(i int) {
+	forEach(len(jobs), base.Workers, func(i int) {
 		j, o := jobs[i], base
 		o.WorkloadShape, o.PrefillFrac, o.Workers = j.shape, j.prefill, 1+i%2
 		name := fmt.Sprintf("%s/%s/fill%v/workers%d", j.mix.Label, j.shape, j.prefill, o.Workers)

@@ -4,25 +4,19 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sim"
 )
 
-// workers resolves Options.Workers: 0 means one worker per logical CPU.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEach runs fn(i) for every i in [0,n) on at most workers goroutines.
+// forEach runs fn(i) for every i in [0,n) on at most workers goroutines
+// (Options.Workers: 0 means one per logical CPU).
 // Each RunOne owns its engine, platform, and RNG streams and is a pure
 // function of its arguments, so callers fan experiments out here and write
 // results into index-addressed slots — output order (and therefore every
 // figure byte) is identical to a sequential loop regardless of
 // scheduling. With one worker, or one job, it runs inline.
 func forEach(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -48,26 +42,4 @@ func forEach(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// compareAll calibrates every mix once (concurrently) and then runs the
-// full (mix × policy) grid on the worker pool as one flat job list, so a
-// slow mix cannot idle workers that could already be running the next
-// mix's policies. Row i holds mixes[i]'s results in kinds order —
-// byte-identical to calling Compare per mix sequentially.
-func compareAll(mixes []MixSpec, kinds []PolicyKind, opt Options) [][]Result {
-	w := opt.workers()
-	slos := make([][]sim.Time, len(mixes))
-	forEach(len(mixes), w, func(i int) {
-		slos[i] = Calibrate(mixes[i], opt)
-	})
-	rows := make([][]Result, len(mixes))
-	for i := range rows {
-		rows[i] = make([]Result, len(kinds))
-	}
-	forEach(len(mixes)*len(kinds), w, func(j int) {
-		m, k := j/len(kinds), j%len(kinds)
-		rows[m][k] = RunOne(mixes[m], kinds[k], slos[m], opt)
-	})
-	return rows
 }

@@ -28,22 +28,31 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// compareAll (the figure grids) at four workers must match a sequential
-// single-mix grid per mix exactly, including row order.
+// A grid (what the figures project) at four workers must match a
+// sequential single-mix Compare per mix and per seed exactly: the seed axis
+// is the options' seed, set before calibration.
 func TestCompareAllMatchesCompare(t *testing.T) {
 	opt := fastOptions()
 	opt.Duration = 3 * sim.Second
-	mixes := []MixSpec{Pair("YCSB", "TeraSort"), Pair("VDI-Web", "PageRank")}
-	kinds := []PolicyKind{PolHardware, PolSoftware}
+	g := grid{
+		mixes: []MixSpec{Pair("YCSB", "TeraSort"), Pair("VDI-Web", "PageRank")},
+		kinds: []PolicyKind{PolHardware, PolSoftware},
+		seeds: []int64{opt.Seed, opt.Seed + 1},
+	}
 
 	opt.Workers = 4
-	rows := compareAll(mixes, kinds, opt)
+	cs := new(memo).run(opt, g)
 
 	opt.Workers = 1
-	for i, mix := range mixes {
-		want := Compare(mix, kinds, opt)
-		if !reflect.DeepEqual(rows[i], want) {
-			t.Fatalf("compareAll row %d (%s) diverged:\ngrid: %+v\nseq:  %+v", i, mix.Label, rows[i], want)
+	for _, seed := range g.seeds {
+		opt.Seed = seed
+		for _, mix := range g.mixes {
+			want := Compare(mix, g.kinds, opt)
+			for i, k := range g.kinds {
+				if got := cs.at(mix, k, "", seed).Result; !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("grid cell %s/%v/seed %d diverged:\ngrid: %+v\nseq:  %+v", mix.Label, k, seed, got, want[i])
+				}
+			}
 		}
 	}
 }
@@ -75,7 +84,7 @@ func TestCompareParallelWithObserver(t *testing.T) {
 
 // forEach must hit every index exactly once for awkward worker/job ratios.
 func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
+	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 2, 5, 31} {
 			hits := make([]int32, n)
 			forEach(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/rl"
@@ -95,18 +93,47 @@ func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 	})
 }
 
-// models caches the process-wide pretrained network per reward variant.
-var (
-	modelsMu sync.Mutex
-	models   = map[core.Mode]*nn.ActorCritic{}
-)
+// episodeSpec describes one self-contained pretraining episode: which mix
+// to collocate, under which reward variant, acting with which policy
+// flavor. Each episode owns a private sim.Engine + platform, so any number
+// of them can run concurrently (the trainer's worker pool relies on this).
+type episodeSpec struct {
+	// Pretrain is the run the episode belongs to: its window, episode
+	// length and PPO settings (used for action sampling only; no learning
+	// happens inside the episode).
+	Pretrain PretrainConfig
+	Mix      MixSpec
+	Mode     core.Mode
+	Seed     int64
+	// Greedy selects argmax actions (held-out evaluation) instead of
+	// sampling the stochastic policy (collection).
+	Greedy bool
+}
+
+// runEpisode is the episode factory behind the parallel trainer's
+// collection and eval callbacks (PretrainRun): it builds a fresh platform
+// for the spec, drives a collection-only FleetIO sharing net (see
+// episodeFleetIO) for one unmeasured phase, and returns one rollout buffer
+// per agent with the final transition marked terminal.
+func runEpisode(spec episodeSpec, net *nn.ActorCritic) []*rl.Buffer {
+	opt := DefaultOptions()
+	opt.Seed = spec.Seed
+	opt.Window = spec.Pretrain.Window
+	cal := opt // a short hardware-isolated run calibrates quickly
+	cal.Warmup, cal.Duration = sim.Second, 2*sim.Second
+	r := buildPlatform(spec.Mix, PolFleetIO, nil, Calibrate(spec.Mix, cal), opt)
+	f := r.attachFleetIO(episodeFleetIO(spec, net))
+	r.execute(spec.Pretrain.EpisodeDuration)
+	return f.DrainRollouts()
+}
+
+// models holds the process-wide pretrained network per reward variant.
+var models onceMap[core.Mode, *nn.ActorCritic]
 
 // SetInjectedModel installs a pre-built ModeFull model (e.g. loaded from
 // cmd/fleettrain's output) for all subsequent PretrainedModel calls.
 func SetInjectedModel(net *nn.ActorCritic) {
-	modelsMu.Lock()
-	defer modelsMu.Unlock()
-	models[core.ModeFull] = net
+	models.m.Store(core.ModeFull, func() *nn.ActorCritic { return net })
 }
 
 // PretrainedModel returns the process-wide pretrained network, training it
@@ -123,12 +150,5 @@ func WithPretrained(opt Options) Options {
 // pretrainedModelFor returns (training once per process per mode) the
 // network pretrained under the given reward variant.
 func pretrainedModelFor(mode core.Mode) *nn.ActorCritic {
-	modelsMu.Lock()
-	defer modelsMu.Unlock()
-	if net, ok := models[mode]; ok {
-		return net
-	}
-	net := pretrainMode(DefaultPretrainConfig(), mode)
-	models[mode] = net
-	return net
+	return models.get(mode, func() *nn.ActorCritic { return pretrainMode(DefaultPretrainConfig(), mode) })
 }

@@ -22,22 +22,44 @@ type Scenario struct {
 }
 
 // Scenarios is the table of everything the harness can render, in
-// `fleetbench -fig all` order followed by the non-paper scenarios.
+// `fleetbench -fig all` order followed by the non-paper scenarios. The paper
+// figures and the ladders are projections of grids, computed through the
+// process memo, so entries that read the same cells share them.
 func Scenarios() []Scenario {
-	hwsw := []PolicyKind{PolHardware, PolSoftware}
-	scenarioMixes := evalPairs()[:2]
+	hwsw := grid{mixes: evalPairs(), kinds: []PolicyKind{PolHardware, PolSoftware}}
+	pairs := grid{mixes: evalPairs(), kinds: allPolicies()}
+	scale := grid{mixes: table5Mixes(), kinds: allPolicies()}
+	// Figure 15's reward ablation.
+	ablation := grid{mixes: evalPairs(), kinds: []PolicyKind{
+		PolHardware, PolFleetIOCustomizedLocal, PolFleetIOUnifiedGlobal, PolFleetIO, PolSoftware}}
+	// figureAll renders every paper figure from the union of their grids.
+	figureAll := func(w io.Writer, opt Options) {
+		cs := scenarioMemo.run(opt, pairs, scale, ablation)
+		figure2(w, hwsw, cs, opt.Seed)
+		figure3(w, hwsw, cs, opt.Seed)
+		figure6(w)
+		figures10to13(w, pairs, cs, opt.Seed)
+		figure14(w, scale, cs, opt.Seed)
+		figure15(w, ablation, cs, opt.Seed)
+		figure16(w, opt)
+		figure17(w, opt)
+		overheads(w)
+	}
+	fleetIO, ladderMixes := []PolicyKind{PolFleetIO}, evalPairs()[:2]
+	faults := grid{mixes: ladderMixes, kinds: fleetIO, levels: faultLevels()}
+	shapes := grid{mixes: ladderMixes, kinds: fleetIO, levels: workloadLevels()}
 	return []Scenario{
 		{"all", true, figureAll, `Section 4\.7`},
-		{"2", true, func(w io.Writer, opt Options) { figure2(w, pairGrid(hwsw, opt)) }, `software/hardware avg-util ratio: max \d`},
-		{"3", true, func(w io.Writer, opt Options) { figure3(w, pairGrid(hwsw, opt)) }, `Figure 3b`},
+		{"2", true, view(hwsw, figure2), `software/hardware avg-util ratio: max \d`},
+		{"3", true, view(hwsw, figure3), `Figure 3b`},
 		{"6", false, func(w io.Writer, _ Options) { figure6(w) }, `test clustering accuracy: \d`},
-		{"10", true, func(w io.Writer, opt Options) { figures10to13(w, pairGrid(allPolicies(), opt)) }, `Figure 13`},
-		{"14", true, figure14, `mix5 +8 `},
-		{"15", true, figure15, `FIO-UnifGlob`},
+		{"10", true, view(pairs, figures10to13), `Figure 13`},
+		{"14", true, view(scale, figure14), `mix5 +8 `},
+		{"15", true, view(ablation, figure15), `FIO-UnifGlob`},
 		{"16", true, func(w io.Writer, opt Options) { figure16(w, opt) }, `FleetIO +util= *[1-9]`},
 		{"17", true, figure17, `Y \+ \(P->T\) +\d`},
 		// Every injected failure recovered: a heavy row, and no imbalance line.
-		{"faults", true, func(w io.Writer, opt Options) { figureFaults(w, scenarioMixes, opt) }, `^[^!]*heavy +\d[^!]*$`},
+		{"faults", true, func(w io.Writer, opt Options) { figureFaults(w, faults, opt) }, `^[^!]*heavy +\d[^!]*$`},
 		// The rack must complete at least one cold migration. No pretrained
 		// policy to seed on either rack: the tiered rack's learned agents
 		// train online from scratch.
@@ -45,69 +67,32 @@ func Scenarios() []Scenario {
 		// The learned placement head must move tenants both ways.
 		{"tiers", false, figureTiers, `(?s)tier-policy=learned.* promotes=[1-9]\d* demotes=[1-9]`},
 		// The cohort rack must classify live traffic.
-		{"workloads", true, func(w io.Writer, opt Options) { figureWorkloads(w, scenarioMixes, opt) }, `types: .*=`},
+		{"workloads", true, func(w io.Writer, opt Options) { figureWorkloads(w, shapes, opt) }, `types: .*=`},
 		{"overhead", false, func(w io.Writer, _ Options) { overheads(w) }, `inference per window`},
 	}
 }
 
-// figureAll renders every paper figure; Figures 2, 3, and 10–13 share one
-// pair grid.
-func figureAll(w io.Writer, opt Options) {
-	grid := pairGrid(allPolicies(), opt)
-	figure2(w, grid)
-	figure3(w, grid)
-	figure6(w)
-	figures10to13(w, grid)
-	figure14(w, opt)
-	figure15(w, opt)
-	figure16(w, opt)
-	figure17(w, opt)
-	overheads(w)
+// view is a figure drawn from g: show over g's cells at opt.Seed.
+func view(g grid, show func(io.Writer, grid, cells, int64)) func(io.Writer, Options) {
+	return func(w io.Writer, opt Options) { show(w, g, scenarioMemo.run(opt, g), opt.Seed) }
 }
 
-// level is one rung of a scenario ladder: a name and the Options edit
-// that puts a run on it.
-type level struct {
-	Name  string
-	Apply func(*Options)
-}
-
-// levelRun is one level's finished run within a sweep.
-type levelRun struct {
-	Level string
-	*Run
-}
-
-// sweep calibrates the mix once, on unedited options, and measures it under
-// FleetIO at every level. The levels are independent deterministic
-// simulations and fan out over opt.Workers goroutines; results come back
-// in ladder order regardless of worker count.
-func sweep(mix MixSpec, opt Options, levels []level) []levelRun {
-	slos := Calibrate(mix, opt)
-	out := make([]levelRun, len(levels))
-	forEach(len(levels), opt.workers(), func(i int) {
-		o := opt
-		levels[i].Apply(&o)
-		out[i] = levelRun{levels[i].Name, Measure(mix, PolFleetIO, slos, o)}
-	})
-	return out
-}
-
-// figureSweep renders one table per mix, one row per level: the level name
-// (under nameHead, padded to nameWidth), utilization and the worst
-// tenant's SLO violation rate, then the scenario's own columns.
-func figureSweep(w io.Writer, mixes []MixSpec, opt Options, levels []level,
-	nameWidth int, nameHead, colsHead string, cols func(*Run) string) {
-	for _, mix := range mixes {
+// ladder renders g, one policy over levels, as one table per mix with one
+// row per level: the level name (under nameHead, padded to nameWidth),
+// utilization and the worst tenant's SLO violation rate, then the
+// scenario's own columns.
+func ladder(w io.Writer, g grid, opt Options, nameWidth int, nameHead, colsHead string, cols func(cell) string) {
+	cs := scenarioMemo.run(opt, g)
+	for _, mix := range g.mixes {
 		fmt.Fprintf(w, "%s (%v)\n", mix.Label, mix.Workloads)
 		fmt.Fprintf(w, "  %-*s %9s %9s%s\n", nameWidth, nameHead, "util%", "maxVio%", colsHead)
-		for _, row := range sweep(mix, opt, levels) {
+		for _, l := range g.levels {
+			c := cs.at(mix, g.kinds[0], l.Name, opt.Seed)
 			maxVio := 0.0
-			for _, tr := range row.Result.Tenants {
+			for _, tr := range c.Tenants {
 				maxVio = max(maxVio, tr.VioRate)
 			}
-			fmt.Fprintf(w, "  %-*s %9.2f %9.3f%s\n", nameWidth, row.Level,
-				row.Result.AvgUtil*100, maxVio*100, cols(row.Run))
+			fmt.Fprintf(w, "  %-*s %9.2f %9.3f%s\n", nameWidth, l.Name, c.AvgUtil*100, maxVio*100, cols(c))
 		}
 	}
 }

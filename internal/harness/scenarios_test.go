@@ -28,6 +28,7 @@ func TestScenarios(t *testing.T) {
 			continue
 		}
 		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
 			opt := DefaultOptions()
 			opt.Window = 250 * sim.Millisecond
 			opt.Warmup = 1 * sim.Second

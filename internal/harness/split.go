@@ -41,7 +41,7 @@ func splittable(mix MixSpec, kind PolicyKind, opt Options) bool {
 // order.
 func measureSplit(mix MixSpec, slos []sim.Time, opt Options) []*Run {
 	solos := make([]*Run, len(mix.Workloads))
-	forEach(len(solos), opt.workers(), func(i int) {
+	forEach(len(solos), opt.Workers, func(i int) {
 		solos[i] = solo(mix, i, slos, opt).measure()
 	})
 	return solos

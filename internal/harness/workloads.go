@@ -8,8 +8,8 @@ import (
 	"repro/internal/workload"
 )
 
-// workloadLevels is the steady/diurnal/bursty/replay ladder the workload
-// scenario sweeps — the temporal analogue of faultLevels: a named arrival
+// workloadLevels is the steady/diurnal/bursty/replay ladder of the workload
+// scenario — the temporal analogue of faultLevels: a named arrival
 // shape overlaid on every tenant of the mix.
 func workloadLevels() []level {
 	var out []level
@@ -39,18 +39,17 @@ func (r *Run) typeLabels() []string {
 	return labels
 }
 
-// figureWorkloads renders the temporal-realism scenario: every mix swept
+// figureWorkloads renders the temporal-realism scenario: every mix of g
 // over the steady/diurnal/bursty/replay ladder under FleetIO (with the
 // clusterer's workload-type labels per tenant), then one steady
 // cohort-churn rack with arrivals, departures, and live traffic typing.
 // The ladder sweeps the shape, so opt's own shape reaches neither. Output
 // is deterministic for a given seed at any worker count.
-func figureWorkloads(w io.Writer, mixes []MixSpec, opt Options) {
+func figureWorkloads(w io.Writer, g grid, opt Options) {
 	fmt.Fprintf(w, "== Workload scenarios: temporal shapes, trace replay, and cohort churn (seed=%d) ==\n", opt.Seed)
 	head := fmt.Sprintf(" %12s %12s  %s", "BI MB/s", "LS p99 ms", "types")
-	figureSweep(w, mixes, opt, workloadLevels(), 8, "shape", head, func(r *Run) string {
-		return fmt.Sprintf(" %12.1f %12.3f  %s", r.Result.BandwidthTenant(), r.Result.LatencyTenantP99(),
-			strings.Join(r.typeLabels(), ","))
+	ladder(w, g, opt, 8, "shape", head, func(c cell) string {
+		return fmt.Sprintf(" %12.1f %12.3f  %s", c.BandwidthTenant(), c.LatencyTenantP99(), strings.Join(c.types, ","))
 	})
 	opt.WorkloadShape = workload.ShapeSteady
 	st := cohortScenario(opt)

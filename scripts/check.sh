@@ -142,10 +142,12 @@ go test -race -tags=flashdebug ./internal/flash/...
 echo "== go test -race (parallel harness)"
 # The harness fans experiment runs out over a worker pool; the full
 # package under -race is prohibitively slow, so race-check the tests that
-# actually exercise concurrent runs (including the shared-observer one, and
-# the hardware-isolation pair, whose split runs fan solo devices out inside
-# the sweep's own fan-out).
-go test -race -run 'TestCompareParallel|TestCompareAll|TestScenarios/16$|TestForEach|TestHardwareIsolation' ./internal/harness/
+# actually exercise concurrent runs: the shared-observer one, the
+# hardware-isolation pair (whose split runs fan solo devices out inside a
+# grid's own fan-out), the memo tests, and Figures 2, 3 and 10, whose
+# scenario entries run as parallel subtests and look up the same cells of
+# the process memo at once.
+go test -race -run 'TestCompareParallel|TestCompareAll|TestScenarios/^(2|3|10)$|TestMemo|TestOnceMap|TestForEach|TestHardwareIsolation' ./internal/harness/
 
 echo "== allocation guards (-cpu 1,2,4)"
 # Every steady-state path that must not allocate — the per-I/O datapath,
