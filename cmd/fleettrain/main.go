@@ -113,16 +113,20 @@ func main() {
 // rejecting, naming the flag, a value that trains nothing or trains on
 // something else: a learning rate at or below zero or not finite (zero would
 // fall back to rl's default), an episode of no virtual time (zero steps,
-// reward 0), and a window at or below zero.
+// reward 0), an episode past sim.Time's range (it wraps), and a window at or
+// below zero.
 func shape(lr, epSeconds float64, windowMs int) (episode, window sim.Time, err error) {
 	if !(lr > 0) || math.IsInf(lr, 1) { // NaN included
 		return 0, 0, fmt.Errorf("-lr %v: must be > 0 and finite", lr)
 	}
-	if !(epSeconds > 0) || math.IsInf(epSeconds, 1) {
-		return 0, 0, fmt.Errorf("-episode-seconds %v: must be > 0 and finite", epSeconds)
+	if !(epSeconds > 0) { // NaN included
+		return 0, 0, fmt.Errorf("-episode-seconds %v: must be > 0", epSeconds)
+	}
+	if episode, err = harness.FlagSeconds("-episode-seconds", epSeconds); err != nil {
+		return 0, 0, err
 	}
 	if windowMs <= 0 {
 		return 0, 0, fmt.Errorf("-window %d: must be > 0", windowMs)
 	}
-	return sim.Time(epSeconds * 1e9), sim.Time(windowMs) * sim.Millisecond, nil
+	return episode, sim.Time(windowMs) * sim.Millisecond, nil
 }

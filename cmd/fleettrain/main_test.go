@@ -9,9 +9,9 @@ import (
 )
 
 // TestShapeRejectsUntrainable: -lr at or below zero or not finite,
-// -episode-seconds at or below zero or not finite, and -window at or below
-// zero fail before any training, naming the flag; every other value
-// resolves to virtual time as given.
+// -episode-seconds at or below zero, not finite or past sim.Time's range,
+// and -window at or below zero fail before any training, naming the flag;
+// every other value resolves to virtual time as given.
 func TestShapeRejectsUntrainable(t *testing.T) {
 	cases := []struct {
 		lr, epSeconds float64
@@ -30,6 +30,8 @@ func TestShapeRejectsUntrainable(t *testing.T) {
 		{lr: 1e-3, epSeconds: -2, windowMs: 100, wantErr: "-episode-seconds"},
 		{lr: 1e-3, epSeconds: math.NaN(), windowMs: 100, wantErr: "-episode-seconds"},
 		{lr: 1e-3, epSeconds: math.Inf(1), windowMs: 100, wantErr: "-episode-seconds"},
+		{lr: 1e-3, epSeconds: 1e10, windowMs: 100, wantErr: "-episode-seconds"},
+		{lr: 1e-3, epSeconds: 9e9, windowMs: 100, wantEpisode: 9e9 * sim.Second, wantWindow: 100 * sim.Millisecond},
 		{lr: 1e-3, epSeconds: 30, windowMs: 0, wantErr: "-window"},
 		{lr: 1e-3, epSeconds: 30, windowMs: -100, wantErr: "-window"},
 	}

@@ -62,7 +62,7 @@ func (c Config) Enabled() bool {
 }
 
 // validate reports configuration errors (probabilities outside [0,1],
-// negative timings).
+// NaN included, negative timings).
 func (c Config) validate() error {
 	probs := [...]struct {
 		name string
@@ -74,7 +74,7 @@ func (c Config) validate() error {
 		{"TimeoutProb", c.TimeoutProb},
 	}
 	for _, p := range probs {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN included
 			return fmt.Errorf("fault: %s = %g out of [0,1]", p.name, p.v)
 		}
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -126,7 +127,7 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("ParseSpec(%q).Enabled() = %v, want %v", tc.spec, got.Enabled(), tc.enabled)
 		}
 	}
-	for _, bad := range []string{"bogus", "pfail", "pfail=x", "pfail=2", "seed=x", "what=1", "light,heavy"} {
+	for _, bad := range []string{"bogus", "pfail", "pfail=x", "pfail=2", "pfail=NaN,efail=1e-3", "efail=NaN", "seed=x", "what=1", "light,heavy"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) must fail", bad)
 		}
@@ -140,6 +141,8 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{ProgramFailProb: -0.1},
 		{EraseFailProb: 1.5},
+		{ProgramFailProb: math.NaN()},
+		{TimeoutProb: math.NaN()},
 		{MaxReadRetries: -1},
 		{ReadRetryStep: -1},
 		{TimeoutStall: -1},

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -53,13 +54,20 @@ func figure3(w io.Writer, g grid, cs cells, seed int64) {
 		"up to 2.02x higher tail latency", Result.LatencyTenantP99)
 }
 
-// figure6 trains the workload-type clusters, prints the PCA scatter data,
-// cluster membership, and the train/test accuracy (paper: 98.4%).
-func figure6(w io.Writer) {
+// clustering is Figure 6's dataset and the type model's accuracy on its
+// held-out split, built once per process.
+var clustering = sync.OnceValues(func() (cluster.Dataset, float64) {
 	ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
 	_, test := ds.Split(0.7)
 	m, _ := TypeModel()
-	acc := m.Accuracy(test)
+	return ds, m.Accuracy(test)
+})
+
+// figure6 trains the workload-type clusters, prints the PCA scatter data,
+// cluster membership, and the train/test accuracy (paper: 98.4%).
+func figure6(w io.Writer) {
+	ds, acc := clustering()
+	m, _ := TypeModel()
 	fmt.Fprintln(w, "Figure 6: workload clustering (k-means on 4 trace features, PCA projection)")
 	for c, wls := range m.ClusterWorkloads {
 		fmt.Fprintf(w, "  cluster %d: %v\n", c, wls)
@@ -186,16 +194,7 @@ func figure15(w io.Writer, g grid, cs cells, seed int64) {
 // labelled as printed.
 func figure16(w io.Writer, opt Options) []Result {
 	fmt.Fprintln(w, "Figure 16: mixed hardware- and software-isolated vSSDs (mix3)")
-	kinds := []PolicyKind{PolHardware, PolSoftware, PolFleetIO}
-	// One calibration defines the SLOs for all three topologies; the runs
-	// themselves are independent and fan out over the worker pool.
-	mix := MixSpec{Label: "mix3-mixed", Workloads: []string{"VDI-Web", "VDI-Web", "TeraSort", "TeraSort"}}
-	slos := Calibrate(mix, opt)
-	results := make([]Result, len(kinds))
-	forEach(len(kinds), opt.Workers, func(i int) {
-		results[i] = measureMixedIsolation(mix, kinds[i], slos, opt).Result
-	})
-	results[0].Policy = "Mixed Isolation"
+	results := mixedIsolationRuns(opt)
 	for _, res := range results {
 		fmt.Fprintf(w, "%-18s util=%5.1f%%  LS P99=%6.2fms  BI BW=%7.1f MB/s\n",
 			res.Policy, res.AvgUtil*100, res.LatencyTenantP99(), res.BandwidthTenant())
@@ -204,6 +203,25 @@ func figure16(w io.Writer, opt Options) []Result {
 	fmt.Fprintln(w, " 1.42x BI bandwidth, tail latency within 1.19x of Mixed Isolation)")
 	fmt.Fprintln(w)
 	return results
+}
+
+// mixedIsolationRuns is Figure 16's runs through the process memo: mix3 on
+// the mixed topology under Mixed Isolation, Software Isolation and FleetIO,
+// in that order and labelled so.
+func mixedIsolationRuns(opt Options) []Result {
+	return memoized(&scenarioMemo, "16", opt, func() []Result {
+		kinds := []PolicyKind{PolHardware, PolSoftware, PolFleetIO}
+		// One calibration defines the SLOs for all three topologies; the
+		// runs themselves are independent and fan out over the worker pool.
+		mix := MixSpec{Label: "mix3-mixed", Workloads: []string{"VDI-Web", "VDI-Web", "TeraSort", "TeraSort"}}
+		slos := Calibrate(mix, opt)
+		results := make([]Result, len(kinds))
+		forEach(len(kinds), opt.Workers, func(i int) {
+			results[i] = measureMixedIsolation(mix, kinds[i], slos, opt).Result
+		})
+		results[0].Policy = "Mixed Isolation"
+		return results
+	}, cloneResults)
 }
 
 // measureMixedIsolation is Figure 16's run: the mixed topology under
@@ -227,15 +245,15 @@ func measureMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Op
 	return r.measure()
 }
 
-// figure17 evaluates robustness to collocated-workload changes: the model
-// keeps serving tenant A while its neighbour switches from B to C halfway;
-// the result is compared to a model tuned on A+C from the start.
-func figure17(w io.Writer, opt Options) {
-	cases := []struct {
-		label           string
-		keep, from, to  string
-		keepIsBandwidth bool
-	}{
+// transferCase is one of Figure 17's swaps: the model keeps serving keep
+// while its neighbour switches from `from` to `to`.
+type transferCase struct {
+	label, keep, from, to string
+	keepIsBandwidth       bool // keep is judged on BI bandwidth; else on LS P99
+}
+
+func transferCases() []transferCase {
+	return []transferCase{
 		{"T + (V->Y)", "TeraSort", "VDI-Web", "YCSB", true},
 		{"M + (V->Y)", "MLPrep", "VDI-Web", "YCSB", true},
 		{"P + (V->Y)", "PageRank", "VDI-Web", "YCSB", true},
@@ -243,36 +261,56 @@ func figure17(w io.Writer, opt Options) {
 		{"V + (M->P)", "VDI-Web", "MLPrep", "PageRank", false},
 		{"Y + (P->T)", "YCSB", "PageRank", "TeraSort", false},
 	}
+}
+
+// metric is what c is judged on: the kept tenant's BI bandwidth (MB/s) or
+// LS P99 (ms).
+func (c transferCase) metric(r Result) float64 {
+	if c.keepIsBandwidth {
+		return r.BandwidthTenant()
+	}
+	return r.LatencyTenantP99()
+}
+
+// figure17 evaluates robustness to collocated-workload changes: the model
+// keeps serving tenant A while its neighbour switches from B to C halfway;
+// the result is compared to a model tuned on A+C from the start.
+func figure17(w io.Writer, opt Options) {
 	fmt.Fprintln(w, "Figure 17: robustness to collocated workload changes")
 	fmt.Fprintf(w, "%-12s %14s %14s %10s (metric: %s)\n", "case", "pretrained", "transfer", "ratio", "BI MB/s or LS P99 ms")
-	// Each case is two independent experiments against the final mix's SLOs
-	// (the run pretrained on the final mix, then the transfer run): calibrate
-	// each final mix once, fan all 2×6 runs out as one flat job list, then
-	// print in the original case order.
-	slos := make([][]sim.Time, len(cases))
-	forEach(len(cases), opt.Workers, func(i int) {
-		slos[i] = Calibrate(Pair(cases[i].keep, cases[i].to), opt)
-	})
-	results := make([]Result, 2*len(cases))
-	forEach(len(results), opt.Workers, func(j int) {
-		c := cases[j/2]
-		if j%2 == 0 {
-			finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
-			results[j] = RunOne(finalMix, PolFleetIO, slos[j/2], opt)
-		} else {
-			results[j] = runTransfer(c.keep, c.from, c.to, slos[j/2], opt).Result
-		}
-	})
-	for i, c := range cases {
-		metric := Result.LatencyTenantP99
-		if c.keepIsBandwidth {
-			metric = Result.BandwidthTenant
-		}
-		a, b := metric(results[2*i]), metric(results[2*i+1])
+	results := transferRuns(opt)
+	for i, c := range transferCases() {
+		a, b := c.metric(results[2*i]), c.metric(results[2*i+1])
 		fmt.Fprintf(w, "%-12s %14.2f %14.2f %9.2fx\n", c.label, a, b, b/a)
 	}
 	fmt.Fprintln(w, "(paper: transfer within 5% of pretrained across all combinations)")
 	fmt.Fprintln(w)
+}
+
+// transferRuns is Figure 17's runs through the process memo, two a case in
+// case order: FleetIO on the final mix from the start, then the transfer
+// run. Each case is two independent experiments against the final mix's
+// SLOs: each final mix calibrates once, and all 2×6 runs fan out as one
+// flat job list.
+func transferRuns(opt Options) []Result {
+	return memoized(&scenarioMemo, "17", opt, func() []Result {
+		cases := transferCases()
+		slos := make([][]sim.Time, len(cases))
+		forEach(len(cases), opt.Workers, func(i int) {
+			slos[i] = Calibrate(Pair(cases[i].keep, cases[i].to), opt)
+		})
+		results := make([]Result, 2*len(cases))
+		forEach(len(results), opt.Workers, func(j int) {
+			c := cases[j/2]
+			if j%2 == 0 {
+				finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
+				results[j] = RunOne(finalMix, PolFleetIO, slos[j/2], opt)
+			} else {
+				results[j] = runTransfer(c.keep, c.from, c.to, slos[j/2], opt).Result
+			}
+		})
+		return results
+	}, cloneResults)
 }
 
 // runTransfer trains FleetIO on keep+from through warmup, switches the

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/flash"
@@ -12,6 +13,30 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// FlagSeconds converts a duration flag given in seconds to virtual time. It
+// rejects, naming the flag, a value that is not finite or lies past
+// sim.Time's range (math.MaxInt64 ns, about 292 years), where the
+// conversion would wrap; each caller keeps its own lower bound.
+func FlagSeconds(flag string, seconds float64) (sim.Time, error) {
+	if !(math.Abs(seconds)*1e9 < math.MaxInt64) { // NaN and ±Inf included
+		return 0, fmt.Errorf("%s %v: must be finite and under %.4g s", flag, seconds, math.MaxInt64/1e9)
+	}
+	return sim.Time(seconds * 1e9), nil
+}
+
+// CheckHorizon rejects options whose longest run ends past sim.Time's
+// range, where its end would wrap: the warm-up, Figure 17's four settling
+// windows and the measured interval, summed in float64 so that the sum
+// cannot wrap itself. The caller names the flags.
+func CheckHorizon(opt Options) error {
+	warmup, window, duration := float64(opt.Warmup), float64(opt.Window), float64(opt.Duration)
+	if warmup+4*window+duration >= math.MaxInt64 {
+		return fmt.Errorf("a run of %g s warm-up, four %g s windows and %g s measured ends past %.4g s",
+			warmup/1e9, window/1e9, duration/1e9, math.MaxInt64/1e9)
+	}
+	return nil
+}
 
 // SharedFlags declares on fs the eight flags fleetsim and fleetbench have
 // in common (-seconds -seed -parallel -faults -fleet -workload -trace
@@ -41,8 +66,15 @@ func SharedFlags(fs *flag.FlagSet) func() (Options, *obs.Server, error) {
 			// A hybrid rack needs a device in each of its two classes.
 			return opt, nil, fmt.Errorf("-fleet %d: must be 0 or >= 2", *fleetN)
 		}
+		duration, err := FlagSeconds("-seconds", *seconds)
+		if err != nil {
+			return opt, nil, err
+		}
 		opt.Seed = *seed
-		opt.Duration = sim.Time(*seconds * 1e9)
+		opt.Duration = duration
+		if err := CheckHorizon(opt); err != nil {
+			return opt, nil, fmt.Errorf("-seconds %v: %w", *seconds, err)
+		}
 		opt.Workers = *parallel
 		opt.FleetDevices = *fleetN
 

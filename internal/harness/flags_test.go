@@ -61,6 +61,15 @@ func TestSharedFlags(t *testing.T) {
 		{name: "zero seconds", args: []string{"-seconds", "0"}, wantErr: "-seconds"},
 		{name: "negative seconds", args: []string{"-seconds", "-1"}, wantErr: "-seconds"},
 		{name: "NaN seconds", args: []string{"-seconds", "NaN"}, wantErr: "-seconds"},
+		{name: "infinite seconds", args: []string{"-seconds", "Inf"}, wantErr: "-seconds"},
+		{name: "seconds past sim.Time", args: []string{"-seconds", "1e10"}, wantErr: "-seconds"},
+		{name: "rack seconds past sim.Time", args: []string{"-fleet", "4", "-seconds", "1e300"}, wantErr: "-seconds"},
+		{name: "run past sim.Time with the warm-up", args: []string{"-seconds", "9.223372035e9"}, wantErr: "-seconds"},
+		{name: "longest seconds", args: []string{"-seconds", "9e9"}, check: func(t *testing.T, opt Options) {
+			if opt.Duration != 9e9*sim.Second {
+				t.Errorf("duration = %d, want %d", opt.Duration, 9e9*sim.Second)
+			}
+		}},
 		{name: "negative parallel", args: []string{"-parallel", "-1"}, wantErr: "-parallel"},
 		{name: "negative fleet", args: []string{"-fleet", "-2"}, wantErr: "-fleet"},
 		{name: "one-device rack", args: []string{"-fleet", "1"}, wantErr: "-fleet"},

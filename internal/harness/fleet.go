@@ -3,8 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/fleet"
+	"repro/internal/workload"
 )
 
 // Rack sizes when Options.FleetDevices is zero. The tiered rack is small
@@ -85,6 +87,28 @@ func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
 	return fleet.New(cfg).Run()
 }
 
+// placementRack, tierRack and cohortRack are FleetScenario, TierScenario
+// and the workloads figure's steady cohortScenario through the process
+// memo: the scenario renders a rack and its claims read the same roll-up.
+func placementRack(p fleet.PlacementKind, opt Options) fleet.Stats {
+	return memoized(&scenarioMemo, "fleet "+p.String(), opt, func() fleet.Stats { return FleetScenario(p, opt) }, cloneStats)
+}
+
+func tierRack(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
+	return memoized(&scenarioMemo, "tiers "+tp.String(), opt, func() fleet.Stats { return TierScenario(tp, opt) }, cloneStats)
+}
+
+func cohortRack(opt Options) fleet.Stats {
+	opt.WorkloadShape = workload.ShapeSteady
+	return memoized(&scenarioMemo, "cohort", opt, func() fleet.Stats { return cohortScenario(opt) }, cloneStats)
+}
+
+// cloneStats is a deep copy of st.
+func cloneStats(st fleet.Stats) fleet.Stats {
+	st.TypeCounts, st.Tiers = slices.Clone(st.TypeCounts), slices.Clone(st.Tiers)
+	return st
+}
+
 // figureFleet renders the rack-scale scenario: every placement baseline
 // over the same arrival sequence, with fleet admission and cold migration
 // live, so the placement policies differ only in where tenants land.
@@ -93,7 +117,7 @@ func figureFleet(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "== Fleet: %d-device rack, placement baselines under admission + cold migration (seed=%d) ==\n",
 		rackConfig(opt, defaultFleetDevices).Devices, opt.Seed)
 	for _, p := range fleet.Placements() {
-		st := FleetScenario(p, opt)
+		st := placementRack(p, opt)
 		fmt.Fprintf(w, "placement=%s\n", p)
 		st.Render(w)
 	}
@@ -110,7 +134,7 @@ func figureTiers(w io.Writer, opt Options) {
 		rackConfig(opt, defaultTierDevices).Devices, opt.Seed)
 	var summary string
 	for _, tp := range fleet.TierPolicies() {
-		st := TierScenario(tp, opt)
+		st := tierRack(tp, opt)
 		fmt.Fprintf(w, "tier-policy=%s\n", tp)
 		st.Render(w)
 		summary += fmt.Sprintf(" %s=%.2fms", tp, st.LsMeanP99Ms)

@@ -26,6 +26,14 @@ type level struct {
 	Apply func(*Options)
 }
 
+// rungs is g's levels: one, "", that edits nothing, when it has none.
+func (g grid) rungs() []level {
+	if g.levels == nil {
+		return []level{{Apply: func(*Options) {}}}
+	}
+	return g.levels
+}
+
 // cell is one finished run of a grid: its Result, and what the scenario
 // columns read off the finished run.
 type cell struct {
@@ -74,10 +82,29 @@ func (o *onceMap[K, V]) get(k K, f func() V) V {
 
 // memo holds finished calibrations and cells for as long as it lives: a
 // calibration by its mix and options, a cell by its calibration's key, its
-// policy and its own options. It stores Results, never a Run.
+// policy and its own options. It stores Results, never a Run. views holds
+// what a scenario measures outside a grid (a rack's roll-up, Figures 16 and
+// 17), by name and options, so its rendering and its claims read one run.
 type memo struct {
 	slos  onceMap[string, []sim.Time]
 	cells onceMap[string, cell]
+	views onceMap[string, any]
+}
+
+// memoized is f's value, computed once per m for name at opt. Each read is
+// a deep copy made by clone, as a cell's is, so a caller that edits what it
+// was handed cannot edit what the next one reads.
+func memoized[V any](m *memo, name string, opt Options, f func() V, clone func(V) V) V {
+	return clone(m.views.get(name+" "+opt.key(), func() any { return f() }).(V))
+}
+
+// cloneResults is a deep copy of rs.
+func cloneResults(rs []Result) []Result {
+	rs = slices.Clone(rs)
+	for i := range rs {
+		rs[i].Tenants = slices.Clone(rs[i].Tenants)
+	}
+	return rs
 }
 
 // scenarioMemo is the process memo the scenario figures share cells
@@ -96,17 +123,14 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 	}
 	var jobs []job
 	for _, g := range grids {
-		seeds, levels := g.seeds, g.levels
+		seeds := g.seeds
 		if seeds == nil {
 			seeds = []int64{opt.Seed}
-		}
-		if levels == nil {
-			levels = []level{{Apply: func(*Options) {}}}
 		}
 		for _, seed := range seeds {
 			base := opt
 			base.Seed = seed
-			for _, l := range levels {
+			for _, l := range g.rungs() {
 				o := base
 				l.Apply(&o)
 				for _, k := range g.kinds {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/trace"
 )
 
@@ -87,6 +88,22 @@ func TestMemoReadsDeepCopy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again.types, wantTypes) {
 		t.Fatalf("editing projected type labels edited the memo: %v", again.types)
+	}
+
+	// What a scenario measures outside a grid (Figures 16 and 17, a rack's
+	// roll-up) is read the same way.
+	runs := func() []Result { return []Result{{Tenants: []TenantResult{{P99Ms: 1}}}} }
+	memoized(m, "runs", opt, runs, cloneResults)[0].Tenants[0].P99Ms = -1
+	if got := memoized(m, "runs", opt, runs, cloneResults); !reflect.DeepEqual(got, runs()) {
+		t.Fatalf("editing memoized runs edited the memo: %+v", got)
+	}
+	rack := func() fleet.Stats {
+		return fleet.Stats{TypeCounts: []fleet.TypeCount{{Label: "a", Count: 1}}, Tiers: []fleet.TierStats{{Name: "a"}}}
+	}
+	st := memoized(m, "rack", opt, rack, cloneStats)
+	st.TypeCounts[0].Count, st.Tiers[0].Name = -1, "mutated"
+	if got := memoized(m, "rack", opt, rack, cloneStats); !reflect.DeepEqual(got, rack()) {
+		t.Fatalf("editing a memoized rack edited the memo: %+v", got)
 	}
 }
 

@@ -13,14 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-func fastOptions() Options {
-	o := DefaultOptions()
-	o.Window = 200 * sim.Millisecond
-	o.Warmup = 2 * sim.Second
-	o.Duration = 4 * sim.Second
-	o.BlocksPerChip = 32
-	return o
-}
+// fastOptions is the shape rows' budget: a short run on a small device.
+func fastOptions() Options { return shapeBudget.options(0) }
 
 func TestPolicyKindStrings(t *testing.T) {
 	want := map[PolicyKind]string{
@@ -75,62 +69,6 @@ func TestCalibrateProducesSLOs(t *testing.T) {
 			t.Fatalf("SLO[%d] = %v implausible", i, s)
 		}
 	}
-}
-
-// The §2.2 motivation shape: software isolation wins utilization and
-// bandwidth, hardware isolation wins tail latency.
-func TestHardwareVsSoftwareShape(t *testing.T) {
-	opt := fastOptions()
-	mix := Pair("YCSB", "TeraSort")
-	slos := Calibrate(mix, opt)
-	hw := RunOne(mix, PolHardware, slos, opt)
-	sw := RunOne(mix, PolSoftware, slos, opt)
-
-	if sw.AvgUtil <= hw.AvgUtil {
-		t.Fatalf("software util %.3f must exceed hardware %.3f", sw.AvgUtil, hw.AvgUtil)
-	}
-	if sw.BandwidthTenant() <= hw.BandwidthTenant() {
-		t.Fatalf("software BI bandwidth %.1f must exceed hardware %.1f",
-			sw.BandwidthTenant(), hw.BandwidthTenant())
-	}
-	if sw.LatencyTenantP99() <= hw.LatencyTenantP99() {
-		t.Fatalf("software P99 %.2fms must exceed hardware %.2fms",
-			sw.LatencyTenantP99(), hw.LatencyTenantP99())
-	}
-	// Sanity on magnitudes.
-	if hw.AvgUtil <= 0.05 || hw.AvgUtil > 1.0 {
-		t.Fatalf("hardware util = %.3f out of plausible range", hw.AvgUtil)
-	}
-	for _, tr := range hw.Tenants {
-		if tr.Completed == 0 {
-			t.Fatalf("%s completed nothing", tr.Workload)
-		}
-	}
-}
-
-// The headline Figure 10 shape: FleetIO lands between the extremes —
-// utilization well above hardware isolation, tail latency well below
-// software isolation.
-func TestFleetIOTradeoffShape(t *testing.T) {
-	t.Parallel()
-	opt := WithPretrained(fastOptions())
-	opt.Warmup = 4 * sim.Second // extra online fine-tuning time
-	mix := Pair("YCSB", "TeraSort")
-	slos := Calibrate(mix, opt)
-	hw := RunOne(mix, PolHardware, slos, opt)
-	sw := RunOne(mix, PolSoftware, slos, opt)
-	fio := RunOne(mix, PolFleetIO, slos, opt)
-
-	if fio.AvgUtil <= hw.AvgUtil {
-		t.Fatalf("FleetIO util %.3f must beat hardware %.3f", fio.AvgUtil, hw.AvgUtil)
-	}
-	if fio.LatencyTenantP99() >= sw.LatencyTenantP99() {
-		t.Fatalf("FleetIO P99 %.2fms must beat software %.2fms",
-			fio.LatencyTenantP99(), sw.LatencyTenantP99())
-	}
-	t.Logf("util: hw=%.3f fio=%.3f sw=%.3f | P99: hw=%.2f fio=%.2f sw=%.2f",
-		hw.AvgUtil, fio.AvgUtil, sw.AvgUtil,
-		hw.LatencyTenantP99(), fio.LatencyTenantP99(), sw.LatencyTenantP99())
 }
 
 // TestDecisionWindowSteadyStateAllocs is the allocation guard over the whole

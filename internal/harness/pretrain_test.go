@@ -71,35 +71,3 @@ func TestRunEpisodeCollectsRollouts(t *testing.T) {
 		}
 	}
 }
-
-// The Figure 10 acceptance check with a pretrained model: FleetIO must
-// clearly beat hardware isolation on utilization while staying far below
-// software isolation's tail latency.
-func TestPretrainedFleetIOHarvests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pretraining is expensive")
-	}
-	opt := WithPretrained(DefaultOptions())
-	opt.Window = 200 * sim.Millisecond
-	opt.Warmup = 4 * sim.Second
-	opt.Duration = 8 * sim.Second
-	mix := Pair("YCSB", "TeraSort")
-	slos := Calibrate(mix, opt)
-	hw := RunOne(mix, PolHardware, slos, opt)
-	sw := RunOne(mix, PolSoftware, slos, opt)
-	fio := RunOne(mix, PolFleetIO, slos, opt)
-	t.Logf("util: hw=%.3f fio=%.3f sw=%.3f", hw.AvgUtil, fio.AvgUtil, sw.AvgUtil)
-	t.Logf("biBW: hw=%.1f fio=%.1f sw=%.1f MB/s", hw.BandwidthTenant(), fio.BandwidthTenant(), sw.BandwidthTenant())
-	t.Logf("P99: hw=%.2f fio=%.2f sw=%.2f ms", hw.LatencyTenantP99(), fio.LatencyTenantP99(), sw.LatencyTenantP99())
-	if fio.AvgUtil < 1.10*hw.AvgUtil {
-		t.Fatalf("FleetIO util %.3f < 1.10× hardware %.3f", fio.AvgUtil, hw.AvgUtil)
-	}
-	// The Figure 10 ordering: FleetIO's tail sits between hardware and
-	// software isolation, closer to hardware as training matures.
-	if fio.LatencyTenantP99() >= sw.LatencyTenantP99() {
-		t.Fatalf("FleetIO P99 %.2f not below software %.2f", fio.LatencyTenantP99(), sw.LatencyTenantP99())
-	}
-	if fio.LatencyTenantP99() > 2.2*hw.LatencyTenantP99() {
-		t.Fatalf("FleetIO P99 %.2f too far above hardware %.2f", fio.LatencyTenantP99(), hw.LatencyTenantP99())
-	}
-}

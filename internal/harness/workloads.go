@@ -51,8 +51,7 @@ func figureWorkloads(w io.Writer, g grid, opt Options) {
 	ladder(w, g, opt, 8, "shape", head, func(c cell) string {
 		return fmt.Sprintf(" %12.1f %12.3f  %s", c.BandwidthTenant(), c.LatencyTenantP99(), strings.Join(c.types, ","))
 	})
-	opt.WorkloadShape = workload.ShapeSteady
-	st := cohortScenario(opt)
+	st := cohortRack(opt)
 	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", st.Devices)
 	st.Render(w)
 }

@@ -32,7 +32,9 @@ type ledgerPoint struct {
 // "legacy", and every point stamped with the machine and build it ran on,
 // taken on a known side of a PR, of a workload BENCHMARK.json declares or
 // of tier-1. No two points share commit, workload, role, machine and start,
-// so a point pasted twice is caught.
+// so a point pasted twice is caught. A PR's bench points come in pairs: a
+// workload a PR measured on one side it measured on the other, since a
+// point with no partner cannot carry a claim.
 func TestLedger(t *testing.T) {
 	var ledger struct {
 		Legacy struct {
@@ -66,6 +68,11 @@ func TestLedger(t *testing.T) {
 		nproc, gomaxprocs                               int
 	}
 	seen := map[identity]int{}
+	type side struct {
+		pr       int
+		workload string
+	}
+	roles := map[side]map[string]bool{}
 	for i, p := range ledger.Points {
 		r, s := p.Report, p.Report.Stamp
 		if p.PR <= 0 || (p.Role != "parent" && p.Role != "change") {
@@ -85,5 +92,17 @@ func TestLedger(t *testing.T) {
 			t.Errorf("points %d and %d share commit, workload, role, machine and start: %+v", j, i, id)
 		}
 		seen[id] = i
+		if r.Workload != "tier1" {
+			k := side{p.PR, r.Workload}
+			if roles[k] == nil {
+				roles[k] = map[string]bool{}
+			}
+			roles[k][p.Role] = true
+		}
+	}
+	for k, r := range roles {
+		if !r["parent"] || !r["change"] {
+			t.Errorf("PR %d has %s points on one side only (%v); a claim needs both parent and change", k.pr, k.workload, r)
+		}
 	}
 }
