@@ -19,6 +19,9 @@
 // -faults injects deterministic NAND failures into the measured runs:
 // "light", "heavy", or a k=v spec (see internal/fault.ParseSpec).
 //
+// A value no run can honour (harness.Options.Validate: a -seconds under
+// 1 ns, a -fleet of 1, …) fails before any run, naming the flag.
+//
 // Every figure reads every shared flag, the rack figures included: each
 // rack device injects -faults from its own seed, and each rack tenant
 // arrives under -workload (and replays -trace) as a single run's tenant
@@ -26,9 +29,9 @@
 // ladder: -fig faults sets -faults per level, and -fig workloads sets
 // -workload per shape and runs its cohort rack steady.
 //
-// -fig fleet runs the rack-scale scenario — -fleet N devices (default 64;
-// a set N is at least 2) under one virtual clock, comparing the placement
-// baselines with fleet admission and cold migration live.
+// -fig fleet runs the rack-scale scenario — -fleet N devices (default 64)
+// under one virtual clock, comparing the placement baselines with fleet
+// admission and cold migration live.
 //
 // -fig tiers runs the hybrid-rack scenario — -fleet N devices (default 8)
 // split into a fast SLC-like class and a dense QLC-like class, comparing
@@ -52,15 +55,36 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"slices"
 	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/nn"
-	"repro/internal/sim"
+	"repro/internal/obs"
 )
+
+// declareFlags declares on fs the flags shared with fleetsim, -warmup and
+// -window, and returns the function that, once fs is parsed, resolves them
+// into the Options every figure runs under and validates those.
+func declareFlags(fs *flag.FlagSet) func() (harness.Options, *obs.Server, error) {
+	shared := harness.SharedFlags(fs)
+	warmup := fs.Float64("warmup", 4, "virtual warmup seconds per run")
+	windowMs := fs.Int("window", 250, "decision window in milliseconds")
+	return func() (harness.Options, *obs.Server, error) {
+		opt, srv, err := shared()
+		if err == nil {
+			opt.Warmup, err = harness.FlagSeconds("-warmup", *warmup)
+		}
+		if err == nil {
+			opt.Window, err = harness.FlagSeconds("-window", float64(*windowMs)/1e3)
+		}
+		if err == nil {
+			err = opt.Validate()
+		}
+		return opt, srv, err
+	}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -70,10 +94,8 @@ func main() {
 	for i, sc := range scenarios {
 		names[i] = sc.Name
 	}
-	shared := harness.SharedFlags(flag.CommandLine)
+	options := declareFlags(flag.CommandLine)
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ", "))
-	warmup := flag.Float64("warmup", 4, "virtual warmup seconds per run")
-	windowMs := flag.Int("window", 250, "decision window in milliseconds")
 	model := flag.String("model", "", "pretrained model file (from fleettrain); pretrains in-process when empty")
 	flag.Parse()
 
@@ -88,14 +110,11 @@ func main() {
 	}
 	sc := scenarios[idx]
 
-	opt, srv, err := shared()
+	opt, srv, err := options()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	if opt.Warmup, opt.Window, err = timing(*warmup, *windowMs, opt.Duration); err != nil {
-		log.Fatal(err)
-	}
 
 	if *model != "" {
 		net, err := nn.LoadFile(*model)
@@ -110,30 +129,4 @@ func main() {
 	}
 
 	sc.Render(os.Stdout, opt)
-}
-
-// timing resolves -warmup (seconds) and -window (milliseconds), rejecting,
-// naming the flag, a value no run can honour: a negative warmup starts
-// measuring before time zero, a zero window would fall back to a different
-// default in each layer, and a value past sim.Time's range wraps, alone or
-// summed into a run with duration (-seconds).
-func timing(warmup float64, windowMs int, duration sim.Time) (sim.Time, sim.Time, error) {
-	if !(warmup >= 0) { // NaN included
-		return 0, 0, fmt.Errorf("-warmup %v: must be >= 0", warmup)
-	}
-	warmupT, err := harness.FlagSeconds("-warmup", warmup)
-	if err != nil {
-		return 0, 0, err
-	}
-	if windowMs <= 0 {
-		return 0, 0, fmt.Errorf("-window %d: must be > 0", windowMs)
-	}
-	if int64(windowMs) > math.MaxInt64/sim.Millisecond {
-		return 0, 0, fmt.Errorf("-window %d: must be under %d", windowMs, math.MaxInt64/sim.Millisecond)
-	}
-	opt := harness.Options{Warmup: warmupT, Window: sim.Time(windowMs) * sim.Millisecond, Duration: duration}
-	if err := harness.CheckHorizon(opt); err != nil {
-		return 0, 0, fmt.Errorf("-warmup %v with -seconds %v and -window %d: %w", warmup, float64(duration)/1e9, windowMs, err)
-	}
-	return opt.Warmup, opt.Window, nil
 }

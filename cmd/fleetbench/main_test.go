@@ -1,7 +1,8 @@
 package main
 
 import (
-	"math"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,45 +10,53 @@ import (
 )
 
 // TestTimingRejectsUnhonourable: -warmup below zero, NaN, infinite or past
-// sim.Time's range, -window at or below zero or past that range, and a run
-// whose warmup, windows and -seconds sum past it fail before any run, naming
-// the flag; every other value resolves to virtual time as given.
+// sim.Time's range, -window at or below zero or past that range, -seconds
+// under 1 ns, and a run whose warmup, windows and -seconds sum past that
+// range fail before any run, naming the flag (harness.Options.Validate, or
+// the conversion); every other value resolves to virtual time as given.
 func TestTimingRejectsUnhonourable(t *testing.T) {
 	cases := []struct {
-		warmup     float64
-		windowMs   int
-		duration   sim.Time // from -seconds
-		wantErr    string   // the flag named; empty: accepted
+		args       []string
+		wantErr    string // the flag named; empty: accepted
 		wantWarmup sim.Time
 		wantWindow sim.Time
 	}{
-		{warmup: 4, windowMs: 250, wantWarmup: 4 * sim.Second, wantWindow: 250 * sim.Millisecond},
-		{warmup: 0, windowMs: 1, wantWindow: sim.Millisecond},
-		{warmup: 0.5, windowMs: 2000, wantWarmup: 500 * sim.Millisecond, wantWindow: 2 * sim.Second},
-		{warmup: -1, windowMs: 250, wantErr: "-warmup"},
-		{warmup: math.NaN(), windowMs: 250, wantErr: "-warmup"},
-		{warmup: math.Inf(-1), windowMs: 250, wantErr: "-warmup"},
-		{warmup: math.Inf(1), windowMs: 250, wantErr: "-warmup"},
-		{warmup: 1e10, windowMs: 250, wantErr: "-warmup"},
-		{warmup: 9e9, windowMs: 250, wantWarmup: 9e9 * sim.Second, wantWindow: 250 * sim.Millisecond},
-		{warmup: 5e9, windowMs: 250, duration: 5e9 * sim.Second, wantErr: "-warmup"},
-		{warmup: 4e9, windowMs: 250, duration: 5e9 * sim.Second, wantWarmup: 4e9 * sim.Second, wantWindow: 250 * sim.Millisecond},
-		{warmup: 0, windowMs: 3e12, duration: sim.Second, wantErr: "-warmup"},
-		{warmup: 0, windowMs: math.MaxInt64 / 1000, wantErr: "-window"},
-		{warmup: 4, windowMs: 0, wantErr: "-window"},
-		{warmup: 4, windowMs: -100, wantErr: "-window"},
+		{args: []string{"-warmup", "4", "-window", "250"}, wantWarmup: 4 * sim.Second, wantWindow: 250 * sim.Millisecond},
+		{args: []string{"-warmup", "0", "-window", "1"}, wantWindow: sim.Millisecond},
+		{args: []string{"-warmup", "0.5", "-window", "2000"}, wantWarmup: 500 * sim.Millisecond, wantWindow: 2 * sim.Second},
+		{args: []string{"-warmup", "0.3", "-window", "1001"}, wantWarmup: 300 * sim.Millisecond, wantWindow: 1001 * sim.Millisecond},
+		{args: []string{"-warmup", "-1"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "NaN"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "-Inf"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "Inf"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "1e10"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "9e9"}, wantWarmup: 9e9 * sim.Second, wantWindow: 250 * sim.Millisecond},
+		{args: []string{"-warmup", "5e9", "-seconds", "5e9"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "4e9", "-seconds", "5e9"}, wantWarmup: 4e9 * sim.Second, wantWindow: 250 * sim.Millisecond},
+		{args: []string{"-warmup", "0", "-window", "3000000000000", "-seconds", "1"}, wantErr: "-warmup"},
+		{args: []string{"-warmup", "0", "-window", "9223372036854775"}, wantErr: "-window"},
+		{args: []string{"-window", "0"}, wantErr: "-window"},
+		{args: []string{"-window", "-100"}, wantErr: "-window"},
+		{args: []string{"-seconds", "1e-10"}, wantErr: "-seconds"},
 	}
 	for _, c := range cases {
-		warmup, window, err := timing(c.warmup, c.windowMs, c.duration)
-		if c.wantErr == "" {
-			if err != nil || warmup != c.wantWarmup || window != c.wantWindow {
-				t.Errorf("timing(%v, %d, %d) = %v, %v, %v; want %v, %v, nil",
-					c.warmup, c.windowMs, c.duration, warmup, window, err, c.wantWarmup, c.wantWindow)
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			fs := flag.NewFlagSet("fleetbench", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			options := declareFlags(fs)
+			if err := fs.Parse(c.args); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if err == nil || !strings.HasPrefix(err.Error(), c.wantErr+" ") {
-			t.Errorf("timing(%v, %d, %d): err = %v, want one naming %s", c.warmup, c.windowMs, c.duration, err, c.wantErr)
-		}
+			opt, _, err := options()
+			if c.wantErr == "" {
+				if err != nil || opt.Warmup != c.wantWarmup || opt.Window != c.wantWindow {
+					t.Fatalf("warmup %v, window %v, err %v; want %v, %v, nil", opt.Warmup, opt.Window, err, c.wantWarmup, c.wantWindow)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), c.wantErr+" ") {
+				t.Fatalf("err = %v, want one naming %s", err, c.wantErr)
+			}
+		})
 	}
 }

@@ -47,7 +47,8 @@
 // -policy or -decisions; a single device takes no -tier-policy or
 // -placement; a hybrid rack takes no -placement. A -mix the device cannot
 // run (an unknown workload, or a tenant count that does not divide its
-// channels) fails before the run.
+// channels) fails before the run, as does a value harness.Options.Validate
+// rejects.
 package main
 
 import (
@@ -82,10 +83,13 @@ func declareFlags(fs *flag.FlagSet) flags {
 	}
 }
 
-// checkMode rejects, naming the flag, a fleetsim-only flag set on fs that
-// names the other mode's structure, and a -mix one device cannot run; fs
-// must be parsed and opt resolved from it.
-func checkMode(fs *flag.FlagSet, f flags, opt harness.Options) error {
+// check rejects, naming the flag, Options that Validate rejects, a
+// fleetsim-only flag set on fs that names the other mode's structure, and a
+// -mix one device cannot run; fs must be parsed and opt resolved from it.
+func check(fs *flag.FlagSet, f flags, opt harness.Options) error {
+	if err := opt.Validate(); err != nil {
+		return err
+	}
 	switch {
 	case opt.FleetDevices > 0 && *f.tierPolicy != "":
 		return rejectSet(fs, "a hybrid rack (-tier-policy)", "mix", "policy", "decisions", "placement")
@@ -126,7 +130,7 @@ func main() {
 	flag.Parse()
 	opt, srv, err := f.shared()
 	if err == nil {
-		err = checkMode(flag.CommandLine, f, opt)
+		err = check(flag.CommandLine, f, opt)
 	}
 	if err != nil {
 		log.Fatal(err)

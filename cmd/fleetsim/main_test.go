@@ -14,9 +14,9 @@ import (
 
 // TestModeRejectsIgnoredFlags: a flag that names the other mode's
 // structure, or a value no run can take, fails before the run, naming the
-// flag, instead of being silently dropped or panicking mid-run. The shared
-// flags fail when they resolve, fleetsim's own in checkMode. A rack reads
-// every device flag.
+// flag, instead of being silently dropped or panicking mid-run. A flag
+// that cannot convert fails when the shared flags resolve, the rest in
+// check. A rack reads every device flag.
 func TestModeRejectsIgnoredFlags(t *testing.T) {
 	// The rack's -trace case replays t.bin from the working directory.
 	wd, err := os.Getwd()
@@ -64,6 +64,8 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 		{args: []string{"-fleet", "1", "-tier-policy", "learned"}, wantErr: "-fleet"},
 		{args: []string{"-mix", "YCSB,Nope"}, wantErr: "-mix"},
 		{args: []string{"-mix", "YCSB,TeraSort,MLPrep"}, wantErr: "-mix"},
+		{args: []string{"-fleet", "4", "-seconds", "1e-10"}, wantErr: "-seconds"},
+		{args: []string{"-mix", "YCSB,TeraSort", "-policy", "hardware", "-seconds", "1e-10"}, wantErr: "-seconds"},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -74,7 +76,7 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 			if err == nil {
 				var opt harness.Options
 				if opt, _, err = f.shared(); err == nil {
-					err = checkMode(fs, f, opt)
+					err = check(fs, f, opt)
 				}
 			}
 			if c.wantErr == "" {

@@ -9,9 +9,9 @@
 // The flags fill one harness.PretrainConfig: -episode-seconds and -window
 // shape each episode, and every other flag sets the trainer knob of the
 // same name. -lr sets the learning rate alone; the other PPO
-// hyperparameters keep their defaults (rl.DefaultConfig). A learning rate,
-// episode length or window that is not positive (or not finite) is
-// rejected before training, naming the flag.
+// hyperparameters keep their defaults (rl.DefaultConfig). A value
+// harness.PretrainConfig.Validate rejects (a non-positive learning rate, an
+// episode under 1 ns, …) fails before training, naming the flag.
 //
 // Usage:
 //
@@ -23,45 +23,58 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/rl"
-	"repro/internal/sim"
 	"repro/internal/trainer"
 )
+
+// declareConfig declares on fs the flags that fill a harness.PretrainConfig
+// and returns the function that, once fs is parsed, resolves them into one
+// and validates it.
+func declareConfig(fs *flag.FlagSet) func() (harness.PretrainConfig, error) {
+	pc := harness.PretrainConfig{Config: trainer.Config{Logf: log.Printf}}
+	fs.IntVar(&pc.Episodes, "episodes", 12, "pretraining episodes")
+	epSeconds := fs.Float64("episode-seconds", 30, "virtual seconds per episode")
+	windowMs := fs.Int("window", 100, "decision window in milliseconds")
+	fs.Float64Var(&pc.RL.LR, "lr", 1e-3, "pretraining learning rate")
+	fs.Int64Var(&pc.Seed, "seed", 11, "seed")
+	fs.IntVar(&pc.Workers, "workers", 4, "episodes per PPO update, collected in parallel (the model depends on it; -resume needs the same -workers and -seed)")
+	fs.StringVar(&pc.CheckpointDir, "checkpoint-dir", "", "directory for atomic training checkpoints (enables resume)")
+	fs.IntVar(&pc.CheckpointEvery, "checkpoint-every", 1, "rounds between checkpoints")
+	fs.BoolVar(&pc.Resume, "resume", false, "resume from the newest readable checkpoint in -checkpoint-dir")
+	fs.StringVar(&pc.MetricsPath, "metrics", "", "append per-round training telemetry to this JSONL file")
+	fs.IntVar(&pc.EvalEvery, "eval-every", 1, "rounds between held-out eval episodes (0 disables best-model gating)")
+
+	return func() (harness.PretrainConfig, error) {
+		var err error
+		if pc.EpisodeDuration, err = harness.FlagSeconds("-episode-seconds", *epSeconds); err == nil {
+			pc.Window, err = harness.FlagSeconds("-window", float64(*windowMs)/1e3)
+		}
+		if err == nil {
+			err = pc.Validate()
+		}
+		return pc, err
+	}
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fleettrain: ")
-	episodes := flag.Int("episodes", 12, "pretraining episodes")
-	epSeconds := flag.Float64("episode-seconds", 30, "virtual seconds per episode")
-	windowMs := flag.Int("window", 100, "decision window in milliseconds")
-	lr := flag.Float64("lr", 1e-3, "pretraining learning rate")
-	seed := flag.Int64("seed", 11, "seed")
-	workers := flag.Int("workers", 4, "episodes per PPO update, collected in parallel (the model depends on it; -resume needs the same -workers and -seed)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training checkpoints (enables resume)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "rounds between checkpoints")
-	resume := flag.Bool("resume", false, "resume from the newest readable checkpoint in -checkpoint-dir")
-	metrics := flag.String("metrics", "", "append per-round training telemetry to this JSONL file")
-	evalEvery := flag.Int("eval-every", 1, "rounds between held-out eval episodes (0 disables best-model gating)")
+	config := declareConfig(flag.CommandLine)
 	out := flag.String("out", "fleetio_model.gob", "output model file")
 	httpAddr := flag.String("http", "", "serve live training gauges on /metrics and pprof on /debug/pprof/")
 	flag.Parse()
 
-	episode, window, err := shape(*lr, *epSeconds, *windowMs)
+	pc, err := config()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var reg *obs.Registry
 	if *httpAddr != "" {
-		reg = obs.NewRegistry()
-		srv, err := obs.Serve(*httpAddr, reg)
+		pc.Obs = obs.NewRegistry()
+		srv, err := obs.Serve(*httpAddr, pc.Obs)
 		if err != nil {
 			log.Fatalf("serving -http: %v", err)
 		}
@@ -69,25 +82,8 @@ func main() {
 		log.Printf("observability on http://%s (/metrics, /debug/pprof/)", srv.Addr())
 	}
 
-	pc := harness.PretrainConfig{
-		Config: trainer.Config{
-			Seed:            *seed,
-			Workers:         *workers,
-			Episodes:        *episodes,
-			RL:              rl.Config{LR: *lr},
-			EvalEvery:       *evalEvery,
-			CheckpointDir:   *ckptDir,
-			CheckpointEvery: *ckptEvery,
-			Resume:          *resume,
-			MetricsPath:     *metrics,
-			Logf:            log.Printf,
-			Obs:             reg,
-		},
-		EpisodeDuration: episode,
-		Window:          window,
-	}
 	log.Printf("pretraining %d episodes x %.0fs virtual on held-out workloads (%d workers)...",
-		pc.Episodes, *epSeconds, *workers)
+		pc.Episodes, float64(pc.EpisodeDuration)/1e9, pc.Workers)
 	res, err := harness.PretrainRun(pc, core.ModeFull)
 	if err != nil {
 		log.Fatalf("training: %v", err)
@@ -107,26 +103,4 @@ func main() {
 		log.Fatalf("encoding model for size report: %v", err)
 	}
 	log.Printf("wrote %s model to %s (%d params, %d bytes)", which, *out, net.NumParams(), len(data))
-}
-
-// shape checks -lr and resolves -episode-seconds and -window (milliseconds),
-// rejecting, naming the flag, a value that trains nothing or trains on
-// something else: a learning rate at or below zero or not finite (zero would
-// fall back to rl's default), an episode of no virtual time (zero steps,
-// reward 0), an episode past sim.Time's range (it wraps), and a window at or
-// below zero.
-func shape(lr, epSeconds float64, windowMs int) (episode, window sim.Time, err error) {
-	if !(lr > 0) || math.IsInf(lr, 1) { // NaN included
-		return 0, 0, fmt.Errorf("-lr %v: must be > 0 and finite", lr)
-	}
-	if !(epSeconds > 0) { // NaN included
-		return 0, 0, fmt.Errorf("-episode-seconds %v: must be > 0", epSeconds)
-	}
-	if episode, err = harness.FlagSeconds("-episode-seconds", epSeconds); err != nil {
-		return 0, 0, err
-	}
-	if windowMs <= 0 {
-		return 0, 0, fmt.Errorf("-window %d: must be > 0", windowMs)
-	}
-	return episode, sim.Time(windowMs) * sim.Millisecond, nil
 }

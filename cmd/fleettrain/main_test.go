@@ -1,7 +1,8 @@
 package main
 
 import (
-	"math"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,43 +10,55 @@ import (
 )
 
 // TestShapeRejectsUntrainable: -lr at or below zero or not finite,
-// -episode-seconds at or below zero, not finite or past sim.Time's range,
-// and -window at or below zero fail before any training, naming the flag;
-// every other value resolves to virtual time as given.
+// -episode-seconds under 1 ns, not finite or past sim.Time's range,
+// -window at or below zero or past that range, and -episodes at or below
+// zero fail before any training, naming the flag
+// (harness.PretrainConfig.Validate, or the conversion); every other value
+// resolves to virtual time as given.
 func TestShapeRejectsUntrainable(t *testing.T) {
 	cases := []struct {
-		lr, epSeconds float64
-		windowMs      int
-		wantErr       string // the flag named; empty: accepted
-		wantEpisode   sim.Time
-		wantWindow    sim.Time
+		args        []string
+		wantErr     string // the flag named; empty: accepted
+		wantEpisode sim.Time
+		wantWindow  sim.Time
 	}{
-		{lr: 1e-3, epSeconds: 30, windowMs: 100, wantEpisode: 30 * sim.Second, wantWindow: 100 * sim.Millisecond},
-		{lr: 1e-6, epSeconds: 0.5, windowMs: 1, wantEpisode: 500 * sim.Millisecond, wantWindow: sim.Millisecond},
-		{lr: -1, epSeconds: 30, windowMs: 100, wantErr: "-lr"},
-		{lr: 0, epSeconds: 30, windowMs: 100, wantErr: "-lr"},
-		{lr: math.NaN(), epSeconds: 30, windowMs: 100, wantErr: "-lr"},
-		{lr: math.Inf(1), epSeconds: 30, windowMs: 100, wantErr: "-lr"},
-		{lr: 1e-3, epSeconds: 0, windowMs: 100, wantErr: "-episode-seconds"},
-		{lr: 1e-3, epSeconds: -2, windowMs: 100, wantErr: "-episode-seconds"},
-		{lr: 1e-3, epSeconds: math.NaN(), windowMs: 100, wantErr: "-episode-seconds"},
-		{lr: 1e-3, epSeconds: math.Inf(1), windowMs: 100, wantErr: "-episode-seconds"},
-		{lr: 1e-3, epSeconds: 1e10, windowMs: 100, wantErr: "-episode-seconds"},
-		{lr: 1e-3, epSeconds: 9e9, windowMs: 100, wantEpisode: 9e9 * sim.Second, wantWindow: 100 * sim.Millisecond},
-		{lr: 1e-3, epSeconds: 30, windowMs: 0, wantErr: "-window"},
-		{lr: 1e-3, epSeconds: 30, windowMs: -100, wantErr: "-window"},
+		{args: nil, wantEpisode: 30 * sim.Second, wantWindow: 100 * sim.Millisecond},
+		{args: []string{"-lr", "1e-6", "-episode-seconds", "0.5", "-window", "1"}, wantEpisode: 500 * sim.Millisecond, wantWindow: sim.Millisecond},
+		{args: []string{"-window", "1001"}, wantEpisode: 30 * sim.Second, wantWindow: 1001 * sim.Millisecond},
+		{args: []string{"-lr", "-1"}, wantErr: "-lr"},
+		{args: []string{"-lr", "0"}, wantErr: "-lr"},
+		{args: []string{"-lr", "NaN"}, wantErr: "-lr"},
+		{args: []string{"-lr", "Inf"}, wantErr: "-lr"},
+		{args: []string{"-episode-seconds", "0"}, wantErr: "-episode-seconds"},
+		{args: []string{"-episode-seconds", "-2"}, wantErr: "-episode-seconds"},
+		{args: []string{"-episode-seconds", "NaN"}, wantErr: "-episode-seconds"},
+		{args: []string{"-episode-seconds", "Inf"}, wantErr: "-episode-seconds"},
+		{args: []string{"-episode-seconds", "1e10"}, wantErr: "-episode-seconds"},
+		{args: []string{"-episode-seconds", "1e-10"}, wantErr: "-episode-seconds"},
+		{args: []string{"-episode-seconds", "9e9"}, wantEpisode: 9e9 * sim.Second, wantWindow: 100 * sim.Millisecond},
+		{args: []string{"-window", "0"}, wantErr: "-window"},
+		{args: []string{"-window", "-100"}, wantErr: "-window"},
+		{args: []string{"-window", "9223372036854775"}, wantErr: "-window"},
+		{args: []string{"-episodes", "0"}, wantErr: "-episodes"},
 	}
 	for _, c := range cases {
-		episode, window, err := shape(c.lr, c.epSeconds, c.windowMs)
-		if c.wantErr == "" {
-			if err != nil || episode != c.wantEpisode || window != c.wantWindow {
-				t.Errorf("shape(%v, %v, %d) = %v, %v, %v; want %v, %v, nil",
-					c.lr, c.epSeconds, c.windowMs, episode, window, err, c.wantEpisode, c.wantWindow)
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			fs := flag.NewFlagSet("fleettrain", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			config := declareConfig(fs)
+			if err := fs.Parse(c.args); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if err == nil || !strings.HasPrefix(err.Error(), c.wantErr+" ") {
-			t.Errorf("shape(%v, %v, %d): err = %v, want one naming %s", c.lr, c.epSeconds, c.windowMs, err, c.wantErr)
-		}
+			pc, err := config()
+			if c.wantErr == "" {
+				if err != nil || pc.EpisodeDuration != c.wantEpisode || pc.Window != c.wantWindow {
+					t.Fatalf("episode %v, window %v, err %v; want %v, %v, nil", pc.EpisodeDuration, pc.Window, err, c.wantEpisode, c.wantWindow)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), c.wantErr+" ") {
+				t.Fatalf("err = %v, want one naming %s", err, c.wantErr)
+			}
+		})
 	}
 }

@@ -683,6 +683,18 @@ func (f *Fleet) tally() (running, migrating int) {
 	return running, migrating
 }
 
+// inFlight counts the migrations in flight, and the tier moves among them,
+// from the live list, not from the ledger's counters: a migration lost
+// from the list unbalances the ledger.
+func (f *Fleet) inFlight() (migrations, tierMoves int) {
+	for _, m := range f.migs {
+		if m.tierMove != 0 {
+			tierMoves++
+		}
+	}
+	return len(f.migs), tierMoves
+}
+
 // collect assembles the final Stats roll-up on the control-plane thread.
 // Every sum is taken in shard-id order (and the cross-device ones are
 // integers), so the roll-up is byte-identical at any worker count.
@@ -692,8 +704,7 @@ func (f *Fleet) collect() Stats {
 	s.Epochs = f.epochs
 	s.Arrived = f.nextArr
 	s.Queued = len(f.queue)
-	s.MigrationsInFlight = s.MigrationsStarted - s.MigrationsCompleted
-	s.TierMovesInFlight = s.PromotesStarted + s.DemotesStarted - s.Promotes - s.Demotes
+	s.MigrationsInFlight, s.TierMovesInFlight = f.inFlight()
 	s.Running, s.Migrating = f.tally()
 	if f.cfg.TypeModel != nil {
 		s.TypeCounts = f.classifyTenants()

@@ -250,6 +250,7 @@ func (f *Fleet) publishMetrics(now sim.Time) {
 	m.simTime.Set(float64(now) / 1e9)
 	m.epochs.Set(float64(f.epochs))
 	if m.tier != nil {
-		m.tier.publishLedger(&f.led)
+		_, moves := f.inFlight()
+		m.tier.publishLedger(&f.led, moves)
 	}
 }

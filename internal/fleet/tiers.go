@@ -312,10 +312,11 @@ func (m *tierMetrics) publishTier(t, devices, used int, util float64) {
 	m.utilMean[t].Set(util / float64(devices))
 }
 
-// publishLedger refreshes the promote/demote series.
-func (m *tierMetrics) publishLedger(led *Stats) {
+// publishLedger refreshes the promote/demote series; movesInFlight is
+// counted from the live migrations (Fleet.inFlight).
+func (m *tierMetrics) publishLedger(led *Stats, movesInFlight int) {
 	m.promotes.Set(float64(led.Promotes))
 	m.demotes.Set(float64(led.Demotes))
-	m.movesInFlight.Set(float64(led.PromotesStarted + led.DemotesStarted - led.Promotes - led.Demotes))
+	m.movesInFlight.Set(float64(movesInFlight))
 	m.copyBytes.Set(float64(led.CrossTierBytes))
 }

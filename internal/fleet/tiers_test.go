@@ -229,6 +229,31 @@ func TestTierPoliciesMoveAndBalance(t *testing.T) {
 	}
 }
 
+// TestLostMigrationUnbalancesLedger: the in-flight counts are read off the
+// live migrations, so a tier move lost from them mid-run leaves both
+// migration clauses of the ledger open.
+func TestLostMigrationUnbalancesLedger(t *testing.T) {
+	f := New(tierTestConfig(TierWatermark))
+	f.start()
+	defer f.stopWorkers()
+	lost := false
+	for f.now < f.cfg.Duration {
+		f.step()
+		if i := slices.IndexFunc(f.migs, func(m *migration) bool { return m.tierMove != 0 }); i >= 0 && !lost {
+			f.migs = slices.Delete(f.migs, i, i+1)
+			lost = true
+		}
+	}
+	if !lost {
+		t.Fatal("no tier move was ever in flight")
+	}
+	st := f.collect()
+	if st.MigrationsStarted == st.MigrationsCompleted+st.MigrationsInFlight ||
+		st.PromotesStarted+st.DemotesStarted == st.Promotes+st.Demotes+st.TierMovesInFlight || st.Balanced() {
+		t.Errorf("a lost tier move left the ledger closed: %+v", st)
+	}
+}
+
 func TestTierStatsRendered(t *testing.T) {
 	st := New(tierTestConfig(TierWatermark)).Run()
 	var b strings.Builder

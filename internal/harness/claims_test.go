@@ -142,7 +142,7 @@ func scenarioClaims() []claim {
 		{figure: "-fig 3", quantity: "LS P99 under HW and SW, min over pairs", rel: above(0),
 			reads: g.hwsw, value: reduce(slices.Min, each(g.hwsw, results(lsP99)))},
 		{figure: "-fig 6", quantity: "test clustering accuracy", paper: "98.4%", rel: above(0),
-			value: func(cells, Options) float64 { _, acc := clustering(); return acc }},
+			value: func(cells, Options) float64 { return clustering() }},
 		{figure: "-fig 10", quantity: "BI bandwidth, min over pairs and policies", rel: above(0),
 			reads: g.pairs, value: reduce(slices.Min, each(g.pairs, results(biBW)))},
 		{figure: "-fig 14", quantity: "mix5 tenants that completed requests, fewest over policies", rel: exactly(8),

@@ -54,19 +54,16 @@ func figure3(w io.Writer, g grid, cs cells, seed int64) {
 		"up to 2.02x higher tail latency", Result.LatencyTenantP99)
 }
 
-// clustering is Figure 6's dataset and the type model's accuracy on its
-// held-out split, built once per process.
-var clustering = sync.OnceValues(func() (cluster.Dataset, float64) {
-	ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
-	_, test := ds.Split(0.7)
-	m, _ := TypeModel()
-	return ds, m.Accuracy(test)
+// clustering is Figure 6's held-out accuracy: trained on the train split.
+var clustering = sync.OnceValue(func() float64 {
+	train, test := typeDataset().Split(0.7)
+	return cluster.Train(train, 3, typeSeed).Accuracy(test)
 })
 
 // figure6 trains the workload-type clusters, prints the PCA scatter data,
 // cluster membership, and the train/test accuracy (paper: 98.4%).
 func figure6(w io.Writer) {
-	ds, acc := clustering()
+	ds, acc := typeDataset(), clustering()
 	m, _ := TypeModel()
 	fmt.Fprintln(w, "Figure 6: workload clustering (k-means on 4 trace features, PCA projection)")
 	for c, wls := range m.ClusterWorkloads {

@@ -3,18 +3,24 @@ package harness
 import (
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // TestSharedFlags pins how the flags fleetsim and fleetbench share land in
-// Options, and which values are errors.
+// Options, and which values are errors: when they resolve (a value that
+// does not convert or parse) or when the resolved Options are validated,
+// as each binary does.
 func TestSharedFlags(t *testing.T) {
 	const sample = "../trace/testdata/sample_msr.csv"
 	// A binary trace is read as written: this one goes back in time.
@@ -60,6 +66,7 @@ func TestSharedFlags(t *testing.T) {
 		}},
 		{name: "zero seconds", args: []string{"-seconds", "0"}, wantErr: "-seconds"},
 		{name: "negative seconds", args: []string{"-seconds", "-1"}, wantErr: "-seconds"},
+		{name: "seconds under 1 ns", args: []string{"-seconds", "1e-10"}, wantErr: "-seconds"},
 		{name: "NaN seconds", args: []string{"-seconds", "NaN"}, wantErr: "-seconds"},
 		{name: "infinite seconds", args: []string{"-seconds", "Inf"}, wantErr: "-seconds"},
 		{name: "seconds past sim.Time", args: []string{"-seconds", "1e10"}, wantErr: "-seconds"},
@@ -106,6 +113,9 @@ func TestSharedFlags(t *testing.T) {
 			if srv != nil {
 				t.Fatal("an -http server without -http")
 			}
+			if err == nil {
+				err = opt.Validate()
+			}
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("err = %v, want one naming %s", err, c.wantErr)
@@ -134,4 +144,53 @@ func TestSharedFlags(t *testing.T) {
 			t.Fatalf("-http must return a server and an observer: srv=%v obs=%v", srv, opt.Obs)
 		}
 	})
+}
+
+// TestValidateGuardsEntryPoints: Options no run can honour make every entry
+// point that runs to Duration panic with Validate's error, on the joint and
+// the split path and for a rack, before anything runs; PretrainRun returns
+// PretrainConfig.Validate's. PrefillFrac, which no flag sets, is named by
+// its field.
+func TestValidateGuardsEntryPoints(t *testing.T) {
+	for _, frac := range []float64{-0.1, 1.5, math.NaN()} {
+		opt := DefaultOptions()
+		opt.PrefillFrac = frac
+		if err := opt.Validate(); err == nil || !strings.HasPrefix(err.Error(), "PrefillFrac ") {
+			t.Errorf("PrefillFrac %v: err = %v, want one naming PrefillFrac", frac, err)
+		}
+	}
+
+	opt := DefaultOptions()
+	opt.Duration = 0
+	want := opt.Validate()
+	if want == nil || !strings.HasPrefix(want.Error(), "-seconds ") {
+		t.Fatalf("Duration 0: err = %v, want one naming -seconds", want)
+	}
+	mix := Pair("YCSB", "TeraSort")
+	slos := []sim.Time{sim.Millisecond, sim.Millisecond}
+	faulty := opt
+	faulty.Faults = &fault.Config{ProgramFailProb: 0.01}
+	for name, run := range map[string]func(){
+		"RunOne split":  func() { RunOne(mix, PolHardware, slos, opt) },
+		"RunOne joint":  func() { RunOne(mix, PolHardware, slos, faulty) },
+		"Measure":       func() { Measure(mix, PolSoftware, slos, opt) },
+		"Calibrate":     func() { Calibrate(mix, opt) },
+		"FleetScenario": func() { FleetScenario(fleet.PlaceLeastLoaded, opt) },
+		"TierScenario":  func() { TierScenario(fleet.TierStatic, opt) },
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != "harness: "+want.Error() {
+					t.Errorf("%s: panic %v, want Validate's error %q", name, got, want)
+				}
+			}()
+			run()
+		}()
+	}
+
+	pc := DefaultPretrainConfig()
+	pc.EpisodeDuration = 0
+	if _, err := PretrainRun(pc, core.ModeFull); err == nil || err.Error() != pc.Validate().Error() {
+		t.Errorf("PretrainRun with no episode length: err = %v, want Validate's", err)
+	}
 }

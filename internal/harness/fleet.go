@@ -26,6 +26,7 @@ const (
 // device options a single run reads (faults, shape, replay trace). Each
 // rack scenario adds only what distinguishes it.
 func rackConfig(opt Options, defDevices int) fleet.Config {
+	opt.mustRun()
 	cfg := fleet.Config{
 		Devices:       opt.FleetDevices,
 		Seed:          opt.Seed,

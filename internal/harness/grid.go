@@ -161,7 +161,7 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 // run: the fault ledger, settled, when faults are injected, and the
 // workload-type labels of a policy that re-types.
 func runCell(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) cell {
-	if splittable(mix, kind, opt) {
+	if splittable(kind, opt) {
 		return cell{Result: RunOne(mix, kind, slos, opt), opt: opt}
 	}
 	r := Measure(mix, kind, slos, opt)

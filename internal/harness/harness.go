@@ -6,8 +6,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -130,6 +132,50 @@ func DefaultOptions() Options {
 		BlocksPerChip:  48,
 		PrefillFrac:    0.55,
 		TrainDuringRun: true,
+	}
+}
+
+// Validate reports the first value of o that no run can honour, naming the
+// flag that sets it (the field, where no flag does). Every entry point that
+// runs to Duration panics with its error: Measure, RunOne, Calibrate and
+// the rack scenarios.
+func (o Options) Validate() error {
+	switch {
+	case o.Duration <= 0:
+		return fmt.Errorf("-seconds (Duration) %g s: must be at least 1 ns", secs(o.Duration))
+	case o.Warmup < 0:
+		return fmt.Errorf("-warmup (Warmup) %g s: must be >= 0", secs(o.Warmup))
+	case o.Window <= 0:
+		return fmt.Errorf("-window (Window) %g s: must be at least 1 ns", secs(o.Window))
+	case float64(o.Warmup)+4*float64(o.Window)+float64(o.Duration) >= math.MaxInt64:
+		// Figure 17 settles four windows past the warm-up; a float64 sum cannot wrap.
+		return fmt.Errorf("-warmup %g s, four -window %g s and -seconds %g s: the run ends past %.4g s",
+			secs(o.Warmup), secs(o.Window), secs(o.Duration), math.MaxInt64/1e9)
+	case o.Workers < 0:
+		return fmt.Errorf("-parallel (Workers) %d: must be >= 0", o.Workers)
+	case o.FleetDevices < 0 || o.FleetDevices == 1:
+		// A hybrid rack needs a device in each of its two classes.
+		return fmt.Errorf("-fleet (FleetDevices) %d: must be 0 or >= 2", o.FleetDevices)
+	case !(o.PrefillFrac >= 0 && o.PrefillFrac <= 1): // NaN included
+		return fmt.Errorf("PrefillFrac %v: must be in [0, 1]", o.PrefillFrac)
+	case len(o.ReplayRecords) > 0:
+		// A binary trace is read as written: hold it to the replay rules.
+		if err := workload.ReplayProfile("trace", o.ReplayRecords, true).Validate(); err != nil {
+			return fmt.Errorf("-trace (ReplayRecords): %w", err)
+		}
+	}
+	return nil
+}
+
+// mustRun panics with the first reason o, or a run of one of mixes under o,
+// cannot run: Validate's error, then MixSpec.Check's.
+func (o Options) mustRun(mixes ...MixSpec) {
+	err := o.Validate()
+	for _, m := range mixes {
+		err = cmp.Or(err, m.Check(o))
+	}
+	if err != nil {
+		panic("harness: " + err.Error())
 	}
 }
 
@@ -256,19 +302,17 @@ func (r Result) classMean(c workload.Class, metric func(TenantResult) float64) f
 // process (deterministically).
 func TypeModel() (*cluster.Model, map[int]float64) { return typeModel() }
 
+// typeSeed is the type model's k-means seed: the first from 7 at which the
+// anchor workloads land in distinct clusters (TestTypeModelAlphaMapping).
+const typeSeed = 9
+
+// typeDataset is the type model's dataset, built once per process.
+var typeDataset = sync.OnceValue(func() cluster.Dataset {
+	return cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
+})
+
 var typeModel = sync.OnceValues(func() (*cluster.Model, map[int]float64) {
-	ds := cluster.BuildDataset(workload.Names(), 8, 2000, 16<<10, 42)
-	// k-means is seed-sensitive; retry until the three anchor workloads (one
-	// per paper cluster: LC-1, LC-2, BI) land in distinct clusters, giving
-	// up after 52 tries and keeping the last model.
-	var m *cluster.Model
-	for seed := int64(7); seed <= 58; seed++ {
-		m = cluster.Train(ds, 3, seed)
-		vdi, ycsb, bi := m.WorkloadCluster["VDI-Web"], m.WorkloadCluster["YCSB"], m.WorkloadCluster["TeraSort"]
-		if vdi != ycsb && vdi != bi && ycsb != bi {
-			break
-		}
-	}
+	m := cluster.Train(typeDataset(), 3, typeSeed)
 	return m, map[int]float64{
 		m.WorkloadCluster["VDI-Web"]:  core.AlphaLC1,
 		m.WorkloadCluster["YCSB"]:     core.AlphaLC2,
@@ -446,9 +490,7 @@ func buildPlatform(mix MixSpec, kind PolicyKind, topo topology, slos []sim.Time,
 			topo = shared
 		}
 	}
-	if err := mix.Check(opt); err != nil {
-		panic("harness: " + err.Error())
-	}
+	opt.mustRun(mix)
 	r := NewRun(opt)
 	r.mix.Label, r.kind = mix.Label, kind
 	fc := r.Platform().FlashConfig()
@@ -764,7 +806,7 @@ func (r Result) WriteTable(w io.Writer) {
 func Calibrate(mix MixSpec, opt Options) []sim.Time {
 	opt = opt.calibration()
 	var vs []*vssd.VSSD
-	if splittable(mix, PolHardware, opt) {
+	if splittable(PolHardware, opt) {
 		for _, s := range measureSplit(mix, nil, opt) {
 			vs = append(vs, s.Platform().VSSD(0))
 		}
@@ -811,7 +853,7 @@ func Measure(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *Run {
 // channel share per tenant, on up to opt.Workers goroutines, merged into the
 // Result the joint run produces, bit for bit.
 func RunOne(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) Result {
-	if splittable(mix, kind, opt) {
+	if splittable(kind, opt) {
 		return mergeSolos(mix, measureSplit(mix, slos, opt), opt)
 	}
 	return Measure(mix, kind, slos, opt).Result

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // fastOptions is the shape rows' budget: a short run on a small device.
@@ -183,18 +182,19 @@ func TestPrefillThatRunsTheEngineIsRejected(t *testing.T) {
 
 func TestTypeModelAlphaMapping(t *testing.T) {
 	tm, alphas := TypeModel()
-	if tm == nil || len(alphas) == 0 {
+	if tm == nil {
 		t.Fatal("type model missing")
 	}
-	// The three paper clusters map to the three §3.8 α values.
-	seen := map[float64]bool{}
-	for _, a := range alphas {
-		seen[a] = true
+	// The three anchor workloads sit in distinct clusters, which map to
+	// the three §3.8 α values.
+	for wl, want := range map[string]float64{"VDI-Web": core.AlphaLC1, "YCSB": core.AlphaLC2, "TeraSort": core.AlphaBI} {
+		if got, ok := alphas[tm.WorkloadCluster[wl]]; !ok || got != want {
+			t.Errorf("%s: cluster %d has α %v (known %v), want %v", wl, tm.WorkloadCluster[wl], got, ok, want)
+		}
 	}
 	if len(alphas) != 3 {
 		t.Fatalf("alpha map = %v, want 3 clusters", alphas)
 	}
-	_ = workload.Names()
 }
 
 func TestAdaptiveAndSSDKeeperRun(t *testing.T) {

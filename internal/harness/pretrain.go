@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/rl"
@@ -36,6 +39,23 @@ func DefaultPretrainConfig() PretrainConfig {
 	}
 }
 
+// Validate reports the first value of pc that trains nothing or trains on
+// something else (a zero LR falls back to rl's default), naming the flag
+// that sets it. PretrainRun returns its error.
+func (pc PretrainConfig) Validate() error {
+	switch {
+	case !(pc.RL.LR > 0) || math.IsInf(pc.RL.LR, 1): // NaN included
+		return fmt.Errorf("-lr (RL.LR) %v: must be > 0 and finite", pc.RL.LR)
+	case pc.EpisodeDuration <= 0:
+		return fmt.Errorf("-episode-seconds (EpisodeDuration) %g s: must be at least 1 ns", secs(pc.EpisodeDuration))
+	case pc.Window <= 0:
+		return fmt.Errorf("-window (Window) %g s: must be at least 1 ns", secs(pc.Window))
+	case pc.Episodes <= 0:
+		return fmt.Errorf("-episodes (Episodes) %d: must be > 0", pc.Episodes)
+	}
+	return nil
+}
+
 // pretrainMixes pairs the held-out workloads the way deployment collocates
 // latency- and bandwidth-oriented tenants.
 func pretrainMixes() []MixSpec {
@@ -58,9 +78,8 @@ func Pretrain(pc PretrainConfig) *nn.ActorCritic {
 func pretrainMode(pc PretrainConfig, mode core.Mode) *nn.ActorCritic {
 	res, err := PretrainRun(pc, mode)
 	if err != nil {
-		// Without checkpoint/metrics paths Run cannot fail at runtime;
-		// reaching here means a misconfigured call, which matches the
-		// seed's panic-on-bad-config convention elsewhere in the harness.
+		// Without checkpoint or metrics paths only a config Validate
+		// rejects fails, and a bad config panics, as bad Options do.
 		panic(err)
 	}
 	return res.Final
@@ -72,6 +91,9 @@ func pretrainMode(pc PretrainConfig, mode core.Mode) *nn.ActorCritic {
 // network between rounds, and exposes checkpointing, eval-gated best-model
 // selection, and JSONL telemetry to callers like cmd/fleettrain.
 func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
+	if err := pc.Validate(); err != nil {
+		return nil, err
+	}
 	mixes := pretrainMixes()
 	episode := func(mix MixSpec, seed int64, greedy bool, net *nn.ActorCritic) *rl.Buffer {
 		return rl.Merge(runEpisode(episodeSpec{Pretrain: pc, Mix: mix, Mode: mode, Seed: seed, Greedy: greedy}, net)...)

@@ -24,22 +24,19 @@ import (
 // does not fit. So RunOne and Calibrate run such a mix as one solo device
 // per tenant, concurrently, and Measure stays the joint oracle.
 
-// splittable reports whether a kind run of mix may run split: hardware
+// splittable reports whether a kind run may run split: hardware
 // isolation on its standard topology (an equal private channel share per
 // tenant), with no fault injector, whose one stream per device draws in op
 // order across tenants, and no observer, whose registry is one per platform.
-// A mix whose tenants do not divide the channels stays joint, where it
-// panics.
-func splittable(mix MixSpec, kind PolicyKind, opt Options) bool {
-	n := len(mix.Workloads)
-	return kind == PolHardware && !opt.faultsEnabled() && opt.Obs == nil &&
-		n > 0 && opt.flashConfig().Channels%n == 0
+func splittable(kind PolicyKind, opt Options) bool {
+	return kind == PolHardware && !opt.faultsEnabled() && opt.Obs == nil
 }
 
 // measureSplit runs every tenant of a splittable mix alone (see solo), on up
 // to opt.Workers goroutines, and returns the finished solo runs in mix
 // order.
 func measureSplit(mix MixSpec, slos []sim.Time, opt Options) []*Run {
+	opt.mustRun(mix)
 	solos := make([]*Run, len(mix.Workloads))
 	forEach(len(solos), opt.Workers, func(i int) {
 		solos[i] = solo(mix, i, slos, opt).measure()

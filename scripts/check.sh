@@ -3,7 +3,8 @@
 # suite (plus the nested bench/ module's vet and one run of each example),
 # the four grep gates (one NN compute path, one retry protocol with host
 # stalls as stall runs, bus lane, hot-path boxing), the race detector on the
-# concurrency-heavy packages, the allocation guards (what a steady state may
+# concurrency-heavy packages, a gate that each binary rejects a value no run
+# can honour before running, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
 # what a rack device costs in bytes, that a synthesized replay trace is
 # drawn, not stored) at several core counts, worker-count
@@ -174,6 +175,36 @@ go test -run 'ZeroAlloc|SteadyStateAllocs|TableWidths|MeasurementWidths|RackByte
     ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/nn/ ./internal/rl/ ./internal/gsb/ ./internal/admission/ ./internal/fleet/ \
     ./internal/trace/ ./internal/cluster/ ./internal/harness/ ./internal/metrics/ ./internal/vssd/ ./internal/workload/
 
+echo "== unrunnable values exit 1 before any run"
+# A positive duration under 1 ns converts to zero virtual time. Each binary
+# must reject it in main, where Options.Validate or PretrainConfig.Validate
+# names the flag: exit 1 with that one line on stderr, nothing on stdout
+# and no model written. The unit tables call the resolve functions; only
+# this leg runs main's own path.
+go build -o "$tmp/fleetsim" ./cmd/fleetsim
+go build -o "$tmp/fleetbench" ./cmd/fleetbench
+go build -o "$tmp/fleettrain" ./cmd/fleettrain
+reject_gate() {
+    flag=$1
+    shift
+    status=0
+    "$@" > "$tmp/reject.out" 2> "$tmp/reject.err" || status=$?
+    if [ "$status" -ne 1 ] || [ -s "$tmp/reject.out" ] || [ "$(wc -l < "$tmp/reject.err")" -ne 1 ] ||
+        ! grep -q -e "$flag" "$tmp/reject.err"; then
+        echo "$* exited $status; want 1 with one line naming $flag on stderr and no output. stderr:" >&2
+        cat "$tmp/reject.err" >&2
+        exit 1
+    fi
+}
+reject_gate -seconds "$tmp/fleetsim" -fleet 4 -seconds 1e-10
+reject_gate -seconds "$tmp/fleetsim" -mix YCSB,TeraSort -policy hardware -seconds 1e-10
+reject_gate -seconds "$tmp/fleetbench" -fig 2 -seconds 1e-10
+reject_gate -episode-seconds "$tmp/fleettrain" -episode-seconds 1e-10 -out "$tmp/model.gob"
+if [ -e "$tmp/model.gob" ]; then
+    echo "fleettrain -episode-seconds 1e-10 wrote a model" >&2
+    exit 1
+fi
+
 echo "== scenario identity gates (same seed, -parallel 1 vs 4; racks also vs 2)"
 # Every scenario draws only from seeded streams on single-threaded engines
 # (the rack scenarios advance shards concurrently between epoch barriers,
@@ -181,7 +212,6 @@ echo "== scenario identity gates (same seed, -parallel 1 vs 4; racks also vs 2)"
 # done), so its figure must be byte-identical at any worker count. The
 # rack figures are also compared at -parallel 2, the benchmark's worker
 # count.
-go build -o "$tmp/fleetbench" ./cmd/fleetbench
 identity_gate() {
     fig=$1
     shift
