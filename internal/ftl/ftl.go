@@ -186,6 +186,17 @@ type Manager struct {
 	// It starts at 1; 0 on a tenant means no failure is remembered.
 	epoch uint64
 
+	// freeGen versions freeCount, the one manager-wide input of maybeGC's
+	// early return (free fraction above goal, not near the reserve, no bad
+	// blocks); the others are the tenant's gcTarget, channels and
+	// badBlocks, and gcThreshold, which only tests write, and only before
+	// the first allocation. allocBlock and releaseBlock, the only writers of
+	// freeCount, bump it, so a tenant whose maybeGC last returned early at
+	// the current freeGen (Tenant.gcQuietGen) knows the next would sum the
+	// same free blocks to the same answer and returns at once. It starts at
+	// 1; 0 on a tenant means no early return is remembered.
+	freeGen uint64
+
 	// retry is the retryDelay lane every allocation-stall retry waits on: a
 	// host stall run or a GC migration's backoff (nil without an engine,
 	// where nothing can be scheduled anyway).
@@ -227,6 +238,7 @@ func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 		freeCount:   make([]int, cfg.Channels),
 		gcThreshold: lazyGCThreshold,
 		epoch:       1,
+		freeGen:     1,
 	}
 	if eng != nil {
 		m.retry = eng.NewLane(retryDelay)
@@ -307,6 +319,7 @@ func (m *Manager) markBad(idx int) {
 	if b.owner >= 0 {
 		t := m.tenants[b.owner]
 		t.badBlocks++
+		t.gcQuietGen = 0
 		t.maybeGC()
 	}
 }
@@ -424,6 +437,7 @@ func (m *Manager) allocBlock(ch, chip int, forGC bool) (int, bool) {
 		m.freePools[m.poolIndex(ch, c)] = pool[:len(pool)-1]
 		m.freeCount[ch]--
 		m.epoch++ // also covers what the caller does to the block
+		m.freeGen++
 		return idx, true
 	}
 	return -1, false
@@ -437,6 +451,7 @@ func (m *Manager) releaseBlock(idx int) {
 	p := m.poolIndex(int(b.id.Channel), int(b.id.Chip))
 	m.freePools[p] = append(m.freePools[p], idx)
 	m.freeCount[b.id.Channel]++
+	m.freeGen++
 }
 
 // acquireGCJob returns a recycled (or new) collection job.

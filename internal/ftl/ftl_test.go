@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -625,6 +627,12 @@ func TestPrefill(t *testing.T) {
 	if err := tn.Prefill(2, 0, rng); err == nil {
 		t.Fatal("out-of-range fraction must error")
 	}
+	if err := tn.Prefill(math.NaN(), 0, rng); err == nil {
+		t.Fatal("a NaN fill fraction must error")
+	}
+	if err := tn.Prefill(0.5, math.NaN(), rng); err == nil {
+		t.Fatal("a NaN overwrite fraction must error")
+	}
 }
 
 func TestSetChannelsSealsDroppedLanes(t *testing.T) {
@@ -788,25 +796,21 @@ func TestPickVictimMatchesScan(t *testing.T) {
 	check()
 }
 
-// Property: the failed-allocation memo never answers differently from the
-// scan it skips. Two tenants on a nearly full small device go through a
-// random sequence of everything that writes the state a failed host
-// allocation reads — host writes, trims, GC progress driven through the
+// memoChurn drives two tenants of `logical` pages each on a small device
+// (32 4-page blocks a channel, 2 of them the GC reserve), at seeds 1 to
+// 32, through a random sequence of everything that writes the state the
+// FTL's memos read — host writes, trims, GC progress driven through the
 // engine in partial slices (so retries on the lane fire mid-collection),
 // lending, harvesting, closing and returning gSB blocks, channel
 // re-partitioning, GC targets, and program/erase failures (injected by the
 // device on GC traffic, delivered by hand for host pages, which this
-// package never submits). After every step, for each tenant whose memo
-// would answer the next host allocation, the unmemoised scan must fail too
-// and leave epoch alone (so probing changes nothing): a scan that succeeds
-// or starts a collection there means some writer forgot to bump epoch.
-func TestAllocFailMemoMatchesScan(t *testing.T) {
+// package never submits) — and calls check after every step. It also
+// checks that each tenant's AllocStalls counts its failed host
+// allocations, and the manager's their sum.
+func memoChurn(t *testing.T, logical int, check func(seed int64, step int, m *Manager, tenants []*Tenant, rng *sim.RNG)) {
+	t.Helper()
 	cfg := smallConfig()
 	cfg.PagesPerBlock = 4
-	// 32 blocks = 128 pages a channel, 2 blocks reserved: 112 logical
-	// pages keep the device full enough that allocation stalls are common.
-	const logical = 112
-	memoHits := 0
 	for seed := int64(1); seed <= 32; seed++ {
 		eng, m := newTestMgr(t, cfg)
 		m.dev.SetFaultInjector(fault.NewInjector(fault.Config{ProgramFailProb: 0.01, EraseFailProb: 0.01, Seed: seed}))
@@ -814,22 +818,14 @@ func TestAllocFailMemoMatchesScan(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		var stalls [2]int64
 
+		// A host write of four pages: when the first fails, the rest stall
+		// in one step while the memo holds, as vssd's writePages does.
 		write := func(tn *Tenant, lpn int) {
 			if _, ok := tn.AllocatePage(lpn, false); !ok {
 				stalls[tn.id]++
-			}
-		}
-		probe := func(step int, tn *Tenant) {
-			if tn.allocFailEpoch != m.epoch {
-				return
-			}
-			memoHits++
-			before := m.epoch
-			if ppa, ok := tn.allocateScan(rng.Intn(logical), false); ok {
-				t.Fatalf("seed %d step %d: tenant %d memo says no space at epoch %d, scan allocated %v", seed, step, tn.id, before, ppa)
-			}
-			if m.epoch != before {
-				t.Fatalf("seed %d step %d: tenant %d memoised failure moved epoch %d -> %d when rescanned", seed, step, tn.id, before, m.epoch)
+				if tn.RepeatAllocFailures(3) {
+					stalls[tn.id] += 3
+				}
 			}
 		}
 		if err := tenants[0].Prefill(0.9, 0.2, rng); err != nil {
@@ -901,8 +897,8 @@ func TestAllocFailMemoMatchesScan(t *testing.T) {
 			default:
 				write(tn, rng.Intn(logical))
 			}
+			check(seed, step, m, tenants, rng)
 			for _, tn := range tenants {
-				probe(step, tn)
 				if tn.stats.AllocStalls != stalls[tn.id] {
 					t.Fatalf("seed %d step %d: tenant %d AllocStalls = %d, want %d failed host allocations",
 						seed, step, tn.id, tn.stats.AllocStalls, stalls[tn.id])
@@ -913,8 +909,82 @@ func TestAllocFailMemoMatchesScan(t *testing.T) {
 			t.Fatalf("seed %d: manager AllocStalls = %d, tenants sum to %d", seed, got, stalls[0]+stalls[1])
 		}
 	}
+}
+
+// Property: the failed-allocation memo never answers differently from the
+// scan it skips. After every step of memoChurn, for each tenant whose memo
+// would answer the next host allocation, the unmemoised scan must fail too
+// and leave epoch alone (so probing changes nothing): a scan that succeeds
+// or starts a collection there means some writer forgot to bump epoch.
+func TestAllocFailMemoMatchesScan(t *testing.T) {
+	memoHits := 0
+	// 112 logical pages of 128 keep the device full enough that
+	// allocation stalls are common.
+	memoChurn(t, 112, func(seed int64, step int, m *Manager, tenants []*Tenant, rng *sim.RNG) {
+		for _, tn := range tenants {
+			if tn.allocFailEpoch != m.epoch {
+				continue
+			}
+			memoHits++
+			before := m.epoch
+			if ppa, ok := tn.allocateScan(rng.Intn(tn.logicalPages), false); ok {
+				t.Fatalf("seed %d step %d: tenant %d memo says no space at epoch %d, scan allocated %v", seed, step, tn.id, before, ppa)
+			}
+			if m.epoch != before {
+				t.Fatalf("seed %d step %d: tenant %d memoised failure moved epoch %d -> %d when rescanned", seed, step, tn.id, before, m.epoch)
+			}
+		}
+	})
 	if memoHits < 10000 {
 		t.Fatalf("memo held at only %d probes; the sequence no longer stalls enough to test it", memoHits)
+	}
+}
+
+// gcQuietNow evaluates maybeGC's early return from scratch: the tenant's
+// free fraction is above its goal, it is not near the host reserve, and it
+// has no bad blocks to collect.
+func gcQuietNow(tn *Tenant) bool {
+	m := tn.mgr
+	free := 0
+	for _, ch := range tn.channels {
+		free += m.freeCount[ch]
+	}
+	return len(tn.channels) > 0 && free > (gcReserve+1)*len(tn.channels) &&
+		m.FreeFraction(tn.channels) > max(m.gcThreshold, tn.gcTarget) && tn.badBlocks == 0
+}
+
+// Property: the GC-trigger memo never answers differently from the early
+// return it skips. After every step of memoChurn, freeCount must be as it
+// was while freeGen is, and each tenant whose maybeGC would return at once
+// (gcQuietGen == freeGen) must find the early return's predicate true when
+// evaluated afresh: a quiet record where GC should start means some writer
+// of freeCount forgot to bump freeGen, or some writer of the tenant's
+// gcTarget, channels or badBlocks forgot to clear the record.
+func TestGCQuietMatchesRecompute(t *testing.T) {
+	quietHits := 0
+	var last *Manager
+	var gen uint64
+	var free []int
+	// 64 logical pages of 128 leave room above the GC goal, so quiet
+	// records are taken before lending and writes use the room up.
+	memoChurn(t, 64, func(seed int64, step int, m *Manager, tenants []*Tenant, _ *sim.RNG) {
+		if m == last && m.freeGen == gen && !slices.Equal(m.freeCount, free) {
+			t.Fatalf("seed %d step %d: freeCount moved %v -> %v with freeGen at %d", seed, step, free, m.freeCount, gen)
+		}
+		last, gen, free = m, m.freeGen, append(free[:0], m.freeCount...)
+		for _, tn := range tenants {
+			if tn.gcQuietGen != m.freeGen {
+				continue
+			}
+			quietHits++
+			if !gcQuietNow(tn) {
+				t.Fatalf("seed %d step %d: tenant %d GC memo quiet at freeGen %d, but free %v of channels %v (goal %.2f, %d bad blocks) should start GC",
+					seed, step, tn.id, gen, m.freeCount, tn.channels, max(m.gcThreshold, tn.gcTarget), tn.badBlocks)
+			}
+		}
+	})
+	if quietHits < 1000 {
+		t.Fatalf("GC memo quiet at only %d probes; the sequence no longer tests it", quietHits)
 	}
 }
 

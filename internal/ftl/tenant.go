@@ -62,6 +62,13 @@ type Tenant struct {
 	// the next one fails the same way and is answered without the scan.
 	allocFailEpoch uint64
 
+	// gcQuietGen is the Manager.freeGen at which maybeGC last returned
+	// early; while it still matches, maybeGC returns in O(1). SetGCTarget,
+	// SetChannels and markBad, which write the early return's tenant-side
+	// inputs, clear it (retireBlock only lowers a badBlocks that a markBad
+	// raised, and no early return is taken while it is raised).
+	gcQuietGen uint64
+
 	stats Stats
 }
 
@@ -132,6 +139,7 @@ func (t *Tenant) sealActive(idx int) {
 // SetGCTarget raises (or clears, with 0) the tenant's free-fraction goal.
 func (t *Tenant) SetGCTarget(frac float64) {
 	t.gcTarget = frac
+	t.gcQuietGen = 0
 	t.mgr.epoch++
 	t.maybeGC()
 }
@@ -144,6 +152,7 @@ func (t *Tenant) freeFraction() float64 { return t.mgr.FreeFraction(t.channels) 
 // removed channels are closed; lanes for added channels are created.
 func (t *Tenant) SetChannels(channels []int) {
 	t.mgr.epoch++
+	t.gcQuietGen = 0
 	t.channels = append([]int(nil), channels...)
 	inSet := make(map[int]bool, len(channels))
 	for _, ch := range channels {
@@ -393,7 +402,9 @@ func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {
 			*cursor = 0
 		}
 		ln := lanes[*cursor]
-		*cursor = (*cursor + 1) % len(lanes)
+		if *cursor++; *cursor == len(lanes) {
+			*cursor = 0
+		}
 		if !t.openLane(ln, forGC) {
 			continue
 		}
@@ -463,9 +474,11 @@ func (t *Tenant) invalidate(lpn int) {
 // blocks — below the lazy threshold fraction, or close enough to the host
 // allocation reserve that writes are about to stall (which matters on the
 // small devices used in tests). Up to gcConcurrency victims are collected
-// in parallel; jobs re-arm themselves on completion.
+// in parallel; jobs re-arm themselves on completion. It runs after every
+// page a tenant allocates, so an early return is remembered by freeGen
+// (see Manager.freeGen) and repeated in O(1) until a block moves.
 func (t *Tenant) maybeGC() {
-	if t.mgr.eng == nil || t.mgr.gcThreshold <= 0 {
+	if t.mgr.eng == nil || t.mgr.gcThreshold <= 0 || t.gcQuietGen == t.mgr.freeGen {
 		return
 	}
 	for t.gcJobs < gcConcurrency {
@@ -479,6 +492,7 @@ func (t *Tenant) maybeGC() {
 			goal = t.gcTarget
 		}
 		if t.freeFraction() > goal && !nearReserve && t.badBlocks == 0 {
+			t.gcQuietGen = t.mgr.freeGen
 			return
 		}
 		victim := t.pickVictim()
@@ -770,7 +784,7 @@ func (t *Tenant) RecordHostProgram() {
 // reclaim. It mirrors the paper's warm-up ("consume at least 50% of the
 // free blocks").
 func (t *Tenant) Prefill(fillFrac, overwriteFrac float64, rng *sim.RNG) error {
-	if fillFrac < 0 || fillFrac > 1 || overwriteFrac < 0 || overwriteFrac > 1 {
+	if !(fillFrac >= 0 && fillFrac <= 1) || !(overwriteFrac >= 0 && overwriteFrac <= 1) {
 		return fmt.Errorf("ftl: prefill fractions out of range")
 	}
 	// Prefill happens at setup time, before workloads are scheduled, so it

@@ -388,6 +388,9 @@ func requestPageDone(ctx any, ctxI int64, at sim.Time, status flash.OpStatus) {
 
 // retryWrite polls a stall run: its pages are dispatched again in order.
 // The run is recycled first; the pages that stall again form new runs.
+// When the tenant's failure memo holds, every page would fail at once and
+// writePages would end in the stall re-arming the whole run, so the poll
+// counts the n stalls and re-arms it directly.
 func retryWrite(arg sim.EventArg, _ sim.Time) {
 	run := arg.P.(*stallRun)
 	r, lpn, n := run.r, run.lpn, run.n
@@ -395,6 +398,10 @@ func retryWrite(arg sim.EventArg, _ sim.Time) {
 	run.r = nil
 	run.nextFree = v.freeRuns
 	v.freeRuns = run
+	if v.tenant.RepeatAllocFailures(n) {
+		v.stall(r, lpn, n)
+		return
+	}
 	v.writePages(r, lpn, n)
 }
 

@@ -513,6 +513,65 @@ func TestStalledRequestPollsAsOneRun(t *testing.T) {
 	}
 }
 
+// TestStallRunReArmsWholeUnderMemo pins one poll of a 16-page stall run
+// while the tenant's failure memo holds: the poll counts 16 stalls and puts
+// the same pooled run back on the lane as one entry, allocating nothing —
+// or, when the lane's newest entry is a run of the same request ending at
+// the polled run's first LPN, grows that run instead.
+func TestStallRunReArmsWholeUnderMemo(t *testing.T) {
+	const pages = 16
+	eng, p, v := fullTenant(t)
+	ftlm := p.FTL()
+	v.Submit(&Request{Write: true, LPN: 0, Pages: pages})
+	run, ok := ftlm.LastRetry()
+	if !ok || eng.Pending() != 1 {
+		t.Fatalf("a write into a full tenant left %d pending events, want one stall run", eng.Pending())
+	}
+	poll := func() {
+		before := ftlm.Stats().AllocStalls
+		eng.Step()
+		if got := ftlm.Stats().AllocStalls - before; got != pages {
+			t.Fatalf("poll counted %d stalls, want %d", got, pages)
+		}
+		if again, ok := ftlm.LastRetry(); !ok || again != run || eng.Pending() != 1 {
+			t.Fatalf("poll left %d pending events, newest retry %p (was %p): want the same run re-armed", eng.Pending(), again, run)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, poll); avg != 0 {
+		t.Fatalf("a memo-held poll allocates %.2f times, want 0", avg)
+	}
+
+	// Two runs of one request, [0, 16) then [16, 32), due at the same
+	// instant: a schedule elsewhere between their stalls keeps them apart.
+	eng, p, v = fullTenant(t)
+	ftlm = p.FTL()
+	r := &Request{Write: true, LPN: 0, Pages: 2 * pages}
+	r.owner, r.remaining, r.enqueued = v, r.Pages, true
+	v.writePages(r, 0, pages)
+	first, _ := ftlm.LastRetry()
+	eng.ScheduleEvent(10*retryDelay, func(sim.EventArg, sim.Time) {}, sim.EventArg{})
+	v.writePages(r, pages, pages)
+	second, _ := ftlm.LastRetry()
+	if first == second || eng.Pending() != 3 {
+		t.Fatalf("setup: %d pending events, want two runs and the schedule apart", eng.Pending())
+	}
+	// The first re-arms on its own; the second then finds it newest on the
+	// lane, ending at its first LPN, and joins it.
+	before := ftlm.Stats().AllocStalls
+	eng.Step()
+	eng.Step()
+	if got := ftlm.Stats().AllocStalls - before; got != 2*pages {
+		t.Fatalf("two polls counted %d stalls, want %d", got, 2*pages)
+	}
+	last, ok := ftlm.LastRetry()
+	if !ok || last != first || eng.Pending() != 2 {
+		t.Fatalf("%d pending events, newest retry %p: want the first run re-armed (%p) and the schedule", eng.Pending(), last, first)
+	}
+	if got := first.(*stallRun); got.lpn != 0 || got.n != 2*pages {
+		t.Fatalf("re-armed run covers [%d, %d), want [0, %d)", got.lpn, got.lpn+got.n, 2*pages)
+	}
+}
+
 // TestStallRunsSplitAndKeepPageOrder stalls the pages of one request by
 // hand around what must split a run — another retry on the lane, a page
 // that was dispatched, a schedule elsewhere, a gap, another request — and

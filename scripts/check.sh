@@ -90,8 +90,10 @@ echo "== one retry protocol"
 # beside it is a second protocol, and at storm depth it is the sift cost
 # the lane exists to avoid. Host pages stall in one place, VSSD.stall, which
 # folds a request's pages that stalled back to back into one lane entry (a
-# stall run); a 1 ms retry a page scheduled anywhere else in vssd is a
-# second protocol too, and on a full device it is ~20x the events.
+# stall run); a poll that finds the tenant's failure memo holding re-stalls
+# its whole run through VSSD.stall too. A 1 ms retry a page scheduled
+# anywhere else in vssd is a second protocol, and on a full device it is
+# ~20x the events.
 if grep -n 'ScheduleEvent(sim\.Millisecond' internal/ftl/*.go internal/vssd/*.go | grep -v _test.go; then
     echo "1 ms retry scheduled on the heap; use ftl.Manager.ScheduleRetry" >&2
     exit 1
