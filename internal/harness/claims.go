@@ -23,7 +23,7 @@ type claim struct {
 	at    budget
 	seeds []int64
 	// reads is the grid value reads its cells from, run over seeds as one
-	// flat job list; zero for a row that reads a rack or Figure 6, 16 or 17.
+	// flat job list; zero for a row that reads a rack or Figure 6.
 	reads grid
 	// value is the quantity at opt's seed, from the cells of reads.
 	value func(cs cells, opt Options) float64
@@ -108,12 +108,14 @@ const (
 var paperSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
 // ratios is metric under kind over metric under base at one seed, one value
-// per mix of g.
+// per mix and level of g.
 func ratios(g grid, kind, base PolicyKind, metric func(Result) float64) func(cells, Options) []float64 {
 	return func(cs cells, opt Options) []float64 {
-		out := make([]float64, len(g.mixes))
-		for i, mix := range g.mixes {
-			out[i] = metric(cs.at(mix, kind, "", opt.Seed).Result) / metric(cs.at(mix, base, "", opt.Seed).Result)
+		var out []float64
+		for _, mix := range g.mixes {
+			for _, l := range g.rungs() {
+				out = append(out, metric(cs.at(mix, kind, l.Name, opt.Seed).Result)/metric(cs.at(mix, base, l.Name, opt.Seed).Result))
+			}
 		}
 		return out
 	}
@@ -185,9 +187,10 @@ var lsP99, biBW = Result.LatencyTenantP99, Result.BandwidthTenant
 func paperClaims() []claim {
 	g := theGrids()
 	// Sub-grids: the cells of a grid some rows read.
-	hw, fourVSSDs, eightVSSDs := g.hwsw, g.scale, g.scale
+	hw, fourVSSDs, eightVSSDs, pretrained, transferred := g.hwsw, g.scale, g.scale, g.transfer, g.transfer
 	hw.kinds = hw.kinds[:1]
 	fourVSSDs.mixes, eightVSSDs.mixes = g.scale.mixes[2:4], g.scale.mixes[4:]
+	pretrained.levels, transferred.levels = g.transfer.levels[:1], g.transfer.levels[1:]
 
 	paper := []claim{
 		{figure: "Fig. 2", quantity: "SW/HW avg utilization, mean over pairs", paper: "1.39×",
@@ -241,18 +244,19 @@ func paperClaims() []claim {
 		{figure: "Fig. 15", quantity: "FleetIO/Customized-Local avg utilization, mean over pairs", paper: "FleetIO best of both", diverges: explained,
 			rel: atLeast(1), reads: g.ablation, value: reduce(mean, ratios(g.ablation, PolFleetIO, PolFleetIOCustomizedLocal, avgUtil))},
 		{figure: "Fig. 16", quantity: "FleetIO/Mixed Isolation avg utilization", paper: "1.27×", diverges: explained,
-			rel: roughly(1.27), value: func(_ cells, opt Options) float64 { r := mixedIsolationRuns(opt); return r[2].AvgUtil / r[0].AvgUtil }},
+			rel: roughly(1.27), reads: g.mixed, value: ratio(g.mixed, PolFleetIO, PolHardware, avgUtil)},
 		{figure: "Fig. 16", quantity: "FleetIO/SW avg utilization", paper: "≥ 0.94×", diverges: explained,
-			rel: atLeast(0.94), value: func(_ cells, opt Options) float64 { r := mixedIsolationRuns(opt); return r[2].AvgUtil / r[1].AvgUtil }},
+			rel: atLeast(0.94), reads: g.mixed, value: ratio(g.mixed, PolFleetIO, PolSoftware, avgUtil)},
 		{figure: "Fig. 16", quantity: "FleetIO/Mixed Isolation BI bandwidth", paper: "1.42×", diverges: explained,
-			rel: roughly(1.42), value: func(_ cells, opt Options) float64 { r := mixedIsolationRuns(opt); return biBW(r[2]) / biBW(r[0]) }},
+			rel: roughly(1.42), reads: g.mixed, value: ratio(g.mixed, PolFleetIO, PolHardware, biBW)},
 		{figure: "Fig. 16", quantity: "FleetIO/Mixed Isolation LS P99", paper: "≤ 1.19×", diverges: seedTails,
-			rel: atMost(1.19), value: func(_ cells, opt Options) float64 { r := mixedIsolationRuns(opt); return lsP99(r[2]) / lsP99(r[0]) }},
+			rel: atMost(1.19), reads: g.mixed, value: ratio(g.mixed, PolFleetIO, PolHardware, lsP99)},
 		{figure: "Fig. 17", quantity: "transfer/pretrained, worst distance from 1 over the six swaps", paper: "within 5%", diverges: explained,
-			rel: atMost(0.05), value: func(_ cells, opt Options) float64 {
-				r, worst := transferRuns(opt), 0.0
-				for i, c := range transferCases() {
-					worst = max(worst, math.Abs(c.metric(r[2*i+1])/c.metric(r[2*i])-1))
+			rel: atMost(0.05), reads: g.transfer, value: func(cs cells, opt Options) float64 {
+				pre, moved := each(pretrained, kept)(cs, opt), each(transferred, kept)(cs, opt)
+				worst := 0.0
+				for i := range pre {
+					worst = max(worst, math.Abs(moved[i]/pre[i]-1))
 				}
 				return worst
 			}},

@@ -54,9 +54,11 @@ func fewestCompleted(r Result) float64 {
 	return least
 }
 
-// on reads one Result of the single mix of g at one seed.
+// on reads one Result of the single mix and level of g at one seed.
 func on(g grid, kind PolicyKind, metric func(Result) float64) func(cells, Options) float64 {
-	return func(cs cells, opt Options) float64 { return metric(cs.at(g.mixes[0], kind, "", opt.Seed).Result) }
+	return func(cs cells, opt Options) float64 {
+		return metric(cs.at(g.mixes[0], kind, g.rungs()[0].Name, opt.Seed).Result)
+	}
 }
 
 // atSeed1 gives each of rows seed 1 and, where the paper states none, "—"
@@ -121,7 +123,7 @@ func scenarioClaims() []claim {
 		return func(_ cells, opt Options) float64 {
 			var xs []float64
 			for _, p := range fleet.Placements() {
-				xs = append(xs, f(placementRack(p, opt)))
+				xs = append(xs, f(FleetScenario(p, opt)))
 			}
 			return reduce(xs)
 		}
@@ -156,15 +158,9 @@ func scenarioClaims() []claim {
 		{figure: "-fig 15", quantity: "Unified-Global avg utilization, min over pairs", rel: above(0),
 			reads: g.ablation, value: reduce(slices.Min, each(unified, results(avgUtil)))},
 		{figure: "-fig 16", quantity: "FleetIO avg utilization on the mixed topology", rel: atLeast(0.01),
-			value: func(_ cells, opt Options) float64 { return mixedIsolationRuns(opt)[2].AvgUtil }},
+			reads: g.mixed, value: on(g.mixed, PolFleetIO, avgUtil)},
 		{figure: "-fig 17", quantity: "each swap's metric, min over both runs of every swap", rel: above(0),
-			value: func(_ cells, opt Options) float64 {
-				r, least := transferRuns(opt), math.Inf(1)
-				for i, c := range transferCases() {
-					least = min(least, c.metric(r[2*i]), c.metric(r[2*i+1]))
-				}
-				return least
-			}},
+			reads: g.transfer, value: reduce(slices.Min, each(g.transfer, kept))},
 		{figure: "-fig faults", quantity: "levels whose fault ledger does not balance", rel: exactly(0),
 			reads: g.faults, value: countOf(g.faults, func(c cell) bool { return !c.faults.Balanced() })},
 		{figure: "-fig faults", quantity: "program failures injected at heavy, fewest over pairs", rel: atLeast(1),
@@ -174,9 +170,9 @@ func scenarioClaims() []claim {
 		{figure: "-fig fleet", quantity: "racks whose tenant or migration ledger does not balance", rel: exactly(0),
 			value: overPlacements(sum, func(st fleet.Stats) float64 { return b2f(!st.Balanced()) })},
 		{figure: "-fig tiers", quantity: "promotes under the learned tier policy", rel: atLeast(1),
-			value: func(_ cells, opt Options) float64 { return float64(tierRack(fleet.TierLearned, opt).Promotes) }},
+			value: func(_ cells, opt Options) float64 { return float64(TierScenario(fleet.TierLearned, opt).Promotes) }},
 		{figure: "-fig tiers", quantity: "demotes under the learned tier policy", rel: atLeast(1),
-			value: func(_ cells, opt Options) float64 { return float64(tierRack(fleet.TierLearned, opt).Demotes) }},
+			value: func(_ cells, opt Options) float64 { return float64(TierScenario(fleet.TierLearned, opt).Demotes) }},
 		{figure: "-fig workloads", quantity: "cells without one type label per tenant", rel: exactly(0),
 			reads: g.shapes, value: countOf(g.shapes, func(c cell) bool { return len(c.types) != len(c.Tenants) })},
 		{figure: "-fig workloads", quantity: "classified tenants, fewest over cells", rel: atLeast(1),
@@ -203,7 +199,7 @@ func scenarioClaims() []claim {
 				return n
 			}},
 		{figure: "-fig workloads", quantity: "type labels in the cohort rack", rel: atLeast(1),
-			value: func(_ cells, opt Options) float64 { return float64(len(cohortRack(opt).TypeCounts)) }},
+			value: func(_ cells, opt Options) float64 { return float64(len(cohortScenario(opt).TypeCounts)) }},
 	}
 	scenarios := Scenarios()
 	for i := range rows {

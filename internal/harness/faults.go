@@ -12,7 +12,7 @@ import (
 // faultLevels is the off/light/heavy ladder of the fault scenario.
 func faultLevels() []level {
 	lvl := func(name string, cfg *fault.Config) level {
-		return level{name, func(o *Options) { o.Faults = cfg }}
+		return level{Name: name, Apply: func(o *Options) { o.Faults = cfg }}
 	}
 	light, heavy := fault.Light(), fault.Heavy()
 	return []level{lvl("off", nil), lvl("light", &light), lvl("heavy", &heavy)}

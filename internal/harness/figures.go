@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,40 +186,23 @@ func figure15(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w)
 }
 
-// figure16 runs mix3 with mixed isolation: two VDI-Web on 4-channel
+// figure16 prints g, mix3 on the mixed topology: two VDI-Web on 4-channel
 // hardware-isolated vSSDs, two TeraSort sharing an 8-channel
-// software-isolated pool. It returns the three results in print order,
-// labelled as printed.
-func figure16(w io.Writer, opt Options) []Result {
+// software-isolated pool, under Mixed Isolation (the topology as built),
+// Software Isolation and FleetIO.
+func figure16(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 16: mixed hardware- and software-isolated vSSDs (mix3)")
-	results := mixedIsolationRuns(opt)
-	for _, res := range results {
+	for _, k := range g.kinds {
+		res, name := cs.at(g.mixes[0], k, g.levels[0].Name, seed), k.String()
+		if k == PolHardware {
+			name = "Mixed Isolation"
+		}
 		fmt.Fprintf(w, "%-18s util=%5.1f%%  LS P99=%6.2fms  BI BW=%7.1f MB/s\n",
-			res.Policy, res.AvgUtil*100, res.LatencyTenantP99(), res.BandwidthTenant())
+			name, res.AvgUtil*100, res.LatencyTenantP99(), res.BandwidthTenant())
 	}
 	fmt.Fprintln(w, "(paper: FleetIO 1.27x util over Mixed Isolation, ≥94% of Software Isolation's util,")
 	fmt.Fprintln(w, " 1.42x BI bandwidth, tail latency within 1.19x of Mixed Isolation)")
 	fmt.Fprintln(w)
-	return results
-}
-
-// mixedIsolationRuns is Figure 16's runs through the process memo: mix3 on
-// the mixed topology under Mixed Isolation, Software Isolation and FleetIO,
-// in that order and labelled so.
-func mixedIsolationRuns(opt Options) []Result {
-	return memoized(&scenarioMemo, "16", opt, func() []Result {
-		kinds := []PolicyKind{PolHardware, PolSoftware, PolFleetIO}
-		// One calibration defines the SLOs for all three topologies; the
-		// runs themselves are independent and fan out over the worker pool.
-		mix := MixSpec{Label: "mix3-mixed", Workloads: []string{"VDI-Web", "VDI-Web", "TeraSort", "TeraSort"}}
-		slos := Calibrate(mix, opt)
-		results := make([]Result, len(kinds))
-		forEach(len(kinds), opt.Workers, func(i int) {
-			results[i] = measureMixedIsolation(mix, kinds[i], slos, opt).Result
-		})
-		results[0].Policy = "Mixed Isolation"
-		return results
-	}, cloneResults)
 }
 
 // measureMixedIsolation is Figure 16's run: the mixed topology under
@@ -246,83 +230,60 @@ func measureMixedIsolation(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Op
 // while its neighbour switches from `from` to `to`.
 type transferCase struct {
 	label, keep, from, to string
-	keepIsBandwidth       bool // keep is judged on BI bandwidth; else on LS P99
 }
 
 func transferCases() []transferCase {
 	return []transferCase{
-		{"T + (V->Y)", "TeraSort", "VDI-Web", "YCSB", true},
-		{"M + (V->Y)", "MLPrep", "VDI-Web", "YCSB", true},
-		{"P + (V->Y)", "PageRank", "VDI-Web", "YCSB", true},
-		{"V + (T->M)", "VDI-Web", "TeraSort", "MLPrep", false},
-		{"V + (M->P)", "VDI-Web", "MLPrep", "PageRank", false},
-		{"Y + (P->T)", "YCSB", "PageRank", "TeraSort", false},
+		{"T + (V->Y)", "TeraSort", "VDI-Web", "YCSB"},
+		{"M + (V->Y)", "MLPrep", "VDI-Web", "YCSB"},
+		{"P + (V->Y)", "PageRank", "VDI-Web", "YCSB"},
+		{"V + (T->M)", "VDI-Web", "TeraSort", "MLPrep"},
+		{"V + (M->P)", "VDI-Web", "MLPrep", "PageRank"},
+		{"Y + (P->T)", "YCSB", "PageRank", "TeraSort"},
 	}
 }
 
-// metric is what c is judged on: the kept tenant's BI bandwidth (MB/s) or
-// LS P99 (ms).
-func (c transferCase) metric(r Result) float64 {
-	if c.keepIsBandwidth {
-		return r.BandwidthTenant()
+// final is the mix c ends on.
+func (c transferCase) final() MixSpec { return Pair(c.keep, c.to) }
+
+// kept is what a Figure 17 cell is judged on: the kept tenant's (tenant
+// 0's) BI bandwidth (MB/s) or LS P99 (ms), as its class is.
+func kept(c cell) float64 {
+	if c.Tenants[0].Class == workload.Bandwidth {
+		return c.BandwidthTenant()
 	}
-	return r.LatencyTenantP99()
+	return c.LatencyTenantP99()
 }
 
-// figure17 evaluates robustness to collocated-workload changes: the model
-// keeps serving tenant A while its neighbour switches from B to C halfway;
-// the result is compared to a model tuned on A+C from the start.
-func figure17(w io.Writer, opt Options) {
+// figure17 prints g, Figure 17's robustness to collocated-workload changes:
+// the model keeps serving tenant A while its neighbour switches from B to C
+// halfway (g's second level), compared to a model tuned on A+C from the
+// start (its first).
+func figure17(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 17: robustness to collocated workload changes")
 	fmt.Fprintf(w, "%-12s %14s %14s %10s (metric: %s)\n", "case", "pretrained", "transfer", "ratio", "BI MB/s or LS P99 ms")
-	results := transferRuns(opt)
-	for i, c := range transferCases() {
-		a, b := c.metric(results[2*i]), c.metric(results[2*i+1])
+	for _, c := range transferCases() {
+		a, b := kept(cs.at(c.final(), g.kinds[0], g.levels[0].Name, seed)), kept(cs.at(c.final(), g.kinds[0], g.levels[1].Name, seed))
 		fmt.Fprintf(w, "%-12s %14.2f %14.2f %9.2fx\n", c.label, a, b, b/a)
 	}
 	fmt.Fprintln(w, "(paper: transfer within 5% of pretrained across all combinations)")
 	fmt.Fprintln(w)
 }
 
-// transferRuns is Figure 17's runs through the process memo, two a case in
-// case order: FleetIO on the final mix from the start, then the transfer
-// run. Each case is two independent experiments against the final mix's
-// SLOs: each final mix calibrates once, and all 2×6 runs fan out as one
-// flat job list.
-func transferRuns(opt Options) []Result {
-	return memoized(&scenarioMemo, "17", opt, func() []Result {
-		cases := transferCases()
-		slos := make([][]sim.Time, len(cases))
-		forEach(len(cases), opt.Workers, func(i int) {
-			slos[i] = Calibrate(Pair(cases[i].keep, cases[i].to), opt)
-		})
-		results := make([]Result, 2*len(cases))
-		forEach(len(results), opt.Workers, func(j int) {
-			c := cases[j/2]
-			if j%2 == 0 {
-				finalMix := MixSpec{Label: c.label, Workloads: []string{c.keep, c.to}}
-				results[j] = RunOne(finalMix, PolFleetIO, slos[j/2], opt)
-			} else {
-				results[j] = runTransfer(c.keep, c.from, c.to, slos[j/2], opt).Result
-			}
-		})
-		return results
-	}, cloneResults)
-}
-
-// runTransfer trains FleetIO on keep+from through warmup, switches the
-// collocated workload to `to`, gives the agents four windows to adjust,
-// and measures keep+to against slos, that mix's SLOs. Like Measure, it
-// returns the finished run.
-func runTransfer(keep, from, to string, slos []sim.Time, opt Options) *Run {
-	finalMix := MixSpec{Label: keep + "+" + to, Workloads: []string{keep, to}}
-	initialMix := MixSpec{Label: keep + "+" + from, Workloads: []string{keep, from}}
-	r := buildPlatform(initialMix, PolFleetIO, nil, slos, opt)
-	r.AttachPolicy(PolFleetIO)
+// runTransfer runs mix, one of Figure 17's final mixes, as its transfer
+// case: kind on the case's initial mix through warmup, then the collocated
+// workload switched to mix's, four windows for the agents to adjust, and
+// mix measured against slos, its SLOs. Like Measure, it returns the
+// finished run.
+func runTransfer(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *Run {
+	cases := transferCases()
+	c := cases[slices.IndexFunc(cases, func(c transferCase) bool { return c.final().Label == mix.Label })]
+	r := buildPlatform(Pair(c.keep, c.from), kind, nil, slos, opt)
+	r.AttachPolicy(kind)
 	swap := func() {
 		// Same recorder, so re-typing after the swap sees the new traffic.
-		r.dev.Drive(1, workload.ByName(to), sim.NewRNG(opt.Seed+999), r.recs[1])
-		r.mix = finalMix
+		r.dev.Drive(1, r.profile(1, c.to), sim.NewRNG(opt.Seed+999), r.recs[1])
+		r.mix = mix
 	}
 	settled := opt.Warmup + 4*opt.Window
 	r.execute(settled+opt.Duration, boundary{opt.Warmup, swap}, boundary{settled, r.BeginMeasuring})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func tinyOptions() Options {
@@ -48,18 +49,17 @@ func TestFigure2And3Formatting(t *testing.T) {
 
 func TestFigure16MixedIsolation(t *testing.T) {
 	opt := tinyOptions()
+	g := theGrids().mixed
+	cs := new(memo).run(opt, g)
 	var buf bytes.Buffer
-	rows := figure16(&buf, opt)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	labels := []string{"Mixed Isolation", "Software Isolation", "FleetIO"}
-	for i, r := range rows {
-		if r.Policy != labels[i] {
-			t.Fatalf("row %d = %q", i, r.Policy)
+	figure16(&buf, g, cs, opt.Seed)
+	rows := strings.Split(buf.String(), "\n")[1:4]
+	for i, label := range []string{"Mixed Isolation", "Software Isolation", "FleetIO"} {
+		if !strings.HasPrefix(rows[i], label+" ") {
+			t.Fatalf("row %d = %q, want %s", i, rows[i], label)
 		}
-		if r.AvgUtil <= 0 || r.BandwidthTenant() <= 0 {
-			t.Fatalf("degenerate row %+v", r)
+		if r := cs.at(g.mixes[0], g.kinds[i], "mixed", opt.Seed); r.AvgUtil <= 0 || r.BandwidthTenant() <= 0 {
+			t.Fatalf("degenerate row %+v", r.Result)
 		}
 	}
 }
@@ -97,7 +97,24 @@ func TestMixedIsolationHonoursFaultsAndObs(t *testing.T) {
 // transferVtoY is Fig. 17's "T + (V->Y)" transfer run against the final
 // mix's SLOs.
 func transferVtoY(opt Options) *Run {
-	return runTransfer("TeraSort", "VDI-Web", "YCSB", Calibrate(Pair("TeraSort", "YCSB"), opt), opt)
+	mix := Pair("TeraSort", "YCSB")
+	return runTransfer(mix, PolFleetIO, Calibrate(mix, opt), opt)
+}
+
+// TestRunTransferShapesReplacement: the swapped-in tenant generates what
+// AddTenant would have given it, its workload under the run's shape, so
+// under the replay shape it replays (and here wraps) a trace like the
+// tenant it joins. It used to drive the bare profile, which never replays.
+func TestRunTransferShapesReplacement(t *testing.T) {
+	opt := tinyOptions()
+	opt.WorkloadShape = workload.ShapeReplay
+	opt.ReplayRecords = workload.ByName("YCSB").SynthesizeTrace(500, 1<<20, sim.NewRNG(9))
+	gens := transferVtoY(opt).dev.Generators()
+	for i, g := range gens {
+		if g.ReplayWraps() == 0 {
+			t.Errorf("tenant %d never wrapped its replay trace", i)
+		}
+	}
 }
 
 // TestRunTransferObserved: the transfer run used to hand-roll its drive

@@ -48,24 +48,32 @@ func rackConfig(opt Options, defDevices int) fleet.Config {
 
 // FleetScenario runs one rack under the given placement baseline, with
 // load-balancing cold migration on, and returns the fleet roll-up. The
-// run is byte-identical at any Options.Workers setting.
+// run is byte-identical at any Options.Workers setting. Like every rack
+// scenario, it runs once per process for each placement and options, in
+// the process memo, so a rendering and the claims that read it read one
+// run.
 func FleetScenario(placement fleet.PlacementKind, opt Options) fleet.Stats {
-	cfg := rackConfig(opt, defaultFleetDevices)
-	cfg.Placement = placement
-	cfg.Migration = true
-	return fleet.New(cfg).Run()
+	return memoized(&scenarioMemo, "fleet "+placement.String(), opt, func() fleet.Stats {
+		cfg := rackConfig(opt, defaultFleetDevices)
+		cfg.Placement = placement
+		cfg.Migration = true
+		return fleet.New(cfg).Run()
+	}, cloneStats)
 }
 
-// cohortScenario runs a rack in cohort mode: tenants arrive on the fleet
-// admission path, live an exponential session (mean Duration/3, so slots
-// turn over several times), depart, and free their slots — with every
-// traced tenant classified by the shared workload-type model.
+// cohortScenario runs a steady rack in cohort mode: tenants arrive on the
+// fleet admission path, live an exponential session (mean Duration/3, so
+// slots turn over several times), depart, and free their slots — with
+// every traced tenant classified by the shared workload-type model.
 func cohortScenario(opt Options) fleet.Stats {
-	cfg := rackConfig(opt, defaultCohortDevices)
-	cfg.Migration = true
-	cfg.Lifetime = opt.Duration / 3
-	cfg.TypeModel, _ = TypeModel()
-	return fleet.New(cfg).Run()
+	opt.WorkloadShape = workload.ShapeSteady
+	return memoized(&scenarioMemo, "cohort", opt, func() fleet.Stats {
+		cfg := rackConfig(opt, defaultCohortDevices)
+		cfg.Migration = true
+		cfg.Lifetime = opt.Duration / 3
+		cfg.TypeModel, _ = TypeModel()
+		return fleet.New(cfg).Run()
+	}, cloneStats)
 }
 
 // TierScenario runs one hybrid (tiered) rack under the given tier policy
@@ -76,32 +84,18 @@ func cohortScenario(opt Options) fleet.Stats {
 // so the policies differ in nothing else. The run is byte-identical at any
 // Options.Workers setting.
 func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
-	cfg := rackConfig(opt, defaultTierDevices)
-	cfg.TierPolicy = tp
-	// Churn: mean session of half the run, and oversubscription of 2×
-	// rack capacity, so departures keep freeing slots for tier moves.
-	cfg.Lifetime = opt.Duration / 2
-	cfg.Tenants = cfg.Devices*2*2 + 1
-	// Tier moves start cold so the copy is cheap and the destination
-	// warms from real traffic.
-	cfg.PrefillFrac = -1
-	return fleet.New(cfg).Run()
-}
-
-// placementRack, tierRack and cohortRack are FleetScenario, TierScenario
-// and the workloads figure's steady cohortScenario through the process
-// memo: the scenario renders a rack and its claims read the same roll-up.
-func placementRack(p fleet.PlacementKind, opt Options) fleet.Stats {
-	return memoized(&scenarioMemo, "fleet "+p.String(), opt, func() fleet.Stats { return FleetScenario(p, opt) }, cloneStats)
-}
-
-func tierRack(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
-	return memoized(&scenarioMemo, "tiers "+tp.String(), opt, func() fleet.Stats { return TierScenario(tp, opt) }, cloneStats)
-}
-
-func cohortRack(opt Options) fleet.Stats {
-	opt.WorkloadShape = workload.ShapeSteady
-	return memoized(&scenarioMemo, "cohort", opt, func() fleet.Stats { return cohortScenario(opt) }, cloneStats)
+	return memoized(&scenarioMemo, "tiers "+tp.String(), opt, func() fleet.Stats {
+		cfg := rackConfig(opt, defaultTierDevices)
+		cfg.TierPolicy = tp
+		// Churn: mean session of half the run, and oversubscription of 2×
+		// rack capacity, so departures keep freeing slots for tier moves.
+		cfg.Lifetime = opt.Duration / 2
+		cfg.Tenants = cfg.Devices*2*2 + 1
+		// Tier moves start cold so the copy is cheap and the destination
+		// warms from real traffic.
+		cfg.PrefillFrac = -1
+		return fleet.New(cfg).Run()
+	}, cloneStats)
 }
 
 // cloneStats is a deep copy of st.
@@ -118,7 +112,7 @@ func figureFleet(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "== Fleet: %d-device rack, placement baselines under admission + cold migration (seed=%d) ==\n",
 		rackConfig(opt, defaultFleetDevices).Devices, opt.Seed)
 	for _, p := range fleet.Placements() {
-		st := placementRack(p, opt)
+		st := FleetScenario(p, opt)
 		fmt.Fprintf(w, "placement=%s\n", p)
 		st.Render(w)
 	}
@@ -135,7 +129,7 @@ func figureTiers(w io.Writer, opt Options) {
 		rackConfig(opt, defaultTierDevices).Devices, opt.Seed)
 	var summary string
 	for _, tp := range fleet.TierPolicies() {
-		st := tierRack(tp, opt)
+		st := TierScenario(tp, opt)
 		fmt.Fprintf(w, "tier-policy=%s\n", tp)
 		st.Render(w)
 		summary += fmt.Sprintf(" %s=%.2fms", tp, st.LsMeanP99Ms)

@@ -19,17 +19,19 @@ type grid struct {
 	seeds  []int64 // nil: {opt.Seed}
 }
 
-// level is one rung of a scenario ladder: a name and the Options edit that
-// puts a run on it, applied after calibration.
+// level is one rung of a scenario ladder: a name and how a run is put on
+// it. Apply, when set, edits the options after calibration; run, when set,
+// runs the cell in Measure's place, and its name joins the cell's key.
 type level struct {
 	Name  string
 	Apply func(*Options)
+	run   func(MixSpec, PolicyKind, []sim.Time, Options) *Run
 }
 
 // rungs is g's levels: one, "", that edits nothing, when it has none.
 func (g grid) rungs() []level {
 	if g.levels == nil {
-		return []level{{Apply: func(*Options) {}}}
+		return []level{{}}
 	}
 	return g.levels
 }
@@ -64,12 +66,17 @@ func (cs cells) at(mix MixSpec, kind PolicyKind, level string, seed int64) cell 
 	return c
 }
 
-// key is every field of o as a map key: pointers by identity, and the replay
-// trace by its backing array and length.
+// key is every field of o as a map key: the fault config by value, the
+// other pointers by identity, and the replay trace by its backing array and
+// length.
 func (o Options) key() string {
-	recs := o.ReplayRecords
-	o.ReplayRecords = nil
-	return fmt.Sprintf("%#v %p/%d", o, unsafe.SliceData(recs), len(recs))
+	recs, faults := o.ReplayRecords, o.Faults
+	o.ReplayRecords, o.Faults = nil, nil
+	k := fmt.Sprintf("%#v %p/%d", o, unsafe.SliceData(recs), len(recs))
+	if faults != nil {
+		k += fmt.Sprintf(" %#v", *faults)
+	}
+	return k
 }
 
 // onceMap computes each key's value once, however many goroutines ask.
@@ -82,9 +89,9 @@ func (o *onceMap[K, V]) get(k K, f func() V) V {
 
 // memo holds finished calibrations and cells for as long as it lives: a
 // calibration by its mix and options, a cell by its calibration's key, its
-// policy and its own options. It stores Results, never a Run. views holds
-// what a scenario measures outside a grid (a rack's roll-up, Figures 16 and
-// 17), by name and options, so its rendering and its claims read one run.
+// policy, its own options and the name of a level that runs it. It stores
+// Results, never a Run. views holds a rack's roll-up by name and options,
+// so the rack's rendering and its claims read one run.
 type memo struct {
 	slos  onceMap[string, []sim.Time]
 	cells onceMap[string, cell]
@@ -96,15 +103,6 @@ type memo struct {
 // was handed cannot edit what the next one reads.
 func memoized[V any](m *memo, name string, opt Options, f func() V, clone func(V) V) V {
 	return clone(m.views.get(name+" "+opt.key(), func() any { return f() }).(V))
-}
-
-// cloneResults is a deep copy of rs.
-func cloneResults(rs []Result) []Result {
-	rs = slices.Clone(rs)
-	for i := range rs {
-		rs[i].Tenants = slices.Clone(rs[i].Tenants)
-	}
-	return rs
 }
 
 // scenarioMemo is the process memo the scenario figures share cells
@@ -120,6 +118,7 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 		addr
 		mix       MixSpec
 		base, opt Options // the seed's options, then the level's edit of them
+		run       func(MixSpec, PolicyKind, []sim.Time, Options) *Run
 	}
 	var jobs []job
 	for _, g := range grids {
@@ -132,10 +131,12 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 			base.Seed = seed
 			for _, l := range g.rungs() {
 				o := base
-				l.Apply(&o)
+				if l.Apply != nil {
+					l.Apply(&o)
+				}
 				for _, k := range g.kinds {
 					for _, mix := range g.mixes {
-						jobs = append(jobs, job{addr{mix.Label, k, l.Name, seed}, mix, base, o})
+						jobs = append(jobs, job{addr{mix.Label, k, l.Name, seed}, mix, base, o, l.run})
 					}
 				}
 			}
@@ -146,8 +147,12 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 	forEach(len(jobs), opt.Workers, func(i int) {
 		j := jobs[i]
 		cal := fmt.Sprintf("%q %q %s", j.mix.Label, j.mix.Workloads, j.base.calibration().key())
-		c := m.cells.get(fmt.Sprintf("%s %v %s", cal, j.kind, j.opt.key()), func() cell {
-			return runCell(j.mix, j.kind, m.slos.get(cal, func() []sim.Time { return Calibrate(j.mix, j.base) }), j.opt)
+		key := fmt.Sprintf("%s %v %s", cal, j.kind, j.opt.key())
+		if j.run != nil {
+			key += " " + j.level
+		}
+		c := m.cells.get(key, func() cell {
+			return runCell(j.mix, j.kind, m.slos.get(cal, func() []sim.Time { return Calibrate(j.mix, j.base) }), j.opt, j.run)
 		})
 		c.Tenants, c.types = slices.Clone(c.Tenants), slices.Clone(c.types)
 		mu.Lock()
@@ -157,14 +162,18 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 	return out
 }
 
-// runCell is RunOne, keeping what the scenario columns read off a joint
-// run: the fault ledger, settled, when faults are injected, and the
-// workload-type labels of a policy that re-types.
-func runCell(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) cell {
-	if splittable(kind, opt) {
-		return cell{Result: RunOne(mix, kind, slos, opt), opt: opt}
+// runCell is run's finished run (RunOne's, when run is nil), keeping what
+// the scenario columns read off a joint run: the fault ledger, settled,
+// when faults are injected, and the workload-type labels of a policy that
+// re-types.
+func runCell(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options, run func(MixSpec, PolicyKind, []sim.Time, Options) *Run) cell {
+	if run == nil {
+		if splittable(kind, opt) {
+			return cell{Result: RunOne(mix, kind, slos, opt), opt: opt}
+		}
+		run = Measure
 	}
-	r := Measure(mix, kind, slos, opt)
+	r := run(mix, kind, slos, opt)
 	c := cell{Result: r.Result, types: r.typeLabels(), opt: opt}
 	if opt.faultsEnabled() {
 		c.faults = r.FaultStats()

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -90,13 +91,7 @@ func TestMemoReadsDeepCopy(t *testing.T) {
 		t.Fatalf("editing projected type labels edited the memo: %v", again.types)
 	}
 
-	// What a scenario measures outside a grid (Figures 16 and 17, a rack's
-	// roll-up) is read the same way.
-	runs := func() []Result { return []Result{{Tenants: []TenantResult{{P99Ms: 1}}}} }
-	memoized(m, "runs", opt, runs, cloneResults)[0].Tenants[0].P99Ms = -1
-	if got := memoized(m, "runs", opt, runs, cloneResults); !reflect.DeepEqual(got, runs()) {
-		t.Fatalf("editing memoized runs edited the memo: %+v", got)
-	}
+	// A rack's roll-up, measured outside a grid, is read the same way.
 	rack := func() fleet.Stats {
 		return fleet.Stats{TypeCounts: []fleet.TypeCount{{Label: "a", Count: 1}}, Tiers: []fleet.TierStats{{Name: "a"}}}
 	}
@@ -109,8 +104,8 @@ func TestMemoReadsDeepCopy(t *testing.T) {
 
 // TestOptionsKeyCoversOptions: a cell's key changes with every Options
 // field, so no field can be added that two different runs would share a
-// cell across. Pointers key by identity, and the replay trace by its
-// backing array and length.
+// cell across. The fault config keys by value, the other pointers by
+// identity, and the replay trace by its backing array and length.
 func TestOptionsKeyCoversOptions(t *testing.T) {
 	base := Options{}
 	typ := reflect.TypeOf(base)
@@ -151,8 +146,56 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 		}
 	}
 	b.ReplayRecords, b.Faults = recs, new(fault.Config)
-	if a.key() == b.key() {
+	if a.key() != b.key() {
+		t.Fatal("two equal fault configs key as two")
+	}
+	if b.Faults.Seed = 1; a.key() == b.key() {
 		t.Fatal("two fault configs key as one")
+	}
+}
+
+// TestFaultLevelsKeyByValue: every theGrids() call builds its own light and
+// heavy fault configs, so a level keyed by the config's address would run
+// the faults scenario's cells again for the claims that read them.
+func TestFaultLevelsKeyByValue(t *testing.T) {
+	a, b := theGrids().faults, theGrids().faults
+	for i, l := range a.levels {
+		oa, ob := tinyOptions(), tinyOptions()
+		l.Apply(&oa)
+		b.levels[i].Apply(&ob)
+		if oa.key() != ob.key() {
+			t.Errorf("level %s keys two ways from two theGrids() calls", l.Name)
+		}
+	}
+}
+
+// TestRunVariantsShareCalibrationsNotCells: a level that runs its cells its
+// own way keys them by its name, so Figure 16's mixed-topology mix3 never
+// reads Figure 14's mix3 cells, yet calibrates once with them; and Figure
+// 17's final mixes that are evaluation pairs are the pair cells, calibration
+// and FleetIO run both.
+func TestRunVariantsShareCalibrationsNotCells(t *testing.T) {
+	t.Parallel()
+	opt := tinyOptions()
+	opt.Warmup, opt.Duration = 400*sim.Millisecond, 200*sim.Millisecond
+	g := theGrids()
+	m := new(memo)
+	cs := m.run(opt, g.scale, g.mixed, g.pairs, g.transfer)
+	count := func(o *sync.Map) (n int) {
+		o.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	// Calibrations: five mixes, six pairs and the three final mixes that are
+	// no pair. Cells: 5×5, 3 mixed, 6×5, then 6 transfer runs and the three
+	// final-mix FleetIO runs that are no pair cell.
+	if s, c := count(&m.slos.m), count(&m.cells.m); s != 5+6+3 || c != 25+3+30+6+3 {
+		t.Fatalf("%d calibrations and %d cells computed, want %d and %d", s, c, 5+6+3, 25+3+30+6+3)
+	}
+	mix3 := g.mixed.mixes[0]
+	for _, k := range g.mixed.kinds {
+		if reflect.DeepEqual(cs.at(mix3, k, "mixed", opt.Seed).Result, cs.at(mix3, k, "", opt.Seed).Result) {
+			t.Errorf("%v on the mixed topology reads Figure 14's mix3 cell", k)
+		}
 	}
 }
 
@@ -176,9 +219,11 @@ func TestOnceMapComputesOnce(t *testing.T) {
 	}
 }
 
-// TestMemoPinsKeyedObjects: a cell keyed by the address of its fault config
-// keeps that config alive, so a later config cannot take the address and be
-// served the cell.
+// TestMemoPinsKeyedObjects: a cell holds the options it ran under, so what
+// they point to stays alive as long as the cell does. For what its key
+// names by address (a pretrained model, an observer, a replay trace) no
+// later object can take the address and be served the cell; the fault
+// config watched here is keyed by value, but is held all the same.
 func TestMemoPinsKeyedObjects(t *testing.T) {
 	t.Parallel()
 	m := new(memo)

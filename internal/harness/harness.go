@@ -440,12 +440,7 @@ func (r *Run) AddTenant(spec TenantSpec) int {
 	id := len(r.mix.Workloads)
 	i := r.first + id
 	prefillRNG, genRNG := r.tenantStreams(i)
-	prof := workload.ByName(spec.Workload)
-	if r.opt.WorkloadShape != workload.ShapeSteady {
-		// The shaped profile keeps its name and request mix, so SLO
-		// seeding and result collection still key by workload.
-		prof = workload.ApplyShape(prof, r.opt.WorkloadShape, shapeSeed(r.opt.Seed, i), r.opt.ReplayRecords)
-	}
+	prof := r.profile(i, spec.Workload)
 	_, err := r.dev.AddVSSD(device.Spec{
 		Config: vssd.Config{
 			Name:             fmt.Sprintf("%s-%d", spec.Workload, i),
@@ -467,6 +462,18 @@ func (r *Run) AddTenant(spec TenantSpec) int {
 	r.dev.Drive(id, prof, genRNG, nil)
 	r.mix.Workloads = append(r.mix.Workloads, spec.Workload)
 	return id
+}
+
+// profile is what tenant i of the mix generates when it runs name: name's
+// profile under the run's temporal shape. The shaped profile keeps its name
+// and request mix, so SLO seeding and result collection still key by
+// workload.
+func (r *Run) profile(i int, name string) workload.Profile {
+	prof := workload.ByName(name)
+	if r.opt.WorkloadShape != workload.ShapeSteady {
+		prof = workload.ApplyShape(prof, r.opt.WorkloadShape, shapeSeed(r.opt.Seed, i), r.opt.ReplayRecords)
+	}
+	return prof
 }
 
 // tenantStreams draws tenant i's prefill and generator streams from the

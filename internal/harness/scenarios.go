@@ -24,11 +24,16 @@ type Scenario struct {
 // scenario table and the claims table read the same ones.
 type figureGrids struct {
 	hwsw, pairs, scale, ablation grid
+	mixed, transfer              grid // Figures 16 and 17: levels that run their cells
 	faults, shapes               grid // the ladders: FleetIO on two pairs
 }
 
 func theGrids() figureGrids {
 	fleetIO, ladderMixes := []PolicyKind{PolFleetIO}, evalPairs()[:2]
+	var finals []MixSpec
+	for _, c := range transferCases() {
+		finals = append(finals, c.final())
+	}
 	return figureGrids{
 		hwsw:  grid{mixes: evalPairs(), kinds: []PolicyKind{PolHardware, PolSoftware}},
 		pairs: grid{mixes: evalPairs(), kinds: allPolicies()},
@@ -36,8 +41,14 @@ func theGrids() figureGrids {
 		// Figure 15's reward ablation.
 		ablation: grid{mixes: evalPairs(), kinds: []PolicyKind{
 			PolHardware, PolFleetIOCustomizedLocal, PolFleetIOUnifiedGlobal, PolFleetIO, PolSoftware}},
-		faults: grid{mixes: ladderMixes, kinds: fleetIO, levels: faultLevels()},
-		shapes: grid{mixes: ladderMixes, kinds: fleetIO, levels: workloadLevels()},
+		// Figure 16: mix3 on the mixed topology, calibrated as Figure 14's.
+		mixed: grid{mixes: table5Mixes()[2:3], kinds: []PolicyKind{PolHardware, PolSoftware, PolFleetIO},
+			levels: []level{{Name: "mixed", run: measureMixedIsolation}}},
+		// Figure 17: each final mix under FleetIO from the start (the pair
+		// cell, where the final mix is an evaluation pair) and after a swap.
+		transfer: grid{mixes: finals, kinds: fleetIO, levels: []level{{}, {Name: "transfer", run: runTransfer}}},
+		faults:   grid{mixes: ladderMixes, kinds: fleetIO, levels: faultLevels()},
+		shapes:   grid{mixes: ladderMixes, kinds: fleetIO, levels: workloadLevels()},
 	}
 }
 
@@ -47,17 +58,18 @@ func theGrids() figureGrids {
 // process memo, so entries that read the same cells share them.
 func Scenarios() []Scenario {
 	g := theGrids()
-	// figureAll renders every paper figure from the union of their grids.
+	// figureAll renders every paper figure from the union of their grids,
+	// one job list.
 	figureAll := func(w io.Writer, opt Options) {
-		cs := scenarioMemo.run(opt, g.pairs, g.scale, g.ablation)
+		cs := scenarioMemo.run(opt, g.pairs, g.scale, g.ablation, g.mixed, g.transfer)
 		figure2(w, g.hwsw, cs, opt.Seed)
 		figure3(w, g.hwsw, cs, opt.Seed)
 		figure6(w)
 		figures10to13(w, g.pairs, cs, opt.Seed)
 		figure14(w, g.scale, cs, opt.Seed)
 		figure15(w, g.ablation, cs, opt.Seed)
-		figure16(w, opt)
-		figure17(w, opt)
+		figure16(w, g.mixed, cs, opt.Seed)
+		figure17(w, g.transfer, cs, opt.Seed)
 		overheads(w)
 	}
 	return []Scenario{
@@ -68,8 +80,8 @@ func Scenarios() []Scenario {
 		{"10", true, view(g.pairs, figures10to13)},
 		{"14", true, view(g.scale, figure14)},
 		{"15", true, view(g.ablation, figure15)},
-		{"16", true, func(w io.Writer, opt Options) { figure16(w, opt) }},
-		{"17", true, func(w io.Writer, opt Options) { figure17(w, opt) }},
+		{"16", true, view(g.mixed, figure16)},
+		{"17", true, view(g.transfer, figure17)},
 		{"faults", true, func(w io.Writer, opt Options) { figureFaults(w, g.faults, opt) }},
 		// No pretrained policy to seed on either rack: the tiered rack's
 		// learned agents train online from scratch.

@@ -14,7 +14,7 @@ import (
 func workloadLevels() []level {
 	var out []level
 	for _, s := range workload.Shapes() {
-		out = append(out, level{s.String(), func(o *Options) { o.WorkloadShape = s }})
+		out = append(out, level{Name: s.String(), Apply: func(o *Options) { o.WorkloadShape = s }})
 	}
 	return out
 }
@@ -51,7 +51,7 @@ func figureWorkloads(w io.Writer, g grid, opt Options) {
 	ladder(w, g, opt, 8, "shape", head, func(c cell) string {
 		return fmt.Sprintf(" %12.1f %12.3f  %s", c.BandwidthTenant(), c.LatencyTenantP99(), strings.Join(c.types, ","))
 	})
-	st := cohortRack(opt)
+	st := cohortScenario(opt)
 	fmt.Fprintf(w, "cohort churn: %d-device rack, exponential sessions, live traffic typing\n", st.Devices)
 	st.Render(w)
 }

@@ -10,7 +10,8 @@
 # drawn, not stored) at several core counts, worker-count
 # identity gates on the scenario figures (the rack figures at -parallel 1, 2
 # and 4: two workers is the benchmark's count, where shards are stolen on a
-# two-core host), the paper's claims over eight seeds, and benchmark
+# two-core host), the paper's claims over eight seeds (and that
+# EXPERIMENTS.md carries their table as printed), and benchmark
 # smoke/allocation gates. What each scenario must show (completed
 # migrations, promotes and demotes, typed traffic, …) is a row of harness's
 # claims table that harness.TestScenarios judges on the runs it renders. So is the internal-API gate: the root package's
@@ -253,6 +254,14 @@ echo "== paper claims (EXPERIMENTS.md's budget, seeds 1-8)"
 "$tmp/fleetbench" -fig claims > "$tmp/claims" 2> /dev/null
 if grep '| FAILS' "$tmp/claims"; then
     echo "a paper claim does not hold (fleetbench -fig claims)" >&2
+    exit 1
+fi
+# EXPERIMENTS.md carries the table between its two claims-table comments; a
+# value or verdict that moved fails here until the table is pasted again.
+sed -n '/^|/p' "$tmp/claims" > "$tmp/claims.table"
+sed -n '/^<!-- claims table:/,/^<!-- end of claims table -->/{/^|/p;}' EXPERIMENTS.md > "$tmp/claims.doc"
+if ! diff "$tmp/claims.doc" "$tmp/claims.table" >&2; then
+    echo "EXPERIMENTS.md's claims table differs from fleetbench -fig claims (< EXPERIMENTS.md, > fleetbench)" >&2
     exit 1
 fi
 
