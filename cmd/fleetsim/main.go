@@ -201,9 +201,12 @@ func runDevice(opt harness.Options, mixFlag, policy, decisionsPath string) {
 	run.Result.WriteTable(os.Stdout)
 	if opt.Faults != nil {
 		fst := run.FaultStats()
-		fmt.Printf("faults: pfail=%d efail=%d readRetryOps=%d timeouts=%d | retired=%d remapped=%d hostRetries=%d gcRetries=%d gcSkips=%d (balanced=%v)\n",
+		fmt.Printf("faults: pfail=%d efail=%d readRetryOps=%d timeouts=%d | retired=%d remapped=%d hostRetries=%d gcRetries=%d gcSkips=%d\n",
 			fst.Device.ProgramFails, fst.Device.EraseFails, fst.Device.ReadRetryOps, fst.Device.ChipTimeouts,
-			fst.Retired, fst.Remapped, fst.WriteRetries, fst.GCRetryPrograms, fst.GCRetrySkips, fst.Balanced())
+			fst.Retired, fst.Remapped, fst.WriteRetries, fst.GCRetryPrograms, fst.GCRetrySkips)
+		if failing := obs.Failing(fst.Invariants()); failing != "" {
+			fmt.Printf("!! invariants fail: %s\n", failing)
+		}
 	}
 
 	if decisionsPath != "" {

@@ -159,6 +159,12 @@ func (d *Device) Runner() *core.Runner { return d.runner }
 // Generators returns the bound generators by vSSD id (nil: undriven).
 func (d *Device) Generators() []*workload.Generator { return d.gens }
 
+// Invariants returns the FTL's and the gSB manager's rows, which hold at
+// every instant between events.
+func (d *Device) Invariants() []obs.Invariant {
+	return append(d.plat.FTL().Invariants(), d.plat.GSB().Invariants()...)
+}
+
 // FaultStats is a device's fault-recovery ledger: what its NAND injected
 // and what the FTL and vSSD layers did about it.
 type FaultStats struct {
@@ -170,18 +176,17 @@ type FaultStats struct {
 	WriteRetries    int64
 }
 
-// Recovered is the number of injected program failures resolved by a
-// recovery action. A settled device satisfies
-// Device.ProgramFails == Remapped == Recovered().
-func (s FaultStats) Recovered() int64 {
-	return s.WriteRetries + s.GCRetryPrograms + s.GCRetrySkips
-}
-
-// Balanced reports whether every injected program failure was remapped and
-// recovered exactly once — the invariant the fault-injection error paths
-// are built around.
-func (s FaultStats) Balanced() bool {
-	return s.Device.ProgramFails == s.Remapped && s.Device.ProgramFails == s.Recovered()
+// Invariants returns the recovery ledger's rows, which hold once the
+// device has settled (see Device.FaultStats): every injected program
+// failure was remapped exactly once (fault.remapped) and resolved by
+// exactly one recovery action, a host re-dispatch, a GC re-program or a GC
+// skip (fault.recovered).
+func (s FaultStats) Invariants() []obs.Invariant {
+	injected, recovered := s.Device.ProgramFails, s.WriteRetries+s.GCRetryPrograms+s.GCRetrySkips
+	return []obs.Invariant{
+		{Name: "fault.remapped", LHS: injected, RHS: s.Remapped, OK: injected == s.Remapped},
+		{Name: "fault.recovered", LHS: s.Remapped, RHS: recovered, OK: s.Remapped == recovered},
+	}
 }
 
 // FaultStats reads the fault-recovery ledger as it stands. A program that

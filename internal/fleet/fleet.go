@@ -741,6 +741,10 @@ func (f *Fleet) collect() Stats {
 	if f.cfg.tiered() {
 		f.collectTiers(&s)
 	}
+	s.Invariants = s.ledgerInvariants()
+	for _, sh := range f.shards {
+		s.Invariants = foldInvariants(s.Invariants, sh.dev.Invariants())
+	}
 	return s
 }
 

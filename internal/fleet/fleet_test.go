@@ -64,9 +64,9 @@ func render(s Stats) string {
 // way harness.Run.FaultStats settles a single run (generators stopped,
 // 50 ms more), and then until nothing on the shard is queued, in flight or
 // collecting (a shard's GC outlives its traffic, and a GC program that
-// just failed is not yet remapped), every shard's fault-recovery ledger
-// balances too: each injected program failure was remapped and recovered
-// exactly once.
+// just failed is not yet remapped), every shard's fault-recovery rows hold
+// too: each injected program failure was remapped and recovered exactly
+// once. So do its device rows.
 func TestRackFaultLedgerBalances(t *testing.T) {
 	cfg := testConfig()
 	cfg.Devices = 8
@@ -89,8 +89,8 @@ func TestRackFaultLedgerBalances(t *testing.T) {
 		}
 		st := sh.dev.FaultStats()
 		injected += st.Device.ProgramFails
-		if !st.Balanced() {
-			t.Errorf("shard %d: injected=%d remapped=%d recovered=%d", i, st.Device.ProgramFails, st.Remapped, st.Recovered())
+		if failing := obs.Failing(append(st.Invariants(), sh.dev.Invariants()...)); failing != "" {
+			t.Errorf("shard %d: %s", i, failing)
 		}
 	}
 	if injected == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -29,9 +30,9 @@ func typeModel() *cluster.Model {
 // fault-free steady one). Every entry is rendered (roll-up plus
 // per-device detail) at one, three and four workers (three gives home
 // spans of unequal size, so stealing crosses spans of different lengths);
-// each must equal the checked-in golden, and every tenant holding a slot
-// must have been built. Regenerate (only for an intentional model change)
-// with:
+// each must equal the checked-in golden, every tenant holding a slot must
+// have been built, and every invariant row of the rack must hold.
+// Regenerate (only for an intentional model change) with:
 //
 //	go test ./internal/fleet/ -run TestRackGoldens -update
 func TestRackGoldens(t *testing.T) {
@@ -84,6 +85,12 @@ func TestRackGoldens(t *testing.T) {
 				}
 				if r.placedAtEnd && !atEnd {
 					t.Fatalf("workers=%d: no tenant was placed at the final boundary %v", workers, f.cfg.Duration)
+				}
+				if len(st.Invariants) == 0 {
+					t.Fatalf("workers=%d: the rack carries no invariant rows", workers)
+				}
+				if failing := obs.Failing(st.Invariants); failing != "" {
+					t.Fatalf("workers=%d: rows fail: %s", workers, failing)
 				}
 				return render(st)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -88,6 +89,12 @@ type Stats struct {
 	LsMeanP99Ms  float64
 
 	PerDevice []DeviceStats
+
+	// Invariants is what the rack must satisfy at collection: one row for
+	// each ledger identity above, then every shard's device rows folded by
+	// name (device.Device.Invariants). A folded row's sides are sums over
+	// the shards, and it holds only when it holds on every shard.
+	Invariants []obs.Invariant
 }
 
 // TierStats is one tier's slice of the roll-up.
@@ -112,15 +119,42 @@ func sortTypeCounts(tc []TypeCount) {
 	sort.Slice(tc, func(i, j int) bool { return tc[i].Label < tc[j].Label })
 }
 
-// Balanced reports whether the tenant and migration ledgers close: every
-// arrival is accounted for exactly once, every placement is still alive,
-// and every started migration either completed or is in flight.
-func (s Stats) Balanced() bool {
-	return s.Arrived == s.Running+s.Migrating+s.Queued+s.Rejected+s.Departed &&
-		s.Placed == s.Running+s.Migrating+s.Departed &&
-		s.MigrationsStarted == s.MigrationsCompleted+s.MigrationsInFlight &&
-		s.PromotesStarted+s.DemotesStarted == s.Promotes+s.Demotes+s.TierMovesInFlight &&
-		s.PromotesStarted+s.DemotesStarted <= s.MigrationsStarted
+// Balanced reports whether every row of s.Invariants holds.
+func (s Stats) Balanced() bool { return obs.Failing(s.Invariants) == "" }
+
+// ledgerInvariants is s's ledger identities as rows: every arrival is
+// accounted for exactly once, every placement is still alive or departed,
+// every started migration completed or is in flight, and so is every
+// started tier move, each of which is also a migration.
+func (s Stats) ledgerInvariants() []obs.Invariant {
+	eq := func(name string, lhs, rhs int) obs.Invariant {
+		return obs.Invariant{Name: name, LHS: int64(lhs), RHS: int64(rhs), OK: lhs == rhs}
+	}
+	tierStarted := s.PromotesStarted + s.DemotesStarted
+	return []obs.Invariant{
+		eq("fleet.arrived", s.Arrived, s.Running+s.Migrating+s.Queued+s.Rejected+s.Departed),
+		eq("fleet.placed", s.Placed, s.Running+s.Migrating+s.Departed),
+		eq("fleet.migrations", s.MigrationsStarted, s.MigrationsCompleted+s.MigrationsInFlight),
+		eq("fleet.tier_moves", tierStarted, s.Promotes+s.Demotes+s.TierMovesInFlight),
+		{Name: "fleet.tier_migrations", LHS: int64(tierStarted), RHS: int64(s.MigrationsStarted), OK: tierStarted <= s.MigrationsStarted},
+	}
+}
+
+// foldInvariants adds rows into folded by name, appending a name it does
+// not hold yet: the sides sum, and a row holds only while every row folded
+// into it does.
+func foldInvariants(folded, rows []obs.Invariant) []obs.Invariant {
+	for _, r := range rows {
+		i := slices.IndexFunc(folded, func(f obs.Invariant) bool { return f.Name == r.Name })
+		if i < 0 {
+			folded = append(folded, r)
+			continue
+		}
+		folded[i].LHS += r.LHS
+		folded[i].RHS += r.RHS
+		folded[i].OK = folded[i].OK && r.OK
+	}
+	return folded
 }
 
 // Render prints the roll-up as the deterministic fleet table used by
@@ -151,10 +185,8 @@ func (s Stats) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "fleet: completed=%d aggBW=%.1fMB/s avgUtil=%.1f%% devUtil min/max=%.1f%%/%.1f%%\n",
 		s.Completed, s.AggBandwidthMBps, s.AvgUtil*100, s.MinUtil*100, s.MaxUtil*100)
-	if !s.Balanced() {
-		fmt.Fprintf(w, "!! ledger imbalance: arrived=%d running=%d migrating=%d queued=%d rejected=%d departed=%d started=%d done=%d inflight=%d\n",
-			s.Arrived, s.Running, s.Migrating, s.Queued, s.Rejected, s.Departed,
-			s.MigrationsStarted, s.MigrationsCompleted, s.MigrationsInFlight)
+	if failing := obs.Failing(s.Invariants); failing != "" {
+		fmt.Fprintf(w, "!! invariants fail: %s\n", failing)
 	}
 }
 

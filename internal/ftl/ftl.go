@@ -392,6 +392,44 @@ func (m *Manager) blockID(idx int) flash.BlockID {
 // Stats returns a copy of the manager-wide counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
+// Invariants returns the block table's conservation rows, which hold at
+// every instant between events:
+//   - ftl.free: blocks in the free state = Σ freeCount = Σ len(freePools)
+//     (the RHS shown is whichever count disagrees, if one does);
+//   - ftl.valid: Σ block valid pages = Σ tenant MappedPages;
+//   - ftl.retired: blocks in the bad state = Stats.Retired.
+func (m *Manager) Invariants() []obs.Invariant {
+	var free, bad, valid, mapped, counted, pooled int64
+	for i := range m.blocks {
+		b := &m.blocks[i]
+		switch b.state {
+		case blockFree:
+			free++
+		case blockBad:
+			bad++
+		}
+		valid += int64(b.valid)
+	}
+	for _, t := range m.tenants {
+		mapped += t.mappedPages
+	}
+	for _, n := range m.freeCount {
+		counted += int64(n)
+	}
+	for _, p := range m.freePools {
+		pooled += int64(len(p))
+	}
+	freeRHS := counted
+	if counted == free {
+		freeRHS = pooled
+	}
+	return []obs.Invariant{
+		{Name: "ftl.free", LHS: free, RHS: freeRHS, OK: free == counted && counted == pooled},
+		{Name: "ftl.valid", LHS: valid, RHS: mapped, OK: valid == mapped},
+		{Name: "ftl.retired", LHS: bad, RHS: m.stats.Retired, OK: bad == m.stats.Retired},
+	}
+}
+
 // ScheduleRetry runs h(arg, now) retryDelay from now, on the lane all
 // allocation-stall retries of this device share.
 func (m *Manager) ScheduleRetry(h sim.EventHandler, arg sim.EventArg) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flash"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -318,7 +319,10 @@ func checkMapping(t *testing.T, m *Manager, seed int64, step int) {
 }
 
 // Property: the L2P tables, the per-page back-pointers and the per-block
-// valid counts stay consistent (checkMapping, after every step) through a
+// valid counts stay consistent (checkMapping, after every step), and so do
+// the Manager's invariant rows (free counts against pools against block
+// states, valid pages against mapped pages, Retired against bad blocks),
+// through a
 // random walk of three tenants over everything that moves a page: host
 // writes submitted to the device and re-dispatched on a program failure
 // (the vSSD layer's protocol), trims, GC with migration, gSBs lent on one
@@ -410,6 +414,9 @@ func TestMappingConsistencyProperty(t *testing.T) {
 				}
 			default:
 				write(tn, rng.Intn(logical))
+			}
+			if failing := obs.Failing(m.Invariants()); failing != "" {
+				t.Fatalf("seed %d step %d: rows fail: %s", seed, step, failing)
 			}
 			checkMapping(t, m, seed, step)
 		}

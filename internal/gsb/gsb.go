@@ -104,6 +104,13 @@ func NewManager(ftlm *ftl.Manager, channels int, channelBW float64) *Manager {
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
+// Invariants returns the gSB lifecycle row, which holds at every instant
+// between events: gsb.live, the live gSBs = Created − Reclaimed.
+func (m *Manager) Invariants() []obs.Invariant {
+	live, want := int64(len(m.byID)), m.stats.Created-m.stats.Reclaimed
+	return []obs.Invariant{{Name: "gsb.live", LHS: live, RHS: want, OK: live == want}}
+}
+
 // HarvestableChannels returns the total channel-count of home's live,
 // not-reclaiming gSBs — its current harvestable budget.
 func (m *Manager) HarvestableChannels(home int) int {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -264,7 +266,38 @@ func paperClaims() []claim {
 	for i := range paper {
 		paper[i].at, paper[i].seeds = paperBudget, paperSeeds
 	}
-	return paper
+	return append(paper, balanceRow("Figs. 2–17", "cells with a row that does not hold, over every cell the paper rows read", paper, nil))
+}
+
+// balanceRow is the row each budget carries for figure: at every seed, no
+// cell that rows read and no rack of racks (nil: none) has an invariant row
+// that does not hold. It reads them through the process memo, so it runs
+// nothing the other rows do not.
+func balanceRow(figure, quantity string, rows []claim, racks func(Options) []fleet.Stats) claim {
+	var gs []grid
+	for _, c := range rows {
+		if len(c.reads.mixes) > 0 {
+			gs = append(gs, c.reads)
+		}
+	}
+	value := func(_ cells, opt Options) float64 {
+		n := 0
+		for _, c := range scenarioMemo.run(opt, gs...) {
+			if obs.Failing(c.rows) != "" {
+				n++
+			}
+		}
+		if racks != nil {
+			for _, st := range racks(opt) {
+				if !st.Balanced() {
+					n++
+				}
+			}
+		}
+		return float64(n)
+	}
+	return claim{figure: figure, quantity: quantity, paper: "—", rel: exactly(0), every: true,
+		at: rows[0].at, seeds: rows[0].seeds, value: value}
 }
 
 // verdict is a claim judged: its value at each of its seeds, in order.

@@ -37,14 +37,9 @@ func figureFaults(w io.Writer, g grid, opt Options) {
 	head := fmt.Sprintf(" %10s %10s %9s %9s %9s %9s", "pfail", "efail", "retired", "remap", "retries", "gcRetry")
 	ladder(w, g, opt, 6, "level", head, func(c cell) string {
 		st := c.faults
-		row := fmt.Sprintf(" %10d %10d %9d %9d %9d %9d",
+		return fmt.Sprintf(" %10d %10d %9d %9d %9d %9d",
 			st.Device.ProgramFails, st.Device.EraseFails,
 			st.Retired, st.Remapped, st.WriteRetries,
 			st.GCRetryPrograms+st.GCRetrySkips)
-		if !st.Balanced() {
-			row += fmt.Sprintf("\n  !! recovery imbalance: injected=%d remapped=%d recovered=%d",
-				st.Device.ProgramFails, st.Remapped, st.Recovered())
-		}
-		return row
 	})
 }

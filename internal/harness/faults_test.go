@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -33,10 +34,9 @@ func TestFaultRecoveryInvariant(t *testing.T) {
 	if st.Device.ProgramFails == 0 {
 		t.Fatal("heavy fault profile injected no program failures")
 	}
-	if !st.Balanced() {
-		t.Fatalf("recovery imbalance: injected=%d remapped=%d recovered=%d (writeRetries=%d gcRetry=%d gcSkip=%d)",
-			st.Device.ProgramFails, st.Remapped, st.Recovered(),
-			st.WriteRetries, st.GCRetryPrograms, st.GCRetrySkips)
+	if failing := obs.Failing(st.Invariants()); failing != "" {
+		t.Fatalf("recovery rows fail: %s (writeRetries=%d gcRetry=%d gcSkip=%d)",
+			failing, st.WriteRetries, st.GCRetryPrograms, st.GCRetrySkips)
 	}
 	if st.Retired < st.Device.EraseFails {
 		t.Fatalf("retired blocks %d < injected erase fails %d", st.Retired, st.Device.EraseFails)

@@ -101,7 +101,19 @@ func TierScenario(tp fleet.TierPolicyKind, opt Options) fleet.Stats {
 // cloneStats is a deep copy of st.
 func cloneStats(st fleet.Stats) fleet.Stats {
 	st.TypeCounts, st.Tiers = slices.Clone(st.TypeCounts), slices.Clone(st.Tiers)
+	st.PerDevice, st.Invariants = slices.Clone(st.PerDevice), slices.Clone(st.Invariants)
 	return st
+}
+
+// racksOf is a rack scenario's racks: run at opt for each of ks, in order.
+func racksOf[K any](ks []K, run func(K, Options) fleet.Stats) func(Options) []fleet.Stats {
+	return func(opt Options) []fleet.Stats {
+		var out []fleet.Stats
+		for _, k := range ks {
+			out = append(out, run(k, opt))
+		}
+		return out
+	}
 }
 
 // figureFleet renders the rack-scale scenario: every placement baseline

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -42,6 +43,10 @@ type cell struct {
 	Result
 	faults device.FaultStats // the settled recovery ledger; zero without an injector
 	types  []string          // workload-type labels; empty unless the policy re-types
+	// rows is what the finished run must satisfy: every device's rows
+	// (each solo device's, on a split cell), its bandwidth bound, and the
+	// settled recovery ledger's rows when faults are injected.
+	rows []obs.Invariant
 	// opt is what the cell ran under. Holding it keeps alive what the
 	// cell's key names by address, so no other object can take the address.
 	opt Options
@@ -154,7 +159,7 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 		c := m.cells.get(key, func() cell {
 			return runCell(j.mix, j.kind, m.slos.get(cal, func() []sim.Time { return Calibrate(j.mix, j.base) }), j.opt, j.run)
 		})
-		c.Tenants, c.types = slices.Clone(c.Tenants), slices.Clone(c.types)
+		c.Tenants, c.types, c.rows = slices.Clone(c.Tenants), slices.Clone(c.types), slices.Clone(c.rows)
 		mu.Lock()
 		out[j.addr] = c
 		mu.Unlock()
@@ -163,20 +168,27 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 }
 
 // runCell is run's finished run (RunOne's, when run is nil), keeping what
-// the scenario columns read off a joint run: the fault ledger, settled,
-// when faults are injected, and the workload-type labels of a policy that
-// re-types.
+// the scenario columns and the claims read off it: the invariant rows, the
+// fault ledger, settled, when faults are injected, and the workload-type
+// labels of a policy that re-types. A split run's rows are its solo
+// devices'.
 func runCell(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options, run func(MixSpec, PolicyKind, []sim.Time, Options) *Run) cell {
 	if run == nil {
 		if splittable(kind, opt) {
-			return cell{Result: RunOne(mix, kind, slos, opt), opt: opt}
+			solos := measureSplit(mix, slos, opt)
+			c := cell{Result: mergeSolos(mix, solos, opt), opt: opt}
+			for _, s := range solos {
+				c.rows = append(c.rows, s.invariants()...)
+			}
+			return c
 		}
 		run = Measure
 	}
 	r := run(mix, kind, slos, opt)
-	c := cell{Result: r.Result, types: r.typeLabels(), opt: opt}
+	c := cell{Result: r.Result, types: r.typeLabels(), rows: r.invariants(), opt: opt}
 	if opt.faultsEnabled() {
 		c.faults = r.FaultStats()
+		c.rows = append(c.rows, c.faults.Invariants()...)
 	}
 	return c
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -74,29 +75,45 @@ func TestMemoReadsDeepCopy(t *testing.T) {
 	if len(wantTypes) == 0 {
 		t.Fatal("a FleetIO cell carries no workload-type labels")
 	}
+	wantRows := map[PolicyKind][]obs.Invariant{}
 	for _, k := range g.kinds {
 		c := first.at(mix, k, "", opt.Seed)
+		if len(c.rows) == 0 {
+			t.Fatalf("a %v cell carries no invariant rows", k)
+		}
+		wantRows[k] = slices.Clone(c.rows)
 		for i := range c.Tenants {
 			c.Tenants[i].P99Ms, c.Tenants[i].Workload = -1, "mutated"
 		}
 		for i := range c.types {
 			c.types[i] = "mutated"
 		}
+		for i := range c.rows {
+			c.rows[i].Name, c.rows[i].OK = "mutated", false
+		}
 	}
-	again := m.run(opt, g).at(mix, PolFleetIO, "", opt.Seed)
-	if got := renderResults([]Result{again.Result}); got != want {
+	again := m.run(opt, g)
+	fio := again.at(mix, PolFleetIO, "", opt.Seed)
+	if got := renderResults([]Result{fio.Result}); got != want {
 		t.Fatalf("editing a projected Result edited the memo:\n%s\nwant\n%s", got, want)
 	}
-	if !reflect.DeepEqual(again.types, wantTypes) {
-		t.Fatalf("editing projected type labels edited the memo: %v", again.types)
+	if !reflect.DeepEqual(fio.types, wantTypes) {
+		t.Fatalf("editing projected type labels edited the memo: %v", fio.types)
+	}
+	for _, k := range g.kinds {
+		if got := again.at(mix, k, "", opt.Seed).rows; !reflect.DeepEqual(got, wantRows[k]) {
+			t.Fatalf("editing a %v cell's invariant rows edited the memo: %v", k, got)
+		}
 	}
 
 	// A rack's roll-up, measured outside a grid, is read the same way.
 	rack := func() fleet.Stats {
-		return fleet.Stats{TypeCounts: []fleet.TypeCount{{Label: "a", Count: 1}}, Tiers: []fleet.TierStats{{Name: "a"}}}
+		return fleet.Stats{TypeCounts: []fleet.TypeCount{{Label: "a", Count: 1}}, Tiers: []fleet.TierStats{{Name: "a"}},
+			PerDevice: []fleet.DeviceStats{{Completed: 1}}, Invariants: []obs.Invariant{{Name: "a", OK: true}}}
 	}
 	st := memoized(m, "rack", opt, rack, cloneStats)
-	st.TypeCounts[0].Count, st.Tiers[0].Name = -1, "mutated"
+	st.TypeCounts[0].Count, st.Tiers[0].Name, st.PerDevice[0].Completed = -1, "mutated", -1
+	st.Invariants[0].Name, st.Invariants[0].OK = "mutated", false
 	if got := memoized(m, "rack", opt, rack, cloneStats); !reflect.DeepEqual(got, rack()) {
 		t.Fatalf("editing a memoized rack edited the memo: %+v", got)
 	}

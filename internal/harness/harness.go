@@ -768,6 +768,21 @@ func (r *Run) Collect() Result {
 	return res
 }
 
+// invariants is the run's rows as it finished: its device's, and the
+// physical bound that the payload bytes its vSSDs moved in the measured
+// interval fit the device's peak bandwidth over that interval
+// (run.bandwidth). The bound is per interval: a window can read over 1,
+// since a request's bytes land in the window its last page completes in.
+func (r *Run) invariants() []obs.Invariant {
+	var bytes int64
+	for _, v := range r.Platform().VSSDs() {
+		bytes += v.TotalBytesMoved()
+	}
+	peak := r.Platform().FlashConfig().PeakBandwidth() * float64(r.Measured()) / 1e9
+	bound := obs.Invariant{Name: "run.bandwidth", LHS: bytes, RHS: int64(peak), OK: float64(bytes) <= peak}
+	return append(r.dev.Invariants(), bound)
+}
+
 // utilization returns the mean utilization of a device of geometry fc that
 // moved bytes in measured (payload bytes over the device's peak aggregate
 // bandwidth for that interval; 0 for an empty interval), and the 95th

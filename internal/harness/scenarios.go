@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/fleet"
 )
 
 // Scenario is one named experiment: what `fleetbench -fig <Name>` runs and,
@@ -18,6 +20,9 @@ type Scenario struct {
 	Pretrained bool
 	// Render runs the scenario and prints its figure.
 	Render func(w io.Writer, opt Options)
+	// racks is the rack roll-ups Render prints, at opt; nil for a scenario
+	// that runs no rack.
+	racks func(opt Options) []fleet.Stats
 }
 
 // figureGrids are the grids the paper figures and the ladders project; the
@@ -73,25 +78,26 @@ func Scenarios() []Scenario {
 		overheads(w)
 	}
 	return []Scenario{
-		{"all", true, figureAll},
-		{"2", true, view(g.hwsw, figure2)},
-		{"3", true, view(g.hwsw, figure3)},
-		{"6", false, func(w io.Writer, _ Options) { figure6(w) }},
-		{"10", true, view(g.pairs, figures10to13)},
-		{"14", true, view(g.scale, figure14)},
-		{"15", true, view(g.ablation, figure15)},
-		{"16", true, view(g.mixed, figure16)},
-		{"17", true, view(g.transfer, figure17)},
-		{"faults", true, func(w io.Writer, opt Options) { figureFaults(w, g.faults, opt) }},
+		{Name: "all", Pretrained: true, Render: figureAll},
+		{Name: "2", Pretrained: true, Render: view(g.hwsw, figure2)},
+		{Name: "3", Pretrained: true, Render: view(g.hwsw, figure3)},
+		{Name: "6", Render: func(w io.Writer, _ Options) { figure6(w) }},
+		{Name: "10", Pretrained: true, Render: view(g.pairs, figures10to13)},
+		{Name: "14", Pretrained: true, Render: view(g.scale, figure14)},
+		{Name: "15", Pretrained: true, Render: view(g.ablation, figure15)},
+		{Name: "16", Pretrained: true, Render: view(g.mixed, figure16)},
+		{Name: "17", Pretrained: true, Render: view(g.transfer, figure17)},
+		{Name: "faults", Pretrained: true, Render: func(w io.Writer, opt Options) { figureFaults(w, g.faults, opt) }},
 		// No pretrained policy to seed on either rack: the tiered rack's
 		// learned agents train online from scratch.
-		{"fleet", false, figureFleet},
-		{"tiers", false, figureTiers},
-		{"workloads", true, func(w io.Writer, opt Options) { figureWorkloads(w, g.shapes, opt) }},
-		{"overhead", false, func(w io.Writer, _ Options) { overheads(w) }},
+		{Name: "fleet", Render: figureFleet, racks: racksOf(fleet.Placements(), FleetScenario)},
+		{Name: "tiers", Render: figureTiers, racks: racksOf(fleet.TierPolicies(), TierScenario)},
+		{Name: "workloads", Pretrained: true, Render: func(w io.Writer, opt Options) { figureWorkloads(w, g.shapes, opt) },
+			racks: func(opt Options) []fleet.Stats { return []fleet.Stats{cohortScenario(opt)} }},
+		{Name: "overhead", Render: func(w io.Writer, _ Options) { overheads(w) }},
 		// The claims judge themselves at their own budgets, whatever the
 		// flags say; each budget says whether it is pretrained.
-		{"claims", false, figureClaims},
+		{Name: "claims", Render: figureClaims},
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -25,8 +26,11 @@ func TestCohortScenarioChurns(t *testing.T) {
 	if st.Departed == 0 {
 		t.Fatalf("cohort rack departed nobody: %+v", st)
 	}
-	if !st.Balanced() {
-		t.Fatalf("cohort ledger imbalance: %+v", st)
+	if len(st.Invariants) == 0 {
+		t.Fatal("the cohort rack carries no invariant rows")
+	}
+	if failing := obs.Failing(st.Invariants); failing != "" {
+		t.Fatalf("cohort rows fail: %s", failing)
 	}
 	if len(st.TypeCounts) == 0 {
 		t.Fatalf("cohort rack classified no traffic: %+v", st)

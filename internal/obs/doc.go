@@ -26,6 +26,11 @@
 // at /debug/pprof/ on a real listener; cmd/fleetsim, cmd/fleettrain,
 // cmd/fleetbench, and cmd/fleetcluster mount it behind their -http flag.
 //
+// Invariant is the one vocabulary of what a finished run must satisfy:
+// each layer (FTL, gSB, device, fault ledger, rack) returns its
+// conservation identities and bounds as rows, and Failing prints the
+// rows that do not hold.
+//
 // Naming follows Prometheus conventions: every series is prefixed
 // "fleetio_", units are encoded in the name (_bytes_per_second,
 // _seconds, _ratio), and monotone series end in _total. The full metric
