@@ -48,7 +48,9 @@
 // bursty, trace replay) plus a cohort-churn rack with live traffic typing
 // (see docs/WORKLOADS.md). -workload overlays one of those shapes on the
 // other figures' runs; -trace substitutes a recorded block trace (binary
-// or CSV) for the synthetic replay source.
+// or CSV) for the synthetic replay source. It implies the replay shape, so
+// -trace with -workload diurnal or bursty fails before any run, naming
+// both flags.
 package main
 
 import (

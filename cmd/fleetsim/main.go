@@ -19,8 +19,10 @@
 // -workload overlays a temporal shape (steady, diurnal, bursty, or replay)
 // on every tenant's arrival process; -trace replays a recorded block trace
 // (binary or CSV, converted on the fly — see docs/WORKLOADS.md) through
-// each tenant instead of the synthetic generators. SLO calibration always
-// runs on the steady shape, matching §3.3.1.
+// each tenant instead of the synthetic generators, so it combines only with
+// the default -workload steady or an explicit replay: -trace with -workload
+// diurnal or bursty fails before any run, naming both flags. SLO
+// calibration always runs on the steady shape, matching §3.3.1.
 //
 // -parallel bounds the worker pool: independent harness runs in flight at
 // once, or, with -fleet, device shards advanced concurrently per epoch

@@ -524,9 +524,9 @@ func (t *Tenant) gcPriority() int {
 //
 // Candidates come from the tenant's fullSets bitmap rather than a scan of
 // the whole block table. The walk over its set bits is 9-11% of CPU (flat)
-// on a write-heavy pair, at about 1 340 block records visited per call —
-// see docs/PERFORMANCE.md, "Measured, not claimed (issue 22)", before
-// optimising it again.
+// on a write-heavy pair, at about 1 340 block records visited per call;
+// dense per-block victim keys read level end to end (CHANGES.md, the
+// trace-ring re-typing change's measurement record).
 // Words and bits iterate in ascending block-index order and the comparison
 // stays a strict less-than, so the chosen victim — including the
 // lowest-index tie-break — is identical to the old linear scan's.

@@ -64,6 +64,9 @@ func SharedFlags(fs *flag.FlagSet) func() (Options, *obs.Server, error) {
 			return opt, nil, fmt.Errorf("parsing -workload: %w", err)
 		}
 		if *traceFile != "" {
+			if s := opt.WorkloadShape; s == workload.ShapeDiurnal || s == workload.ShapeBursty {
+				return opt, nil, fmt.Errorf("-trace replays its records as they are, so it does not combine with -workload %s", *shapeName)
+			}
 			if opt.ReplayRecords, err = trace.LoadFile(*traceFile, flash.DefaultConfig().PageSize); err != nil {
 				return opt, nil, fmt.Errorf("loading -trace: %w", err)
 			}

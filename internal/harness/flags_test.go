@@ -92,6 +92,13 @@ func TestSharedFlags(t *testing.T) {
 				t.Errorf("records=%d shape=%v", len(opt.ReplayRecords), opt.WorkloadShape)
 			}
 		}},
+		{name: "trace with replay", args: []string{"-workload", "replay", "-trace", sample}, check: func(t *testing.T, opt Options) {
+			if len(opt.ReplayRecords) == 0 || opt.WorkloadShape != workload.ShapeReplay {
+				t.Errorf("records=%d shape=%v", len(opt.ReplayRecords), opt.WorkloadShape)
+			}
+		}},
+		{name: "trace with bursty", args: []string{"-workload", "bursty", "-trace", sample}, wantErr: "-trace replays its records as they are, so it does not combine with -workload bursty"},
+		{name: "trace with diurnal", args: []string{"-trace", sample, "-workload", "diurnal"}, wantErr: "-trace replays its records as they are, so it does not combine with -workload diurnal"},
 		{name: "missing trace", args: []string{"-trace", "no-such-file"}, wantErr: "-trace"},
 		{name: "unordered binary trace", args: []string{"-trace", unordered}, wantErr: "replay record 1 out of order"},
 		{name: "rack", args: []string{"-fleet", "4", "-seconds", "0.5", "-parallel", "1", "-seed", "3"},

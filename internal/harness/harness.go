@@ -827,17 +827,9 @@ func (r Result) WriteTable(w io.Writer) {
 // up to opt.Workers goroutines; the P99s are the joint run's exactly.
 func Calibrate(mix MixSpec, opt Options) []sim.Time {
 	opt = opt.calibration()
-	var vs []*vssd.VSSD
-	if splittable(PolHardware, opt) {
-		for _, s := range measureSplit(mix, nil, opt) {
-			vs = append(vs, s.Platform().VSSD(0))
-		}
-	} else {
-		vs = Measure(mix, PolHardware, nil, opt).Platform().VSSDs()
-	}
 	slos := make([]sim.Time, len(mix.Workloads))
-	for i, v := range vs {
-		slos[i] = v.TotalHist().P99()
+	for i, s := range measureSplit(mix, nil, opt) {
+		slos[i] = s.Platform().VSSD(0).TotalHist().P99()
 		if slos[i] <= 0 {
 			slos[i] = 2 * sim.Millisecond
 		}

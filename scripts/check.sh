@@ -2,7 +2,9 @@
 # check.sh — the repo's `make check`: formatting, vet, build, the full test
 # suite (plus the nested bench/ module's vet and one run of each example),
 # the four grep gates (one NN compute path, one retry protocol with host
-# stalls as stall runs, bus lane, hot-path boxing), the race detector on the
+# stalls as stall runs, bus lane, hot-path boxing), a gate that
+# docs/PERFORMANCE.md carries its perf-PR table between its two markers and
+# no per-PR log section, the race detector on the
 # concurrency-heavy packages, a gate that each binary rejects a value no run
 # can honour before running, the allocation guards (what a steady state may
 # allocate, how wide the FTL tables and the per-vSSD measurement state are,
@@ -130,6 +132,23 @@ if grep -n 'interface{}' internal/flash/*.go internal/sim/*.go internal/ftl/*.go
     echo "interface{} found in a hot-path package; use a typed or pointer-shaped any slot" >&2
     exit 1
 fi
+
+echo "== docs/PERFORMANCE.md holds no per-PR log"
+# PERFORMANCE.md describes the code as it is; what each perf PR measured is
+# one row of its perf-PR table (root TestLedger checks the row's ledger
+# values against BENCH_fleet.json) and its CHANGES.md entry. A heading that
+# names a PR or an issue, or a "Measured, not claimed" log, is a section
+# per PR again, which is text to keep true that grows with every change.
+if grep -nE '^#+ .*(Measured, not claimed|\((PR|issue) [0-9]+\))' docs/PERFORMANCE.md; then
+    echo "docs/PERFORMANCE.md: a per-PR heading; add a row to the perf-PR table and the history to CHANGES.md" >&2
+    exit 1
+fi
+for marker in '^<!-- perf-PR table:' '^<!-- end of perf-PR table -->'; do
+    if ! grep -q "$marker" docs/PERFORMANCE.md; then
+        echo "docs/PERFORMANCE.md: the perf-PR table marker $marker is missing" >&2
+        exit 1
+    fi
+done
 
 echo "== go test -race (concurrency-heavy packages)"
 # Includes the gSB pool's concurrent no-double-grant test, the fleet's
