@@ -98,8 +98,6 @@ type FleetIOConfig struct {
 	TypeModel *cluster.Model
 	// AlphaByCluster maps the TypeModel's cluster ids to α values.
 	AlphaByCluster map[int]float64
-	// RL overrides PPO hyperparameters, resolved by rl.Config.Resolved.
-	RL rl.Config
 
 	// Obs traces per-window decisions (the three issued actions plus the
 	// single/mixed rewards of the closing window); nil disables.
@@ -155,7 +153,6 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 	if cfg.TrainEvery == 0 {
 		cfg.TrainEvery = 10
 	}
-	cfg.RL = cfg.RL.Resolved()
 	f := &FleetIO{cfg: cfg, plat: plat, rng: sim.NewRNG(cfg.Seed)}
 	f.stateDim = DefaultHistoryWindows * f.stateWidth()
 	if cfg.ShareModel {
@@ -165,7 +162,7 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 		if net == nil {
 			net = nn.NewActorCritic(f.stateDim, 50, f.heads(), f.rng.Split(-1))
 		}
-		f.shared = rl.New(net, cfg.RL, f.rng.Split(-2))
+		f.shared = rl.New(net, rl.DefaultConfig(), f.rng.Split(-2))
 	}
 	f.SyncAgents()
 	return f
@@ -223,7 +220,7 @@ func (f *FleetIO) SyncAgents() {
 			a.ppo = f.shared
 		} else {
 			r := f.rng.Split(int64(i))
-			a.ppo = rl.New(f.newNet(r), f.cfg.RL, r.Split(7))
+			a.ppo = rl.New(f.newNet(r), rl.DefaultConfig(), r.Split(7))
 		}
 		f.agents = append(f.agents, a)
 	}
@@ -372,7 +369,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 				a.lastLogProb = lps[r]
 				a.lastValue = vals[r]
 				a.pending = true
-				if trainWindow && a.buf.Len() >= f.cfg.RL.MiniBatch {
+				if trainWindow && a.buf.Len() >= rl.MiniBatch {
 					// The value just estimated for this state bootstraps
 					// the return of the buffer's last transition.
 					st := ppo.Train(&a.buf, a.lastValue)

@@ -33,8 +33,9 @@ func (s StaticPolicy) Name() string { return s.PolicyName }
 // Decide never acts.
 func (s StaticPolicy) Decide(sim.Time, []vssd.WindowSnapshot) []vssd.Action { return nil }
 
-// Runner drives a policy: every Window it rotates all vSSD windows, asks
-// the policy for actions, and routes them through admission control.
+// Runner drives a policy: every Window (which must be positive) it rotates
+// all vSSD windows, asks the policy for actions, and routes them through
+// admission control.
 type Runner struct {
 	Plat   *vssd.Platform
 	Adm    *admission.Controller // nil: apply directly
@@ -62,9 +63,6 @@ func (r *Runner) Start() {
 		return
 	}
 	r.started = true
-	if r.Window <= 0 {
-		r.Window = 2 * sim.Second
-	}
 	if r.Adm != nil {
 		r.Adm.Start()
 	}

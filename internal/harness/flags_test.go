@@ -14,6 +14,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/vssd"
 	"repro/internal/workload"
 )
 
@@ -167,6 +168,17 @@ func TestValidateGuardsEntryPoints(t *testing.T) {
 		}
 	}
 
+	for name, edit := range map[string]func(*Options){
+		"Channels":      func(o *Options) { o.Channels = -4 },
+		"BlocksPerChip": func(o *Options) { o.BlocksPerChip = -1 },
+	} {
+		opt := DefaultOptions()
+		edit(&opt)
+		if err := opt.Validate(); err == nil || !strings.HasPrefix(err.Error(), name+" ") {
+			t.Errorf("negative %s: err = %v, want one naming %s", name, err, name)
+		}
+	}
+
 	opt := DefaultOptions()
 	opt.Duration = 0
 	want := opt.Validate()
@@ -199,5 +211,47 @@ func TestValidateGuardsEntryPoints(t *testing.T) {
 	pc.EpisodeDuration = 0
 	if _, err := PretrainRun(pc, core.ModeFull); err == nil || err.Error() != pc.Validate().Error() {
 		t.Errorf("PretrainRun with no episode length: err = %v, want Validate's", err)
+	}
+}
+
+// TestReplayRecordRules: a supplied trace is held to the replay rules in
+// one place, which both Options.Validate (under the -trace prefix) and a
+// generator built on the trace (which panics) reach: an empty trace, a
+// record of no pages, a negative LPN and a record earlier than the one
+// before it are rejected, and a sorted trace is accepted.
+func TestReplayRecordRules(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		recs    []trace.Record
+		wantErr string
+	}{
+		{"empty", nil, "empty replay trace"},
+		{"zero pages", []trace.Record{{At: 0, Pages: 1}, {At: 1, Pages: 0}}, "replay record 1: lpn=0 pages=0"},
+		{"negative lpn", []trace.Record{{At: 0, LPN: -3, Pages: 1}}, "replay record 0: lpn=-3 pages=1"},
+		{"out of order", []trace.Record{{At: 5, Pages: 1}, {At: 4, Pages: 1}}, "replay record 1 out of order"},
+		{"sorted", []trace.Record{{At: 0, Pages: 1}, {At: 0, LPN: 7, Pages: 2}, {At: 9, Pages: 1}}, ""},
+	} {
+		if tc.recs != nil { // to Options, no records means no trace
+			opt := DefaultOptions()
+			opt.ReplayRecords = tc.recs
+			err := opt.Validate()
+			if tc.wantErr == "" && err != nil ||
+				tc.wantErr != "" && (err == nil || err.Error() != "-trace (ReplayRecords): workload trace: "+tc.wantErr) {
+				t.Errorf("%s: Validate: %v, want %q under the -trace prefix", tc.name, err, tc.wantErr)
+			}
+		}
+
+		eng := sim.NewEngine()
+		v := vssd.NewPlatform(eng, vssd.DefaultPlatformConfig()).AddVSSD(vssd.Config{Name: "w", Channels: []int{0}})
+		prof := workload.Profile{Name: "trace", Replay: &workload.Replay{Records: tc.recs}}
+		func() {
+			defer func() {
+				got := recover()
+				if err, _ := got.(error); (tc.wantErr == "") != (got == nil) || err != nil && !strings.HasSuffix(err.Error(), tc.wantErr) {
+					t.Errorf("%s: NewGenerator panicked with %v, want %q", tc.name, got, tc.wantErr)
+				}
+			}()
+			workload.NewGenerator(eng, v, prof, sim.NewRNG(1))
+		}()
 	}
 }

@@ -158,9 +158,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("-fleet (FleetDevices) %d: must be 0 or >= 2", o.FleetDevices)
 	case !(o.PrefillFrac >= 0 && o.PrefillFrac <= 1): // NaN included
 		return fmt.Errorf("PrefillFrac %v: must be in [0, 1]", o.PrefillFrac)
+	case o.Channels < 0:
+		return fmt.Errorf("Channels %d: must be >= 0 (0 keeps the default)", o.Channels)
+	case o.BlocksPerChip < 0:
+		return fmt.Errorf("BlocksPerChip %d: must be >= 0 (0 keeps the default)", o.BlocksPerChip)
 	case len(o.ReplayRecords) > 0:
 		// A binary trace is read as written: hold it to the replay rules.
-		if err := workload.ReplayProfile("trace", o.ReplayRecords, true).Validate(); err != nil {
+		prof := workload.Profile{Name: "trace", Replay: &workload.Replay{Records: o.ReplayRecords}}
+		if err := prof.Validate(); err != nil {
 			return fmt.Errorf("-trace (ReplayRecords): %w", err)
 		}
 	}
@@ -616,7 +621,6 @@ func episodeFleetIO(spec episodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 		Pretrained:    net,
 		ShareModel:    true,
 		GreedyCollect: spec.Greedy,
-		RL:            spec.Pretrain.RL,
 	}
 }
 

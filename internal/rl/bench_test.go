@@ -7,7 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkTrainBatch measures a full PPO update (GAE + Epochs passes of
+// BenchmarkTrainBatch measures a full PPO update (GAE + epochs passes of
 // minibatched forward/backward) on a FleetIO-sized learner over a
 // 128-transition rollout. Train drains its buffer, so the benchmark keeps
 // the transitions and refills between iterations (128 struct copies — noise

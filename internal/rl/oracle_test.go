@@ -33,8 +33,8 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 		if t.Done {
 			mask = 0
 		}
-		delta := t.Reward + p.cfg.Gamma*next*mask - t.Value
-		gae = delta + p.cfg.Gamma*p.cfg.Lambda*mask*gae
+		delta := t.Reward + gamma*next*mask - t.Value
+		gae = delta + gamma*lambda*mask*gae
 		adv[i] = gae
 		ret[i] = adv[i] + t.Value
 		next = t.Value
@@ -60,13 +60,10 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 	}
 	dVal := make([]float64, 1)
 
-	mb := p.cfg.MiniBatch
-	if mb <= 0 || mb > n {
-		mb = n
-	}
+	mb := min(MiniBatch, n)
 	var polLoss, valLoss, entSum, klSum float64
 	var clipped, visited float64
-	for epoch := 0; epoch < p.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		p.rng.PermInto(order)
 		for start := 0; start < n; start += mb {
 			end := start + mb
@@ -89,7 +86,7 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 				ratio := math.Exp(newLP - t.LogProb)
 				a := adv[oi]
 				unclipped := ratio * a
-				lo, hi := 1-p.cfg.ClipEps, 1+p.cfg.ClipEps
+				lo, hi := 1-clipEps, 1+clipEps
 				cr := math.Min(math.Max(ratio, lo), hi)
 				clippedSurr := cr * a
 
@@ -117,18 +114,18 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 						dl[j] = dLP * (onehot - pr[j])
 						// Entropy bonus: loss -= c*H ⇒ grad += c * dH/dl.
 						// dH/dl_j = -p_j (log p_j + H).
-						dl[j] += p.cfg.EntropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
+						dl[j] += entropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
 					}
 				}
 				vErr := v - ret[oi]
 				valLoss += 0.5 * vErr * vErr
-				dVal[0] = p.cfg.ValueCoef * vErr
+				dVal[0] = valueCoef * vErr
 				p.Net.BackwardBatch(cache, dLogits, dVal)
 			}
 			p.opt.Step(p.Net.Layers(), float64(end-start))
 		}
 	}
-	total := float64(n * p.cfg.Epochs)
+	total := float64(n * epochs)
 	stats.PolicyLoss = polLoss / total
 	stats.ValueLoss = valLoss / total
 	stats.Entropy = entSum / (total * float64(len(p.Net.Heads)))

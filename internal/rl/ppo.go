@@ -19,45 +19,42 @@ import (
 	"repro/internal/sim"
 )
 
-// Config holds PPO hyperparameters; DefaultConfig mirrors Table 3.
+// The paper's PPO hyperparameters (Table 3: γ, batch size) with standard
+// values for the ones it does not report. No caller varies them, so they
+// are constants; only the learning rate is a Config field. They are typed,
+// so a product such as gamma*lambda rounds as the same product of two
+// float64 variables does.
+const (
+	gamma       float64 = 0.9  // discount factor
+	lambda      float64 = 0.95 // GAE smoothing
+	clipEps     float64 = 0.2  // PPO clip range
+	epochs      int     = 4    // optimization passes per Train call
+	entropyCoef float64 = 0.01
+	valueCoef   float64 = 0.5
+
+	// MiniBatch is the minibatch size; a deployed agent trains once it
+	// has buffered this many transitions.
+	MiniBatch int = 32
+)
+
+// defaultLR is Table 3's learning rate, the one a zero Config.LR means.
+const defaultLR = 1e-4
+
+// Config holds the learner's one tunable, the Adam learning rate:
+// deployment fine-tunes at Table 3's 1e-4, offline pretraining at 1e-3.
 type Config struct {
-	Gamma       float64 // discount factor
-	Lambda      float64 // GAE smoothing
-	ClipEps     float64 // PPO clip range
-	LR          float64 // Adam learning rate
-	Epochs      int     // optimization passes per Train call
-	MiniBatch   int     // minibatch size
-	EntropyCoef float64
-	ValueCoef   float64
+	LR float64 // Adam learning rate (0 → 1e-4)
 }
 
-// DefaultConfig returns the paper's hyperparameters (Table 3) with
-// standard values for the knobs the paper does not report.
-func DefaultConfig() Config {
-	return Config{
-		Gamma:       0.9,
-		Lambda:      0.95,
-		ClipEps:     0.2,
-		LR:          1e-4,
-		Epochs:      4,
-		MiniBatch:   32,
-		EntropyCoef: 0.01,
-		ValueCoef:   0.5,
-	}
-}
+// DefaultConfig returns the paper's learning rate (Table 3).
+func DefaultConfig() Config { return Config{LR: defaultLR} }
 
-// Resolved is c with its zero value filled in: a c that leaves Gamma zero
-// becomes DefaultConfig, keeping c's LR when set, so a caller may tune the
-// learning rate alone.
+// Resolved is c with a zero LR replaced by the paper's 1e-4.
 func (c Config) Resolved() Config {
-	if c.Gamma != 0 {
-		return c
+	if c.LR == 0 {
+		c.LR = defaultLR
 	}
-	d := DefaultConfig()
-	if c.LR != 0 {
-		d.LR = c.LR
-	}
-	return d
+	return c
 }
 
 // Transition is one (state, action, reward) step collected from the
@@ -142,7 +139,6 @@ type TrainStats struct {
 // PPO is the learner: a policy/value network plus its optimizer.
 type PPO struct {
 	Net *nn.ActorCritic
-	cfg Config
 	opt *nn.Adam
 	rng *sim.RNG
 
@@ -193,7 +189,7 @@ func (p *PPO) batchScratch(b int) {
 
 // New builds a PPO learner around the network.
 func New(net *nn.ActorCritic, cfg Config, rng *sim.RNG) *PPO {
-	return &PPO{Net: net, cfg: cfg, opt: nn.NewAdam(cfg.LR), rng: rng}
+	return &PPO{Net: net, opt: nn.NewAdam(cfg.LR), rng: rng}
 }
 
 // Act samples one action per head for a single state and returns the joint
@@ -311,8 +307,8 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 		if t.Done {
 			mask = 0
 		}
-		delta := t.Reward + p.cfg.Gamma*next*mask - t.Value
-		gae = delta + p.cfg.Gamma*p.cfg.Lambda*mask*gae
+		delta := t.Reward + gamma*next*mask - t.Value
+		gae = delta + gamma*lambda*mask*gae
 		adv[i] = gae
 		ret[i] = adv[i] + t.Value
 		next = t.Value
@@ -330,13 +326,10 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 	stats.MeanAdv = mean
 	stats.MeanReturn /= float64(n)
 
-	mb := p.cfg.MiniBatch
-	if mb <= 0 || mb > n {
-		mb = n
-	}
+	mb := min(MiniBatch, n)
 	var polLoss, valLoss, entSum, klSum float64
 	var clipped, visited float64
-	for epoch := 0; epoch < p.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		p.rng.PermInto(order)
 		for start := 0; start < n; start += mb {
 			end := start + mb
@@ -371,7 +364,7 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 				ratio := math.Exp(newLP - t.LogProb)
 				a := adv[oi]
 				unclipped := ratio * a
-				lo, hi := 1-p.cfg.ClipEps, 1+p.cfg.ClipEps
+				lo, hi := 1-clipEps, 1+clipEps
 				cr := math.Min(math.Max(ratio, lo), hi)
 				clippedSurr := cr * a
 
@@ -401,18 +394,18 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 						dl[j] = dLP * (onehot - pr[j])
 						// Entropy bonus: loss -= c*H ⇒ grad += c * dH/dl.
 						// dH/dl_j = -p_j (log p_j + H).
-						dl[j] += p.cfg.EntropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
+						dl[j] += entropyCoef * pr[j] * (math.Log(math.Max(pr[j], 1e-12)) + h)
 					}
 				}
 				vErr := vals[r] - ret[oi]
 				valLoss += 0.5 * vErr * vErr
-				p.dValsB[r] = p.cfg.ValueCoef * vErr
+				p.dValsB[r] = valueCoef * vErr
 			}
 			p.Net.BackwardBatch(cache, p.dLogitsB, p.dValsB[:b])
 			p.opt.Step(p.Net.Layers(), float64(b))
 		}
 	}
-	total := float64(n * p.cfg.Epochs)
+	total := float64(n * epochs)
 	stats.PolicyLoss = polLoss / total
 	stats.ValueLoss = valLoss / total
 	stats.Entropy = entSum / (total * float64(len(p.Net.Heads)))

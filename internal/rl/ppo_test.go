@@ -17,15 +17,20 @@ func newPPO(headSizes []int, stateDim int, seed int64) *PPO {
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Gamma != 0.9 {
-		t.Fatalf("gamma = %v, want 0.9 (Table 3)", cfg.Gamma)
+	if gamma != 0.9 {
+		t.Fatalf("gamma = %v, want 0.9 (Table 3)", gamma)
 	}
-	if cfg.LR != 1e-4 {
-		t.Fatalf("lr = %v, want 1e-4 (Table 3)", cfg.LR)
+	if lr := DefaultConfig().LR; lr != 1e-4 {
+		t.Fatalf("lr = %v, want 1e-4 (Table 3)", lr)
 	}
-	if cfg.MiniBatch != 32 {
-		t.Fatalf("batch = %v, want 32 (Table 3)", cfg.MiniBatch)
+	if lr := (Config{}).Resolved().LR; lr != 1e-4 {
+		t.Fatalf("a zero LR resolves to %v, want 1e-4 (Table 3)", lr)
+	}
+	if lr := (Config{LR: 1e-3}).Resolved().LR; lr != 1e-3 {
+		t.Fatalf("a set LR resolves to %v, want it kept", lr)
+	}
+	if MiniBatch != 32 {
+		t.Fatalf("batch = %v, want 32 (Table 3)", MiniBatch)
 	}
 }
 

@@ -91,12 +91,12 @@ func read(r io.Reader) ([]Record, error) {
 // chunkSize is how many records a Recorder allocates at a time.
 const chunkSize = 1024
 
-// Recorder accumulates records in memory (bounded by limit if >0, keeping
-// the most recent ones in a ring). The records live in fixed chunks of
-// chunkSize, allocated as the recorder fills and overwritten in place once
-// it holds limit: it copies nothing while it grows, allocates nothing once
-// full, and holds memory for the records it holds, not for its bound. Walk
-// reads the recorder's own storage, which the next Add may overwrite.
+// Recorder accumulates records in memory, keeping the most recent limit of
+// them in a ring. The records live in fixed chunks of chunkSize, allocated
+// as the recorder fills and overwritten in place once it holds limit: it
+// copies nothing while it grows, allocates nothing once full, and holds
+// memory for the records it holds, not for its bound. Walk reads the
+// recorder's own storage, which the next Add may overwrite.
 type Recorder struct {
 	chunks [][]Record
 	limit  int
@@ -104,19 +104,18 @@ type Recorder struct {
 	next   int // once full, the position of the oldest record, which the next Add overwrites
 }
 
-// NewRecorder returns a recorder keeping at most limit records (0 =
-// unbounded).
+// NewRecorder returns a recorder keeping at most limit records; it panics
+// on a limit below 1.
 func NewRecorder(limit int) *Recorder {
-	rc := &Recorder{limit: limit}
-	if limit > 0 {
-		rc.chunks = make([][]Record, 0, (limit+chunkSize-1)/chunkSize)
+	if limit <= 0 {
+		panic(fmt.Sprintf("trace: recorder limit %d: must be >= 1", limit))
 	}
-	return rc
+	return &Recorder{limit: limit, chunks: make([][]Record, 0, (limit+chunkSize-1)/chunkSize)}
 }
 
 // Add appends a record.
 func (rc *Recorder) Add(r Record) {
-	if rc.limit > 0 && rc.n == rc.limit {
+	if rc.n == rc.limit {
 		rc.chunks[rc.next/chunkSize][rc.next%chunkSize] = r
 		if rc.next++; rc.next == rc.limit {
 			rc.next = 0
@@ -124,11 +123,7 @@ func (rc *Recorder) Add(r Record) {
 		return
 	}
 	if rc.n%chunkSize == 0 {
-		size := chunkSize
-		if rc.limit > 0 {
-			size = min(size, rc.limit-rc.n)
-		}
-		rc.chunks = append(rc.chunks, make([]Record, size))
+		rc.chunks = append(rc.chunks, make([]Record, min(chunkSize, rc.limit-rc.n)))
 	}
 	rc.chunks[rc.n/chunkSize][rc.n%chunkSize] = r
 	rc.n++

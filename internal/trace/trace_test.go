@@ -117,14 +117,16 @@ func TestRecordBytes(t *testing.T) {
 	}
 }
 
-func TestRecorderUnbounded(t *testing.T) {
-	rc := NewRecorder(0)
-	for i := 0; i < 100; i++ {
-		rc.Add(Record{At: int64(i)})
-	}
-	recs := rc.Records()
-	if len(recs) != 100 || recs[0].At != 0 || recs[99].At != 99 {
-		t.Fatalf("unbounded recorder wrong: %d records", len(recs))
+func TestRecorderNeedsALimit(t *testing.T) {
+	for _, limit := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRecorder(%d) did not panic", limit)
+				}
+			}()
+			NewRecorder(limit)
+		}()
 	}
 }
 
@@ -153,7 +155,7 @@ func TestRecorderRing(t *testing.T) {
 // are the recorder's storage itself, not a copy.
 func TestRecorderWalkMatchesRecords(t *testing.T) {
 	const big = 3*chunkSize - 5 // three chunks, the last one short
-	for _, limit := range []int{0, 7, big} {
+	for _, limit := range []int{7, big} {
 		rc := NewRecorder(limit)
 		check := func(added int) {
 			t.Helper()
@@ -166,10 +168,7 @@ func TestRecorderWalkMatchesRecords(t *testing.T) {
 				got = append(got, seg...)
 				segs++
 			})
-			held := added
-			if limit > 0 {
-				held = min(added, limit)
-			}
+			held := min(added, limit)
 			if len(got) != held || rc.Len() != held {
 				t.Fatalf("limit %d after %d adds: %d records walked, Len %d, want %d", limit, added, len(got), rc.Len(), held)
 			}

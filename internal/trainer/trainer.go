@@ -57,8 +57,8 @@ type Config struct {
 	Workers  int // episodes per PPO update, collected concurrently (default 1)
 	Episodes int // total collection episodes across all rounds
 
-	// RL holds the learner's PPO hyperparameters, resolved by
-	// rl.Config.Resolved (an LR alone keeps every other default).
+	// RL holds the learner's learning rate, resolved by rl.Config.Resolved
+	// (zero → the paper's 1e-4).
 	RL rl.Config
 	// EvalEvery is the round period of eval gating (0 disables even with
 	// Env.Eval set; the final round is always evaluated when enabled).

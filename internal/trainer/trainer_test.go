@@ -138,31 +138,30 @@ func TestRunTrainsAndReportsRounds(t *testing.T) {
 	}
 }
 
-// TestRunKeepsLROnlyRL: an RL that sets only the learning rate trains at
-// that rate with every other hyperparameter at its default, exactly as the
-// full default config with that rate does.
+// TestRunKeepsLROnlyRL: the learning rate is the one PPO setting. A zero
+// RL trains at the paper's rate, exactly as the default config does, and a
+// set rate is kept: it trains to other parameters.
 func TestRunKeepsLROnlyRL(t *testing.T) {
-	lrOnly := synthConfig(5, 2, 4)
-	lrOnly.RL = rl.Config{LR: 5e-3}
-	full := synthConfig(5, 2, 4)
-	full.RL = rl.DefaultConfig()
-	full.RL.LR = 5e-3
-	a, err := Run(lrOnly, synthEnv)
+	zero, err := Run(synthConfig(5, 2, 4), synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(full, synthEnv)
+	def := synthConfig(5, 2, 4)
+	def.RL = rl.DefaultConfig()
+	b, err := Run(def, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeNet(t, a.Final), encodeNet(t, b.Final)) {
-		t.Fatal("an LR-only RL config trained to other params than the default config at that LR")
+	if !bytes.Equal(encodeNet(t, zero.Final), encodeNet(t, b.Final)) {
+		t.Fatal("a zero RL config trained to other params than the default config")
 	}
-	c, err := Run(synthConfig(5, 2, 4), synthEnv)
+	fast := synthConfig(5, 2, 4)
+	fast.RL = rl.Config{LR: 5e-3}
+	c, err := Run(fast, synthEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(encodeNet(t, a.Final), encodeNet(t, c.Final)) {
+	if bytes.Equal(encodeNet(t, zero.Final), encodeNet(t, c.Final)) {
 		t.Fatal("the learning rate made no difference; the test cannot tell it was kept")
 	}
 }

@@ -64,13 +64,12 @@ const (
 	synthPages     = 1 << 20
 )
 
-// ApplyShape overlays a temporal shape on prof. The profile keeps its
-// name (so per-workload SLOs and result collection still key correctly)
-// and its request mix; only the arrival process changes. seed
-// parameterizes the synthetic replay trace so distinct tenants replay
-// distinct traces; replay uses the supplied records when non-empty, and a
-// profile that is already a replay replays its own records (a synthesized
-// one keeps its recipe). Otherwise the replay is prof's
+// ApplyShape overlays a temporal shape on prof, a base profile (ByName's,
+// never a replay). The profile keeps its name (so per-workload SLOs and
+// result collection still key correctly) and its request mix; only the
+// arrival process changes. seed parameterizes the synthetic replay trace
+// so distinct tenants replay distinct traces; replay uses the supplied
+// records when non-empty. Otherwise the replay is prof's
 // SynthesizeTrace(20 000, 1<<20, sim.NewRNG(seed)), which each generator
 // draws as it consumes it. Compressed periods: the simulated runs last
 // seconds, not days, so the "diurnal" periods here are seconds-scale
@@ -98,15 +97,8 @@ func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profil
 			}
 		}
 	case ShapeReplay:
-		if len(replay) == 0 && prof.Replay != nil {
-			if sp := prof.Replay.synth; sp != nil {
-				prof.Replay = &Replay{Loop: true, synth: sp}
-				break
-			}
-			replay = prof.SynthesizeTrace(synthReplayLen, synthPages, nil)
-		}
 		if len(replay) > 0 {
-			prof.Replay = &Replay{Records: replay, Loop: true}
+			prof.Replay = &Replay{Records: replay}
 			break
 		}
 		if err := prof.Validate(); err != nil {
@@ -114,7 +106,7 @@ func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profil
 		}
 		// The trace has its own stream, so drawing its records later,
 		// interleaved with the run, draws the same values in the same order.
-		prof.Replay = &Replay{Loop: true, synth: &synthSpec{prof: prof, seed: seed, n: synthReplayLen}}
+		prof.Replay = &Replay{synth: &synthSpec{prof: prof, seed: seed, n: synthReplayLen}}
 	}
 	return prof
 }

@@ -34,12 +34,16 @@ func runGenerator(t *testing.T, prof Profile, seed int64, dur sim.Time) ([]trace
 	p := smallPlatform(eng)
 	v := p.AddVSSD(vssd.Config{Name: "w", Channels: []int{0, 1}})
 	g := NewGenerator(eng, v, prof, sim.NewRNG(seed))
-	rec := trace.NewRecorder(0)
+	const limit = 1 << 20
+	rec := trace.NewRecorder(limit)
 	g.Record(rec)
 	g.Start()
 	eng.RunUntil(dur)
 	g.Stop()
 	eng.Run()
+	if rec.Len() == limit {
+		t.Fatalf("the run filled its %d-record recorder, which keeps only the latest", limit)
+	}
 	var recs []trace.Record
 	rec.Walk(func(seg []trace.Record) { recs = append(recs, seg...) })
 	return recs, g
@@ -146,7 +150,7 @@ func TestBurstyFlipsRegimes(t *testing.T) {
 
 func TestReplayDeterministicAcrossEngines(t *testing.T) {
 	src := ByName("YCSB").SynthesizeTrace(3000, 100000, sim.NewRNG(41))
-	prof := ReplayProfile("rep", src, false)
+	prof := ApplyShape(ByName("YCSB"), ShapeReplay, 1, src)
 	if err := prof.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +178,9 @@ func TestReplayDeterministicAcrossEngines(t *testing.T) {
 }
 
 func TestReplayLoopWraps(t *testing.T) {
-	// A short trace looped over a long run must wrap and keep issuing.
+	// A short trace replayed over a long run must wrap and keep issuing.
 	src := ByName("YCSB").SynthesizeTrace(200, 100000, sim.NewRNG(42))
-	prof := ReplayProfile("loop", src, true)
+	prof := ApplyShape(ByName("YCSB"), ShapeReplay, 1, src)
 
 	eng := sim.NewEngine()
 	p := smallPlatform(eng)
@@ -187,32 +191,38 @@ func TestReplayLoopWraps(t *testing.T) {
 	g.Stop()
 	eng.Run()
 	if g.ReplayWraps() < 1 {
-		t.Fatalf("looped replay never wrapped (issued %d)", g.Issued())
+		t.Fatalf("replay never wrapped (issued %d)", g.Issued())
 	}
 	if g.Issued() <= int64(len(src)) {
-		t.Fatalf("looped replay stopped after one pass: %d issued", g.Issued())
+		t.Fatalf("replay stopped after one pass: %d issued", g.Issued())
 	}
 
-	// Unlooped replay stops at the end of the trace.
-	once := ReplayProfile("once", src, false)
-	recs := runShape(t, once, 1, 2*sim.Second)
-	if len(recs) != len(src) {
-		t.Fatalf("unlooped replay issued %d of %d", len(recs), len(src))
+	// Each pass issues the trace whole and in order, then starts it over.
+	recs := runShape(t, prof, 1, 2*sim.Second)
+	for i, r := range recs[:2*len(src)] {
+		if s := src[i%len(src)]; r.Write != s.Write || r.Pages != s.Pages {
+			t.Fatalf("request %d: %+v, want trace record %d %+v", i, r, i%len(src), s)
+		}
 	}
 }
 
 // TestSynthesizedReplayMatchesSupplied runs the replay shape's synthesized
 // trace past its wrap: it must issue exactly the requests of the same trace
-// synthesized up front and supplied through ReplayProfile.
+// synthesized up front and supplied to the shape.
 func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 	base := ByName("YCSB")
 	base.MeanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
 	const seed, dur = 77, 600 * sim.Millisecond
 	shaped := ApplyShape(base, ShapeReplay, seed, nil)
-	supplied := ReplayProfile("YCSB", base.SynthesizeTrace(synthReplayLen, 1<<20, sim.NewRNG(seed)), true)
+	recs := base.SynthesizeTrace(synthReplayLen, synthPages, sim.NewRNG(seed))
+	supplied := ApplyShape(base, ShapeReplay, seed, recs)
 
-	if drawn := shaped.SynthesizeTrace(2*synthReplayLen, 0, nil); !slices.Equal(drawn, supplied.Replay.Records) {
-		t.Fatalf("SynthesizeTrace of the shaped replay: %d records, not the supplied %d", len(drawn), len(supplied.Replay.Records))
+	sp := shaped.Replay.synth
+	s := newSynthesizer(sp.prof, synthPages, sim.NewRNG(sp.seed))
+	for i := range sp.n {
+		if r := s.next(); r != recs[i] {
+			t.Fatalf("the shaped recipe's record %d is %+v, not the synthesized %+v", i, r, recs[i])
+		}
 	}
 	a, ga := runGenerator(t, shaped, 1, dur)
 	b, gb := runGenerator(t, supplied, 1, dur)
@@ -225,37 +235,6 @@ func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("request %d: synthesized %+v, supplied %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestReplayShapeOverReplayProfile: the replay shape over a profile that is
-// already a replay replays that profile's own records; over a synthesized
-// replay it keeps the recipe and stores nothing.
-func TestReplayShapeOverReplayProfile(t *testing.T) {
-	synth := ApplyShape(ByName("YCSB"), ShapeReplay, 6, nil)
-	reshaped := ApplyShape(synth, ShapeReplay, 7, nil)
-	if n := len(reshaped.Replay.Records); n != 0 || reshaped.Replay.synth != synth.Replay.synth {
-		t.Fatalf("reshaped synthesized replay holds %d records, recipe kept %v", n, reshaped.Replay.synth == synth.Replay.synth)
-	}
-	if a, b := synth.SynthesizeTrace(500, 0, nil), reshaped.SynthesizeTrace(500, 0, nil); len(a) != 500 || !slices.Equal(a, b) {
-		t.Fatal("reshaped synthesized replay draws a different trace")
-	}
-
-	src := ByName("TeraSort").SynthesizeTrace(300, 100000, sim.NewRNG(46))
-	reg := ReplayProfile("RegShaped", src, true)
-	shaped := ApplyShape(reg, ShapeReplay, 5, nil)
-	if got := shaped.Replay.Records; len(got) != len(src) || got[0] != src[0] || got[len(got)-1] != src[len(src)-1] {
-		t.Fatalf("shaped replay holds %d records, want the profile's %d", len(got), len(src))
-	}
-	a := runShape(t, shaped, 1, 150*sim.Millisecond)
-	b := runShape(t, reg, 1, 150*sim.Millisecond)
-	if len(a) != len(b) || len(a) <= len(src) {
-		t.Fatalf("shaped issued %d, profile %d (trace %d)", len(a), len(b), len(src))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d: shaped %+v, profile %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -336,10 +315,10 @@ func TestReplayFoldsOversizedAddresses(t *testing.T) {
 		{At: 0, Write: true, LPN: 1 << 40, Pages: 4},
 		{At: sim.Millisecond, LPN: 3, Pages: 100000},
 	}
-	prof := ReplayProfile("big", src, false)
+	prof := ApplyShape(ByName("YCSB"), ShapeReplay, 1, src)
 	recs := runShape(t, prof, 1, sim.Second)
-	if len(recs) != 2 {
-		t.Fatalf("issued %d of 2", len(recs))
+	if len(recs) < 2 {
+		t.Fatalf("issued %d, want the trace's 2 at least", len(recs))
 	}
 	eng := sim.NewEngine()
 	p := smallPlatform(eng)
@@ -349,25 +328,6 @@ func TestReplayFoldsOversizedAddresses(t *testing.T) {
 		if r.LPN < 0 || r.LPN+int64(r.Pages) > logical {
 			t.Fatalf("record %d not folded into logical space: %+v (logical %d)", i, r, logical)
 		}
-	}
-}
-
-func TestRegisterAndReplayProfile(t *testing.T) {
-	src := ByName("TeraSort").SynthesizeTrace(500, 100000, sim.NewRNG(43))
-	prof := ReplayProfile("RegTest", src, true)
-	if prof.Class != Bandwidth {
-		t.Fatalf("big-transfer trace classed %v", prof.Class)
-	}
-	if prof.Replay == nil || len(prof.Replay.Records) != len(src) || prof.Validate() != nil {
-		t.Fatal("replay profile lost its trace")
-	}
-	if (Profile{Name: "bad", Replay: &Replay{}}).Validate() == nil {
-		t.Fatal("empty replay validated")
-	}
-
-	small := []trace.Record{{At: 0, Pages: 1}, {At: 10, Pages: 1}}
-	if p := ReplayProfile("tiny", small, false); p.Class != Latency {
-		t.Fatalf("small-transfer trace classed %v", p.Class)
 	}
 }
 
@@ -407,9 +367,8 @@ func TestSynthesizeTraceHonorsOverlays(t *testing.T) {
 	if a[len(a)-1].At == b[len(b)-1].At {
 		t.Fatal("burst overlay did not change synthesized arrival times")
 	}
-	rep := ReplayProfile("r", a, false)
-	c := rep.SynthesizeTrace(100, 100000, sim.NewRNG(45))
-	if len(c) != 100 || c[0] != a[0] {
-		t.Fatal("replay profile synthesis must return its own records")
+	rep := ApplyShape(base, ShapeReplay, 45, a)
+	if c := rep.Replay.Records; len(c) != len(a) || c[0] != a[0] {
+		t.Fatal("the replay shape must replay the supplied records")
 	}
 }

@@ -64,9 +64,8 @@ type Burst struct {
 
 // Replay makes a profile deterministic: instead of drawing synthetic
 // accesses, the generator replays a trace open-loop at its recorded
-// timestamps (shifted to the generator's start time). With Loop set the
-// trace repeats end-to-start, advancing the time base by the trace span
-// each wrap.
+// timestamps (shifted to the generator's start time), repeating it
+// end-to-start and advancing the time base by the trace span each wrap.
 //
 // A supplied trace is all of Records. A trace ApplyShape synthesizes from
 // a profile is not stored at all: the Replay holds its recipe, and each
@@ -77,7 +76,6 @@ type Burst struct {
 // once.
 type Replay struct {
 	Records []trace.Record
-	Loop    bool
 
 	synth *synthSpec // a synthesized trace's recipe; nil for a supplied one
 }
@@ -162,18 +160,8 @@ func (p Profile) Validate() error {
 		if p.Replay.synth != nil {
 			return nil
 		}
-		if len(p.Replay.Records) == 0 {
-			return fmt.Errorf("workload %s: empty replay trace", p.Name)
-		}
-		var prev sim.Time
-		for i, r := range p.Replay.Records {
-			if r.Pages < 1 || r.LPN < 0 {
-				return fmt.Errorf("workload %s: replay record %d: lpn=%d pages=%d", p.Name, i, r.LPN, r.Pages)
-			}
-			if r.At < prev {
-				return fmt.Errorf("workload %s: replay record %d out of order", p.Name, i)
-			}
-			prev = r.At
+		if err := checkRecords(p.Replay.Records); err != nil {
+			return fmt.Errorf("workload %s: %w", p.Name, err)
 		}
 		return nil
 	}
@@ -205,6 +193,25 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("workload %s: seq prob %v", p.Name, p.SeqProb)
 	case p.WorkingSetFrac <= 0 || p.WorkingSetFrac > 1:
 		return fmt.Errorf("workload %s: working set %v", p.Name, p.WorkingSetFrac)
+	}
+	return nil
+}
+
+// checkRecords holds a supplied trace to the replay rules: non-empty, every
+// record at least one page at a non-negative LPN, arrivals in time order.
+func checkRecords(recs []trace.Record) error {
+	if len(recs) == 0 {
+		return fmt.Errorf("empty replay trace")
+	}
+	var prev sim.Time
+	for i, r := range recs {
+		if r.Pages < 1 || r.LPN < 0 {
+			return fmt.Errorf("replay record %d: lpn=%d pages=%d", i, r.LPN, r.Pages)
+		}
+		if r.At < prev {
+			return fmt.Errorf("replay record %d out of order", i)
+		}
+		prev = r.At
 	}
 	return nil
 }
@@ -365,6 +372,20 @@ func (p Profile) diurnalFactor(t sim.Time) float64 {
 	return f
 }
 
+// rateAt composes the intensity multiplier at time now: phase × diurnal ×
+// burst, the burst regime advanced in bs with sojourns drawn from rng.
+// Profiles without Diurnal/Burst take no draws here.
+func (p *Profile) rateAt(now sim.Time, bs *burstState, rng *sim.RNG) float64 {
+	f := p.phaseFactor(now)
+	if len(p.Diurnal) > 0 {
+		f *= p.diurnalFactor(now)
+	}
+	if p.Burst != nil {
+		f *= bs.factor(p.Burst, now, rng)
+	}
+	return f
+}
+
 // burstState tracks which MMPP regime a stream is in and when it next
 // flips; shared between the live Generator and the trace synthesizer.
 type burstState struct {
@@ -448,7 +469,7 @@ func (g *Generator) Issued() int64 { return g.issued }
 // diurnal × burst); replay generators report 1.
 func (g *Generator) RateFactor() float64 { return g.lastFactor }
 
-// ReplayWraps returns how many times a looped replay has restarted.
+// ReplayWraps returns how many times a replay has restarted.
 func (g *Generator) ReplayWraps() int64 {
 	if g.cursor == nil {
 		return 0
@@ -457,18 +478,10 @@ func (g *Generator) ReplayWraps() int64 {
 }
 
 // rateFactor composes the intensity multiplier at time now and caches it
-// for RateFactor. Profiles without Diurnal/Burst take zero extra RNG
-// draws here, keeping legacy runs byte-identical.
+// for RateFactor.
 func (g *Generator) rateFactor(now sim.Time) float64 {
-	f := g.prof.phaseFactor(now)
-	if len(g.prof.Diurnal) > 0 {
-		f *= g.prof.diurnalFactor(now)
-	}
-	if g.prof.Burst != nil {
-		f *= g.burst.factor(g.prof.Burst, now, g.rng)
-	}
-	g.lastFactor = f
-	return f
+	g.lastFactor = g.prof.rateAt(now, &g.burst, g.rng)
+	return g.lastFactor
 }
 
 // Start launches the arrival process.
@@ -496,6 +509,11 @@ func (g *Generator) Stop() { g.stopped = true }
 
 func (g *Generator) issue(onComplete func(*vssd.Request, sim.Time)) {
 	write, lpn, n := g.prof.nextAccess(g.rng, &g.st, g.v.Tenant().LogicalPages())
+	g.submit(write, lpn, n, onComplete)
+}
+
+// submit records one request, counts it, and sends it down the datapath.
+func (g *Generator) submit(write bool, lpn int64, n int, onComplete func(*vssd.Request, sim.Time)) {
 	if g.rec != nil {
 		g.rec.Add(trace.Record{At: g.eng.Now(), Write: write, LPN: lpn, Pages: int32(n)})
 	}
@@ -563,8 +581,8 @@ func genOpenArrival(arg sim.EventArg, _ sim.Time) {
 
 // replayCursor is a replaying generator's place in its trace: the index
 // of the armed record and the record itself, the first record's arrival,
-// the virtual-time base the trace is shifted by, and how many times a
-// looped trace has wrapped. synth draws a synthesized trace, from its
+// the virtual-time base the trace is shifted by, and how many times the
+// trace has wrapped. synth draws a synthesized trace, from its
 // first record at Start and at every wrap.
 type replayCursor struct {
 	i     int
@@ -587,17 +605,14 @@ func (c *replayCursor) record(rp *Replay) trace.Record {
 	return c.synth.next()
 }
 
-// scheduleReplay arms the next trace record's arrival, wrapping looped
-// traces by advancing the time base one span per iteration.
+// scheduleReplay arms the next trace record's arrival, wrapping the trace
+// by advancing the time base one span per iteration.
 func (g *Generator) scheduleReplay() {
 	if g.stopped {
 		return
 	}
 	c, rp := g.cursor, g.prof.Replay
 	if c.i >= rp.length() {
-		if !rp.Loop {
-			return
-		}
 		c.base += spanOf(c.first, c.cur.At, c.i)
 		c.i = 0
 		c.wraps++
@@ -643,33 +658,17 @@ func (g *Generator) issueReplay(r trace.Record) {
 			lpn = logical - n
 		}
 	}
-	if g.rec != nil {
-		g.rec.Add(trace.Record{At: g.eng.Now(), Write: r.Write, LPN: lpn, Pages: int32(n)})
-	}
-	g.issued++
-	req := g.v.AcquireRequest()
-	req.Write = r.Write
-	req.LPN = int(lpn)
-	req.Pages = int(n)
-	req.OnComplete = nil
-	g.v.Submit(req)
+	g.submit(r.Write, lpn, int(n), nil)
 }
 
-// SynthesizeTrace produces n records of this profile without a simulator,
-// for clustering and offline analysis. Timestamps follow the open-loop
-// arrival model (closed-loop profiles use an effective IOPS estimated from
-// concurrency and a nominal 2 ms service time).
+// SynthesizeTrace produces n records of this base profile (not a replay
+// one) without a simulator, for clustering and offline analysis.
+// Timestamps follow the open-loop arrival model (closed-loop profiles use
+// an effective IOPS estimated from concurrency and a nominal 2 ms service
+// time).
 func (p Profile) SynthesizeTrace(n int, logicalPages int, rng *sim.RNG) []trace.Record {
 	if err := p.Validate(); err != nil {
 		panic(err)
-	}
-	if rp := p.Replay; rp != nil {
-		// A replay profile's trace IS its synthetic form.
-		m := min(rp.length(), n)
-		if rp.synth == nil {
-			return append([]trace.Record(nil), rp.Records[:m]...)
-		}
-		return rp.synth.prof.SynthesizeTrace(m, synthPages, sim.NewRNG(rp.synth.seed))
 	}
 	s := newSynthesizer(p, logicalPages, rng)
 	recs := make([]trace.Record, 0, n)
@@ -704,39 +703,11 @@ func newSynthesizer(p Profile, logicalPages int, rng *sim.RNG) synthesizer {
 // next draws the trace's next record.
 func (s *synthesizer) next() trace.Record {
 	p := &s.prof
-	f := p.phaseFactor(s.now)
-	if len(p.Diurnal) > 0 {
-		f *= p.diurnalFactor(s.now)
-	}
-	if p.Burst != nil {
-		f *= s.bs.factor(p.Burst, s.now, s.rng)
-	}
-	r := s.rate * f
+	r := s.rate * p.rateAt(s.now, &s.bs, s.rng)
 	if r < 1 {
 		r = 1
 	}
 	s.now += s.rng.ExpDuration(sim.Time(1e9 / r))
 	write, lpn, np := p.nextAccess(s.rng, &s.st, s.logicalPages)
 	return trace.Record{At: s.now, Write: write, LPN: lpn, Pages: int32(np)}
-}
-
-// ReplayProfile wraps a trace in a named profile: the generator replays
-// the records open-loop (looping when loop is set). The class is guessed
-// from the mean request size — big transfers read as bandwidth-intensive,
-// small ones as latency-sensitive — which seeds the SLO and reward side.
-func ReplayProfile(name string, recs []trace.Record, loop bool) Profile {
-	var pages int64
-	for _, r := range recs {
-		pages += int64(r.Pages)
-	}
-	class := Latency
-	if len(recs) > 0 && pages/int64(len(recs)) >= 8 {
-		class = Bandwidth
-	}
-	return Profile{
-		Name:             name,
-		Class:            class,
-		Replay:           &Replay{Records: recs, Loop: loop},
-		MaxInflightPages: 256,
-	}
 }

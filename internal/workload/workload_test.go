@@ -156,7 +156,7 @@ func TestGeneratorOpenLoop(t *testing.T) {
 	p := vssd.NewPlatform(eng, pc)
 	v := p.AddVSSD(vssd.Config{Name: "ls", Channels: []int{0, 1, 2, 3}})
 	g := NewGenerator(eng, v, ByName("YCSB"), sim.NewRNG(5))
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder(1 << 14) // more than the 12 000 issued at most
 	g.Record(rec)
 	g.Start()
 	eng.RunUntil(2 * sim.Second)
