@@ -110,10 +110,7 @@ func (c *Controller) Start() {
 		return
 	}
 	c.started = true
-	c.plat.Engine().Ticker(interval, func(sim.Time) bool {
-		c.Flush()
-		return true
-	})
+	c.plat.Engine().Ticker(interval, func(sim.Time) { c.Flush() })
 }
 
 // Submit routes an action: harvest-related actions are policy-checked and

@@ -66,10 +66,7 @@ func (r *Runner) Start() {
 	if r.Adm != nil {
 		r.Adm.Start()
 	}
-	r.Plat.Engine().Ticker(r.Window, func(now sim.Time) bool {
-		r.step(now)
-		return true
-	})
+	r.Plat.Engine().Ticker(r.Window, r.step)
 }
 
 func (r *Runner) step(now sim.Time) {

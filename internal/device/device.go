@@ -137,14 +137,17 @@ func (d *Device) Start() {
 // Advance runs the engine to virtual time to.
 func (d *Device) Advance(to sim.Time) { d.plat.Engine().RunUntil(to) }
 
-// Stop stops every generator, so the engine's event queue can drain. The
-// runner keeps deciding while the engine runs.
+// Stop stops everything Start started: every generator, and then every
+// ticker on the engine (the runner, its admission controller and any
+// telemetry sampler), each at its next tick. The I/O already queued or in
+// flight, and the GC it leaves to do, still run as the engine advances.
 func (d *Device) Stop() {
 	for _, g := range d.gens {
 		if g != nil {
 			g.Stop()
 		}
 	}
+	d.plat.Engine().StopTickers()
 }
 
 // Started reports whether Start has been called.

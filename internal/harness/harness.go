@@ -332,7 +332,7 @@ const softwareShareFactor = 0.9
 
 // Run measures a mix on one device (device.Device, the stack every rack
 // shard is too): built tenant by tenant (NewRun, AddTenant, AttachPolicy)
-// and driven in steps (Start, Advance, BeginMeasuring, Collect, Stop).
+// and driven in steps (Start, Advance, BeginMeasuring, Collect).
 // Measure does all of it for a mix and returns the run finished, with the
 // fault ledger and workload-type labels readable off the platform it still
 // holds; the public fleetio.Simulator drives the same seams interactively.
@@ -353,7 +353,6 @@ type Run struct {
 	// generator, on a run whose policy re-types (attachFleetIO); nil on
 	// every other run, which records nothing.
 	recs        []*trace.Recorder
-	smp         *obs.Sampler
 	windows     []windowLoad // per-window device load since measureFrom
 	measureFrom sim.Time     // virtual time of the last BeginMeasuring
 	end         sim.Time     // virtual time the generators stopped at
@@ -679,7 +678,7 @@ func (r *Run) Start() {
 		}
 		r.windows = append(r.windows, w)
 	}
-	r.smp = r.startObserving()
+	r.startObserving()
 	r.dev.Start()
 }
 
@@ -693,11 +692,11 @@ func (r *Run) Now() sim.Time { return r.Platform().Engine().Now() }
 // time since the last BeginMeasuring (since the start when there was none).
 func (r *Run) Measured() sim.Time { return r.Now() - r.measureFrom }
 
-// stop ends the run: the generators and the telemetry sampler stop, so
-// the engine's event queue can drain.
+// stop ends the run's traffic and periodic work (device.Stop). It does
+// not drain: Collect reads the interval as it ended, and only a ledger
+// read (FaultStats) waits for what is still queued.
 func (r *Run) stop() {
 	r.dev.Stop()
-	r.smp.Stop()
 	r.end = r.Now()
 }
 

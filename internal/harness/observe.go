@@ -12,17 +12,16 @@ import (
 )
 
 // startObserving registers the run's telemetry probes on the observer's
-// registry and starts the virtual-time sampler. It returns the started
-// sampler (nil when telemetry is off); Stop stops it so the engine's event
-// queue can drain after measurement.
+// registry and starts the virtual-time sampler, when telemetry is on. The
+// device's Stop stops it with the engine's other tickers.
 //
 // The probes are the metric catalogue documented in docs/OBSERVABILITY.md:
 // per-vSSD bandwidth/IOPS/P99/queue depth, device GC and write-amp
 // activity, gSB lifecycle counts, and admission verdicts.
-func (r *Run) startObserving() *obs.Sampler {
+func (r *Run) startObserving() {
 	o := r.opt.Obs
 	if o == nil || o.Reg == nil {
-		return nil
+		return
 	}
 	reg := o.Reg
 	s := obs.NewSampler()
@@ -189,5 +188,4 @@ func (r *Run) startObserving() *obs.Sampler {
 	})
 
 	s.Start(eng, obs.DefaultSamplePeriod)
-	return s
 }

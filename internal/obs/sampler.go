@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // DefaultSamplePeriod is the telemetry cadence used when a sampler is
 // started with a non-positive period: 100 ms of virtual time, fine
@@ -17,8 +13,7 @@ const DefaultSamplePeriod = 100 * sim.Millisecond
 // nothing about what is being sampled, which keeps obs free of imports
 // from the model packages.
 type Sampler struct {
-	probes  []func(now sim.Time)
-	stopped atomic.Bool
+	probes []func(now sim.Time)
 }
 
 // NewSampler returns an empty sampler.
@@ -35,20 +30,9 @@ func (s *Sampler) AddProbe(fn func(now sim.Time)) {
 	s.probes = append(s.probes, fn)
 }
 
-// Stop makes the ticker lapse after the current period (the engine event
-// queue then drains normally).
-func (s *Sampler) Stop() {
-	if s == nil {
-		return
-	}
-	s.stopped.Store(true)
-}
-
 // Start arms the periodic probe ticker on eng, sampling every period of
-// virtual time (DefaultSamplePeriod when period <= 0). Like every
-// self-rescheduling ticker it keeps the event queue non-empty, so owners
-// that later call eng.Run (rather than RunUntil) must Stop the sampler
-// first.
+// virtual time (DefaultSamplePeriod when period <= 0), until the engine's
+// StopTickers.
 func (s *Sampler) Start(eng *sim.Engine, period sim.Time) {
 	if s == nil {
 		return
@@ -56,13 +40,9 @@ func (s *Sampler) Start(eng *sim.Engine, period sim.Time) {
 	if period <= 0 {
 		period = DefaultSamplePeriod
 	}
-	eng.Ticker(period, func(now sim.Time) bool {
-		if s.stopped.Load() {
-			return false
-		}
+	eng.Ticker(period, func(now sim.Time) {
 		for _, p := range s.probes {
 			p(now)
 		}
-		return true
 	})
 }

@@ -16,11 +16,11 @@ func TestSamplerTicksAndStops(t *testing.T) {
 	if len(seen) != 5 || seen[0] != 10*sim.Millisecond {
 		t.Fatalf("probe observations %v in 55ms at 10ms cadence, want 5 from 10ms", seen)
 	}
-	s.Stop()
+	eng.StopTickers()
 	// The ticker lapses on its next firing; the queue then drains fully.
 	eng.Run()
 	if len(seen) != 5 {
-		t.Fatalf("ticks advanced to %d after Stop", len(seen))
+		t.Fatalf("ticks advanced to %d after StopTickers", len(seen))
 	}
 }
 
@@ -34,7 +34,7 @@ func TestSamplerDefaultPeriod(t *testing.T) {
 	if ticks != 3 {
 		t.Fatalf("got %d ticks, want 3", ticks)
 	}
-	s.Stop()
+	eng.StopTickers()
 	eng.Run()
 }
 
@@ -42,5 +42,4 @@ func TestNilSamplerIsSafe(t *testing.T) {
 	var s *Sampler
 	s.AddProbe(func(sim.Time) {})
 	s.Start(sim.NewEngine(), 0)
-	s.Stop()
 }

@@ -89,6 +89,7 @@ type Engine struct {
 	lanes    []*Lane
 	laned    int    // events waiting on lanes, summed over lanes
 	executed uint64 // events run so far, from the heap or a lane
+	stopped  bool   // StopTickers was called
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -354,18 +355,26 @@ func (e *Engine) Run() {
 	}
 }
 
-// Ticker invokes fn every period, starting one period from now, until fn
-// returns false. It is the engine's building block for periodic work such
-// as RL decision windows and admission-control batches.
-func (e *Engine) Ticker(period Time, fn func(now Time) bool) {
+// Ticker invokes fn every period, starting one period from now, until
+// StopTickers. It is the engine's building block for periodic work such
+// as RL decision windows, admission-control batches and telemetry
+// sampling.
+func (e *Engine) Ticker(period Time, fn func(now Time)) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker period %d", period))
 	}
 	var tick func()
 	tick = func() {
-		if fn(e.now) {
-			e.Schedule(period, tick)
+		if e.stopped {
+			return
 		}
+		fn(e.now)
+		e.Schedule(period, tick)
 	}
 	e.Schedule(period, tick)
 }
+
+// StopTickers ends the engine's periodic work: every Ticker lapses at its
+// next tick without calling its fn, so once the rest of the work queued
+// runs out the event queue empties.
+func (e *Engine) StopTickers() { e.stopped = true }

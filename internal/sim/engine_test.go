@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,19 +106,19 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	e.Ticker(100, func(now Time) bool {
-		ticks = append(ticks, now)
-		return len(ticks) < 4
-	})
+	e.Ticker(100, func(now Time) { ticks = append(ticks, now) })
+	e.Ticker(150, func(now Time) { ticks = append(ticks, -now) })
+	e.RunUntil(400)
+	// StopTickers stops both: each lapses at its next tick, and Run then
+	// returns with nothing queued.
+	e.StopTickers()
 	e.Run()
-	want := []Time{100, 200, 300, 400}
-	if len(ticks) != len(want) {
+	want := []Time{100, -150, 200, -300, 300, 400}
+	if !slices.Equal(ticks, want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
 	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events pending after StopTickers and Run", e.Pending())
 	}
 }
 
@@ -128,7 +129,7 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Fatal("zero ticker period must panic")
 		}
 	}()
-	e.Ticker(0, func(Time) bool { return false })
+	e.Ticker(0, func(Time) {})
 }
 
 // Property: for any batch of non-negative delays, the engine executes

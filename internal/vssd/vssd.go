@@ -178,7 +178,8 @@ func (v *VSSD) QueueLen() int { return len(v.queue) - v.qhead }
 // Inflight returns dispatched-but-incomplete page ops.
 func (v *VSSD) Inflight() int { return v.inflight }
 
-// Completed returns the total requests finished since creation.
+// Completed returns the requests finished since creation (or the last
+// ResetTotals).
 func (v *VSSD) Completed() int64 { return v.completed }
 
 // TotalHist returns the whole-run latency histogram.

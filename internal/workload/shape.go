@@ -75,6 +75,9 @@ const (
 // seconds, not days, so the "diurnal" periods here are seconds-scale
 // stand-ins for the multi-hour cycles real fleets see.
 func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profile {
+	if prof.Replay != nil {
+		panic(fmt.Sprintf("workload: ApplyShape of %s, a replay profile", prof.Name))
+	}
 	switch s {
 	case ShapeDiurnal:
 		prof.Diurnal = []Harmonic{

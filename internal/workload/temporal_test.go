@@ -372,3 +372,25 @@ func TestSynthesizeTraceHonorsOverlays(t *testing.T) {
 		t.Fatal("the replay shape must replay the supplied records")
 	}
 }
+
+// ApplyShape and SynthesizeTrace take a base profile. Given a replay one,
+// each panics instead of putting synthetic draws in place of its trace.
+func TestReplayProfileIsNoBase(t *testing.T) {
+	rep := ApplyShape(ByName("YCSB"), ShapeReplay, 1, []trace.Record{{At: 0, Pages: 1}})
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"SynthesizeTrace", func() { rep.SynthesizeTrace(3, 100000, sim.NewRNG(1)) }},
+		{"ApplyShape", func() { ApplyShape(rep, ShapeReplay, 1, nil) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a replay profile did not panic", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
+}

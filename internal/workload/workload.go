@@ -667,6 +667,9 @@ func (g *Generator) issueReplay(r trace.Record) {
 // an effective IOPS estimated from concurrency and a nominal 2 ms service
 // time).
 func (p Profile) SynthesizeTrace(n int, logicalPages int, rng *sim.RNG) []trace.Record {
+	if p.Replay != nil {
+		panic(fmt.Sprintf("workload: SynthesizeTrace of %s, a replay profile", p.Name))
+	}
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
