@@ -60,13 +60,12 @@ func render(s Stats) string {
 }
 
 // TestRackFaultLedgerBalances: an 8-device rack under heavy NAND faults
-// runs to completion with its control-plane ledger balanced. Settled the
-// way harness.Run.FaultStats settles a single run (generators stopped,
-// 50 ms more), and then until nothing on the shard is queued, in flight or
-// collecting (a shard's GC outlives its traffic, and a GC program that
-// just failed is not yet remapped), every shard's fault-recovery rows hold
-// too: each injected program failure was remapped and recovered exactly
-// once. So do its device rows.
+// runs to completion with its control-plane ledger balanced. Stopped and
+// drained the way harness.Run.FaultStats reads a single run (a shard's GC
+// outlives its traffic, and a GC program that just failed is not yet
+// remapped), every shard's fault-recovery rows hold too: each injected
+// program failure was remapped and recovered exactly once. So do its
+// device rows.
 func TestRackFaultLedgerBalances(t *testing.T) {
 	cfg := testConfig()
 	cfg.Devices = 8
@@ -79,13 +78,8 @@ func TestRackFaultLedgerBalances(t *testing.T) {
 	var injected int64
 	for i, sh := range f.Shards() {
 		sh.dev.Stop()
-		at := f.cfg.Duration + 50*sim.Millisecond
-		sh.dev.Advance(at)
-		for busy(sh) {
-			if at += sim.Millisecond; at > f.cfg.Duration+sim.Second {
-				t.Fatalf("shard %d still busy a second after its generators stopped", i)
-			}
-			sh.dev.Advance(at)
+		if !sh.dev.Drain() {
+			t.Fatalf("shard %d: %d events still pending after the drain budget", i, sh.Platform().Engine().Pending())
 		}
 		st := sh.dev.FaultStats()
 		injected += st.Device.ProgramFails
@@ -96,17 +90,6 @@ func TestRackFaultLedgerBalances(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("heavy faults injected no program failure")
 	}
-}
-
-// busy reports whether any vSSD on sh has queued or in-flight I/O or is
-// collecting.
-func busy(sh *Shard) bool {
-	for _, v := range sh.Platform().VSSDs() {
-		if v.QueueLen() > 0 || v.Inflight() > 0 || v.Tenant().InGC() {
-			return true
-		}
-	}
-	return false
 }
 
 func TestFleetLedgerBalances(t *testing.T) {

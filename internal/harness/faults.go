@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/fault"
-	"repro/internal/sim"
 )
 
 // faultLevels is the off/light/heavy ladder of the fault scenario.
@@ -18,14 +17,14 @@ func faultLevels() []level {
 	return []level{lvl("off", nil), lvl("light", &light), lvl("heavy", &heavy)}
 }
 
-// FaultStats reads the run's fault-recovery ledger off its device.
+// FaultStats reads a finished run's fault-recovery ledger off its device,
+// drained (device.Drain): a program that failed right at the stop boundary
+// may not have completed its retry yet, and GC keeps collecting after the
+// traffic stops. A run that does not drain is read as the drain budget
+// leaves it. The Result was collected when the run finished, so the
+// measured figures are untouched.
 func (r *Run) FaultStats() device.FaultStats {
-	// Settle the ledger before reading it: a program that failed right at
-	// the stop boundary may not have completed its retry yet, and a GC
-	// re-program can be waiting out a 1 ms allocation backoff. The Result
-	// was collected when the run finished, so the measured figures are
-	// untouched.
-	r.Advance(r.end + 50*sim.Millisecond)
+	r.dev.Drain()
 	return r.dev.FaultStats()
 }
 

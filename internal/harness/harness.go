@@ -355,7 +355,6 @@ type Run struct {
 	recs        []*trace.Recorder
 	windows     []windowLoad // per-window device load since measureFrom
 	measureFrom sim.Time     // virtual time of the last BeginMeasuring
-	end         sim.Time     // virtual time the generators stopped at
 }
 
 // windowLoad is one decision window: the payload bytes the run's vSSDs
@@ -695,10 +694,7 @@ func (r *Run) Measured() sim.Time { return r.Now() - r.measureFrom }
 // stop ends the run's traffic and periodic work (device.Stop). It does
 // not drain: Collect reads the interval as it ended, and only a ledger
 // read (FaultStats) waits for what is still queued.
-func (r *Run) stop() {
-	r.dev.Stop()
-	r.end = r.Now()
-}
+func (r *Run) stop() { r.dev.Stop() }
 
 // boundary is a point in virtual time at which execute pauses the engine
 // and calls do.

@@ -149,6 +149,25 @@ func TestOnlyRetypingRunsRecord(t *testing.T) {
 	}
 }
 
+// A stopped run stops: once its generators and every ticker on its
+// engine (the runner, admission control, telemetry) stop, the I/O left in
+// flight and the GC it leaves to do run out within the drain budget, and
+// nothing is left queued. A runner that kept deciding would keep the queue
+// from ever emptying.
+func TestStoppedRunDrains(t *testing.T) {
+	opt := DefaultOptions()
+	mix := Pair("YCSB", "TeraSort")
+	for _, kind := range []PolicyKind{PolHardware, PolFleetIO, PolAdaptive} {
+		r := Measure(mix, kind, nil, opt)
+		if !r.dev.Drain() {
+			t.Errorf("%s: not drained within the drain budget", kind)
+		}
+		if n := r.Platform().Engine().Pending(); n != 0 {
+			t.Errorf("%s: %d events pending after the drain", kind, n)
+		}
+	}
+}
+
 // A prefill that needs GC to finish would drain the engine before Start,
 // past the end of a short run, which then measures nothing (0 completions,
 // NaN bandwidth). AddTenant rejects it with the reason; 95% on the default
