@@ -37,21 +37,30 @@ var stdInterfaces = []struct{ pkg, name string }{
 	{"encoding/json", "Unmarshaler"}, {"io", "Writer"}, {"io", "Closer"},
 }
 
-// srcTree is a module tree type-checked from source: every non-test package,
-// plus bench/'s test files (bench/ is its own module, and its tests compile
-// against internal/ as its main package does).
+// srcTree is a module tree type-checked from source: every package with its
+// in-package _test.go files (the module has no external _test packages).
+// bench/'s test files count as its non-test code: bench/ is its own module,
+// and its tests compile against internal/ as its main package does.
 type srcTree struct {
-	mod  string // module path, from go.mod
-	fset *token.FileSet
-	pkgs []*srcPackage
-	std  types.Importer
+	mod   string // module path, from go.mod
+	fset  *token.FileSet
+	pkgs  []*srcPackage
+	std   types.Importer
+	tests map[*token.File]bool // the _test.go files outside bench/
 }
 
 type srcPackage struct {
-	dir   string // slash path from the tree's root; "." for the root package
-	files []*ast.File
+	dir   string      // slash path from the tree's root; "." for the root package
+	files []*ast.File // non-test files (bench/'s tests included)
+	tests []*ast.File // in-package _test.go files
 	types *types.Package
-	uses  map[*ast.Ident]types.Object
+	uses  map[*ast.Ident]types.Object // identifiers of files only
+	info  *types.Info                 // Uses, Types and Instances of files and tests
+}
+
+// inTest reports whether obj is declared in a _test.go file outside bench/.
+func (t *srcTree) inTest(obj types.Object) bool {
+	return t.tests[t.fset.File(obj.Pos())]
 }
 
 // internal reports whether p is declared under internal/, and the key prefix
@@ -70,7 +79,7 @@ func loadTree(fsys fs.FS) (*srcTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &srcTree{}
+	t := &srcTree{tests: map[*token.File]bool{}}
 	for _, line := range strings.Split(string(gomod), "\n") {
 		if m, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
 			t.mod = strings.TrimSpace(m)
@@ -100,8 +109,7 @@ func loadTree(fsys fs.FS) (*srcTree, error) {
 			return nil
 		}
 		dir := path.Dir(file)
-		if !strings.HasSuffix(file, ".go") ||
-			strings.HasSuffix(file, "_test.go") && dir != "bench" {
+		if !strings.HasSuffix(file, ".go") {
 			return nil
 		}
 		if ok, err := ctxt.MatchFile(dir, d.Name()); err != nil || !ok {
@@ -119,7 +127,12 @@ func loadTree(fsys fs.FS) (*srcTree, error) {
 			byDir[dir] = &srcPackage{dir: dir}
 			t.pkgs = append(t.pkgs, byDir[dir])
 		}
-		byDir[dir].files = append(byDir[dir].files, f)
+		if p := byDir[dir]; strings.HasSuffix(file, "_test.go") && dir != "bench" {
+			p.tests = append(p.tests, f)
+			t.tests[fset.File(f.Pos())] = true
+		} else {
+			p.files = append(p.files, f)
+		}
 		for _, spec := range f.Imports {
 			if p := strings.Trim(spec.Path.Value, `"`); t.dirOf(p) == "" {
 				std[p] = true
@@ -140,13 +153,23 @@ func loadTree(fsys fs.FS) (*srcTree, error) {
 			return t.std.Import(importPath)
 		}
 		if p.types == nil {
-			p.uses = map[*ast.Ident]types.Object{}
+			p.info = &types.Info{
+				Uses:      map[*ast.Ident]types.Object{},
+				Types:     map[ast.Expr]types.TypeAndValue{},
+				Instances: map[*ast.Ident]types.Instance{},
+			}
 			conf := types.Config{Importer: imp}
-			pkg, err := conf.Check(importPath, fset, p.files, &types.Info{Uses: p.uses})
+			pkg, err := conf.Check(importPath, fset, append(p.files[:len(p.files):len(p.files)], p.tests...), p.info)
 			if err != nil {
 				return nil, err
 			}
 			p.types = pkg
+			p.uses = map[*ast.Ident]types.Object{}
+			for id, obj := range p.info.Uses {
+				if !t.tests[fset.File(id.Pos())] {
+					p.uses[id] = obj
+				}
+			}
 		}
 		return p.types, nil
 	}
@@ -252,7 +275,7 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 			internal[p.types] = true
 		}
 		for _, name := range p.types.Scope().Names() {
-			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && !t.inTest(tn) && types.IsInterface(tn.Type()) {
 				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
 			}
 		}
@@ -268,6 +291,69 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 
 	// reached holds the internal/ named types reachable from outside their
 	// package through the type of a name another package uses.
+	var roots []types.Type
+	for obj, u := range uses {
+		if u.other && internal[obj.Pkg()] {
+			roots = append(roots, obj.Type())
+		}
+	}
+	reached := apiReach(internal, roots)
+
+	verdicts, kinds = map[string]string{}, map[string]int{}
+	judge := func(key, kind string, obj types.Object, keep bool) {
+		kinds[kind]++
+		u := uses[obj]
+		switch {
+		case keep || u != nil && u.other:
+		case u != nil && u.own:
+			verdicts[key] = "own-package"
+		default:
+			verdicts[key] = "unused"
+		}
+	}
+	for _, p := range t.pkgs {
+		prefix, ok := p.internal()
+		if !ok {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if t.inTest(obj) {
+				continue
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named := tn.Type().(*types.Named)
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() && !t.inTest(m) {
+						judge(prefix+"."+name+"."+m.Name(), "method", m, implementsAny(named, m.Name(), ifaces))
+					}
+				}
+			}
+			if !obj.Exported() {
+				continue
+			}
+			switch obj := obj.(type) {
+			case *types.Func:
+				judge(prefix+"."+name, "func", obj, false)
+			case *types.TypeName:
+				judge(prefix+"."+name, "type", obj, reached[obj])
+			case *types.Const:
+				named, ok := obj.Type().(*types.Named)
+				judge(prefix+"."+name, "const", obj, ok && reached[named.Obj()])
+			case *types.Var:
+				judge(prefix+"."+name, "var", obj, false)
+			}
+		}
+	}
+	return verdicts, kinds, nil
+}
+
+// apiReach returns the named types, declared in a package of within, that
+// the roots reach: through type arguments, pointer, slice, array, channel and
+// map elements, signatures, the exported methods of interfaces, and exported
+// or embedded struct fields. These are the types a holder of a root can name.
+func apiReach(within map[*types.Package]bool, roots []types.Type) map[*types.TypeName]bool {
 	reached := map[*types.TypeName]bool{}
 	var reach func(types.Type)
 	reach = func(typ types.Type) {
@@ -276,7 +362,7 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 			for i := 0; i < typ.TypeArgs().Len(); i++ {
 				reach(typ.TypeArgs().At(i))
 			}
-			if obj := typ.Origin().Obj(); internal[obj.Pkg()] && !reached[obj] {
+			if obj := typ.Origin().Obj(); within[obj.Pkg()] && !reached[obj] {
 				reached[obj] = true
 				reach(typ.Origin().Underlying())
 			}
@@ -311,57 +397,10 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 			}
 		}
 	}
-	for obj, u := range uses {
-		if u.other && internal[obj.Pkg()] {
-			reach(obj.Type())
-		}
+	for _, typ := range roots {
+		reach(typ)
 	}
-
-	verdicts, kinds = map[string]string{}, map[string]int{}
-	judge := func(key, kind string, obj types.Object, keep bool) {
-		kinds[kind]++
-		u := uses[obj]
-		switch {
-		case keep || u != nil && u.other:
-		case u != nil && u.own:
-			verdicts[key] = "own-package"
-		default:
-			verdicts[key] = "unused"
-		}
-	}
-	for _, p := range t.pkgs {
-		prefix, ok := p.internal()
-		if !ok {
-			continue
-		}
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-				named := tn.Type().(*types.Named)
-				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() {
-						judge(prefix+"."+name+"."+m.Name(), "method", m, implementsAny(named, m.Name(), ifaces))
-					}
-				}
-			}
-			if !obj.Exported() {
-				continue
-			}
-			switch obj := obj.(type) {
-			case *types.Func:
-				judge(prefix+"."+name, "func", obj, false)
-			case *types.TypeName:
-				judge(prefix+"."+name, "type", obj, reached[obj])
-			case *types.Const:
-				named, ok := obj.Type().(*types.Named)
-				judge(prefix+"."+name, "const", obj, ok && reached[named.Obj()])
-			case *types.Var:
-				judge(prefix+"."+name, "var", obj, false)
-			}
-		}
-	}
-	return verdicts, kinds, nil
+	return reached
 }
 
 // origin maps a method or field of an instantiated generic type to its

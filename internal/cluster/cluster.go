@@ -186,7 +186,6 @@ func sqDist(a, b []float64) float64 {
 
 // KMeans is a fitted k-means model.
 type KMeans struct {
-	K         int
 	Centroids [][]float64
 }
 
@@ -272,7 +271,7 @@ func fitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *KMeans {
 			break
 		}
 	}
-	return &KMeans{K: k, Centroids: centroids}
+	return &KMeans{Centroids: centroids}
 }
 
 // assign returns the nearest centroid index for a standardized point.

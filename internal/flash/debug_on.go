@@ -16,7 +16,6 @@ const poolDebug = true
 func poisonOp(op *Op) {
 	op.Kind = OpKind(0xEE)
 	op.Addr = PPA{Channel: -1 << 30, Chip: -1 << 30, Block: -1 << 30, Page: -1 << 30}
-	op.Tenant = -1 << 30
 	op.Priority = -1 << 30
 	op.Pass = math.NaN()
 	op.CtxI = -1 << 62

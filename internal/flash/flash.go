@@ -88,11 +88,6 @@ func (c Config) TotalBlocks() int {
 	return c.Channels * c.ChipsPerChannel * c.BlocksPerChip
 }
 
-// BlockBytes returns the capacity of one erase block.
-func (c Config) BlockBytes() int64 {
-	return int64(c.PagesPerBlock) * int64(c.PageSize)
-}
-
 // ChannelBandwidth returns the calibrated peak payload bandwidth of one
 // channel in bytes/second (bus-limited).
 func (c Config) ChannelBandwidth() float64 {
@@ -211,7 +206,6 @@ type OpDone func(ctx any, ctxI int64, at sim.Time, status OpStatus)
 type Op struct {
 	Kind     OpKind
 	Addr     PPA
-	Tenant   int     // owning vSSD, for accounting
 	Priority int     // higher is served first
 	Pass     float64 // stride-scheduling pass value (lower first)
 	Done     OpDone  // completion callback; nil for fire-and-forget
@@ -292,7 +286,6 @@ type ChannelStats struct {
 }
 
 type channel struct {
-	id       int
 	busBusy  bool
 	busFree  sim.Time // end of the transfer in progress; valid while busBusy
 	busQueue opQueue  // ops waiting for the bus, in (priority, pass, FIFO) order
@@ -349,7 +342,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		xfer: cfg.transferTime(cfg.PageSize)}
 	d.bus = eng.NewLane(d.xfer)
 	for i := range d.chs {
-		d.chs[i] = &channel{id: i, chipFree: make([]sim.Time, cfg.ChipsPerChannel)}
+		d.chs[i] = &channel{chipFree: make([]sim.Time, cfg.ChipsPerChannel)}
 	}
 	return d
 }

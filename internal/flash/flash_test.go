@@ -33,9 +33,6 @@ func TestConfigValidate(t *testing.T) {
 
 func TestConfigDerived(t *testing.T) {
 	c := DefaultConfig()
-	if got := c.BlockBytes(); got != 4<<20 {
-		t.Fatalf("block bytes = %d, want 4MiB", got)
-	}
 	if got := c.TotalBlocks(); got != 16*4*256 {
 		t.Fatalf("total blocks = %d", got)
 	}

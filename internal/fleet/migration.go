@@ -193,7 +193,6 @@ func (f *Fleet) cutOver(m *migration, now sim.Time) {
 	// not tenant traffic; reset it so post-migration P99 (the tiered
 	// tail-latency roll-up) measures the new placement only.
 	m.dstVSSD.TotalHist().Reset()
-	tn.Downtime += now - m.started
 	tn.State = StateRunning
 	tn.placedAt = now
 	f.shards[m.dst].resident = append(f.shards[m.dst].resident, tn)

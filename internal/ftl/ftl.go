@@ -554,6 +554,3 @@ func (m *Manager) ReturnCleanBlock(idx int) {
 
 // Tenants returns the registered tenants (indexed by tenant ID).
 func (m *Manager) Tenants() []*Tenant { return m.tenants }
-
-// BlockBytes returns the capacity of one erase block.
-func (m *Manager) BlockBytes() int64 { return m.cfg.BlockBytes() }

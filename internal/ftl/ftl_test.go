@@ -342,9 +342,9 @@ func TestMappingConsistencyProperty(t *testing.T) {
 		faults.Seed = seed
 		m.dev.SetFaultInjector(fault.NewInjector(faults))
 		m.Submit = func(op *flash.Op) {
-			// A GC program for another tenant's data: the block's owner
-			// collecting what a harvester wrote.
-			if j, ok := op.Ctx.(*gcJob); ok && op.Kind == flash.OpProgram && op.Tenant != j.t.id {
+			// A GC program into a block of another tenant's data: the
+			// block's owner collecting what a harvester wrote.
+			if j, ok := op.Ctx.(*gcJob); ok && op.Kind == flash.OpProgram && int(m.blocks[m.blockIndex(op.Addr.BlockOf())].user) != j.t.id {
 				foreignMigrations++
 			}
 			m.dev.Submit(op)
@@ -375,7 +375,6 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			op := m.dev.AcquireOp()
 			op.Kind = flash.OpProgram
 			op.Addr = ppa
-			op.Tenant = tn.id
 			op.Priority = PriorityMed
 			op.Done = programDone
 			op.Ctx = tn

@@ -630,7 +630,6 @@ func (j *gcJob) migrate(p int) {
 	op := t.mgr.dev.AcquireOp()
 	op.Kind = flash.OpRead
 	op.Addr = j.b.id.page(p)
-	op.Tenant = t.id
 	op.Priority = t.gcPriority()
 	op.Done = gcReadDone
 	op.Ctx = j
@@ -687,7 +686,6 @@ func (j *gcJob) programMigrated(dataTenant *Tenant, lpn int, dst flash.PPA, prio
 	op := t.mgr.dev.AcquireOp()
 	op.Kind = flash.OpProgram
 	op.Addr = dst
-	op.Tenant = dataTenant.id
 	op.Priority = prio
 	op.Done = gcProgramDone
 	op.Ctx = j
@@ -741,7 +739,6 @@ func (t *Tenant) eraseVictim(j *gcJob) {
 	op := t.mgr.dev.AcquireOp()
 	op.Kind = flash.OpErase
 	op.Addr = j.b.id.page(0)
-	op.Tenant = t.id
 	op.Priority = priorityGC
 	op.Done = gcEraseDone
 	op.Ctx = j

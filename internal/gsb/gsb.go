@@ -14,14 +14,14 @@ import (
 )
 
 // GSB mirrors the paper's Figure 7 metadata: the channel footprint,
-// capacity, harvesting state, and the home/harvest tenants.
+// harvesting state, and the home/harvest tenants. Its capacity is its
+// Blocks.
 type GSB struct {
-	ID       int
-	NChls    int   // number of channels the superblock stripes across
-	Capacity int64 // bytes
-	InUse    bool  // currently harvested
-	Home     int   // vSSD that gave up the resources
-	Harvest  int   // vSSD harvesting it, -1 when none
+	ID      int
+	NChls   int  // number of channels the superblock stripes across
+	InUse   bool // currently harvested
+	Home    int  // vSSD that gave up the resources
+	Harvest int  // vSSD harvesting it, -1 when none
 
 	Channels   []int
 	Blocks     []int // ftl block indices
@@ -196,7 +196,6 @@ func (m *Manager) create(home *ftl.Tenant, nchls int) *GSB {
 	*g = GSB{
 		ID:       id,
 		NChls:    len(chans),
-		Capacity: int64(len(blocks)) * m.ftlm.BlockBytes(),
 		Home:     home.ID(),
 		Harvest:  -1,
 		Channels: chans,

@@ -68,9 +68,6 @@ func TestMakeHarvestableCreatesGSB(t *testing.T) {
 	if len(g.Blocks) != wantBlocks {
 		t.Fatalf("gSB blocks = %d, want %d", len(g.Blocks), wantBlocks)
 	}
-	if g.Capacity != int64(wantBlocks)*f.cfg.BlockBytes() {
-		t.Fatalf("capacity = %d", g.Capacity)
-	}
 	if g.InUse || g.Harvest != -1 || g.Home != 0 {
 		t.Fatalf("fresh gSB state wrong: %s", g)
 	}

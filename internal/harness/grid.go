@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"repro/internal/device"
+	"repro/internal/fault"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // grid is an evaluation: every mix under every policy, at every level and
@@ -47,9 +49,6 @@ type cell struct {
 	// (each solo device's, on a split cell), its bandwidth bound, and the
 	// settled recovery ledger's rows when faults are injected.
 	rows []obs.Invariant
-	// opt is what the cell ran under. Holding it keeps alive what the
-	// cell's key names by address, so no other object can take the address.
-	opt Options
 }
 
 // addr is where a cell sits in a finished grid.
@@ -71,17 +70,47 @@ func (cs cells) at(mix MixSpec, kind PolicyKind, level string, seed int64) cell 
 	return c
 }
 
-// key is every field of o as a map key: the fault config by value, the
-// other pointers by identity, and the replay trace by its backing array and
-// length.
-func (o Options) key() string {
-	recs, faults := o.ReplayRecords, o.Faults
-	o.ReplayRecords, o.Faults = nil, nil
-	k := fmt.Sprintf("%#v %p/%d", o, unsafe.SliceData(recs), len(recs))
-	if faults != nil {
-		k += fmt.Sprintf(" %#v", *faults)
+// optKey is every field of an Options as a comparable map key: the fault
+// config by value, the other pointers by identity, and the replay trace by
+// its first record and length. The key holds those pointers, so what a
+// memoised key names stays alive and no later object can take its address.
+type optKey struct {
+	text       string // the fields below cleared, printed
+	pretrained *nn.ActorCritic
+	obs        *obs.Observer
+	faulted    bool
+	faults     fault.Config
+	trace      *trace.Record
+	records    int
+}
+
+func (o Options) key() optKey {
+	k := optKey{pretrained: o.Pretrained, obs: o.Obs, faulted: o.Faults != nil, records: len(o.ReplayRecords)}
+	if k.faulted {
+		k.faults = *o.Faults
 	}
+	if k.records > 0 {
+		k.trace = &o.ReplayRecords[0]
+	}
+	o.Pretrained, o.Obs, o.Faults, o.ReplayRecords = nil, nil, nil, nil
+	k.text = fmt.Sprintf("%#v", o)
 	return k
+}
+
+// namedKey keys a calibration by its mix and a rack's roll-up by its name,
+// each at its options.
+type namedKey struct {
+	name string
+	opt  optKey
+}
+
+// cellKey keys a cell by its calibration's key, its policy, its own options
+// and the name of a level that runs it ("" for a level that only edits).
+type cellKey struct {
+	cal   namedKey
+	kind  PolicyKind
+	opt   optKey
+	level string
 }
 
 // onceMap computes each key's value once, however many goroutines ask.
@@ -98,16 +127,16 @@ func (o *onceMap[K, V]) get(k K, f func() V) V {
 // Results, never a Run. views holds a rack's roll-up by name and options,
 // so the rack's rendering and its claims read one run.
 type memo struct {
-	slos  onceMap[string, []sim.Time]
-	cells onceMap[string, cell]
-	views onceMap[string, any]
+	slos  onceMap[namedKey, []sim.Time]
+	cells onceMap[cellKey, cell]
+	views onceMap[namedKey, any]
 }
 
 // memoized is f's value, computed once per m for name at opt. Each read is
 // a deep copy made by clone, as a cell's is, so a caller that edits what it
 // was handed cannot edit what the next one reads.
 func memoized[V any](m *memo, name string, opt Options, f func() V, clone func(V) V) V {
-	return clone(m.views.get(name+" "+opt.key(), func() any { return f() }).(V))
+	return clone(m.views.get(namedKey{name, opt.key()}, func() any { return f() }).(V))
 }
 
 // scenarioMemo is the process memo the scenario figures share cells
@@ -151,10 +180,10 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 	var mu sync.Mutex
 	forEach(len(jobs), opt.Workers, func(i int) {
 		j := jobs[i]
-		cal := fmt.Sprintf("%q %q %s", j.mix.Label, j.mix.Workloads, j.base.calibration().key())
-		key := fmt.Sprintf("%s %v %s", cal, j.kind, j.opt.key())
+		cal := namedKey{fmt.Sprintf("%q %q", j.mix.Label, j.mix.Workloads), j.base.calibration().key()}
+		key := cellKey{cal: cal, kind: j.kind, opt: j.opt.key()}
 		if j.run != nil {
-			key += " " + j.level
+			key.level = j.level
 		}
 		c := m.cells.get(key, func() cell {
 			return runCell(j.mix, j.kind, m.slos.get(cal, func() []sim.Time { return Calibrate(j.mix, j.base) }), j.opt, j.run)
@@ -176,7 +205,7 @@ func runCell(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options, run fun
 	if run == nil {
 		if splittable(kind, opt) {
 			solos := measureSplit(mix, slos, opt)
-			c := cell{Result: mergeSolos(mix, solos, opt), opt: opt}
+			c := cell{Result: mergeSolos(mix, solos, opt)}
 			for _, s := range solos {
 				c.rows = append(c.rows, s.invariants()...)
 			}
@@ -185,7 +214,7 @@ func runCell(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options, run fun
 		run = Measure
 	}
 	r := run(mix, kind, slos, opt)
-	c := cell{Result: r.Result, types: r.typeLabels(), rows: r.invariants(), opt: opt}
+	c := cell{Result: r.Result, types: r.typeLabels(), rows: r.invariants()}
 	if opt.faultsEnabled() {
 		c.faults = r.FaultStats()
 		c.rows = append(c.rows, c.faults.Invariants()...)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -236,27 +237,25 @@ func TestOnceMapComputesOnce(t *testing.T) {
 	}
 }
 
-// TestMemoPinsKeyedObjects: a cell holds the options it ran under, so what
-// they point to stays alive as long as the cell does. For what its key
-// names by address (a pretrained model, an observer, a replay trace) no
-// later object can take the address and be served the cell; the fault
-// config watched here is keyed by value, but is held all the same.
+// TestMemoPinsKeyedObjects: a cell's key holds what it names by identity (a
+// pretrained model, an observer, a replay trace), so it stays alive as long
+// as the memo does, and no later object can take its address and be served
+// the cell. A hardware-isolated cell keys the model it never reads.
 func TestMemoPinsKeyedObjects(t *testing.T) {
 	t.Parallel()
 	m := new(memo)
 	freed := make(chan struct{}, 1)
 	func() {
 		opt := tinyOptions()
-		heavy := fault.Heavy()
-		opt.Faults = &heavy
-		runtime.SetFinalizer(opt.Faults, func(*fault.Config) { freed <- struct{}{} })
+		opt.Pretrained = new(nn.ActorCritic)
+		runtime.SetFinalizer(opt.Pretrained, func(*nn.ActorCritic) { freed <- struct{}{} })
 		m.run(opt, grid{mixes: []MixSpec{Pair("YCSB", "TeraSort")}, kinds: []PolicyKind{PolHardware}})
 	}()
 	runtime.GC()
 	runtime.GC()
 	select {
 	case <-freed:
-		t.Fatal("the memo let a fault config its key names by address be freed")
+		t.Fatal("the memo let a model its key names by address be freed")
 	case <-time.After(100 * time.Millisecond):
 	}
 	runtime.KeepAlive(m)

@@ -11,11 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// startObserving registers the run's telemetry probes on the observer's
-// registry and starts the virtual-time sampler, when telemetry is on. The
-// device's Stop stops it with the engine's other tickers.
+// startObserving registers the run's telemetry series on the observer's
+// registry and arms one probe that refreshes them on an engine ticker every
+// obs.DefaultSamplePeriod, when telemetry is on. The device's Stop stops it
+// with the engine's other tickers.
 //
-// The probes are the metric catalogue documented in docs/OBSERVABILITY.md:
+// The series are the metric catalogue documented in docs/OBSERVABILITY.md:
 // per-vSSD bandwidth/IOPS/P99/queue depth, device GC and write-amp
 // activity, gSB lifecycle counts, and admission verdicts.
 func (r *Run) startObserving() {
@@ -24,7 +25,6 @@ func (r *Run) startObserving() {
 		return
 	}
 	reg := o.Reg
-	s := obs.NewSampler()
 
 	plat := r.Platform()
 	eng := plat.Engine()
@@ -126,7 +126,7 @@ func (r *Run) startObserving() {
 	}
 
 	var lastAt sim.Time
-	s.AddProbe(func(now sim.Time) {
+	eng.Ticker(obs.DefaultSamplePeriod, func(now sim.Time) {
 		dt := float64(now-lastAt) / 1e9
 		lastAt = now
 		simTime.Set(float64(now) / 1e9)
@@ -186,6 +186,4 @@ func (r *Run) startObserving() {
 			}
 		}
 	})
-
-	s.Start(eng, obs.DefaultSamplePeriod)
 }

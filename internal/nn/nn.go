@@ -78,18 +78,23 @@ func (l *Linear) zeroGrad() {
 // numParams returns the parameter count.
 func (l *Linear) numParams() int { return len(l.W) + len(l.B) }
 
+// Adam's moment decay rates and the guard on its denominator: the
+// standard values (Kingma & Ba), the only ones any caller used.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
+
 // Adam is the Adam optimizer (Kingma & Ba) over a set of layers.
 type Adam struct {
-	LR    float64
-	Beta1 float64
-	Beta2 float64
-	Eps   float64
-	t     int
+	LR float64
+	t  int
 }
 
-// NewAdam returns Adam with the paper's learning rate and standard betas.
+// NewAdam returns Adam with the given learning rate and the standard betas.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{LR: lr}
 }
 
 // Step applies one update using the accumulated gradients (scaled by
@@ -99,16 +104,16 @@ func (a *Adam) Step(layers []*Linear, batch float64) {
 		batch = 1
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
+	c2 := 1 - math.Pow(adamBeta2, float64(a.t))
 	upd := func(w, g, m, v []float64) {
 		for i := range w {
 			gi := g[i] / batch
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+			m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
+			v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
 			mh := m[i] / c1
 			vh := v[i] / c2
-			w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+			w[i] -= a.LR * mh / (math.Sqrt(vh) + adamEps)
 			g[i] = 0
 		}
 	}

@@ -18,9 +18,9 @@
 //     Metric values are atomics, so samplers on the simulation goroutine
 //     and HTTP scrapes on server goroutines never block each other. A nil
 //     *Registry hands out nil *Metric handles whose Set/Add are no-ops.
-//   - Sampler runs probe functions on a sim.Engine ticker so per-vSSD
-//     bandwidth/IOPS/P99/queue-depth series (and device GC counters) are
-//     refreshed on a fixed virtual-time cadence.
+//   - DefaultSamplePeriod is the virtual-time cadence of the harness's
+//     one probe, a sim.Engine ticker that refreshes the per-vSSD
+//     bandwidth/IOPS/P99/queue-depth series (and device GC counters).
 //
 // Serve exposes a Registry at /metrics plus the net/http/pprof handlers
 // at /debug/pprof/ on a real listener; cmd/fleetsim, cmd/fleettrain,

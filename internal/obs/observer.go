@@ -1,5 +1,12 @@
 package obs
 
+import "repro/internal/sim"
+
+// DefaultSamplePeriod is the telemetry cadence: the harness refreshes the
+// registry's series every 100 ms of virtual time, fine enough to resolve
+// behaviour inside one paper-scale decision window.
+const DefaultSamplePeriod = 100 * sim.Millisecond
+
 // Observer bundles the two observability pieces a run can carry: the
 // decision-event Recorder and the metric Registry (sampled every
 // DefaultSamplePeriod of virtual time). The harness threads one Observer
@@ -15,7 +22,7 @@ type Observer struct {
 
 // NewObserver returns an observer with a fresh recorder and registry.
 func NewObserver() *Observer {
-	return &Observer{Rec: newRecorder(0), Reg: NewRegistry()}
+	return &Observer{Rec: newRecorder(), Reg: NewRegistry()}
 }
 
 // Recorder returns the observer's recorder, nil for a nil observer (so

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// defaultRingSize is the per-vSSD event capacity used when newRecorder is
-// given a non-positive limit. At the paper's decision cadence (a handful
-// of events per vSSD per window) this holds minutes of history.
+// defaultRingSize is the per-vSSD event capacity. At the paper's decision
+// cadence (a handful of events per vSSD per window) this holds minutes of
+// history.
 const defaultRingSize = 4096
 
 // Recorder captures decision events into per-vSSD ring buffers. It is
@@ -32,14 +32,14 @@ type Recorder struct {
 
 // recState is the event storage shared by every bound view.
 type recState struct {
-	limit int
-	seq   atomic.Uint64
+	seq atomic.Uint64
 
 	mu    sync.RWMutex
 	rings []*ring
 }
 
-// ring is one vSSD's bounded event history (newest limit events).
+// ring is one vSSD's bounded event history (the newest defaultRingSize
+// events).
 type ring struct {
 	mu   sync.Mutex
 	evs  []event
@@ -47,15 +47,11 @@ type ring struct {
 	full bool
 }
 
-// newRecorder returns a recorder keeping the newest perVSSD events per
-// vSSD ring (defaultRingSize when perVSSD <= 0). The clock stamping
-// virtual timestamps starts unset; events emitted before one is bound
-// carry At == 0.
-func newRecorder(perVSSD int) *Recorder {
-	if perVSSD <= 0 {
-		perVSSD = defaultRingSize
-	}
-	return &Recorder{state: &recState{limit: perVSSD}}
+// newRecorder returns a recorder keeping the newest defaultRingSize events
+// per vSSD ring. The clock stamping virtual timestamps starts unset; events
+// emitted before one is bound carry At == 0.
+func newRecorder() *Recorder {
+	return &Recorder{state: &recState{}}
 }
 
 // setClock installs the virtual-time source (typically eng.Now of the
@@ -128,11 +124,11 @@ func (r *Recorder) emit(e event) {
 	}
 	rg := s.ringFor(id)
 	rg.mu.Lock()
-	if len(rg.evs) < s.limit {
+	if len(rg.evs) < defaultRingSize {
 		rg.evs = append(rg.evs, e)
 	} else {
 		rg.evs[rg.next] = e
-		rg.next = (rg.next + 1) % s.limit
+		rg.next = (rg.next + 1) % defaultRingSize
 		rg.full = true
 	}
 	rg.mu.Unlock()

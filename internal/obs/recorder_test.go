@@ -31,7 +31,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestRecorderStampsSeqAndClock(t *testing.T) {
-	r := newRecorder(16)
+	r := newRecorder()
 	var now sim.Time = 42
 	r.setClock(func() sim.Time { return now })
 	r.Decision(KindHarvest, 0, 2e6, 0)
@@ -50,26 +50,26 @@ func TestRecorderStampsSeqAndClock(t *testing.T) {
 }
 
 func TestRecorderRingDiscardsOldest(t *testing.T) {
-	r := newRecorder(4)
-	for i := 0; i < 10; i++ {
+	r := newRecorder()
+	for i := 0; i < defaultRingSize+6; i++ {
 		r.Decision(KindSetPriority, 0, 0, i)
 	}
 	evs := r.events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
+	if len(evs) != defaultRingSize {
+		t.Fatalf("ring holds %d events, want %d", len(evs), defaultRingSize)
 	}
 	for i, e := range evs {
 		if e.Level != 6+i {
-			t.Fatalf("event %d has level %d, want %d (newest-4 retained in order)", i, e.Level, 6+i)
+			t.Fatalf("event %d has level %d, want %d (newest %d retained in order)", i, e.Level, 6+i, defaultRingSize)
 		}
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len %d, want 4", r.Len())
+	if r.Len() != defaultRingSize {
+		t.Fatalf("Len %d, want %d", r.Len(), defaultRingSize)
 	}
 }
 
 func TestEventsMergeOrdering(t *testing.T) {
-	r := newRecorder(16)
+	r := newRecorder()
 	var now sim.Time
 	r.setClock(func() sim.Time { return now })
 	now = 30
@@ -88,7 +88,7 @@ func TestEventsMergeOrdering(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := newRecorder(16)
+	r := newRecorder()
 	r.setClock(func() sim.Time { return 7 })
 	r.Decision(KindMakeHarvestable, 0, 3e8, 0)
 	r.GSB(KindGSBHarvest, 5, 1, 0, 2)
@@ -144,13 +144,14 @@ func TestEventKindJSONStable(t *testing.T) {
 }
 
 // TestRecorderConcurrentEmit exercises the locking under -race: many
-// goroutines emitting for overlapping vSSD ids while a reader drains
-// merged snapshots, as trainer workers and an HTTP scrape would.
+// goroutines emitting for overlapping vSSD ids, enough that rings wrap,
+// while a reader drains merged snapshots, as trainer workers and an HTTP
+// scrape would.
 func TestRecorderConcurrentEmit(t *testing.T) {
-	r := newRecorder(64)
+	r := newRecorder()
 	r.setClock(func() sim.Time { return 1 })
 	const workers = 8
-	const perWorker = 500
+	const perWorker = defaultRingSize / 2
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -165,7 +166,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 50; i++ {
+		for i := 0; i < 5; i++ {
 			_ = r.events()
 			_ = r.Len()
 		}

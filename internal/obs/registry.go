@@ -36,8 +36,7 @@ func (t metricType) String() string {
 // Set/Add and reads as 0, keeping disabled-path instrumentation to one
 // nil check.
 type Metric struct {
-	labels string // pre-rendered {k="v",…} or ""
-	bits   atomic.Uint64
+	bits atomic.Uint64
 }
 
 // Set stores v.
@@ -126,7 +125,7 @@ func (r *Registry) metric(typ metricType, name, help string, labels []string) *M
 	if m, ok := f.series[ls]; ok {
 		return m
 	}
-	m := &Metric{labels: ls}
+	m := &Metric{}
 	f.series[ls] = m
 	f.order = append(f.order, ls)
 	return m

@@ -49,7 +49,6 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 		}
 		stats.MeanReturn += ret[i]
 	}
-	stats.MeanAdv = mean
 	stats.MeanReturn /= float64(n)
 
 	probs := make([][]float64, len(p.Net.Heads))
@@ -62,7 +61,6 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 
 	mb := min(MiniBatch, n)
 	var polLoss, valLoss, entSum, klSum float64
-	var clipped, visited float64
 	for epoch := 0; epoch < epochs; epoch++ {
 		p.rng.PermInto(order)
 		for start := 0; start < n; start += mb {
@@ -95,10 +93,7 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 				var dLP float64
 				if unclipped <= clippedSurr {
 					dLP = -a * ratio
-				} else {
-					clipped++
 				}
-				visited++
 				polLoss += -math.Min(unclipped, clippedSurr)
 
 				for k, pr := range probs {
@@ -130,9 +125,6 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 	stats.ValueLoss = valLoss / total
 	stats.Entropy = entSum / (total * float64(len(p.Net.Heads)))
 	stats.ApproxKL = klSum / total
-	if visited > 0 {
-		stats.ClipVisited = clipped / visited
-	}
 	buf.Reset()
 	return stats
 }

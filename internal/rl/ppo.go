@@ -126,14 +126,12 @@ func Merge(bufs ...*Buffer) *Buffer {
 
 // TrainStats summarizes one Train call.
 type TrainStats struct {
-	Steps       int
-	PolicyLoss  float64
-	ValueLoss   float64
-	Entropy     float64
-	MeanAdv     float64
-	MeanReturn  float64
-	ClipVisited float64 // fraction of samples with zeroed (clipped) gradient
-	ApproxKL    float64 // mean(old logπ − new logπ) over optimized samples
+	Steps      int
+	PolicyLoss float64
+	ValueLoss  float64
+	Entropy    float64
+	MeanReturn float64
+	ApproxKL   float64 // mean(old logπ − new logπ) over optimized samples
 }
 
 // PPO is the learner: a policy/value network plus its optimizer.
@@ -323,12 +321,10 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 		}
 		stats.MeanReturn += ret[i]
 	}
-	stats.MeanAdv = mean
 	stats.MeanReturn /= float64(n)
 
 	mb := min(MiniBatch, n)
 	var polLoss, valLoss, entSum, klSum float64
-	var clipped, visited float64
 	for epoch := 0; epoch < epochs; epoch++ {
 		p.rng.PermInto(order)
 		for start := 0; start < n; start += mb {
@@ -373,10 +369,7 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 				var dLP float64
 				if unclipped <= clippedSurr {
 					dLP = -a * ratio
-				} else {
-					clipped++
 				}
-				visited++
 				polLoss += -math.Min(unclipped, clippedSurr)
 
 				for k := range logits {
@@ -410,9 +403,6 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 	stats.ValueLoss = valLoss / total
 	stats.Entropy = entSum / (total * float64(len(p.Net.Heads)))
 	stats.ApproxKL = klSum / total
-	if visited > 0 {
-		stats.ClipVisited = clipped / visited
-	}
 	buf.Reset()
 	return stats
 }

@@ -88,8 +88,8 @@ func TestMultipleVSSDsShareDeviceSafely(t *testing.T) {
 // every policy takes it by value, so it has to stay a handful of counters.
 // A histogram in the window made each of those copies 16.6 KB.
 func TestMeasurementWidths(t *testing.T) {
-	if sz := unsafe.Sizeof(WindowSnapshot{}); sz > 256 {
-		t.Errorf("WindowSnapshot is %d bytes, want <= 256", sz)
+	if sz := unsafe.Sizeof(WindowSnapshot{}); sz > 128 {
+		t.Errorf("WindowSnapshot is %d bytes, want <= 128", sz)
 	}
 	if sz := unsafe.Sizeof(metrics.Window{}); sz > 96 {
 		t.Errorf("metrics.Window is %d bytes, want <= 96", sz)
@@ -102,8 +102,8 @@ func TestWindowSnapshotSLOFields(t *testing.T) {
 	v.Submit(&Request{Write: false, LPN: 0, Pages: 1})
 	eng.Run()
 	snap := v.Rotate()
-	if snap.SLO != 5*sim.Millisecond {
-		t.Fatalf("snapshot SLO = %v", snap.SLO)
+	if v.SLO() != 5*sim.Millisecond || snap.Window.Reads != 1 || snap.Window.SLOViolations != 0 {
+		t.Fatalf("SLO = %v, window reads = %d, violations = %d", v.SLO(), snap.Window.Reads, snap.Window.SLOViolations)
 	}
 	if snap.VSSD != 0 {
 		t.Fatalf("snapshot vssd id = %d", snap.VSSD)

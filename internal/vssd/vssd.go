@@ -43,7 +43,6 @@ func (i Isolation) String() string {
 // constructed requests (&Request{...}, e.g. through the public fleetio
 // API) are never recycled and stay safe to hold.
 type Request struct {
-	VSSD    int
 	Write   bool
 	LPN     int
 	Pages   int
@@ -240,7 +239,6 @@ func (v *VSSD) Submit(r *Request) {
 		panic("vssd: request submitted twice")
 	}
 	r.enqueued = true
-	r.VSSD = v.id
 	r.owner = v
 	r.Arrival = v.plat.eng.Now()
 	r.remaining = r.Pages
@@ -451,7 +449,6 @@ func (v *VSSD) dispatchWrite(r *Request, lpn int) bool {
 	op := v.plat.dev.AcquireOp()
 	op.Kind = flash.OpProgram
 	op.Addr = ppa
-	op.Tenant = v.id
 	op.Priority = v.priority
 	op.Pass = v.pass
 	op.Done = requestPageDone
@@ -485,7 +482,6 @@ func (v *VSSD) dispatchRead(r *Request, lpn int) {
 	op := v.plat.dev.AcquireOp()
 	op.Kind = flash.OpRead
 	op.Addr = ppa
-	op.Tenant = v.id
 	op.Priority = v.priority
 	op.Pass = v.pass
 	op.Done = requestPageDone
@@ -522,18 +518,14 @@ func (v *VSSD) pageDone(r *Request, at sim.Time) {
 // counters plus the instantaneous state the RL agent needs (Table 1).
 type WindowSnapshot struct {
 	VSSD     int
-	Start    sim.Time
 	Duration sim.Time
 	Window   metrics.Window
 
-	QueueLen          int
-	InflightPages     int
-	AvailCapacity     int64 // bytes of unmapped logical space
-	InGC              bool
-	Priority          int
-	OwnedChannels     int
-	HarvestedChannels int
-	SLO               sim.Time
+	QueueLen      int
+	InflightPages int
+	AvailCapacity int64 // bytes of unmapped logical space
+	InGC          bool
+	Priority      int
 }
 
 // Rotate returns the finished window and starts a new one.
@@ -541,7 +533,6 @@ func (v *VSSD) Rotate() WindowSnapshot {
 	now := v.plat.eng.Now()
 	snap := WindowSnapshot{
 		VSSD:          v.id,
-		Start:         v.windowAt,
 		Duration:      now - v.windowAt,
 		Window:        v.window,
 		QueueLen:      v.QueueLen(),
@@ -549,11 +540,6 @@ func (v *VSSD) Rotate() WindowSnapshot {
 		AvailCapacity: (int64(v.tenant.LogicalPages()) - v.tenant.MappedPages()) * int64(v.plat.cfg.PageSize),
 		InGC:          v.tenant.InGC(),
 		Priority:      v.priority,
-		OwnedChannels: len(v.tenant.Channels()),
-		SLO:           v.slo,
-	}
-	if v.plat.gsbm != nil {
-		snap.HarvestedChannels = v.plat.gsbm.HarvestedChannels(v.id)
 	}
 	v.window.Reset()
 	v.windowAt = now

@@ -124,11 +124,20 @@ func TestBurstyFlipsRegimes(t *testing.T) {
 	v := p.AddVSSD(vssd.Config{Name: "w", Channels: []int{0, 1}})
 	g := NewGenerator(eng, v, bursty, sim.NewRNG(31))
 	g.Start()
-	eng.RunUntil(4 * sim.Second)
+	// YCSB's phase factor holds for its first 5 s, so within 4 s the
+	// composed factor changes only when the regime flips.
+	eng.RunUntil(10 * sim.Millisecond)
+	flips, last := 0, g.RateFactor()
+	for now := 20 * sim.Millisecond; now <= 4*sim.Second; now += 10 * sim.Millisecond {
+		eng.RunUntil(now)
+		if f := g.RateFactor(); f != last {
+			flips, last = flips+1, f
+		}
+	}
 	g.Stop()
 	eng.Run()
-	if g.burst.flips < 2 {
-		t.Fatalf("only %d regime flips in 4s", g.burst.flips)
+	if flips < 2 {
+		t.Fatalf("only %d regime flips in 4s", flips)
 	}
 	if f := g.RateFactor(); f != bursty.Burst.HighFactor && f != bursty.Burst.LowFactor {
 		// The composed factor includes phases, so just check it's positive.

@@ -392,7 +392,6 @@ type burstState struct {
 	init  bool
 	high  bool
 	until sim.Time
-	flips int64
 }
 
 // factor advances the regime switch to time now (drawing sojourns from
@@ -405,7 +404,6 @@ func (bs *burstState) factor(b *Burst, now sim.Time, rng *sim.RNG) float64 {
 	}
 	for now >= bs.until {
 		bs.high = !bs.high
-		bs.flips++
 		mean := b.MeanLow
 		if bs.high {
 			mean = b.MeanHigh
