@@ -236,16 +236,23 @@ func stdImporter(fset *token.FileSet, pkgs map[string]bool) (types.Importer, err
 	}), nil
 }
 
-// exportVerdicts checks every exported func, method, type, const and var
-// declared in non-test internal/ code of t, and returns a verdict for each
-// one whose export no caller needs, keyed "pkg.Name" or "pkg.Type.Method"
-// (pkg being the package's directory under internal/): "unused" when no
-// non-test code uses it, "own-package" when only its own package does. A
-// name keeps its export when another package uses it, when its type is
-// reachable through the type of a name another package uses (a result, a
-// parameter, an exported field; constants of such a type count too), or
-// when it is a method implementing an interface the module declares or one
-// of stdInterfaces or error. kinds counts the names checked, by kind.
+// exportVerdicts checks every exported func, method, type, const, var and
+// struct field declared in non-test internal/ code of t, and returns a
+// verdict for each one whose export no caller needs, keyed "pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.Field" (pkg being the package's directory
+// under internal/): "unused" when no non-test code uses it, "own-package"
+// when only its own package does. A name keeps its export when another
+// package uses it, when its type is reachable through the type of a name
+// another package uses (a result, a parameter, an exported field the gate
+// keeps; constants of such a type count too), or when it is a method
+// implementing an interface the module declares or one of stdInterfaces or
+// error. A field is any exported, unembedded field of a package-level struct
+// type, exported or not; it is "own-package" unless another package's code
+// uses it, its tests included (they build structs by field). Exempt are
+// tagged fields and the fields of two kinds of type: one reachable from the
+// root package's exported API, and one whose values fmt, reflect or
+// encoding/... read whole (see usedWhole), as those see a field's name.
+// kinds counts the names checked, by kind.
 func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]int, err error) {
 	type use struct{ own, other bool }
 	uses := map[types.Object]*use{}
@@ -289,6 +296,9 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 		ifaces = append(ifaces, pkg.Scope().Lookup(i.name).Type().Underlying().(*types.Interface))
 	}
 
+	verdicts, kinds = map[string]string{}, map[string]int{}
+	hidden := ownFields(t, verdicts, kinds)
+
 	// reached holds the internal/ named types reachable from outside their
 	// package through the type of a name another package uses.
 	var roots []types.Type
@@ -297,9 +307,8 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 			roots = append(roots, obj.Type())
 		}
 	}
-	reached := apiReach(internal, roots)
+	reached := apiReach(internal, roots, hidden)
 
-	verdicts, kinds = map[string]string{}, map[string]int{}
 	judge := func(key, kind string, obj types.Object, keep bool) {
 		kinds[kind]++
 		u := uses[obj]
@@ -349,11 +358,61 @@ func exportVerdicts(t *srcTree) (verdicts map[string]string, kinds map[string]in
 	return verdicts, kinds, nil
 }
 
+// ownFields judges the struct fields for exportVerdicts: it adds a verdict
+// for each field only its own package uses, counts the fields checked, and
+// returns the fields it flags, which are to be unexported and so reach
+// nothing.
+func ownFields(t *srcTree, verdicts map[string]string, kinds map[string]int) map[*types.Var]bool {
+	other := map[*types.Var]bool{}
+	whole := map[*types.TypeName]depth{}
+	for _, p := range t.pkgs {
+		for _, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != p.types {
+				other[v.Origin()] = true
+			}
+		}
+		for _, f := range append(p.files[:len(p.files):len(p.files)], p.tests...) {
+			fieldUses(p.info, f, map[*types.Var]bool{}, whole)
+		}
+	}
+	reached := rootReach(t)
+	hidden := map[*types.Var]bool{}
+	for _, p := range t.pkgs {
+		prefix, ok := p.internal()
+		if !ok {
+			continue
+		}
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || t.inTest(tn) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() {
+					continue
+				}
+				kinds["field"]++
+				if !other[f] && st.Tag(i) == "" && !reached[tn] && whole[tn] < printed {
+					verdicts[prefix+"."+name+"."+f.Name()] = "own-package"
+					hidden[f] = true
+				}
+			}
+		}
+	}
+	return hidden
+}
+
 // apiReach returns the named types, declared in a package of within, that
 // the roots reach: through type arguments, pointer, slice, array, channel and
 // map elements, signatures, the exported methods of interfaces, and exported
-// or embedded struct fields. These are the types a holder of a root can name.
-func apiReach(within map[*types.Package]bool, roots []types.Type) map[*types.TypeName]bool {
+// or embedded struct fields, but for the hidden ones. These are the types a
+// holder of a root can name.
+func apiReach(within map[*types.Package]bool, roots []types.Type, hidden map[*types.Var]bool) map[*types.TypeName]bool {
 	reached := map[*types.TypeName]bool{}
 	var reach func(types.Type)
 	reach = func(typ types.Type) {
@@ -385,7 +444,7 @@ func apiReach(within map[*types.Package]bool, roots []types.Type) map[*types.Typ
 			}
 		case *types.Struct:
 			for i := 0; i < typ.NumFields(); i++ {
-				if f := typ.Field(i); f.Exported() || f.Embedded() {
+				if f := typ.Field(i); (f.Exported() || f.Embedded()) && !hidden[f] {
 					reach(f.Type())
 				}
 			}
@@ -594,8 +653,8 @@ func TestInternalAPISizedToCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("exported names in non-test internal/: %d funcs, %d methods, %d types, %d consts, %d vars",
-		kinds["func"], kinds["method"], kinds["type"], kinds["const"], kinds["var"])
+	t.Logf("exported names in non-test internal/: %d funcs, %d methods, %d types, %d consts, %d vars, %d fields",
+		kinds["func"], kinds["method"], kinds["type"], kinds["const"], kinds["var"], kinds["field"])
 	allow, err := readAllowlist(os.DirFS("."), apiAllowlist)
 	if err != nil {
 		t.Fatal(err)
@@ -774,7 +833,7 @@ import (
 	"repro/internal/obs"
 )
 
-func main() { t := a.NewT(); t.Method(); _ = t.F; obs.Documented(); obs.Bare() }
+func main() { t := a.NewT(); t.Method(); _ = t.F; _ = t.K; obs.Documented(); obs.Bare() }
 `)},
 		"bench/main.go": {Data: []byte(`package main
 
@@ -812,7 +871,7 @@ a.NewT   stale: cmd/b calls it
 	if !reflect.DeepEqual(verdicts, want) {
 		t.Fatalf("verdicts = %v, want %v", verdicts, want)
 	}
-	if want := map[string]int{"func": 7, "method": 5, "type": 5, "const": 3, "var": 1}; !reflect.DeepEqual(kinds, want) {
+	if want := map[string]int{"func": 7, "method": 5, "type": 5, "const": 3, "var": 1, "field": 2}; !reflect.DeepEqual(kinds, want) {
 		t.Errorf("kinds = %v, want %v", kinds, want)
 	}
 	if got := undocumentedObs(tree); len(got) != 1 || !strings.HasSuffix(got[0], ": Bare") {
@@ -830,5 +889,100 @@ a.NewT   stale: cmd/b calls it
 	fsys["bad.txt"] = &fstest.MapFile{Data: []byte("a.Max\n")}
 	if _, err := readAllowlist(fsys, "bad.txt"); err == nil {
 		t.Fatal("an allowlist line without a reason must be an error")
+	}
+}
+
+// TestExportedFieldsScanner pins, on a planted tree, the gate's field rule:
+// which uses keep a field's export, which types are exempt, and that a type
+// whose last outside reach was a field the rule hides is judged as if the
+// field were unexported.
+func TestExportedFieldsScanner(t *testing.T) {
+	fsys := fstest.MapFS{
+		"go.mod": {Data: []byte("module repro\n")},
+		"repro.go": {Data: []byte(`package repro
+
+import "repro/internal/a"
+
+type Result = a.Public
+`)},
+		"internal/a/a.go": {Data: []byte(`package a
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+type T struct {
+	Used, Tested, Own int
+	Tagged            int ` + "`json:\"tagged\"`" + `
+	Shape             Shape
+	Compared          Compared
+	unexported        int
+	Public
+}
+
+type Shape struct{ N int }
+
+type Public struct{ N int }
+
+type Printed struct{ N int }
+
+type Encoded struct{ N int }
+
+type Compared struct{ N int }
+
+type hidden struct{ N int }
+
+func NewT() *T {
+	t := &T{Own: 1, Tagged: 2, Shape: Shape{N: 3}, unexported: 4}
+	_ = fmt.Sprint(Printed{N: t.Own})
+	_, _ = json.Marshal(Encoded{N: t.Tagged})
+	_ = t.Compared == Compared{N: hidden{N: t.unexported}.N}
+	return t
+}
+`)},
+		"cmd/b/main.go": {Data: []byte(`package main
+
+import "repro/internal/a"
+
+func main() { _ = a.NewT().Used }
+`)},
+		"internal/c/c.go": {Data: []byte(`package c
+`)},
+		"internal/c/c_test.go": {Data: []byte(`package c
+
+import "repro/internal/a"
+
+func use() int { return a.NewT().Tested }
+`)},
+	}
+	tree, err := loadTree(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, kinds, err := exportVerdicts(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Used is kept by cmd/b and Tested by c's test; Tagged has a tag,
+	// Public is the root's Result, Printed and Encoded are read whole by fmt
+	// and encoding/json, which see field names. Compared is only compared,
+	// which does not, and hidden's field counts though the type is
+	// unexported. Shape and Compared were reached only through T's fields
+	// of their names, which the rule hides.
+	want := map[string]string{
+		"a.T.Own": "own-package", "a.T.Shape": "own-package", "a.T.Compared": "own-package",
+		"a.Compared.N": "own-package", "a.hidden.N": "own-package", "a.Shape.N": "own-package",
+		"a.Shape": "own-package", "a.Compared": "own-package",
+		"a.Printed": "own-package", "a.Encoded": "own-package",
+	}
+	if !reflect.DeepEqual(verdicts, want) {
+		t.Fatalf("verdicts = %v, want %v", verdicts, want)
+	}
+	if kinds["field"] != 12 {
+		t.Errorf("fields checked = %d, want 12", kinds["field"])
+	}
+	if got := apiGateProblems(verdicts, nil); len(got) != len(want) || !strings.HasPrefix(got[0], "own-package: a.Compared ") {
+		t.Errorf("problems = %q", got)
 	}
 }

@@ -27,23 +27,8 @@ import (
 // generic code compares or keys a map with; "holding" goes as deep as the
 // use reads (see depth).
 func writeOnlyFields(t *srcTree, tests bool) []string {
-	within := map[*types.Package]bool{}
-	var api []types.Type
-	for _, p := range t.pkgs {
-		if _, ok := p.internal(); ok || p.dir == "." {
-			within[p.types] = true
-		}
-		if p.dir != "." {
-			continue
-		}
-		for _, name := range p.types.Scope().Names() {
-			if obj := p.types.Scope().Lookup(name); obj.Exported() && !t.inTest(obj) {
-				api = append(api, obj.Type())
-			}
-		}
-	}
-	reached := apiReach(within, api)
-	read, whole := map[*types.Var]bool{}, map[*types.TypeName]bool{}
+	reached := rootReach(t)
+	read, whole := map[*types.Var]bool{}, map[*types.TypeName]depth{}
 	for _, p := range t.pkgs {
 		for _, f := range p.files {
 			fieldUses(p.info, f, read, whole)
@@ -63,7 +48,7 @@ func writeOnlyFields(t *srcTree, tests bool) []string {
 		}
 		for _, name := range p.types.Scope().Names() {
 			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || t.inTest(tn) || reached[tn] || whole[tn] {
+			if !ok || tn.IsAlias() || t.inTest(tn) || reached[tn] || whole[tn] != 0 {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -81,9 +66,32 @@ func writeOnlyFields(t *srcTree, tests bool) []string {
 	return unread
 }
 
+// rootReach returns the named types, declared under internal/ or in the root
+// package, that the root package's exported API reaches (see apiReach): a
+// user of the module may name their exported fields.
+func rootReach(t *srcTree) map[*types.TypeName]bool {
+	within := map[*types.Package]bool{}
+	var api []types.Type
+	for _, p := range t.pkgs {
+		if _, ok := p.internal(); ok || p.dir == "." {
+			within[p.types] = true
+		}
+		if p.dir != "." {
+			continue
+		}
+		for _, name := range p.types.Scope().Names() {
+			if obj := p.types.Scope().Lookup(name); obj.Exported() && !t.inTest(obj) {
+				api = append(api, obj.Type())
+			}
+		}
+	}
+	return apiReach(within, api, nil)
+}
+
 // fieldUses adds to read the fields file f reads, and to whole the named
-// types it uses whole (see writeOnlyFields).
-func fieldUses(info *types.Info, f *ast.File, read map[*types.Var]bool, whole map[*types.TypeName]bool) {
+// types it uses whole, each at the deepest depth a use reads it (see
+// writeOnlyFields).
+func fieldUses(info *types.Info, f *ast.File, read map[*types.Var]bool, whole map[*types.TypeName]depth) {
 	writes := map[*ast.Ident]bool{}
 	target := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
@@ -180,22 +188,23 @@ func callee(info *types.Info, fun ast.Expr) types.Object {
 // depth is how far a whole use reads into a value. == and a map key read
 // its fields and array elements. fmt reads slice and map elements too, and
 // follows a pointer only at the top; a nested one it prints as an address.
-// reflect and encoding/... follow every pointer.
+// reflect and encoding/... follow every pointer. fmt, reflect and
+// encoding/... also see the fields' names, and whether each is exported.
 type depth int
 
 const (
-	compared depth = iota
+	compared depth = iota + 1
 	printed
 	walked
 )
 
-// usedWhole adds to whole the named types that a use at depth d reads a
-// value of typ through: typ itself and what it holds.
-func usedWhole(typ types.Type, d depth, whole map[*types.TypeName]bool) {
+// usedWhole raises to d the depth in whole of each named type that a use at
+// depth d reads a value of typ through: typ itself and what it holds.
+func usedWhole(typ types.Type, d depth, whole map[*types.TypeName]depth) {
 	switch typ := types.Unalias(typ).(type) {
 	case *types.Named:
-		if obj := typ.Origin().Obj(); !whole[obj] {
-			whole[obj] = true
+		if obj := typ.Origin().Obj(); whole[obj] < d {
+			whole[obj] = d
 			usedWhole(typ.Underlying(), d, whole)
 		}
 	case *types.Struct:

@@ -48,10 +48,11 @@ type Controller struct {
 	started bool
 	stats   Stats
 
-	// Obs traces admission verdicts (filtered and admitted harvest-related
-	// actions); nil disables. Immediate pass-through actions are not traced
-	// here — the policy layer already records the decision that issued them.
-	Obs *obs.Recorder
+	// obs is the platform's observer, which traces admission verdicts
+	// (filtered and admitted harvest-related actions); nil disables.
+	// Immediate pass-through actions are not traced here — the policy
+	// layer already records the decision that issued them.
+	obs *obs.Recorder
 }
 
 type entry struct {
@@ -95,10 +96,10 @@ func (s *batchSorter) Less(i, j int) bool {
 	return ai.arrival < aj.arrival
 }
 
-// NewController builds a controller with the paper's defaults; a nil
-// policy permits every action.
+// NewController builds a controller with the paper's defaults that traces
+// to the platform's observer; a nil policy permits every action.
 func NewController(plat *vssd.Platform, policy Policy) *Controller {
-	return &Controller{plat: plat, policy: policy}
+	return &Controller{plat: plat, policy: policy, obs: plat.Observer()}
 }
 
 // Stats returns a copy of the counters.
@@ -121,13 +122,13 @@ func (c *Controller) Submit(a vssd.Action) {
 	case vssd.ActHarvest:
 		if c.policy != nil && !c.policy.AllowHarvest(a.VSSD) {
 			c.stats.Filtered++
-			c.Obs.Verdict(obs.KindAdmissionFilter, a.VSSD, a.Kind.String(), a.BW)
+			c.obs.Verdict(obs.KindAdmissionFilter, a.VSSD, a.Kind.String(), a.BW)
 			return
 		}
 	case vssd.ActMakeHarvestable:
 		if c.policy != nil && !c.policy.AllowMakeHarvestable(a.VSSD) {
 			c.stats.Filtered++
-			c.Obs.Verdict(obs.KindAdmissionFilter, a.VSSD, a.Kind.String(), a.BW)
+			c.obs.Verdict(obs.KindAdmissionFilter, a.VSSD, a.Kind.String(), a.BW)
 			return
 		}
 	default:
@@ -156,7 +157,7 @@ func (c *Controller) Flush() {
 	c.sorter.batch = nil
 	for _, e := range batch {
 		c.stats.Admitted++
-		c.Obs.Verdict(obs.KindAdmissionAdmit, e.action.VSSD, e.action.Kind.String(), e.action.BW)
+		c.obs.Verdict(obs.KindAdmissionAdmit, e.action.VSSD, e.action.Kind.String(), e.action.BW)
 		c.plat.Apply(e.action)
 	}
 	c.spare = batch[:0]

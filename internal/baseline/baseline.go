@@ -51,7 +51,7 @@ func ConfigureSoftwareIsolation(p *vssd.Platform, shareFactor float64) {
 // vSSD's bandwidth in the prior window, following the elastic-namespace
 // approach the paper cites [31]. Every vSSD keeps at least one channel.
 type Adaptive struct {
-	// TotalChannels is the pool being partitioned.
+	// totalChannels is the pool being partitioned.
 	TotalChannels int
 }
 
@@ -156,10 +156,10 @@ func argminWithFloor(counts []int, bws []float64, floor int) int {
 // average latency via right-sizing, but unable to track dynamics).
 type SSDKeeper struct {
 	net *nn.ActorCritic
-	// ObserveWindows is how many windows to watch before partitioning.
-	ObserveWindows int
-	TotalChannels  int
-	ChannelBW      float64
+	// observeWindows is how many windows to watch before partitioning.
+	observeWindows int
+	totalChannels  int
+	channelBW      float64
 
 	seen    int
 	sumBW   []float64
@@ -206,9 +206,9 @@ func NewSSDKeeper(totalChannels int, channelBW float64, seed int64) *SSDKeeper {
 	}
 	return &SSDKeeper{
 		net:            net,
-		ObserveWindows: 3,
-		TotalChannels:  totalChannels,
-		ChannelBW:      channelBW,
+		observeWindows: 3,
+		totalChannels:  totalChannels,
+		channelBW:      channelBW,
 	}
 }
 
@@ -223,8 +223,8 @@ func (s *SSDKeeper) predict(bwFrac, iopsNorm, readRatio float64) int {
 	if d < 1 {
 		d = 1
 	}
-	if d > s.TotalChannels {
-		d = s.TotalChannels
+	if d > s.totalChannels {
+		d = s.totalChannels
 	}
 	return d
 }
@@ -239,7 +239,7 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		s.sumBW = make([]float64, n)
 		s.sumIOPS = make([]float64, n)
 	}
-	peak := float64(s.TotalChannels) * s.ChannelBW
+	peak := float64(s.totalChannels) * s.channelBW
 	for i, sn := range snaps {
 		dur := sn.Duration
 		if dur <= 0 {
@@ -249,7 +249,7 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		s.sumIOPS[i] += sn.Window.IOPS(dur)
 	}
 	s.seen++
-	if s.seen < s.ObserveWindows {
+	if s.seen < s.observeWindows {
 		return nil
 	}
 	demands := make([]int, n)
@@ -264,14 +264,14 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	counts := make([]int, n)
 	assigned := 0
 	for i, d := range demands {
-		c := d * s.TotalChannels / max(total, 1)
+		c := d * s.totalChannels / max(total, 1)
 		if c < 1 {
 			c = 1
 		}
 		counts[i] = c
 		assigned += c
 	}
-	for assigned > s.TotalChannels {
+	for assigned > s.totalChannels {
 		idx := -1
 		for i, c := range counts {
 			if c > 1 && (idx < 0 || c > counts[idx]) {
@@ -284,7 +284,7 @@ func (s *SSDKeeper) Decide(_ sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		counts[idx]--
 		assigned--
 	}
-	for assigned < s.TotalChannels {
+	for assigned < s.totalChannels {
 		idx := 0
 		for i, d := range demands {
 			if d > demands[idx] {

@@ -142,7 +142,7 @@ func TestSSDKeeperPredictsMonotoneDemand(t *testing.T) {
 
 func TestSSDKeeperPartitionsOnceAfterObservation(t *testing.T) {
 	sk := NewSSDKeeper(8, 64e6, 2)
-	sk.ObserveWindows = 2
+	sk.observeWindows = 2
 	snaps := []vssd.WindowSnapshot{
 		snapBW(0, 300e6, sim.Second),
 		snapBW(1, 30e6, sim.Second),

@@ -184,14 +184,14 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// KMeans is a fitted k-means model.
-type KMeans struct {
-	Centroids [][]float64
+// kmeans is a fitted k-means model.
+type kmeans struct {
+	centroids [][]float64
 }
 
 // fitKMeans clusters standardized points with k-means++ initialization and
 // Lloyd iterations.
-func fitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *KMeans {
+func fitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *kmeans {
 	if len(points) < k {
 		panic(fmt.Sprintf("cluster: %d points for k=%d", len(points), k))
 	}
@@ -271,13 +271,13 @@ func fitKMeans(points [][]float64, k, iters int, rng *sim.RNG) *KMeans {
 			break
 		}
 	}
-	return &KMeans{Centroids: centroids}
+	return &kmeans{centroids: centroids}
 }
 
 // assign returns the nearest centroid index for a standardized point.
-func (km *KMeans) assign(p []float64) int {
+func (km *kmeans) assign(p []float64) int {
 	best, bestD := 0, math.Inf(1)
-	for c, cen := range km.Centroids {
+	for c, cen := range km.centroids {
 		if d := sqDist(p, cen); d < bestD {
 			best, bestD = c, d
 		}

@@ -70,16 +70,16 @@ func (ds Dataset) Split(trainFrac float64) (train, test Dataset) {
 // parameters, k-means centroids, the majority workload set per cluster,
 // and a distance threshold for "unknown" detection.
 type Model struct {
-	KM        *KMeans
-	Mean, Std []float64
+	km        *kmeans
+	mean, std []float64
 	// ClusterWorkloads[c] lists the workloads whose windows predominantly
 	// landed in cluster c.
 	ClusterWorkloads [][]string
 	// WorkloadCluster maps each training workload to its majority cluster.
 	WorkloadCluster map[string]int
-	// MaxDist[c] is the maximum training distance to centroid c; points
+	// maxDist[c] is the maximum training distance to centroid c; points
 	// beyond a slack factor of it are "unknown" (→ unified reward, §3.4).
-	MaxDist []float64
+	maxDist []float64
 }
 
 // Train fits the classifier with k clusters.
@@ -100,15 +100,15 @@ func Train(ds Dataset, k int, seed int64) *Model {
 	for i, p := range scaled {
 		c := km.assign(p)
 		votes[c][ds.Samples[i].Workload]++
-		if d := math.Sqrt(sqDist(p, km.Centroids[c])); d > maxDist[c] {
+		if d := math.Sqrt(sqDist(p, km.centroids[c])); d > maxDist[c] {
 			maxDist[c] = d
 		}
 	}
 	m := &Model{
-		KM: km, Mean: mean, Std: std,
+		km: km, mean: mean, std: std,
 		ClusterWorkloads: make([][]string, k),
 		WorkloadCluster:  map[string]int{},
-		MaxDist:          maxDist,
+		maxDist:          maxDist,
 	}
 	// Majority cluster per workload.
 	perWl := map[string]map[int]int{}
@@ -141,10 +141,10 @@ func (m *Model) classify(features []float64) (cluster int, known bool) {
 	// Standardized on the stack: online typing runs this every few windows
 	// per tenant.
 	var buf [featureDim]float64
-	p := appendApplied(buf[:0], features, m.Mean, m.Std)
-	c := m.KM.assign(p)
-	d := math.Sqrt(sqDist(p, m.KM.Centroids[c]))
-	return c, d <= m.MaxDist[c]*1.5
+	p := appendApplied(buf[:0], features, m.mean, m.std)
+	c := m.km.assign(p)
+	d := math.Sqrt(sqDist(p, m.km.centroids[c]))
+	return c, d <= m.maxDist[c]*1.5
 }
 
 // Label names a cluster for deterministic human-readable reporting:

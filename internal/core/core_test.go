@@ -142,7 +142,7 @@ func TestEncodeWindowRangesAndSemantics(t *testing.T) {
 	s.QueueLen = 10
 	s.InflightPages = 6
 	s.AvailCapacity = 500
-	sc := stateScales{GuaranteedBW: 64e6, IOPSScale: 100, LatScale: 1000, CapScale: 1000, QueueScale: 16}
+	sc := stateScales{guaranteedBW: 64e6, iopsScale: 100, latScale: 1000, capScale: 1000, queueScale: 16}
 	v := encodeWindow(s, sc, 200, 0.3)
 	if math.Abs(v[0]-1.0) > 0.01 {
 		t.Fatalf("BW state = %v, want ~1", v[0])
@@ -280,10 +280,16 @@ func TestFleetIOConstruction(t *testing.T) {
 	if f.agents[0].ppo.Net == f.agents[1].ppo.Net {
 		t.Fatal("agents must have independent networks by default")
 	}
-	fs := NewFleetIO(p, FleetIOConfig{ShareModel: true, Seed: 1})
-	if fs.agents[0].ppo.Net != fs.agents[1].ppo.Net {
-		t.Fatal("ShareModel must share one network")
+	fs := NewFleetIO(p, FleetIOConfig{ShareModel: true, Pretrained: f.agents[0].ppo.Net, Seed: 1})
+	if fs.agents[0].ppo.Net != f.agents[0].ppo.Net || fs.agents[1].ppo.Net != f.agents[0].ppo.Net {
+		t.Fatal("ShareModel must collect on the Pretrained network itself")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ShareModel without a Pretrained network must panic")
+		}
+	}()
+	NewFleetIO(p, FleetIOConfig{ShareModel: true, Seed: 1})
 }
 
 func TestFleetIOEndToEnd(t *testing.T) {
@@ -340,15 +346,11 @@ func TestPaperAlphaConstants(t *testing.T) {
 // agents in one network pass, or one row per pass — to identical action
 // streams over the same simulated workload, without a production switch:
 // the grouping is chosen by configuration that cannot otherwise change the
-// actions. deploy compares a shared network (one n-row greedy pass per
-// window) with per-agent clones of the same pretrained network (n one-row
-// passes; greedy, so no RNG). The two training modes compare TrainEvery
-// 1<<30 (no window is a train window: one n-row pass) with TrainEvery 1
-// (every window is: one-row passes, in case an agent trains the shared
-// network mid-loop) on a run shorter than MiniBatch windows, so no update
-// can fire in either and the shared RNG must be drawn in the same (agent,
-// head) order. The figure-level pin is harness.TestCompareGolden, whose
-// golden predates the batched kernels; the update itself is pinned by
+// actions. It compares greedy collection on a shared network (one n-row
+// pass per window) with per-agent clones of the same pretrained network (n
+// one-row passes; greedy, so no RNG), on a run shorter than MiniBatch
+// windows. The figure-level pin is harness.TestCompareGolden, whose golden
+// predates the batched kernels; the update itself is pinned by
 // rl.TestTrainBatchedMatchesScalar.
 func TestDecideBatchedMatchesScalar(t *testing.T) {
 	type run struct {
@@ -380,42 +382,27 @@ func TestDecideBatchedMatchesScalar(t *testing.T) {
 		return nn.NewActorCritic(DefaultHistoryWindows*StatesPerWindow, 50,
 			[]int{len(HarvestLevels), len(HarvestLevels), len(PriorityLevels)}, sim.NewRNG(9))
 	}
-	for _, mode := range []struct {
-		name            string
-		oneRow, grouped FleetIOConfig
-	}{
-		{"deploy",
-			FleetIOConfig{Pretrained: pretrained()},
-			FleetIOConfig{Pretrained: pretrained(), ShareModel: true}},
-		{"train-sample",
-			FleetIOConfig{ShareModel: true, Train: true, TrainEvery: 1},
-			FleetIOConfig{ShareModel: true, Train: true, TrainEvery: 1 << 30}},
-		{"train-greedy",
-			FleetIOConfig{ShareModel: true, Train: true, GreedyCollect: true, TrainEvery: 1},
-			FleetIOConfig{ShareModel: true, Train: true, GreedyCollect: true, TrainEvery: 1 << 30}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			s := do(mode.oneRow)
-			b := do(mode.grouped)
-			if len(s.acts) == 0 || len(s.acts) != len(b.acts) {
-				t.Fatalf("action streams differ in length: %d vs %d", len(s.acts), len(b.acts))
+	t.Run("deploy", func(t *testing.T) {
+		s := do(FleetIOConfig{Pretrained: pretrained()})
+		b := do(FleetIOConfig{Pretrained: pretrained(), ShareModel: true, GreedyCollect: true})
+		if len(s.acts) == 0 || len(s.acts) != len(b.acts) {
+			t.Fatalf("action streams differ in length: %d vs %d", len(s.acts), len(b.acts))
+		}
+		for i := range s.acts {
+			sa, ba := s.acts[i], b.acts[i]
+			if sa.VSSD != ba.VSSD || sa.Kind != ba.Kind || sa.BW != ba.BW || sa.Level != ba.Level {
+				t.Fatalf("action %d diverges: %+v != %+v", i, sa, ba)
 			}
-			for i := range s.acts {
-				sa, ba := s.acts[i], b.acts[i]
-				if sa.VSSD != ba.VSSD || sa.Kind != ba.Kind || sa.BW != ba.BW || sa.Level != ba.Level {
-					t.Fatalf("action %d diverges: %+v != %+v", i, sa, ba)
-				}
+		}
+		if s.updates != 0 || b.updates != 0 {
+			t.Fatalf("PPO updates fired (%d, %d): neither run trains", s.updates, b.updates)
+		}
+		for i := range s.par {
+			if s.par[i] != b.par[i] {
+				t.Fatalf("network param %d diverges", i)
 			}
-			if s.updates != 0 || b.updates != 0 {
-				t.Fatalf("PPO updates fired (%d, %d): the run must stay shorter than MiniBatch windows", s.updates, b.updates)
-			}
-			for i := range s.par {
-				if s.par[i] != b.par[i] {
-					t.Fatalf("network param %d diverges", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // capturePolicy appends every decided action to a log before passing them on.

@@ -62,20 +62,21 @@ type FleetIOConfig struct {
 	Seed       int64
 
 	// Pretrained, when set, seeds every agent with a copy of this network.
+	// Without it, and on a device with a fault injector, every window
+	// state ends in the per-tenant NAND error-rate feature (write retries
+	// per completed request): the feature widens the network input, so a
+	// network built at the base width never sees it.
 	Pretrained *nn.ActorCritic
-	// ShareModel makes all agents train one shared network (pretraining
-	// mode); otherwise each agent fine-tunes its own copy.
+	// ShareModel is pretraining collection (§3.8): all agents act on the
+	// Pretrained network itself, which the external learner owns, and
+	// record every transition for DrainRollouts; Decide never trains it,
+	// and Train and TrainEvery are not read. Otherwise each agent acts on
+	// (and, with Train, fine-tunes) its own copy.
 	ShareModel bool
-	// GreedyCollect makes training-mode action selection greedy
+	// GreedyCollect makes collection's action selection greedy
 	// (ActGreedyEvalBatch) while still recording transitions; the trainer's
 	// held-out eval episodes use it to score a frozen policy snapshot.
 	GreedyCollect bool
-
-	// ErrorRateState appends the per-tenant NAND error-rate feature
-	// (write retries / requests per window) to every window state, used
-	// by fault-injection scenarios. It widens the network input, so it is
-	// incompatible with a Pretrained network built at the base width.
-	ErrorRateState bool
 
 	// Tiered makes the agent a hybrid rack's tier agent, in two parts:
 	//   - a fourth categorical action head of width len(tierLevels), the
@@ -86,8 +87,8 @@ type FleetIOConfig struct {
 	//     promote/demote migrations there;
 	//   - the fast-tier occupancy feature (fed by the control plane via
 	//     SetTierOcc at epoch barriers) appended to every window state,
-	//     following the ErrorRateState width pattern.
-	// Like ErrorRateState it widens the network input, so it is
+	//     after the error-rate feature.
+	// Like the error-rate feature it widens the network input, so it is
 	// incompatible with a Pretrained network built at the base width. Off
 	// (the default), the head layout, the state width and every RNG draw
 	// are unchanged, so the tier-off path stays byte-identical.
@@ -98,10 +99,6 @@ type FleetIOConfig struct {
 	TypeModel *cluster.Model
 	// AlphaByCluster maps the TypeModel's cluster ids to α values.
 	AlphaByCluster map[int]float64
-
-	// Obs traces per-window decisions (the three issued actions plus the
-	// single/mixed rewards of the closing window); nil disables.
-	Obs *obs.Recorder
 }
 
 // agent is the per-vSSD RL state.
@@ -136,6 +133,13 @@ type FleetIO struct {
 	agents []*agent
 	shared *rl.PPO
 	rng    *sim.RNG
+	// obs is the platform's observer, which traces per-window decisions
+	// (the three issued actions plus the single/mixed rewards of the
+	// closing window); nil disables.
+	obs *obs.Recorder
+	// collect records transitions (Train or ShareModel); errorRate adds
+	// the error-rate feature (see FleetIOConfig.Pretrained).
+	collect, errorRate bool
 
 	windows    int64
 	trainStats []rl.TrainStats
@@ -148,21 +152,24 @@ type FleetIO struct {
 	stateDim                     int
 }
 
-// NewFleetIO builds the policy for a platform's current vSSDs.
+// NewFleetIO builds the policy for a platform's current vSSDs, tracing to
+// the platform's observer. It panics on ShareModel without a Pretrained
+// network.
 func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 	if cfg.TrainEvery == 0 {
 		cfg.TrainEvery = 10
 	}
-	f := &FleetIO{cfg: cfg, plat: plat, rng: sim.NewRNG(cfg.Seed)}
+	f := &FleetIO{
+		cfg: cfg, plat: plat, rng: sim.NewRNG(cfg.Seed), obs: plat.Observer(),
+		collect:   cfg.Train || cfg.ShareModel,
+		errorRate: plat.Device().Faulty() && cfg.Pretrained == nil,
+	}
 	f.stateDim = DefaultHistoryWindows * f.stateWidth()
 	if cfg.ShareModel {
-		// Shared-model training continues on the provided network in place
-		// (pretraining episodes chain); without one, a fresh net is built.
-		net := cfg.Pretrained
-		if net == nil {
-			net = nn.NewActorCritic(f.stateDim, 50, f.heads(), f.rng.Split(-1))
+		if cfg.Pretrained == nil {
+			panic("core: ShareModel collects on a Pretrained network; none given")
 		}
-		f.shared = rl.New(net, rl.DefaultConfig(), f.rng.Split(-2))
+		f.shared = rl.New(cfg.Pretrained, rl.DefaultConfig(), f.rng.Split(-2))
 	}
 	f.SyncAgents()
 	return f
@@ -172,7 +179,7 @@ func NewFleetIO(plat *vssd.Platform, cfg FleetIOConfig) *FleetIO {
 // optional state extensions.
 func (f *FleetIO) stateWidth() int {
 	width := StatesPerWindow
-	if f.cfg.ErrorRateState {
+	if f.errorRate {
 		width++
 	}
 	if f.cfg.Tiered {
@@ -255,8 +262,8 @@ func (f *FleetIO) TrainStats() []rl.TrainStats { return f.trainStats }
 
 // DrainRollouts returns each agent's collected transitions as a fresh
 // buffer — the final transition of each marked episode-terminal — and
-// clears the per-agent buffers. Collection-only runs (TrainEvery set past
-// the episode length) use this to hand rollouts to an external learner.
+// clears the per-agent buffers. Collection runs (ShareModel) use this to
+// hand rollouts to the external learner.
 func (f *FleetIO) DrainRollouts() []*rl.Buffer {
 	out := make([]*rl.Buffer, len(f.agents))
 	for i, a := range f.agents {
@@ -293,7 +300,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		if f.cfg.Mode == ModeUnifiedGlobal {
 			alpha = UnifiedAlpha
 		}
-		single[i] = singleReward(alpha, snaps[i], a.scales.GuaranteedBW, sloVioGuar)
+		single[i] = singleReward(alpha, snaps[i], a.scales.guaranteedBW, sloVioGuar)
 	}
 	mixed := mixRewardsInto(single, f.mixedS, f.cfg.Mode.beta())
 
@@ -323,13 +330,11 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 	// One loop over row groups, each one network pass. On a shared network
 	// every agent's stacked state runs through it together, the categorical
 	// sampling consuming the shared RNG in (agent, head) order. Otherwise a
-	// group is one row: per-agent networks, and shared-network windows on
-	// which an agent may train the network mid-loop, where the act/train
-	// interleaving must stay agent by agent. How rows are grouped cannot
-	// change an action (see internal/nn/batch.go); it is only faster.
-	trainWindow := f.cfg.Train && f.windows%int64(f.cfg.TrainEvery) == 0
+	// group is one row, on the agent's own network. How rows are grouped
+	// cannot change an action (see internal/nn/batch.go); it is only faster.
+	trainWindow := f.cfg.Train && f.shared == nil && f.windows%int64(f.cfg.TrainEvery) == 0
 	group := 1
-	if f.shared != nil && !trainWindow {
+	if f.shared != nil {
 		group = n
 	}
 	if cap(f.stateRows) < group*f.stateDim {
@@ -341,7 +346,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 			a := f.agents[i]
 			state := f.closeWindow(a, snaps[i], mixed[i], totIOPS-iops[i], totVio-vio[i])
 			copy(rows[(i-lo)*f.stateDim:], state)
-			if f.cfg.Train {
+			if f.collect {
 				a.lastState = state
 			}
 		}
@@ -349,7 +354,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		var acts [][]int
 		var lps, vals []float64
 		switch {
-		case !f.cfg.Train:
+		case !f.collect:
 			acts = ppo.ActGreedyBatch(rows, group)
 		case f.cfg.GreedyCollect:
 			acts, lps, vals = ppo.ActGreedyEvalBatch(rows, group)
@@ -364,7 +369,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 		}
 		for i := lo; i < lo+group; i++ {
 			a, r := f.agents[i], i-lo
-			if f.cfg.Train {
+			if f.collect {
 				a.lastActions = acts[r]
 				a.lastLogProb = lps[r]
 				a.lastValue = vals[r]
@@ -387,7 +392,7 @@ func (f *FleetIO) Decide(now sim.Time, snaps []vssd.WindowSnapshot) []vssd.Actio
 // pending) and pushes the agent's new window state, returning the stacked
 // state vector.
 func (f *FleetIO) closeWindow(a *agent, snap vssd.WindowSnapshot, reward, otherIOPS, otherVio float64) []float64 {
-	if a.pending && f.cfg.Train {
+	if a.pending && f.collect {
 		a.buf.Add(rl.Transition{
 			State:   a.lastState,
 			Actions: a.lastActions,
@@ -397,9 +402,9 @@ func (f *FleetIO) closeWindow(a *agent, snap vssd.WindowSnapshot, reward, otherI
 		})
 	}
 	ws := encodeWindow(snap, a.scales, otherIOPS, otherVio)
-	if f.cfg.ErrorRateState {
+	if f.errorRate {
 		// Write retries caused by injected NAND program failures, per
-		// completed request (always 0 without a fault injector).
+		// completed request.
 		ws = append(ws, clamp(float64(snap.Window.Retries)/float64(max(snap.Window.Requests(), 1)), 0, 1))
 	}
 	if f.cfg.Tiered {
@@ -443,11 +448,11 @@ func (f *FleetIO) emit(actions []vssd.Action, i int, a *agent, acts []int, vioRa
 		vssd.Action{VSSD: i, Kind: vssd.ActHarvest, BW: harvestBW},
 		vssd.Action{VSSD: i, Kind: vssd.ActSetPriority, Level: level},
 	)
-	if f.cfg.Obs.Enabled() {
-		f.cfg.Obs.Reward(i, single, mixed)
-		f.cfg.Obs.Decision(obs.KindMakeHarvestable, i, makeBW, 0)
-		f.cfg.Obs.Decision(obs.KindHarvest, i, harvestBW, 0)
-		f.cfg.Obs.Decision(obs.KindSetPriority, i, 0, level)
+	if f.obs.Enabled() {
+		f.obs.Reward(i, single, mixed)
+		f.obs.Decision(obs.KindMakeHarvestable, i, makeBW, 0)
+		f.obs.Decision(obs.KindHarvest, i, harvestBW, 0)
+		f.obs.Decision(obs.KindSetPriority, i, 0, level)
 	}
 	return actions
 }

@@ -16,17 +16,17 @@ const DefaultHistoryWindows = 3
 // stateScales normalizes raw measurements into the ~[0,1] ranges the tiny
 // MLP trains well on.
 type stateScales struct {
-	// GuaranteedBW is the vSSD's allocated bandwidth (bytes/s): owned
+	// guaranteedBW is the vSSD's allocated bandwidth (bytes/s): owned
 	// channels × per-channel bandwidth.
-	GuaranteedBW float64
-	// IOPSScale divides IOPS readings.
-	IOPSScale float64
-	// LatScale divides latencies (ns).
-	LatScale float64
-	// CapScale divides available capacity (bytes).
-	CapScale float64
-	// QueueScale divides queue lengths.
-	QueueScale float64
+	guaranteedBW float64
+	// iopsScale divides IOPS readings.
+	iopsScale float64
+	// latScale divides latencies (ns).
+	latScale float64
+	// capScale divides available capacity (bytes).
+	capScale float64
+	// queueScale divides queue lengths.
+	queueScale float64
 }
 
 // encodeWindow converts one snapshot into the 11-dimensional window state.
@@ -37,18 +37,18 @@ func encodeWindow(s vssd.WindowSnapshot, sc stateScales, sharedIOPS, sharedVio f
 	}
 	bw := s.Window.Bandwidth(dur)
 	out := make([]float64, StatesPerWindow)
-	out[0] = clamp(bw/nz(sc.GuaranteedBW), 0, 4)                                // Avg_BW
-	out[1] = clamp(s.Window.IOPS(dur)/nz(sc.IOPSScale), 0, 4)                   // Avg_IOPS
-	out[2] = clamp(s.Window.AvgLatency()/nz(sc.LatScale), 0, 4)                 // Avg_Lat
+	out[0] = clamp(bw/nz(sc.guaranteedBW), 0, 4)                                // Avg_BW
+	out[1] = clamp(s.Window.IOPS(dur)/nz(sc.iopsScale), 0, 4)                   // Avg_IOPS
+	out[2] = clamp(s.Window.AvgLatency()/nz(sc.latScale), 0, 4)                 // Avg_Lat
 	out[3] = clamp(s.Window.SLOViolationRate(), 0, 1)                           // SLO_Vio
-	out[4] = clamp(float64(s.QueueLen+s.InflightPages)/nz(sc.QueueScale), 0, 4) // QDelay proxy
+	out[4] = clamp(float64(s.QueueLen+s.InflightPages)/nz(sc.queueScale), 0, 4) // QDelay proxy
 	out[5] = s.Window.ReadRatio()                                               // RW_Ratio
-	out[6] = clamp(float64(s.AvailCapacity)/nz(sc.CapScale), 0, 1)              // Avail_Capacity
+	out[6] = clamp(float64(s.AvailCapacity)/nz(sc.capScale), 0, 1)              // Avail_Capacity
 	if s.InGC {
 		out[7] = 1 // In_GC
 	}
 	out[8] = float64(s.Priority) / 3.0                  // Cur_Priority
-	out[9] = clamp(sharedIOPS/nz(sc.IOPSScale)/4, 0, 4) // Σ others' IOPS
+	out[9] = clamp(sharedIOPS/nz(sc.iopsScale)/4, 0, 4) // Σ others' IOPS
 	out[10] = clamp(sharedVio, 0, 1)                    // Σ others' SLO_Vio
 	return out
 }
@@ -114,10 +114,10 @@ func defaultScales(ownedChannels int, channelBW float64, logicalBytes int64) sta
 		ownedChannels = 1
 	}
 	return stateScales{
-		GuaranteedBW: float64(ownedChannels) * channelBW,
-		IOPSScale:    5000,
-		LatScale:     float64(10 * sim.Millisecond),
-		CapScale:     float64(logicalBytes),
-		QueueScale:   128,
+		guaranteedBW: float64(ownedChannels) * channelBW,
+		iopsScale:    5000,
+		latScale:     float64(10 * sim.Millisecond),
+		capScale:     float64(logicalBytes),
+		queueScale:   128,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vssd"
@@ -52,30 +53,37 @@ func TestPlacementHeadLayout(t *testing.T) {
 // TestTierOccStateWidth: each optional feature widens the window state by
 // one, appended after the 11 base features in a fixed order — the
 // error-rate feature (write retries per completed request, clamped to
-// [0, 1]) first, then the fast-tier occupancy.
+// [0, 1]; on a device with a fault injector, for agents not seeded from a
+// pretrained network) first, then the fast-tier occupancy.
 func TestTierOccStateWidth(t *testing.T) {
 	_, p := testPlatform(2)
 	p.AddVSSD(vssd.Config{Name: "a", Channels: []int{0, 1}})
+	_, faulty := testPlatform(2)
+	faulty.AddVSSD(vssd.Config{Name: "a", Channels: []int{0, 1}})
+	faulty.Device().SetFaultInjector(fault.NewInjector(fault.Light()))
+	pretrained := NewFleetIO(p, FleetIOConfig{Seed: 1}).agents[0].ppo.Net
 
 	cases := []struct {
+		plat *vssd.Platform
 		cfg  FleetIOConfig
 		win  metrics.Window
 		want int
 		tail []float64 // the features after the base ones
 	}{
-		{FleetIOConfig{Seed: 1}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow, nil},
-		{FleetIOConfig{Seed: 1, Tiered: true}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow + 1, []float64{0.4}},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow + 1, []float64{0.25}},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{}, StatesPerWindow + 1, []float64{0}},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{Retries: 3}, StatesPerWindow + 1, []float64{1}},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true}, metrics.Window{Reads: 4, Writes: 4, Retries: 24}, StatesPerWindow + 1, []float64{1}},
-		{FleetIOConfig{Seed: 1, ErrorRateState: true, Tiered: true}, metrics.Window{Reads: 2, Writes: 2, Retries: 1}, StatesPerWindow + 2, []float64{0.25, 0.4}},
+		{p, FleetIOConfig{Seed: 1}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow, nil},
+		{p, FleetIOConfig{Seed: 1, Tiered: true}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow + 1, []float64{0.4}},
+		{faulty, FleetIOConfig{Seed: 1, Pretrained: pretrained}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow, nil},
+		{faulty, FleetIOConfig{Seed: 1}, metrics.Window{Writes: 8, Retries: 2}, StatesPerWindow + 1, []float64{0.25}},
+		{faulty, FleetIOConfig{Seed: 1}, metrics.Window{}, StatesPerWindow + 1, []float64{0}},
+		{faulty, FleetIOConfig{Seed: 1}, metrics.Window{Retries: 3}, StatesPerWindow + 1, []float64{1}},
+		{faulty, FleetIOConfig{Seed: 1}, metrics.Window{Reads: 4, Writes: 4, Retries: 24}, StatesPerWindow + 1, []float64{1}},
+		{faulty, FleetIOConfig{Seed: 1, Tiered: true}, metrics.Window{Reads: 2, Writes: 2, Retries: 1}, StatesPerWindow + 2, []float64{0.25, 0.4}},
 	}
 	for _, tc := range cases {
-		f := NewFleetIO(p, tc.cfg)
+		f := NewFleetIO(tc.plat, tc.cfg)
 		if got := f.stateWidth(); got != tc.want {
 			t.Errorf("stateWidth(err=%v, tier=%v) = %d, want %d",
-				tc.cfg.ErrorRateState, tc.cfg.Tiered, got, tc.want)
+				f.errorRate, tc.cfg.Tiered, got, tc.want)
 		}
 		f.SetTierOcc(0, 0.4)
 		a := f.agents[0]
@@ -83,11 +91,11 @@ func TestTierOccStateWidth(t *testing.T) {
 		state := f.closeWindow(a, snap, 0, 0, 0)
 		last := state[len(state)-tc.want:]
 		if !slices.Equal(last[:StatesPerWindow], encodeWindow(snap, a.scales, 0, 0)) {
-			t.Errorf("err=%v tier=%v: base features moved: %v", tc.cfg.ErrorRateState, tc.cfg.Tiered, last)
+			t.Errorf("err=%v tier=%v: base features moved: %v", f.errorRate, tc.cfg.Tiered, last)
 		}
 		if got := last[StatesPerWindow:]; !slices.Equal(got, tc.tail) {
 			t.Errorf("err=%v tier=%v window %+v: optional features = %v, want %v",
-				tc.cfg.ErrorRateState, tc.cfg.Tiered, tc.win, got, tc.tail)
+				f.errorRate, tc.cfg.Tiered, tc.win, got, tc.tail)
 		}
 	}
 }

@@ -61,9 +61,9 @@ func (c Config) Enabled() bool {
 		c.ReadRetryProb > 0 || c.TimeoutProb > 0
 }
 
-// validate reports configuration errors (probabilities outside [0,1],
+// Validate reports configuration errors (probabilities outside [0,1],
 // NaN included, negative timings).
-func (c Config) validate() error {
+func (c Config) Validate() error {
 	probs := [...]struct {
 		name string
 		v    float64
@@ -160,7 +160,7 @@ func ParseSpec(spec string) (Config, error) {
 			return Config{}, err
 		}
 	}
-	if err := c.validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		return Config{}, err
 	}
 	return c, nil
@@ -217,7 +217,7 @@ type Injector struct {
 // config — construction happens at setup time). Zero timing knobs take
 // the package defaults.
 func NewInjector(cfg Config) *Injector {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()

@@ -135,7 +135,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).validate(); err != nil {
+	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config invalid: %v", err)
 	}
 	bad := []Config{
@@ -148,7 +148,7 @@ func TestConfigValidate(t *testing.T) {
 		{TimeoutStall: -1},
 	}
 	for _, c := range bad {
-		if c.validate() == nil {
+		if c.Validate() == nil {
 			t.Fatalf("config %+v must be invalid", c)
 		}
 	}

@@ -61,11 +61,11 @@ func BenchmarkSaturatedChannel(b *testing.B) {
 	cfg := DefaultConfig()
 	d := NewDevice(eng, cfg)
 	dr := &benchDriver{d: d, cfg: cfg}
-	dr.warm(eng, cfg.QueueDepth, 4096)
+	dr.warm(eng, cfg.queueDepth, 4096)
 	dr.limit = b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < cfg.QueueDepth && i < b.N; i++ {
+	for i := 0; i < cfg.queueDepth && i < b.N; i++ {
 		benchIssue(dr, 0, 0, StatusOK)
 	}
 	eng.Run()

@@ -38,7 +38,7 @@ type Config struct {
 	EraseBlock  sim.Time // block erase (tBERS)
 	BusNsPerKB  sim.Time // channel bus transfer time per KiB
 
-	QueueDepth int // max outstanding commands per channel
+	queueDepth int // max outstanding commands per channel
 }
 
 // DefaultConfig returns the paper's Table 3 device: 16 channels, 4 chips
@@ -56,7 +56,7 @@ func DefaultConfig() Config {
 		ProgramPage:     500 * sim.Microsecond,
 		EraseBlock:      3 * sim.Millisecond,
 		BusNsPerKB:      15_250, // ~64 MiB/s channel bus
-		QueueDepth:      16,
+		queueDepth:      16,
 	}
 }
 
@@ -77,8 +77,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flash: non-positive NAND timing")
 	case c.BusNsPerKB <= 0:
 		return fmt.Errorf("flash: BusNsPerKB = %d", c.BusNsPerKB)
-	case c.QueueDepth <= 0:
-		return fmt.Errorf("flash: QueueDepth = %d", c.QueueDepth)
+	case c.queueDepth <= 0:
+		return fmt.Errorf("flash: queueDepth = %d", c.queueDepth)
 	}
 	return nil
 }
@@ -356,6 +356,9 @@ func (d *Device) Config() Config { return d.cfg }
 // subsequent fault decisions.
 func (d *Device) SetFaultInjector(inj *fault.Injector) { d.inj = inj }
 
+// Faulty reports whether a fault injector is installed.
+func (d *Device) Faulty() bool { return d.inj != nil }
+
 // OnFault installs a hook invoked when an op completes with a failure
 // status, before the op's Done callback runs — the FTL uses it to retire
 // the failed block and fix the mapping so the submitter's retry (from
@@ -415,7 +418,7 @@ func (d *Device) Submit(op *Op) {
 
 // dispatch starts queued ops while the channel has queue-depth headroom.
 func (d *Device) dispatch(ch *channel) {
-	for ch.inflight < d.cfg.QueueDepth && ch.queue.len() > 0 {
+	for ch.inflight < d.cfg.queueDepth && ch.queue.len() > 0 {
 		op := ch.queue.pop()
 		ch.inflight++
 		d.service(ch, op)

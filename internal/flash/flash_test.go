@@ -25,7 +25,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("zero channels must be invalid")
 	}
 	bad = DefaultConfig()
-	bad.QueueDepth = -1
+	bad.queueDepth = -1
 	if bad.Validate() == nil {
 		t.Fatal("negative queue depth must be invalid")
 	}
@@ -131,7 +131,7 @@ func TestChannelIndependence(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testConfig()
-	cfg.QueueDepth = 1 // force strict one-at-a-time so queue order is visible
+	cfg.queueDepth = 1 // force strict one-at-a-time so queue order is visible
 	d := NewDevice(eng, cfg)
 	var order []int
 	mk := func(id, prio int) *Op {
@@ -155,7 +155,7 @@ func TestPriorityOrdering(t *testing.T) {
 func TestStridePassOrdering(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testConfig()
-	cfg.QueueDepth = 1
+	cfg.queueDepth = 1
 	d := NewDevice(eng, cfg)
 	var order []int
 	mk := func(id int, pass float64) *Op {
@@ -178,7 +178,7 @@ func TestStridePassOrdering(t *testing.T) {
 func TestQueueDepthLimit(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testConfig()
-	cfg.QueueDepth = 4
+	cfg.queueDepth = 4
 	d := NewDevice(eng, cfg)
 	for i := 0; i < 10; i++ {
 		d.Submit(&Op{Kind: OpRead, Addr: PPA{Channel: 0, Chip: i % cfg.ChipsPerChannel}})

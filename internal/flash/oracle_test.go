@@ -119,7 +119,7 @@ func (d *oracleDevice) Submit(op *Op) {
 }
 
 func (d *oracleDevice) dispatch(ch *oracleChannel) {
-	for ch.inflight < d.cfg.QueueDepth && len(ch.queue) > 0 {
+	for ch.inflight < d.cfg.queueDepth && len(ch.queue) > 0 {
 		op := ch.queue.pop()
 		ch.inflight++
 		d.service(ch, op)
@@ -397,10 +397,10 @@ func TestDeviceMatchesStagePerEventOracle(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Channels = 1 + rng.Intn(16)
 			cfg.ChipsPerChannel = 1 + rng.Intn(4)
-			cfg.QueueDepth = 1 + rng.Intn(16)
+			cfg.queueDepth = 1 + rng.Intn(16)
 			cfg.PageSize = []int{4 << 10, 16 << 10}[rng.Intn(2)]                  // 61 µs or 244 µs on the bus
 			cfg.ReadPage = []sim.Time{20, 70, 300}[rng.Intn(3)] * sim.Microsecond // under, under, over
-			name := fmt.Sprintf("%s/seed%d/%dx%d/qd%d", p.name, seed, cfg.Channels, cfg.ChipsPerChannel, cfg.QueueDepth)
+			name := fmt.Sprintf("%s/seed%d/%dx%d/qd%d", p.name, seed, cfg.Channels, cfg.ChipsPerChannel, cfg.queueDepth)
 
 			eng, ref := sim.NewEngine(), sim.NewEngine()
 			got := runScript(eng, NewDevice(eng, cfg), cfg, p.cfg, seed, 4000)
@@ -522,7 +522,7 @@ func TestOpQueueMatchesHeapOracle(t *testing.T) {
 
 // TestSaturatedChannelEventsPerRead pins the shortened event chain with a
 // count that repeats exactly: on a saturated channel the bus moves a page
-// in 244 µs against a 70 µs sense, so past the first QueueDepth reads every
+// in 244 µs against a 70 µs sense, so past the first queueDepth reads every
 // sense ends under a transfer and a read costs one engine event, its
 // bus-done — where a stage-per-event device executes two per read. If the
 // elision stops firing this fails; wall-clock benchmarks would only drift.
@@ -531,14 +531,14 @@ func TestSaturatedChannelEventsPerRead(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	dr := &benchDriver{d: NewDevice(eng, cfg), cfg: cfg, limit: reads}
-	for i := 0; i < cfg.QueueDepth; i++ {
+	for i := 0; i < cfg.queueDepth; i++ {
 		benchIssue(dr, 0, 0, StatusOK)
 	}
 	eng.Run()
 	if got := dr.d.Stats(0).Reads; got != reads {
 		t.Fatalf("completed %d reads, want %d", got, reads)
 	}
-	if got, limit := eng.Executed(), uint64(reads+2*cfg.QueueDepth); got > limit {
-		t.Fatalf("%d engine events for %d reads, want at most %d (reads + 2*QueueDepth)", got, reads, limit)
+	if got, limit := eng.Executed(), uint64(reads+2*cfg.queueDepth); got > limit {
+		t.Fatalf("%d engine events for %d reads, want at most %d (reads + 2*queueDepth)", got, reads, limit)
 	}
 }

@@ -61,11 +61,11 @@ func TestCohortDepartedStateInvariants(t *testing.T) {
 	f := New(cohortConfig())
 	f.Run()
 	for _, tn := range f.Tenants() {
-		if tn.State != StateDeparted {
+		if tn.state != stateDeparted {
 			continue
 		}
-		if tn.Device != -1 || tn.vssd != nil || tn.gen != nil {
-			t.Fatalf("departed tenant %d still bound: dev=%d", tn.ID, tn.Device)
+		if tn.device != -1 || tn.vssd != nil || tn.gen != nil {
+			t.Fatalf("departed tenant %d still bound: dev=%d", tn.id, tn.device)
 		}
 	}
 	// Slot accounting closes: each shard's slotsUsed matches its residents
@@ -125,12 +125,12 @@ func TestDepartedTenantsDropRecorders(t *testing.T) {
 	st := f.Run()
 	departed, labelled := 0, 0
 	for _, tn := range f.Tenants() {
-		if tn.State != StateDeparted {
+		if tn.state != stateDeparted {
 			continue
 		}
 		departed++
 		if tn.rec != nil || tn.gen != nil {
-			t.Fatalf("departed tenant %d still holds its recorder or generator", tn.ID)
+			t.Fatalf("departed tenant %d still holds its recorder or generator", tn.id)
 		}
 		if tn.typeLabel != "" {
 			labelled++

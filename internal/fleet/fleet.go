@@ -237,43 +237,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TenantState tracks where a tenant is in its lifecycle.
-type TenantState uint8
+// tenantState tracks where a tenant is in its lifecycle.
+type tenantState uint8
 
 // Tenant lifecycle states.
 const (
-	// StateQueued: admitted to the fleet queue, waiting for a device slot.
-	StateQueued TenantState = iota
-	// StateRunning: placed and serving I/O on its device.
-	StateRunning
-	// StateDraining: migration started; waiting for inflight I/O to empty.
-	StateDraining
-	// StateCopying: drained; mapped pages copying to the destination.
-	StateCopying
-	// StateRejected: turned away — the rack and its queue were full.
-	StateRejected
-	// StateLeaving: session ended; generator stopped, draining inflight
+	// stateQueued: admitted to the fleet queue, waiting for a device slot.
+	stateQueued tenantState = iota
+	// stateRunning: placed and serving I/O on its device.
+	stateRunning
+	// stateDraining: migration started; waiting for inflight I/O to empty.
+	stateDraining
+	// stateCopying: drained; mapped pages copying to the destination.
+	stateCopying
+	// stateRejected: turned away — the rack and its queue were full.
+	stateRejected
+	// stateLeaving: session ended; generator stopped, draining inflight
 	// I/O before the slot frees.
-	StateLeaving
-	// StateDeparted: drained and gone; slot released, mapping trimmed.
-	StateDeparted
+	stateLeaving
+	// stateDeparted: drained and gone; slot released, mapping trimmed.
+	stateDeparted
 )
 
-func (s TenantState) String() string {
+func (s tenantState) String() string {
 	switch s {
-	case StateQueued:
+	case stateQueued:
 		return "queued"
-	case StateRunning:
+	case stateRunning:
 		return "running"
-	case StateDraining:
+	case stateDraining:
 		return "draining"
-	case StateCopying:
+	case stateCopying:
 		return "copying"
-	case StateRejected:
+	case stateRejected:
 		return "rejected"
-	case StateLeaving:
+	case stateLeaving:
 		return "leaving"
-	case StateDeparted:
+	case stateDeparted:
 		return "departed"
 	default:
 		return fmt.Sprintf("TenantState(%d)", uint8(s))
@@ -283,14 +283,14 @@ func (s TenantState) String() string {
 // Tenant is one fleet tenant: a workload bound to (at most) one device at
 // a time, possibly rebound by migration.
 type Tenant struct {
-	ID       int
+	id       int
 	Workload string
-	State    TenantState
-	// Device is the current (or destination, while migrating) device;
+	state    tenantState
+	// device is the current (or destination, while migrating) device;
 	// -1 while queued or rejected.
-	Device int
-	// Migrations counts completed migrations of this tenant.
-	Migrations int
+	device int
+	// migrations counts completed migrations of this tenant.
+	migrations int
 
 	arrival  sim.Time
 	placedAt sim.Time
@@ -402,10 +402,10 @@ func New(cfg Config) *Fleet {
 			prof = workload.ApplyShape(prof, cfg.WorkloadShape, base.Stream(int64(shapeStream+i)).Int63(), cfg.ReplayRecords)
 		}
 		f.tenants[i] = &Tenant{
-			ID:       i,
+			id:       i,
 			Workload: name,
-			State:    StateQueued,
-			Device:   -1,
+			state:    stateQueued,
+			device:   -1,
 			arrival:  sim.Time(i+1) * cfg.arrivalEvery,
 			prof:     prof,
 			rng:      base.Stream(int64(tenantStream + i)),
@@ -513,9 +513,9 @@ func (f *Fleet) controlPlane(now sim.Time) {
 			continue
 		}
 		if len(f.queue) < f.cfg.queueLimit() {
-			f.queue = append(f.queue, tn.ID)
+			f.queue = append(f.queue, tn.id)
 		} else {
-			tn.State = StateRejected
+			tn.state = stateRejected
 			f.led.Rejected++
 		}
 	}
@@ -590,8 +590,8 @@ func (f *Fleet) tryPlace(tn *Tenant, now sim.Time) bool {
 	}
 	sh := f.shards[dev]
 	sh.slotsUsed++
-	tn.Device = dev
-	tn.State = StateRunning
+	tn.device = dev
+	tn.state = stateRunning
 	tn.placedAt = now
 	// Session length and recorder are drawn/created only when the cohort
 	// features are on, so legacy configs take zero extra RNG draws.
@@ -609,23 +609,23 @@ func (f *Fleet) tryPlace(tn *Tenant, now sim.Time) bool {
 }
 
 // stepDepartures retires tenants whose sessions ended: a running tenant
-// past its departure time stops generating (StateLeaving) and, once its
+// past its departure time stops generating (stateLeaving) and, once its
 // queue and inflight are empty, releases its slot and trims its mapping —
 // the same drain discipline migration uses, so a departure never abandons
 // in-flight I/O. Migrating tenants defer their departure until after
-// cutover (victim only takes StateRunning, so a leaving tenant is never
+// cutover (victim only takes stateRunning, so a leaving tenant is never
 // chosen as a migration victim).
 func (f *Fleet) stepDepartures(now sim.Time) {
 	for _, sh := range f.shards {
 		for i := 0; i < len(sh.resident); i++ {
 			tn := sh.resident[i]
-			switch tn.State {
-			case StateRunning:
+			switch tn.state {
+			case stateRunning:
 				if tn.departAt > 0 && now >= tn.departAt {
-					tn.State = StateLeaving
+					tn.state = stateLeaving
 					tn.gen.Stop()
 				}
-			case StateLeaving:
+			case stateLeaving:
 				if tn.vssd.QueueLen() == 0 && tn.vssd.Inflight() == 0 {
 					f.depart(sh, tn)
 					i--
@@ -640,8 +640,8 @@ func (f *Fleet) stepDepartures(now sim.Time) {
 // with the stopped generator's reference to it.
 func (f *Fleet) depart(sh *Shard, tn *Tenant) {
 	sh.release(tn)
-	tn.State = StateDeparted
-	tn.Device = -1
+	tn.state = stateDeparted
+	tn.device = -1
 	tn.vssd = nil
 	tn.typeLabel = f.typeOf(tn)
 	tn.gen.Record(nil)
@@ -671,10 +671,10 @@ func (s *Shard) release(tn *Tenant) {
 // tenant still holds its slot until drained) and mid-migration.
 func (f *Fleet) tally() (running, migrating int) {
 	for _, tn := range f.tenants[:f.nextArr] {
-		switch tn.State {
-		case StateRunning, StateLeaving:
+		switch tn.state {
+		case stateRunning, stateLeaving:
 			running++
-		case StateDraining, StateCopying:
+		case stateDraining, stateCopying:
 			migrating++
 		}
 	}
@@ -754,7 +754,7 @@ func (f *Fleet) classifyTenants() []TypeCount {
 	counts := map[string]int{}
 	for _, tn := range f.tenants[:f.nextArr] {
 		label := tn.typeLabel
-		if tn.State != StateDeparted {
+		if tn.state != stateDeparted {
 			label = f.typeOf(tn)
 		}
 		if label != "" {
@@ -830,7 +830,7 @@ func newShard(cfg Config, id int, fc flash.Config, tier int, learned bool, rng *
 		// The shard RNG is otherwise never drawn from, so seeding the agent
 		// stack off it costs the non-learned paths nothing. The agents are
 		// never pretrained, so under faults they see the write-retry rate.
-		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{Train: true, Seed: rng.Int63(), Tiered: true, ErrorRateState: faults != nil})
+		sh.fio = core.NewFleetIO(sh.Platform(), core.FleetIOConfig{Train: true, Seed: rng.Int63(), Tiered: true})
 		pol = sh.fio
 	}
 	sh.dev.Attach(pol, nil, cfg.Window)
@@ -868,7 +868,7 @@ func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 	fc := s.Platform().FlashConfig()
 	spec := device.Spec{
 		Config: vssd.Config{
-			Name:             fmt.Sprintf("t%d-%s-m%d", tn.ID, tn.Workload, tn.Migrations),
+			Name:             fmt.Sprintf("t%d-%s-m%d", tn.id, tn.Workload, tn.migrations),
 			Isolation:        vssd.SoftwareIsolated,
 			Channels:         make([]int, fc.Channels),
 			LogicalPages:     slotLogicalPages(fc),
@@ -883,7 +883,7 @@ func (f *Fleet) addTenantVSSD(s *Shard, tn *Tenant) *vssd.VSSD {
 	if f.lsSLO > 0 && tn.prof.Class == workload.Latency {
 		spec.SLO = f.lsSLO
 	}
-	if tn.Migrations == 0 {
+	if tn.migrations == 0 {
 		spec.PrefillFrac = f.cfg.PrefillFrac
 	}
 	// A fill that runs out of space stops there: the shard's engine is

@@ -152,7 +152,7 @@ func TestFleetMigrationCompletes(t *testing.T) {
 	}
 	var migrated *Tenant
 	for _, tn := range fl.Tenants() {
-		if tn.Migrations > 0 {
+		if tn.migrations > 0 {
 			migrated = tn
 			break
 		}
@@ -160,7 +160,7 @@ func TestFleetMigrationCompletes(t *testing.T) {
 	if migrated == nil {
 		t.Fatal("no tenant records a completed migration")
 	}
-	if migrated.State == StateRunning && migrated.vssd == nil {
+	if migrated.state == stateRunning && migrated.vssd == nil {
 		t.Fatal("running migrated tenant has no vSSD")
 	}
 }

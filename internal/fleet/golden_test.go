@@ -78,10 +78,10 @@ func TestRackGoldens(t *testing.T) {
 				st := f.Run()
 				atEnd := false
 				for _, tn := range f.Tenants() {
-					if (tn.State == StateRunning || tn.State == StateLeaving) && (tn.vssd == nil || tn.gen == nil) {
-						t.Fatalf("workers=%d: tenant %d holds a slot on device %d but has no vSSD or generator", workers, tn.ID, tn.Device)
+					if (tn.state == stateRunning || tn.state == stateLeaving) && (tn.vssd == nil || tn.gen == nil) {
+						t.Fatalf("workers=%d: tenant %d holds a slot on device %d but has no vSSD or generator", workers, tn.id, tn.device)
 					}
-					atEnd = atEnd || (tn.State == StateRunning && tn.placedAt == f.cfg.Duration)
+					atEnd = atEnd || (tn.state == stateRunning && tn.placedAt == f.cfg.Duration)
 				}
 				if r.placedAtEnd && !atEnd {
 					t.Fatalf("workers=%d: no tenant was placed at the final boundary %v", workers, f.cfg.Duration)

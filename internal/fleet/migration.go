@@ -124,7 +124,7 @@ func (f *Fleet) maybeMigrate(now sim.Time) {
 // ledger.
 func (f *Fleet) startMigration(tn *Tenant, dst int, now sim.Time) {
 	f.shards[dst].slotsUsed++
-	m := &migration{tenant: tn, src: tn.Device, dst: dst, srcVSSD: tn.vssd, started: now}
+	m := &migration{tenant: tn, src: tn.device, dst: dst, srcVSSD: tn.vssd, started: now}
 	if st, dt := f.shards[m.src].tier, f.shards[dst].tier; dt < st {
 		m.tierMove = 1
 		f.led.PromotesStarted++
@@ -132,7 +132,7 @@ func (f *Fleet) startMigration(tn *Tenant, dst int, now sim.Time) {
 		m.tierMove = -1
 		f.led.DemotesStarted++
 	}
-	tn.State = StateDraining
+	tn.state = stateDraining
 	tn.gen.Stop()
 	f.migs = append(f.migs, m)
 	f.led.MigrationsStarted++
@@ -144,13 +144,13 @@ func (f *Fleet) startMigration(tn *Tenant, dst int, now sim.Time) {
 func (f *Fleet) stepMigrations(now sim.Time) {
 	live := f.migs[:0]
 	for _, m := range f.migs {
-		switch m.tenant.State {
-		case StateDraining:
+		switch m.tenant.state {
+		case stateDraining:
 			if m.srcVSSD.QueueLen() == 0 && m.srcVSSD.Inflight() == 0 {
 				f.beginCopy(m)
 			}
 			live = append(live, m)
-		case StateCopying:
+		case stateCopying:
 			if m.srcCopy.done && m.dstCopy.done {
 				f.cutOver(m, now)
 			} else {
@@ -168,9 +168,9 @@ func (f *Fleet) stepMigrations(now sim.Time) {
 // which doubles as the migrated tenant's prefill.
 func (f *Fleet) beginCopy(m *migration) {
 	tn := m.tenant
-	tn.State = StateCopying
-	tn.Device = m.dst
-	tn.Migrations++ // addTenantVSSD skips prefill for a migration target
+	tn.state = stateCopying
+	tn.device = m.dst
+	tn.migrations++ // addTenantVSSD skips prefill for a migration target
 	pages := int(m.srcVSSD.Tenant().MappedPages())
 	m.dstVSSD = f.addTenantVSSD(f.shards[m.dst], tn)
 	if lim := m.dstVSSD.Tenant().LogicalPages(); pages > lim {
@@ -193,7 +193,7 @@ func (f *Fleet) cutOver(m *migration, now sim.Time) {
 	// not tenant traffic; reset it so post-migration P99 (the tiered
 	// tail-latency roll-up) measures the new placement only.
 	m.dstVSSD.TotalHist().Reset()
-	tn.State = StateRunning
+	tn.state = stateRunning
 	tn.placedAt = now
 	f.shards[m.dst].resident = append(f.shards[m.dst].resident, tn)
 	tn.gen.Record(nil) // the stopped source generator lets go of the recorder

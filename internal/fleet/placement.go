@@ -126,7 +126,7 @@ func (f *Fleet) pick(kind PlacementKind, tn *Tenant, lo, hi int) (int, bool) {
 	case PlaceRoundRobin:
 		start = uint64(f.rrNext)
 	case PlaceHash:
-		start = hash64(uint64(tn.ID), uint64(f.cfg.Seed))
+		start = hash64(uint64(tn.id), uint64(f.cfg.Seed))
 	}
 	best := -1
 	for probe := 0; probe < n; probe++ {

@@ -207,7 +207,7 @@ func hintsFast(f *Fleet, tn *Tenant) (int64, bool) {
 // tierHint reads the tenant's last placement-head sample from its
 // shard's agent stack (-1 when none yet).
 func (f *Fleet) tierHint(tn *Tenant) int {
-	sh := f.shards[tn.Device]
+	sh := f.shards[tn.device]
 	if sh.fio == nil || tn.vssd == nil {
 		return -1
 	}
@@ -224,7 +224,7 @@ func (f *Fleet) victim(lo, hi int, now sim.Time, r rank) *Tenant {
 	settle := f.cfg.settle()
 	for dev := lo; dev < hi; dev++ {
 		for _, tn := range f.shards[dev].resident {
-			if tn.State != StateRunning || tn.Device != dev || now-tn.placedAt < settle {
+			if tn.state != stateRunning || tn.device != dev || now-tn.placedAt < settle {
 				continue
 			}
 			if score, ok := r(f, tn); ok && (best == nil || score > bestScore) {
@@ -257,7 +257,7 @@ func (f *Fleet) collectTiers(s *Stats) {
 		if tn.prof.Class != workload.Latency || tn.vssd == nil {
 			continue
 		}
-		if tn.State != StateRunning && tn.State != StateLeaving {
+		if tn.state != stateRunning && tn.state != stateLeaving {
 			continue
 		}
 		h := tn.vssd.TotalHist()

@@ -198,13 +198,13 @@ func TestTierStaticPinPlacement(t *testing.T) {
 	f.Run()
 	_, fh := f.fastRange()
 	for _, tn := range f.Tenants() {
-		if tn.State != StateRunning {
+		if tn.state != stateRunning {
 			continue
 		}
-		fast := tn.Device < fh
+		fast := tn.device < fh
 		if lat := tn.prof.Class == workload.Latency; lat != fast {
 			t.Errorf("tenant %d (%s, latency=%v) on device %d (fast=%v)",
-				tn.ID, tn.Workload, lat, tn.Device, fast)
+				tn.id, tn.Workload, lat, tn.device, fast)
 		}
 	}
 }

@@ -167,9 +167,9 @@ type Manager struct {
 	// maintenance.
 	fullSets [][]uint64
 
-	// Submit sends a flash op to the device: dev.Submit, unless a test
+	// submit sends a flash op to the device: dev.Submit, unless a test
 	// wraps it.
-	Submit func(*flash.Op)
+	submit func(*flash.Op)
 
 	// gcThreshold is lazyGCThreshold, held in a field only so in-package
 	// tests can zero it to keep GC out of the way (before the first
@@ -243,7 +243,7 @@ func NewManager(eng *sim.Engine, dev *flash.Device) *Manager {
 	if eng != nil {
 		m.retry = eng.NewLane(retryDelay)
 	}
-	m.Submit = dev.Submit
+	m.submit = dev.Submit
 	for p := range m.freePools {
 		m.freePools[p] = make([]int, 0, cfg.BlocksPerChip)
 	}

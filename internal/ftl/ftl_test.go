@@ -341,7 +341,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 		faults := fault.Heavy()
 		faults.Seed = seed
 		m.dev.SetFaultInjector(fault.NewInjector(faults))
-		m.Submit = func(op *flash.Op) {
+		m.submit = func(op *flash.Op) {
 			// A GC program into a block of another tenant's data: the
 			// block's owner collecting what a harvester wrote.
 			if j, ok := op.Ctx.(*gcJob); ok && op.Kind == flash.OpProgram && int(m.blocks[m.blockIndex(op.Addr.BlockOf())].user) != j.t.id {
@@ -379,7 +379,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			op.Done = programDone
 			op.Ctx = tn
 			op.CtxI = int64(lpn)
-			m.Submit(op)
+			m.submit(op)
 		}
 		var harvested []struct{ gsb, by int }
 		nextGSB := 1

@@ -634,7 +634,7 @@ func (j *gcJob) migrate(p int) {
 	op.Done = gcReadDone
 	op.Ctx = j
 	op.CtxI = int64(p)
-	t.mgr.Submit(op)
+	t.mgr.submit(op)
 }
 
 // finish retires one migration (or skipped page) and either refills the
@@ -692,7 +692,7 @@ func (j *gcJob) programMigrated(dataTenant *Tenant, lpn int, dst flash.PPA, prio
 	// Carry (data tenant, LPN) so a program failure can re-issue the
 	// migration without touching the (possibly recycled) op.
 	op.CtxI = int64(dataTenant.id)<<32 | int64(lpn)
-	t.mgr.Submit(op)
+	t.mgr.submit(op)
 }
 
 // gcProgramDone finishes one migration program. On a program failure the
@@ -742,7 +742,7 @@ func (t *Tenant) eraseVictim(j *gcJob) {
 	op.Priority = priorityGC
 	op.Done = gcEraseDone
 	op.Ctx = j
-	t.mgr.Submit(op)
+	t.mgr.submit(op)
 }
 
 // gcEraseDone retires the whole job: the block returns to the free pool —

@@ -15,7 +15,7 @@ func TestPoolConcurrentHarvestNoDoubleGrant(t *testing.T) {
 	var pool gsbPool
 	const n = 2000
 	for i := 0; i < n; i++ {
-		pool.pushFront(&GSB{ID: i, NChls: 1, Home: 0, Harvest: -1})
+		pool.pushFront(&GSB{id: i, NChls: 1, home: 0, harvest: -1})
 	}
 	var mu sync.Mutex
 	granted := make(map[int]int)
@@ -26,17 +26,17 @@ func TestPoolConcurrentHarvestNoDoubleGrant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				g, ok := pool.removeFirst(func(x *GSB) bool { return x.Home != 99 })
+				g, ok := pool.removeFirst(func(x *GSB) bool { return x.home != 99 })
 				if !ok {
 					return
 				}
 				mu.Lock()
-				if prev, dup := granted[g.ID]; dup {
+				if prev, dup := granted[g.id]; dup {
 					mu.Unlock()
-					t.Errorf("gSB %d granted to both %d and %d", g.ID, prev, w)
+					t.Errorf("gSB %d granted to both %d and %d", g.id, prev, w)
 					return
 				}
-				granted[g.ID] = w
+				granted[g.id] = w
 				mu.Unlock()
 			}
 		}()
@@ -66,7 +66,7 @@ func TestReclaimDuringGCStaleID(t *testing.T) {
 		f.harv.AllocatePage(lpn, false)
 	}
 	f.gm.SetHarvestable(f.home, 0)
-	id := g.ID
+	id := g.id
 	for round := 0; round < 400 && f.gm.byID[id] != nil; round++ {
 		if g.pending < 0 {
 			t.Fatalf("pending went negative: %d", g.pending)
@@ -117,7 +117,7 @@ func TestReclaimWithEraseFailures(t *testing.T) {
 		f.harv.AllocatePage(lpn, false)
 	}
 	f.gm.SetHarvestable(f.home, 0)
-	id := g.ID
+	id := g.id
 	for round := 0; round < 400 && f.gm.byID[id] != nil; round++ {
 		if g.pending < 0 {
 			t.Fatalf("pending went negative: %d", g.pending)

@@ -15,16 +15,16 @@ import (
 
 // GSB mirrors the paper's Figure 7 metadata: the channel footprint,
 // harvesting state, and the home/harvest tenants. Its capacity is its
-// Blocks.
+// blocks.
 type GSB struct {
-	ID      int
+	id      int
 	NChls   int  // number of channels the superblock stripes across
-	InUse   bool // currently harvested
-	Home    int  // vSSD that gave up the resources
-	Harvest int  // vSSD harvesting it, -1 when none
+	inUse   bool // currently harvested
+	home    int  // vSSD that gave up the resources
+	harvest int  // vSSD harvesting it, -1 when none
 
-	Channels   []int
-	Blocks     []int // ftl block indices
+	channels   []int
+	blocks     []int // ftl block indices
 	Reclaiming bool
 	pending    int // blocks not yet back in the home pool
 }
@@ -71,7 +71,7 @@ type Manager struct {
 
 	stats Stats
 
-	// freeG recycles finalized gSB metadata (and the grown Blocks/Channels
+	// freeG recycles finalized gSB metadata (and the grown blocks/channels
 	// arrays inside) — safe because finalize removes the gSB from every
 	// index and no caller retains *GSB across manager calls. reclaimS and
 	// harvestedS are iteration snapshots for loops that mutate the indexes
@@ -156,7 +156,7 @@ func (m *Manager) SetHarvestable(home *ftl.Tenant, targetChls int) *GSB {
 	return m.create(home, deficit)
 }
 
-// grab pops a recycled gSB (keeping its grown Blocks/Channels arrays) or
+// grab pops a recycled gSB (keeping its grown blocks/channels arrays) or
 // allocates a fresh one.
 func (m *Manager) grab() *GSB {
 	if n := len(m.freeG); n > 0 {
@@ -173,8 +173,8 @@ func (m *Manager) grab() *GSB {
 func (m *Manager) create(home *ftl.Tenant, nchls int) *GSB {
 	id := m.nextID
 	g := m.grab()
-	blocks := g.Blocks[:0]
-	chans := g.Channels[:0]
+	blocks := g.blocks[:0]
+	chans := g.channels[:0]
 	for _, ch := range home.Channels() {
 		if len(chans) == nchls {
 			break
@@ -187,26 +187,26 @@ func (m *Manager) create(home *ftl.Tenant, nchls int) *GSB {
 		chans = append(chans, ch)
 	}
 	if len(chans) == 0 {
-		g.Blocks, g.Channels = blocks, chans // keep any grown capacity
+		g.blocks, g.channels = blocks, chans // keep any grown capacity
 		m.freeG = append(m.freeG, g)
 		m.stats.CreateFailures++
 		return nil
 	}
 	m.nextID++
 	*g = GSB{
-		ID:       id,
+		id:       id,
 		NChls:    len(chans),
-		Home:     home.ID(),
-		Harvest:  -1,
-		Channels: chans,
-		Blocks:   blocks,
+		home:     home.ID(),
+		harvest:  -1,
+		channels: chans,
+		blocks:   blocks,
 		pending:  len(blocks),
 	}
 	m.byID[id] = g
 	m.byHome[home.ID()] = append(m.byHome[home.ID()], g)
 	m.pool[g.NChls].pushFront(g)
 	m.stats.Created++
-	m.rec.GSB(obs.KindGSBCreate, g.ID, g.Home, -1, g.NChls)
+	m.rec.GSB(obs.KindGSBCreate, g.id, g.home, -1, g.NChls)
 	// While lending, keep the home tenant's GC aiming above the §3.6 free
 	// floor so future gSB creation stays possible (supply would otherwise
 	// starve once harvested data accumulates on the home channels).
@@ -226,7 +226,7 @@ func (m *Manager) HarvestFor(harvester *ftl.Tenant, nchls int) *GSB {
 	if nchls >= len(m.pool) {
 		nchls = len(m.pool) - 1
 	}
-	notMine := func(g *GSB) bool { return g.Home != harvester.ID() && !g.Reclaiming }
+	notMine := func(g *GSB) bool { return g.home != harvester.ID() && !g.Reclaiming }
 	try := func(n int) *GSB {
 		g, ok := m.pool[n].removeFirst(notMine)
 		if !ok {
@@ -247,12 +247,12 @@ func (m *Manager) HarvestFor(harvester *ftl.Tenant, nchls int) *GSB {
 		m.stats.HarvestMisses++
 		return nil
 	}
-	g.InUse = true
-	g.Harvest = harvester.ID()
-	harvester.AddHarvestLanes(g.ID, g.Blocks)
+	g.inUse = true
+	g.harvest = harvester.ID()
+	harvester.AddHarvestLanes(g.id, g.blocks)
 	m.byHarvester[harvester.ID()] = append(m.byHarvester[harvester.ID()], g)
 	m.stats.Harvested++
-	m.rec.GSB(obs.KindGSBHarvest, g.ID, g.Harvest, g.Home, g.NChls)
+	m.rec.GSB(obs.KindGSBHarvest, g.id, g.harvest, g.home, g.NChls)
 	return g
 }
 
@@ -291,19 +291,19 @@ func (m *Manager) Release(g *GSB) {
 // GC erases their dirty blocks (§3.6, §3.7).
 func (m *Manager) reclaim(g *GSB) {
 	g.Reclaiming = true
-	m.rec.GSB(obs.KindGSBReclaim, g.ID, g.Home, g.Harvest, g.NChls)
-	if !g.InUse {
+	m.rec.GSB(obs.KindGSBReclaim, g.id, g.home, g.harvest, g.NChls)
+	if !g.inUse {
 		// Remove from the pool so nobody harvests it mid-reclaim.
 		m.pool[g.NChls].removeFirst(func(x *GSB) bool { return x == g })
-		for _, idx := range g.Blocks {
+		for _, idx := range g.blocks {
 			m.ftlm.ReturnCleanBlock(idx)
 		}
 		g.pending = 0
 		m.finalize(g)
 		return
 	}
-	harvester := m.ftlm.Tenants()[g.Harvest]
-	clean := harvester.CloseHarvestLanes(g.ID)
+	harvester := m.ftlm.Tenants()[g.harvest]
+	clean := harvester.CloseHarvestLanes(g.id)
 	g.pending -= len(clean)
 	if g.pending <= 0 {
 		m.finalize(g)
@@ -327,7 +327,7 @@ func (m *Manager) blockErased(_ int, gsbID int) {
 	// gSBs over time (harvested-first victims, §3.7), and finalizing here
 	// frees the budget so agents can make fresh resources harvestable.
 	if g.pending <= 0 {
-		if !g.Reclaiming && !g.InUse {
+		if !g.Reclaiming && !g.inUse {
 			// Still idling in the pool: remove it so nobody harvests a husk.
 			m.pool[g.NChls].removeFirst(func(x *GSB) bool { return x == g })
 		}
@@ -337,33 +337,33 @@ func (m *Manager) blockErased(_ int, gsbID int) {
 
 // finalize removes a fully returned gSB from all indexes.
 func (m *Manager) finalize(g *GSB) {
-	delete(m.byID, g.ID)
-	list := m.byHome[g.Home]
+	delete(m.byID, g.id)
+	list := m.byHome[g.home]
 	for i, x := range list {
 		if x == g {
-			m.byHome[g.Home] = append(list[:i], list[i+1:]...)
+			m.byHome[g.home] = append(list[:i], list[i+1:]...)
 			break
 		}
 	}
-	if g.Harvest >= 0 {
-		hl := m.byHarvester[g.Harvest]
+	if g.harvest >= 0 {
+		hl := m.byHarvester[g.harvest]
 		for i, x := range hl {
 			if x == g {
-				m.byHarvester[g.Harvest] = append(hl[:i], hl[i+1:]...)
+				m.byHarvester[g.harvest] = append(hl[:i], hl[i+1:]...)
 				break
 			}
 		}
 	}
-	if len(m.byHome[g.Home]) == 0 {
-		m.ftlm.Tenants()[g.Home].SetGCTarget(0)
+	if len(m.byHome[g.home]) == 0 {
+		m.ftlm.Tenants()[g.home].SetGCTarget(0)
 	}
 	m.stats.Reclaimed++
-	m.rec.GSB(obs.KindGSBFinalize, g.ID, g.Home, g.Harvest, g.NChls)
+	m.rec.GSB(obs.KindGSBFinalize, g.id, g.home, g.harvest, g.NChls)
 	m.freeG = append(m.freeG, g)
 }
 
 // String renders the gSB for diagnostics.
 func (g *GSB) String() string {
 	return fmt.Sprintf("gSB{id=%d nchls=%d home=%d harvest=%d inUse=%v reclaiming=%v blocks=%d}",
-		g.ID, g.NChls, g.Home, g.Harvest, g.InUse, g.Reclaiming, len(g.Blocks))
+		g.id, g.NChls, g.home, g.harvest, g.inUse, g.Reclaiming, len(g.blocks))
 }

@@ -61,14 +61,14 @@ func TestMakeHarvestableCreatesGSB(t *testing.T) {
 	if g == nil {
 		t.Fatal("no gSB created")
 	}
-	if g.NChls != 2 || len(g.Channels) != 2 {
-		t.Fatalf("gSB channels = %v", g.Channels)
+	if g.NChls != 2 || len(g.channels) != 2 {
+		t.Fatalf("gSB channels = %v", g.channels)
 	}
 	wantBlocks := 2 * blocksPerChip * f.cfg.ChipsPerChannel
-	if len(g.Blocks) != wantBlocks {
-		t.Fatalf("gSB blocks = %d, want %d", len(g.Blocks), wantBlocks)
+	if len(g.blocks) != wantBlocks {
+		t.Fatalf("gSB blocks = %d, want %d", len(g.blocks), wantBlocks)
 	}
-	if g.InUse || g.Harvest != -1 || g.Home != 0 {
+	if g.inUse || g.harvest != -1 || g.home != 0 {
 		t.Fatalf("fresh gSB state wrong: %s", g)
 	}
 	if f.gm.pool[2].Len() != 1 {
@@ -116,7 +116,7 @@ func TestHarvestExactFit(t *testing.T) {
 	if g == nil {
 		t.Fatal("harvest failed")
 	}
-	if !g.InUse || g.Harvest != 1 {
+	if !g.inUse || g.harvest != 1 {
 		t.Fatalf("harvested state wrong: %s", g)
 	}
 	if f.gm.pool[2].Len() != 0 {
@@ -186,7 +186,7 @@ func TestLazyReclaimInUseGSB(t *testing.T) {
 	if !g.Reclaiming {
 		t.Fatal("gSB not marked reclaiming")
 	}
-	if f.gm.byID[g.ID] == nil {
+	if f.gm.byID[g.id] == nil {
 		// All written pages may have stayed in one lane; if some blocks were
 		// dirty the gSB must still be pending.
 		t.Log("gSB fully reclaimed immediately (all blocks clean)")
@@ -199,13 +199,13 @@ func TestLazyReclaimInUseGSB(t *testing.T) {
 		}
 	}
 	// Force GC on home to erase the dirty blocks: churn home's space.
-	for round := 0; round < 200 && f.gm.byID[g.ID] != nil; round++ {
+	for round := 0; round < 200 && f.gm.byID[g.id] != nil; round++ {
 		for lpn := 0; lpn < 8; lpn++ {
 			f.home.AllocatePage(lpn, false)
 		}
 		f.eng.Run()
 	}
-	if f.gm.byID[g.ID] != nil {
+	if f.gm.byID[g.id] != nil {
 		t.Fatalf("gSB never finished lazy reclamation: %s", g)
 	}
 	if f.gm.HarvestableChannels(0) != 0 {

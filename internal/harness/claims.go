@@ -116,7 +116,7 @@ func ratios(g grid, kind, base PolicyKind, metric func(Result) float64) func(cel
 		var out []float64
 		for _, mix := range g.mixes {
 			for _, l := range g.rungs() {
-				out = append(out, metric(cs.at(mix, kind, l.Name, opt.Seed).Result)/metric(cs.at(mix, base, l.Name, opt.Seed).Result))
+				out = append(out, metric(cs.at(mix, kind, l.name, opt.Seed).Result)/metric(cs.at(mix, base, l.name, opt.Seed).Result))
 			}
 		}
 		return out
@@ -130,7 +130,7 @@ func each(g grid, metric func(cell) float64) func(cells, Options) []float64 {
 		for _, mix := range g.mixes {
 			for _, k := range g.kinds {
 				for _, l := range g.rungs() {
-					out = append(out, metric(cs.at(mix, k, l.Name, opt.Seed)))
+					out = append(out, metric(cs.at(mix, k, l.name, opt.Seed)))
 				}
 			}
 		}

@@ -65,7 +65,7 @@ func fewestCompleted(r Result) float64 {
 // on reads one Result of the single mix and level of g at one seed.
 func on(g grid, kind PolicyKind, metric func(Result) float64) func(cells, Options) float64 {
 	return func(cs cells, opt Options) float64 {
-		return metric(cs.at(g.mixes[0], kind, g.rungs()[0].Name, opt.Seed).Result)
+		return metric(cs.at(g.mixes[0], kind, g.rungs()[0].name, opt.Seed).Result)
 	}
 }
 
@@ -203,9 +203,9 @@ func scenarioClaims() []claim {
 				}
 				n := 0.0
 				for _, mix := range g.shapes.mixes {
-					st := printed(cs.at(mix, PolFleetIO, steady.levels[0].Name, opt.Seed))
+					st := printed(cs.at(mix, PolFleetIO, steady.levels[0].name, opt.Seed))
 					for _, l := range g.shapes.levels[1:] {
-						n += b2f(printed(cs.at(mix, PolFleetIO, l.Name, opt.Seed)) == st)
+						n += b2f(printed(cs.at(mix, PolFleetIO, l.name, opt.Seed)) == st)
 					}
 				}
 				return n

@@ -193,7 +193,7 @@ func figure15(w io.Writer, g grid, cs cells, seed int64) {
 func figure16(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 16: mixed hardware- and software-isolated vSSDs (mix3)")
 	for _, k := range g.kinds {
-		res, name := cs.at(g.mixes[0], k, g.levels[0].Name, seed), k.String()
+		res, name := cs.at(g.mixes[0], k, g.levels[0].name, seed), k.String()
 		if k == PolHardware {
 			name = "Mixed Isolation"
 		}
@@ -263,7 +263,7 @@ func figure17(w io.Writer, g grid, cs cells, seed int64) {
 	fmt.Fprintln(w, "Figure 17: robustness to collocated workload changes")
 	fmt.Fprintf(w, "%-12s %14s %14s %10s (metric: %s)\n", "case", "pretrained", "transfer", "ratio", "BI MB/s or LS P99 ms")
 	for _, c := range transferCases() {
-		a, b := kept(cs.at(c.final(), g.kinds[0], g.levels[0].Name, seed)), kept(cs.at(c.final(), g.kinds[0], g.levels[1].Name, seed))
+		a, b := kept(cs.at(c.final(), g.kinds[0], g.levels[0].name, seed)), kept(cs.at(c.final(), g.kinds[0], g.levels[1].name, seed))
 		fmt.Fprintf(w, "%-12s %14.2f %14.2f %9.2fx\n", c.label, a, b, b/a)
 	}
 	fmt.Fprintln(w, "(paper: transfer within 5% of pretrained across all combinations)")
@@ -293,12 +293,12 @@ func runTransfer(mix MixSpec, kind PolicyKind, slos []sim.Time, opt Options) *Ru
 
 // overheadReport captures §4.7's overhead table.
 type overheadReport struct {
-	InferencePerWindow   time.Duration
-	FineTunePer10Windows time.Duration
-	GSBCreate            time.Duration
-	AdmissionPer1000     time.Duration
-	ModelBytes           int
-	ModelParams          int
+	inferencePerWindow   time.Duration
+	fineTunePer10Windows time.Duration
+	gsbCreate            time.Duration
+	admissionPer1000     time.Duration
+	modelBytes           int
+	modelParams          int
 }
 
 // overheads measures the §4.7 costs on this machine.
@@ -362,21 +362,21 @@ func overheads(w io.Writer) overheadReport {
 
 	enc, _ := net.Encode()
 	rep := overheadReport{
-		InferencePerWindow:   inf,
-		FineTunePer10Windows: ft,
-		GSBCreate:            gsbDur,
-		AdmissionPer1000:     admDur,
-		ModelBytes:           len(enc),
-		ModelParams:          net.NumParams(),
+		inferencePerWindow:   inf,
+		fineTunePer10Windows: ft,
+		gsbCreate:            gsbDur,
+		admissionPer1000:     admDur,
+		modelBytes:           len(enc),
+		modelParams:          net.NumParams(),
 	}
 	if w != nil {
 		fmt.Fprintln(w, "Section 4.7: overhead sources")
-		fmt.Fprintf(w, "  inference per window:        %v (paper: 1.1 ms)\n", rep.InferencePerWindow)
-		fmt.Fprintf(w, "  fine-tune per 10 windows:    %v (paper: 51.2 ms)\n", rep.FineTunePer10Windows)
-		fmt.Fprintf(w, "  gSB create/reclaim:          %v (paper: <1 us)\n", rep.GSBCreate)
-		fmt.Fprintf(w, "  admission, 1000 actions:     %v (paper: 0.8 ms)\n", rep.AdmissionPer1000)
+		fmt.Fprintf(w, "  inference per window:        %v (paper: 1.1 ms)\n", rep.inferencePerWindow)
+		fmt.Fprintf(w, "  fine-tune per 10 windows:    %v (paper: 51.2 ms)\n", rep.fineTunePer10Windows)
+		fmt.Fprintf(w, "  gSB create/reclaim:          %v (paper: <1 us)\n", rep.gsbCreate)
+		fmt.Fprintf(w, "  admission, 1000 actions:     %v (paper: 0.8 ms)\n", rep.admissionPer1000)
 		fmt.Fprintf(w, "  model size:                  %d bytes, %d params (paper: 2.2 MB, ~9K params)\n\n",
-			rep.ModelBytes, rep.ModelParams)
+			rep.modelBytes, rep.modelParams)
 	}
 	return rep
 }

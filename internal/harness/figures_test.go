@@ -164,14 +164,14 @@ func TestRunTransferMeasuresFinalMix(t *testing.T) {
 func TestOverheadsReport(t *testing.T) {
 	var buf bytes.Buffer
 	rep := overheads(&buf)
-	if rep.InferencePerWindow <= 0 || rep.FineTunePer10Windows <= 0 ||
-		rep.GSBCreate <= 0 || rep.AdmissionPer1000 <= 0 {
+	if rep.inferencePerWindow <= 0 || rep.fineTunePer10Windows <= 0 ||
+		rep.gsbCreate <= 0 || rep.admissionPer1000 <= 0 {
 		t.Fatalf("degenerate overheads: %+v", rep)
 	}
-	if rep.ModelParams < 4000 || rep.ModelParams > 12000 {
-		t.Fatalf("model params = %d, want the paper's ~9K regime", rep.ModelParams)
+	if rep.modelParams < 4000 || rep.modelParams > 12000 {
+		t.Fatalf("model params = %d, want the paper's ~9K regime", rep.modelParams)
 	}
-	if rep.ModelBytes <= 0 {
+	if rep.modelBytes <= 0 {
 		t.Fatal("model bytes missing")
 	}
 	if !strings.Contains(buf.String(), "overhead") {

@@ -179,6 +179,16 @@ func TestValidateGuardsEntryPoints(t *testing.T) {
 		}
 	}
 
+	// The CLI's ParseSpec rejects these; a Faults set in code is held to
+	// the same check. NaN would otherwise run silently fault-free.
+	for _, p := range []float64{2, math.NaN()} {
+		opt := DefaultOptions()
+		opt.Faults = &fault.Config{ProgramFailProb: p}
+		if err := opt.Validate(); err == nil || !strings.HasPrefix(err.Error(), "-faults (Faults): fault: ProgramFailProb = ") {
+			t.Errorf("ProgramFailProb %v: err = %v, want one naming -faults and ProgramFailProb", p, err)
+		}
+	}
+
 	opt := DefaultOptions()
 	opt.Duration = 0
 	want := opt.Validate()

@@ -23,11 +23,11 @@ type grid struct {
 }
 
 // level is one rung of a scenario ladder: a name and how a run is put on
-// it. Apply, when set, edits the options after calibration; run, when set,
+// it. apply, when set, edits the options after calibration; run, when set,
 // runs the cell in Measure's place, and its name joins the cell's key.
 type level struct {
-	Name  string
-	Apply func(*Options)
+	name  string
+	apply func(*Options)
 	run   func(MixSpec, PolicyKind, []sim.Time, Options) *Run
 }
 
@@ -165,12 +165,12 @@ func (m *memo) run(opt Options, grids ...grid) cells {
 			base.Seed = seed
 			for _, l := range g.rungs() {
 				o := base
-				if l.Apply != nil {
-					l.Apply(&o)
+				if l.apply != nil {
+					l.apply(&o)
 				}
 				for _, k := range g.kinds {
 					for _, mix := range g.mixes {
-						jobs = append(jobs, job{addr{mix.Label, k, l.Name, seed}, mix, base, o, l.run})
+						jobs = append(jobs, job{addr{mix.Label, k, l.name, seed}, mix, base, o, l.run})
 					}
 				}
 			}

@@ -179,10 +179,10 @@ func TestFaultLevelsKeyByValue(t *testing.T) {
 	a, b := theGrids().faults, theGrids().faults
 	for i, l := range a.levels {
 		oa, ob := tinyOptions(), tinyOptions()
-		l.Apply(&oa)
-		b.levels[i].Apply(&ob)
+		l.apply(&oa)
+		b.levels[i].apply(&ob)
 		if oa.key() != ob.key() {
-			t.Errorf("level %s keys two ways from two theGrids() calls", l.Name)
+			t.Errorf("level %s keys two ways from two theGrids() calls", l.name)
 		}
 	}
 }

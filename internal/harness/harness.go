@@ -104,7 +104,7 @@ type Options struct {
 	// derives the injector stream from Options.Seed, so fault scenarios
 	// are per-seed deterministic. Under faults, FleetIO agents not seeded
 	// from a Pretrained network (built at the base input width) also see
-	// the per-tenant write-retry rate (core.FleetIOConfig.ErrorRateState).
+	// the per-tenant write-retry rate (see core.FleetIOConfig.Pretrained).
 	Faults *fault.Config
 	// FleetDevices sizes the rack of the rack scenarios (0 → each one's
 	// default: defaultFleetDevices, defaultTierDevices,
@@ -162,6 +162,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("Channels %d: must be >= 0 (0 keeps the default)", o.Channels)
 	case o.BlocksPerChip < 0:
 		return fmt.Errorf("BlocksPerChip %d: must be >= 0 (0 keeps the default)", o.BlocksPerChip)
+	case o.Faults != nil && o.Faults.Validate() != nil:
+		return fmt.Errorf("-faults (Faults): %w", o.Faults.Validate())
 	case len(o.ReplayRecords) > 0:
 		// A binary trace is read as written: hold it to the replay rules.
 		prof := workload.Profile{Name: "trace", Replay: &workload.Replay{Records: o.ReplayRecords}}
@@ -567,8 +569,7 @@ func (r *Run) AttachPolicy(kind PolicyKind) {
 
 // The three FleetIO wirings, as data: the fields below are all they differ
 // in. Everything else — seed, type model, per-type α seeding, recorders,
-// observer, admission control — is attachFleetIO's and the same for all
-// three.
+// admission control — is attachFleetIO's and the same for all three.
 
 // deployedFleetIO is a measured run: every agent fine-tunes its own copy of
 // the pretrained model every 10 windows and is re-typed every 5.
@@ -593,9 +594,6 @@ func deployedFleetIO(kind PolicyKind, opt Options) core.FleetIOConfig {
 		TrainEvery: 10,
 		TypeEvery:  5,
 		Pretrained: pretrained,
-		// The per-tenant write-retry rate widens the network input, so it is
-		// fed only to agents not seeded from a network built at the base width.
-		ErrorRateState: opt.faultsEnabled() && pretrained == nil,
 	}
 }
 
@@ -608,17 +606,15 @@ func figure16FleetIO(opt Options) core.FleetIOConfig {
 }
 
 // episodeFleetIO is a pretraining episode: all agents act on the shared
-// network (read, never trained — the in-episode PPO trigger is kept out of
-// reach so every transition survives for the trainer's learner), sampling
-// the stochastic policy, or argmax actions for held-out evaluation.
+// network (read, never trained, so every transition survives for the
+// trainer's learner), sampling the stochastic policy, or argmax actions for
+// held-out evaluation.
 func episodeFleetIO(spec episodeSpec, net *nn.ActorCritic) core.FleetIOConfig {
 	return core.FleetIOConfig{
-		Mode:          spec.Mode,
-		Train:         true,
-		TrainEvery:    1 << 30,
+		Mode:          spec.mode,
 		Pretrained:    net,
 		ShareModel:    true,
-		GreedyCollect: spec.Greedy,
+		GreedyCollect: spec.greedy,
 	}
 }
 
@@ -634,7 +630,6 @@ func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 	cfg.Seed = r.opt.Seed
 	cfg.TypeModel = tm
 	cfg.AlphaByCluster = alphas
-	cfg.Obs = plat.Observer()
 	f := core.NewFleetIO(plat, cfg)
 	if cfg.TypeEvery > 0 {
 		for i := range r.mix.Workloads {
@@ -653,9 +648,7 @@ func (r *Run) attachFleetIO(cfg core.FleetIOConfig) *core.FleetIO {
 			}
 		}
 	}
-	adm := admission.NewController(plat, nil)
-	adm.Obs = plat.Observer()
-	r.dev.Attach(f, adm, r.opt.Window)
+	r.dev.Attach(f, admission.NewController(plat, nil), r.opt.Window)
 	return f
 }
 

@@ -126,7 +126,7 @@ func TestOnlyRetypingRunsRecord(t *testing.T) {
 	}
 
 	episode := func() *Run {
-		spec := episodeSpec{Pretrain: DefaultPretrainConfig(), Mix: mix, Mode: core.ModeFull, Seed: opt.Seed}
+		spec := episodeSpec{pretrain: DefaultPretrainConfig(), mix: mix, mode: core.ModeFull, seed: opt.Seed}
 		heads := []int{len(core.HarvestLevels), len(core.HarvestLevels), len(core.PriorityLevels)}
 		net := nn.NewActorCritic(core.DefaultHistoryWindows*core.StatesPerWindow, 50, heads, sim.NewRNG(1))
 		r := buildPlatform(mix, PolFleetIO, nil, nil, opt)

@@ -96,7 +96,7 @@ func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 	}
 	mixes := pretrainMixes()
 	episode := func(mix MixSpec, seed int64, greedy bool, net *nn.ActorCritic) *rl.Buffer {
-		return rl.Merge(runEpisode(episodeSpec{Pretrain: pc, Mix: mix, Mode: mode, Seed: seed, Greedy: greedy}, net)...)
+		return rl.Merge(runEpisode(episodeSpec{pretrain: pc, mix: mix, mode: mode, seed: seed, greedy: greedy}, net)...)
 	}
 	return trainer.Run(pc.Config, trainer.Env{
 		NewNet: func(rng *sim.RNG) *nn.ActorCritic {
@@ -120,16 +120,16 @@ func PretrainRun(pc PretrainConfig, mode core.Mode) (*trainer.Result, error) {
 // flavor. Each episode owns a private sim.Engine + platform, so any number
 // of them can run concurrently (the trainer's worker pool relies on this).
 type episodeSpec struct {
-	// Pretrain is the run the episode belongs to: its window, episode
+	// pretrain is the run the episode belongs to: its window, episode
 	// length and PPO settings (used for action sampling only; no learning
 	// happens inside the episode).
-	Pretrain PretrainConfig
-	Mix      MixSpec
-	Mode     core.Mode
-	Seed     int64
-	// Greedy selects argmax actions (held-out evaluation) instead of
+	pretrain PretrainConfig
+	mix      MixSpec
+	mode     core.Mode
+	seed     int64
+	// greedy selects argmax actions (held-out evaluation) instead of
 	// sampling the stochastic policy (collection).
-	Greedy bool
+	greedy bool
 }
 
 // runEpisode is the episode factory behind the parallel trainer's
@@ -139,13 +139,13 @@ type episodeSpec struct {
 // per agent with the final transition marked terminal.
 func runEpisode(spec episodeSpec, net *nn.ActorCritic) []*rl.Buffer {
 	opt := DefaultOptions()
-	opt.Seed = spec.Seed
-	opt.Window = spec.Pretrain.Window
+	opt.Seed = spec.seed
+	opt.Window = spec.pretrain.Window
 	cal := opt // a short hardware-isolated run calibrates quickly
 	cal.Warmup, cal.Duration = sim.Second, 2*sim.Second
-	r := buildPlatform(spec.Mix, PolFleetIO, nil, Calibrate(spec.Mix, cal), opt)
+	r := buildPlatform(spec.mix, PolFleetIO, nil, Calibrate(spec.mix, cal), opt)
 	f := r.attachFleetIO(episodeFleetIO(spec, net))
-	r.execute(spec.Pretrain.EpisodeDuration)
+	r.execute(spec.pretrain.EpisodeDuration)
 	return f.DrainRollouts()
 }
 

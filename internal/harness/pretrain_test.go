@@ -48,9 +48,9 @@ func TestRunEpisodeCollectsRollouts(t *testing.T) {
 	pc := DefaultPretrainConfig()
 	pc.EpisodeDuration = 2 * sim.Second
 	spec := episodeSpec{
-		Pretrain: pc,
-		Mix:      MixSpec{Label: "t", Workloads: []string{"TPCE", "BatchAnalytics"}},
-		Seed:     5,
+		pretrain: pc,
+		mix:      MixSpec{Label: "t", Workloads: []string{"TPCE", "BatchAnalytics"}},
+		seed:     5,
 	}
 	bufs := runEpisode(spec, net)
 	if len(bufs) != 2 {

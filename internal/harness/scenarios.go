@@ -48,10 +48,10 @@ func theGrids() figureGrids {
 			PolHardware, PolFleetIOCustomizedLocal, PolFleetIOUnifiedGlobal, PolFleetIO, PolSoftware}},
 		// Figure 16: mix3 on the mixed topology, calibrated as Figure 14's.
 		mixed: grid{mixes: table5Mixes()[2:3], kinds: []PolicyKind{PolHardware, PolSoftware, PolFleetIO},
-			levels: []level{{Name: "mixed", run: measureMixedIsolation}}},
+			levels: []level{{name: "mixed", run: measureMixedIsolation}}},
 		// Figure 17: each final mix under FleetIO from the start (the pair
 		// cell, where the final mix is an evaluation pair) and after a swap.
-		transfer: grid{mixes: finals, kinds: fleetIO, levels: []level{{}, {Name: "transfer", run: runTransfer}}},
+		transfer: grid{mixes: finals, kinds: fleetIO, levels: []level{{}, {name: "transfer", run: runTransfer}}},
 		faults:   grid{mixes: ladderMixes, kinds: fleetIO, levels: faultLevels()},
 		shapes:   grid{mixes: ladderMixes, kinds: fleetIO, levels: workloadLevels()},
 	}
@@ -116,8 +116,8 @@ func ladder(w io.Writer, g grid, opt Options, nameWidth int, nameHead, colsHead 
 		fmt.Fprintf(w, "%s (%v)\n", mix.Label, mix.Workloads)
 		fmt.Fprintf(w, "  %-*s %9s %9s%s\n", nameWidth, nameHead, "util%", "maxVio%", colsHead)
 		for _, l := range g.levels {
-			c := cs.at(mix, g.kinds[0], l.Name, opt.Seed)
-			fmt.Fprintf(w, "  %-*s %9.2f %9.3f%s\n", nameWidth, l.Name, c.AvgUtil*100, maxVio(c.Result)*100, cols(c))
+			c := cs.at(mix, g.kinds[0], l.name, opt.Seed)
+			fmt.Fprintf(w, "  %-*s %9.2f %9.3f%s\n", nameWidth, l.name, c.AvgUtil*100, maxVio(c.Result)*100, cols(c))
 		}
 	}
 }

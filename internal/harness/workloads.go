@@ -14,7 +14,7 @@ import (
 func workloadLevels() []level {
 	var out []level
 	for _, s := range workload.Shapes() {
-		out = append(out, level{Name: s.String(), Apply: func(o *Options) { o.WorkloadShape = s }})
+		out = append(out, level{name: s.String(), apply: func(o *Options) { o.WorkloadShape = s }})
 	}
 	return out
 }

@@ -4,15 +4,15 @@ package metrics
 // state of a vSSD (Table 1 of the paper): bandwidth, IOPS, average latency,
 // SLO violations, queue delay, read/write mix. Table 1 has no tail quantile.
 type Window struct {
-	// ReadBytes and WriteBytes are payload bytes completed in the window.
-	ReadBytes  int64
-	WriteBytes int64
+	// readBytes and writeBytes are payload bytes completed in the window.
+	readBytes  int64
+	writeBytes int64
 	// Reads and Writes count completed requests.
 	Reads  int64
 	Writes int64
-	// LatencySum is the sum of request latencies (ns); LatencyCount the
+	// latencySum is the sum of request latencies (ns); LatencyCount the
 	// number of completed requests contributing to it.
-	LatencySum   int64
+	latencySum   int64
 	LatencyCount int64
 	// SLOViolations counts completed requests whose latency exceeded the
 	// vSSD's SLO.
@@ -33,7 +33,7 @@ func (w *Window) Reset() { *w = Window{} }
 func (w *Window) Requests() int64 { return w.Reads + w.Writes }
 
 // Bytes returns the total payload bytes moved.
-func (w *Window) Bytes() int64 { return w.ReadBytes + w.WriteBytes }
+func (w *Window) Bytes() int64 { return w.readBytes + w.writeBytes }
 
 // Bandwidth returns bytes per second over a window of length dur (ns).
 func (w *Window) Bandwidth(dur int64) float64 {
@@ -56,7 +56,7 @@ func (w *Window) AvgLatency() float64 {
 	if w.LatencyCount == 0 {
 		return 0
 	}
-	return float64(w.LatencySum) / float64(w.LatencyCount)
+	return float64(w.latencySum) / float64(w.LatencyCount)
 }
 
 // SLOViolationRate returns the fraction of requests violating the SLO.
@@ -82,12 +82,12 @@ func (w *Window) ReadRatio() float64 {
 func (w *Window) Complete(isWrite bool, bytes, latency, queueDelay, slo int64) {
 	if isWrite {
 		w.Writes++
-		w.WriteBytes += bytes
+		w.writeBytes += bytes
 	} else {
 		w.Reads++
-		w.ReadBytes += bytes
+		w.readBytes += bytes
 	}
-	w.LatencySum += latency
+	w.latencySum += latency
 	w.LatencyCount++
 	w.QueueDelaySum += queueDelay
 	if slo > 0 && latency > slo {

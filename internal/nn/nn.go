@@ -88,13 +88,13 @@ const (
 
 // Adam is the Adam optimizer (Kingma & Ba) over a set of layers.
 type Adam struct {
-	LR float64
+	lr float64
 	t  int
 }
 
 // NewAdam returns Adam with the given learning rate and the standard betas.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr}
+	return &Adam{lr: lr}
 }
 
 // Step applies one update using the accumulated gradients (scaled by
@@ -113,7 +113,7 @@ func (a *Adam) Step(layers []*Linear, batch float64) {
 			v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
 			mh := m[i] / c1
 			vh := v[i] / c2
-			w[i] -= a.LR * mh / (math.Sqrt(vh) + adamEps)
+			w[i] -= a.lr * mh / (math.Sqrt(vh) + adamEps)
 			g[i] = 0
 		}
 	}

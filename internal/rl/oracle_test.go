@@ -17,7 +17,7 @@ import (
 // the two identities compose.
 func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 	n := buf.Len()
-	stats := TrainStats{Steps: n}
+	stats := TrainStats{steps: n}
 	if n == 0 {
 		return stats
 	}
@@ -47,9 +47,9 @@ func trainPerSample(p *PPO, buf *Buffer, lastValue float64) TrainStats {
 		} else {
 			adv[i] -= mean
 		}
-		stats.MeanReturn += ret[i]
+		stats.meanReturn += ret[i]
 	}
-	stats.MeanReturn /= float64(n)
+	stats.meanReturn /= float64(n)
 
 	probs := make([][]float64, len(p.Net.Heads))
 	dLogits := make([][]float64, len(p.Net.Heads))

@@ -126,11 +126,11 @@ func Merge(bufs ...*Buffer) *Buffer {
 
 // TrainStats summarizes one Train call.
 type TrainStats struct {
-	Steps      int
+	steps      int
 	PolicyLoss float64
 	ValueLoss  float64
 	Entropy    float64
-	MeanReturn float64
+	meanReturn float64
 	ApproxKL   float64 // mean(old logπ − new logπ) over optimized samples
 }
 
@@ -283,7 +283,7 @@ func (p *PPO) ActGreedyBatch(states []float64, b int) [][]int {
 // (internal/nn/batch.go).
 func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 	n := buf.Len()
-	stats := TrainStats{Steps: n}
+	stats := TrainStats{steps: n}
 	if n == 0 {
 		return stats
 	}
@@ -319,9 +319,9 @@ func (p *PPO) Train(buf *Buffer, lastValue float64) TrainStats {
 		} else {
 			adv[i] -= mean
 		}
-		stats.MeanReturn += ret[i]
+		stats.meanReturn += ret[i]
 	}
-	stats.MeanReturn /= float64(n)
+	stats.meanReturn /= float64(n)
 
 	mb := min(MiniBatch, n)
 	var polLoss, valLoss, entSum, klSum float64

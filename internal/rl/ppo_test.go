@@ -74,12 +74,12 @@ func TestGAEComputation(t *testing.T) {
 	state := []float64{0, 0}
 	buf.Add(Transition{State: state, Actions: []int{0}, LogProb: math.Log(0.5), Value: 0, Reward: 1, Done: true})
 	st := p.Train(&buf, 0)
-	if st.Steps != 1 {
-		t.Fatalf("steps = %d", st.Steps)
+	if st.steps != 1 {
+		t.Fatalf("steps = %d", st.steps)
 	}
 	// advantage = reward - value = 1; return = 1.
-	if math.Abs(st.MeanReturn-1) > 1e-9 {
-		t.Fatalf("mean return = %v, want 1", st.MeanReturn)
+	if math.Abs(st.meanReturn-1) > 1e-9 {
+		t.Fatalf("mean return = %v, want 1", st.meanReturn)
 	}
 	if buf.Len() != 0 {
 		t.Fatal("buffer must be consumed")
@@ -90,7 +90,7 @@ func TestTrainEmptyBuffer(t *testing.T) {
 	p := newPPO([]int{2}, 2, 4)
 	var buf Buffer
 	st := p.Train(&buf, 0)
-	if st.Steps != 0 {
+	if st.steps != 0 {
 		t.Fatal("empty train must be a no-op")
 	}
 }

@@ -20,53 +20,52 @@ import (
 const MaxRecordPages = 512
 
 // CSVFormat describes how one CSV trace dialect maps onto Record fields.
-// The built-in dialects (see FormatByName) cover MSR-Cambridge-style and
-// Alibaba-block-style traces plus a direct "generic" record form; custom
-// layouts can fill the struct by hand.
+// The dialects (see FormatByName) cover MSR-Cambridge-style and
+// Alibaba-block-style traces plus a direct "generic" record form.
 type CSVFormat struct {
-	// Name identifies the dialect in CLI flags and error messages.
-	Name string
-	// Columns is the exact field count of a data row (0 = unchecked).
-	Columns int
-	// TimeCol, OpCol, OffsetCol, SizeCol are 0-based field indices.
-	TimeCol, OpCol, OffsetCol, SizeCol int
-	// TimeScale converts one timestamp unit to nanoseconds (e.g. an
+	// name identifies the dialect in CLI flags and error messages.
+	name string
+	// columns is the exact field count of a data row, past every index.
+	columns int
+	// timeCol, opCol, offsetCol, sizeCol are 0-based field indices.
+	timeCol, opCol, offsetCol, sizeCol int
+	// timeScale converts one timestamp unit to nanoseconds (e.g. an
 	// MSR Windows-filetime tick is 100 ns, an Ali microsecond is 1000).
-	TimeScale float64
-	// ByteAddressed marks Offset/Size columns as byte quantities to be
+	timeScale float64
+	// byteAddressed marks Offset/Size columns as byte quantities to be
 	// converted to page-aligned LPN/length; otherwise they are taken as
 	// LPN and pages directly.
-	ByteAddressed bool
+	byteAddressed bool
 }
 
-// Built-in CSV dialects.
+// The CSV dialects.
 var csvFormats = map[string]CSVFormat{
 	// MSR Cambridge block traces:
 	//   Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
 	// with Timestamp in Windows filetime ticks (100 ns) and byte offsets.
 	"msr": {
-		Name: "msr", Columns: 7,
-		TimeCol: 0, OpCol: 3, OffsetCol: 4, SizeCol: 5,
-		TimeScale: 100, ByteAddressed: true,
+		name: "msr", columns: 7,
+		timeCol: 0, opCol: 3, offsetCol: 4, sizeCol: 5,
+		timeScale: 100, byteAddressed: true,
 	},
 	// Alibaba-style block traces:
 	//   device_id,opcode,offset,length,timestamp
 	// with timestamp in microseconds and byte offsets.
 	"ali": {
-		Name: "ali", Columns: 5,
-		TimeCol: 4, OpCol: 1, OffsetCol: 2, SizeCol: 3,
-		TimeScale: 1000, ByteAddressed: true,
+		name: "ali", columns: 5,
+		timeCol: 4, opCol: 1, offsetCol: 2, sizeCol: 3,
+		timeScale: 1000, byteAddressed: true,
 	},
 	// The direct record form used by fleettrace:
 	//   at_ns,op,lpn,pages
 	"generic": {
-		Name: "generic", Columns: 4,
-		TimeCol: 0, OpCol: 1, OffsetCol: 2, SizeCol: 3,
-		TimeScale: 1, ByteAddressed: false,
+		name: "generic", columns: 4,
+		timeCol: 0, opCol: 1, offsetCol: 2, sizeCol: 3,
+		timeScale: 1, byteAddressed: false,
 	},
 }
 
-// FormatByName returns a built-in CSV dialect ("msr", "ali", "generic").
+// FormatByName returns a CSV dialect ("msr", "ali", "generic").
 func FormatByName(name string) (CSVFormat, error) {
 	f, ok := csvFormats[strings.ToLower(name)]
 	if !ok {
@@ -76,7 +75,7 @@ func FormatByName(name string) (CSVFormat, error) {
 	return f, nil
 }
 
-// formatNames lists the built-in CSV dialect names, sorted.
+// formatNames lists the CSV dialect names, sorted.
 func formatNames() []string {
 	names := make([]string, 0, len(csvFormats))
 	for n := range csvFormats {
@@ -96,12 +95,6 @@ func ParseCSV(r io.Reader, f CSVFormat, pageSize int) (recs []Record, clamped in
 	if pageSize <= 0 {
 		return nil, 0, fmt.Errorf("trace: page size %d", pageSize)
 	}
-	need := f.TimeCol
-	for _, c := range []int{f.OpCol, f.OffsetCol, f.SizeCol} {
-		if c > need {
-			need = c
-		}
-	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // field counts are checked here, with row numbers
 	cr.ReuseRecord = true
@@ -116,35 +109,31 @@ func ParseCSV(r io.Reader, f CSVFormat, pageSize int) (recs []Record, clamped in
 			return nil, 0, fmt.Errorf("trace: csv row %d: %w", row+1, err)
 		}
 		row++
-		if f.Columns > 0 && len(fields) != f.Columns {
+		if len(fields) != f.columns {
 			if row == 1 {
 				continue // tolerate a stray header/banner line
 			}
 			return nil, 0, fmt.Errorf("trace: csv row %d: %d fields (format %s wants %d)",
-				row, len(fields), f.Name, f.Columns)
+				row, len(fields), f.name, f.columns)
 		}
-		if len(fields) <= need {
-			return nil, 0, fmt.Errorf("trace: csv row %d: %d fields, need at least %d",
-				row, len(fields), need+1)
-		}
-		at, err := strconv.ParseInt(strings.TrimSpace(fields[f.TimeCol]), 10, 64)
+		at, err := strconv.ParseInt(strings.TrimSpace(fields[f.timeCol]), 10, 64)
 		if err != nil {
 			if row == 1 {
 				continue // header row: column names where numbers belong
 			}
-			return nil, 0, fmt.Errorf("trace: csv row %d: timestamp %q", row, fields[f.TimeCol])
+			return nil, 0, fmt.Errorf("trace: csv row %d: timestamp %q", row, fields[f.timeCol])
 		}
-		write, err := parseOp(fields[f.OpCol])
+		write, err := parseOp(fields[f.opCol])
 		if err != nil {
 			return nil, 0, fmt.Errorf("trace: csv row %d: %w", row, err)
 		}
-		off, err := strconv.ParseInt(strings.TrimSpace(fields[f.OffsetCol]), 10, 64)
+		off, err := strconv.ParseInt(strings.TrimSpace(fields[f.offsetCol]), 10, 64)
 		if err != nil || off < 0 {
-			return nil, 0, fmt.Errorf("trace: csv row %d: offset %q", row, fields[f.OffsetCol])
+			return nil, 0, fmt.Errorf("trace: csv row %d: offset %q", row, fields[f.offsetCol])
 		}
-		size, err := strconv.ParseInt(strings.TrimSpace(fields[f.SizeCol]), 10, 64)
+		size, err := strconv.ParseInt(strings.TrimSpace(fields[f.sizeCol]), 10, 64)
 		if err != nil || size < 0 {
-			return nil, 0, fmt.Errorf("trace: csv row %d: size %q", row, fields[f.SizeCol])
+			return nil, 0, fmt.Errorf("trace: csv row %d: size %q", row, fields[f.sizeCol])
 		}
 		raw = append(raw, rawRow{at: at, write: write, off: off, size: size})
 	}
@@ -162,7 +151,7 @@ func ParseCSV(r io.Reader, f CSVFormat, pageSize int) (recs []Record, clamped in
 	recs = make([]Record, 0, len(raw))
 	for _, rr := range raw {
 		var lpn, pages int64
-		if f.ByteAddressed {
+		if f.byteAddressed {
 			lpn = rr.off / int64(pageSize)
 			end := (rr.off + rr.size + int64(pageSize) - 1) / int64(pageSize)
 			pages = end - lpn
@@ -177,7 +166,7 @@ func ParseCSV(r io.Reader, f CSVFormat, pageSize int) (recs []Record, clamped in
 			clamped++
 		}
 		recs = append(recs, Record{
-			At:    sim.Time(float64(rr.at-min) * f.TimeScale),
+			At:    sim.Time(float64(rr.at-min) * f.timeScale),
 			Write: rr.write,
 			LPN:   lpn,
 			Pages: int32(pages),
@@ -244,7 +233,7 @@ func LoadFile(path string, pageSize int) ([]Record, error) {
 	return recs, nil
 }
 
-// sniffCSV picks a built-in dialect from the first row's field count.
+// sniffCSV picks a dialect from the first row's field count.
 func sniffCSV(r io.Reader) (CSVFormat, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -253,7 +242,7 @@ func sniffCSV(r io.Reader) (CSVFormat, error) {
 		return CSVFormat{}, fmt.Errorf("not a binary trace and not CSV: %w", err)
 	}
 	for _, f := range csvFormats {
-		if f.Columns == len(fields) {
+		if f.columns == len(fields) {
 			return f, nil
 		}
 	}

@@ -140,8 +140,8 @@ func TestRunResumeFromLastGoodSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Rounds) != 3 {
-		t.Fatalf("expected 3 rounds, got %d", len(first.Rounds))
+	if len(first.rounds) != 3 {
+		t.Fatalf("expected 3 rounds, got %d", len(first.rounds))
 	}
 	// Corrupt the newest snapshot (round 2); round 1's remains good.
 	newest := filepath.Join(dir, "ckpt-00000002.gob")
@@ -154,11 +154,11 @@ func TestRunResumeFromLastGoodSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StartRound != 2 {
-		t.Fatalf("expected resume at round 2 (after last good round 1), got %d", res.StartRound)
+	if res.startRound != 2 {
+		t.Fatalf("expected resume at round 2 (after last good round 1), got %d", res.startRound)
 	}
-	if len(res.Rounds) != 2 {
-		t.Fatalf("expected rounds 2..3 to run, got %d rounds", len(res.Rounds))
+	if len(res.rounds) != 2 {
+		t.Fatalf("expected rounds 2..3 to run, got %d rounds", len(res.rounds))
 	}
 	if got, want := res.Final.NumParams(), first.Final.NumParams(); got != want {
 		t.Fatalf("resumed model has %d params, want %d", got, want)

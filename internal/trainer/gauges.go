@@ -39,7 +39,7 @@ func newTrainGauges(reg *obs.Registry) *trainGauges {
 }
 
 // update publishes one finished round.
-func (g *trainGauges) update(rs RoundStats, bestScore float64) {
+func (g *trainGauges) update(rs roundStats, bestScore float64) {
 	g.round.Set(float64(rs.Round))
 	g.meanReward.Set(rs.MeanReward)
 	g.policyLoss.Set(rs.PolicyLoss)

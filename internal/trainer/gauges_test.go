@@ -35,12 +35,12 @@ func TestRunExportsGauges(t *testing.T) {
 			t.Errorf("registry missing %s", want)
 		}
 	}
-	last := res.Rounds[len(res.Rounds)-1]
+	last := res.rounds[len(res.rounds)-1]
 	if got := reg.Gauge("fleetio_train_round", "").Value(); got != float64(last.Round) {
 		t.Errorf("round gauge %v, want %v", got, last.Round)
 	}
 	var wantEps, wantTrans float64
-	for _, rs := range res.Rounds {
+	for _, rs := range res.rounds {
 		wantEps += float64(rs.Episodes)
 		wantTrans += float64(rs.Transitions)
 	}

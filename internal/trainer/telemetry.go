@@ -6,7 +6,7 @@ import (
 	"os"
 )
 
-// RoundStats is one JSONL training-telemetry record: learner losses,
+// roundStats is one JSONL training-telemetry record: learner losses,
 // policy drift, collection throughput, and the eval gate's verdict. The
 // TransPerSec/WallMs pair makes training speed itself benchmarkable
 // across worker counts and hardware.
@@ -16,7 +16,7 @@ import (
 // omitted on rounds where the eval gate did not run; WallMs/TransPerSec
 // are wall-clock measurements, everything else is training statistics.
 // The same fields back the fleetio_train_* gauges when Config.Obs is set.
-type RoundStats struct {
+type roundStats struct {
 	Round       int      `json:"round"`
 	Episodes    int      `json:"episodes"`
 	Transitions int      `json:"transitions"`
@@ -31,7 +31,7 @@ type RoundStats struct {
 	TransPerSec float64  `json:"transitions_per_sec"`
 }
 
-// metricsWriter appends RoundStats as JSON lines. Append mode lets a
+// metricsWriter appends roundStats as JSON lines. Append mode lets a
 // resumed run extend the same trajectory file.
 type metricsWriter struct {
 	f   *os.File
@@ -47,7 +47,7 @@ func newMetricsWriter(path string) (*metricsWriter, error) {
 }
 
 // write appends one record (json.Encoder terminates it with a newline).
-func (m *metricsWriter) write(rs RoundStats) error {
+func (m *metricsWriter) write(rs roundStats) error {
 	if err := m.enc.Encode(rs); err != nil {
 		return fmt.Errorf("trainer: metrics write: %w", err)
 	}

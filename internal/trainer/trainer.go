@@ -16,9 +16,9 @@
 // order), and the learner's RNG is derived from Seed — so for a fixed
 // worker count two Runs produce byte-identical models.
 //
-// Telemetry: each round produces one RoundStats record, which feeds three
-// sinks — Result.Rounds (in memory), Config.MetricsPath (append-mode
-// JSONL, schema documented on RoundStats and in docs/OBSERVABILITY.md),
+// Telemetry: each round produces one roundStats record, which feeds three
+// sinks — Result.rounds (in memory), Config.MetricsPath (append-mode
+// JSONL, schema documented on roundStats and in docs/OBSERVABILITY.md),
 // and Config.Obs (live fleetio_train_* gauges for /metrics scraping).
 // All three are written from the learner goroutine only, so attaching
 // them never perturbs training determinism.
@@ -72,7 +72,7 @@ type Config struct {
 	// CheckpointDir, skipping corrupt or partial files.
 	Resume bool
 
-	// MetricsPath appends one JSONL RoundStats record per round.
+	// MetricsPath appends one JSONL roundStats record per round.
 	MetricsPath string
 	// Logf, when set, receives human-readable per-round progress.
 	Logf func(format string, args ...any)
@@ -101,10 +101,10 @@ type Result struct {
 	Best *nn.ActorCritic
 	// BestScore is Best's held-out mean reward.
 	BestScore float64
-	// Rounds holds per-round telemetry, startRound-indexed on resume.
-	Rounds []RoundStats
-	// StartRound is the first round executed (>0 when resumed).
-	StartRound int
+	// rounds holds per-round telemetry, startRound-indexed on resume.
+	rounds []roundStats
+	// startRound is the first round executed (>0 when resumed).
+	startRound int
 }
 
 // Run executes the collect/learn loop: ceil(Episodes/Workers) rounds, each
@@ -158,7 +158,7 @@ func Run(cfg Config, env Env) (*Result, error) {
 			if err := net.SetParams(ck.Params); err != nil {
 				return nil, fmt.Errorf("trainer: resume %s: %w", path, err)
 			}
-			res.StartRound = ck.Round + 1
+			res.startRound = ck.Round + 1
 			if ck.BestParams != nil {
 				bestSet = true
 				res.BestScore = ck.BestScore
@@ -188,7 +188,7 @@ func Run(cfg Config, env Env) (*Result, error) {
 		replicas[w] = net.Clone()
 	}
 
-	for round := res.StartRound; round < totalRounds; round++ {
+	for round := res.startRound; round < totalRounds; round++ {
 		start := time.Now()
 		epLo := round * workers
 		epHi := epLo + workers
@@ -227,7 +227,7 @@ func Run(cfg Config, env Env) (*Result, error) {
 		ts := learner.Train(merged, 0)
 
 		wall := time.Since(start)
-		rs := RoundStats{
+		rs := roundStats{
 			Round:       round,
 			Episodes:    epHi - epLo,
 			Transitions: transitions,
@@ -274,7 +274,7 @@ func Run(cfg Config, env Env) (*Result, error) {
 			}
 		}
 		gauges.update(rs, res.BestScore)
-		res.Rounds = append(res.Rounds, rs)
+		res.rounds = append(res.rounds, rs)
 		logf("round %d/%d: %d eps, %d steps, reward %.4f, kl %.5f, %.0f steps/s",
 			round+1, totalRounds, rs.Episodes, rs.Transitions, rs.MeanReward, rs.ApproxKL, rs.TransPerSec)
 	}

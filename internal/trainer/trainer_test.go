@@ -110,10 +110,10 @@ func TestRunTrainsAndReportsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Rounds); got != 3 {
+	if got := len(res.rounds); got != 3 {
 		t.Fatalf("expected 3 rounds for 6 episodes / 2 workers, got %d", got)
 	}
-	for _, rs := range res.Rounds {
+	for _, rs := range res.rounds {
 		if rs.Transitions != rs.Episodes*40 {
 			t.Fatalf("round %d: %d transitions for %d episodes", rs.Round, rs.Transitions, rs.Episodes)
 		}
@@ -186,8 +186,8 @@ func TestRunResumeContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Rounds) != 2 {
-		t.Fatalf("expected 2 rounds, got %d", len(first.Rounds))
+	if len(first.rounds) != 2 {
+		t.Fatalf("expected 2 rounds, got %d", len(first.rounds))
 	}
 	// Same budget + resume: everything is already done.
 	cfg.Resume = true
@@ -195,8 +195,8 @@ func TestRunResumeContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same.StartRound != 2 || len(same.Rounds) != 0 {
-		t.Fatalf("resume at full budget reran rounds: start=%d ran=%d", same.StartRound, len(same.Rounds))
+	if same.startRound != 2 || len(same.rounds) != 0 {
+		t.Fatalf("resume at full budget reran rounds: start=%d ran=%d", same.startRound, len(same.rounds))
 	}
 	// Weights must match exactly (checkpoints persist params, not
 	// optimizer moments, so compare Params rather than full gob).
@@ -212,8 +212,8 @@ func TestRunResumeContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if more.StartRound != 2 || len(more.Rounds) != 2 {
-		t.Fatalf("resume continuation: start=%d ran=%d", more.StartRound, len(more.Rounds))
+	if more.startRound != 2 || len(more.rounds) != 2 {
+		t.Fatalf("resume continuation: start=%d ran=%d", more.startRound, len(more.rounds))
 	}
 	if got, want := more.Final.NumParams(), first.Final.NumParams(); got != want {
 		t.Fatalf("resumed model has %d params, want %d", got, want)
@@ -260,11 +260,11 @@ func TestRunMetricsJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != len(res.Rounds) {
-		t.Fatalf("%d JSONL lines for %d rounds", len(lines), len(res.Rounds))
+	if len(lines) != len(res.rounds) {
+		t.Fatalf("%d JSONL lines for %d rounds", len(lines), len(res.rounds))
 	}
 	for i, line := range lines {
-		var rs RoundStats
+		var rs roundStats
 		if err := json.Unmarshal([]byte(line), &rs); err != nil {
 			t.Fatalf("line %d not valid JSON: %v", i, err)
 		}

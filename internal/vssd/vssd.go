@@ -46,7 +46,7 @@ type Request struct {
 	Write   bool
 	LPN     int
 	Pages   int
-	Arrival sim.Time
+	arrival sim.Time
 
 	OnComplete func(r *Request, finished sim.Time)
 
@@ -240,7 +240,7 @@ func (v *VSSD) Submit(r *Request) {
 	}
 	r.enqueued = true
 	r.owner = v
-	r.Arrival = v.plat.eng.Now()
+	r.arrival = v.plat.eng.Now()
 	r.remaining = r.Pages
 	if v.qhead > 0 && len(v.queue) == cap(v.queue) {
 		// Compact the consumed head instead of growing the array.
@@ -495,8 +495,8 @@ func (v *VSSD) pageDone(r *Request, at sim.Time) {
 	v.inflight--
 	r.remaining--
 	if r.remaining == 0 {
-		lat := at - r.Arrival
-		qd := r.firstDispatch - r.Arrival
+		lat := at - r.arrival
+		qd := r.firstDispatch - r.arrival
 		if v.slo > 0 && lat > v.slo {
 			v.plat.rec.SLOViolation(v.id, lat, v.slo)
 		}

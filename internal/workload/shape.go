@@ -80,23 +80,23 @@ func ApplyShape(prof Profile, s Shape, seed int64, replay []trace.Record) Profil
 	}
 	switch s {
 	case ShapeDiurnal:
-		prof.Diurnal = []Harmonic{
-			{Period: 4 * sim.Second, Amp: 0.55},
-			{Period: 1500 * sim.Millisecond, Amp: 0.3},
-			{Period: 700 * sim.Millisecond, Amp: 0.15},
+		prof.diurnal = []harmonic{
+			{period: 4 * sim.Second, amp: 0.55},
+			{period: 1500 * sim.Millisecond, amp: 0.3},
+			{period: 700 * sim.Millisecond, amp: 0.15},
 		}
 	case ShapeBursty:
-		if prof.ClosedLoop {
+		if prof.closedLoop {
 			// Closed loops self-limit, so bursts mostly modulate think
 			// time; keep the swing moderate.
-			prof.Burst = &Burst{
-				HighFactor: 1.5, LowFactor: 0.3,
-				MeanHigh: 400 * sim.Millisecond, MeanLow: 800 * sim.Millisecond,
+			prof.burst = &burstParams{
+				highFactor: 1.5, lowFactor: 0.3,
+				meanHigh: 400 * sim.Millisecond, meanLow: 800 * sim.Millisecond,
 			}
 		} else {
-			prof.Burst = &Burst{
-				HighFactor: 5, LowFactor: 0.6,
-				MeanHigh: 250 * sim.Millisecond, MeanLow: 900 * sim.Millisecond,
+			prof.burst = &burstParams{
+				highFactor: 5, lowFactor: 0.6,
+				meanHigh: 250 * sim.Millisecond, meanLow: 900 * sim.Millisecond,
 			}
 		}
 	case ShapeReplay:

@@ -53,7 +53,7 @@ func TestApplyShapeSteadyIsIdentity(t *testing.T) {
 	for _, name := range Names() {
 		base := ByName(name)
 		got := ApplyShape(base, ShapeSteady, 1, nil)
-		if got.Burst != nil || got.Replay != nil || len(got.Diurnal) != 0 {
+		if got.burst != nil || got.Replay != nil || len(got.diurnal) != 0 {
 			t.Fatalf("%s: steady shape added overlays", name)
 		}
 		a := runShape(t, base, 11, 500*sim.Millisecond)
@@ -78,7 +78,7 @@ func TestShapeStringsRoundTrip(t *testing.T) {
 
 func TestDiurnalModulatesRate(t *testing.T) {
 	base := ByName("YCSB")
-	base.Phases = nil // isolate the diurnal component
+	base.phases = nil // isolate the diurnal component
 	diurnal := ApplyShape(base, ShapeDiurnal, 1, nil)
 
 	a := runShape(t, base, 21, 2*sim.Second)
@@ -115,7 +115,7 @@ func TestDiurnalModulatesRate(t *testing.T) {
 func TestBurstyFlipsRegimes(t *testing.T) {
 	base := ByName("YCSB")
 	bursty := ApplyShape(base, ShapeBursty, 1, nil)
-	if bursty.Burst == nil {
+	if bursty.burst == nil {
 		t.Fatal("bursty shape missing Burst")
 	}
 
@@ -139,7 +139,7 @@ func TestBurstyFlipsRegimes(t *testing.T) {
 	if flips < 2 {
 		t.Fatalf("only %d regime flips in 4s", flips)
 	}
-	if f := g.RateFactor(); f != bursty.Burst.HighFactor && f != bursty.Burst.LowFactor {
+	if f := g.RateFactor(); f != bursty.burst.highFactor && f != bursty.burst.lowFactor {
 		// The composed factor includes phases, so just check it's positive.
 		if f <= 0 {
 			t.Fatalf("rate factor %v", f)
@@ -220,7 +220,7 @@ func TestReplayLoopWraps(t *testing.T) {
 // synthesized up front and supplied to the shape.
 func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 	base := ByName("YCSB")
-	base.MeanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
+	base.meanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
 	const seed, dur = 77, 600 * sim.Millisecond
 	shaped := ApplyShape(base, ShapeReplay, seed, nil)
 	recs := base.SynthesizeTrace(synthReplayLen, synthPages, sim.NewRNG(seed))
@@ -256,7 +256,7 @@ func TestSynthesizedReplayMatchesSupplied(t *testing.T) {
 // (20 000 x 24 bytes) while it runs.
 func TestSynthesizedReplayTableWidths(t *testing.T) {
 	base := ByName("YCSB")
-	base.MeanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
+	base.meanIOPS = 40000 // the first phase draws 20 000 records in 0.42 virtual s
 	prof := ApplyShape(base, ShapeReplay, 3, nil)
 	pc := vssd.DefaultPlatformConfig()
 	pc.Flash.Channels = 2
@@ -293,7 +293,7 @@ func TestSynthesizedReplayTableWidths(t *testing.T) {
 // wrap. The concurrent pair shares a second profile no generator has read.
 func TestShapedReplayShareable(t *testing.T) {
 	base := ByName("YCSB")
-	base.MeanIOPS = 40000
+	base.meanIOPS = 40000
 	const dur = 600 * sim.Millisecond
 	prof := ApplyShape(base, ShapeReplay, 9, nil)
 	first, g := runGenerator(t, prof, 1, dur)
@@ -343,17 +343,17 @@ func TestReplayFoldsOversizedAddresses(t *testing.T) {
 func TestTemporalValidate(t *testing.T) {
 	base := ByName("YCSB")
 	bad := base
-	bad.Diurnal = []Harmonic{{Period: 0, Amp: 0.5}}
+	bad.diurnal = []harmonic{{period: 0, amp: 0.5}}
 	if bad.Validate() == nil {
 		t.Fatal("zero-period harmonic accepted")
 	}
 	bad = base
-	bad.Burst = &Burst{HighFactor: 0, MeanHigh: sim.Second, MeanLow: sim.Second}
+	bad.burst = &burstParams{highFactor: 0, meanHigh: sim.Second, meanLow: sim.Second}
 	if bad.Validate() == nil {
 		t.Fatal("zero high factor accepted")
 	}
 	bad = base
-	bad.Burst = &Burst{HighFactor: 2, MeanHigh: 0, MeanLow: sim.Second}
+	bad.burst = &burstParams{highFactor: 2, meanHigh: 0, meanLow: sim.Second}
 	if bad.Validate() == nil {
 		t.Fatal("zero sojourn accepted")
 	}

@@ -34,32 +34,32 @@ func (c Class) String() string {
 	return "latency-sensitive"
 }
 
-// Phase scales a workload's intensity for a duration; profiles cycle
+// phase scales a workload's intensity for a duration; profiles cycle
 // through their phases, producing the dynamic demand that storage
 // harvesting exploits.
-type Phase struct {
-	Dur    sim.Time
-	Factor float64
+type phase struct {
+	dur    sim.Time
+	factor float64
 }
 
-// Harmonic is one sinusoidal component of a diurnal intensity pattern:
-// the rate multiplier contributes Amp*sin(2π·t/Period). Real diurnal
+// harmonic is one sinusoidal component of a diurnal intensity pattern:
+// the rate multiplier contributes amp*sin(2π·t/period). Real diurnal
 // curves are sums of a few harmonics (daily + weekly + noise period);
 // profiles list several and the factors compose additively around 1.
-type Harmonic struct {
-	Period sim.Time
-	Amp    float64
+type harmonic struct {
+	period sim.Time
+	amp    float64
 }
 
-// Burst parameterizes a two-state Markov-modulated Poisson process: the
-// generator alternates between a high-rate and a low-rate regime with
+// burstParams parameterizes a two-state Markov-modulated Poisson process:
+// the generator alternates between a high-rate and a low-rate regime with
 // exponentially distributed sojourn times, multiplying the base rate by
-// HighFactor or LowFactor (0 = 1.0). State flips draw from the
+// highFactor or lowFactor (0 = 1.0). State flips draw from the
 // generator's own RNG stream, so the burst schedule is deterministic per
 // seed and independent across tenants.
-type Burst struct {
-	HighFactor, LowFactor float64
-	MeanHigh, MeanLow     sim.Time
+type burstParams struct {
+	highFactor, lowFactor float64
+	meanHigh, meanLow     sim.Time
 }
 
 // Replay makes a profile deterministic: instead of drawing synthetic
@@ -113,34 +113,34 @@ type Profile struct {
 	Name  string
 	Class Class
 
-	// ClosedLoop keeps Concurrency requests in flight (bandwidth-hungry
+	// closedLoop keeps concurrency requests in flight (bandwidth-hungry
 	// batch jobs); otherwise arrivals are an open-loop Poisson process at
-	// MeanIOPS.
-	ClosedLoop  bool
-	Concurrency int
-	MeanIOPS    float64
+	// meanIOPS.
+	closedLoop  bool
+	concurrency int
+	meanIOPS    float64
 
-	// ReadRatio is the fraction of requests that are reads.
-	ReadRatio float64
-	// PagesMin/PagesMax bound the uniform request size in pages.
-	PagesMin, PagesMax int
-	// SeqProb is the probability of continuing a sequential run instead of
+	// readRatio is the fraction of requests that are reads.
+	readRatio float64
+	// pagesMin/pagesMax bound the uniform request size in pages.
+	pagesMin, pagesMax int
+	// seqProb is the probability of continuing a sequential run instead of
 	// jumping to a Zipf-random offset.
-	SeqProb float64
-	// ZipfSkew shapes random jumps (1.0 = uniform; higher = more local).
-	ZipfSkew float64
-	// WorkingSetFrac bounds the touched fraction of the logical space.
-	WorkingSetFrac float64
-	// Phases modulate intensity; empty means constant.
-	Phases []Phase
+	seqProb float64
+	// zipfSkew shapes random jumps (1.0 = uniform; higher = more local).
+	zipfSkew float64
+	// workingSetFrac bounds the touched fraction of the logical space.
+	workingSetFrac float64
+	// phases modulate intensity; empty means constant.
+	phases []phase
 	// MaxInflightPages overrides the vSSD inflight cap (0 = default).
 	MaxInflightPages int
 
-	// Diurnal adds multi-period sinusoidal rate modulation on top of
-	// Phases; empty means none. The composed factor is clamped at 0.05.
-	Diurnal []Harmonic
-	// Burst overlays a two-state MMPP regime switch; nil means none.
-	Burst *Burst
+	// diurnal adds multi-period sinusoidal rate modulation on top of
+	// phases; empty means none. The composed factor is clamped at 0.05.
+	diurnal []harmonic
+	// burst overlays a two-state MMPP regime switch; nil means none.
+	burst *burstParams
 	// Replay, when set, replaces the synthetic access process entirely:
 	// the generator replays the trace open-loop and every other shape
 	// knob is ignored.
@@ -165,34 +165,34 @@ func (p Profile) Validate() error {
 		}
 		return nil
 	}
-	for i, h := range p.Diurnal {
-		if h.Period <= 0 {
-			return fmt.Errorf("workload %s: diurnal harmonic %d: period %v", p.Name, i, h.Period)
+	for i, h := range p.diurnal {
+		if h.period <= 0 {
+			return fmt.Errorf("workload %s: diurnal harmonic %d: period %v", p.Name, i, h.period)
 		}
 	}
-	if b := p.Burst; b != nil {
+	if b := p.burst; b != nil {
 		switch {
-		case b.HighFactor <= 0:
-			return fmt.Errorf("workload %s: burst high factor %v", p.Name, b.HighFactor)
-		case b.LowFactor < 0:
-			return fmt.Errorf("workload %s: burst low factor %v", p.Name, b.LowFactor)
-		case b.MeanHigh <= 0 || b.MeanLow <= 0:
-			return fmt.Errorf("workload %s: burst sojourns %v/%v", p.Name, b.MeanHigh, b.MeanLow)
+		case b.highFactor <= 0:
+			return fmt.Errorf("workload %s: burst high factor %v", p.Name, b.highFactor)
+		case b.lowFactor < 0:
+			return fmt.Errorf("workload %s: burst low factor %v", p.Name, b.lowFactor)
+		case b.meanHigh <= 0 || b.meanLow <= 0:
+			return fmt.Errorf("workload %s: burst sojourns %v/%v", p.Name, b.meanHigh, b.meanLow)
 		}
 	}
 	switch {
-	case p.ClosedLoop && p.Concurrency <= 0:
+	case p.closedLoop && p.concurrency <= 0:
 		return fmt.Errorf("workload %s: closed loop needs concurrency", p.Name)
-	case !p.ClosedLoop && p.MeanIOPS <= 0:
+	case !p.closedLoop && p.meanIOPS <= 0:
 		return fmt.Errorf("workload %s: open loop needs IOPS", p.Name)
-	case p.ReadRatio < 0 || p.ReadRatio > 1:
-		return fmt.Errorf("workload %s: read ratio %v", p.Name, p.ReadRatio)
-	case p.PagesMin <= 0 || p.PagesMax < p.PagesMin:
-		return fmt.Errorf("workload %s: page bounds %d..%d", p.Name, p.PagesMin, p.PagesMax)
-	case p.SeqProb < 0 || p.SeqProb > 1:
-		return fmt.Errorf("workload %s: seq prob %v", p.Name, p.SeqProb)
-	case p.WorkingSetFrac <= 0 || p.WorkingSetFrac > 1:
-		return fmt.Errorf("workload %s: working set %v", p.Name, p.WorkingSetFrac)
+	case p.readRatio < 0 || p.readRatio > 1:
+		return fmt.Errorf("workload %s: read ratio %v", p.Name, p.readRatio)
+	case p.pagesMin <= 0 || p.pagesMax < p.pagesMin:
+		return fmt.Errorf("workload %s: page bounds %d..%d", p.Name, p.pagesMin, p.pagesMax)
+	case p.seqProb < 0 || p.seqProb > 1:
+		return fmt.Errorf("workload %s: seq prob %v", p.Name, p.seqProb)
+	case p.workingSetFrac <= 0 || p.workingSetFrac > 1:
+		return fmt.Errorf("workload %s: working set %v", p.Name, p.workingSetFrac)
 	}
 	return nil
 }
@@ -223,58 +223,58 @@ func checkRecords(recs []trace.Record) error {
 // (Figure 6).
 var profiles = map[string]Profile{
 	"TeraSort": {
-		Name: "TeraSort", Class: Bandwidth, ClosedLoop: true, Concurrency: 12,
-		ReadRatio: 0.50, PagesMin: 16, PagesMax: 48, SeqProb: 0.92, ZipfSkew: 1.0,
-		WorkingSetFrac: 0.45, MaxInflightPages: 512,
-		Phases: []Phase{{8 * sim.Second, 1.0}, {4 * sim.Second, 0.7}},
+		Name: "TeraSort", Class: Bandwidth, closedLoop: true, concurrency: 12,
+		readRatio: 0.50, pagesMin: 16, pagesMax: 48, seqProb: 0.92, zipfSkew: 1.0,
+		workingSetFrac: 0.45, MaxInflightPages: 512,
+		phases: []phase{{8 * sim.Second, 1.0}, {4 * sim.Second, 0.7}},
 	},
 	"MLPrep": {
-		Name: "MLPrep", Class: Bandwidth, ClosedLoop: true, Concurrency: 10,
-		ReadRatio: 0.75, PagesMin: 12, PagesMax: 40, SeqProb: 0.88, ZipfSkew: 1.1,
-		WorkingSetFrac: 0.5, MaxInflightPages: 512,
-		Phases: []Phase{{6 * sim.Second, 1.0}, {3 * sim.Second, 0.8}},
+		Name: "MLPrep", Class: Bandwidth, closedLoop: true, concurrency: 10,
+		readRatio: 0.75, pagesMin: 12, pagesMax: 40, seqProb: 0.88, zipfSkew: 1.1,
+		workingSetFrac: 0.5, MaxInflightPages: 512,
+		phases: []phase{{6 * sim.Second, 1.0}, {3 * sim.Second, 0.8}},
 	},
 	"PageRank": {
-		Name: "PageRank", Class: Bandwidth, ClosedLoop: true, Concurrency: 14,
-		ReadRatio: 0.85, PagesMin: 16, PagesMax: 64, SeqProb: 0.90, ZipfSkew: 1.0,
-		WorkingSetFrac: 0.55, MaxInflightPages: 512,
-		Phases: []Phase{{10 * sim.Second, 1.0}, {2 * sim.Second, 0.5}},
+		Name: "PageRank", Class: Bandwidth, closedLoop: true, concurrency: 14,
+		readRatio: 0.85, pagesMin: 16, pagesMax: 64, seqProb: 0.90, zipfSkew: 1.0,
+		workingSetFrac: 0.55, MaxInflightPages: 512,
+		phases: []phase{{10 * sim.Second, 1.0}, {2 * sim.Second, 0.5}},
 	},
 	"BatchAnalytics": {
-		Name: "BatchAnalytics", Class: Bandwidth, ClosedLoop: true, Concurrency: 8,
-		ReadRatio: 0.70, PagesMin: 8, PagesMax: 32, SeqProb: 0.85, ZipfSkew: 1.0,
-		WorkingSetFrac: 0.8, MaxInflightPages: 256,
-		Phases: []Phase{{5 * sim.Second, 1.0}, {5 * sim.Second, 0.6}},
+		Name: "BatchAnalytics", Class: Bandwidth, closedLoop: true, concurrency: 8,
+		readRatio: 0.70, pagesMin: 8, pagesMax: 32, seqProb: 0.85, zipfSkew: 1.0,
+		workingSetFrac: 0.8, MaxInflightPages: 256,
+		phases: []phase{{5 * sim.Second, 1.0}, {5 * sim.Second, 0.6}},
 	},
 	"VDI-Web": {
-		Name: "VDI-Web", Class: Latency, MeanIOPS: 2200,
-		ReadRatio: 0.70, PagesMin: 1, PagesMax: 4, SeqProb: 0.15, ZipfSkew: 1.25,
-		WorkingSetFrac: 0.6, MaxInflightPages: 128,
-		Phases: []Phase{{4 * sim.Second, 1.3}, {4 * sim.Second, 0.5}, {4 * sim.Second, 1.0}},
+		Name: "VDI-Web", Class: Latency, meanIOPS: 2200,
+		readRatio: 0.70, pagesMin: 1, pagesMax: 4, seqProb: 0.15, zipfSkew: 1.25,
+		workingSetFrac: 0.6, MaxInflightPages: 128,
+		phases: []phase{{4 * sim.Second, 1.3}, {4 * sim.Second, 0.5}, {4 * sim.Second, 1.0}},
 	},
 	"YCSB": {
-		Name: "YCSB", Class: Latency, MeanIOPS: 3200,
-		ReadRatio: 0.95, PagesMin: 1, PagesMax: 1, SeqProb: 0.05, ZipfSkew: 2.2,
-		WorkingSetFrac: 0.5, MaxInflightPages: 128,
-		Phases: []Phase{{5 * sim.Second, 1.2}, {5 * sim.Second, 0.6}},
+		Name: "YCSB", Class: Latency, meanIOPS: 3200,
+		readRatio: 0.95, pagesMin: 1, pagesMax: 1, seqProb: 0.05, zipfSkew: 2.2,
+		workingSetFrac: 0.5, MaxInflightPages: 128,
+		phases: []phase{{5 * sim.Second, 1.2}, {5 * sim.Second, 0.6}},
 	},
 	"TPCE": {
-		Name: "TPCE", Class: Latency, MeanIOPS: 2600,
-		ReadRatio: 0.90, PagesMin: 1, PagesMax: 2, SeqProb: 0.10, ZipfSkew: 1.24,
-		WorkingSetFrac: 0.7, MaxInflightPages: 128,
-		Phases: []Phase{{6 * sim.Second, 1.1}, {3 * sim.Second, 0.7}},
+		Name: "TPCE", Class: Latency, meanIOPS: 2600,
+		readRatio: 0.90, pagesMin: 1, pagesMax: 2, seqProb: 0.10, zipfSkew: 1.24,
+		workingSetFrac: 0.7, MaxInflightPages: 128,
+		phases: []phase{{6 * sim.Second, 1.1}, {3 * sim.Second, 0.7}},
 	},
 	"SearchEngine": {
-		Name: "SearchEngine", Class: Latency, MeanIOPS: 2000,
-		ReadRatio: 0.98, PagesMin: 1, PagesMax: 4, SeqProb: 0.12, ZipfSkew: 1.27,
-		WorkingSetFrac: 0.8, MaxInflightPages: 128,
-		Phases: []Phase{{4 * sim.Second, 1.4}, {6 * sim.Second, 0.6}},
+		Name: "SearchEngine", Class: Latency, meanIOPS: 2000,
+		readRatio: 0.98, pagesMin: 1, pagesMax: 4, seqProb: 0.12, zipfSkew: 1.27,
+		workingSetFrac: 0.8, MaxInflightPages: 128,
+		phases: []phase{{4 * sim.Second, 1.4}, {6 * sim.Second, 0.6}},
 	},
 	"LiveMaps": {
-		Name: "LiveMaps", Class: Latency, MeanIOPS: 1600,
-		ReadRatio: 0.80, PagesMin: 2, PagesMax: 8, SeqProb: 0.25, ZipfSkew: 1.20,
-		WorkingSetFrac: 0.7, MaxInflightPages: 128,
-		Phases: []Phase{{5 * sim.Second, 1.0}, {5 * sim.Second, 0.8}},
+		Name: "LiveMaps", Class: Latency, meanIOPS: 1600,
+		readRatio: 0.80, pagesMin: 2, pagesMax: 8, seqProb: 0.25, zipfSkew: 1.20,
+		workingSetFrac: 0.7, MaxInflightPages: 128,
+		phases: []phase{{5 * sim.Second, 1.0}, {5 * sim.Second, 0.8}},
 	},
 }
 
@@ -310,22 +310,22 @@ type addrState struct {
 // nextAccess produces the next (write, lpn, pages) triple for the profile
 // over a logical space of `pages` pages.
 func (p Profile) nextAccess(rng *sim.RNG, st *addrState, logicalPages int) (write bool, lpn int64, n int) {
-	write = rng.Float64() >= p.ReadRatio
-	n = p.PagesMin
-	if p.PagesMax > p.PagesMin {
-		n += rng.Intn(p.PagesMax - p.PagesMin + 1)
+	write = rng.Float64() >= p.readRatio
+	n = p.pagesMin
+	if p.pagesMax > p.pagesMin {
+		n += rng.Intn(p.pagesMax - p.pagesMin + 1)
 	}
-	ws := int64(float64(logicalPages) * p.WorkingSetFrac)
+	ws := int64(float64(logicalPages) * p.workingSetFrac)
 	if ws < int64(n) {
 		ws = int64(n)
 	}
-	if rng.Float64() < p.SeqProb {
+	if rng.Float64() < p.seqProb {
 		if st.seq+int64(n) > ws {
 			st.seq = 0 // wrap the sequential stream
 		}
 		lpn = st.seq
 	} else {
-		lpn = int64(rng.Zipf(int(ws), p.ZipfSkew))
+		lpn = int64(rng.Zipf(int(ws), p.zipfSkew))
 		if lpn+int64(n) > ws {
 			lpn = ws - int64(n)
 			if lpn < 0 {
@@ -339,22 +339,22 @@ func (p Profile) nextAccess(rng *sim.RNG, st *addrState, logicalPages int) (writ
 
 // phaseFactor returns the intensity multiplier at time t.
 func (p Profile) phaseFactor(t sim.Time) float64 {
-	if len(p.Phases) == 0 {
+	if len(p.phases) == 0 {
 		return 1
 	}
 	var cycle sim.Time
-	for _, ph := range p.Phases {
-		cycle += ph.Dur
+	for _, ph := range p.phases {
+		cycle += ph.dur
 	}
 	if cycle <= 0 {
 		return 1
 	}
 	off := t % cycle
-	for _, ph := range p.Phases {
-		if off < ph.Dur {
-			return ph.Factor
+	for _, ph := range p.phases {
+		if off < ph.dur {
+			return ph.factor
 		}
-		off -= ph.Dur
+		off -= ph.dur
 	}
 	return 1
 }
@@ -363,8 +363,8 @@ func (p Profile) phaseFactor(t sim.Time) float64 {
 // the rate never collapses entirely during troughs.
 func (p Profile) diurnalFactor(t sim.Time) float64 {
 	f := 1.0
-	for _, h := range p.Diurnal {
-		f += h.Amp * math.Sin(2*math.Pi*float64(t)/float64(h.Period))
+	for _, h := range p.diurnal {
+		f += h.amp * math.Sin(2*math.Pi*float64(t)/float64(h.period))
 	}
 	if f < 0.05 {
 		f = 0.05
@@ -374,14 +374,14 @@ func (p Profile) diurnalFactor(t sim.Time) float64 {
 
 // rateAt composes the intensity multiplier at time now: phase × diurnal ×
 // burst, the burst regime advanced in bs with sojourns drawn from rng.
-// Profiles without Diurnal/Burst take no draws here.
+// Profiles without diurnal/burst take no draws here.
 func (p *Profile) rateAt(now sim.Time, bs *burstState, rng *sim.RNG) float64 {
 	f := p.phaseFactor(now)
-	if len(p.Diurnal) > 0 {
+	if len(p.diurnal) > 0 {
 		f *= p.diurnalFactor(now)
 	}
-	if p.Burst != nil {
-		f *= bs.factor(p.Burst, now, rng)
+	if p.burst != nil {
+		f *= bs.factor(p.burst, now, rng)
 	}
 	return f
 }
@@ -396,27 +396,27 @@ type burstState struct {
 
 // factor advances the regime switch to time now (drawing sojourns from
 // rng) and returns the current rate multiplier.
-func (bs *burstState) factor(b *Burst, now sim.Time, rng *sim.RNG) float64 {
+func (bs *burstState) factor(b *burstParams, now sim.Time, rng *sim.RNG) float64 {
 	if !bs.init {
 		bs.init = true
 		bs.high = false
-		bs.until = now + rng.ExpDuration(b.MeanLow)
+		bs.until = now + rng.ExpDuration(b.meanLow)
 	}
 	for now >= bs.until {
 		bs.high = !bs.high
-		mean := b.MeanLow
+		mean := b.meanLow
 		if bs.high {
-			mean = b.MeanHigh
+			mean = b.meanHigh
 		}
 		bs.until += rng.ExpDuration(mean)
 	}
 	if bs.high {
-		return b.HighFactor
+		return b.highFactor
 	}
-	if b.LowFactor == 0 {
+	if b.lowFactor == 0 {
 		return 1
 	}
-	return b.LowFactor
+	return b.lowFactor
 }
 
 // Generator drives a vSSD with the profile's traffic. Its steady state is
@@ -493,8 +493,8 @@ func (g *Generator) Start() {
 		g.armReplay()
 		return
 	}
-	if g.prof.ClosedLoop {
-		for i := 0; i < g.prof.Concurrency; i++ {
+	if g.prof.closedLoop {
+		for i := 0; i < g.prof.concurrency; i++ {
 			g.issueClosed()
 		}
 		return
@@ -559,7 +559,7 @@ func (g *Generator) scheduleOpen() {
 		return
 	}
 	f := g.rateFactor(g.eng.Now())
-	rate := g.prof.MeanIOPS * f
+	rate := g.prof.meanIOPS * f
 	if rate < 1 {
 		rate = 1
 	}
@@ -694,9 +694,9 @@ type synthesizer struct {
 
 // newSynthesizer starts p's trace over logicalPages pages, drawing from rng.
 func newSynthesizer(p Profile, logicalPages int, rng *sim.RNG) synthesizer {
-	rate := p.MeanIOPS
-	if p.ClosedLoop {
-		rate = float64(p.Concurrency) / 0.002
+	rate := p.meanIOPS
+	if p.closedLoop {
+		rate = float64(p.concurrency) / 0.002
 	}
 	return synthesizer{prof: p, rate: rate, logicalPages: logicalPages, rng: rng}
 }

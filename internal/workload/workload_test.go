@@ -43,7 +43,7 @@ func TestClassesMatchTable4(t *testing.T) {
 }
 
 func TestPhaseFactorCycles(t *testing.T) {
-	p := Profile{Phases: []Phase{{10 * sim.Second, 2.0}, {5 * sim.Second, 0.5}}}
+	p := Profile{phases: []phase{{10 * sim.Second, 2.0}, {5 * sim.Second, 0.5}}}
 	cases := []struct {
 		t    sim.Time
 		want float64
@@ -73,8 +73,8 @@ func TestNextAccessBounds(t *testing.T) {
 			if lpn < 0 || lpn+int64(n) > logical {
 				t.Fatalf("%s: access [%d,%d) outside logical space", name, lpn, lpn+int64(n))
 			}
-			if n < p.PagesMin || n > p.PagesMax {
-				t.Fatalf("%s: size %d outside [%d,%d]", name, n, p.PagesMin, p.PagesMax)
+			if n < p.pagesMin || n > p.pagesMax {
+				t.Fatalf("%s: size %d outside [%d,%d]", name, n, p.pagesMin, p.pagesMax)
 			}
 		}
 	}
@@ -93,8 +93,8 @@ func TestReadWriteMixApproximatesRatio(t *testing.T) {
 		}
 	}
 	got := float64(reads) / n
-	if got < p.ReadRatio-0.02 || got > p.ReadRatio+0.02 {
-		t.Fatalf("read fraction %v, want ~%v", got, p.ReadRatio)
+	if got < p.readRatio-0.02 || got > p.readRatio+0.02 {
+		t.Fatalf("read fraction %v, want ~%v", got, p.readRatio)
 	}
 }
 

@@ -18,8 +18,9 @@
 # migrations, promotes and demotes, typed traffic, …) is a row of harness's
 # claims table that harness.TestScenarios judges on the runs it renders. So is the internal-API gate: the root package's
 # TestInternalAPISizedToCallers type-checks the tree and fails on an
-# exported internal/ name (func, method, type, const or var) that no other
-# package needs unless testdata/api_allowlist.txt names it, and on an
+# exported internal/ name (func, method, type, const, var or struct field)
+# that no other package needs unless testdata/api_allowlist.txt names it
+# (a field counts other packages' tests as users), and on an
 # allowlist line that names nothing; TestObsExportsDocumented, beside it,
 # fails on an exported internal/obs name without a doc comment;
 # TestOneDeviceStack fails on a non-test use of vssd.NewPlatform outside
