@@ -74,13 +74,15 @@ func (d *Device) AddVSSD(s Spec) (*vssd.VSSD, error) {
 // LPN order, then overwrite of those pages at LPNs drawn from rng. The
 // device may already be live, so it never drains the engine to let GC free
 // space: the first allocation that finds none ends the fill with an error.
+// The in-order prefix goes through ftl's PrefillInOrder, page by page only
+// from where that stops (the GC threshold, or a lane that cannot open).
 func prefill(t *ftl.Tenant, frac, overwrite float64, rng *sim.RNG) error {
 	if !(frac >= 0 && frac <= 1 && overwrite >= 0 && overwrite <= 1) {
 		return fmt.Errorf("device: prefill fractions %v and %v out of [0, 1]", frac, overwrite)
 	}
 	n := int(float64(t.LogicalPages()) * frac)
 	total := n + int(float64(n)*overwrite)
-	for i := 0; i < total; i++ {
+	for i := t.PrefillInOrder(n); i < total; i++ {
 		lpn := i
 		if i >= n {
 			lpn = rng.Intn(n)

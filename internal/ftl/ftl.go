@@ -157,15 +157,9 @@ type Manager struct {
 	freePools [][]int // per (channel*chips+chip): stack of free block indices
 	freeCount []int   // per channel
 	tenants   []*Tenant
-	// fullSets[t] is a bitmap over block indices of the blocks with
-	// state == blockFull && owner == t — the GC victim candidates.
-	// Maintained at every transition into or out of blockFull (fullMark /
-	// fullUnmark) so pickVictim scans a few hundred words instead of the
-	// whole block table. Membership is keyed on (state, owner) only; the
-	// per-block class/valid inputs to victim selection are read fresh at
-	// scan time, so invalidations and bad/harvested flips need no index
-	// maintenance.
-	fullSets [][]uint64
+	// victimIdx is the GC candidate index pickVictim reads (victim.go); nil
+	// until the first pick builds it.
+	victimIdx *victimIndex
 
 	// submit sends a flash op to the device: dev.Submit, unless a test
 	// wraps it.
@@ -178,7 +172,7 @@ type Manager struct {
 
 	// epoch versions everything a failed host allocation reads: lane
 	// active/closed/backlog and each tenant's lane set, freeCount and
-	// freePools, block state/valid/harvested/bad, fullSets, and the
+	// freePools, block state/valid/harvested/bad, the victim index, and the
 	// tenants' gcJobs/gcTarget/badBlocks/channels. Every function that
 	// writes any of it bumps epoch, so a tenant whose last host allocation
 	// failed at the current epoch (Tenant.allocFailEpoch) knows the next
@@ -293,6 +287,7 @@ func (m *Manager) handleProgramFail(addr flash.PPA) {
 		if t.l2p[lpn] == m.pageIndex(idx, page) {
 			t.l2p[lpn] = -1
 		}
+		m.reindex(idx)
 	}
 	m.stats.Remapped++
 	m.markBad(idx)
@@ -314,8 +309,8 @@ func (m *Manager) markBad(idx int) {
 			m.tenants[b.user].sealActive(idx)
 		}
 		b.state = blockFull
-		m.fullMark(b.owner, idx)
 	}
+	m.reindex(idx)
 	if b.owner >= 0 {
 		t := m.tenants[b.owner]
 		t.badBlocks++
@@ -343,25 +338,6 @@ func (m *Manager) retireBlock(idx int) {
 // it must be unreadable either way, and reuse keeps reopening allocation-free.
 func (b *blockInfo) reset(st blockState) {
 	*b = blockInfo{pageLPN: b.pageLPN[:0], id: b.id, owner: -1, user: -1, gsb: -1, state: st, bad: b.bad}
-}
-
-// fullMark records block idx as a GC victim candidate for its owner. Call
-// exactly when the block enters blockFull state (owner -1 means the block
-// has no collecting tenant, e.g. a sealed orphan; nothing to index).
-func (m *Manager) fullMark(owner int32, idx int) {
-	if owner < 0 {
-		return
-	}
-	m.fullSets[owner][idx>>6] |= 1 << (uint(idx) & 63)
-}
-
-// fullUnmark drops block idx from its owner's candidate set. Call exactly
-// when the block leaves blockFull state (→ blockGC), before owner is reset.
-func (m *Manager) fullUnmark(owner int32, idx int) {
-	if owner < 0 {
-		return
-	}
-	m.fullSets[owner][idx>>6] &^= 1 << (uint(idx) & 63)
 }
 
 func (m *Manager) poolIndex(ch, chip int) int { return ch*m.cfg.ChipsPerChannel + chip }

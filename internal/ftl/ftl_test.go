@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -641,6 +642,141 @@ func TestPrefill(t *testing.T) {
 	}
 }
 
+// ftlState is everything of a manager and its tenants that an allocation
+// can write, and what the engine holds pending, for reflect.DeepEqual.
+type ftlState struct {
+	Blocks         []blockInfo
+	Pools          [][]int
+	FreeCount      []int
+	Epoch, FreeGen uint64
+	Victims        *victimIndex
+	Stats          Stats
+	Tenants        []tenantState
+	Pending        int
+	Now            sim.Time
+}
+
+type tenantState struct {
+	Lanes, GCLanes      []*lane
+	Cursor, GCCursor    int
+	L2P                 []int32
+	Mapped              int64
+	QuietGen, FailEpoch uint64
+	GCJobs, Bad         int
+	Stats               Stats
+}
+
+func stateOf(eng *sim.Engine, m *Manager) ftlState {
+	s := ftlState{Blocks: m.blocks, Pools: m.freePools, FreeCount: m.freeCount, Epoch: m.epoch, FreeGen: m.freeGen,
+		Victims: m.victimIdx, Stats: m.stats, Pending: eng.Pending(), Now: eng.Now()}
+	for _, t := range m.tenants {
+		s.Tenants = append(s.Tenants, tenantState{t.lanes, t.gcLanes, t.cursor, t.gcCursor, t.l2p, t.mappedPages,
+			t.gcQuietGen, t.allocFailEpoch, t.gcJobs, t.badBlocks, t.stats})
+	}
+	return s
+}
+
+// Property: PrefillInOrder followed by AllocatePage from where it stopped
+// leaves the manager, its tenants and the engine's queue exactly as
+// AllocatePage for every page does, fails at the same page when space runs
+// out, and so does everything after: the overwrite phase, and the GC it
+// started, run out on the engine. Three tenants are filled in turn, at fill
+// fractions {0, 0.35, 0.55, 0.9, 1} × overwrite {0, 0.3}: tenant 1 fills
+// most of channel 1; tenant 0 shares it, so its lanes there stop opening
+// while its own fraction is still above the GC threshold, which its prefix
+// then crosses; tenant 2 fills a channel of its own after their GC has
+// built the victim index, from its own lanes and one lane harvesting two
+// blocks lent from channel 1, which closes when they are full. Prefixes end
+// mid-stripe and mid-block, and a fill of a tenant that maps pages maps
+// nothing. Each
+// case runs with the GC threshold, with it zeroed and with no engine
+// (where maybeGC never records an early return, so the fill stops after
+// one page).
+func TestPrefillInOrderMatchesPerPage(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Channels = 3
+	cfg.PagesPerBlock = 8 // 32 blocks, 256 pages a channel
+	var whole, indexed, gcStop, laneStop, first int
+	// fill prefills the tenants as device.prefill does, through
+	// PrefillInOrder when inOrder, and returns where each fill stopped.
+	fill := func(variant string, frac, overwrite float64, inOrder bool) (*sim.Engine, *Manager, []int) {
+		eng := sim.NewEngine()
+		dev := flash.NewDevice(eng, cfg)
+		m := NewManager(eng, dev)
+		switch variant {
+		case "no-threshold":
+			m.gcThreshold = 0
+		case "no-engine":
+			m = NewManager(nil, dev)
+		}
+		tenants := []*Tenant{NewTenant(m, 0, []int{0, 1}, 460), NewTenant(m, 1, []int{1}, 200), NewTenant(m, 2, []int{2}, 100)}
+		tenants[2].AddHarvestLanes(1, m.LendBlocksInto(nil, 1, 1, 1, 1, 0))
+		rng := sim.NewRNG(7)
+		var stops []int
+		for _, tn := range []*Tenant{tenants[1], tenants[0], tenants[2]} {
+			n := int(float64(tn.logicalPages) * frac)
+			total := n + int(float64(n)*overwrite)
+			i := 0
+			if inOrder {
+				built := m.victimIdx != nil
+				i = tn.PrefillInOrder(n)
+				if built && i >= cfg.PagesPerBlock {
+					indexed++
+				}
+				switch {
+				case n == 0:
+				case i == n:
+					whole++
+				case i == 1:
+					first++
+				case tn.gcQuietGen != m.freeGen:
+					gcStop++
+				default:
+					laneStop++
+				}
+			}
+			for ; i < total; i++ {
+				lpn := i
+				if i >= n {
+					lpn = rng.Intn(n)
+				}
+				if _, ok := tn.AllocatePage(lpn, false); !ok {
+					break
+				}
+			}
+			if inOrder && tn.mappedPages > 0 && tn.PrefillInOrder(n) != 0 {
+				t.Fatalf("PrefillInOrder mapped pages of a tenant that maps %d", tn.mappedPages)
+			}
+			stops = append(stops, i)
+		}
+		checkMapping(t, m, 0, 0)
+		return eng, m, stops
+	}
+	for _, variant := range []string{"gc", "no-threshold", "no-engine"} {
+		for _, frac := range []float64{0, 0.35, 0.55, 0.9, 1} {
+			for _, overwrite := range []float64{0, 0.3} {
+				engA, a, stopsA := fill(variant, frac, overwrite, false)
+				engB, b, stopsB := fill(variant, frac, overwrite, true)
+				if !slices.Equal(stopsA, stopsB) {
+					t.Fatalf("%s, fill %.2f, overwrite %.1f: fills stop at pages %v per page, %v in order", variant, frac, overwrite, stopsA, stopsB)
+				}
+				for _, when := range []string{"filled", "with the engine run out"} {
+					if !reflect.DeepEqual(stateOf(engA, a), stateOf(engB, b)) {
+						t.Fatalf("%s, fill %.2f, overwrite %.1f, %s: the in-order fill's state differs from the per-page fill's", variant, frac, overwrite, when)
+					}
+					engA.Run()
+					engB.Run()
+				}
+			}
+		}
+	}
+	t.Logf("in-order fills: %d whole prefixes, %d stopped at the GC threshold, %d at a lane that cannot open, %d after the first page; %d filled blocks with the victim index built",
+		whole, gcStop, laneStop, first, indexed)
+	if whole == 0 || indexed == 0 || gcStop == 0 || laneStop == 0 || first == 0 {
+		t.Fatal("the cases no longer reach every way an in-order fill ends")
+	}
+}
+
 func TestSetChannelsSealsDroppedLanes(t *testing.T) {
 	cfg := smallConfig()
 	_, m := newTestMgr(t, cfg)
@@ -730,76 +866,191 @@ func pickVictimScan(tn *Tenant) int {
 	return best
 }
 
-// checkFullSets asserts the candidate bitmaps hold exactly the blocks with
-// state == blockFull && owner == t, for every tenant.
-func checkFullSets(t *testing.T, m *Manager) {
+// checkVictimIndex asserts a built victim index equals one built afresh
+// from the block table by the same one scan the first pick runs.
+func checkVictimIndex(t *testing.T, m *Manager) {
 	t.Helper()
-	for tid := range m.tenants {
-		set := m.fullSets[tid]
-		for i := range m.blocks {
-			b := &m.blocks[i]
-			want := b.state == blockFull && int(b.owner) == tid
-			got := set[i>>6]&(1<<(uint(i)&63)) != 0
-			if got != want {
-				t.Fatalf("fullSets[%d] bit %d = %v, want %v (state=%d owner=%d)",
-					tid, i, got, want, b.state, b.owner)
+	got := m.victimIdx
+	if got == nil {
+		return
+	}
+	m.victimIdx = nil
+	want := m.victims()
+	m.victimIdx = got
+	if !reflect.DeepEqual(got, want) {
+		for i := range got.row {
+			if got.row[i] != want.row[i] {
+				b := &m.blocks[i]
+				t.Fatalf("victim index files block %d under row %d, a rebuild under %d (state=%d owner=%d valid=%d bad=%v harvested=%v)",
+					i, got.row[i], want.row[i], b.state, b.owner, b.valid, b.bad, b.harvested)
 			}
 		}
+		t.Fatalf("victim index counts differ from a rebuild's with the same rows")
 	}
 }
 
-// Property: through a churny mixed workload — overwrites, trims, GC,
-// lending/harvesting, channel re-partitioning, and injected bad blocks —
-// the Full-block candidate index stays exact and pickVictim returns the
-// same block the reference whole-table scan would.
+// Property: the victim index stays exact — equal to one built afresh from
+// the block table — and every tenant's pickVictim returns the block the
+// whole-table scan picks, after every step of a random walk, at seeds 1 to
+// 16, over everything that writes a victim key: host writes filling blocks
+// and invalidating pages of Full ones, trims, markBad on Open and on Full
+// blocks, program failures delivered through deviceFault (on Full blocks,
+// and again on blocks already bad), lent blocks filled by a harvester and
+// sealed by closing its lanes, GC taking victims out, erasing and retiring
+// them (erase failures injected), channel re-partitioning that seals own
+// and GC lanes, and two tenants allocating from one shared channel, as on a
+// rack device. The index is never built by the test: the first pick of a
+// run, from GC or markBad, builds it mid-run from a table with Full blocks.
 func TestPickVictimMatchesScan(t *testing.T) {
 	cfg := smallConfig()
+	cfg.Channels = 3
 	cfg.PagesPerBlock = 4
-	eng, m := newTestMgr(t, cfg)
-	tn := NewTenant(m, 0, []int{0}, 128)
-	harv := NewTenant(m, 1, []int{1}, 128)
-	rng := sim.NewRNG(42)
-	check := func() {
-		checkFullSets(t, m)
-		for _, tenant := range m.tenants {
-			if got, want := tenant.pickVictim(), pickVictimScan(tenant); got != want {
-				t.Fatalf("tenant %d pickVictim = %d, want %d", tenant.id, got, want)
+	var badOpen, badFull, failFull, failBad, harvestedPicks, sharedPicks int
+	var gcRuns, retired int64
+	for seed := int64(1); seed <= 16; seed++ {
+		eng, m := newTestMgr(t, cfg)
+		m.dev.SetFaultInjector(fault.NewInjector(fault.Config{ProgramFailProb: 0.01, EraseFailProb: 0.01, Seed: seed}))
+		// Tenants 1 and 2 share channel 1.
+		tenants := []*Tenant{NewTenant(m, 0, []int{0}, 96), NewTenant(m, 1, []int{1}, 48), NewTenant(m, 2, []int{1}, 48)}
+		rng := sim.NewRNG(seed)
+		var harvested []struct{ gsb, by int }
+		nextGSB, bad, fails, fullBefore := 1, 0, 0, 0
+		built := false
+		for step := 0; step < 2000; step++ {
+			tn := tenants[rng.Intn(len(tenants))]
+			switch rng.Intn(24) {
+			case 0, 1:
+				tn.Trim(rng.Intn(tn.logicalPages))
+			case 2, 3, 4:
+				eng.RunUntil(eng.Now() + sim.Time(rng.Intn(2000))*sim.Microsecond)
+			case 5:
+				if lent := m.LendBlocksInto(nil, tn.channels[0], 1, tn.id, nextGSB, 0.1); len(lent) > 0 {
+					by := tenants[(tn.id+1+rng.Intn(len(tenants)-1))%len(tenants)]
+					by.AddHarvestLanes(nextGSB, lent)
+					harvested = append(harvested, struct{ gsb, by int }{nextGSB, by.id})
+				}
+				nextGSB++
+			case 6:
+				if len(harvested) > 0 {
+					tenants[harvested[0].by].CloseHarvestLanes(harvested[0].gsb)
+					harvested = harvested[1:]
+				}
+			case 7:
+				if len(tenants[0].channels) == 1 {
+					tenants[0].SetChannels([]int{0, 2})
+				} else {
+					tenants[0].SetChannels([]int{0})
+				}
+			case 8:
+				// Capped, with the program failures, so retired capacity
+				// cannot starve GC migration into a retry livelock.
+				i := rng.Intn(len(m.blocks))
+				if b := &m.blocks[i]; bad < 5 && !b.bad && (b.state == blockOpen || b.state == blockFull) {
+					if b.state == blockOpen {
+						badOpen++
+					} else {
+						badFull++
+					}
+					m.markBad(i)
+					bad++
+				}
+			case 9:
+				// A host program fails, and the submitter re-dispatches it;
+				// half the time a second page of the now bad block fails too.
+				lpn := rng.Intn(tn.logicalPages)
+				ppa, ok := tn.Lookup(lpn)
+				if !ok || fails >= 8 {
+					break
+				}
+				fails++
+				idx := m.blockIndex(ppa.BlockOf())
+				b := &m.blocks[idx]
+				if b.state == blockFull {
+					failFull++
+				}
+				m.deviceFault(flash.OpProgram, ppa, flash.StatusProgramFail)
+				if rng.Intn(2) == 0 {
+					for p, l := range b.pageLPN {
+						if l != invalidPPA && b.state == blockFull {
+							failBad++
+							m.deviceFault(flash.OpProgram, b.id.page(p), flash.StatusProgramFail)
+							break
+						}
+					}
+				}
+				tn.AllocatePage(lpn, false)
+			default:
+				tn.AllocatePage(rng.Intn(tn.logicalPages), false)
+			}
+			if m.victimIdx == nil {
+				fullBefore = 0
+				for i := range m.blocks {
+					if m.blocks[i].state == blockFull {
+						fullBefore++
+					}
+				}
+				continue
+			}
+			if !built {
+				built = true
+				if step == 0 || fullBefore == 0 {
+					t.Fatalf("seed %d: the index was built at step %d from a table with %d Full blocks; want a build mid-run", seed, step, fullBefore)
+				}
+			}
+			checkVictimIndex(t, m)
+			for _, tenant := range tenants {
+				got, want := tenant.pickVictim(), pickVictimScan(tenant)
+				if got != want {
+					t.Fatalf("seed %d step %d: tenant %d pickVictim = %d, the scan picks %d", seed, step, tenant.id, got, want)
+				}
+				if got >= 0 && m.blocks[got].harvested {
+					harvestedPicks++
+				}
+			}
+			if tenants[1].pickVictim() >= 0 && tenants[2].pickVictim() >= 0 {
+				sharedPicks++
 			}
 		}
-	}
-	// Lend one chip-stripe of tenant 0's channel to the harvester.
-	lent := m.LendBlocksInto(nil, 0, 1, 0, 1, 0.0)
-	harv.AddHarvestLanes(1, lent)
-	bad := 0
-	for step := 0; step < 400; step++ {
-		switch rng.Intn(10) {
-		case 0:
-			tn.Trim(rng.Intn(128))
-		case 1:
-			harv.AllocatePage(rng.Intn(128), false)
-		case 2:
-			// Flag a random open/full block bad (exercises markBad's
-			// Open→Full seal and the class -1 victims). Capped so retired
-			// capacity can't starve GC migration into a retry livelock.
-			i := rng.Intn(len(m.blocks))
-			if st := m.blocks[i].state; bad < 4 && (st == blockOpen || st == blockFull) {
-				m.markBad(i)
-				bad++
-			}
-		case 3:
-			eng.Run()
-		default:
-			tn.AllocatePage(rng.Intn(128), false)
+		if !built {
+			t.Fatalf("seed %d: no pick ever built the index", seed)
 		}
-		check()
+		gcRuns += m.stats.GCRuns
+		retired += m.stats.Retired
 	}
-	// Drain GC, close the harvest lanes (seals dirty lent blocks), and
-	// re-partition the harvester's channels (seals dropped-lane blocks).
-	eng.Run()
-	harv.CloseHarvestLanes(1)
-	check()
-	harv.SetChannels([]int{})
-	check()
+	t.Logf("markBad on %d Open and %d Full blocks, %d program failures on Full blocks (%d on a bad one), %d harvested picks, %d steps with candidates of both sharing tenants, %d GC runs, %d retired",
+		badOpen, badFull, failFull, failBad, harvestedPicks, sharedPicks, gcRuns, retired)
+	if badOpen == 0 || badFull == 0 || failFull == 0 || failBad == 0 || harvestedPicks == 0 || sharedPicks == 0 || gcRuns == 0 || retired == 0 {
+		t.Fatal("the walk no longer reaches every writer of a victim key; it proves nothing about the one it misses")
+	}
+}
+
+// Steady-state victim index maintenance allocates nothing: a host write's
+// invalidation of a page in a Full block (a move between rows), a pick, and
+// a victim taken out of the index and filed back.
+func TestVictimIndexZeroAlloc(t *testing.T) {
+	_, m := newTestMgr(t, smallConfig())
+	m.gcThreshold = 0 // keep GC out: the test moves victims by hand
+	tn := NewTenant(m, 0, []int{0, 1}, 256)
+	for lpn := range 256 {
+		if _, ok := tn.AllocatePage(lpn, false); !ok {
+			t.Fatalf("allocation of LPN %d failed", lpn)
+		}
+	}
+	tn.pickVictim() // builds the index
+	lpn := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		tn.Trim(lpn)
+		lpn++
+		v := tn.pickVictim()
+		m.blocks[v].state = blockGC
+		m.reindex(v)
+		m.blocks[v].state = blockFull
+		m.reindex(v)
+	})
+	if allocs != 0 {
+		t.Fatalf("victim index maintenance allocates %.1f times per step, want 0", allocs)
+	}
+	checkVictimIndex(t, m)
 }
 
 // memoChurn drives two tenants of `logical` pages each on a small device

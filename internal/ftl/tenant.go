@@ -3,7 +3,6 @@ package ftl
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/flash"
 	"repro/internal/sim"
@@ -101,7 +100,9 @@ func NewTenant(mgr *Manager, id int, channels []int, logicalPages int) *Tenant {
 		t.gcLanes = append(t.gcLanes, &lane{ch: ch, chip: 0, active: -1, own: true, gsb: -1})
 	}
 	mgr.tenants = append(mgr.tenants, t)
-	mgr.fullSets = append(mgr.fullSets, make([]uint64, (len(mgr.blocks)+63)/64))
+	if mgr.victimIdx != nil {
+		mgr.victimIdx.addTenant()
+	}
 	return t
 }
 
@@ -175,7 +176,7 @@ func (t *Tenant) SetChannels(channels []int) {
 		if ln.active >= 0 {
 			b := &t.mgr.blocks[ln.active]
 			b.state = blockFull
-			t.mgr.fullMark(b.owner, ln.active)
+			t.mgr.reindex(ln.active)
 			ln.active = -1
 		}
 	}
@@ -202,7 +203,7 @@ func (t *Tenant) SetChannels(channels []int) {
 		if ln.active >= 0 {
 			b := &t.mgr.blocks[ln.active]
 			b.state = blockFull
-			t.mgr.fullMark(b.owner, ln.active)
+			t.mgr.reindex(ln.active)
 			ln.active = -1
 		}
 	}
@@ -269,7 +270,7 @@ func (t *Tenant) CloseHarvestLanes(gsbID int) (cleanReturned []int) {
 				cleanReturned = append(cleanReturned, ln.active)
 			} else {
 				b.state = blockFull
-				t.mgr.fullMark(b.owner, ln.active)
+				t.mgr.reindex(ln.active)
 			}
 		}
 	}
@@ -419,7 +420,7 @@ func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {
 		t.mappedPages++
 		if int(b.writePtr) == t.mgr.cfg.PagesPerBlock {
 			b.state = blockFull
-			t.mgr.fullMark(b.owner, ln.active)
+			t.mgr.reindex(ln.active)
 			ln.active = -1
 		}
 		t.maybeGC()
@@ -427,6 +428,61 @@ func (t *Tenant) allocateScan(lpn int, forGC bool) (flash.PPA, bool) {
 	}
 	t.maybeGC()
 	return flash.PPA{}, false
+}
+
+// PrefillInOrder maps LPNs 0, 1, … n-1 of a tenant that maps nothing yet,
+// with exactly the effects of AllocatePage(lpn, false) for each in turn,
+// and returns how many it mapped. It stops early, mapping fewer, at the
+// first page whose lane has no open block and cannot open one, and after
+// the first page at which maybeGC does more than return early; the caller
+// maps the rest with AllocatePage. It maps nothing when the tenant already
+// maps a page.
+//
+// The loop is allocateScan's, less what cannot happen before it stops: no
+// LPN is mapped yet, so none needs invalidating; every page goes to the
+// lane at the cursor, since the first lane that fails to open ends the loop
+// (a failed open changes nothing an AllocatePage retry from the same
+// cursor does not change too); and maybeGC runs only when freeGen has moved
+// since it last returned early, which is maybeGC's own first test.
+func (t *Tenant) PrefillInOrder(n int) int {
+	m := t.mgr
+	lanes := t.lanes
+	if t.mappedPages != 0 || len(lanes) == 0 {
+		return 0
+	}
+	ppb := int32(m.cfg.PagesPerBlock)
+	for lpn := range min(n, t.logicalPages) {
+		if t.cursor >= len(lanes) {
+			t.cursor = 0
+		}
+		ln := lanes[t.cursor]
+		if ln.active < 0 && !t.openLane(ln, false) {
+			return lpn
+		}
+		if t.cursor++; t.cursor == len(lanes) {
+			t.cursor = 0
+		}
+		b := &m.blocks[ln.active]
+		m.epoch++
+		page := b.writePtr
+		b.writePtr++
+		b.pageLPN[page] = int32(lpn)
+		b.valid++
+		t.l2p[lpn] = m.pageIndex(ln.active, int(page))
+		t.mappedPages++
+		if b.writePtr == ppb {
+			b.state = blockFull
+			m.reindex(ln.active)
+			ln.active = -1
+		}
+		if t.gcQuietGen != m.freeGen {
+			t.maybeGC()
+			if t.gcQuietGen != m.freeGen {
+				return lpn + 1
+			}
+		}
+	}
+	return min(n, t.logicalPages)
 }
 
 // Lookup returns the physical address of lpn's data.
@@ -467,6 +523,7 @@ func (t *Tenant) invalidate(lpn int) {
 		b.valid--
 		t.mgr.epoch++
 		t.mappedPages--
+		t.mgr.reindex(idx)
 	}
 }
 
@@ -502,7 +559,7 @@ func (t *Tenant) maybeGC() {
 		t.mgr.rec.GCRun(t.id, victim, int(t.mgr.blocks[victim].valid), t.mgr.blocks[victim].harvested)
 		t.mgr.epoch++
 		t.mgr.blocks[victim].state = blockGC
-		t.mgr.fullUnmark(int32(t.id), victim)
+		t.mgr.reindex(victim)
 		t.gcJobs++
 		t.mgr.stats.GCRuns++
 		t.collect(victim)
@@ -520,52 +577,11 @@ func (t *Tenant) gcPriority() int {
 
 // pickVictim chooses the best Full block owned by this tenant:
 // harvested/reclaimed blocks are strictly preferred (the §3.7 policy);
-// ties and the rest order by fewest valid pages.
-//
-// Candidates come from the tenant's fullSets bitmap rather than a scan of
-// the whole block table. The walk over its set bits is 9-11% of CPU (flat)
-// on a write-heavy pair, at about 1 340 block records visited per call;
-// dense per-block victim keys read level end to end (CHANGES.md, the
-// trace-ring re-typing change's measurement record).
-// Words and bits iterate in ascending block-index order and the comparison
-// stays a strict less-than, so the chosen victim — including the
-// lowest-index tie-break — is identical to the old linear scan's.
-func (t *Tenant) pickVictim() int {
-	best := -1
-	bestClass, bestValid := 1<<30, int32(1<<30)
-	full := t.mgr.fullSets[t.id]
-	for w, word := range full {
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			// Set membership guarantees state == blockFull && owner == t.id
-			// (pinned by TestPickVictimMatchesScan).
-			b := &t.mgr.blocks[i]
-			// A fully valid regular block yields no free pages; collecting
-			// it would be pure write amplification (and can livelock GC
-			// re-arming). A fully valid *harvested* block is still worth
-			// collecting: its data migrates into the harvester's own space
-			// and the block returns to this tenant's pool. A *bad* block
-			// must be collected no matter what — its surviving pages need
-			// to move off the failing media before it is retired.
-			if int(b.valid) >= t.mgr.cfg.PagesPerBlock && !b.harvested && !b.bad {
-				continue
-			}
-			class := 1
-			if b.harvested {
-				class = 0
-			}
-			if b.bad {
-				class = -1
-			}
-			if class < bestClass || (class == bestClass && b.valid < bestValid) {
-				bestClass, bestValid = class, b.valid
-				best = i
-			}
-		}
-	}
-	return best
-}
+// ties and the rest order by fewest valid pages, then lowest block index.
+// It reads the Manager's victim index (victim.go), a few words a pick: the
+// walk over every Full block the tenant owns that it replaced, about 1 340
+// block records a call, was 9.7% of a write-heavy pair's CPU (flat).
+func (t *Tenant) pickVictim() int { return t.mgr.victims().pick(t.id) }
 
 // gcJob is the state of one victim collection: the valid-page worklist and
 // the migration pipeline cursor. Jobs are recycled through the Manager's
