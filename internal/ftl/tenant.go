@@ -578,9 +578,9 @@ func (t *Tenant) gcPriority() int {
 // pickVictim chooses the best Full block owned by this tenant:
 // harvested/reclaimed blocks are strictly preferred (the §3.7 policy);
 // ties and the rest order by fewest valid pages, then lowest block index.
-// It reads the Manager's victim index (victim.go), a few words a pick: the
-// walk over every Full block the tenant owns that it replaced, about 1 340
-// block records a call, was 9.7% of a write-heavy pair's CPU (flat).
+// It reads the Manager's victim index (victim.go), a few words a pick,
+// because a walk over the tenant's Full blocks, about 1 340 a pick on a
+// write-heavy pair, costs ~10% of that pair's CPU.
 func (t *Tenant) pickVictim() int { return t.mgr.victims().pick(t.id) }
 
 // gcJob is the state of one victim collection: the valid-page worklist and

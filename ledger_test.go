@@ -25,6 +25,7 @@ type ledgerPoint struct {
 	Order  string `json:"order"`
 	Report struct {
 		Workload string `json:"workload"`
+		Seed     int64  `json:"seed"`
 		Stamp    struct {
 			CPU        string `json:"cpu"`
 			NProc      int    `json:"nproc"`
@@ -50,8 +51,9 @@ type ledgerPoint struct {
 // pair, so a point pasted twice is caught. A PR's bench points come in
 // pairs: a workload a PR measured on one side it measured on the other,
 // since a point with no partner cannot carry a claim. Where a PR measured a
-// workload in three or more alternated pairs (scripts/ab.sh), it logs the
-// spread rule's verdict on each host metric (see spreadRule); a verdict is
+// workload at one seed in three or more alternated pairs (scripts/ab.sh),
+// it logs the spread rule's verdict on each host metric (see spreadRule);
+// a verdict is
 // a host number, so it never fails the test. The perf-PR table of
 // docs/PERFORMANCE.md prints those points: see checkPerfTable.
 func TestLedger(t *testing.T) {
@@ -137,22 +139,30 @@ func TestLedger(t *testing.T) {
 	})
 	for _, k := range sides {
 		for _, m := range spec.EndToEnd {
-			pairs := pairedValues(roles[k], m.Name)
-			if len(pairs) < 3 {
-				continue
+			bySeed := pairedValues(roles[k], m.Name)
+			var seeds []int64
+			for seed, pairs := range bySeed {
+				if len(pairs) >= 3 {
+					seeds = append(seeds, seed)
+				}
 			}
-			v := spreadRule(pairs, m.Better == "higher")
-			verdicts[ledgerClaim{k, m.Name}] = v
-			t.Logf("PR %d %s %s: %s", k.pr, k.workload, m.Name, v)
+			slices.Sort(seeds)
+			for _, seed := range seeds {
+				v := spreadRule(bySeed[seed], m.Better == "higher")
+				verdicts[ledgerClaim{k, m.Name, seed}] = v
+				t.Logf("PR %d %s %s at seed %d: %s", k.pr, k.workload, m.Name, seed, v)
+			}
 		}
 	}
 	checkPerfTable(t, roles, verdicts)
 }
 
-// ledgerClaim is one metric of one PR's bench points on one workload.
+// ledgerClaim is one metric of one PR's bench points on one workload at
+// one seed.
 type ledgerClaim struct {
 	ledgerSide
 	metric string
+	seed   int64
 }
 
 // abPair is one alternated pair's values of a metric.
@@ -162,10 +172,12 @@ type abPair struct {
 }
 
 // pairedValues returns the pairs of a PR's points on one workload that hold
-// a host metric on both sides, by pair index; points of pair 0 are in none.
-func pairedValues(sides map[string][]ledgerPoint, metric string) []abPair {
+// a host metric on both sides, by seed and in pair order; points of pair 0
+// are in none.
+func pairedValues(sides map[string][]ledgerPoint, metric string) map[int64][]abPair {
 	byPair := map[int]*abPair{}
 	full := map[int]int{}
+	seed := map[int]int64{}
 	for _, role := range []string{"parent", "change"} {
 		for _, p := range sides[role] {
 			m, ok := p.Report.Metrics[metric]
@@ -176,13 +188,16 @@ func pairedValues(sides map[string][]ledgerPoint, metric string) []abPair {
 			if ab == nil {
 				ab = &abPair{parentFirst: p.Order == "parent-first"}
 				byPair[p.Pair] = ab
+				seed[p.Pair] = p.Report.Seed
 			}
 			if role == "parent" {
 				ab.parent = m.Value
 			} else {
 				ab.change = m.Value
 			}
-			full[p.Pair]++
+			if seed[p.Pair] == p.Report.Seed {
+				full[p.Pair]++
+			}
 		}
 	}
 	var ks []int
@@ -192,9 +207,9 @@ func pairedValues(sides map[string][]ledgerPoint, metric string) []abPair {
 		}
 	}
 	slices.Sort(ks)
-	out := make([]abPair, len(ks))
-	for i, k := range ks {
-		out[i] = *byPair[k]
+	out := map[int64][]abPair{}
+	for _, k := range ks {
+		out[seed[k]] = append(out[seed[k]], *byPair[k])
 	}
 	return out
 }
@@ -283,8 +298,8 @@ type ledgerSide struct {
 // ledgerCell is the ledger-points cell of a perf-PR table row that has
 // points: the workload, the claimed metric, and the parent and change
 // points' values as printed; a claim measured in alternated pairs prints
-// the medians over its pairs and the spread rule's verdict.
-var ledgerCell = regexp.MustCompile("^`(\\w+)` `(\\w+)` ([0-9.]+) → ([0-9.]+)(?:, spread rule (holds|fails) over (\\d+) pairs)?$")
+// the medians over its pairs at one seed and the spread rule's verdict.
+var ledgerCell = regexp.MustCompile("^`(\\w+)` `(\\w+)` ([0-9.]+) → ([0-9.]+)(?:, spread rule (holds|fails) over (\\d+) pairs at seed (\\d+))?$")
 
 // checkPerfTable reads the perf-PR table of docs/PERFORMANCE.md, one row
 // per change that claimed a performance gain, and holds it to the ledger
@@ -292,7 +307,8 @@ var ledgerCell = regexp.MustCompile("^`(\\w+)` `(\\w+)` ([0-9.]+) → ([0-9.]+)(
 // workload on which that PR has both a parent and a change point, and
 // prints the claimed metric of those points as they are, at the printed
 // precision (or, for a claim measured in alternated pairs, their medians
-// over the pairs, and the spread rule's verdict as TestLedger computes it);
+// over the pairs at the printed seed, and the spread rule's verdict as
+// TestLedger computes it);
 // a row of a PR without points says "pre-ledger". Every row
 // points at its PR's CHANGES.md entry, and every CHANGES.md entry tagged
 // [perf_opt] has a row, so the next perf change adds one.
@@ -347,10 +363,11 @@ func checkPerfTable(t *testing.T, roles map[ledgerSide]map[string][]ledgerPoint,
 			t.Errorf("perf-PR table: PR %d has ledger points; want its row to print \"`workload` `metric` parent → change\", got %q", pr, cells[4])
 			continue
 		}
+		seed, _ := strconv.ParseInt(m[7], 10, 64)
 		if m[5] != "" {
-			v, ok := verdicts[ledgerClaim{ledgerSide{pr, m[1]}, m[2]}]
+			v, ok := verdicts[ledgerClaim{ledgerSide{pr, m[1]}, m[2], seed}]
 			if got := fmt.Sprintf("%s over %d", v.word(), v.pairs); !ok || got != m[5]+" over "+m[6] {
-				t.Errorf("perf-PR table: PR %d prints the spread rule on %s %s as %s over %s pairs; the ledger's pairs give %s pairs", pr, m[1], m[2], m[5], m[6], got)
+				t.Errorf("perf-PR table: PR %d prints the spread rule on %s %s at seed %d as %s over %s pairs; the ledger's pairs give %s pairs", pr, m[1], m[2], seed, m[5], m[6], got)
 			}
 		}
 		for i, role := range []string{"parent", "change"} {
@@ -372,7 +389,7 @@ func checkPerfTable(t *testing.T, roles map[ledgerSide]map[string][]ledgerPoint,
 					continue
 				}
 				got = append(got, strconv.FormatFloat(metric.Value, 'f', decimals, 64))
-				if p.Pair > 0 {
+				if p.Pair > 0 && p.Report.Seed == seed {
 					values = append(values, metric.Value)
 				}
 			}

@@ -9,9 +9,11 @@
 # back to back: odd pairs parent first, even pairs change first, so drift
 # of the machine over the session lands on both sides. Every record goes to
 # the ledger through scripts/ledger.sh, with its pair index and order, when
-# PR is given (without it nothing is recorded). At the end it prints
-# `bench -compare` over all the pairs; TestLedger prints the spread-rule
-# verdict from the ledger points.
+# PR is given (without it nothing is recorded); the pairs are numbered on
+# from the last pair the ledger holds for PR on WORKLOAD. Each pair prints
+# its wall_s_per_vsec on both sides; at the end it prints `bench -compare`
+# over all the pairs, and TestLedger logs the spread rule's verdict from
+# the ledger points.
 #
 # SEED (default 1) is passed to every run as -seed.
 set -euo pipefail
@@ -29,12 +31,24 @@ trap 'rm -rf "$tmp"' EXIT
 export GOCACHE="$tmp/gocache" GOMODCACHE="$tmp/gomod" GOPATH="$tmp/gopath"
 export GOFLAGS=-mod=readonly GOTOOLCHAIN=local GOWORK=off
 
+# The ledger's last pair for PR on WORKLOAD; 0 when it holds none.
+last=0
+if [ -n "$pr" ]; then
+    last=$(grep -o "\"pr\": $pr, \"role\": \"[a-z]*\", \"pair\": [0-9]*, \"order\": \"[a-z-]*\", \"report\": {\"workload\":\"$workload\"" \
+        "$root/BENCH_fleet.json" | sed -E 's/.*"pair": ([0-9]+).*/\1/' | sort -n | tail -n 1 || true)
+    last=${last:-0}
+fi
+
 for role in parent change; do
     commit=${!role}
     git clone -q --no-checkout "$root" "$tmp/$role"
     git -C "$tmp/$role" checkout -q "$commit"
     (cd "$tmp/$role/bench" && go build -buildvcs=false -o "$tmp/$role.bench" .)
 done
+
+wall() { # record
+    grep -o '"wall_s_per_vsec":{"value":[0-9.e+-]*' "$1" | sed 's/.*://'
+}
 
 run() { # role pair order
     local role=$1 rec="$tmp/$1-$2.jsonl"
@@ -46,15 +60,17 @@ run() { # role pair order
     fi
 }
 
-for k in $(seq 1 "$pairs"); do
+for k in $(seq $((last + 1)) $((last + pairs))); do
     if [ $((k % 2)) -eq 1 ]; then
-        run parent "$k" parent-first
-        run change "$k" parent-first
+        order=parent-first
+        run parent "$k" $order
+        run change "$k" $order
     else
-        run change "$k" change-first
-        run parent "$k" change-first
+        order=change-first
+        run change "$k" $order
+        run parent "$k" $order
     fi
-    echo "ab.sh: pair $k of $pairs done" >&2
+    echo "ab.sh: pair $k ($order): wall_s_per_vsec $(wall "$tmp/parent-$k.jsonl") -> $(wall "$tmp/change-$k.jsonl")"
 done
 
 "$tmp/change.bench" -spec "$tmp/change/BENCHMARK.json" -compare "$tmp/parent.jsonl" "$tmp/change.jsonl" || true
