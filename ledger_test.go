@@ -53,9 +53,8 @@ type ledgerPoint struct {
 // since a point with no partner cannot carry a claim. Where a PR measured a
 // workload at one seed in three or more alternated pairs (scripts/ab.sh),
 // it logs the spread rule's verdict on each host metric (see spreadRule);
-// a verdict is
-// a host number, so it never fails the test. The perf-PR table of
-// docs/PERFORMANCE.md prints those points: see checkPerfTable.
+// a verdict is a host number, so it never fails the test. The perf-PR
+// table of docs/PERFORMANCE.md prints those points: see checkPerfTable.
 func TestLedger(t *testing.T) {
 	var ledger struct {
 		Legacy struct {
